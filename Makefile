@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%F)
 
-.PHONY: all build test race vet fmt check bench bench-json bench-compare scenarios shards snapshot substrate staticcheck fuzz
+.PHONY: all build test race vet fmt check bench bench-json bench-compare scenarios shards snapshot substrate staticcheck fuzz perf-smoke
 
 all: check
 
@@ -115,6 +115,15 @@ bench-compare:
 	if [ -z "$$old" ] || [ -z "$$new" ]; then \
 		echo "bench-compare: need two BENCH_*.json records (run make bench-json, or pass OLD=... NEW=...)"; exit 1; fi; \
 	$(GO) run ./cmd/benchdiff "$$old" "$$new"
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) is a nested
+# module, so vet and `go test ./...` at the root never reach it. This vets
+# it, runs its tests (span and bound arithmetic, manifest, the -quick path
+# in-process) and its < 10 s smoke run with every check on. Not for
+# claims: those take `go run -C benchmark .` or benchmark/run.sh.
+perf-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+	$(GO) run -C benchmark . -quick
 
 # Substrate compile differentials under the race detector: the parallel
 # compiler must be bit-identical to sequential, the blueprint cache must

@@ -1,0 +1,258 @@
+package des
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/xrand"
+)
+
+// The paper's worst case is a synchronized burst, which files thousands of
+// events into one wheel tick. These tests pin the order such a chain fires
+// in, that draining it allocates nothing, and that its cost per event does
+// not grow with its length the way a quadratic sort's would.
+
+const tickNs = Time(1) << tickShift
+
+// chainShapes are the orders a one-tick chain can be filed in: the i-th of
+// n events gets a sub-tick offset and a tie-break priority (perm is a
+// seeded permutation of 0..n-1). seq is the filing order throughout.
+var chainShapes = []struct {
+	name string
+	key  func(i, n int, perm []int) (off, prio Time)
+}{
+	// One identical instant, so the LIFO bucket chain is exactly the
+	// reverse of the firing order: the shape a t=0 burst produces.
+	{"reversed", func(i, n int, perm []int) (Time, Time) { return 17, 0 }},
+	{"descending-at", func(i, n int, perm []int) (Time, Time) { return Time(n-1-i) * tickNs / Time(n), 0 }},
+	{"shuffled", func(i, n int, perm []int) (Time, Time) { return Time(perm[i]) * tickNs / Time(n), 0 }},
+	// Pairs tie on prio as well, so seq decides between them.
+	{"distinct-prio", func(i, n int, perm []int) (Time, Time) { return 17, Time(perm[i] / 2) }},
+}
+
+// firingRef records what was scheduled, in schedule order, and checks the
+// firing sequence against the sorted (at, prio, seq) reference.
+type firingRef struct {
+	evs   []event // seq = index; canceled marks events that must not fire
+	fired []int
+}
+
+// add records an event and returns the callback that logs its firing.
+func (r *firingRef) add(at, prio Time) func() {
+	i := len(r.evs)
+	r.evs = append(r.evs, event{at: at, prio: prio, seq: uint64(i)})
+	return func() { r.fired = append(r.fired, i) }
+}
+
+func (r *firingRef) check(t *testing.T) {
+	t.Helper()
+	var want []int
+	for i := range r.evs {
+		if !r.evs[i].canceled {
+			want = append(want, i)
+		}
+	}
+	slices.SortFunc(want, func(a, b int) int { return eventCmp(&r.evs[a], &r.evs[b]) })
+	if len(r.fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(r.fired), len(want))
+	}
+	for i := range want {
+		if r.fired[i] != want[i] {
+			a, b := r.evs[r.fired[i]], r.evs[want[i]]
+			t.Fatalf("firing order diverges at %d: got (at=%d prio=%d seq=%d), want (at=%d prio=%d seq=%d)",
+				i, a.at, a.prio, a.seq, b.at, b.prio, b.seq)
+		}
+	}
+}
+
+// TestLongSameTickChains drains one-tick chains, from short enough for
+// sortReady's insertion budget to far beyond it, in every shape, against
+// the reference order.
+func TestLongSameTickChains(t *testing.T) {
+	for _, n := range []int{17, 1 << 10, 1 << 16} {
+		perm := xrand.New(uint64(n)).Perm(n)
+		for _, shape := range chainShapes {
+			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
+				eng := New()
+				ref := &firingRef{}
+				for i := 0; i < n; i++ {
+					off, prio := shape.key(i, n, perm)
+					eng.SchedulePrio(5*tickNs+off, prio, ref.add(5*tickNs+off, prio))
+				}
+				if got := eng.levels[0].count; got != n {
+					t.Fatalf("level 0 holds %d events, want all %d in one bucket", got, n)
+				}
+				eng.Run()
+				ref.check(t)
+			})
+		}
+	}
+}
+
+// TestCascadeOntoCurrentTick lands chains from every wheel level on one
+// tick in a single cursor advance: the tick is 256³, so the level-3,
+// level-2 and level-1 buckets holding it all cascade straight into the
+// ready run beside the level-0 bucket, with canceled records and
+// later-tick events (which must re-file, not fire early) mixed in.
+func TestCascadeOntoCurrentTick(t *testing.T) {
+	const target = int64(1) << (3 * levelBits) // tick
+	at := Time(target) << tickShift
+	eng := New()
+	ref := &firingRef{}
+	rng := xrand.New(0xCA5CADE)
+	var handles []Event // parallel to ref.evs
+	schedule := func(at Time, then func()) {
+		fire := ref.add(at, eng.Now())
+		handles = append(handles, eng.Schedule(at, func() {
+			fire()
+			if then != nil {
+				then()
+			}
+		}))
+	}
+	// chain files 500 events on the target tick and a few beyond it, then
+	// cancels every seventh of them.
+	chain := func() {
+		first := len(handles)
+		for i := 0; i < 500; i++ {
+			schedule(at+Time(rng.Intn(int(tickNs))), nil)
+		}
+		for _, later := range []Time{3, 300, 70_000} {
+			schedule(at+later*tickNs, nil)
+		}
+		for i := first; i < len(handles); i += 7 {
+			eng.Cancel(handles[i])
+			ref.evs[i].canceled = true
+		}
+	}
+	// From ever closer to the target, so each chain sits one level finer.
+	schedule(0, chain)
+	schedule(Time(target-70_000)<<tickShift, chain)
+	schedule(Time(target-1000)<<tickShift, chain)
+	schedule(Time(target-10)<<tickShift, func() {
+		chain()
+		// Every level must now hold its chain, or the next advance is not
+		// the four-level gather this test is for.
+		for lvl := 0; lvl < numLevels; lvl++ {
+			n := 0
+			for ev := eng.levels[lvl].bucket[int(target>>(levelBits*lvl))&wheelMask]; ev != nil; ev = ev.next {
+				n++
+			}
+			if n < 500 {
+				t.Errorf("level %d holds %d events for the target tick, want its whole chain", lvl, n)
+			}
+		}
+	})
+	eng.Run()
+	ref.check(t)
+	for lvl := range eng.levels {
+		if c := eng.levels[lvl].count; c != 0 {
+			t.Errorf("level %d counts %d events after the queue drained", lvl, c)
+		}
+	}
+}
+
+// fileBurst schedules one no-op event per sub-tick offset on a tick ahead
+// of the cursor.
+func fileBurst(eng *Engine, nop func(), offsets []int) {
+	base := (eng.Now()>>tickShift + 2) << tickShift
+	for _, off := range offsets {
+		eng.Schedule(base+Time(off), nop)
+	}
+}
+
+// burstShapes are the two chains the cost tests file: one instant, which
+// the LIFO bucket holds in reverse firing order, and shuffled instants.
+var burstShapes = []struct {
+	name    string
+	offsets func(n int) []int
+}{
+	{"reversed", func(n int) []int { return make([]int, n) }},
+	{"shuffled", shuffledOffsets},
+}
+
+func shuffledOffsets(n int) []int {
+	rng := xrand.New(uint64(n))
+	offsets := make([]int, n)
+	for i := range offsets {
+		offsets[i] = rng.Intn(int(tickNs))
+	}
+	return offsets
+}
+
+// Draining a long bucket must not allocate: the sort works in place and the
+// ready run keeps its capacity.
+func TestBurstDrainZeroAlloc(t *testing.T) {
+	const n = 4096
+	eng := New()
+	nop := func() {}
+	offsets := shuffledOffsets(n)
+	burst := func() {
+		fileBurst(eng, nop, offsets)
+		eng.Run()
+	}
+	burst() // grow the event pool and the ready run
+	if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
+		t.Fatalf("draining a %d-event bucket allocates %.1f times per burst, want 0", n, allocs)
+	}
+}
+
+// BenchmarkWheelBurst reports the cost per event of filing and draining a
+// one-tick chain, by chain length: flat for an n log n drain, growing with
+// n for a quadratic one.
+func BenchmarkWheelBurst(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
+		for _, shape := range burstShapes {
+			b.Run(fmt.Sprintf("%dk/%s", n>>10, shape.name), func(b *testing.B) {
+				eng := New()
+				nop := func() {}
+				offsets := shape.offsets(n)
+				fileBurst(eng, nop, offsets) // grow the event pool
+				eng.Run()
+				b.ReportAllocs()
+				for b.Loop() {
+					fileBurst(eng, nop, offsets)
+					eng.Run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+			})
+		}
+	}
+}
+
+// TestBurstDrainScalesNearLinearly is the guard against a quadratic drain.
+// It compares cost per event on 64k-event chains with 8k-event chains: a
+// ratio, so the speed of the box cancels, and best of five, so a noisy
+// neighbour cannot fail it. n log n predicts about 1.2× (plus cache
+// misses once a chain outgrows L2); the unbounded insertion sort this
+// replaced predicts 8× and measured 10.6×.
+func TestBurstDrainScalesNearLinearly(t *testing.T) {
+	const small, large, bound = 1 << 13, 1 << 16, 3.0
+	perEvent := func(offsets []int) time.Duration {
+		eng := New()
+		nop := func() {}
+		best := time.Duration(0)
+		for try := 0; try < 6; try++ { // the first grows the pool, untimed
+			start := time.Now()
+			for done := 0; done < large; done += len(offsets) {
+				fileBurst(eng, nop, offsets)
+				eng.Run()
+			}
+			if d := time.Since(start); try > 0 && (best == 0 || d < best) {
+				best = d
+			}
+		}
+		return best
+	}
+	for _, shape := range burstShapes {
+		s, l := perEvent(shape.offsets(small)), perEvent(shape.offsets(large))
+		t.Logf("%s: %d-event chains %v, %d-event chains %v per %d events (ratio %.2f)",
+			shape.name, small, s, large, l, large, float64(l)/float64(s))
+		if float64(l) > bound*float64(s) {
+			t.Errorf("%s: a %d-event chain costs %.1f× a %d-event chain per event, bound %.0f×: the drain is not n log n",
+				shape.name, large, float64(l)/float64(s), small, bound)
+		}
+	}
+}

@@ -89,6 +89,17 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// eventCmp is eventLess as a three-way comparison for slices.SortFunc.
+func eventCmp(a, b *event) int {
+	switch {
+	case eventLess(a, b):
+		return -1
+	case a == b:
+		return 0
+	}
+	return 1
+}
+
 // Event is a cancelable handle to a scheduled callback. It is a small
 // value (copyable, comparable); the zero Event is valid and never pending.
 // A handle goes stale once its event fires or its canceled record is

@@ -37,6 +37,38 @@ func FuzzWheelCursorBehind(f *testing.F) {
 	f.Add(mk(0xffff_01, 0x0010_02, 0x0001_00, 0x0001_00, 0x0000_03))
 	f.Add(mk(0xffff_01, 0xffff_01, 0xffff_02, 0x0000_00, 0x0002_00, 0x0004_03))
 	f.Add(mk(0x8000_02, 0x0001_00, 0x0003_00, 0x0001_03, 0x4000_02))
+	// Long one-tick chains (burst_test.go pins these shapes at 64k events;
+	// a program holds 512 ops): one instant, so the bucket chain is the
+	// firing order reversed; descending instants; shuffled instants.
+	// Distinct-prio chains have no op here — the oracle is (at, order).
+	op0 := func(ns int) uint64 { return uint64(ns) << 8 }
+	var same, desc, shuf []uint64
+	for i := 0; i < 400; i++ {
+		same = append(same, op0(0x0100))
+		desc = append(desc, op0(8000-20*i))
+		shuf = append(shuf, op0(i*7919%8192))
+	}
+	f.Add(mk(same...))
+	f.Add(mk(desc...))
+	f.Add(mk(shuf...))
+	// A cascade onto the current tick beside a level-0 bucket. With the
+	// clock at tick 1017 and the cursor still at 0, a holder at tick 1020
+	// and a chain on tick 1024 both file on level 1; a short RunUntil parks
+	// the cursor on the holder, so a second chain for tick 1024 files on
+	// level 0; cancels hit both; the final Run gathers the two in one
+	// advance, tick 1024 being the start of the level-1 bucket's block.
+	casc := []uint64{1017*8<<8 | 2, op0(3 << 13)}
+	for i := 0; i < 60; i++ {
+		casc = append(casc, op0(7<<13+i*131%8192))
+	}
+	casc = append(casc, 8<<8|2)
+	for i := 0; i < 60; i++ {
+		casc = append(casc, op0(6<<13+i*197%8192))
+	}
+	for i := 0; i < 20; i++ {
+		casc = append(casc, uint64(6*i)<<8|3)
+	}
+	f.Add(mk(casc...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {

@@ -1,27 +1,32 @@
 package des
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The event queue is a hierarchical timing wheel: four levels of 256
-// buckets, each level 256× coarser than the one below. A tick is 1024 ns
-// (shift instead of divide), so the wheel spans 2^32 ticks ≈ 73 simulated
-// minutes ahead of the cursor; events beyond that sit in a small overflow
+// buckets, each level 256× coarser than the one below. A tick is 8192 ns
+// (shift instead of divide), so the wheel spans 2^32 ticks ≈ 9.8 simulated
+// hours ahead of the cursor; events beyond that sit in a small overflow
 // heap and migrate in as the cursor approaches.
 //
 // Why not the seed's 4-ary heap: at the ~10^5 live events the EMcast runs
 // reach, every push/pop paid an O(log n) sift with pointer-chasing
 // comparisons (~50% of simulation CPU in profiles). Wheel insertion is
 // O(1) — mask, chain push, set an occupancy bit — and extraction amortises
-// to a 256-bit bitmap scan per non-empty bucket plus one small sort when a
-// bottom-level bucket is drained.
+// to a 256-bit bitmap scan per non-empty bucket plus one sort per cursor
+// advance: everything that lands on the new tick, from the bottom-level
+// bucket and from cascading coarse buckets alike, is gathered into the
+// ready run and ordered once (O(n log n) worst case; see sortReady).
 //
 // Ordering is bit-for-bit the seed's: events fire in strict (at, prio,
 // seq) order — prio being the scheduling-time stamp (monotone in seq for
 // a local engine, so this degenerates to the seed's (at, seq) FIFO tie-
 // break; see des.go on SchedulePrio for why sharded merging needs the
 // explicit middle key). The wheel only ever buckets events; the actual
-// firing order within a bottom-level bucket is fixed by sorting its chain
-// on (at, prio, seq) when it is promoted to the ready run. seq is unique,
+// firing order within a tick is fixed by sorting the gathered chains on
+// (at, prio, seq) when they are promoted to the ready run. seq is unique,
 // so the sort has a single valid result and stability is irrelevant.
 //
 // Cursor invariants:
@@ -70,16 +75,11 @@ func (l *wheelLevel) push(idx int, ev *event) {
 }
 
 // take empties bucket idx and returns its chain (LIFO insertion order).
+// The caller, which walks the chain anyway, decrements count per node.
 func (l *wheelLevel) take(idx int) *event {
 	chain := l.bucket[idx]
-	if chain == nil {
-		return nil
-	}
 	l.bucket[idx] = nil
 	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-	for ev := chain; ev != nil; ev = ev.next {
-		l.count--
-	}
 	return chain
 }
 
@@ -218,44 +218,46 @@ func (e *Engine) fill() bool {
 	}
 }
 
-// advanceTo moves the cursor to tick t (<= every unfired event's tick),
-// cascades the coarse buckets that t lands in, and promotes the bottom-
-// level bucket at t into the sorted ready run.
+// advanceTo moves the cursor to tick t (<= every unfired event's tick) and
+// gathers everything that fires on it into the ready run, which fill has
+// just emptied: coarse buckets cascade top-down — events on tick t go
+// straight to ready, later ones re-file one level finer — then the bottom-
+// level bucket follows, and the run is sorted once.
 func (e *Engine) advanceTo(t int64) {
 	e.curTick = t
-	for lvl := numLevels - 1; lvl >= 1; lvl-- {
+	for lvl := numLevels - 1; lvl >= 0; lvl-- {
 		l := &e.levels[lvl]
 		if l.count == 0 {
 			continue
 		}
-		idx := int(t>>(uint(levelBits*lvl))) & wheelMask
-		for ev := l.take(idx); ev != nil; {
+		for ev := l.take(int(t>>uint(levelBits*lvl)) & wheelMask); ev != nil; {
 			nxt := ev.next
-			if ev.canceled {
+			l.count--
+			switch {
+			case ev.canceled:
 				e.release(ev)
-			} else {
+			case tickOf(ev.at) <= t:
+				ev.next = nil
+				e.ready = append(e.ready, ev)
+			default:
 				e.insert(ev)
 			}
 			ev = nxt
 		}
 	}
-	for ev := e.levels[0].take(int(t) & wheelMask); ev != nil; {
-		nxt := ev.next
-		if ev.canceled {
-			e.release(ev)
-		} else {
-			ev.next = nil
-			e.ready = append(e.ready, ev)
-		}
-		ev = nxt
-	}
-	sortReady(e.ready[e.readyHead:])
+	sortReady(e.ready)
 }
 
-// sortReady orders a ready run by (at, prio, seq). Chains are short in
-// steady state (a bottom-level bucket spans ~1 µs), so insertion sort
-// wins; the comparison is a strict total order because seq is unique.
+// sortReady orders a ready run by (at, prio, seq) without allocating; the
+// comparison is a strict total order because seq is unique. It is an
+// insertion sort on a budget of two shifts per event. Steady forwarding
+// files chains that are short or nearly ordered as they stand (LIFO), and
+// those finish within the budget at a compare or two per event. A chain
+// that exhausts it is long and disordered — a synchronized burst puts
+// thousands of events on one tick, where insertion sort is quadratic — and
+// goes to pdqsort: O(n log n) worst case, linear on a fully reversed chain.
 func sortReady(evs []*event) {
+	budget := 2 * len(evs)
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
 		j := i
@@ -268,6 +270,10 @@ func sortReady(evs []*event) {
 			j--
 		}
 		evs[j] = ev
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(evs, eventCmp)
+			return
+		}
 	}
 }
 
@@ -292,7 +298,7 @@ func (e *Engine) next() *event {
 
 // overflowHeap is a plain binary min-heap on (at, prio, seq) for events
 // beyond the wheel horizon. It is cold storage: real runs never reach it
-// (the horizon is ~73 simulated minutes), so no indexing or eager removal
+// (the horizon is ~9.8 simulated hours), so no indexing or eager removal
 // — canceled records are reaped when they surface.
 type overflowHeap struct {
 	evs []*event

@@ -149,7 +149,7 @@ func TestDifferentialWheelVsSeedHeap(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0: // same-instant burst
 				at = Time(rng.Intn(4)) * 1_000_000
-			case 1: // sub-tick spread (inside one 1024 ns bucket)
+			case 1: // sub-tick spread (1024 ns inside one 8192 ns bucket)
 				at = 5_000_000 + Time(rng.Intn(1024))
 			case 2: // far future: exercises coarse levels
 				at = Time(rng.Intn(1_000_000_000_000)) // up to 1000 s
@@ -271,7 +271,7 @@ func TestSteadyStatePoolStopsGrowing(t *testing.T) {
 }
 
 func TestSameTickSubOrder(t *testing.T) {
-	// Events inside one 1024 ns bucket must fire by exact nanosecond, then
+	// Events inside one 8192 ns bucket must fire by exact nanosecond, then
 	// seq.
 	eng := New()
 	var order []Time

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topo"
 	"repro/internal/xrand"
@@ -65,23 +66,38 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 	}
 	rng := xrand.New(cfg.Seed ^ 0x5851f42d4c957f2d)
 	t := newTree(source, members)
-	inGroup := make(map[int]bool, len(members))
-	for _, m := range members {
-		inGroup[m] = true
-	}
 	// Local domains in deterministic router order, preserving attachment
-	// order within a domain.
-	var localCores []int
-	for r := 0; r < net.Backbone.NumNodes(); r++ {
-		var domain []int
-		for _, h := range net.HostsAtRouter(topo.NodeID(r)) {
-			if inGroup[h] {
-				domain = append(domain, h)
-			}
+	// order within a domain: a counting sort of the members by router,
+	// O(members + routers) per group whatever the host population, then
+	// each domain back into ascending host id, the order topo.NewNetwork
+	// attaches hosts in (duplicates dropped).
+	routers := net.Backbone.NumNodes()
+	pos := make([]int, routers+1)
+	for _, m := range members {
+		if m < 0 || m >= len(net.Hosts) {
+			return nil, fmt.Errorf("overlay: member %d is not one of the network's %d hosts", m, len(net.Hosts))
 		}
+		pos[net.Hosts[m].Router+1]++
+	}
+	for r := 0; r < routers; r++ {
+		pos[r+1] += pos[r] // pos[r]: where domain r starts
+	}
+	byDomain := make([]int, len(members))
+	for _, m := range members {
+		r := net.Hosts[m].Router
+		byDomain[pos[r]] = m
+		pos[r]++ // pos[r]: where domain r ends
+	}
+	var localCores []int
+	lo := 0
+	for r := 0; r < routers; r++ {
+		domain := byDomain[lo:pos[r]]
+		lo = pos[r]
 		if len(domain) == 0 {
 			continue
 		}
+		slices.Sort(domain)
+		domain = slices.Compact(domain)
 		localCores = append(localCores, buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng))
 	}
 	buildHierarchy(t, net, localCores, source, cfg.K, cfg.SizeCap, rng)

@@ -160,6 +160,47 @@ func TestSubsetMembership(t *testing.T) {
 	}
 }
 
+// BuildDSCT partitions members into local domains by counting sort; the
+// trees must equal the definition it replaced — walk every router's
+// attached hosts in attachment order and keep the members — whatever order
+// the member list arrives in, duplicates included.
+func TestDSCTDomainPartitionMatchesAttachmentWalk(t *testing.T) {
+	net := topo.NewNetwork(topo.Waxman{N: 32}.Build(4), topo.NetworkConfig{NumHosts: 3000, Seed: 4})
+	rng := xrand.New(11)
+	for trial := 0; trial < 8; trial++ {
+		members := rng.Perm(3000)[:50+rng.Intn(1500)]
+		members = append(members, members[3], members[0]) // duplicates
+		source := members[rng.Intn(len(members))]
+		cfg := Config{Seed: uint64(trial)}
+		got := mustDSCT(t, net, members, source, cfg)
+
+		want := newTree(source, members)
+		if err := cfg.fillDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		wrng := xrand.New(cfg.Seed ^ 0x5851f42d4c957f2d)
+		var cores []int
+		for r := 0; r < net.Backbone.NumNodes(); r++ {
+			var domain []int
+			for _, h := range net.HostsAtRouter(topo.NodeID(r)) {
+				if want.member[h] {
+					domain = append(domain, h)
+				}
+			}
+			if len(domain) > 0 {
+				cores = append(cores, buildHierarchy(want, net, domain, source, cfg.K, cfg.SizeCap, wrng))
+			}
+		}
+		buildHierarchy(want, net, cores, source, cfg.K, cfg.SizeCap, wrng)
+
+		for _, m := range members {
+			if got.Parent(m) != want.Parent(m) {
+				t.Fatalf("trial %d: member %d has parent %d, attachment walk gives %d", trial, m, got.Parent(m), want.Parent(m))
+			}
+		}
+	}
+}
+
 func TestCapacityCapShrinksFanoutAndDeepens(t *testing.T) {
 	net := network(400, 8)
 	members := allMembers(400)
@@ -326,6 +367,8 @@ func TestBuilderErrors(t *testing.T) {
 		func() error { _, err := BuildDSCT(net, []int{1, 2}, 5, Config{}); return err }, // source not member
 		func() error { _, err := BuildDSCT(net, []int{1, 2}, 1, Config{K: 1}); return err },
 		func() error { _, err := BuildDSCT(net, []int{1, 2}, 1, Config{SizeCap: 1}); return err },
+		func() error { _, err := BuildDSCT(net, []int{1, 10}, 1, Config{}); return err }, // member not a host
+		func() error { _, err := BuildDSCT(net, []int{1, -1}, 1, Config{}); return err },
 		func() error { _, err := BuildNICE(net, nil, 0, Config{}); return err },
 		func() error { _, err := BuildFlat(net, []int{1, 2}, 1, 0); return err },
 		func() error { _, err := BuildFlatBlind(net, []int{1, 2}, 5, 2, 1); return err },

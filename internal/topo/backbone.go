@@ -201,7 +201,8 @@ func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
 }
 
 // HostsAtRouter returns the IDs of hosts attached to router r — the
-// paper's "local domain" for DSCT construction.
+// paper's "local domain" for DSCT construction — in attachment order,
+// which is ascending host ID (overlay.BuildDSCT relies on that).
 func (n *Network) HostsAtRouter(r NodeID) []int { return n.byRouter[r] }
 
 // Domains returns the non-empty local domains (router ID + member hosts).
