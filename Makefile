@@ -31,8 +31,8 @@ check: fmt vet build test
 # Smoke-run every registered scenario at reduced scale (the CLI's
 # -scenario all -quick, which iterates the whole registry — including the
 # churn and fault-injection scenarios): catches scenario-layer bit-rot in
-# seconds. The explicit fault-builtin runs exercise the recovery tables in
-# both engines: sequential and sharded (fault events at quiesce barriers).
+# seconds. The explicit fault-builtin runs exercise the recovery tables at
+# one shard and at several (fault events at quiesce barriers either way).
 scenarios:
 	$(GO) run ./cmd/wdcsim -scenario all -quick
 	$(GO) run ./cmd/wdcsim -scenario outage-waxman-16 -quick -shards 1
@@ -44,8 +44,10 @@ scenarios:
 # Sharded-mode suite, mirroring `make race`: every shard differential and
 # determinism test across a shard-count matrix (WDCSIM_SHARDS overrides
 # the default of 4 in the tests). Catches partition, lookahead, mailbox-
-# merge, and barrier regressions that a single shard count might mask.
+# merge, and barrier regressions that a single shard count might mask; the
+# first leg runs the suite on the one-shard degeneration itself.
 shards:
+	WDCSIM_SHARDS=1 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=2 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=8 $(GO) test -run Shard ./...
@@ -66,8 +68,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay
 
 # Checkpoint/restore differential: for two builtin workloads (static
-# scale benchmark, churn benchmark) and both engines, run-to-end must be
-# bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
+# scale benchmark, churn benchmark) at one shard and at four, run-to-end
+# must be bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
 # the same contract the core goldens pin, exercised through real scenario
 # configs and the CLI.
 snapshot:

@@ -316,8 +316,8 @@ func BenchmarkReoptChurnScale(b *testing.B) {
 // BenchmarkShardScale measures the sharded conservative-parallel engine
 // on the headroom workload: one waxman-zipf-64 cell (10k hosts, 64 Zipf
 // groups, 128-router Waxman) at load 0.8, reduced duration, across shard
-// counts. shards=1 is the sequential engine (the fallback path), so the
-// sub-benchmark ratios are the intra-run speedup; delivery totals are
+// counts. shards=1 is the one-engine baseline, so the sub-benchmark
+// ratios are the intra-run speedup; delivery totals are
 // identical across shard counts by the determinism contract. Build time
 // is excluded — the benchmark isolates Run, the part sharding targets.
 func BenchmarkShardScale(b *testing.B) {
@@ -332,7 +332,7 @@ func BenchmarkShardScale(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg.Shards = shards
-				s := core.NewShardedSession(cfg)
+				s := core.NewSession(cfg)
 				b.StartTimer()
 				r := s.Run()
 				delivered = r.Delivered
@@ -358,7 +358,7 @@ func BenchmarkShardScaleChurn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg.Shards = shards
-				s := core.NewShardedSession(cfg)
+				s := core.NewSession(cfg)
 				b.StartTimer()
 				r := s.Run()
 				delivered, lost = r.Delivered, r.Lost

@@ -35,7 +35,7 @@
 // -shards N (default GOMAXPROCS) runs each multi-group session as a
 // sharded conservative-parallel simulation; -shards auto probes candidate
 // counts with short runs and keeps the one with the lowest barrier-stall
-// share. Physics are identical to the sequential engine (deliveries,
+// share. Physics are identical to a one-shard run (deliveries,
 // losses, worst-case delays), so it is purely a wall-clock lever for big
 // sessions. The one shard-count-
 // dependent output is the reported mean delay's last few bits (per-shard
@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		durSec        = fs.Float64("duration", 0, "override per-run simulated seconds")
 		sequential    = fs.Bool("sequential", false, "run sweep points sequentially (debugging)")
 		workers       = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
-		shardsFlag    = fs.String("shards", "", "per-run shard count for multi-group sessions (1 = sequential engine; 'auto' tunes by measurement; default GOMAXPROCS)")
+		shardsFlag    = fs.String("shards", "", "per-run shard count for multi-group sessions (1 = one engine; 'auto' tunes by measurement; default GOMAXPROCS)")
 		fleetN        = fs.Int("fleet", 0, "farm the scenario sweep to this many worker processes (scenario runs only)")
 		fleetDir      = fs.String("fleet-dir", "", "shared work directory for -fleet (default: a temporary directory; set it to make the sweep resumable)")
 		fleetWorker   = fs.String("fleet-worker", "", "internal: run one fleet worker against this work directory and exit")

@@ -40,10 +40,7 @@ func (e MembershipEvent) String() string {
 }
 
 // controlPlane applies membership events to a session's per-group runtime
-// state. It holds the substrate's shared structures and the host array
-// directly rather than a *Session, because both the sequential Session and
-// the sharded session drive the same control plane — the former through
-// engine events, the latter through coordinator barriers that quiesce
+// state. The session drives it from coordinator barriers, which quiesce
 // every shard before a mutation spanning them.
 type controlPlane struct {
 	net    *topo.Network
@@ -66,7 +63,7 @@ func newControlPlane(sub *substrate, hosts []*host) *controlPlane {
 }
 
 // sortedEventsWithin returns the events at or before duration, stably
-// sorted by time — the application order both execution modes share.
+// sorted by time — the application order.
 // Events beyond the traffic duration are dropped: the sources have
 // stopped, so late churn would only distort the drain tail.
 func sortedEventsWithin(events []MembershipEvent, duration des.Duration) []MembershipEvent {
@@ -80,25 +77,6 @@ func sortedEventsWithin(events []MembershipEvent, duration des.Duration) []Membe
 		}
 	}
 	return evs[:n]
-}
-
-// scheduleAfter enqueues the events strictly after the given instant on
-// the engine in time order — the sequential execution path (after = -1
-// schedules everything; a checkpoint restore passes the snapshot instant
-// to re-create only the events that had not fired). Scheduling at build
-// time gives the events the lowest sequence numbers at their timestamps,
-// so they win same-time ties against packet events; coordinator barriers
-// reproduce exactly this ordering in sharded runs. Events are tagged
-// KindBuild: they are rebuilt from the config on restore, never
-// serialized.
-func (cp *controlPlane) scheduleAfter(eng *des.Engine, duration des.Duration, events []MembershipEvent, after des.Time) {
-	for _, ev := range sortedEventsWithin(events, duration) {
-		if ev.At <= after {
-			continue
-		}
-		ev := ev
-		eng.ScheduleKind(ev.At, des.KindBuild, 0, func() { cp.apply(ev) })
-	}
 }
 
 // apply executes one membership change.

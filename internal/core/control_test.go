@@ -92,11 +92,12 @@ func TestChurnMembershipInvariant(t *testing.T) {
 	}
 	for id := 0; id < cfg.NumHosts; id++ {
 		id := id
-		s.fabric.SetReceiver(id, func(p traffic.Packet) {
+		sh := s.sh[s.owner[id]]
+		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
 			member := s.IsMember(p.Flow, id)
-			before := s.deliver
-			s.receive(id, p)
-			counted := s.deliver == before+1
+			before := sh.deliver
+			s.receive(sh, id, p)
+			counted := sh.deliver == before+1
 			arrivals = append(arrivals, arrival{member: member, counted: counted})
 			if counted {
 				joinedDeliveries[id]++

@@ -10,13 +10,11 @@ package core
 //
 // Execution model. Fault events are compiled into the Config (typically
 // by the scenario layer, on a dedicated xrand stream, so enabling faults
-// perturbs nothing else) and execute exactly like membership events: as
-// build-time-scheduled events on the sequential engine, and at
-// coordinator quiesce barriers in sharded runs. At a shared instant the
-// order is faults → membership churn → re-optimization, in both modes.
-// All batch work is done in pinned orders — victims ascending, orphan
-// roots ascending (overlay.PruneAll), groups ascending — so sharded runs
-// stay bit-identical to sequential ones.
+// perturbs nothing else) and execute exactly like membership events: at
+// coordinator quiesce barriers. At a shared instant the order is faults →
+// membership churn → re-optimization. All batch work is done in pinned
+// orders — victims ascending, orphan roots ascending (overlay.PruneAll),
+// groups ascending — so runs are bit-identical at every shard count.
 //
 // Semantics worth pinning down:
 //   - Group sources are immune to outages and mass leaves: a group's flow
@@ -142,8 +140,7 @@ type FaultOutcome struct {
 }
 
 // faultsWithin returns the fault events at or before duration, stably
-// sorted by time — the shared application order of both execution modes,
-// mirroring sortedEventsWithin.
+// sorted by time — the application order, mirroring sortedEventsWithin.
 func faultsWithin(events []FaultEvent, duration des.Duration) []FaultEvent {
 	evs := append([]FaultEvent(nil), events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
@@ -264,10 +261,8 @@ func validateFaults(events []FaultEvent, numHosts, numGroups, numRouters int) {
 type faultTrack struct{ g, h int }
 
 // faultPlane executes the fault schedule against a session's per-group
-// runtime. Like the control plane it holds the substrate's shared
-// structures directly, so the sequential engine and the sharded
-// coordinator drive the same instance — mutations happen only with every
-// engine quiesced at the event time.
+// runtime. Like the control plane it is driven from coordinator barriers:
+// mutations happen only with every engine quiesced at the event time.
 type faultPlane struct {
 	net    *topo.Network
 	groups []*groupState
@@ -320,22 +315,6 @@ func newFaultPlane(sub *substrate, hosts []*host, events []FaultEvent) *faultPla
 		fp.firstAt[g] = make([]des.Time, len(hosts))
 	}
 	return fp
-}
-
-// scheduleAfter enqueues the events strictly after the given instant on
-// the sequential engine (after = -1 schedules everything; a checkpoint
-// restore passes the snapshot instant). Called before the control plane's
-// scheduling, so at a shared instant faults win the tie — the order the
-// sharded barriers reproduce. Events are tagged KindBuild: they are
-// rebuilt from the config on restore, never serialized.
-func (fp *faultPlane) scheduleAfter(eng *des.Engine, after des.Time) {
-	for i := range fp.events {
-		if fp.events[i].At <= after {
-			continue
-		}
-		i := i
-		eng.ScheduleKind(fp.events[i].At, des.KindBuild, 0, func() { fp.apply(i) })
-	}
 }
 
 // apply executes event i with every engine quiesced at its instant.
@@ -612,8 +591,8 @@ func (fp *faultPlane) onDeliver(g, id int, now des.Time) {
 
 // cutDrop is the fabric Drop hook: a packet crossing the active cut is
 // discarded and attributed to the partition event in the caller's
-// counter — shard-local in sharded runs, merged after the run in shard
-// order, so attribution is deterministic in every mode.
+// counter — shard-local, merged after the run in shard order, so
+// attribution is deterministic at every shard count.
 func (fp *faultPlane) cutDrop(counter []uint64, src, dst int) bool {
 	if !fp.cutOn || fp.cutHost[src] == fp.cutHost[dst] {
 		return false

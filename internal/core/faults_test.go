@@ -162,7 +162,7 @@ func TestFaultValidationPanics(t *testing.T) {
 		}()
 		cfg := shardBaseConfig(7)
 		cfg.Faults = faults
-		New(cfg)
+		NewSession(cfg)
 	}
 	side := make([]bool, 24)
 	side[0] = true
@@ -208,7 +208,7 @@ func TestFaultsRequireRegulatedScheme(t *testing.T) {
 	cfg := Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.6,
 		Scheme: SchemeCapacityAware, Duration: des.Second, Seed: 3,
 		Faults: []FaultEvent{{At: des.Seconds(0.5), Kind: FaultOutage, ID: 0, Group: -1, Hosts: []int{1}}}}
-	New(cfg)
+	NewSession(cfg)
 }
 
 // TestFaultFreeConfigUnperturbed: a nil fault list must compile to the

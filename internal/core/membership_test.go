@@ -67,11 +67,12 @@ func TestSessionNonMembersNeverReceive(t *testing.T) {
 	leaks := 0
 	for id := 0; id < 60; id++ {
 		id := id
-		s.fabric.SetReceiver(id, func(p traffic.Packet) {
+		sh := s.sh[s.owner[id]]
+		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
 			if !member[p.Flow][id] {
 				leaks++
 			}
-			s.receive(id, p)
+			s.receive(sh, id, p)
 		})
 	}
 	res := s.Run()

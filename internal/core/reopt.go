@@ -25,14 +25,10 @@ package core
 // like a churn departure's).
 //
 // Determinism. Estimates are plain (sum, count) pairs indexed by host;
-// a host's deliveries happen in identical order in the sequential and
-// sharded engines, and a host belongs to exactly one shard, so the means
-// are bit-identical across execution modes. Passes fire as ordinary DES
-// events in the sequential engine (scheduled at build time, after the
-// membership events, so same-instant churn applies first) and at
-// coordinator quiesce barriers in sharded runs — the same device the
-// membership control plane uses — so sharded re-optimizing runs stay
-// bit-identical to sequential ones.
+// a host's deliveries happen in identical order at every shard count, and
+// a host belongs to exactly one shard, so the means are bit-identical
+// across shard counts. Passes fire at coordinator quiesce barriers — the
+// same device the membership control plane uses, after same-instant churn.
 
 import (
 	"fmt"

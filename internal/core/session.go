@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mux"
@@ -150,16 +151,10 @@ type Config struct {
 	// Shards, when > 1, runs the session as a sharded conservative-
 	// parallel simulation: hosts partition into router-granular shards,
 	// each with a private engine, advanced in lock-step epochs by a
-	// des.Coordinator (see shard.go). 0 or 1 selects the sequential
-	// engine, which is the bit-identity baseline. Sharded execution
-	// requires PipeTransit; New falls back to sequential otherwise.
+	// des.Coordinator (see Session). 0 or 1 runs one shard, which is the
+	// bit-identity baseline. More than one shard requires PipeTransit; a
+	// QueuedTransit session runs on one whatever Shards says.
 	Shards int
-	// GlobalMinLookahead forces the sharded coordinator onto the legacy
-	// single global-min epoch width instead of the per-(src, dst) pair
-	// lookahead matrix. Physics are identical either way (pinned by the
-	// pair-vs-global differential tests); per-pair bounds just run fewer,
-	// wider epochs. Kept as an A/B lever for those tests and debugging.
-	GlobalMinLookahead bool
 }
 
 func (c *Config) fillDefaults() {
@@ -341,8 +336,7 @@ type Result struct {
 	CutLost uint64
 
 	// Sharded-execution diagnostics. Shards is the engine count the run
-	// actually used (1 for the sequential engine or a degenerate
-	// partition); the rest are zero unless Shards > 1.
+	// actually used; the rest are zero unless Shards > 1.
 	Shards int
 	// Epochs is the number of conservative epochs the coordinator ran.
 	Epochs uint64
@@ -382,30 +376,59 @@ type groupState struct {
 	detached []int
 }
 
-// Session is a fully wired multi-group EMcast simulation: an immutable
-// compiled substrate (underlay, fabric, flow envelopes, host machinery
-// skeleton) plus the mutable per-group runtime in groups, driven by the
-// control plane when membership events are configured.
-type Session struct {
-	cfg    Config
-	sub    *substrate
+// shardPacket is the flat cross-shard payload: a packet bound for a host
+// on another shard. It travels through the coordinator's pooled mailbox
+// records — no per-packet closure, no boxing — so the boundary handoff
+// allocates nothing in steady state.
+type shardPacket struct {
+	host int
+	p    traffic.Packet
+}
+
+// shardRuntime is one shard's private execution state: an engine, a
+// fabric bound to it, the host environment, and shard-local measurement
+// (merged after the run — observation must never cross shards mid-run).
+type shardRuntime struct {
 	eng    *des.Engine
-	net    *topo.Network
 	fabric *netsim.Fabric
 	env    *hostEnv
-	hosts  []*host
-	specs  []FlowSpec
-	groups []*groupState
-	ctl    *controlPlane // nil for static sessions
-	ro     *reoptPlane   // nil unless cfg.Reopt is enabled
-	fp     *faultPlane   // nil unless cfg.Faults is set
-
-	faultCut []uint64 // per fault event: packets dropped at its cut
 
 	perGroup []stats.MaxTracker
 	delays   stats.Welford
 	deliver  uint64
+	lost     []uint64         // per-group churn drops observed at owned hosts
 	windows  *stats.WindowMax // nil unless cfg.WindowSec > 0
+	faultCut []uint64         // per fault event: cut drops at owned senders
+}
+
+// Session is a fully wired multi-group EMcast simulation: an immutable
+// compiled substrate (underlay, flow envelopes, per-group trees) under one
+// or more shards. The host population partitions into router-granular
+// shards (whole local domains stay together), each shard owns a private
+// engine with its own fabric view, regulator banks, MUXes, and shard-local
+// measurement, and a des.Coordinator advances the shards in lock-step
+// epochs bounded by the per-pair cross-shard propagation delays. Packets
+// whose destination lives on another shard hand off through the
+// coordinator's per-pair mailboxes and are merged into the destination
+// engine at epoch barriers under the (at, lamport, srcShard, seq) total
+// order, so runs are bit-stable for a fixed shard count. Control-plane,
+// fault, and re-optimization events — which mutate trees and host state
+// spanning shards — apply at coordinator barriers with every engine
+// quiesced at exactly the event time, so they win same-time ties.
+//
+// The shard count is data, not a type: one shard is a coordinator over one
+// engine, whose epochs are unbounded, so the run is Engine.RunUntil between
+// barriers. That case is what the paper goldens pin bit for bit, and it is
+// the oracle every multi-shard differential compares against.
+type Session struct {
+	sub   *substrate
+	owner []int // host id -> shard
+	sh    []*shardRuntime
+	hosts []*host // global host array, each wired to its owning shard's env
+	coord *des.Coordinator[shardPacket]
+	ctl   *controlPlane // nil for static sessions
+	ro    *reoptPlane   // nil unless cfg.Reopt is enabled
+	fp    *faultPlane   // nil unless cfg.Faults is set
 
 	sources  []traffic.Source // built by Start (or a snapshot restore)
 	started  bool
@@ -415,131 +438,237 @@ type Session struct {
 // resumeState marks a session build as a checkpoint-restore skeleton: the
 // engine-independent structure compiles as usual, but hosts come up bare
 // (children, MUXes, regulators, and modes arrive from the snapshot) and
-// the build planes only schedule events strictly after the checkpoint
-// instant — events at or before it already fired in the original run.
+// only barriers strictly after the checkpoint instant are registered —
+// those at or before it already fired in the original run.
 type resumeState struct {
 	at des.Time // checkpoint instant
 }
 
-// NewSession builds the network, trees, and host machinery for cfg.
+// NewSession builds the network, trees, and host machinery for cfg, on
+// cfg.Shards shards (fewer when the underlay has fewer populated router
+// domains; one under QueuedTransit, whose router links are state shared
+// across shards).
 func NewSession(cfg Config) *Session {
 	return newSessionFrom(compileSubstrate(cfg), nil)
 }
 
-// newSessionFrom wires the sequential engine over a compiled substrate.
-// The wiring order (hosts in id order, controllers immediately after their
-// host, control plane last) fixes the engine's event sequence numbers and
-// is pinned by the golden bit-identity tests.
+// newSessionFrom wires the shard engines over a compiled substrate; a
+// non-nil rs builds the checkpoint-restore skeleton instead. The wiring
+// order (hosts in global id order, controllers immediately after their
+// host) fixes each engine's event sequence numbers — a shard's schedule is
+// the projection of the one-shard schedule onto its hosts — and is pinned
+// by the golden bit-identity tests.
 func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	cfg := sub.cfg
-	s := &Session{cfg: cfg, sub: sub, eng: des.New(), net: sub.net, specs: sub.specs, groups: sub.groups}
-	// The Drop hook reads the fault plane through s at send time; it is
-	// nil — zero overhead, byte-identical fabric — without faults.
-	var drop func(src, dst int) bool
-	if len(cfg.Faults) > 0 {
-		drop = func(src, dst int) bool { return s.fp.cutDrop(s.faultCut, src, dst) }
+	s := &Session{sub: sub}
+	shards := cfg.Shards
+	if cfg.Transit != netsim.PipeTransit {
+		shards = 1
 	}
-	s.fabric = netsim.NewFabric(s.eng, s.net, netsim.FabricConfig{Mode: cfg.Transit, Drop: drop})
+	owner := netsim.PartitionHosts(sub.net, shards)
+	nsh := netsim.NumShards(owner)
+	s.owner = owner
+
+	engines := make([]*des.Engine, nsh)
+	for i := range engines {
+		engines[i] = des.New()
+	}
+	// Per-(src, dst) pair lookahead: distant shard pairs do not
+	// over-synchronise each other. One shard has no pairs, so nothing ever
+	// bounds its epochs.
+	mat, _ := netsim.LookaheadMatrix(sub.net, owner)
+	s.coord = des.NewCoordinatorMatrix[shardPacket](engines, mat)
+	s.coord.OnDeliver(func(dst int, m shardPacket) {
+		s.sh[dst].fabric.Deliver(m.host, m.p)
+	})
+
+	var faults []FaultEvent
+	if len(cfg.Faults) > 0 {
+		faults = faultsWithin(cfg.Faults, cfg.Duration)
+	}
 
 	numGroups := sub.numGroups()
-	// Host machinery.
-	env := &hostEnv{
-		eng:        s.eng,
-		specs:      s.specs,
-		conn:       sub.conn,
-		mults:      sub.mults,
-		bursts:     RegulatorBursts(s.specs, sub.conn),
-		discipline: cfg.Discipline,
-		aligned:    cfg.StaggerAligned,
-		threshold:  sub.threshold,
-		send:       func(from, to int, p traffic.Packet) { s.fabric.Send(from, to, p) },
+	bursts := RegulatorBursts(sub.specs, sub.conn)
+	s.sh = make([]*shardRuntime, nsh)
+	for si := 0; si < nsh; si++ {
+		sh := &shardRuntime{
+			eng:      engines[si],
+			perGroup: make([]stats.MaxTracker, numGroups),
+			lost:     make([]uint64, numGroups),
+		}
+		if cfg.WindowSec > 0 {
+			sh.windows = stats.NewWindowMax(cfg.WindowSec)
+		}
+		fc := netsim.FabricConfig{Mode: cfg.Transit}
+		if len(faults) > 0 {
+			// The Drop hook reads the fault plane through s at send time (the
+			// plane is built after the hosts); cut drops tally shard-locally
+			// and merge in shard order after the run.
+			sh.faultCut = make([]uint64, len(faults))
+			fc.Drop = func(src, dst int) bool { return s.fp.cutDrop(sh.faultCut, src, dst) }
+		}
+		if nsh > 1 {
+			fc.Local = func(h int) bool { return owner[h] == si }
+			fc.Remote = func(dst int, at des.Time, p traffic.Packet) {
+				s.coord.PostPayload(si, owner[dst], at, shardPacket{host: dst, p: p})
+			}
+		}
+		sh.fabric = netsim.NewFabric(sh.eng, sub.net, fc)
+		sh.env = &hostEnv{
+			eng:        sh.eng,
+			specs:      sub.specs,
+			conn:       sub.conn,
+			mults:      sub.mults,
+			bursts:     bursts,
+			discipline: cfg.Discipline,
+			aligned:    cfg.StaggerAligned,
+			threshold:  sub.threshold,
+			send:       func(from, to int, p traffic.Packet) { sh.fabric.Send(from, to, p) },
+		}
+		if cfg.Scheme == SchemeCapacityAware {
+			sh.env.capAware = true
+			sh.env.capFactor = cfg.CapacityFactor
+		}
+		s.sh[si] = sh
 	}
-	s.env = env
-	if cfg.Scheme == SchemeCapacityAware {
-		env.capAware = true
-		env.capFactor = cfg.CapacityFactor
-	}
-	// after gates build-plane scheduling on resume: only events strictly
-	// after the checkpoint instant are re-created (the rest already fired).
-	after := des.Time(-1)
-	if rs != nil {
-		after = rs.at
-	}
+
 	chl := sub.compileChildren()
 	conns := hostConns(chl)
 	s.hosts = make([]*host, cfg.NumHosts)
 	for id := 0; id < cfg.NumHosts; id++ {
+		sh := s.sh[owner[id]]
 		if rs != nil {
-			s.hosts[id] = newHostBare(id, env, cfg.Scheme)
+			s.hosts[id] = newHostBare(id, sh.env, cfg.Scheme)
 		} else {
-			s.hosts[id] = newHostWired(id, env, chl[id], conns[id], cfg.Scheme)
+			s.hosts[id] = newHostWired(id, sh.env, chl[id], conns[id], cfg.Scheme)
 			if cfg.Scheme == SchemeAdaptive && len(s.hosts[id].muxes) > 0 {
 				s.hosts[id].startController(ctlWindow, ctlInterval, sub.threshold)
 			}
 		}
-		id := id
-		s.fabric.SetReceiver(id, func(p traffic.Packet) { s.receive(id, p) })
+		sh.fabric.SetReceiver(id, func(p traffic.Packet) { s.receive(sh, id, p) })
 	}
 
-	s.perGroup = make([]stats.MaxTracker, numGroups)
-	if cfg.WindowSec > 0 {
-		s.windows = stats.NewWindowMax(cfg.WindowSec)
+	if len(faults) > 0 {
+		s.fp = newFaultPlane(sub, s.hosts, faults)
 	}
-	if len(cfg.Faults) > 0 {
-		// Scheduled before the membership events so that at a shared
-		// instant faults apply first, then churn — the order the sharded
-		// coordinator barriers reproduce.
-		s.fp = newFaultPlane(sub, s.hosts, faultsWithin(cfg.Faults, cfg.Duration))
-		s.faultCut = make([]uint64, len(s.fp.events))
-		s.fp.scheduleAfter(s.eng, after)
-	}
+	var events []MembershipEvent
 	if len(cfg.Events) > 0 {
 		s.ctl = newControlPlane(sub, s.hosts)
 		if s.fp != nil {
 			s.ctl.down = s.fp.down
 		}
-		s.ctl.scheduleAfter(s.eng, cfg.Duration, cfg.Events, after)
+		events = sortedEventsWithin(cfg.Events, cfg.Duration)
 	}
+	var reopts []des.Time
 	if cfg.Reopt.Enabled() {
-		// Scheduled after the membership events so that at a shared
-		// instant churn applies first, then the pass sees the churned
-		// tree — the order the sharded coordinator barriers reproduce.
 		s.ro = newReoptPlane(sub, s.hosts)
-		for _, at := range reoptTimes(cfg.Reopt.Every, cfg.Duration) {
-			if at <= after {
-				continue
-			}
-			at := at
-			s.eng.ScheduleKind(at, des.KindBuild, 0, func() { s.ro.reoptimize(at) })
-		}
+		reopts = reoptTimes(cfg.Reopt.Every, cfg.Duration)
 	}
+	s.registerBarriers(faults, events, reopts, rs)
 	return s
 }
 
-// receive records delivery of a group packet at a member and hands it to
-// the host's forwarding pipeline. A packet arriving at a host outside its
-// membership interval — it was in flight when the host left the group —
-// is dropped and counted as churn loss, never measured or forwarded: the
-// membership invariant the control-plane tests pin down.
-func (s *Session) receive(id int, p traffic.Packet) {
-	g := p.Flow
-	st := s.groups[g]
-	if !st.member[id] {
-		st.lost++
+// registerBarriers is the one mechanism that applies control actions: one
+// merged ascending barrier list for all three planes (each list already
+// time-sorted). At a shared instant the faults apply first, then the
+// membership events, then the re-optimization pass, which sees the churned
+// tree.
+func (s *Session) registerBarriers(faults []FaultEvent, events []MembershipEvent, reopts []des.Time, rs *resumeState) {
+	var times []des.Time
+	for _, ev := range faults {
+		times = append(times, ev.At)
+	}
+	for _, ev := range events {
+		times = append(times, ev.At)
+	}
+	times = append(times, reopts...)
+	if len(times) == 0 {
 		return
 	}
-	d := p.Delay(s.eng.Now()).Seconds()
-	s.perGroup[g].Observe(d, p.ID)
-	s.delays.Add(d)
-	s.deliver++
-	if s.windows != nil {
-		s.windows.Observe(s.eng.Now().Seconds(), d)
+	slices.Sort(times)
+	times = slices.Compact(times)
+	nextF, next, nextRo := 0, 0, 0
+	if rs != nil {
+		// Resume: barriers at or before the checkpoint already fired in
+		// the original run — drop them and prime the cursors so the
+		// remaining barriers index the full event lists correctly.
+		for nextF < len(faults) && faults[nextF].At <= rs.at {
+			nextF++
+		}
+		for next < len(events) && events[next].At <= rs.at {
+			next++
+		}
+		for nextRo < len(reopts) && reopts[nextRo] <= rs.at {
+			nextRo++
+		}
+		keep := times[:0]
+		for _, at := range times {
+			if at > rs.at {
+				keep = append(keep, at)
+			}
+		}
+		times = keep
+	}
+	s.coord.AtBarriers(times, func(at des.Time) {
+		// Apply every event at this instant in the shared sorted order,
+		// with all shards quiesced at exactly `at`.
+		for nextF < len(faults) && faults[nextF].At == at {
+			s.fp.apply(nextF)
+			nextF++
+		}
+		for next < len(events) && events[next].At == at {
+			s.ctl.apply(events[next])
+			next++
+		}
+		if nextRo < len(reopts) && reopts[nextRo] == at {
+			s.ro.reoptimize(at)
+			nextRo++
+		}
+	})
+}
+
+// Shards reports how many shards the session runs on.
+func (s *Session) Shards() int { return len(s.sh) }
+
+// Lookahead reports the minimum cross-shard lookahead, the narrowest a
+// conservative epoch can be; 0 on one shard, which has no cross-shard pair.
+func (s *Session) Lookahead() des.Duration {
+	if len(s.sh) == 1 {
+		return 0
+	}
+	return s.coord.Lookahead()
+}
+
+// receive records delivery of a group packet at a member, in the owning
+// shard's accumulators, and hands it to the host's forwarding pipeline. A
+// packet arriving at a host outside its membership interval — it was in
+// flight when the host left the group — is dropped and counted as churn
+// loss, never measured or forwarded: the membership invariant the
+// control-plane tests pin down. Membership reads are safe: the bitmaps
+// only change at coordinator barriers, when no shard is executing.
+func (s *Session) receive(sh *shardRuntime, id int, p traffic.Packet) {
+	g := p.Flow
+	st := s.sub.groups[g]
+	if !st.member[id] {
+		sh.lost[g]++
+		return
+	}
+	d := p.Delay(sh.eng.Now()).Seconds()
+	sh.perGroup[g].Observe(d, p.ID)
+	sh.delays.Add(d)
+	sh.deliver++
+	if sh.windows != nil {
+		sh.windows.Observe(sh.eng.Now().Seconds(), d)
 	}
 	if s.ro != nil {
+		// Safe across shards: host id is owned by exactly one shard, so
+		// each (group, host) estimate cell has a single writer.
 		s.ro.observe(g, id, d)
 	}
 	if s.fp != nil {
-		s.fp.onDeliver(g, id, s.eng.Now())
+		// Same single-writer argument: only id's owning shard delivers to
+		// it, so its firstAt cell has one writer.
+		s.fp.onDeliver(g, id, sh.eng.Now())
 	}
 	h := s.hosts[id]
 	h.observe(p)
@@ -551,15 +680,26 @@ func (s *Session) receive(id int, p traffic.Packet) {
 // conceptually; measurement only counts downstream deliveries, so the
 // source feeds forward() direct.
 func (s *Session) emitFn(g, root int) func(traffic.Packet) {
+	rootHost := s.hosts[root]
 	return func(p traffic.Packet) {
-		s.hosts[root].observe(p)
-		s.hosts[root].forward(g, p)
+		rootHost.observe(p)
+		rootHost.forward(g, p)
 	}
 }
 
-// end is the simulation horizon: the traffic duration plus a drain tail,
-// generous for duty-cycle vacations at every hop.
-func (s *Session) end() des.Time { return des.Time(s.cfg.Duration) + 20*des.Second }
+// buildSources builds the per-group traffic sources, in group order from
+// streams derived from the traffic seed alone, so emissions are identical
+// at every shard count.
+func (s *Session) buildSources() []traffic.Source {
+	cfg := s.sub.cfg
+	return cfg.Workload.BuildSourcesN(cfg.Mix, s.sub.numGroups(), cfg.TrafficSeed.Or(cfg.Seed),
+		cfg.EnvelopeMargin, cfg.BurstSec)
+}
+
+// rootEngine is the engine group g's source runs on: its tree root's shard.
+func (s *Session) rootEngine(g int) *des.Engine {
+	return s.sh[s.owner[s.sub.groups[g].tree.Source]].eng
+}
 
 // Start builds and launches the traffic sources. Idempotent; Run calls it,
 // and checkpoint drivers call it once before stepping with RunTo.
@@ -568,48 +708,73 @@ func (s *Session) Start() {
 		return
 	}
 	s.started = true
-	cfg := s.cfg
-	s.sources = cfg.Workload.BuildSourcesN(cfg.Mix, len(s.specs), cfg.TrafficSeed.Or(cfg.Seed),
-		cfg.EnvelopeMargin, cfg.BurstSec)
+	s.sources = s.buildSources()
 	for g, src := range s.sources {
-		src.Start(s.eng, cfg.Duration, s.emitFn(g, s.groups[g].tree.Source))
+		src.Start(s.rootEngine(g), s.sub.cfg.Duration, s.emitFn(g, s.sub.groups[g].tree.Source))
 	}
 }
 
-// RunTo advances the simulation to exactly time t (a quiesce point: every
-// event at or before t has fired and the clock sits at t).
-func (s *Session) RunTo(t des.Time) { s.eng.RunUntil(t) }
+// RunTo advances every shard to exactly time t: all events and barriers at
+// or before t have fired and every engine is parked at t — a global
+// quiesce point.
+func (s *Session) RunTo(t des.Time) { s.coord.Run(t) }
 
 // Finish runs out the remaining events through the drain tail and returns
-// the measurements.
+// the merged measurements. Merge order is fixed (group-major, shard-
+// minor), so results are deterministic for a given shard count.
 func (s *Session) Finish() Result {
-	cfg := s.cfg
-	numGroups := len(s.specs)
-	s.eng.RunUntil(s.end())
+	cfg := s.sub.cfg
+	numGroups := s.sub.numGroups()
+	// Drain tail: generous for duty-cycle vacations at every hop.
+	s.coord.Run(cfg.Duration + 20*des.Second)
 
 	res := Result{
 		PerGroupWDB:   make([]float64, numGroups),
 		TreeLayers:    make([]int, numGroups),
 		PerGroupLost:  make([]uint64, numGroups),
-		MeanDelay:     s.delays.Mean(),
-		Delivered:     s.deliver,
-		ThresholdUtil: ThresholdUtilization(numGroups, cfg.Mix.Homogeneous()),
-		ConnCapacity:  cfg.Mix.TotalRateN(numGroups) / cfg.Load,
-		Specs:         s.specs,
+		ThresholdUtil: s.sub.threshold,
+		ConnCapacity:  s.sub.conn,
+		Specs:         s.sub.specs,
 		WindowSec:     cfg.WindowSec,
-		Shards:        1,
+		Shards:        len(s.sh),
 	}
+	if len(s.sh) > 1 {
+		// One shard's lone epoch per barrier stretch says nothing about
+		// synchronisation cost; the diagnostics stay zero there.
+		res.Epochs = s.coord.Epochs()
+		res.CrossShardMsgs = s.coord.Messages()
+		res.StallShare = s.coord.StallShare()
+	}
+	var delays stats.Welford
+	var windows *stats.WindowMax
+	for _, sh := range s.sh {
+		delays.Merge(sh.delays)
+		res.Delivered += sh.deliver
+		if sh.windows != nil {
+			if windows == nil {
+				windows = stats.NewWindowMax(cfg.WindowSec)
+			}
+			windows.Merge(sh.windows)
+		}
+	}
+	res.MeanDelay = delays.Mean()
 	for g := 0; g < numGroups; g++ {
-		res.PerGroupWDB[g] = s.perGroup[g].Max()
+		var mt stats.MaxTracker
+		lost := s.sub.groups[g].lost // control-plane losses (quiesced writes)
+		for _, sh := range s.sh {
+			mt.Merge(sh.perGroup[g])
+			lost += sh.lost[g]
+		}
+		res.PerGroupWDB[g] = mt.Max()
 		if res.PerGroupWDB[g] > res.WDB {
 			res.WDB = res.PerGroupWDB[g]
 		}
-		res.TreeLayers[g] = s.groups[g].tree.Layers()
+		res.TreeLayers[g] = s.sub.groups[g].tree.Layers()
 		if res.TreeLayers[g] > res.Layers {
 			res.Layers = res.TreeLayers[g]
 		}
-		res.PerGroupLost[g] = s.groups[g].lost
-		res.Lost += s.groups[g].lost
+		res.PerGroupLost[g] = lost
+		res.Lost += lost
 	}
 	for _, h := range s.hosts {
 		res.ModeSwitches += h.switches
@@ -621,11 +786,17 @@ func (s *Session) Finish() Result {
 	if s.ro != nil {
 		res.Reopts, res.ReoptMoves, res.ReoptRejected = s.ro.accepted, s.ro.moves, s.ro.rejected
 	}
-	if s.windows != nil {
-		res.WindowMax = s.windows.Series()
+	if windows != nil {
+		res.WindowMax = windows.Series()
 	}
 	if s.fp != nil {
-		s.fp.finish(&res, s.faultCut)
+		cut := make([]uint64, len(s.fp.events))
+		for _, sh := range s.sh {
+			for i, n := range sh.faultCut {
+				cut[i] += n
+			}
+		}
+		s.fp.finish(&res, cut)
 	}
 	return res
 }
@@ -640,8 +811,8 @@ func (s *Session) Run() Result {
 // Trees exposes the current group trees (for inspection tools and tests).
 // Under churn the trees reflect the membership at the time of the call.
 func (s *Session) Trees() []*overlay.Tree {
-	out := make([]*overlay.Tree, len(s.groups))
-	for g, st := range s.groups {
+	out := make([]*overlay.Tree, len(s.sub.groups))
+	for g, st := range s.sub.groups {
 		out[g] = st.tree
 	}
 	return out
@@ -651,8 +822,8 @@ func (s *Session) Trees() []*overlay.Tree {
 // sources; the control plane's mutations are visible through IsMember and
 // Trees instead.
 func (s *Session) Groups() []GroupSpec {
-	out := make([]GroupSpec, len(s.groups))
-	for g, st := range s.groups {
+	out := make([]GroupSpec, len(s.sub.groups))
+	for g, st := range s.sub.groups {
 		out[g] = st.spec
 	}
 	return out
@@ -660,13 +831,12 @@ func (s *Session) Groups() []GroupSpec {
 
 // IsMember reports host id's current membership in group g — the live
 // control-plane state, which static sessions never change.
-func (s *Session) IsMember(g, id int) bool { return s.groups[g].member[id] }
+func (s *Session) IsMember(g, id int) bool { return s.sub.groups[g].member[id] }
 
 // Network exposes the underlay (for inspection tools and tests).
-func (s *Session) Network() *topo.Network { return s.net }
+func (s *Session) Network() *topo.Network { return s.sub.net }
 
-// Run builds a session for cfg and runs it: sequential by default,
-// sharded conservative-parallel when cfg.Shards > 1 (see shard.go).
+// Run builds a session for cfg and runs it.
 func Run(cfg Config) Result {
-	return New(cfg).Run()
+	return NewSession(cfg).Run()
 }

@@ -110,26 +110,41 @@ func assertResultsEquivalent(t *testing.T, label string, seqr, shr Result) {
 }
 
 // TestShardedMatchesSequential is the core differential test: a sharded
-// run must reproduce the sequential run's physics exactly — same
-// deliveries, same losses, same per-group worst-case delays.
+// run must reproduce the one-shard run's physics exactly — same
+// deliveries, same losses, same per-group worst-case delays. At
+// WDCSIM_SHARDS=1 the subject is the oracle's own configuration, and the
+// test pins what one shard reports instead.
 func TestShardedMatchesSequential(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeSRL, SchemeSigmaRho} {
 		cfg := shardBaseConfig(11)
 		cfg.Scheme = scheme
 		seqr := Run(cfg)
 		cfg.Shards = testShardCount(t)
-		s := NewShardedSession(cfg)
-		if s.Shards() < 2 {
+		s := NewSession(cfg)
+		if want := min(cfg.Shards, 2); s.Shards() < want {
 			t.Fatalf("partition degenerated to %d shards", s.Shards())
 		}
-		if la := s.Lookahead(); la <= 0 {
-			t.Fatalf("lookahead %v", la)
+		if la := s.Lookahead(); (la > 0) != (s.Shards() > 1) {
+			t.Fatalf("lookahead %v on %d shards", la, s.Shards())
 		}
 		shr := s.Run()
 		if seqr.Delivered == 0 {
 			t.Fatal("no deliveries — test workload is broken")
 		}
 		assertResultsEquivalent(t, scheme.String(), seqr, shr)
+		if cfg.Shards == 1 {
+			assertOneShardDiagnostics(t, shr)
+		}
+	}
+}
+
+// assertOneShardDiagnostics pins a one-shard Result's sharding fields: the
+// coordinator's own epoch bookkeeping must not leak into it.
+func assertOneShardDiagnostics(t *testing.T, res Result) {
+	t.Helper()
+	if res.Shards != 1 || res.Epochs != 0 || res.CrossShardMsgs != 0 || res.StallShare != 0 {
+		t.Errorf("one-shard run reports shards=%d epochs=%d msgs=%d stall=%v, want 1/0/0/0",
+			res.Shards, res.Epochs, res.CrossShardMsgs, res.StallShare)
 	}
 }
 
@@ -199,35 +214,37 @@ func TestShardedDeterministicRepeatedRuns(t *testing.T) {
 	}
 }
 
-// TestShardedFallsBackSequentially pins the degenerate paths: Shards<=1,
-// a single-shard partition, and QueuedTransit all compile to the
-// sequential engine.
-func TestShardedFallsBackSequentially(t *testing.T) {
-	cfg := Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.6, Scheme: SchemeSRL,
-		Duration: des.Second, Seed: 3, Shards: 1}
-	s := NewShardedSession(cfg) // Shards=1 partition degenerates inside
-	if s.Shards() != 1 {
-		t.Fatalf("Shards=1 partition used %d shards", s.Shards())
-	}
-	if s.Lookahead() != 0 {
-		t.Fatalf("sequential fallback reports lookahead %v", s.Lookahead())
-	}
-	if _, ok := New(cfg).(*Session); !ok {
-		t.Fatal("Shards=1 did not compile to the sequential Session")
-	}
-	cfg.Shards = 4
-	cfg.Transit = netsim.QueuedTransit
-	if _, ok := New(cfg).(*Session); !ok {
-		t.Fatal("QueuedTransit did not fall back to the sequential Session")
-	}
-	// The fallback still runs (and matches the plain sequential result).
-	cfg.Transit = netsim.PipeTransit
-	cfg.Shards = 1
-	a := NewShardedSession(cfg).Run()
-	b := Run(Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.6, Scheme: SchemeSRL,
-		Duration: des.Second, Seed: 3})
-	if a.Delivered != b.Delivered || a.WDB != b.WDB {
-		t.Fatalf("fallback run diverged: %+v vs %+v", a, b)
+// TestShardedDegeneratesToOneShard pins the paths that run on one shard
+// whatever Config.Shards asks: Shards<=1 and QueuedTransit (whose router
+// links are state shared across shards). Each reports one shard, no
+// lookahead and no coordinator diagnostics, and matches the plain run.
+func TestShardedDegeneratesToOneShard(t *testing.T) {
+	base := Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.6, Scheme: SchemeSRL,
+		Duration: des.Second, Seed: 3}
+	queued := base
+	queued.Transit = netsim.QueuedTransit
+	for name, tc := range map[string]struct {
+		cfg    Config
+		shards int
+	}{
+		"shards=1": {base, 1},
+		"queued":   {queued, 4},
+	} {
+		want := Run(tc.cfg)
+		cfg := tc.cfg
+		cfg.Shards = tc.shards
+		s := NewSession(cfg)
+		if s.Shards() != 1 {
+			t.Fatalf("%s: runs on %d shards", name, s.Shards())
+		}
+		if s.Lookahead() != 0 {
+			t.Fatalf("%s: one shard reports lookahead %v", name, s.Lookahead())
+		}
+		got := s.Run()
+		assertOneShardDiagnostics(t, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: run diverged from Shards=0: %+v vs %+v", name, got, want)
+		}
 	}
 }
 
@@ -251,69 +268,12 @@ func TestShardedStaticEqualsShards1Bits(t *testing.T) {
 	}
 }
 
-// TestShardDifferentialPairVsGlobalMin pins the per-pair lookahead regime
-// bit-identical to the legacy global-min regime it replaced: the epoch
-// schedule differs (pair bounds run wider windows), but the released event
-// order — and so every delivery, loss, and WDB bit — must not. Covers
-// static, churn, and fault workloads.
-func TestShardDifferentialPairVsGlobalMin(t *testing.T) {
-	side := make([]bool, 24)
-	for r := 0; r < 12; r++ {
-		side[r] = true
-	}
-	cases := map[string]func(*Config){
-		"static": func(cfg *Config) {},
-		"churn": func(cfg *Config) {
-			cfg.WindowSec = 0.5
-			cfg.Events = []MembershipEvent{
-				{At: des.Seconds(0.4), Group: 2, Host: 130, Join: true},
-				{At: des.Seconds(0.7), Group: 2, Host: 30},
-				{At: des.Seconds(1.1), Group: 4, Host: 150},
-				{At: des.Seconds(1.6), Group: 5, Host: 200, Join: true},
-			}
-		},
-		"faults": func(cfg *Config) {
-			cfg.WindowSec = 0.5
-			cfg.Faults = []FaultEvent{
-				{At: des.Seconds(0.8), Kind: FaultPartition, ID: 0, Group: -1, Side: side},
-				{At: des.Seconds(1.6), Kind: FaultHeal, ID: 0, Group: -1},
-			}
-		},
-	}
-	for label, mutate := range cases {
-		t.Run(label, func(t *testing.T) {
-			cfg := shardBaseConfig(37)
-			cfg.Shards = testShardCount(t)
-			mutate(&cfg)
-			pair := Run(cfg)
-			cfg.GlobalMinLookahead = true
-			glob := Run(cfg)
-			assertResultsEquivalent(t, label, glob, pair)
-			// Beyond physics: the merge-order-sensitive bits must agree too —
-			// the regimes release the identical event sequence.
-			if math.Float64bits(pair.WDB) != math.Float64bits(glob.WDB) ||
-				math.Float64bits(pair.MeanDelay) != math.Float64bits(glob.MeanDelay) {
-				t.Errorf("%s: WDB/mean bits diverged: %016x/%016x vs %016x/%016x", label,
-					math.Float64bits(pair.WDB), math.Float64bits(pair.MeanDelay),
-					math.Float64bits(glob.WDB), math.Float64bits(glob.MeanDelay))
-			}
-			for g := range pair.PerGroupWDB {
-				if math.Float64bits(pair.PerGroupWDB[g]) != math.Float64bits(glob.PerGroupWDB[g]) {
-					t.Errorf("%s: group %d WDB bits diverged", label, g)
-				}
-			}
-			if pair.Shards != glob.Shards {
-				t.Errorf("%s: shard counts %d vs %d", label, pair.Shards, glob.Shards)
-			}
-		})
-	}
-}
-
-// TestPairLookaheadWidensEpochs demonstrates why the matrix exists: on a
-// transit-stub underlay, shards separated by the transit core get pair
-// lookaheads strictly wider than the global minimum (which a single
-// intra-stub short hop sets), and the coordinator turns that slack into
-// measurably fewer barrier epochs for the same simulated time.
+// TestPairLookaheadWidensEpochs pins why the matrix exists, structurally:
+// on a transit-stub underlay, shards separated by the transit core get
+// pair lookaheads strictly wider than the matrix minimum (which a single
+// intra-stub short hop sets). That the coordinator turns such slack into
+// fewer epochs with an identical firing order is pinned in des
+// (TestPairBoundsRunFewerEpochs).
 func TestPairLookaheadWidensEpochs(t *testing.T) {
 	cfg := Config{
 		NumHosts:  240,
@@ -329,18 +289,11 @@ func TestPairLookaheadWidensEpochs(t *testing.T) {
 	if cfg.Shards < 2 {
 		t.Skip("needs >= 2 shards")
 	}
-
-	// Structural claim: some pair entry strictly exceeds the scalar min.
-	sub := compileSubstrate(cfg)
-	owner := netsim.PartitionHosts(sub.net, cfg.Shards)
-	if netsim.NumShards(owner) < 2 {
-		t.Fatalf("partition degenerated to %d shards", netsim.NumShards(owner))
+	s := NewSession(cfg)
+	if s.Shards() < 2 {
+		t.Fatalf("partition degenerated to %d shards", s.Shards())
 	}
-	scalar, ok := netsim.Lookahead(sub.net, owner)
-	if !ok {
-		t.Fatal("no cross-shard pair")
-	}
-	mat, ok := netsim.LookaheadMatrix(sub.net, owner)
+	mat, ok := netsim.LookaheadMatrix(s.sub.net, s.owner)
 	if !ok {
 		t.Fatal("no cross-shard pair in matrix")
 	}
@@ -350,25 +303,15 @@ func TestPairLookaheadWidensEpochs(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if mat[i][j] < scalar {
-				t.Fatalf("la[%d][%d]=%v below the scalar min %v", i, j, mat[i][j], scalar)
+			if mat[i][j] < s.Lookahead() {
+				t.Fatalf("la[%d][%d]=%v below the matrix min %v", i, j, mat[i][j], s.Lookahead())
 			}
-			if mat[i][j] > scalar {
+			if mat[i][j] > s.Lookahead() {
 				wider++
 			}
 		}
 	}
 	if wider == 0 {
-		t.Fatal("no pair lookahead strictly wider than the global min — topology does not exercise the matrix")
-	}
-
-	// Behavioural claim: the pair regime completes the same run in fewer
-	// epochs, with identical physics.
-	pair := Run(cfg)
-	cfg.GlobalMinLookahead = true
-	glob := Run(cfg)
-	assertResultsEquivalent(t, "transit-stub", glob, pair)
-	if pair.Epochs >= glob.Epochs {
-		t.Errorf("pair regime ran %d epochs, global-min %d — expected strictly fewer", pair.Epochs, glob.Epochs)
+		t.Fatal("no pair lookahead strictly wider than the minimum — topology does not exercise the matrix")
 	}
 }

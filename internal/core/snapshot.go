@@ -4,37 +4,35 @@ package core
 // (internal/snap) captures the full mutable runtime of a quiesced session —
 // pending engine events, component queues and counters, per-group trees and
 // membership, plane state, measurement accumulators, source positions, and
-// (sharded) the coordinator's mailboxes — while everything derivable from
-// the Config is recomputed, not serialized: the restored session rebuilds
-// the substrate (network, envelopes, initial trees) from the same Config,
-// then overwrites the mutable half from the snapshot.
+// the coordinator's mailboxes — while everything derivable from the Config
+// is recomputed, not serialized: the restored session rebuilds the
+// substrate (network, envelopes, initial trees) from the same Config, then
+// overwrites the mutable half from the snapshot.
 //
 // The contract, pinned by the golden differential tests: for any supported
 // configuration, run-to-T equals run-to-T/2 → Snapshot → Restore →
-// run-to-T, bit for bit, in both the sequential and the sharded engine.
-// The mechanism rests on three invariants:
+// run-to-T, bit for bit, at every shard count. The mechanism rests on
+// three invariants:
 //
-//   - Quiesce: Snapshot is taken between RunTo calls, so every event at or
-//     before the checkpoint instant T has fired and every pending event is
-//     strictly after T (sharded: every engine parked at exactly T, all
-//     mailboxes drained into sorted pending buffers by CheckpointDrain).
-//   - Kind registry: every event that can be pending at a quiesce point
-//     carries a des.Kind* tag plus a component-slot argument, so closures
-//     rehydrate by re-binding the component's stored callback. Build-plane
-//     events (membership/fault/reopt schedules) are tagged KindBuild and
-//     skipped: the restore re-creates them from the Config, filtered to
-//     instants after T.
-//   - Replay order: serialized runtime events replay through
-//     SchedulePrioKind in original sequence order with their original
-//     (at, prio) stamps. Fresh ascending sequence numbers preserve every
-//     relative (at, prio, seq) comparison, and the KindBuild events are
-//     scheduled first — exactly as the original build did — so the restored
-//     firing order is the original's.
+//   - Quiesce: Snapshot is taken between RunTo calls, so every event and
+//     barrier at or before the checkpoint instant T has fired, every
+//     pending event is strictly after T, every engine is parked at exactly
+//     T, and all mailboxes are drained into sorted pending buffers by
+//     CheckpointDrain.
+//   - Kind registry: every engine event carries a des.Kind* tag plus a
+//     component-slot argument, so closures rehydrate by re-binding the
+//     component's stored callback. Control-plane, fault, and reopt actions
+//     are never engine events: they are coordinator barriers, which the
+//     restore re-registers from the Config, filtered to instants after T.
+//   - Replay order: serialized events replay through SchedulePrioKind in
+//     original sequence order with their original (at, prio) stamps. Fresh
+//     ascending sequence numbers preserve every relative (at, prio, seq)
+//     comparison, so the restored firing order is the original's.
 //
-// Every supported configuration snapshots (format version 2): the
-// adaptive controller ticks, the VBR audio/video sources, and the
-// QueuedTransit router links all carry kind tags and rehydrate. The des
-// engine's KindNone check backstops anything new that forgets to tag.
+// Every supported configuration snapshots: the adaptive controller ticks,
+// the VBR audio/video sources, and the QueuedTransit router links all
+// carry kind tags and rehydrate. The des engine's KindNone check backstops
+// anything new that forgets to tag.
 
 import (
 	"fmt"
@@ -54,7 +52,11 @@ import (
 // v2: type-tagged source records (extremal/audio/video), per-host
 // controller window state, and a fabric record for QueuedTransit link
 // queues.
-const SnapshotVersion = 2
+//
+// v3: one layout at every shard count — per shard components, [fabric],
+// events, stats (with the shard's churn-drop counters), then the
+// coordinator record; no build-plane events in the engine record.
+const SnapshotVersion = 3
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -70,8 +72,9 @@ const (
 	recStats
 	recCoord
 	recEnd
-	// recFabric (QueuedTransit link queues) rides between recComponents and
-	// recEngine in the stream; it took the next free number when added.
+	// recFabric (QueuedTransit link queues) rides between a shard's
+	// recComponents and recEngine in the stream; it took the next free
+	// number when added.
 	recFabric
 )
 
@@ -82,40 +85,12 @@ const (
 	srcVideo
 )
 
-// Checkpointer is a session that can be stepped to quiesce points and
-// snapshotted between them. Both the sequential Session and the
-// ShardedSession implement it; Run() remains Start + Finish.
-type Checkpointer interface {
-	Runner
-	// Start launches the traffic sources (idempotent).
-	Start()
-	// RunTo advances the simulation to exactly time t, a quiesce point.
-	RunTo(t des.Time)
-	// Snapshot serializes the full mutable runtime at the current quiesce
-	// point. Valid only after Start and between RunTo calls.
-	Snapshot() ([]byte, error)
-	// Finish runs out the remaining events and returns the measurements.
-	Finish() Result
-}
+// Checkpointer names the session for callers that step it to quiesce
+// points (Start, RunTo, Snapshot, Finish) rather than Run it through.
+type Checkpointer = *Session
 
-// NewCheckpointer builds the session cfg asks for as a Checkpointer — the
-// same dispatch as New.
-func NewCheckpointer(cfg Config) Checkpointer {
-	if cfg.Shards > 1 && cfg.Transit == netsim.PipeTransit {
-		return NewShardedSession(cfg)
-	}
-	return NewSession(cfg)
-}
-
-// snapshotGuard rejects snapshots taken outside the valid lifecycle
-// window. Configuration coverage is total as of format v2; the engine's
-// KindNone check backstops any future untagged event family.
-func snapshotGuard(started bool) error {
-	if !started {
-		return fmt.Errorf("core: snapshot before Start")
-	}
-	return nil
-}
+// NewCheckpointer is NewSession under the name those callers use.
+func NewCheckpointer(cfg Config) Checkpointer { return NewSession(cfg) }
 
 // snapMeta is the decoded recMeta sanity block: enough of the
 // configuration to reject a snapshot restored under the wrong Config, plus
@@ -195,7 +170,7 @@ func expect(r *snap.Reader, want uint16) error {
 	return nil
 }
 
-// --- Shared (engine-independent) mutable state ---
+// --- Session-wide mutable state ---
 
 func writeGroup(w *snap.Writer, st *groupState) {
 	w.Begin(recGroup)
@@ -791,23 +766,14 @@ type replayEv struct {
 	pkt      traffic.Packet // KindFlight / KindHopFlight payload
 }
 
-// writeEvents serializes one engine's pending runtime events in seq order.
-// KindBuild events are skipped (rebuilt from the Config); KindFlight and
-// KindHopFlight events carry their in-flight delivery inline, because the
-// flight-pool node index in arg is meaningless across processes.
+// writeEvents serializes one engine's pending events in seq order.
+// KindFlight and KindHopFlight events carry their in-flight delivery
+// inline, because the flight-pool node index in arg is meaningless across
+// processes.
 func writeEvents(w *snap.Writer, evs []des.PendingEvent, fabric *netsim.Fabric) {
 	w.Begin(recEngine)
-	n := 0
+	w.Len(len(evs))
 	for _, ev := range evs {
-		if ev.Kind != des.KindBuild {
-			n++
-		}
-	}
-	w.Len(n)
-	for _, ev := range evs {
-		if ev.Kind == des.KindBuild {
-			continue
-		}
 		w.I64(int64(ev.At))
 		w.I64(int64(ev.Prio))
 		w.U16(ev.Kind)
@@ -944,192 +910,64 @@ func replayEvents(evs []replayEv, cm compMaps, fabric *netsim.Fabric, sources []
 	return nil
 }
 
-// --- Sequential session ---
+// --- The session ---
 
-// Snapshot serializes the session at the current quiesce point.
-func (s *Session) Snapshot() ([]byte, error) {
-	if err := snapshotGuard(s.started); err != nil {
-		return nil, err
-	}
-	evs, err := s.eng.PendingEvents()
-	if err != nil {
-		return nil, err
-	}
-	w := snap.NewWriterSize(SnapshotVersion, s.snapSize)
-	writeMeta(w, s.cfg, s.eng.Now(), 1, len(s.hosts), len(s.specs))
-	for _, st := range s.groups {
-		writeGroup(w, st)
-	}
-	writeHosts(w, s.hosts)
-	if err := writeSources(w, s.sources); err != nil {
-		return nil, err
-	}
-	if s.ctl != nil {
-		s.ctl.snapshot(w)
-	}
-	if s.fp != nil {
-		s.fp.snapshot(w)
-	}
-	if s.ro != nil {
-		s.ro.snapshot(w)
-	}
-	writeComponents(w, s.env, s.hosts, evs)
-	if s.cfg.Transit == netsim.QueuedTransit {
-		w.Begin(recFabric)
-		s.fabric.SnapshotLinks(w)
-		w.End()
-	}
-	writeEvents(w, evs, s.fabric)
+// writeStats serializes one shard's measurement accumulators.
+func (sh *shardRuntime) writeStats(w *snap.Writer) {
 	w.Begin(recStats)
-	for g := range s.perGroup {
-		s.perGroup[g].Snapshot(w)
+	for g := range sh.perGroup {
+		sh.perGroup[g].Snapshot(w)
 	}
-	s.delays.Snapshot(w)
-	w.U64(s.deliver)
-	w.Bool(s.windows != nil)
-	if s.windows != nil {
-		s.windows.Snapshot(w)
+	sh.delays.Snapshot(w)
+	w.U64(sh.deliver)
+	for _, n := range sh.lost {
+		w.U64(n)
 	}
-	w.Len(len(s.faultCut))
-	for _, n := range s.faultCut {
+	w.Bool(sh.windows != nil)
+	if sh.windows != nil {
+		sh.windows.Snapshot(w)
+	}
+	w.Len(len(sh.faultCut))
+	for _, n := range sh.faultCut {
 		w.U64(n)
 	}
 	w.End()
-	w.Begin(recEnd)
-	w.End()
-	blob, err := w.Finish()
-	if err == nil {
-		s.snapSize = len(blob)
-	}
-	return blob, err
 }
 
-func (s *Session) restore(r *snap.Reader, meta snapMeta) error {
-	numGroups := len(s.specs)
-	for g := 0; g < numGroups; g++ {
-		if err := expect(r, recGroup); err != nil {
-			return err
-		}
-		if err := readGroup(r, s.groups[g]); err != nil {
-			return err
-		}
+func (sh *shardRuntime) readStats(r *snap.Reader) error {
+	for g := range sh.perGroup {
+		sh.perGroup[g].Restore(r)
 	}
-	// Forwarding fan-out derives from the restored trees, exactly as the
-	// live session derives it from mutations: a host's children are its
-	// child sets in the current trees.
-	chl := s.sub.compileChildren()
-	for id, h := range s.hosts {
-		h.children = chl[id]
+	sh.delays.Restore(r)
+	sh.deliver = r.U64()
+	for g := range sh.lost {
+		sh.lost[g] = r.U64()
 	}
-	if err := expect(r, recHosts); err != nil {
-		return err
-	}
-	if err := readHosts(r, s.hosts); err != nil {
-		return err
-	}
-	if err := expect(r, recSources); err != nil {
-		return err
-	}
-	srcSts, err := readSources(r, numGroups)
-	if err != nil {
-		return err
-	}
-	if s.ctl != nil {
-		if err := expect(r, recControl); err != nil {
-			return err
-		}
-		s.ctl.restoreState(r)
-	}
-	if s.fp != nil {
-		if err := expect(r, recFaults); err != nil {
-			return err
-		}
-		if err := s.fp.restoreState(r); err != nil {
-			return err
-		}
-	}
-	if s.ro != nil {
-		if err := expect(r, recReopt); err != nil {
-			return err
-		}
-		if err := s.ro.restoreState(r); err != nil {
-			return err
-		}
-	}
-	if err := expect(r, recComponents); err != nil {
-		return err
-	}
-	cm, err := readComponents(r, s.hosts, numGroups)
-	if err != nil {
-		return err
-	}
-	if s.cfg.Transit == netsim.QueuedTransit {
-		if err := expect(r, recFabric); err != nil {
-			return err
-		}
-		if err := s.fabric.RestoreLinks(r); err != nil {
-			return err
-		}
-	}
-	if err := expect(r, recEngine); err != nil {
-		return err
-	}
-	evs := readEvents(r)
-	if err := expect(r, recStats); err != nil {
-		return err
-	}
-	for g := range s.perGroup {
-		s.perGroup[g].Restore(r)
-	}
-	s.delays.Restore(r)
-	s.deliver = r.U64()
 	if r.Bool() {
-		if s.windows == nil {
+		if sh.windows == nil {
 			return fmt.Errorf("core: snapshot has a window series, session has none")
 		}
-		if err := s.windows.Restore(r); err != nil {
+		if err := sh.windows.Restore(r); err != nil {
 			return err
 		}
-	} else if s.windows != nil {
+	} else if sh.windows != nil {
 		return fmt.Errorf("core: snapshot has no window series, session expects one")
 	}
-	if n := r.Len(); n != len(s.faultCut) {
-		return fmt.Errorf("core: snapshot has %d cut counters, session has %d", n, len(s.faultCut))
+	if n := r.Len(); n != len(sh.faultCut) {
+		return fmt.Errorf("core: snapshot has %d cut counters, shard has %d", n, len(sh.faultCut))
 	}
-	for i := range s.faultCut {
-		s.faultCut[i] = r.U64()
+	for i := range sh.faultCut {
+		sh.faultCut[i] = r.U64()
 	}
-	if err := expect(r, recEnd); err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	// Sources resume at their serialized stream positions; their pending
-	// emission events arrive through the replay below.
-	cfg := s.cfg
-	s.sources = cfg.Workload.BuildSourcesN(cfg.Mix, numGroups, cfg.TrafficSeed.Or(cfg.Seed),
-		cfg.EnvelopeMargin, cfg.BurstSec)
-	for g, src := range s.sources {
-		if err := resumeSource(g, src, srcSts[g], s.eng, cfg.Duration, s.emitFn(g, s.groups[g].tree.Source)); err != nil {
-			return err
-		}
-	}
-	s.started = true
-	s.eng.RestoreNow(meta.at)
-	return replayEvents(evs, cm, s.fabric, s.sources, s.hosts)
+	return nil
 }
 
-// --- Sharded session ---
-
-// Snapshot serializes the sharded session at the current quiesce point
-// (between coordinator Run calls: every engine parked at the same instant).
-func (s *ShardedSession) Snapshot() ([]byte, error) {
-	if s.seq != nil {
-		return s.seq.Snapshot()
-	}
-	if err := snapshotGuard(s.started); err != nil {
-		return nil, err
+// Snapshot serializes the session at the current quiesce point (between
+// RunTo calls: every engine parked at the same instant). Valid only after
+// Start.
+func (s *Session) Snapshot() ([]byte, error) {
+	if !s.started {
+		return nil, fmt.Errorf("core: snapshot before Start")
 	}
 	at := s.sh[0].eng.Now()
 	for _, sh := range s.sh {
@@ -1140,9 +978,9 @@ func (s *ShardedSession) Snapshot() ([]byte, error) {
 	// Fold every mailbox into the sorted pending buffers so the snapshot
 	// sees all undelivered cross-shard records in one place.
 	s.coord.CheckpointDrain()
-	numGroups := s.sub.numGroups()
+	cfg := s.sub.cfg
 	w := snap.NewWriterSize(SnapshotVersion, s.snapSize)
-	writeMeta(w, s.sub.cfg, at, len(s.sh), len(s.hosts), numGroups)
+	writeMeta(w, cfg, at, len(s.sh), len(s.hosts), s.sub.numGroups())
 	for _, st := range s.sub.groups {
 		writeGroup(w, st)
 	}
@@ -1165,25 +1003,13 @@ func (s *ShardedSession) Snapshot() ([]byte, error) {
 			return nil, err
 		}
 		writeComponents(w, sh.env, s.hosts, evs)
+		if cfg.Transit == netsim.QueuedTransit {
+			w.Begin(recFabric)
+			sh.fabric.SnapshotLinks(w)
+			w.End()
+		}
 		writeEvents(w, evs, sh.fabric)
-		w.Begin(recStats)
-		for g := range sh.perGroup {
-			sh.perGroup[g].Snapshot(w)
-		}
-		sh.delays.Snapshot(w)
-		w.U64(sh.deliver)
-		for _, n := range sh.lost {
-			w.U64(n)
-		}
-		w.Bool(sh.windows != nil)
-		if sh.windows != nil {
-			sh.windows.Snapshot(w)
-		}
-		w.Len(len(sh.faultCut))
-		for _, n := range sh.faultCut {
-			w.U64(n)
-		}
-		w.End()
+		sh.writeStats(w)
 	}
 	w.Begin(recCoord)
 	seqs := s.coord.SrcSeqs()
@@ -1197,10 +1023,7 @@ func (s *ShardedSession) Snapshot() ([]byte, error) {
 	w.U64(stallNum)
 	w.U64(stallDen)
 	for dst := range s.sh {
-		recs, err := s.coord.PendingRecords(dst)
-		if err != nil {
-			return nil, err
-		}
+		recs := s.coord.PendingRecords(dst)
 		w.Len(len(recs))
 		for _, rc := range recs {
 			w.I64(int64(rc.At))
@@ -1221,7 +1044,7 @@ func (s *ShardedSession) Snapshot() ([]byte, error) {
 	return blob, err
 }
 
-func (s *ShardedSession) restore(r *snap.Reader, meta snapMeta) error {
+func (s *Session) restore(r *snap.Reader, meta snapMeta) error {
 	cfg := s.sub.cfg
 	numGroups := s.sub.numGroups()
 	for g := 0; g < numGroups; g++ {
@@ -1232,6 +1055,9 @@ func (s *ShardedSession) restore(r *snap.Reader, meta snapMeta) error {
 			return err
 		}
 	}
+	// Forwarding fan-out derives from the restored trees, exactly as the
+	// live session derives it from mutations: a host's children are its
+	// child sets in the current trees.
 	chl := s.sub.compileChildren()
 	for id, h := range s.hosts {
 		h.children = chl[id]
@@ -1280,6 +1106,14 @@ func (s *ShardedSession) restore(r *snap.Reader, meta snapMeta) error {
 		if cms[si], err = readComponents(r, s.hosts, numGroups); err != nil {
 			return err
 		}
+		if cfg.Transit == netsim.QueuedTransit {
+			if err := expect(r, recFabric); err != nil {
+				return err
+			}
+			if err := sh.fabric.RestoreLinks(r); err != nil {
+				return err
+			}
+		}
 		if err := expect(r, recEngine); err != nil {
 			return err
 		}
@@ -1287,29 +1121,8 @@ func (s *ShardedSession) restore(r *snap.Reader, meta snapMeta) error {
 		if err := expect(r, recStats); err != nil {
 			return err
 		}
-		for g := range sh.perGroup {
-			sh.perGroup[g].Restore(r)
-		}
-		sh.delays.Restore(r)
-		sh.deliver = r.U64()
-		for g := range sh.lost {
-			sh.lost[g] = r.U64()
-		}
-		if r.Bool() {
-			if sh.windows == nil {
-				return fmt.Errorf("core: snapshot has a window series, session has none")
-			}
-			if err := sh.windows.Restore(r); err != nil {
-				return err
-			}
-		} else if sh.windows != nil {
-			return fmt.Errorf("core: snapshot has no window series, session expects one")
-		}
-		if n := r.Len(); n != len(sh.faultCut) {
-			return fmt.Errorf("core: snapshot has %d cut counters, shard has %d", n, len(sh.faultCut))
-		}
-		for i := range sh.faultCut {
-			sh.faultCut[i] = r.U64()
+		if err := sh.readStats(r); err != nil {
+			return err
 		}
 	}
 	if err := expect(r, recCoord); err != nil {
@@ -1350,11 +1163,12 @@ func (s *ShardedSession) restore(r *snap.Reader, meta snapMeta) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	s.sources = cfg.Workload.BuildSourcesN(cfg.Mix, numGroups, cfg.TrafficSeed.Or(cfg.Seed),
-		cfg.EnvelopeMargin, cfg.BurstSec)
+	// Sources resume at their serialized stream positions; their pending
+	// emission events arrive through the replay below.
+	s.sources = s.buildSources()
 	for g, src := range s.sources {
 		root := s.sub.groups[g].tree.Source
-		if err := resumeSource(g, src, srcSts[g], s.sh[s.owner[root]].eng, cfg.Duration, s.emitFn(g, root)); err != nil {
+		if err := resumeSource(g, src, srcSts[g], s.rootEngine(g), cfg.Duration, s.emitFn(g, root)); err != nil {
 			return err
 		}
 	}
@@ -1371,7 +1185,7 @@ func (s *ShardedSession) restore(r *snap.Reader, meta snapMeta) error {
 // Restore rebuilds a session from cfg and a snapshot taken by Snapshot
 // under the same cfg, positioned at the checkpoint instant and ready to
 // continue with RunTo/Finish — bit-identically to the original run.
-func Restore(cfg Config, data []byte) (Checkpointer, error) {
+func Restore(cfg Config, data []byte) (*Session, error) {
 	r, version, err := snap.NewReader(data)
 	if err != nil {
 		return nil, err
@@ -1390,30 +1204,10 @@ func Restore(cfg Config, data []byte) (Checkpointer, error) {
 	if err := checkMeta(meta, sub); err != nil {
 		return nil, err
 	}
-	rs := &resumeState{at: meta.at}
-	if sub.cfg.Shards > 1 && sub.cfg.Transit == netsim.PipeTransit {
-		s := newShardedFrom(sub, rs)
-		if s.seq != nil {
-			if meta.shards != 1 {
-				return nil, fmt.Errorf("core: snapshot has %d shards, session degenerates to 1", meta.shards)
-			}
-			if err := s.seq.restore(r, meta); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-		if meta.shards != len(s.sh) {
-			return nil, fmt.Errorf("core: snapshot has %d shards, session has %d", meta.shards, len(s.sh))
-		}
-		if err := s.restore(r, meta); err != nil {
-			return nil, err
-		}
-		return s, nil
+	s := newSessionFrom(sub, &resumeState{at: meta.at})
+	if meta.shards != len(s.sh) {
+		return nil, fmt.Errorf("core: snapshot has %d shards, session has %d", meta.shards, len(s.sh))
 	}
-	if meta.shards != 1 {
-		return nil, fmt.Errorf("core: snapshot has %d shards, session is sequential", meta.shards)
-	}
-	s := newSessionFrom(sub, rs)
 	if err := s.restore(r, meta); err != nil {
 		return nil, err
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
 	"repro/internal/netsim"
+	"repro/internal/snap"
 	"repro/internal/traffic"
 )
 
@@ -55,13 +58,13 @@ func normalizeDiag(res Result) Result {
 	return res
 }
 
-// finishVia runs cfg to completion through the Checkpointer interface,
-// snapshotting and restoring at each of the given instants along the way:
+// finishVia runs cfg to completion in steps, snapshotting and restoring
+// at each of the given instants along the way:
 // run to t, serialize, rebuild a fresh session from the bytes, continue.
 // With no instants it is a plain run.
 func finishVia(t *testing.T, cfg Config, at ...des.Time) Result {
 	t.Helper()
-	s := NewCheckpointer(cfg)
+	s := NewSession(cfg)
 	s.Start()
 	for _, ckpt := range at {
 		s.RunTo(ckpt)
@@ -79,7 +82,7 @@ func finishVia(t *testing.T, cfg Config, at ...des.Time) Result {
 }
 
 // TestCheckpointRestoreBitIdentical is the snapshot golden: for every
-// workload archetype, sequential and 4-shard, run-to-end must equal
+// workload archetype, one shard and 4-shard, run-to-end must equal
 // run-to-T/2 → snapshot → restore → run-to-end on the full Result — every
 // per-packet delivery statistic, loss counter, window series entry, and
 // fault outcome, bit for bit.
@@ -135,9 +138,8 @@ func TestCheckpointUnalignedInstant(t *testing.T) {
 
 // TestSnapshotGuards pins the remaining explicit refusal: an unstarted
 // session fails with an error, not a corrupt snapshot. (Configuration
-// coverage is total as of format v2 — the previously refused adaptive,
-// VBR, and QueuedTransit families are pinned bit-identical by
-// TestCheckpointRestoreBitIdentical.)
+// coverage is total — the adaptive, VBR, and QueuedTransit families are
+// pinned bit-identical by TestCheckpointRestoreBitIdentical.)
 func TestSnapshotGuards(t *testing.T) {
 	cfg := shardBaseConfig(3)
 	if _, err := NewSession(cfg).Snapshot(); err == nil {
@@ -150,7 +152,7 @@ func TestSnapshotGuards(t *testing.T) {
 // stream, or a wrong version fails with an error.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	cfg := shardBaseConfig(5)
-	s := NewCheckpointer(cfg)
+	s := NewSession(cfg)
 	s.Start()
 	s.RunTo(des.Second)
 	blob, err := s.Snapshot()
@@ -166,7 +168,24 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	sharded := cfg
 	sharded.Shards = 4
 	if _, err := Restore(sharded, blob); err == nil {
-		t.Error("restore of a sequential snapshot into a sharded session did not fail")
+		t.Error("restore of a one-shard snapshot into a 4-shard session did not fail")
+	}
+	s4 := NewSession(sharded)
+	s4.Start()
+	s4.RunTo(des.Second)
+	blob4, err := s4.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(cfg, blob4); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Errorf("restore of a 4-shard snapshot into a one-shard session: err = %v, want a shard-count error", err)
+	}
+	v2, err := snap.NewWriter(2).Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(cfg, v2); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("restore of a version-2 snapshot: err = %v, want the version error", err)
 	}
 	if _, err := Restore(cfg, blob[:len(blob)/2]); err == nil {
 		t.Error("restore of a truncated snapshot did not fail")
@@ -186,11 +205,50 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointQueuedTransitIsOneShard: QueuedTransit runs on one shard
+// whatever Config.Shards asks, so Shards=4 must run, snapshot and restore
+// exactly as Shards=1 does — same bytes, interchangeable blobs, same Result.
+func TestCheckpointQueuedTransitIsOneShard(t *testing.T) {
+	one := shardBaseConfig(43)
+	one.Transit = netsim.QueuedTransit
+	one.Shards = 1
+	four := one
+	four.Shards = 4
+	mid := des.Time(one.Duration) / 2
+	blobs := make(map[int][]byte)
+	for _, cfg := range []Config{one, four} {
+		s := NewSession(cfg)
+		s.Start()
+		s.RunTo(mid)
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", cfg.Shards, err)
+		}
+		blobs[cfg.Shards] = blob
+	}
+	if !bytes.Equal(blobs[1], blobs[4]) {
+		t.Fatalf("snapshots differ: %d bytes at Shards=1, %d at Shards=4", len(blobs[1]), len(blobs[4]))
+	}
+	want := finishVia(t, one)
+	// Cross-restore: the Shards=1 blob under the Shards=4 config.
+	restored, err := Restore(four, blobs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restored.Finish()
+	if got.Shards != 1 {
+		t.Fatalf("QueuedTransit with Shards=4 restored onto %d shards", got.Shards)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored Shards=4 run diverged from the straight Shards=1 run:\n  got  %+v\n  want %+v", got, want)
+	}
+}
+
 // BenchmarkCheckpoint measures one snapshot+restore round trip on a
 // mid-size churn workload, for the overhead table in EXPERIMENTS.md §4.
 func BenchmarkCheckpoint(b *testing.B) {
 	cfg := churnConfig(SchemeSRL, 41)
-	s := NewCheckpointer(cfg)
+	s := NewSession(cfg)
 	s.Start()
 	s.RunTo(des.Time(cfg.Duration) / 2)
 	blob, err := s.Snapshot()

@@ -16,9 +16,8 @@ import (
 // everything NewSession derives from a Config before any simulation
 // machinery is wired — the underlay network, flow envelopes, resolved
 // member sets, delivery trees, base connection capacity, and uplink
-// multipliers. It is the shared front half of both the sequential Session
-// and the sharded session: compiling it involves no engine, so sequential
-// and sharded builds start from bit-identical structure.
+// multipliers. Compiling it involves no engine, so builds at every shard
+// count start from bit-identical structure.
 //
 // The groups field is the mutable per-group runtime (trees and member
 // bitmaps the control plane drives), so a substrate belongs to exactly

@@ -19,13 +19,14 @@ package des
 //
 // which degenerates to the classic single global-min window when the
 // matrix is uniform, and opens strictly wider windows for distant shard
-// pairs when it is not. The legacy regime is kept behind the scalar
-// constructor (and core's GlobalMinLookahead switch) as the differential
-// baseline.
+// pairs when it is not. Over one engine the bound is unconstrained: Run
+// is then RunUntil with barrier actions, one inline epoch per stretch
+// between barriers — the sequential engine is the one-shard case, not a
+// separate code path.
 //
 // Determinism contract. A sharded run must be bit-stable for a fixed shard
-// count regardless of OS scheduling or epoch regime. Three mechanisms
-// guarantee it:
+// count regardless of OS scheduling or how the run is cut into epochs.
+// Three mechanisms guarantee it:
 //
 //  1. Each shard's engine is strictly sequential and only its own worker
 //     goroutine touches it during an epoch.
@@ -38,15 +39,14 @@ package des
 //     releases into the engine only the prefix firing inside the next
 //     epoch window. Releasing exactly the records an epoch can fire (in
 //     sorted order) makes destination-engine tie-breaks (its internal seq)
-//     reproduce the total order for ANY epoch regime: without the bounded
-//     pending release, per-pair windows could materialise two exact
-//     (at, lamport) ties in different drain batches and invert their
+//     reproduce the total order for ANY epoch schedule: without the
+//     bounded pending release, per-pair windows could materialise two
+//     exact (at, lamport) ties in different drain batches and invert their
 //     (srcShard, seq) order.
 //  3. Barrier callbacks (the session control plane) run on the
 //     coordinator goroutine while every engine is quiesced at exactly the
-//     barrier time, before any same-time events execute — mirroring the
-//     sequential engine, where control events are scheduled at build time
-//     and therefore win every same-timestamp tie.
+//     barrier time, before any same-time events execute: control actions
+//     win every same-timestamp tie, at every shard count.
 //
 // Epochs are demand-driven: the fixpoint seeds from each shard's next
 // event (including pending cross-shard arrivals), so idle stretches cost
@@ -77,8 +77,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // then advances the clock to exactly bound (never backward). It is the
 // epoch step of conservative-parallel execution: unlike RunUntil it leaves
 // events at the bound itself unfired, so a barrier action at the bound
-// runs before same-time events, exactly as a build-time-scheduled event
-// would in a sequential run.
+// runs before same-time events.
 func (e *Engine) RunBefore(bound Time) {
 	e.running = true
 	for e.running {
@@ -96,14 +95,6 @@ func (e *Engine) RunBefore(bound Time) {
 	}
 }
 
-// Record kinds. recClosure is the legacy Post path (carries a func, may
-// allocate at the call site); recPayload is the zero-alloc fast path
-// (carries an inline P delivered through the OnDeliver hook).
-const (
-	recClosure uint8 = iota
-	recPayload
-)
-
 // rec is one cross-shard event in flight between epochs: a flat mailbox
 // record whose leading fields are the explicit merge key. Records live in
 // per-(src, dst) mailboxes recycled in place at every drain, so posting a
@@ -113,9 +104,7 @@ type rec[P any] struct {
 	lamport Time   // the sender's clock when the record was posted
 	seq     uint64 // per-sender monotone counter
 	src     int32  // sending shard
-	kind    uint8  // recClosure or recPayload
-	fn      func() // recClosure only
-	payload P      // recPayload only
+	payload P      // delivered through the OnDeliver hook
 }
 
 // recLess is the total order cross-shard records merge under. seq is
@@ -156,18 +145,16 @@ type dnode[P any] struct {
 	fire    func()
 }
 
-// Coordinator drives a set of shard engines through conservative epochs.
-// Build it with NewCoordinator (uniform lookahead, legacy global-min epoch
-// regime) or NewCoordinatorMatrix (per-(src, dst) lookahead, per-shard
-// LBTS bounds), register any barrier actions and the payload deliver hook,
-// then call Run once. Coordinators are single-use.
+// Coordinator drives a set of shard engines (one or more) through
+// conservative epochs. Build it with NewCoordinatorMatrix, register any
+// barrier actions and the payload deliver hook, then call Run — again with
+// a later deadline to continue.
 type Coordinator[P any] struct {
-	engines   []*Engine
-	la        [][]Time // la[src][dst]; diagonal and "no path" are maxTime
-	minLA     Time     // min off-diagonal entry (the global-min width)
-	globalMin bool     // legacy regime: one uniform window per epoch
+	engines []*Engine
+	la      [][]Time // la[src][dst]; diagonal and "no path" are maxTime
+	minLA   Time     // min off-diagonal entry
 
-	deliver func(dst int, payload P) // OnDeliver hook for recPayload records
+	deliver func(dst int, payload P) // OnDeliver hook
 	pools   []*dnode[P]              // per-dst free lists of delivery nodes
 
 	outbox [][][]rec[P]   // [src][dst] mailboxes, appended by src's worker
@@ -193,45 +180,24 @@ type Coordinator[P any] struct {
 	stallDen uint64 // sum over epochs of n*max(work)
 }
 
-// NewCoordinator returns a coordinator over the given engines with a
-// uniform conservative lookahead and the legacy global-min epoch regime:
-// every epoch advances all shards to the same bound, the global minimum
-// next event time plus the lookahead. The lookahead must be positive: a
-// model with zero minimum cross-shard delay cannot be conservatively
-// parallelised. Engines must be fresh (at time zero, nothing fired).
-func NewCoordinator[P any](engines []*Engine, lookahead Duration) *Coordinator[P] {
-	if lookahead <= 0 {
-		panic("des: conservative lookahead must be positive")
-	}
-	n := len(engines)
-	la := make([][]Time, n)
-	for i := range la {
-		la[i] = make([]Time, n)
-		for j := range la[i] {
-			if i == j {
-				la[i][j] = maxTime
-			} else {
-				la[i][j] = lookahead
-			}
-		}
-	}
-	c := newCoordinator[P](engines, la)
-	c.globalMin = true
-	return c
-}
-
 // NewCoordinatorMatrix returns a coordinator using a per-(src, dst)
 // lookahead matrix: la[s][d] is the minimum simulated delay of any message
 // from shard s to shard d (use a huge value, e.g. 1<<62-1, for pairs with
 // no cross-shard path; arithmetic saturates). Every off-diagonal entry
-// must be positive. Epoch bounds are per-shard LBTS values over the
-// matrix, so distant shard pairs stop over-synchronising each other.
+// must be positive: a model with zero minimum cross-shard delay cannot be
+// conservatively parallelised. Epoch bounds are per-shard LBTS values over
+// the matrix, so distant shard pairs stop over-synchronising each other.
+// Engines must be fresh (at time zero, nothing fired).
 func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinator[P] {
 	n := len(engines)
+	if n == 0 {
+		panic("des: coordinator needs at least one engine")
+	}
 	if len(la) != n {
 		panic("des: lookahead matrix must be n×n over the engines")
 	}
 	cp := make([][]Time, n)
+	minLA := maxTime
 	for i := range la {
 		if len(la[i]) != n {
 			panic("des: lookahead matrix must be n×n over the engines")
@@ -242,31 +208,18 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 			if i != j && d <= 0 {
 				panic("des: conservative lookahead must be positive")
 			}
-		}
-	}
-	return newCoordinator[P](engines, cp)
-}
-
-func newCoordinator[P any](engines []*Engine, la [][]Time) *Coordinator[P] {
-	if len(engines) == 0 {
-		panic("des: coordinator needs at least one engine")
-	}
-	n := len(engines)
-	out := make([][][]rec[P], n)
-	for i := range out {
-		out[i] = make([][]rec[P], n)
-	}
-	minLA := maxTime
-	for i := range la {
-		for j, d := range la[i] {
 			if i != j && d < minLA {
 				minLA = d
 			}
 		}
 	}
+	out := make([][][]rec[P], n)
+	for i := range out {
+		out[i] = make([][]rec[P], n)
+	}
 	return &Coordinator[P]{
 		engines: engines,
-		la:      la,
+		la:      cp,
 		minLA:   minLA,
 		outbox:  out,
 		seq:     make([]uint64, n),
@@ -280,13 +233,9 @@ func newCoordinator[P any](engines []*Engine, la [][]Time) *Coordinator[P] {
 	}
 }
 
-// Lookahead returns the minimum cross-shard lookahead (the legacy global
-// epoch width; per-pair bounds are never narrower than this).
+// Lookahead returns the minimum cross-shard lookahead; per-pair epoch
+// bounds are never narrower than this.
 func (c *Coordinator[P]) Lookahead() Time { return c.minLA }
-
-// GlobalMin reports whether the coordinator runs the legacy global-min
-// epoch regime rather than per-pair LBTS bounds.
-func (c *Coordinator[P]) GlobalMin() bool { return c.globalMin }
 
 // Epochs reports how many epochs have been executed.
 func (c *Coordinator[P]) Epochs() uint64 { return c.epochs }
@@ -337,11 +286,18 @@ func (c *Coordinator[P]) AtBarriers(times []Time, fn func(Time)) {
 	c.bi = 0
 }
 
-// post validates and appends one record to the src→dst mailbox. Posting
-// below the pair's conservative lookahead is a model bug — it means the
-// declared minimum cross-shard delay was wrong — and panics rather than
-// silently corrupting causality.
-func (c *Coordinator[P]) post(src, dst int, at Time, r rec[P]) {
+// PostPayload sends a cross-shard payload: the OnDeliver hook will run on
+// shard dst's engine at absolute time at with the payload. It must be
+// called from src's goroutine while src's epoch is executing (or while all
+// shards are quiesced). The record is flat — no closure, no boxing — so
+// the steady-state boundary handoff allocates nothing. Posting below the
+// pair's conservative lookahead is a model bug — it means the declared
+// minimum cross-shard delay was wrong — and panics rather than silently
+// corrupting causality.
+func (c *Coordinator[P]) PostPayload(src, dst int, at Time, payload P) {
+	if c.deliver == nil {
+		panic("des: PostPayload without an OnDeliver hook")
+	}
 	if src == dst {
 		panic("des: cross-shard post between a shard and itself; schedule locally instead")
 	}
@@ -351,40 +307,14 @@ func (c *Coordinator[P]) post(src, dst int, at Time, r rec[P]) {
 			at-now, src, now, c.la[src][dst], src, dst))
 	}
 	c.seq[src]++
-	r.at = at
-	r.lamport = now
-	r.seq = c.seq[src]
-	r.src = int32(src)
-	c.outbox[src][dst] = append(c.outbox[src][dst], r)
-}
-
-// Post sends a cross-shard event: fn will run on shard dst's engine at
-// absolute time at. It must be called from src's goroutine while src's
-// epoch is executing (or while all shards are quiesced). The closure is a
-// per-call heap allocation — hot paths should use PostPayload instead.
-func (c *Coordinator[P]) Post(src, dst int, at Time, fn func()) {
-	if fn == nil {
-		panic("des: posting nil func")
-	}
-	c.post(src, dst, at, rec[P]{kind: recClosure, fn: fn})
-}
-
-// PostPayload sends a cross-shard payload: the OnDeliver hook will run on
-// shard dst's engine at absolute time at with the payload. The record is
-// flat — no closure, no boxing — so the steady-state boundary handoff
-// allocates nothing. Ordering is identical to Post (one shared per-src
-// counter covers both kinds).
-func (c *Coordinator[P]) PostPayload(src, dst int, at Time, payload P) {
-	if c.deliver == nil {
-		panic("des: PostPayload without an OnDeliver hook")
-	}
-	c.post(src, dst, at, rec[P]{kind: recPayload, payload: payload})
+	c.outbox[src][dst] = append(c.outbox[src][dst],
+		rec[P]{at: at, lamport: now, seq: c.seq[src], src: int32(src), payload: payload})
 }
 
 // drain moves every mailbox into its destination's sorted pending buffer.
 // Called only while all shards are quiesced. Mailboxes are recycled in
-// place (truncated, slots zeroed so captured closures/payloads are not
-// pinned by high-water-mark slots).
+// place (truncated, slots zeroed so payloads are not pinned by
+// high-water-mark slots).
 func (c *Coordinator[P]) drain() {
 	var zero rec[P]
 	for dst := range c.engines {
@@ -415,7 +345,7 @@ func (c *Coordinator[P]) drain() {
 // seq), and releasing a sorted prefix fixes seq order within equal
 // (at, prio). Only records inside the epoch window are released, so the
 // engine-seq tie-break reproduces the (at, lamport, src, seq) total order
-// under any epoch regime.
+// however the run is cut into epochs.
 func (c *Coordinator[P]) release(dst int, bound Time) {
 	pq := &c.pend[dst]
 	n := 0
@@ -428,10 +358,6 @@ func (c *Coordinator[P]) release(dst int, bound Time) {
 	eng := c.engines[dst]
 	for i := 0; i < n; i++ {
 		r := &pq.q[i]
-		if r.kind == recClosure {
-			eng.SchedulePrio(r.at, r.lamport, r.fn)
-			continue
-		}
 		nd := c.pools[dst]
 		if nd == nil {
 			nd = c.newNode(dst)
@@ -546,16 +472,21 @@ func (c *Coordinator[P]) pairBounds() {
 // sees consistent cross-shard state.
 func (c *Coordinator[P]) Run(deadline Time) {
 	n := len(c.engines)
-	work := make([]chan Time, n)
+	// Workers exist to run two or more active shards side by side; a lone
+	// active shard — every epoch over one engine — runs inline.
+	var work []chan Time
 	done := make(chan int, n)
-	for i := range work {
-		work[i] = make(chan Time)
-		go func(i int, ch chan Time) {
-			for end := range ch {
-				c.engines[i].RunBefore(end)
-				done <- i
-			}
-		}(i, work[i])
+	if n > 1 {
+		work = make([]chan Time, n)
+		for i := range work {
+			work[i] = make(chan Time)
+			go func(i int, ch chan Time) {
+				for end := range ch {
+					c.engines[i].RunBefore(end)
+					done <- i
+				}
+			}(i, work[i])
+		}
 	}
 	defer func() {
 		for _, ch := range work {
@@ -581,8 +512,8 @@ func (c *Coordinator[P]) Run(deadline Time) {
 				next, any = at, true
 			}
 		}
-		// Barriers beyond the deadline never fire, matching the sequential
-		// control plane's "late events are dropped" rule.
+		// Barriers beyond the deadline never fire: control actions after
+		// the horizon are dropped.
 		nextBarrier, haveBarrier := Time(0), false
 		if bi < len(c.barriers) && c.barriers[bi] <= deadline {
 			nextBarrier, haveBarrier = c.barriers[bi], true
@@ -599,20 +530,13 @@ func (c *Coordinator[P]) Run(deadline Time) {
 		}
 		if haveBarrier && nextBarrier <= next {
 			// The barrier precedes (or ties) the next event; barrier
-			// actions win same-time ties, as in the sequential engine.
+			// actions win same-time ties.
 			c.quiesce(nextBarrier)
 			c.onBarrier(nextBarrier)
 			bi++
 			continue
 		}
-		if c.globalMin {
-			end := satAdd(next, c.minLA)
-			for i := range c.ends {
-				c.ends[i] = end
-			}
-		} else {
-			c.pairBounds()
-		}
+		c.pairBounds()
 		for i := range c.ends {
 			if haveBarrier && nextBarrier < c.ends[i] {
 				c.ends[i] = nextBarrier
@@ -691,9 +615,7 @@ func (c *Coordinator[P]) runEpoch(work []chan Time, done chan int) {
 // snapshot only has to serialize sorted pending records plus the per-src
 // counters and diagnostics below.
 
-// ShardRec is one serializable pending cross-shard record. Only payload
-// records serialize; a closure record in a pending buffer makes the run
-// unsnapshotable.
+// ShardRec is one serializable pending cross-shard record.
 type ShardRec[P any] struct {
 	At      Time
 	Lamport Time
@@ -706,19 +628,15 @@ type ShardRec[P any] struct {
 // pending buffer. Call only between Run calls (all engines quiesced).
 func (c *Coordinator[P]) CheckpointDrain() { c.drain() }
 
-// PendingRecords returns dst's pending cross-shard records in merge
-// order, or an error if any is a closure record (legacy Post path).
-func (c *Coordinator[P]) PendingRecords(dst int) ([]ShardRec[P], error) {
+// PendingRecords returns dst's pending cross-shard records in merge order.
+func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
 	pq := &c.pend[dst]
 	out := make([]ShardRec[P], 0, len(pq.q))
 	for i := range pq.q {
 		r := &pq.q[i]
-		if r.kind != recPayload {
-			return nil, fmt.Errorf("des: pending closure record for shard %d at %v; this configuration cannot be snapshotted", dst, r.at)
-		}
 		out = append(out, ShardRec[P]{At: r.at, Lamport: r.lamport, Seq: r.seq, Src: r.src, Payload: r.payload})
 	}
-	return out, nil
+	return out
 }
 
 // RestorePending installs dst's pending records (in the merge order
@@ -727,7 +645,7 @@ func (c *Coordinator[P]) RestorePending(dst int, recs []ShardRec[P]) {
 	pq := &c.pend[dst]
 	pq.q = pq.q[:0]
 	for _, r := range recs {
-		pq.q = append(pq.q, rec[P]{at: r.At, lamport: r.Lamport, seq: r.Seq, src: r.Src, kind: recPayload, payload: r.Payload})
+		pq.q = append(pq.q, rec[P]{at: r.At, lamport: r.Lamport, seq: r.Seq, src: r.Src, payload: r.Payload})
 	}
 }
 

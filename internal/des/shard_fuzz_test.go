@@ -10,7 +10,7 @@ import (
 // delivered order per destination against the strict (at, lamport,
 // srcShard, seq) total order applied directly to the injected records —
 // the determinism oracle the whole sharded engine rests on. Records are
-// injected into the outboxes directly (bypassing Post's lookahead
+// injected into the outboxes directly (bypassing PostPayload's lookahead
 // validation) so the fuzzer controls every key field, including exact
 // (at, lamport) ties across sources, and windows are cut at arbitrary
 // points so ties can land in different release batches.
@@ -38,10 +38,8 @@ func FuzzMailboxDrain(f *testing.F) {
 		var log []delivery
 		c.OnDeliver(func(dst, idx int) { log = append(log, delivery{dst, idx}) })
 
-		// Inject: 4 bytes per record → (src, dst, at, lamport|kind). seq
-		// stays per-src monotone, as post() guarantees. The high bit of the
-		// last byte selects the closure path so both record kinds interleave
-		// under one order.
+		// Inject: 4 bytes per record → (src, dst, at, lamport). seq stays
+		// per-src monotone, as PostPayload guarantees.
 		dsts := make([]int, 0, 64)
 		recs := make([]rec[int], 0, 64)
 		i := 0
@@ -58,15 +56,7 @@ func FuzzMailboxDrain(f *testing.F) {
 				lamport: Time(int(data[i+3]&0x7f)) % at,
 				seq:     c.seq[src],
 				src:     int32(src),
-			}
-			idx := len(recs)
-			if data[i+3]&0x80 != 0 {
-				r.kind = recClosure
-				d := dst
-				r.fn = func() { log = append(log, delivery{d, idx}) }
-			} else {
-				r.kind = recPayload
-				r.payload = idx
+				payload: len(recs),
 			}
 			c.outbox[src][dst] = append(c.outbox[src][dst], r)
 			dsts = append(dsts, dst)

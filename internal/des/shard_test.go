@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// uniformLA is the n×n lookahead matrix with every off-diagonal entry d.
+func uniformLA(n int, d Duration) [][]Duration {
+	la := make([][]Duration, n)
+	for i := range la {
+		la[i] = make([]Duration, n)
+		for j := range la[i] {
+			if i != j {
+				la[i][j] = d
+			}
+		}
+	}
+	return la
+}
+
 // TestCoordinatorMergesDeterministically drives four shards that ping-pong
 // cross-shard messages concurrently and checks the per-shard event logs are
 // identical across repeated runs — the fixed-N determinism contract,
@@ -18,7 +32,11 @@ func TestCoordinatorMergesDeterministically(t *testing.T) {
 		for i := range engines {
 			engines[i] = New()
 		}
-		c := NewCoordinator[struct{}](engines, Millisecond)
+		type hopMsg struct{ src, hop int }
+		c := NewCoordinatorMatrix[hopMsg](engines, uniformLA(shards, Millisecond))
+		c.OnDeliver(func(dst int, m hopMsg) {
+			logs[dst] = append(logs[dst], fmt.Sprintf("s%d<-s%d hop%d@%v", dst, m.src, m.hop, engines[dst].Now()))
+		})
 		// Every shard runs a ticker that posts round-robin to the next
 		// shard; arrivals log on the destination's own slice.
 		for src := 0; src < shards; src++ {
@@ -32,9 +50,7 @@ func TestCoordinatorMergesDeterministically(t *testing.T) {
 				if dst == src {
 					return
 				}
-				c.Post(src, dst, at, func() {
-					logs[dst] = append(logs[dst], fmt.Sprintf("s%d<-s%d hop%d@%v", dst, src, h, engines[dst].Now()))
-				})
+				c.PostPayload(src, dst, at, hopMsg{src, h})
 			})
 		}
 		c.Run(30 * Millisecond)
@@ -64,16 +80,17 @@ func TestCoordinatorMergesDeterministically(t *testing.T) {
 func TestCoordinatorCrossShardOrder(t *testing.T) {
 	var log []string
 	engines := []*Engine{New(), New(), New()}
-	c := NewCoordinator[struct{}](engines, Millisecond)
+	c := NewCoordinatorMatrix[string](engines, uniformLA(3, Millisecond))
+	c.OnDeliver(func(_ int, msg string) { log = append(log, msg) })
 	// Shards 1 and 2 each post to shard 0, arriving at the same time.
 	// Shard 1's send happens at a later lamport time, so shard 2's message
 	// must run first despite the higher shard index posting... lamport
 	// wins over src.
 	engines[1].Schedule(2*Millisecond, func() {
-		c.Post(1, 0, 10*Millisecond, func() { log = append(log, "from1@2") })
+		c.PostPayload(1, 0, 10*Millisecond, "from1@2")
 	})
 	engines[2].Schedule(1*Millisecond, func() {
-		c.Post(2, 0, 10*Millisecond, func() { log = append(log, "from2@1") })
+		c.PostPayload(2, 0, 10*Millisecond, "from2@1")
 	})
 	c.Run(20 * Millisecond)
 	if len(log) != 2 || log[0] != "from2@1" || log[1] != "from1@2" {
@@ -90,7 +107,7 @@ func TestCoordinatorCrossShardOrder(t *testing.T) {
 func TestCoordinatorBarrierBeatsSameTimeEvents(t *testing.T) {
 	var log []string
 	engines := []*Engine{New(), New()}
-	c := NewCoordinator[struct{}](engines, Millisecond)
+	c := NewCoordinatorMatrix[struct{}](engines, uniformLA(2, Millisecond))
 	engines[0].Schedule(5*Millisecond, func() { log = append(log, "event@5") })
 	c.AtBarriers([]Time{5 * Millisecond, 15 * Millisecond}, func(at Time) {
 		for i, e := range engines {
@@ -112,7 +129,7 @@ func TestCoordinatorBarrierBeatsSameTimeEvents(t *testing.T) {
 func TestCoordinatorBarriersBeyondDeadlineDropped(t *testing.T) {
 	fired := 0
 	engines := []*Engine{New()}
-	c := NewCoordinator[struct{}](engines, Millisecond)
+	c := NewCoordinatorMatrix[struct{}](engines, uniformLA(1, Millisecond))
 	c.AtBarriers([]Time{5 * Millisecond, 15 * Millisecond}, func(Time) { fired++ })
 	c.Run(10 * Millisecond)
 	if fired != 1 {
@@ -126,14 +143,15 @@ func TestCoordinatorBarriersBeyondDeadlineDropped(t *testing.T) {
 // TestCoordinatorLookaheadViolationPanics pins the causality guard.
 func TestCoordinatorLookaheadViolationPanics(t *testing.T) {
 	engines := []*Engine{New(), New()}
-	c := NewCoordinator[struct{}](engines, Millisecond)
+	c := NewCoordinatorMatrix[struct{}](engines, uniformLA(2, Millisecond))
+	c.OnDeliver(func(int, struct{}) {})
 	engines[0].Schedule(0, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("posting below the lookahead did not panic")
 			}
 		}()
-		c.Post(0, 1, 100, func() {}) // 100ns << 1ms lookahead
+		c.PostPayload(0, 1, 100, struct{}{}) // 100ns << 1ms lookahead
 	})
 	c.Run(Millisecond)
 }
@@ -158,7 +176,7 @@ func TestCoordinatorMatchesSequentialEngine(t *testing.T) {
 
 	shard := New()
 	shardCount := load(shard)
-	c := NewCoordinator[struct{}]([]*Engine{shard, New()}, 2*Millisecond)
+	c := NewCoordinatorMatrix[struct{}]([]*Engine{shard, New()}, uniformLA(2, 2*Millisecond))
 	c.Run(50 * Millisecond)
 
 	if *seqCount != *shardCount {
@@ -205,5 +223,127 @@ func TestNextAt(t *testing.T) {
 	}
 	if e.Pending() != 1 {
 		t.Fatal("NextAt consumed the event")
+	}
+}
+
+// TestCoordinatorOverOneEngineIsRunUntil pins the one-shard degeneration:
+// a coordinator over a single engine fires the same events in the same
+// order as Engine.RunUntil on the same script, parks the clock at exactly
+// each deadline across repeated Run calls, and runs a barrier action
+// before the events at its instant.
+func TestCoordinatorOverOneEngineIsRunUntil(t *testing.T) {
+	script := func(e *Engine, log *[]string) {
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			*log = append(*log, fmt.Sprintf("tick%d@%v", n, e.Now()))
+			e.ScheduleIn(700*Microsecond, tick)
+		}
+		e.ScheduleIn(0, tick)
+		for _, at := range []Time{5 * Millisecond, 5 * Millisecond, 12 * Millisecond} {
+			at := at
+			e.Schedule(at, func() { *log = append(*log, fmt.Sprintf("once@%v", at)) })
+		}
+	}
+	deadlines := []Time{3 * Millisecond, 5 * Millisecond, 5*Millisecond + 1, 20 * Millisecond}
+
+	var want []string
+	ref := New()
+	script(ref, &want)
+	for _, d := range deadlines {
+		ref.RunUntil(d)
+	}
+
+	var got []string
+	eng := New()
+	script(eng, &got)
+	c := NewCoordinatorMatrix[struct{}]([]*Engine{eng}, uniformLA(1, 0))
+	for _, d := range deadlines {
+		c.Run(d)
+		if eng.Now() != d {
+			t.Fatalf("clock after Run(%v) = %v", d, eng.Now())
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("firing log diverged from RunUntil:\n got %v\nwant %v", got, want)
+	}
+	if eng.Executed() != ref.Executed() || eng.Pending() != ref.Pending() {
+		t.Fatalf("executed/pending %d/%d, RunUntil %d/%d", eng.Executed(), eng.Pending(), ref.Executed(), ref.Pending())
+	}
+
+	// With barriers: each action runs before the same-instant events, and
+	// everything else keeps the RunUntil order.
+	var barred []string
+	eng = New()
+	script(eng, &barred)
+	c = NewCoordinatorMatrix[struct{}]([]*Engine{eng}, uniformLA(1, 0))
+	c.AtBarriers([]Time{5 * Millisecond, 12 * Millisecond}, func(at Time) {
+		if eng.Now() != at {
+			t.Fatalf("barrier at %v: clock %v", at, eng.Now())
+		}
+		barred = append(barred, fmt.Sprintf("barrier@%v", at))
+	})
+	for _, d := range deadlines {
+		c.Run(d)
+	}
+	var wantBarred []string
+	seen := map[Time]bool{}
+	for _, line := range want {
+		for _, at := range []Time{5 * Millisecond, 12 * Millisecond} {
+			if !seen[at] && line == fmt.Sprintf("once@%v", at) {
+				seen[at] = true
+				wantBarred = append(wantBarred, fmt.Sprintf("barrier@%v", at))
+			}
+		}
+		wantBarred = append(wantBarred, line)
+	}
+	if fmt.Sprint(barred) != fmt.Sprint(wantBarred) {
+		t.Fatalf("barrier order:\n got %v\nwant %v", barred, wantBarred)
+	}
+}
+
+// TestPairBoundsRunFewerEpochs is why the lookahead is a matrix: the same
+// event script under a non-uniform matrix and under the uniform matrix of
+// its minimum entry must fire identically, and the non-uniform one — whose
+// distant pairs bound each other less — must need strictly fewer epochs.
+func TestPairBoundsRunFewerEpochs(t *testing.T) {
+	// Shards 0 and 1 are neighbours (1 ms); shard 2 is far from both (8 ms).
+	near, far := Millisecond, 8*Millisecond
+	real := [][]Duration{{0, near, far}, {near, 0, far}, {far, far, 0}}
+	run := func(la [][]Duration) (logs [3][]string, epochs uint64) {
+		engines := []*Engine{New(), New(), New()}
+		type msg struct{ src, hop int }
+		c := NewCoordinatorMatrix[msg](engines, la)
+		c.OnDeliver(func(dst int, m msg) {
+			logs[dst] = append(logs[dst], fmt.Sprintf("s%d<-s%d hop%d@%v", dst, m.src, m.hop, engines[dst].Now()))
+		})
+		for src := range engines {
+			src := src
+			hop := 0
+			engines[src].ScheduleEvery(Time(src+1)*100*Microsecond, 900*Microsecond, func() {
+				hop++
+				dst := (src + 1 + hop%2) % 3
+				// Every post honours the real pair delay, so the script is
+				// legal under both matrices.
+				c.PostPayload(src, dst, engines[src].Now()+real[src][dst]+Time(hop)*13, msg{src, hop})
+				logs[src] = append(logs[src], fmt.Sprintf("s%d tick%d@%v", src, hop, engines[src].Now()))
+			})
+		}
+		c.Run(60 * Millisecond)
+		return logs, c.Epochs()
+	}
+	pairLogs, pairEpochs := run(real)
+	minLogs, minEpochs := run(uniformLA(3, near))
+	for s := range pairLogs {
+		if len(pairLogs[s]) == 0 {
+			t.Fatalf("shard %d logged nothing — script is broken", s)
+		}
+		if fmt.Sprint(pairLogs[s]) != fmt.Sprint(minLogs[s]) {
+			t.Fatalf("shard %d firing log differs between matrices:\n pair %v\n  min %v", s, pairLogs[s], minLogs[s])
+		}
+	}
+	if pairEpochs >= minEpochs {
+		t.Fatalf("pair matrix ran %d epochs, uniform minimum %d — expected strictly fewer", pairEpochs, minEpochs)
 	}
 }

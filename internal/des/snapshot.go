@@ -12,10 +12,9 @@ import (
 // tag from the registry below plus a small component argument (a slot
 // index in the session's component registry). A snapshot walks the queue
 // and emits the tagged records in seq order; a restore rebuilds the
-// immutable session structure (which re-creates the KindBuild events),
-// advances the clock with RestoreNow, and replays the runtime records
-// through SchedulePrioKind with the callback resolved from the component
-// the arg names. Replaying in original seq order hands out fresh,
+// immutable session structure, advances the clock with RestoreNow, and
+// replays the records through SchedulePrioKind with the callback resolved
+// from the component the arg names. Replaying in original seq order hands out fresh,
 // ascending sequence numbers, which preserves every relative (at, prio,
 // seq) comparison — the firing order of the restored engine is exactly
 // the original's.
@@ -29,10 +28,8 @@ const (
 	// calls stay snapshot-incompatible by default instead of silently
 	// misrestoring.
 	KindNone uint16 = iota
-	// KindBuild marks events the session build plane re-creates itself on
-	// restore (membership/fault/reopt schedules compiled from the config).
-	// They are skipped at snapshot time, not serialized.
-	KindBuild
+	// Slot 1 is retired: control actions are coordinator barriers, not events.
+	_
 	// KindMuxDone is a MUX transmit-completion (arg = mux slot).
 	KindMuxDone
 	// KindSRRetry is a (σ,ρ) regulator token-wait retry (arg = regulator slot).
@@ -75,10 +72,9 @@ type PendingEvent struct {
 	Arg  uint32
 }
 
-// PendingEvents returns every live pending event in seq order, including
-// KindBuild events (callers filter those — they are rebuilt, not
-// replayed). An event with KindNone makes the engine unsnapshotable and
-// returns an error naming its firing time.
+// PendingEvents returns every live pending event in seq order. An event
+// with KindNone makes the engine unsnapshotable and returns an error
+// naming its firing time.
 func (e *Engine) PendingEvents() ([]PendingEvent, error) {
 	out := make([]PendingEvent, 0, e.pending)
 	add := func(ev *event) error {
@@ -122,9 +118,8 @@ func (e *Engine) PendingEvents() ([]PendingEvent, error) {
 }
 
 // RestoreNow advances the clock to the checkpoint instant without firing
-// anything — the restore step between rebuilding the session (which may
-// schedule KindBuild events beyond t) and replaying the serialized
-// runtime events. Moving the clock backwards panics.
+// anything — the restore step between rebuilding the session and replaying
+// the serialized events. Moving the clock backwards panics.
 func (e *Engine) RestoreNow(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: restoring clock to %v before now %v", t, e.now))

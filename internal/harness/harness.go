@@ -51,8 +51,8 @@ type Options struct {
 	// Shards, when > 1, runs each multi-group session as a sharded
 	// conservative-parallel simulation (core.Config.Shards): parallelism
 	// *within* a run, complementing the pool's parallelism *across* runs.
-	// Physics are preserved (delivery/loss/WDB match the sequential
-	// engine); use it when a single big session, not the sweep, is the
+	// Physics are preserved (delivery/loss/WDB match the one-shard
+	// run); use it when a single big session, not the sweep, is the
 	// bottleneck — sweeps with many cells usually saturate the cores
 	// already, and shard workers then compete with pool workers.
 	Shards int

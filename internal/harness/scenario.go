@@ -52,7 +52,7 @@ type ScenarioCurve struct {
 	// (disjoint from Lost, which counts teardown backlog).
 	CutLost []uint64
 	// Sharded-execution diagnostics per load, nil when every cell ran on
-	// the sequential engine: shard count, barrier epochs, cross-shard
+	// one shard: shard count, barrier epochs, cross-shard
 	// messages, and the barrier-stall share (fraction of shard-step
 	// capacity idled at epoch barriers).
 	Shards         []int
@@ -78,7 +78,7 @@ type ScenarioResult struct {
 	// events; CutLost is the partition-cut share alone.
 	FaultLost, CutLost uint64
 	// Shards is the largest shard count any cell actually ran with (0
-	// when every cell ran on the sequential engine).
+	// when every cell ran on one shard).
 	Shards int
 }
 

@@ -31,7 +31,7 @@ func snapshotNormalize(res core.Result) core.Result {
 // SnapshotDiff checks run-to-end against run-to-half → snapshot →
 // restore → run-to-end for each combo of the scenario at its heaviest
 // load, and returns one report line per combo. Every supported
-// configuration snapshots as of format v2; a combo is reported as
+// configuration snapshots; a combo is reported as
 // skipped only if Snapshot refuses it (e.g. a future untagged event
 // family). A non-nil error means at least one combo diverged — the
 // restore contract is broken.
@@ -53,7 +53,7 @@ func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 		cfg := p.cfgs[li*len(p.combos)+ci]
 		mid := des.Time(cfg.Duration) / 2
 
-		ck := core.NewCheckpointer(cfg)
+		ck := core.NewSession(cfg)
 		ck.Start()
 		ck.RunTo(mid)
 		blob, err := ck.Snapshot()

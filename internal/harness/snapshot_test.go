@@ -63,7 +63,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := p.cfgs[len(p.cfgs)-1]
-	ck := core.NewCheckpointer(cfg)
+	ck := core.NewSession(cfg)
 	ck.Start()
 	ck.RunTo(des.Time(cfg.Duration) / 2)
 	blob, err := ck.Snapshot()

@@ -80,15 +80,6 @@ func NumShards(owner []int) int {
 	return max + 1
 }
 
-// Lookahead returns the conservative cross-shard lookahead under the given
-// owner assignment: the exact minimum host-to-host propagation latency
-// (access + backbone shortest path + access, the PipeTransit delivery
-// delay) over all pairs of hosts in different shards. With router-granular
-// partitioning cross-shard pairs always sit on different routers, so the
-// minimum is found over populated router pairs using each router's
-// smallest access delay — O(routers²), not O(hosts²). It returns ok=false
-// when no cross-shard pair exists (a single populated shard), in which
-// case the caller may treat the lookahead as unbounded.
 // LookaheadMatrix returns the per-(src, dst) shard-pair conservative
 // lookahead under the given owner assignment: la[s][t] is the exact
 // minimum host-to-host propagation latency from any host in shard s to
@@ -101,7 +92,7 @@ func NumShards(owner []int) int {
 // router pairs using each router's per-shard minimum access delay, so it
 // is O(routers²) for router-granular partitions (every router hosts one
 // shard), not O(hosts²). ok=false when no finite cross-shard entry exists
-// (a single populated shard). min over the matrix equals Lookahead.
+// (a single populated shard).
 func LookaheadMatrix(net *topo.Network, owner []int) (la [][]des.Duration, ok bool) {
 	const none = des.Time(1)<<62 - 1
 	nsh := NumShards(owner)
@@ -178,67 +169,4 @@ func LookaheadMatrix(net *topo.Network, owner []int) (la [][]des.Duration, ok bo
 		}
 	}
 	return la, ok
-}
-
-func Lookahead(net *topo.Network, owner []int) (la des.Duration, ok bool) {
-	const none = des.Time(1)<<62 - 1
-	nr := net.Backbone.NumNodes()
-	minAccess := make([]des.Duration, nr)
-	secondAccess := make([]des.Duration, nr)
-	shardOf := make([]int, nr)
-	mixed := make([]bool, nr)
-	for r := range minAccess {
-		minAccess[r] = none
-		secondAccess[r] = none
-		shardOf[r] = -1
-	}
-	for h := range net.Hosts {
-		r := net.Hosts[h].Router
-		d := net.Hosts[h].AccessDelay
-		if d < minAccess[r] {
-			minAccess[r], secondAccess[r] = d, minAccess[r]
-		} else if d < secondAccess[r] {
-			secondAccess[r] = d
-		}
-		if shardOf[r] < 0 {
-			shardOf[r] = owner[h]
-		} else if shardOf[r] != owner[h] {
-			mixed[r] = true
-		}
-	}
-	best := none
-	// A router whose domain spans shards (not produced by PartitionHosts,
-	// but legal input) bounds the lookahead by its two smallest access
-	// delays — a conservative floor for any same-router cross-shard pair.
-	for r := 0; r < nr; r++ {
-		if mixed[r] && secondAccess[r] != none {
-			if d := minAccess[r] + secondAccess[r]; d < best {
-				best = d
-			}
-		}
-	}
-	for a := 0; a < nr; a++ {
-		if minAccess[a] == none {
-			continue
-		}
-		for b := a + 1; b < nr; b++ {
-			if minAccess[b] == none {
-				continue
-			}
-			if shardOf[a] == shardOf[b] && !mixed[a] && !mixed[b] {
-				continue
-			}
-			core := net.Routes.Delay[a][b]
-			if core < 0 {
-				continue // unreachable pair cannot exchange packets
-			}
-			if d := minAccess[a] + core + minAccess[b]; d < best {
-				best = d
-			}
-		}
-	}
-	if best == none {
-		return 0, false
-	}
-	return best, true
 }

@@ -66,66 +66,6 @@ func TestPartitionHostsDeterministic(t *testing.T) {
 	}
 }
 
-func TestLookaheadIsExactCrossShardMinimum(t *testing.T) {
-	net := shardTestNetwork(t, 150)
-	owner := PartitionHosts(net, 4)
-	la, ok := Lookahead(net, owner)
-	if !ok {
-		t.Fatal("expected a cross-shard pair")
-	}
-	// Brute force over all host pairs.
-	want := des.Time(1)<<62 - 1
-	for a := range net.Hosts {
-		for b := range net.Hosts {
-			if a == b || owner[a] == owner[b] {
-				continue
-			}
-			if d := net.Latency(a, b); d < want {
-				want = d
-			}
-		}
-	}
-	if la != want {
-		t.Fatalf("lookahead = %v, brute force min = %v", la, want)
-	}
-	if la <= 0 {
-		t.Fatalf("lookahead must be positive, got %v", la)
-	}
-}
-
-func TestLookaheadSingleShard(t *testing.T) {
-	net := shardTestNetwork(t, 50)
-	if _, ok := Lookahead(net, make([]int, 50)); ok {
-		t.Fatal("single-shard assignment reported a cross-shard lookahead")
-	}
-}
-
-// TestLookaheadMixedRouterConservative pins the arbitrary-owner fallback:
-// splitting one router's domain across shards must bound the lookahead by
-// same-router access delays.
-func TestLookaheadMixedRouterConservative(t *testing.T) {
-	net := shardTestNetwork(t, 80)
-	owner := make([]int, 80)
-	for h := range owner {
-		owner[h] = h % 2 // ignores routers entirely
-	}
-	la, ok := Lookahead(net, owner)
-	if !ok {
-		t.Fatal("expected cross-shard pairs")
-	}
-	// Conservative: la must not exceed any true cross-shard latency.
-	for a := range net.Hosts {
-		for b := range net.Hosts {
-			if a == b || owner[a] == owner[b] {
-				continue
-			}
-			if d := net.Latency(a, b); d < la {
-				t.Fatalf("lookahead %v exceeds cross-shard latency %v (hosts %d,%d)", la, d, a, b)
-			}
-		}
-	}
-}
-
 func TestFabricRemoteHook(t *testing.T) {
 	net := shardTestNetwork(t, 20)
 	owner := PartitionHosts(net, 2)
@@ -227,36 +167,6 @@ func TestLookaheadMatrixIsExactPairwiseMinimum(t *testing.T) {
 	}
 }
 
-// TestLookaheadMatrixMinEqualsScalar pins the compatibility contract: the
-// minimum off-diagonal matrix entry is exactly the scalar Lookahead, so a
-// coordinator driven by the matrix is never less safe than the global-min
-// coordinator it replaces.
-func TestLookaheadMatrixMinEqualsScalar(t *testing.T) {
-	net := shardTestNetwork(t, 200)
-	for _, n := range []int{2, 3, 4, 8} {
-		owner := PartitionHosts(net, n)
-		scalar, okS := Lookahead(net, owner)
-		la, okM := LookaheadMatrix(net, owner)
-		if okS != okM {
-			t.Fatalf("n=%d: scalar ok=%v, matrix ok=%v", n, okS, okM)
-		}
-		if !okS {
-			continue
-		}
-		min := des.Time(1)<<62 - 1
-		for i := range la {
-			for j := range la[i] {
-				if i != j && la[i][j] < min {
-					min = la[i][j]
-				}
-			}
-		}
-		if min != scalar {
-			t.Fatalf("n=%d: min matrix entry %v, scalar lookahead %v", n, min, scalar)
-		}
-	}
-}
-
 // TestLookaheadMatrixMixedRouters covers owner assignments that split a
 // router's hosts across shards: entries must still match the brute force
 // (same-router cross-shard pairs bound by access delays).
@@ -293,7 +203,7 @@ func TestLookaheadMatrixMixedRouters(t *testing.T) {
 	}
 }
 
-// TestLookaheadMatrixSingleShard mirrors the scalar contract.
+// TestLookaheadMatrixSingleShard: one shard has no cross-shard pair.
 func TestLookaheadMatrixSingleShard(t *testing.T) {
 	net := shardTestNetwork(t, 50)
 	if _, ok := LookaheadMatrix(net, make([]int, 50)); ok {

@@ -163,9 +163,9 @@ func (t *Tree) Detach(h int) error {
 //
 // That ascending order is the pinned batch-repair order: RepairWith
 // processes orphans in input order (earlier re-attached subtrees become
-// candidates for later ones), and both the sequential engine and the
-// sharded coordinator repair mass-failure orphans in exactly this order,
-// which is what keeps their runs bit-identical. Do not reorder.
+// candidates for later ones), and sessions repair mass-failure orphans in
+// exactly this order at every shard count, which is what keeps their runs
+// bit-identical. Do not reorder.
 func (t *Tree) PruneAll(victims []int) ([]int, error) {
 	if len(victims) == 0 {
 		return nil, nil

@@ -1,13 +1,12 @@
 // Package stats provides the streaming statistics used by the simulator:
 // numerically stable moments (Welford), extreme-value trackers for
-// worst-case delay measurement, histograms, exact and reservoir quantiles,
-// and the rate estimators the adaptive controller consults.
+// worst-case delay measurement, and the rate estimators the adaptive
+// controller consults.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates count, mean and variance in a single pass using
@@ -149,166 +148,3 @@ func (m *MaxTracker) Tag() uint64 { return m.tag }
 
 // Count returns how many observations were recorded.
 func (m *MaxTracker) Count() uint64 { return m.n }
-
-// Histogram is a fixed-width linear-bin histogram over [lo, hi); samples
-// outside the range are counted in the underflow/overflow bins.
-type Histogram struct {
-	lo, hi float64
-	width  float64
-	bins   []uint64
-	under  uint64
-	over   uint64
-	total  uint64
-	sum    float64
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi).
-// It panics on a degenerate range or n <= 0.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram configuration")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), bins: make([]uint64, n)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		h.bins[int((x-h.lo)/h.width)]++
-	}
-}
-
-// Count returns the total number of samples, including out-of-range ones.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the mean of all samples.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// NumBins returns the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the histogram bins. Underflow samples are treated as lo and
-// overflow samples as hi.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.lo
-	}
-	if q >= 1 {
-		return h.hi
-	}
-	target := q * float64(h.total)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.lo
-	}
-	for i, c := range h.bins {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum = next
-	}
-	return h.hi
-}
-
-// Quantiles computes exact sample quantiles of xs (which it sorts in place)
-// using the nearest-rank-with-interpolation convention. An empty input
-// yields zeros.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	sort.Float64s(xs)
-	for i, q := range qs {
-		out[i] = quantileSorted(xs, q)
-	}
-	return out
-}
-
-func quantileSorted(xs []float64, q float64) float64 {
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(xs) {
-		return xs[lo]
-	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
-}
-
-// Reservoir is a fixed-capacity uniform sample of a stream (Vitter's
-// algorithm R) for bounded-memory quantile estimation over long runs.
-type Reservoir struct {
-	cap   int
-	seen  uint64
-	data  []float64
-	randU func() uint64 // injectable for determinism
-}
-
-// NewReservoir returns a reservoir holding at most capacity samples, using
-// randU as its entropy source. randU must not be nil.
-func NewReservoir(capacity int, randU func() uint64) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	if randU == nil {
-		panic("stats: reservoir needs a rand source")
-	}
-	return &Reservoir{cap: capacity, randU: randU}
-}
-
-// Add offers a sample to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.data) < r.cap {
-		r.data = append(r.data, x)
-		return
-	}
-	j := r.randU() % r.seen
-	if j < uint64(r.cap) {
-		r.data[j] = x
-	}
-}
-
-// Seen returns the number of samples offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
-
-// Quantile estimates the q-quantile from the retained sample.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.data) == 0 {
-		return 0
-	}
-	tmp := make([]float64, len(r.data))
-	copy(tmp, r.data)
-	sort.Float64s(tmp)
-	return quantileSorted(tmp, q)
-}

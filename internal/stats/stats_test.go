@@ -2,11 +2,8 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/xrand"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -113,141 +110,6 @@ func TestMaxTrackerNegative(t *testing.T) {
 	if m.Max() != -2 || m.Tag() != 2 {
 		t.Fatalf("max=%v tag=%v", m.Max(), m.Tag())
 	}
-}
-
-func TestHistogramBinsAndQuantile(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) / 10.0) // 0.0 .. 9.9 uniform
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 10 {
-			t.Fatalf("bin %d = %d", i, h.Bin(i))
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 4.5 || med > 5.5 {
-		t.Fatalf("median = %v", med)
-	}
-	if !almostEqual(h.Mean(), 4.95, 1e-9) {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-1)
-	h.Add(2)
-	h.Add(0.5)
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Fatalf("under=%d over=%d", under, over)
-	}
-	if h.Quantile(0) != 0 || h.Quantile(1) != 1 {
-		t.Fatal("extreme quantiles should clamp to range")
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(1, 1, 4) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestQuantilesExact(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	got := Quantiles(xs, 0, 0.5, 1)
-	if got[0] != 1 || got[1] != 5 || got[2] != 9 {
-		t.Fatalf("quantiles = %v", got)
-	}
-}
-
-func TestQuantilesEmpty(t *testing.T) {
-	got := Quantiles(nil, 0.5)
-	if got[0] != 0 {
-		t.Fatalf("empty quantile = %v", got[0])
-	}
-}
-
-func TestQuantilesInterpolation(t *testing.T) {
-	xs := []float64{0, 10}
-	got := Quantiles(xs, 0.25)
-	if !almostEqual(got[0], 2.5, 1e-12) {
-		t.Fatalf("q25 = %v", got[0])
-	}
-}
-
-// Property: histogram quantile approximates exact quantile within bin width.
-func TestQuickHistogramQuantile(t *testing.T) {
-	rng := xrand.New(5)
-	for trial := 0; trial < 50; trial++ {
-		h := NewHistogram(0, 1, 100)
-		xs := make([]float64, 500)
-		for i := range xs {
-			xs[i] = rng.Float64()
-			h.Add(xs[i])
-		}
-		sort.Float64s(xs)
-		for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-			exact := quantileSorted(xs, q)
-			approx := h.Quantile(q)
-			if math.Abs(exact-approx) > 0.03 {
-				t.Fatalf("trial %d q=%v exact=%v approx=%v", trial, q, exact, approx)
-			}
-		}
-	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	rng := xrand.New(1)
-	r := NewReservoir(100, rng.Uint64)
-	for i := 0; i < 50; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != 50 {
-		t.Fatalf("seen = %d", r.Seen())
-	}
-	// With fewer samples than capacity the quantiles are exact.
-	if got := r.Quantile(1); got != 49 {
-		t.Fatalf("max = %v", got)
-	}
-	if got := r.Quantile(0); got != 0 {
-		t.Fatalf("min = %v", got)
-	}
-}
-
-func TestReservoirLargeStreamApproximates(t *testing.T) {
-	rng := xrand.New(2)
-	r := NewReservoir(1000, rng.Uint64)
-	for i := 0; i < 100000; i++ {
-		r.Add(rng.Float64())
-	}
-	med := r.Quantile(0.5)
-	if med < 0.42 || med > 0.58 {
-		t.Fatalf("reservoir median = %v", med)
-	}
-}
-
-func TestReservoirPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewReservoir(0, xrand.New(1).Uint64)
 }
 
 func TestMaxTrackerMerge(t *testing.T) {

@@ -124,7 +124,7 @@ const (
 // Run executes one multi-group EMcast run (Simulation II). Set
 // cfg.Shards > 1 to execute it as a sharded conservative-parallel
 // simulation across that many engines — physics (deliveries, losses,
-// worst-case delays) are identical to the sequential engine, so sharding
+// worst-case delays) are identical to a one-shard run, so sharding
 // is purely a wall-clock lever for big sessions on multi-core hosts.
 func Run(cfg Config) Result { return core.Run(cfg) }
 
