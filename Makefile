@@ -1,9 +1,8 @@
 # Developer entry points. CI runs the same steps (.github/workflows/ci.yml).
 
 GO ?= go
-BENCH_DATE := $(shell date +%F)
 
-.PHONY: all build test race vet fmt check bench bench-json bench-compare scenarios shards snapshot substrate staticcheck fuzz perf-smoke
+.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke loc
 
 all: check
 
@@ -29,9 +28,9 @@ fmt:
 check: fmt vet build test
 
 # Smoke-run every registered scenario at reduced scale (the CLI's
-# -scenario all -quick, which iterates the whole registry — including the
-# churn and fault-injection scenarios): catches scenario-layer bit-rot in
-# seconds. The explicit fault-builtin runs exercise the recovery tables at
+# -scenario all -quick, which iterates the whole registry — the paper's six
+# figure panels, the churn and fault-injection scenarios): catches
+# scenario-layer bit-rot in seconds. The explicit fault-builtin runs exercise the recovery tables at
 # one shard and at several (fault events at quiesce barriers either way).
 scenarios:
 	$(GO) run ./cmd/wdcsim -scenario all -quick
@@ -93,31 +92,6 @@ staticcheck:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Machine-readable benchmark record for the perf trajectory: one JSON
-# object per line (test2json stream) in BENCH_<date>.json. A second run on
-# the same day picks the first free BENCH_<date>-N.json instead of
-# clobbering the earlier record. Keep these files out of git unless
-# intentionally snapshotting a milestone; EXPERIMENTS.md records the
-# curated before/after numbers.
-bench-json:
-	@out=BENCH_$(BENCH_DATE).json; n=1; \
-	while [ -e "$$out" ]; do n=$$((n+1)); out=BENCH_$(BENCH_DATE)-$$n.json; done; \
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -json ./... > "$$out"; \
-	echo "wrote $$out"
-
-# Compare two bench-json records per benchmark (old → new ns/op, delta,
-# geomean) with the in-tree comparer — no benchstat needed. Defaults to
-# the two newest BENCH_*.json; override with OLD=... NEW=...
-bench-compare:
-	@old="$(OLD)"; new="$(NEW)"; \
-	if [ -z "$$old" ] || [ -z "$$new" ]; then \
-		set -- $$(ls -t BENCH_*.json 2>/dev/null | head -2); \
-		[ -z "$$new" ] && new="$$1"; [ -z "$$old" ] && old="$$2"; \
-	fi; \
-	if [ -z "$$old" ] || [ -z "$$new" ]; then \
-		echo "bench-compare: need two BENCH_*.json records (run make bench-json, or pass OLD=... NEW=...)"; exit 1; fi; \
-	$(GO) run ./cmd/benchdiff "$$old" "$$new"
-
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is a nested
 # module, so vet and `go test ./...` at the root never reach it. This vets
 # it, runs its tests (span and bound arithmetic, manifest, the -quick path
@@ -133,3 +107,10 @@ perf-smoke:
 # must reproduce the cold session's Result exactly.
 substrate:
 	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestHostConnsMatchesNewHost|TestCachedSessionRunsIdentical' ./internal/core
+
+# Non-test Go lines outside benchmark/, per package and in total — the
+# figure the simplicity PRs report (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d; printf "%6d  total\n", t }' | sort -k2

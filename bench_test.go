@@ -1,9 +1,9 @@
 package wdc
 
-// Benchmark harness: one testing.B per paper table and figure, plus the
-// ablation benches DESIGN.md calls out. Figure/table benches run reduced-
-// scale sweeps (QuickOptions) whose curve shapes match the full-scale runs
-// produced by cmd/wdcsim; see EXPERIMENTS.md for the full-scale record.
+// Benchmark harness: the non-sweep paper artefacts, the ablation benches
+// DESIGN.md calls out, and the scale benches. The paper's figure and table
+// sweeps are timed from outside by the repository benchmark (benchmark/,
+// workload fig6-sweep); see EXPERIMENTS.md for the full-scale record.
 //
 // Run everything with:
 //
@@ -18,79 +18,6 @@ import (
 	"repro/internal/mux"
 	"repro/internal/traffic"
 )
-
-// reportFig4 attaches the headline metrics to the bench output so a bench
-// run doubles as a shape check.
-func reportFig4(b *testing.B, r Fig4Result) {
-	b.Helper()
-	if r.CrossoverOK {
-		b.ReportMetric(r.Crossover, "crossover")
-		b.ReportMetric(r.MaxRatio, "max-ratio")
-	}
-}
-
-func benchFig4(b *testing.B, mix Mix) {
-	var last Fig4Result
-	for i := 0; i < b.N; i++ {
-		last = Fig4(mix, QuickOptions(uint64(i+1)))
-	}
-	reportFig4(b, last)
-}
-
-// BenchmarkFig4a regenerates Fig. 4(a): three audio flows, single hop.
-func BenchmarkFig4a(b *testing.B) { benchFig4(b, MixAudio) }
-
-// BenchmarkFig4b regenerates Fig. 4(b): three video flows, single hop.
-func BenchmarkFig4b(b *testing.B) { benchFig4(b, MixVideo) }
-
-// BenchmarkFig4c regenerates Fig. 4(c): one video + two audio flows.
-func BenchmarkFig4c(b *testing.B) { benchFig4(b, MixHetero) }
-
-func benchFig6(b *testing.B, mix Mix) {
-	opts := QuickOptions(1)
-	opts.NumHosts = 60
-	opts.Loads = []float64{0.4, 0.9}
-	var last Fig6Result
-	for i := 0; i < b.N; i++ {
-		opts.Seed = uint64(i + 1)
-		last = Fig6(mix, opts)
-	}
-	if last.CrossoverOK {
-		b.ReportMetric(last.Crossover, "crossover")
-	}
-}
-
-// BenchmarkFig6a regenerates Fig. 6(a): 3 audio groups, six schemes.
-func BenchmarkFig6a(b *testing.B) { benchFig6(b, MixAudio) }
-
-// BenchmarkFig6b regenerates Fig. 6(b): 3 video groups.
-func BenchmarkFig6b(b *testing.B) { benchFig6(b, MixVideo) }
-
-// BenchmarkFig6c regenerates Fig. 6(c): heterogeneous groups.
-func BenchmarkFig6c(b *testing.B) { benchFig6(b, MixHetero) }
-
-func benchLayerTable(b *testing.B, mix Mix) {
-	opts := QuickOptions(1)
-	opts.NumHosts = 300
-	var last LayerSweepResult
-	for i := 0; i < b.N; i++ {
-		opts.Seed = uint64(i + 1)
-		last = LayerSweep(mix, opts)
-	}
-	if n := len(last.Rows); n > 0 {
-		b.ReportMetric(float64(last.Rows[n-1].CapacityAware), "ca-layers-max")
-		b.ReportMetric(float64(last.Rows[0].RegulatedLayers), "reg-layers")
-	}
-}
-
-// BenchmarkTableI regenerates Table I (audio layer counts).
-func BenchmarkTableI(b *testing.B) { benchLayerTable(b, MixAudio) }
-
-// BenchmarkTableII regenerates Table II (video layer counts).
-func BenchmarkTableII(b *testing.B) { benchLayerTable(b, MixVideo) }
-
-// BenchmarkTableIII regenerates Table III (heterogeneous layer counts).
-func BenchmarkTableIII(b *testing.B) { benchLayerTable(b, MixHetero) }
 
 // BenchmarkFig2Trace regenerates the Fig. 2 regulator operation trace.
 func BenchmarkFig2Trace(b *testing.B) {

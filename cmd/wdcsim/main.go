@@ -1,6 +1,9 @@
 // Command wdcsim runs the paper's experiments and prints the same rows and
 // series the evaluation section reports, plus any registered scenario from
-// the declarative scenario layer.
+// the declarative scenario layer. Every sweep — a paper figure or table
+// named by -exp, or a registry entry named by -scenario — goes through the
+// same sweep call (runSweep), so every sweep flag (-json, -fleet,
+// -strategy, -shards, -snapshot-diff, ...) applies to both.
 //
 // Usage:
 //
@@ -8,6 +11,7 @@
 //	wdcsim -exp fig6a -hosts 200      # reduced population
 //	wdcsim -exp all -quick            # every experiment, reduced scale
 //	wdcsim -exp fig4a -adaptive       # add the adaptive algorithm's curve
+//	wdcsim -exp fig6a -quick -json    # a paper figure as a JSON record
 //	wdcsim -list-scenarios            # show the scenario registry
 //	wdcsim -scenario waxman-zipf-16   # run one registered scenario
 //	wdcsim -scenario churn-waxman-16  # dynamic membership under churn
@@ -23,7 +27,12 @@
 //	wdcsim -scenario waxman-zipf-16 -snapshot-diff  # checkpoint/restore differential
 //
 // Experiments: fig2, fig4a, fig4b, fig4c, fig6a, fig6b, fig6c, table1,
-// table2, table3, rhostar, ratio, all.
+// table2, table3, rhostar, ratio, all. The fig4/fig6/table ids name the
+// registry entries paper-fig4 … paper-fig6c (-exp fig6b is -scenario
+// paper-fig6b under the paper's title; table1–3 run the fig6 entries at a
+// 1 ms horizon — layer counts are fixed at build time — and print the
+// layer table). fig2, rhostar and ratio are not sweeps and take no sweep
+// flags.
 //
 // -fleet N farms the sweep's (load, combo) cells to N worker processes
 // over a shared work directory (-fleet-dir; a temporary directory when
@@ -52,13 +61,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/traffic"
 )
 
 func main() {
@@ -73,21 +82,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		exp           = fs.String("exp", "all", "experiment id (fig2, fig4a-c, fig6a-c, table1-3, rhostar, ratio, all)")
 		scenarioName  = fs.String("scenario", "", "run a registered scenario instead of -exp (or 'all')")
-		strategyName  = fs.String("strategy", "", "force every regulated combo of a scenario run onto this overlay strategy (dsct, nice, spt, greedy)")
+		strategyName  = fs.String("strategy", "", "force every regulated combo of a sweep onto this overlay strategy (dsct, nice, spt, greedy)")
 		listScenarios = fs.Bool("list-scenarios", false, "list the registered scenarios and exit")
-		jsonOut       = fs.Bool("json", false, "emit scenario results as JSON (scenario runs only)")
+		jsonOut       = fs.Bool("json", false, "emit sweep results as JSON")
 		hosts         = fs.Int("hosts", 0, "override multi-group host count (default 665)")
 		seed          = fs.Uint64("seed", 1, "random seed")
-		quick         = fs.Bool("quick", false, "reduced-scale sweep (120 hosts, 5 loads)")
-		adaptive      = fs.Bool("adaptive", false, "add the adaptive algorithm's curve to fig4 output")
+		quick         = fs.Bool("quick", false, "reduced-scale sweep (-exp: 120 hosts, 5 loads, 13 s; -scenario: the entry's own reduced form)")
+		adaptive      = fs.Bool("adaptive", false, "add the adaptive algorithm's curve to a single-hop sweep")
 		durSec        = fs.Float64("duration", 0, "override per-run simulated seconds")
 		sequential    = fs.Bool("sequential", false, "run sweep points sequentially (debugging)")
 		workers       = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
 		shardsFlag    = fs.String("shards", "", "per-run shard count for multi-group sessions (1 = one engine; 'auto' tunes by measurement; default GOMAXPROCS)")
-		fleetN        = fs.Int("fleet", 0, "farm the scenario sweep to this many worker processes (scenario runs only)")
+		fleetN        = fs.Int("fleet", 0, "farm the sweep to this many worker processes")
 		fleetDir      = fs.String("fleet-dir", "", "shared work directory for -fleet (default: a temporary directory; set it to make the sweep resumable)")
 		fleetWorker   = fs.String("fleet-worker", "", "internal: run one fleet worker against this work directory and exit")
-		snapshotDiff  = fs.Bool("snapshot-diff", false, "check checkpoint/restore bit-identity for every combo of the scenario instead of sweeping (scenario runs only)")
+		snapshotDiff  = fs.Bool("snapshot-diff", false, "check checkpoint/restore bit-identity for every combo instead of sweeping")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile    = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -154,15 +163,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
+	// Sweeps resolve their own grid/duration, so only pass what the user
+	// explicitly overrode on the command line.
+	opts := harness.Options{Seed: *seed, Sequential: *sequential, Workers: *workers,
+		NumHosts: *hosts, Shards: shards, AutoShards: autoShards, Strategy: *strategyName}
+	if *durSec > 0 {
+		opts.Duration = des.Seconds(*durSec)
+	}
+
+	// The sweep-only flag in force, if any: the non-sweep artefacts refuse it.
+	sweepFlag := ""
+	switch {
+	case *jsonOut:
+		sweepFlag = "-json"
+	case *strategyName != "":
+		sweepFlag = "-strategy"
+	case *fleetN > 0 || *fleetDir != "":
+		sweepFlag = "-fleet"
+	case *snapshotDiff:
+		sweepFlag = "-snapshot-diff"
+	}
+
+	var jobs []job
 	if *scenarioName != "" {
-		// Scenario sweeps resolve their own grid/duration, so only pass
-		// what the user explicitly overrode on the command line.
-		opts := harness.Options{Seed: *seed, Sequential: *sequential, Workers: *workers,
-			NumHosts: *hosts, Shards: shards, AutoShards: autoShards, Strategy: *strategyName}
-		if *durSec > 0 {
-			opts.Duration = des.Seconds(*durSec)
-			opts.SingleHopDuration = des.Seconds(*durSec)
-		}
 		names := []string{*scenarioName}
 		if *scenarioName == "all" {
 			names = scenario.Names()
@@ -176,93 +199,110 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *quick {
 				sc = sc.Quick()
 			}
-			if *snapshotDiff {
-				if err := runSnapshotDiff(stdout, sc, opts); err != nil {
-					fmt.Fprintf(stderr, "wdcsim: %v\n", err)
-					return 1
-				}
+			jobs = append(jobs, job{sc: sc, opts: opts, experiment: experiment{
+				title: fmt.Sprintf("scenario %s — %s", sc.Name, sc.Description)}})
+		}
+	} else {
+		for _, e := range experiments {
+			if *exp != "all" && *exp != e.id {
 				continue
 			}
-			var fleet *harness.FleetOptions
-			if *fleetN > 0 {
-				fleet = &harness.FleetOptions{Workers: *fleetN, Dir: *fleetDir}
-				if *fleetDir != "" && len(names) > 1 {
-					// One sweep per directory: "-scenario all" gets a
-					// sub-directory per scenario so manifests never collide.
-					fleet.Dir = filepath.Join(*fleetDir, sc.Name)
+			j := job{experiment: e, opts: opts}
+			if e.artefact != nil && sweepFlag != "" {
+				fmt.Fprintf(stderr, "wdcsim: %s applies to sweeps only, not to -exp %s (fig2, rhostar and ratio are not sweeps; -exp all includes them)\n", sweepFlag, e.id)
+				return 2
+			}
+			if e.artefact == nil {
+				j.sc = scenario.MustLookup(e.scenario)
+				if *quick {
+					// harness.Quick's grid as explicit overrides: the scale
+					// EXPERIMENTS.md §1 records its quick numbers at.
+					q := harness.Quick(*seed)
+					j.opts.Loads = q.Loads
+					if j.opts.NumHosts == 0 {
+						j.opts.NumHosts = q.NumHosts
+					}
+					if j.opts.Duration == 0 {
+						j.opts.Duration = q.Duration
+					}
+				}
+				if e.layers {
+					j.opts.Duration = des.Millisecond
 				}
 			}
-			if err := runScenario(stdout, sc, opts, *jsonOut, fleet); err != nil {
+			jobs = append(jobs, j)
+		}
+		if len(jobs) == 0 {
+			fmt.Fprintf(stderr, "wdcsim: unknown experiment %q\n", *exp)
+			fs.Usage()
+			return 2
+		}
+	}
+
+	var fleet *harness.FleetOptions
+	if *fleetN > 0 {
+		fleet = &harness.FleetOptions{Workers: *fleetN, Dir: *fleetDir}
+	}
+	isAdaptive := func(c scenario.Combo) bool { return c.Scheme == "adaptive" }
+	for _, j := range jobs {
+		if j.artefact != nil {
+			j.artefact(stdout)
+			continue
+		}
+		if *adaptive && j.sc.Kind == scenario.KindSingleHop && !slices.ContainsFunc(j.sc.Combos, isAdaptive) {
+			j.sc.Combos = append(slices.Clone(j.sc.Combos), scenario.Combo{Scheme: "adaptive"})
+		}
+		if *snapshotDiff {
+			if err := runSnapshotDiff(stdout, j.sc, j.opts); err != nil {
 				fmt.Fprintf(stderr, "wdcsim: %v\n", err)
 				return 1
 			}
+			continue
 		}
-		return 0
-	}
-	if *jsonOut {
-		fmt.Fprintln(stderr, "wdcsim: -json applies to -scenario runs only")
-		return 2
-	}
-	if *strategyName != "" {
-		fmt.Fprintln(stderr, "wdcsim: -strategy applies to -scenario runs only")
-		return 2
-	}
-	if *fleetN > 0 || *fleetDir != "" {
-		fmt.Fprintln(stderr, "wdcsim: -fleet applies to -scenario runs only")
-		return 2
-	}
-	if *snapshotDiff {
-		fmt.Fprintln(stderr, "wdcsim: -snapshot-diff applies to -scenario runs only")
-		return 2
-	}
-
-	opts := harness.Options{Seed: *seed, Sequential: *sequential, Workers: *workers}
-	if *quick {
-		opts = harness.Quick(*seed)
-		opts.Sequential = *sequential
-		opts.Workers = *workers
-	}
-	opts.Shards = shards
-	if *hosts > 0 {
-		opts.NumHosts = *hosts
-	}
-	if *durSec > 0 {
-		opts.Duration = des.Seconds(*durSec)
-		opts.SingleHopDuration = des.Seconds(*durSec)
-	}
-	opts.IncludeAdaptive = *adaptive
-
-	runners := map[string]func(){
-		"fig2":    func() { runFig2(stdout) },
-		"fig4a":   func() { runFig4(stdout, "Fig. 4(a) — three 64 kbps audio flows", traffic.MixAudio, opts) },
-		"fig4b":   func() { runFig4(stdout, "Fig. 4(b) — three 1.5 Mbps video flows", traffic.MixVideo, opts) },
-		"fig4c":   func() { runFig4(stdout, "Fig. 4(c) — one video + two audio flows", traffic.MixHetero, opts) },
-		"fig6a":   func() { runFig6(stdout, "Fig. 6(a) — three audio groups", traffic.MixAudio, opts) },
-		"fig6b":   func() { runFig6(stdout, "Fig. 6(b) — three video groups", traffic.MixVideo, opts) },
-		"fig6c":   func() { runFig6(stdout, "Fig. 6(c) — heterogeneous groups", traffic.MixHetero, opts) },
-		"table1":  func() { runTable(stdout, "Table I — layer counts, audio groups", traffic.MixAudio, opts) },
-		"table2":  func() { runTable(stdout, "Table II — layer counts, video groups", traffic.MixVideo, opts) },
-		"table3":  func() { runTable(stdout, "Table III — layer counts, heterogeneous groups", traffic.MixHetero, opts) },
-		"rhostar": func() { runRhoStar(stdout) },
-		"ratio":   func() { runRatio(stdout) },
-	}
-	order := []string{"fig2", "fig4a", "fig4b", "fig4c", "fig6a", "fig6b", "fig6c",
-		"table1", "table2", "table3", "rhostar", "ratio"}
-
-	if *exp == "all" {
-		for _, id := range order {
-			runners[id]()
+		if fleet != nil && *fleetDir != "" && len(jobs) > 1 {
+			// One sweep per directory: "-scenario all" gets a
+			// sub-directory per scenario so manifests never collide.
+			fleet.Dir = filepath.Join(*fleetDir, j.sc.Name)
 		}
-		return 0
+		if err := runSweep(stdout, j, *jsonOut, fleet); err != nil {
+			fmt.Fprintf(stderr, "wdcsim: %v\n", err)
+			return 1
+		}
 	}
-	runExp, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(stderr, "wdcsim: unknown experiment %q\n", *exp)
-		fs.Usage()
-		return 2
-	}
-	runExp()
 	return 0
+}
+
+// experiment is one -exp id: a figure or table of the paper's evaluation,
+// naming the registry entry that reproduces it, or a non-sweep artefact.
+type experiment struct {
+	id, title string
+	scenario  string          // registry entry ("" for an artefact)
+	layers    bool            // print the layer table only (Tables I–III)
+	artefact  func(io.Writer) // fig2, rhostar, ratio
+}
+
+// job is one unit of CLI work: the experiment (or -scenario entry, which
+// carries only a title) with its resolved scenario and options.
+type job struct {
+	experiment
+	sc   scenario.Scenario
+	opts harness.Options
+}
+
+// experiments are the -exp ids in "all" order.
+var experiments = []experiment{
+	{id: "fig2", artefact: runFig2},
+	{id: "fig4a", title: "Fig. 4(a) — three 64 kbps audio flows", scenario: "paper-fig4"},
+	{id: "fig4b", title: "Fig. 4(b) — three 1.5 Mbps video flows", scenario: "paper-fig4b"},
+	{id: "fig4c", title: "Fig. 4(c) — one video + two audio flows", scenario: "paper-fig4c"},
+	{id: "fig6a", title: "Fig. 6(a) — three audio groups", scenario: "paper-fig6"},
+	{id: "fig6b", title: "Fig. 6(b) — three video groups", scenario: "paper-fig6b"},
+	{id: "fig6c", title: "Fig. 6(c) — heterogeneous groups", scenario: "paper-fig6c"},
+	{id: "table1", title: "Table I — layer counts, audio groups", scenario: "paper-fig6", layers: true},
+	{id: "table2", title: "Table II — layer counts, video groups", scenario: "paper-fig6b", layers: true},
+	{id: "table3", title: "Table III — layer counts, heterogeneous groups", scenario: "paper-fig6c", layers: true},
+	{id: "rhostar", artefact: runRhoStar},
+	{id: "ratio", artefact: runRatio},
 }
 
 func header(w io.Writer, title string) {
@@ -314,13 +354,15 @@ func runSnapshotDiff(w io.Writer, sc scenario.Scenario, opts harness.Options) er
 	return err
 }
 
-func runScenario(w io.Writer, sc scenario.Scenario, opts harness.Options, jsonOut bool, fleet *harness.FleetOptions) error {
+// runSweep is the one place a sweep runs: in process or farmed to a fleet,
+// then rendered as JSON, as the layer table alone, or as the full report.
+func runSweep(w io.Writer, j job, jsonOut bool, fleet *harness.FleetOptions) error {
 	var r harness.ScenarioResult
 	var err error
 	if fleet != nil {
-		r, err = harness.FleetSweep(sc, opts, *fleet)
+		r, err = harness.FleetSweep(j.sc, j.opts, *fleet)
 	} else {
-		r, err = harness.ScenarioSweep(sc, opts)
+		r, err = harness.ScenarioSweep(j.sc, j.opts)
 	}
 	if err != nil {
 		return err
@@ -333,16 +375,24 @@ func runScenario(w io.Writer, sc scenario.Scenario, opts harness.Options, jsonOu
 		fmt.Fprintf(w, "%s\n", data)
 		return nil
 	}
-	header(w, fmt.Sprintf("scenario %s — %s", sc.Name, sc.Description))
+	header(w, j.title)
+	if j.layers {
+		fmt.Fprint(w, r.LayerTable())
+		return nil
+	}
 	fmt.Fprint(w, r.Table())
-	if sc.Kind != scenario.KindSingleHop {
-		fmt.Fprintf(w, "\nPer-strategy comparison at load %.2f:\n", r.Loads[len(r.Loads)-1])
+	last := r.Loads[len(r.Loads)-1]
+	if j.sc.Kind != scenario.KindSingleHop {
+		fmt.Fprintf(w, "\nPer-strategy comparison at load %.2f:\n", last)
 		fmt.Fprint(w, r.StrategyTable())
+		fmt.Fprintln(w, "\nLayer counts (the Tables I–III view):")
+		fmt.Fprint(w, r.LayerTable())
 	}
 	if r.HasFaults() {
-		fmt.Fprintf(w, "\nFault events and recovery at load %.2f:\n", r.Loads[len(r.Loads)-1])
+		fmt.Fprintf(w, "\nFault events and recovery at load %.2f:\n", last)
 		fmt.Fprint(w, r.FaultTable())
 	}
+	fmt.Fprint(w, r.CrossoverSummary())
 	fmt.Fprintln(w, r.Summary())
 	return nil
 }
@@ -351,27 +401,6 @@ func runFig2(w io.Writer) {
 	header(w, "Fig. 2 — (σ, ρ, λ) regulator operation (σ=10kb, ρ=250kbps, C=1Mbps)")
 	pts := harness.Fig2Trace(10_000, 250_000, 1_000_000, des.Seconds(0.5), 26)
 	fmt.Fprint(w, harness.Fig2Table(pts))
-}
-
-func runFig4(w io.Writer, title string, mix traffic.Mix, opts harness.Options) {
-	header(w, title)
-	r := harness.Fig4(mix, opts)
-	fmt.Fprint(w, r.Table())
-	fmt.Fprintln(w, r.Summary())
-}
-
-func runFig6(w io.Writer, title string, mix traffic.Mix, opts harness.Options) {
-	header(w, title)
-	r := harness.Fig6(mix, opts)
-	fmt.Fprint(w, r.Table())
-	fmt.Fprintln(w, r.Summary())
-	fmt.Fprintln(w, "\nLayer counts (feeds Tables I–III):")
-	fmt.Fprint(w, r.LayerTable())
-}
-
-func runTable(w io.Writer, title string, mix traffic.Mix, opts harness.Options) {
-	header(w, title)
-	fmt.Fprint(w, harness.LayerSweep(mix, opts).Table())
 }
 
 func runRhoStar(w io.Writer) {

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 func TestListScenarios(t *testing.T) {
@@ -137,6 +141,92 @@ func TestSingleExperimentQuick(t *testing.T) {
 	}
 }
 
+// A paper figure is a sweep like any other: -json emits the harness
+// record of its registry entry.
+func TestExpJSONDecodes(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-exp", "fig6a", "-quick", "-hosts", "40", "-duration", "2", "-json"},
+		&out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	rec, err := harness.DecodeScenarioJSON(out.Bytes())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if rec.Scenario != "paper-fig6" || len(rec.Curves) != 6 || len(rec.Loads) != 5 {
+		t.Fatalf("record: scenario %q, %d curves, %d loads", rec.Scenario, len(rec.Curves), len(rec.Loads))
+	}
+}
+
+// curveRows extracts the load rows ("0.35  0.0755 ...") of a printed sweep.
+func curveRows(out string) []string {
+	return regexp.MustCompile(`(?m)^0\.\d\d .*$`).FindAllString(out, -1)
+}
+
+// -exp ids name registry entries: -exp fig4a prints the curve rows of
+// -scenario paper-fig4 under the same overrides, and -quick under -exp is
+// harness.Quick's grid passed as explicit overrides.
+func TestExpMatchesScenarioRows(t *testing.T) {
+	var viaExp, viaScenario, errOut bytes.Buffer
+	if code := run([]string{"-exp", "fig4a", "-duration", "2"}, &viaExp, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if code := run([]string{"-scenario", "paper-fig4", "-duration", "2"}, &viaScenario, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	rows := curveRows(viaExp.String())
+	if len(rows) != 13 || strings.Join(rows, "\n") != strings.Join(curveRows(viaScenario.String()), "\n") {
+		t.Fatalf("-exp fig4a and -scenario paper-fig4 disagree:\n%s\nvs\n%s", viaExp.String(), viaScenario.String())
+	}
+
+	// EXPERIMENTS.md §1's quick-scale Fig. 4(a) numbers (5 loads, 13 s).
+	var quick bytes.Buffer
+	if code := run([]string{"-exp", "fig4a", "-quick"}, &quick, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	want := [][]string{
+		{"0.35", "0.0755", "0.2893"},
+		{"0.50", "0.1404", "0.3028"},
+		{"0.65", "0.2694", "0.2974"},
+		{"0.80", "0.5394", "0.2987"},
+		{"0.95", "1.9513", "0.2984"},
+	}
+	rows = curveRows(quick.String())
+	if len(rows) != len(want) {
+		t.Fatalf("-exp fig4a -quick printed %d rows:\n%s", len(rows), quick.String())
+	}
+	for i, row := range rows {
+		if got := strings.Fields(row); !slices.Equal(got, want[i]) {
+			t.Fatalf("-exp fig4a -quick row %d = %v, want %v", i, got, want[i])
+		}
+	}
+	for _, line := range []string{"Fig. 4(a)", "crossover=0.80 (theory 0.79); max improvement 6.54x at 0.95"} {
+		if !strings.Contains(quick.String(), line) {
+			t.Fatalf("output missing %q:\n%s", line, quick.String())
+		}
+	}
+}
+
+// Tables I–III print only the layer table of their fig6 entry; -adaptive
+// adds a curve to a single-hop entry.
+func TestExpTableAndAdaptive(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-exp", "table2", "-quick", "-hosts", "60"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "Table II") || !strings.Contains(out.String(), "capacity-aware dsct") ||
+		strings.Contains(out.String(), "[s]") || len(curveRows(out.String())) != 5 {
+		t.Fatalf("table output unexpected:\n%s", out.String())
+	}
+	out.Reset()
+	if code := run([]string{"-exp", "fig4c", "-quick", "-duration", "2", "-adaptive"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "adaptive [s]") {
+		t.Fatalf("adaptive column missing:\n%s", out.String())
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errOut); code != 0 {
@@ -178,7 +268,7 @@ func TestScenarioStrategyFlag(t *testing.T) {
 	}
 }
 
-// -strategy only applies to scenario runs, like -json.
+// -strategy only applies to sweeps, like -json.
 func TestStrategyFlagRequiresScenario(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-exp", "fig2", "-strategy", "spt"}, &out, &errOut); code != 2 {

@@ -41,17 +41,19 @@ func main() {
 	)
 	fmt.Printf("Multi-group EMcast: %d hosts x 3 groups, aggregate load %.2f\n\n", hosts, load)
 
+	// The tree family is an overlay strategy name; under capacity-aware
+	// "dsct"/"nice" pick its location-aware/-blind flat builder.
 	type combo struct {
-		scheme wdc.Scheme
-		tree   wdc.TreeKind
+		scheme   wdc.Scheme
+		strategy string
 	}
 	combos := []combo{
-		{wdc.SchemeCapacityAware, wdc.TreeDSCT},
-		{wdc.SchemeSigmaRho, wdc.TreeDSCT},
-		{wdc.SchemeSRL, wdc.TreeDSCT},
-		{wdc.SchemeCapacityAware, wdc.TreeNICE},
-		{wdc.SchemeSigmaRho, wdc.TreeNICE},
-		{wdc.SchemeSRL, wdc.TreeNICE},
+		{wdc.SchemeCapacityAware, "dsct"},
+		{wdc.SchemeSigmaRho, "dsct"},
+		{wdc.SchemeSRL, "dsct"},
+		{wdc.SchemeCapacityAware, "nice"},
+		{wdc.SchemeSigmaRho, "nice"},
+		{wdc.SchemeSRL, "nice"},
 	}
 	var specs []wdc.FlowSpec
 	bestWDB, bestName := 0.0, ""
@@ -61,13 +63,13 @@ func main() {
 			Mix:      wdc.MixAudio,
 			Load:     load,
 			Scheme:   c.scheme,
-			Tree:     c.tree,
+			Strategy: c.strategy,
 			Duration: 15 * des.Second,
 			Seed:     1,
 			Specs:    specs,
 		})
 		specs = res.Specs
-		name := fmt.Sprintf("%v %v", c.scheme, c.tree)
+		name := fmt.Sprintf("%v %s", c.scheme, c.strategy)
 		fmt.Printf("%-28s WDB %.3fs  mean %.4fs  layers %d  deliveries %d\n",
 			name, res.WDB, res.MeanDelay, res.Layers, res.Delivered)
 		if bestName == "" || res.WDB < bestWDB {

@@ -188,28 +188,28 @@ func TestSingleHopValidation(t *testing.T) {
 
 // --- Simulation II ---
 
-func smallSession(scheme Scheme, tree TreeKind, load float64) Config {
+func smallSession(scheme Scheme, strategy string, load float64) Config {
 	return Config{
 		NumHosts: 60,
 		Mix:      traffic.MixAudio,
 		Load:     load,
 		Scheme:   scheme,
-		Tree:     tree,
+		Strategy: strategy,
 		Duration: 13 * des.Second,
 		Seed:     3,
 	}
 }
 
 func TestSessionDeterministic(t *testing.T) {
-	a := Run(smallSession(SchemeSRL, TreeDSCT, 0.8))
-	b := Run(smallSession(SchemeSRL, TreeDSCT, 0.8))
+	a := Run(smallSession(SchemeSRL, "dsct", 0.8))
+	b := Run(smallSession(SchemeSRL, "dsct", 0.8))
 	if a.WDB != b.WDB || a.Delivered != b.Delivered {
 		t.Fatalf("non-deterministic session: %v/%d vs %v/%d", a.WDB, a.Delivered, b.WDB, b.Delivered)
 	}
 }
 
 func TestSessionDeliversToAllMembers(t *testing.T) {
-	s := NewSession(smallSession(SchemeSigmaRho, TreeDSCT, 0.5))
+	s := NewSession(smallSession(SchemeSigmaRho, "dsct", 0.5))
 	res := s.Run()
 	if res.Delivered == 0 {
 		t.Fatal("no deliveries")
@@ -230,14 +230,14 @@ func TestSessionFig6Shape(t *testing.T) {
 	// The paper's primary Fig. 6 claim: above the threshold the (σ,ρ,λ)
 	// scheme is best; below it the (σ,ρ) scheme beats it.
 	low, high := 0.4, 0.9
-	srLow := Run(smallSession(SchemeSigmaRho, TreeDSCT, low))
-	srlLow := Run(smallSession(SchemeSRL, TreeDSCT, low))
+	srLow := Run(smallSession(SchemeSigmaRho, "dsct", low))
+	srlLow := Run(smallSession(SchemeSRL, "dsct", low))
 	if srLow.WDB >= srlLow.WDB {
 		t.Fatalf("(σ,ρ) should win at low load: %v vs %v", srLow.WDB, srlLow.WDB)
 	}
-	srHigh := Run(smallSession(SchemeSigmaRho, TreeDSCT, high))
-	srlHigh := Run(smallSession(SchemeSRL, TreeDSCT, high))
-	caHigh := Run(smallSession(SchemeCapacityAware, TreeDSCT, high))
+	srHigh := Run(smallSession(SchemeSigmaRho, "dsct", high))
+	srlHigh := Run(smallSession(SchemeSRL, "dsct", high))
+	caHigh := Run(smallSession(SchemeCapacityAware, "dsct", high))
 	if srlHigh.WDB >= srHigh.WDB {
 		t.Fatalf("(σ,ρ,λ) should win at high load: %v vs %v", srlHigh.WDB, srHigh.WDB)
 	}
@@ -250,21 +250,21 @@ func TestSessionFig6Shape(t *testing.T) {
 func TestSessionTableShape(t *testing.T) {
 	// Tables I–III: regulated tree layers constant in load; capacity-aware
 	// layers grow.
-	srlLow := Run(smallSession(SchemeSRL, TreeDSCT, 0.4))
-	srlHigh := Run(smallSession(SchemeSRL, TreeDSCT, 0.9))
+	srlLow := Run(smallSession(SchemeSRL, "dsct", 0.4))
+	srlHigh := Run(smallSession(SchemeSRL, "dsct", 0.9))
 	if srlLow.Layers != srlHigh.Layers {
 		t.Fatalf("regulated layers changed with load: %d vs %d", srlLow.Layers, srlHigh.Layers)
 	}
-	caLow := Run(smallSession(SchemeCapacityAware, TreeDSCT, 0.4))
-	caHigh := Run(smallSession(SchemeCapacityAware, TreeDSCT, 0.9))
+	caLow := Run(smallSession(SchemeCapacityAware, "dsct", 0.4))
+	caHigh := Run(smallSession(SchemeCapacityAware, "dsct", 0.9))
 	if caHigh.Layers <= caLow.Layers {
 		t.Fatalf("capacity-aware layers did not grow: %d vs %d", caLow.Layers, caHigh.Layers)
 	}
 }
 
 func TestSessionDSCTBeatsNICE(t *testing.T) {
-	d := Run(smallSession(SchemeSRL, TreeDSCT, 0.8))
-	n := Run(smallSession(SchemeSRL, TreeNICE, 0.8))
+	d := Run(smallSession(SchemeSRL, "dsct", 0.8))
+	n := Run(smallSession(SchemeSRL, "nice", 0.8))
 	// DSCT's locality means its mean delay should not exceed NICE's
 	// appreciably (WDB is bursty; compare means).
 	if d.MeanDelay > n.MeanDelay*1.1 {
@@ -273,7 +273,7 @@ func TestSessionDSCTBeatsNICE(t *testing.T) {
 }
 
 func TestSessionCapacityAwareSharesOneTree(t *testing.T) {
-	s := NewSession(smallSession(SchemeCapacityAware, TreeDSCT, 0.5))
+	s := NewSession(smallSession(SchemeCapacityAware, "dsct", 0.5))
 	trees := s.Trees()
 	for g := 1; g < len(trees); g++ {
 		if trees[g] != trees[0] {
@@ -286,7 +286,7 @@ func TestSessionCapacityAwareSharesOneTree(t *testing.T) {
 }
 
 func TestSessionRegulatedUsesPerGroupTrees(t *testing.T) {
-	s := NewSession(smallSession(SchemeSRL, TreeDSCT, 0.5))
+	s := NewSession(smallSession(SchemeSRL, "dsct", 0.5))
 	trees := s.Trees()
 	if trees[0] == trees[1] {
 		t.Fatal("regulated groups must have distinct trees")
@@ -302,7 +302,7 @@ func TestSessionRegulatedUsesPerGroupTrees(t *testing.T) {
 }
 
 func TestSessionAdaptiveRuns(t *testing.T) {
-	res := Run(smallSession(SchemeAdaptive, TreeDSCT, 0.9))
+	res := Run(smallSession(SchemeAdaptive, "dsct", 0.9))
 	if res.Delivered == 0 {
 		t.Fatal("adaptive session delivered nothing")
 	}
@@ -312,8 +312,8 @@ func TestSessionAdaptiveRuns(t *testing.T) {
 }
 
 func TestSessionLIFOvsFIFODiscipline(t *testing.T) {
-	lifo := Run(smallSession(SchemeSigmaRho, TreeDSCT, 0.9))
-	cfg := smallSession(SchemeSigmaRho, TreeDSCT, 0.9)
+	lifo := Run(smallSession(SchemeSigmaRho, "dsct", 0.9))
+	cfg := smallSession(SchemeSigmaRho, "dsct", 0.9)
 	cfg.Discipline = mux.FIFO
 	fifo := Run(cfg)
 	if fifo.WDB >= lifo.WDB {
@@ -322,7 +322,7 @@ func TestSessionLIFOvsFIFODiscipline(t *testing.T) {
 }
 
 func TestSessionQueuedTransitWorks(t *testing.T) {
-	cfg := smallSession(SchemeSRL, TreeDSCT, 0.5)
+	cfg := smallSession(SchemeSRL, "dsct", 0.5)
 	cfg.Transit = 1 // netsim.QueuedTransit
 	res := Run(cfg)
 	if res.Delivered == 0 {
@@ -331,7 +331,7 @@ func TestSessionQueuedTransitWorks(t *testing.T) {
 }
 
 func TestSessionVBRWorkload(t *testing.T) {
-	cfg := smallSession(SchemeSigmaRho, TreeDSCT, 0.5)
+	cfg := smallSession(SchemeSigmaRho, "dsct", 0.5)
 	cfg.Workload = WorkloadVBR
 	cfg.EnvelopeHorizonSec = 13
 	res := Run(cfg)
@@ -358,7 +358,7 @@ func TestSessionValidation(t *testing.T) {
 }
 
 func TestSessionResultEchoesSpecs(t *testing.T) {
-	res := Run(smallSession(SchemeSRL, TreeDSCT, 0.5))
+	res := Run(smallSession(SchemeSRL, "dsct", 0.5))
 	if len(res.Specs) != 3 {
 		t.Fatalf("specs len %d", len(res.Specs))
 	}

@@ -605,10 +605,8 @@ func (h *host) startController(window, interval des.Duration, thresholdUtil floa
 }
 
 // prepareController builds the estimator and the self-rearming sampling
-// tick without scheduling anything. The tick reproduces des.Ticker's
-// semantics exactly — body first, rearm after, period measured from the
-// firing time — so the kind-tagged events fire at the same (at, prio, seq)
-// a NewTicker would have given them.
+// tick without scheduling anything: body first, rearm after, period
+// measured from the firing time.
 func (h *host) prepareController(window, interval des.Duration, thresholdUtil float64) {
 	h.rate = stats.NewWindowRate(window)
 	h.ctlFn = func() {

@@ -132,16 +132,11 @@ func (w Workload) BuildSourcesN(mix traffic.Mix, n int, seed uint64, margin, bur
 	return traffic.ExtremalMixN(mix, n, margin, burstSec)
 }
 
-// DefaultSpecs derives the flow envelopes for a workload/mix at the
-// default envelope parameters — what a Config with only Mix and Seed set
-// would measure. Sweep drivers use it to build specs once up front and
-// share them read-only across every point (see the load-invariance note
-// on Config.Specs).
-func DefaultSpecs(w Workload, mix traffic.Mix, seed uint64) []FlowSpec {
-	return DefaultSpecsN(w, mix, mix.NumFlows(), seed)
-}
-
-// DefaultSpecsN is DefaultSpecs for an n-group instantiation of the mix.
+// DefaultSpecsN derives the flow envelopes for an n-group instantiation
+// of a workload/mix at the default envelope parameters — what a Config
+// with only Mix and Seed set would measure. Sweep drivers use it to build
+// specs once up front and share them read-only across every point (see
+// the load-invariance note on Config.Specs).
 func DefaultSpecsN(w Workload, mix traffic.Mix, n int, seed uint64) []FlowSpec {
 	return w.BuildSpecsN(mix, n, seed, DefaultEnvelopeMargin, DefaultBurstSec,
 		DefaultEnvelopeHorizonSec)

@@ -13,23 +13,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// TreeKind selects the overlay architecture of Simulation II.
-type TreeKind int
-
-// The two tree families compared in Fig. 6.
-const (
-	TreeDSCT TreeKind = iota
-	TreeNICE
-)
-
-// String implements fmt.Stringer.
-func (t TreeKind) String() string {
-	if t == TreeNICE {
-		return "NICE"
-	}
-	return "DSCT"
-}
-
 // GroupSpec describes one multicast group of a session: who is in it and
 // which member sources its flow. The paper's implicit model — every host
 // joins every group — is the nil-Groups default of Config; scenarios with
@@ -58,13 +41,11 @@ type Config struct {
 	Load float64
 	// Scheme is the traffic-control scheme at every host.
 	Scheme Scheme
-	// Tree selects DSCT or NICE.
-	Tree TreeKind
 	// Strategy names the overlay tree-construction strategy from the
-	// overlay registry ("dsct", "nice", "spt", "greedy", ...). Empty
-	// derives it from Tree, preserving the legacy enum: TreeDSCT → "dsct",
-	// TreeNICE → "nice". The capacity-aware scheme keeps its own flat
-	// shared-tree construction and rejects an explicit strategy.
+	// overlay registry ("dsct", "nice", "spt", "greedy", ...); empty
+	// means "dsct". The capacity-aware scheme keeps its own fanout-capped
+	// flat construction, for which "dsct" picks the location-aware builder
+	// and "nice" the location-blind one; it rejects every other name.
 	Strategy string
 	// Reopt configures the online tree re-optimization plane: periodic
 	// DES events that rewire (or rebuild) each group's delivery tree from
@@ -197,8 +178,8 @@ func (c *Config) fillDefaults() {
 	if len(c.Faults) > 0 && !c.Scheme.Regulated() {
 		panic("core: fault injection requires a regulated scheme")
 	}
-	if c.Strategy != "" && c.Scheme == SchemeCapacityAware {
-		panic("core: the capacity-aware scheme builds its own shared flat tree; Strategy does not apply")
+	if c.Scheme == SchemeCapacityAware && c.Strategy != "" && c.Strategy != "dsct" && c.Strategy != "nice" {
+		panic(fmt.Sprintf("core: the capacity-aware scheme builds its own flat tree (location-aware \"dsct\" or location-blind \"nice\"); strategy %q does not apply", c.Strategy))
 	}
 	c.Reopt.fillDefaults(c.Scheme)
 	if c.WindowSec < 0 {
@@ -210,13 +191,10 @@ func (c *Config) fillDefaults() {
 }
 
 // strategyName resolves the session's overlay strategy name: the explicit
-// Strategy when set, else the legacy Tree enum's name.
+// Strategy when set, else "dsct".
 func (c *Config) strategyName() string {
 	if c.Strategy != "" {
 		return c.Strategy
-	}
-	if c.Tree == TreeNICE {
-		return "nice"
 	}
 	return "dsct"
 }

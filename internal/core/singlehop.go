@@ -200,7 +200,7 @@ func RunSingleHopWith(cfg SingleHopConfig, sources []traffic.Source) SingleHopRe
 		}
 		st := regulator.NewStagger(srls...)
 		useSRL := false
-		rate := stats.NewWindowRate(des.Second)
+		rate := stats.NewWindowRate(ctlWindow)
 		for g := 0; g < k; g++ {
 			g := g
 			inputs[g] = func(p traffic.Packet) {
@@ -213,22 +213,25 @@ func RunSingleHopWith(cfg SingleHopConfig, sources []traffic.Source) SingleHopRe
 				}
 			}
 		}
-		des.NewTicker(eng, 250*des.Millisecond, func() {
-			want := rate.Rate(eng.Now())/c >= threshold
-			if want == useSRL {
-				return
-			}
-			modeSwitches++
-			useSRL = want
-			if want {
-				st.Start()
-			} else {
-				st.Stop()
-				for _, r := range srls {
-					r.SetOn(true) // drain residue
+		// The controller's sampling tick: body first, re-arm after, period
+		// from the firing instant (as host.prepareController's).
+		var ctl func()
+		ctl = func() {
+			if want := rate.Rate(eng.Now())/c >= threshold; want != useSRL {
+				modeSwitches++
+				useSRL = want
+				if want {
+					st.Start()
+				} else {
+					st.Stop()
+					for _, r := range srls {
+						r.SetOn(true) // drain residue
+					}
 				}
 			}
-		})
+			eng.ScheduleIn(ctlInterval, ctl)
+		}
+		eng.ScheduleIn(ctlInterval, ctl)
 	default:
 		panic("core: unsupported single-hop scheme")
 	}

@@ -56,7 +56,11 @@ import (
 // v3: one layout at every shard count — per shard components, [fabric],
 // events, stats (with the shard's churn-drop counters), then the
 // coordinator record; no build-plane events in the engine record.
-const SnapshotVersion = 3
+//
+// v4: the meta record carries the substrate's structural fingerprint
+// (blueprintKey) plus the MUX discipline and transit mode, so a blob is
+// refused under a different strategy, topology, member set or discipline.
+const SnapshotVersion = 4
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -106,9 +110,13 @@ type snapMeta struct {
 	scheme      Scheme
 	workload    Workload
 	load        float64
+	discipline  mux.Discipline
+	transit     netsim.TransitMode
+	structure   [32]byte // the substrate's blueprintKey
 }
 
-func writeMeta(w *snap.Writer, cfg Config, at des.Time, shards, numHosts, numGroups int) {
+func writeMeta(w *snap.Writer, sub *substrate, at des.Time, shards, numHosts int) {
+	cfg := sub.cfg
 	w.Begin(recMeta)
 	w.I64(int64(at))
 	w.I64(int64(cfg.Duration))
@@ -116,15 +124,18 @@ func writeMeta(w *snap.Writer, cfg Config, at des.Time, shards, numHosts, numGro
 	w.U64(cfg.TrafficSeed.Or(cfg.Seed))
 	w.U32(uint32(shards))
 	w.U32(uint32(numHosts))
-	w.U32(uint32(numGroups))
+	w.U32(uint32(sub.numGroups()))
 	w.U8(uint8(cfg.Scheme))
 	w.U8(uint8(cfg.Workload))
 	w.F64(cfg.Load)
+	w.U8(uint8(cfg.Discipline))
+	w.U8(uint8(cfg.Transit))
+	w.Bytes(sub.key[:])
 	w.End()
 }
 
 func readMeta(r *snap.Reader) snapMeta {
-	return snapMeta{
+	m := snapMeta{
 		at:          des.Time(r.I64()),
 		duration:    des.Duration(r.I64()),
 		seed:        r.U64(),
@@ -135,7 +146,11 @@ func readMeta(r *snap.Reader) snapMeta {
 		scheme:      Scheme(r.U8()),
 		workload:    Workload(r.U8()),
 		load:        r.F64(),
+		discipline:  mux.Discipline(r.U8()),
+		transit:     netsim.TransitMode(r.U8()),
 	}
+	copy(m.structure[:], r.Bytes())
+	return m
 }
 
 // checkMeta validates a decoded meta block against the compiled substrate.
@@ -149,7 +164,10 @@ func checkMeta(m snapMeta, sub *substrate) error {
 		m.trafficSeed != cfg.TrafficSeed.Or(cfg.Seed),
 		m.scheme != cfg.Scheme,
 		m.workload != cfg.Workload,
-		m.load != cfg.Load:
+		m.load != cfg.Load,
+		m.discipline != cfg.Discipline,
+		m.transit != cfg.Transit,
+		m.structure != sub.key:
 		return fmt.Errorf("core: snapshot was taken from a different configuration")
 	}
 	return nil
@@ -978,9 +996,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 	// Fold every mailbox into the sorted pending buffers so the snapshot
 	// sees all undelivered cross-shard records in one place.
 	s.coord.CheckpointDrain()
-	cfg := s.sub.cfg
 	w := snap.NewWriterSize(SnapshotVersion, s.snapSize)
-	writeMeta(w, cfg, at, len(s.sh), len(s.hosts), s.sub.numGroups())
+	writeMeta(w, s.sub, at, len(s.sh), len(s.hosts))
 	for _, st := range s.sub.groups {
 		writeGroup(w, st)
 	}
@@ -1003,7 +1020,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 			return nil, err
 		}
 		writeComponents(w, sh.env, s.hosts, evs)
-		if cfg.Transit == netsim.QueuedTransit {
+		if s.sub.cfg.Transit == netsim.QueuedTransit {
 			w.Begin(recFabric)
 			sh.fabric.SnapshotLinks(w)
 			w.End()

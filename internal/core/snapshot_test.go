@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/mux"
 	"repro/internal/netsim"
 	"repro/internal/snap"
+	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -164,6 +167,22 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	wrong.Seed = 6
 	if _, err := Restore(wrong, blob); err == nil {
 		t.Error("restore under a different seed did not fail")
+	}
+	// Structure the seeds and counts do not capture: the meta record's
+	// blueprint key, discipline and transit mode refuse each of these.
+	for name, mutate := range map[string]func(*Config){
+		"strategy":   func(c *Config) { c.Strategy = "spt" },
+		"topology":   func(c *Config) { c.Topology = topo.Waxman{N: 32} },
+		"member set": func(c *Config) { c.Groups = slices.Clone(c.Groups); c.Groups[2].Members = rangeMembers(10, 121) },
+		"cluster k":  func(c *Config) { c.ClusterK = 4 },
+		"discipline": func(c *Config) { c.Discipline = mux.FIFO },
+		"transit":    func(c *Config) { c.Transit = netsim.QueuedTransit },
+	} {
+		other := cfg
+		mutate(&other)
+		if _, err := Restore(other, blob); err == nil || !strings.Contains(err.Error(), "different configuration") {
+			t.Errorf("restore under a different %s: err = %v, want the different-configuration error", name, err)
+		}
 	}
 	sharded := cfg
 	sharded.Shards = 4

@@ -34,6 +34,7 @@ type substrate struct {
 	conn      float64   // base per-connection capacity C (bits/second)
 	mults     []float64 // per-host uplink multipliers; nil when homogeneous
 	threshold float64   // adaptive switching utilisation
+	key       [32]byte  // blueprintKey of cfg: the structural identity snapshots are checked against
 }
 
 func (sub *substrate) numGroups() int { return len(sub.specs) }
@@ -45,6 +46,7 @@ func (sub *substrate) numGroups() int { return len(sub.specs) }
 // sessions — sweeps over load/traffic-seed grids, auto-tune probes, and
 // snapshot restores all reuse the same one (see blueprintFor).
 type blueprint struct {
+	key      [32]byte // blueprintKey of the Config this was built from
 	net      *topo.Network
 	groups   []GroupSpec     // resolved member sets; read-only
 	trees    []*overlay.Tree // built trees; cloned per session
@@ -121,8 +123,8 @@ func blueprintKey(cfg *Config, numGroups int) [32]byte {
 		}
 	}
 	if cfg.Scheme == SchemeCapacityAware {
-		fmt.Fprintf(h, "capaware tree=%d fanout=%d implicit=%v\n",
-			cfg.Tree, overlay.FanoutBound(cfg.Load, cfg.CapacityFactor), cfg.Groups == nil)
+		fmt.Fprintf(h, "capaware tree=%s fanout=%d implicit=%v\n",
+			cfg.strategyName(), overlay.FanoutBound(cfg.Load, cfg.CapacityFactor), cfg.Groups == nil)
 	} else {
 		fmt.Fprintf(h, "regulated strat=%s k=%d\n", cfg.strategyName(), cfg.ClusterK)
 	}
@@ -184,6 +186,7 @@ func blueprintFor(cfg *Config, numGroups int) *blueprint {
 	blueprintCache.Unlock()
 
 	bp := buildBlueprint(cfg, numGroups, compileWorkers())
+	bp.key = key
 
 	blueprintCache.Lock()
 	defer blueprintCache.Unlock()
@@ -239,10 +242,11 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 	bp.treeCfgs = make([]overlay.Config, numGroups)
 	if cfg.Scheme == SchemeCapacityAware {
 		fanout := overlay.FanoutBound(cfg.Load, cfg.CapacityFactor)
+		blind := cfg.strategyName() == "nice"
 		if cfg.Groups == nil {
 			var shared *overlay.Tree
 			members := bp.groups[0].Members
-			if cfg.Tree == TreeNICE {
+			if blind {
 				shared = must(overlay.BuildFlatBlind(bp.net, members, 0, fanout, xrand.DeriveSeed(cfg.Seed, 0)))
 			} else {
 				shared = must(overlay.BuildFlat(bp.net, members, 0, fanout))
@@ -253,7 +257,7 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 			bp.shared = true
 		} else {
 			parallelIndexed(numGroups, workers, func(g int) {
-				if cfg.Tree == TreeNICE {
+				if blind {
 					bp.trees[g] = must(overlay.BuildFlatBlind(bp.net, bp.groups[g].Members,
 						bp.groups[g].Source, fanout, xrand.DeriveSeed(cfg.Seed, g)))
 				} else {
@@ -306,7 +310,7 @@ func compileSubstrate(cfg Config) *substrate {
 	numGroups := cfg.groupCount()
 	bp := blueprintFor(&cfg, numGroups)
 
-	sub := &substrate{cfg: cfg, net: bp.net, mults: bp.mults}
+	sub := &substrate{cfg: cfg, net: bp.net, mults: bp.mults, key: bp.key}
 
 	// Flow envelopes: one flow per group.
 	sub.specs = cfg.Specs

@@ -45,7 +45,7 @@ func substrateGoldenConfigs() map[string]Config {
 		"dsct": {NumHosts: 300, NumGroups: 6, Mix: traffic.MixAudio, Load: 0.8,
 			Scheme: SchemeSRL, Seed: 11},
 		"nice": {NumHosts: 300, NumGroups: 6, Mix: traffic.MixAudio, Load: 0.8,
-			Scheme: SchemeSigmaRho, Tree: TreeNICE, Seed: 11},
+			Scheme: SchemeSigmaRho, Strategy: "nice", Seed: 11},
 		"spt": {NumHosts: 300, NumGroups: 6, Mix: traffic.MixAudio, Load: 0.8,
 			Scheme: SchemeSRL, Strategy: "spt", Seed: 11},
 		"greedy": {NumHosts: 300, NumGroups: 6, Mix: traffic.MixAudio, Load: 0.8,
@@ -171,6 +171,16 @@ func TestBlueprintCacheKeying(t *testing.T) {
 	}
 	if bytes.Equal(treeBytes(t, s1.groups[0].tree), treeBytes(t, s2.groups[0].tree)) {
 		t.Error("capacity-aware trees at different fanout bounds came out identical")
+	}
+	// Strategy picks the capacity-aware flat builder: "" and "dsct" name
+	// the location-aware one, "nice" the location-blind one.
+	named, blind := ca, ca
+	named.Strategy, blind.Strategy = "dsct", "nice"
+	if compileSubstrate(named).net != s1.net {
+		t.Error(`capacity-aware "" and "dsct" did not share a blueprint`)
+	}
+	if compileSubstrate(blind).net == s1.net {
+		t.Error("capacity-aware location-aware and location-blind builds shared a blueprint")
 	}
 }
 

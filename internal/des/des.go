@@ -12,8 +12,8 @@
 // free list of event records. Steady-state scheduling allocates nothing:
 // a fired or reaped event's record is recycled for the next Schedule call.
 // Components that fire on every duty cycle should store their callback once
-// and re-schedule it (or use Ticker / ScheduleEvery), so the hot path does
-// not capture a fresh closure per cycle either.
+// and re-schedule it from inside itself, so the hot path does not capture a
+// fresh closure per cycle either.
 package des
 
 import "fmt"

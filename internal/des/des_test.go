@@ -286,142 +286,6 @@ func TestQuickCancelConsistency(t *testing.T) {
 	}
 }
 
-func TestTickerFiresPeriodically(t *testing.T) {
-	eng := New()
-	var fires []Time
-	tk := NewTicker(eng, 10, func() { fires = append(fires, eng.Now()) })
-	eng.Schedule(45, func() { tk.Stop() })
-	eng.Run()
-	want := []Time{10, 20, 30, 40}
-	if len(fires) != len(want) {
-		t.Fatalf("ticker fired %v", fires)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("ticker fired %v, want %v", fires, want)
-		}
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	eng := New()
-	count := 0
-	var tk *Ticker
-	tk = NewTicker(eng, 5, func() {
-		count++
-		if count == 2 {
-			tk.Stop()
-		}
-	})
-	eng.Run()
-	if count != 2 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
-func TestTickerReset(t *testing.T) {
-	eng := New()
-	var fires []Time
-	var tk *Ticker
-	tk = NewTicker(eng, 10, func() {
-		fires = append(fires, eng.Now())
-		tk.Reset(20)
-		if len(fires) == 3 {
-			tk.Stop()
-		}
-	})
-	eng.Run()
-	want := []Time{10, 30, 50}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	}
-}
-
-func TestTickerBadPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for period 0")
-		}
-	}()
-	NewTicker(New(), 0, func() {})
-}
-
-func TestScheduleEveryFirstOffset(t *testing.T) {
-	eng := New()
-	var fires []Time
-	tk := eng.ScheduleEvery(3, 10, func() { fires = append(fires, eng.Now()) })
-	eng.Schedule(30, func() { tk.Stop() })
-	eng.Run()
-	want := []Time{3, 13, 23}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v", fires)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	}
-}
-
-func TestScheduleEveryZeroFirst(t *testing.T) {
-	eng := New()
-	var fires []Time
-	var tk *Ticker
-	tk = eng.ScheduleEvery(0, 5, func() {
-		fires = append(fires, eng.Now())
-		if len(fires) == 2 {
-			tk.Stop()
-		}
-	})
-	eng.Run()
-	if len(fires) != 2 || fires[0] != 0 || fires[1] != 5 {
-		t.Fatalf("fires = %v", fires)
-	}
-}
-
-func TestTimerArmDisarm(t *testing.T) {
-	eng := New()
-	tm := NewTimer(eng)
-	fired := false
-	tm.Arm(10, func() { fired = true })
-	if !tm.Armed() {
-		t.Fatal("timer should be armed")
-	}
-	tm.Disarm()
-	if tm.Armed() {
-		t.Fatal("timer should be disarmed")
-	}
-	eng.Run()
-	if fired {
-		t.Fatal("disarmed timer fired")
-	}
-}
-
-func TestTimerRearmReplaces(t *testing.T) {
-	eng := New()
-	tm := NewTimer(eng)
-	var at Time = -1
-	tm.Arm(10, func() { at = eng.Now() })
-	tm.Arm(25, func() { at = eng.Now() })
-	eng.Run()
-	if at != 25 {
-		t.Fatalf("rearm did not replace: fired at %v", at)
-	}
-}
-
-func TestTimerArmAt(t *testing.T) {
-	eng := New()
-	tm := NewTimer(eng)
-	var at Time = -1
-	tm.ArmAt(33, func() { at = eng.Now() })
-	eng.Run()
-	if at != 33 {
-		t.Fatalf("ArmAt fired at %v", at)
-	}
-}
-
 func BenchmarkScheduleRun(b *testing.B) {
 	rng := xrand.New(1)
 	times := make([]Time, 1024)

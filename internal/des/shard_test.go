@@ -19,6 +19,18 @@ func uniformLA(n int, d Duration) [][]Duration {
 	return la
 }
 
+// tickEvery runs fn on eng after first and then every period — body
+// first, re-arm after, the self-rescheduling idiom the simulator's
+// periodic components use.
+func tickEvery(eng *Engine, first, period Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		eng.ScheduleIn(period, tick)
+	}
+	eng.ScheduleIn(first, tick)
+}
+
 // TestCoordinatorMergesDeterministically drives four shards that ping-pong
 // cross-shard messages concurrently and checks the per-shard event logs are
 // identical across repeated runs — the fixed-N determinism contract,
@@ -42,7 +54,7 @@ func TestCoordinatorMergesDeterministically(t *testing.T) {
 		for src := 0; src < shards; src++ {
 			src := src
 			hop := 0
-			engines[src].ScheduleEvery(Time(src+1)*100*Microsecond, 700*Microsecond, func() {
+			tickEvery(engines[src], Time(src+1)*100*Microsecond, 700*Microsecond, func() {
 				hop++
 				h := hop
 				at := engines[src].Now() + Millisecond + Time(h)*17
@@ -321,7 +333,7 @@ func TestPairBoundsRunFewerEpochs(t *testing.T) {
 		for src := range engines {
 			src := src
 			hop := 0
-			engines[src].ScheduleEvery(Time(src+1)*100*Microsecond, 900*Microsecond, func() {
+			tickEvery(engines[src], Time(src+1)*100*Microsecond, 900*Microsecond, func() {
 				hop++
 				dst := (src + 1 + hop%2) % 3
 				// Every post honours the real pair delay, so the script is

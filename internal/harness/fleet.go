@@ -102,12 +102,6 @@ func fleetManifestFor(sc scenario.Scenario, opts Options, p *sweepPlan) (fleetMa
 	if err != nil {
 		return fleetManifest{}, err
 	}
-	var dur des.Duration
-	if p.single && len(p.shCfgs) > 0 {
-		dur = p.shCfgs[0].Duration
-	} else if len(p.cfgs) > 0 {
-		dur = p.cfgs[0].Duration
-	}
 	return fleetManifest{
 		SchemaVersion: SchemaVersion,
 		Scenario:      spec,
@@ -115,7 +109,7 @@ func fleetManifestFor(sc scenario.Scenario, opts Options, p *sweepPlan) (fleetMa
 		Loads:         p.loads,
 		Combos:        len(p.combos),
 		Single:        p.single,
-		DurationNS:    int64(dur),
+		DurationNS:    int64(p.dur),
 		NumHosts:      opts.NumHosts,
 		Strategy:      opts.Strategy,
 		Shards:        p.shards,
@@ -134,13 +128,9 @@ func planFromManifest(m fleetManifest) (*sweepPlan, error) {
 		Seed:     m.Seed,
 		Loads:    m.Loads,
 		NumHosts: m.NumHosts,
+		Duration: des.Duration(m.DurationNS),
 		Strategy: m.Strategy,
 		Shards:   m.Shards,
-	}
-	if m.Single {
-		opts.SingleHopDuration = des.Duration(m.DurationNS)
-	} else {
-		opts.Duration = des.Duration(m.DurationNS)
 	}
 	p, err := newSweepPlan(sc, opts)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // behaviour-preserving change to the static pipeline was not.
 
 func TestGoldenPaperFig4StaticBitIdentity(t *testing.T) {
-	opts := Options{Seed: 7, Loads: []float64{0.45, 0.7, 0.95}, SingleHopDuration: 9 * des.Second}
+	opts := Options{Seed: 7, Loads: []float64{0.45, 0.7, 0.95}, Duration: 9 * des.Second}
 	r, err := ScenarioSweep(scenario.MustLookup("paper-fig4"), opts)
 	if err != nil {
 		t.Fatal(err)

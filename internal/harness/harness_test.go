@@ -1,64 +1,96 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/traffic"
+	"repro/internal/scenario"
 )
 
 func TestQuickOptions(t *testing.T) {
 	o := Quick(5)
-	o.fill()
-	if o.NumHosts != 120 || len(o.Loads) != 5 || o.Seed != 5 {
+	if o.NumHosts != 120 || len(o.Loads) != 5 || o.Seed != 5 || o.Duration != 13*des.Second {
 		t.Fatalf("quick options: %+v", o)
 	}
 }
 
+// Zero options on a paper entry resolve to paper scale: seed 1, the
+// 13-point grid, 665 hosts, 15 s multi-group and 36 s single-hop runs.
 func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	o.fill()
-	if o.Seed != 1 || o.NumHosts != 665 || len(o.Loads) != 13 {
-		t.Fatalf("defaults: %+v", o)
+	p, err := newSweepPlan(scenario.MustLookup("paper-fig6"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.seed != 1 || p.cfgs[0].NumHosts != 665 || len(p.loads) != 13 || p.dur != 15*des.Second {
+		t.Fatalf("defaults: seed %d, hosts %d, %d loads, %v", p.seed, p.cfgs[0].NumHosts, len(p.loads), p.dur)
+	}
+	p, err = newSweepPlan(scenario.MustLookup("paper-fig4"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.dur != 36*des.Second || len(p.loads) != 13 {
+		t.Fatalf("single-hop defaults: %d loads, %v", len(p.loads), p.dur)
 	}
 }
 
+// curve returns the sweep's curve for one combo by its printed name.
+func curve(t *testing.T, r ScenarioResult, combo string) ScenarioCurve {
+	t.Helper()
+	for _, c := range r.Curves {
+		if c.Combo.String() == combo {
+			return c
+		}
+	}
+	t.Fatalf("sweep has no %q curve", combo)
+	return ScenarioCurve{}
+}
+
 func TestFig4ShapeQuick(t *testing.T) {
-	r := Fig4(traffic.MixVideo, Quick(1))
-	if len(r.SigmaRho.Y) != 5 || len(r.SRL.Y) != 5 {
-		t.Fatalf("series lengths %d/%d", len(r.SigmaRho.Y), len(r.SRL.Y))
+	r, err := ScenarioSweep(scenario.MustLookup("paper-fig4b"), Quick(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !r.CrossoverOK {
-		t.Fatalf("no crossover found: %s", r.Summary())
+	sr, srl := curve(t, r, "sigma-rho").WDB, curve(t, r, "sigma-rho-lambda").WDB
+	if len(sr.Y) != 5 || len(srl.Y) != 5 {
+		t.Fatalf("series lengths %d/%d", len(sr.Y), len(srl.Y))
 	}
-	if r.Crossover < 0.5 || r.Crossover > 0.85 {
-		t.Fatalf("crossover %.2f outside the paper band", r.Crossover)
+	xs := r.Crossovers()
+	if len(xs) != 1 || !xs[0].OK {
+		t.Fatalf("no crossover found: %s", r.CrossoverSummary())
 	}
-	if r.MaxRatio < 1.5 {
-		t.Fatalf("max improvement %.2f too small", r.MaxRatio)
+	if xs[0].At < 0.5 || xs[0].At > 0.85 {
+		t.Fatalf("crossover %.2f outside the paper band", xs[0].At)
+	}
+	if xs[0].MaxRatio < 1.5 {
+		t.Fatalf("max improvement %.2f too small", xs[0].MaxRatio)
+	}
+	if th := r.TheoryThreshold(); th < 0.78 || th > 0.80 {
+		t.Fatalf("theory threshold %.4f, want K·ρ* ≈ 0.79 for three homogeneous flows", th)
 	}
 	// Monotone-ish SR curve: last point far above first.
-	n := len(r.SigmaRho.Y)
-	if r.SigmaRho.Y[n-1] < 3*r.SigmaRho.Y[0] {
-		t.Fatalf("(σ,ρ) curve not rising: %v", r.SigmaRho.Y)
+	if sr.Y[4] < 3*sr.Y[0] {
+		t.Fatalf("(σ,ρ) curve not rising: %v", sr.Y)
 	}
-	tab := r.Table().String()
-	if !strings.Contains(tab, "0.95") {
+	if tab := r.Table().String(); !strings.Contains(tab, "0.95") {
 		t.Fatalf("table missing load rows:\n%s", tab)
 	}
-	if r.Summary() == "" {
-		t.Fatal("empty summary")
+	if !strings.Contains(r.CrossoverSummary(), "max improvement") {
+		t.Fatalf("summary: %q", r.CrossoverSummary())
 	}
 }
 
 func TestFig4WithAdaptive(t *testing.T) {
 	o := Quick(1)
 	o.Loads = []float64{0.4, 0.9}
-	o.IncludeAdaptive = true
-	r := Fig4(traffic.MixAudio, o)
-	if r.Adaptive == nil || len(r.Adaptive.Y) != 2 {
+	sc := scenario.MustLookup("paper-fig4")
+	sc.Combos = append(slices.Clone(sc.Combos), scenario.Combo{Scheme: "adaptive"})
+	r, err := ScenarioSweep(sc, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve(t, r, "adaptive").WDB.Y) != 2 {
 		t.Fatal("adaptive series missing")
 	}
 	if !strings.Contains(r.Table().String(), "adaptive") {
@@ -73,55 +105,74 @@ func TestFig6ShapeQuick(t *testing.T) {
 	o := Quick(1)
 	o.NumHosts = 60
 	o.Loads = []float64{0.4, 0.9}
-	r := Fig6(traffic.MixAudio, o)
+	r, err := ScenarioSweep(scenario.MustLookup("paper-fig6"), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Curves) != 6 {
 		t.Fatalf("curves = %d", len(r.Curves))
 	}
-	srl := r.Curves[SchemeTree{core.SchemeSRL, core.TreeDSCT}]
-	sr := r.Curves[SchemeTree{core.SchemeSigmaRho, core.TreeDSCT}]
+	srl := curve(t, r, "sigma-rho-lambda dsct")
+	sr := curve(t, r, "sigma-rho dsct")
 	// Low load: (σ,ρ) wins; high load: (σ,ρ,λ) wins.
-	if sr.Y[0] >= srl.Y[0] {
-		t.Fatalf("(σ,ρ) should win at 0.4: %v vs %v", sr.Y[0], srl.Y[0])
+	if sr.WDB.Y[0] >= srl.WDB.Y[0] {
+		t.Fatalf("(σ,ρ) should win at 0.4: %v vs %v", sr.WDB.Y[0], srl.WDB.Y[0])
 	}
-	if srl.Y[1] >= sr.Y[1] {
-		t.Fatalf("(σ,ρ,λ) should win at 0.9: %v vs %v", srl.Y[1], sr.Y[1])
+	if srl.WDB.Y[1] >= sr.WDB.Y[1] {
+		t.Fatalf("(σ,ρ,λ) should win at 0.9: %v vs %v", srl.WDB.Y[1], sr.WDB.Y[1])
+	}
+	// One comparison per tree family, each crossing inside the grid.
+	xs := r.Crossovers()
+	if len(xs) != 2 || xs[0].Strategy != "dsct" || xs[1].Strategy != "nice" || !xs[0].OK {
+		t.Fatalf("crossovers: %+v", xs)
 	}
 	// Layer tables: capacity-aware grows, regulated constant.
-	ca := r.Layers[SchemeTree{core.SchemeCapacityAware, core.TreeDSCT}]
-	reg := r.Layers[SchemeTree{core.SchemeSRL, core.TreeDSCT}]
+	ca, reg := curve(t, r, "capacity-aware dsct").Layers, srl.Layers
 	if ca[1] <= ca[0] {
 		t.Fatalf("capacity-aware layers did not grow: %v", ca)
 	}
 	if reg[0] != reg[1] {
 		t.Fatalf("regulated layers changed: %v", reg)
 	}
-	out := r.Table().String()
-	if !strings.Contains(out, "capacity-aware DSCT") {
+	if out := r.Table().String(); !strings.Contains(out, "capacity-aware dsct") {
 		t.Fatalf("table missing combo columns:\n%s", out)
 	}
-	if !strings.Contains(r.LayerTable().String(), "DSCT with") {
-		t.Fatal("layer table malformed")
+	if out := r.LayerTable().String(); !strings.Contains(out, "sigma-rho-lambda dsct") || !strings.Contains(out, "0.90") {
+		t.Fatalf("layer table malformed:\n%s", out)
 	}
-	_ = r.Summary()
 }
 
-func TestLayerSweepTableShape(t *testing.T) {
+// Tables I–III: layer counts are fixed at build time, so a 1 ms horizon
+// reproduces them without simulating traffic.
+func TestLayerTableShape(t *testing.T) {
 	o := Quick(1)
 	o.NumHosts = 200
 	o.Loads = []float64{0.35, 0.65, 0.95}
-	r := LayerSweep(traffic.MixAudio, o)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	o.Duration = des.Millisecond
+	r, err := ScenarioSweep(scenario.MustLookup("paper-fig6"), o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Rows[2].CapacityAware <= r.Rows[0].CapacityAware {
-		t.Fatalf("capacity-aware layers should grow: %+v", r.Rows)
+	ca, reg := curve(t, r, "capacity-aware dsct").Layers, curve(t, r, "sigma-rho-lambda dsct").Layers
+	if len(ca) != 3 {
+		t.Fatalf("rows = %d", len(ca))
 	}
-	for _, row := range r.Rows {
-		if row.RegulatedLayers != r.Rows[0].RegulatedLayers {
-			t.Fatalf("regulated layers vary: %+v", r.Rows)
-		}
+	if ca[2] <= ca[0] {
+		t.Fatalf("capacity-aware layers should grow: %v", ca)
 	}
-	if !strings.Contains(r.Table().String(), "0.95") {
+	if reg[0] != reg[1] || reg[1] != reg[2] {
+		t.Fatalf("regulated layers vary: %v", reg)
+	}
+	// The horizon does not move them.
+	o.Duration = des.Second
+	long, err := ScenarioSweep(scenario.MustLookup("paper-fig6"), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := long.LayerTable().String(), r.LayerTable().String(); got != want {
+		t.Fatalf("layer table depends on the horizon:\n%s\nvs\n%s", got, want)
+	}
+	if !strings.Contains(r.LayerTable().String(), "0.95") {
 		t.Fatal("table missing rows")
 	}
 }

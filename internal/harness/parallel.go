@@ -7,11 +7,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/traffic"
 	"repro/internal/xrand"
 )
 
-// The sweep drivers fan their points out over a bounded worker pool: one
+// ScenarioSweep fans its cells out over a bounded worker pool: one
 // engine per goroutine, results written to index-addressed slots, every
 // per-point random stream derived purely from (sweep seed, point index).
 // Nothing about the outcome depends on which worker runs which point or in
@@ -57,32 +56,18 @@ func runJobs(n int, opts Options, job func(i int)) {
 
 // DeriveSeed maps (sweep seed, point index) to the point's traffic seed.
 // It is xrand.DeriveSeed — the repository-wide derivation rule — re-
-// exported here because the sweep drivers are its original home and the
-// facade documents it.
+// exported here because the sweep is its original home.
 func DeriveSeed(base uint64, point int) uint64 {
 	return xrand.DeriveSeed(base, point)
-}
-
-// sweepSpecs builds the flow envelopes one time for a whole sweep, from
-// the sweep's base seed.
-//
-// Invariant (why sharing is sound): a FlowSpec is a function of the
-// workload, mix, seed, and envelope parameters ONLY. The load axis moves
-// the connection capacity C = TotalRate/load, never the flow envelopes, so
-// every point of a sweep sees identical specs no matter which point
-// measures them. The seed code threaded the first run's measured specs
-// through the remaining runs sequentially, which worked only by this
-// invariant and was impossible to parallelise safely; building them up
-// front makes the invariant explicit and removes the cross-point data
-// dependency. assertSpecsMatch guards the sharing at every point.
-func sweepSpecs(w core.Workload, mix traffic.Mix, opts Options) []core.FlowSpec {
-	return core.DefaultSpecs(w, mix, opts.Seed)
 }
 
 // assertSpecsMatch verifies a run's echoed specs are exactly the sweep's
 // shared specs — the cheap guard that no point rebuilt or mutated the
 // envelopes behind the sweep's back (which would silently decouple the
-// curves from each other).
+// curves from each other). Sharing is sound because a FlowSpec is a
+// function of the workload, mix, seed and envelope parameters only: the
+// load axis moves the connection capacity C = TotalRate/load, never the
+// flow envelopes.
 func assertSpecsMatch(shared, got []core.FlowSpec, load float64) {
 	if len(shared) != len(got) {
 		panic(fmt.Sprintf("harness: run at load %.2f used %d specs, sweep built %d",

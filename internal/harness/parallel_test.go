@@ -8,80 +8,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// The parallel harness must be a pure speed-up: identical results to the
-// sequential sweep, bit for bit, at any worker count.
-
-func TestFig4ParallelMatchesSequential(t *testing.T) {
-	o := Quick(3)
-	o.Loads = []float64{0.4, 0.7, 0.9}
-	o.IncludeAdaptive = true
-
-	seq := o
-	seq.Sequential = true
-	a := Fig4(traffic.MixHetero, seq)
-
-	par := o
-	par.Workers = 4
-	b := Fig4(traffic.MixHetero, par)
-
-	for i := range a.Loads {
-		if a.SigmaRho.Y[i] != b.SigmaRho.Y[i] || a.SRL.Y[i] != b.SRL.Y[i] ||
-			a.Adaptive.Y[i] != b.Adaptive.Y[i] {
-			t.Fatalf("load %.2f: sequential %v/%v/%v vs parallel %v/%v/%v",
-				a.Loads[i], a.SigmaRho.Y[i], a.SRL.Y[i], a.Adaptive.Y[i],
-				b.SigmaRho.Y[i], b.SRL.Y[i], b.Adaptive.Y[i])
-		}
-	}
-	if a.Crossover != b.Crossover || a.CrossoverOK != b.CrossoverOK {
-		t.Fatalf("crossover diverged: %v/%v vs %v/%v",
-			a.Crossover, a.CrossoverOK, b.Crossover, b.CrossoverOK)
-	}
-}
-
-func TestFig6ParallelMatchesSequential(t *testing.T) {
-	o := Quick(1)
-	o.NumHosts = 40
-	o.Loads = []float64{0.45, 0.9}
-	o.Duration = 6 * des.Second
-
-	seq := o
-	seq.Sequential = true
-	a := Fig6(traffic.MixAudio, seq)
-
-	par := o
-	par.Workers = 5 // deliberately not a divisor of the 12 points
-	b := Fig6(traffic.MixAudio, par)
-
-	for _, st := range Fig6Combos {
-		for i := range a.Loads {
-			if a.Curves[st].Y[i] != b.Curves[st].Y[i] {
-				t.Fatalf("%v at %.2f: sequential %v vs parallel %v",
-					st, a.Loads[i], a.Curves[st].Y[i], b.Curves[st].Y[i])
-			}
-			if a.Layers[st][i] != b.Layers[st][i] {
-				t.Fatalf("%v layers diverged at %.2f", st, a.Loads[i])
-			}
-		}
-	}
-}
-
-func TestLayerSweepParallelMatchesSequential(t *testing.T) {
-	o := Quick(2)
-	o.NumHosts = 150
-	o.Loads = []float64{0.35, 0.65, 0.95}
-
-	seq := o
-	seq.Sequential = true
-	a := LayerSweep(traffic.MixVideo, seq)
-	par := o
-	b := LayerSweep(traffic.MixVideo, par)
-	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			t.Fatalf("row %d: %+v vs %+v", i, a.Rows[i], b.Rows[i])
-		}
-	}
-}
-
 // Same seed, same config => bit-identical WDB: the engines must be
 // deterministic run to run (and hence safe to replicate across workers).
 func TestEnginesAreDeterministic(t *testing.T) {

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/calculus"
 	"repro/internal/core"
@@ -121,6 +122,7 @@ type sweepPlan struct {
 	seed   uint64
 	loads  []float64
 	single bool
+	dur    des.Duration // resolved per-run simulated time
 	mix    traffic.Mix
 	specs  []core.FlowSpec
 	combos []scenario.Combo
@@ -178,9 +180,7 @@ func newSweepPlan(sc scenario.Scenario, opts Options) (*sweepPlan, error) {
 	single := sc.Kind == scenario.KindSingleHop
 	var dur des.Duration
 	switch {
-	case single && opts.SingleHopDuration > 0:
-		dur = opts.SingleHopDuration
-	case !single && opts.Duration > 0:
+	case opts.Duration > 0:
 		dur = opts.Duration
 	case sc.DurationSec > 0:
 		dur = des.Seconds(sc.DurationSec)
@@ -200,7 +200,7 @@ func newSweepPlan(sc scenario.Scenario, opts Options) (*sweepPlan, error) {
 	}
 	specs := core.DefaultSpecsN(workload, mix, sc.GroupCount(), seed)
 
-	p := &sweepPlan{sc: sc, seed: seed, loads: loads, single: single,
+	p := &sweepPlan{sc: sc, seed: seed, loads: loads, single: single, dur: dur,
 		mix: mix, specs: specs, combos: sc.Combos}
 	n := len(loads) * len(p.combos)
 	if single {
@@ -340,18 +340,17 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 }
 
 // ScenarioSweep runs a scenario over its load grid with one engine per
-// (load, combo) cell, fanned out over the same worker pool as the figure
-// drivers and under the same determinism rules: the structural seed
-// (opts.Seed) pins network, membership, and trees across the whole sweep;
-// each load's traffic seed derives from (seed, load index) so combos at
-// one load stay paired; specs are built once and shared read-only.
-// Sequential and parallel execution are bit-identical, as is a
+// (load, combo) cell, fanned out over the worker pool (runJobs) under its
+// determinism rules: the structural seed (opts.Seed) pins network,
+// membership, and trees across the whole sweep — the paper holds them
+// fixed; each load's traffic seed derives from (seed, load index) so
+// combos at one load stay paired; specs are built once and shared
+// read-only. Sequential and parallel execution are bit-identical, as is a
 // distributed FleetSweep of the same scenario and options.
 //
 // Precedence for the grid and duration: an explicit opts value beats the
 // scenario's own, which beats the defaults. The paper's Fig. 4/Fig. 6
-// drivers are the special case ScenarioSweep(Lookup("paper-fig4"/"-fig6"))
-// — pinned by tests in scenario_test.go.
+// panels and Tables I–III are ScenarioSweep(Lookup("paper-fig4"…"-fig6c")).
 func ScenarioSweep(sc scenario.Scenario, opts Options) (ScenarioResult, error) {
 	p, err := newSweepPlan(sc, opts)
 	if err != nil {
@@ -516,6 +515,74 @@ func (r ScenarioResult) FaultTable() *stats.Table {
 	return t
 }
 
+// Crossover is the paper's headline comparison on one strategy's pair of
+// curves: where (σ, ρ, λ) regulation starts to beat (σ, ρ), and by how
+// much at most.
+type Crossover struct {
+	// Strategy is the overlay strategy the two curves share ("" for a
+	// single-hop sweep).
+	Strategy string
+	// At is the first load at which the (σ,ρ,λ) curve dips to or below the
+	// (σ,ρ) curve — the empirical ρ*·K. OK is false when it never does.
+	At float64
+	OK bool
+	// MaxRatio is the max over loads ≥ At of WDB(σ,ρ)/WDB(σ,ρ,λ), reached
+	// at MaxRatioAt.
+	MaxRatio, MaxRatioAt float64
+}
+
+// Crossovers compares the sigma-rho-lambda curve against the sigma-rho
+// curve of every strategy that carries both, in curve order.
+func (r ScenarioResult) Crossovers() []Crossover {
+	var out []Crossover
+	for _, sr := range r.Curves {
+		if sr.Combo.Scheme != "sigma-rho" {
+			continue
+		}
+		strat := strategyName(r.Scenario, sr.Combo)
+		for _, srl := range r.Curves {
+			if srl.Combo.Scheme != "sigma-rho-lambda" || strategyName(r.Scenario, srl.Combo) != strat {
+				continue
+			}
+			c := Crossover{Strategy: strat}
+			c.At, c.OK = stats.Crossover(srl.WDB, sr.WDB)
+			if c.OK {
+				c.MaxRatio, c.MaxRatioAt = stats.MaxRatio(sr.WDB, srl.WDB, c.At)
+			}
+			out = append(out, c)
+			break
+		}
+	}
+	return out
+}
+
+// TheoryThreshold is K·ρ* from Theorems 3/4 for the scenario's flow count
+// and mix — the load at which theory says the crossover falls.
+func (r ScenarioResult) TheoryThreshold() float64 {
+	mix, _ := r.Scenario.ParseMix() // validated by the sweep
+	return core.ThresholdUtilization(r.Scenario.GroupCount(), mix.Homogeneous())
+}
+
+// CrossoverSummary gives the comparison against the paper, one line per
+// Crossovers entry: measured crossover beside the theory threshold, and
+// the maximum improvement. Empty when no strategy carries both curves.
+func (r ScenarioResult) CrossoverSummary() string {
+	var b strings.Builder
+	for _, c := range r.Crossovers() {
+		name := c.Strategy
+		if name == "" {
+			name = "single hop"
+		}
+		if !c.OK {
+			fmt.Fprintf(&b, "%s: no crossover observed (theory threshold %.2f)\n", name, r.TheoryThreshold())
+			continue
+		}
+		fmt.Fprintf(&b, "%s: crossover=%.2f (theory %.2f); max improvement %.2fx at %.2f\n",
+			name, c.At, r.TheoryThreshold(), c.MaxRatio, c.MaxRatioAt)
+	}
+	return b.String()
+}
+
 // HasFaults reports whether any curve carries fault outcomes.
 func (r ScenarioResult) HasFaults() bool {
 	for _, c := range r.Curves {
@@ -526,22 +593,35 @@ func (r ScenarioResult) HasFaults() bool {
 	return false
 }
 
-// Table renders the WDB curves in the figure layout: one column per
-// combo, one row per load.
-func (r ScenarioResult) Table() *stats.Table {
+// gridTable renders one value per (load, combo) in the figure layout: one
+// column per combo, one row per load.
+func (r ScenarioResult) gridTable(unit string, cell func(c ScenarioCurve, i int) string) *stats.Table {
 	header := []string{"rho*K"}
 	for _, c := range r.Curves {
-		header = append(header, c.Combo.String()+" [s]")
+		header = append(header, c.Combo.String()+unit)
 	}
 	t := stats.NewTable(header...)
 	for i, x := range r.Loads {
 		row := []string{fmt.Sprintf("%.2f", x)}
 		for _, c := range r.Curves {
-			row = append(row, fmt.Sprintf("%.4f", c.WDB.Y[i]))
+			row = append(row, cell(c, i))
 		}
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// Table renders the WDB curves in the figure layout.
+func (r ScenarioResult) Table() *stats.Table {
+	return r.gridTable(" [s]", func(c ScenarioCurve, i int) string { return fmt.Sprintf("%.4f", c.WDB.Y[i]) })
+}
+
+// LayerTable renders the tree layer counts in the figure layout — the
+// Tables I–III view: under the capacity-aware scheme the fanout bound
+// shrinks with load and the tree grows taller; regulated trees do not
+// depend on load.
+func (r ScenarioResult) LayerTable() *stats.Table {
+	return r.gridTable("", func(c ScenarioCurve, i int) string { return fmt.Sprintf("%d", c.Layers[i]) })
 }
 
 // Summary gives the one-line outcome: the winning combo at the heaviest

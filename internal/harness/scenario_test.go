@@ -3,68 +3,15 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/scenario"
-	"repro/internal/traffic"
 )
 
-// The paper's figures are registry entries, not special cases: sweeping
-// the paper-fig6 scenario must reproduce the Fig6 driver bit for bit.
-func TestScenarioSweepMatchesFig6(t *testing.T) {
-	opts := Quick(1)
-	opts.NumHosts = 40
-	opts.Loads = []float64{0.45, 0.9}
-	opts.Duration = 6 * des.Second
-
-	fig := Fig6(traffic.MixAudio, opts)
-	sw, err := ScenarioSweep(scenario.MustLookup("paper-fig6"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Curves) != len(Fig6Combos) {
-		t.Fatalf("%d curves, want %d", len(sw.Curves), len(Fig6Combos))
-	}
-	for ci, st := range Fig6Combos {
-		curve := sw.Curves[ci]
-		for i := range opts.Loads {
-			if curve.WDB.Y[i] != fig.Curves[st].Y[i] {
-				t.Fatalf("%v at %.2f: scenario %v vs driver %v",
-					st, opts.Loads[i], curve.WDB.Y[i], fig.Curves[st].Y[i])
-			}
-			if curve.Layers[i] != fig.Layers[st][i] {
-				t.Fatalf("%v layers diverged at %.2f", st, opts.Loads[i])
-			}
-		}
-	}
-}
-
-// Same equivalence for Simulation I: paper-fig4 must reproduce Fig4.
-func TestScenarioSweepMatchesFig4(t *testing.T) {
-	opts := Quick(2)
-	opts.Loads = []float64{0.5, 0.9}
-
-	fig := Fig4(traffic.MixAudio, opts)
-	sw, err := ScenarioSweep(scenario.MustLookup("paper-fig4"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range opts.Loads {
-		if sw.Curves[0].WDB.Y[i] != fig.SigmaRho.Y[i] {
-			t.Fatalf("sigma-rho at %.2f: scenario %v vs driver %v",
-				opts.Loads[i], sw.Curves[0].WDB.Y[i], fig.SigmaRho.Y[i])
-		}
-		if sw.Curves[1].WDB.Y[i] != fig.SRL.Y[i] {
-			t.Fatalf("srl at %.2f: scenario %v vs driver %v",
-				opts.Loads[i], sw.Curves[1].WDB.Y[i], fig.SRL.Y[i])
-		}
-	}
-}
-
 // The scenario sweep inherits the pool's determinism contract: parallel
-// equals sequential bit for bit — including for partial membership,
-// alternate topologies, and heterogeneous uplinks.
+// equals sequential bit for bit — for the paper's single-hop and six-combo
+// panels as for partial membership, alternate topologies, and
+// heterogeneous uplinks.
 func TestScenarioSweepParallelMatchesSequential(t *testing.T) {
-	for _, name := range []string{"waxman-zipf-16", "transit-stub-dsl-fibre"} {
+	for _, name := range []string{"paper-fig4c", "paper-fig6c", "waxman-zipf-16", "transit-stub-dsl-fibre"} {
 		sc := scenario.MustLookup(name).Quick()
 
 		seq := Options{Seed: 3, Sequential: true}

@@ -4,75 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/calculus"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/regulator"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
-
-// LayerRow is one row of Tables I–III.
-type LayerRow struct {
-	Load            float64
-	CapacityAware   int
-	RegulatedLayers int
-}
-
-// LayerSweepResult reproduces one of Tables I–III without running traffic:
-// layer counts are a pure function of the tree construction.
-type LayerSweepResult struct {
-	Mix  traffic.Mix
-	Rows []LayerRow
-}
-
-// LayerSweep builds the capacity-aware and regulated DSCT trees at every
-// load and reports their layer counts (Tables I: audio, II: video,
-// III: heterogeneous — the mix only matters through the load axis, as in
-// the paper, where the same table shape repeats per workload).
-func LayerSweep(mix traffic.Mix, opts Options) LayerSweepResult {
-	opts.fill()
-	res := LayerSweepResult{Mix: mix}
-	// The regulated tree is load-independent: build it once.
-	regulated := core.NewSession(core.Config{
-		NumHosts: opts.NumHosts, Mix: mix, Load: 0.5, Scheme: core.SchemeSRL,
-		Seed: opts.Seed,
-	})
-	regLayers := 0
-	for _, tr := range regulated.Trees() {
-		if l := tr.Layers(); l > regLayers {
-			regLayers = l
-		}
-	}
-	// The capacity-aware tree's fanout bound shrinks with load: build one
-	// per load, in parallel (tree construction only, no traffic).
-	res.Rows = make([]LayerRow, len(opts.Loads))
-	runJobs(len(opts.Loads), opts, func(i int) {
-		load := opts.Loads[i]
-		ca := core.NewSession(core.Config{
-			NumHosts: opts.NumHosts, Mix: mix, Load: load,
-			Scheme: core.SchemeCapacityAware, Seed: opts.Seed,
-		})
-		caLayers := 0
-		for _, tr := range ca.Trees() {
-			if l := tr.Layers(); l > caLayers {
-				caLayers = l
-			}
-		}
-		res.Rows[i] = LayerRow{Load: load, CapacityAware: caLayers, RegulatedLayers: regLayers}
-	})
-	return res
-}
-
-// Table renders the rows in the paper's Tables I–III layout.
-func (r LayerSweepResult) Table() *stats.Table {
-	t := stats.NewTable("rho*K", "Capacity-aware DSCT", "DSCT with (σ,ρ,λ)")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("%.2f", row.Load),
-			fmt.Sprintf("%d", row.CapacityAware),
-			fmt.Sprintf("%d", row.RegulatedLayers))
-	}
-	return t
-}
 
 // Fig2Point is one sample of the (σ, ρ, λ) regulator operation trace.
 type Fig2Point struct {

@@ -187,6 +187,16 @@ func TestSRLOnTimeTracksDutyRatio(t *testing.T) {
 	}
 }
 
+// every probes fn each period for as long as the engine runs.
+func every(eng *des.Engine, period des.Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		eng.ScheduleIn(period, tick)
+	}
+	eng.ScheduleIn(period, tick)
+}
+
 // Lemma 1 (backlog form): with conformant (σ, ρ) input, the SRL backlog
 // never exceeds (1+λ)σ plus one packet.
 func TestSRLBacklogBoundLemma1(t *testing.T) {
@@ -195,7 +205,7 @@ func TestSRLBacklogBoundLemma1(t *testing.T) {
 	r := NewSRL(eng, sigma, rho, c, func(traffic.Packet) {})
 	src := traffic.NewGreedy(0, sigma, rho, 1000)
 	maxBacklog := 0.0
-	probe := des.NewTicker(eng, des.Millisecond, func() {
+	every(eng, des.Millisecond, func() {
 		if b := r.Backlog(); b > maxBacklog {
 			maxBacklog = b
 		}
@@ -204,7 +214,6 @@ func TestSRLBacklogBoundLemma1(t *testing.T) {
 	src.Start(eng, until, r.Enqueue)
 	r.StartCycle(0)
 	eng.RunUntil(until)
-	probe.Stop()
 	r.StopCycle()
 	bound := (1+r.Lambda())*sigma + 1000
 	if maxBacklog > bound {
@@ -298,7 +307,7 @@ func TestStaggerInterleavesWorkingPeriods(t *testing.T) {
 	// Probe: at any instant at most one regulator is on (homogeneous
 	// saturated case ⇒ perfect round-robin).
 	violations := 0
-	probe := des.NewTicker(eng, des.Microsecond*500, func() {
+	every(eng, des.Microsecond*500, func() {
 		on := 0
 		for _, r := range regs {
 			if r.On() {
@@ -310,7 +319,6 @@ func TestStaggerInterleavesWorkingPeriods(t *testing.T) {
 		}
 	})
 	eng.RunUntil(des.Seconds(2))
-	probe.Stop()
 	st.Stop()
 	if violations > 0 {
 		t.Fatalf("%d instants had >1 regulator on", violations)
@@ -327,7 +335,7 @@ func TestStaggerAlignedCollides(t *testing.T) {
 	st := NewStagger(regs...)
 	st.StartAligned()
 	sawCollision := false
-	probe := des.NewTicker(eng, des.Microsecond*500, func() {
+	every(eng, des.Microsecond*500, func() {
 		on := 0
 		for _, r := range regs {
 			if r.On() {
@@ -339,7 +347,6 @@ func TestStaggerAlignedCollides(t *testing.T) {
 		}
 	})
 	eng.RunUntil(des.Seconds(1))
-	probe.Stop()
 	st.Stop()
 	if !sawCollision {
 		t.Fatal("aligned start never collided — stagger ablation is vacuous")

@@ -1,7 +1,7 @@
 package scenario
 
 // The built-in registry: the paper's two experiment families as plain
-// entries, the production-scale partial-membership benchmark, and
+// entries (three panels each), the production-scale partial-membership benchmark, and
 // structural variations (heterogeneous uplinks, degenerate underlays,
 // stochastic workload) that probe how far the paper's conclusions carry.
 
@@ -16,7 +16,7 @@ var Fig6Combos = []Combo{
 }
 
 func init() {
-	Register(Scenario{
+	fig4 := Scenario{
 		Name: "paper-fig4",
 		Description: "Fig. 4(a): three audio flows through one regulated MUX, " +
 			"(σ,ρ) vs (σ,ρ,λ) over the load grid",
@@ -26,8 +26,8 @@ func init() {
 			{Scheme: "sigma-rho"},
 			{Scheme: "sigma-rho-lambda"},
 		},
-	})
-	Register(Scenario{
+	}
+	fig6 := Scenario{
 		Name: "paper-fig6",
 		Description: "Fig. 6(a): 665 hosts, three full-membership audio groups " +
 			"on the 19-router backbone, all six scheme/tree combinations",
@@ -35,7 +35,23 @@ func init() {
 		Mix:      "audio",
 		NumHosts: 665,
 		Combos:   Fig6Combos,
-	})
+	}
+	Register(fig4)
+	Register(fig6)
+	// Panels (b) and (c) of both figures are the (a) entries under the
+	// video and heterogeneous mixes — nothing else differs.
+	for _, panel := range []struct{ suffix, mix, flows string }{
+		{"b", "video", "three video"},
+		{"c", "hetero", "one video + two audio"},
+	} {
+		b4, b6 := fig4, fig6
+		b4.Name, b6.Name = fig4.Name+panel.suffix, fig6.Name+panel.suffix
+		b4.Mix, b6.Mix = panel.mix, panel.mix
+		b4.Description = "Fig. 4(" + panel.suffix + "): paper-fig4 with " + panel.flows + " flows"
+		b6.Description = "Fig. 6(" + panel.suffix + "): paper-fig6 with " + panel.flows + " groups"
+		Register(b4)
+		Register(b6)
+	}
 	Register(Scenario{
 		Name: "waxman-zipf-16",
 		Description: "the scale benchmark: 2000 hosts on a 64-router Waxman " +

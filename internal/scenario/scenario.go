@@ -44,9 +44,10 @@ type Combo struct {
 	// Scheme: "capacity-aware", "sigma-rho", "sigma-rho-lambda", or
 	// "adaptive".
 	Scheme string `json:"scheme"`
-	// Tree: "dsct" (default) or "nice" — the legacy name for the two
-	// paper tree families. Ignored for single-hop scenarios. Mutually
-	// exclusive with Strategy.
+	// Tree: "dsct" (default) or "nice" — the two paper tree families: the
+	// overlay strategy of that name under a regulated scheme, the
+	// location-aware or location-blind flat builder under capacity-aware.
+	// Ignored for single-hop scenarios. Mutually exclusive with Strategy.
 	Tree string `json:"tree,omitempty"`
 	// Strategy names an overlay strategy from the registry ("dsct",
 	// "nice", "spt", "greedy", ...), overriding both Tree and the
@@ -266,18 +267,6 @@ func (s Scenario) StrategyFor(c Combo) string {
 	}
 }
 
-// ParseTree resolves a combo's tree name.
-func ParseTree(name string) (core.TreeKind, error) {
-	switch name {
-	case "", "dsct":
-		return core.TreeDSCT, nil
-	case "nice":
-		return core.TreeNICE, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown tree %q", name)
-	}
-}
-
 // Validate checks the scenario compiles: names resolve, dimensions are
 // positive, the load grid is inside (0, 1), and single-hop scenarios use
 // regulated schemes.
@@ -304,8 +293,8 @@ func (s Scenario) Validate() error {
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		if _, err := ParseTree(c.Tree); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
+		if c.Tree != "" && c.Tree != "dsct" && c.Tree != "nice" {
+			return fmt.Errorf("scenario %s: unknown tree %q", s.Name, c.Tree)
 		}
 		if c.Strategy != "" {
 			if c.Tree != "" {
@@ -514,10 +503,6 @@ func (s Scenario) SessionConfig(combo Combo, load float64, seed uint64,
 	if err != nil {
 		return core.Config{}, err
 	}
-	tree, err := ParseTree(combo.Tree)
-	if err != nil {
-		return core.Config{}, err
-	}
 	gen, err := s.Topology.Generator()
 	if err != nil {
 		return core.Config{}, err
@@ -563,6 +548,13 @@ func (s Scenario) SessionConfig(combo Combo, load float64, seed uint64,
 	if err != nil {
 		return core.Config{}, err
 	}
+	// A capacity-aware combo's tree name picks its flat builder (dsct:
+	// location-aware, nice: location-blind); StrategyFor resolves it to ""
+	// because no registry strategy applies.
+	strategy := s.StrategyFor(combo)
+	if scheme == core.SchemeCapacityAware {
+		strategy = combo.Tree
+	}
 	window := s.WindowSec
 	if window == 0 && (s.Churn.Enabled() || len(faults) > 0) {
 		window = 1
@@ -572,8 +564,7 @@ func (s Scenario) SessionConfig(combo Combo, load float64, seed uint64,
 		Mix:            mix,
 		Load:           load,
 		Scheme:         scheme,
-		Tree:           tree,
-		Strategy:       s.StrategyFor(combo),
+		Strategy:       strategy,
 		Duration:       duration,
 		Seed:           seed,
 		TrafficSeed:    trafficSeed,

@@ -23,6 +23,24 @@ func TestRegistryHasPaperEntriesAndScale(t *testing.T) {
 	}
 }
 
+// Panels (b) and (c) of the paper's figures are the (a) entries under
+// another mix: clearing name, description and mix leaves identical specs.
+func TestPaperPanelsDifferOnlyInMix(t *testing.T) {
+	for _, base := range []string{"paper-fig4", "paper-fig6"} {
+		want := MustLookup(base)
+		for suffix, mix := range map[string]string{"b": "video", "c": "hetero"} {
+			got := MustLookup(base + suffix)
+			if got.Mix != mix {
+				t.Fatalf("%s%s: mix %q, want %q", base, suffix, got.Mix, mix)
+			}
+			got.Name, got.Description, got.Mix = want.Name, want.Description, want.Mix
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s%s differs from %s beyond the mix:\n  %+v\n  %+v", base, suffix, base, got, want)
+			}
+		}
+	}
+}
+
 func TestEveryRegisteredScenarioValidates(t *testing.T) {
 	for _, sc := range All() {
 		if err := sc.Validate(); err != nil {

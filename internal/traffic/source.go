@@ -45,23 +45,24 @@ func (c *CBR) Name() string { return fmt.Sprintf("cbr-%.0fbps", c.Rate) }
 // AvgRate implements Source.
 func (c *CBR) AvgRate() float64 { return c.Rate }
 
-// Start implements Source. The emission loop is a rearming ticker: one
-// pooled event per packet, no per-tick closure.
+// Start implements Source. The emission loop is a self-rescheduling tick:
+// emit first, re-arm after, one pooled event per packet.
 func (c *CBR) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	interval := des.Seconds(c.PacketSize / c.Rate)
 	if interval <= 0 {
 		interval = 1
 	}
-	var tk *des.Ticker
-	tk = eng.ScheduleEvery(c.Offset, interval, func() {
+	var tick func()
+	tick = func() {
 		now := eng.Now()
 		if now >= until {
-			tk.Stop()
 			return
 		}
 		emit(Packet{ID: c.nextID, Flow: c.Flow, Size: c.PacketSize, CreatedAt: now})
 		c.nextID++
-	})
+		eng.ScheduleIn(interval, tick)
+	}
+	eng.ScheduleIn(c.Offset, tick)
 }
 
 // Poisson emits fixed-size packets with exponentially distributed

@@ -11,11 +11,12 @@
 //   - Engines: RunSingleHop (Simulation I: one regulated general MUX) and
 //     Run (Simulation II: a multi-group EMcast network on the 19-router
 //     backbone), both deterministic given their seeds.
-//   - Experiments: drivers that regenerate every figure and table of the
-//     paper's evaluation (Fig4, Fig6, LayerSweep, Fig2Trace, RhoStarTable,
-//     ImprovementTable), and the declarative scenario layer (Scenarios,
-//     ScenarioSweep) that runs named setups far beyond the paper's —
-//     pluggable underlays, partial Zipf membership, heterogeneous uplinks.
+//   - Experiments: the declarative scenario layer (Scenarios,
+//     ScenarioSweep). Every figure and table of the paper's evaluation is
+//     a registered scenario — MustScenario("paper-fig4") … "paper-fig6c" —
+//     beside named setups far beyond the paper's: pluggable underlays,
+//     partial Zipf membership, heterogeneous uplinks. Overlay trees are
+//     picked by strategy name (Config.Strategy, Strategies).
 //
 // Quick start:
 //
@@ -41,8 +42,6 @@ import (
 type (
 	// Scheme selects the traffic-control scheme at every end host.
 	Scheme = core.Scheme
-	// TreeKind selects DSCT or NICE overlay construction.
-	TreeKind = core.TreeKind
 	// Workload selects extremal (worst-case-admissible) or VBR flows.
 	Workload = core.Workload
 	// Mix selects the paper's three traffic patterns.
@@ -59,14 +58,6 @@ type (
 	SingleHopResult = core.SingleHopResult
 	// Options tunes an experiment sweep.
 	Options = harness.Options
-	// Fig4Result is one Fig. 4 panel.
-	Fig4Result = harness.Fig4Result
-	// Fig6Result is one Fig. 6 panel.
-	Fig6Result = harness.Fig6Result
-	// LayerSweepResult is one of Tables I–III.
-	LayerSweepResult = harness.LayerSweepResult
-	// SchemeTree names one Fig. 6 scheme/tree combination.
-	SchemeTree = harness.SchemeTree
 	// GroupSpec is one group's explicit member set and source.
 	GroupSpec = core.GroupSpec
 	// SeedOpt is an optional seed whose zero value means "unset".
@@ -108,9 +99,6 @@ const (
 	SchemeSRL           = core.SchemeSRL
 	SchemeAdaptive      = core.SchemeAdaptive
 
-	TreeDSCT = core.TreeDSCT
-	TreeNICE = core.TreeNICE
-
 	WorkloadExtremal = core.WorkloadExtremal
 	WorkloadVBR      = core.WorkloadVBR
 
@@ -136,16 +124,7 @@ func RunSingleHop(cfg SingleHopConfig) SingleHopResult { return core.RunSingleHo
 // scenario specs, and wdcsim -strategy.
 func Strategies() []string { return overlay.StrategyNames() }
 
-// Experiment drivers.
-
-// Fig4 regenerates one panel of Fig. 4 (WDB of the two regulators vs load).
-func Fig4(mix Mix, opts Options) Fig4Result { return harness.Fig4(mix, opts) }
-
-// Fig6 regenerates one panel of Fig. 6 (six scheme/tree WDB curves).
-func Fig6(mix Mix, opts Options) Fig6Result { return harness.Fig6(mix, opts) }
-
-// LayerSweep regenerates one of Tables I–III (tree layer counts vs load).
-func LayerSweep(mix Mix, opts Options) LayerSweepResult { return harness.LayerSweep(mix, opts) }
+// Experiments.
 
 // QuickOptions returns reduced-scale sweep options that preserve curve
 // shapes (120 hosts, 5 loads, short runs).
@@ -163,7 +142,8 @@ func ScenarioSweep(sc Scenario, opts Options) (ScenarioResult, error) {
 }
 
 // Scenarios lists the registered scenarios in name order (the paper's
-// Fig. 4 and Fig. 6 are the entries "paper-fig4" and "paper-fig6").
+// Fig. 4(a–c) and Fig. 6(a–c) are the entries "paper-fig4", "paper-fig4b",
+// "paper-fig4c", "paper-fig6", "paper-fig6b", "paper-fig6c").
 func Scenarios() []Scenario { return scenario.All() }
 
 // LookupScenario resolves a registered scenario by name.

@@ -78,16 +78,23 @@ func TestFacadeOptionsHelpers(t *testing.T) {
 	}
 }
 
-func TestFacadeLayerSweep(t *testing.T) {
+// Table II through the facade: the video panel's layer counts at a 1 ms
+// horizon (they are fixed at build time).
+func TestFacadeLayerTable(t *testing.T) {
 	o := QuickOptions(1)
 	o.NumHosts = 150
 	o.Loads = []float64{0.4, 0.9}
-	r := LayerSweep(MixVideo, o)
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	o.Duration = des.Millisecond
+	r, err := ScenarioSweep(MustScenario("paper-fig6b"), o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Rows[1].CapacityAware <= r.Rows[0].CapacityAware {
-		t.Fatalf("layer growth missing: %+v", r.Rows)
+	ca := r.Curves[0]
+	if ca.Combo.String() != "capacity-aware dsct" || len(ca.Layers) != 2 {
+		t.Fatalf("first curve %v with %d rows", ca.Combo, len(ca.Layers))
+	}
+	if ca.Layers[1] <= ca.Layers[0] {
+		t.Fatalf("layer growth missing: %v", ca.Layers)
 	}
 }
 
