@@ -55,16 +55,20 @@ shards:
 # Coverage-guided fuzzing of the invariant-heavy corners: the timing
 # wheel's cursor-behind merge-insert, the cross-shard mailbox merge
 # against its (at, lamport, srcShard, seq) oracle, the overlay graft-point
-# selector, and the batch prune/repair path the fault plane drives. 30 s per
-# target — long enough to grow a corpus, short enough for a CI side job
+# selector, the batch prune/repair path the fault plane drives, and
+# core.Restore on bytes it did not write (no panic, bounded allocation).
+# 30 s per target — long enough to grow a corpus, short enough for a CI side job
 # (wired in as non-blocking; run longer locally when touching either
-# subsystem).
+# subsystem). FuzzRestore's inputs are ~32 KB blobs; left at its default the
+# engine spends the whole budget minimizing each interesting one, so that
+# target minimizes for a single execution.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWheelCursorBehind -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzMailboxDrain -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzGraftPoint -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay
+	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core
 
 # Checkpoint/restore differential: for two builtin workloads (static
 # scale benchmark, churn benchmark) at one shard and at four, run-to-end

@@ -321,15 +321,6 @@ func TestSessionLIFOvsFIFODiscipline(t *testing.T) {
 	}
 }
 
-func TestSessionQueuedTransitWorks(t *testing.T) {
-	cfg := smallSession(SchemeSRL, "dsct", 0.5)
-	cfg.Transit = 1 // netsim.QueuedTransit
-	res := Run(cfg)
-	if res.Delivered == 0 {
-		t.Fatal("queued transit delivered nothing")
-	}
-}
-
 func TestSessionVBRWorkload(t *testing.T) {
 	cfg := smallSession(SchemeSigmaRho, "dsct", 0.5)
 	cfg.Workload = WorkloadVBR

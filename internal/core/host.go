@@ -4,15 +4,61 @@ import (
 	"repro/internal/des"
 	"repro/internal/mux"
 	"repro/internal/regulator"
+	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
 func secs(s float64) des.Duration { return des.Seconds(s) }
 
+// component is the one shape of thing checkpointing knows how to carry:
+// the per-connection MUX and the two regulators all satisfy it. Snapshot
+// and Restore cover the mutable words (flows bounds every restored
+// packet's Flow); SetSnapArg hands the component the registry slot its
+// pending events carry as their arg; Rearm re-schedules the component's own
+// stored callback for one serialized event under its original stamps, and
+// reports false for a kind the component does not own.
+type component interface {
+	SetSnapArg(arg uint32)
+	Snapshot(w *snap.Writer)
+	Restore(r *snap.Reader, flows int)
+	Rearm(kind uint16, at, prio des.Time) bool
+}
+
+// family selects one kind of component. What a family's sub-index means
+// differs: a MUX serves a child connection, a regulator a group. The zero
+// value is no family, so a table row that names none needs no marker.
+type family uint8
+
+const (
+	famNone family = iota
+	famMux         // sub = child host id
+	famSR          // sub = group
+	famSRL         // sub = group
+	numFamilies
+)
+
 // compIdent names a registered component: the host that owns it and the
 // child connection (MUX) or group (regulator) it serves.
 type compIdent struct{ host, sub int32 }
+
+// registry is one family's components on one engine, in creation order. A
+// component's slot is the arg its pending events carry. Append-only — a
+// component detached mid-run keeps its slot, because an event already in
+// the queue may still name it. Generic so that a slot stays a typed
+// pointer plus an ident, 16 bytes, at a few components per host.
+type registry[C component] struct {
+	comps []C
+	ids   []compIdent
+}
+
+// add registers c as host's component for sub and returns it.
+func (rg *registry[C]) add(c C, host, sub int) C {
+	c.SetSnapArg(uint32(len(rg.comps)))
+	rg.comps = append(rg.comps, c)
+	rg.ids = append(rg.ids, compIdent{int32(host), int32(sub)})
+	return c
+}
 
 // hostEnv is what a regulated host needs from its surrounding session.
 type hostEnv struct {
@@ -33,34 +79,10 @@ type hostEnv struct {
 	capFactor float64
 
 	// Component registries for checkpointing (snapshot.go): every MUX and
-	// regulator created on this engine registers here in creation order,
-	// and its registry slot becomes the snapArg its pending events carry.
-	// Append-only — a component detached mid-run keeps its slot, because
-	// an event already in the queue may still name it.
-	muxReg   []*mux.Mux
-	muxIdent []compIdent // sub = child connection
-	srReg    []*regulator.SigmaRho
-	srIdent  []compIdent // sub = group
-	srlReg   []*regulator.SRL
-	srlIdent []compIdent // sub = group
-}
-
-func (e *hostEnv) registerMux(m *mux.Mux, host, child int) {
-	m.SetSnapArg(uint32(len(e.muxReg)))
-	e.muxReg = append(e.muxReg, m)
-	e.muxIdent = append(e.muxIdent, compIdent{int32(host), int32(child)})
-}
-
-func (e *hostEnv) registerSR(s *regulator.SigmaRho, host, group int) {
-	s.SetSnapArg(uint32(len(e.srReg)))
-	e.srReg = append(e.srReg, s)
-	e.srIdent = append(e.srIdent, compIdent{int32(host), int32(group)})
-}
-
-func (e *hostEnv) registerSRL(r *regulator.SRL, host, group int) {
-	r.SetSnapArg(uint32(len(e.srlReg)))
-	e.srlReg = append(e.srlReg, r)
-	e.srlIdent = append(e.srlIdent, compIdent{int32(host), int32(group)})
+	// regulator created on this engine registers in its family's.
+	mux registry[*mux.Mux]
+	sr  registry[*regulator.SigmaRho]
+	srl registry[*regulator.SRL]
 }
 
 // hostConn returns host id's per-connection capacity: the base C scaled
@@ -166,12 +188,8 @@ func newHostWired(id int, env *hostEnv, children groupChildren, conns []int, ini
 	h.muxChild = make([]int32, 0, len(conns))
 	h.muxes = make([]*mux.Mux, 0, len(conns))
 	for _, c := range conns {
-		child := c
-		m := mux.New(env.eng, len(env.specs), connCap, env.discipline,
-			func(p traffic.Packet) { env.send(h.id, child, p) })
-		env.registerMux(m, h.id, c)
 		h.muxChild = append(h.muxChild, int32(c))
-		h.muxes = append(h.muxes, m)
+		h.muxes = append(h.muxes, h.makeMux(c, connCap))
 	}
 	if forwards {
 		h.setMode(initialMode(initial))
@@ -342,10 +360,7 @@ func (h *host) ensureSRBank() {
 		if len(kids) == 0 || h.srBank[g] != nil {
 			return
 		}
-		s := regulator.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho,
-			func(p traffic.Packet) { h.replicate(g, p) })
-		env.registerSR(s, h.id, g)
-		h.srBank[g] = s
+		h.srBank[g] = h.makeSR(g)
 	})
 }
 
@@ -361,75 +376,87 @@ func (h *host) ensureSRLBank() (fresh bool) {
 		if len(kids) == 0 || h.srlBank[g] != nil {
 			return
 		}
-		r := regulator.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn,
-			func(p traffic.Packet) { h.replicate(g, p) })
-		env.registerSRL(r, h.id, g)
-		h.srlBank[g] = r
+		h.srlBank[g] = h.makeSRL(g)
 	})
 	return fresh
 }
 
-// --- Checkpoint restore factories (snapshot.go) ---
+// --- Component creation and the checkpoint's view of it (snapshot.go) ---
 //
-// A restored session builds hosts bare (newHostBare) and re-creates each
-// serialized component through these helpers, which bind output closures
-// identical to the live creation sites above and register the component
-// so its replayed events resolve.
+// The three make functions are the only constructors of components: the
+// live creation sites above and the checkpoint restore both go through
+// them, so a restored component binds an output closure identical to the
+// original's and registers (under a fresh slot) so its replayed events
+// resolve.
 
-// newHostBare is the resume-mode newHost: no children, no MUXes, no mode —
-// all of that state comes from the snapshot.
-func newHostBare(id int, env *hostEnv, initial Scheme) *host {
-	return &host{id: id, env: env, conn: env.hostConn(id), scheme: initial}
+// makeMux creates and registers the connection MUX for child c, without
+// wiring it into h.muxes.
+func (h *host) makeMux(c int, capacity float64) *mux.Mux {
+	env := h.env
+	return env.mux.add(mux.New(env.eng, len(env.specs), capacity, env.discipline,
+		func(p traffic.Packet) { h.env.send(h.id, c, p) }), h.id, c)
 }
 
-// restoreMux re-creates (and registers) the connection MUX for child c at
-// its serialized capacity, without installing it into h.muxes — a MUX that
-// was already torn down but still referenced by a pending event stays
-// uninstalled.
-func (h *host) restoreMux(c int, capacity float64) *mux.Mux {
-	child := c
-	m := mux.New(h.env.eng, len(h.env.specs), capacity, h.env.discipline,
-		func(p traffic.Packet) { h.env.send(h.id, child, p) })
-	h.env.registerMux(m, h.id, c)
-	return m
+// makeSR creates and registers group g's (σ, ρ) regulator.
+func (h *host) makeSR(g int) *regulator.SigmaRho {
+	env := h.env
+	return env.sr.add(regulator.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho,
+		func(p traffic.Packet) { h.replicate(g, p) }), h.id, g)
 }
 
-// installMux puts a restored live MUX back into service.
-func (h *host) installMux(c int, m *mux.Mux) { h.putMux(c, m) }
-
-// restoreSR re-creates (and registers) group g's (σ, ρ) regulator.
-func (h *host) restoreSR(g int) *regulator.SigmaRho {
-	s := regulator.NewSigmaRho(h.env.eng, h.env.bursts[g], h.env.specs[g].Rho,
-		func(p traffic.Packet) { h.replicate(g, p) })
-	h.env.registerSR(s, h.id, g)
-	return s
+// makeSRL creates and registers group g's (σ, ρ, λ) regulator.
+func (h *host) makeSRL(g int) *regulator.SRL {
+	env := h.env
+	return env.srl.add(regulator.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn,
+		func(p traffic.Packet) { h.replicate(g, p) }), h.id, g)
 }
 
-// installSR puts a restored live (σ, ρ) regulator back into its bank slot.
-func (h *host) installSR(g int, s *regulator.SigmaRho) {
-	if h.srBank == nil {
-		h.srBank = make([]*regulator.SigmaRho, len(h.env.specs))
+// makeComp re-creates family f's component for sub at a checkpoint restore
+// without putting it into service — one that was already torn down but is
+// still named by a pending event stays uninstalled. capacity is the MUX's
+// serialized capacity and unused by the regulators.
+func (h *host) makeComp(f family, sub int, capacity float64) component {
+	switch f {
+	case famMux:
+		return h.makeMux(sub, capacity)
+	case famSR:
+		return h.makeSR(sub)
+	default:
+		return h.makeSRL(sub)
 	}
-	h.srBank[g] = s
 }
 
-// restoreSRL re-creates (and registers) group g's (σ, ρ, λ) regulator.
-func (h *host) restoreSRL(g int) *regulator.SRL {
-	r := regulator.NewSRL(h.env.eng, h.env.bursts[g], h.env.specs[g].Rho, h.conn,
-		func(p traffic.Packet) { h.replicate(g, p) })
-	h.env.registerSRL(r, h.id, g)
-	return r
-}
-
-// installSRL puts a restored live (σ, ρ, λ) regulator back into its bank
-// slot. Duty-cycle state (on/off, cycling, pending phase events) comes from
-// the regulator's own restored words and the event replay — nothing here
-// starts a cycle.
-func (h *host) installSRL(g int, r *regulator.SRL) {
-	if h.srlBank == nil {
-		h.srlBank = make([]*regulator.SRL, len(h.env.specs))
+// isLive reports whether c is the component this host currently has in
+// service for (f, sub), as opposed to a detached one draining its events.
+func (h *host) isLive(f family, sub int, c component) bool {
+	switch f {
+	case famMux:
+		return h.muxAt(sub) == c
+	case famSR:
+		return h.srBank != nil && h.srBank[sub] == c
+	default:
+		return h.srlBank != nil && h.srlBank[sub] == c
 	}
-	h.srlBank[g] = r
+}
+
+// install puts a restored live component back into service. Duty-cycle
+// state (on/off, cycling, pending phase events) comes from a regulator's
+// own restored words and the event replay — nothing here starts a cycle.
+func (h *host) install(f family, sub int, c component) {
+	switch f {
+	case famMux:
+		h.putMux(sub, c.(*mux.Mux))
+	case famSR:
+		if h.srBank == nil {
+			h.srBank = make([]*regulator.SigmaRho, len(h.env.specs))
+		}
+		h.srBank[sub] = c.(*regulator.SigmaRho)
+	default:
+		if h.srlBank == nil {
+			h.srlBank = make([]*regulator.SRL, len(h.env.specs))
+		}
+		h.srlBank[sub] = c.(*regulator.SRL)
+	}
 }
 
 // setMode activates the regulator bank for the given scheme, building
@@ -490,11 +517,7 @@ func (h *host) childInAnyGroup(c int) bool {
 func (h *host) attachChild(g, c int) {
 	h.children.add(g, c)
 	if h.findMux(c) < 0 {
-		child := c
-		m := mux.New(h.env.eng, len(h.env.specs), h.env.connectionCapacity(h.id, len(h.muxes)+1),
-			h.env.discipline, func(p traffic.Packet) { h.env.send(h.id, child, p) })
-		h.env.registerMux(m, h.id, c)
-		h.putMux(c, m)
+		h.putMux(c, h.makeMux(c, h.env.connectionCapacity(h.id, len(h.muxes)+1)))
 	}
 	if !h.modeSet {
 		// First forwarding duty of this host's lifetime: bring up the
@@ -620,7 +643,13 @@ func (h *host) prepareController(window, interval des.Duration, thresholdUtil fl
 	}
 }
 
-// restoreCtlTick re-schedules a serialized controller sampling tick.
-func (h *host) restoreCtlTick(at, prio des.Time) {
-	h.env.eng.SchedulePrioKind(at, prio, des.KindCtlTick, uint32(h.id), h.ctlFn)
+// Rearm re-schedules a serialized controller sampling tick under its
+// original stamps; false when the kind is not the controller's or the
+// restore built this host no controller.
+func (h *host) Rearm(kind uint16, at, prio des.Time) bool {
+	if kind != des.KindCtlTick || h.ctlFn == nil {
+		return false
+	}
+	h.env.eng.SchedulePrioKind(at, prio, kind, uint32(h.id), h.ctlFn)
+	return true
 }

@@ -1,0 +1,213 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/snap"
+)
+
+// corruptFixture is the small session whose snapshot the hostile-bytes
+// tests corrupt: shardBaseConfig cut to 60 hosts in 3 full groups, 1 s,
+// checkpointed at 0.5 s with packets queued, in flight and (at 4 shards)
+// parked in the coordinator's pending buffers.
+func corruptFixture(t testing.TB, shards int) (Config, []byte) {
+	t.Helper()
+	cfg := shardBaseConfig(5)
+	cfg.NumHosts, cfg.NumGroups, cfg.Duration, cfg.Shards = 60, 3, des.Second, shards
+	cfg.Groups = cfg.Groups[:3]
+	cfg.Groups[2].Members = nil
+	s := NewSession(cfg)
+	s.Start()
+	s.RunTo(des.Second / 2)
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, blob
+}
+
+// restoreNoPanic runs Restore and turns a panic on the calling goroutine
+// into a test failure naming the corruption. (A panic on any other
+// goroutine kills the test binary, which is a failure too.)
+func restoreNoPanic(t testing.TB, cfg Config, blob []byte, what string) (s *Session, err error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s: Restore panicked: %v", what, p)
+		}
+	}()
+	return Restore(cfg, blob)
+}
+
+// TestRestoreCorruptedNeverPanics flips bit 6 of every byte past the
+// header, one at a time, and requires Restore to return — an error or a
+// session — every time. At the parent of the commit that added it, 1,432
+// of these 28k blobs panicked inside Restore and one crashed the process
+// from a compileChildren worker.
+func TestRestoreCorruptedNeverPanics(t *testing.T) {
+	cfg, blob := corruptFixture(t, 1)
+	stride := 1
+	if testing.Short() {
+		stride = 7 // -race: every seventh byte still lands in every record
+	}
+	rejected := 0
+	for off := len(snap.Magic) + 4; off < len(blob); off += stride {
+		bad := append([]byte(nil), blob...)
+		bad[off] ^= 1 << 6
+		if _, err := restoreNoPanic(t, cfg, bad, fmt.Sprintf("bit 6 of byte %d", off)); err != nil {
+			rejected++
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no corrupted blob was rejected — the fixture is not reaching the decoder")
+	}
+}
+
+// snapRecords indexes a blob's records: type tag and payload offset, in
+// stream order.
+type snapRecord struct {
+	tag uint16
+	off int // of the payload
+}
+
+func snapRecords(t testing.TB, blob []byte) []snapRecord {
+	t.Helper()
+	var recs []snapRecord
+	for pos := len(snap.Magic) + 4; pos < len(blob); {
+		tag := binary.LittleEndian.Uint16(blob[pos:])
+		n := int(binary.LittleEndian.Uint32(blob[pos+2:]))
+		recs = append(recs, snapRecord{tag, pos + 6})
+		pos += 6 + n
+	}
+	return recs
+}
+
+func firstRecord(t testing.TB, blob []byte, tag uint16) int {
+	t.Helper()
+	for _, rec := range snapRecords(t, blob) {
+		if rec.tag == tag {
+			return rec.off
+		}
+	}
+	t.Fatalf("blob has no record %d", tag)
+	return 0
+}
+
+// Bytes of one serialized packet and of one event header (at, prio, kind,
+// arg) — the layouts of traffic.Packet.Snapshot and codec.writeEvents.
+const (
+	packetBytes   = 8 + 8 + 8 + 8
+	eventHdrBytes = 8 + 8 + 2 + 4
+)
+
+// firstFlight returns the offset of the first KindFlight event header in
+// the blob's first events record.
+func firstFlight(t testing.TB, blob []byte) int {
+	t.Helper()
+	off := firstRecord(t, blob, recEngine)
+	n := int(binary.LittleEndian.Uint32(blob[off:]))
+	off += 4
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint16(blob[off+16:]) == des.KindFlight {
+			return off
+		}
+		off += eventHdrBytes
+	}
+	t.Fatal("fixture has no in-flight delivery before the first other event ends the walk")
+	return 0
+}
+
+// TestRestoreRejectsOutOfRange: each id or value the decoder used to trust
+// is an error when out of range, not a panic and not an accepted session.
+func TestRestoreRejectsOutOfRange(t *testing.T) {
+	cfg1, blob1 := corruptFixture(t, 1)
+	cfg4, blob4 := corruptFixture(t, 4)
+	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
+	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		blob    []byte
+		corrupt func(t *testing.T, b []byte)
+		want    string
+	}{
+		{"tree parent", cfg1, blob1, func(t *testing.T, b []byte) {
+			// source, member count, members, parent count, first parent.
+			off := firstRecord(t, b, recGroup)
+			members := int(binary.LittleEndian.Uint32(b[off+8:]))
+			put64(b, off+8+4+8*members+4, 64)
+		}, "tree parent 64"},
+		{"mux capacity", cfg1, blob1, func(t *testing.T, b []byte) {
+			// mux count, then the first stanza: slot, host, sub, live, capacity.
+			put64(b, firstRecord(t, b, recComponents)+4+4+4+4+1, math.Float64bits(0))
+		}, "capacity"},
+		{"event before the checkpoint", cfg1, blob1, func(t *testing.T, b []byte) {
+			put64(b, firstRecord(t, b, recEngine)+4, uint64(des.Second/4))
+		}, "precedes the checkpoint"},
+		{"flight dst", cfg1, blob1, func(t *testing.T, b []byte) {
+			put32(b, firstFlight(t, b)+eventHdrBytes, 60)
+		}, "flight destination 60"},
+		{"packet flow", cfg1, blob1, func(t *testing.T, b []byte) {
+			put64(b, firstFlight(t, b)+eventHdrBytes+4+8, 3)
+		}, "packet flow 3"},
+		{"record host", cfg4, blob4, func(t *testing.T, b []byte) {
+			// per-source seqs, four diagnostics, then per destination shard a
+			// count and its records: at, lamport, seq, src, host, packet.
+			off := firstRecord(t, b, recCoord)
+			shards := int(binary.LittleEndian.Uint32(b[off:]))
+			off += 4 + 8*shards + 4*8
+			for dst := 0; dst < shards; dst++ {
+				if n := binary.LittleEndian.Uint32(b[off:]); n > 0 {
+					put32(b, off+4+8+8+8+4, 1<<20)
+					return
+				}
+				off += 4
+			}
+			t.Fatal("fixture has no pending cross-shard record")
+		}, "cross-shard record host"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), tc.blob...)
+			tc.corrupt(t, bad)
+			_, err := restoreNoPanic(t, tc.cfg, bad, tc.name)
+			if err == nil || !strings.Contains(err.Error(), "snapshot") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a snapshot error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzRestore: Restore on arbitrary bytes returns without panicking and
+// without allocating more than a constant factor of what restoring the
+// pristine blob allocates plus the input's size — a corrupt length prefix
+// must not drive allocation. The seeds (the fixture blob and three of its
+// corruptions) run in the ordinary `go test`.
+func FuzzRestore(f *testing.F) {
+	cfg, blob := corruptFixture(f, 1)
+	f.Add(blob)
+	for _, off := range []int{len(blob) / 4, len(blob) / 2, len(blob) - 40} {
+		bad := append([]byte(nil), blob...)
+		bad[off] ^= 1 << 6
+		f.Add(bad)
+	}
+	allocated := func(tb testing.TB, data []byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		restoreNoPanic(tb, cfg, data, "fuzz input")
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(f, blob) // warm the blueprint cache: the baseline is a warm restore
+	baseline := allocated(f, blob)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, limit := allocated(t, data), 4*baseline+256*uint64(len(data)); got > limit {
+			t.Fatalf("Restore of %d bytes allocated %d bytes, limit %d (pristine restore: %d)", len(data), got, limit, baseline)
+		}
+	})
+}

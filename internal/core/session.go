@@ -80,8 +80,6 @@ type Config struct {
 	ClusterK int
 	// Discipline selects the general MUX service order. Default LIFO.
 	Discipline mux.Discipline
-	// Transit selects the underlay model. Default PipeTransit.
-	Transit netsim.TransitMode
 	// StaggerAligned disables the round-robin phase offsets (ablation).
 	StaggerAligned bool
 	// Workload selects extremal (default) or VBR group flows.
@@ -133,8 +131,7 @@ type Config struct {
 	// parallel simulation: hosts partition into router-granular shards,
 	// each with a private engine, advanced in lock-step epochs by a
 	// des.Coordinator (see Session). 0 or 1 runs one shard, which is the
-	// bit-identity baseline. More than one shard requires PipeTransit; a
-	// QueuedTransit session runs on one whatever Shards says.
+	// bit-identity baseline.
 	Shards int
 }
 
@@ -424,8 +421,7 @@ type resumeState struct {
 
 // NewSession builds the network, trees, and host machinery for cfg, on
 // cfg.Shards shards (fewer when the underlay has fewer populated router
-// domains; one under QueuedTransit, whose router links are state shared
-// across shards).
+// domains).
 func NewSession(cfg Config) *Session {
 	return newSessionFrom(compileSubstrate(cfg), nil)
 }
@@ -439,11 +435,7 @@ func NewSession(cfg Config) *Session {
 func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	cfg := sub.cfg
 	s := &Session{sub: sub}
-	shards := cfg.Shards
-	if cfg.Transit != netsim.PipeTransit {
-		shards = 1
-	}
-	owner := netsim.PartitionHosts(sub.net, shards)
+	owner := netsim.PartitionHosts(sub.net, cfg.Shards)
 	nsh := netsim.NumShards(owner)
 	s.owner = owner
 
@@ -477,7 +469,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		if cfg.WindowSec > 0 {
 			sh.windows = stats.NewWindowMax(cfg.WindowSec)
 		}
-		fc := netsim.FabricConfig{Mode: cfg.Transit}
+		var fc netsim.FabricConfig
 		if len(faults) > 0 {
 			// The Drop hook reads the fault plane through s at send time (the
 			// plane is built after the hosts); cut drops tally shard-locally
@@ -516,7 +508,8 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	for id := 0; id < cfg.NumHosts; id++ {
 		sh := s.sh[owner[id]]
 		if rs != nil {
-			s.hosts[id] = newHostBare(id, sh.env, cfg.Scheme)
+			// No children, no MUXes, no mode: all of that comes from the snapshot.
+			s.hosts[id] = newHostWired(id, sh.env, groupChildren{}, nil, cfg.Scheme)
 		} else {
 			s.hosts[id] = newHostWired(id, sh.env, chl[id], conns[id], cfg.Scheme)
 			if cfg.Scheme == SchemeAdaptive && len(s.hosts[id].muxes) > 0 {

@@ -214,37 +214,25 @@ func TestShardedDeterministicRepeatedRuns(t *testing.T) {
 	}
 }
 
-// TestShardedDegeneratesToOneShard pins the paths that run on one shard
-// whatever Config.Shards asks: Shards<=1 and QueuedTransit (whose router
-// links are state shared across shards). Each reports one shard, no
-// lookahead and no coordinator diagnostics, and matches the plain run.
+// TestShardedDegeneratesToOneShard pins the one-shard case: Shards<=1
+// reports one shard, no lookahead and no coordinator diagnostics, and
+// matches the plain run.
 func TestShardedDegeneratesToOneShard(t *testing.T) {
-	base := Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.6, Scheme: SchemeSRL,
+	cfg := Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.6, Scheme: SchemeSRL,
 		Duration: des.Second, Seed: 3}
-	queued := base
-	queued.Transit = netsim.QueuedTransit
-	for name, tc := range map[string]struct {
-		cfg    Config
-		shards int
-	}{
-		"shards=1": {base, 1},
-		"queued":   {queued, 4},
-	} {
-		want := Run(tc.cfg)
-		cfg := tc.cfg
-		cfg.Shards = tc.shards
-		s := NewSession(cfg)
-		if s.Shards() != 1 {
-			t.Fatalf("%s: runs on %d shards", name, s.Shards())
-		}
-		if s.Lookahead() != 0 {
-			t.Fatalf("%s: one shard reports lookahead %v", name, s.Lookahead())
-		}
-		got := s.Run()
-		assertOneShardDiagnostics(t, got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: run diverged from Shards=0: %+v vs %+v", name, got, want)
-		}
+	want := Run(cfg)
+	cfg.Shards = 1
+	s := NewSession(cfg)
+	if s.Shards() != 1 {
+		t.Fatalf("runs on %d shards", s.Shards())
+	}
+	if s.Lookahead() != 0 {
+		t.Fatalf("one shard reports lookahead %v", s.Lookahead())
+	}
+	got := s.Run()
+	assertOneShardDiagnostics(t, got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run diverged from Shards=0: %+v vs %+v", got, want)
 	}
 }
 

@@ -19,27 +19,32 @@ package core
 //     pending event is strictly after T, every engine is parked at exactly
 //     T, and all mailboxes are drained into sorted pending buffers by
 //     CheckpointDrain.
-//   - Kind registry: every engine event carries a des.Kind* tag plus a
-//     component-slot argument, so closures rehydrate by re-binding the
-//     component's stored callback. Control-plane, fault, and reopt actions
-//     are never engine events: they are coordinator barriers, which the
-//     restore re-registers from the Config, filtered to instants after T.
+//   - Kind registry: every engine event carries a des.Kind* tag plus an
+//     argument naming its owner (a component's registry slot, a group, a
+//     host), so closures rehydrate by asking the owner to Rearm its stored
+//     callback. Control-plane, fault, and reopt actions are never engine
+//     events: they are coordinator barriers, which the restore re-registers
+//     from the Config, filtered to instants after T.
 //   - Replay order: serialized events replay through SchedulePrioKind in
 //     original sequence order with their original (at, prio) stamps. Fresh
 //     ascending sequence numbers preserve every relative (at, prio, seq)
 //     comparison, so the restored firing order is the original's.
 //
-// Every supported configuration snapshots: the adaptive controller ticks,
-// the VBR audio/video sources, and the QueuedTransit router links all
-// carry kind tags and rehydrate. The des engine's KindNone check backstops
-// anything new that forgets to tag.
+// The stream's layout is the records table, which Snapshot and Restore both
+// walk; every MUX and regulator is a component (host.go) with one stanza
+// layout; every pending event replays through one Rearm call routed by
+// rearmRoutes. Restore reads bytes it may not have written: every id is
+// range-checked before it indexes anything, and a failure is an error,
+// never a panic. The des engine's KindNone check backstops any new event
+// that forgets to tag itself.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/mux"
-	"repro/internal/netsim"
 	"repro/internal/overlay"
 	"repro/internal/regulator"
 	"repro/internal/snap"
@@ -48,19 +53,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-//
-// v2: type-tagged source records (extremal/audio/video), per-host
-// controller window state, and a fabric record for QueuedTransit link
-// queues.
-//
-// v3: one layout at every shard count — per shard components, [fabric],
-// events, stats (with the shard's churn-drop counters), then the
-// coordinator record; no build-plane events in the engine record.
-//
-// v4: the meta record carries the substrate's structural fingerprint
-// (blueprintKey) plus the MUX discipline and transit mode, so a blob is
-// refused under a different strategy, topology, member set or discipline.
-const SnapshotVersion = 4
+const SnapshotVersion = 5
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -76,17 +69,8 @@ const (
 	recStats
 	recCoord
 	recEnd
-	// recFabric (QueuedTransit link queues) rides between a shard's
-	// recComponents and recEngine in the stream; it took the next free
-	// number when added.
-	recFabric
-)
-
-// Source type tags inside recSources. Append-only, same rule as records.
-const (
-	srcExtremal uint8 = iota + 1
-	srcAudio
-	srcVideo
+	// Type 13 is retired: the link queues of the hop-by-hop underlay.
+	_
 )
 
 // Checkpointer names the session for callers that step it to quiesce
@@ -96,886 +80,91 @@ type Checkpointer = *Session
 // NewCheckpointer is NewSession under the name those callers use.
 func NewCheckpointer(cfg Config) Checkpointer { return NewSession(cfg) }
 
-// snapMeta is the decoded recMeta sanity block: enough of the
-// configuration to reject a snapshot restored under the wrong Config, plus
-// the checkpoint instant.
-type snapMeta struct {
-	at          des.Time
-	duration    des.Duration
-	seed        uint64
-	trafficSeed uint64
-	shards      int
-	numHosts    int
-	numGroups   int
-	scheme      Scheme
-	workload    Workload
-	load        float64
-	discipline  mux.Discipline
-	transit     netsim.TransitMode
-	structure   [32]byte // the substrate's blueprintKey
+// --- The record table ---
+
+// scope says how many times a record appears in one snapshot.
+type scope uint8
+
+const (
+	once     scope = iota
+	perGroup       // one per group, ascending
+	// perShard records appear once per shard, and a run of consecutive
+	// perShard rows interleaves: all of them for shard 0, then for shard 1.
+	perShard
+)
+
+// record is one row of the stream layout: the record's type tag, how often
+// it appears, whether this session has it at all, and its two codecs. A
+// codec reports failure through the writer's or reader's Fail.
+type record struct {
+	tag     uint16
+	scope   scope
+	present func(s *Session) bool // nil: always
+	write   func(c *codec, w *snap.Writer, i int)
+	read    func(c *codec, r *snap.Reader, i int)
 }
 
-func writeMeta(w *snap.Writer, sub *substrate, at des.Time, shards, numHosts int) {
-	cfg := sub.cfg
-	w.Begin(recMeta)
-	w.I64(int64(at))
-	w.I64(int64(cfg.Duration))
-	w.U64(cfg.Seed)
-	w.U64(cfg.TrafficSeed.Or(cfg.Seed))
-	w.U32(uint32(shards))
-	w.U32(uint32(numHosts))
-	w.U32(uint32(sub.numGroups()))
-	w.U8(uint8(cfg.Scheme))
-	w.U8(uint8(cfg.Workload))
-	w.F64(cfg.Load)
-	w.U8(uint8(cfg.Discipline))
-	w.U8(uint8(cfg.Transit))
-	w.Bytes(sub.key[:])
-	w.End()
+// records is the order and presence rule of every record, stated once.
+// Session.Snapshot and Restore both iterate it (codec.walk), so the writer
+// and the reader cannot disagree about the layout; DESIGN.md §11.2 is this
+// table in prose.
+var records = []record{
+	{recMeta, once, nil, (*codec).writeMeta, (*codec).readMeta},
+	{recGroup, perGroup, nil, (*codec).writeGroup, (*codec).readGroup},
+	{recHosts, once, nil, (*codec).writeHosts, (*codec).readHosts},
+	{recSources, once, nil, (*codec).writeSources, (*codec).readSources},
+	{recControl, once, func(s *Session) bool { return s.ctl != nil }, (*codec).writeControl, (*codec).readControl},
+	{recFaults, once, func(s *Session) bool { return s.fp != nil }, (*codec).writeFaults, (*codec).readFaults},
+	{recReopt, once, func(s *Session) bool { return s.ro != nil }, (*codec).writeReopt, (*codec).readReopt},
+	{recComponents, perShard, nil, (*codec).writeComponents, (*codec).readComponents},
+	{recEngine, perShard, nil, (*codec).writeEvents, (*codec).readEvents},
+	{recStats, perShard, nil, (*codec).writeStats, (*codec).readStats},
+	{recCoord, once, nil, (*codec).writeCoord, (*codec).readCoord},
+	{recEnd, once, nil, func(*codec, *snap.Writer, int) {}, func(*codec, *snap.Reader, int) {}},
 }
 
-func readMeta(r *snap.Reader) snapMeta {
-	m := snapMeta{
-		at:          des.Time(r.I64()),
-		duration:    des.Duration(r.I64()),
-		seed:        r.U64(),
-		trafficSeed: r.U64(),
-		shards:      int(r.U32()),
-		numHosts:    int(r.U32()),
-		numGroups:   int(r.U32()),
-		scheme:      Scheme(r.U8()),
-		workload:    Workload(r.U8()),
-		load:        r.F64(),
-		discipline:  mux.Discipline(r.U8()),
-		transit:     netsim.TransitMode(r.U8()),
-	}
-	copy(m.structure[:], r.Bytes())
-	return m
+// codec is what one Snapshot or one Restore threads through the table.
+type codec struct {
+	s   *Session // Restore: nil until the meta record has been read
+	cfg *Config  // Restore: the configuration to rebuild under
+	at  des.Time // the checkpoint instant
+	// One shard's state between its components record and its events
+	// record. Snapshot: the shard's pending events (the first needs the
+	// slots they name, the second writes them). Restore: per family, the
+	// serialized slots (ascending, as written) and the component restored
+	// from each.
+	evs   []des.PendingEvent
+	slots [numFamilies][]uint32
+	comps [numFamilies][]component
 }
 
-// checkMeta validates a decoded meta block against the compiled substrate.
-func checkMeta(m snapMeta, sub *substrate) error {
-	cfg := sub.cfg
-	switch {
-	case m.numHosts != cfg.NumHosts,
-		m.numGroups != sub.numGroups(),
-		m.duration != cfg.Duration,
-		m.seed != cfg.Seed,
-		m.trafficSeed != cfg.TrafficSeed.Or(cfg.Seed),
-		m.scheme != cfg.Scheme,
-		m.workload != cfg.Workload,
-		m.load != cfg.Load,
-		m.discipline != cfg.Discipline,
-		m.transit != cfg.Transit,
-		m.structure != sub.key:
-		return fmt.Errorf("core: snapshot was taken from a different configuration")
-	}
-	return nil
-}
-
-// expect consumes the next record header and checks its type.
-func expect(r *snap.Reader, want uint16) error {
-	typ, ok := r.Next()
-	if !ok {
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("core: snapshot truncated before record %d", want)
-	}
-	if typ != want {
-		return fmt.Errorf("core: snapshot record %d where %d expected", typ, want)
-	}
-	return nil
-}
-
-// --- Session-wide mutable state ---
-
-func writeGroup(w *snap.Writer, st *groupState) {
-	w.Begin(recGroup)
-	st.tree.Snapshot(w)
-	w.U64(st.lost)
-	w.Len(len(st.detached))
-	for _, d := range st.detached {
-		w.I64(int64(d))
-	}
-	w.End()
-}
-
-func readGroup(r *snap.Reader, st *groupState) error {
-	st.tree = overlay.RestoreTree(r)
-	for i := range st.member {
-		st.member[i] = false
-	}
-	for _, m := range st.tree.Members {
-		if m < 0 || m >= len(st.member) {
-			return fmt.Errorf("core: snapshot tree member %d out of range", m)
-		}
-		st.member[m] = true
-	}
-	st.lost = r.U64()
-	n := r.Len()
-	st.detached = nil
-	for i := 0; i < n; i++ {
-		st.detached = append(st.detached, int(r.I64()))
-	}
-	return nil
-}
-
-func writeHosts(w *snap.Writer, hosts []*host) {
-	w.Begin(recHosts)
-	w.Len(len(hosts))
-	for _, h := range hosts {
-		w.U8(uint8(h.mode))
-		w.Bool(h.modeSet)
-		w.U32(uint32(h.switches))
-		w.Bool(h.srlCycling)
-		// Bank allocated-ness is state in its own right, distinct from the
-		// entries: attachGroup only fills group slots of an already
-		// allocated bank (a host whose children were all pruned keeps its
-		// empty bank), so a restored host must present the same shape or a
-		// post-restore join would silently skip regulator creation.
-		w.Bool(h.srBank != nil)
-		w.Bool(h.srlBank != nil)
-		// Adaptive controller: a running controller's window estimator is
-		// mutable runtime state; its pending tick rides as a KindCtlTick
-		// event in the engine record.
-		w.Bool(h.rate != nil)
-		if h.rate != nil {
-			h.rate.Snapshot(w)
-		}
-	}
-	w.End()
-}
-
-func readHosts(r *snap.Reader, hosts []*host) error {
-	if n := r.Len(); n != len(hosts) {
-		return fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(hosts))
-	}
-	for _, h := range hosts {
-		h.mode = Scheme(r.U8())
-		h.modeSet = r.Bool()
-		h.switches = int(r.U32())
-		h.srlCycling = r.Bool()
-		if r.Bool() && h.srBank == nil {
-			h.srBank = make([]*regulator.SigmaRho, len(h.env.specs))
-		}
-		if r.Bool() && h.srlBank == nil {
-			h.srlBank = make([]*regulator.SRL, len(h.env.specs))
-		}
-		if r.Bool() {
-			// Re-arm the controller closure without scheduling its tick (the
-			// pending tick replays from the engine record), then overwrite
-			// the fresh window with the serialized one.
-			h.prepareController(ctlWindow, ctlInterval, h.env.threshold)
-			h.rate.Restore(r)
-		}
-	}
-	return nil
-}
-
-func writeSources(w *snap.Writer, sources []traffic.Source) error {
-	w.Begin(recSources)
-	w.Len(len(sources))
-	for g, src := range sources {
-		switch s := src.(type) {
-		case *traffic.Extremal:
-			nextID, start := s.SnapState()
-			w.U8(srcExtremal)
-			w.U64(nextID)
-			w.I64(int64(start))
-		case *traffic.Audio:
-			st := s.SnapState()
-			w.U8(srcAudio)
-			w.U64(st.NextID)
-			w.I64(int64(st.TalkEnd))
-			w.U64(st.RNG)
-		case *traffic.Video:
-			st := s.SnapState()
-			w.U8(srcVideo)
-			w.U64(st.NextID)
-			w.I64(int64(st.Frame))
-			w.Bool(st.ScenePending)
-			w.U64(st.RNG)
-		default:
-			return fmt.Errorf("core: group %d source %T cannot be snapshotted", g, src)
-		}
-	}
-	w.End()
-	return nil
-}
-
-// srcState is one decoded source record awaiting resume; tag selects which
-// of the per-type fields are meaningful.
-type srcState struct {
-	tag    uint8
-	nextID uint64
-	start  des.Time // extremal cycle start
-	audio  traffic.AudioState
-	video  traffic.VideoState
-}
-
-func readSources(r *snap.Reader, numGroups int) ([]srcState, error) {
-	if n := r.Len(); n != numGroups {
-		return nil, fmt.Errorf("core: snapshot has %d sources, session has %d groups", n, numGroups)
-	}
-	sts := make([]srcState, numGroups)
-	for g := range sts {
-		st := &sts[g]
-		st.tag = r.U8()
-		switch st.tag {
-		case srcExtremal:
-			st.nextID = r.U64()
-			st.start = des.Time(r.I64())
-		case srcAudio:
-			st.audio.NextID = r.U64()
-			st.audio.TalkEnd = des.Time(r.I64())
-			st.audio.RNG = r.U64()
-		case srcVideo:
-			st.video.NextID = r.U64()
-			st.video.Frame = int(r.I64())
-			st.video.ScenePending = r.Bool()
-			st.video.RNG = r.U64()
-		default:
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: snapshot source %d has unknown type tag %d", g, st.tag)
-		}
-	}
-	return sts, nil
-}
-
-// resumeSource re-binds one rebuilt source to its engine and serialized
-// stream position. The source's pending events replay separately.
-func resumeSource(g int, src traffic.Source, st srcState, eng *des.Engine, until des.Time, emit func(traffic.Packet)) error {
-	switch s := src.(type) {
-	case *traffic.Extremal:
-		if st.tag != srcExtremal {
-			return fmt.Errorf("core: snapshot source %d has tag %d, session built an extremal source", g, st.tag)
-		}
-		s.Resume(eng, until, emit, st.nextID, st.start)
-	case *traffic.Audio:
-		if st.tag != srcAudio {
-			return fmt.Errorf("core: snapshot source %d has tag %d, session built an audio source", g, st.tag)
-		}
-		s.Resume(eng, until, emit, st.audio)
-	case *traffic.Video:
-		if st.tag != srcVideo {
-			return fmt.Errorf("core: snapshot source %d has tag %d, session built a video source", g, st.tag)
-		}
-		s.Resume(eng, until, emit, st.video)
-	default:
-		return fmt.Errorf("core: group %d source %T cannot be restored", g, src)
-	}
-	return nil
-}
-
-func (cp *controlPlane) snapshot(w *snap.Writer) {
-	w.Begin(recControl)
-	w.U32(uint32(cp.joins))
-	w.U32(uint32(cp.leaves))
-	w.U32(uint32(cp.regrafts))
-	w.U32(uint32(cp.rejected))
-	w.End()
-}
-
-func (cp *controlPlane) restoreState(r *snap.Reader) {
-	cp.joins = int(r.U32())
-	cp.leaves = int(r.U32())
-	cp.regrafts = int(r.U32())
-	cp.rejected = int(r.U32())
-}
-
-// snapshot serializes the fault plane's mutable state. The events, their
-// kinds/times, and the sentinel bookkeeping arrays' shapes are rebuilt by
-// newFaultPlane from the Config; this covers what execution changed.
-func (fp *faultPlane) snapshot(w *snap.Writer) {
-	w.Begin(recFaults)
-	// Outage bitmap, as ascending indices.
-	nd := 0
-	for _, d := range fp.down {
-		if d {
-			nd++
-		}
-	}
-	w.Len(nd)
-	for h, d := range fp.down {
-		if d {
-			w.U32(uint32(h))
-		}
-	}
-	// Recorded memberships awaiting restore, by ascending outage ID.
-	ids := make([]int, 0, len(fp.restoreSets))
-	for id := range fp.restoreSets {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort: tiny set
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	w.Len(len(ids))
-	for _, id := range ids {
-		w.I64(int64(id))
-		mem := fp.restoreSets[id]
-		w.Len(len(mem))
-		for _, hosts := range mem {
-			w.Len(len(hosts))
-			for _, h := range hosts {
-				w.U32(uint32(h))
+// walk visits every record of the stream in order — (row, index within
+// its scope) — stopping at the first error. Rows past the meta record are
+// sized from c.s, which reading the meta record sets.
+func (c *codec) walk(visit func(rec *record, i int) error) error {
+	for k := 0; k < len(records); {
+		end, n := k+1, 1
+		switch records[k].scope {
+		case perGroup:
+			n = len(c.s.sub.groups)
+		case perShard:
+			n = len(c.s.sh)
+			for end < len(records) && records[end].scope == perShard {
+				end++
 			}
 		}
-	}
-	// Active partition cut.
-	w.Bool(fp.cutOn)
-	if fp.cutOn {
-		w.U32(uint32(fp.cutIdx))
-		nc := 0
-		for _, c := range fp.cutHost {
-			if c {
-				nc++
+		for i := 0; i < n; i++ {
+			for j := k; j < end; j++ {
+				rec := &records[j]
+				if rec.present != nil && !rec.present(c.s) {
+					continue
+				}
+				if err := visit(rec, i); err != nil {
+					return err
+				}
 			}
 		}
-		w.Len(nc)
-		for h, c := range fp.cutHost {
-			if c {
-				w.U32(uint32(h))
-			}
-		}
-	}
-	// Outcomes accumulated so far (Kind/AtSec/Group are rebuilt).
-	w.Len(len(fp.outcomes))
-	for i := range fp.outcomes {
-		oc := &fp.outcomes[i]
-		w.U32(uint32(oc.Hosts))
-		w.U32(uint32(oc.Regrafts))
-		w.U64(oc.Lost)
-		w.F64(oc.RecoverySec)
-		w.U32(uint32(oc.Unrecovered))
-	}
-	// Recovery sentinels: per-event tracked pair lists, then the live
-	// tracker cells (trackIdx/firstAt) sparsely.
-	w.Len(len(fp.tracked))
-	for _, pairs := range fp.tracked {
-		w.Len(len(pairs))
-		for _, tr := range pairs {
-			w.U32(uint32(tr.g))
-			w.U32(uint32(tr.h))
-		}
-	}
-	nt := 0
-	for g := range fp.trackIdx {
-		for h := range fp.trackIdx[g] {
-			if fp.trackIdx[g][h] >= 0 {
-				nt++
-			}
-		}
-	}
-	w.Len(nt)
-	for g := range fp.trackIdx {
-		for h := range fp.trackIdx[g] {
-			if fp.trackIdx[g][h] >= 0 {
-				w.U32(uint32(g))
-				w.U32(uint32(h))
-				w.I64(int64(fp.trackIdx[g][h]))
-				w.I64(int64(fp.firstAt[g][h]))
-			}
-		}
-	}
-	w.End()
-}
-
-func (fp *faultPlane) restoreState(r *snap.Reader) error {
-	for i := range fp.down {
-		fp.down[i] = false
-	}
-	nd := r.Len()
-	for i := 0; i < nd; i++ {
-		h := int(r.U32())
-		if h < 0 || h >= len(fp.down) {
-			return fmt.Errorf("core: snapshot down host %d out of range", h)
-		}
-		fp.down[h] = true
-	}
-	ni := r.Len()
-	for i := 0; i < ni; i++ {
-		id := int(r.I64())
-		ng := r.Len()
-		mem := make([][]int, ng)
-		for g := 0; g < ng; g++ {
-			nh := r.Len()
-			for j := 0; j < nh; j++ {
-				mem[g] = append(mem[g], int(r.U32()))
-			}
-		}
-		fp.restoreSets[id] = mem
-	}
-	fp.cutOn = r.Bool()
-	fp.cutHost = nil
-	if fp.cutOn {
-		fp.cutIdx = int(r.U32())
-		fp.cutHost = make([]bool, len(fp.hosts))
-		nc := r.Len()
-		for i := 0; i < nc; i++ {
-			h := int(r.U32())
-			if h < 0 || h >= len(fp.cutHost) {
-				return fmt.Errorf("core: snapshot cut host %d out of range", h)
-			}
-			fp.cutHost[h] = true
-		}
-	}
-	if n := r.Len(); n != len(fp.outcomes) {
-		return fmt.Errorf("core: snapshot has %d fault outcomes, session has %d", n, len(fp.outcomes))
-	}
-	for i := range fp.outcomes {
-		oc := &fp.outcomes[i]
-		oc.Hosts = int(r.U32())
-		oc.Regrafts = int(r.U32())
-		oc.Lost = r.U64()
-		oc.RecoverySec = r.F64()
-		oc.Unrecovered = int(r.U32())
-	}
-	if n := r.Len(); n != len(fp.tracked) {
-		return fmt.Errorf("core: snapshot has %d tracked lists, session has %d", n, len(fp.tracked))
-	}
-	for i := range fp.tracked {
-		np := r.Len()
-		fp.tracked[i] = nil
-		for j := 0; j < np; j++ {
-			fp.tracked[i] = append(fp.tracked[i], faultTrack{g: int(r.U32()), h: int(r.U32())})
-		}
-	}
-	nt := r.Len()
-	for i := 0; i < nt; i++ {
-		g, h := int(r.U32()), int(r.U32())
-		if g < 0 || g >= len(fp.trackIdx) || h < 0 || h >= len(fp.trackIdx[g]) {
-			return fmt.Errorf("core: snapshot tracker cell (%d,%d) out of range", g, h)
-		}
-		fp.trackIdx[g][h] = int32(r.I64())
-		fp.firstAt[g][h] = des.Time(r.I64())
-	}
-	return nil
-}
-
-// snapshot serializes the re-optimization plane's mutable state (the
-// estimate cells sparsely — only cells with observations).
-func (ro *reoptPlane) snapshot(w *snap.Writer) {
-	w.Begin(recReopt)
-	ne := 0
-	for g := range ro.est {
-		for h := range ro.est[g] {
-			if ro.est[g][h].n > 0 {
-				ne++
-			}
-		}
-	}
-	w.Len(ne)
-	for g := range ro.est {
-		for h := range ro.est[g] {
-			if e := &ro.est[g][h]; e.n > 0 {
-				w.U32(uint32(g))
-				w.U32(uint32(h))
-				w.F64(e.sum)
-				w.U64(e.n)
-			}
-		}
-	}
-	for g := range ro.cooldown {
-		w.I64(int64(ro.cooldown[g]))
-		w.U32(uint32(ro.rebuilds[g]))
-	}
-	w.U32(uint32(ro.accepted))
-	w.U32(uint32(ro.moves))
-	w.U32(uint32(ro.rejected))
-	w.End()
-}
-
-func (ro *reoptPlane) restoreState(r *snap.Reader) error {
-	for g := range ro.est {
-		for h := range ro.est[g] {
-			ro.est[g][h] = delayEst{}
-		}
-	}
-	ne := r.Len()
-	for i := 0; i < ne; i++ {
-		g, h := int(r.U32()), int(r.U32())
-		if g < 0 || g >= len(ro.est) || h < 0 || h >= len(ro.est[g]) {
-			return fmt.Errorf("core: snapshot estimate cell (%d,%d) out of range", g, h)
-		}
-		ro.est[g][h] = delayEst{sum: r.F64(), n: r.U64()}
-	}
-	for g := range ro.cooldown {
-		ro.cooldown[g] = des.Time(r.I64())
-		ro.rebuilds[g] = int(r.U32())
-	}
-	ro.accepted = int(r.U32())
-	ro.moves = int(r.U32())
-	ro.rejected = int(r.U32())
-	return nil
-}
-
-// --- Per-engine component slot tables and pending events ---
-
-// writeComponents serializes one engine's component registry: every
-// component that is live (installed in its host) or referenced by a
-// pending event of that engine. Dead unreferenced components (detached
-// regulators whose events were cancelled, dropped MUXes that drained) are
-// garbage and skipped; a dead-but-referenced component — a dropped MUX
-// still draining its queue, a detached SRL mid-transmission — serializes
-// with live=false so the replayed event finds it without re-installing it.
-func writeComponents(w *snap.Writer, env *hostEnv, hosts []*host, evs []des.PendingEvent) {
-	muxRef := make(map[uint32]bool)
-	srRef := make(map[uint32]bool)
-	srlRef := make(map[uint32]bool)
-	for _, ev := range evs {
-		switch ev.Kind {
-		case des.KindMuxDone:
-			muxRef[ev.Arg] = true
-		case des.KindSRRetry:
-			srRef[ev.Arg] = true
-		case des.KindSRLDone, des.KindSRLOn, des.KindSRLOff:
-			srlRef[ev.Arg] = true
-		}
-	}
-	w.Begin(recComponents)
-
-	type sel struct {
-		slot int
-		live bool
-	}
-	var ms []sel
-	for slot, m := range env.muxReg {
-		id := env.muxIdent[slot]
-		live := hosts[id.host].muxAt(int(id.sub)) == m
-		if live || muxRef[uint32(slot)] {
-			ms = append(ms, sel{slot, live})
-		}
-	}
-	w.Len(len(ms))
-	for _, e := range ms {
-		id := env.muxIdent[e.slot]
-		m := env.muxReg[e.slot]
-		w.U32(uint32(e.slot))
-		w.U32(uint32(id.host))
-		w.U32(uint32(id.sub))
-		w.Bool(e.live)
-		// Capacity is creation-time state (capacity-aware connections split
-		// the uplink by the connection count at creation), so it rides along.
-		w.F64(m.Capacity())
-		m.Snapshot(w)
-	}
-
-	var ss []sel
-	for slot, s := range env.srReg {
-		id := env.srIdent[slot]
-		h := hosts[id.host]
-		live := h.srBank != nil && h.srBank[id.sub] == s
-		if live || srRef[uint32(slot)] {
-			ss = append(ss, sel{slot, live})
-		}
-	}
-	w.Len(len(ss))
-	for _, e := range ss {
-		id := env.srIdent[e.slot]
-		w.U32(uint32(e.slot))
-		w.U32(uint32(id.host))
-		w.U32(uint32(id.sub))
-		w.Bool(e.live)
-		env.srReg[e.slot].Snapshot(w)
-	}
-
-	var ls []sel
-	for slot, sr := range env.srlReg {
-		id := env.srlIdent[slot]
-		h := hosts[id.host]
-		live := h.srlBank != nil && h.srlBank[id.sub] == sr
-		if live || srlRef[uint32(slot)] {
-			ls = append(ls, sel{slot, live})
-		}
-	}
-	w.Len(len(ls))
-	for _, e := range ls {
-		id := env.srlIdent[e.slot]
-		w.U32(uint32(e.slot))
-		w.U32(uint32(id.host))
-		w.U32(uint32(id.sub))
-		w.Bool(e.live)
-		env.srlReg[e.slot].Snapshot(w)
-	}
-	w.End()
-}
-
-// compMaps routes a serialized event's old component slot to the restored
-// component during replay.
-type compMaps struct {
-	mux map[uint32]*mux.Mux
-	sr  map[uint32]*regulator.SigmaRho
-	srl map[uint32]*regulator.SRL
-}
-
-// readComponents rebuilds one engine's serialized components through the
-// host restore factories (which re-register them, assigning fresh slots)
-// and installs the live ones.
-func readComponents(r *snap.Reader, hosts []*host, numGroups int) (compMaps, error) {
-	cm := compMaps{
-		mux: make(map[uint32]*mux.Mux),
-		sr:  make(map[uint32]*regulator.SigmaRho),
-		srl: make(map[uint32]*regulator.SRL),
-	}
-	nm := r.Len()
-	for i := 0; i < nm; i++ {
-		slot := r.U32()
-		hid, child := int(r.U32()), int(r.U32())
-		live := r.Bool()
-		capacity := r.F64()
-		if hid < 0 || hid >= len(hosts) || child < 0 || child >= len(hosts) {
-			return cm, fmt.Errorf("core: snapshot mux ident (%d,%d) out of range", hid, child)
-		}
-		h := hosts[hid]
-		m := h.restoreMux(child, capacity)
-		m.Restore(r)
-		if live {
-			h.installMux(child, m)
-		}
-		cm.mux[slot] = m
-	}
-	ns := r.Len()
-	for i := 0; i < ns; i++ {
-		slot := r.U32()
-		hid, g := int(r.U32()), int(r.U32())
-		live := r.Bool()
-		if hid < 0 || hid >= len(hosts) || g < 0 || g >= numGroups {
-			return cm, fmt.Errorf("core: snapshot regulator ident (%d,%d) out of range", hid, g)
-		}
-		h := hosts[hid]
-		s := h.restoreSR(g)
-		s.Restore(r)
-		if live {
-			h.installSR(g, s)
-		}
-		cm.sr[slot] = s
-	}
-	nl := r.Len()
-	for i := 0; i < nl; i++ {
-		slot := r.U32()
-		hid, g := int(r.U32()), int(r.U32())
-		live := r.Bool()
-		if hid < 0 || hid >= len(hosts) || g < 0 || g >= numGroups {
-			return cm, fmt.Errorf("core: snapshot regulator ident (%d,%d) out of range", hid, g)
-		}
-		h := hosts[hid]
-		sr := h.restoreSRL(g)
-		sr.Restore(r)
-		if live {
-			h.installSRL(g, sr)
-		}
-		cm.srl[slot] = sr
-	}
-	return cm, nil
-}
-
-// replayEv is one decoded runtime event awaiting replay.
-type replayEv struct {
-	at, prio des.Time
-	kind     uint16
-	arg      uint32
-	via      int            // KindHopFlight payload: next router, or -1 for an access leg
-	dst      int            // KindFlight / KindHopFlight payload
-	pkt      traffic.Packet // KindFlight / KindHopFlight payload
-}
-
-// writeEvents serializes one engine's pending events in seq order.
-// KindFlight and KindHopFlight events carry their in-flight delivery
-// inline, because the flight-pool node index in arg is meaningless across
-// processes.
-func writeEvents(w *snap.Writer, evs []des.PendingEvent, fabric *netsim.Fabric) {
-	w.Begin(recEngine)
-	w.Len(len(evs))
-	for _, ev := range evs {
-		w.I64(int64(ev.At))
-		w.I64(int64(ev.Prio))
-		w.U16(ev.Kind)
-		w.U32(ev.Arg)
-		switch ev.Kind {
-		case des.KindFlight:
-			dst, p := fabric.PendingFlight(ev.Arg)
-			w.U32(uint32(dst))
-			p.Snapshot(w)
-		case des.KindHopFlight:
-			via, dst, p := fabric.PendingHop(ev.Arg)
-			w.I64(int64(via))
-			w.U32(uint32(dst))
-			p.Snapshot(w)
-		}
-	}
-	w.End()
-}
-
-func readEvents(r *snap.Reader) []replayEv {
-	n := r.Len()
-	evs := make([]replayEv, 0, n)
-	for i := 0; i < n; i++ {
-		if r.Err() != nil {
-			break
-		}
-		ev := replayEv{
-			at:   des.Time(r.I64()),
-			prio: des.Time(r.I64()),
-			kind: r.U16(),
-			arg:  r.U32(),
-		}
-		switch ev.kind {
-		case des.KindFlight:
-			ev.dst = int(r.U32())
-			ev.pkt = traffic.RestorePacket(r)
-		case des.KindHopFlight:
-			ev.via = int(r.I64())
-			ev.dst = int(r.U32())
-			ev.pkt = traffic.RestorePacket(r)
-		}
-		evs = append(evs, ev)
-	}
-	return evs
-}
-
-// replayEvents re-schedules one engine's serialized events in original
-// order, after the engine's clock has been restored. Fresh ascending
-// sequence numbers preserve the original relative firing order.
-func replayEvents(evs []replayEv, cm compMaps, fabric *netsim.Fabric, sources []traffic.Source, hosts []*host) error {
-	for _, ev := range evs {
-		switch ev.kind {
-		case des.KindMuxDone:
-			m := cm.mux[ev.arg]
-			if m == nil {
-				return fmt.Errorf("core: snapshot event names unknown mux slot %d", ev.arg)
-			}
-			m.RestoreDone(ev.at, ev.prio)
-		case des.KindSRRetry:
-			s := cm.sr[ev.arg]
-			if s == nil {
-				return fmt.Errorf("core: snapshot event names unknown regulator slot %d", ev.arg)
-			}
-			s.RestoreRetry(ev.at, ev.prio)
-		case des.KindSRLDone, des.KindSRLOn, des.KindSRLOff:
-			sr := cm.srl[ev.arg]
-			if sr == nil {
-				return fmt.Errorf("core: snapshot event names unknown regulator slot %d", ev.arg)
-			}
-			switch ev.kind {
-			case des.KindSRLDone:
-				sr.RestoreDone(ev.at, ev.prio)
-			case des.KindSRLOn:
-				sr.RestoreOn(ev.at, ev.prio)
-			default:
-				sr.RestoreOff(ev.at, ev.prio)
-			}
-		case des.KindFlight:
-			fabric.RestoreFlight(ev.at, ev.prio, ev.dst, ev.pkt)
-		case des.KindHopFlight:
-			fabric.RestoreHop(ev.at, ev.prio, ev.via, ev.dst, ev.pkt)
-		case des.KindLinkDone:
-			if err := fabric.RestoreLinkDone(ev.arg, ev.at, ev.prio); err != nil {
-				return err
-			}
-		case des.KindSrcCycle, des.KindSrcTick:
-			if int(ev.arg) >= len(sources) {
-				return fmt.Errorf("core: snapshot event names unknown source %d", ev.arg)
-			}
-			ex, ok := sources[ev.arg].(*traffic.Extremal)
-			if !ok {
-				return fmt.Errorf("core: snapshot event kind %d names a %T source", ev.kind, sources[ev.arg])
-			}
-			if ev.kind == des.KindSrcCycle {
-				ex.RestoreCycle(ev.at, ev.prio)
-			} else {
-				ex.RestoreTick(ev.at, ev.prio)
-			}
-		case des.KindAudioTalk, des.KindAudioWake:
-			if int(ev.arg) >= len(sources) {
-				return fmt.Errorf("core: snapshot event names unknown source %d", ev.arg)
-			}
-			a, ok := sources[ev.arg].(*traffic.Audio)
-			if !ok {
-				return fmt.Errorf("core: snapshot event kind %d names a %T source", ev.kind, sources[ev.arg])
-			}
-			if ev.kind == des.KindAudioTalk {
-				a.RestoreTalk(ev.at, ev.prio)
-			} else {
-				a.RestoreWake(ev.at, ev.prio)
-			}
-		case des.KindVideoTick:
-			if int(ev.arg) >= len(sources) {
-				return fmt.Errorf("core: snapshot event names unknown source %d", ev.arg)
-			}
-			v, ok := sources[ev.arg].(*traffic.Video)
-			if !ok {
-				return fmt.Errorf("core: snapshot event kind %d names a %T source", ev.kind, sources[ev.arg])
-			}
-			v.RestoreTick(ev.at, ev.prio)
-		case des.KindCtlTick:
-			if int(ev.arg) >= len(hosts) {
-				return fmt.Errorf("core: snapshot event names unknown host %d", ev.arg)
-			}
-			h := hosts[ev.arg]
-			if h.ctlFn == nil {
-				return fmt.Errorf("core: snapshot controller tick for host %d, but its controller was not restored", ev.arg)
-			}
-			h.restoreCtlTick(ev.at, ev.prio)
-		default:
-			return fmt.Errorf("core: snapshot event has unknown kind %d", ev.kind)
-		}
-	}
-	return nil
-}
-
-// --- The session ---
-
-// writeStats serializes one shard's measurement accumulators.
-func (sh *shardRuntime) writeStats(w *snap.Writer) {
-	w.Begin(recStats)
-	for g := range sh.perGroup {
-		sh.perGroup[g].Snapshot(w)
-	}
-	sh.delays.Snapshot(w)
-	w.U64(sh.deliver)
-	for _, n := range sh.lost {
-		w.U64(n)
-	}
-	w.Bool(sh.windows != nil)
-	if sh.windows != nil {
-		sh.windows.Snapshot(w)
-	}
-	w.Len(len(sh.faultCut))
-	for _, n := range sh.faultCut {
-		w.U64(n)
-	}
-	w.End()
-}
-
-func (sh *shardRuntime) readStats(r *snap.Reader) error {
-	for g := range sh.perGroup {
-		sh.perGroup[g].Restore(r)
-	}
-	sh.delays.Restore(r)
-	sh.deliver = r.U64()
-	for g := range sh.lost {
-		sh.lost[g] = r.U64()
-	}
-	if r.Bool() {
-		if sh.windows == nil {
-			return fmt.Errorf("core: snapshot has a window series, session has none")
-		}
-		if err := sh.windows.Restore(r); err != nil {
-			return err
-		}
-	} else if sh.windows != nil {
-		return fmt.Errorf("core: snapshot has no window series, session expects one")
-	}
-	if n := r.Len(); n != len(sh.faultCut) {
-		return fmt.Errorf("core: snapshot has %d cut counters, shard has %d", n, len(sh.faultCut))
-	}
-	for i := range sh.faultCut {
-		sh.faultCut[i] = r.U64()
+		k = end
 	}
 	return nil
 }
@@ -997,63 +186,13 @@ func (s *Session) Snapshot() ([]byte, error) {
 	// sees all undelivered cross-shard records in one place.
 	s.coord.CheckpointDrain()
 	w := snap.NewWriterSize(SnapshotVersion, s.snapSize)
-	writeMeta(w, s.sub, at, len(s.sh), len(s.hosts))
-	for _, st := range s.sub.groups {
-		writeGroup(w, st)
-	}
-	writeHosts(w, s.hosts)
-	if err := writeSources(w, s.sources); err != nil {
-		return nil, err
-	}
-	if s.ctl != nil {
-		s.ctl.snapshot(w)
-	}
-	if s.fp != nil {
-		s.fp.snapshot(w)
-	}
-	if s.ro != nil {
-		s.ro.snapshot(w)
-	}
-	for _, sh := range s.sh {
-		evs, err := sh.eng.PendingEvents()
-		if err != nil {
-			return nil, err
-		}
-		writeComponents(w, sh.env, s.hosts, evs)
-		if s.sub.cfg.Transit == netsim.QueuedTransit {
-			w.Begin(recFabric)
-			sh.fabric.SnapshotLinks(w)
-			w.End()
-		}
-		writeEvents(w, evs, sh.fabric)
-		sh.writeStats(w)
-	}
-	w.Begin(recCoord)
-	seqs := s.coord.SrcSeqs()
-	w.Len(len(seqs))
-	for _, q := range seqs {
-		w.U64(q)
-	}
-	epochs, messages, stallNum, stallDen := s.coord.Diagnostics()
-	w.U64(epochs)
-	w.U64(messages)
-	w.U64(stallNum)
-	w.U64(stallDen)
-	for dst := range s.sh {
-		recs := s.coord.PendingRecords(dst)
-		w.Len(len(recs))
-		for _, rc := range recs {
-			w.I64(int64(rc.At))
-			w.I64(int64(rc.Lamport))
-			w.U64(rc.Seq)
-			w.I64(int64(rc.Src))
-			w.U32(uint32(rc.Payload.host))
-			rc.Payload.p.Snapshot(w)
-		}
-	}
-	w.End()
-	w.Begin(recEnd)
-	w.End()
+	c := &codec{s: s, at: at}
+	c.walk(func(rec *record, i int) error {
+		w.Begin(rec.tag)
+		rec.write(c, w, i)
+		w.End()
+		return w.Err()
+	})
 	blob, err := w.Finish()
 	if err == nil {
 		s.snapSize = len(blob)
@@ -1061,92 +200,765 @@ func (s *Session) Snapshot() ([]byte, error) {
 	return blob, err
 }
 
-func (s *Session) restore(r *snap.Reader, meta snapMeta) error {
-	cfg := s.sub.cfg
-	numGroups := s.sub.numGroups()
-	for g := 0; g < numGroups; g++ {
-		if err := expect(r, recGroup); err != nil {
+// Restore rebuilds a session from cfg and a snapshot taken by Snapshot
+// under the same cfg, positioned at the checkpoint instant and ready to
+// continue with RunTo/Finish — bit-identically to the original run. Bytes
+// Snapshot did not write yield an error.
+func Restore(cfg Config, data []byte) (*Session, error) {
+	r, version, err := snap.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	if version != SnapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d, want %d", version, SnapshotVersion)
+	}
+	c := &codec{cfg: &cfg}
+	err = c.walk(func(rec *record, i int) error {
+		if err := expect(r, rec.tag); err != nil {
 			return err
 		}
-		if err := readGroup(r, s.sub.groups[g]); err != nil {
+		rec.read(c, r, i)
+		return r.Err()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.s, nil
+}
+
+// expect consumes the next record header and checks its type.
+func expect(r *snap.Reader, want uint16) error {
+	typ, ok := r.Next()
+	if !ok {
+		if err := r.Err(); err != nil {
 			return err
+		}
+		return fmt.Errorf("core: snapshot truncated before record %d", want)
+	}
+	if typ != want {
+		return fmt.Errorf("core: snapshot record %d where %d expected", typ, want)
+	}
+	return nil
+}
+
+// --- Shared encodings ---
+
+// readIndex reads a u32 id and fails the reader unless it is below n — every
+// id in a snapshot indexes a per-host, per-group or per-shard table of the
+// rebuilt session. All those tables are non-empty, and a failed read
+// returns 0, so a decode loop can index with the result unconditionally
+// and leave the error to the record's one Err check.
+func readIndex(r *snap.Reader, n int, what string) int {
+	v := int(r.U32())
+	if r.Err() == nil && v >= n {
+		r.Fail(fmt.Errorf("core: snapshot %s %d outside [0,%d)", what, v, n))
+	}
+	if r.Err() != nil {
+		return 0
+	}
+	return v
+}
+
+// writeBitmap writes a bitmap as the ascending indices of its set bits.
+func writeBitmap(w *snap.Writer, bits []bool) {
+	slot, n := w.Count(), 0
+	for i, b := range bits {
+		if b {
+			w.U32(uint32(i))
+			n++
 		}
 	}
+	w.SetCount(slot, n)
+}
+
+func readBitmap(r *snap.Reader, bits []bool, what string) {
+	clear(bits)
+	for n := r.Len(); n > 0; n-- {
+		bits[readIndex(r, len(bits), what)] = true
+	}
+}
+
+// writeCells writes a groups × hosts grid sparsely: the number of live
+// cells, then each one's (group, host) followed by whatever put writes for
+// it, row-major.
+func writeCells(w *snap.Writer, groups, hosts int, live func(g, h int) bool, put func(g, h int)) {
+	slot, n := w.Count(), 0
+	for g := 0; g < groups; g++ {
+		for h := 0; h < hosts; h++ {
+			if live(g, h) {
+				w.U32(uint32(g))
+				w.U32(uint32(h))
+				put(g, h)
+				n++
+			}
+		}
+	}
+	w.SetCount(slot, n)
+}
+
+func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int)) {
+	for n := r.Len(); n > 0; n-- {
+		g := readIndex(r, groups, what)
+		get(g, readIndex(r, hosts, what))
+	}
+}
+
+// --- Session-wide records ---
+
+// The meta record: the checkpoint instant and shard count, then enough of
+// the configuration to refuse a snapshot restored under the wrong Config.
+func (c *codec) writeMeta(w *snap.Writer, _ int) {
+	sub := c.s.sub
+	cfg := sub.cfg
+	w.I64(int64(c.at))
+	w.U32(uint32(len(c.s.sh)))
+	w.I64(int64(cfg.Duration))
+	w.U64(cfg.Seed)
+	w.U64(cfg.TrafficSeed.Or(cfg.Seed))
+	w.U32(uint32(cfg.NumHosts))
+	w.U32(uint32(sub.numGroups()))
+	w.U8(uint8(cfg.Scheme))
+	w.U8(uint8(cfg.Workload))
+	w.F64(cfg.Load)
+	w.U8(uint8(cfg.Discipline))
+	w.Bytes(sub.key[:])
+}
+
+// readMeta checks the blob against the configuration field by field —
+// the substrate's blueprintKey covers strategy, topology and member sets —
+// and, only once all of it matches, builds the session skeleton the
+// remaining records fill in.
+func (c *codec) readMeta(r *snap.Reader, _ int) {
+	sub := compileSubstrate(*c.cfg)
+	cfg := sub.cfg
+	at, shards := des.Time(r.I64()), int(r.U32())
+	same := true
+	match := func(ok bool) { same = same && ok }
+	match(des.Duration(r.I64()) == cfg.Duration)
+	match(r.U64() == cfg.Seed)
+	match(r.U64() == cfg.TrafficSeed.Or(cfg.Seed))
+	match(int(r.U32()) == cfg.NumHosts)
+	match(int(r.U32()) == sub.numGroups())
+	match(Scheme(r.U8()) == cfg.Scheme)
+	match(Workload(r.U8()) == cfg.Workload)
+	match(r.F64() == cfg.Load)
+	match(mux.Discipline(r.U8()) == cfg.Discipline)
+	match(bytes.Equal(r.Bytes(), sub.key[:]))
+	switch {
+	case r.Err() != nil:
+		return
+	case !same:
+		r.Fail(fmt.Errorf("core: snapshot was taken from a different configuration"))
+		return
+	case at < 0:
+		r.Fail(fmt.Errorf("core: snapshot checkpoint instant %v is negative", at))
+		return
+	}
+	s := newSessionFrom(sub, &resumeState{at: at})
+	if shards != len(s.sh) {
+		r.Fail(fmt.Errorf("core: snapshot has %d shards, session has %d", shards, len(s.sh)))
+		return
+	}
+	for _, sh := range s.sh {
+		sh.eng.RestoreNow(at)
+	}
+	// Sources are rebuilt from the Config like everything else; their
+	// record repositions them and their pending emissions replay with the
+	// other events.
+	s.sources = s.buildSources()
+	s.started = true
+	c.s, c.at = s, at
+}
+
+func (c *codec) writeGroup(w *snap.Writer, g int) {
+	st := c.s.sub.groups[g]
+	st.tree.Snapshot(w)
+	w.U64(st.lost)
+	w.Len(len(st.detached))
+	for _, d := range st.detached {
+		w.U32(uint32(d))
+	}
+}
+
+func (c *codec) readGroup(r *snap.Reader, g int) {
+	st := c.s.sub.groups[g]
+	tree := overlay.RestoreTree(r, len(st.member))
+	if r.Err() != nil {
+		return // the tree is partial: its ids have not all been checked
+	}
+	st.tree = tree
+	clear(st.member)
+	for _, m := range tree.Members {
+		st.member[m] = true
+	}
+	st.lost = r.U64()
+	for n := r.Len(); n > 0; n-- {
+		st.detached = append(st.detached, readIndex(r, len(st.member), "detached subtree root"))
+	}
+}
+
+func (c *codec) writeHosts(w *snap.Writer, _ int) {
+	w.Len(len(c.s.hosts))
+	for _, h := range c.s.hosts {
+		w.U8(uint8(h.mode))
+		w.Bool(h.modeSet)
+		w.U32(uint32(h.switches))
+		w.Bool(h.srlCycling)
+		// Bank allocated-ness is state in its own right, distinct from the
+		// entries: attachGroup only fills group slots of an already
+		// allocated bank (a host whose children were all pruned keeps its
+		// empty bank), so a restored host must present the same shape or a
+		// post-restore join would silently skip regulator creation.
+		w.Bool(h.srBank != nil)
+		w.Bool(h.srlBank != nil)
+		// Adaptive controller: a running controller's window estimator is
+		// mutable runtime state; its pending tick rides as a KindCtlTick
+		// event in the engine record.
+		w.Bool(h.rate != nil)
+		if h.rate != nil {
+			h.rate.Snapshot(w)
+		}
+	}
+}
+
+func (c *codec) readHosts(r *snap.Reader, _ int) {
+	s := c.s
 	// Forwarding fan-out derives from the restored trees, exactly as the
 	// live session derives it from mutations: a host's children are its
-	// child sets in the current trees.
+	// child sets in the current trees. Every tree id was range-checked as
+	// its group record was read — compileChildren indexes per-host slices
+	// from worker goroutines, where a panic cannot be recovered.
 	chl := s.sub.compileChildren()
 	for id, h := range s.hosts {
 		h.children = chl[id]
 	}
-	if err := expect(r, recHosts); err != nil {
-		return err
+	if n := r.Len(); n != len(s.hosts) {
+		r.Fail(fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(s.hosts)))
+		return
 	}
-	if err := readHosts(r, s.hosts); err != nil {
-		return err
+	for _, h := range s.hosts {
+		h.mode = Scheme(r.U8())
+		h.modeSet = r.Bool()
+		h.switches = int(r.U32())
+		h.srlCycling = r.Bool()
+		if r.Bool() && h.srBank == nil {
+			h.srBank = make([]*regulator.SigmaRho, len(h.env.specs))
+		}
+		if r.Bool() && h.srlBank == nil {
+			h.srlBank = make([]*regulator.SRL, len(h.env.specs))
+		}
+		if r.Bool() {
+			// Re-arm the controller closure without scheduling its tick (the
+			// pending tick replays from the engine record), then overwrite
+			// the fresh window with the serialized one.
+			h.prepareController(ctlWindow, ctlInterval, h.env.threshold)
+			h.rate.Restore(r)
+		}
 	}
-	if err := expect(r, recSources); err != nil {
-		return err
+}
+
+// snapSource is what a traffic source implements to ride in a checkpoint:
+// it names its type, serializes its own mutable words, re-binds to an
+// engine and sink without scheduling, and re-arms its own pending events.
+type snapSource interface {
+	SnapTag() uint8
+	Snapshot(w *snap.Writer)
+	Restore(r *snap.Reader)
+	Resume(eng *des.Engine, until des.Time, emit func(traffic.Packet))
+	Rearm(kind uint16, at, prio des.Time) bool
+}
+
+func (c *codec) writeSources(w *snap.Writer, _ int) {
+	w.Len(len(c.s.sources))
+	for g, src := range c.s.sources {
+		ss, ok := src.(snapSource)
+		if !ok {
+			w.Fail(fmt.Errorf("core: group %d source %T cannot be snapshotted", g, src))
+			return
+		}
+		w.U8(ss.SnapTag())
+		ss.Snapshot(w)
 	}
-	srcSts, err := readSources(r, numGroups)
+}
+
+func (c *codec) readSources(r *snap.Reader, _ int) {
+	s := c.s
+	if n := r.Len(); n != len(s.sources) {
+		r.Fail(fmt.Errorf("core: snapshot has %d sources, session has %d groups", n, len(s.sources)))
+		return
+	}
+	for g, src := range s.sources {
+		ss, ok := src.(snapSource)
+		if !ok {
+			r.Fail(fmt.Errorf("core: group %d source %T cannot be restored", g, src))
+			return
+		}
+		if tag := r.U8(); tag != ss.SnapTag() {
+			r.Fail(fmt.Errorf("core: snapshot source %d has type tag %d, session built a %T", g, tag, src))
+			return
+		}
+		ss.Restore(r)
+		ss.Resume(s.rootEngine(g), s.sub.cfg.Duration, s.emitFn(g, s.sub.groups[g].tree.Source))
+	}
+}
+
+func (c *codec) writeControl(w *snap.Writer, _ int) {
+	cp := c.s.ctl
+	w.U32(uint32(cp.joins))
+	w.U32(uint32(cp.leaves))
+	w.U32(uint32(cp.regrafts))
+	w.U32(uint32(cp.rejected))
+}
+
+func (c *codec) readControl(r *snap.Reader, _ int) {
+	cp := c.s.ctl
+	cp.joins = int(r.U32())
+	cp.leaves = int(r.U32())
+	cp.regrafts = int(r.U32())
+	cp.rejected = int(r.U32())
+}
+
+// writeFaults serializes the fault plane's mutable state. The events, their
+// kinds/times, and the sentinel bookkeeping arrays' shapes are rebuilt by
+// newFaultPlane from the Config; this covers what execution changed.
+func (c *codec) writeFaults(w *snap.Writer, _ int) {
+	fp := c.s.fp
+	writeBitmap(w, fp.down)
+	// Recorded memberships awaiting restore, by ascending outage ID.
+	ids := make([]int, 0, len(fp.restoreSets))
+	for id := range fp.restoreSets {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	w.Len(len(ids))
+	for _, id := range ids {
+		w.I64(int64(id))
+		mem := fp.restoreSets[id]
+		w.Len(len(mem))
+		for _, hosts := range mem {
+			w.Len(len(hosts))
+			for _, h := range hosts {
+				w.U32(uint32(h))
+			}
+		}
+	}
+	// Active partition cut.
+	w.Bool(fp.cutOn)
+	if fp.cutOn {
+		w.U32(uint32(fp.cutIdx))
+		writeBitmap(w, fp.cutHost)
+	}
+	// Outcomes accumulated so far (Kind/AtSec/Group are rebuilt).
+	w.Len(len(fp.outcomes))
+	for i := range fp.outcomes {
+		oc := &fp.outcomes[i]
+		w.U32(uint32(oc.Hosts))
+		w.U32(uint32(oc.Regrafts))
+		w.U64(oc.Lost)
+		w.F64(oc.RecoverySec)
+		w.U32(uint32(oc.Unrecovered))
+	}
+	// Recovery sentinels: per-event tracked pair lists, then the live
+	// tracker cells (trackIdx/firstAt) sparsely.
+	w.Len(len(fp.tracked))
+	for _, pairs := range fp.tracked {
+		w.Len(len(pairs))
+		for _, tr := range pairs {
+			w.U32(uint32(tr.g))
+			w.U32(uint32(tr.h))
+		}
+	}
+	writeCells(w, len(fp.trackIdx), len(fp.hosts),
+		func(g, h int) bool { return fp.trackIdx[g][h] >= 0 },
+		func(g, h int) {
+			w.U32(uint32(fp.trackIdx[g][h]))
+			w.I64(int64(fp.firstAt[g][h]))
+		})
+}
+
+func (c *codec) readFaults(r *snap.Reader, _ int) {
+	fp := c.s.fp
+	numHosts, numGroups, numEvents := len(fp.hosts), len(fp.groups), len(fp.events)
+	readBitmap(r, fp.down, "down host")
+	for ni := r.Len(); ni > 0; ni-- {
+		id, ng := int(r.I64()), r.Len()
+		if ng > numGroups {
+			r.Fail(fmt.Errorf("core: snapshot outage %d records %d groups, session has %d", id, ng, numGroups))
+			return
+		}
+		mem := make([][]int, ng)
+		for g := range mem {
+			for nh := r.Len(); nh > 0; nh-- {
+				mem[g] = append(mem[g], readIndex(r, numHosts, "outage member"))
+			}
+		}
+		fp.restoreSets[id] = mem
+	}
+	fp.cutOn = r.Bool()
+	if fp.cutOn {
+		fp.cutIdx = readIndex(r, numEvents, "cut event")
+		fp.cutHost = make([]bool, numHosts)
+		readBitmap(r, fp.cutHost, "cut host")
+	}
+	if n := r.Len(); n != numEvents {
+		r.Fail(fmt.Errorf("core: snapshot has %d fault outcomes, session has %d", n, numEvents))
+		return
+	}
+	for i := range fp.outcomes {
+		oc := &fp.outcomes[i]
+		oc.Hosts = int(r.U32())
+		oc.Regrafts = int(r.U32())
+		oc.Lost = r.U64()
+		oc.RecoverySec = r.F64()
+		oc.Unrecovered = int(r.U32())
+	}
+	if n := r.Len(); n != numEvents {
+		r.Fail(fmt.Errorf("core: snapshot has %d tracked lists, session has %d", n, numEvents))
+		return
+	}
+	for i := range fp.tracked {
+		for np := r.Len(); np > 0; np-- {
+			g := readIndex(r, numGroups, "tracked group")
+			fp.tracked[i] = append(fp.tracked[i], faultTrack{g: g, h: readIndex(r, numHosts, "tracked host")})
+		}
+	}
+	readCells(r, numGroups, numHosts, "tracker cell", func(g, h int) {
+		fp.trackIdx[g][h] = int32(readIndex(r, numEvents, "tracker cell event"))
+		fp.firstAt[g][h] = des.Time(r.I64())
+	})
+}
+
+// writeReopt serializes the re-optimization plane's mutable state (the
+// estimate cells sparsely — only cells with observations).
+func (c *codec) writeReopt(w *snap.Writer, _ int) {
+	ro := c.s.ro
+	writeCells(w, len(ro.est), len(ro.hosts),
+		func(g, h int) bool { return ro.est[g][h].n > 0 },
+		func(g, h int) {
+			w.F64(ro.est[g][h].sum)
+			w.U64(ro.est[g][h].n)
+		})
+	for g := range ro.cooldown {
+		w.I64(int64(ro.cooldown[g]))
+		w.U32(uint32(ro.rebuilds[g]))
+	}
+	w.U32(uint32(ro.accepted))
+	w.U32(uint32(ro.moves))
+	w.U32(uint32(ro.rejected))
+}
+
+func (c *codec) readReopt(r *snap.Reader, _ int) {
+	ro := c.s.ro
+	readCells(r, len(ro.est), len(ro.hosts), "estimate cell", func(g, h int) {
+		ro.est[g][h] = delayEst{sum: r.F64(), n: r.U64()}
+	})
+	for g := range ro.cooldown {
+		ro.cooldown[g] = des.Time(r.I64())
+		ro.rebuilds[g] = int(r.U32())
+	}
+	ro.accepted = int(r.U32())
+	ro.moves = int(r.U32())
+	ro.rejected = int(r.U32())
+}
+
+// --- Per-shard records: components, pending events, statistics ---
+
+// writeComponents serializes one engine's component registries, family by
+// family: every component that is live (installed in its host) or
+// referenced by a pending event of that engine. Dead unreferenced
+// components (detached regulators whose events were cancelled, dropped
+// MUXes that drained) are garbage and skipped; a dead-but-referenced
+// component — a dropped MUX still draining its queue, a detached SRL
+// mid-transmission — serializes with live=false so the replayed event
+// finds it without re-installing it.
+func (c *codec) writeComponents(w *snap.Writer, si int) {
+	sh := c.s.sh[si]
+	evs, err := sh.eng.PendingEvents()
 	if err != nil {
-		return err
+		w.Fail(err)
+		return
 	}
-	if s.ctl != nil {
-		if err := expect(r, recControl); err != nil {
-			return err
-		}
-		s.ctl.restoreState(r)
+	c.evs = evs
+	var ref [numFamilies]map[uint32]bool
+	for f := famMux; f < numFamilies; f++ {
+		ref[f] = make(map[uint32]bool)
 	}
-	if s.fp != nil {
-		if err := expect(r, recFaults); err != nil {
-			return err
-		}
-		if err := s.fp.restoreState(r); err != nil {
-			return err
+	for _, ev := range evs {
+		if f := rearmRoutes[ev.Kind].fam; f != famNone {
+			ref[f][ev.Arg] = true
 		}
 	}
-	if s.ro != nil {
-		if err := expect(r, recReopt); err != nil {
-			return err
+	writeFamily(w, c.s.hosts, famMux, &sh.env.mux, ref[famMux])
+	writeFamily(w, c.s.hosts, famSR, &sh.env.sr, ref[famSR])
+	writeFamily(w, c.s.hosts, famSRL, &sh.env.srl, ref[famSRL])
+}
+
+// writeFamily writes one registry: a count, then per component a stanza of
+// slot, owning host, sub-index, liveness, (MUX only) capacity, and the
+// component's own words.
+func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *registry[C], ref map[uint32]bool) {
+	count, n := w.Count(), 0
+	for slot, comp := range rg.comps {
+		id := rg.ids[slot]
+		live := hosts[id.host].isLive(f, int(id.sub), comp)
+		if !live && !ref[uint32(slot)] {
+			continue
 		}
-		if err := s.ro.restoreState(r); err != nil {
-			return err
+		n++
+		w.U32(uint32(slot))
+		w.U32(uint32(id.host))
+		w.U32(uint32(id.sub))
+		w.Bool(live)
+		if f == famMux {
+			// Capacity is creation-time state (capacity-aware connections
+			// split the uplink by the connection count at creation), so it
+			// rides along.
+			w.F64(any(comp).(*mux.Mux).Capacity())
 		}
+		comp.Snapshot(w)
 	}
-	cms := make([]compMaps, len(s.sh))
-	evss := make([][]replayEv, len(s.sh))
-	for si, sh := range s.sh {
-		if err := expect(r, recComponents); err != nil {
-			return err
-		}
-		if cms[si], err = readComponents(r, s.hosts, numGroups); err != nil {
-			return err
-		}
-		if cfg.Transit == netsim.QueuedTransit {
-			if err := expect(r, recFabric); err != nil {
-				return err
+	w.SetCount(count, n)
+}
+
+// readComponents rebuilds one engine's serialized components through the
+// host's make functions (which re-register them, assigning fresh slots),
+// installs the live ones, and records serialized slot → component for the
+// events record that follows.
+func (c *codec) readComponents(r *snap.Reader, si int) {
+	s := c.s
+	numGroups := s.sub.numGroups()
+	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famSRL: numGroups}
+	for f := famMux; f < numFamilies; f++ {
+		n := r.Len()
+		c.slots[f], c.comps[f] = make([]uint32, 0, n), make([]component, 0, n)
+		for ; n > 0; n-- {
+			slot := r.U32()
+			if last := len(c.slots[f]) - 1; last >= 0 && slot <= c.slots[f][last] {
+				r.Fail(fmt.Errorf("core: snapshot component slot %d out of order", slot))
 			}
-			if err := sh.fabric.RestoreLinks(r); err != nil {
-				return err
+			hid := readIndex(r, len(s.hosts), "component host")
+			sub := readIndex(r, subs[f], "component sub-index")
+			live := r.Bool()
+			capacity := 0.0
+			if f == famMux {
+				if capacity = r.F64(); !(capacity > 0) && r.Err() == nil {
+					r.Fail(fmt.Errorf("core: snapshot mux capacity %v is not positive", capacity))
+				}
 			}
-		}
-		if err := expect(r, recEngine); err != nil {
-			return err
-		}
-		evss[si] = readEvents(r)
-		if err := expect(r, recStats); err != nil {
-			return err
-		}
-		if err := sh.readStats(r); err != nil {
-			return err
+			if r.Err() == nil && s.owner[hid] != si {
+				r.Fail(fmt.Errorf("core: snapshot shard %d holds a component of host %d, which shard %d owns", si, hid, s.owner[hid]))
+			}
+			if r.Err() != nil {
+				return
+			}
+			h := s.hosts[hid]
+			comp := h.makeComp(f, sub, capacity)
+			comp.Restore(r, numGroups)
+			if live {
+				h.install(f, sub, comp)
+			}
+			c.slots[f], c.comps[f] = append(c.slots[f], slot), append(c.comps[f], comp)
 		}
 	}
-	if err := expect(r, recCoord); err != nil {
-		return err
+}
+
+// rearmer is anything that owns pending events: a component, a traffic
+// source, a host's adaptive controller.
+type rearmer interface {
+	Rearm(kind uint16, at, prio des.Time) bool
+}
+
+// rearmRoute says whose table a pending event's arg indexes.
+type rearmRoute struct {
+	fam  family                                       // the component family whose registry slot the arg is, or famNone
+	slot func(c *codec, f family, arg uint32) rearmer // resolves the arg to the event's owner, nil if it names none
+}
+
+func compSlot(c *codec, f family, arg uint32) rearmer {
+	if i, ok := slices.BinarySearch(c.slots[f], arg); ok {
+		return c.comps[f][i]
 	}
+	return nil
+}
+
+func sourceSlot(c *codec, _ family, arg uint32) rearmer {
+	if int(arg) < len(c.s.sources) {
+		if src, ok := c.s.sources[arg].(snapSource); ok {
+			return src
+		}
+	}
+	return nil
+}
+
+func hostSlot(c *codec, _ family, arg uint32) rearmer {
+	if int(arg) < len(c.s.hosts) {
+		return c.s.hosts[arg]
+	}
+	return nil
+}
+
+// rearmRoutes routes every pending-event kind to its owner; replay is one
+// lookup here plus one Rearm call. Indexed by kind, so a kind has at most
+// one route, and a retired or not-yet-routed kind has the zero route,
+// which replay refuses (TestEveryKindHasOneRearmRoute fails on the latter
+// before any restore does). KindFlight alone has no owner to ask: its
+// in-flight delivery rides inline in the events record.
+var rearmRoutes = [des.NumKinds]rearmRoute{
+	des.KindMuxDone:   {famMux, compSlot},
+	des.KindSRRetry:   {famSR, compSlot},
+	des.KindSRLDone:   {famSRL, compSlot},
+	des.KindSRLOn:     {famSRL, compSlot},
+	des.KindSRLOff:    {famSRL, compSlot},
+	des.KindFlight:    {famNone, nil},
+	des.KindSrcCycle:  {famNone, sourceSlot},
+	des.KindSrcTick:   {famNone, sourceSlot},
+	des.KindCtlTick:   {famNone, hostSlot},
+	des.KindAudioTalk: {famNone, sourceSlot},
+	des.KindAudioWake: {famNone, sourceSlot},
+	des.KindVideoTick: {famNone, sourceSlot},
+}
+
+// writeEvents serializes one engine's pending events in seq order. A
+// KindFlight event carries its in-flight delivery inline, because the
+// flight-pool node index in arg is meaningless across processes.
+func (c *codec) writeEvents(w *snap.Writer, si int) {
+	fabric := c.s.sh[si].fabric
+	w.Len(len(c.evs))
+	for _, ev := range c.evs {
+		w.I64(int64(ev.At))
+		w.I64(int64(ev.Prio))
+		w.U16(ev.Kind)
+		w.U32(ev.Arg)
+		if ev.Kind == des.KindFlight {
+			dst, p := fabric.PendingFlight(ev.Arg)
+			w.U32(uint32(dst))
+			p.Snapshot(w)
+		}
+	}
+	c.evs = nil
+}
+
+// readEvents re-schedules one engine's serialized events in original
+// order (the engine's clock already stands at the checkpoint instant).
+// Fresh ascending sequence numbers preserve the original relative firing
+// order. Everything an event can name — this shard's components, the
+// sources, the hosts — was restored by an earlier record.
+func (c *codec) readEvents(r *snap.Reader, si int) {
+	s := c.s
+	for n := r.Len(); n > 0; n-- {
+		at, prio := des.Time(r.I64()), des.Time(r.I64())
+		kind, arg := r.U16(), r.U32()
+		if r.Err() != nil {
+			return
+		}
+		if at < c.at {
+			r.Fail(fmt.Errorf("core: snapshot event at %v precedes the checkpoint instant %v", at, c.at))
+			return
+		}
+		if kind == des.KindFlight {
+			dst := readIndex(r, len(s.hosts), "flight destination")
+			p := traffic.RestorePacket(r, s.sub.numGroups())
+			if r.Err() != nil {
+				return
+			}
+			s.sh[si].fabric.RestoreFlight(at, prio, dst, p)
+			continue
+		}
+		var rt rearmRoute
+		if int(kind) < len(rearmRoutes) {
+			rt = rearmRoutes[kind]
+		}
+		if rt.slot == nil {
+			r.Fail(fmt.Errorf("core: snapshot event has unknown kind %d", kind))
+			return
+		}
+		if owner := rt.slot(c, rt.fam, arg); owner == nil || !owner.Rearm(kind, at, prio) {
+			r.Fail(fmt.Errorf("core: snapshot event kind %d names slot %d, which cannot re-arm it", kind, arg))
+			return
+		}
+	}
+}
+
+// writeStats serializes one shard's measurement accumulators.
+func (c *codec) writeStats(w *snap.Writer, si int) {
+	sh := c.s.sh[si]
+	for g := range sh.perGroup {
+		sh.perGroup[g].Snapshot(w)
+	}
+	sh.delays.Snapshot(w)
+	w.U64(sh.deliver)
+	for _, n := range sh.lost {
+		w.U64(n)
+	}
+	w.Bool(sh.windows != nil)
+	if sh.windows != nil {
+		sh.windows.Snapshot(w)
+	}
+	w.Len(len(sh.faultCut))
+	for _, n := range sh.faultCut {
+		w.U64(n)
+	}
+}
+
+func (c *codec) readStats(r *snap.Reader, si int) {
+	sh := c.s.sh[si]
+	for g := range sh.perGroup {
+		sh.perGroup[g].Restore(r)
+	}
+	sh.delays.Restore(r)
+	sh.deliver = r.U64()
+	for g := range sh.lost {
+		sh.lost[g] = r.U64()
+	}
+	if has := r.Bool(); has != (sh.windows != nil) {
+		r.Fail(fmt.Errorf("core: snapshot window series present=%v, session expects %v", has, sh.windows != nil))
+		return
+	}
+	if sh.windows != nil {
+		sh.windows.Restore(r)
+	}
+	if n := r.Len(); n != len(sh.faultCut) {
+		r.Fail(fmt.Errorf("core: snapshot has %d cut counters, shard has %d", n, len(sh.faultCut)))
+		return
+	}
+	for i := range sh.faultCut {
+		sh.faultCut[i] = r.U64()
+	}
+}
+
+// --- The coordinator record ---
+
+func (c *codec) writeCoord(w *snap.Writer, _ int) {
+	coord := c.s.coord
+	seqs := coord.SrcSeqs()
+	w.Len(len(seqs))
+	for _, q := range seqs {
+		w.U64(q)
+	}
+	epochs, messages, stallNum, stallDen := coord.Diagnostics()
+	w.U64(epochs)
+	w.U64(messages)
+	w.U64(stallNum)
+	w.U64(stallDen)
+	for dst := range c.s.sh {
+		recs := coord.PendingRecords(dst)
+		w.Len(len(recs))
+		for _, rc := range recs {
+			w.I64(int64(rc.At))
+			w.I64(int64(rc.Lamport))
+			w.U64(rc.Seq)
+			w.U32(uint32(rc.Src))
+			w.U32(uint32(rc.Payload.host))
+			rc.Payload.p.Snapshot(w)
+		}
+	}
+}
+
+func (c *codec) readCoord(r *snap.Reader, _ int) {
+	s := c.s
 	if n := r.Len(); n != len(s.sh) {
-		return fmt.Errorf("core: snapshot has %d source-seq counters, session has %d shards", n, len(s.sh))
+		r.Fail(fmt.Errorf("core: snapshot has %d source-seq counters, session has %d shards", n, len(s.sh)))
+		return
 	}
 	seqs := make([]uint64, len(s.sh))
 	for i := range seqs {
@@ -1158,75 +970,20 @@ func (s *Session) restore(r *snap.Reader, meta snapMeta) error {
 	for dst := range s.sh {
 		n := r.Len()
 		recs := make([]des.ShardRec[shardPacket], 0, n)
-		for i := 0; i < n; i++ {
-			if r.Err() != nil {
-				break
-			}
+		for ; n > 0; n-- {
 			rc := des.ShardRec[shardPacket]{
 				At:      des.Time(r.I64()),
 				Lamport: des.Time(r.I64()),
 				Seq:     r.U64(),
-				Src:     int32(r.I64()),
+				Src:     int32(readIndex(r, len(s.sh), "cross-shard record source")),
 			}
-			rc.Payload.host = int(r.U32())
-			rc.Payload.p = traffic.RestorePacket(r)
+			rc.Payload.host = readIndex(r, len(s.hosts), "cross-shard record host")
+			rc.Payload.p = traffic.RestorePacket(r, s.sub.numGroups())
+			if r.Err() == nil && rc.At < c.at {
+				r.Fail(fmt.Errorf("core: snapshot cross-shard record at %v precedes the checkpoint instant %v", rc.At, c.at))
+			}
 			recs = append(recs, rc)
 		}
 		s.coord.RestorePending(dst, recs)
 	}
-	if err := expect(r, recEnd); err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	// Sources resume at their serialized stream positions; their pending
-	// emission events arrive through the replay below.
-	s.sources = s.buildSources()
-	for g, src := range s.sources {
-		root := s.sub.groups[g].tree.Source
-		if err := resumeSource(g, src, srcSts[g], s.rootEngine(g), cfg.Duration, s.emitFn(g, root)); err != nil {
-			return err
-		}
-	}
-	s.started = true
-	for si, sh := range s.sh {
-		sh.eng.RestoreNow(meta.at)
-		if err := replayEvents(evss[si], cms[si], sh.fabric, s.sources, s.hosts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Restore rebuilds a session from cfg and a snapshot taken by Snapshot
-// under the same cfg, positioned at the checkpoint instant and ready to
-// continue with RunTo/Finish — bit-identically to the original run.
-func Restore(cfg Config, data []byte) (*Session, error) {
-	r, version, err := snap.NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	if version != SnapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, want %d", version, SnapshotVersion)
-	}
-	if err := expect(r, recMeta); err != nil {
-		return nil, err
-	}
-	meta := readMeta(r)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	sub := compileSubstrate(cfg)
-	if err := checkMeta(meta, sub); err != nil {
-		return nil, err
-	}
-	s := newSessionFrom(sub, &resumeState{at: meta.at})
-	if meta.shards != len(s.sh) {
-		return nil, fmt.Errorf("core: snapshot has %d shards, session has %d", meta.shards, len(s.sh))
-	}
-	if err := s.restore(r, meta); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

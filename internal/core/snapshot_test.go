@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/mux"
-	"repro/internal/netsim"
 	"repro/internal/snap"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -18,8 +17,8 @@ import (
 // checkpointCases are the workload archetypes the snapshot contract is
 // pinned over: static trees, membership churn, correlated faults (outage +
 // partition spanning the checkpoint), online re-optimization under churn,
-// the adaptive per-host controller, VBR stochastic sources (audio and
-// video), and queued router-link transit.
+// the adaptive per-host controller, and VBR stochastic sources (audio and
+// video).
 func checkpointCases() []struct {
 	name string
 	cfg  Config
@@ -34,8 +33,6 @@ func checkpointCases() []struct {
 	vbr := shardBaseConfig(41)
 	vbr.Workload = WorkloadVBR
 	vbr.Mix = traffic.MixHetero
-	queued := shardBaseConfig(43)
-	queued.Transit = netsim.QueuedTransit
 	return []struct {
 		name string
 		cfg  Config
@@ -46,7 +43,6 @@ func checkpointCases() []struct {
 		{"reopt-churn", reopt},
 		{"adaptive", adaptive},
 		{"vbr", vbr},
-		{"queued", queued},
 	}
 }
 
@@ -141,8 +137,8 @@ func TestCheckpointUnalignedInstant(t *testing.T) {
 
 // TestSnapshotGuards pins the remaining explicit refusal: an unstarted
 // session fails with an error, not a corrupt snapshot. (Configuration
-// coverage is total — the adaptive, VBR, and QueuedTransit families are
-// pinned bit-identical by TestCheckpointRestoreBitIdentical.)
+// coverage is total — the adaptive and VBR families are pinned
+// bit-identical by TestCheckpointRestoreBitIdentical.)
 func TestSnapshotGuards(t *testing.T) {
 	cfg := shardBaseConfig(3)
 	if _, err := NewSession(cfg).Snapshot(); err == nil {
@@ -169,14 +165,13 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Error("restore under a different seed did not fail")
 	}
 	// Structure the seeds and counts do not capture: the meta record's
-	// blueprint key, discipline and transit mode refuse each of these.
+	// blueprint key and discipline refuse each of these.
 	for name, mutate := range map[string]func(*Config){
 		"strategy":   func(c *Config) { c.Strategy = "spt" },
 		"topology":   func(c *Config) { c.Topology = topo.Waxman{N: 32} },
 		"member set": func(c *Config) { c.Groups = slices.Clone(c.Groups); c.Groups[2].Members = rangeMembers(10, 121) },
 		"cluster k":  func(c *Config) { c.ClusterK = 4 },
 		"discipline": func(c *Config) { c.Discipline = mux.FIFO },
-		"transit":    func(c *Config) { c.Transit = netsim.QueuedTransit },
 	} {
 		other := cfg
 		mutate(&other)
@@ -199,12 +194,14 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if _, err := Restore(cfg, blob4); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("restore of a 4-shard snapshot into a one-shard session: err = %v, want a shard-count error", err)
 	}
-	v2, err := snap.NewWriter(2).Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(cfg, v2); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Errorf("restore of a version-2 snapshot: err = %v, want the version error", err)
+	for _, old := range []uint32{2, 4} {
+		hdr, err := snap.NewWriter(old).Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(cfg, hdr); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", old)) {
+			t.Errorf("restore of a version-%d snapshot: err = %v, want the version error", old, err)
+		}
 	}
 	if _, err := Restore(cfg, blob[:len(blob)/2]); err == nil {
 		t.Error("restore of a truncated snapshot did not fail")
@@ -224,42 +221,79 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointQueuedTransitIsOneShard: QueuedTransit runs on one shard
-// whatever Config.Shards asks, so Shards=4 must run, snapshot and restore
-// exactly as Shards=1 does — same bytes, interchangeable blobs, same Result.
-func TestCheckpointQueuedTransitIsOneShard(t *testing.T) {
-	one := shardBaseConfig(43)
-	one.Transit = netsim.QueuedTransit
-	one.Shards = 1
-	four := one
-	four.Shards = 4
-	mid := des.Time(one.Duration) / 2
-	blobs := make(map[int][]byte)
-	for _, cfg := range []Config{one, four} {
-		s := NewSession(cfg)
+// TestEveryKindHasOneRearmRoute: every pending-event kind in the des
+// registry is routed by the replay table (which, being indexed by kind,
+// cannot route one twice), and the retired slots are not. A kind appended
+// to des without a route fails here rather than at the first restore that
+// meets one.
+func TestEveryKindHasOneRearmRoute(t *testing.T) {
+	retired := map[uint16]bool{des.KindNone: true, 1: true, 14: true, 15: true}
+	for kind := uint16(0); kind < des.NumKinds; kind++ {
+		routed := rearmRoutes[kind].slot != nil || kind == des.KindFlight
+		if routed == retired[kind] {
+			t.Errorf("kind %d: routed=%v, retired=%v", kind, routed, retired[kind])
+		}
+	}
+	if len(rearmRoutes) != int(des.NumKinds) {
+		t.Errorf("replay table has %d rows for %d kinds", len(rearmRoutes), des.NumKinds)
+	}
+}
+
+// TestSnapshotRecordOrderMatchesTable reads real blobs with nothing but
+// snap.Reader.Next and compares the record tags with the sequence the
+// record table predicts — for the static one-shard case against a
+// hand-spelled sequence too, so the table itself is pinned.
+func TestSnapshotRecordOrderMatchesTable(t *testing.T) {
+	static := shardBaseConfig(7)
+	planes := faultBaseConfig(29) // churn + faults, plus reopt below
+	planes.Reopt = ReoptConfig{Every: 250 * des.Millisecond, MinImprove: 0.02, MaxMoves: 2}
+	sharded := faultBaseConfig(29)
+	sharded.Shards = 4
+	perShard := []uint16{recComponents, recEngine, recStats}
+	for name, tc := range map[string]struct {
+		cfg  Config
+		want []uint16 // nil: only the table's prediction is checked
+	}{
+		"static": {static, slices.Concat([]uint16{recMeta}, slices.Repeat([]uint16{recGroup}, 6),
+			[]uint16{recHosts, recSources}, perShard, []uint16{recCoord, recEnd})},
+		"churn+fault+reopt": {planes, slices.Concat([]uint16{recMeta}, slices.Repeat([]uint16{recGroup}, 6),
+			[]uint16{recHosts, recSources, recControl, recFaults, recReopt}, perShard, []uint16{recCoord, recEnd})},
+		"4-shard": {cfg: sharded},
+	} {
+		s := NewSession(tc.cfg)
 		s.Start()
-		s.RunTo(mid)
+		s.RunTo(des.Second)
 		blob, err := s.Snapshot()
 		if err != nil {
-			t.Fatalf("shards=%d: %v", cfg.Shards, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		blobs[cfg.Shards] = blob
-	}
-	if !bytes.Equal(blobs[1], blobs[4]) {
-		t.Fatalf("snapshots differ: %d bytes at Shards=1, %d at Shards=4", len(blobs[1]), len(blobs[4]))
-	}
-	want := finishVia(t, one)
-	// Cross-restore: the Shards=1 blob under the Shards=4 config.
-	restored, err := Restore(four, blobs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := restored.Finish()
-	if got.Shards != 1 {
-		t.Fatalf("QueuedTransit with Shards=4 restored onto %d shards", got.Shards)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored Shards=4 run diverged from the straight Shards=1 run:\n  got  %+v\n  want %+v", got, want)
+		var predicted []uint16
+		(&codec{s: s}).walk(func(rec *record, _ int) error {
+			predicted = append(predicted, rec.tag)
+			return nil
+		})
+		r, _, err := snap.NewReader(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []uint16
+		for tag, ok := r.Next(); ok; tag, ok = r.Next() {
+			got = append(got, tag)
+			for r.Remaining() > 0 {
+				r.U8()
+			}
+		}
+		if !slices.Equal(got, predicted) {
+			t.Errorf("%s: blob records %v, table predicts %v", name, got, predicted)
+		}
+		if tc.want != nil && !slices.Equal(got, tc.want) {
+			t.Errorf("%s: blob records %v, want %v", name, got, tc.want)
+		}
+		if name == "4-shard" {
+			if n := s.Shards(); n < 2 || len(got) != 1+6+2+2+3*n+2 {
+				t.Errorf("4-shard: %d records on %d shards", len(got), n)
+			}
+		}
 	}
 }
 

@@ -55,12 +55,14 @@ const (
 	KindAudioWake
 	// KindVideoTick is a VBR video-source frame tick (arg = flow).
 	KindVideoTick
-	// KindLinkDone is a router-link serialisation completion
-	// (arg = the fabric's link-registry slot).
-	KindLinkDone
-	// KindHopFlight is a packet propagating between router hops or down an
-	// access link (arg = flight-pool node index; payload serialized inline).
-	KindHopFlight
+	// Slots 14 and 15 are retired: the hop-by-hop underlay they served
+	// (router-link serialisation, per-hop propagation) is gone.
+	_
+	_
+	// NumKinds bounds the registry (it is not a kind): tables indexed by
+	// kind size themselves with it, so a kind appended above shows up in
+	// them as an unrouted entry instead of an out-of-range index.
+	NumKinds
 )
 
 // PendingEvent is one serializable queue entry.

@@ -1,6 +1,8 @@
 package mux
 
 import (
+	"fmt"
+
 	"repro/internal/des"
 	"repro/internal/snap"
 	"repro/internal/traffic"
@@ -23,9 +25,9 @@ func snapEntry(w *snap.Writer, e entry) {
 	w.U64(e.seq)
 }
 
-func restoreEntry(r *snap.Reader) entry {
+func restoreEntry(r *snap.Reader, flows int) entry {
 	return entry{
-		p:       traffic.RestorePacket(r),
+		p:       traffic.RestorePacket(r, flows),
 		arrived: des.Time(r.I64()),
 		seq:     r.U64(),
 	}
@@ -53,20 +55,27 @@ func (m *Mux) Snapshot(w *snap.Writer) {
 	m.Served.Snapshot(w)
 }
 
-// Restore overwrites the MUX's mutable state from the open record. The
+// Restore overwrites the MUX's mutable state from the open record,
+// failing the reader on a flow id outside [0, flows) or slots out of
+// ascending order (slot lookups are binary searches). The
 // transmit-completion event, if one was pending, arrives separately via
-// RestoreDone during event replay.
-func (m *Mux) Restore(r *snap.Reader) {
+// Rearm during event replay.
+func (m *Mux) Restore(r *snap.Reader, flows int) {
 	n := r.Len()
 	m.slotFlow = m.slotFlow[:0]
 	m.queues = m.queues[:0]
 	m.heads = m.heads[:0]
 	for s := 0; s < n; s++ {
-		m.slotFlow = append(m.slotFlow, int32(r.U32()))
+		f := int32(r.U32())
+		if f < 0 || int(f) >= flows || (s > 0 && f <= m.slotFlow[s-1]) {
+			r.Fail(fmt.Errorf("mux: snapshot queue slot %d holds flow %d, outside [0,%d) or out of order", s, f, flows))
+			return
+		}
+		m.slotFlow = append(m.slotFlow, f)
 		q := r.Len()
 		var qs []entry
 		for i := 0; i < q; i++ {
-			qs = append(qs, restoreEntry(r))
+			qs = append(qs, restoreEntry(r, flows))
 		}
 		m.queues = append(m.queues, qs)
 		m.heads = append(m.heads, 0)
@@ -76,15 +85,20 @@ func (m *Mux) Restore(r *snap.Reader) {
 	m.seq = r.U64()
 	m.rrNext = int(r.I64())
 	if m.busy {
-		m.cur = restoreEntry(r)
+		m.cur = restoreEntry(r, flows)
 	}
 	m.Delay.Restore(r)
 	m.MaxWait.Restore(r)
 	m.Served.Restore(r)
 }
 
-// RestoreDone re-schedules the serialized transmit-completion event for
-// the packet in m.cur (the MUX must have been restored busy).
-func (m *Mux) RestoreDone(at, prio des.Time) {
-	m.eng.SchedulePrioKind(at, prio, des.KindMuxDone, m.snapArg, m.done)
+// Rearm re-schedules the serialized transmit-completion event for the
+// packet in m.cur (the MUX must have been restored busy) under its original
+// stamps; false for a kind the MUX does not own.
+func (m *Mux) Rearm(kind uint16, at, prio des.Time) bool {
+	if kind != des.KindMuxDone {
+		return false
+	}
+	m.eng.SchedulePrioKind(at, prio, kind, m.snapArg, m.done)
+	return true
 }

@@ -1,50 +1,43 @@
 // Package netsim provides the packet-level underlay transport for the
-// EMcast experiments: store-and-forward links, a pure-delay pipe, and the
-// Fabric that carries overlay-hop traffic between end hosts across the
-// backbone of internal/topo.
+// EMcast experiments: a pure-delay pipe, and the Fabric that carries
+// overlay-hop traffic between end hosts across the backbone of
+// internal/topo.
 //
-// Two transit modes are offered. PipeTransit delivers a host-to-host
-// packet after the shortest-path propagation delay with no router
-// queueing — the appropriate model when (as in the paper's evaluation)
-// the backbone is provisioned far above the offered load and the only
-// contended resource is end-host output capacity. QueuedTransit routes
-// packets hop by hop through per-direction router links with FIFO
-// serialisation, for experiments that want core queueing effects.
+// The underlay is an end-to-end delay and nothing else: a host-to-host
+// packet is delivered after the shortest-path propagation delay, with no
+// router queueing. That is the paper's model — the backbone is provisioned
+// far above the offered load, every contended resource (regulators, the
+// per-connection MUX) sits at the group end hosts — and it is what makes a
+// cross-shard handoff a (destination, arrival time, packet) triple.
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/des"
-	"repro/internal/snap"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
-// transit wraps a packet with its final destination host for hop-by-hop
-// routing inside the Fabric, plus the router it is heading to while on an
-// access uplink.
+// transit wraps a packet in flight with its destination host.
 type transit struct {
 	p   traffic.Packet
 	dst int
-	via topo.NodeID
 }
 
 // flightPool recycles the carrier nodes for packets that are "in flight"
-// on a pure delay (pipe latency, wire propagation, access uplinks). Any
-// number of packets propagate concurrently, so a single stored callback is
-// not enough — instead each node binds its own firing closure once, at
-// node allocation, and nodes cycle through a free list. Steady-state sends
-// therefore allocate nothing: the high-water mark of concurrently flying
-// packets bounds the pool.
+// on a pure delay. Any number of packets propagate concurrently, so a
+// single stored callback is not enough — instead each node binds its own
+// firing closure once, at node allocation, and nodes cycle through a free
+// list. Steady-state sends therefore allocate nothing: the high-water mark
+// of concurrently flying packets bounds the pool.
 type flightPool struct {
 	eng     *des.Engine
 	free    *flightNode
 	deliver func(transit)
-	// Checkpoint support: a pool with a non-zero kind tags its events and
-	// tracks every node it ever allocated, indexed by the node's idx — the
-	// event arg — so a snapshot can read the in-flight transit a pending
-	// event refers to. Untagged pools stay snapshot-incompatible.
+	// Checkpoint support: every event carries the pool's kind and the
+	// firing node's idx — its position in nodes, which holds every node ever
+	// allocated — so a snapshot can read the in-flight transit a pending
+	// event refers to. A pool left at the zero kind (des.KindNone) stays
+	// snapshot-incompatible: the engine refuses to serialize its events.
 	kind  uint16
 	nodes []*flightNode
 }
@@ -54,10 +47,6 @@ type flightNode struct {
 	idx  uint32
 	next *flightNode
 	fire func()
-}
-
-func newFlightPool(eng *des.Engine, deliver func(transit)) *flightPool {
-	return &flightPool{eng: eng, deliver: deliver}
 }
 
 func (fp *flightPool) alloc() *flightNode {
@@ -82,19 +71,7 @@ func (fp *flightPool) alloc() *flightNode {
 func (fp *flightPool) send(d des.Duration, tr transit) {
 	n := fp.alloc()
 	n.tr = tr
-	if fp.kind != 0 {
-		fp.eng.ScheduleInKind(d, fp.kind, n.idx, n.fire)
-	} else {
-		fp.eng.ScheduleIn(d, n.fire)
-	}
-}
-
-// restore re-schedules a serialized in-flight delivery under its original
-// (at, prio) stamps; the fresh node index becomes the event's new arg.
-func (fp *flightPool) restore(at, prio des.Time, tr transit) {
-	n := fp.alloc()
-	n.tr = tr
-	fp.eng.SchedulePrioKind(at, prio, fp.kind, n.idx, n.fire)
+	fp.eng.ScheduleInKind(d, fp.kind, n.idx, n.fire)
 }
 
 // Pipe is a fixed-latency, infinite-capacity conduit.
@@ -113,7 +90,7 @@ func NewPipe(eng *des.Engine, delay des.Duration, out func(traffic.Packet)) *Pip
 	}
 	return &Pipe{
 		delay: delay,
-		pool:  newFlightPool(eng, func(tr transit) { out(tr.p) }),
+		pool:  &flightPool{eng: eng, deliver: func(tr transit) { out(tr.p) }},
 	}
 }
 
@@ -122,155 +99,26 @@ func (pi *Pipe) Send(p traffic.Packet) {
 	pi.pool.send(pi.delay, transit{p: p})
 }
 
-// Link is a store-and-forward link: packets serialise at the link capacity
-// in FIFO order, then propagate for the configured delay. Multiple packets
-// may be "in flight" (propagating) simultaneously, as on a real wire.
-type Link struct {
-	eng      *des.Engine
-	capacity float64 // bits/second
-	prop     des.Duration
-
-	queue   []transit
-	head    int
-	busy    bool
-	bits    float64
-	cur     transit // packet in serialisation (valid while busy)
-	done    func()  // stored serialisation-completion callback
-	flying  *flightPool
-	Dropped uint64 // packets dropped by the queue cap, 0 = unlimited
-	MaxQ    int    // cap on queued packets; 0 = unlimited
-
-	// Checkpoint support: a link tagged by the fabric (see tagLink) carries
-	// kind/arg on its serialisation-done events and propagates through the
-	// fabric's shared, kind-tagged hop pool instead of its private one.
-	// Untagged links (standalone use) stay snapshot-incompatible.
-	kind uint16
-	arg  uint32
-	fly  func(d des.Duration, tr transit)
-}
-
-// NewLink returns a link serialising at capacity bits/second with the
-// given propagation delay.
-func NewLink(eng *des.Engine, capacity float64, prop des.Duration, out func(transit)) *Link {
-	if capacity <= 0 {
-		panic("netsim: link capacity must be positive")
-	}
-	if prop < 0 {
-		panic("netsim: propagation delay must be non-negative")
-	}
-	if out == nil {
-		panic("netsim: nil output")
-	}
-	l := &Link{eng: eng, capacity: capacity, prop: prop}
-	l.flying = newFlightPool(eng, out)
-	l.fly = func(d des.Duration, tr transit) { l.flying.send(d, tr) }
-	l.done = func() {
-		// Serialisation finished: the packet propagates while the link
-		// starts on the next one.
-		l.fly(l.prop, l.cur)
-		l.serve()
-	}
-	return l
-}
-
-// Backlog returns the bits waiting for serialisation.
-func (l *Link) Backlog() float64 { return l.bits }
-
-// QueueLen returns the packets waiting for serialisation.
-func (l *Link) QueueLen() int { return len(l.queue) - l.head }
-
-// Send enqueues tr for transmission. When MaxQ > 0 and the queue is full
-// the packet is dropped and counted.
-func (l *Link) Send(tr transit) {
-	if l.MaxQ > 0 && l.QueueLen() >= l.MaxQ {
-		l.Dropped++
-		return
-	}
-	l.queue = append(l.queue, tr)
-	l.bits += tr.p.Size
-	if !l.busy {
-		l.serve()
-	}
-}
-
-func (l *Link) serve() {
-	if l.head >= len(l.queue) {
-		l.busy = false
-		return
-	}
-	l.busy = true
-	tr := l.queue[l.head]
-	l.head++
-	if l.head > 64 && l.head*2 >= len(l.queue) {
-		n := copy(l.queue, l.queue[l.head:])
-		l.queue = l.queue[:n]
-		l.head = 0
-	}
-	l.bits -= tr.p.Size
-	l.cur = tr
-	d := des.Seconds(tr.p.Size / l.capacity)
-	if l.kind != 0 {
-		l.eng.ScheduleInKind(d, l.kind, l.arg, l.done)
-	} else {
-		l.eng.ScheduleIn(d, l.done)
-	}
-}
-
-// TransitMode selects how the Fabric carries host-to-host traffic.
-type TransitMode int
-
-// Fabric transit modes.
-const (
-	// PipeTransit delivers after end-to-end propagation with no core
-	// queueing (default; matches the paper's uncongested backbone).
-	PipeTransit TransitMode = iota
-	// QueuedTransit routes hop-by-hop through serialising router links.
-	QueuedTransit
-)
-
 // Fabric is the underlay transport connecting all end hosts.
 type Fabric struct {
 	eng       *des.Engine
 	net       *topo.Network
-	mode      TransitMode
 	receivers []func(traffic.Packet)
-	// pipes carries PipeTransit packets end to end; hops carries every
-	// QueuedTransit pure-delay propagation — sender uplinks (via = the
-	// sender's router), backbone wires (via = the receiving router), and
-	// access-link descent to the host (via < 0). One shared, kind-tagged
-	// pool means every in-flight hop rehydrates from (via, dst, packet).
+	// pipes carries every packet end to end; kind-tagged, so an in-flight
+	// delivery rehydrates from (dst, packet).
 	pipes *flightPool
-	hops  *flightPool
-	// QueuedTransit state: one Link per directed backbone edge, keyed by
-	// [from][to], plus per-host access links. linkReg numbers every link in
-	// a deterministic order (backbone edges router-ascending, then access
-	// links host-ascending) — the slot a link's serialisation-done events
-	// carry as their arg, and the order the checkpoint serializes them in.
-	links   map[topo.NodeID]map[topo.NodeID]*Link
-	access  []*Link // host uplink+downlink combined as one serialising stage
-	linkReg []*Link
-	// Sharded delivery (see FabricConfig.Local/Remote).
-	local  func(host int) bool
-	remote func(dst int, at des.Time, p traffic.Packet)
-	drop   func(src, dst int) bool
+	hooks FabricConfig
 	// Delivered counts packets handed to receivers.
 	Delivered uint64
 }
 
 // FabricConfig tunes the underlay.
 type FabricConfig struct {
-	Mode TransitMode
-	// AccessCapacity is the host access-link rate for QueuedTransit
-	// (bits/second). Zero selects 100 Mbit/s.
-	AccessCapacity float64
 	// Local and Remote, when set together, shard the fabric for
 	// conservative-parallel execution: this instance owns the hosts Local
 	// reports true for, and a packet addressed to any other host is handed
 	// to Remote with its computed arrival time instead of being scheduled
 	// here — the peer shard delivers it through its own Fabric.Deliver.
-	// Sharded delivery requires PipeTransit: QueuedTransit serialises
-	// through router links that would be shared mutable state across
-	// shards.
 	Local  func(host int) bool
 	Remote func(dst int, at des.Time, p traffic.Packet)
 	// Drop, when set, is consulted for every host-to-host send with
@@ -288,68 +136,14 @@ func NewFabric(eng *des.Engine, net *topo.Network, cfg FabricConfig) *Fabric {
 	if (cfg.Remote == nil) != (cfg.Local == nil) {
 		panic("netsim: sharded fabric needs both Local and Remote")
 	}
-	if cfg.Remote != nil && cfg.Mode != PipeTransit {
-		panic("netsim: sharded delivery requires PipeTransit")
-	}
 	f := &Fabric{
 		eng:       eng,
 		net:       net,
-		mode:      cfg.Mode,
 		receivers: make([]func(traffic.Packet), len(net.Hosts)),
-		local:     cfg.Local,
-		remote:    cfg.Remote,
-		drop:      cfg.Drop,
+		hooks:     cfg,
 	}
-	f.pipes = newFlightPool(eng, func(tr transit) { f.deliver(tr.dst, tr.p) })
-	f.pipes.kind = des.KindFlight
-	f.hops = newFlightPool(eng, func(tr transit) {
-		if tr.via < 0 {
-			f.deliver(tr.dst, tr.p)
-			return
-		}
-		f.arriveAtRouter(tr.via, tr)
-	})
-	f.hops.kind = des.KindHopFlight
-	if cfg.Mode == QueuedTransit {
-		if cfg.AccessCapacity <= 0 {
-			cfg.AccessCapacity = 100e6
-		}
-		// tagLink registers a link for checkpointing: its serialisation-done
-		// events carry the registry slot, and packets leaving it propagate
-		// through the shared hop pool addressed by via.
-		tagLink := func(l *Link, via topo.NodeID) {
-			l.kind = des.KindLinkDone
-			l.arg = uint32(len(f.linkReg))
-			l.fly = func(d des.Duration, tr transit) {
-				tr.via = via
-				f.hops.send(d, tr)
-			}
-			f.linkReg = append(f.linkReg, l)
-		}
-		f.links = make(map[topo.NodeID]map[topo.NodeID]*Link)
-		g := net.Backbone
-		for v := 0; v < g.NumNodes(); v++ {
-			from := topo.NodeID(v)
-			f.links[from] = make(map[topo.NodeID]*Link)
-			for _, e := range g.Neighbors(from) {
-				edge := e
-				l := NewLink(eng, edge.Capacity, edge.Delay, func(tr transit) {
-					f.arriveAtRouter(edge.To, tr)
-				})
-				tagLink(l, edge.To)
-				f.links[from][edge.To] = l
-			}
-		}
-		f.access = make([]*Link, len(net.Hosts))
-		for i := range net.Hosts {
-			host := i
-			l := NewLink(eng, cfg.AccessCapacity, net.Hosts[i].AccessDelay, func(tr transit) {
-				f.deliver(host, tr.p)
-			})
-			tagLink(l, -1)
-			f.access[i] = l
-		}
-	}
+	f.pipes = &flightPool{eng: eng, kind: des.KindFlight,
+		deliver: func(tr transit) { f.Deliver(tr.dst, tr.p) }}
 	return f
 }
 
@@ -363,45 +157,18 @@ func (f *Fabric) SetReceiver(host int, fn func(traffic.Packet)) {
 // to the Remote hook with their arrival time instead.
 func (f *Fabric) Send(src, dst int, p traffic.Packet) {
 	if src == dst {
-		f.deliver(dst, p)
+		f.Deliver(dst, p)
 		return
 	}
-	if f.drop != nil && f.drop(src, dst) {
+	if f.hooks.Drop != nil && f.hooks.Drop(src, dst) {
 		return
 	}
-	if f.remote != nil && !f.local(dst) {
-		f.remote(dst, f.eng.Now()+f.net.Latency(src, dst), p)
+	if f.hooks.Remote != nil && !f.hooks.Local(dst) {
+		f.hooks.Remote(dst, f.eng.Now()+f.net.Latency(src, dst), p)
 		return
 	}
-	switch f.mode {
-	case QueuedTransit:
-		// Uplink propagation only: the sender's serialisation is already
-		// modelled by its per-connection MUX, so the uplink is a pure
-		// delay here; downlink serialises at the access link.
-		f.hops.send(f.net.Hosts[src].AccessDelay,
-			transit{p: p, dst: dst, via: f.net.Hosts[src].Router})
-	default:
-		f.pipes.send(f.net.Latency(src, dst), transit{p: p, dst: dst})
-	}
+	f.pipes.send(f.net.Latency(src, dst), transit{p: p, dst: dst})
 }
-
-func (f *Fabric) arriveAtRouter(r topo.NodeID, tr transit) {
-	dstRouter := f.net.Hosts[tr.dst].Router
-	if r == dstRouter {
-		f.access[tr.dst].Send(tr)
-		return
-	}
-	next := f.net.Routes.NextHop(r, dstRouter)
-	if next < 0 {
-		panic("netsim: no route between backbone routers")
-	}
-	f.links[r][next].Send(tr)
-}
-
-// Deliver hands p to host's receiver directly — the entry point a peer
-// shard's coordinator uses for cross-shard arrivals at their scheduled
-// time.
-func (f *Fabric) Deliver(host int, p traffic.Packet) { f.deliver(host, p) }
 
 // PendingFlight reads the in-flight delivery a pending KindFlight event
 // (by its arg) refers to, for serialization.
@@ -411,98 +178,19 @@ func (f *Fabric) PendingFlight(arg uint32) (dst int, p traffic.Packet) {
 }
 
 // RestoreFlight re-schedules a serialized in-flight delivery under its
-// original (at, prio) stamps.
+// original (at, prio) stamps; the fresh node's index is the event's new arg.
 func (f *Fabric) RestoreFlight(at, prio des.Time, dst int, p traffic.Packet) {
-	f.pipes.restore(at, prio, transit{p: p, dst: dst})
+	n := f.pipes.alloc()
+	n.tr = transit{p: p, dst: dst}
+	f.eng.SchedulePrioKind(at, prio, des.KindFlight, n.idx, n.fire)
 }
 
-func (f *Fabric) deliver(host int, p traffic.Packet) {
+// Deliver hands p to host's receiver: where every flight lands, and the
+// entry point a peer shard's coordinator uses for cross-shard arrivals at
+// their scheduled time.
+func (f *Fabric) Deliver(host int, p traffic.Packet) {
 	f.Delivered++
 	if fn := f.receivers[host]; fn != nil {
 		fn(p)
 	}
-}
-
-// --- Checkpoint support (QueuedTransit) ---
-
-func writeTransit(w *snap.Writer, tr transit) {
-	w.U32(uint32(tr.dst))
-	w.I64(int64(tr.via))
-	tr.p.Snapshot(w)
-}
-
-func readTransit(r *snap.Reader) transit {
-	dst := int(r.U32())
-	via := topo.NodeID(r.I64())
-	return transit{p: traffic.RestorePacket(r), dst: dst, via: via}
-}
-
-// SnapshotLinks writes every registered link's mutable state — the
-// serialisation queue, the packet on the wire head (if busy), the backlog
-// accumulator (verbatim: it is a running float sum a recomputation would
-// not reproduce bit for bit), and the drop counter. In-flight propagation
-// rides separately as KindHopFlight events.
-func (f *Fabric) SnapshotLinks(w *snap.Writer) {
-	w.Len(len(f.linkReg))
-	for _, l := range f.linkReg {
-		w.Bool(l.busy)
-		if l.busy {
-			writeTransit(w, l.cur)
-		}
-		w.Len(l.QueueLen())
-		for _, tr := range l.queue[l.head:] {
-			writeTransit(w, tr)
-		}
-		w.F64(l.bits)
-		w.U64(l.Dropped)
-	}
-}
-
-// RestoreLinks overwrites every registered link's mutable state from the
-// open record. A busy link's serialisation-done event arrives separately
-// through RestoreLinkDone during event replay.
-func (f *Fabric) RestoreLinks(r *snap.Reader) error {
-	if n := r.Len(); n != len(f.linkReg) {
-		return fmt.Errorf("netsim: snapshot has %d links, fabric has %d", n, len(f.linkReg))
-	}
-	for _, l := range f.linkReg {
-		l.busy = r.Bool()
-		l.cur = transit{}
-		if l.busy {
-			l.cur = readTransit(r)
-		}
-		n := r.Len()
-		l.queue = make([]transit, n)
-		l.head = 0
-		for i := range l.queue {
-			l.queue[i] = readTransit(r)
-		}
-		l.bits = r.F64()
-		l.Dropped = r.U64()
-	}
-	return r.Err()
-}
-
-// RestoreLinkDone re-schedules a serialized serialisation-completion event
-// for the link in registry slot arg.
-func (f *Fabric) RestoreLinkDone(arg uint32, at, prio des.Time) error {
-	if int(arg) >= len(f.linkReg) {
-		return fmt.Errorf("netsim: snapshot event names unknown link slot %d", arg)
-	}
-	l := f.linkReg[arg]
-	l.eng.SchedulePrioKind(at, prio, l.kind, l.arg, l.done)
-	return nil
-}
-
-// PendingHop reads the in-flight hop a pending KindHopFlight event (by its
-// arg) refers to, for serialization.
-func (f *Fabric) PendingHop(arg uint32) (via, dst int, p traffic.Packet) {
-	tr := f.hops.nodes[arg].tr
-	return int(tr.via), tr.dst, tr.p
-}
-
-// RestoreHop re-schedules a serialized in-flight hop under its original
-// (at, prio) stamps.
-func (f *Fabric) RestoreHop(at, prio des.Time, via, dst int, p traffic.Packet) {
-	f.hops.restore(at, prio, transit{p: p, dst: dst, via: topo.NodeID(via)})
 }

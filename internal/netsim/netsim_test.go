@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/des"
@@ -52,93 +51,6 @@ func TestPipeValidation(t *testing.T) {
 	}
 }
 
-func TestLinkSerialisesThenPropagates(t *testing.T) {
-	eng := des.New()
-	var at des.Time = -1
-	// 1000 bits at 1e6 bps = 1ms serialisation + 2ms propagation.
-	l := NewLink(eng, 1e6, 2*des.Millisecond, func(tr transit) { at = eng.Now() })
-	eng.Schedule(0, func() { l.Send(transit{p: traffic.Packet{ID: 1, Size: 1000}}) })
-	eng.Run()
-	if at != 3*des.Millisecond {
-		t.Fatalf("delivered at %v, want 3ms", at)
-	}
-}
-
-func TestLinkPipelinesPropagation(t *testing.T) {
-	// Second packet starts serialising while the first propagates:
-	// arrivals at 1ms+5ms and 2ms+5ms.
-	eng := des.New()
-	var times []des.Time
-	l := NewLink(eng, 1e6, 5*des.Millisecond, func(tr transit) { times = append(times, eng.Now()) })
-	eng.Schedule(0, func() {
-		l.Send(transit{p: traffic.Packet{ID: 1, Size: 1000}})
-		l.Send(transit{p: traffic.Packet{ID: 2, Size: 1000}})
-	})
-	eng.Run()
-	if len(times) != 2 || times[0] != 6*des.Millisecond || times[1] != 7*des.Millisecond {
-		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestLinkFIFOUnderLoad(t *testing.T) {
-	eng := des.New()
-	var ids []uint64
-	l := NewLink(eng, 1e6, des.Millisecond, func(tr transit) { ids = append(ids, tr.p.ID) })
-	eng.Schedule(0, func() {
-		for i := 0; i < 200; i++ {
-			l.Send(transit{p: traffic.Packet{ID: uint64(i), Size: 1000}})
-		}
-	})
-	eng.Run()
-	for i, id := range ids {
-		if id != uint64(i) {
-			t.Fatalf("order violated at %d", i)
-		}
-	}
-	if l.Backlog() != 0 || l.QueueLen() != 0 {
-		t.Fatal("link not drained")
-	}
-}
-
-func TestLinkDropsWhenCapped(t *testing.T) {
-	eng := des.New()
-	delivered := 0
-	l := NewLink(eng, 1e3, des.Millisecond, func(transit) { delivered++ })
-	l.MaxQ = 5
-	eng.Schedule(0, func() {
-		for i := 0; i < 100; i++ {
-			l.Send(transit{p: traffic.Packet{ID: uint64(i), Size: 1000}})
-		}
-	})
-	eng.Run()
-	// 1 in service + 5 queued admitted at t=0; the rest dropped.
-	if delivered != 6 {
-		t.Fatalf("delivered %d, want 6", delivered)
-	}
-	if l.Dropped != 94 {
-		t.Fatalf("dropped %d", l.Dropped)
-	}
-}
-
-func TestLinkValidation(t *testing.T) {
-	eng := des.New()
-	out := func(transit) {}
-	for i, fn := range []func(){
-		func() { NewLink(eng, 0, 1, out) },
-		func() { NewLink(eng, 1, -1, out) },
-		func() { NewLink(eng, 1, 1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: no panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func testNetwork(t *testing.T) *topo.Network {
 	t.Helper()
 	return topo.NewNetwork(topo.Backbone19(), topo.NetworkConfig{NumHosts: 60, Seed: 4})
@@ -147,7 +59,7 @@ func testNetwork(t *testing.T) *topo.Network {
 func TestFabricPipeModeMatchesLatency(t *testing.T) {
 	net := testNetwork(t)
 	eng := des.New()
-	f := NewFabric(eng, net, FabricConfig{Mode: PipeTransit})
+	f := NewFabric(eng, net, FabricConfig{})
 	var at des.Time = -1
 	f.SetReceiver(7, func(p traffic.Packet) { at = eng.Now() })
 	eng.Schedule(0, func() { f.Send(3, 7, traffic.Packet{ID: 1, Size: 1000}) })
@@ -173,100 +85,6 @@ func TestFabricSelfSendImmediate(t *testing.T) {
 	}
 }
 
-func TestFabricQueuedModeDelivers(t *testing.T) {
-	net := testNetwork(t)
-	eng := des.New()
-	f := NewFabric(eng, net, FabricConfig{Mode: QueuedTransit})
-	var at des.Time = -1
-	f.SetReceiver(11, func(p traffic.Packet) { at = eng.Now() })
-	eng.Schedule(0, func() { f.Send(2, 11, traffic.Packet{ID: 1, Size: 1000}) })
-	eng.Run()
-	if at < 0 {
-		t.Fatal("queued transit never delivered")
-	}
-	// Must be at least the pipe latency (propagation) and not wildly more
-	// on an idle network (serialisation at 1 Gb/s core + 100 Mb/s access
-	// adds microseconds).
-	base := net.Latency(2, 11)
-	if at < base {
-		t.Fatalf("queued %v beat pure propagation %v", at, base)
-	}
-	if at > base+des.Millisecond {
-		t.Fatalf("idle queued transit %v far above propagation %v", at, base)
-	}
-}
-
-func TestFabricQueuedModeCongestionDelays(t *testing.T) {
-	// Saturate one access downlink: later packets must queue.
-	net := testNetwork(t)
-	eng := des.New()
-	f := NewFabric(eng, net, FabricConfig{Mode: QueuedTransit, AccessCapacity: 1e6})
-	var times []des.Time
-	f.SetReceiver(9, func(p traffic.Packet) { times = append(times, eng.Now()) })
-	eng.Schedule(0, func() {
-		for i := 0; i < 50; i++ {
-			f.Send(1, 9, traffic.Packet{ID: uint64(i), Size: 10_000})
-		}
-	})
-	eng.Run()
-	if len(times) != 50 {
-		t.Fatalf("delivered %d", len(times))
-	}
-	// Serialisation at 1e6 bps of 10_000 bits = 10ms each: the last packet
-	// must arrive >= 490ms after the first.
-	span := times[len(times)-1] - times[0]
-	if span < 400*des.Millisecond {
-		t.Fatalf("no queueing visible: span %v", span)
-	}
-}
-
-func TestFabricQueuedPreservesOrderPerPath(t *testing.T) {
-	net := testNetwork(t)
-	eng := des.New()
-	f := NewFabric(eng, net, FabricConfig{Mode: QueuedTransit})
-	var ids []uint64
-	f.SetReceiver(20, func(p traffic.Packet) { ids = append(ids, p.ID) })
-	eng.Schedule(0, func() {
-		for i := 0; i < 30; i++ {
-			f.Send(4, 20, traffic.Packet{ID: uint64(i), Size: 1000})
-		}
-	})
-	eng.Run()
-	for i, id := range ids {
-		if id != uint64(i) {
-			t.Fatalf("reorder at %d: %v", i, ids)
-		}
-	}
-}
-
-func TestFabricBothModesAgreeOnIdleNetwork(t *testing.T) {
-	// With no congestion, queued-mode delivery times exceed pipe mode by
-	// only serialisation epsilon.
-	net := testNetwork(t)
-	for src := 0; src < 10; src++ {
-		dst := 59 - src
-		var pipeAt, queuedAt des.Time
-		{
-			eng := des.New()
-			f := NewFabric(eng, net, FabricConfig{Mode: PipeTransit})
-			f.SetReceiver(dst, func(traffic.Packet) { pipeAt = eng.Now() })
-			eng.Schedule(0, func() { f.Send(src, dst, traffic.Packet{Size: 1000}) })
-			eng.Run()
-		}
-		{
-			eng := des.New()
-			f := NewFabric(eng, net, FabricConfig{Mode: QueuedTransit})
-			f.SetReceiver(dst, func(traffic.Packet) { queuedAt = eng.Now() })
-			eng.Schedule(0, func() { f.Send(src, dst, traffic.Packet{Size: 1000}) })
-			eng.Run()
-		}
-		diff := math.Abs(float64(queuedAt - pipeAt))
-		if diff > float64(des.Millisecond) {
-			t.Fatalf("modes diverge by %v ns for %d->%d", diff, src, dst)
-		}
-	}
-}
-
 func BenchmarkFabricPipeSend(b *testing.B) {
 	net := topo.NewNetwork(topo.Backbone19(), topo.NetworkConfig{NumHosts: 100, Seed: 1})
 	eng := des.New()
@@ -279,19 +97,6 @@ func BenchmarkFabricPipeSend(b *testing.B) {
 	}
 }
 
-func BenchmarkFabricQueuedSend(b *testing.B) {
-	net := topo.NewNetwork(topo.Backbone19(), topo.NetworkConfig{NumHosts: 100, Seed: 1})
-	eng := des.New()
-	f := NewFabric(eng, net, FabricConfig{Mode: QueuedTransit})
-	f.SetReceiver(50, func(traffic.Packet) {})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Schedule(eng.Now(), func() { f.Send(1, 50, traffic.Packet{Size: 1000}) })
-		for eng.Step() {
-		}
-	}
-}
-
 // TestFabricDropHook: the partition hook runs once per send, after the
 // self-send shortcut; a dropped packet never reaches the receiver and is
 // not counted as delivered — the hook owns the accounting.
@@ -300,7 +105,7 @@ func TestFabricDropHook(t *testing.T) {
 	eng := des.New()
 	dropped := 0
 	cut := true
-	f := NewFabric(eng, net, FabricConfig{Mode: PipeTransit,
+	f := NewFabric(eng, net, FabricConfig{
 		Drop: func(src, dst int) bool {
 			if cut && src == 3 {
 				dropped++

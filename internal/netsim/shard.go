@@ -84,7 +84,7 @@ func NumShards(owner []int) int {
 // lookahead under the given owner assignment: la[s][t] is the exact
 // minimum host-to-host propagation latency from any host in shard s to
 // any host in shard t (access + backbone shortest path + access, the
-// PipeTransit delivery delay). Entries with no cross-shard path — and the
+// fabric's delivery delay). Entries with no cross-shard path — and the
 // diagonal — hold an effectively infinite sentinel (1<<62-1), which the
 // coordinator's saturating arithmetic treats as "never constrains".
 // Distant shard pairs get entries far above the global minimum, which is

@@ -73,7 +73,6 @@ func TestFabricRemoteHook(t *testing.T) {
 	var posted []int
 	var postedAt []des.Time
 	fab := NewFabric(eng, net, FabricConfig{
-		Mode:  PipeTransit,
 		Local: func(h int) bool { return owner[h] == 0 },
 		Remote: func(dst int, at des.Time, p traffic.Packet) {
 			posted = append(posted, dst)
@@ -108,20 +107,6 @@ func TestFabricRemoteHook(t *testing.T) {
 	if want := net.Latency(src, remoteDst); postedAt[0] != want {
 		t.Fatalf("remote arrival %v, want latency %v", postedAt[0], want)
 	}
-}
-
-func TestShardedFabricRejectsQueuedTransit(t *testing.T) {
-	net := shardTestNetwork(t, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("QueuedTransit sharded fabric did not panic")
-		}
-	}()
-	NewFabric(des.New(), net, FabricConfig{
-		Mode:   QueuedTransit,
-		Local:  func(int) bool { return true },
-		Remote: func(int, des.Time, traffic.Packet) {},
-	})
 }
 
 // TestLookaheadMatrixIsExactPairwiseMinimum checks every matrix entry

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/snap"
@@ -36,23 +37,38 @@ func (t *Tree) Snapshot(w *snap.Writer) {
 	}
 }
 
-// RestoreTree rebuilds a tree written by Snapshot.
-func RestoreTree(r *snap.Reader) *Tree {
-	source := int(r.I64())
+// RestoreTree rebuilds a tree written by Snapshot over hosts [0, numHosts).
+// The bytes may not be ours: an id outside that range, a second parent for
+// one node or a parent for the source fails the reader (and ends the
+// decode) instead of reaching setParent's panics or, later, a per-host
+// slice index.
+func RestoreTree(r *snap.Reader, numHosts int) *Tree {
+	id := func(what string) int {
+		v := int(r.I64())
+		if r.Err() == nil && (v < 0 || v >= numHosts) {
+			r.Fail(fmt.Errorf("overlay: snapshot tree %s %d outside [0,%d)", what, v, numHosts))
+		}
+		return v
+	}
+	source := id("source")
 	members := make([]int, r.Len())
 	for i := range members {
-		members[i] = int(r.I64())
+		members[i] = id("member")
 	}
 	t := newTree(source, members)
 	np := r.Len()
 	for i := 0; i < np; i++ {
-		p := int(r.I64())
+		p := id("parent")
 		nc := r.Len()
 		for j := 0; j < nc; j++ {
+			c := id("child")
+			if _, dup := t.parent[c]; dup && r.Err() == nil {
+				r.Fail(fmt.Errorf("overlay: snapshot tree gives host %d a second parent", c))
+			}
 			if r.Err() != nil {
 				return t
 			}
-			t.setParent(int(r.I64()), p)
+			t.setParent(c, p)
 		}
 	}
 	return t

@@ -8,9 +8,10 @@ import (
 
 // Checkpoint support. Envelope parameters and output wiring are
 // construction-time (the restored session recreates the regulator with
-// identical arguments); Snapshot/Restore cover the mutable words, and the
-// Restore* event methods re-schedule the serialized pending events with
-// the original (at, prio) stamps during replay.
+// identical arguments); Snapshot/Restore cover the mutable words, and
+// Rearm re-schedules a serialized pending event with its original
+// (at, prio) stamps during replay, refusing a kind the regulator does not
+// own.
 
 // snapshot appends the queue's live packets and exact bit total. The head
 // index is memory layout, not semantics, so the restored queue starts
@@ -23,12 +24,12 @@ func (q *fifo) snapshot(w *snap.Writer) {
 	w.F64(q.bits)
 }
 
-func (q *fifo) restore(r *snap.Reader) {
+func (q *fifo) restore(r *snap.Reader, flows int) {
 	n := r.Len()
 	q.buf = q.buf[:0]
 	q.head = 0
 	for i := 0; i < n; i++ {
-		q.buf = append(q.buf, traffic.RestorePacket(r))
+		q.buf = append(q.buf, traffic.RestorePacket(r, flows))
 	}
 	q.bits = r.F64()
 }
@@ -46,17 +47,22 @@ func (s *SigmaRho) Snapshot(w *snap.Writer) {
 	w.Bool(s.serving)
 }
 
-// Restore overwrites the regulator's mutable state from the open record.
-func (s *SigmaRho) Restore(r *snap.Reader) {
-	s.q.restore(r)
+// Restore overwrites the regulator's mutable state from the open record;
+// a queued packet with a flow outside [0, flows) fails the reader.
+func (s *SigmaRho) Restore(r *snap.Reader, flows int) {
+	s.q.restore(r, flows)
 	s.tokens = r.F64()
 	s.lastUpdate = des.Time(r.I64())
 	s.serving = r.Bool()
 }
 
-// RestoreRetry re-schedules the serialized token-wait event.
-func (s *SigmaRho) RestoreRetry(at, prio des.Time) {
-	s.retryEv = s.eng.SchedulePrioKind(at, prio, des.KindSRRetry, s.snapArg, s.retry)
+// Rearm re-schedules the serialized token-wait event.
+func (s *SigmaRho) Rearm(kind uint16, at, prio des.Time) bool {
+	if kind != des.KindSRRetry {
+		return false
+	}
+	s.retryEv = s.eng.SchedulePrioKind(at, prio, kind, s.snapArg, s.retry)
+	return true
 }
 
 // SetSnapArg registers the regulator's slot in the session's component
@@ -75,9 +81,10 @@ func (r *SRL) Snapshot(w *snap.Writer) {
 	w.I64(int64(r.onTotal))
 }
 
-// Restore overwrites the regulator's mutable state from the open record.
-func (r *SRL) Restore(sr *snap.Reader) {
-	r.q.restore(sr)
+// Restore overwrites the regulator's mutable state from the open record
+// (see SigmaRho.Restore).
+func (r *SRL) Restore(sr *snap.Reader, flows int) {
+	r.q.restore(sr, flows)
 	r.on = sr.Bool()
 	r.transmitting = sr.Bool()
 	r.cycling = sr.Bool()
@@ -87,17 +94,18 @@ func (r *SRL) Restore(sr *snap.Reader) {
 	r.onTotal = des.Duration(sr.I64())
 }
 
-// RestoreDone re-schedules the serialized transmit-completion event.
-func (r *SRL) RestoreDone(at, prio des.Time) {
-	r.eng.SchedulePrioKind(at, prio, des.KindSRLDone, r.snapArg, r.done)
-}
-
-// RestoreOn re-schedules the serialized working-period-start event.
-func (r *SRL) RestoreOn(at, prio des.Time) {
-	r.onEv = r.eng.SchedulePrioKind(at, prio, des.KindSRLOn, r.snapArg, r.onPhaseFn)
-}
-
-// RestoreOff re-schedules the serialized vacation-start event.
-func (r *SRL) RestoreOff(at, prio des.Time) {
-	r.onEv = r.eng.SchedulePrioKind(at, prio, des.KindSRLOff, r.snapArg, r.offPhaseFn)
+// Rearm re-schedules a serialized transmit-completion, working-period-
+// start or vacation-start event.
+func (r *SRL) Rearm(kind uint16, at, prio des.Time) bool {
+	switch kind {
+	case des.KindSRLDone:
+		r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.done)
+	case des.KindSRLOn:
+		r.onEv = r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.onPhaseFn)
+	case des.KindSRLOff:
+		r.onEv = r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.offPhaseFn)
+	default:
+		return false
+	}
+	return true
 }

@@ -65,7 +65,7 @@ func (w *Writer) Begin(typ uint16) {
 		return
 	}
 	if w.inRec {
-		w.fail(fmt.Errorf("snap: Begin(%d) inside open record %d", typ, w.recType))
+		w.Fail(fmt.Errorf("snap: Begin(%d) inside open record %d", typ, w.recType))
 		return
 	}
 	w.inRec = true
@@ -81,19 +81,21 @@ func (w *Writer) End() {
 		return
 	}
 	if !w.inRec {
-		w.fail(fmt.Errorf("snap: End without Begin"))
+		w.Fail(fmt.Errorf("snap: End without Begin"))
 		return
 	}
 	n := len(w.buf) - w.lenAt - 4
 	if int64(n) > math.MaxUint32 {
-		w.fail(fmt.Errorf("snap: record %d payload %d bytes overflows length prefix", w.recType, n))
+		w.Fail(fmt.Errorf("snap: record %d payload %d bytes overflows length prefix", w.recType, n))
 		return
 	}
 	binary.LittleEndian.PutUint32(w.buf[w.lenAt:], uint32(n))
 	w.inRec = false
 }
 
-func (w *Writer) fail(err error) {
+// Fail latches err as the writer's first error, for an encoder that finds
+// state it cannot serialize mid-record.
+func (w *Writer) Fail(err error) {
 	if w.err == nil {
 		w.err = err
 	}
@@ -112,7 +114,7 @@ func (w *Writer) open() bool {
 
 func (w *Writer) openFail() {
 	if w.err == nil {
-		w.fail(fmt.Errorf("snap: write outside record"))
+		w.Fail(fmt.Errorf("snap: write outside record"))
 	}
 }
 
@@ -164,10 +166,27 @@ func (w *Writer) Bool(v bool) {
 // overflow so decoders can trust the prefix.
 func (w *Writer) Len(n int) {
 	if n < 0 || int64(n) > math.MaxUint32 {
-		w.fail(fmt.Errorf("snap: length %d out of range", n))
+		w.Fail(fmt.Errorf("snap: length %d out of range", n))
 		return
 	}
 	w.U32(uint32(n))
+}
+
+// Count reserves a collection-length slot for an encoder that learns the
+// length only by writing the elements; SetCount fills it in afterwards.
+func (w *Writer) Count() (slot int) {
+	slot = len(w.buf)
+	w.U32(0)
+	return slot
+}
+
+// SetCount backpatches the slot Count reserved, under Len's range rule.
+func (w *Writer) SetCount(slot, n int) {
+	if n < 0 || int64(n) > math.MaxUint32 {
+		w.Fail(fmt.Errorf("snap: length %d out of range", n))
+	} else if w.open() {
+		binary.LittleEndian.PutUint32(w.buf[slot:], uint32(n))
+	}
 }
 
 // Bytes appends a length-prefixed byte slice.
@@ -193,7 +212,7 @@ func (w *Writer) Err() error { return w.err }
 // unclosed record is an error: it means an encoder path forgot End.
 func (w *Writer) Finish() ([]byte, error) {
 	if w.err == nil && w.inRec {
-		w.fail(fmt.Errorf("snap: Finish with open record %d", w.recType))
+		w.Fail(fmt.Errorf("snap: Finish with open record %d", w.recType))
 	}
 	if w.err != nil {
 		return nil, w.err
@@ -232,21 +251,21 @@ func (r *Reader) Next() (uint16, bool) {
 		return 0, false
 	}
 	if r.rpos != len(r.rec) {
-		r.fail(fmt.Errorf("snap: record %d has %d unread payload bytes", r.recType, len(r.rec)-r.rpos))
+		r.Fail(fmt.Errorf("snap: record %d has %d unread payload bytes", r.recType, len(r.rec)-r.rpos))
 		return 0, false
 	}
 	if r.pos == len(r.data) {
 		return 0, false
 	}
 	if len(r.data)-r.pos < 6 {
-		r.fail(fmt.Errorf("snap: truncated record header at offset %d", r.pos))
+		r.Fail(fmt.Errorf("snap: truncated record header at offset %d", r.pos))
 		return 0, false
 	}
 	r.recType = binary.LittleEndian.Uint16(r.data[r.pos:])
 	n := int(binary.LittleEndian.Uint32(r.data[r.pos+2:]))
 	r.pos += 6
 	if len(r.data)-r.pos < n {
-		r.fail(fmt.Errorf("snap: record %d claims %d bytes, %d remain", r.recType, n, len(r.data)-r.pos))
+		r.Fail(fmt.Errorf("snap: record %d claims %d bytes, %d remain", r.recType, n, len(r.data)-r.pos))
 		return 0, false
 	}
 	r.rec = r.data[r.pos : r.pos+n]
@@ -255,7 +274,10 @@ func (r *Reader) Next() (uint16, bool) {
 	return r.recType, true
 }
 
-func (r *Reader) fail(err error) {
+// Fail latches err as the reader's first error: how a decoder reports a
+// value that framed correctly but fails its own validation (an id out of
+// range, a non-positive capacity), so the caller's one Err check sees it.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -266,7 +288,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if len(r.rec)-r.rpos < n {
-		r.fail(fmt.Errorf("snap: record %d payload short: want %d bytes, %d left", r.recType, n, len(r.rec)-r.rpos))
+		r.Fail(fmt.Errorf("snap: record %d payload short: want %d bytes, %d left", r.recType, n, len(r.rec)-r.rpos))
 		return nil
 	}
 	b := r.rec[r.rpos : r.rpos+n]
@@ -320,7 +342,7 @@ func (r *Reader) Bool() bool {
 	case 1:
 		return true
 	default:
-		r.fail(fmt.Errorf("snap: record %d bool byte is %d", r.recType, v))
+		r.Fail(fmt.Errorf("snap: record %d bool byte is %d", r.recType, v))
 		return false
 	}
 }
@@ -331,7 +353,7 @@ func (r *Reader) Bool() bool {
 func (r *Reader) Len() int {
 	n := int(r.U32())
 	if r.err == nil && n > len(r.rec)-r.rpos {
-		r.fail(fmt.Errorf("snap: record %d length prefix %d exceeds %d remaining bytes", r.recType, n, len(r.rec)-r.rpos))
+		r.Fail(fmt.Errorf("snap: record %d length prefix %d exceeds %d remaining bytes", r.recType, n, len(r.rec)-r.rpos))
 		return 0
 	}
 	return n

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 )
@@ -228,5 +229,50 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Fatal("same writes produced different bytes")
+	}
+}
+
+// TestCountBackpatch: a length reserved with Count and filled with SetCount
+// reads back through Len exactly like one written up front, and Fail on
+// either side latches the first error only.
+func TestCountBackpatch(t *testing.T) {
+	w := NewWriter(1)
+	w.Begin(1)
+	slot := w.Count()
+	for i := 0; i < 3; i++ {
+		w.U8(uint8(i + 7))
+	}
+	w.SetCount(slot, 3)
+	w.End()
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Next(); !ok {
+		t.Fatal("no record")
+	}
+	if n := r.Len(); n != 3 {
+		t.Fatalf("Len = %d, want 3", n)
+	}
+	for i := 0; i < 3; i++ {
+		if v := r.U8(); v != uint8(i+7) {
+			t.Fatalf("element %d = %d", i, v)
+		}
+	}
+	first := errors.New("first")
+	r.Fail(first)
+	r.Fail(errors.New("second"))
+	if r.Err() != first || r.U32() != 0 {
+		t.Fatalf("reader after Fail: err %v", r.Err())
+	}
+	w = NewWriter(1)
+	w.Begin(1)
+	w.SetCount(w.Count(), -1)
+	if _, err := w.Finish(); err == nil {
+		t.Fatal("negative count accepted")
 	}
 }

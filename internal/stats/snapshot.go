@@ -112,11 +112,11 @@ func (w *WindowMax) Snapshot(sw *snap.Writer) {
 // Restore overwrites the series from the open record. The serialized
 // width must match the accumulator's configured width: the restored run
 // recompiles its immutable configuration first, so a mismatch means the
-// snapshot came from a different configuration.
-func (w *WindowMax) Restore(sr *snap.Reader) error {
-	width := sr.F64()
-	if sr.Err() == nil && width != w.width {
-		return fmt.Errorf("stats: snapshot window width %v, accumulator has %v", width, w.width)
+// snapshot came from a different configuration, and fails the reader.
+func (w *WindowMax) Restore(sr *snap.Reader) {
+	if width := sr.F64(); sr.Err() == nil && width != w.width {
+		sr.Fail(fmt.Errorf("stats: snapshot window width %v, accumulator has %v", width, w.width))
+		return
 	}
 	n := sr.Len()
 	w.buckets = w.buckets[:0]
@@ -125,5 +125,4 @@ func (w *WindowMax) Restore(sr *snap.Reader) error {
 		w.buckets = append(w.buckets, sr.F64())
 		w.filled = append(w.filled, sr.Bool())
 	}
-	return sr.Err()
 }

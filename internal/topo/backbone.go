@@ -14,9 +14,6 @@ import (
 const (
 	// BackboneNodes is the router count of Fig. 5.
 	BackboneNodes = 19
-	// DefaultBackboneCapacity keeps the core uncongested, matching the
-	// paper's setup where the bottleneck is end-host output capacity.
-	DefaultBackboneCapacity = 1e9 // 1 Gbit/s
 	// propagation speed proxy: ~5 microseconds per simulated km.
 	microsecondsPerUnit = 5.0
 )
@@ -61,7 +58,7 @@ func Backbone19() *Graph {
 	for _, e := range edges {
 		d := g.Coord(e[0]).Dist(g.Coord(e[1]))
 		delay := des.Time(d * microsecondsPerUnit * float64(des.Microsecond))
-		g.AddEdge(e[0], e[1], delay, DefaultBackboneCapacity)
+		g.AddEdge(e[0], e[1], delay)
 	}
 	return g
 }

@@ -35,7 +35,7 @@ func delayFor(d float64) des.Duration {
 }
 
 // connect adds an edge a-b with distance-derived delay unless it exists.
-func connect(g *Graph, a, b NodeID, capacity float64) {
+func connect(g *Graph, a, b NodeID) {
 	if a == b {
 		return
 	}
@@ -44,12 +44,12 @@ func connect(g *Graph, a, b NodeID, capacity float64) {
 			return
 		}
 	}
-	g.AddEdge(a, b, delayFor(g.Coord(a).Dist(g.Coord(b))), capacity)
+	g.AddEdge(a, b, delayFor(g.Coord(a).Dist(g.Coord(b))))
 }
 
 // stitch makes g connected: every node unreachable from node 0 is linked
 // to its nearest reachable node, in ascending node order (deterministic).
-func stitch(g *Graph, capacity float64) {
+func stitch(g *Graph) {
 	n := g.NumNodes()
 	seen := make([]bool, n)
 	var walk func(v NodeID)
@@ -75,7 +75,7 @@ func stitch(g *Graph, capacity float64) {
 				best, bestD = NodeID(u), d
 			}
 		}
-		connect(g, NodeID(v), best, capacity)
+		connect(g, NodeID(v), best)
 		walk(NodeID(v))
 	}
 }
@@ -98,11 +98,10 @@ func (Backbone19Generator) Build(uint64) *Graph { return Backbone19() }
 // stitched to connectivity (isolated routers attach to their nearest
 // reachable neighbour), so every seed yields a usable underlay.
 type Waxman struct {
-	N        int     // routers; default 32
-	Alpha    float64 // edge probability scale; default 0.35
-	Beta     float64 // distance decay scale; default 0.25
-	Size     float64 // plane edge length; default 1000 units
-	Capacity float64 // link capacity; default DefaultBackboneCapacity
+	N     int     // routers; default 32
+	Alpha float64 // edge probability scale; default 0.35
+	Beta  float64 // distance decay scale; default 0.25
+	Size  float64 // plane edge length; default 1000 units
 }
 
 func (w Waxman) withDefaults() Waxman {
@@ -120,9 +119,6 @@ func (w Waxman) withDefaults() Waxman {
 	}
 	if w.Size == 0 {
 		w.Size = 1000
-	}
-	if w.Capacity == 0 {
-		w.Capacity = DefaultBackboneCapacity
 	}
 	return w
 }
@@ -143,11 +139,11 @@ func (w Waxman) Build(seed uint64) *Graph {
 		for j := i + 1; j < w.N; j++ {
 			d := g.Coord(NodeID(i)).Dist(g.Coord(NodeID(j)))
 			if rng.Float64() < w.Alpha*math.Exp(-d/(w.Beta*l)) {
-				connect(g, NodeID(i), NodeID(j), w.Capacity)
+				connect(g, NodeID(i), NodeID(j))
 			}
 		}
 	}
-	stitch(g, w.Capacity)
+	stitch(g)
 	return g
 }
 
@@ -158,10 +154,9 @@ func (w Waxman) Build(seed uint64) *Graph {
 // stub-to-stub paths climb into the core — the regime where overlay
 // locality (DSCT's domain partition) matters most.
 type TransitStub struct {
-	Transits        int     // core routers; default 4
-	StubsPerTransit int     // stub domains per core router; default 3
-	StubSize        int     // routers per stub domain; default 4
-	Capacity        float64 // link capacity; default DefaultBackboneCapacity
+	Transits        int // core routers; default 4
+	StubsPerTransit int // stub domains per core router; default 3
+	StubSize        int // routers per stub domain; default 4
 }
 
 func (t TransitStub) withDefaults() TransitStub {
@@ -176,9 +171,6 @@ func (t TransitStub) withDefaults() TransitStub {
 	}
 	if t.Transits < 2 || t.StubsPerTransit < 1 || t.StubSize < 1 {
 		panic("topo: TransitStub needs >=2 transits and positive stub dimensions")
-	}
-	if t.Capacity == 0 {
-		t.Capacity = DefaultBackboneCapacity
 	}
 	return t
 }
@@ -204,12 +196,12 @@ func (t TransitStub) Build(seed uint64) *Graph {
 		g.SetCoord(NodeID(i), Point{X: 500 + 400*math.Cos(ang), Y: 500 + 400*math.Sin(ang)})
 	}
 	for i := 0; i < t.Transits; i++ {
-		connect(g, NodeID(i), NodeID((i+1)%t.Transits), t.Capacity)
+		connect(g, NodeID(i), NodeID((i+1)%t.Transits))
 	}
 	// Seeded chords roughly halve the core diameter.
 	for i := 0; i+2 < t.Transits; i += 2 {
 		if rng.Bool(0.5) {
-			connect(g, NodeID(i), NodeID(i+2), t.Capacity)
+			connect(g, NodeID(i), NodeID(i+2))
 		}
 	}
 	// Stub domains: clusters of routers placed near their transit router.
@@ -227,16 +219,16 @@ func (t TransitStub) Build(seed uint64) *Graph {
 					Y: centre.Y + 30*(rng.Float64()-0.5),
 				})
 				if k == 0 {
-					connect(g, NodeID(next), NodeID(tr), t.Capacity)
+					connect(g, NodeID(next), NodeID(tr))
 				} else {
-					connect(g, NodeID(next), NodeID(next-1), t.Capacity)
+					connect(g, NodeID(next), NodeID(next-1))
 				}
 				next++
 			}
 			// A second uplink from the stub tail guards against one-cut
 			// partitions inside larger stubs.
 			if t.StubSize > 2 {
-				connect(g, NodeID(next-1), NodeID(tr), t.Capacity)
+				connect(g, NodeID(next-1), NodeID(tr))
 			}
 		}
 	}
@@ -247,8 +239,7 @@ func (t TransitStub) Build(seed uint64) *Graph {
 // shortest paths average N/4 hops, so propagation dominates and tree
 // locality is nearly meaningless.
 type Ring struct {
-	N        int     // routers; default 16
-	Capacity float64 // link capacity; default DefaultBackboneCapacity
+	N int // routers; default 16
 }
 
 // Name implements Generator.
@@ -262,16 +253,13 @@ func (r Ring) Build(uint64) *Graph {
 	if r.N < 3 {
 		panic("topo: ring needs at least three routers")
 	}
-	if r.Capacity == 0 {
-		r.Capacity = DefaultBackboneCapacity
-	}
 	g := NewGraph(r.N)
 	for i := 0; i < r.N; i++ {
 		ang := 2 * math.Pi * float64(i) / float64(r.N)
 		g.SetCoord(NodeID(i), Point{X: 500 + 450*math.Cos(ang), Y: 500 + 450*math.Sin(ang)})
 	}
 	for i := 0; i < r.N; i++ {
-		connect(g, NodeID(i), NodeID((i+1)%r.N), r.Capacity)
+		connect(g, NodeID(i), NodeID((i+1)%r.N))
 	}
 	return g
 }
@@ -280,8 +268,7 @@ func (r Ring) Build(uint64) *Graph {
 // every router pair is at most two hops apart, so the underlay contributes
 // almost nothing and end-host capacity effects stand alone.
 type Star struct {
-	N        int     // routers including the hub; default 16
-	Capacity float64 // link capacity; default DefaultBackboneCapacity
+	N int // routers including the hub; default 16
 }
 
 // Name implements Generator.
@@ -295,15 +282,12 @@ func (s Star) Build(uint64) *Graph {
 	if s.N < 2 {
 		panic("topo: star needs at least two routers")
 	}
-	if s.Capacity == 0 {
-		s.Capacity = DefaultBackboneCapacity
-	}
 	g := NewGraph(s.N)
 	g.SetCoord(0, Point{X: 500, Y: 500})
 	for i := 1; i < s.N; i++ {
 		ang := 2 * math.Pi * float64(i-1) / float64(s.N-1)
 		g.SetCoord(NodeID(i), Point{X: 500 + 420*math.Cos(ang), Y: 500 + 420*math.Sin(ang)})
-		connect(g, NodeID(i), 0, s.Capacity)
+		connect(g, NodeID(i), 0)
 	}
 	return g
 }

@@ -28,9 +28,9 @@ func TestGeneratorsProduceConnectedGraphs(t *testing.T) {
 			}
 			for v := 0; v < g.NumNodes(); v++ {
 				for _, e := range g.Neighbors(NodeID(v)) {
-					if e.Delay <= 0 || e.Capacity <= 0 {
-						t.Fatalf("%s(seed %d): edge %d-%d has delay %v capacity %v",
-							gen.Name(), seed, v, e.To, e.Delay, e.Capacity)
+					if e.Delay <= 0 {
+						t.Fatalf("%s(seed %d): edge %d-%d has delay %v",
+							gen.Name(), seed, v, e.To, e.Delay)
 					}
 				}
 			}

@@ -16,9 +16,8 @@ type NodeID int
 
 // Edge is one directed half of a backbone link.
 type Edge struct {
-	To       NodeID
-	Delay    des.Duration // propagation delay
-	Capacity float64      // bits/second
+	To    NodeID
+	Delay des.Duration // propagation delay
 }
 
 // Point is a 2-D coordinate used to synthesise geographically plausible
@@ -58,20 +57,22 @@ func (g *Graph) SetCoord(v NodeID, p Point) { g.coords[v] = p }
 func (g *Graph) Coord(v NodeID) Point { return g.coords[v] }
 
 // AddEdge inserts an undirected link between a and b with the given
-// propagation delay and capacity. It panics on self-loops or out-of-range
-// nodes.
-func (g *Graph) AddEdge(a, b NodeID, delay des.Duration, capacity float64) {
+// propagation delay — all the simulator models of a backbone link: the
+// core is taken to be provisioned far above the offered load, every
+// contended resource sits at the end hosts. It panics on self-loops or
+// out-of-range nodes.
+func (g *Graph) AddEdge(a, b NodeID, delay des.Duration) {
 	if a == b {
 		panic("topo: self loop")
 	}
 	if int(a) < 0 || int(a) >= g.n || int(b) < 0 || int(b) >= g.n {
 		panic(fmt.Sprintf("topo: edge %d-%d out of range [0,%d)", a, b, g.n))
 	}
-	if delay <= 0 || capacity <= 0 {
-		panic("topo: edge delay and capacity must be positive")
+	if delay <= 0 {
+		panic("topo: edge delay must be positive")
 	}
-	g.adj[a] = append(g.adj[a], Edge{To: b, Delay: delay, Capacity: capacity})
-	g.adj[b] = append(g.adj[b], Edge{To: a, Delay: delay, Capacity: capacity})
+	g.adj[a] = append(g.adj[a], Edge{To: b, Delay: delay})
+	g.adj[b] = append(g.adj[b], Edge{To: a, Delay: delay})
 }
 
 // Neighbors returns the outgoing edges of v. The slice is owned by the
@@ -209,10 +210,6 @@ func (g *Graph) AllPairs() *APSP {
 	}
 	return a
 }
-
-// NextHop returns the next router on the shortest path from src toward dst,
-// or -1 when dst is unreachable or equal to src.
-func (a *APSP) NextHop(src, dst NodeID) NodeID { return a.next[src][dst] }
 
 // Path returns the router sequence src..dst, or nil when unreachable.
 func (a *APSP) Path(src, dst NodeID) []NodeID {

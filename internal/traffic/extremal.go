@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/des"
+	"repro/internal/snap"
 )
 
 // Extremal is a deterministic, envelope-extremal periodic flow: once per
@@ -27,8 +28,8 @@ type Extremal struct {
 	Period     des.Duration
 
 	// Runtime state. nextID and start are the flow's only mutable words
-	// (SnapState captures them); the closures are built once per
-	// Start/Resume and re-scheduled through the engine's event pool.
+	// (Snapshot captures them); the closures are built once, by Resume,
+	// and re-scheduled through the engine's event pool.
 	nextID  uint64
 	start   des.Time
 	eng     *des.Engine
@@ -85,15 +86,18 @@ func (e *Extremal) Envelope() Envelope {
 // base-rate loop reschedules the same three closures through the engine's
 // event pool, so steady-state emission is allocation-free.
 func (e *Extremal) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
-	e.prepare(eng, until, emit)
+	e.Resume(eng, until, emit)
 	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow), e.cycleFn)
 }
 
-// prepare builds the emission closures over the engine and sink. The
-// closures read e.start/e.nextID from the struct (not locals) so a
-// checkpoint can capture them and Resume can rebuild identical callbacks
-// mid-stream. Cycle and tick events carry kind tags with arg = Flow.
-func (e *Extremal) prepare(eng *des.Engine, until des.Time, emit func(Packet)) {
+// Resume builds the emission closures over the engine and sink without
+// scheduling anything: Start calls it and schedules the first cycle; a
+// checkpoint restore calls it after Restore and lets the engine replay the
+// serialized cycle/tick events through Rearm. The closures read
+// e.start/e.nextID from the struct (not locals), which is what makes the
+// rebuilt callbacks identical mid-stream. Cycle and tick events carry kind
+// tags with arg = Flow.
+func (e *Extremal) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 	base := e.baseRate()
 	gap := des.Seconds(e.PacketSize / base)
 	arg := uint32(e.Flow)
@@ -143,28 +147,33 @@ func (e *Extremal) prepare(eng *des.Engine, until des.Time, emit func(Packet)) {
 	e.cycleFn, e.tickFn = cycle, tick
 }
 
-// SnapState returns the flow's mutable runtime words for a checkpoint.
-func (e *Extremal) SnapState() (nextID uint64, start des.Time) {
-	return e.nextID, e.start
+// SnapTag names the source type in a checkpoint.
+func (e *Extremal) SnapTag() uint8 { return TagExtremal }
+
+// Snapshot appends the flow's mutable runtime words to the open record.
+func (e *Extremal) Snapshot(w *snap.Writer) {
+	w.U64(e.nextID)
+	w.I64(int64(e.start))
 }
 
-// Resume rebuilds the emission closures at a checkpoint restore without
-// scheduling anything — the restored engine replays the serialized cycle/
-// tick events through RestoreCycle/RestoreTick instead.
-func (e *Extremal) Resume(eng *des.Engine, until des.Time, emit func(Packet), nextID uint64, start des.Time) {
-	e.prepare(eng, until, emit)
-	e.nextID = nextID
-	e.start = start
+// Restore overwrites the flow's mutable runtime words from the open record.
+func (e *Extremal) Restore(r *snap.Reader) {
+	e.nextID = r.U64()
+	e.start = des.Time(r.I64())
 }
 
-// RestoreCycle re-schedules a serialized period-start event.
-func (e *Extremal) RestoreCycle(at, prio des.Time) {
-	e.eng.SchedulePrioKind(at, prio, des.KindSrcCycle, uint32(e.Flow), e.cycleFn)
-}
-
-// RestoreTick re-schedules a serialized base-rate emission event.
-func (e *Extremal) RestoreTick(at, prio des.Time) {
-	e.eng.SchedulePrioKind(at, prio, des.KindSrcTick, uint32(e.Flow), e.tickFn)
+// Rearm re-schedules a serialized period-start or base-rate emission event
+// under its original stamps; false for a kind this source does not own.
+func (e *Extremal) Rearm(kind uint16, at, prio des.Time) bool {
+	switch kind {
+	case des.KindSrcCycle:
+		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), e.cycleFn)
+	case des.KindSrcTick:
+		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), e.tickFn)
+	default:
+		return false
+	}
+	return true
 }
 
 // ExtremalMix builds the K=3 extremal flows matching a media mix's rates:

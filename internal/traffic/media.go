@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/des"
+	"repro/internal/snap"
 	"repro/internal/xrand"
 )
 
@@ -29,7 +30,7 @@ type Audio struct {
 	MeanSilence des.Duration // mean silence length
 
 	// Runtime state. rng/nextID/talkEnd are the mutable words a checkpoint
-	// captures; the closures are built once per Start/Resume and reschedule
+	// captures; the closures are built once, by Resume, and reschedule
 	// themselves through the engine's event pool.
 	rng     *xrand.Rand
 	nextID  uint64
@@ -76,15 +77,18 @@ func (a *Audio) PeakRate() float64 {
 // measurement starts promptly — the initial event is a wake, exactly like
 // the end of a silence gap.
 func (a *Audio) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
-	a.prepare(eng, until, emit)
+	a.Resume(eng, until, emit)
 	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow), a.wakeFn)
 }
 
-// prepare builds the emission closures over the engine and sink. They read
-// a.talkEnd/a.nextID from the struct (not captured locals) so a checkpoint
-// can capture them and Resume can rebuild identical callbacks mid-stream.
-// Talk ticks and wakes carry kind tags with arg = Flow.
-func (a *Audio) prepare(eng *des.Engine, until des.Time, emit func(Packet)) {
+// Resume builds the emission closures over the engine and sink without
+// scheduling anything: Start calls it and schedules the first wake; a
+// checkpoint restore calls it after Restore and lets the engine replay the
+// serialized talk/wake events through Rearm. The closures read
+// a.talkEnd/a.nextID from the struct (not captured locals), which is what
+// makes the rebuilt callbacks identical mid-stream. Talk ticks and wakes
+// carry kind tags with arg = Flow.
+func (a *Audio) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 	peak := a.PeakRate()
 	interval := des.Seconds(a.PacketSize / peak)
 	arg := uint32(a.Flow)
@@ -117,36 +121,36 @@ func (a *Audio) prepare(eng *des.Engine, until des.Time, emit func(Packet)) {
 	a.talkFn, a.wakeFn = talk, wake
 }
 
-// AudioState is the source's mutable runtime for a checkpoint.
-type AudioState struct {
-	NextID  uint64
-	TalkEnd des.Time
-	RNG     uint64
+// SnapTag names the source type in a checkpoint.
+func (a *Audio) SnapTag() uint8 { return TagAudio }
+
+// Snapshot appends the source's mutable runtime words to the open record.
+func (a *Audio) Snapshot(w *snap.Writer) {
+	w.U64(a.nextID)
+	w.I64(int64(a.talkEnd))
+	w.U64(a.rng.State())
 }
 
-// SnapState returns the source's mutable runtime words for a checkpoint.
-func (a *Audio) SnapState() AudioState {
-	return AudioState{NextID: a.nextID, TalkEnd: a.talkEnd, RNG: a.rng.State()}
+// Restore overwrites the source's mutable runtime words from the open record.
+func (a *Audio) Restore(r *snap.Reader) {
+	a.nextID = r.U64()
+	a.talkEnd = des.Time(r.I64())
+	a.rng.SetState(r.U64())
 }
 
-// Resume rebuilds the emission closures at a checkpoint restore without
-// scheduling anything — the restored engine replays the serialized talk/
-// wake events through RestoreTalk/RestoreWake instead.
-func (a *Audio) Resume(eng *des.Engine, until des.Time, emit func(Packet), st AudioState) {
-	a.prepare(eng, until, emit)
-	a.nextID = st.NextID
-	a.talkEnd = st.TalkEnd
-	a.rng.SetState(st.RNG)
-}
-
-// RestoreTalk re-schedules a serialized in-talkspurt packet tick.
-func (a *Audio) RestoreTalk(at, prio des.Time) {
-	a.eng.SchedulePrioKind(at, prio, des.KindAudioTalk, uint32(a.Flow), a.talkFn)
-}
-
-// RestoreWake re-schedules a serialized end-of-silence wake.
-func (a *Audio) RestoreWake(at, prio des.Time) {
-	a.eng.SchedulePrioKind(at, prio, des.KindAudioWake, uint32(a.Flow), a.wakeFn)
+// Rearm re-schedules a serialized in-talkspurt packet tick or end-of-
+// silence wake under its original stamps; false for a kind this source
+// does not own.
+func (a *Audio) Rearm(kind uint16, at, prio des.Time) bool {
+	switch kind {
+	case des.KindAudioTalk:
+		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), a.talkFn)
+	case des.KindAudioWake:
+		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), a.wakeFn)
+	default:
+		return false
+	}
+	return true
 }
 
 // Video is an MPEG-1-style VBR model: frames at a fixed rate, sizes
@@ -168,7 +172,7 @@ type Video struct {
 	SceneBoost float64
 
 	// Runtime state. rng/nextID/frame/scenePending are the mutable words a
-	// checkpoint captures; the tick closure is built once per Start/Resume.
+	// checkpoint captures; the tick closure is built once, by Resume.
 	rng          *xrand.Rand
 	nextID       uint64
 	frame        int
@@ -231,13 +235,15 @@ func (v *Video) frameSize() float64 {
 
 // Start implements Source.
 func (v *Video) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
-	v.prepare(eng, until, emit)
+	v.Resume(eng, until, emit)
 	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow), v.tickFn)
 }
 
-// prepare builds the frame-tick closure over the engine and sink; ticks
-// carry kind tags with arg = Flow so a checkpoint can rehydrate them.
-func (v *Video) prepare(eng *des.Engine, until des.Time, emit func(Packet)) {
+// Resume builds the frame-tick closure over the engine and sink without
+// scheduling anything (Start schedules the first tick, a checkpoint restore
+// replays the serialized one through Rearm); ticks carry kind tags with
+// arg = Flow so a checkpoint can rehydrate them.
+func (v *Video) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 	frameGap := des.Seconds(1 / v.FPS)
 	arg := uint32(v.Flow)
 	v.eng = eng
@@ -264,33 +270,38 @@ func (v *Video) prepare(eng *des.Engine, until des.Time, emit func(Packet)) {
 	v.tickFn = tick
 }
 
-// VideoState is the source's mutable runtime for a checkpoint.
-type VideoState struct {
-	NextID       uint64
-	Frame        int
-	ScenePending bool
-	RNG          uint64
+// SnapTag names the source type in a checkpoint.
+func (v *Video) SnapTag() uint8 { return TagVideo }
+
+// Snapshot appends the source's mutable runtime words to the open record.
+func (v *Video) Snapshot(w *snap.Writer) {
+	w.U64(v.nextID)
+	w.I64(int64(v.frame))
+	w.Bool(v.scenePending)
+	w.U64(v.rng.State())
 }
 
-// SnapState returns the source's mutable runtime words for a checkpoint.
-func (v *Video) SnapState() VideoState {
-	return VideoState{NextID: v.nextID, Frame: v.frame, ScenePending: v.scenePending, RNG: v.rng.State()}
+// Restore overwrites the source's mutable runtime words from the open
+// record. The frame counter indexes the GOP pattern, so a negative one
+// fails the reader.
+func (v *Video) Restore(r *snap.Reader) {
+	v.nextID = r.U64()
+	v.frame = int(r.I64())
+	v.scenePending = r.Bool()
+	v.rng.SetState(r.U64())
+	if v.frame < 0 {
+		r.Fail(fmt.Errorf("traffic: snapshot video frame counter %d is negative", v.frame))
+	}
 }
 
-// Resume rebuilds the frame-tick closure at a checkpoint restore without
-// scheduling anything — the restored engine replays the serialized tick
-// through RestoreTick instead.
-func (v *Video) Resume(eng *des.Engine, until des.Time, emit func(Packet), st VideoState) {
-	v.prepare(eng, until, emit)
-	v.nextID = st.NextID
-	v.frame = st.Frame
-	v.scenePending = st.ScenePending
-	v.rng.SetState(st.RNG)
-}
-
-// RestoreTick re-schedules a serialized frame tick.
-func (v *Video) RestoreTick(at, prio des.Time) {
-	v.eng.SchedulePrioKind(at, prio, des.KindVideoTick, uint32(v.Flow), v.tickFn)
+// Rearm re-schedules a serialized frame tick under its original stamps;
+// false for a kind this source does not own.
+func (v *Video) Rearm(kind uint16, at, prio des.Time) bool {
+	if kind != des.KindVideoTick {
+		return false
+	}
+	v.eng.SchedulePrioKind(at, prio, kind, uint32(v.Flow), v.tickFn)
+	return true
 }
 
 // PaperAudio builds the paper's 64 kbps audio workload for the given flow.
