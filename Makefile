@@ -44,12 +44,18 @@ scenarios:
 # determinism test across a shard-count matrix (WDCSIM_SHARDS overrides
 # the default of 4 in the tests). Catches partition, lookahead, mailbox-
 # merge, and barrier regressions that a single shard count might mask; the
-# first leg runs the suite on the one-shard degeneration itself.
+# first leg runs the suite on the one-shard degeneration itself. The
+# GOMAXPROCS=1 leg runs four shards on one runner (every epoch inline, no
+# goroutine started), and the -race -cpu leg runs the epoch barrier — hand-
+# rolled synchronisation: publish through one atomic word, nothing else
+# shared — at one, two and four runners under the race detector.
 shards:
 	WDCSIM_SHARDS=1 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=2 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=8 $(GO) test -run Shard ./...
+	GOMAXPROCS=1 WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
+	$(GO) test -race -cpu 1,2,4 -run 'Coordinator|Shard|Boundary' ./internal/des ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 4
 
 # Coverage-guided fuzzing of the invariant-heavy corners: the timing

@@ -43,13 +43,17 @@
 //
 // -shards N (default GOMAXPROCS) runs each multi-group session as a
 // sharded conservative-parallel simulation; -shards auto probes candidate
-// counts with short runs and keeps the one with the lowest barrier-stall
-// share. Physics are identical to a one-shard run (deliveries,
-// losses, worst-case delays), so it is purely a wall-clock lever for big
-// sessions. The one shard-count-
-// dependent output is the reported mean delay's last few bits (per-shard
-// Welford accumulators merge in shard order); pass -shards 1 when
-// byte-identical output across machines matters more than speed.
+// counts up to GOMAXPROCS with short runs and keeps the one with the lowest
+// barrier-stall share (1 on one core). Physics are identical to a one-shard
+// run (deliveries, losses, worst-case delays), so it is purely a wall-clock
+// lever for big sessions; a sharded run's text output ends with the per-
+// shard account (epochs, stall share, events and active epochs per shard).
+// Shard runners are bounded to GOMAXPROCS process-wide, so -workers and
+// -shards together never oversubscribe the cores: a sweep whose pool
+// already fills them runs each sharded cell's epochs inline. The one
+// shard-count-dependent output is the reported mean delay's last few bits
+// (per-shard Welford accumulators merge in shard order); pass -shards 1
+// when byte-identical output across machines matters more than speed.
 package main
 
 import (
@@ -391,6 +395,10 @@ func runSweep(w io.Writer, j job, jsonOut bool, fleet *harness.FleetOptions) err
 	if r.HasFaults() {
 		fmt.Fprintf(w, "\nFault events and recovery at load %.2f:\n", last)
 		fmt.Fprint(w, r.FaultTable())
+	}
+	if r.Shards > 1 {
+		fmt.Fprintf(w, "\nSharded execution at load %.2f:\n", last)
+		fmt.Fprint(w, r.ShardTable())
 	}
 	fmt.Fprint(w, r.CrossoverSummary())
 	fmt.Fprintln(w, r.Summary())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -95,6 +96,22 @@ func TestScenarioShardsFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "deliveries") {
 		t.Fatalf("unexpected output:\n%s", out.String())
+	}
+	// The per-shard account closes a sharded run's text output, is the same
+	// bytes whoever executed the shards (pool worker inline or runners),
+	// and is absent from a one-shard run.
+	if !strings.Contains(out.String(), "Sharded execution at load") ||
+		!strings.Contains(out.String(), "events per shard") {
+		t.Fatalf("sharded text output lacks the shard account:\n%s", out.String())
+	}
+	var seq, one bytes.Buffer
+	run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1", "-shards", "3", "-sequential"}, &seq, &errOut)
+	if seq.String() != out.String() {
+		t.Fatalf("-sequential changed a sharded run's output:\n%s\nvs\n%s", seq.String(), out.String())
+	}
+	run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1", "-shards", "1"}, &one, &errOut)
+	if strings.Contains(one.String(), "Sharded execution") {
+		t.Fatalf("one-shard output carries a shard account:\n%s", one.String())
 	}
 }
 
@@ -281,7 +298,8 @@ func TestStrategyFlagRequiresScenario(t *testing.T) {
 
 // TestScenarioShardsAuto smoke-tests measurement-driven shard selection
 // through the CLI: -shards auto must probe, pick a count, and finish with
-// a normal sweep; the JSON record carries the sharding diagnostics.
+// a normal sweep; the JSON record carries the sharding diagnostics. On one
+// core the tuner's answer is one shard and the record carries none.
 func TestScenarioShardsAuto(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1",
@@ -298,6 +316,12 @@ func TestScenarioShardsAuto(t *testing.T) {
 	}
 	if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		if rec.Shards != 0 {
+			t.Fatalf("auto-tuned sweep on one core reports shards=%d, want none", rec.Shards)
+		}
+		return
 	}
 	if rec.Shards < 2 {
 		t.Fatalf("auto-tuned sweep reports shards=%d, want >= 2", rec.Shards)

@@ -15,12 +15,11 @@ type ShardProbe struct {
 }
 
 // DefaultShardCandidates returns the shard counts AutoTuneShards probes
-// when the caller passes none: powers of two from 2 up to GOMAXPROCS
-// (always at least {2}).
+// when the caller passes none: powers of two from 2 up to GOMAXPROCS —
+// none on one core, where a shard has no core to run on.
 func DefaultShardCandidates() []int {
-	max := runtime.GOMAXPROCS(0)
-	cands := []int{2}
-	for n := 4; n <= max; n *= 2 {
+	var cands []int
+	for n := 2; n <= runtime.GOMAXPROCS(0); n *= 2 {
 		cands = append(cands, n)
 	}
 	return cands
@@ -31,9 +30,11 @@ func DefaultShardCandidates() []int {
 // barrier-stall share — the fraction of shard-step capacity idled waiting
 // at epoch barriers, a deterministic event-count ratio independent of
 // machine load — is smallest. Ties break toward fewer shards (less
-// coordination for the same balance). Candidates that collapse to a
-// sequential run (partition produced one shard) are skipped; if every
-// candidate collapses, it returns 1.
+// coordination for the same balance). Candidates above GOMAXPROCS are
+// never proposed — the extra shards would share a runner and pay barriers
+// for no core — so on one core it returns 1 without probing. Candidates
+// that collapse to a sequential run (partition produced one shard) are
+// skipped; if every candidate collapses, it returns 1.
 //
 // probe is the simulated duration of each probe run; 0 means one tenth of
 // cfg.Duration, floored at one simulated second. Stall share is a property
@@ -45,6 +46,7 @@ func DefaultShardCandidates() []int {
 // probe already spreads over the cores, so overlapping probes would just
 // contend with each other.
 func AutoTuneShards(cfg Config, candidates []int, probe des.Duration) (int, []ShardProbe) {
+	procs := runtime.GOMAXPROCS(0)
 	if len(candidates) == 0 {
 		candidates = DefaultShardCandidates()
 	}
@@ -64,7 +66,7 @@ func AutoTuneShards(cfg Config, candidates []int, probe des.Duration) (int, []Sh
 	bestStall := 0.0
 	var probes []ShardProbe
 	for _, n := range candidates {
-		if n < 2 {
+		if n < 2 || n > procs {
 			continue
 		}
 		pcfg.Shards = n

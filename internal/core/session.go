@@ -601,6 +601,12 @@ func (s *Session) registerBarriers(faults []FaultEvent, events []MembershipEvent
 // Shards reports how many shards the session runs on.
 func (s *Session) Shards() int { return len(s.sh) }
 
+// ShardAccount reports the coordinator's per-shard ledger (events
+// executed and active epochs per shard, epochs with two or more active
+// shards) since this session was built or restored. It sits outside Result, which the sharded ≡
+// sequential and restored ≡ straight identities compare whole.
+func (s *Session) ShardAccount() des.ShardAccount { return s.coord.Account() }
+
 // Lookahead reports the minimum cross-shard lookahead, the narrowest a
 // conservative epoch can be; 0 on one shard, which has no cross-shard pair.
 func (s *Session) Lookahead() des.Duration {

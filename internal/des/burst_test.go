@@ -224,35 +224,46 @@ func BenchmarkWheelBurst(b *testing.B) {
 
 // TestBurstDrainScalesNearLinearly is the guard against a quadratic drain.
 // It compares cost per event on 64k-event chains with 8k-event chains: a
-// ratio, so the speed of the box cancels, and best of five, so a noisy
-// neighbour cannot fail it. n log n predicts about 1.2× (plus cache
-// misses once a chain outgrows L2); the unbounded insertion sort this
-// replaced predicts 8× and measured 10.6×.
+// ratio, so the speed of the box cancels. n log n predicts about 1.2× (plus
+// cache misses once a chain outgrows L2); the unbounded insertion sort this
+// replaced predicts 8× and measured 10.6×. Wall time is all a test can read
+// without a counter in the drain, so the protocol is what makes it immune
+// to packages running beside it (spinning shard runners, for one): the two
+// sizes are timed alternately, each keeps its fastest trial — a minimum
+// only falls towards the undisturbed cost — and trials go on until the
+// ratio of minima is inside the bound or the attempts run out. A quadratic
+// drain is over the bound in every trial, so it still fails, every time.
 func TestBurstDrainScalesNearLinearly(t *testing.T) {
 	const small, large, bound = 1 << 13, 1 << 16, 3.0
-	perEvent := func(offsets []int) time.Duration {
-		eng := New()
-		nop := func() {}
-		best := time.Duration(0)
-		for try := 0; try < 6; try++ { // the first grows the pool, untimed
-			start := time.Now()
-			for done := 0; done < large; done += len(offsets) {
-				fileBurst(eng, nop, offsets)
-				eng.Run()
-			}
-			if d := time.Since(start); try > 0 && (best == 0 || d < best) {
-				best = d
-			}
+	const minTrials, maxTrials = 5, 40
+	type chain struct {
+		eng     *Engine
+		offsets []int
+		best    time.Duration
+	}
+	nop := func() {}
+	trial := func(c *chain) time.Duration { // one trial drains `large` events
+		start := time.Now()
+		for done := 0; done < large; done += len(c.offsets) {
+			fileBurst(c.eng, nop, c.offsets)
+			c.eng.Run()
 		}
-		return best
+		return time.Since(start)
 	}
 	for _, shape := range burstShapes {
-		s, l := perEvent(shape.offsets(small)), perEvent(shape.offsets(large))
-		t.Logf("%s: %d-event chains %v, %d-event chains %v per %d events (ratio %.2f)",
-			shape.name, small, s, large, l, large, float64(l)/float64(s))
-		if float64(l) > bound*float64(s) {
+		s := &chain{eng: New(), offsets: shape.offsets(small)}
+		l := &chain{eng: New(), offsets: shape.offsets(large)}
+		s.best, l.best = trial(s), trial(l) // grows the pools; replaced below
+		s.best, l.best = trial(s), trial(l)
+		n := 1
+		for ; n < maxTrials && (n < minTrials || float64(l.best) > bound*float64(s.best)); n++ {
+			s.best, l.best = min(s.best, trial(s)), min(l.best, trial(l))
+		}
+		t.Logf("%s: %d-event chains %v, %d-event chains %v per %d events (ratio %.2f, %d trials)",
+			shape.name, small, s.best, large, l.best, large, float64(l.best)/float64(s.best), n)
+		if float64(l.best) > bound*float64(s.best) {
 			t.Errorf("%s: a %d-event chain costs %.1f× a %d-event chain per event, bound %.0f×: the drain is not n log n",
-				shape.name, large, float64(l)/float64(s), small, bound)
+				shape.name, large, float64(l.best)/float64(s.best), small, bound)
 		}
 	}
 }

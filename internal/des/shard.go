@@ -28,8 +28,9 @@ package des
 // count regardless of OS scheduling or how the run is cut into epochs.
 // Three mechanisms guarantee it:
 //
-//  1. Each shard's engine is strictly sequential and only its own worker
-//     goroutine touches it during an epoch.
+//  1. Each shard's engine is strictly sequential and only the runner that
+//     owns it touches it during an epoch (which goroutine that is, is not
+//     an input to any order).
 //  2. Cross-shard messages travel as flat pooled records through
 //     per-(src, dst) mailboxes that only the source shard appends to; at
 //     the barrier the coordinator merges a destination's inbound records
@@ -55,8 +56,12 @@ package des
 // every lookahead entry is positive).
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"time"
 )
 
 // maxTime is the saturation point for lookahead arithmetic: "no cross-shard
@@ -107,42 +112,104 @@ type rec[P any] struct {
 	payload P      // delivered through the OnDeliver hook
 }
 
-// recLess is the total order cross-shard records merge under. seq is
-// unique per src, so the order is strict.
-func recLess[P any](a, b *rec[P]) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.lamport != b.lamport {
-		return a.lamport < b.lamport
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
+// recCmp is the total order cross-shard records merge under. seq is unique
+// per src, so the order is strict: distinct records never compare equal.
+func recCmp[P any](a, b *rec[P]) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.lamport, b.lamport),
+		cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 }
-
-// pendQueue is a destination's sorted buffer of drained-but-unreleased
-// records. It implements sort.Interface so re-sorting after a drain does
-// not allocate (pointer receiver: the *pendQueue→sort.Interface conversion
-// is alloc-free).
-type pendQueue[P any] struct{ q []rec[P] }
-
-func (p *pendQueue[P]) Len() int           { return len(p.q) }
-func (p *pendQueue[P]) Less(i, j int) bool { return recLess(&p.q[i], &p.q[j]) }
-func (p *pendQueue[P]) Swap(i, j int)      { p.q[i], p.q[j] = p.q[j], p.q[i] }
 
 // dnode is a pooled delivery node: the engine-side carrier for a released
 // payload record. fire is bound once, at node allocation, and recycles the
 // node into its destination's free list after invoking the deliver hook —
 // so releasing a payload record into an engine allocates nothing in steady
-// state. A destination's pool is touched only by that shard's worker
-// during an epoch and by the coordinator between epochs; the work/done
-// channel handoff orders the two.
+// state. A destination's pool is touched only by that shard's runner
+// during an epoch and by the coordinator between epochs; the epoch gates
+// order the two.
 type dnode[P any] struct {
 	payload P
 	next    *dnode[P]
 	fire    func()
+}
+
+// spinBudget is how long a gate is polled before its waiter parks: a few
+// typical epochs, so a runner stays hot through a busy stretch and costs
+// nothing through an idle one. Parking is correct at any value, so this is
+// a constant and not an option.
+const spinBudget = 200 * time.Microsecond
+
+// stopSeq on a runner's start gate tells it to exit.
+const stopSeq = ^uint64(0)
+
+// gate is one direction of the epoch barrier: a sequence word one side sets
+// and the other waits on, padded so a runner's two gates never share a
+// cache line. What an epoch publishes (ends, live, mailboxes) is ordered
+// by the word alone.
+type gate struct {
+	seq    atomic.Uint64
+	parked atomic.Bool
+	wake   chan struct{} // buffered(1): a stale token is a spurious wake
+	parks  uint64        // waiter-side tally, read by tests
+	_      [64]byte
+}
+
+func (g *gate) set(v uint64) {
+	g.seq.Store(v)
+	if g.parked.Load() {
+		select {
+		case g.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wait returns the gate's value once it reaches v: spin for the budget,
+// then park. The re-check after raising parked closes the race with set
+// (sequentially consistent atomics: one side always sees the other).
+func (g *gate) wait(v uint64, spin time.Duration) uint64 {
+	for start := time.Now(); ; start = time.Now() {
+		for i := 1; i&63 != 0 || time.Since(start) < spin; i++ {
+			if s := g.seq.Load(); s >= v {
+				return s
+			}
+		}
+		g.parked.Store(true)
+		if g.seq.Load() < v {
+			g.parks++
+			<-g.wake
+		}
+		g.parked.Store(false)
+	}
+}
+
+// runner is a goroutine that owns shards {i : i mod R = its index} for one
+// Run call; index 0 is the coordinator goroutine itself and has no gates.
+// The sequence on both gates is the coordinator's epoch count.
+type runner struct {
+	start, done gate
+	posted      bool // owns a live shard this epoch
+}
+
+// busyRunners counts the goroutines inside a multi-shard Run, process-wide:
+// a coordinator takes extra runners only while the count is below
+// GOMAXPROCS, and runs every epoch inline when it is not.
+var busyRunners atomic.Int32
+
+// HoldRunners counts n goroutines the caller keeps busy (a sweep pool's
+// workers beyond the first) against that budget until release is called, so
+// sharded cells under a pool that fills the cores spin up no runners.
+func HoldRunners(n int) (release func()) {
+	busyRunners.Add(int32(n))
+	return func() { busyRunners.Add(int32(-n)) }
+}
+
+// ShardAccount is the deterministic per-shard ledger of a coordinator's
+// epochs — event counts only, identical at every GOMAXPROCS — since it was
+// built (it is not carried through a checkpoint).
+type ShardAccount struct {
+	Events   []uint64 // events each shard executed
+	Active   []uint64 // epochs in which each shard had work in its window
+	Parallel uint64   // epochs with two or more active shards
 }
 
 // Coordinator drives a set of shard engines (one or more) through
@@ -157,23 +224,28 @@ type Coordinator[P any] struct {
 	deliver func(dst int, payload P) // OnDeliver hook
 	pools   []*dnode[P]              // per-dst free lists of delivery nodes
 
-	outbox [][][]rec[P]   // [src][dst] mailboxes, appended by src's worker
-	seq    []uint64       // per-src record counter
-	pend   []pendQueue[P] // per-dst sorted pending buffers
+	outbox [][][]rec[P] // [src][dst] mailboxes, appended by src's runner
+	seq    []uint64     // per-src record counter
+	pend   [][]rec[P]   // per-dst sorted pending buffers
+	tail   []rec[P]     // drain's merge scratch
 
 	barriers  []Time     // ascending, distinct quiesce points
 	onBarrier func(Time) // runs with every engine quiesced at the time
 	bi        int        // next unfired barrier (persists across Run calls)
 
+	runners []runner      // runners 1..R-1 of the current (or last) Run
+	spin    time.Duration // spinBudget; tests force parking with 0
+
 	// Reusable per-epoch scratch.
-	active []int  // dispatch list
-	nexts  []Time // per-shard next event time (incl. pending records)
-	eps    []Time // LBTS fixpoint values
-	ends   []Time // per-shard epoch bounds
-	fixed  []bool // fixpoint "settled" flags
-	base   []uint64
+	live  []bool // shard has work inside its window this epoch
+	nexts []Time // per-shard next event time (incl. pending records)
+	eps   []Time // LBTS fixpoint values
+	ends  []Time // per-shard epoch bounds
+	fixed []bool // fixpoint "settled" flags
+	base  []uint64
 
 	// Diagnostics.
+	acct     ShardAccount
 	epochs   uint64
 	messages uint64
 	stallNum uint64 // sum over epochs of (n*max(work) - sum(work))
@@ -223,8 +295,11 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 		minLA:   minLA,
 		outbox:  out,
 		seq:     make([]uint64, n),
-		pend:    make([]pendQueue[P], n),
+		pend:    make([][]rec[P], n),
 		pools:   make([]*dnode[P], n),
+		spin:    spinBudget,
+		live:    make([]bool, n),
+		acct:    ShardAccount{Events: make([]uint64, n), Active: make([]uint64, n)},
 		nexts:   make([]Time, n),
 		eps:     make([]Time, n),
 		ends:    make([]Time, n),
@@ -256,6 +331,9 @@ func (c *Coordinator[P]) StallShare() float64 {
 	}
 	return float64(c.stallNum) / float64(c.stallDen)
 }
+
+// Account returns the per-shard ledger (read-only: it shares the slices).
+func (c *Coordinator[P]) Account() ShardAccount { return c.acct }
 
 // OnDeliver registers the hook that consumes payload records posted with
 // PostPayload: fn runs on shard dst's engine at the record's firing time.
@@ -311,30 +389,35 @@ func (c *Coordinator[P]) PostPayload(src, dst int, at Time, payload P) {
 		rec[P]{at: at, lamport: now, seq: c.seq[src], src: int32(src), payload: payload})
 }
 
-// drain moves every mailbox into its destination's sorted pending buffer.
-// Called only while all shards are quiesced. Mailboxes are recycled in
-// place (truncated, slots zeroed so payloads are not pinned by
-// high-water-mark slots).
+// drain moves every mailbox into its destination's sorted pending buffer:
+// the new records are sorted on their own and merged backward into the
+// already-sorted buffer (recCmp is a strict total order, so the result is
+// the one sorted sequence). Called only while all shards are quiesced.
+// Mailboxes are recycled in place (truncated, slots zeroed so payloads are
+// not pinned by high-water-mark slots).
 func (c *Coordinator[P]) drain() {
-	var zero rec[P]
 	for dst := range c.engines {
-		pq := &c.pend[dst]
-		grew := false
+		pq := c.pend[dst]
+		i := len(pq) - 1
 		for src := range c.engines {
 			q := c.outbox[src][dst]
-			if len(q) == 0 {
-				continue
-			}
-			pq.q = append(pq.q, q...)
-			for i := range q {
-				q[i] = zero
-			}
+			pq = append(pq, q...)
+			clear(q)
 			c.outbox[src][dst] = q[:0]
-			grew = true
 		}
-		if grew {
-			sort.Sort(pq)
+		c.tail = append(c.tail[:0], pq[i+1:]...)
+		slices.SortFunc(c.tail, func(a, b rec[P]) int { return recCmp(&a, &b) })
+		for j, k := len(c.tail)-1, len(pq)-1; j >= 0; k-- {
+			if i >= 0 && recCmp(&c.tail[j], &pq[i]) < 0 {
+				pq[k] = pq[i]
+				i--
+			} else {
+				pq[k] = c.tail[j]
+				j--
+			}
 		}
+		clear(c.tail)
+		c.pend[dst] = pq
 	}
 }
 
@@ -347,9 +430,9 @@ func (c *Coordinator[P]) drain() {
 // engine-seq tie-break reproduces the (at, lamport, src, seq) total order
 // however the run is cut into epochs.
 func (c *Coordinator[P]) release(dst int, bound Time) {
-	pq := &c.pend[dst]
+	pq := c.pend[dst]
 	n := 0
-	for n < len(pq.q) && pq.q[n].at < bound {
+	for n < len(pq) && pq[n].at < bound {
 		n++
 	}
 	if n == 0 {
@@ -357,7 +440,7 @@ func (c *Coordinator[P]) release(dst int, bound Time) {
 	}
 	eng := c.engines[dst]
 	for i := 0; i < n; i++ {
-		r := &pq.q[i]
+		r := &pq[i]
 		nd := c.pools[dst]
 		if nd == nil {
 			nd = c.newNode(dst)
@@ -368,12 +451,9 @@ func (c *Coordinator[P]) release(dst int, bound Time) {
 		eng.SchedulePrio(r.at, r.lamport, nd.fire)
 	}
 	c.messages += uint64(n)
-	m := copy(pq.q, pq.q[n:])
-	var zero rec[P]
-	for i := m; i < len(pq.q); i++ {
-		pq.q[i] = zero
-	}
-	pq.q = pq.q[:m]
+	m := copy(pq, pq[n:])
+	clear(pq[m:])
+	c.pend[dst] = pq[:m]
 }
 
 // newNode builds a delivery node with its fire callback bound once. fire
@@ -399,8 +479,8 @@ func (c *Coordinator[P]) newNode(dst int) *dnode[P] {
 // (or the fixpoint settle) with undelivered records still buffered.
 func (c *Coordinator[P]) nextFor(i int) (Time, bool) {
 	at, ok := c.engines[i].NextAt()
-	if pq := &c.pend[i]; len(pq.q) > 0 && (!ok || pq.q[0].at < at) {
-		return pq.q[0].at, true
+	if pq := c.pend[i]; len(pq) > 0 && (!ok || pq[0].at < at) {
+		return pq[0].at, true
 	}
 	return at, ok
 }
@@ -471,28 +551,26 @@ func (c *Coordinator[P]) pairBounds() {
 // deadline between calls (a natural barrier), so a snapshot taken there
 // sees consistent cross-shard state.
 func (c *Coordinator[P]) Run(deadline Time) {
-	n := len(c.engines)
-	// Workers exist to run two or more active shards side by side; a lone
-	// active shard — every epoch over one engine — runs inline.
-	var work []chan Time
-	done := make(chan int, n)
-	if n > 1 {
-		work = make([]chan Time, n)
-		for i := range work {
-			work[i] = make(chan Time)
-			go func(i int, ch chan Time) {
-				for end := range ch {
-					c.engines[i].RunBefore(end)
-					done <- i
-				}
-			}(i, work[i])
+	// R = min(shards, GOMAXPROCS) runners, fewer when other coordinators
+	// hold the Ps: runner 0 is this goroutine, and over one engine (or with
+	// no P to spare) every epoch runs inline and no goroutine is started.
+	if n := len(c.engines); n > 1 {
+		extra := max(0, min(n-1, runtime.GOMAXPROCS(0)-int(busyRunners.Add(1))))
+		busyRunners.Add(int32(extra))
+		c.runners = make([]runner, extra)
+		for r := range c.runners {
+			c.runners[r].start.wake = make(chan struct{}, 1)
+			c.runners[r].done.wake = make(chan struct{}, 1)
+			go c.runLoop(r + 1)
 		}
+		defer func() {
+			for r := range c.runners {
+				c.runners[r].start.set(stopSeq)
+				c.runners[r].done.wait(stopSeq, c.spin)
+			}
+			busyRunners.Add(int32(-extra - 1))
+		}()
 	}
-	defer func() {
-		for _, ch := range work {
-			close(ch)
-		}
-	}()
 
 	bi := c.bi
 	defer func() { c.bi = bi }()
@@ -545,7 +623,7 @@ func (c *Coordinator[P]) Run(deadline Time) {
 				c.ends[i] = deadline + 1
 			}
 		}
-		c.runEpoch(work, done)
+		c.runEpoch()
 	}
 	for _, e := range c.engines {
 		// The final epoch may have parked clocks beyond the deadline;
@@ -564,39 +642,68 @@ func (c *Coordinator[P]) quiesce(t Time) {
 	}
 }
 
+// runLoop is runner r's goroutine: wait for an epoch, run the owned shards,
+// report, until told to stop.
+func (c *Coordinator[P]) runLoop(r int) {
+	rn := &c.runners[r-1]
+	for seq := rn.start.wait(1, c.spin); seq != stopSeq; seq = rn.start.wait(seq+1, c.spin) {
+		c.runOwned(r)
+		rn.done.set(seq)
+	}
+	rn.done.set(stopSeq)
+}
+
+// runOwned advances runner r's live shards to their bounds.
+func (c *Coordinator[P]) runOwned(r int) {
+	for i := r; i < len(c.engines); i += len(c.runners) + 1 {
+		if c.live[i] {
+			c.engines[i].RunBefore(c.ends[i])
+		}
+	}
+}
+
 // runEpoch releases each shard's in-window pending records and advances it
 // to its bound, executing events before it. Shards with nothing in their
-// window are parked directly; a lone active shard runs inline to skip the
-// handoff. Epoch work counts feed the stall-share (load imbalance) meter.
-func (c *Coordinator[P]) runEpoch(work []chan Time, done chan int) {
+// window are parked directly; the rest run on their owning runners — only
+// those with a live shard are posted, the coordinator runs its own share
+// meanwhile. Epoch work counts feed the stall-share (load imbalance) meter
+// and the per-shard account.
+func (c *Coordinator[P]) runEpoch() {
 	c.epochs++
-	active := c.active[:0]
+	R, nlive := len(c.runners)+1, 0
 	for i, e := range c.engines {
 		c.release(i, c.ends[i])
 		c.base[i] = e.executed
-		if at, ok := e.NextAt(); ok && at < c.ends[i] {
-			active = append(active, i)
-			continue
-		}
-		if e.now < c.ends[i] {
+		at, ok := e.NextAt()
+		if c.live[i] = ok && at < c.ends[i]; c.live[i] {
+			nlive++
+			c.acct.Active[i]++
+			if r := i % R; r > 0 {
+				c.runners[r-1].posted = true
+			}
+		} else if e.now < c.ends[i] {
 			e.now = c.ends[i]
 		}
 	}
-	c.active = active
-	if len(active) == 1 {
-		i := active[0]
-		c.engines[i].RunBefore(c.ends[i])
-	} else {
-		for _, i := range active {
-			work[i] <- c.ends[i]
+	if nlive > 1 {
+		c.acct.Parallel++
+	}
+	for r := range c.runners {
+		if c.runners[r].posted {
+			c.runners[r].start.set(c.epochs)
 		}
-		for range active {
-			<-done
+	}
+	c.runOwned(0)
+	for r := range c.runners {
+		if rn := &c.runners[r]; rn.posted {
+			rn.done.wait(c.epochs, c.spin)
+			rn.posted = false
 		}
 	}
 	var wmax, wsum uint64
 	for i, e := range c.engines {
 		w := e.executed - c.base[i]
+		c.acct.Events[i] += w
 		wsum += w
 		if w > wmax {
 			wmax = w
@@ -630,10 +737,10 @@ func (c *Coordinator[P]) CheckpointDrain() { c.drain() }
 
 // PendingRecords returns dst's pending cross-shard records in merge order.
 func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
-	pq := &c.pend[dst]
-	out := make([]ShardRec[P], 0, len(pq.q))
-	for i := range pq.q {
-		r := &pq.q[i]
+	pq := c.pend[dst]
+	out := make([]ShardRec[P], 0, len(pq))
+	for i := range pq {
+		r := &pq[i]
 		out = append(out, ShardRec[P]{At: r.at, Lamport: r.lamport, Seq: r.seq, Src: r.src, Payload: r.payload})
 	}
 	return out
@@ -642,11 +749,11 @@ func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
 // RestorePending installs dst's pending records (in the merge order
 // PendingRecords reported them). Call on a fresh coordinator before Run.
 func (c *Coordinator[P]) RestorePending(dst int, recs []ShardRec[P]) {
-	pq := &c.pend[dst]
-	pq.q = pq.q[:0]
+	pq := c.pend[dst][:0]
 	for _, r := range recs {
-		pq.q = append(pq.q, rec[P]{at: r.At, lamport: r.Lamport, seq: r.Seq, src: r.Src, payload: r.Payload})
+		pq = append(pq, rec[P]{at: r.At, lamport: r.Lamport, seq: r.Seq, src: r.Src, payload: r.Payload})
 	}
+	c.pend[dst] = pq
 }
 
 // SrcSeqs returns the per-source record counters (a copy).

@@ -13,7 +13,9 @@ import (
 // injected into the outboxes directly (bypassing PostPayload's lookahead
 // validation) so the fuzzer controls every key field, including exact
 // (at, lamport) ties across sources, and windows are cut at arbitrary
-// points so ties can land in different release batches.
+// points so ties can land in different release batches. The records reach
+// the pending buffers in two drains, so the second merges into a non-empty
+// buffer, and after each the buffer is checked against a full sort.
 func FuzzMailboxDrain(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 1, 1, 2, 3, 1, 2, 0, 3, 1, 4, 9})
 	f.Add([]byte{0, 1, 1, 0, 1, 0, 1, 0, 0, 2, 1, 0, 1})
@@ -43,7 +45,16 @@ func FuzzMailboxDrain(f *testing.F) {
 		dsts := make([]int, 0, 64)
 		recs := make([]rec[int], 0, 64)
 		i := 0
-		for ; i+3 < len(data) && len(recs) < 64; i += 4 {
+		checkedDrain := func() {
+			c.drain()
+			for d := 0; d < nsh; d++ {
+				mergeOracle(t, c, d)
+			}
+		}
+		for half := min(len(data)/8, 32); i+3 < len(data) && len(recs) < 64; i += 4 {
+			if i/4 == half {
+				checkedDrain()
+			}
 			src := int(data[i]) % nsh
 			dst := int(data[i+1]) % nsh
 			if src == dst {
@@ -62,7 +73,7 @@ func FuzzMailboxDrain(f *testing.F) {
 			dsts = append(dsts, dst)
 			recs = append(recs, r)
 		}
-		c.drain()
+		checkedDrain()
 
 		// Release in randomized increasing windows, draining between them
 		// as the barrier loop would (a no-op on empty mailboxes, but it
@@ -92,7 +103,7 @@ func FuzzMailboxDrain(f *testing.F) {
 				}
 			}
 			sort.SliceStable(want, func(a, b int) bool {
-				return recLess(&recs[want[a]], &recs[want[b]])
+				return recCmp(&recs[want[a]], &recs[want[b]]) < 0
 			})
 			var got []int
 			for _, dl := range log {

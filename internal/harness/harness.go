@@ -45,8 +45,9 @@ type Options struct {
 	// *within* a run, complementing the pool's parallelism *across* runs.
 	// Physics are preserved (delivery/loss/WDB match the one-shard
 	// run); use it when a single big session, not the sweep, is the
-	// bottleneck — sweeps with many cells usually saturate the cores
-	// already, and shard workers then compete with pool workers.
+	// bottleneck. Shard runners are bounded to GOMAXPROCS process-wide
+	// (des.Coordinator.Run), so a pool that already fills the cores runs
+	// each sharded cell's epochs inline rather than competing with it.
 	Shards int
 	// AutoShards picks the shard count by measurement instead: before a
 	// scenario sweep runs, core.AutoTuneShards probes candidate counts on

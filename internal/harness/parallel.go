@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/xrand"
 )
 
@@ -35,6 +36,7 @@ func runJobs(n int, opts Options, job func(i int)) {
 		}
 		return
 	}
+	defer des.HoldRunners(workers - 1)()
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup

@@ -60,6 +60,9 @@ type ScenarioCurve struct {
 	Epochs         []uint64
 	CrossShardMsgs []uint64
 	StallShare     []float64
+	// Account is the per-load per-shard ledger behind the stall share
+	// (ShardTable prints it); it is not part of the JSON record.
+	Account []des.ShardAccount
 }
 
 // ScenarioResult is a full scenario sweep: one curve per combo.
@@ -109,6 +112,7 @@ type sweepCell struct {
 	Epochs     uint64              `json:"epochs"`
 	CrossMsgs  uint64              `json:"cross_shard_msgs"`
 	Stall      float64             `json:"stall_share"`
+	Account    des.ShardAccount    `json:"account"`
 }
 
 // sweepPlan is a fully compiled scenario sweep: the (possibly overridden)
@@ -254,7 +258,8 @@ func (p *sweepPlan) runCell(i int) sweepCell {
 		assertSpecsMatch(p.specs, r.Specs, p.shCfgs[i].Load)
 		return sweepCell{WDB: r.WDB, Mean: r.MeanDelay, Delivered: r.Delivered}
 	}
-	r := core.Run(p.cfgs[i])
+	s := core.NewSession(p.cfgs[i])
+	r := s.Run()
 	assertSpecsMatch(p.specs, r.Specs, p.cfgs[i].Load)
 	return sweepCell{WDB: r.WDB, Mean: r.MeanDelay, Layers: r.Layers,
 		Delivered: r.Delivered, Lost: r.Lost,
@@ -263,7 +268,7 @@ func (p *sweepPlan) runCell(i int) sweepCell {
 		Windows: r.WindowMax, WindowSec: r.WindowSec,
 		Faults: r.Faults, FaultLost: r.FaultLost, CutLost: r.CutLost,
 		Shards: r.Shards, Epochs: r.Epochs, CrossMsgs: r.CrossShardMsgs,
-		Stall: r.StallShare}
+		Stall: r.StallShare, Account: s.ShardAccount()}
 }
 
 // aggregate folds the cells into the sweep result — shared verbatim
@@ -303,7 +308,9 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 					res.Curves[ci].Epochs = make([]uint64, len(p.loads))
 					res.Curves[ci].CrossShardMsgs = make([]uint64, len(p.loads))
 					res.Curves[ci].StallShare = make([]float64, len(p.loads))
+					res.Curves[ci].Account = make([]des.ShardAccount, len(p.loads))
 				}
+				res.Curves[ci].Account[li] = c.Account
 				res.Curves[ci].Shards[li] = c.Shards
 				res.Curves[ci].Epochs[li] = c.Epochs
 				res.Curves[ci].CrossShardMsgs[li] = c.CrossMsgs
@@ -464,6 +471,32 @@ func (r ScenarioResult) StrategyTable() *stats.Table {
 			fmt.Sprintf("%d", lost),
 			fmt.Sprintf("%d", c.Reopts),
 			fmt.Sprintf("%d", c.ReoptMoves))
+	}
+	return t
+}
+
+// ShardTable renders the sharded-execution account at the heaviest load,
+// one row per combo that ran on more than one shard: epochs (how many had
+// two or more active shards and so something to run side by side), cross-
+// shard messages, the barrier-stall share, and each shard's executed events
+// and active epochs. Every column is a function of event counts, identical
+// on any machine.
+func (r ScenarioResult) ShardTable() *stats.Table {
+	t := stats.NewTable("combo", "shards", "epochs", "parallel", "cross msgs", "stall",
+		"events per shard", "active epochs per shard")
+	last := len(r.Loads) - 1
+	for _, c := range r.Curves {
+		if c.Shards == nil || c.Shards[last] < 2 {
+			continue
+		}
+		a := c.Account[last]
+		t.AddRow(c.Combo.String(),
+			fmt.Sprintf("%d", c.Shards[last]),
+			fmt.Sprintf("%d", c.Epochs[last]),
+			fmt.Sprintf("%d", a.Parallel),
+			fmt.Sprintf("%d", c.CrossShardMsgs[last]),
+			fmt.Sprintf("%.3f", c.StallShare[last]),
+			fmt.Sprint(a.Events), fmt.Sprint(a.Active))
 	}
 	return t
 }
