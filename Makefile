@@ -77,8 +77,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core
 
 # Checkpoint/restore differential: for two builtin workloads (static
-# scale benchmark, churn benchmark) at one shard and at four, run-to-end
-# must be bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
+# scale benchmark, churn benchmark) at one shard and at four, and for the
+# one-hop Fig. 4(c) preset with the adaptive curve added (its checkpoint
+# lands inside a (σ, ρ, λ) episode of the controller), run-to-end must be
+# bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
 # the same contract the core goldens pin, exercised through real scenario
 # configs and the CLI.
 snapshot:
@@ -86,6 +88,7 @@ snapshot:
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 4 -snapshot-diff
+	$(GO) run ./cmd/wdcsim -scenario paper-fig4c -quick -adaptive -snapshot-diff
 
 # Static analysis. Skips with a notice when the binary is missing so the
 # target is safe on minimal containers; CI installs staticcheck and runs

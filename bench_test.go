@@ -48,11 +48,11 @@ func BenchmarkImprovementTable(b *testing.B) {
 func BenchmarkAblationStagger(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		cfg := SingleHopConfig{Mix: MixVideo, Load: 0.9, Scheme: SchemeSRL,
-			Duration: 13 * des.Second, Seed: uint64(i + 1)}
-		st := RunSingleHop(cfg)
+		cfg := OneHop(Config{Mix: MixVideo, Load: 0.9, Scheme: SchemeSRL,
+			Duration: 13 * des.Second, Seed: uint64(i + 1)})
+		st := Run(cfg)
 		cfg.StaggerAligned = true
-		al := RunSingleHop(cfg)
+		al := Run(cfg)
 		ratio = al.WDB / st.WDB
 	}
 	b.ReportMetric(ratio, "aligned/staggered")
@@ -64,11 +64,11 @@ func BenchmarkAblationStagger(b *testing.B) {
 func BenchmarkAblationLambda(b *testing.B) {
 	var base, doubled float64
 	for i := 0; i < b.N; i++ {
-		cfg := SingleHopConfig{Mix: MixVideo, Load: 0.8, Scheme: SchemeSRL,
-			Duration: 13 * des.Second, Seed: uint64(i + 1)}
-		base = RunSingleHop(cfg).WDB
+		cfg := OneHop(Config{Mix: MixVideo, Load: 0.8, Scheme: SchemeSRL,
+			Duration: 13 * des.Second, Seed: uint64(i + 1)})
+		base = Run(cfg).WDB
 		cfg.BurstSec = 0.30 // doubles σ hence V = σ/ρ
-		doubled = RunSingleHop(cfg).WDB
+		doubled = Run(cfg).WDB
 	}
 	b.ReportMetric(doubled/base, "2xSigma/base")
 }
@@ -113,8 +113,8 @@ func BenchmarkAblationClusterK(b *testing.B) {
 func BenchmarkAblationRateEstimator(b *testing.B) {
 	var ad float64
 	for i := 0; i < b.N; i++ {
-		ad = RunSingleHop(SingleHopConfig{Mix: MixVideo, Load: 0.9,
-			Scheme: SchemeAdaptive, Duration: 13 * des.Second, Seed: uint64(i + 1)}).WDB
+		ad = Run(OneHop(Config{Mix: MixVideo, Load: 0.9,
+			Scheme: SchemeAdaptive, Duration: 13 * des.Second, Seed: uint64(i + 1)})).WDB
 	}
 	b.ReportMetric(ad, "adaptive-wdb")
 }
@@ -125,11 +125,11 @@ func BenchmarkAblationRateEstimator(b *testing.B) {
 func BenchmarkAblationDiscipline(b *testing.B) {
 	var lifo, fifo float64
 	for i := 0; i < b.N; i++ {
-		cfg := SingleHopConfig{Mix: MixVideo, Load: 0.9, Scheme: SchemeSigmaRho,
-			Duration: 13 * des.Second, Seed: uint64(i + 1)}
-		lifo = RunSingleHop(cfg).WDB
+		cfg := OneHop(Config{Mix: MixVideo, Load: 0.9, Scheme: SchemeSigmaRho,
+			Duration: 13 * des.Second, Seed: uint64(i + 1)})
+		lifo = Run(cfg).WDB
 		cfg.Discipline = mux.FIFO
-		fifo = RunSingleHop(cfg).WDB
+		fifo = Run(cfg).WDB
 	}
 	b.ReportMetric(lifo/fifo, "lifo/fifo")
 }
@@ -140,11 +140,11 @@ func BenchmarkAblationDiscipline(b *testing.B) {
 func BenchmarkAblationWorkload(b *testing.B) {
 	var ext, vbr float64
 	for i := 0; i < b.N; i++ {
-		cfg := SingleHopConfig{Mix: MixVideo, Load: 0.9, Scheme: SchemeSigmaRho,
-			Duration: 13 * des.Second, Seed: uint64(i + 1), EnvelopeHorizonSec: 13}
-		ext = RunSingleHop(cfg).WDB
+		cfg := OneHop(Config{Mix: MixVideo, Load: 0.9, Scheme: SchemeSigmaRho,
+			Duration: 13 * des.Second, Seed: uint64(i + 1), EnvelopeHorizonSec: 13})
+		ext = Run(cfg).WDB
 		cfg.Workload = WorkloadVBR
-		vbr = RunSingleHop(cfg).WDB
+		vbr = Run(cfg).WDB
 	}
 	b.ReportMetric(ext/vbr, "extremal/vbr")
 }
@@ -314,8 +314,8 @@ func BenchmarkScenarioScaleBuild(b *testing.B) {
 // BenchmarkSingleHopRun measures one Simulation I run.
 func BenchmarkSingleHopRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		RunSingleHop(SingleHopConfig{Mix: MixVideo, Load: 0.8, Scheme: SchemeSRL,
-			Duration: 13 * des.Second, Seed: uint64(i + 1)})
+		Run(OneHop(Config{Mix: MixVideo, Load: 0.8, Scheme: SchemeSRL,
+			Duration: 13 * des.Second, Seed: uint64(i + 1)}))
 	}
 }
 

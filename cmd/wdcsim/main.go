@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hosts         = fs.Int("hosts", 0, "override multi-group host count (default 665)")
 		seed          = fs.Uint64("seed", 1, "random seed")
 		quick         = fs.Bool("quick", false, "reduced-scale sweep (-exp: 120 hosts, 5 loads, 13 s; -scenario: the entry's own reduced form)")
-		adaptive      = fs.Bool("adaptive", false, "add the adaptive algorithm's curve to a single-hop sweep")
+		adaptive      = fs.Bool("adaptive", false, "add the adaptive algorithm's curve to a sweep that has none")
 		durSec        = fs.Float64("duration", 0, "override per-run simulated seconds")
 		sequential    = fs.Bool("sequential", false, "run sweep points sequentially (debugging)")
 		workers       = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
@@ -253,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			j.artefact(stdout)
 			continue
 		}
-		if *adaptive && j.sc.Kind == scenario.KindSingleHop && !slices.ContainsFunc(j.sc.Combos, isAdaptive) {
+		if *adaptive && !slices.ContainsFunc(j.sc.Combos, isAdaptive) {
 			j.sc.Combos = append(slices.Clone(j.sc.Combos), scenario.Combo{Scheme: "adaptive"})
 		}
 		if *snapshotDiff {
@@ -320,12 +320,7 @@ func printScenarios(w io.Writer) {
 		if kind == "" {
 			kind = string(scenario.KindMultiGroup)
 		}
-		topoKind := sc.Topology.Kind
-		routers := fmt.Sprintf("%d", sc.Topology.Nodes)
-		if topoKind == "" {
-			topoKind = "backbone19"
-			routers = "19"
-		}
+		gen, _ := sc.Topology.Generator() // registration validated it
 		membership := sc.Membership.Kind
 		if membership == "" {
 			membership = "all"
@@ -338,11 +333,9 @@ func printScenarios(w io.Writer) {
 		if len(sc.Faults) > 0 {
 			faults = fmt.Sprintf("%d", len(sc.Faults))
 		}
-		hosts, groups := fmt.Sprintf("%d", sc.Hosts()), fmt.Sprintf("%d", sc.GroupCount())
-		if sc.Kind == scenario.KindSingleHop {
-			hosts, groups, topoKind, membership, routers = "-", "-", "-", "-", "-"
-		}
-		t.AddRow(sc.Name, kind, topoKind, routers, hosts, groups, membership, churn, faults, sc.Description)
+		// Every family's router count is seed-independent.
+		t.AddRow(sc.Name, kind, gen.Name(), fmt.Sprintf("%d", gen.Build(1).NumNodes()), fmt.Sprintf("%d", sc.Hosts()),
+			fmt.Sprintf("%d", sc.GroupCount()), membership, churn, faults, sc.Description)
 	}
 	fmt.Fprint(w, t)
 }
@@ -386,12 +379,10 @@ func runSweep(w io.Writer, j job, jsonOut bool, fleet *harness.FleetOptions) err
 	}
 	fmt.Fprint(w, r.Table())
 	last := r.Loads[len(r.Loads)-1]
-	if j.sc.Kind != scenario.KindSingleHop {
-		fmt.Fprintf(w, "\nPer-strategy comparison at load %.2f:\n", last)
-		fmt.Fprint(w, r.StrategyTable())
-		fmt.Fprintln(w, "\nLayer counts (the Tables I–III view):")
-		fmt.Fprint(w, r.LayerTable())
-	}
+	fmt.Fprintf(w, "\nPer-strategy comparison at load %.2f:\n", last)
+	fmt.Fprint(w, r.StrategyTable())
+	fmt.Fprintln(w, "\nLayer counts (the Tables I–III view):")
+	fmt.Fprint(w, r.LayerTable())
 	if r.HasFaults() {
 		fmt.Fprintf(w, "\nFault events and recovery at load %.2f:\n", last)
 		fmt.Fprint(w, r.FaultTable())

@@ -46,8 +46,10 @@ func TestListScenarios(t *testing.T) {
 				t.Fatalf("outage-waxman-16 faults column want 3:\n%s", line)
 			}
 		case strings.HasPrefix(line, "paper-fig4 "):
-			if !strings.HasPrefix(line[routersCol:], "-") || !strings.HasPrefix(line[faultsCol:], "-") {
-				t.Fatalf("single-hop scenario should dash routers/faults:\n%s", line)
+			// The one-hop preset lists like any entry: its one-router wire.
+			if !strings.Contains(line, " wire ") || !strings.HasPrefix(line[routersCol:], "1 ") ||
+				!strings.HasPrefix(line[faultsCol:], "-") {
+				t.Fatalf("paper-fig4 should list the wire underlay, one router, no faults:\n%s", line)
 			}
 		}
 	}
@@ -175,9 +177,14 @@ func TestExpJSONDecodes(t *testing.T) {
 	}
 }
 
-// curveRows extracts the load rows ("0.35  0.0755 ...") of a printed sweep.
+// curveRows extracts the WDB rows ("0.35  0.0755 ...") of a printed sweep;
+// layerRows the layer-table rows ("0.35  2  2").
 func curveRows(out string) []string {
-	return regexp.MustCompile(`(?m)^0\.\d\d .*$`).FindAllString(out, -1)
+	return regexp.MustCompile(`(?m)^0\.\d\d +\d+\.\d{4}.*$`).FindAllString(out, -1)
+}
+
+func layerRows(out string) []string {
+	return regexp.MustCompile(`(?m)^0\.\d\d +\d+( .*)?$`).FindAllString(out, -1)
 }
 
 // -exp ids name registry entries: -exp fig4a prints the curve rows of
@@ -225,14 +232,14 @@ func TestExpMatchesScenarioRows(t *testing.T) {
 }
 
 // Tables I–III print only the layer table of their fig6 entry; -adaptive
-// adds a curve to a single-hop entry.
+// adds a curve to any sweep that has none.
 func TestExpTableAndAdaptive(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-exp", "table2", "-quick", "-hosts", "60"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "Table II") || !strings.Contains(out.String(), "capacity-aware dsct") ||
-		strings.Contains(out.String(), "[s]") || len(curveRows(out.String())) != 5 {
+		strings.Contains(out.String(), "[s]") || len(layerRows(out.String())) != 5 {
 		t.Fatalf("table output unexpected:\n%s", out.String())
 	}
 	out.Reset()
@@ -241,6 +248,39 @@ func TestExpTableAndAdaptive(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "adaptive [s]") {
 		t.Fatalf("adaptive column missing:\n%s", out.String())
+	}
+	out.Reset()
+	if code := run([]string{"-scenario", "paper-fig6", "-quick", "-adaptive", "-json"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	rec, err := harness.DecodeScenarioJSON(out.Bytes())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if len(rec.Curves) != 7 || rec.Curves[6].Combo != "adaptive" || rec.Curves[6].Strategy != "dsct" {
+		t.Fatalf("paper-fig6 -adaptive: %d curves, last %+v", len(rec.Curves), rec.Curves[len(rec.Curves)-1])
+	}
+}
+
+// The one-hop preset takes every sweep flag: a shard request (its single
+// router domain resolves to one shard, so the output is the one-shard
+// output) and the checkpoint differential, mid-switch adaptive included.
+func TestOneHopPresetTakesSweepFlags(t *testing.T) {
+	var one, four, diff, errOut bytes.Buffer
+	if code := run([]string{"-exp", "fig4b", "-quick", "-duration", "2", "-shards", "1"}, &one, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if code := run([]string{"-exp", "fig4b", "-quick", "-duration", "2", "-shards", "4"}, &four, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if one.String() != four.String() || len(curveRows(one.String())) != 5 {
+		t.Fatalf("-shards 4 changed the one-hop sweep:\n%s\nvs\n%s", four.String(), one.String())
+	}
+	if code := run([]string{"-scenario", "paper-fig4c", "-quick", "-adaptive", "-snapshot-diff"}, &diff, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s\n%s", code, errOut.String(), diff.String())
+	}
+	if strings.Count(diff.String(), "identical") != 3 || strings.Contains(diff.String(), "DIVERGED") {
+		t.Fatalf("snapshot diff output unexpected:\n%s", diff.String())
 	}
 }
 

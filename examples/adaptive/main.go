@@ -1,8 +1,8 @@
 // Adaptive: watch the paper's Adaptive Control Algorithm switch regulator
 // models as the measured input rate crosses the Theorem 3/4 threshold.
-// We run the single-hop engine at a grid of loads under the adaptive
-// scheme and show which model it settles on, alongside both fixed schemes
-// — the adaptive curve hugs the lower envelope.
+// We run the one-hop shape (Simulation I) at a grid of loads under the
+// adaptive scheme and show which model it settles on, alongside both fixed
+// schemes — the adaptive curve hugs the lower envelope.
 package main
 
 import (
@@ -20,11 +20,11 @@ func main() {
 
 	var specs []wdc.FlowSpec
 	for _, load := range []float64{0.40, 0.55, 0.70, 0.85, 0.95} {
-		run := func(s wdc.Scheme) wdc.SingleHopResult {
-			return wdc.RunSingleHop(wdc.SingleHopConfig{
+		run := func(s wdc.Scheme) wdc.Result {
+			return wdc.Run(wdc.OneHop(wdc.Config{
 				Mix: wdc.MixAudio, Load: load, Scheme: s,
 				Duration: 25 * des.Second, Seed: 1, Specs: specs,
-			})
+			}))
 		}
 		sr := run(wdc.SchemeSigmaRho)
 		specs = sr.Specs

@@ -17,12 +17,12 @@ func main() {
 		3*th.RhoStarHomog(3))
 
 	for _, load := range []float64{0.50, 0.90} {
-		sr := wdc.RunSingleHop(wdc.SingleHopConfig{
+		sr := wdc.Run(wdc.OneHop(wdc.Config{
 			Mix: wdc.MixVideo, Load: load, Scheme: wdc.SchemeSigmaRho, Seed: 1,
-		})
-		srl := wdc.RunSingleHop(wdc.SingleHopConfig{
+		}))
+		srl := wdc.Run(wdc.OneHop(wdc.Config{
 			Mix: wdc.MixVideo, Load: load, Scheme: wdc.SchemeSRL, Seed: 1,
-		})
+		}))
 		winner := "(σ,ρ)"
 		if srl.WDB < sr.WDB {
 			winner = "(σ,ρ,λ)"

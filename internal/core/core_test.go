@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/calculus"
@@ -88,18 +89,18 @@ func TestThresholdUtilizationMatchesCalculus(t *testing.T) {
 // --- Simulation I ---
 
 func TestSingleHopDeterministic(t *testing.T) {
-	cfg := SingleHopConfig{Mix: traffic.MixVideo, Load: 0.8, Scheme: SchemeSRL,
-		Duration: 13 * des.Second, Seed: 7}
-	a := RunSingleHop(cfg)
-	b := RunSingleHop(cfg)
+	cfg := OneHop(Config{Mix: traffic.MixVideo, Load: 0.8, Scheme: SchemeSRL,
+		Duration: 13 * des.Second, Seed: 7})
+	a := Run(cfg)
+	b := Run(cfg)
 	if a.WDB != b.WDB || a.Delivered != b.Delivered || a.MeanDelay != b.MeanDelay {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
 }
 
 func TestSingleHopDeliversEverything(t *testing.T) {
-	res := RunSingleHop(SingleHopConfig{Mix: traffic.MixAudio, Load: 0.5,
-		Scheme: SchemeSigmaRho, Duration: 13 * des.Second, Seed: 1})
+	res := Run(OneHop(Config{Mix: traffic.MixAudio, Load: 0.5,
+		Scheme: SchemeSigmaRho, Duration: 13 * des.Second, Seed: 1}))
 	if res.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
@@ -118,10 +119,10 @@ func TestSingleHopFig4Shape(t *testing.T) {
 	for _, mix := range []traffic.Mix{traffic.MixAudio, traffic.MixVideo} {
 		low := 0.40
 		high := 0.90
-		srLow := RunSingleHop(SingleHopConfig{Mix: mix, Load: low, Scheme: SchemeSigmaRho, Seed: 1})
-		srlLow := RunSingleHop(SingleHopConfig{Mix: mix, Load: low, Scheme: SchemeSRL, Seed: 1})
-		srHigh := RunSingleHop(SingleHopConfig{Mix: mix, Load: high, Scheme: SchemeSigmaRho, Seed: 1})
-		srlHigh := RunSingleHop(SingleHopConfig{Mix: mix, Load: high, Scheme: SchemeSRL, Seed: 1})
+		srLow := Run(OneHop(Config{Mix: mix, Load: low, Scheme: SchemeSigmaRho, Seed: 1}))
+		srlLow := Run(OneHop(Config{Mix: mix, Load: low, Scheme: SchemeSRL, Seed: 1}))
+		srHigh := Run(OneHop(Config{Mix: mix, Load: high, Scheme: SchemeSigmaRho, Seed: 1}))
+		srlHigh := Run(OneHop(Config{Mix: mix, Load: high, Scheme: SchemeSRL, Seed: 1}))
 		if srLow.WDB >= srlLow.WDB {
 			t.Fatalf("%v: (σ,ρ) should win at low load: %v vs %v", mix, srLow.WDB, srlLow.WDB)
 		}
@@ -139,9 +140,9 @@ func TestSingleHopAdaptiveTracksBestScheme(t *testing.T) {
 	// The adaptive scheme should be within a small factor of the better
 	// fixed scheme at both ends of the load range.
 	for _, load := range []float64{0.4, 0.9} {
-		sr := RunSingleHop(SingleHopConfig{Mix: traffic.MixVideo, Load: load, Scheme: SchemeSigmaRho, Seed: 1})
-		srl := RunSingleHop(SingleHopConfig{Mix: traffic.MixVideo, Load: load, Scheme: SchemeSRL, Seed: 1})
-		ad := RunSingleHop(SingleHopConfig{Mix: traffic.MixVideo, Load: load, Scheme: SchemeAdaptive, Seed: 1})
+		sr := Run(OneHop(Config{Mix: traffic.MixVideo, Load: load, Scheme: SchemeSigmaRho, Seed: 1}))
+		srl := Run(OneHop(Config{Mix: traffic.MixVideo, Load: load, Scheme: SchemeSRL, Seed: 1}))
+		ad := Run(OneHop(Config{Mix: traffic.MixVideo, Load: load, Scheme: SchemeAdaptive, Seed: 1}))
 		best := sr.WDB
 		if srl.WDB < best {
 			best = srl.WDB
@@ -156,23 +157,30 @@ func TestSingleHopAdaptiveTracksBestScheme(t *testing.T) {
 
 func TestSingleHopStaggerAblation(t *testing.T) {
 	// Aligned duty cycles collide at the MUX: worst-case delay must not
-	// improve versus staggered phases at high load.
-	st := RunSingleHop(SingleHopConfig{Mix: traffic.MixVideo, Load: 0.9, Scheme: SchemeSRL, Seed: 1})
-	al := RunSingleHop(SingleHopConfig{Mix: traffic.MixVideo, Load: 0.9, Scheme: SchemeSRL,
-		Seed: 1, StaggerAligned: true})
-	if al.WDB < st.WDB*0.9 {
-		t.Fatalf("aligned %v beat staggered %v", al.WDB, st.WDB)
+	// improve versus staggered phases at high load. Above threshold the
+	// adaptive controller engages the same stagger, so the ablation must
+	// reach it too.
+	for _, scheme := range []Scheme{SchemeSRL, SchemeAdaptive} {
+		cfg := OneHop(Config{Mix: traffic.MixVideo, Load: 0.9, Scheme: scheme, Seed: 1})
+		st := Run(cfg)
+		cfg.StaggerAligned = true
+		al := Run(cfg)
+		if al.WDB < st.WDB*0.9 {
+			t.Fatalf("%v: aligned %v beat staggered %v", scheme, al.WDB, st.WDB)
+		}
+		if al.WDB == st.WDB && al.MeanDelay == st.MeanDelay {
+			t.Fatalf("%v: StaggerAligned changed nothing (WDB %v, mean %v)", scheme, st.WDB, st.MeanDelay)
+		}
 	}
 }
 
 func TestSingleHopValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { RunSingleHop(SingleHopConfig{Mix: traffic.MixAudio, Load: 0, Scheme: SchemeSRL}) },
-		func() { RunSingleHop(SingleHopConfig{Mix: traffic.MixAudio, Load: 1.2, Scheme: SchemeSRL}) },
-		func() { RunSingleHop(SingleHopConfig{Mix: traffic.MixAudio, Load: 0.5, Scheme: SchemeCapacityAware}) },
+		func() { Run(OneHop(Config{Mix: traffic.MixAudio, Load: 0, Scheme: SchemeSRL})) },
+		func() { Run(OneHop(Config{Mix: traffic.MixAudio, Load: 1.2, Scheme: SchemeSRL})) },
 		func() {
-			RunSingleHopWith(SingleHopConfig{Mix: traffic.MixAudio, Load: 0.5, Scheme: SchemeSRL,
-				Specs: []FlowSpec{{Rate: 1, Sigma: 1, Rho: 2}}}, nil)
+			Run(OneHop(Config{Mix: traffic.MixAudio, Load: 0.5, Scheme: SchemeSRL,
+				Specs: []FlowSpec{{Rate: 1, Sigma: 1, Rho: 2}}}))
 		},
 	} {
 		func() {
@@ -183,6 +191,51 @@ func TestSingleHopValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// What the hand-wired Simulation I engine refused or could not do, the
+// one-host session does: the unregulated comparator, shard requests, and
+// checkpoints, static and mid-switch adaptive.
+func TestSingleHopRunsWhatTheSecondEngineRefused(t *testing.T) {
+	base := Config{Mix: traffic.MixHetero, Load: 0.9, Duration: 9 * des.Second, Seed: 1}
+	ca := base
+	ca.Scheme = SchemeCapacityAware
+	if r := Run(OneHop(ca)); r.Delivered == 0 || r.Layers != 2 {
+		t.Fatalf("capacity-aware one-hop: %d deliveries, %d layers", r.Delivered, r.Layers)
+	}
+	for _, scheme := range []Scheme{SchemeSRL, SchemeAdaptive} {
+		cfg := base
+		cfg.Scheme = scheme
+		cfg = OneHop(cfg)
+		want := Run(cfg)
+		if scheme == SchemeAdaptive && want.ModeSwitches == 0 {
+			t.Fatal("adaptive fixture never switches: its checkpoints straddle nothing")
+		}
+		sharded := cfg
+		sharded.Shards = 4 // one router domain: resolves to one shard
+		if got := Run(sharded); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Shards=4 changed the result", scheme)
+		}
+		// The adaptive run switches to (σ, ρ, λ) at its 1 s tick and holds
+		// it until the sources stop: checkpoint before the switch, at its
+		// instant, and well inside the episode.
+		for _, at := range []des.Time{des.Seconds(0.3), des.Second, cfg.Duration / 2} {
+			ck := NewSession(cfg)
+			ck.Start()
+			ck.RunTo(at)
+			blob, err := ck.Snapshot()
+			if err != nil {
+				t.Fatalf("%v: snapshot at %v: %v", scheme, at, err)
+			}
+			restored, err := Restore(cfg, blob)
+			if err != nil {
+				t.Fatalf("%v: restore at %v: %v", scheme, at, err)
+			}
+			if got := restored.Finish(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: restored at %v diverged: %+v vs %+v", scheme, at, got, want)
+			}
+		}
 	}
 }
 

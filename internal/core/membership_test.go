@@ -217,18 +217,18 @@ func TestSeedOpt(t *testing.T) {
 // An explicitly chosen traffic seed of 0 must differ from the inherited
 // structural seed — the ambiguity the old uint64 sentinel had.
 func TestTrafficSeedZeroIsDistinctFromUnset(t *testing.T) {
-	base := SingleHopConfig{Mix: traffic.MixVideo, Load: 0.8, Scheme: SchemeSigmaRho,
-		Duration: 2 * des.Second, Seed: 9, Workload: WorkloadVBR, EnvelopeHorizonSec: 5}
-	inherit := RunSingleHop(base)
+	base := OneHop(Config{Mix: traffic.MixVideo, Load: 0.8, Scheme: SchemeSigmaRho,
+		Duration: 2 * des.Second, Seed: 9, Workload: WorkloadVBR, EnvelopeHorizonSec: 5})
+	inherit := Run(base)
 	explicit := base
 	explicit.TrafficSeed = UseSeed(0)
-	zero := RunSingleHop(explicit)
+	zero := Run(explicit)
 	if inherit.WDB == zero.WDB && inherit.Delivered == zero.Delivered {
 		t.Fatal("TrafficSeed=UseSeed(0) produced the seed-9 stream: sentinel ambiguity is back")
 	}
 	same := base
 	same.TrafficSeed = UseSeed(9)
-	echo := RunSingleHop(same)
+	echo := Run(same)
 	if echo.WDB != inherit.WDB || echo.Delivered != inherit.Delivered {
 		t.Fatal("TrafficSeed=UseSeed(Seed) must match the unset default")
 	}

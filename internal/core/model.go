@@ -4,23 +4,22 @@
 // EMcast simulation over the substrates in internal/{des,topo,netsim,
 // traffic,regulator,mux,overlay,calculus}.
 //
-// The package exposes two experiment engines:
-//
-//   - RunSingleHop reproduces Simulation I (Fig. 3/4): three real-time
-//     flows through one regulated general MUX into a sink.
-//   - Session.Run reproduces Simulation II (Fig. 5/6, Tables I–III) and
-//     generalises it: a multi-group network of end hosts on a generated
-//     underlay (the paper's 19-router backbone by default), each group
-//     with its own member set and source (the paper's every-host-joins-
-//     every-group model by default), forwarding along DSCT or NICE trees
-//     under one of the control schemes, with optionally heterogeneous
-//     per-host uplink capacity.
+// The package exposes one experiment engine, Session: a multi-group
+// network of end hosts on a generated underlay (the paper's 19-router
+// backbone by default), each group with its own member set and source (the
+// paper's every-host-joins-every-group model by default), forwarding along
+// DSCT or NICE trees under one of the control schemes, with optionally
+// heterogeneous per-host uplink capacity. Simulation II (Fig. 5/6, Tables
+// I–III) is its default shape; Simulation I (Fig. 3/4: K flows through one
+// regulated general MUX into a sink) is its one-host case, shaped by OneHop.
 package core
 
 import (
 	"fmt"
 
 	"repro/internal/calculus"
+	"repro/internal/des"
+	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -62,13 +61,35 @@ func (s Scheme) String() string {
 // Regulated reports whether the scheme uses per-flow regulators.
 func (s Scheme) Regulated() bool { return s != SchemeCapacityAware }
 
-// Default envelope parameters, shared by Config, SingleHopConfig, and the
-// sweep drivers that pre-build flow specs once per sweep.
+// Default envelope parameters, shared by Config and the sweep drivers that
+// pre-build flow specs once per sweep.
 const (
 	DefaultEnvelopeMargin     = 1.02
 	DefaultBurstSec           = 0.15
 	DefaultEnvelopeHorizonSec = 30
 )
+
+// OneHop reshapes cfg into the paper's Simulation I (Fig. 3/4): K flows
+// through K regulators into one general MUX whose output crosses a short
+// link to the sink. That is the session's one-host case — host 0 sources
+// every group and forwards it to its only child, host 1, topo.WireDelay
+// away — so the shape is all that is set here: two hosts on topo.Wire, one
+// single-receiver group per flow, and a default horizon of 36 s (three
+// extremal periods: enough for the high-load busy period to play out fully
+// and repeat). Mix, load, scheme, seeds, discipline and the rest of cfg
+// apply as in any session.
+func OneHop(cfg Config) Config {
+	cfg.NumHosts = 2
+	cfg.Topology = topo.Wire{}
+	cfg.Groups = make([]GroupSpec, cfg.groupCount())
+	for g := range cfg.Groups {
+		cfg.Groups[g] = GroupSpec{Source: 0, Members: []int{0, 1}}
+	}
+	if cfg.Duration == 0 {
+		cfg.Duration = 36 * des.Second
+	}
+	return cfg
+}
 
 // SeedOpt is an optional seed. The zero value means "unset", which is
 // distinct from an explicitly chosen seed of 0 — the ambiguity the old

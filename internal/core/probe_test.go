@@ -17,12 +17,12 @@ func TestProbeSingleHopCurves(t *testing.T) {
 		specs := Workload(WorkloadExtremal).BuildSpecs(mix, 1, 1.04, 0.05, 30)
 		t.Logf("mix=%v specs=%+v", mix, specs)
 		for _, load := range []float64{0.35, 0.5, 0.65, 0.7, 0.75, 0.8, 0.9, 0.95} {
-			sr := RunSingleHop(SingleHopConfig{Mix: mix, Load: load, Scheme: SchemeSigmaRho,
-				Seed: 1, Specs: specs})
-			srl := RunSingleHop(SingleHopConfig{Mix: mix, Load: load, Scheme: SchemeSRL,
-				Seed: 1, Specs: specs})
-			t.Logf("  load=%.2f  sr: wdb=%.4f mean=%.4f mux=%.4f  srl: wdb=%.4f mean=%.4f reg=%.4f  (thr=%.3f)",
-				load, sr.WDB, sr.MeanDelay, sr.MuxMax, srl.WDB, srl.MeanDelay, srl.RegulatorMax, sr.ThresholdUtil)
+			sr := Run(OneHop(Config{Mix: mix, Load: load, Scheme: SchemeSigmaRho,
+				Seed: 1, Specs: specs}))
+			srl := Run(OneHop(Config{Mix: mix, Load: load, Scheme: SchemeSRL,
+				Seed: 1, Specs: specs}))
+			t.Logf("  load=%.2f  sr: wdb=%.4f mean=%.4f  srl: wdb=%.4f mean=%.4f  (thr=%.3f)",
+				load, sr.WDB, sr.MeanDelay, srl.WDB, srl.MeanDelay, sr.ThresholdUtil)
 		}
 	}
 }

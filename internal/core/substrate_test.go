@@ -129,7 +129,7 @@ func TestSubstrateCloneIsolation(t *testing.T) {
 
 // TestBlueprintCacheKeying pins what shares a blueprint and what must not:
 // load/traffic-seed/shard/duration variants hit the same entry, while
-// seed, strategy, population, and membership changes miss.
+// seed, strategy, population, topology and membership changes miss.
 func TestBlueprintCacheKeying(t *testing.T) {
 	base := Config{NumHosts: 120, NumGroups: 4, Mix: traffic.MixAudio, Load: 0.5,
 		Scheme: SchemeSRL, Seed: 3}
@@ -145,10 +145,11 @@ func TestBlueprintCacheKeying(t *testing.T) {
 		}
 	}
 
-	diff := []Config{base, base, base}
+	diff := []Config{base, base, base, base}
 	diff[0].Seed = 4
 	diff[1].Strategy = "spt"
 	diff[2].NumHosts = 121
+	diff[3].Topology = topo.Wire{}
 	for i, cfg := range diff {
 		if compileSubstrate(cfg).net == net {
 			t.Errorf("variant %d shared a blueprint across a structural change", i)

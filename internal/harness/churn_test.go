@@ -62,6 +62,31 @@ func TestScenarioBoundsHoldForStaticRegulated(t *testing.T) {
 	}
 }
 
+// With Fig. 4 an ordinary two-layer tree its bound column is real: the H = 2
+// case of Remark 2 / Theorem 7 must hold on every paper-scale cell of the
+// homogeneous panels. (paper-fig4c's (σ, ρ, λ) curve exceeds the Theorem 7
+// hetero bound from load 0.65 up — recorded in EXPERIMENTS.md, ROADMAP
+// item 6(b)'s to explain, so not asserted either way here.)
+func TestTheoryBoundHoldsOnOneHop(t *testing.T) {
+	for _, name := range []string{"paper-fig4", "paper-fig4b"} {
+		r, err := ScenarioSweep(scenario.MustLookup(name), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Loads) != 13 || len(r.Curves) != 2 {
+			t.Fatalf("%s: %d loads x %d curves, want the paper's 13 x 2", name, len(r.Loads), len(r.Curves))
+		}
+		for _, c := range r.Curves {
+			for i, load := range r.Loads {
+				if c.Layers[i] != 2 || c.Bound[i] <= 0 || c.WDB.Y[i] > c.Bound[i] {
+					t.Fatalf("%s %v at load %.2f: layers %d, WDB %v, bound %v",
+						name, c.Combo, load, c.Layers[i], c.WDB.Y[i], c.Bound[i])
+				}
+			}
+		}
+	}
+}
+
 func TestScenarioResultJSON(t *testing.T) {
 	r, err := ScenarioSweep(scenario.MustLookup("churn-waxman-16").Quick(), Options{Seed: 2})
 	if err != nil {

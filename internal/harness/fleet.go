@@ -57,7 +57,6 @@ type fleetManifest struct {
 	Seed          uint64          `json:"seed"`
 	Loads         []float64       `json:"loads"`
 	Combos        int             `json:"combos"`
-	Single        bool            `json:"single_hop"`
 	DurationNS    int64           `json:"duration_ns"`
 	NumHosts      int             `json:"num_hosts"`
 	Strategy      string          `json:"strategy"`
@@ -108,8 +107,7 @@ func fleetManifestFor(sc scenario.Scenario, opts Options, p *sweepPlan) (fleetMa
 		Seed:          p.seed,
 		Loads:         p.loads,
 		Combos:        len(p.combos),
-		Single:        p.single,
-		DurationNS:    int64(p.dur),
+		DurationNS:    int64(p.dur()),
 		NumHosts:      opts.NumHosts,
 		Strategy:      opts.Strategy,
 		Shards:        p.shards,
@@ -136,9 +134,9 @@ func planFromManifest(m fleetManifest) (*sweepPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(p.combos) != m.Combos || p.single != m.Single {
-		return nil, fmt.Errorf("harness: fleet manifest compiled to %d combos (single=%v), manifest says %d (single=%v)",
-			len(p.combos), p.single, m.Combos, m.Single)
+	if len(p.combos) != m.Combos {
+		return nil, fmt.Errorf("harness: fleet manifest compiled to %d combos, manifest says %d",
+			len(p.combos), m.Combos)
 	}
 	return p, nil
 }

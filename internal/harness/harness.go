@@ -28,11 +28,11 @@ type Options struct {
 	Loads []float64
 	// NumHosts for the multi-group runs. Default: the scenario's own,
 	// else 665 (the paper's population). Reduced sizes preserve the curve
-	// shapes.
+	// shapes; the one-hop preset keeps its two hosts.
 	NumHosts int
 	// Duration per run. Default: the scenario's own, else 15 s for a
-	// multi-group run (one extremal period plus warm-up) and 36 s for a
-	// single-hop run (three extremal periods).
+	// multi-group run (one extremal period plus warm-up) and 36 s for the
+	// one-hop preset (three extremal periods).
 	Duration des.Duration
 	// Sequential runs all sweep points in order on the calling goroutine
 	// (for debugging and as the determinism oracle). The default fans the

@@ -17,21 +17,27 @@ func TestQuickOptions(t *testing.T) {
 }
 
 // Zero options on a paper entry resolve to paper scale: seed 1, the
-// 13-point grid, 665 hosts, 15 s multi-group and 36 s single-hop runs.
+// 13-point grid, 665 hosts (the one-hop preset's two), 15 s multi-group and
+// 36 s one-hop runs.
 func TestOptionsDefaults(t *testing.T) {
 	p, err := newSweepPlan(scenario.MustLookup("paper-fig6"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.seed != 1 || p.cfgs[0].NumHosts != 665 || len(p.loads) != 13 || p.dur != 15*des.Second {
-		t.Fatalf("defaults: seed %d, hosts %d, %d loads, %v", p.seed, p.cfgs[0].NumHosts, len(p.loads), p.dur)
+	if p.seed != 1 || p.cfgs[0].NumHosts != 665 || len(p.loads) != 13 || p.dur() != 15*des.Second {
+		t.Fatalf("defaults: seed %d, hosts %d, %d loads, %v", p.seed, p.cfgs[0].NumHosts, len(p.loads), p.dur())
 	}
 	p, err = newSweepPlan(scenario.MustLookup("paper-fig4"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.dur != 36*des.Second || len(p.loads) != 13 {
-		t.Fatalf("single-hop defaults: %d loads, %v", len(p.loads), p.dur)
+	if p.dur() != 36*des.Second || len(p.loads) != 13 || p.cfgs[0].NumHosts != 2 {
+		t.Fatalf("one-hop defaults: %d loads, %v, %d hosts", len(p.loads), p.dur(), p.cfgs[0].NumHosts)
+	}
+	// -hosts is a multi-group lever; the preset keeps its two.
+	p, err = newSweepPlan(scenario.MustLookup("paper-fig4"), Options{NumHosts: 120})
+	if err != nil || p.cfgs[0].NumHosts != 2 {
+		t.Fatalf("one-hop under NumHosts=120: %d hosts (err %v)", p.cfgs[0].NumHosts, err)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // Same seed, same config => bit-identical WDB: the engines must be
 // deterministic run to run (and hence safe to replicate across workers).
 func TestEnginesAreDeterministic(t *testing.T) {
-	sh := core.SingleHopConfig{Mix: traffic.MixVideo, Load: 0.8,
-		Scheme: core.SchemeSRL, Duration: 7 * des.Second, Seed: 11}
-	if a, b := core.RunSingleHop(sh), core.RunSingleHop(sh); a.WDB != b.WDB || a.Delivered != b.Delivered {
+	sh := core.OneHop(core.Config{Mix: traffic.MixVideo, Load: 0.8,
+		Scheme: core.SchemeSRL, Duration: 7 * des.Second, Seed: 11})
+	if a, b := core.Run(sh), core.Run(sh); a.WDB != b.WDB || a.Delivered != b.Delivered {
 		t.Fatalf("single hop diverged: %v/%d vs %v/%d", a.WDB, a.Delivered, b.WDB, b.Delivered)
 	}
 	mg := core.Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.7,
@@ -27,12 +27,12 @@ func TestEnginesAreDeterministic(t *testing.T) {
 // function of (workload, mix, seed) only — never of the load axis.
 func TestSpecsAreLoadInvariant(t *testing.T) {
 	for _, w := range []core.Workload{core.WorkloadExtremal, core.WorkloadVBR} {
-		lo := core.RunSingleHop(core.SingleHopConfig{Mix: traffic.MixHetero, Load: 0.4,
+		lo := core.Run(core.OneHop(core.Config{Mix: traffic.MixHetero, Load: 0.4,
 			Scheme: core.SchemeSigmaRho, Duration: des.Second, Seed: 5, Workload: w,
-			EnvelopeHorizonSec: 5})
-		hi := core.RunSingleHop(core.SingleHopConfig{Mix: traffic.MixHetero, Load: 0.9,
+			EnvelopeHorizonSec: 5}))
+		hi := core.Run(core.OneHop(core.Config{Mix: traffic.MixHetero, Load: 0.9,
 			Scheme: core.SchemeSigmaRho, Duration: des.Second, Seed: 5, Workload: w,
-			EnvelopeHorizonSec: 5})
+			EnvelopeHorizonSec: 5}))
 		if len(lo.Specs) != len(hi.Specs) {
 			t.Fatalf("%v: spec counts differ", w)
 		}

@@ -21,12 +21,12 @@ type ScenarioCurve struct {
 	WDB *stats.Series
 	// MeanDelay is the mean delivery delay per load.
 	MeanDelay *stats.Series
-	// Layers is the max tree layer count per load (0 for single-hop).
+	// Layers is the max tree layer count per load.
 	Layers []int
 	// Bound is the theoretical worst-case multicast delay per load
 	// (Remark 2 for (σ,ρ), Theorem 7 for (σ,ρ,λ), at the measured layer
 	// count and the slowest uplink class's capacity); 0 where no closed
-	// form applies (capacity-aware, adaptive, single-hop).
+	// form applies (capacity-aware, adaptive).
 	Bound []float64
 	// Violations counts loads whose measured WDB exceeded Bound — under
 	// static membership this stays 0; churn repair transients may breach
@@ -125,14 +125,11 @@ type sweepPlan struct {
 	sc     scenario.Scenario
 	seed   uint64
 	loads  []float64
-	single bool
-	dur    des.Duration // resolved per-run simulated time
 	mix    traffic.Mix
 	specs  []core.FlowSpec
 	combos []scenario.Combo
-	shCfgs []core.SingleHopConfig // single-hop cells (nil otherwise)
-	cfgs   []core.Config          // multi-group cells (nil for single-hop)
-	shards int                    // resolved per-run shard count (AutoShards applied)
+	cfgs   []core.Config // one per cell, load-major
+	shards int           // resolved per-run shard count (AutoShards applied)
 }
 
 // newSweepPlan validates and compiles the sweep: option overrides applied,
@@ -181,18 +178,6 @@ func newSweepPlan(sc scenario.Scenario, opts Options) (*sweepPlan, error) {
 	if len(loads) == 0 {
 		loads = PaperLoads
 	}
-	single := sc.Kind == scenario.KindSingleHop
-	var dur des.Duration
-	switch {
-	case opts.Duration > 0:
-		dur = opts.Duration
-	case sc.DurationSec > 0:
-		dur = des.Seconds(sc.DurationSec)
-	case single:
-		dur = 36 * des.Second
-	default:
-		dur = 15 * des.Second
-	}
 
 	mix, err := sc.ParseMix()
 	if err != nil {
@@ -204,34 +189,22 @@ func newSweepPlan(sc scenario.Scenario, opts Options) (*sweepPlan, error) {
 	}
 	specs := core.DefaultSpecsN(workload, mix, sc.GroupCount(), seed)
 
-	p := &sweepPlan{sc: sc, seed: seed, loads: loads, single: single, dur: dur,
-		mix: mix, specs: specs, combos: sc.Combos}
+	p := &sweepPlan{sc: sc, seed: seed, loads: loads, mix: mix, specs: specs, combos: sc.Combos}
 	n := len(loads) * len(p.combos)
-	if single {
-		p.shCfgs = make([]core.SingleHopConfig, n)
-		for i := range p.shCfgs {
-			li, ci := i/len(p.combos), i%len(p.combos)
-			p.shCfgs[i], err = sc.SingleHopConfig(p.combos[ci], loads[li], seed,
-				core.UseSeed(DeriveSeed(seed, li)), dur, specs)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	}
 	// Membership is a pure function of (scenario, seed): materialise
 	// it once and share it read-only across every cell.
 	groups := sc.Groups(seed)
 	p.cfgs = make([]core.Config, n)
 	for i := range p.cfgs {
 		li, ci := i/len(p.combos), i%len(p.combos)
+		// A zero opts.Duration leaves the horizon to the scenario.
 		p.cfgs[i], err = sc.SessionConfig(p.combos[ci], loads[li], seed,
-			core.UseSeed(DeriveSeed(seed, li)), dur, specs, groups)
+			core.UseSeed(DeriveSeed(seed, li)), opts.Duration, specs, groups)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if opts.AutoShards && n > 0 {
+	if opts.AutoShards {
 		// Tune on the heaviest cell (last load, last combo): stall share
 		// is a load-balance property, and the heaviest cell is where an
 		// imbalanced partition hurts most.
@@ -247,17 +220,15 @@ func newSweepPlan(sc scenario.Scenario, opts Options) (*sweepPlan, error) {
 	return p, nil
 }
 
+// dur is the resolved per-run simulated time, the same in every cell.
+func (p *sweepPlan) dur() des.Duration { return p.cfgs[0].Duration }
+
 // cellCount is the number of (load, combo) cells in the sweep.
 func (p *sweepPlan) cellCount() int { return len(p.loads) * len(p.combos) }
 
 // runCell executes cell i = load-index × combos + combo-index — pure:
 // the same plan and index give the bit-identical cell anywhere.
 func (p *sweepPlan) runCell(i int) sweepCell {
-	if p.single {
-		r := core.RunSingleHop(p.shCfgs[i])
-		assertSpecsMatch(p.specs, r.Specs, p.shCfgs[i].Load)
-		return sweepCell{WDB: r.WDB, Mean: r.MeanDelay, Delivered: r.Delivered}
-	}
 	s := core.NewSession(p.cfgs[i])
 	r := s.Run()
 	assertSpecsMatch(p.specs, r.Specs, p.cfgs[i].Load)
@@ -356,7 +327,8 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 // distributed FleetSweep of the same scenario and options.
 //
 // Precedence for the grid and duration: an explicit opts value beats the
-// scenario's own, which beats the defaults. The paper's Fig. 4/Fig. 6
+// scenario's own, which beats the default (the paper grid; for the
+// duration, SessionConfig's per-kind horizon). The paper's Fig. 4/Fig. 6
 // panels and Tables I–III are ScenarioSweep(Lookup("paper-fig4"…"-fig6c")).
 func ScenarioSweep(sc scenario.Scenario, opts Options) (ScenarioResult, error) {
 	p, err := newSweepPlan(sc, opts)
@@ -376,7 +348,7 @@ func ScenarioSweep(sc scenario.Scenario, opts Options) (ScenarioResult, error) {
 // aware reshaping, the adaptive switcher mid-flight — report 0.
 func theoryBound(sc scenario.Scenario, combo scenario.Combo, mix traffic.Mix,
 	specs []core.FlowSpec, load float64, layers int) float64 {
-	if sc.Kind == scenario.KindSingleHop || layers < 2 {
+	if layers < 2 {
 		return 0
 	}
 	scheme, err := scenario.ParseScheme(combo.Scheme)
@@ -425,9 +397,6 @@ func theoryBound(sc scenario.Scenario, combo scenario.Combo, mix traffic.Mix,
 // StrategyFor, with the legacy dsct default made explicit so bound and
 // table code can always name the strategy.
 func strategyName(sc scenario.Scenario, combo scenario.Combo) string {
-	if sc.Kind == scenario.KindSingleHop {
-		return ""
-	}
 	if name := sc.StrategyFor(combo); name != "" {
 		return name
 	}
@@ -451,9 +420,6 @@ func (r ScenarioResult) StrategyTable() *stats.Table {
 	last := len(r.Loads) - 1
 	for _, c := range r.Curves {
 		strat := strategyName(r.Scenario, c.Combo)
-		if strat == "" {
-			strat = "-"
-		}
 		bound := "-"
 		if c.Bound[last] > 0 {
 			bound = fmt.Sprintf("%.4f", c.Bound[last])
@@ -520,9 +486,6 @@ func (r ScenarioResult) FaultTable() *stats.Table {
 			continue
 		}
 		strat := strategyName(r.Scenario, c.Combo)
-		if strat == "" {
-			strat = "-"
-		}
 		for _, oc := range c.Faults[last] {
 			group := "-"
 			if oc.Group >= 0 {
@@ -552,8 +515,7 @@ func (r ScenarioResult) FaultTable() *stats.Table {
 // curves: where (σ, ρ, λ) regulation starts to beat (σ, ρ), and by how
 // much at most.
 type Crossover struct {
-	// Strategy is the overlay strategy the two curves share ("" for a
-	// single-hop sweep).
+	// Strategy is the overlay strategy the two curves share.
 	Strategy string
 	// At is the first load at which the (σ,ρ,λ) curve dips to or below the
 	// (σ,ρ) curve — the empirical ρ*·K. OK is false when it never does.
@@ -602,16 +564,12 @@ func (r ScenarioResult) TheoryThreshold() float64 {
 func (r ScenarioResult) CrossoverSummary() string {
 	var b strings.Builder
 	for _, c := range r.Crossovers() {
-		name := c.Strategy
-		if name == "" {
-			name = "single hop"
-		}
 		if !c.OK {
-			fmt.Fprintf(&b, "%s: no crossover observed (theory threshold %.2f)\n", name, r.TheoryThreshold())
+			fmt.Fprintf(&b, "%s: no crossover observed (theory threshold %.2f)\n", c.Strategy, r.TheoryThreshold())
 			continue
 		}
 		fmt.Fprintf(&b, "%s: crossover=%.2f (theory %.2f); max improvement %.2fx at %.2f\n",
-			name, c.At, r.TheoryThreshold(), c.MaxRatio, c.MaxRatioAt)
+			c.Strategy, c.At, r.TheoryThreshold(), c.MaxRatio, c.MaxRatioAt)
 	}
 	return b.String()
 }

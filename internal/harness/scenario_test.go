@@ -7,7 +7,7 @@ import (
 )
 
 // The scenario sweep inherits the pool's determinism contract: parallel
-// equals sequential bit for bit — for the paper's single-hop and six-combo
+// equals sequential bit for bit — for the paper's one-hop and six-combo
 // panels as for partial membership, alternate topologies, and
 // heterogeneous uplinks.
 func TestScenarioSweepParallelMatchesSequential(t *testing.T) {

@@ -40,9 +40,6 @@ func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.single {
-		return nil, fmt.Errorf("harness: scenario %s is single-hop: no session state to snapshot", p.sc.Name)
-	}
 	if len(p.loads) == 0 || len(p.combos) == 0 {
 		return nil, fmt.Errorf("harness: scenario %s has an empty sweep", p.sc.Name)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,15 +14,27 @@ import (
 // scenario workloads CI exercises: every combo must restore
 // bit-identically, sequential and sharded.
 func TestSnapshotDiffScenarios(t *testing.T) {
+	var fixtures []scenario.Scenario
 	for _, name := range []string{"waxman-zipf-16", "churn-waxman-16", "outage-waxman-16"} {
+		fixtures = append(fixtures, scenario.MustLookup(name).Quick())
+	}
+	// make snapshot's one-hop leg: Fig. 4(c) with the adaptive curve, whose
+	// T/2 checkpoint lands inside a (σ, ρ, λ) episode of the controller.
+	fig4c := scenario.MustLookup("paper-fig4c").Quick()
+	fig4c.Combos = append(slices.Clone(fig4c.Combos), scenario.Combo{Scheme: "adaptive"})
+	fixtures = append(fixtures, fig4c)
+	for _, sc := range fixtures {
 		for _, shards := range []int{1, 4} {
-			lines, err := SnapshotDiff(scenario.MustLookup(name).Quick(), Options{Seed: 2, Shards: shards})
+			lines, err := SnapshotDiff(sc, Options{Seed: 2, Shards: shards})
 			if err != nil {
-				t.Fatalf("%s shards=%d: %v\n%s", name, shards, err, strings.Join(lines, "\n"))
+				t.Fatalf("%s shards=%d: %v\n%s", sc.Name, shards, err, strings.Join(lines, "\n"))
+			}
+			if len(lines) != len(sc.Combos) {
+				t.Fatalf("%s shards=%d: %d verdicts for %d combos", sc.Name, shards, len(lines), len(sc.Combos))
 			}
 			for _, l := range lines {
 				if !strings.Contains(l, "identical") {
-					t.Errorf("%s shards=%d: combo not verified: %s", name, shards, l)
+					t.Errorf("%s shards=%d: combo not verified: %s", sc.Name, shards, l)
 				}
 			}
 		}

@@ -45,7 +45,7 @@ type SRL struct {
 }
 
 // NewSRL returns a (σ, ρ, λ) regulator. The duty cycle is not started:
-// call StartCycle (self-timed) or drive On/Off from a Stagger scheduler.
+// call StartCycle or StartCyclePhased (self-timed), or drive SetOn directly.
 // It panics unless 0 < ρ < C and σ > 0.
 func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
 	if sigma <= 0 || rho <= 0 || c <= 0 || rho >= c {
@@ -160,9 +160,13 @@ func (r *SRL) serve() {
 
 // StartCycle begins the self-timed duty cycle with the given phase offset:
 // the regulator waits `offset`, then alternates W on / V off forever (or
-// until StopCycle). A Stagger scheduler uses offsets Σ_{j<i} W_j so the K
-// working periods interleave round-robin, which is the paper's "each
-// regulator works for its flow in turn".
+// until StopCycle). A host staggers its K regulators with offsets Σ_{j<i} W_j
+// so the working periods interleave round-robin, which is the paper's "each
+// regulator works for its flow in turn": for K homogeneous flows near
+// saturation (ρ → C/K) the vacation V = σ/ρ ≈ (K−1)·W, so the schedule
+// degenerates to perfect round-robin — exactly the physical argument of
+// Section III. For heterogeneous flows the periods differ and occasional
+// overlaps are resolved downstream by the general MUX.
 func (r *SRL) StartCycle(offset des.Duration) {
 	if r.cycling {
 		panic("regulator: SRL cycle already started")
@@ -230,51 +234,3 @@ func (r *SRL) Detach() int {
 	}
 	return dropped
 }
-
-// Stagger coordinates the K (σ, ρ, λ) regulators of one end host: it
-// starts each regulator's duty cycle with a phase offset equal to the sum
-// of the preceding regulators' working periods. For K homogeneous flows
-// near saturation (ρ → C/K) the vacation V = σ/ρ ≈ (K−1)·W, so the
-// schedule degenerates to perfect round-robin — exactly the physical
-// argument of Section III. For heterogeneous flows the periods differ and
-// occasional overlaps are resolved downstream by the general MUX.
-type Stagger struct {
-	regs []*SRL
-}
-
-// NewStagger builds a scheduler over the given regulators (all must share
-// an engine). It panics on an empty set.
-func NewStagger(regs ...*SRL) *Stagger {
-	if len(regs) == 0 {
-		panic("regulator: stagger needs at least one regulator")
-	}
-	return &Stagger{regs: regs}
-}
-
-// Start launches all duty cycles with interleaved phases.
-func (s *Stagger) Start() {
-	var offset des.Duration
-	for _, r := range s.regs {
-		r.StartCycle(offset)
-		offset += r.WorkPeriod()
-	}
-}
-
-// StartAligned launches all duty cycles with zero phase offset — the
-// "no stagger" ablation where every flow's working period begins
-// simultaneously and bursts collide at the MUX.
-func (s *Stagger) StartAligned() {
-	for _, r := range s.regs {
-		r.StartCycle(0)
-	}
-}
-
-// Stop halts every duty cycle.
-func (s *Stagger) Stop() {
-	for _, r := range s.regs {
-		r.StopCycle()
-	}
-}
-
-// Regulators returns the scheduled regulators in phase order.
-func (s *Stagger) Regulators() []*SRL { return s.regs }

@@ -293,6 +293,38 @@ func TestSRLStopCycleFreezes(t *testing.T) {
 	}
 }
 
+// startStaggered starts the regulators' duty cycles the way a host does:
+// regulator i phased at the summed working periods of those before it.
+func startStaggered(regs []*SRL) {
+	var offset des.Duration
+	for _, r := range regs {
+		r.StartCyclePhased(offset)
+		offset += r.WorkPeriod()
+	}
+}
+
+// maxOn samples the regulators every 500 µs until `until` and returns the
+// largest number found on at one instant.
+func maxOn(eng *des.Engine, regs []*SRL, until des.Time) int {
+	most := 0
+	every(eng, des.Microsecond*500, func() {
+		on := 0
+		for _, r := range regs {
+			if r.On() {
+				on++
+			}
+		}
+		if on > most {
+			most = on
+		}
+	})
+	eng.RunUntil(until)
+	for _, r := range regs {
+		r.StopCycle()
+	}
+	return most
+}
+
 func TestStaggerInterleavesWorkingPeriods(t *testing.T) {
 	eng := des.New()
 	c := 1_000_000.0
@@ -302,26 +334,11 @@ func TestStaggerInterleavesWorkingPeriods(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		regs = append(regs, NewSRL(eng, sigma, rho, c, func(traffic.Packet) {}))
 	}
-	st := NewStagger(regs...)
-	st.Start()
-	// Probe: at any instant at most one regulator is on (homogeneous
-	// saturated case ⇒ perfect round-robin).
-	violations := 0
-	every(eng, des.Microsecond*500, func() {
-		on := 0
-		for _, r := range regs {
-			if r.On() {
-				on++
-			}
-		}
-		if on > 1 {
-			violations++
-		}
-	})
-	eng.RunUntil(des.Seconds(2))
-	st.Stop()
-	if violations > 0 {
-		t.Fatalf("%d instants had >1 regulator on", violations)
+	startStaggered(regs)
+	// At any instant at most one regulator is on (homogeneous saturated
+	// case ⇒ perfect round-robin).
+	if most := maxOn(eng, regs, des.Seconds(2)); most > 1 {
+		t.Fatalf("%d regulators on at one instant", most)
 	}
 }
 
@@ -331,45 +348,10 @@ func TestStaggerAlignedCollides(t *testing.T) {
 	var regs []*SRL
 	for i := 0; i < 3; i++ {
 		regs = append(regs, NewSRL(eng, 10_000, 300_000, c, func(traffic.Packet) {}))
+		regs[i].StartCyclePhased(0)
 	}
-	st := NewStagger(regs...)
-	st.StartAligned()
-	sawCollision := false
-	every(eng, des.Microsecond*500, func() {
-		on := 0
-		for _, r := range regs {
-			if r.On() {
-				on++
-			}
-		}
-		if on > 1 {
-			sawCollision = true
-		}
-	})
-	eng.RunUntil(des.Seconds(1))
-	st.Stop()
-	if !sawCollision {
+	if maxOn(eng, regs, des.Seconds(1)) < 2 {
 		t.Fatal("aligned start never collided — stagger ablation is vacuous")
-	}
-}
-
-func TestStaggerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty stagger did not panic")
-		}
-	}()
-	NewStagger()
-}
-
-func TestStaggerRegulatorsAccessor(t *testing.T) {
-	eng := des.New()
-	a := NewSRL(eng, 1000, 100, 10_000, func(traffic.Packet) {})
-	b := NewSRL(eng, 1000, 100, 10_000, func(traffic.Packet) {})
-	st := NewStagger(a, b)
-	rs := st.Regulators()
-	if len(rs) != 2 || rs[0] != a || rs[1] != b {
-		t.Fatal("Regulators() mismatch")
 	}
 }
 

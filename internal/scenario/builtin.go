@@ -22,6 +22,10 @@ func init() {
 			"(σ,ρ) vs (σ,ρ,λ) over the load grid",
 		Kind: KindSingleHop,
 		Mix:  "audio",
+		// The preset's own shape, spelt out so listings and JSON dumps show
+		// what runs.
+		NumHosts: 2,
+		Topology: Topology{Kind: "wire"},
 		Combos: []Combo{
 			{Scheme: "sigma-rho"},
 			{Scheme: "sigma-rho-lambda"},

@@ -26,15 +26,19 @@ import (
 	"repro/internal/xrand"
 )
 
-// Kind selects the simulation engine a scenario runs on.
+// Kind selects the shape of the session a scenario compiles to. There is
+// one engine; SessionConfig is where a kind becomes a core.Config.
 type Kind string
 
-// The two engines.
+// The two shapes.
 const (
-	// KindMultiGroup runs Simulation II: a population of end hosts
+	// KindMultiGroup is Simulation II: a population of end hosts
 	// forwarding group flows along overlay trees (the default).
 	KindMultiGroup Kind = "multi-group"
-	// KindSingleHop runs Simulation I: K flows through one regulated MUX.
+	// KindSingleHop is Simulation I, K flows through one regulated MUX: the
+	// core.OneHop preset — two hosts a fixed 1 ms apart, every group sourced
+	// at host 0 with host 1 its only receiver, 36 s by default. The preset
+	// overrides the population, topology and membership fields.
 	KindSingleHop Kind = "single-hop"
 )
 
@@ -47,7 +51,7 @@ type Combo struct {
 	// Tree: "dsct" (default) or "nice" — the two paper tree families: the
 	// overlay strategy of that name under a regulated scheme, the
 	// location-aware or location-blind flat builder under capacity-aware.
-	// Ignored for single-hop scenarios. Mutually exclusive with Strategy.
+	// Mutually exclusive with Strategy.
 	Tree string `json:"tree,omitempty"`
 	// Strategy names an overlay strategy from the registry ("dsct",
 	// "nice", "spt", "greedy", ...), overriding both Tree and the
@@ -73,7 +77,7 @@ func (c Combo) String() string {
 // Unset numeric fields take the family defaults in internal/topo.
 type Topology struct {
 	// Kind: "backbone19" (default), "waxman", "transit-stub", "ring",
-	// "star".
+	// "star", "wire" (one router, every host pair exactly 1 ms apart).
 	Kind string `json:"kind,omitempty"`
 	// Nodes is the router count (waxman/ring/star).
 	Nodes int `json:"nodes,omitempty"`
@@ -100,6 +104,8 @@ func (t Topology) Generator() (topo.Generator, error) {
 		return topo.Ring{N: t.Nodes}, nil
 	case "star":
 		return topo.Star{N: t.Nodes}, nil
+	case "wire":
+		return topo.Wire{}, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown topology kind %q", t.Kind)
 	}
@@ -268,8 +274,8 @@ func (s Scenario) StrategyFor(c Combo) string {
 }
 
 // Validate checks the scenario compiles: names resolve, dimensions are
-// positive, the load grid is inside (0, 1), and single-hop scenarios use
-// regulated schemes.
+// positive, the load grid is inside (0, 1), and the control planes are only
+// asked of shapes that can serve them.
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -306,9 +312,6 @@ func (s Scenario) Validate() error {
 			if _, err := overlay.LookupStrategy(c.Strategy); err != nil {
 				return fmt.Errorf("scenario %s: %w", s.Name, err)
 			}
-		}
-		if s.Kind == KindSingleHop && scheme == core.SchemeCapacityAware {
-			return fmt.Errorf("scenario %s: single-hop runs need a regulated scheme", s.Name)
 		}
 	}
 	if s.Strategy != "" {
@@ -347,10 +350,10 @@ func (s Scenario) Validate() error {
 	if err := s.Churn.validate(s.Name, s.GroupCount()); err != nil {
 		return err
 	}
+	if s.Kind == KindSingleHop && (s.Churn.Enabled() || s.Reopt.Enabled() || len(s.Faults) > 0) {
+		return fmt.Errorf("scenario %s: churn, faults and re-optimization need a multi-group scenario (the single-hop shape is one fixed two-host tree: no one to join, fail or re-parent)", s.Name)
+	}
 	if s.Churn.Enabled() {
-		if s.Kind == KindSingleHop {
-			return fmt.Errorf("scenario %s: churn needs a multi-group scenario", s.Name)
-		}
 		if s.Membership.Full() {
 			return fmt.Errorf("scenario %s: churn needs partial membership (with full membership there is no host left to join)", s.Name)
 		}
@@ -364,9 +367,6 @@ func (s Scenario) Validate() error {
 		return err
 	}
 	if s.Reopt.Enabled() {
-		if s.Kind == KindSingleHop {
-			return fmt.Errorf("scenario %s: re-optimization needs a multi-group scenario", s.Name)
-		}
 		for _, c := range s.Combos {
 			if scheme, _ := ParseScheme(c.Scheme); scheme == core.SchemeCapacityAware {
 				return fmt.Errorf("scenario %s: re-optimization requires regulated combos (capacity-aware trees cannot be rewired)", s.Name)
@@ -376,9 +376,6 @@ func (s Scenario) Validate() error {
 	if len(s.Faults) > 0 {
 		if err := validateFaultSpecs(s.Name, s.Faults, s.GroupCount()); err != nil {
 			return err
-		}
-		if s.Kind == KindSingleHop {
-			return fmt.Errorf("scenario %s: fault injection needs a multi-group scenario", s.Name)
 		}
 		for _, c := range s.Combos {
 			if scheme, _ := ParseScheme(c.Scheme); scheme == core.SchemeCapacityAware {
@@ -393,10 +390,8 @@ func (s Scenario) Validate() error {
 			}
 		}
 	}
-	if s.Kind == KindMultiGroup || s.Kind == "" {
-		if s.Hosts() < 2 {
-			return fmt.Errorf("scenario %s: needs at least two hosts", s.Name)
-		}
+	if s.Hosts() < 2 {
+		return fmt.Errorf("scenario %s: needs at least two hosts", s.Name)
 	}
 	for _, l := range s.Loads {
 		if l <= 0 || l >= 1 {
@@ -478,18 +473,24 @@ func (s Scenario) UplinkClasses() []topo.UplinkClass {
 	return out
 }
 
-// SessionConfig compiles one (combo, load) cell of a multi-group scenario
-// into a core config. The caller supplies the structural seed and the
-// per-load traffic seed (sweep drivers derive the latter with
-// xrand.DeriveSeed) plus the pre-built shared specs (nil to let the
-// session measure its own) and the materialised membership (groups —
-// sweep drivers call s.Groups(seed) once and share the result across
-// every cell; nil materialises it here).
+// SessionConfig compiles one (combo, load) cell of a scenario into a core
+// config, and is the one place Kind is resolved. The caller supplies the
+// structural seed and the per-load traffic seed (sweep drivers derive the
+// latter with xrand.DeriveSeed), the simulated duration (0 selects the
+// scenario's DurationSec, else the kind's default horizon — 15 s, or
+// core.OneHop's 36 s), the pre-built shared specs (nil to let the session
+// measure its own) and the materialised membership (groups — sweep drivers
+// call s.Groups(seed) once and share the result across every cell; nil
+// materialises it here).
 func (s Scenario) SessionConfig(combo Combo, load float64, seed uint64,
 	trafficSeed core.SeedOpt, duration des.Duration, specs []core.FlowSpec,
 	groups []core.GroupSpec) (core.Config, error) {
-	if s.Kind == KindSingleHop {
-		return core.Config{}, fmt.Errorf("scenario %s: single-hop scenario compiled as session", s.Name)
+	oneHop := s.Kind == KindSingleHop
+	if duration == 0 {
+		duration = des.Seconds(s.DurationSec)
+	}
+	if duration == 0 && !oneHop {
+		duration = 15 * des.Second
 	}
 	mix, err := s.ParseMix()
 	if err != nil {
@@ -559,7 +560,7 @@ func (s Scenario) SessionConfig(combo Combo, load float64, seed uint64,
 	if window == 0 && (s.Churn.Enabled() || len(faults) > 0) {
 		window = 1
 	}
-	return core.Config{
+	cfg := core.Config{
 		NumHosts:       s.Hosts(),
 		Mix:            mix,
 		Load:           load,
@@ -580,38 +581,11 @@ func (s Scenario) SessionConfig(combo Combo, load float64, seed uint64,
 		Faults:         faults,
 		Reopt:          s.Reopt.compile(),
 		WindowSec:      window,
-	}, nil
-}
-
-// SingleHopConfig compiles one (combo, load) cell of a single-hop
-// scenario.
-func (s Scenario) SingleHopConfig(combo Combo, load float64, seed uint64,
-	trafficSeed core.SeedOpt, duration des.Duration, specs []core.FlowSpec) (core.SingleHopConfig, error) {
-	if s.Kind != KindSingleHop {
-		return core.SingleHopConfig{}, fmt.Errorf("scenario %s: multi-group scenario compiled as single hop", s.Name)
 	}
-	mix, err := s.ParseMix()
-	if err != nil {
-		return core.SingleHopConfig{}, err
+	if oneHop {
+		cfg = core.OneHop(cfg)
 	}
-	workload, err := s.ParseWorkload()
-	if err != nil {
-		return core.SingleHopConfig{}, err
-	}
-	scheme, err := ParseScheme(combo.Scheme)
-	if err != nil {
-		return core.SingleHopConfig{}, err
-	}
-	return core.SingleHopConfig{
-		Mix:         mix,
-		Load:        load,
-		Scheme:      scheme,
-		Duration:    duration,
-		Seed:        seed,
-		TrafficSeed: trafficSeed,
-		Workload:    workload,
-		Specs:       specs,
-	}, nil
+	return cfg, nil
 }
 
 // Quick returns a reduced-scale copy for tests, smoke targets, and

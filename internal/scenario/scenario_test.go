@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/topo"
 )
 
 func TestRegistryHasPaperEntriesAndScale(t *testing.T) {
@@ -74,7 +75,6 @@ func TestParseRejectsInvalid(t *testing.T) {
 		`{"name":"x","mix":"polka","combos":[{"scheme":"sigma-rho"}]}`,                 // bad mix
 		`{"name":"x","topology":{"kind":"moebius"},"combos":[{"scheme":"sigma-rho"}]}`, // bad topo
 		`{"name":"x","loads":[1.5],"combos":[{"scheme":"sigma-rho"}]}`,                 // bad load
-		`{"name":"x","kind":"single-hop","combos":[{"scheme":"capacity-aware"}]}`,      // CA single hop
 		`{"name":"x","capacity":{"kind":"classes"},"combos":[{"scheme":"sigma-rho"}]}`, // empty classes
 	}
 	for _, data := range cases {
@@ -146,22 +146,22 @@ func TestFullMembershipCompilesToNilGroups(t *testing.T) {
 
 func TestSessionConfigCompiles(t *testing.T) {
 	for _, sc := range All() {
-		if sc.Kind == KindSingleHop {
-			cfg, err := sc.SingleHopConfig(sc.Combos[0], 0.5, 1, core.UseSeed(2), 3*des.Second, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", sc.Name, err)
-			}
-			if cfg.Load != 0.5 || cfg.Seed != 1 || cfg.TrafficSeed.Or(1) != 2 {
-				t.Fatalf("%s: config fields lost: %+v", sc.Name, cfg)
-			}
-			continue
-		}
 		cfg, err := sc.SessionConfig(sc.Combos[0], 0.5, 1, core.UseSeed(2), 3*des.Second, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
+		if cfg.Load != 0.5 || cfg.Seed != 1 || cfg.TrafficSeed.Or(1) != 2 || cfg.Duration != 3*des.Second {
+			t.Fatalf("%s: cell fields lost: %+v", sc.Name, cfg)
+		}
 		if cfg.NumHosts != sc.Hosts() || cfg.NumGroups != sc.GroupCount() || cfg.Topology == nil {
 			t.Fatalf("%s: config fields lost: %+v", sc.Name, cfg)
+		}
+		if sc.Kind == KindSingleHop {
+			// The preset is core's shape constructor and nothing else.
+			if !reflect.DeepEqual(cfg, core.OneHop(cfg)) || len(cfg.Groups) != sc.GroupCount() {
+				t.Fatalf("%s: not the one-hop shape: %+v", sc.Name, cfg)
+			}
+			continue
 		}
 		if sc.Membership.Full() != (cfg.Groups == nil) {
 			t.Fatalf("%s: membership compile mismatch", sc.Name)
@@ -169,6 +169,43 @@ func TestSessionConfigCompiles(t *testing.T) {
 		if (sc.Capacity.Kind == "classes") != (len(cfg.UplinkClasses) > 0) {
 			t.Fatalf("%s: capacity compile mismatch", sc.Name)
 		}
+	}
+}
+
+// "kind": "single-hop" is a shape preset resolved by SessionConfig: whatever
+// population the spec (or a -hosts override, or Quick) carries, the cell is
+// core.OneHop's two hosts, and an unset duration is its 36 s — against 15 s
+// for a multi-group spec. The unregulated comparator is as valid there as
+// anywhere.
+func TestSingleHopKindIsTheOneHopPreset(t *testing.T) {
+	sc, err := Parse([]byte(`{"name":"x","kind":"single-hop","mix":"video","combos":[{"scheme":"capacity-aware"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crowded := sc
+	crowded.NumHosts = 200
+	for _, v := range []Scenario{sc, sc.Quick(), crowded} {
+		cfg, err := v.SessionConfig(v.Combos[0], 0.5, 1, core.UseSeed(2), 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 36 * des.Second
+		if v.DurationSec > 0 {
+			want = des.Seconds(v.DurationSec)
+		}
+		if cfg.NumHosts != 2 || cfg.Topology != (topo.Wire{}) || len(cfg.Groups) != 3 || cfg.Duration != want {
+			t.Fatalf("one-hop preset compiled to %+v", cfg)
+		}
+		for g, spec := range cfg.Groups {
+			if spec.Source != 0 || !reflect.DeepEqual(spec.Members, []int{0, 1}) {
+				t.Fatalf("group %d is %+v, want host 0 feeding host 1", g, spec)
+			}
+		}
+	}
+	multi := MustLookup("paper-fig6")
+	cfg, err := multi.SessionConfig(multi.Combos[0], 0.5, 1, core.UseSeed(2), 0, nil, nil)
+	if err != nil || cfg.Duration != 15*des.Second {
+		t.Fatalf("multi-group default horizon %v (err %v), want 15 s", cfg.Duration, err)
 	}
 }
 

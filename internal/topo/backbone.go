@@ -129,6 +129,9 @@ func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
 		panic("topo: NumHosts must be positive")
 	}
 	cfg.fillDefaults()
+	if backbone.access > 0 {
+		cfg.AccessDelayMin, cfg.AccessDelayMax = backbone.access, backbone.access
+	}
 	rng := xrand.New(cfg.Seed ^ 0xd1b54a32d192ed03)
 	n := backbone.NumNodes()
 	// Router popularity weights: uniform in [1, 3).

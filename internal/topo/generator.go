@@ -291,3 +291,23 @@ func (s Star) Build(uint64) *Graph {
 	}
 	return g
 }
+
+// Wire generates the degenerate underlay of the paper's Simulation I
+// (Fig. 3): a single router that every host hangs off at exactly half of
+// WireDelay, so any two hosts sit WireDelay apart — the "short link" from
+// the regulated MUX to its sink, with nothing drawn from the seed.
+type Wire struct{}
+
+// WireDelay is the one-way propagation delay between any two hosts on a
+// Wire underlay.
+const WireDelay = des.Millisecond
+
+// Name implements Generator.
+func (Wire) Name() string { return "wire" }
+
+// Build implements Generator.
+func (Wire) Build(uint64) *Graph {
+	g := NewGraph(1)
+	g.access = WireDelay / 2
+	return g
+}

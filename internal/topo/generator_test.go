@@ -123,3 +123,18 @@ func TestUplinkClassesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Wire is the one generator that fixes the access delays: whatever the
+// seed or population, every host pair is exactly WireDelay apart.
+func TestWirePinsHostDistance(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		net := NewNetwork(Wire{}.Build(seed), NetworkConfig{NumHosts: 4, Seed: seed})
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				if a != b && net.Latency(a, b) != WireDelay {
+					t.Fatalf("seed %d: hosts %d-%d are %v apart, want %v", seed, a, b, net.Latency(a, b), WireDelay)
+				}
+			}
+		}
+	}
+}

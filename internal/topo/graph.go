@@ -37,6 +37,9 @@ type Graph struct {
 	n      int
 	adj    [][]Edge
 	coords []Point
+	// access, when positive, fixes every host's access delay (see Wire);
+	// NewNetwork draws it from NetworkConfig's range otherwise.
+	access des.Duration
 }
 
 // NewGraph returns an empty graph with n nodes.

@@ -8,9 +8,10 @@
 //     worst-case delay bounds (Lemma 1, Theorems 1–2, Remarks 1–2), the
 //     rate threshold ρ* (Theorems 3–4), improvement ratios (Theorems 5–6),
 //     the DSCT height bound (Lemma 2) and multicast bounds (Theorems 7–8).
-//   - Engines: RunSingleHop (Simulation I: one regulated general MUX) and
-//     Run (Simulation II: a multi-group EMcast network on the 19-router
-//     backbone), both deterministic given their seeds.
+//   - Engine: Run, deterministic given its seeds — a multi-group EMcast
+//     network on the 19-router backbone by default (Simulation II), and,
+//     over an OneHop config, one regulated general MUX feeding a sink
+//     (Simulation I).
 //   - Experiments: the declarative scenario layer (Scenarios,
 //     ScenarioSweep). Every figure and table of the paper's evaluation is
 //     a registered scenario — MustScenario("paper-fig4") … "paper-fig6c" —
@@ -20,9 +21,9 @@
 //
 // Quick start:
 //
-//	res := wdc.RunSingleHop(wdc.SingleHopConfig{
+//	res := wdc.Run(wdc.OneHop(wdc.Config{
 //		Mix: wdc.MixVideo, Load: 0.8, Scheme: wdc.SchemeSRL, Seed: 1,
-//	})
+//	}))
 //	fmt.Printf("worst-case delay: %.3fs\n", res.WDB)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -48,14 +49,10 @@ type (
 	Mix = traffic.Mix
 	// FlowSpec is a flow's rate and declared (σ, ρ) envelope.
 	FlowSpec = core.FlowSpec
-	// Config parameterises a multi-group run (Simulation II).
+	// Config parameterises a run.
 	Config = core.Config
-	// Result reports a multi-group run.
+	// Result reports a run.
 	Result = core.Result
-	// SingleHopConfig parameterises a Simulation I run.
-	SingleHopConfig = core.SingleHopConfig
-	// SingleHopResult reports a Simulation I run.
-	SingleHopResult = core.SingleHopResult
 	// Options tunes an experiment sweep.
 	Options = harness.Options
 	// GroupSpec is one group's explicit member set and source.
@@ -107,17 +104,20 @@ const (
 	MixHetero = traffic.MixHetero
 )
 
-// Engines.
+// Engine.
 
-// Run executes one multi-group EMcast run (Simulation II). Set
+// Run executes one multi-group EMcast run (Simulation II by default,
+// Simulation I over an OneHop config). Set
 // cfg.Shards > 1 to execute it as a sharded conservative-parallel
 // simulation across that many engines — physics (deliveries, losses,
 // worst-case delays) are identical to a one-shard run, so sharding
 // is purely a wall-clock lever for big sessions on multi-core hosts.
 func Run(cfg Config) Result { return core.Run(cfg) }
 
-// RunSingleHop executes one single-regulated-hop run (Simulation I).
-func RunSingleHop(cfg SingleHopConfig) SingleHopResult { return core.RunSingleHop(cfg) }
+// OneHop reshapes cfg into Simulation I (Fig. 3/4): cfg's flows through
+// their regulators into one general MUX whose output crosses a 1 ms link
+// to the sink — two hosts, every group sourced at host 0, 36 s by default.
+func OneHop(cfg Config) Config { return core.OneHop(cfg) }
 
 // Strategies lists the registered overlay tree-construction strategies
 // ("dsct", "nice", "spt", "greedy", ...), selectable via Config.Strategy,

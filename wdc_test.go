@@ -8,8 +8,8 @@ import (
 )
 
 func TestFacadeRunSingleHop(t *testing.T) {
-	res := RunSingleHop(SingleHopConfig{Mix: MixAudio, Load: 0.8, Scheme: SchemeSRL,
-		Duration: 13 * des.Second, Seed: 1})
+	res := Run(OneHop(Config{Mix: MixAudio, Load: 0.8, Scheme: SchemeSRL,
+		Duration: 13 * des.Second, Seed: 1}))
 	if res.WDB <= 0 || res.Delivered == 0 {
 		t.Fatalf("facade single hop degenerate: %+v", res)
 	}
