@@ -48,7 +48,9 @@ scenarios:
 # GOMAXPROCS=1 leg runs four shards on one runner (every epoch inline, no
 # goroutine started), and the -race -cpu leg runs the epoch barrier — hand-
 # rolled synchronisation: publish through one atomic word, nothing else
-# shared — at one, two and four runners under the race detector.
+# shared — at one, two and four runners under the race detector. `-run
+# Shard` also picks up core's TestShardCensusByKind, the executed-events-
+# by-kind pin at one and two shards.
 shards:
 	WDCSIM_SHARDS=1 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=2 $(GO) test -run Shard ./...

@@ -391,6 +391,8 @@ func runSweep(w io.Writer, j job, jsonOut bool, fleet *harness.FleetOptions) err
 		fmt.Fprintf(w, "\nSharded execution at load %.2f:\n", last)
 		fmt.Fprint(w, r.ShardTable())
 	}
+	fmt.Fprintf(w, "\nEvents per delivery by kind at load %.2f:\n", last)
+	fmt.Fprint(w, r.CensusTable())
 	fmt.Fprint(w, r.CrossoverSummary())
 	fmt.Fprintln(w, r.Summary())
 	return nil

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // groupChildren is one host's per-group child sets, flattened into
 // parallel index arrays: groups holds the (ascending) group ids in which
 // the host has at least one child, kids the matching child lists. The
@@ -43,8 +45,8 @@ func (gc *groupChildren) get(g int) []int {
 }
 
 // add appends child c to group g, creating g's slot (kept sorted) on
-// demand.
-func (gc *groupChildren) add(g, c int) {
+// demand; it returns the slot and whether it is new.
+func (gc *groupChildren) add(g, c int) (slot int, fresh bool) {
 	lo, hi := 0, len(gc.groups)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -56,7 +58,7 @@ func (gc *groupChildren) add(g, c int) {
 	}
 	if lo < len(gc.groups) && int(gc.groups[lo]) == g {
 		gc.kids[lo] = append(gc.kids[lo], c)
-		return
+		return lo, false
 	}
 	gc.groups = append(gc.groups, 0)
 	gc.kids = append(gc.kids, nil)
@@ -64,19 +66,13 @@ func (gc *groupChildren) add(g, c int) {
 	copy(gc.kids[lo+1:], gc.kids[lo:])
 	gc.groups[lo] = int32(g)
 	gc.kids[lo] = []int{c}
+	return lo, true
 }
 
-// drop removes group g's slot entirely (a no-op when absent).
-func (gc *groupChildren) drop(g int) {
-	i := gc.find(g)
-	if i < 0 {
-		return
-	}
-	copy(gc.groups[i:], gc.groups[i+1:])
-	copy(gc.kids[i:], gc.kids[i+1:])
-	gc.groups = gc.groups[:len(gc.groups)-1]
-	gc.kids[len(gc.kids)-1] = nil
-	gc.kids = gc.kids[:len(gc.kids)-1]
+// drop removes slot i entirely.
+func (gc *groupChildren) drop(i int) {
+	gc.groups = slices.Delete(gc.groups, i, i+1)
+	gc.kids = slices.Delete(gc.kids, i, i+1)
 }
 
 // each calls fn for every group with children, in ascending group order —

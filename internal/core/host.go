@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/des"
 	"repro/internal/mux"
 	"repro/internal/regulator"
@@ -12,12 +14,12 @@ import (
 func secs(s float64) des.Duration { return des.Seconds(s) }
 
 // component is the one shape of thing checkpointing knows how to carry:
-// the per-connection MUX and the two regulators all satisfy it. Snapshot
-// and Restore cover the mutable words (flows bounds every restored
-// packet's Flow); SetSnapArg hands the component the registry slot its
-// pending events carry as their arg; Rearm re-schedules the component's own
-// stored callback for one serialized event under its original stamps, and
-// reports false for a kind the component does not own.
+// the per-connection MUX, the two regulators and the duty-cycle clock all
+// satisfy it. Snapshot and Restore cover the mutable words (flows bounds
+// every restored packet's Flow); SetSnapArg hands the component the
+// registry slot its pending events carry as their arg; Rearm re-schedules
+// the component's own stored callback for one serialized event under its
+// original stamps, and reports false for a kind the component does not own.
 type component interface {
 	SetSnapArg(arg uint32)
 	Snapshot(w *snap.Writer)
@@ -26,20 +28,25 @@ type component interface {
 }
 
 // family selects one kind of component. What a family's sub-index means
-// differs: a MUX serves a child connection, a regulator a group. The zero
-// value is no family, so a table row that names none needs no marker.
+// differs: a MUX serves a child connection, a regulator or a clock a group.
+// The zero value is no family, so a table row that names none needs no
+// marker. A checkpoint carries the families in this order, so a clock is
+// restored before the regulators that follow it.
 type family uint8
 
 const (
-	famNone family = iota
-	famMux         // sub = child host id
-	famSR          // sub = group
-	famSRL         // sub = group
+	famNone  family = iota
+	famMux          // sub = child host id
+	famSR           // sub = group
+	famCycle        // sub = group
+	famSRL          // sub = group
 	numFamilies
 )
 
-// compIdent names a registered component: the host that owns it and the
-// child connection (MUX) or group (regulator) it serves.
+// compIdent names a registered component: the host that owns it — for a
+// clock, which no host owns, the host whose capacity it was first built
+// for — and the child connection (MUX) or group (regulator, clock) it
+// serves.
 type compIdent struct{ host, sub int32 }
 
 // registry is one family's components on one engine, in creation order. A
@@ -82,7 +89,17 @@ type hostEnv struct {
 	// regulator created on this engine registers in its family's.
 	mux registry[*mux.Mux]
 	sr  registry[*regulator.SigmaRho]
+	cyc registry[*regulator.Cycle]
 	srl registry[*regulator.SRL]
+	// cycles finds this engine's duty-cycle clock for a (group, host
+	// capacity) pair — the pair fixes the stagger offset, W and V. Clocks are
+	// made on first use and never retired.
+	cycles map[cycleKey]*regulator.Cycle
+}
+
+type cycleKey struct {
+	g    int32
+	conn float64
 }
 
 // hostConn returns host id's per-connection capacity: the base C scaled
@@ -133,10 +150,10 @@ type host struct {
 	muxChild []int32
 	muxes    []*mux.Mux
 
-	// Regulator banks: built lazily per mode, and only for the groups
-	// this host actually forwards (partial-membership sessions would
-	// otherwise build K regulators at every host for mostly-idle flows).
-	// Entries for non-forwarding groups stay nil. Indexed by flow/group.
+	// Regulator banks: built lazily per mode, parallel to children's slots
+	// (bank[i] regulates group children.groups[i]), so a host pays for the
+	// groups it forwards, not for K. A nil bank has never been built; an
+	// entry is nil until its mode first needs the regulator.
 	srBank     []*regulator.SigmaRho
 	srlBank    []*regulator.SRL
 	srlCycling bool
@@ -269,14 +286,15 @@ func initialMode(s Scheme) Scheme {
 // forward pushes a group-g packet into the active regulator bank (or
 // straight to the replicator for the capacity-aware scheme).
 func (h *host) forward(g int, p traffic.Packet) {
-	if len(h.children.get(g)) == 0 {
+	i := h.children.find(g)
+	if i < 0 || len(h.children.kids[i]) == 0 {
 		return
 	}
 	switch h.mode {
 	case SchemeSigmaRho:
-		h.srBank[g].Enqueue(p)
+		h.srBank[i].Enqueue(p)
 	case SchemeSRL:
-		h.srlBank[g].Enqueue(p)
+		h.srlBank[i].Enqueue(p)
 	default: // capacity-aware: no regulation
 		h.replicate(g, p)
 	}
@@ -290,49 +308,39 @@ func (h *host) replicate(g int, p traffic.Packet) {
 	}
 }
 
-// workPeriod returns group g's (σ, ρ, λ) working period W = σ/(C−ρ) at
-// this host's capacity — needed for stagger offsets even for groups the
-// host builds no regulator for.
-func (h *host) workPeriod(g int) des.Duration {
-	return des.Seconds(h.env.bursts[g] / (h.conn - h.env.specs[g].Rho))
+// cycle returns group g's duty-cycle clock at this host's capacity, made
+// and started on first use. The clock carries the paper's round-robin
+// stagger, anchored at simulation time zero, so a bank (re)started mid-run
+// — an adaptive switch back to (σ, ρ, λ), or a host that begins forwarding
+// because churn grafted children under it — drops into the phase the global
+// schedule prescribes for the current instant, independent of when (or in
+// what order) hosts pick up forwarding duties.
+func (h *host) cycle(g int) *regulator.Cycle {
+	if c := h.findCycle(g); c != nil {
+		return c
+	}
+	c := h.makeCycle(g)
+	c.Start()
+	return c
 }
 
-// staggerOffset returns group g's phase offset in the global round-robin
-// stagger schedule: the sum of the working periods of all groups before
-// it, accumulated over the full group index range, so a host that
-// forwards only groups {2, 5} phases them exactly as a host forwarding
-// every group would — the stagger schedule is a per-group global, not a
-// per-host accident of which trees put children here.
-func (h *host) staggerOffset(g int) des.Duration {
-	if h.env.aligned {
-		return 0
-	}
-	var offset des.Duration
-	for j := 0; j < g; j++ {
-		offset += h.workPeriod(j)
-	}
-	return offset
+// findCycle returns the clock cycle would, or nil if it is yet to be made.
+func (h *host) findCycle(g int) *regulator.Cycle {
+	return h.env.cycles[cycleKey{int32(g), h.conn}]
 }
 
-// startCycles launches the duty cycles of the host's SRL bank on the
-// paper's round-robin stagger, phase-anchored at simulation time zero: at
-// session build this is the plain staggered start, and for banks
-// (re)started mid-run — an adaptive switch back to (σ, ρ, λ), or a host
-// that begins forwarding because churn grafted children under it — the
-// regulators drop into the phase the global schedule prescribes for the
-// current instant, so re-staggering is deterministic and independent of
-// when (or in what order) hosts pick up forwarding duties.
+// startCycles puts the host's SRL bank on its groups' clocks.
 func (h *host) startCycles() {
-	for g, r := range h.srlBank {
+	for i, r := range h.srlBank {
 		if r != nil {
-			r.StartCyclePhased(h.staggerOffset(g))
+			r.Follow(h.cycle(int(h.children.groups[i])))
 		}
 	}
 	h.srlCycling = true
 }
 
-// stopCycles halts the duty cycles and reopens the vacated queues so
-// residual packets drain.
+// stopCycles takes the bank off its clocks and reopens the vacated queues
+// so residual packets drain.
 func (h *host) stopCycles() {
 	for _, r := range h.srlBank {
 		if r != nil {
@@ -352,38 +360,32 @@ func (h *host) stopCycles() {
 // runs once with the build-time child sets; under churn it also fills
 // entries for groups whose children arrived after the bank was built.
 func (h *host) ensureSRBank() {
-	env := h.env
 	if h.srBank == nil {
-		h.srBank = make([]*regulator.SigmaRho, len(env.specs))
+		h.srBank = make([]*regulator.SigmaRho, len(h.children.groups))
 	}
-	h.children.each(func(g int, kids []int) {
-		if len(kids) == 0 || h.srBank[g] != nil {
-			return
+	for i, g := range h.children.groups {
+		if len(h.children.kids[i]) > 0 && h.srBank[i] == nil {
+			h.srBank[i] = h.makeSR(int(g))
 		}
-		h.srBank[g] = h.makeSR(g)
-	})
+	}
 }
 
-// ensureSRLBank is ensureSRBank for the (σ, ρ, λ) bank. It does not start
-// duty cycles; the caller staggers them.
-func (h *host) ensureSRLBank() (fresh bool) {
-	env := h.env
+// ensureSRLBank is ensureSRBank for the (σ, ρ, λ) bank. It puts no
+// regulator on a clock; the caller does.
+func (h *host) ensureSRLBank() {
 	if h.srlBank == nil {
-		h.srlBank = make([]*regulator.SRL, len(env.specs))
-		fresh = true
+		h.srlBank = make([]*regulator.SRL, len(h.children.groups))
 	}
-	h.children.each(func(g int, kids []int) {
-		if len(kids) == 0 || h.srlBank[g] != nil {
-			return
+	for i, g := range h.children.groups {
+		if len(h.children.kids[i]) > 0 && h.srlBank[i] == nil {
+			h.srlBank[i] = h.makeSRL(int(g))
 		}
-		h.srlBank[g] = h.makeSRL(g)
-	})
-	return fresh
+	}
 }
 
 // --- Component creation and the checkpoint's view of it (snapshot.go) ---
 //
-// The three make functions are the only constructors of components: the
+// The four make functions are the only constructors of components: the
 // live creation sites above and the checkpoint restore both go through
 // them, so a restored component binds an output closure identical to the
 // original's and registers (under a fresh slot) so its replayed events
@@ -411,16 +413,43 @@ func (h *host) makeSRL(g int) *regulator.SRL {
 		func(p traffic.Packet) { h.replicate(g, p) }), h.id, g)
 }
 
+// makeCycle creates and registers — without starting it — group g's
+// duty-cycle clock at this host's capacity. The stagger offset is the sum
+// of the working periods of all groups before g, accumulated over the full
+// group index range, so a host that forwards only groups {2, 5} phases
+// them exactly as a host forwarding every group would: the schedule is a
+// per-group global, not a per-host accident of which trees put children
+// here.
+func (h *host) makeCycle(g int) *regulator.Cycle {
+	env := h.env
+	work := func(j int) des.Duration { return des.Seconds(env.bursts[j] / (h.conn - env.specs[j].Rho)) }
+	var offset des.Duration
+	if !env.aligned {
+		for j := 0; j < g; j++ {
+			offset += work(j)
+		}
+	}
+	c := env.cyc.add(regulator.NewCycle(env.eng, offset, work(g),
+		des.Seconds(env.bursts[g]/env.specs[g].Rho)), h.id, g)
+	if env.cycles == nil {
+		env.cycles = make(map[cycleKey]*regulator.Cycle)
+	}
+	env.cycles[cycleKey{int32(g), h.conn}] = c
+	return c
+}
+
 // makeComp re-creates family f's component for sub at a checkpoint restore
 // without putting it into service — one that was already torn down but is
 // still named by a pending event stays uninstalled. capacity is the MUX's
-// serialized capacity and unused by the regulators.
+// serialized capacity and unused by the others.
 func (h *host) makeComp(f family, sub int, capacity float64) component {
 	switch f {
 	case famMux:
 		return h.makeMux(sub, capacity)
 	case famSR:
 		return h.makeSR(sub)
+	case famCycle:
+		return h.makeCycle(sub)
 	default:
 		return h.makeSRL(sub)
 	}
@@ -428,35 +457,53 @@ func (h *host) makeComp(f family, sub int, capacity float64) component {
 
 // isLive reports whether c is the component this host currently has in
 // service for (f, sub), as opposed to a detached one draining its events.
+// A clock is never retired.
 func (h *host) isLive(f family, sub int, c component) bool {
 	switch f {
 	case famMux:
 		return h.muxAt(sub) == c
-	case famSR:
-		return h.srBank != nil && h.srBank[sub] == c
-	default:
-		return h.srlBank != nil && h.srlBank[sub] == c
+	case famCycle:
+		return true
 	}
+	i := h.children.find(sub)
+	if i < 0 {
+		return false
+	}
+	if f == famSR {
+		return h.srBank != nil && h.srBank[i] == c
+	}
+	return h.srlBank != nil && h.srlBank[i] == c
 }
 
-// install puts a restored live component back into service. Duty-cycle
-// state (on/off, cycling, pending phase events) comes from a regulator's
-// own restored words and the event replay — nothing here starts a cycle.
-func (h *host) install(f family, sub int, c component) {
+// install puts a restored live component back into service; false when the
+// host forwards nothing in the regulator's group, which no snapshot this
+// package wrote says. Duty-cycle state comes from the restored words of
+// the clock and its followers and from the event replay — nothing here
+// starts a clock, and makeCycle already put a restored one in the table.
+func (h *host) install(f family, sub int, c component) bool {
 	switch f {
 	case famMux:
 		h.putMux(sub, c.(*mux.Mux))
-	case famSR:
-		if h.srBank == nil {
-			h.srBank = make([]*regulator.SigmaRho, len(h.env.specs))
-		}
-		h.srBank[sub] = c.(*regulator.SigmaRho)
-	default:
-		if h.srlBank == nil {
-			h.srlBank = make([]*regulator.SRL, len(h.env.specs))
-		}
-		h.srlBank[sub] = c.(*regulator.SRL)
+		return true
+	case famCycle:
+		return true
 	}
+	i := h.children.find(sub)
+	if i < 0 {
+		return false
+	}
+	if f == famSR {
+		if h.srBank == nil {
+			h.srBank = make([]*regulator.SigmaRho, len(h.children.groups))
+		}
+		h.srBank[i] = c.(*regulator.SigmaRho)
+	} else {
+		if h.srlBank == nil {
+			h.srlBank = make([]*regulator.SRL, len(h.children.groups))
+		}
+		h.srlBank[i] = c.(*regulator.SRL)
+	}
+	return true
 }
 
 // setMode activates the regulator bank for the given scheme, building
@@ -474,15 +521,8 @@ func (h *host) setMode(m Scheme) {
 			h.stopCycles()
 		}
 	case SchemeSRL:
-		if !h.ensureSRLBank() {
-			// Returning to SRL: close the held-open queues before the
-			// stagger re-drives them.
-			for _, r := range h.srlBank {
-				if r != nil {
-					r.SetOn(false)
-				}
-			}
-		}
+		// Returning to SRL, the held-open gates become the clocks'.
+		h.ensureSRLBank()
 		h.startCycles()
 	case SchemeCapacityAware:
 		// No regulation machinery.
@@ -515,7 +555,15 @@ func (h *host) childInAnyGroup(c int) bool {
 // all, or was not forwarding this group — the regulator machinery, with
 // the new duty cycle re-staggered onto the global schedule.
 func (h *host) attachChild(g, c int) {
-	h.children.add(g, c)
+	if i, fresh := h.children.add(g, c); fresh {
+		// Keep the banks parallel to the child slots.
+		if h.srBank != nil {
+			h.srBank = slices.Insert(h.srBank, i, nil)
+		}
+		if h.srlBank != nil {
+			h.srlBank = slices.Insert(h.srlBank, i, nil)
+		}
+	}
 	if h.findMux(c) < 0 {
 		h.putMux(c, h.makeMux(c, h.env.connectionCapacity(h.id, len(h.muxes)+1)))
 	}
@@ -535,19 +583,20 @@ func (h *host) attachChild(g, c int) {
 // attachGroup ensures the active bank covers group g after its first
 // child arrived mid-run (every other group with children already has its
 // entry, so the ensure helpers create exactly g's regulator). A freshly
-// created (σ, ρ, λ) regulator starts phase-aligned with the stagger
-// schedule the sibling regulators have followed since time zero.
+// created (σ, ρ, λ) regulator follows the clock its group's regulators
+// have followed since time zero.
 func (h *host) attachGroup(g int) {
+	i := h.children.find(g)
 	switch h.mode {
 	case SchemeSigmaRho:
-		if h.srBank != nil && h.srBank[g] == nil {
+		if h.srBank != nil && h.srBank[i] == nil {
 			h.ensureSRBank()
 		}
 	case SchemeSRL:
-		if h.srlBank != nil && h.srlBank[g] == nil {
+		if h.srlBank != nil && h.srlBank[i] == nil {
 			h.ensureSRLBank()
-			if h.srlCycling && h.srlBank[g] != nil {
-				h.srlBank[g].StartCyclePhased(h.staggerOffset(g))
+			if h.srlCycling && h.srlBank[i] != nil {
+				h.srlBank[i].Follow(h.cycle(g))
 			}
 		}
 	}
@@ -560,24 +609,31 @@ func (h *host) attachGroup(g int) {
 // engine). Sibling groups' regulators and stagger phases are untouched.
 // Returns the abandoned backlog size for disruption accounting.
 func (h *host) detachGroup(g int) int {
+	i := h.children.find(g)
+	if i < 0 {
+		return 0
+	}
 	lost := 0
-	if h.srBank != nil && h.srBank[g] != nil {
-		lost += h.srBank[g].Detach()
-		h.srBank[g] = nil
-	}
-	if h.srlBank != nil && h.srlBank[g] != nil {
-		r := h.srlBank[g]
-		lost += r.Detach()
-		if r.Transmitting() {
-			// The non-preempted packet completes serialisation, but its
-			// output replicates into the child set this detach is about
-			// to clear — it never reaches anyone, so it counts as lost.
-			lost++
+	if h.srBank != nil {
+		if r := h.srBank[i]; r != nil {
+			lost += r.Detach()
 		}
-		h.srlBank[g] = nil
+		h.srBank = slices.Delete(h.srBank, i, i+1)
 	}
-	old := h.children.get(g)
-	h.children.drop(g)
+	if h.srlBank != nil {
+		if r := h.srlBank[i]; r != nil {
+			lost += r.Detach()
+			if r.Transmitting() {
+				// The non-preempted packet completes serialisation, but its
+				// output replicates into the child set this detach is about
+				// to clear — it never reaches anyone, so it counts as lost.
+				lost++
+			}
+		}
+		h.srlBank = slices.Delete(h.srlBank, i, i+1)
+	}
+	old := h.children.kids[i]
+	h.children.drop(i)
 	for _, c := range old {
 		if !h.childInAnyGroup(c) {
 			h.dropMux(c)

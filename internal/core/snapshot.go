@@ -31,11 +31,11 @@ package core
 //     comparison, so the restored firing order is the original's.
 //
 // The stream's layout is the records table, which Snapshot and Restore both
-// walk; every MUX and regulator is a component (host.go) with one stanza
-// layout; every pending event replays through one Rearm call routed by
-// rearmRoutes. Restore reads bytes it may not have written: every id is
-// range-checked before it indexes anything, and a failure is an error,
-// never a panic. The des engine's KindNone check backstops any new event
+// walk; every MUX, regulator and duty-cycle clock is a component (host.go)
+// with one stanza layout; every pending event replays through one Rearm
+// call routed by rearmRoutes. Restore reads bytes it may not have written:
+// every id is range-checked before it indexes anything, and a failure is an
+// error, never a panic. The des engine's KindNone check backstops any new event
 // that forgets to tag itself.
 
 import (
@@ -53,7 +53,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 5
+const SnapshotVersion = 6
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -442,10 +442,10 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 		h.switches = int(r.U32())
 		h.srlCycling = r.Bool()
 		if r.Bool() && h.srBank == nil {
-			h.srBank = make([]*regulator.SigmaRho, len(h.env.specs))
+			h.srBank = make([]*regulator.SigmaRho, len(h.children.groups))
 		}
 		if r.Bool() && h.srlBank == nil {
-			h.srlBank = make([]*regulator.SRL, len(h.env.specs))
+			h.srlBank = make([]*regulator.SRL, len(h.children.groups))
 		}
 		if r.Bool() {
 			// Re-arm the controller closure without scheduling its tick (the
@@ -690,12 +690,14 @@ func (c *codec) writeComponents(w *snap.Writer, si int) {
 	}
 	writeFamily(w, c.s.hosts, famMux, &sh.env.mux, ref[famMux])
 	writeFamily(w, c.s.hosts, famSR, &sh.env.sr, ref[famSR])
+	writeFamily(w, c.s.hosts, famCycle, &sh.env.cyc, ref[famCycle])
 	writeFamily(w, c.s.hosts, famSRL, &sh.env.srl, ref[famSRL])
 }
 
 // writeFamily writes one registry: a count, then per component a stanza of
-// slot, owning host, sub-index, liveness, (MUX only) capacity, and the
-// component's own words.
+// slot, owning host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ)
+// regulator only) whether it follows its clock, and the component's own
+// words.
 func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *registry[C], ref map[uint32]bool) {
 	count, n := w.Count(), 0
 	for slot, comp := range rg.comps {
@@ -715,6 +717,10 @@ func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *regis
 			// rides along.
 			w.F64(any(comp).(*mux.Mux).Capacity())
 		}
+		if f == famSRL {
+			// Which clock is implied — the one for (sub, the host's capacity).
+			w.Bool(any(comp).(*regulator.SRL).Following())
+		}
 		comp.Snapshot(w)
 	}
 	w.SetCount(count, n)
@@ -727,7 +733,7 @@ func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *regis
 func (c *codec) readComponents(r *snap.Reader, si int) {
 	s := c.s
 	numGroups := s.sub.numGroups()
-	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famSRL: numGroups}
+	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famCycle: numGroups, famSRL: numGroups}
 	for f := famMux; f < numFamilies; f++ {
 		n := r.Len()
 		c.slots[f], c.comps[f] = make([]uint32, 0, n), make([]component, 0, n)
@@ -745,6 +751,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 					r.Fail(fmt.Errorf("core: snapshot mux capacity %v is not positive", capacity))
 				}
 			}
+			following := f == famSRL && r.Bool()
 			if r.Err() == nil && s.owner[hid] != si {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds a component of host %d, which shard %d owns", si, hid, s.owner[hid]))
 			}
@@ -752,10 +759,24 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				return
 			}
 			h := s.hosts[hid]
+			if f == famCycle && h.findCycle(sub) != nil {
+				r.Fail(fmt.Errorf("core: snapshot shard %d holds two clocks for group %d at host %d's capacity", si, sub, hid))
+				return
+			}
 			comp := h.makeComp(f, sub, capacity)
 			comp.Restore(r, numGroups)
-			if live {
-				h.install(f, sub, comp)
+			if live && !h.install(f, sub, comp) {
+				r.Fail(fmt.Errorf("core: snapshot host %d holds a live regulator for group %d, in which it has no children", hid, sub))
+				return
+			}
+			if following {
+				// Its clock was restored by the family before this one.
+				cy := h.findCycle(sub)
+				if cy == nil {
+					r.Fail(fmt.Errorf("core: snapshot regulator of host %d, group %d follows a clock the snapshot does not hold", hid, sub))
+					return
+				}
+				comp.(*regulator.SRL).Rejoin(cy)
 			}
 			c.slots[f], c.comps[f] = append(c.slots[f], slot), append(c.comps[f], comp)
 		}
@@ -807,8 +828,8 @@ var rearmRoutes = [des.NumKinds]rearmRoute{
 	des.KindMuxDone:   {famMux, compSlot},
 	des.KindSRRetry:   {famSR, compSlot},
 	des.KindSRLDone:   {famSRL, compSlot},
-	des.KindSRLOn:     {famSRL, compSlot},
-	des.KindSRLOff:    {famSRL, compSlot},
+	des.KindSRLOn:     {famCycle, compSlot},
+	des.KindSRLOff:    {famCycle, compSlot},
 	des.KindFlight:    {famNone, nil},
 	des.KindSrcCycle:  {famNone, sourceSlot},
 	des.KindSrcTick:   {famNone, sourceSlot},

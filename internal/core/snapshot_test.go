@@ -237,6 +237,21 @@ func TestEveryKindHasOneRearmRoute(t *testing.T) {
 	if len(rearmRoutes) != int(des.NumKinds) {
 		t.Errorf("replay table has %d rows for %d kinds", len(rearmRoutes), des.NumKinds)
 	}
+	// Every component family owns at least one kind — a family nothing
+	// routes to would be written to every checkpoint and never re-armed —
+	// and the duty-cycle edges belong to the clock, not to a regulator.
+	var routed [numFamilies]bool
+	for _, rt := range rearmRoutes {
+		routed[rt.fam] = true
+	}
+	for f := famMux; f < numFamilies; f++ {
+		if !routed[f] {
+			t.Errorf("component family %d owns no pending-event kind", f)
+		}
+	}
+	if rearmRoutes[des.KindSRLOn].fam != famCycle || rearmRoutes[des.KindSRLOff].fam != famCycle {
+		t.Error("a duty-cycle edge is not routed to the clock family")
+	}
 }
 
 // TestSnapshotRecordOrderMatchesTable reads real blobs with nothing but

@@ -131,6 +131,7 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	executed uint64
+	byKind   [NumKinds]uint64 // executed, by callback kind
 	running  bool
 	pending  int
 
@@ -154,6 +155,10 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// ExecutedByKind breaks Executed down by callback kind (untagged events
+// count under KindNone).
+func (e *Engine) ExecutedByKind() [NumKinds]uint64 { return e.byKind }
 
 // Pending reports how many live (scheduled, not canceled) events are
 // waiting in the queue.
@@ -216,6 +221,9 @@ func (e *Engine) SchedulePrioKind(at, prio Time, kind uint16, arg uint32, fn fun
 	if fn == nil {
 		panic("des: scheduling nil func")
 	}
+	if kind >= NumKinds {
+		panic(fmt.Sprintf("des: scheduling unregistered kind %d", kind))
+	}
 	ev := e.alloc()
 	ev.at = at
 	ev.prio = prio
@@ -273,6 +281,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) exec(ev *event) {
 	e.now = ev.at
 	e.executed++
+	e.byKind[ev.kind]++
 	e.pending--
 	fn := ev.fn
 	e.release(ev)

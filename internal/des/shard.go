@@ -207,9 +207,10 @@ func HoldRunners(n int) (release func()) {
 // epochs — event counts only, identical at every GOMAXPROCS — since it was
 // built (it is not carried through a checkpoint).
 type ShardAccount struct {
-	Events   []uint64 // events each shard executed
-	Active   []uint64 // epochs in which each shard had work in its window
-	Parallel uint64   // epochs with two or more active shards
+	Events   []uint64           // events each shard executed
+	ByKind   [][NumKinds]uint64 // the same, broken down by callback kind
+	Active   []uint64           // epochs in which each shard had work in its window
+	Parallel uint64             // epochs with two or more active shards
 }
 
 // Coordinator drives a set of shard engines (one or more) through
@@ -333,7 +334,14 @@ func (c *Coordinator[P]) StallShare() float64 {
 }
 
 // Account returns the per-shard ledger (read-only: it shares the slices).
-func (c *Coordinator[P]) Account() ShardAccount { return c.acct }
+func (c *Coordinator[P]) Account() ShardAccount {
+	a := c.acct
+	a.ByKind = make([][NumKinds]uint64, len(c.engines))
+	for i, e := range c.engines {
+		a.ByKind[i] = e.ExecutedByKind()
+	}
+	return a
+}
 
 // OnDeliver registers the hook that consumes payload records posted with
 // PostPayload: fn runs on shard dst's engine at the record's firing time.

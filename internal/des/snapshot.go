@@ -36,8 +36,8 @@ const (
 	KindSRRetry
 	// KindSRLDone is a (σ,ρ,λ) transmit-completion (arg = regulator slot).
 	KindSRLDone
-	// KindSRLOn / KindSRLOff are (σ,ρ,λ) duty-cycle phase switches
-	// (arg = regulator slot).
+	// KindSRLOn / KindSRLOff are the edges of a (σ,ρ,λ) duty-cycle clock
+	// (arg = clock slot).
 	KindSRLOn
 	KindSRLOff
 	// KindFlight is an in-flight packet delivery on a pure-delay path
@@ -64,6 +64,26 @@ const (
 	// them as an unrouted entry instead of an out-of-range index.
 	NumKinds
 )
+
+// kindNames labels the kinds for the executed-by-kind census.
+var kindNames = [NumKinds]string{
+	KindNone:      "untagged",
+	KindMuxDone:   "mux-done",
+	KindSRRetry:   "sr-retry",
+	KindSRLDone:   "srl-done",
+	KindSRLOn:     "srl-on",
+	KindSRLOff:    "srl-off",
+	KindFlight:    "flight",
+	KindSrcCycle:  "src-cycle",
+	KindSrcTick:   "src-tick",
+	KindCtlTick:   "ctl-tick",
+	KindAudioTalk: "audio-talk",
+	KindAudioWake: "audio-wake",
+	KindVideoTick: "video-tick",
+}
+
+// KindName returns a short label for kind ("" for a retired slot).
+func KindName(kind uint16) string { return kindNames[kind] }
 
 // PendingEvent is one serializable queue entry.
 type PendingEvent struct {

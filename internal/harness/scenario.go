@@ -60,9 +60,12 @@ type ScenarioCurve struct {
 	Epochs         []uint64
 	CrossShardMsgs []uint64
 	StallShare     []float64
-	// Account is the per-load per-shard ledger behind the stall share
-	// (ShardTable prints it); it is not part of the JSON record.
-	Account []des.ShardAccount
+	// Account is the per-load per-shard ledger behind the stall share and
+	// the census (ShardTable and CensusTable print it), Delivered the per-
+	// load reception count the census divides by; neither is part of the
+	// JSON record.
+	Account   []des.ShardAccount
+	Delivered []uint64
 }
 
 // ScenarioResult is a full scenario sweep: one curve per combo.
@@ -255,6 +258,8 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 			Layers:    make([]int, len(p.loads)),
 			Bound:     make([]float64, len(p.loads)),
 			Lost:      make([]uint64, len(p.loads)),
+			Account:   make([]des.ShardAccount, len(p.loads)),
+			Delivered: make([]uint64, len(p.loads)),
 		})
 	}
 	for li, load := range p.loads {
@@ -264,6 +269,8 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 			res.Curves[ci].MeanDelay.Add(load, c.Mean)
 			res.Curves[ci].Layers[li] = c.Layers
 			res.Curves[ci].Lost[li] = c.Lost
+			res.Curves[ci].Account[li] = c.Account
+			res.Curves[ci].Delivered[li] = c.Delivered
 			if c.Windows != nil {
 				if res.Curves[ci].WindowMax == nil {
 					res.Curves[ci].WindowMax = make([][]float64, len(p.loads))
@@ -279,9 +286,7 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 					res.Curves[ci].Epochs = make([]uint64, len(p.loads))
 					res.Curves[ci].CrossShardMsgs = make([]uint64, len(p.loads))
 					res.Curves[ci].StallShare = make([]float64, len(p.loads))
-					res.Curves[ci].Account = make([]des.ShardAccount, len(p.loads))
 				}
-				res.Curves[ci].Account[li] = c.Account
 				res.Curves[ci].Shards[li] = c.Shards
 				res.Curves[ci].Epochs[li] = c.Epochs
 				res.Curves[ci].CrossShardMsgs[li] = c.CrossMsgs
@@ -463,6 +468,46 @@ func (r ScenarioResult) ShardTable() *stats.Table {
 			fmt.Sprintf("%d", c.CrossShardMsgs[last]),
 			fmt.Sprintf("%.3f", c.StallShare[last]),
 			fmt.Sprint(a.Events), fmt.Sprint(a.Active))
+	}
+	return t
+}
+
+// CensusTable renders the executed-event census at the heaviest load, one
+// row per combo: events per delivery in total and by callback kind, summed
+// over the shards. A function of event counts, identical on any machine —
+// the per-delivery cost a change to the engine's event structure moves.
+func (r ScenarioResult) CensusTable() *stats.Table {
+	last := len(r.Loads) - 1
+	census := make([][des.NumKinds]uint64, len(r.Curves))
+	var any [des.NumKinds]bool
+	for ci, c := range r.Curves {
+		for _, shard := range c.Account[last].ByKind {
+			for k, n := range shard {
+				census[ci][k] += n
+				any[k] = any[k] || n > 0
+			}
+		}
+	}
+	cols := []string{"combo", "events", "per delivery"}
+	for k := range any {
+		if any[k] {
+			cols = append(cols, des.KindName(uint16(k)))
+		}
+	}
+	t := stats.NewTable(cols...)
+	for ci, c := range r.Curves {
+		per := func(n uint64) string { return fmt.Sprintf("%.3f", float64(n)/float64(max(c.Delivered[last], 1))) }
+		var total uint64
+		for _, n := range census[ci] {
+			total += n
+		}
+		row := []string{c.Combo.String(), fmt.Sprintf("%d", total), per(total)}
+		for k, n := range census[ci] {
+			if any[k] {
+				row = append(row, per(n))
+			}
+		}
+		t.AddRow(row...)
 	}
 	return t
 }

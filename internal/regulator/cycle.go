@@ -1,0 +1,155 @@
+package regulator
+
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/des"
+	"repro/internal/snap"
+)
+
+// Cycle is one duty-cycle schedule: the on/off clock of every (σ, ρ, λ)
+// regulator that shares a phase offset, a working period W and a vacation
+// V on one engine. Anchored at simulation time zero, the gate opens at
+// offset + k·(W+V) and closes W later, for ever.
+//
+// The clock owns the gate and the two self-rearming edge events; a
+// regulator follows it (SRL.Follow), reads the gate from it, and costs the
+// engine nothing while its queue is empty. Only a regulator that holds a
+// packet behind a shut gate puts itself on the waiting list, which the
+// on-edge serves in follow order — the order the regulators' own on-edge
+// events fired in when each carried its own timer, since equal (at, prio)
+// ties break by scheduling order. The clock ticks whether or not anyone
+// waits or follows, so an engine has duty-cycle events at the instants the
+// schedule prescribes and nowhere else.
+type Cycle struct {
+	eng          *des.Engine
+	offset, w, v des.Duration
+
+	on       bool
+	ev       des.Event // the pending edge
+	snapArg  uint32    // component slot for snapshot event tags
+	onFn     func()    // stored edge callbacks
+	offFn    func()
+	nextRank uint64 // follow order: the rank the next follower takes
+	waiting  []*SRL // followers holding a packet behind the shut gate
+
+	// instrumentation
+	onSince des.Time
+	onTotal des.Duration
+}
+
+// NewCycle returns the schedule (offset, W, V) on eng, not yet ticking:
+// call Start. It panics unless W and V are positive and offset is not
+// negative.
+func NewCycle(eng *des.Engine, offset, w, v des.Duration) *Cycle {
+	if offset < 0 || w <= 0 || v <= 0 {
+		panic("regulator: cycle requires offset≥0, W>0 and V>0")
+	}
+	c := &Cycle{eng: eng, offset: offset, w: w, v: v}
+	c.onFn = func() {
+		c.on = true
+		c.onSince = c.eng.Now()
+		// Wake before re-arming: a follower's transmission started here was
+		// scheduled before its own off-edge when it carried its own timer.
+		c.wake()
+		c.ev = c.eng.ScheduleInKind(c.w, des.KindSRLOff, c.snapArg, c.offFn)
+	}
+	c.offFn = func() {
+		c.on = false
+		c.onTotal += c.eng.Now() - c.onSince
+		c.ev = c.eng.ScheduleInKind(c.v, des.KindSRLOn, c.snapArg, c.onFn)
+	}
+	return c
+}
+
+// Start enters the state the schedule prescribes for Now — as if the clock
+// had been ticking since time zero — and arms the next edge. A clock is
+// started once.
+func (c *Cycle) Start() {
+	now, p := c.eng.Now(), c.w+c.v
+	switch pos := (now - c.offset) % p; {
+	case now <= c.offset:
+		// Before the first working period.
+		c.ev = c.eng.ScheduleKind(c.offset, des.KindSRLOn, c.snapArg, c.onFn)
+	case pos < c.w:
+		// Inside a working period: finish it.
+		c.on, c.onSince = true, now
+		c.ev = c.eng.ScheduleInKind(c.w-pos, des.KindSRLOff, c.snapArg, c.offFn)
+	default:
+		// Inside a vacation.
+		c.ev = c.eng.ScheduleInKind(p-pos, des.KindSRLOn, c.snapArg, c.onFn)
+	}
+}
+
+// Stop halts the clock, leaving the gate as it stands.
+func (c *Cycle) Stop() {
+	c.eng.Cancel(c.ev)
+	c.ev = des.Event{}
+}
+
+// OnTime returns the cumulative time the gate has been open. Divided by
+// elapsed time it converges to the duty ratio W/P = ρ/C.
+func (c *Cycle) OnTime() des.Duration {
+	total := c.onTotal
+	if c.on {
+		total += c.eng.Now() - c.onSince
+	}
+	return total
+}
+
+// wake serves the waiting followers in follow order.
+func (c *Cycle) wake() {
+	ws := c.waiting
+	slices.SortFunc(ws, func(a, b *SRL) int { return cmp.Compare(a.rank, b.rank) })
+	for i, r := range ws {
+		r.waiting = false
+		r.serve()
+		ws[i] = nil
+	}
+	c.waiting = ws[:0]
+}
+
+// unwait takes r off the waiting list.
+func (c *Cycle) unwait(r *SRL) {
+	i := slices.Index(c.waiting, r)
+	last := len(c.waiting) - 1
+	c.waiting[i] = c.waiting[last]
+	c.waiting[last] = nil
+	c.waiting = c.waiting[:last]
+}
+
+// SetSnapArg registers the clock's slot in the session's component
+// registry (see SigmaRho.SetSnapArg).
+func (c *Cycle) SetSnapArg(arg uint32) { c.snapArg = arg }
+
+// Snapshot appends the clock's mutable state to the open record. The
+// waiting list is not written: each follower's record carries its waiting
+// bit, and Rejoin rebuilds the list.
+func (c *Cycle) Snapshot(w *snap.Writer) {
+	w.Bool(c.on)
+	w.U64(c.nextRank)
+	w.I64(int64(c.onSince))
+	w.I64(int64(c.onTotal))
+}
+
+// Restore overwrites the clock's mutable state from the open record.
+func (c *Cycle) Restore(r *snap.Reader, _ int) {
+	c.on = r.Bool()
+	c.nextRank = r.U64()
+	c.onSince = des.Time(r.I64())
+	c.onTotal = des.Duration(r.I64())
+}
+
+// Rearm re-schedules the serialized pending edge.
+func (c *Cycle) Rearm(kind uint16, at, prio des.Time) bool {
+	switch kind {
+	case des.KindSRLOn:
+		c.ev = c.eng.SchedulePrioKind(at, prio, kind, c.snapArg, c.onFn)
+	case des.KindSRLOff:
+		c.ev = c.eng.SchedulePrioKind(at, prio, kind, c.snapArg, c.offFn)
+	default:
+		return false
+	}
+	return true
+}

@@ -11,18 +11,21 @@ func pkt(id uint64, size float64) traffic.Packet {
 	return traffic.Packet{ID: id, Size: size}
 }
 
-// StartCyclePhased at time zero must be StartCycle exactly: same on/off
-// trajectory, same emissions.
+// Following a shared clock started at time zero must be StartCycle's
+// private clock exactly: same on/off trajectory, same emissions.
 func TestSRLPhasedAtZeroMatchesStartCycle(t *testing.T) {
-	run := func(phased bool) []des.Time {
+	run := func(shared bool) []des.Time {
 		eng := des.New()
 		var out []des.Time
 		r := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {
 			out = append(out, eng.Now())
 		})
 		off := r.WorkPeriod() * 2
-		if phased {
-			r.StartCyclePhased(off)
+		if shared {
+			c := NewCycle(eng, off, r.WorkPeriod(), r.Vacation())
+			c.Start()
+			r.Follow(c)
+			defer c.Stop()
 		} else {
 			r.StartCycle(off)
 		}
@@ -40,13 +43,13 @@ func TestSRLPhasedAtZeroMatchesStartCycle(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("emission %d at %v (StartCycle) vs %v (phased)", i, a[i], b[i])
+			t.Fatalf("emission %d at %v (StartCycle) vs %v (shared clock)", i, a[i], b[i])
 		}
 	}
 }
 
-// A regulator attached mid-run with StartCyclePhased must be exactly in
-// phase with one that has been cycling since time zero.
+// A regulator whose clock starts mid-run must be exactly in phase with one
+// that has been cycling since time zero: a clock is anchored at zero.
 func TestSRLPhasedMidRunAlignsWithGlobalSchedule(t *testing.T) {
 	eng := des.New()
 	ref := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
@@ -54,7 +57,7 @@ func TestSRLPhasedMidRunAlignsWithGlobalSchedule(t *testing.T) {
 	ref.StartCycle(off)
 	late := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
 	// Attach at an arbitrary instant strictly inside the run.
-	eng.Schedule(des.Millis(137), func() { late.StartCyclePhased(off) })
+	eng.Schedule(des.Millis(137), func() { late.StartCycle(off) })
 	// Compare the on/off state of the two regulators at fine sample points
 	// after the attach.
 	mismatches := 0
@@ -83,7 +86,7 @@ func TestSRLDetachDrainsInFlightAndReportsLoss(t *testing.T) {
 	})
 	sib := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
 	r.StartCycle(0)
-	sib.StartCyclePhased(r.WorkPeriod())
+	sib.StartCycle(r.WorkPeriod())
 	var dropped int
 	eng.Schedule(0, func() {
 		// Three packets: the first starts transmitting immediately (on
@@ -114,7 +117,7 @@ func TestSRLDetachDrainsInFlightAndReportsLoss(t *testing.T) {
 	// detached regulator at all.
 	eng2 := des.New()
 	sib2 := NewSRL(eng2, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
-	sib2.StartCyclePhased(sib.WorkPeriod())
+	sib2.StartCycle(sib.WorkPeriod())
 	sibOnClean := make([]bool, 0, 50)
 	for i := 0; i < 50; i++ {
 		at := des.Millis(10) + des.Duration(i)*des.Millis(2)

@@ -1,8 +1,7 @@
 // Package regulator implements the traffic regulators at the heart of the
 // paper: the classical leaky bucket, Cruz's (σ, ρ) regulator, and the
-// paper's novel (σ, ρ, λ) duty-cycle regulator, plus the round-robin
-// stagger scheduler that interleaves the working periods of the K
-// regulators at one end host.
+// paper's novel (σ, ρ, λ) duty-cycle regulator, plus the duty-cycle clock
+// (Cycle) that the regulators sharing one stagger phase follow.
 //
 // All regulators are event-driven shapers on a des.Engine: packets enter
 // through Enqueue and conformant packets leave through the output callback

@@ -69,43 +69,45 @@ func (s *SigmaRho) Rearm(kind uint16, at, prio des.Time) bool {
 // registry (see SigmaRho.SetSnapArg).
 func (r *SRL) SetSnapArg(arg uint32) { r.snapArg = arg }
 
-// Snapshot appends the regulator's mutable state to the open record.
+// Snapshot appends the regulator's mutable state to the open record. Its
+// place on a clock — follow rank, waiting bit — is written here; whether it
+// follows one, and which, is the caller's to record and resolve (Following,
+// Rejoin).
 func (r *SRL) Snapshot(w *snap.Writer) {
 	r.q.snapshot(w)
 	w.Bool(r.on)
 	w.Bool(r.transmitting)
-	w.Bool(r.cycling)
-	w.Bool(r.stopCycle)
+	w.Bool(r.waiting)
+	w.U64(r.rank)
 	w.F64(r.emittedBits)
-	w.I64(int64(r.onSince))
-	w.I64(int64(r.onTotal))
 }
 
 // Restore overwrites the regulator's mutable state from the open record
-// (see SigmaRho.Restore).
+// (see SigmaRho.Restore). The regulator comes back following no clock; one
+// that followed is handed its restored clock with Rejoin.
 func (r *SRL) Restore(sr *snap.Reader, flows int) {
 	r.q.restore(sr, flows)
 	r.on = sr.Bool()
 	r.transmitting = sr.Bool()
-	r.cycling = sr.Bool()
-	r.stopCycle = sr.Bool()
+	r.waiting = sr.Bool()
+	r.rank = sr.U64()
 	r.emittedBits = sr.F64()
-	r.onSince = des.Time(sr.I64())
-	r.onTotal = des.Duration(sr.I64())
 }
 
-// Rearm re-schedules a serialized transmit-completion, working-period-
-// start or vacation-start event.
+// Rejoin binds a restored regulator to its restored clock under the rank
+// and waiting bit its record carried.
+func (r *SRL) Rejoin(c *Cycle) {
+	r.clock = c
+	if r.waiting {
+		c.waiting = append(c.waiting, r)
+	}
+}
+
+// Rearm re-schedules the serialized transmit-completion event.
 func (r *SRL) Rearm(kind uint16, at, prio des.Time) bool {
-	switch kind {
-	case des.KindSRLDone:
-		r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.done)
-	case des.KindSRLOn:
-		r.onEv = r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.onPhaseFn)
-	case des.KindSRLOff:
-		r.onEv = r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.offPhaseFn)
-	default:
+	if kind != des.KindSRLDone {
 		return false
 	}
+	r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.done)
 	return true
 }

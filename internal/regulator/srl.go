@@ -27,25 +27,25 @@ type SRL struct {
 	Sigma, Rho, C float64
 	out           func(traffic.Packet)
 
-	q            fifo
+	q fifo
+	// The gate: the clock's while the regulator follows one, else the
+	// regulator's own on flag (SetOn). rank is the regulator's place in the
+	// clock's follow order; waiting says it is on the clock's waiting list.
+	clock        *Cycle
+	own          bool // the clock is StartCycle's private one
+	rank         uint64
+	waiting      bool
 	on           bool
 	transmitting bool
-	cycling      bool
-	stopCycle    bool
-	onEv         des.Event
 	snapArg      uint32 // component slot for snapshot event tags
 	done         func() // stored transmit-completion callback
-	onPhaseFn    func() // stored duty-cycle callbacks (parameters are
-	offPhaseFn   func() // immutable, so they are built once in NewSRL)
 
 	// instrumentation
 	emittedBits float64
-	onSince     des.Time
-	onTotal     des.Duration
 }
 
-// NewSRL returns a (σ, ρ, λ) regulator. The duty cycle is not started:
-// call StartCycle or StartCyclePhased (self-timed), or drive SetOn directly.
+// NewSRL returns a (σ, ρ, λ) regulator. Its gate starts shut and driven by
+// hand (SetOn); Follow or StartCycle puts it on a duty-cycle clock.
 // It panics unless 0 < ρ < C and σ > 0.
 func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
 	if sigma <= 0 || rho <= 0 || c <= 0 || rho >= c {
@@ -60,24 +60,7 @@ func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *S
 		p := r.q.pop()
 		r.emittedBits += p.Size
 		r.out(p)
-		if r.on {
-			r.serve()
-		}
-	}
-	w, v := r.WorkPeriod(), r.Vacation()
-	r.onPhaseFn = func() {
-		if r.stopCycle {
-			return
-		}
-		r.SetOn(true)
-		r.onEv = r.eng.ScheduleInKind(w, des.KindSRLOff, r.snapArg, r.offPhaseFn)
-	}
-	r.offPhaseFn = func() {
-		if r.stopCycle {
-			return
-		}
-		r.SetOn(false)
-		r.onEv = r.eng.ScheduleInKind(v, des.KindSRLOn, r.snapArg, r.onPhaseFn)
+		r.serve()
 	}
 	return r
 }
@@ -103,8 +86,17 @@ func (r *SRL) Backlog() float64 { return r.q.bits }
 // QueueLen implements Regulator.
 func (r *SRL) QueueLen() int { return r.q.len() }
 
-// On reports whether the regulator is currently in its working state.
-func (r *SRL) On() bool { return r.on }
+// Following reports whether the regulator follows a clock.
+func (r *SRL) Following() bool { return r.clock != nil }
+
+// On reports whether the regulator's gate is open: its clock's working
+// state while it follows one, else what SetOn last set.
+func (r *SRL) On() bool {
+	if r.clock != nil {
+		return r.clock.on
+	}
+	return r.on
+}
 
 // Transmitting reports whether a packet is mid-serialisation. After a
 // Detach it stays true until the non-preempted packet completes — a
@@ -115,119 +107,108 @@ func (r *SRL) Transmitting() bool { return r.transmitting }
 // EmittedBits returns the cumulative output.
 func (r *SRL) EmittedBits() float64 { return r.emittedBits }
 
-// OnTime returns the cumulative time spent in the working state. Divided
-// by elapsed time it converges to the duty ratio W/P = ρ/C in steady state.
-func (r *SRL) OnTime() des.Duration {
-	total := r.onTotal
-	if r.on {
-		total += r.eng.Now() - r.onSince
-	}
-	return total
-}
-
 // Enqueue implements Regulator.
 func (r *SRL) Enqueue(p traffic.Packet) {
 	r.q.push(p)
-	if r.on && !r.transmitting {
+	if !r.transmitting {
 		r.serve()
 	}
 }
 
-// SetOn switches the regulator between working and vacation states.
-// Switching off is non-preemptive: a packet mid-transmission completes.
+// SetOn switches a regulator that follows no clock between working and
+// vacation states. Switching off is non-preemptive: a packet
+// mid-transmission completes.
 func (r *SRL) SetOn(on bool) {
-	if on == r.on {
-		return
+	if r.clock != nil {
+		panic("regulator: SetOn on a clock-driven SRL")
 	}
 	r.on = on
-	if on {
-		r.onSince = r.eng.Now()
-		if !r.transmitting {
-			r.serve()
-		}
-	} else {
-		r.onTotal += r.eng.Now() - r.onSince
+	if on && !r.transmitting {
+		r.serve()
 	}
 }
 
+// serve starts transmitting the head packet if the gate is open; behind a
+// clock's shut gate the regulator joins the waiting list the on-edge
+// serves. Called only with nothing in transmission.
 func (r *SRL) serve() {
-	if !r.on || r.q.empty() {
+	if r.q.empty() {
+		return
+	}
+	if !r.On() {
+		if r.clock != nil && !r.waiting {
+			r.waiting = true
+			r.clock.waiting = append(r.clock.waiting, r)
+		}
 		return
 	}
 	r.transmitting = true
 	r.eng.ScheduleInKind(des.Seconds(r.q.peek().Size/r.C), des.KindSRLDone, r.snapArg, r.done)
 }
 
-// StartCycle begins the self-timed duty cycle with the given phase offset:
-// the regulator waits `offset`, then alternates W on / V off forever (or
-// until StopCycle). A host staggers its K regulators with offsets Σ_{j<i} W_j
-// so the working periods interleave round-robin, which is the paper's "each
-// regulator works for its flow in turn": for K homogeneous flows near
-// saturation (ρ → C/K) the vacation V = σ/ρ ≈ (K−1)·W, so the schedule
-// degenerates to perfect round-robin — exactly the physical argument of
-// Section III. For heterogeneous flows the periods differ and occasional
-// overlaps are resolved downstream by the general MUX.
-func (r *SRL) StartCycle(offset des.Duration) {
-	if r.cycling {
+// Follow puts the regulator on clock c, last in its follow order: the gate
+// is c's from now on. A host staggers its K regulators on clocks offset by
+// Σ_{j<i} W_j so the working periods interleave round-robin, which is the
+// paper's "each regulator works for its flow in turn": for K homogeneous
+// flows near saturation (ρ → C/K) the vacation V = σ/ρ ≈ (K−1)·W, so the
+// schedule degenerates to perfect round-robin — exactly the physical
+// argument of Section III. For heterogeneous flows the periods differ and
+// occasional overlaps are resolved downstream by the general MUX. Because
+// a clock is anchored at time zero, a regulator attached mid-run drops
+// into the phase its siblings have followed since the start — attach order
+// and attach time drop out of the phase.
+func (r *SRL) Follow(c *Cycle) {
+	if r.clock != nil {
 		panic("regulator: SRL cycle already started")
 	}
-	r.cycling = true
-	r.stopCycle = false
-	r.onEv = r.eng.ScheduleInKind(offset, des.KindSRLOn, r.snapArg, r.onPhaseFn)
+	r.clock = c
+	r.rank = c.nextRank
+	c.nextRank++
+	if !r.transmitting {
+		r.serve()
+	}
 }
 
-// StartCyclePhased begins the duty cycle mid-phase, as if it had been
-// running since simulation time zero with the given offset: the regulator
-// enters the on/off state the global schedule prescribes for Now and
-// continues from there. At time zero it is StartCycle exactly; mid-run it
-// is how the control plane re-staggers a freshly attached regulator so
-// its working periods interleave with siblings that have been cycling
-// since the start — attach order and attach time drop out of the phase.
-func (r *SRL) StartCyclePhased(offset des.Duration) {
-	now := r.eng.Now()
-	if now <= offset {
-		r.StartCycle(offset - now)
+// StartCycle follows a private clock with the regulator's own W and V and
+// the given phase offset, started now; StopCycle stops it.
+func (r *SRL) StartCycle(offset des.Duration) {
+	if r.clock != nil {
+		panic("regulator: SRL cycle already started")
+	}
+	c := NewCycle(r.eng, offset, r.WorkPeriod(), r.Vacation())
+	c.Start()
+	r.own = true
+	r.Follow(c)
+}
+
+// StopCycle leaves the clock, keeping the gate as the clock last had it.
+func (r *SRL) StopCycle() {
+	c := r.clock
+	if c == nil {
 		return
 	}
-	if r.cycling {
-		panic("regulator: SRL cycle already started")
+	if r.waiting {
+		r.waiting = false
+		c.unwait(r)
 	}
-	r.cycling = true
-	r.stopCycle = false
-	w, p := r.WorkPeriod(), r.Period()
-	pos := (now - offset) % p
-	if pos < w {
-		// Inside a working period: turn on and finish it.
-		r.SetOn(true)
-		r.onEv = r.eng.ScheduleInKind(w-pos, des.KindSRLOff, r.snapArg, r.offPhaseFn)
-	} else {
-		// Inside a vacation: stay off until the next working period.
-		r.SetOn(false)
-		r.onEv = r.eng.ScheduleInKind(p-pos, des.KindSRLOn, r.snapArg, r.onPhaseFn)
+	if r.own {
+		r.own = false
+		c.Stop()
 	}
+	r.on = c.on
+	r.clock = nil
 }
 
-// StopCycle halts the duty cycle, leaving the regulator in its current
-// state.
-func (r *SRL) StopCycle() {
-	r.stopCycle = true
-	r.cycling = false
-	r.eng.Cancel(r.onEv)
-	r.onEv = des.Event{}
-}
-
-// Detach takes the regulator permanently out of service: the duty cycle
-// stops, the gate closes, and no further packets are emitted — except a
+// Detach takes the regulator permanently out of service: it leaves its
+// clock, the gate closes, and no further packets are emitted — except a
 // packet already mid-transmission, which completes (switching is
 // non-preemptive). It returns the number of queued packets abandoned, so
 // the control plane can account them as lost during repair. Sibling
-// regulators are untouched: their phases come from the global stagger
-// schedule, not from this regulator's presence.
+// regulators are untouched: their phases come from the clock, not from
+// this regulator's presence.
 func (r *SRL) Detach() int {
-	if r.cycling {
-		r.StopCycle()
-	}
-	r.SetOn(false)
+	r.StopCycle()
+	r.on = false
 	dropped := r.q.len()
 	if r.transmitting {
 		dropped-- // the in-flight packet still departs

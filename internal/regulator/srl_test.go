@@ -177,11 +177,11 @@ func TestSRLOnTimeTracksDutyRatio(t *testing.T) {
 	eng := des.New()
 	rho, c := 250_000.0, 1_000_000.0
 	r := NewSRL(eng, 10_000, rho, c, func(traffic.Packet) {})
-	r.StartCycle(0)
+	clock := NewCycle(eng, 0, r.WorkPeriod(), r.Vacation())
+	clock.Start()
 	dur := des.Seconds(10)
 	eng.RunUntil(dur)
-	r.StopCycle()
-	frac := r.OnTime().Seconds() / dur.Seconds()
+	frac := clock.OnTime().Seconds() / dur.Seconds()
 	if math.Abs(frac-rho/c) > 0.02 {
 		t.Fatalf("on fraction = %v, want ~%v", frac, rho/c)
 	}
@@ -298,7 +298,7 @@ func TestSRLStopCycleFreezes(t *testing.T) {
 func startStaggered(regs []*SRL) {
 	var offset des.Duration
 	for _, r := range regs {
-		r.StartCyclePhased(offset)
+		r.StartCycle(offset)
 		offset += r.WorkPeriod()
 	}
 }
@@ -348,7 +348,7 @@ func TestStaggerAlignedCollides(t *testing.T) {
 	var regs []*SRL
 	for i := 0; i < 3; i++ {
 		regs = append(regs, NewSRL(eng, 10_000, 300_000, c, func(traffic.Packet) {}))
-		regs[i].StartCyclePhased(0)
+		regs[i].StartCycle(0)
 	}
 	if maxOn(eng, regs, des.Seconds(1)) < 2 {
 		t.Fatal("aligned start never collided — stagger ablation is vacuous")

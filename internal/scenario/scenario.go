@@ -14,7 +14,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"bytes"
 
@@ -442,22 +445,31 @@ func (s Scenario) Groups(seed uint64) []core.GroupSpec {
 			sizes[g] = int(math.Round(f * float64(n)))
 		}
 	}
+	// Each group samples from its own stream into its own slot, so the
+	// groups fan out over workers; a worker draws every permutation in one
+	// buffer (512 × Perm(100000) was 410 MB of a 100k-host repetition).
 	groups := make([]core.GroupSpec, k)
-	for g := 0; g < k; g++ {
-		size := sizes[g]
-		if size < minSize {
-			size = minSize
-		}
-		if size > n {
-			size = n
-		}
-		rng := xrand.New(xrand.DeriveSeed(seed, g) ^ 0xa0761d6478bd642f)
-		perm := rng.Perm(n)
-		members := append([]int(nil), perm[:size]...)
-		source := members[0]
-		sort.Ints(members)
-		groups[g] = core.GroupSpec{Source: source, Members: members}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), k); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perm := make([]int, n)
+			for g := int(next.Add(1)) - 1; g < k; g = int(next.Add(1)) - 1 {
+				size := min(max(sizes[g], minSize), n)
+				for i := range perm {
+					perm[i] = i
+				}
+				xrand.New(xrand.DeriveSeed(seed, g) ^ 0xa0761d6478bd642f).ShuffleInts(perm)
+				members := slices.Clone(perm[:size])
+				source := members[0]
+				slices.Sort(members)
+				groups[g] = core.GroupSpec{Source: source, Members: members}
+			}
+		}()
 	}
+	wg.Wait()
 	return groups
 }
 
