@@ -64,7 +64,8 @@ shards:
 # wheel's cursor-behind merge-insert, the cross-shard mailbox merge
 # against its (at, lamport, srcShard, seq) oracle, the overlay graft-point
 # selector, the batch prune/repair path the fault plane drives, and
-# core.Restore on bytes it did not write (no panic, bounded allocation).
+# core.Restore on bytes it did not write (no panic, bounded allocation, and
+# a session it returns runs to its end).
 # 30 s per target — long enough to grow a corpus, short enough for a CI side job
 # (wired in as non-blocking; run longer locally when touching either
 # subsystem). FuzzRestore's inputs are ~32 KB blobs; left at its default the
@@ -84,8 +85,13 @@ fuzz:
 # lands inside a (σ, ρ, λ) episode of the controller), run-to-end must be
 # bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
 # the same contract the core goldens pin, exercised through real scenario
-# configs and the CLI.
+# configs and the CLI; each verdict line carries the snapshot's size and the
+# milliseconds its Snapshot and its Restore took. The first leg holds one
+# checkpoint cycle to its allocation budget (deterministic: bytes and
+# objects per Snapshot and per Restore) and the size hint to surviving a
+# restore.
 snapshot:
+	$(GO) test -run 'TestCheckpointCycleAllocBudget|TestSnapshotHintSurvivesRestore' ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 1 -snapshot-diff

@@ -384,6 +384,10 @@ func TestSnapshotDiffFlag(t *testing.T) {
 	if !strings.Contains(out.String(), "identical") || strings.Contains(out.String(), "DIVERGED") {
 		t.Fatalf("snapshot diff output unexpected:\n%s", out.String())
 	}
+	// Each verdict carries the checkpoint's cost beside it.
+	if !regexp.MustCompile(`identical \(\d+ deliveries, snapshot \d+ bytes in \d+\.\d\d ms, restore \d+\.\d\d ms, shards \d+\)`).MatchString(out.String()) {
+		t.Fatalf("verdict lines carry no snapshot size and Snapshot / Restore times:\n%s", out.String())
+	}
 	if code := run([]string{"-exp", "fig2", "-snapshot-diff"}, &out, &errOut); code != 2 {
 		t.Fatalf("-snapshot-diff without -scenario: exit %d", code)
 	}

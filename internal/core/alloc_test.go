@@ -1,0 +1,146 @@
+package core_test
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/des"
+	"repro/internal/scenario"
+	"repro/internal/topo"
+	"repro/internal/traffic"
+)
+
+// allocFixtures are the two sessions the allocation budgets are stated
+// over: a 60-host (σ, ρ, λ) session in three full groups, and the quick
+// waxman-zipf-64 cell (150 hosts in 64 Zipf groups) — few components in
+// few groups, and few per group in many.
+func allocFixtures(t *testing.T) map[string]core.Config {
+	small := core.Config{NumHosts: 60, NumGroups: 3, Mix: traffic.MixAudio, Load: 0.8, Scheme: core.SchemeSRL,
+		Duration: des.Second, Seed: 5, Topology: topo.Waxman{N: 24}}
+	sc := scenario.MustLookup("waxman-zipf-64").Quick()
+	cell, err := sc.SessionConfig(sc.Combos[0], sc.Loads[0], 1, core.SeedOpt{}, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]core.Config{"60-host": small, "waxman-zipf-64-quick": cell}
+}
+
+// allocated runs fn three times and returns the bytes and objects the
+// leanest run allocated: the counters are the process's, and a goroutine
+// an earlier test left winding down can add an object to any one run.
+func allocated(fn func()) (bytes, mallocs uint64) {
+	bytes, mallocs = math.MaxUint64, math.MaxUint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	return bytes, mallocs
+}
+
+// TestCheckpointCycleAllocBudget states what one Snapshot → Restore cycle
+// may allocate, on one runner with the blueprint warm. Allocation here is
+// deterministic, so the bounds are exact statements, not tolerances:
+//
+//   - Restore allocates at most 1.15 × the bytes NewSession + Start
+//     allocate for the same Config (the blob adds queue contents; the slabs
+//     and the build it skips pay for them), in at most two objects per
+//     component (its two stored callbacks), one per host (its receiver),
+//     three per pending event (the engine's record, and a flight's carrier
+//     and callback), 24 per group (tree, maps, source) and 160 besides.
+//   - Snapshot on the restored session allocates at most 1.1 × the blob's
+//     bytes, plus one 8 KB page (the allocator's rounding of the stream
+//     buffer, which is the blob's size plus a sixteenth) and 40 bytes per
+//     pending event (the copy of the event queue it sorts), in a number of
+//     objects that depends on the group count alone: one per tree and
+//     twelve besides, the same at every checkpoint.
+//
+// At the parent of the commit that added it a restore took 1.4–1.6 × the
+// build's bytes in ≈ 13 objects per component, and a restored session's
+// snapshot 4–5 × the blob's bytes.
+func TestCheckpointCycleAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates; the budgets are the plain build's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, cfg := range allocFixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			core.NewSession(cfg) // warm the blueprint cache
+			var s *core.Session
+			buildBytes, _ := allocated(func() {
+				s = core.NewSession(cfg)
+				s.Start()
+			})
+			groups := len(s.Groups())
+			var snapObjects uint64
+			d := des.Time(cfg.Duration)
+			for _, at := range []des.Time{d / 4, d / 2} {
+				s.RunTo(at)
+				blob, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				restBytes, restObjects := allocated(func() {
+					if s, err = core.Restore(cfg, blob); err != nil {
+						t.Fatal(err)
+					}
+				})
+				comps, pending := core.ComponentCount(s), core.PendingEvents(s)
+				if limit := buildBytes * 115 / 100; restBytes > limit {
+					t.Errorf("at %v: Restore allocated %d bytes, over 1.15 × the %d of NewSession + Start", at, restBytes, buildBytes)
+				}
+				if limit := uint64(2*comps + cfg.NumHosts + 3*pending + 24*groups + 160); restObjects > limit {
+					t.Errorf("at %v: Restore allocated %d objects for %d components, %d hosts, %d pending events and %d groups; budget %d",
+						at, restObjects, comps, cfg.NumHosts, pending, groups, limit)
+				}
+				var again []byte
+				snapBytes, objects := allocated(func() {
+					if again, err = s.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if limit := uint64(len(again))*11/10 + 8<<10 + 40*uint64(pending); snapBytes > limit {
+					t.Errorf("at %v: Snapshot of the restored session allocated %d bytes for a %d-byte blob, limit %d", at, snapBytes, len(again), limit)
+				}
+				if objects > uint64(groups+12) || (snapObjects != 0 && objects != snapObjects) {
+					t.Errorf("at %v: Snapshot of the restored session allocated %d objects (%d at the checkpoint before), budget %d for %d groups",
+						at, objects, snapObjects, groups+12, groups)
+				}
+				snapObjects = objects
+				t.Logf("at %v: build %d B; restore %d B in %d objects (%d components, %d pending); snapshot %d B in %d objects for %d B",
+					at, buildBytes, restBytes, restObjects, comps, pending, snapBytes, objects, len(again))
+			}
+		})
+	}
+}
+
+// TestSnapshotHintSurvivesRestore: a restored session starts its next
+// snapshot stream at the size of the blob it came from, not at 4 KB — at
+// the parent every snapshot of a checkpoint chain regrew its stream by
+// doubling, which was a fifth of the whole cycle's CPU.
+func TestSnapshotHintSurvivesRestore(t *testing.T) {
+	for name, cfg := range allocFixtures(t) {
+		s := core.NewSession(cfg)
+		s.Start()
+		s.RunTo(des.Time(cfg.Duration) / 2)
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := core.SnapshotHint(s); got != len(blob) {
+			t.Errorf("%s: hint after Snapshot is %d, blob is %d bytes", name, got, len(blob))
+		}
+		r, err := core.Restore(cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := core.SnapshotHint(r); got != len(blob) {
+			t.Errorf("%s: hint after Restore is %d, blob is %d bytes", name, got, len(blob))
+		}
+	}
+}

@@ -31,7 +31,7 @@ func forwardedClasses(s *Session) []map[cycleKey]bool {
 // reports whether it holds any other kind.
 func pendingClockEdges(t *testing.T, eng *des.Engine) (edges int, others bool) {
 	t.Helper()
-	evs, err := eng.PendingEvents()
+	evs, err := eng.PendingEvents(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

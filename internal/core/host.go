@@ -15,15 +15,15 @@ func secs(s float64) des.Duration { return des.Seconds(s) }
 
 // component is the one shape of thing checkpointing knows how to carry:
 // the per-connection MUX, the two regulators and the duty-cycle clock all
-// satisfy it. Snapshot and Restore cover the mutable words (flows bounds
-// every restored packet's Flow); SetSnapArg hands the component the
-// registry slot its pending events carry as their arg; Rearm re-schedules
-// the component's own stored callback for one serialized event under its
-// original stamps, and reports false for a kind the component does not own.
+// satisfy it. Snapshot writes the mutable words, which the family's slab
+// reads back as it makes the component (restoreComp); SetSnapArg hands the
+// component the registry slot its pending events carry as their arg; Rearm
+// re-schedules the component's own stored callback for one serialized
+// event under its original stamps, and reports false for a kind the
+// component does not own.
 type component interface {
 	SetSnapArg(arg uint32)
 	Snapshot(w *snap.Writer)
-	Restore(r *snap.Reader, flows int)
 	Rearm(kind uint16, at, prio des.Time) bool
 }
 
@@ -57,6 +57,12 @@ type compIdent struct{ host, sub int32 }
 type registry[C component] struct {
 	comps []C
 	ids   []compIdent
+}
+
+// grow makes room for n more components (a restore knows how many come).
+func (rg *registry[C]) grow(n int) {
+	rg.comps = slices.Grow(rg.comps, n)
+	rg.ids = slices.Grow(rg.ids, n)
 }
 
 // add registers c as host's component for sub and returns it.
@@ -385,73 +391,102 @@ func (h *host) ensureSRLBank() {
 
 // --- Component creation and the checkpoint's view of it (snapshot.go) ---
 //
-// The four make functions are the only constructors of components: the
-// live creation sites above and the checkpoint restore both go through
-// them, so a restored component binds an output closure identical to the
-// original's and registers (under a fresh slot) so its replayed events
-// resolve.
+// The four make functions are the constructors of components in a live
+// run; restoreComp is their checkpoint-restore twin, handing a slab the
+// same arguments — so a restored component binds an output closure
+// identical to the original's and registers (under a fresh slot) so its
+// replayed events resolve. The live constructors allocate one component at
+// a time, as they always have; only a restore, which knows every count
+// before it makes the first component, lands them in slabs.
+
+// muxOut is the output of child connection c's MUX: onto the fabric.
+func (h *host) muxOut(c int) func(traffic.Packet) {
+	return func(p traffic.Packet) { h.env.send(h.id, c, p) }
+}
+
+// regOut is the output of group g's regulator: into the replicator.
+func (h *host) regOut(g int) func(traffic.Packet) {
+	return func(p traffic.Packet) { h.replicate(g, p) }
+}
 
 // makeMux creates and registers the connection MUX for child c, without
 // wiring it into h.muxes.
 func (h *host) makeMux(c int, capacity float64) *mux.Mux {
 	env := h.env
-	return env.mux.add(mux.New(env.eng, len(env.specs), capacity, env.discipline,
-		func(p traffic.Packet) { h.env.send(h.id, c, p) }), h.id, c)
+	return env.mux.add(mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c)), h.id, c)
 }
 
 // makeSR creates and registers group g's (σ, ρ) regulator.
 func (h *host) makeSR(g int) *regulator.SigmaRho {
 	env := h.env
-	return env.sr.add(regulator.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho,
-		func(p traffic.Packet) { h.replicate(g, p) }), h.id, g)
+	return env.sr.add(regulator.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g)), h.id, g)
 }
 
 // makeSRL creates and registers group g's (σ, ρ, λ) regulator.
 func (h *host) makeSRL(g int) *regulator.SRL {
 	env := h.env
-	return env.srl.add(regulator.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn,
-		func(p traffic.Packet) { h.replicate(g, p) }), h.id, g)
+	return env.srl.add(regulator.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn, h.regOut(g)), h.id, g)
 }
 
-// makeCycle creates and registers — without starting it — group g's
-// duty-cycle clock at this host's capacity. The stagger offset is the sum
-// of the working periods of all groups before g, accumulated over the full
-// group index range, so a host that forwards only groups {2, 5} phases
-// them exactly as a host forwarding every group would: the schedule is a
-// per-group global, not a per-host accident of which trees put children
-// here.
-func (h *host) makeCycle(g int) *regulator.Cycle {
+// cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
+// this host's capacity. The stagger offset is the sum of the working
+// periods of all groups before g, accumulated over the full group index
+// range, so a host that forwards only groups {2, 5} phases them exactly as
+// a host forwarding every group would: the schedule is a per-group global,
+// not a per-host accident of which trees put children here.
+func (h *host) cycleSchedule(g int) (offset, w, v des.Duration) {
 	env := h.env
 	work := func(j int) des.Duration { return des.Seconds(env.bursts[j] / (h.conn - env.specs[j].Rho)) }
-	var offset des.Duration
 	if !env.aligned {
 		for j := 0; j < g; j++ {
 			offset += work(j)
 		}
 	}
-	c := env.cyc.add(regulator.NewCycle(env.eng, offset, work(g),
-		des.Seconds(env.bursts[g]/env.specs[g].Rho)), h.id, g)
+	return offset, work(g), des.Seconds(env.bursts[g] / env.specs[g].Rho)
+}
+
+// makeCycle creates and registers — without starting it — group g's
+// duty-cycle clock at this host's capacity.
+func (h *host) makeCycle(g int) *regulator.Cycle {
+	offset, w, v := h.cycleSchedule(g)
+	return h.addCycle(regulator.NewCycle(h.env.eng, offset, w, v), g)
+}
+
+// addCycle registers c as group g's clock at this host's capacity.
+func (h *host) addCycle(c *regulator.Cycle, g int) *regulator.Cycle {
+	env := h.env
 	if env.cycles == nil {
 		env.cycles = make(map[cycleKey]*regulator.Cycle)
 	}
 	env.cycles[cycleKey{int32(g), h.conn}] = c
-	return c
+	return env.cyc.add(c, h.id, g)
 }
 
-// makeComp re-creates family f's component for sub at a checkpoint restore
-// without putting it into service — one that was already torn down but is
-// still named by a pending event stays uninstalled. capacity is the MUX's
-// serialized capacity and unused by the others.
-func (h *host) makeComp(f family, sub int, capacity float64) component {
+// compSlabs is the storage one shard's components record is restored
+// into, sized from the record's opening counts.
+type compSlabs struct {
+	mux *mux.Slab
+	reg *regulator.Slab
+}
+
+// restoreComp re-creates family f's component for sub from the open
+// record, in the slabs, without putting it into service — one that was
+// already torn down but is still named by a pending event stays
+// uninstalled. capacity is the MUX's serialized capacity and unused by the
+// others.
+func (h *host) restoreComp(r *snap.Reader, sl compSlabs, f family, sub int, capacity float64) component {
+	env := h.env
+	flows := len(env.specs)
 	switch f {
 	case famMux:
-		return h.makeMux(sub, capacity)
+		return env.mux.add(sl.mux.Restore(r, env.eng, flows, capacity, env.discipline, h.muxOut(sub)), h.id, sub)
 	case famSR:
-		return h.makeSR(sub)
+		return env.sr.add(sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub)), h.id, sub)
 	case famCycle:
-		return h.makeCycle(sub)
+		offset, w, v := h.cycleSchedule(sub)
+		return h.addCycle(sl.reg.RestoreCycle(r, env.eng, offset, w, v), sub)
 	default:
-		return h.makeSRL(sub)
+		return env.srl.add(sl.reg.RestoreSRL(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.conn, h.regOut(sub)), h.id, sub)
 	}
 }
 
@@ -479,7 +514,7 @@ func (h *host) isLive(f family, sub int, c component) bool {
 // host forwards nothing in the regulator's group, which no snapshot this
 // package wrote says. Duty-cycle state comes from the restored words of
 // the clock and its followers and from the event replay — nothing here
-// starts a clock, and makeCycle already put a restored one in the table.
+// starts a clock, and restoreComp already put a restored one in the table.
 func (h *host) install(f family, sub int, c component) bool {
 	switch f {
 	case famMux:

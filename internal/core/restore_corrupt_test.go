@@ -14,7 +14,8 @@ import (
 
 // corruptFixture is the small session whose snapshot the hostile-bytes
 // tests corrupt: shardBaseConfig cut to 60 hosts in 3 full groups, 1 s,
-// checkpointed at 0.5 s with packets queued, in flight and (at 4 shards)
+// checkpointed at 0.9 s — late, so that running an accepted corruption to
+// its end is cheap — with packets queued, in flight and (at 4 shards)
 // parked in the coordinator's pending buffers.
 func corruptFixture(t testing.TB, shards int) (Config, []byte) {
 	t.Helper()
@@ -24,7 +25,7 @@ func corruptFixture(t testing.TB, shards int) (Config, []byte) {
 	cfg.Groups[2].Members = nil
 	s := NewSession(cfg)
 	s.Start()
-	s.RunTo(des.Second / 2)
+	s.RunTo(9 * des.Second / 10)
 	blob, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -45,28 +46,62 @@ func restoreNoPanic(t testing.TB, cfg Config, blob []byte, what string) (s *Sess
 	return Restore(cfg, blob)
 }
 
+// finishNoPanic runs a session Restore accepted to its end: bytes the
+// decoder let through must not blow up later either.
+func finishNoPanic(t testing.TB, s *Session, what string) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s: Restore accepted the blob, then Finish panicked: %v", what, p)
+		}
+	}()
+	s.Finish()
+}
+
 // TestRestoreCorruptedNeverPanics flips bit 6 of every byte past the
 // header, one at a time, and requires Restore to return — an error or a
-// session — every time. At the parent of the commit that added it, 1,432
-// of these 28k blobs panicked inside Restore and one crashed the process
-// from a compileChildren worker.
+// session — every time, and every session it returns to run to its end. At
+// the parent of the commit that added it, 1,432 of these 28k blobs panicked
+// inside Restore and one crashed the process from a compileChildren
+// worker; at the parent of the commit that added the Finish leg, 36 of the
+// 7,199 accepted ones carried a packet size with a flipped exponent bit
+// and overflowed a serialisation time in Finish.
 func TestRestoreCorruptedNeverPanics(t *testing.T) {
 	cfg, blob := corruptFixture(t, 1)
 	stride := 1
 	if testing.Short() {
 		stride = 7 // -race: every seventh byte still lands in every record
 	}
-	rejected := 0
-	for off := len(snap.Magic) + 4; off < len(blob); off += stride {
-		bad := append([]byte(nil), blob...)
-		bad[off] ^= 1 << 6
-		if _, err := restoreNoPanic(t, cfg, bad, fmt.Sprintf("bit 6 of byte %d", off)); err != nil {
-			rejected++
+	// The flips are independent; four slices of the blob run side by side.
+	const slices = 4
+	var rejected, finished [slices]int
+	t.Run("flips", func(t *testing.T) {
+		for k := 0; k < slices; k++ {
+			t.Run(fmt.Sprintf("slice%d", k), func(t *testing.T) {
+				t.Parallel()
+				for off := len(snap.Magic) + 4 + k*stride; off < len(blob); off += slices * stride {
+					bad := append([]byte(nil), blob...)
+					bad[off] ^= 1 << 6
+					what := fmt.Sprintf("bit 6 of byte %d", off)
+					s, err := restoreNoPanic(t, cfg, bad, what)
+					if err != nil {
+						rejected[k]++
+						continue
+					}
+					finishNoPanic(t, s, what)
+					finished[k]++
+				}
+			})
 		}
+	})
+	for k := 1; k < slices; k++ {
+		rejected[0] += rejected[k]
+		finished[0] += finished[k]
 	}
-	if rejected == 0 {
-		t.Fatal("no corrupted blob was rejected — the fixture is not reaching the decoder")
+	if rejected[0] == 0 || finished[0] == 0 {
+		t.Fatalf("%d blobs rejected, %d accepted and finished — the fixture is not reaching both legs", rejected[0], finished[0])
 	}
+	t.Logf("%d rejected, %d accepted and run to the end", rejected[0], finished[0])
 }
 
 // snapRecords indexes a blob's records: type tag and payload offset, in
@@ -144,8 +179,8 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			put64(b, off+8+4+8*members+4, 64)
 		}, "tree parent 64"},
 		{"mux capacity", cfg1, blob1, func(t *testing.T, b []byte) {
-			// mux count, then the first stanza: slot, host, sub, live, capacity.
-			put64(b, firstRecord(t, b, recComponents)+4+4+4+4+1, math.Float64bits(0))
+			// the record's totals, then the first stanza: slot, host, sub, live, capacity.
+			put64(b, firstRecord(t, b, recComponents)+4*compTotalsWords+4+4+4+1, math.Float64bits(0))
 		}, "capacity"},
 		{"event before the checkpoint", cfg1, blob1, func(t *testing.T, b []byte) {
 			put64(b, firstRecord(t, b, recEngine)+4, uint64(des.Second/4))
@@ -186,7 +221,8 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 // FuzzRestore: Restore on arbitrary bytes returns without panicking and
 // without allocating more than a constant factor of what restoring the
 // pristine blob allocates plus the input's size — a corrupt length prefix
-// must not drive allocation. The seeds (the fixture blob and three of its
+// must not drive allocation — and a session it returns runs to its end. The
+// seeds (the fixture blob and three of its
 // corruptions) run in the ordinary `go test`.
 func FuzzRestore(f *testing.F) {
 	cfg, blob := corruptFixture(f, 1)
@@ -199,8 +235,11 @@ func FuzzRestore(f *testing.F) {
 	allocated := func(tb testing.TB, data []byte) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		restoreNoPanic(tb, cfg, data, "fuzz input")
+		s, err := restoreNoPanic(tb, cfg, data, "fuzz input")
 		runtime.ReadMemStats(&after)
+		if err == nil {
+			finishNoPanic(tb, s, "fuzz input")
+		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	allocated(f, blob) // warm the blueprint cache: the baseline is a warm restore

@@ -407,7 +407,7 @@ type Session struct {
 
 	sources  []traffic.Source // built by Start (or a snapshot restore)
 	started  bool
-	snapSize int // previous snapshot size: capacity hint for the next one
+	snapSize int // size of the last snapshot taken, or restored from: capacity hint for the next
 }
 
 // resumeState marks a session build as a checkpoint-restore skeleton: the
@@ -502,14 +502,24 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		s.sh[si] = sh
 	}
 
-	chl := sub.compileChildren()
-	conns := hostConns(chl)
+	// A restore wires nothing here: children, MUXes and modes all come from
+	// the snapshot, which has the trees they derive from. Its hosts come up
+	// bare, in one array.
+	var chl []groupChildren
+	var conns [][]int
+	var bare []host
+	if rs != nil {
+		bare = make([]host, cfg.NumHosts)
+	} else {
+		chl = sub.compileChildren()
+		conns = hostConns(chl)
+	}
 	s.hosts = make([]*host, cfg.NumHosts)
 	for id := 0; id < cfg.NumHosts; id++ {
 		sh := s.sh[owner[id]]
 		if rs != nil {
-			// No children, no MUXes, no mode: all of that comes from the snapshot.
-			s.hosts[id] = newHostWired(id, sh.env, groupChildren{}, nil, cfg.Scheme)
+			bare[id] = host{id: id, env: sh.env, conn: sh.env.hostConn(id), scheme: cfg.Scheme}
+			s.hosts[id] = &bare[id]
 		} else {
 			s.hosts[id] = newHostWired(id, sh.env, chl[id], conns[id], cfg.Scheme)
 			if cfg.Scheme == SchemeAdaptive && len(s.hosts[id].muxes) > 0 {

@@ -53,7 +53,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 6
+const SnapshotVersion = 7
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -130,13 +130,28 @@ type codec struct {
 	at  des.Time // the checkpoint instant
 	// One shard's state between its components record and its events
 	// record. Snapshot: the shard's pending events (the first needs the
-	// slots they name, the second writes them). Restore: per family, the
-	// serialized slots (ascending, as written) and the component restored
-	// from each.
+	// slots they name, the second writes them) and, per family, the set of
+	// registry slots those events name — both buffers serve every shard in
+	// turn. Restore: the shard's registries — empty before the components
+	// record, so the i-th component restored is the i-th registered — and
+	// per family the serialized slots (ascending, as written) in that order.
 	evs   []des.PendingEvent
+	ref   [numFamilies]bitset
+	env   *hostEnv
 	slots [numFamilies][]uint32
-	comps [numFamilies][]component
 }
+
+// bitset is a set of small non-negative integers.
+type bitset []uint64
+
+// reset empties the set and makes it hold [0, n).
+func (b *bitset) reset(n int) {
+	*b = slices.Grow((*b)[:0], (n+63)/64)[:(n+63)/64]
+	clear(*b)
+}
+
+func (b bitset) set(i uint32)      { b[i/64] |= 1 << (i % 64) }
+func (b bitset) has(i uint32) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // walk visits every record of the stream in order — (row, index within
 // its scope) — stopping at the first error. Rows past the meta record are
@@ -185,7 +200,9 @@ func (s *Session) Snapshot() ([]byte, error) {
 	// Fold every mailbox into the sorted pending buffers so the snapshot
 	// sees all undelivered cross-shard records in one place.
 	s.coord.CheckpointDrain()
-	w := snap.NewWriterSize(SnapshotVersion, s.snapSize)
+	// A sixteenth of headroom over the last snapshot absorbs the drift of
+	// queue depths between two checkpoints; past it the stream regrows.
+	w := snap.NewWriterSize(SnapshotVersion, s.snapSize+s.snapSize/16)
 	c := &codec{s: s, at: at}
 	c.walk(func(rec *record, i int) error {
 		w.Begin(rec.tag)
@@ -223,6 +240,9 @@ func Restore(cfg Config, data []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The next snapshot of this session is about as large as the one it
+	// came from.
+	c.s.snapSize = len(data)
 	return c.s, nil
 }
 
@@ -329,7 +349,7 @@ func (c *codec) writeMeta(w *snap.Writer, _ int) {
 // and, only once all of it matches, builds the session skeleton the
 // remaining records fill in.
 func (c *codec) readMeta(r *snap.Reader, _ int) {
-	sub := compileSubstrate(*c.cfg)
+	sub := compile(*c.cfg, true)
 	cfg := sub.cfg
 	at, shards := des.Time(r.I64()), int(r.U32())
 	same := true
@@ -429,8 +449,32 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// its group record was read — compileChildren indexes per-host slices
 	// from worker goroutines, where a panic cannot be recovered.
 	chl := s.sub.compileChildren()
+	// A host's connection table and regulator banks are carved from arrays
+	// made once for the session: a host has one connection per distinct
+	// child — at most its child count — and one bank entry per group it
+	// forwards, in each bank its scheme can build. Every child and every
+	// forwarder of a group is one of its members.
+	slots := 0
+	for _, st := range s.sub.groups {
+		slots += len(st.tree.Members)
+	}
+	muxChild, muxes := snap.NewArena[int32](slots), snap.NewArena[*mux.Mux](slots)
+	var srBanks snap.Arena[*regulator.SigmaRho]
+	var srlBanks snap.Arena[*regulator.SRL]
+	scheme := s.sub.cfg.Scheme
+	if scheme == SchemeSigmaRho || scheme == SchemeAdaptive {
+		srBanks = snap.NewArena[*regulator.SigmaRho](slots)
+	}
+	if scheme == SchemeSRL || scheme == SchemeAdaptive {
+		srlBanks = snap.NewArena[*regulator.SRL](slots)
+	}
 	for id, h := range s.hosts {
 		h.children = chl[id]
+		n := 0
+		for _, cs := range h.children.kids {
+			n += len(cs)
+		}
+		h.muxChild, h.muxes = muxChild.Take(n)[:0], muxes.Take(n)[:0]
 	}
 	if n := r.Len(); n != len(s.hosts) {
 		r.Fail(fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(s.hosts)))
@@ -441,11 +485,11 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 		h.modeSet = r.Bool()
 		h.switches = int(r.U32())
 		h.srlCycling = r.Bool()
-		if r.Bool() && h.srBank == nil {
-			h.srBank = make([]*regulator.SigmaRho, len(h.children.groups))
+		if r.Bool() {
+			h.srBank = srBanks.Take(len(h.children.groups))
 		}
-		if r.Bool() && h.srlBank == nil {
-			h.srlBank = make([]*regulator.SRL, len(h.children.groups))
+		if r.Bool() {
+			h.srlBank = srlBanks.Take(len(h.children.groups))
 		}
 		if r.Bool() {
 			// Re-arm the controller closure without scheduling its tick (the
@@ -663,80 +707,146 @@ func (c *codec) readReopt(r *snap.Reader, _ int) {
 
 // --- Per-shard records: components, pending events, statistics ---
 
+// compTotals opens a components record: the counts a restore sizes its
+// storage from before it makes the first component — components per family
+// (in family order), then materialised MUX queues, queued MUX entries and
+// queued regulator packets. Sizing hints: a record that understates them
+// restores correctly, with more allocations.
+type compTotals struct {
+	comps                    [numFamilies]int
+	queues, entries, packets int
+}
+
+const compTotalsWords = int(numFamilies) - 1 + 3
+
+// stanzaBytes is the least one component's stanza occupies on the wire: the
+// words writeFamily puts ahead of the component's own, plus those of an
+// idle component with empty queues. Restore holds each family's count to
+// it, as it holds the other totals to their elements' widths.
+var stanzaBytes = [numFamilies]int{
+	famMux:   4 + 4 + 4 + 1 + 8 + mux.SnapBytes,
+	famSR:    4 + 4 + 4 + 1 + regulator.SigmaRhoSnapBytes,
+	famCycle: 4 + 4 + 4 + 1 + regulator.CycleSnapBytes,
+	famSRL:   4 + 4 + 4 + 1 + 1 + regulator.SRLSnapBytes,
+}
+
+// put fills the slots reserved at base (compTotalsWords consecutive Counts).
+func (t *compTotals) put(w *snap.Writer, base int) {
+	for _, n := range append(t.comps[famMux:], t.queues, t.entries, t.packets) {
+		w.SetCount(base, n)
+		base += 4
+	}
+}
+
+func (t *compTotals) read(r *snap.Reader) {
+	for f := famMux; f < numFamilies; f++ {
+		t.comps[f] = r.Count(stanzaBytes[f])
+	}
+	t.queues = r.Count(mux.SnapSlotBytes)
+	t.entries = r.Count(mux.SnapEntryBytes)
+	t.packets = r.Count(traffic.PacketSnapBytes)
+}
+
 // writeComponents serializes one engine's component registries, family by
-// family: every component that is live (installed in its host) or
-// referenced by a pending event of that engine. Dead unreferenced
-// components (detached regulators whose events were cancelled, dropped
-// MUXes that drained) are garbage and skipped; a dead-but-referenced
-// component — a dropped MUX still draining its queue, a detached SRL
-// mid-transmission — serializes with live=false so the replayed event
-// finds it without re-installing it.
+// family, behind the record's totals: every component that is live
+// (installed in its host) or referenced by a pending event of that engine.
+// Dead unreferenced components (detached regulators whose events were
+// cancelled, dropped MUXes that drained) are garbage and skipped; a
+// dead-but-referenced component — a dropped MUX still draining its queue, a
+// detached SRL mid-transmission — serializes with live=false so the
+// replayed event finds it without re-installing it.
 func (c *codec) writeComponents(w *snap.Writer, si int) {
 	sh := c.s.sh[si]
-	evs, err := sh.eng.PendingEvents()
+	evs, err := sh.eng.PendingEvents(c.evs)
 	if err != nil {
 		w.Fail(err)
 		return
 	}
 	c.evs = evs
-	var ref [numFamilies]map[uint32]bool
-	for f := famMux; f < numFamilies; f++ {
-		ref[f] = make(map[uint32]bool)
-	}
+	env := sh.env
+	c.ref[famMux].reset(len(env.mux.comps))
+	c.ref[famSR].reset(len(env.sr.comps))
+	c.ref[famCycle].reset(len(env.cyc.comps))
+	c.ref[famSRL].reset(len(env.srl.comps))
 	for _, ev := range evs {
 		if f := rearmRoutes[ev.Kind].fam; f != famNone {
-			ref[f][ev.Arg] = true
+			c.ref[f].set(ev.Arg)
 		}
 	}
-	writeFamily(w, c.s.hosts, famMux, &sh.env.mux, ref[famMux])
-	writeFamily(w, c.s.hosts, famSR, &sh.env.sr, ref[famSR])
-	writeFamily(w, c.s.hosts, famCycle, &sh.env.cyc, ref[famCycle])
-	writeFamily(w, c.s.hosts, famSRL, &sh.env.srl, ref[famSRL])
+	base := w.Count()
+	for i := 1; i < compTotalsWords; i++ {
+		w.Count()
+	}
+	var t compTotals
+	writeFamily(w, c.s.hosts, famMux, &env.mux, c.ref[famMux], &t)
+	writeFamily(w, c.s.hosts, famSR, &env.sr, c.ref[famSR], &t)
+	writeFamily(w, c.s.hosts, famCycle, &env.cyc, c.ref[famCycle], &t)
+	writeFamily(w, c.s.hosts, famSRL, &env.srl, c.ref[famSRL], &t)
+	t.put(w, base)
 }
 
-// writeFamily writes one registry: a count, then per component a stanza of
-// slot, owning host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ)
+// writeFamily writes one registry, counting into t: per component a stanza
+// of slot, owning host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ)
 // regulator only) whether it follows its clock, and the component's own
 // words.
-func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *registry[C], ref map[uint32]bool) {
-	count, n := w.Count(), 0
+func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *registry[C], ref bitset, t *compTotals) {
 	for slot, comp := range rg.comps {
 		id := rg.ids[slot]
 		live := hosts[id.host].isLive(f, int(id.sub), comp)
-		if !live && !ref[uint32(slot)] {
+		if !live && !ref.has(uint32(slot)) {
 			continue
 		}
-		n++
+		t.comps[f]++
 		w.U32(uint32(slot))
 		w.U32(uint32(id.host))
 		w.U32(uint32(id.sub))
 		w.Bool(live)
-		if f == famMux {
+		switch comp := any(comp).(type) {
+		case *mux.Mux:
 			// Capacity is creation-time state (capacity-aware connections
 			// split the uplink by the connection count at creation), so it
 			// rides along.
-			w.F64(any(comp).(*mux.Mux).Capacity())
-		}
-		if f == famSRL {
+			w.F64(comp.Capacity())
+			queues, entries := comp.Queued()
+			t.queues += queues
+			t.entries += entries
+		case *regulator.SigmaRho:
+			t.packets += comp.QueueLen()
+		case *regulator.SRL:
 			// Which clock is implied — the one for (sub, the host's capacity).
-			w.Bool(any(comp).(*regulator.SRL).Following())
+			w.Bool(comp.Following())
+			t.packets += comp.QueueLen()
 		}
 		comp.Snapshot(w)
 	}
-	w.SetCount(count, n)
 }
 
-// readComponents rebuilds one engine's serialized components through the
-// host's make functions (which re-register them, assigning fresh slots),
-// installs the live ones, and records serialized slot → component for the
-// events record that follows.
+// readComponents rebuilds one engine's serialized components in slabs sized
+// from the record's totals, through the host's restoreComp (which
+// re-registers them, assigning fresh slots), installs the live ones, and
+// records serialized slot → component for the events record that follows.
 func (c *codec) readComponents(r *snap.Reader, si int) {
 	s := c.s
+	var t compTotals
+	t.read(r)
+	if r.Err() != nil {
+		return
+	}
+	env := s.sh[si].env
+	c.env = env
+	env.mux.grow(t.comps[famMux])
+	env.sr.grow(t.comps[famSR])
+	env.cyc.grow(t.comps[famCycle])
+	env.srl.grow(t.comps[famSRL])
+	slabs := compSlabs{
+		mux: mux.NewSlab(t.comps[famMux], t.queues, t.entries),
+		reg: regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets),
+	}
 	numGroups := s.sub.numGroups()
 	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famCycle: numGroups, famSRL: numGroups}
 	for f := famMux; f < numFamilies; f++ {
-		n := r.Len()
-		c.slots[f], c.comps[f] = make([]uint32, 0, n), make([]component, 0, n)
+		n := t.comps[f]
+		c.slots[f] = make([]uint32, 0, n)
 		for ; n > 0; n-- {
 			slot := r.U32()
 			if last := len(c.slots[f]) - 1; last >= 0 && slot <= c.slots[f][last] {
@@ -747,8 +857,14 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 			live := r.Bool()
 			capacity := 0.0
 			if f == famMux {
-				if capacity = r.F64(); !(capacity > 0) && r.Err() == nil {
-					r.Fail(fmt.Errorf("core: snapshot mux capacity %v is not positive", capacity))
+				// A connection's capacity was fixed when it was made, from the
+				// host's C and — capacity-aware only — the connections it then
+				// had: between one and one per other host. Anything else turns
+				// into a serialisation time no clock can hold.
+				capacity = r.F64()
+				lo, hi := env.connectionCapacity(hid, len(s.hosts)), env.connectionCapacity(hid, 1)
+				if !(capacity >= lo && capacity <= hi) && r.Err() == nil {
+					r.Fail(fmt.Errorf("core: snapshot mux capacity %v outside [%v, %v], what host %d gives a connection", capacity, lo, hi, hid))
 				}
 			}
 			following := f == famSRL && r.Bool()
@@ -763,8 +879,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds two clocks for group %d at host %d's capacity", si, sub, hid))
 				return
 			}
-			comp := h.makeComp(f, sub, capacity)
-			comp.Restore(r, numGroups)
+			comp := h.restoreComp(r, slabs, f, sub, capacity)
 			if live && !h.install(f, sub, comp) {
 				r.Fail(fmt.Errorf("core: snapshot host %d holds a live regulator for group %d, in which it has no children", hid, sub))
 				return
@@ -778,7 +893,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				}
 				comp.(*regulator.SRL).Rejoin(cy)
 			}
-			c.slots[f], c.comps[f] = append(c.slots[f], slot), append(c.comps[f], comp)
+			c.slots[f] = append(c.slots[f], slot)
 		}
 	}
 }
@@ -796,10 +911,20 @@ type rearmRoute struct {
 }
 
 func compSlot(c *codec, f family, arg uint32) rearmer {
-	if i, ok := slices.BinarySearch(c.slots[f], arg); ok {
-		return c.comps[f][i]
+	i, ok := slices.BinarySearch(c.slots[f], arg)
+	if !ok {
+		return nil
 	}
-	return nil
+	switch f {
+	case famMux:
+		return c.env.mux.comps[i]
+	case famSR:
+		return c.env.sr.comps[i]
+	case famCycle:
+		return c.env.cyc.comps[i]
+	default:
+		return c.env.srl.comps[i]
+	}
 }
 
 func sourceSlot(c *codec, _ family, arg uint32) rearmer {
@@ -989,7 +1114,7 @@ func (c *codec) readCoord(r *snap.Reader, _ int) {
 	epochs, messages, stallNum, stallDen := r.U64(), r.U64(), r.U64(), r.U64()
 	s.coord.RestoreDiagnostics(epochs, messages, stallNum, stallDen)
 	for dst := range s.sh {
-		n := r.Len()
+		n := r.Count(8 + 8 + 8 + 4 + 4 + traffic.PacketSnapBytes)
 		recs := make([]des.ShardRec[shardPacket], 0, n)
 		for ; n > 0; n-- {
 			rc := des.ShardRec[shardPacket]{

@@ -107,19 +107,26 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// A restored session must itself snapshot and restore cleanly: chain two
-// checkpoints (the second from a session that was already rebuilt once,
-// with freshly assigned component slots) and still match the straight run.
+// A restored session must itself snapshot and restore cleanly: chain five
+// checkpoints (each but the first from a session that was itself rebuilt
+// in slabs, with freshly assigned component slots and exact-size queues
+// that have since grown off their arenas) and still match the straight run
+// — under faults and churn, and under the adaptive controller, whose hosts
+// hold both regulator banks; at one shard and at four.
 func TestCheckpointChained(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := faultBaseConfig(31)
-		cfg.Shards = shards
-		baseline := normalizeDiag(finishVia(t, cfg))
-		d := des.Time(cfg.Duration)
-		restored := normalizeDiag(finishVia(t, cfg, d/4, (3*d)/4))
-		if !reflect.DeepEqual(baseline, restored) {
-			t.Fatalf("shards=%d: chained restore diverged:\n  baseline %+v\n  restored %+v",
-				shards, baseline, restored)
+	adaptive := shardBaseConfig(43)
+	adaptive.Scheme = SchemeAdaptive
+	for name, base := range map[string]Config{"fault": faultBaseConfig(31), "adaptive": adaptive} {
+		for _, shards := range []int{1, 4} {
+			cfg := base
+			cfg.Shards = shards
+			baseline := normalizeDiag(finishVia(t, cfg))
+			d := des.Time(cfg.Duration)
+			restored := normalizeDiag(finishVia(t, cfg, d/6, d/3, d/2, 2*d/3, 5*d/6))
+			if !reflect.DeepEqual(baseline, restored) {
+				t.Fatalf("%s, shards=%d: chained restore diverged:\n  baseline %+v\n  restored %+v",
+					name, shards, baseline, restored)
+			}
 		}
 	}
 }

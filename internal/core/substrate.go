@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -118,8 +119,11 @@ func blueprintKey(cfg *Config, numGroups int) [32]byte {
 	if cfg.Groups == nil {
 		fmt.Fprintf(h, "members=all\n")
 	} else {
+		var buf []byte
 		for g, spec := range cfg.Groups {
-			fmt.Fprintf(h, "g%d src=%d members=%v\n", g, spec.Source, spec.Members)
+			fmt.Fprintf(h, "g%d src=%d members=", g, spec.Source)
+			buf = appendInts(buf[:0], spec.Members)
+			h.Write(append(buf, '\n'))
 		}
 	}
 	if cfg.Scheme == SchemeCapacityAware {
@@ -131,6 +135,20 @@ func blueprintKey(cfg *Config, numGroups int) [32]byte {
 	var key [32]byte
 	h.Sum(key[:0])
 	return key
+}
+
+// appendInts appends s as fmt's %v prints it — "[1 2 3]" — without fmt's
+// reflection and boxing per element: a restore fingerprints every member
+// list of its Config to find the blueprint and check the blob against it.
+func appendInts(b []byte, s []int) []byte {
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // The blueprint cache: a small mutex-guarded LRU keyed by blueprintKey.
@@ -305,7 +323,16 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 // session half (flow envelopes at this traffic seed, connection capacity
 // at this load, cloned trees and member bitmaps the control plane will
 // mutate) is instantiated fresh on every call.
-func compileSubstrate(cfg Config) *substrate {
+func compileSubstrate(cfg Config) *substrate { return compile(cfg, false) }
+
+// compile is compileSubstrate, or with resume set the substrate of a
+// checkpoint restore: the same in everything but the per-group runtime,
+// which comes up with no tree and an all-false member bitmap for the
+// snapshot's group records to fill. The trees a checkpointed run had
+// arrived at are in the blob, so cloning the blueprint's — and marking
+// its members — would be made only to be replaced; nothing of the
+// blueprint's trees is read, let alone aliased.
+func compile(cfg Config, resume bool) *substrate {
 	cfg.fillDefaults()
 	numGroups := cfg.groupCount()
 	bp := blueprintFor(&cfg, numGroups)
@@ -330,27 +357,37 @@ func compileSubstrate(cfg Config) *substrate {
 	// trees stay pristine for the next session. Slots are pre-sized and
 	// written independently, so the clone fan-out is order-free.
 	sub.groups = make([]*groupState, numGroups)
-	var sharedClone *overlay.Tree
-	if bp.shared {
-		sharedClone = bp.trees[0].Clone()
-	}
-	parallelIndexed(numGroups, compileWorkers(), func(g int) {
-		member := make([]bool, cfg.NumHosts)
-		for _, m := range bp.groups[g].Members {
-			member[m] = true
-		}
-		tree := sharedClone
-		if tree == nil {
-			tree = bp.trees[g].Clone()
-		}
+	group := func(g int, tree *overlay.Tree, member []bool) *groupState {
 		st := &groupState{spec: bp.groups[g], tree: tree, member: member}
 		if bp.strat != nil {
 			st.strat = bp.strat
 			st.lim = bp.strat.Limits(bp.treeCfgs[g], cfg.NumHosts)
 			st.treeCfg = bp.treeCfgs[g]
 		}
-		sub.groups[g] = st
-	})
+		return st
+	}
+	if resume {
+		bitmaps := make([]bool, numGroups*cfg.NumHosts)
+		for g := range sub.groups {
+			sub.groups[g] = group(g, nil, bitmaps[g*cfg.NumHosts:(g+1)*cfg.NumHosts:(g+1)*cfg.NumHosts])
+		}
+	} else {
+		var sharedClone *overlay.Tree
+		if bp.shared {
+			sharedClone = bp.trees[0].Clone()
+		}
+		parallelIndexed(numGroups, compileWorkers(), func(g int) {
+			member := make([]bool, cfg.NumHosts)
+			for _, m := range bp.groups[g].Members {
+				member[m] = true
+			}
+			tree := sharedClone
+			if tree == nil {
+				tree = bp.trees[g].Clone()
+			}
+			sub.groups[g] = group(g, tree, member)
+		})
+	}
 
 	if len(cfg.UplinkClasses) > 0 {
 		// Every flow envelope must fit inside the slowest class's uplink:

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/overlay"
 	"repro/internal/snap"
 	"repro/internal/topo"
@@ -124,6 +126,13 @@ func TestSubstrateCloneIsolation(t *testing.T) {
 	c := compileSubstrate(cfg)
 	if !bytes.Equal(treeBytes(t, b.groups[0].tree), treeBytes(t, c.groups[0].tree)) {
 		t.Fatal("mutation of one session's tree leaked into the shared blueprint")
+	}
+	// A restore's substrate takes nothing of the blueprint's trees: its
+	// groups come up empty for the snapshot to fill.
+	for g, st := range compile(cfg, true).groups {
+		if st.tree != nil || slices.Contains(st.member, true) {
+			t.Fatalf("group %d of a resume-mode substrate has a tree or members before any snapshot was read", g)
+		}
 	}
 }
 
@@ -258,5 +267,38 @@ func TestCachedSessionRunsIdentical(t *testing.T) {
 	warm := Run(cfg)
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm-cache run diverged from cold-cache run")
+	}
+
+	// A restore clones nothing, so nothing it builds may alias the cache: a
+	// session restored from the warm cache runs to its end — churn, faults
+	// and re-optimization rewrite its trees — and a session built from the
+	// same cache afterwards still reproduces the cold result.
+	planes := faultBaseConfig(29)
+	planes.Reopt = ReoptConfig{Every: 250 * des.Millisecond, MinImprove: 0.02, MaxMoves: 2}
+	for _, shards := range []int{1, 4} {
+		cfg := planes
+		cfg.Shards = shards
+		FlushSubstrateCache()
+		cold := Run(cfg)
+		if cold.Joins+cold.Leaves == 0 || cold.ReoptMoves == 0 || len(cold.Faults) == 0 {
+			t.Fatalf("shards=%d: the fixture mutates no tree: %+v", shards, cold)
+		}
+		s := NewSession(cfg)
+		s.Start()
+		s.RunTo(des.Time(cfg.Duration) / 8)
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.Finish(); !reflect.DeepEqual(normalizeDiag(got), normalizeDiag(cold)) {
+			t.Fatalf("shards=%d: run restored from the warm cache diverged from the cold run", shards)
+		}
+		if again := Run(cfg); !reflect.DeepEqual(again, cold) {
+			t.Fatalf("shards=%d: a session built after a restored one ran to its end diverged from the cold run — the restore wrote through to the cache", shards)
+		}
 	}
 }

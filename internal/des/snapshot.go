@@ -1,8 +1,9 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Checkpoint support: the engine can enumerate its pending events as
@@ -94,11 +95,12 @@ type PendingEvent struct {
 	Arg  uint32
 }
 
-// PendingEvents returns every live pending event in seq order. An event
-// with KindNone makes the engine unsnapshotable and returns an error
-// naming its firing time.
-func (e *Engine) PendingEvents() ([]PendingEvent, error) {
-	out := make([]PendingEvent, 0, e.pending)
+// PendingEvents appends every live pending event, in seq order, to buf[:0]
+// — the caller's buffer, reused across the engines of one checkpoint —
+// and returns it. An event with KindNone makes the engine unsnapshotable
+// and returns an error naming its firing time.
+func (e *Engine) PendingEvents(buf []PendingEvent) ([]PendingEvent, error) {
+	out := slices.Grow(buf[:0], e.pending)
 	add := func(ev *event) error {
 		if ev.canceled {
 			return nil
@@ -132,7 +134,7 @@ func (e *Engine) PendingEvents() ([]PendingEvent, error) {
 			return nil, err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b PendingEvent) int { return cmp.Compare(a.Seq, b.Seq) })
 	if len(out) != e.pending {
 		return nil, fmt.Errorf("des: queue walk found %d live events, engine counts %d", len(out), e.pending)
 	}

@@ -10,6 +10,7 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -30,11 +31,12 @@ func snapshotNormalize(res core.Result) core.Result {
 
 // SnapshotDiff checks run-to-end against run-to-half → snapshot →
 // restore → run-to-end for each combo of the scenario at its heaviest
-// load, and returns one report line per combo. Every supported
-// configuration snapshots; a combo is reported as
-// skipped only if Snapshot refuses it (e.g. a future untagged event
-// family). A non-nil error means at least one combo diverged — the
-// restore contract is broken.
+// load, and returns one report line per combo — the verdict, and beside it
+// the snapshot's size and the wall time of the one Snapshot and the one
+// Restore (the only part of a line that differs between two runs). Every
+// supported configuration snapshots; a combo is reported as skipped only if
+// Snapshot refuses it (e.g. a future untagged event family). A non-nil
+// error means at least one combo diverged — the restore contract is broken.
 func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 	p, err := newSweepPlan(sc, opts)
 	if err != nil {
@@ -53,12 +55,16 @@ func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 		ck := core.NewSession(cfg)
 		ck.Start()
 		ck.RunTo(mid)
+		t0 := time.Now()
 		blob, err := ck.Snapshot()
+		snapMs := time.Since(t0).Seconds() * 1e3
 		if err != nil {
 			lines = append(lines, fmt.Sprintf("%v @ load %.2f: skipped (%v)", combo, p.loads[li], err))
 			continue
 		}
+		t0 = time.Now()
 		restored, err := core.Restore(cfg, blob)
+		restoreMs := time.Since(t0).Seconds() * 1e3
 		if err != nil {
 			return lines, fmt.Errorf("harness: %v: restore failed: %w", combo, err)
 		}
@@ -70,8 +76,8 @@ func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 				combo, p.loads[li], mid, len(blob)))
 			continue
 		}
-		lines = append(lines, fmt.Sprintf("%v @ load %.2f: identical (%d deliveries, snapshot %d bytes, shards %d)",
-			combo, p.loads[li], want.Delivered, len(blob), cfg.Shards))
+		lines = append(lines, fmt.Sprintf("%v @ load %.2f: identical (%d deliveries, snapshot %d bytes in %.2f ms, restore %.2f ms, shards %d)",
+			combo, p.loads[li], want.Delivered, len(blob), snapMs, restoreMs, cfg.Shards))
 	}
 	if diverged > 0 {
 		return lines, fmt.Errorf("harness: scenario %s: %d combo(s) diverged after checkpoint/restore", p.sc.Name, diverged)

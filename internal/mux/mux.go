@@ -91,6 +91,11 @@ type Mux struct {
 
 // New returns a MUX with k input flows at capacity c bits/second.
 func New(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
+	return new(Mux).init(eng, k, c, d, out)
+}
+
+// init is New into zeroed storage the caller made (see Slab).
+func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
 	if k <= 0 {
 		panic("mux: need at least one input flow")
 	}
@@ -100,13 +105,7 @@ func New(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packe
 	if out == nil {
 		panic("mux: nil output")
 	}
-	m := &Mux{
-		eng:        eng,
-		c:          c,
-		discipline: d,
-		out:        out,
-		k:          k,
-	}
+	m.eng, m.c, m.discipline, m.out, m.k = eng, c, d, out, k
 	m.done = func() {
 		e := m.cur
 		now := m.eng.Now()
@@ -136,6 +135,15 @@ func (m *Mux) QueueLen(i int) int {
 		return m.qlen(s)
 	}
 	return 0
+}
+
+// Queued returns how many per-flow queues have materialised and how many
+// packets they hold between them (excluding the packet in transmission).
+func (m *Mux) Queued() (queues, packets int) {
+	for s := range m.queues {
+		packets += m.qlen(s)
+	}
+	return len(m.queues), packets
 }
 
 // qlen returns the packets queued in slot s.

@@ -9,8 +9,8 @@ import (
 )
 
 // Checkpoint support. Construction parameters (k, c, discipline, out) are
-// recomputed by the restored session; Snapshot/Restore cover only the
-// mutable words. Queued entries are written head-to-tail and restored
+// recomputed by the restored session; Snapshot and Slab.Restore cover only
+// the mutable words. Queued entries are written head-to-tail and restored
 // with heads reset to zero — head position is memory layout, not service
 // order, so the compaction bookkeeping does not need to survive.
 
@@ -55,41 +55,74 @@ func (m *Mux) Snapshot(w *snap.Writer) {
 	m.Served.Snapshot(w)
 }
 
-// Restore overwrites the MUX's mutable state from the open record,
-// failing the reader on a flow id outside [0, flows) or slots out of
-// ascending order (slot lookups are binary searches). The
-// transmit-completion event, if one was pending, arrives separately via
-// Rearm during event replay.
-func (m *Mux) Restore(r *snap.Reader, flows int) {
-	n := r.Len()
-	m.slotFlow = m.slotFlow[:0]
-	m.queues = m.queues[:0]
-	m.heads = m.heads[:0]
-	for s := 0; s < n; s++ {
+// Wire widths of the layout above, for a decoder sizing storage from
+// counts it reads (snap.Reader.Count): one idle MUX with no queue (its
+// three accumulators are 40, 25 and 33 bytes), one materialised queue's
+// header, one queued entry. TestSnapWidths pins them to what Snapshot writes.
+const (
+	SnapBytes      = 4 + 8 + 1 + 8 + 8 + 40 + 25 + 33
+	SnapSlotBytes  = 4 + 4
+	SnapEntryBytes = traffic.PacketSnapBytes + 8 + 8
+)
+
+// Slab is the storage one checkpoint record's MUXes are restored into: the
+// MUXes themselves, their queue tables and every queued entry sit in five
+// arrays sized from the record's totals, where New and Enqueue would make
+// them one MUX and one doubling at a time. A restored queue's capacity is
+// exactly its length; it grows off the slab like any other from its first
+// arrival on.
+type Slab struct {
+	muxes   snap.Arena[Mux]
+	flows   snap.Arena[int32]
+	queues  snap.Arena[[]entry]
+	heads   snap.Arena[int]
+	entries snap.Arena[entry]
+}
+
+// NewSlab returns storage for that many MUXes, materialised queues and
+// queued entries in total.
+func NewSlab(muxes, slots, entries int) *Slab {
+	return &Slab{
+		muxes:   snap.NewArena[Mux](muxes),
+		flows:   snap.NewArena[int32](slots),
+		queues:  snap.NewArena[[]entry](slots),
+		heads:   snap.NewArena[int](slots),
+		entries: snap.NewArena[entry](entries),
+	}
+}
+
+// Restore makes the slab's next MUX as New would and overwrites its mutable
+// state from the open record, failing the reader on a flow id outside
+// [0, k) or slots out of ascending order (slot lookups are binary
+// searches). The transmit-completion event, if one was pending, arrives
+// separately via Rearm during event replay.
+func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
+	m := sl.muxes.One().init(eng, k, c, d, out)
+	n := r.Count(SnapSlotBytes)
+	m.slotFlow, m.queues, m.heads = sl.flows.Take(n), sl.queues.Take(n), sl.heads.Take(n)
+	for s := range m.slotFlow {
 		f := int32(r.U32())
-		if f < 0 || int(f) >= flows || (s > 0 && f <= m.slotFlow[s-1]) {
-			r.Fail(fmt.Errorf("mux: snapshot queue slot %d holds flow %d, outside [0,%d) or out of order", s, f, flows))
-			return
+		if f < 0 || int(f) >= k || (s > 0 && f <= m.slotFlow[s-1]) {
+			r.Fail(fmt.Errorf("mux: snapshot queue slot %d holds flow %d, outside [0,%d) or out of order", s, f, k))
+			return m
 		}
-		m.slotFlow = append(m.slotFlow, f)
-		q := r.Len()
-		var qs []entry
-		for i := 0; i < q; i++ {
-			qs = append(qs, restoreEntry(r, flows))
+		m.slotFlow[s] = f
+		m.queues[s] = sl.entries.Take(r.Count(SnapEntryBytes))
+		for i := range m.queues[s] {
+			m.queues[s][i] = restoreEntry(r, k)
 		}
-		m.queues = append(m.queues, qs)
-		m.heads = append(m.heads, 0)
 	}
 	m.bits = r.F64()
 	m.busy = r.Bool()
 	m.seq = r.U64()
 	m.rrNext = int(r.I64())
 	if m.busy {
-		m.cur = restoreEntry(r, flows)
+		m.cur = restoreEntry(r, k)
 	}
 	m.Delay.Restore(r)
 	m.MaxWait.Restore(r)
 	m.Served.Restore(r)
+	return m
 }
 
 // Rearm re-schedules the serialized transmit-completion event for the

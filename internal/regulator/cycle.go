@@ -43,10 +43,15 @@ type Cycle struct {
 // call Start. It panics unless W and V are positive and offset is not
 // negative.
 func NewCycle(eng *des.Engine, offset, w, v des.Duration) *Cycle {
+	return new(Cycle).init(eng, offset, w, v)
+}
+
+// init is NewCycle into zeroed storage the caller made (see Slab).
+func (c *Cycle) init(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 	if offset < 0 || w <= 0 || v <= 0 {
 		panic("regulator: cycle requires offset≥0, W>0 and V>0")
 	}
-	c := &Cycle{eng: eng, offset: offset, w: w, v: v}
+	c.eng, c.offset, c.w, c.v = eng, offset, w, v
 	c.onFn = func() {
 		c.on = true
 		c.onSince = c.eng.Now()
@@ -131,14 +136,6 @@ func (c *Cycle) Snapshot(w *snap.Writer) {
 	w.U64(c.nextRank)
 	w.I64(int64(c.onSince))
 	w.I64(int64(c.onTotal))
-}
-
-// Restore overwrites the clock's mutable state from the open record.
-func (c *Cycle) Restore(r *snap.Reader, _ int) {
-	c.on = r.Bool()
-	c.nextRank = r.U64()
-	c.onSince = des.Time(r.I64())
-	c.onTotal = des.Duration(r.I64())
 }
 
 // Rearm re-schedules the serialized pending edge.

@@ -142,13 +142,18 @@ type SigmaRho struct {
 
 // NewSigmaRho returns a (σ, ρ) regulator starting with a full bucket.
 func NewSigmaRho(eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
+	return new(SigmaRho).init(eng, sigma, rho, out)
+}
+
+// init is NewSigmaRho into zeroed storage the caller made (see Slab).
+func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
 	if sigma < 0 || rho <= 0 {
 		panic("regulator: invalid (σ,ρ) parameters")
 	}
 	if out == nil {
 		panic("regulator: nil output")
 	}
-	s := &SigmaRho{eng: eng, Sigma: sigma, Rho: rho, out: out, tokens: sigma}
+	s.eng, s.Sigma, s.Rho, s.out, s.tokens = eng, sigma, rho, out, sigma
 	s.retry = func() {
 		s.serving = false
 		s.serve()

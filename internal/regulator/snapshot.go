@@ -1,6 +1,8 @@
 package regulator
 
 import (
+	"fmt"
+
 	"repro/internal/des"
 	"repro/internal/snap"
 	"repro/internal/traffic"
@@ -8,10 +10,10 @@ import (
 
 // Checkpoint support. Envelope parameters and output wiring are
 // construction-time (the restored session recreates the regulator with
-// identical arguments); Snapshot/Restore cover the mutable words, and
-// Rearm re-schedules a serialized pending event with its original
-// (at, prio) stamps during replay, refusing a kind the regulator does not
-// own.
+// identical arguments); Snapshot and the Slab's Restore methods cover the
+// mutable words, and Rearm re-schedules a serialized pending event with
+// its original (at, prio) stamps during replay, refusing a kind the
+// regulator does not own.
 
 // snapshot appends the queue's live packets and exact bit total. The head
 // index is memory layout, not semantics, so the restored queue starts
@@ -24,14 +26,48 @@ func (q *fifo) snapshot(w *snap.Writer) {
 	w.F64(q.bits)
 }
 
-func (q *fifo) restore(r *snap.Reader, flows int) {
-	n := r.Len()
-	q.buf = q.buf[:0]
+// restore fills the queue from the open record, in storage carved from
+// packets: capacity is exactly the restored length.
+func (q *fifo) restore(r *snap.Reader, flows int, packets *snap.Arena[traffic.Packet]) {
+	q.buf = packets.Take(r.Count(traffic.PacketSnapBytes))
 	q.head = 0
-	for i := 0; i < n; i++ {
-		q.buf = append(q.buf, traffic.RestorePacket(r, flows))
+	for i := range q.buf {
+		q.buf[i] = traffic.RestorePacket(r, flows)
 	}
 	q.bits = r.F64()
+}
+
+// Wire widths of the layouts below, for a decoder sizing storage from
+// counts it reads (snap.Reader.Count): one regulator of each model with an
+// empty queue, one clock. TestSnapWidths pins them to what Snapshot writes.
+const (
+	SigmaRhoSnapBytes = 4 + 8 + 8 + 8 + 1
+	SRLSnapBytes      = 4 + 8 + 1 + 1 + 1 + 8 + 8
+	CycleSnapBytes    = 1 + 8 + 8 + 8
+)
+
+// Slab is the storage one checkpoint record's regulators and clocks are
+// restored into: one array per model and one for every queued packet,
+// sized from the record's totals, where the constructors and Enqueue would
+// make them one regulator and one doubling at a time. A restored queue's
+// capacity is exactly its length; it grows off the slab like any other
+// from its first arrival on.
+type Slab struct {
+	sr      snap.Arena[SigmaRho]
+	cycles  snap.Arena[Cycle]
+	srl     snap.Arena[SRL]
+	packets snap.Arena[traffic.Packet]
+}
+
+// NewSlab returns storage for that many (σ, ρ) regulators, clocks and
+// (σ, ρ, λ) regulators, and that many queued packets in total.
+func NewSlab(sigmaRhos, cycles, srls, packets int) *Slab {
+	return &Slab{
+		sr:      snap.NewArena[SigmaRho](sigmaRhos),
+		cycles:  snap.NewArena[Cycle](cycles),
+		srl:     snap.NewArena[SRL](srls),
+		packets: snap.NewArena[traffic.Packet](packets),
+	}
 }
 
 // SetSnapArg registers the regulator's slot in the session's component
@@ -47,13 +83,21 @@ func (s *SigmaRho) Snapshot(w *snap.Writer) {
 	w.Bool(s.serving)
 }
 
-// Restore overwrites the regulator's mutable state from the open record;
-// a queued packet with a flow outside [0, flows) fails the reader.
-func (s *SigmaRho) Restore(r *snap.Reader, flows int) {
-	s.q.restore(r, flows)
+// RestoreSigmaRho makes the slab's next (σ, ρ) regulator as NewSigmaRho
+// would and overwrites its mutable state from the open record; a queued
+// packet with a flow outside [0, flows) fails the reader.
+func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
+	s := sl.sr.One().init(eng, sigma, rho, out)
+	s.q.restore(r, flows, &sl.packets)
 	s.tokens = r.F64()
 	s.lastUpdate = des.Time(r.I64())
 	s.serving = r.Bool()
+	// serve never overdraws the bucket and refill caps it at σ or the head
+	// packet; a level outside that turns into a token wait no clock can hold.
+	if !(s.tokens >= -1e-9 && s.tokens <= max(sigma, traffic.MaxPacketBits)) {
+		r.Fail(fmt.Errorf("regulator: snapshot token level %v outside [0, max(σ, largest packet)]", s.tokens))
+	}
+	return s
 }
 
 // Rearm re-schedules the serialized token-wait event.
@@ -82,16 +126,31 @@ func (r *SRL) Snapshot(w *snap.Writer) {
 	w.F64(r.emittedBits)
 }
 
-// Restore overwrites the regulator's mutable state from the open record
-// (see SigmaRho.Restore). The regulator comes back following no clock; one
-// that followed is handed its restored clock with Rejoin.
-func (r *SRL) Restore(sr *snap.Reader, flows int) {
-	r.q.restore(sr, flows)
+// RestoreSRL makes the slab's next (σ, ρ, λ) regulator as NewSRL would and
+// overwrites its mutable state from the open record (see
+// RestoreSigmaRho). The regulator comes back following no clock; one that
+// followed is handed its restored clock with Rejoin.
+func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
+	r := sl.srl.One().init(eng, sigma, rho, c, out)
+	r.q.restore(sr, flows, &sl.packets)
 	r.on = sr.Bool()
 	r.transmitting = sr.Bool()
 	r.waiting = sr.Bool()
 	r.rank = sr.U64()
 	r.emittedBits = sr.F64()
+	return r
+}
+
+// RestoreCycle makes the slab's next clock as NewCycle would — not
+// ticking: its pending edge arrives via Rearm — and overwrites its mutable
+// state from the open record.
+func (sl *Slab) RestoreCycle(r *snap.Reader, eng *des.Engine, offset, w, v des.Duration) *Cycle {
+	c := sl.cycles.One().init(eng, offset, w, v)
+	c.on = r.Bool()
+	c.nextRank = r.U64()
+	c.onSince = des.Time(r.I64())
+	c.onTotal = des.Duration(r.I64())
+	return c
 }
 
 // Rejoin binds a restored regulator to its restored clock under the rank

@@ -48,13 +48,18 @@ type SRL struct {
 // hand (SetOn); Follow or StartCycle puts it on a duty-cycle clock.
 // It panics unless 0 < ρ < C and σ > 0.
 func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
+	return new(SRL).init(eng, sigma, rho, c, out)
+}
+
+// init is NewSRL into zeroed storage the caller made (see Slab).
+func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
 	if sigma <= 0 || rho <= 0 || c <= 0 || rho >= c {
 		panic("regulator: SRL requires σ>0 and 0<ρ<C")
 	}
 	if out == nil {
 		panic("regulator: nil output")
 	}
-	r := &SRL{eng: eng, Sigma: sigma, Rho: rho, C: c, out: out}
+	r.eng, r.Sigma, r.Rho, r.C, r.out = eng, sigma, rho, c, out
 	r.done = func() {
 		r.transmitting = false
 		p := r.q.pop()

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot byte stream. The trailing newline guards
@@ -144,6 +145,17 @@ func (w *Writer) U64(v uint64) {
 	if w.open() {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 	}
+}
+
+// Raw appends n bytes to the open record and returns them for the caller
+// to fill: a fixed-width group of primitives under one check where the
+// per-primitive calls make one each. Nil outside a record or after an error.
+func (w *Writer) Raw(n int) []byte {
+	if !w.open() {
+		return nil
+	}
+	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
 }
 
 // I64 appends a little-endian int64 (two's complement).
@@ -280,15 +292,18 @@ func (r *Reader) Next() (uint16, bool) {
 func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
+		// A failed reader has no bytes left, so Raw's length check is the
+		// only one the happy path pays.
+		r.rec, r.rpos = nil, 0
 	}
 }
 
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
+// Raw returns the next n bytes of the current record — Writer.Raw's
+// counterpart — or nil, failing the reader, when fewer remain. The bytes
+// alias the stream: decode them, do not keep them.
+func (r *Reader) Raw(n int) []byte {
 	if len(r.rec)-r.rpos < n {
-		r.Fail(fmt.Errorf("snap: record %d payload short: want %d bytes, %d left", r.recType, n, len(r.rec)-r.rpos))
+		r.short(n)
 		return nil
 	}
 	b := r.rec[r.rpos : r.rpos+n]
@@ -296,9 +311,13 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
+func (r *Reader) short(n int) {
+	r.Fail(fmt.Errorf("snap: record %d payload short: want %d bytes, %d left", r.recType, n, len(r.rec)-r.rpos))
+}
+
 // U8 reads an unsigned byte from the current record.
 func (r *Reader) U8() uint8 {
-	if b := r.take(1); b != nil {
+	if b := r.Raw(1); b != nil {
 		return b[0]
 	}
 	return 0
@@ -306,7 +325,7 @@ func (r *Reader) U8() uint8 {
 
 // U16 reads a little-endian uint16.
 func (r *Reader) U16() uint16 {
-	if b := r.take(2); b != nil {
+	if b := r.Raw(2); b != nil {
 		return binary.LittleEndian.Uint16(b)
 	}
 	return 0
@@ -314,7 +333,7 @@ func (r *Reader) U16() uint16 {
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	if b := r.take(4); b != nil {
+	if b := r.Raw(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
@@ -322,7 +341,7 @@ func (r *Reader) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	if b := r.take(8); b != nil {
+	if b := r.Raw(8); b != nil {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
@@ -350,10 +369,17 @@ func (r *Reader) Bool() bool {
 // Len reads a collection length written by Writer.Len, bounding it by
 // the bytes remaining in the record (each element costs at least one
 // byte) so corrupt prefixes cannot drive huge allocations.
-func (r *Reader) Len() int {
+func (r *Reader) Len() int { return r.Count(1) }
+
+// Count is Len for a collection whose elements each occupy at least width
+// bytes of the record: the prefix is held to what the remaining bytes can
+// carry, so storage made for exactly n elements — a slab, a queue — is
+// never larger than the wire bytes that fill it, times the element's
+// in-memory size over its wire size.
+func (r *Reader) Count(width int) int {
 	n := int(r.U32())
-	if r.err == nil && n > len(r.rec)-r.rpos {
-		r.Fail(fmt.Errorf("snap: record %d length prefix %d exceeds %d remaining bytes", r.recType, n, len(r.rec)-r.rpos))
+	if r.err == nil && n > (len(r.rec)-r.rpos)/width {
+		r.Fail(fmt.Errorf("snap: record %d count %d of %d-byte elements exceeds %d remaining bytes", r.recType, n, width, len(r.rec)-r.rpos))
 		return 0
 	}
 	return n
@@ -362,7 +388,7 @@ func (r *Reader) Len() int {
 // Bytes reads a length-prefixed byte slice (a copy).
 func (r *Reader) Bytes() []byte {
 	n := r.Len()
-	b := r.take(n)
+	b := r.Raw(n)
 	if b == nil {
 		return nil
 	}
@@ -372,7 +398,7 @@ func (r *Reader) Bytes() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Len()
-	b := r.take(n)
+	b := r.Raw(n)
 	if b == nil {
 		return ""
 	}

@@ -276,3 +276,87 @@ func TestCountBackpatch(t *testing.T) {
 		t.Fatal("negative count accepted")
 	}
 }
+
+// TestCountHoldsPrefixToElementWidth: a count of w-byte elements is
+// accepted up to what the record's remaining bytes can carry and refused
+// one past it — where Len, which assumes one byte each, would let a
+// decoder make storage w times the record's size.
+func TestCountHoldsPrefixToElementWidth(t *testing.T) {
+	record := func(n uint32) *Reader {
+		w := NewWriter(1)
+		w.Begin(1)
+		w.U32(n)
+		w.Raw(96) // two 48-byte elements' worth
+		w.End()
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, _ := NewReader(data)
+		r.Next()
+		return r
+	}
+	if r := record(2); r.Count(48) != 2 || r.Err() != nil {
+		t.Fatalf("two 48-byte elements in 96 bytes refused: %v", r.Err())
+	}
+	if r := record(3); r.Count(48) != 0 || r.Err() == nil {
+		t.Fatal("three 48-byte elements in 96 bytes accepted")
+	}
+	if r := record(96); r.Len() != 96 || r.Err() != nil {
+		t.Fatalf("Len of 96 one-byte elements refused: %v", r.Err())
+	}
+}
+
+// TestRawRoundTrip: bytes filled through Writer.Raw read back through
+// Reader.Raw, beside ordinary primitives, and a short record fails the
+// reader.
+func TestRawRoundTrip(t *testing.T) {
+	w := NewWriter(1)
+	w.Begin(1)
+	w.U8(9)
+	copy(w.Raw(3), "abc")
+	w.U16(513)
+	w.End()
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, _ := NewReader(data)
+	r.Next()
+	if r.U8() != 9 || string(r.Raw(3)) != "abc" || r.U16() != 513 || r.Err() != nil {
+		t.Fatalf("round trip failed: %v", r.Err())
+	}
+	if r.Raw(1) != nil || r.Err() == nil {
+		t.Fatal("Raw past the payload returned bytes")
+	}
+	if NewWriter(1).Raw(4) != nil {
+		t.Fatal("Raw outside a record returned storage")
+	}
+}
+
+// TestArenaWindows: windows are consecutive, zeroed, capacity-capped (an
+// append leaves the neighbour alone), and an arena that runs out — or was
+// never made — still hands out what is asked, never nil.
+func TestArenaWindows(t *testing.T) {
+	a := NewArena[int](5)
+	x, y := a.Take(2), a.Take(3)
+	if len(x) != 2 || cap(x) != 2 || len(y) != 3 || cap(y) != 3 {
+		t.Fatalf("windows %d/%d and %d/%d", len(x), cap(x), len(y), cap(y))
+	}
+	y[0] = 7
+	x = append(x, 1)
+	if y[0] != 7 {
+		t.Fatal("append to one window wrote into the next")
+	}
+	if z := a.Take(4); len(z) != 4 || z[0] != 0 {
+		t.Fatal("exhausted arena did not allocate the window on its own")
+	}
+	*a.One() = 3
+	var zero Arena[*int]
+	if z := zero.Take(0); z == nil {
+		t.Fatal("zero arena returned a nil window")
+	}
+	if p := zero.One(); p == nil || *p != nil {
+		t.Fatal("zero arena's One is not a zeroed element")
+	}
+}

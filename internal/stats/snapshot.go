@@ -84,7 +84,7 @@ func (w *WindowRate) Snapshot(sw *snap.Writer) {
 // physical layout (head position, capacity growth history) is not part of
 // the contract — only the logical entries and the running sum are.
 func (w *WindowRate) Restore(sr *snap.Reader) {
-	n := sr.Len()
+	n := sr.Count(8 + 8)
 	size := len(w.times)
 	for size < n {
 		size *= 2
