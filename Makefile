@@ -31,11 +31,15 @@ check: fmt vet build test
 # -scenario all -quick, which iterates the whole registry — the paper's six
 # figure panels, the churn and fault-injection scenarios): catches
 # scenario-layer bit-rot in seconds. The explicit fault-builtin runs exercise the recovery tables at
-# one shard and at several (fault events at quiesce barriers either way).
+# one shard and at several (fault events at quiesce barriers either way);
+# cut to 2.5 s, outage-waxman-16 ends with its partition still open (the
+# heal falls past the end), which Finish must report rather than panic on.
 scenarios:
 	$(GO) run ./cmd/wdcsim -scenario all -quick
 	$(GO) run ./cmd/wdcsim -scenario outage-waxman-16 -quick -shards 1
 	$(GO) run ./cmd/wdcsim -scenario outage-waxman-16 -quick -shards 4
+	$(GO) run ./cmd/wdcsim -scenario outage-waxman-16 -quick -duration 2.5 -shards 1
+	$(GO) run ./cmd/wdcsim -scenario outage-waxman-16 -quick -duration 2.5 -shards 4
 	$(GO) run ./cmd/wdcsim -scenario epoch-churn-waxman-16 -quick -shards 4
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 1
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 8
@@ -63,7 +67,8 @@ shards:
 # Coverage-guided fuzzing of the invariant-heavy corners: the timing
 # wheel's cursor-behind merge-insert, the cross-shard mailbox merge
 # against its (at, lamport, srcShard, seq) oracle, the overlay graft-point
-# selector, the batch prune/repair path the fault plane drives, and
+# selector (every strategy's pick against the per-candidate oracle of
+# oracle_test.go), the batch prune/repair path the fault plane drives, and
 # core.Restore on bytes it did not write (no panic, bounded allocation, and
 # a session it returns runs to its end).
 # 30 s per target — long enough to grow a corpus, short enough for a CI side job

@@ -117,6 +117,20 @@ func TestScenarioShardsFlag(t *testing.T) {
 	}
 }
 
+// TestScenarioEndsInsidePartition: cut to 2.5 s, outage-waxman-16 ends
+// with its 2.2 s partition open — the 2.8 s heal is filtered out, a valid
+// schedule — and must still report (it exited 2 with "overlay: parent
+// cycle" from Finish).
+func TestScenarioEndsInsidePartition(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-scenario", "outage-waxman-16", "-quick", "-duration", "2.5"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "scenario outage-waxman-16") || !strings.Contains(out.String(), "partition") {
+		t.Fatalf("unexpected output:\n%s", out.String())
+	}
+}
+
 func TestScenarioRunQuick(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-scenario", "ring-sparse", "-quick", "-duration", "1"}, &out, &errOut); code != 0 {

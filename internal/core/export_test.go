@@ -15,6 +15,21 @@ func ComponentCount(s *Session) int {
 // stream at.
 func SnapshotHint(s *Session) int { return s.snapSize }
 
+// RewirePlan is the re-optimization plane's pick for group g's next move
+// in a pass that has already moved the given members: the member it would
+// rewire, its new parent and the predicted delay, before the hysteresis.
+func RewirePlan(s *Session, g int, moved []int) (w, p int, predicted float64, ok bool) {
+	s.ro.moved = append(s.ro.moved[:0], moved...)
+	w, p, _, predicted, ok = s.ro.plan(g)
+	return w, p, predicted, ok
+}
+
+// RewireOracle is RewirePlan by rewire's scan as it ran before the
+// attached walk (reopt_test.go).
+func RewireOracle(s *Session, g int, moved []int) (w, p int, predicted float64, ok bool) {
+	return s.ro.oraclePlan(g, moved)
+}
+
 // PendingEvents reports how many events the session's engines hold.
 func PendingEvents(s *Session) int {
 	n := 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/des"
@@ -221,5 +222,45 @@ func TestFaultFreeConfigUnperturbed(t *testing.T) {
 	rb := Run(b)
 	if a.Delivered != rb.Delivered || a.WDB != rb.WDB || a.Lost != rb.Lost {
 		t.Fatalf("fault-free runs diverged: %+v vs %+v", a, rb)
+	}
+}
+
+// TestRunEndsInsideOpenPartition: a partition that never heals is a valid
+// schedule — the heal may fall past the run's end. Finish measures each
+// tree's layers over its attached part (it used to climb a cut member's
+// missing parent edge as host 0's and die in the parent-cycle guard), and
+// a checkpoint taken inside the open cut restores to the straight run, at
+// one shard and at four.
+func TestRunEndsInsideOpenPartition(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cfg := faultBaseConfig(29)
+		if cfg.Faults[len(cfg.Faults)-1].Kind != FaultHeal {
+			t.Fatal("fixture's last fault is not the heal")
+		}
+		cfg.Faults = cfg.Faults[:len(cfg.Faults)-1] // the 1.8 s cut stays open
+		cfg.Shards = shards
+		s := NewSession(cfg)
+		res := s.Run()
+		cut := 0
+		for g, st := range s.sub.groups {
+			cut += len(st.detached)
+			height := 0
+			for _, m := range st.tree.Members {
+				if st.tree.Attached(m) {
+					height = max(height, st.tree.Depth(m))
+				}
+			}
+			if res.TreeLayers[g] != height+1 {
+				t.Fatalf("shards=%d group %d: %d layers, the attached part has %d", shards, g, res.TreeLayers[g], height+1)
+			}
+		}
+		if cut == 0 {
+			t.Fatalf("shards=%d: no subtree is cut off at the end — the fixture does not leave a partition open", shards)
+		}
+		restored := normalizeDiag(finishVia(t, cfg, des.Seconds(2.1)))
+		if !reflect.DeepEqual(normalizeDiag(res), restored) {
+			t.Fatalf("shards=%d: run restored inside the open partition diverged:\n  straight %+v\n  restored %+v",
+				shards, normalizeDiag(res), restored)
+		}
 	}
 }

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -125,6 +126,7 @@ type reoptPlane struct {
 	est      [][]delayEst // [group][host] delay means since the last accepted change
 	cooldown []des.Time   // per-group earliest next accepted change
 	rebuilds []int        // per-group accepted rebuild count (derives rebuild seeds)
+	moved    []int        // members rewired in the current pass
 
 	accepted, moves, rejected int
 }
@@ -154,16 +156,6 @@ func (ro *reoptPlane) observe(g, id int, d float64) {
 	e.n++
 }
 
-// mean returns member m's measured mean delay in group g, falling back to
-// the tree-path propagation delay for members that have not received yet
-// (the source, by definition, sits at delay 0).
-func (ro *reoptPlane) mean(g, m int) float64 {
-	if e := &ro.est[g][m]; e.n > 0 {
-		return e.sum / float64(e.n)
-	}
-	return ro.groups[g].tree.PathLatency(ro.net, m).Seconds()
-}
-
 // reoptimize runs one pass over every group at simulated time at.
 func (ro *reoptPlane) reoptimize(at des.Time) {
 	for g := range ro.groups {
@@ -190,13 +182,13 @@ func (ro *reoptPlane) pass(g int, at des.Time) {
 	// their estimates still describe the old placement, so picking the
 	// same member again would walk it through progressively worse
 	// parents instead of rewiring MaxMoves distinct members.
-	moved := make(map[int]bool, ro.cfg.MaxMoves)
+	ro.moved = ro.moved[:0]
 	for move := 0; move < ro.cfg.MaxMoves; move++ {
-		if !ro.rewire(g, moved) {
+		if !ro.rewire(g) {
 			break
 		}
 	}
-	if len(moved) > 0 {
+	if len(ro.moved) > 0 {
 		ro.accepted++
 		ro.resetGroup(g, at)
 	} else {
@@ -204,22 +196,24 @@ func (ro *reoptPlane) pass(g int, at des.Time) {
 	}
 }
 
-// rewire attempts one measurement-driven edge swap in group g: move the
-// worst-measured member not yet touched this pass under the attached
-// parent with the best predicted delay, if the prediction clears the
-// hysteresis margin. Returns whether a move was applied (recording it in
-// moved).
-func (ro *reoptPlane) rewire(g int, moved map[int]bool) bool {
+// plan picks group g's next rewire: the worst-measured member w not yet
+// moved this pass, and the attached parent p with the best predicted delay
+// est(p) + latency(p, w) under the strategy's fanout rule and height
+// limit, where est is p's measured mean — or, before p has received, its
+// tree-path propagation delay. ok is false when no member has a
+// measurement or no candidate qualifies; the hysteresis is the caller's.
+func (ro *reoptPlane) plan(g int) (w, p int, worst, predicted float64, ok bool) {
 	st := ro.groups[g]
 	t := st.tree
+	est := ro.est[g]
 	// Worst measured member (ties break to the lower id; members the run
 	// has not reached yet have no measurement to improve on).
-	w, worst := -1, 0.0
+	w = -1
 	for _, m := range t.Members {
-		if m == t.Source || moved[m] {
+		if m == t.Source || slices.Contains(ro.moved, m) {
 			continue
 		}
-		e := &ro.est[g][m]
+		e := &est[m]
 		if e.n == 0 {
 			continue
 		}
@@ -229,47 +223,40 @@ func (ro *reoptPlane) rewire(g int, moved map[int]bool) bool {
 		}
 	}
 	if w < 0 {
-		return false
+		return -1, -1, 0, 0, false
 	}
-	oldParent := t.Parent(w)
-	subHeight := t.SubtreeHeight(w)
-	// w's own subtree is excluded from candidacy (a descendant parent
-	// would cycle); one walk up front keeps the candidate scan linear.
-	inSub := map[int]bool{w: true}
-	for level := []int{w}; len(level) > 0; {
-		var next []int
-		for _, v := range level {
-			for _, c := range t.Children(v) {
-				inSub[c] = true
-				next = append(next, c)
+	// Candidates come from the tree's attached walk, which never enters w's
+	// own subtree (a descendant parent would cycle); w's current parent is
+	// not a move. Passes run between control-plane operations with every
+	// member attached.
+	p, predicted, ok = overlay.Select(t, t.Parent(w), w, overlay.Rule[float64]{
+		Key: func(m int, lat des.Duration) float64 {
+			mean := lat.Seconds()
+			if e := &est[m]; e.n > 0 {
+				mean = e.sum / float64(e.n)
 			}
-		}
-		level = next
-	}
-	// Best candidate parent by predicted delay est(p) + latency(p, w),
-	// under the strategy's fanout rule and height limit. Passes run
-	// between control-plane operations, so every member is attached — no
-	// detachment check needed.
-	p, predicted := -1, 0.0
-	for _, m := range t.Members {
-		if m == oldParent || inSub[m] {
-			continue
-		}
-		if !st.strat.FanoutOK(ro.net, t, m, st.lim) {
-			continue
-		}
-		if st.lim.MaxHeight > 0 && t.Depth(m)+1+subHeight > st.lim.MaxHeight {
-			continue
-		}
-		pred := ro.mean(g, m) + ro.net.Latency(m, w).Seconds()
-		if p < 0 || pred < predicted || (pred == predicted && m < p) {
-			p, predicted = m, pred
-		}
-	}
-	if p < 0 || predicted >= worst*(1-ro.cfg.MinImprove) {
+			return mean + ro.net.Latency(m, w).Seconds()
+		},
+		Fanout:    func(m, kids int) bool { return st.strat.FanoutOK(ro.net, m, kids, st.lim) },
+		SubHeight: t.SubtreeHeight(w),
+		MaxHeight: st.lim.MaxHeight,
+		Net:       ro.net,
+		Strict:    true,
+	})
+	return w, p, worst, predicted, ok
+}
+
+// rewire attempts one measurement-driven edge swap in group g: the move
+// plan picks, applied if its prediction clears the hysteresis margin.
+// Returns whether a move was applied (recording it in moved).
+func (ro *reoptPlane) rewire(g int) bool {
+	w, p, worst, predicted, ok := ro.plan(g)
+	if !ok || predicted >= worst*(1-ro.cfg.MinImprove) {
 		return false
 	}
-	if err := t.Reparent(w, p); err != nil {
+	st := ro.groups[g]
+	oldParent := st.tree.Parent(w)
+	if err := st.tree.Reparent(w, p); err != nil {
 		panic(fmt.Sprintf("core: reopt rewire: %v", err))
 	}
 	// Host wiring mirrors a churn leave+join for the moved edge: the old
@@ -278,7 +265,7 @@ func (ro *reoptPlane) rewire(g int, moved map[int]bool) bool {
 	st.lost += uint64(ro.hosts[oldParent].removeChild(g, w))
 	ro.hosts[p].attachChild(g, w)
 	ro.moves++
-	moved[w] = true
+	ro.moved = append(ro.moved, w)
 	return true
 }
 

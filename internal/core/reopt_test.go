@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -222,4 +223,63 @@ func TestShardDifferentialReopt(t *testing.T) {
 			t.Fatalf("window %d: %.17g vs %.17g", i, seq.WindowMax[i], sh.WindowMax[i])
 		}
 	}
+}
+
+// oraclePlan is rewire's candidate scan as it ran before the attached walk,
+// kept as the oracle for plan: the worst measured member not in moved,
+// then every member outside its subtree (collected up front into a set)
+// and other than its parent, filtered by the strategy's fanout rule and a
+// per-candidate depth climb, ranked by measured mean — or tree-path delay,
+// another climb — plus the hop to the moved member.
+func (ro *reoptPlane) oraclePlan(g int, moved []int) (w, p int, predicted float64, ok bool) {
+	st := ro.groups[g]
+	t := st.tree
+	w, worst := -1, 0.0
+	for _, m := range t.Members {
+		if m == t.Source || slices.Contains(moved, m) {
+			continue
+		}
+		if e := &ro.est[g][m]; e.n > 0 {
+			if mean := e.sum / float64(e.n); w < 0 || mean > worst || (mean == worst && m < w) {
+				w, worst = m, mean
+			}
+		}
+	}
+	if w < 0 {
+		return -1, -1, 0, false
+	}
+	oldParent := t.Parent(w)
+	subHeight := t.SubtreeHeight(w)
+	inSub := map[int]bool{w: true}
+	for level := []int{w}; len(level) > 0; {
+		var next []int
+		for _, v := range level {
+			for _, c := range t.Children(v) {
+				inSub[c] = true
+				next = append(next, c)
+			}
+		}
+		level = next
+	}
+	p = -1
+	for _, m := range t.Members {
+		if m == oldParent || inSub[m] {
+			continue
+		}
+		if !st.strat.FanoutOK(ro.net, m, len(t.Children(m)), st.lim) {
+			continue
+		}
+		if st.lim.MaxHeight > 0 && t.Depth(m)+1+subHeight > st.lim.MaxHeight {
+			continue
+		}
+		mean := t.PathLatency(ro.net, m).Seconds()
+		if e := &ro.est[g][m]; e.n > 0 {
+			mean = e.sum / float64(e.n)
+		}
+		pred := mean + ro.net.Latency(m, w).Seconds()
+		if p < 0 || pred < predicted || (pred == predicted && m < p) {
+			p, predicted = m, pred
+		}
+	}
+	return w, p, predicted, p >= 0
 }

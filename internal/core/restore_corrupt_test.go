@@ -182,6 +182,12 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			// the record's totals, then the first stanza: slot, host, sub, live, capacity.
 			put64(b, firstRecord(t, b, recComponents)+4*compTotalsWords+4+4+4+1, math.Float64bits(0))
 		}, "capacity"},
+		{"mux on another host", cfg1, blob1, func(t *testing.T, b []byte) {
+			// The first stanza's host, moved one along: the host it came from
+			// forwards to a child it has no MUX for.
+			off := firstRecord(t, b, recComponents) + 4*compTotalsWords + 4
+			put32(b, off, (binary.LittleEndian.Uint32(b[off:])+1)%60)
+		}, "no MUX"},
 		{"event before the checkpoint", cfg1, blob1, func(t *testing.T, b []byte) {
 			put64(b, firstRecord(t, b, recEngine)+4, uint64(des.Second/4))
 		}, "precedes the checkpoint"},

@@ -263,7 +263,9 @@ type Result struct {
 	MeanDelay float64
 	// Layers is the max layer count over the group trees (Tables I–III).
 	Layers int
-	// TreeLayers breaks Layers down by group.
+	// TreeLayers breaks Layers down by group. A tree a partition has cut
+	// at the end of the run reports its attached part: the layers of the
+	// members still connected to the source.
 	TreeLayers []int
 	// Delivered counts packet receptions across all members and groups.
 	Delivered uint64

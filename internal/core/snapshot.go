@@ -151,6 +151,7 @@ func (b *bitset) reset(n int) {
 }
 
 func (b bitset) set(i uint32)      { b[i/64] |= 1 << (i % 64) }
+func (b bitset) unset(i uint32)    { b[i/64] &^= 1 << (i % 64) }
 func (b bitset) has(i uint32) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // walk visits every record of the stream in order — (row, index within
@@ -240,10 +241,55 @@ func Restore(cfg Config, data []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := c.s.checkWiring(); err != nil {
+		return nil, err
+	}
 	// The next snapshot of this session is about as large as the one it
 	// came from.
 	c.s.snapSize = len(data)
 	return c.s, nil
+}
+
+// checkWiring refuses a restored session whose forwarding state no run
+// could have reached: every group a host forwards needs a regulator in its
+// current mode's bank and a MUX for each child — what forward and
+// replicate touch on its next packet. Each component record is well-formed
+// on its own; bytes that move one to another host's stanza leave the slot
+// it came from empty. (A host may hold more MUXes than children: one keeps
+// draining after its child moves away.) The check is one bit test per tree
+// edge: hasMux holds the current host's MUX destinations.
+func (s *Session) checkWiring() error {
+	var hasMux bitset
+	hasMux.reset(len(s.hosts))
+	for id, h := range s.hosts {
+		for _, c := range h.muxChild {
+			hasMux.set(uint32(c))
+		}
+		for i, kids := range h.children.kids {
+			if len(kids) == 0 {
+				continue
+			}
+			ok := true
+			switch h.mode {
+			case SchemeSigmaRho:
+				ok = i < len(h.srBank) && h.srBank[i] != nil
+			case SchemeSRL:
+				ok = i < len(h.srlBank) && h.srlBank[i] != nil
+			}
+			if !ok {
+				return fmt.Errorf("core: snapshot host %d forwards group %d with no regulator in mode %v", id, h.children.groups[i], h.mode)
+			}
+			for _, c := range kids {
+				if !hasMux.has(uint32(c)) {
+					return fmt.Errorf("core: snapshot host %d forwards group %d to %d with no MUX", id, h.children.groups[i], c)
+				}
+			}
+		}
+		for _, c := range h.muxChild {
+			hasMux.unset(uint32(c))
+		}
+	}
+	return nil
 }
 
 // expect consumes the next record header and checks its type.
@@ -450,23 +496,26 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// from worker goroutines, where a panic cannot be recovered.
 	chl := s.sub.compileChildren()
 	// A host's connection table and regulator banks are carved from arrays
-	// made once for the session: a host has one connection per distinct
-	// child — at most its child count — and one bank entry per group it
-	// forwards, in each bank its scheme can build. Every child and every
-	// forwarder of a group is one of its members.
-	slots := 0
-	for _, st := range s.sub.groups {
-		slots += len(st.tree.Members)
+	// made once for the session, sized from the compiled children: a host
+	// has one connection per distinct child — at most its child count —
+	// and one bank entry per group it forwards, in each bank its scheme can
+	// build.
+	edges, forwards := 0, 0
+	for _, gc := range chl {
+		forwards += len(gc.groups)
+		for _, cs := range gc.kids {
+			edges += len(cs)
+		}
 	}
-	muxChild, muxes := snap.NewArena[int32](slots), snap.NewArena[*mux.Mux](slots)
+	muxChild, muxes := snap.NewArena[int32](edges), snap.NewArena[*mux.Mux](edges)
 	var srBanks snap.Arena[*regulator.SigmaRho]
 	var srlBanks snap.Arena[*regulator.SRL]
 	scheme := s.sub.cfg.Scheme
 	if scheme == SchemeSigmaRho || scheme == SchemeAdaptive {
-		srBanks = snap.NewArena[*regulator.SigmaRho](slots)
+		srBanks = snap.NewArena[*regulator.SigmaRho](forwards)
 	}
 	if scheme == SchemeSRL || scheme == SchemeAdaptive {
-		srlBanks = snap.NewArena[*regulator.SRL](slots)
+		srlBanks = snap.NewArena[*regulator.SRL](forwards)
 	}
 	for id, h := range s.hosts {
 		h.children = chl[id]

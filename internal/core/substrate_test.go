@@ -113,15 +113,23 @@ func TestSubstrateCloneIsolation(t *testing.T) {
 			t.Fatalf("group %d clone not bit-identical to sibling clone", g)
 		}
 	}
-	// Mutating one session's tree must not leak into a third compile.
+	// Mutating one session's tree — a prune frees a slot, a graft reuses it
+	// and a second one grows the slot slices — must not leak into a third
+	// compile.
 	at := a.groups[0].tree
 	for _, m := range at.Members {
 		if m != at.Source {
 			if _, err := at.Prune(m); err != nil {
 				t.Fatalf("prune member %d: %v", m, err)
 			}
+			if err := at.Graft(m, at.Source); err != nil {
+				t.Fatalf("graft member %d: %v", m, err)
+			}
 			break
 		}
+	}
+	if err := at.Graft(cfg.NumHosts, at.Source); err != nil {
+		t.Fatalf("graft of a new member: %v", err)
 	}
 	c := compileSubstrate(cfg)
 	if !bytes.Equal(treeBytes(t, b.groups[0].tree), treeBytes(t, c.groups[0].tree)) {

@@ -10,52 +10,23 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
 	"repro/internal/topo"
 )
 
-// depthAttached returns the hop distance from the source to h and whether
-// h is connected to the source at all — false for orphan subtree roots
-// awaiting Repair and for every node inside such a detached subtree.
-func (t *Tree) depthAttached(h int) (int, bool) {
-	d, v := 0, h
-	for {
-		p, ok := t.parent[v]
-		if !ok {
-			return 0, false
-		}
-		if p < 0 {
-			return d, true
-		}
-		v = p
-		d++
-		if d > len(t.Members) {
-			panic("overlay: parent cycle")
-		}
-	}
-}
-
 // SubtreeHeight returns the height of the subtree rooted at h (0 for a
-// leaf), following child edges only — valid for detached subtrees too.
+// leaf or a non-member), following child edges only — valid for detached
+// subtrees too.
 func (t *Tree) SubtreeHeight(h int) int {
-	height := 0
-	level := []int{h}
-	for {
-		var next []int
-		for _, v := range level {
-			next = append(next, t.child[v]...)
-		}
-		if len(next) == 0 {
-			return height
-		}
-		height++
-		level = next
-		if height > len(t.Members) {
-			panic("overlay: child cycle")
-		}
+	s := t.slotOf(h)
+	if s == none {
+		return 0
 	}
+	visited := t.walk(&t.scan, s, none, nil)
+	return int(t.scan.depth[visited[len(visited)-1]])
 }
 
 // Graft attaches h under parent: either a brand-new member joining the
@@ -67,20 +38,22 @@ func (t *Tree) Graft(h, parent int) error {
 	if h == t.Source {
 		return fmt.Errorf("overlay: cannot graft the source %d", h)
 	}
-	if _, has := t.parent[h]; has {
-		return fmt.Errorf("overlay: graft of %d, which is already attached (parent %d)", h, t.parent[h])
+	hs := t.slotOf(h)
+	if hs != none && t.up[hs] != cut {
+		return fmt.Errorf("overlay: graft of %d, which is already attached (parent %d)", h, t.Parent(h))
 	}
-	if !t.member[parent] {
+	ps := t.slotOf(parent)
+	if ps == none {
 		return fmt.Errorf("overlay: graft of %d under non-member %d", h, parent)
 	}
-	if _, ok := t.depthAttached(parent); !ok {
+	if _, ok := t.climb(ps); !ok {
 		return fmt.Errorf("overlay: graft of %d under detached member %d", h, parent)
 	}
-	if !t.member[h] {
-		t.member[h] = true
+	if hs == none {
+		hs = t.add(h)
 		t.Members = append(t.Members, h)
 	}
-	t.setParent(h, parent)
+	t.link(hs, ps)
 	return nil
 }
 
@@ -93,35 +66,24 @@ func (t *Tree) Prune(h int) ([]int, error) {
 	if h == t.Source {
 		return nil, fmt.Errorf("overlay: cannot prune the source %d", h)
 	}
-	if !t.member[h] {
+	s := t.slotOf(h)
+	if s == none {
 		return nil, fmt.Errorf("overlay: prune of non-member %d", h)
 	}
-	p, ok := t.parent[h]
-	if !ok {
+	if t.up[s] == cut {
 		return nil, fmt.Errorf("overlay: prune of already-detached member %d", h)
 	}
-	siblings := t.child[p]
-	for i, c := range siblings {
-		if c == h {
-			t.child[p] = append(siblings[:i], siblings[i+1:]...)
-			break
-		}
+	t.unlink(s)
+	var orphans []int
+	for c := t.first[s]; c != none; {
+		nx := t.next[c]
+		t.up[c], t.next[c] = cut, none
+		orphans = append(orphans, int(t.host[c]))
+		c = nx
 	}
-	if len(t.child[p]) == 0 {
-		delete(t.child, p)
-	}
-	delete(t.parent, h)
-	delete(t.member, h)
-	for i, m := range t.Members {
-		if m == h {
-			t.Members = append(t.Members[:i], t.Members[i+1:]...)
-			break
-		}
-	}
-	orphans := append([]int(nil), t.child[h]...)
-	delete(t.child, h)
-	for _, o := range orphans {
-		delete(t.parent, o)
+	t.release(s)
+	if i := slices.Index(t.Members, h); i >= 0 {
+		t.Members = slices.Delete(t.Members, i, i+1)
 	}
 	return orphans, nil
 }
@@ -134,24 +96,14 @@ func (t *Tree) Detach(h int) error {
 	if h == t.Source {
 		return fmt.Errorf("overlay: cannot detach the source %d", h)
 	}
-	if !t.member[h] {
+	s := t.slotOf(h)
+	if s == none {
 		return fmt.Errorf("overlay: detach of non-member %d", h)
 	}
-	p, ok := t.parent[h]
-	if !ok {
+	if t.up[s] == cut {
 		return fmt.Errorf("overlay: detach of already-detached member %d", h)
 	}
-	siblings := t.child[p]
-	for i, c := range siblings {
-		if c == h {
-			t.child[p] = append(siblings[:i], siblings[i+1:]...)
-			break
-		}
-	}
-	if len(t.child[p]) == 0 {
-		delete(t.child, p)
-	}
-	delete(t.parent, h)
+	t.unlink(s)
 	return nil
 }
 
@@ -170,61 +122,53 @@ func (t *Tree) PruneAll(victims []int) ([]int, error) {
 	if len(victims) == 0 {
 		return nil, nil
 	}
-	vs := make(map[int]bool, len(victims))
-	for _, v := range victims {
+	sorted := slices.Sorted(slices.Values(victims))
+	slots := make([]int32, len(victims))
+	for i, v := range victims {
 		if v == t.Source {
 			return nil, fmt.Errorf("overlay: cannot prune the source %d", v)
 		}
-		if !t.member[v] {
+		if slots[i] = t.slotOf(v); slots[i] == none {
 			return nil, fmt.Errorf("overlay: prune of non-member %d", v)
 		}
-		if vs[v] {
-			return nil, fmt.Errorf("overlay: duplicate victim %d", v)
+	}
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("overlay: duplicate victim %d", sorted[i])
 		}
-		vs[v] = true
+	}
+	victim := func(s int32) bool {
+		_, found := slices.BinarySearch(sorted, int(t.host[s]))
+		return found
 	}
 	// Unhook each victim from a surviving parent (victim-to-victim edges
-	// disappear when the victims' own child lists are dropped below).
-	for _, v := range victims {
-		p, ok := t.parent[v]
-		if ok && p >= 0 && !vs[p] {
-			siblings := t.child[p]
-			for i, c := range siblings {
-				if c == v {
-					t.child[p] = append(siblings[:i], siblings[i+1:]...)
-					break
-				}
-			}
-			if len(t.child[p]) == 0 {
-				delete(t.child, p)
-			}
+	// disappear when the victims' own slots are released below).
+	for _, s := range slots {
+		if p := t.up[s]; p >= 0 && !victim(p) {
+			t.unlink(s)
 		}
-		delete(t.parent, v)
 	}
 	// Surviving children of victims lose their parent edge and become the
 	// detached roots of disjoint subtrees (a deeper survivor under another
 	// victim is its own root — its edge was severed too, not inherited).
 	var orphans []int
-	for _, v := range victims {
-		for _, c := range t.child[v] {
-			if !vs[c] {
-				delete(t.parent, c)
-				orphans = append(orphans, c)
+	for _, s := range slots {
+		for c := t.first[s]; c != none; {
+			nx := t.next[c]
+			if !victim(c) {
+				t.up[c], t.next[c] = cut, none
+				orphans = append(orphans, int(t.host[c]))
 			}
-		}
-		delete(t.child, v)
-	}
-	for _, v := range victims {
-		delete(t.member, v)
-	}
-	n := 0
-	for _, m := range t.Members {
-		if !vs[m] {
-			t.Members[n] = m
-			n++
+			c = nx
 		}
 	}
-	t.Members = t.Members[:n]
+	for _, s := range slots {
+		t.release(s)
+	}
+	t.Members = slices.DeleteFunc(t.Members, func(m int) bool {
+		_, found := slices.BinarySearch(sorted, m)
+		return found
+	})
 	sort.Ints(orphans)
 	return orphans, nil
 }
@@ -238,80 +182,45 @@ func (t *Tree) PruneAll(victims []int) ([]int, error) {
 // while the tree has an attached member besides h's own subtree. A
 // non-positive maxFanout or maxHeight disables that constraint.
 func (t *Tree) GraftPoint(net *topo.Network, h, subHeight, maxFanout, maxHeight int) (int, error) {
-	type candidate struct {
-		id  int
-		rtt des.Duration
-		ok  bool
+	return graftPoint(t, h, Rule[des.Duration]{
+		Key:       func(m int, _ des.Duration) des.Duration { return net.RTT(h, m) },
+		Fanout:    func(_, kids int) bool { return maxFanout <= 0 || kids < maxFanout },
+		SubHeight: subHeight,
+		MaxHeight: maxHeight,
+	})
+}
+
+// graftPoint is Select for a graft of h: h itself is never a candidate,
+// and finding none is an error.
+func graftPoint(t *Tree, h int, r Rule[des.Duration]) (int, error) {
+	if p, _, ok := Select(t, h, -1, r); ok {
+		return p, nil
 	}
-	better := func(best candidate, id int, rtt des.Duration) bool {
-		if !best.ok {
-			return true
-		}
-		if rtt != best.rtt {
-			return rtt < best.rtt
-		}
-		return id < best.id
-	}
-	var full, loose, any candidate
-	for _, m := range t.Members {
-		if m == h {
-			continue
-		}
-		depth, attached := t.depthAttached(m)
-		if !attached {
-			continue
-		}
-		rtt := net.RTT(h, m)
-		if better(any, m, rtt) {
-			any = candidate{id: m, rtt: rtt, ok: true}
-		}
-		heightOK := maxHeight <= 0 || depth+1+subHeight <= maxHeight
-		if heightOK && better(loose, m, rtt) {
-			loose = candidate{id: m, rtt: rtt, ok: true}
-		}
-		fanoutOK := maxFanout <= 0 || len(t.child[m]) < maxFanout
-		if heightOK && fanoutOK && better(full, m, rtt) {
-			full = candidate{id: m, rtt: rtt, ok: true}
-		}
-	}
-	switch {
-	case full.ok:
-		return full.id, nil
-	case loose.ok:
-		return loose.id, nil
-	case any.ok:
-		return any.id, nil
-	default:
-		return -1, fmt.Errorf("overlay: no attached member to graft %d under", h)
-	}
+	return -1, fmt.Errorf("overlay: no attached member to graft %d under", h)
 }
 
 // InSubtree reports whether h lies in the subtree rooted at root
-// (including root itself), following child edges only — valid for
+// (including root itself), following parent edges up from h — valid for
 // detached subtrees too.
 func (t *Tree) InSubtree(root, h int) bool {
 	if root == h {
 		return true
 	}
-	steps := 0
-	level := []int{root}
-	for len(level) > 0 {
-		var next []int
-		for _, v := range level {
-			for _, c := range t.child[v] {
-				if c == h {
-					return true
-				}
-				next = append(next, c)
-			}
+	rs, s := t.slotOf(root), t.slotOf(h)
+	if rs == none || s == none {
+		return false
+	}
+	for steps := 0; ; steps++ {
+		if s = t.up[s]; s < 0 {
+			return false
 		}
-		level = next
-		steps++
-		if steps > len(t.Members) {
-			panic("overlay: child cycle")
+		if s == rs {
+			return true
+		}
+		if steps > len(t.host) {
+			panic("overlay: parent cycle")
 		}
 	}
-	return false
 }
 
 // Reparent moves attached member h — with its whole subtree — under
@@ -323,37 +232,28 @@ func (t *Tree) Reparent(h, newParent int) error {
 	if h == t.Source {
 		return fmt.Errorf("overlay: cannot reparent the source %d", h)
 	}
-	if !t.member[h] {
+	s := t.slotOf(h)
+	if s == none {
 		return fmt.Errorf("overlay: reparent of non-member %d", h)
 	}
-	old, ok := t.parent[h]
-	if !ok {
+	if t.up[s] == cut {
 		return fmt.Errorf("overlay: reparent of detached member %d", h)
 	}
-	if newParent == old {
+	if old := int(t.host[t.up[s]]); newParent == old {
 		return fmt.Errorf("overlay: reparent of %d under its current parent %d", h, old)
 	}
-	if !t.member[newParent] {
+	ps := t.slotOf(newParent)
+	if ps == none {
 		return fmt.Errorf("overlay: reparent of %d under non-member %d", h, newParent)
 	}
-	if _, attached := t.depthAttached(newParent); !attached {
+	if _, attached := t.climb(ps); !attached {
 		return fmt.Errorf("overlay: reparent of %d under detached member %d", h, newParent)
 	}
 	if t.InSubtree(h, newParent) {
 		return fmt.Errorf("overlay: reparent of %d under its own descendant %d", h, newParent)
 	}
-	siblings := t.child[old]
-	for i, c := range siblings {
-		if c == h {
-			t.child[old] = append(siblings[:i], siblings[i+1:]...)
-			break
-		}
-	}
-	if len(t.child[old]) == 0 {
-		delete(t.child, old)
-	}
-	t.parent[h] = newParent
-	t.child[newParent] = append(t.child[newParent], h)
+	t.unlink(s)
+	t.link(s, ps)
 	return nil
 }
 

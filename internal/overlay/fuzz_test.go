@@ -3,10 +3,12 @@ package overlay
 // Fuzz for the graft-point selector: for arbitrary (seeded) trees, member
 // churn prefixes, graft targets, and constraint bounds, GraftPoint must
 // either return an attached member that accepts the graft or an error —
-// never a parent that corrupts the tree. The oracle after every accepted
-// graft is Tree.Validate plus the constraint-respecting property: when a
-// member satisfying both bounds existed, the chosen parent satisfies
-// them too (relaxation is only legal when nothing conforms).
+// never a parent that corrupts the tree. Every strategy's selector must
+// pick what the per-candidate oracle (oracle_test.go) picks on the same
+// tree. The check after every accepted graft is Tree.Validate plus the
+// constraint-respecting property: when a member satisfying both bounds
+// existed, the chosen parent satisfies them too (relaxation is only legal
+// when nothing conforms).
 
 import (
 	"testing"
@@ -34,6 +36,9 @@ func FuzzGraftPoint(f *testing.F) {
 			return
 		}
 		mf, mh, sh := int(maxFanout)%12, int(maxHeight)%12, int(subHeight)%4
+		for _, name := range StrategyNames() {
+			checkGraftPoint(t, name, net, tree, h, sh, Limits{MaxFanout: mf, MaxHeight: mh})
+		}
 		p, err := tree.GraftPoint(net, h, sh, mf, mh)
 		if err != nil {
 			t.Fatalf("graft point over a fully attached tree: %v", err)

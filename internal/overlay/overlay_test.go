@@ -183,7 +183,7 @@ func TestDSCTDomainPartitionMatchesAttachmentWalk(t *testing.T) {
 		for r := 0; r < net.Backbone.NumNodes(); r++ {
 			var domain []int
 			for _, h := range net.HostsAtRouter(topo.NodeID(r)) {
-				if want.member[h] {
+				if want.IsMember(h) {
 					domain = append(domain, h)
 				}
 			}
@@ -329,7 +329,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			break
 		}
 	}
-	delete(tree.parent, victim)
+	tree.up[tree.slot[victim]] = cut // the edge goes, the child list keeps it
 	if tree.Validate() == nil {
 		t.Fatal("validation missed a detached member")
 	}
@@ -351,8 +351,8 @@ func TestValidateCatchesCycle(t *testing.T) {
 			break
 		}
 	}
-	tree.parent[a] = b
-	tree.parent[b] = a
+	tree.up[tree.slot[a]] = tree.slot[b]
+	tree.up[tree.slot[b]] = tree.slot[a]
 	if tree.Validate() == nil {
 		t.Fatal("validation missed a cycle")
 	}

@@ -38,18 +38,18 @@ type Strategy interface {
 	Build(net *topo.Network, members []int, source int, cfg Config) (*Tree, error)
 	Limits(cfg Config, n int) Limits
 	GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error)
-	// FanoutOK reports whether member m may accept one more child under
-	// the strategy's fanout rule — the flat lim.MaxFanout cap for the
-	// cluster and shortest-path families, the capacity-scaled per-host
-	// budget for greedy. Graft points and re-optimization rewires filter
-	// candidates through this, so every mutation path enforces the same
-	// budget the constructor did.
-	FanoutOK(net *topo.Network, t *Tree, m int, lim Limits) bool
+	// FanoutOK reports whether member m, now feeding kids children, may
+	// accept one more under the strategy's fanout rule — the flat
+	// lim.MaxFanout cap for the cluster and shortest-path families, the
+	// capacity-scaled per-host budget for greedy. Graft points and
+	// re-optimization rewires filter candidates through this, so every
+	// mutation path enforces the same budget the constructor did.
+	FanoutOK(net *topo.Network, m, kids int, lim Limits) bool
 }
 
 // flatFanoutOK is the shared flat-cap fanout rule.
-func flatFanoutOK(t *Tree, m int, lim Limits) bool {
-	return lim.MaxFanout <= 0 || len(t.child[m]) < lim.MaxFanout
+func flatFanoutOK(kids int, lim Limits) bool {
+	return lim.MaxFanout <= 0 || kids < lim.MaxFanout
 }
 
 var strategies = map[string]Strategy{}
@@ -121,8 +121,8 @@ func (dsctStrategy) Limits(cfg Config, n int) Limits { return clusterLimits(cfg,
 func (dsctStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
 	return t.GraftPoint(net, h, subHeight, lim.MaxFanout, lim.MaxHeight)
 }
-func (dsctStrategy) FanoutOK(net *topo.Network, t *Tree, m int, lim Limits) bool {
-	return flatFanoutOK(t, m, lim)
+func (dsctStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
+	return flatFanoutOK(kids, lim)
 }
 
 // niceStrategy is the location-blind NICE builder behind the interface.
@@ -136,8 +136,8 @@ func (niceStrategy) Limits(cfg Config, n int) Limits { return clusterLimits(cfg,
 func (niceStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
 	return t.GraftPoint(net, h, subHeight, lim.MaxFanout, lim.MaxHeight)
 }
-func (niceStrategy) FanoutOK(net *topo.Network, t *Tree, m int, lim Limits) bool {
-	return flatFanoutOK(t, m, lim)
+func (niceStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
+	return flatFanoutOK(kids, lim)
 }
 
 // sptStrategy builds a delay-weighted shortest-path tree over the router
@@ -253,53 +253,18 @@ func (s sptStrategy) Build(net *topo.Network, members []int, source int, cfg Con
 // GraftPoint for spt minimises the joiner's accumulated path delay —
 // attached member m with the smallest PathLatency(m) + latency(m, h) —
 // under the fanout budget, relaxing the budget only when every attached
-// member is full (mirroring Tree.GraftPoint's relaxation order).
+// member is full (mirroring Tree.GraftPoint's relaxation order; spt has
+// no height rule). The walk sums each candidate's path delay top-down.
 func (sptStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
-	type candidate struct {
-		id   int
-		cost des.Duration
-		ok   bool
-	}
-	better := func(best candidate, id int, cost des.Duration) bool {
-		if !best.ok {
-			return true
-		}
-		if cost != best.cost {
-			return cost < best.cost
-		}
-		return id < best.id
-	}
-	var full, any candidate
-	for _, m := range t.Members {
-		if m == h {
-			continue
-		}
-		if _, attached := t.depthAttached(m); !attached {
-			continue
-		}
-		cost := t.PathLatency(net, m) + net.Latency(m, h)
-		if better(any, m, cost) {
-			any = candidate{id: m, cost: cost, ok: true}
-		}
-		if !flatFanoutOK(t, m, lim) {
-			continue
-		}
-		if better(full, m, cost) {
-			full = candidate{id: m, cost: cost, ok: true}
-		}
-	}
-	switch {
-	case full.ok:
-		return full.id, nil
-	case any.ok:
-		return any.id, nil
-	default:
-		return -1, fmt.Errorf("overlay: no attached member to graft %d under", h)
-	}
+	return graftPoint(t, h, Rule[des.Duration]{
+		Key:    func(m int, lat des.Duration) des.Duration { return lat + net.Latency(m, h) },
+		Fanout: func(_, kids int) bool { return flatFanoutOK(kids, lim) },
+		Net:    net,
+	})
 }
 
-func (sptStrategy) FanoutOK(net *topo.Network, t *Tree, m int, lim Limits) bool {
-	return flatFanoutOK(t, m, lim)
+func (sptStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
+	return flatFanoutOK(kids, lim)
 }
 
 // greedyStrategy builds the capacity-aware fanout-greedy tree: breadth-
@@ -369,50 +334,13 @@ func (g greedyStrategy) Build(net *topo.Network, members []int, source int, cfg 
 
 // GraftPoint for greedy is RTT-nearest under the per-host capacity-scaled
 // budget, relaxing the budget only when every attached member is full.
-func (greedyStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
-	type candidate struct {
-		id  int
-		rtt des.Duration
-		ok  bool
-	}
-	better := func(best candidate, id int, rtt des.Duration) bool {
-		if !best.ok {
-			return true
-		}
-		if rtt != best.rtt {
-			return rtt < best.rtt
-		}
-		return id < best.id
-	}
-	var fits, any candidate
-	for _, m := range t.Members {
-		if m == h {
-			continue
-		}
-		if _, attached := t.depthAttached(m); !attached {
-			continue
-		}
-		rtt := net.RTT(h, m)
-		if better(any, m, rtt) {
-			any = candidate{id: m, rtt: rtt, ok: true}
-		}
-		if !(greedyStrategy{}).FanoutOK(net, t, m, lim) {
-			continue
-		}
-		if better(fits, m, rtt) {
-			fits = candidate{id: m, rtt: rtt, ok: true}
-		}
-	}
-	switch {
-	case fits.ok:
-		return fits.id, nil
-	case any.ok:
-		return any.id, nil
-	default:
-		return -1, fmt.Errorf("overlay: no attached member to graft %d under", h)
-	}
+func (g greedyStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
+	return graftPoint(t, h, Rule[des.Duration]{
+		Key:    func(m int, _ des.Duration) des.Duration { return net.RTT(h, m) },
+		Fanout: func(m, kids int) bool { return g.FanoutOK(net, m, kids, lim) },
+	})
 }
 
-func (greedyStrategy) FanoutOK(net *topo.Network, t *Tree, m int, lim Limits) bool {
-	return lim.MaxFanout <= 0 || len(t.child[m]) < greedyBudget(net, m, lim.MaxFanout)
+func (greedyStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
+	return lim.MaxFanout <= 0 || kids < greedyBudget(net, m, lim.MaxFanout)
 }

@@ -126,7 +126,7 @@ func TestGreedyRespectsPerHostBudgets(t *testing.T) {
 		}
 		// FanoutOK — the filter rewires and grafts share — must agree
 		// with the per-host budget, not the flat cap.
-		if want := len(tr.Children(m)) < budget; MustStrategy("greedy").FanoutOK(net, tr, m, lim) != want {
+		if want := len(tr.Children(m)) < budget; MustStrategy("greedy").FanoutOK(net, m, len(tr.Children(m)), lim) != want {
 			t.Fatalf("host %d: FanoutOK disagrees with budget %d at %d children",
 				m, budget, len(tr.Children(m)))
 		}
