@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke loc
+.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke loc audit
 
 all: check
 
@@ -140,3 +140,11 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d  %s\n", n[d], d; printf "%6d  total\n", t }' | sort -k2
+
+# The unused-export audit (audit_test.go, standard library only): every
+# exported identifier under internal/ needs a non-test caller — cmd/,
+# examples/, the facade, another package, or the benchmark module — or a
+# one-line reason on the test's allowlist. `go test ./...` runs it too;
+# this target runs it alone and prints the audited count and allowlist size.
+audit:
+	$(GO) test -count=1 -run '^TestUnusedExports$$' -v .

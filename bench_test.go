@@ -58,21 +58,6 @@ func BenchmarkAblationStagger(b *testing.B) {
 	b.ReportMetric(ratio, "aligned/staggered")
 }
 
-// BenchmarkAblationLambda sweeps the duty-cycle control factor: λ at the
-// paper's Eq. (1) minimum versus regulators configured with 2× the
-// vacation (emulating λ' = 2λ by doubling σ in V while keeping W).
-func BenchmarkAblationLambda(b *testing.B) {
-	var base, doubled float64
-	for i := 0; i < b.N; i++ {
-		cfg := OneHop(Config{Mix: MixVideo, Load: 0.8, Scheme: SchemeSRL,
-			Duration: 13 * des.Second, Seed: uint64(i + 1)})
-		base = Run(cfg).WDB
-		cfg.BurstSec = 0.30 // doubles σ hence V = σ/ρ
-		doubled = Run(cfg).WDB
-	}
-	b.ReportMetric(doubled/base, "2xSigma/base")
-}
-
 // BenchmarkAblationCapacityFactor sweeps C_out/C for the capacity-aware
 // comparator, reporting the layer count at the paper's heaviest load.
 func BenchmarkAblationCapacityFactor(b *testing.B) {
@@ -93,15 +78,10 @@ func BenchmarkAblationClusterK(b *testing.B) {
 	var layers float64
 	for i := 0; i < b.N; i++ {
 		for _, k := range []int{2, 3, 4, 5} {
-			r := core.NewSession(core.Config{NumHosts: 300, Mix: traffic.MixAudio,
-				Load: 0.5, Scheme: core.SchemeSRL, ClusterK: k, Seed: uint64(i + 1)})
-			l := 0
-			for _, tr := range r.Trees() {
-				if tl := tr.Layers(); tl > l {
-					l = tl
-				}
-			}
-			layers = float64(l)
+			r := core.Run(core.Config{NumHosts: 300, Mix: traffic.MixAudio,
+				Load: 0.5, Scheme: core.SchemeSRL, ClusterK: k,
+				Duration: des.Millisecond, Seed: uint64(i + 1)})
+			layers = float64(r.Layers)
 		}
 	}
 	b.ReportMetric(layers, "layers@k5")

@@ -46,6 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if err := checkFlags(*ratio, *bounds, *maxK, *k, *sigma, *rho, *height); err != nil {
+		fmt.Fprintf(stderr, "wdccalc: %v\n", err)
+		return 2
+	}
 
 	any := false
 	if *rhostar {
@@ -89,4 +93,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// checkFlags rejects the flag values the closed forms are undefined at, so
+// bad input exits 2 with one line instead of a panic inside calculus.
+func checkFlags(ratio, bounds bool, maxK, k int, sigma, rho float64, height int) error {
+	switch {
+	case !(rho > 0 && rho < 1):
+		return fmt.Errorf("-rho %v outside (0, 1)", rho)
+	case !(sigma > 0):
+		return fmt.Errorf("-sigma %v must be positive", sigma)
+	case maxK < 2:
+		return fmt.Errorf("-maxk %d: the threshold table starts at K = 2", maxK)
+	case k < 1:
+		return fmt.Errorf("-k %d must be at least 1", k)
+	case ratio && k < 2:
+		return fmt.Errorf("-ratio needs -k of at least 2, got %d", k)
+	case height < 2:
+		return fmt.Errorf("-height %d: a tree has at least the source and one hop", height)
+	case bounds && float64(k)*rho >= 1:
+		return fmt.Errorf("-bounds needs Kρ < 1 for a stable MUX, got K=%d, ρ=%v", k, rho)
+	}
+	return nil
 }

@@ -154,14 +154,6 @@ func G1Hetero(k int, rhoBar float64) float64 {
 	return float64(k)/(1-rhoBar) + 2/(rhoBar*(1-rhoBar)) + 1/rhoBar
 }
 
-// G1Homog is the homogeneous counterpart (Theorem 4's proof sketch):
-// g1(ρ) = K/(1−ρ) + 2/(ρ(1−ρ)).
-func G1Homog(k int, rho float64) float64 {
-	checkK(k)
-	checkRho(rho)
-	return float64(k)/(1-rho) + 2/(rho*(1-rho))
-}
-
 // G2 is the (σ, ρ) baseline in the same units: g2(ρ̄) = K/(1−Kρ̄),
 // defined for ρ̄ < 1/K.
 func G2(k int, rhoBar float64) float64 {

@@ -86,7 +86,7 @@ func TestChurnMembershipInvariant(t *testing.T) {
 	joinedDeliveries := make(map[int]int) // per joined host
 	var joiners []int
 	for _, ev := range cfg.Events {
-		if ev.Join && !s.IsMember(ev.Group, ev.Host) {
+		if ev.Join && !s.sub.groups[ev.Group].member[ev.Host] {
 			joiners = append(joiners, ev.Host)
 		}
 	}
@@ -94,7 +94,7 @@ func TestChurnMembershipInvariant(t *testing.T) {
 		id := id
 		sh := s.sh[s.owner[id]]
 		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
-			member := s.IsMember(p.Flow, id)
+			member := s.sub.groups[p.Flow].member[id]
 			before := sh.deliver
 			s.receive(sh, id, p)
 			counted := sh.deliver == before+1
@@ -145,12 +145,12 @@ func TestChurnTreesStayValid(t *testing.T) {
 	if res.Regrafts == 0 {
 		t.Fatal("no orphan subtree was re-parented — the leaves never hit a forwarder")
 	}
-	for g, tr := range s.Trees() {
+	for g, tr := range sessionTrees(s) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("group %d tree invalid after churn: %v", g, err)
 		}
 		for _, m := range tr.Members {
-			if !s.IsMember(g, m) {
+			if !s.sub.groups[g].member[m] {
 				t.Fatalf("group %d tree spans non-member %d", g, m)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/calculus"
 	"repro/internal/des"
 	"repro/internal/mux"
+	"repro/internal/overlay"
 	"repro/internal/traffic"
 )
 
@@ -24,8 +25,8 @@ func TestSchemeStrings(t *testing.T) {
 
 func TestWorkloadBuilders(t *testing.T) {
 	for _, w := range []Workload{WorkloadExtremal, WorkloadVBR} {
-		srcs := w.BuildSources(traffic.MixVideo, 1, 1.02, 0.15)
-		specs := w.BuildSpecs(traffic.MixVideo, 1, 1.02, 0.15, 5)
+		srcs := w.BuildSourcesN(traffic.MixVideo, 3, 1, 1.02, 0.15)
+		specs := w.BuildSpecsN(traffic.MixVideo, 3, 1, 1.02, 0.15, 5)
 		if len(srcs) != 3 || len(specs) != 3 {
 			t.Fatalf("%v: %d sources, %d specs", w, len(srcs), len(specs))
 		}
@@ -44,7 +45,7 @@ func TestWorkloadBuilders(t *testing.T) {
 }
 
 func TestExtremalSpecsAreExact(t *testing.T) {
-	specs := Workload(WorkloadExtremal).BuildSpecs(traffic.MixAudio, 1, 1.02, 0.15, 0)
+	specs := Workload(WorkloadExtremal).BuildSpecsN(traffic.MixAudio, 3, 1, 1.02, 0.15, 0)
 	wantSigma := 0.15*1.02*traffic.AudioRate + 1280
 	if math.Abs(specs[0].Sigma-wantSigma) > 1e-9 {
 		t.Fatalf("σ = %v, want %v", specs[0].Sigma, wantSigma)
@@ -57,7 +58,7 @@ func TestMeasureSpecsPanicsOnBadMargin(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MeasureSpecs(traffic.MixAudio, 1, 0.9, 1)
+	MeasureSpecsN(traffic.MixAudio, 3, 1, 0.9, 1)
 }
 
 func TestRegulatorBursts(t *testing.T) {
@@ -253,6 +254,15 @@ func smallSession(scheme Scheme, strategy string, load float64) Config {
 	}
 }
 
+// sessionTrees returns the session's current group trees.
+func sessionTrees(s *Session) []*overlay.Tree {
+	out := make([]*overlay.Tree, len(s.sub.groups))
+	for g, st := range s.sub.groups {
+		out[g] = st.tree
+	}
+	return out
+}
+
 func TestSessionDeterministic(t *testing.T) {
 	a := Run(smallSession(SchemeSRL, "dsct", 0.8))
 	b := Run(smallSession(SchemeSRL, "dsct", 0.8))
@@ -327,7 +337,7 @@ func TestSessionDSCTBeatsNICE(t *testing.T) {
 
 func TestSessionCapacityAwareSharesOneTree(t *testing.T) {
 	s := NewSession(smallSession(SchemeCapacityAware, "dsct", 0.5))
-	trees := s.Trees()
+	trees := sessionTrees(s)
 	for g := 1; g < len(trees); g++ {
 		if trees[g] != trees[0] {
 			t.Fatal("capacity-aware groups must share one tree")
@@ -340,7 +350,7 @@ func TestSessionCapacityAwareSharesOneTree(t *testing.T) {
 
 func TestSessionRegulatedUsesPerGroupTrees(t *testing.T) {
 	s := NewSession(smallSession(SchemeSRL, "dsct", 0.5))
-	trees := s.Trees()
+	trees := sessionTrees(s)
 	if trees[0] == trees[1] {
 		t.Fatal("regulated groups must have distinct trees")
 	}

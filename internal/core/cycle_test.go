@@ -82,14 +82,17 @@ func TestOneClockPerGroupAndCapacityPerShard(t *testing.T) {
 		for g, spec := range s.sub.specs {
 			for _, mult := range []float64{1, 2} {
 				sigma := s.sh[0].env.bursts[g]
-				p := des.Seconds(sigma/(mult*s.sub.conn-spec.Rho)) + des.Seconds(sigma/spec.Rho)
+				w, v := regulator.DutyCycle(sigma, spec.Rho, mult*s.sub.conn)
+				p := w + v
 				minP, maxP = min(minP, p), max(maxP, p)
 			}
 		}
 		var executed, edges uint64
 		for _, sh := range s.sh {
 			by := sh.eng.ExecutedByKind()
-			executed += sh.eng.Executed()
+			for _, n := range by {
+				executed += n
+			}
 			edges += by[des.KindSRLOn] + by[des.KindSRLOff]
 		}
 		lo, hi := uint64(clocks)*uint64(2*(horizon/maxP-1)), uint64(clocks)*uint64(2*(horizon/minP+1))

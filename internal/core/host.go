@@ -436,13 +436,14 @@ func (h *host) makeSRL(g int) *regulator.SRL {
 // not a per-host accident of which trees put children here.
 func (h *host) cycleSchedule(g int) (offset, w, v des.Duration) {
 	env := h.env
-	work := func(j int) des.Duration { return des.Seconds(env.bursts[j] / (h.conn - env.specs[j].Rho)) }
 	if !env.aligned {
 		for j := 0; j < g; j++ {
-			offset += work(j)
+			wj, _ := regulator.DutyCycle(env.bursts[j], env.specs[j].Rho, h.conn)
+			offset += wj
 		}
 	}
-	return offset, work(g), des.Seconds(env.bursts[g] / env.specs[g].Rho)
+	w, v = regulator.DutyCycle(env.bursts[g], env.specs[g].Rho, h.conn)
+	return offset, w, v
 }
 
 // makeCycle creates and registers — without starting it — group g's

@@ -127,7 +127,7 @@ func TestHostControllerSwitchesAboveThreshold(t *testing.T) {
 	h := newHost(0, env, denseChildren([][]int{{1}, {1}}), SchemeAdaptive)
 	h.startController(des.Second, 100*des.Millisecond, 0.15) // low threshold
 	// Offered load ~0.2 of conn: 200 kbps vs 1 Mbps -> above 0.15.
-	src := traffic.NewCBR(0, 200_000, 1000)
+	src := traffic.NewGreedy(0, 0, 200_000, 1000)
 	src.Start(eng, 3*des.Second, func(p traffic.Packet) {
 		h.observe(p)
 		h.forward(0, p)
@@ -146,7 +146,7 @@ func TestHostControllerStaysBelowThreshold(t *testing.T) {
 	var sent []int
 	h := newHost(0, testEnv(eng, &sent), denseChildren([][]int{{1}, {1}}), SchemeAdaptive)
 	h.startController(des.Second, 100*des.Millisecond, 0.9)
-	src := traffic.NewCBR(0, 200_000, 1000) // 0.2 of conn, below 0.9
+	src := traffic.NewGreedy(0, 0, 200_000, 1000) // 0.2 of conn, below 0.9
 	src.Start(eng, 2*des.Second, func(p traffic.Packet) {
 		h.observe(p)
 		h.forward(0, p)

@@ -61,8 +61,11 @@ func (s Scheme) String() string {
 // Regulated reports whether the scheme uses per-flow regulators.
 func (s Scheme) Regulated() bool { return s != SchemeCapacityAware }
 
-// Default envelope parameters, shared by Config and the sweep drivers that
-// pre-build flow specs once per sweep.
+// Envelope parameters. Every session uses DefaultEnvelopeMargin (the
+// regulators' ρ headroom over the true average rate) and DefaultBurstSec
+// (the extremal flows' σ in seconds of their ρ); DefaultEnvelopeHorizonSec
+// is Config.EnvelopeHorizonSec's default. The sweep drivers that pre-build
+// flow specs once per sweep share them.
 const (
 	DefaultEnvelopeMargin     = 1.02
 	DefaultBurstSec           = 0.15
@@ -138,14 +141,9 @@ func (w Workload) String() string {
 	return "extremal"
 }
 
-// BuildSources instantiates the mix's flows for the chosen workload.
-func (w Workload) BuildSources(mix traffic.Mix, seed uint64, margin, burstSec float64) []traffic.Source {
-	return w.BuildSourcesN(mix, mix.NumFlows(), seed, margin, burstSec)
-}
-
 // BuildSourcesN instantiates n flows (one per group) for the chosen
 // workload by cycling the mix's flow pattern — how a scenario drives
-// K > 3 groups. BuildSourcesN(mix, 3, ...) is identical to BuildSources.
+// K > 3 groups.
 func (w Workload) BuildSourcesN(mix traffic.Mix, n int, seed uint64, margin, burstSec float64) []traffic.Source {
 	if w == WorkloadVBR {
 		return mix.SourcesN(n, seed)
@@ -163,14 +161,9 @@ func DefaultSpecsN(w Workload, mix traffic.Mix, n int, seed uint64) []FlowSpec {
 		DefaultEnvelopeHorizonSec)
 }
 
-// BuildSpecs derives the flow envelopes for the chosen workload: exact
-// by construction for extremal flows, measured for VBR.
-func (w Workload) BuildSpecs(mix traffic.Mix, seed uint64, margin, burstSec, horizonSec float64) []FlowSpec {
-	return w.BuildSpecsN(mix, mix.NumFlows(), seed, margin, burstSec, horizonSec)
-}
-
 // BuildSpecsN derives n per-group flow envelopes by cycling the mix's
-// flow pattern; see BuildSourcesN.
+// flow pattern (see BuildSourcesN): exact by construction for extremal
+// flows, measured for VBR.
 func (w Workload) BuildSpecsN(mix traffic.Mix, n int, seed uint64, margin, burstSec, horizonSec float64) []FlowSpec {
 	if w == WorkloadVBR {
 		return MeasureSpecsN(mix, n, seed, margin, horizonSec)
@@ -194,16 +187,11 @@ type FlowSpec struct {
 	Rho   float64 // bits/second, envelope rate (>= Rate)
 }
 
-// MeasureSpecs derives the flow specs for a traffic mix by running each
-// source model in isolation and measuring its tightest (σ, ρ) envelope at
-// ρ = margin × average rate (see traffic.MeasureEnvelope). Deterministic
-// given (mix, seed, margin, horizon).
-func MeasureSpecs(mix traffic.Mix, seed uint64, margin, horizonSec float64) []FlowSpec {
-	return MeasureSpecsN(mix, mix.NumFlows(), seed, margin, horizonSec)
-}
-
-// MeasureSpecsN measures the envelopes of an n-group instantiation of the
-// mix. Same-class flows share one stream seed (see Mix.SourcesN), so each
+// MeasureSpecsN derives the flow specs of an n-group instantiation of the
+// mix by running each source model in isolation and measuring its
+// tightest (σ, ρ) envelope at ρ = margin × average rate (see
+// traffic.MeasureEnvelope). Deterministic given (mix, n, seed, margin,
+// horizon). Same-class flows share one stream seed (see Mix.SourcesN), so each
 // class is measured once and its spec replicated — at K=16 groups this is
 // one audio and one video measurement, not sixteen.
 func MeasureSpecsN(mix traffic.Mix, n int, seed uint64, margin, horizonSec float64) []FlowSpec {

@@ -14,7 +14,7 @@ func TestProbeSingleHopCurves(t *testing.T) {
 		t.Skip("probe is informational")
 	}
 	for _, mix := range []traffic.Mix{traffic.MixAudio, traffic.MixVideo, traffic.MixHetero} {
-		specs := Workload(WorkloadExtremal).BuildSpecs(mix, 1, 1.04, 0.05, 30)
+		specs := Workload(WorkloadExtremal).BuildSpecsN(mix, 3, 1, 1.04, 0.05, 30)
 		t.Logf("mix=%v specs=%+v", mix, specs)
 		for _, load := range []float64{0.35, 0.5, 0.65, 0.7, 0.75, 0.8, 0.9, 0.95} {
 			sr := Run(OneHop(Config{Mix: mix, Load: load, Scheme: SchemeSigmaRho,

@@ -6,8 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/overlay"
 	"repro/internal/traffic"
 )
+
+// treeChildren returns h's children in t, in child order.
+func treeChildren(t *overlay.Tree, h int) []int {
+	var out []int
+	t.EachParent(func(p int, kids []int) {
+		if p == h {
+			out = append(out, kids...)
+		}
+	})
+	return out
+}
 
 func reoptBaseConfig() Config {
 	return Config{
@@ -63,7 +75,7 @@ func TestReoptRewiresImproveNICETree(t *testing.T) {
 		t.Fatalf("no rewires accepted (accepted=%d moves=%d rejected=%d)",
 			res.Reopts, res.ReoptMoves, res.ReoptRejected)
 	}
-	for g, tr := range s.Trees() {
+	for g, tr := range sessionTrees(s) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("group %d tree after rewires: %v", g, err)
 		}
@@ -88,7 +100,7 @@ func TestReoptRebuildMode(t *testing.T) {
 	if res.Reopts+res.ReoptRejected == 0 {
 		t.Fatal("no rebuild passes evaluated")
 	}
-	for g, tr := range s.Trees() {
+	for g, tr := range sessionTrees(s) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("group %d tree after rebuilds: %v", g, err)
 		}
@@ -106,7 +118,7 @@ func TestSessionRunsEveryStrategy(t *testing.T) {
 		if res.Delivered == 0 {
 			t.Fatalf("strategy %s: no deliveries", name)
 		}
-		for g, tr := range s.Trees() {
+		for g, tr := range sessionTrees(s) {
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("strategy %s group %d: %v", name, g, err)
 			}
@@ -158,7 +170,7 @@ func TestChurnUsesStrategyGraftPoints(t *testing.T) {
 	if res.Joins != 2 || res.Leaves != 3 {
 		t.Fatalf("joins=%d leaves=%d, want 2/3 (rejected=%d)", res.Joins, res.Leaves, res.RejectedEvents)
 	}
-	for g, tr := range s.Trees() {
+	for g, tr := range sessionTrees(s) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("group %d: %v", g, err)
 		}
@@ -254,7 +266,7 @@ func (ro *reoptPlane) oraclePlan(g int, moved []int) (w, p int, predicted float6
 	for level := []int{w}; len(level) > 0; {
 		var next []int
 		for _, v := range level {
-			for _, c := range t.Children(v) {
+			for _, c := range treeChildren(t, v) {
 				inSub[c] = true
 				next = append(next, c)
 			}
@@ -266,7 +278,7 @@ func (ro *reoptPlane) oraclePlan(g int, moved []int) (w, p int, predicted float6
 		if m == oldParent || inSub[m] {
 			continue
 		}
-		if !st.strat.FanoutOK(ro.net, m, len(t.Children(m)), st.lim) {
+		if !st.strat.FanoutOK(ro.net, m, len(treeChildren(t, m)), st.lim) {
 			continue
 		}
 		if st.lim.MaxHeight > 0 && t.Depth(m)+1+subHeight > st.lim.MaxHeight {

@@ -37,7 +37,7 @@ func TestRewireMatchesOracle(t *testing.T) {
 		plans := 0
 		for at := 50 * des.Millisecond; at < cfg.Duration; at += 50 * des.Millisecond {
 			s.RunTo(des.Time(at))
-			for g := range s.Trees() {
+			for g := range s.Groups() {
 				var moved []int
 				for move := 0; move < 2; move++ {
 					w, p, pred, ok := core.RewirePlan(s, g, moved)
@@ -74,7 +74,7 @@ func TestRewireScanAllocFree(t *testing.T) {
 	s.Start()
 	s.RunTo(des.Time(cfg.Duration) / 2)
 	scans := 0
-	for g := range s.Trees() {
+	for g := range s.Groups() {
 		if _, _, _, ok := core.RewirePlan(s, g, nil); !ok {
 			continue
 		}

@@ -70,9 +70,6 @@ type Config struct {
 	// CapacityFactor is C_out/C for the capacity-aware scheme (see
 	// DESIGN.md). Default 2.0.
 	CapacityFactor float64
-	// EnvelopeMargin sets the regulators' ρ headroom over the true average
-	// rate. Default 1.02.
-	EnvelopeMargin float64
 	// EnvelopeHorizonSec is the measurement horizon for flow envelopes.
 	// Default 30 s.
 	EnvelopeHorizonSec float64
@@ -84,9 +81,6 @@ type Config struct {
 	StaggerAligned bool
 	// Workload selects extremal (default) or VBR group flows.
 	Workload Workload
-	// BurstSec sets the extremal flows' σ in seconds of their ρ.
-	// Default 0.15.
-	BurstSec float64
 	// Specs, when non-nil, overrides envelope measurement (used by
 	// sweeps to measure once and share). Length must equal the group
 	// count.
@@ -151,17 +145,11 @@ func (c *Config) fillDefaults() {
 	if c.CapacityFactor == 0 {
 		c.CapacityFactor = 2.0
 	}
-	if c.EnvelopeMargin == 0 {
-		c.EnvelopeMargin = DefaultEnvelopeMargin
-	}
 	if c.EnvelopeHorizonSec == 0 {
 		c.EnvelopeHorizonSec = DefaultEnvelopeHorizonSec
 	}
 	if c.ClusterK == 0 {
 		c.ClusterK = 3
-	}
-	if c.BurstSec == 0 {
-		c.BurstSec = DefaultBurstSec
 	}
 	if c.Topology == nil {
 		c.Topology = topo.Backbone19Generator{}
@@ -682,7 +670,7 @@ func (s *Session) emitFn(g, root int) func(traffic.Packet) {
 func (s *Session) buildSources() []traffic.Source {
 	cfg := s.sub.cfg
 	return cfg.Workload.BuildSourcesN(cfg.Mix, s.sub.numGroups(), cfg.TrafficSeed.Or(cfg.Seed),
-		cfg.EnvelopeMargin, cfg.BurstSec)
+		DefaultEnvelopeMargin, DefaultBurstSec)
 }
 
 // rootEngine is the engine group g's source runs on: its tree root's shard.
@@ -797,19 +785,8 @@ func (s *Session) Run() Result {
 	return s.Finish()
 }
 
-// Trees exposes the current group trees (for inspection tools and tests).
-// Under churn the trees reflect the membership at the time of the call.
-func (s *Session) Trees() []*overlay.Tree {
-	out := make([]*overlay.Tree, len(s.sub.groups))
-	for g, st := range s.sub.groups {
-		out[g] = st.tree
-	}
-	return out
-}
-
 // Groups exposes the compiled (initial) per-group member sets and
-// sources; the control plane's mutations are visible through IsMember and
-// Trees instead.
+// sources; the control plane's later mutations do not show here.
 func (s *Session) Groups() []GroupSpec {
 	out := make([]GroupSpec, len(s.sub.groups))
 	for g, st := range s.sub.groups {
@@ -817,10 +794,6 @@ func (s *Session) Groups() []GroupSpec {
 	}
 	return out
 }
-
-// IsMember reports host id's current membership in group g — the live
-// control-plane state, which static sessions never change.
-func (s *Session) IsMember(g, id int) bool { return s.sub.groups[g].member[id] }
 
 // Network exposes the underlay (for inspection tools and tests).
 func (s *Session) Network() *topo.Network { return s.sub.net }

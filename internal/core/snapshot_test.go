@@ -202,7 +202,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Errorf("restore of a 4-shard snapshot into a one-shard session: err = %v, want a shard-count error", err)
 	}
 	for _, old := range []uint32{2, 4} {
-		hdr, err := snap.NewWriter(old).Finish()
+		hdr, err := snap.NewWriterSize(old, 0).Finish()
 		if err != nil {
 			t.Fatal(err)
 		}

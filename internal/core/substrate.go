@@ -343,7 +343,7 @@ func compile(cfg Config, resume bool) *substrate {
 	sub.specs = cfg.Specs
 	if sub.specs == nil {
 		sub.specs = cfg.Workload.BuildSpecsN(cfg.Mix, numGroups, cfg.TrafficSeed.Or(cfg.Seed),
-			cfg.EnvelopeMargin, cfg.BurstSec, cfg.EnvelopeHorizonSec)
+			DefaultEnvelopeMargin, DefaultBurstSec, cfg.EnvelopeHorizonSec)
 	} else if len(sub.specs) != numGroups {
 		panic(fmt.Sprintf("core: %d specs for %d groups", len(sub.specs), numGroups))
 	}

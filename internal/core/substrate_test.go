@@ -18,7 +18,7 @@ import (
 // child slices in order).
 func treeBytes(t testing.TB, tr *overlay.Tree) []byte {
 	t.Helper()
-	w := snap.NewWriter(1)
+	w := snap.NewWriterSize(1, 0)
 	w.Begin(1)
 	tr.Snapshot(w)
 	w.End()

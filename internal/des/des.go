@@ -153,20 +153,13 @@ func New() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Executed reports how many events have run so far.
-func (e *Engine) Executed() uint64 { return e.executed }
-
-// ExecutedByKind breaks Executed down by callback kind (untagged events
-// count under KindNone).
+// ExecutedByKind reports how many events have run so far, by callback
+// kind (untagged events count under KindNone).
 func (e *Engine) ExecutedByKind() [NumKinds]uint64 { return e.byKind }
 
 // Pending reports how many live (scheduled, not canceled) events are
 // waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
-
-// PoolSize reports how many event records the engine has ever allocated —
-// the steady-state high-water mark of concurrently queued events.
-func (e *Engine) PoolSize() int { return e.poolSize }
 
 func (e *Engine) alloc() *event {
 	ev := e.free

@@ -219,8 +219,8 @@ func TestExecutedCounter(t *testing.T) {
 	ev := eng.Schedule(99, func() {})
 	eng.Cancel(ev)
 	eng.Run()
-	if eng.Executed() != 5 {
-		t.Fatalf("Executed() = %d", eng.Executed())
+	if eng.executed != 5 {
+		t.Fatalf("executed = %d", eng.executed)
 	}
 }
 

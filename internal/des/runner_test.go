@@ -82,7 +82,7 @@ func TestCoordinatorRunnersNeverExceedProcs(t *testing.T) {
 			var events, executed uint64
 			for i, e := range c.engines {
 				events += acct.Events[i]
-				executed += e.Executed()
+				executed += e.executed
 			}
 			if events != executed || acct.Parallel > c.Epochs() {
 				t.Errorf("GOMAXPROCS %d: account %+v: %d events vs %d executed, %d epochs", procs, acct, events, executed, c.Epochs())

@@ -280,8 +280,8 @@ func TestCoordinatorOverOneEngineIsRunUntil(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("firing log diverged from RunUntil:\n got %v\nwant %v", got, want)
 	}
-	if eng.Executed() != ref.Executed() || eng.Pending() != ref.Pending() {
-		t.Fatalf("executed/pending %d/%d, RunUntil %d/%d", eng.Executed(), eng.Pending(), ref.Executed(), ref.Pending())
+	if eng.executed != ref.executed || eng.Pending() != ref.Pending() {
+		t.Fatalf("executed/pending %d/%d, RunUntil %d/%d", eng.executed, eng.Pending(), ref.executed, ref.Pending())
 	}
 
 	// With barriers: each action runs before the same-instant events, and

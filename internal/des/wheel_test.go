@@ -261,12 +261,12 @@ func TestSteadyStatePoolStopsGrowing(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		eng.Step()
 	}
-	high := eng.PoolSize()
+	high := eng.poolSize
 	for i := 0; i < 8192; i++ {
 		eng.Step()
 	}
-	if eng.PoolSize() != high {
-		t.Fatalf("pool grew in steady state: %d -> %d", high, eng.PoolSize())
+	if eng.poolSize != high {
+		t.Fatalf("pool grew in steady state: %d -> %d", high, eng.poolSize)
 	}
 }
 

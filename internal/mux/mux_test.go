@@ -316,7 +316,7 @@ func benchMux(b *testing.B, d Discipline) {
 		m := New(eng, 3, 10e6, d, func(traffic.Packet) {})
 		until := des.Seconds(1)
 		for f := 0; f < 3; f++ {
-			src := traffic.NewCBR(f, 2e6, 10_000)
+			src := traffic.NewGreedy(f, 0, 2e6, 10_000)
 			src.Start(eng, until, m.Enqueue)
 		}
 		eng.RunUntil(until + des.Seconds(1))

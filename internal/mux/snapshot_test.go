@@ -13,7 +13,7 @@ import (
 // the payload's size.
 func record(t *testing.T, fn func(w *snap.Writer)) (*snap.Reader, int) {
 	t.Helper()
-	w := snap.NewWriter(1)
+	w := snap.NewWriterSize(1, 0)
 	w.Begin(1)
 	fn(w)
 	w.End()

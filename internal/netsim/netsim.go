@@ -1,7 +1,6 @@
 // Package netsim provides the packet-level underlay transport for the
-// EMcast experiments: a pure-delay pipe, and the Fabric that carries
-// overlay-hop traffic between end hosts across the backbone of
-// internal/topo.
+// EMcast experiments: the Fabric that carries overlay-hop traffic between
+// end hosts across the backbone of internal/topo, on pure-delay pipes.
 //
 // The underlay is an end-to-end delay and nothing else: a host-to-host
 // packet is delivered after the shortest-path propagation delay, with no
@@ -72,31 +71,6 @@ func (fp *flightPool) send(d des.Duration, tr transit) {
 	n := fp.alloc()
 	n.tr = tr
 	fp.eng.ScheduleInKind(d, fp.kind, n.idx, n.fire)
-}
-
-// Pipe is a fixed-latency, infinite-capacity conduit.
-type Pipe struct {
-	delay des.Duration
-	pool  *flightPool
-}
-
-// NewPipe returns a pipe with the given one-way delay.
-func NewPipe(eng *des.Engine, delay des.Duration, out func(traffic.Packet)) *Pipe {
-	if delay < 0 {
-		panic("netsim: pipe delay must be non-negative")
-	}
-	if out == nil {
-		panic("netsim: nil output")
-	}
-	return &Pipe{
-		delay: delay,
-		pool:  &flightPool{eng: eng, deliver: func(tr transit) { out(tr.p) }},
-	}
-}
-
-// Send delivers p after the pipe delay.
-func (pi *Pipe) Send(p traffic.Packet) {
-	pi.pool.send(pi.delay, transit{p: p})
 }
 
 // Fabric is the underlay transport connecting all end hosts.

@@ -8,11 +8,16 @@ import (
 	"repro/internal/traffic"
 )
 
+// pipe is the fabric's pure-delay conduit: a flight pool delivering to out.
+func pipe(eng *des.Engine, out func(traffic.Packet)) *flightPool {
+	return &flightPool{eng: eng, deliver: func(tr transit) { out(tr.p) }}
+}
+
 func TestPipeDelaysExactly(t *testing.T) {
 	eng := des.New()
 	var at des.Time = -1
-	p := NewPipe(eng, 5*des.Millisecond, func(traffic.Packet) { at = eng.Now() })
-	eng.Schedule(des.Millisecond, func() { p.Send(traffic.Packet{ID: 1, Size: 100}) })
+	p := pipe(eng, func(traffic.Packet) { at = eng.Now() })
+	eng.Schedule(des.Millisecond, func() { p.send(5*des.Millisecond, transit{p: traffic.Packet{ID: 1, Size: 100}}) })
 	eng.Run()
 	if at != 6*des.Millisecond {
 		t.Fatalf("delivered at %v", at)
@@ -23,31 +28,14 @@ func TestPipeNoSerialisation(t *testing.T) {
 	// Two packets sent together arrive together: pipes have no capacity.
 	eng := des.New()
 	var times []des.Time
-	p := NewPipe(eng, des.Millisecond, func(traffic.Packet) { times = append(times, eng.Now()) })
+	p := pipe(eng, func(traffic.Packet) { times = append(times, eng.Now()) })
 	eng.Schedule(0, func() {
-		p.Send(traffic.Packet{ID: 1, Size: 1e9})
-		p.Send(traffic.Packet{ID: 2, Size: 1e9})
+		p.send(des.Millisecond, transit{p: traffic.Packet{ID: 1, Size: 1e9}})
+		p.send(des.Millisecond, transit{p: traffic.Packet{ID: 2, Size: 1e9}})
 	})
 	eng.Run()
 	if len(times) != 2 || times[0] != times[1] {
 		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestPipeValidation(t *testing.T) {
-	eng := des.New()
-	for i, fn := range []func(){
-		func() { NewPipe(eng, -1, func(traffic.Packet) {}) },
-		func() { NewPipe(eng, 1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: no panic", i)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 

@@ -147,13 +147,6 @@ func FanoutBound(load, factor float64) int {
 	return d
 }
 
-// CapacityConfig derives the capacity-aware cluster cap for the given
-// normalised load: cluster size = fanout bound + 1 (core plus children).
-func CapacityConfig(base Config, load, factor float64) Config {
-	base.SizeCap = FanoutBound(load, factor) + 1
-	return base
-}
-
 // BuildFlat constructs the flat degree-bounded capacity-aware tree of the
 // paper's Fig. 1: breadth-first from the source, each host adopting up to
 // `fanout` nearest unattached members by RTT. This is the capacity-aware

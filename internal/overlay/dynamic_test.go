@@ -17,9 +17,9 @@ func TestGraftAddsMemberAndValidates(t *testing.T) {
 	if err := tree.Graft(55, p); err != nil {
 		t.Fatal(err)
 	}
-	if !tree.IsMember(55) || tree.Parent(55) != p || tree.Size() != 51 {
+	if !isMember(tree, 55) || tree.Parent(55) != p || tree.Size() != 51 {
 		t.Fatalf("graft bookkeeping wrong: member=%v parent=%d size=%d",
-			tree.IsMember(55), tree.Parent(55), tree.Size())
+			isMember(tree, 55), tree.Parent(55), tree.Size())
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestPruneLeafShrinksTree(t *testing.T) {
 	tree := mustDSCT(t, net, allMembers(40), 0, Config{Seed: 3})
 	var leaf int
 	for _, m := range tree.Members {
-		if m != tree.Source && len(tree.Children(m)) == 0 {
+		if m != tree.Source && len(children(tree, m)) == 0 {
 			leaf = m
 			break
 		}
@@ -57,7 +57,7 @@ func TestPruneLeafShrinksTree(t *testing.T) {
 	if len(orphans) != 0 {
 		t.Fatalf("leaf prune produced %d orphans", len(orphans))
 	}
-	if tree.IsMember(leaf) || tree.Size() != 39 {
+	if isMember(tree, leaf) || tree.Size() != 39 {
 		t.Fatal("leaf not removed")
 	}
 	if err := tree.Validate(); err != nil {
@@ -71,8 +71,8 @@ func TestPruneForwarderRepairReattachesOrphans(t *testing.T) {
 	// Pick the deepest non-source forwarder so the repair has real work.
 	victim, most := -1, 0
 	for _, m := range tree.Members {
-		if m != tree.Source && len(tree.Children(m)) > most {
-			victim, most = m, len(tree.Children(m))
+		if m != tree.Source && len(children(tree, m)) > most {
+			victim, most = m, len(children(tree, m))
 		}
 	}
 	if victim < 0 {
@@ -96,7 +96,7 @@ func TestPruneForwarderRepairReattachesOrphans(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("repaired tree invalid: %v", err)
 	}
-	if tree.IsMember(victim) {
+	if isMember(tree, victim) {
 		t.Fatal("victim still a member")
 	}
 	for i, o := range orphans {
@@ -170,8 +170,8 @@ func TestGraftPointPrefersNearAndRespectsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tree.Children(p)) >= 2 {
-		t.Fatalf("graft point %d already has %d children", p, len(tree.Children(p)))
+	if len(children(tree, p)) >= 2 {
+		t.Fatalf("graft point %d already has %d children", p, len(children(tree, p)))
 	}
 	// Determinism: same inputs, same answer.
 	q, err := tree.GraftPoint(net, 20, 0, 2, 0)

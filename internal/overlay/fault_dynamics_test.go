@@ -50,7 +50,7 @@ func TestBatchRepairOrderPinned(t *testing.T) {
 	// subtrees) plus a leaf, ascending.
 	var victims []int
 	for _, m := range fwd.Members {
-		if m != fwd.Source && len(fwd.Children(m)) > 0 {
+		if m != fwd.Source && len(children(fwd, m)) > 0 {
 			victims = append(victims, m)
 			if len(victims) == 5 {
 				break
@@ -135,21 +135,21 @@ func TestDetachAndHealKeepSubtreeIntact(t *testing.T) {
 	tree := mustDSCT(t, net, allMembers(80), 0, Config{Seed: 33})
 	victim, most := -1, 0
 	for _, m := range tree.Members {
-		if m != tree.Source && len(tree.Children(m)) > most {
-			victim, most = m, len(tree.Children(m))
+		if m != tree.Source && len(children(tree, m)) > most {
+			victim, most = m, len(children(tree, m))
 		}
 	}
 	if victim < 0 {
 		t.Skip("no forwarder")
 	}
-	kids := append([]int(nil), tree.Children(victim)...)
+	kids := append([]int(nil), children(tree, victim)...)
 	if err := tree.Detach(victim); err != nil {
 		t.Fatal(err)
 	}
 	if tree.Attached(victim) {
 		t.Fatal("detached root still attached")
 	}
-	if !tree.IsMember(victim) {
+	if !isMember(tree, victim) {
 		t.Fatal("detach must keep membership")
 	}
 	for _, c := range kids {

@@ -72,7 +72,7 @@ func FuzzBatchRepair(f *testing.F) {
 			}
 		}
 		for _, v := range victims {
-			if fwd.IsMember(v) {
+			if isMember(fwd, v) {
 				t.Fatalf("victim %d still a member", v)
 			}
 		}

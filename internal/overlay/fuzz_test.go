@@ -27,7 +27,7 @@ func FuzzGraftPoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		h := int(joiner) % (n + 16)
-		if tree.IsMember(h) {
+		if isMember(tree, h) {
 			// Grafting an attached member must error and leave the tree
 			// untouched.
 			if err := tree.Graft(h, tree.Source); err == nil {
@@ -43,14 +43,14 @@ func FuzzGraftPoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("graft point over a fully attached tree: %v", err)
 		}
-		if !tree.IsMember(p) {
+		if !isMember(tree, p) {
 			t.Fatalf("graft point %d is not a member", p)
 		}
 		// If any member conformed to both bounds, the pick must conform
 		// too (GraftPoint may only relax when nothing fits).
 		conforming := false
 		for _, m := range tree.Members {
-			fanoutOK := mf <= 0 || len(tree.Children(m)) < mf
+			fanoutOK := mf <= 0 || len(children(tree, m)) < mf
 			heightOK := mh <= 0 || tree.Depth(m)+1+sh <= mh
 			if fanoutOK && heightOK {
 				conforming = true
@@ -58,7 +58,7 @@ func FuzzGraftPoint(f *testing.F) {
 			}
 		}
 		if conforming {
-			if mf > 0 && len(tree.Children(p)) >= mf {
+			if mf > 0 && len(children(tree, p)) >= mf {
 				t.Fatalf("pick %d violates fanout %d with conforming members available", p, mf)
 			}
 		}

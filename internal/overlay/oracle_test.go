@@ -68,7 +68,7 @@ func oracleGraftPoint(name string, net *topo.Network, t *Tree, h, subHeight int,
 		if !attached {
 			continue
 		}
-		kids := len(t.Children(m))
+		kids := len(children(t, m))
 		var key des.Duration
 		heightOK, fanoutOK := true, lim.MaxFanout <= 0 || kids < lim.MaxFanout
 		switch name {
@@ -165,7 +165,7 @@ func TestGraftPointsMatchOracle(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				switch op := rng.Intn(6); {
 				case op == 0 || tr.Size() < 40: // join
-					if h := pick(func(h int) bool { return !tr.IsMember(h) }); h >= 0 {
+					if h := pick(func(h int) bool { return !isMember(tr, h) }); h >= 0 {
 						checkGraftPoint(t, name, net, tr, h, 0, own)
 						p, err := strat.GraftPoint(net, tr, h, 0, own)
 						if err != nil {
@@ -186,7 +186,7 @@ func TestGraftPointsMatchOracle(t *testing.T) {
 				case op == 2: // correlated batch: attached or detached victims
 					var victims []int
 					for n := 1 + rng.Intn(4); len(victims) < n; {
-						h := pick(func(h int) bool { return tr.IsMember(h) && h != tr.Source && !slices.Contains(victims, h) })
+						h := pick(func(h int) bool { return isMember(tr, h) && h != tr.Source && !slices.Contains(victims, h) })
 						if h < 0 {
 							break
 						}
@@ -227,7 +227,7 @@ func TestGraftPointsMatchOracle(t *testing.T) {
 				// an attached member (excluded, its subtree not), under the
 				// strategy's limits, tight ones, and none.
 				probes := detached
-				if h := pick(func(h int) bool { return !tr.IsMember(h) }); h >= 0 {
+				if h := pick(func(h int) bool { return !isMember(tr, h) }); h >= 0 {
 					probes = append(slices.Clone(probes), h)
 				}
 				if h := pick(attached); h >= 0 {

@@ -20,6 +20,24 @@ func allMembers(n int) []int {
 	return ms
 }
 
+// children returns a fresh copy of h's direct children in t, in child
+// order.
+func children(t *Tree, h int) []int {
+	var out []int
+	if s := t.slotOf(h); s != none {
+		for c := t.first[s]; c != none; c = t.next[c] {
+			out = append(out, int(t.host[c]))
+		}
+	}
+	return out
+}
+
+// isMember reports whether h is in t's member set.
+func isMember(t *Tree, h int) bool {
+	_, ok := t.slot[h]
+	return ok
+}
+
 func mustDSCT(t testing.TB, net *topo.Network, members []int, source int, cfg Config) *Tree {
 	t.Helper()
 	tr, err := BuildDSCT(net, members, source, cfg)
@@ -183,7 +201,7 @@ func TestDSCTDomainPartitionMatchesAttachmentWalk(t *testing.T) {
 		for r := 0; r < net.Backbone.NumNodes(); r++ {
 			var domain []int
 			for _, h := range net.HostsAtRouter(topo.NodeID(r)) {
-				if want.IsMember(h) {
+				if isMember(want, h) {
 					domain = append(domain, h)
 				}
 			}
@@ -238,23 +256,14 @@ func TestFanoutBound(t *testing.T) {
 	}
 }
 
-func TestCapacityConfig(t *testing.T) {
-	cfg := CapacityConfig(Config{K: 3, Seed: 1}, 0.35, 1.5)
-	if cfg.SizeCap != 5 {
-		t.Fatalf("SizeCap = %d", cfg.SizeCap)
-	}
-	if cfg.K != 3 || cfg.Seed != 1 {
-		t.Fatal("base config fields lost")
-	}
-}
-
 func TestCapacityAwareLayersGrowWithLoad(t *testing.T) {
 	// The Tables I–III shape: layer count rises as the load grows, while
 	// the unconstrained tree's layer count is load-independent.
 	net := network(500, 9)
 	members := allMembers(500)
-	low := mustDSCT(t, net, members, 0, CapacityConfig(Config{Seed: 4}, 0.35, 1.5))
-	high := mustDSCT(t, net, members, 0, CapacityConfig(Config{Seed: 4}, 0.95, 1.5))
+	// Capacity-aware cluster cap: the fanout bound plus the core.
+	low := mustDSCT(t, net, members, 0, Config{Seed: 4, SizeCap: FanoutBound(0.35, 1.5) + 1})
+	high := mustDSCT(t, net, members, 0, Config{Seed: 4, SizeCap: FanoutBound(0.95, 1.5) + 1})
 	if low.Layers() >= high.Layers() {
 		t.Fatalf("layers low=%d high=%d — no growth with load", low.Layers(), high.Layers())
 	}
@@ -269,15 +278,15 @@ func TestBuildFlatFig1Shapes(t *testing.T) {
 	if err := star.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if star.Height() != 1 || len(star.Children(0)) != 4 {
-		t.Fatalf("fanout-5 tree: height %d, children %d", star.Height(), len(star.Children(0)))
+	if star.Height() != 1 || len(children(star, 0)) != 4 {
+		t.Fatalf("fanout-5 tree: height %d, children %d", star.Height(), len(children(star, 0)))
 	}
 	deep := mustFlat(t, net, members, 0, 2)
 	if err := deep.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if deep.Height() != 2 || len(deep.Children(0)) != 2 {
-		t.Fatalf("fanout-2 tree: height %d, children %d", deep.Height(), len(deep.Children(0)))
+	if deep.Height() != 2 || len(children(deep, 0)) != 2 {
+		t.Fatalf("fanout-2 tree: height %d, children %d", deep.Height(), len(children(deep, 0)))
 	}
 }
 

@@ -120,15 +120,15 @@ func TestGreedyRespectsPerHostBudgets(t *testing.T) {
 	lim := MustStrategy("greedy").Limits(Config{}, 160)
 	for _, m := range tr.Members {
 		budget := greedyBudget(net, m, DefaultGreedyFanout)
-		if got := len(tr.Children(m)); got > budget {
+		if got := len(children(tr, m)); got > budget {
 			t.Fatalf("host %d (mult %.1f) has %d children, budget %d",
 				m, net.Hosts[m].UplinkMult, got, budget)
 		}
 		// FanoutOK — the filter rewires and grafts share — must agree
 		// with the per-host budget, not the flat cap.
-		if want := len(tr.Children(m)) < budget; MustStrategy("greedy").FanoutOK(net, m, len(tr.Children(m)), lim) != want {
+		if want := len(children(tr, m)) < budget; MustStrategy("greedy").FanoutOK(net, m, len(children(tr, m)), lim) != want {
 			t.Fatalf("host %d: FanoutOK disagrees with budget %d at %d children",
-				m, budget, len(tr.Children(m)))
+				m, budget, len(children(tr, m)))
 		}
 	}
 }
@@ -155,7 +155,7 @@ func TestStrategyGraftPoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !tr.IsMember(p) {
+		if !isMember(tr, p) {
 			t.Fatalf("%s: graft point %d not a member", name, p)
 		}
 		if err := tr.Graft(95, p); err != nil {
@@ -186,7 +186,7 @@ func TestSPTGraftPointMinimisesPathDelay(t *testing.T) {
 	}
 	got := tr.PathLatency(net, p) + net.Latency(p, h)
 	for _, m := range tr.Members {
-		if len(tr.Children(m)) >= lim.MaxFanout {
+		if len(children(tr, m)) >= lim.MaxFanout {
 			continue
 		}
 		if cost := tr.PathLatency(net, m) + net.Latency(m, h); cost < got {
@@ -201,7 +201,7 @@ func TestReparentMovesSubtree(t *testing.T) {
 	// Find a member with children whose parent is not the source.
 	var w int
 	for _, m := range tr.Members {
-		if m != tr.Source && len(tr.Children(m)) > 0 && tr.Parent(m) != tr.Source {
+		if m != tr.Source && len(children(tr, m)) > 0 && tr.Parent(m) != tr.Source {
 			w = m
 			break
 		}
@@ -209,14 +209,14 @@ func TestReparentMovesSubtree(t *testing.T) {
 	if w == 0 {
 		t.Skip("no movable forwarder")
 	}
-	kids := append([]int(nil), tr.Children(w)...)
+	kids := append([]int(nil), children(tr, w)...)
 	if err := tr.Reparent(w, tr.Source); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Parent(w) != tr.Source {
 		t.Fatalf("parent = %d, want source", tr.Parent(w))
 	}
-	if !reflect.DeepEqual(tr.Children(w), kids) {
+	if !reflect.DeepEqual(children(tr, w), kids) {
 		t.Fatal("subtree children changed across a reparent")
 	}
 	if err := tr.Validate(); err != nil {
@@ -229,7 +229,7 @@ func TestReparentRejectsBadMoves(t *testing.T) {
 	tr := mustDSCT(t, net, allMembers(40), 0, Config{Seed: 23})
 	var w int
 	for _, m := range tr.Members {
-		if m != tr.Source && len(tr.Children(m)) > 0 {
+		if m != tr.Source && len(children(tr, m)) > 0 {
 			w = m
 			break
 		}
@@ -237,7 +237,7 @@ func TestReparentRejectsBadMoves(t *testing.T) {
 	if w == 0 {
 		t.Skip("no forwarder")
 	}
-	child := tr.Children(w)[0]
+	child := children(tr, w)[0]
 	if err := tr.Reparent(tr.Source, w); err == nil {
 		t.Fatal("reparenting the source must fail")
 	}

@@ -229,25 +229,6 @@ func (t *Tree) Attached(h int) bool {
 	return ok
 }
 
-// IsMember reports whether h is currently in the tree's member set.
-func (t *Tree) IsMember(h int) bool {
-	_, ok := t.slot[h]
-	return ok
-}
-
-// Children returns a fresh copy of h's direct children, in child order.
-func (t *Tree) Children(h int) []int {
-	s := t.slotOf(h)
-	if s == none || t.kids[s] == 0 {
-		return nil
-	}
-	out := make([]int, 0, t.kids[s])
-	for c := t.first[s]; c != none; c = t.next[c] {
-		out = append(out, int(t.host[c]))
-	}
-	return out
-}
-
 // EachParent calls fn for every node with at least one child, passing its
 // children in child order in one buffer reused from call to call (callers
 // must copy to retain; the buffer is this call's own, so concurrent

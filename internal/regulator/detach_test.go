@@ -20,9 +20,10 @@ func TestSRLPhasedAtZeroMatchesStartCycle(t *testing.T) {
 		r := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {
 			out = append(out, eng.Now())
 		})
-		off := r.WorkPeriod() * 2
+		w, v := DutyCycle(r.Sigma, r.Rho, r.C)
+		off := w * 2
 		if shared {
-			c := NewCycle(eng, off, r.WorkPeriod(), r.Vacation())
+			c := NewCycle(eng, off, w, v)
 			c.Start()
 			r.Follow(c)
 			defer c.Stop()
@@ -53,7 +54,8 @@ func TestSRLPhasedAtZeroMatchesStartCycle(t *testing.T) {
 func TestSRLPhasedMidRunAlignsWithGlobalSchedule(t *testing.T) {
 	eng := des.New()
 	ref := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
-	off := ref.WorkPeriod() / 2
+	w, _ := DutyCycle(ref.Sigma, ref.Rho, ref.C)
+	off := w / 2
 	ref.StartCycle(off)
 	late := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
 	// Attach at an arbitrary instant strictly inside the run.
@@ -85,8 +87,9 @@ func TestSRLDetachDrainsInFlightAndReportsLoss(t *testing.T) {
 		emitted = append(emitted, p.ID)
 	})
 	sib := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
+	w, _ := DutyCycle(r.Sigma, r.Rho, r.C)
 	r.StartCycle(0)
-	sib.StartCycle(r.WorkPeriod())
+	sib.StartCycle(w)
 	var dropped int
 	eng.Schedule(0, func() {
 		// Three packets: the first starts transmitting immediately (on
@@ -117,7 +120,7 @@ func TestSRLDetachDrainsInFlightAndReportsLoss(t *testing.T) {
 	// detached regulator at all.
 	eng2 := des.New()
 	sib2 := NewSRL(eng2, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
-	sib2.StartCycle(sib.WorkPeriod())
+	sib2.StartCycle(w)
 	sibOnClean := make([]bool, 0, 50)
 	for i := 0; i < 50; i++ {
 		at := des.Millis(10) + des.Duration(i)*des.Millis(2)

@@ -167,7 +167,8 @@ func clockBank(eng *des.Engine, n int, offset des.Duration, private bool, waitLe
 				return
 			}
 			if shared == nil {
-				shared = NewCycle(eng, offset, regs[i].WorkPeriod(), regs[i].Vacation())
+				w, v := DutyCycle(regs[i].Sigma, regs[i].Rho, regs[i].C)
+				shared = NewCycle(eng, offset, w, v)
 				shared.Start()
 			}
 			regs[i].Follow(shared)
@@ -293,14 +294,19 @@ func TestSharedClockTicksTwicePerPeriod(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		regs = append(regs, NewSRL(eng, oracleSigma, oracleRho, oracleC, func(traffic.Packet) {}))
 	}
-	clock := NewCycle(eng, 0, regs[0].WorkPeriod(), regs[0].Vacation())
+	w, v := DutyCycle(oracleSigma, oracleRho, oracleC)
+	clock := NewCycle(eng, 0, w, v)
 	clock.Start()
 	for _, r := range regs {
 		r.Follow(clock)
 	}
 	periods := des.Time(25)
-	eng.RunUntil(periods*regs[0].Period() - 1)
-	if got, want := eng.Executed(), uint64(2*periods); got != want {
+	eng.RunUntil(periods*(w+v) - 1)
+	var got uint64
+	for _, n := range eng.ExecutedByKind() {
+		got += n
+	}
+	if want := uint64(2 * periods); got != want {
 		t.Fatalf("50 idle followers over %d periods executed %d events, want the clock's %d", periods, got, want)
 	}
 	if by := eng.ExecutedByKind(); by[des.KindSRLOn] != uint64(periods) || by[des.KindSRLOff] != uint64(periods) {

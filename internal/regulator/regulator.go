@@ -1,9 +1,10 @@
 // Package regulator implements the traffic regulators at the heart of the
-// paper: the classical leaky bucket, Cruz's (σ, ρ) regulator, and the
-// paper's novel (σ, ρ, λ) duty-cycle regulator, plus the duty-cycle clock
-// (Cycle) that the regulators sharing one stagger phase follow.
+// paper: Cruz's (σ, ρ) regulator and the paper's novel (σ, ρ, λ)
+// duty-cycle regulator, plus the duty-cycle clock (Cycle) that the
+// regulators sharing one stagger phase follow and the one formula
+// (DutyCycle) every such clock's W and V come from.
 //
-// All regulators are event-driven shapers on a des.Engine: packets enter
+// Both regulators are event-driven shapers on a des.Engine: packets enter
 // through Enqueue and conformant packets leave through the output callback
 // in FIFO order per flow.
 package regulator
@@ -12,19 +13,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/traffic"
 )
-
-// Regulator is the common shaper interface.
-type Regulator interface {
-	// Enqueue submits a packet for shaping. Must be called from engine
-	// context (inside an event) so that Now() is meaningful.
-	Enqueue(p traffic.Packet)
-	// Backlog reports the bits currently held back.
-	Backlog() float64
-	// QueueLen reports the packets currently held back.
-	QueueLen() int
-	// Name identifies the regulator model.
-	Name() string
-}
 
 // fifo is a slice-backed packet queue with amortised O(1) operations.
 type fifo struct {
@@ -62,63 +50,6 @@ func (q *fifo) pop() traffic.Packet {
 		q.head = 0
 	}
 	return p
-}
-
-// LeakyBucket drains its queue at a fixed rate ρ regardless of input
-// burstiness — the rigid classical scheme the paper contrasts against
-// (Section I: "enforces a rigid output pattern at the average rate").
-type LeakyBucket struct {
-	eng  *des.Engine
-	rho  float64 // bits/second
-	out  func(traffic.Packet)
-	q    fifo
-	busy bool
-	done func() // stored serve-completion callback (no per-packet closure)
-}
-
-// NewLeakyBucket returns a leaky bucket draining at rho bits/second.
-func NewLeakyBucket(eng *des.Engine, rho float64, out func(traffic.Packet)) *LeakyBucket {
-	if rho <= 0 {
-		panic("regulator: leaky bucket rate must be positive")
-	}
-	if out == nil {
-		panic("regulator: nil output")
-	}
-	l := &LeakyBucket{eng: eng, rho: rho, out: out}
-	l.done = func() {
-		p := l.q.pop()
-		l.out(p)
-		l.serve()
-	}
-	return l
-}
-
-// Name implements Regulator.
-func (l *LeakyBucket) Name() string { return "leaky-bucket" }
-
-// Backlog implements Regulator.
-func (l *LeakyBucket) Backlog() float64 { return l.q.bits }
-
-// QueueLen implements Regulator.
-func (l *LeakyBucket) QueueLen() int { return l.q.len() }
-
-// Enqueue implements Regulator.
-func (l *LeakyBucket) Enqueue(p traffic.Packet) {
-	l.q.push(p)
-	if !l.busy {
-		l.serve()
-	}
-}
-
-func (l *LeakyBucket) serve() {
-	if l.q.empty() {
-		l.busy = false
-		return
-	}
-	l.busy = true
-	// The bucket emits the packet after serialising it at ρ; the head stays
-	// queued until the stored completion callback pops it.
-	l.eng.ScheduleIn(des.Seconds(l.q.peek().Size/l.rho), l.done)
 }
 
 // SigmaRho is Cruz's (σ, ρ) regulator: a token bucket with depth σ bits
@@ -161,20 +92,8 @@ func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out func(traffic.Pa
 	return s
 }
 
-// Name implements Regulator.
-func (s *SigmaRho) Name() string { return "sigma-rho" }
-
-// Backlog implements Regulator.
-func (s *SigmaRho) Backlog() float64 { return s.q.bits }
-
-// QueueLen implements Regulator.
+// QueueLen reports the packets currently held back.
 func (s *SigmaRho) QueueLen() int { return s.q.len() }
-
-// Tokens returns the current bucket level (after refreshing to Now).
-func (s *SigmaRho) Tokens() float64 {
-	s.refill()
-	return s.tokens
-}
 
 func (s *SigmaRho) refill() {
 	now := s.eng.Now()
@@ -195,7 +114,8 @@ func (s *SigmaRho) refill() {
 	}
 }
 
-// Enqueue implements Regulator.
+// Enqueue submits a packet for shaping, from engine context (inside an
+// event) so that Now() is meaningful.
 func (s *SigmaRho) Enqueue(p traffic.Packet) {
 	s.q.push(p)
 	if !s.serving {

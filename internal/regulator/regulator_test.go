@@ -1,82 +1,16 @@
 package regulator
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/des"
 	"repro/internal/traffic"
 )
 
-// collect runs src through build's regulator until `dur`, returning output
-// packets with their emission times.
+// emission is an output packet with its emission time.
 type emission struct {
 	p  traffic.Packet
 	at des.Time
-}
-
-func drive(src traffic.Source, dur float64, build func(eng *des.Engine, out func(traffic.Packet)) Regulator) []emission {
-	eng := des.New()
-	var got []emission
-	reg := build(eng, func(p traffic.Packet) { got = append(got, emission{p, eng.Now()}) })
-	until := des.Seconds(dur)
-	src.Start(eng, until, reg.Enqueue)
-	eng.RunUntil(until + des.Seconds(30)) // drain time
-	return got
-}
-
-func totalBits(es []emission) float64 {
-	t := 0.0
-	for _, e := range es {
-		t += e.p.Size
-	}
-	return t
-}
-
-func TestLeakyBucketDrainsAtRho(t *testing.T) {
-	// Greedy burst into a 50kbps bucket: output must be paced at exactly ρ.
-	src := traffic.NewGreedy(0, 50_000, 50_000, 1000)
-	got := drive(src, 2, func(eng *des.Engine, out func(traffic.Packet)) Regulator {
-		return NewLeakyBucket(eng, 50_000, out)
-	})
-	if len(got) < 10 {
-		t.Fatalf("only %d emissions", len(got))
-	}
-	gap := des.Seconds(1000.0 / 50_000)
-	for i := 1; i < 50; i++ {
-		if d := got[i].at - got[i-1].at; d != gap {
-			t.Fatalf("emission gap %d = %v, want %v", i, d, gap)
-		}
-	}
-}
-
-func TestLeakyBucketPreservesOrderAndCount(t *testing.T) {
-	src := traffic.NewPoisson(0, 80_000, 1000, 3)
-	got := drive(src, 5, func(eng *des.Engine, out func(traffic.Packet)) Regulator {
-		return NewLeakyBucket(eng, 100_000, out)
-	})
-	for i := 1; i < len(got); i++ {
-		if got[i].p.ID != got[i-1].p.ID+1 {
-			t.Fatalf("order violated at %d", i)
-		}
-	}
-}
-
-func TestLeakyBucketValidation(t *testing.T) {
-	eng := des.New()
-	for i, fn := range []func(){
-		func() { NewLeakyBucket(eng, 0, func(traffic.Packet) {}) },
-		func() { NewLeakyBucket(eng, 1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: no panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
 }
 
 func TestSigmaRhoPassesBurstUpToSigma(t *testing.T) {
@@ -144,7 +78,7 @@ func TestSigmaRhoOutputConforms(t *testing.T) {
 	until := des.Seconds(20)
 	src.Start(eng, until, reg.Enqueue)
 	eng.RunUntil(until + des.Seconds(60))
-	if !meter.Conforms(sigma + 10_000) {
+	if meter.Sigma() > sigma+10_000+1e-9 {
 		t.Fatalf("output σ̂ = %v exceeds σ+MTU = %v", meter.Sigma(), sigma+10_000)
 	}
 }
@@ -173,8 +107,8 @@ func TestSigmaRhoTokensCapAtSigma(t *testing.T) {
 	eng := des.New()
 	reg := NewSigmaRho(eng, 2000, 1000, func(traffic.Packet) {})
 	eng.Schedule(des.Seconds(100), func() {
-		if tok := reg.Tokens(); tok != 2000 {
-			t.Fatalf("tokens = %v after long idle, want σ", tok)
+		if reg.refill(); reg.tokens != 2000 {
+			t.Fatalf("tokens = %v after long idle, want σ", reg.tokens)
 		}
 	})
 	eng.Run()
@@ -224,19 +158,5 @@ func TestFIFOQueueCompaction(t *testing.T) {
 	}
 	if q.bits != 500 {
 		t.Fatalf("bits = %v", q.bits)
-	}
-}
-
-func TestLeakyBucketThroughputUnderOverload(t *testing.T) {
-	// Input at 2ρ: output rate must clamp at ρ.
-	src := traffic.NewCBR(0, 100_000, 1000)
-	got := drive(src, 10, func(eng *des.Engine, out func(traffic.Packet)) Regulator {
-		return NewLeakyBucket(eng, 50_000, out)
-	})
-	// drive() adds 30s of drain, so measure the emission span directly.
-	span := (got[len(got)-1].at - got[0].at).Seconds()
-	rate := totalBits(got) / span
-	if math.Abs(rate-50_000)/50_000 > 0.01 {
-		t.Fatalf("overloaded bucket output rate = %v", rate)
 	}
 }

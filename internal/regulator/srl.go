@@ -70,25 +70,17 @@ func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out func(traffic.Pack
 	return r
 }
 
-// Lambda returns the control factor λ = C/(C−ρ).
-func (r *SRL) Lambda() float64 { return r.C / (r.C - r.Rho) }
+// DutyCycle returns the working period W = σ/(C−ρ) and the vacation
+// V = σ/ρ of a (σ, ρ, λ) duty cycle on a link of capacity C, as simulation
+// durations. Every duty-cycle clock takes its schedule from here.
+func DutyCycle(sigma, rho, c float64) (w, v des.Duration) {
+	return des.Seconds(sigma / (c - rho)), des.Seconds(sigma / rho)
+}
 
-// WorkPeriod returns W = σ/(C−ρ) as a simulation duration.
-func (r *SRL) WorkPeriod() des.Duration { return des.Seconds(r.Sigma / (r.C - r.Rho)) }
-
-// Vacation returns V = σ/ρ as a simulation duration.
-func (r *SRL) Vacation() des.Duration { return des.Seconds(r.Sigma / r.Rho) }
-
-// Period returns P = W + V = λσ/ρ as a simulation duration.
-func (r *SRL) Period() des.Duration { return r.WorkPeriod() + r.Vacation() }
-
-// Name implements Regulator.
-func (r *SRL) Name() string { return "sigma-rho-lambda" }
-
-// Backlog implements Regulator.
+// Backlog reports the bits currently held back.
 func (r *SRL) Backlog() float64 { return r.q.bits }
 
-// QueueLen implements Regulator.
+// QueueLen reports the packets currently held back.
 func (r *SRL) QueueLen() int { return r.q.len() }
 
 // Following reports whether the regulator follows a clock.
@@ -112,7 +104,8 @@ func (r *SRL) Transmitting() bool { return r.transmitting }
 // EmittedBits returns the cumulative output.
 func (r *SRL) EmittedBits() float64 { return r.emittedBits }
 
-// Enqueue implements Regulator.
+// Enqueue submits a packet for shaping, from engine context (inside an
+// event) so that Now() is meaningful.
 func (r *SRL) Enqueue(p traffic.Packet) {
 	r.q.push(p)
 	if !r.transmitting {
@@ -180,7 +173,8 @@ func (r *SRL) StartCycle(offset des.Duration) {
 	if r.clock != nil {
 		panic("regulator: SRL cycle already started")
 	}
-	c := NewCycle(r.eng, offset, r.WorkPeriod(), r.Vacation())
+	w, v := DutyCycle(r.Sigma, r.Rho, r.C)
+	c := NewCycle(r.eng, offset, w, v)
 	c.Start()
 	r.own = true
 	r.Follow(c)

@@ -5,28 +5,25 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/calculus"
 	"repro/internal/des"
 	"repro/internal/traffic"
 )
 
 func TestSRLDutyCycleIdentities(t *testing.T) {
-	eng := des.New()
-	r := NewSRL(eng, 10_000, 250_000, 1_000_000, func(traffic.Packet) {})
-	// λ = C/(C−ρ) = 1e6/750e3 = 4/3
-	if math.Abs(r.Lambda()-4.0/3.0) > 1e-12 {
-		t.Fatalf("λ = %v", r.Lambda())
-	}
+	sigma, rho, c := 10_000.0, 250_000.0, 1_000_000.0
+	w, v := DutyCycle(sigma, rho, c)
 	// W = σ/(C−ρ) = 10000/750000 s
-	if got, want := r.WorkPeriod(), des.Seconds(10_000.0/750_000); got != want {
-		t.Fatalf("W = %v, want %v", got, want)
+	if want := des.Seconds(10_000.0 / 750_000); w != want {
+		t.Fatalf("W = %v, want %v", w, want)
 	}
 	// V = σ/ρ = 10000/250000 = 40ms
-	if got, want := r.Vacation(), des.Seconds(0.04); got != want {
-		t.Fatalf("V = %v, want %v", got, want)
+	if want := des.Seconds(0.04); v != want {
+		t.Fatalf("V = %v, want %v", v, want)
 	}
-	// P = λσ/ρ
-	wantP := des.Seconds(r.Lambda() * 10_000 / 250_000)
-	if got := r.Period(); got < wantP-1 || got > wantP+1 {
+	// P = λσ/ρ with λ = C/(C−ρ) = 1e6/750e3 = 4/3
+	wantP := des.Seconds(4.0 / 3.0 * sigma / rho)
+	if got := w + v; got < wantP-1 || got > wantP+1 {
 		t.Fatalf("P = %v, want %v", got, wantP)
 	}
 }
@@ -34,17 +31,15 @@ func TestSRLDutyCycleIdentities(t *testing.T) {
 // Property (Eq. 1 consequences): for any valid (σ, ρ, C), V = σ/ρ and
 // P = λσ/ρ and the duty ratio W/P equals ρ/C.
 func TestQuickSRLPeriodIdentities(t *testing.T) {
-	eng := des.New()
 	f := func(a, b uint16) bool {
 		sigma := 1 + float64(a)
 		// ρ strictly inside (0, C)
 		c := 1_000_000.0
 		rho := c * (0.05 + 0.9*float64(b)/65535.0)
-		r := NewSRL(eng, sigma, rho, c, func(traffic.Packet) {})
-		w := r.WorkPeriod().Seconds()
-		v := r.Vacation().Seconds()
-		p := r.Period().Seconds()
-		lam := r.Lambda()
+		wd, vd := DutyCycle(sigma, rho, c)
+		w, v := wd.Seconds(), vd.Seconds()
+		p := (wd + vd).Seconds()
+		lam := c / (c - rho)
 		// W, V, P are des.Durations, truncated to whole nanoseconds, so
 		// each identity holds only up to that quantisation: 1ns for the
 		// single conversions, 2ns for the P sum, and for the duty ratio
@@ -61,6 +56,23 @@ func TestQuickSRLPeriodIdentities(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The simulator's duty cycle is the paper's normalised closed form scaled
+// to the link: at C = 1, DutyCycle and calculus.WorkPeriod/Vacation agree
+// on W and V to the nanosecond the conversion truncates to.
+func TestDutyCycleMatchesCalculus(t *testing.T) {
+	for _, f := range []struct{ sigma, rho float64 }{
+		{0.01, 0.05}, {0.0128, 0.25}, {0.15, 0.333}, {1, 0.5}, {2.5, 0.95},
+	} {
+		w, v := DutyCycle(f.sigma, f.rho, 1)
+		if d := w.Seconds() - calculus.WorkPeriod(f.sigma, f.rho); math.Abs(d) > 1e-9 {
+			t.Errorf("(σ, ρ) = (%v, %v): W = %v, calculus %v", f.sigma, f.rho, w, calculus.WorkPeriod(f.sigma, f.rho))
+		}
+		if d := v.Seconds() - calculus.Vacation(f.sigma, f.rho); math.Abs(d) > 1e-9 {
+			t.Errorf("(σ, ρ) = (%v, %v): V = %v, calculus %v", f.sigma, f.rho, v, calculus.Vacation(f.sigma, f.rho))
+		}
 	}
 }
 
@@ -82,8 +94,8 @@ func TestSRLNoOutputDuringVacation(t *testing.T) {
 	if len(emissions) == 0 {
 		t.Fatal("no emissions")
 	}
-	w := r.WorkPeriod()
-	p := r.Period()
+	w, v := DutyCycle(r.Sigma, r.Rho, r.C)
+	p := w + v
 	for _, at := range emissions {
 		phase := at % p
 		// Packets may complete right at the W boundary (non-preemptive
@@ -176,8 +188,8 @@ func TestSRLNonPreemptiveOff(t *testing.T) {
 func TestSRLOnTimeTracksDutyRatio(t *testing.T) {
 	eng := des.New()
 	rho, c := 250_000.0, 1_000_000.0
-	r := NewSRL(eng, 10_000, rho, c, func(traffic.Packet) {})
-	clock := NewCycle(eng, 0, r.WorkPeriod(), r.Vacation())
+	w, v := DutyCycle(10_000, rho, c)
+	clock := NewCycle(eng, 0, w, v)
 	clock.Start()
 	dur := des.Seconds(10)
 	eng.RunUntil(dur)
@@ -215,7 +227,7 @@ func TestSRLBacklogBoundLemma1(t *testing.T) {
 	r.StartCycle(0)
 	eng.RunUntil(until)
 	r.StopCycle()
-	bound := (1+r.Lambda())*sigma + 1000
+	bound := (1+c/(c-rho))*sigma + 1000
 	if maxBacklog > bound {
 		t.Fatalf("backlog %v exceeds Lemma 1 bound %v", maxBacklog, bound)
 	}
@@ -238,7 +250,7 @@ func TestSRLDelayBoundLemma1(t *testing.T) {
 	r.StartCycle(0)
 	eng.RunUntil(until + des.Seconds(5))
 	r.StopCycle()
-	bound := des.Seconds(2*r.Lambda()*sigma/rho + 1000/c)
+	bound := des.Seconds(2*c/(c-rho)*sigma/rho + 1000/c)
 	if worst > bound {
 		t.Fatalf("worst delay %v exceeds Lemma 1 bound %v", worst, bound)
 	}
@@ -299,7 +311,8 @@ func startStaggered(regs []*SRL) {
 	var offset des.Duration
 	for _, r := range regs {
 		r.StartCycle(offset)
-		offset += r.WorkPeriod()
+		w, _ := DutyCycle(r.Sigma, r.Rho, r.C)
+		offset += w
 	}
 }
 

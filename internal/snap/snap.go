@@ -44,12 +44,10 @@ type Writer struct {
 	err     error
 }
 
-// NewWriter starts a snapshot with the given format version.
-func NewWriter(version uint32) *Writer { return NewWriterSize(version, 1<<12) }
-
-// NewWriterSize is NewWriter with a capacity hint — pass the previous
-// snapshot's size when checkpointing repeatedly and the whole stream is
-// built in one allocation instead of log(size) grow-and-copy doublings.
+// NewWriterSize starts a snapshot with the given format version and a
+// capacity hint — pass the previous snapshot's size when checkpointing
+// repeatedly and the whole stream is built in one allocation instead of
+// log(size) grow-and-copy doublings. Hints under 4 KiB are rounded up.
 func NewWriterSize(version uint32, sizeHint int) *Writer {
 	if sizeHint < 1<<12 {
 		sizeHint = 1 << 12

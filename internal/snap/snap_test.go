@@ -8,7 +8,7 @@ import (
 )
 
 func TestRoundTripPrimitives(t *testing.T) {
-	w := NewWriter(7)
+	w := NewWriterSize(7, 0)
 	w.Begin(3)
 	w.U8(0xab)
 	w.U16(0xbeef)
@@ -112,7 +112,7 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestTruncationDetected(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	w.U64(12345)
 	w.End()
@@ -138,7 +138,7 @@ func TestTruncationDetected(t *testing.T) {
 }
 
 func TestShortReadDetected(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	w.U8(1)
 	w.End()
@@ -152,7 +152,7 @@ func TestShortReadDetected(t *testing.T) {
 }
 
 func TestUnderReadDetected(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	w.U64(1)
 	w.End()
@@ -168,7 +168,7 @@ func TestUnderReadDetected(t *testing.T) {
 }
 
 func TestBogusLengthPrefixRejected(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	w.U32(1 << 30) // length prefix far beyond the record payload
 	w.End()
@@ -181,7 +181,7 @@ func TestBogusLengthPrefixRejected(t *testing.T) {
 }
 
 func TestBadBoolRejected(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	w.U8(7)
 	w.End()
@@ -194,20 +194,20 @@ func TestBadBoolRejected(t *testing.T) {
 }
 
 func TestWriterMisuse(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.U64(1) // outside any record
 	if _, err := w.Finish(); err == nil {
 		t.Fatal("write outside record accepted")
 	}
 
-	w = NewWriter(1)
+	w = NewWriterSize(1, 0)
 	w.Begin(1)
 	w.Begin(2)
 	if _, err := w.Finish(); err == nil {
 		t.Fatal("nested Begin accepted")
 	}
 
-	w = NewWriter(1)
+	w = NewWriterSize(1, 0)
 	w.Begin(1)
 	if _, err := w.Finish(); err == nil {
 		t.Fatal("Finish with open record accepted")
@@ -216,7 +216,7 @@ func TestWriterMisuse(t *testing.T) {
 
 func TestDeterministicEncoding(t *testing.T) {
 	build := func() []byte {
-		w := NewWriter(2)
+		w := NewWriterSize(2, 0)
 		w.Begin(4)
 		w.String("abc")
 		w.F64(1.5)
@@ -236,7 +236,7 @@ func TestDeterministicEncoding(t *testing.T) {
 // reads back through Len exactly like one written up front, and Fail on
 // either side latches the first error only.
 func TestCountBackpatch(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	slot := w.Count()
 	for i := 0; i < 3; i++ {
@@ -269,7 +269,7 @@ func TestCountBackpatch(t *testing.T) {
 	if r.Err() != first || r.U32() != 0 {
 		t.Fatalf("reader after Fail: err %v", r.Err())
 	}
-	w = NewWriter(1)
+	w = NewWriterSize(1, 0)
 	w.Begin(1)
 	w.SetCount(w.Count(), -1)
 	if _, err := w.Finish(); err == nil {
@@ -283,7 +283,7 @@ func TestCountBackpatch(t *testing.T) {
 // decoder make storage w times the record's size.
 func TestCountHoldsPrefixToElementWidth(t *testing.T) {
 	record := func(n uint32) *Reader {
-		w := NewWriter(1)
+		w := NewWriterSize(1, 0)
 		w.Begin(1)
 		w.U32(n)
 		w.Raw(96) // two 48-byte elements' worth
@@ -311,7 +311,7 @@ func TestCountHoldsPrefixToElementWidth(t *testing.T) {
 // Reader.Raw, beside ordinary primitives, and a short record fails the
 // reader.
 func TestRawRoundTrip(t *testing.T) {
-	w := NewWriter(1)
+	w := NewWriterSize(1, 0)
 	w.Begin(1)
 	w.U8(9)
 	copy(w.Raw(3), "abc")
@@ -329,7 +329,7 @@ func TestRawRoundTrip(t *testing.T) {
 	if r.Raw(1) != nil || r.Err() == nil {
 		t.Fatal("Raw past the payload returned bytes")
 	}
-	if NewWriter(1).Raw(4) != nil {
+	if NewWriterSize(1, 0).Raw(4) != nil {
 		t.Fatal("Raw outside a record returned storage")
 	}
 }

@@ -2,19 +2,10 @@ package stats
 
 import "repro/internal/des"
 
-// RateEstimator is implemented by the estimators the adaptive controller
-// can consult for the average input rate ρ̄ of a flow.
-type RateEstimator interface {
-	// Observe records that `bits` arrived at time t.
-	Observe(t des.Time, bits float64)
-	// Rate returns the estimated arrival rate in bits/second as of time t.
-	Rate(t des.Time) float64
-}
-
 // WindowRate measures arrival rate over a sliding window: the total bits
 // that arrived in the last Window nanoseconds divided by the window length.
-// This is the default estimator: it is exactly the "average input rate over
-// the recent past" the paper's algorithm consults.
+// It is exactly the "average input rate over the recent past" the paper's
+// adaptive algorithm consults.
 type WindowRate struct {
 	window des.Duration
 	// ring buffer of (time, bits) arrivals inside the window
@@ -78,44 +69,6 @@ func (w *WindowRate) Rate(t des.Time) float64 {
 	w.expire(t)
 	return w.sum / w.window.Seconds()
 }
-
-// EWMARate estimates rate with an exponentially weighted moving average of
-// instantaneous inter-arrival rates. Cheaper than WindowRate (O(1) memory)
-// but lags on abrupt load changes; offered as the ablation alternative.
-type EWMARate struct {
-	alpha float64
-	last  des.Time
-	rate  float64
-	seen  bool
-}
-
-// NewEWMARate returns an estimator with smoothing factor alpha in (0, 1].
-func NewEWMARate(alpha float64) *EWMARate {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0,1]")
-	}
-	return &EWMARate{alpha: alpha}
-}
-
-// Observe records an arrival of `bits` at time t.
-func (e *EWMARate) Observe(t des.Time, bits float64) {
-	if !e.seen {
-		e.seen = true
-		e.last = t
-		return
-	}
-	dt := (t - e.last).Seconds()
-	e.last = t
-	if dt <= 0 {
-		return
-	}
-	inst := bits / dt
-	e.rate = e.alpha*inst + (1-e.alpha)*e.rate
-}
-
-// Rate returns the smoothed estimate; t is accepted for interface
-// compatibility but the EWMA does not decay between arrivals.
-func (e *EWMARate) Rate(des.Time) float64 { return e.rate }
 
 // Counter tracks a monotone count and total (e.g. packets and bits
 // delivered), with a convenience throughput query.

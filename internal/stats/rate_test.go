@@ -77,39 +77,6 @@ func TestWindowRatePanicsOnBadWindow(t *testing.T) {
 	NewWindowRate(0)
 }
 
-func TestEWMARateConverges(t *testing.T) {
-	e := NewEWMARate(0.1)
-	// 500 bits every 5ms = 100,000 bits/s
-	for i := 0; i <= 400; i++ {
-		e.Observe(des.Time(i)*5*des.Millisecond, 500)
-	}
-	got := e.Rate(0)
-	if math.Abs(got-100000)/100000 > 0.02 {
-		t.Fatalf("EWMA rate = %v, want ~100000", got)
-	}
-}
-
-func TestEWMARateFirstObservationOnlyPrimes(t *testing.T) {
-	e := NewEWMARate(0.5)
-	e.Observe(des.Second, 1000)
-	if e.Rate(0) != 0 {
-		t.Fatal("rate after single observation should be 0 (no interval yet)")
-	}
-}
-
-func TestEWMARatePanicsOnBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("alpha=%v did not panic", a)
-				}
-			}()
-			NewEWMARate(a)
-		}()
-	}
-}
-
 func TestCounterThroughput(t *testing.T) {
 	var c Counter
 	c.Add(0, 1000)
@@ -136,13 +103,5 @@ func BenchmarkWindowRateObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Observe(des.Time(i)*des.Microsecond, 1000)
-	}
-}
-
-func BenchmarkEWMAObserve(b *testing.B) {
-	e := NewEWMARate(0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Observe(des.Time(i)*des.Microsecond, 1000)
 	}
 }

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "strings"
 
 // Table accumulates rows of strings and renders them with aligned columns.
 // The experiment harness uses it to print the same row/series layout the
@@ -24,22 +20,6 @@ func NewTable(header ...string) *Table {
 func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
-
-// AddRowf appends a row formatting each value with the corresponding verb.
-// verbs and values must have equal length.
-func (t *Table) AddRowf(verbs []string, values ...any) {
-	if len(verbs) != len(values) {
-		panic("stats: AddRowf verb/value length mismatch")
-	}
-	cells := make([]string, len(values))
-	for i, v := range values {
-		cells[i] = fmt.Sprintf(verbs[i], v)
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with space-aligned columns.
 func (t *Table) String() string {
@@ -104,16 +84,6 @@ type Series struct {
 func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
-}
-
-// YAt returns the y value for the given x, or NaN if x is absent.
-func (s *Series) YAt(x float64) float64 {
-	for i, v := range s.X {
-		if v == x {
-			return s.Y[i]
-		}
-	}
-	return math.NaN()
 }
 
 // Crossover returns the first x at which series a stops exceeding series b

@@ -18,27 +18,9 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 4 { // header, rule, 2 rows
 		t.Fatalf("expected 4 lines, got %d:\n%s", len(lines), out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
-}
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRowf([]string{"%.2f", "%d"}, 1.2345, 42)
-	out := tb.String()
-	if !strings.Contains(out, "1.23") || !strings.Contains(out, "42") {
-		t.Fatalf("AddRowf output:\n%s", out)
-	}
-}
-
-func TestTableAddRowfMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTable("a").AddRowf([]string{"%d", "%d"}, 1)
 }
 
 func TestTableRaggedRows(t *testing.T) {
@@ -55,11 +37,8 @@ func TestSeriesAddAndYAt(t *testing.T) {
 	var s Series
 	s.Add(0.35, 1.0)
 	s.Add(0.40, 2.0)
-	if got := s.YAt(0.40); got != 2.0 {
-		t.Fatalf("YAt = %v", got)
-	}
-	if got := s.YAt(0.99); !math.IsNaN(got) {
-		t.Fatalf("YAt missing x = %v, want NaN", got)
+	if len(s.X) != 2 || s.X[1] != 0.40 || s.Y[1] != 2.0 {
+		t.Fatalf("series after two Adds = %v / %v", s.X, s.Y)
 	}
 }
 

@@ -23,9 +23,6 @@ func NewWindowMax(width float64) *WindowMax {
 	return &WindowMax{width: width}
 }
 
-// Width returns the bucket width.
-func (w *WindowMax) Width() float64 { return w.width }
-
 // Observe folds sample x at time t into its bucket. Negative times fold
 // into bucket 0.
 func (w *WindowMax) Observe(t, x float64) {
@@ -71,9 +68,6 @@ func (w *WindowMax) Merge(o *WindowMax) {
 func (w *WindowMax) Series() []float64 {
 	return append([]float64(nil), w.buckets...)
 }
-
-// NumWindows returns how many buckets have been opened.
-func (w *WindowMax) NumWindows() int { return len(w.buckets) }
 
 // MaxIn returns the largest value of a WindowMax series over the time
 // range [from, to), given the series' bucket width — the transient spike

@@ -18,8 +18,8 @@ func TestWindowMaxBucketsAndSeries(t *testing.T) {
 			t.Fatalf("bucket %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if w.NumWindows() != 3 || w.Width() != 1.0 {
-		t.Fatalf("NumWindows=%d Width=%v", w.NumWindows(), w.Width())
+	if len(w.buckets) != 3 || w.width != 1.0 {
+		t.Fatalf("windows=%d width=%v", len(w.buckets), w.width)
 	}
 }
 

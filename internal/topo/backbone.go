@@ -205,17 +205,6 @@ func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
 // which is ascending host ID (overlay.BuildDSCT relies on that).
 func (n *Network) HostsAtRouter(r NodeID) []int { return n.byRouter[r] }
 
-// Domains returns the non-empty local domains (router ID + member hosts).
-func (n *Network) Domains() map[NodeID][]int {
-	out := make(map[NodeID][]int)
-	for r, hosts := range n.byRouter {
-		if len(hosts) > 0 {
-			out[NodeID(r)] = hosts
-		}
-	}
-	return out
-}
-
 // Latency returns the one-way propagation delay between two hosts:
 // access + backbone shortest path + access. Hosts on the same router
 // communicate through it (both access links, no backbone hops).

@@ -174,20 +174,23 @@ func TestRouterPath(t *testing.T) {
 }
 
 func TestDomains(t *testing.T) {
+	// The local domains — each router's attached hosts — partition the hosts.
 	net := NewNetwork(Backbone19(), NetworkConfig{NumHosts: 665, Seed: 1})
-	doms := net.Domains()
-	if len(doms) == 0 || len(doms) > BackboneNodes {
-		t.Fatalf("domains = %d", len(doms))
-	}
-	count := 0
-	for _, members := range doms {
-		if len(members) == 0 {
-			t.Fatal("empty domain returned")
+	count, domains := 0, 0
+	for r := NodeID(0); r < BackboneNodes; r++ {
+		members := net.HostsAtRouter(r)
+		if len(members) > 0 {
+			domains++
+		}
+		for _, h := range members {
+			if net.Hosts[h].Router != r {
+				t.Fatalf("host %d listed at router %d, attached to %d", h, r, net.Hosts[h].Router)
+			}
 		}
 		count += len(members)
 	}
-	if count != 665 {
-		t.Fatalf("domains cover %d hosts", count)
+	if domains == 0 || count != 665 {
+		t.Fatalf("%d domains cover %d hosts", domains, count)
 	}
 }
 

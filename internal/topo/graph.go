@@ -157,31 +157,6 @@ func (g *Graph) Dijkstra(src NodeID) (dist []des.Duration, prev []NodeID) {
 	return dist, prev
 }
 
-// PathTo reconstructs the node sequence src..dst from a predecessor array
-// returned by Dijkstra(src). It returns nil when dst is unreachable.
-func PathTo(prev []NodeID, src, dst NodeID) []NodeID {
-	if src == dst {
-		return []NodeID{src}
-	}
-	if prev[dst] < 0 {
-		return nil
-	}
-	var rev []NodeID
-	for v := dst; v >= 0; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // APSP holds all-pairs shortest path delays and next-hop tables.
 type APSP struct {
 	Delay [][]des.Duration

@@ -59,9 +59,10 @@ func TestDijkstraLine(t *testing.T) {
 			t.Fatalf("dist[%d] = %v, want %v", i, dist[i], want)
 		}
 	}
-	path := PathTo(prev, 0, 4)
-	if len(path) != 5 || path[0] != 0 || path[4] != 4 {
-		t.Fatalf("path = %v", path)
+	for v := NodeID(1); v < 5; v++ {
+		if prev[v] != v-1 {
+			t.Fatalf("prev[%d] = %d, want %d", v, prev[v], v-1)
+		}
 	}
 }
 
@@ -75,9 +76,8 @@ func TestDijkstraPicksShorterRoute(t *testing.T) {
 	if dist[2] != 2*des.Millisecond {
 		t.Fatalf("dist[2] = %v", dist[2])
 	}
-	path := PathTo(prev, 0, 2)
-	if len(path) != 3 || path[1] != 1 {
-		t.Fatalf("path = %v", path)
+	if prev[2] != 1 || prev[1] != 0 {
+		t.Fatalf("prev = %v, want the route 0-1-2", prev)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Fatalf("unreachable dist = %v/%v", dist[2], dist[3])
 	}
-	if PathTo(prev, 0, 3) != nil {
-		t.Fatal("path to unreachable node should be nil")
+	if prev[3] != -1 {
+		t.Fatal("unreachable node should have no predecessor")
 	}
 	if !g.Connected() {
 		// expected: the graph is disconnected
@@ -100,11 +100,11 @@ func TestDijkstraUnreachable(t *testing.T) {
 }
 
 func TestPathToSelf(t *testing.T) {
+	// The source's own route is empty: distance 0 and no predecessor.
 	g := lineGraph(3)
-	_, prev := g.Dijkstra(1)
-	p := PathTo(prev, 1, 1)
-	if len(p) != 1 || p[0] != 1 {
-		t.Fatalf("self path = %v", p)
+	dist, prev := g.Dijkstra(1)
+	if dist[1] != 0 || prev[1] != -1 {
+		t.Fatalf("self route: dist %v, prev %d", dist[1], prev[1])
 	}
 }
 

@@ -9,11 +9,6 @@ type Envelope struct {
 	Rho   float64 // long-term rate bound, bits/second
 }
 
-// Bits returns the maximum bits the envelope admits over a span.
-func (e Envelope) Bits(span des.Duration) float64 {
-	return e.Sigma + e.Rho*span.Seconds()
-}
-
 // Meter measures the tightest σ for a fixed ρ over an observed arrival
 // stream, streaming in O(1) space:
 //
@@ -61,13 +56,6 @@ func (m *Meter) Sigma() float64 { return m.sigma }
 
 // Count returns the number of arrivals observed.
 func (m *Meter) Count() uint64 { return m.n }
-
-// TotalBits returns cumulative observed arrivals.
-func (m *Meter) TotalBits() float64 { return m.cum }
-
-// Conforms reports whether every prefix of the observed stream satisfied
-// the envelope (sigma, rho) for the meter's rho.
-func (m *Meter) Conforms(sigma float64) bool { return m.sigma <= sigma+1e-9 }
 
 // MeasureEnvelope runs src in isolation for the given duration and returns
 // the tightest (σ, ρ) envelope at ρ = margin × AvgRate. This is how the

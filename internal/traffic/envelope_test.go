@@ -9,19 +9,9 @@ import (
 	"repro/internal/xrand"
 )
 
-func TestEnvelopeBits(t *testing.T) {
-	e := Envelope{Sigma: 1000, Rho: 500}
-	if got := e.Bits(des.Seconds(2)); got != 2000 {
-		t.Fatalf("Bits = %v", got)
-	}
-	if got := e.Bits(0); got != 1000 {
-		t.Fatalf("Bits(0) = %v", got)
-	}
-}
-
 func TestMeterCBRHasTinySigma(t *testing.T) {
 	// A CBR stream at exactly ρ needs only one packet of burst.
-	src := NewCBR(0, 100_000, 1000)
+	src := cbr(0, 100_000, 1000)
 	eng := des.New()
 	m := NewMeter(100_000)
 	until := des.Seconds(10)
@@ -63,10 +53,10 @@ func TestMeterBurstAfterIdle(t *testing.T) {
 func TestMeterConforms(t *testing.T) {
 	m := NewMeter(1e6)
 	m.Observe(0, 500)
-	if !m.Conforms(500) {
+	if m.Sigma() > 500+1e-9 {
 		t.Fatalf("σ̂ = %v should conform to 500", m.Sigma())
 	}
-	if m.Conforms(100) {
+	if m.Sigma() <= 100 {
 		t.Fatal("should not conform to σ=100 after 500-bit burst")
 	}
 }
@@ -75,8 +65,8 @@ func TestMeterTotalBits(t *testing.T) {
 	m := NewMeter(100)
 	m.Observe(0, 10)
 	m.Observe(des.Second, 20)
-	if m.TotalBits() != 30 {
-		t.Fatalf("total = %v", m.TotalBits())
+	if m.cum != 30 {
+		t.Fatalf("total = %v", m.cum)
 	}
 }
 

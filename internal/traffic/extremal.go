@@ -176,19 +176,12 @@ func (e *Extremal) Rearm(kind uint16, at, prio des.Time) bool {
 	return true
 }
 
-// ExtremalMix builds the K=3 extremal flows matching a media mix's rates:
-// audio flows use small packets (1280 bits) and video flows MTU packets,
-// all aligned in phase (the multi-group worst case — the paper feeds every
-// group the same stream). rhoMargin is the envelope headroom (e.g. 1.04);
+// ExtremalMixN builds n extremal flows matching a media mix's rates by
+// cycling its three-flow pattern (see Mix.VideoFlow): audio flows use
+// small packets (1280 bits) and video flows MTU packets, all aligned in
+// phase — the multi-group worst case at any K (the paper feeds every group
+// the same stream). rhoMargin is the envelope headroom (e.g. 1.04);
 // burstSec sets each flow's σ in seconds of its ρ.
-func ExtremalMix(m Mix, rhoMargin, burstSec float64) []Source {
-	return ExtremalMixN(m, m.NumFlows(), rhoMargin, burstSec)
-}
-
-// ExtremalMixN builds n extremal flows by cycling the mix's three-flow
-// pattern (see Mix.VideoFlow) — the K-group scenario counterpart of
-// ExtremalMix. All flows stay phase-aligned, preserving the multi-group
-// worst case at any K.
 func ExtremalMixN(m Mix, n int, rhoMargin, burstSec float64) []Source {
 	if rhoMargin <= 1 {
 		panic("traffic: rhoMargin must exceed 1")
@@ -209,13 +202,8 @@ func ExtremalMixN(m Mix, n int, rhoMargin, burstSec float64) []Source {
 	return out
 }
 
-// ExtremalSpecsFor returns the exact flow envelopes of ExtremalMix's
-// flows: (σ + packet, ρ) per flow.
-func ExtremalSpecsFor(m Mix, rhoMargin, burstSec float64) []Envelope {
-	return ExtremalSpecsForN(m, m.NumFlows(), rhoMargin, burstSec)
-}
-
-// ExtremalSpecsForN returns the exact envelopes of ExtremalMixN's flows.
+// ExtremalSpecsForN returns the exact envelopes of ExtremalMixN's flows:
+// (σ + packet, ρ) per flow.
 func ExtremalSpecsForN(m Mix, n int, rhoMargin, burstSec float64) []Envelope {
 	out := make([]Envelope, 0, n)
 	for _, s := range ExtremalMixN(m, n, rhoMargin, burstSec) {

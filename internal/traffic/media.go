@@ -354,21 +354,14 @@ func (m Mix) VideoFlow(i int) bool {
 	}
 }
 
-// Sources instantiates the K=3 flows of the mix. Same-type flows share
-// one stream seed, i.e. the groups carry identical copies of one stream —
-// exactly the paper's Simulation II setup ("each of the three groups is
-// fed with the same 64Kbps audio stream"). Identical copies burst in
-// lockstep, which is what makes the un-staggered (σ, ρ) multiplexer
-// realise its worst case and the staggered (σ, ρ, λ) regulator pay off.
-func (m Mix) Sources(seed uint64) []Source {
-	return m.SourcesN(m.NumFlows(), seed)
-}
-
 // SourcesN instantiates n flows by cycling the mix's three-flow pattern —
 // how a K-group scenario drives K > 3 groups with the paper's media
-// models. As in Sources, same-type flows share one stream seed (lockstep
-// copies, the multi-group worst case); SourcesN(3, seed) is stream-for-
-// stream identical to Sources(seed).
+// models. Same-type flows share one stream seed, i.e. the groups carry
+// identical copies of one stream — exactly the paper's Simulation II setup
+// ("each of the three groups is fed with the same 64Kbps audio stream").
+// Identical copies burst in lockstep, which is what makes the un-staggered
+// (σ, ρ) multiplexer realise its worst case and the staggered (σ, ρ, λ)
+// regulator pay off.
 func (m Mix) SourcesN(n int, seed uint64) []Source {
 	if n < 1 {
 		panic("traffic: SourcesN needs at least one flow")
@@ -385,9 +378,6 @@ func (m Mix) SourcesN(n int, seed uint64) []Source {
 	}
 	return out
 }
-
-// TotalRate returns the aggregate average rate of the mix in bits/second.
-func (m Mix) TotalRate() float64 { return m.TotalRateN(m.NumFlows()) }
 
 // TotalRateN returns the aggregate average rate of an n-flow
 // instantiation of the mix.

@@ -14,7 +14,7 @@ import (
 // serialisation time later.
 func TestRestorePacketBounds(t *testing.T) {
 	restore := func(p Packet, flows int) (Packet, error) {
-		w := snap.NewWriter(1)
+		w := snap.NewWriterSize(1, 0)
 		w.Begin(1)
 		p.Snapshot(w)
 		w.End()

@@ -25,8 +25,11 @@ func measuredRate(pkts []Packet, dur float64) float64 {
 	return total / dur
 }
 
+// cbr is the constant-bit-rate stream: a greedy source with no burst.
+func cbr(flow int, rate, packetSize float64) *Greedy { return NewGreedy(flow, 0, rate, packetSize) }
+
 func TestCBRRateAndSpacing(t *testing.T) {
-	src := NewCBR(0, 100_000, 1000)
+	src := cbr(0, 100_000, 1000)
 	pkts := runSource(src, 10)
 	rate := measuredRate(pkts, 10)
 	if math.Abs(rate-100_000)/100_000 > 0.01 {
@@ -41,7 +44,7 @@ func TestCBRRateAndSpacing(t *testing.T) {
 }
 
 func TestCBRIDsMonotone(t *testing.T) {
-	pkts := runSource(NewCBR(3, 50_000, 500), 2)
+	pkts := runSource(cbr(3, 50_000, 500), 2)
 	for i, p := range pkts {
 		if p.ID != uint64(i) || p.Flow != 3 {
 			t.Fatalf("packet %d: id=%d flow=%d", i, p.ID, p.Flow)
@@ -50,7 +53,7 @@ func TestCBRIDsMonotone(t *testing.T) {
 }
 
 func TestCBRStopsAtHorizon(t *testing.T) {
-	pkts := runSource(NewCBR(0, 1e6, 1000), 1)
+	pkts := runSource(cbr(0, 1e6, 1000), 1)
 	for _, p := range pkts {
 		if p.CreatedAt >= des.Seconds(1) {
 			t.Fatalf("packet emitted at %v past horizon", p.CreatedAt)
@@ -60,8 +63,8 @@ func TestCBRStopsAtHorizon(t *testing.T) {
 
 func TestCBRValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewCBR(0, 0, 100) },
-		func() { NewCBR(0, 100, 0) },
+		func() { cbr(0, 0, 100) },
+		func() { cbr(0, 100, 0) },
 	} {
 		func() {
 			defer func() {
@@ -71,28 +74,6 @@ func TestCBRValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestPoissonRate(t *testing.T) {
-	src := NewPoisson(0, 200_000, 1000, 42)
-	pkts := runSource(src, 30)
-	rate := measuredRate(pkts, 30)
-	if math.Abs(rate-200_000)/200_000 > 0.05 {
-		t.Fatalf("Poisson rate = %v", rate)
-	}
-}
-
-func TestPoissonDeterministicPerSeed(t *testing.T) {
-	a := runSource(NewPoisson(0, 1e5, 1000, 9), 5)
-	b := runSource(NewPoisson(0, 1e5, 1000, 9), 5)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("packet %d differs", i)
-		}
 	}
 }
 
@@ -127,7 +108,7 @@ func TestGreedyConformsToOwnEnvelope(t *testing.T) {
 	until := des.Seconds(5)
 	src.Start(eng, until, func(p Packet) { meter.Observe(eng.Now(), p.Size) })
 	eng.RunUntil(until)
-	if !meter.Conforms(20_000) {
+	if meter.Sigma() > 20_000+1e-9 {
 		t.Fatalf("greedy source violates its envelope: σ̂=%v", meter.Sigma())
 	}
 	// And the measured σ should be nearly the configured burst (tight).
@@ -234,13 +215,13 @@ func TestMixProperties(t *testing.T) {
 		{MixHetero, VideoRate + 2*AudioRate, false},
 	}
 	for _, c := range cases {
-		if c.mix.TotalRate() != c.total {
-			t.Fatalf("%v total = %v", c.mix, c.mix.TotalRate())
+		if c.mix.TotalRateN(3) != c.total {
+			t.Fatalf("%v total = %v", c.mix, c.mix.TotalRateN(3))
 		}
 		if c.mix.Homogeneous() != c.homog {
 			t.Fatalf("%v homogeneous = %v", c.mix, c.mix.Homogeneous())
 		}
-		srcs := c.mix.Sources(1)
+		srcs := c.mix.SourcesN(3, 1)
 		if len(srcs) != 3 {
 			t.Fatalf("%v sources = %d", c.mix, len(srcs))
 		}

@@ -1,7 +1,7 @@
 package xrand
 
-// Checkpoint support: a generator's stream position is its state words,
-// so capturing and re-installing them resumes the stream exactly. These
+// Checkpoint support: a generator's stream position is its state word,
+// so capturing and re-installing it resumes the stream exactly. These
 // are value accessors, not codec methods — xrand sits below the snapshot
 // layer and keeping it dependency-free keeps it reusable.
 
@@ -11,9 +11,3 @@ func (r *Rand) State() uint64 { return r.state }
 // SetState positions the generator so its next output is what a
 // generator whose State reported s would produce next.
 func (r *Rand) SetState(s uint64) { r.state = s }
-
-// State returns the generator's state and stream-increment words.
-func (p *PCG32) State() (state, inc uint64) { return p.state, p.inc }
-
-// SetState positions the generator at the captured (state, inc) pair.
-func (p *PCG32) SetState(state, inc uint64) { p.state, p.inc = state, inc }

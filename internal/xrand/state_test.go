@@ -17,19 +17,3 @@ func TestRandStateRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestPCG32StateRoundTrip(t *testing.T) {
-	p := NewPCG32(7, 3)
-	for i := 0; i < 10; i++ {
-		p.Uint32()
-	}
-	st, inc := p.State()
-	want := []uint32{p.Uint32(), p.Uint32(), p.Uint32()}
-	fork := NewPCG32(0, 0)
-	fork.SetState(st, inc)
-	for i, w := range want {
-		if got := fork.Uint32(); got != w {
-			t.Fatalf("output %d after SetState = %#x, want %#x", i, got, w)
-		}
-	}
-}

@@ -2,10 +2,10 @@
 // generators and the distributions the simulator needs.
 //
 // Every experiment in this repository must be reproducible bit-for-bit
-// across runs and Go versions, so the package implements its own generators
-// (SplitMix64 and PCG32) instead of relying on math/rand, whose stream is
-// not guaranteed stable across releases. All generators are plain structs:
-// copying one forks the stream, and none of them is safe for concurrent use
+// across runs and Go versions, so the package implements its own generator
+// (SplitMix64) instead of relying on math/rand, whose stream is not
+// guaranteed stable across releases. A generator is a plain struct:
+// copying one forks the stream, and it is not safe for concurrent use
 // (give each goroutine its own generator, derived with Split).
 package xrand
 
@@ -103,11 +103,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64Range returns a float64 uniform on [lo, hi).
-func (r *Rand) Float64Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
@@ -126,14 +121,6 @@ func (r *Rand) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 
@@ -165,11 +152,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Normal returns a normal float64 with the given mean and standard deviation.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
-}
-
 // LogNormal returns a log-normally distributed float64 where the underlying
 // normal has parameters mu and sigma.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
@@ -185,69 +167,4 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 			return xm / math.Pow(u, 1/alpha)
 		}
 	}
-}
-
-// Jitter returns base scaled by a uniform factor in [1-frac, 1+frac].
-// Useful for perturbing deterministic schedules without changing the mean.
-func (r *Rand) Jitter(base, frac float64) float64 {
-	return base * (1 + frac*(2*r.Float64()-1))
-}
-
-// PCG32 is a 32-bit permuted-congruential generator (O'Neill 2014). It is
-// provided as a second, independent family for consumers that want streams
-// decorrelated from the SplitMix64 family (e.g. failure injection vs
-// workload generation).
-type PCG32 struct {
-	state uint64
-	inc   uint64
-}
-
-// NewPCG32 returns a PCG32 generator for the given seed and stream id.
-// Distinct stream ids yield independent sequences even with equal seeds.
-func NewPCG32(seed, stream uint64) *PCG32 {
-	p := &PCG32{inc: stream<<1 | 1}
-	p.Uint32()
-	p.state += seed
-	p.Uint32()
-	return p
-}
-
-// Uint32 returns the next 32 uniformly distributed bits.
-func (p *PCG32) Uint32() uint32 {
-	old := p.state
-	p.state = old*6364136223846793005 + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return xorshifted>>rot | xorshifted<<((-rot)&31)
-}
-
-// Uint64 returns the next 64 uniformly distributed bits.
-func (p *PCG32) Uint64() uint64 {
-	return uint64(p.Uint32())<<32 | uint64(p.Uint32())
-}
-
-// Float64 returns a float64 uniform on [0, 1).
-func (p *PCG32) Float64() float64 {
-	return float64(p.Uint64()>>11) / (1 << 53)
-}
-
-// Intn returns an int uniform on [0, n). It panics if n <= 0.
-func (p *PCG32) Intn(n int) int {
-	if n <= 0 {
-		panic("xrand: PCG32.Intn with n <= 0")
-	}
-	// Lemire's nearly-divisionless bounded sampling.
-	bound := uint32(n)
-	x := p.Uint32()
-	m := uint64(x) * uint64(bound)
-	l := uint32(m)
-	if l < bound {
-		t := -bound % bound
-		for l < t {
-			x = p.Uint32()
-			m = uint64(x) * uint64(bound)
-			l = uint32(m)
-		}
-	}
-	return int(m >> 32)
 }

@@ -143,7 +143,7 @@ func TestNormalMoments(t *testing.T) {
 	var sum, sq float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
+		v := 10 + 2*r.NormFloat64()
 		sum += v
 		sq += v * v
 	}
@@ -188,16 +188,6 @@ func TestParetoMean(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	r := New(41)
-	for i := 0; i < 10000; i++ {
-		v := r.Jitter(100, 0.2)
-		if v < 80 || v > 120 {
-			t.Fatalf("Jitter out of bounds: %v", v)
-		}
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(43)
 	hits := 0
@@ -210,40 +200,6 @@ func TestBoolProbability(t *testing.T) {
 	frac := float64(hits) / n
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) hit rate %v", frac)
-	}
-}
-
-func TestPCG32Determinism(t *testing.T) {
-	a := NewPCG32(99, 1)
-	b := NewPCG32(99, 1)
-	for i := 0; i < 1000; i++ {
-		if a.Uint32() != b.Uint32() {
-			t.Fatalf("PCG32 streams diverged at %d", i)
-		}
-	}
-}
-
-func TestPCG32StreamsIndependent(t *testing.T) {
-	a := NewPCG32(99, 1)
-	b := NewPCG32(99, 2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint32() == b.Uint32() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("different streams matched %d/100 times", same)
-	}
-}
-
-func TestPCG32IntnBounds(t *testing.T) {
-	p := NewPCG32(7, 3)
-	for i := 0; i < 20000; i++ {
-		v := p.Intn(13)
-		if v < 0 || v >= 13 {
-			t.Fatalf("PCG32.Intn(13) = %d", v)
-		}
 	}
 }
 
@@ -307,15 +263,6 @@ func BenchmarkNormFloat64(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink = r.NormFloat64()
-	}
-	_ = sink
-}
-
-func BenchmarkPCG32Uint32(b *testing.B) {
-	p := NewPCG32(1, 1)
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink = p.Uint32()
 	}
 	_ = sink
 }
