@@ -93,10 +93,11 @@ fuzz:
 # configs and the CLI; each verdict line carries the snapshot's size and the
 # milliseconds its Snapshot and its Restore took. The first leg holds one
 # checkpoint cycle to its allocation budget (deterministic: bytes and
-# objects per Snapshot and per Restore) and the size hint to surviving a
-# restore.
+# objects per Snapshot and per Restore), the size hint to surviving a
+# restore, and one blob to its exact byte count, so a word added back to a
+# component record fails here.
 snapshot:
-	$(GO) test -run 'TestCheckpointCycleAllocBudget|TestSnapshotHintSurvivesRestore' ./internal/core
+	$(GO) test -run 'TestCheckpointCycleAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 1 -snapshot-diff

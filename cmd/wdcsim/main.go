@@ -61,6 +61,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -108,6 +109,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if err := checkFlags(*hosts, *durSec, *workers, *fleetN); err != nil {
+		fmt.Fprintf(stderr, "wdcsim: %v\n", err)
 		return 2
 	}
 
@@ -274,6 +279,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// checkFlags rejects the numeric flag values no run can take, so bad input
+// exits 2 with one line instead of a panic mid-sweep or a silent default.
+// Zero keeps each flag's default.
+func checkFlags(hosts int, durSec float64, workers, fleet int) error {
+	switch {
+	case hosts < 0 || hosts == 1:
+		return fmt.Errorf("-hosts %d: a session needs at least two hosts", hosts)
+	case durSec < 0 || math.IsNaN(durSec) || math.IsInf(durSec, 0):
+		return fmt.Errorf("-duration %v must be a finite number of seconds, at least 0", durSec)
+	case workers < 0:
+		return fmt.Errorf("-workers %d must not be negative", workers)
+	case fleet < 0:
+		return fmt.Errorf("-fleet %d must not be negative", fleet)
+	}
+	return nil
 }
 
 // experiment is one -exp id: a figure or table of the paper's evaluation,

@@ -433,3 +433,37 @@ func TestShardsFlagRejectsGarbage(t *testing.T) {
 		t.Fatalf("-shards -3: exit %d, want 2", code)
 	}
 }
+
+// TestBadFlagValuesExitTwo: a numeric flag no run can take exits 2 with one
+// "wdcsim: …" line, before any output — not a stack trace mid-sweep, and not
+// a silent fall-back to the default.
+func TestBadFlagValuesExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "paper-fig6", "-quick", "-hosts", "1"},
+		{"-scenario", "paper-fig6", "-quick", "-hosts", "-3"},
+		{"-scenario", "paper-fig6", "-quick", "-duration", "-1"},
+		{"-scenario", "paper-fig6", "-quick", "-duration", "NaN"},
+		{"-scenario", "paper-fig6", "-quick", "-workers", "-2"},
+		{"-scenario", "paper-fig6", "-quick", "-fleet", "-1"},
+	} {
+		var out, errOut bytes.Buffer
+		code := func() (code int) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%v: panicked: %v", args, r)
+				}
+			}()
+			return run(args, &out, &errOut)
+		}()
+		msg := errOut.String()
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.HasPrefix(msg, "wdcsim: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one \"wdcsim: …\" line", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, out.String())
+		}
+	}
+}

@@ -47,6 +47,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *hosts < 1 {
+		fmt.Fprintf(stderr, "wdctree: -hosts %d must be at least 1\n", *hosts)
+		return 2
+	}
 
 	switch {
 	case *printBackbone:

@@ -47,3 +47,33 @@ func TestBadUsage(t *testing.T) {
 		t.Fatalf("unknown kind: exit %d", code)
 	}
 }
+
+// TestBadFlagValuesExitTwo: a host count no network can take exits 2 with
+// one "wdctree: …" line instead of a panic in the topology builder.
+func TestBadFlagValuesExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-build", "dsct", "-hosts", "-5"},
+		{"-build", "flat", "-hosts", "0"},
+		{"-heights", "-hosts", "0"},
+	} {
+		var out, errOut bytes.Buffer
+		code := func() (code int) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%v: panicked: %v", args, r)
+				}
+			}()
+			return run(args, &out, &errOut)
+		}()
+		msg := errOut.String()
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.HasPrefix(msg, "wdctree: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one \"wdctree: …\" line", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, out.String())
+		}
+	}
+}

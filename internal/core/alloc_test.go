@@ -48,8 +48,9 @@ func allocated(fn func()) (bytes, mallocs uint64) {
 // deterministic, so the bounds are exact statements, not tolerances:
 //
 //   - Restore allocates at most 1.15 × the bytes NewSession + Start
-//     allocate for the same Config (the blob adds queue contents; the slabs
-//     and the build it skips pay for them), in at most two objects per
+//     allocate for the same Config, plus 64 bytes per pending event (the
+//     blob adds queue contents and the events in flight; the slabs and the
+//     build it skips pay for the rest), in at most two objects per
 //     component (its two stored callbacks), one per host (its receiver),
 //     three per pending event (the engine's record, and a flight's carrier
 //     and callback), 24 per group (tree, maps, source) and 160 besides.
@@ -91,8 +92,8 @@ func TestCheckpointCycleAllocBudget(t *testing.T) {
 					}
 				})
 				comps, pending := core.ComponentCount(s), core.PendingEvents(s)
-				if limit := buildBytes * 115 / 100; restBytes > limit {
-					t.Errorf("at %v: Restore allocated %d bytes, over 1.15 × the %d of NewSession + Start", at, restBytes, buildBytes)
+				if limit := buildBytes*115/100 + 64*uint64(pending); restBytes > limit {
+					t.Errorf("at %v: Restore allocated %d bytes, over 1.15 × the %d of NewSession + Start plus 64 for each of %d pending events", at, restBytes, buildBytes, pending)
 				}
 				if limit := uint64(2*comps + cfg.NumHosts + 3*pending + 24*groups + 160); restObjects > limit {
 					t.Errorf("at %v: Restore allocated %d objects for %d components, %d hosts, %d pending events and %d groups; budget %d",
@@ -142,5 +143,26 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 		if got := core.SnapshotHint(r); got != len(blob) {
 			t.Errorf("%s: hint after Restore is %d, blob is %d bytes", name, got, len(blob))
 		}
+	}
+}
+
+// TestSnapshotBlobBytes pins the exact size of one v8 blob: the 60-host
+// fixture checkpointed halfway. The simulation is deterministic, so the
+// count is too, and a word added back to a component record — a MUX, a
+// regulator or a clock writes one per component — changes it by that
+// word times the component count. Change the pin only with the format.
+// (Format v7 wrote 30,717 bytes here.)
+func TestSnapshotBlobBytes(t *testing.T) {
+	const want = 20525
+	cfg := allocFixtures(t)["60-host"]
+	s := core.NewSession(cfg)
+	s.Start()
+	s.RunTo(des.Time(cfg.Duration) / 2)
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) != want {
+		t.Fatalf("the 60-host fixture's blob at %v is %d bytes, pinned at %d (snapshot v%d)", cfg.Duration/2, len(blob), want, core.SnapshotVersion)
 	}
 }

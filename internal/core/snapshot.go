@@ -53,7 +53,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 7
+const SnapshotVersion = 8
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (

@@ -3,16 +3,13 @@
 // input flows onto one output link of capacity C.
 //
 // "General" means the delay bounds of the paper hold for *any* service
-// order, so the package offers three concrete disciplines — FIFO, static
-// priority, and per-flow round-robin — all non-preemptive and
-// work-conserving. The experiments use FIFO; the others exist to
-// demonstrate (and test) that the worst-case bounds are discipline-
-// independent.
+// order. The package offers two disciplines, both non-preemptive and
+// work-conserving: the adversary (LIFO, which realises the bound) and the
+// ablation (FIFO, which shows how far below it an ordinary queue stays).
 package mux
 
 import (
 	"repro/internal/des"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -24,14 +21,10 @@ type Discipline int
 // over a packet of another, and its worst-case delay — a packet waiting
 // out an entire busy period, Σσᵢ/(C−Σρᵢ) — is realised by last-come-
 // first-served order (the earliest packet of a busy period leaves last).
-// FIFO's worst case is only Σσᵢ/C and static priority's is
-// Σσᵢ/(C−Σ_{j≠i}ρⱼ); they and round-robin are offered for the
-// discipline-independence tests and ablations.
+// FIFO's worst case is only Σσᵢ/C; it is the ablation.
 const (
-	LIFO       Discipline = iota // newest arrival first (busy-period adversary)
-	Priority                     // lower flow index = higher priority
-	FIFO                         // global arrival order
-	RoundRobin                   // cycle across backlogged flows
+	LIFO Discipline = iota // newest arrival first (busy-period adversary)
+	FIFO                   // global arrival order
 )
 
 // String implements fmt.Stringer.
@@ -41,19 +34,14 @@ func (d Discipline) String() string {
 		return "lifo"
 	case FIFO:
 		return "fifo"
-	case Priority:
-		return "priority"
-	case RoundRobin:
-		return "round-robin"
 	default:
 		return "unknown"
 	}
 }
 
 type entry struct {
-	p       traffic.Packet
-	arrived des.Time
-	seq     uint64
+	p   traffic.Packet
+	seq uint64
 }
 
 // Mux is a work-conserving server at rate C over K per-flow queues.
@@ -64,7 +52,7 @@ type entry struct {
 // routed through its connection, not all K, and a 100k-host session
 // builds ~100k MUXes — K-wide dense arrays per MUX (the old layout) cost
 // ~16 KB each at K=512, a 1.6 GB wall before the first packet moves.
-// Every discipline scans the slots in flow order, which is exactly the
+// Both disciplines scan the slots in flow order, which is exactly the
 // dense iteration with the empty flows skipped, so service order is
 // unchanged.
 type Mux struct {
@@ -80,13 +68,9 @@ type Mux struct {
 	bits     float64
 	busy     bool
 	seq      uint64
-	rrNext   int              // next FLOW id (not slot) in round-robin order
-	cur      entry            // entry in transmission (valid while busy)
-	snapArg  uint32           // component slot for snapshot event tags
-	done     func()           // stored transmit-completion callback
-	Delay    stats.Welford    // queueing+transmission delay per packet
-	MaxWait  stats.MaxTracker // worst per-packet delay, tagged by packet ID
-	Served   stats.Counter    // served packets/bits
+	cur      entry  // entry in transmission (valid while busy)
+	snapArg  uint32 // component slot for snapshot event tags
+	done     func() // stored transmit-completion callback
 }
 
 // New returns a MUX with k input flows at capacity c bits/second.
@@ -107,13 +91,7 @@ func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out func(tra
 	}
 	m.eng, m.c, m.discipline, m.out, m.k = eng, c, d, out, k
 	m.done = func() {
-		e := m.cur
-		now := m.eng.Now()
-		d := (now - e.arrived).Seconds()
-		m.Delay.Add(d)
-		m.MaxWait.Observe(d, e.p.ID)
-		m.Served.Add(now, e.p.Size)
-		m.out(e.p)
+		m.out(m.cur.p)
 		m.serve()
 	}
 	return m
@@ -203,7 +181,7 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 		panic("mux: packet flow index out of range")
 	}
 	s := m.slot(p.Flow)
-	m.queues[s] = append(m.queues[s], entry{p: p, arrived: m.eng.Now(), seq: m.seq})
+	m.queues[s] = append(m.queues[s], entry{p: p, seq: m.seq})
 	m.seq++
 	m.bits += p.Size
 	if !m.busy {
@@ -213,13 +191,13 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 
 // pick selects the next SLOT to serve per the discipline, or -1 when
 // idle. For LIFO it returns the slot whose most recent arrival is newest;
-// serve pops that slot's tail instead of its head. Slots are sorted by
-// flow id, so each scan visits exactly the non-empty flows in the order
-// the dense loop visited all K.
+// serve pops that slot's tail instead of its head. Any other discipline is
+// FIFO: the slot holding the globally earliest arrival (seq breaks ties).
+// Slots are sorted by flow id, so each scan visits exactly the non-empty
+// flows in the order the dense loop visited all K.
 func (m *Mux) pick() int {
-	switch m.discipline {
-	case LIFO:
-		best, bestSeq := -1, uint64(0)
+	best, bestSeq := -1, uint64(0)
+	if m.discipline == LIFO {
 		for i := range m.queues {
 			if m.qlen(i) == 0 {
 				continue
@@ -230,42 +208,17 @@ func (m *Mux) pick() int {
 			}
 		}
 		return best
-	case Priority:
-		for i := range m.queues {
-			if m.qlen(i) > 0 {
-				return i
-			}
-		}
-	case RoundRobin:
-		// rrNext is a flow id: resume at the first materialised flow at or
-		// after it, wrapping — flows with no slot are empty and the dense
-		// scan would have skipped them anyway.
-		ns := len(m.slotFlow)
-		start := 0
-		for start < ns && int(m.slotFlow[start]) < m.rrNext {
-			start++
-		}
-		for off := 0; off < ns; off++ {
-			i := (start + off) % ns
-			if m.qlen(i) > 0 {
-				m.rrNext = (int(m.slotFlow[i]) + 1) % m.k
-				return i
-			}
-		}
-	default: // FIFO: globally earliest arrival (seq breaks ties)
-		best, bestSeq := -1, uint64(0)
-		for i := range m.queues {
-			if m.qlen(i) == 0 {
-				continue
-			}
-			e := m.queues[i][m.heads[i]]
-			if best < 0 || e.seq < bestSeq {
-				best, bestSeq = i, e.seq
-			}
-		}
-		return best
 	}
-	return -1
+	for i := range m.queues {
+		if m.qlen(i) == 0 {
+			continue
+		}
+		e := m.queues[i][m.heads[i]]
+		if best < 0 || e.seq < bestSeq {
+			best, bestSeq = i, e.seq
+		}
+	}
+	return best
 }
 
 func (m *Mux) serve() {

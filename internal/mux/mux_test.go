@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -64,57 +65,6 @@ func TestMuxFIFOOrderAcrossFlows(t *testing.T) {
 	}
 }
 
-func TestMuxPriorityFavoursLowFlows(t *testing.T) {
-	eng := des.New()
-	var order []int
-	m := New(eng, 2, 1e6, Priority, func(p traffic.Packet) { order = append(order, p.Flow) })
-	eng.Schedule(0, func() {
-		// Flow 1 arrives first, then flow 0 — priority must reorder
-		// everything after the in-service packet.
-		for i := 0; i < 5; i++ {
-			m.Enqueue(traffic.Packet{ID: uint64(i), Flow: 1, Size: 1000})
-		}
-		for i := 5; i < 10; i++ {
-			m.Enqueue(traffic.Packet{ID: uint64(i), Flow: 0, Size: 1000})
-		}
-	})
-	eng.Run()
-	// First served is flow 1 (was alone when service started); the
-	// remaining flow-0 packets must all precede remaining flow-1 packets.
-	if order[0] != 1 {
-		t.Fatalf("first served flow = %d", order[0])
-	}
-	seenFlow1Again := false
-	for _, f := range order[1:] {
-		if f == 1 {
-			seenFlow1Again = true
-		} else if seenFlow1Again {
-			t.Fatalf("priority violated: %v", order)
-		}
-	}
-}
-
-func TestMuxRoundRobinAlternates(t *testing.T) {
-	eng := des.New()
-	var order []int
-	m := New(eng, 2, 1e6, RoundRobin, func(p traffic.Packet) { order = append(order, p.Flow) })
-	eng.Schedule(0, func() {
-		for i := 0; i < 4; i++ {
-			m.Enqueue(traffic.Packet{ID: uint64(i), Flow: 0, Size: 1000})
-		}
-		for i := 4; i < 8; i++ {
-			m.Enqueue(traffic.Packet{ID: uint64(i), Flow: 1, Size: 1000})
-		}
-	})
-	eng.Run()
-	// After the first served packet the discipline alternates 0,1,0,1...
-	for i := 2; i < len(order); i++ {
-		if order[i] == order[i-1] {
-			t.Fatalf("round robin did not alternate: %v", order)
-		}
-	}
-}
-
 func TestMuxBacklogAccounting(t *testing.T) {
 	eng := des.New()
 	m := New(eng, 1, 1000, FIFO, func(traffic.Packet) {})
@@ -135,28 +85,33 @@ func TestMuxBacklogAccounting(t *testing.T) {
 	}
 }
 
-func TestMuxDelayStats(t *testing.T) {
+// delayProbe returns a MUX output callback that records each served
+// packet's age, and the worst delay it has seen with that packet's ID.
+// Packets entering the MUX at creation (as Greedy sources feed it) age by
+// exactly their MUX delay.
+func delayProbe(eng *des.Engine) (out func(traffic.Packet), delays *[]float64, worst *stats.MaxTracker) {
+	delays, worst = new([]float64), new(stats.MaxTracker)
+	return func(p traffic.Packet) {
+		d := p.Delay(eng.Now()).Seconds()
+		*delays = append(*delays, d)
+		worst.Observe(d, p.ID)
+	}, delays, worst
+}
+
+func TestMuxPerPacketDelaysAndWorstPacket(t *testing.T) {
 	eng := des.New()
-	m := New(eng, 1, 1000, FIFO, func(traffic.Packet) {})
+	out, delays, worst := delayProbe(eng)
+	m := New(eng, 1, 1000, FIFO, out)
 	eng.Schedule(0, func() {
 		m.Enqueue(traffic.Packet{ID: 1, Flow: 0, Size: 1000}) // 1s service
 		m.Enqueue(traffic.Packet{ID: 2, Flow: 0, Size: 1000}) // waits 1s + 1s service
 	})
 	eng.Run()
-	if m.Delay.Count() != 2 {
-		t.Fatalf("delay samples = %d", m.Delay.Count())
+	if len(*delays) != 2 || math.Abs((*delays)[0]-1) > 1e-9 || math.Abs((*delays)[1]-2) > 1e-9 {
+		t.Fatalf("per-packet delays = %v, want [1 2]", *delays)
 	}
-	if math.Abs(m.Delay.Max()-2.0) > 1e-9 {
-		t.Fatalf("max delay = %v", m.Delay.Max())
-	}
-	if m.MaxWait.Max() != m.Delay.Max() {
-		t.Fatal("MaxTracker disagrees with Welford max")
-	}
-	if got := m.MaxWait.Tag(); got != 2 {
+	if got := worst.Tag(); got != 2 {
 		t.Fatalf("worst packet ID = %d", got)
-	}
-	if m.Served.N != 2 || m.Served.Total != 2000 {
-		t.Fatalf("served = %d/%v", m.Served.N, m.Served.Total)
 	}
 }
 
@@ -167,7 +122,8 @@ func TestMuxCruzBoundHolds(t *testing.T) {
 	c := 1_000_000.0
 	k := 3
 	sigma, rho := 20_000.0, 250_000.0 // Σρ = 0.75C
-	m := New(eng, k, c, FIFO, func(traffic.Packet) {})
+	out, delays, worst := delayProbe(eng)
+	m := New(eng, k, c, FIFO, out)
 	until := des.Seconds(20)
 	for i := 0; i < k; i++ {
 		src := traffic.NewGreedy(i, sigma, rho, 1000)
@@ -175,10 +131,10 @@ func TestMuxCruzBoundHolds(t *testing.T) {
 	}
 	eng.RunUntil(until + des.Seconds(5))
 	bound := (3*sigma)/(c-3*rho) + 1000/c
-	if got := m.Delay.Max(); got > bound {
+	if got := worst.Max(); got > bound {
 		t.Fatalf("MUX delay %v exceeds Cruz bound %v", got, bound)
 	}
-	if m.Delay.Count() == 0 {
+	if len(*delays) == 0 {
 		t.Fatal("no packets served")
 	}
 }
@@ -210,14 +166,15 @@ func TestMuxLIFORealisesBusyPeriodDelay(t *testing.T) {
 		eng := des.New()
 		c := 1_000_000.0
 		sigma, rho := 30_000.0, 300_000.0 // Σρ = 0.9C
-		m := New(eng, 3, c, d, func(traffic.Packet) {})
+		out, _, worst := delayProbe(eng)
+		m := New(eng, 3, c, d, out)
 		until := des.Seconds(10)
 		for i := 0; i < 3; i++ {
 			src := traffic.NewGreedy(i, sigma, rho, 1000)
 			src.Start(eng, until, m.Enqueue)
 		}
 		eng.RunUntil(until + des.Seconds(5))
-		return m.Delay.Max()
+		return worst.Max()
 	}
 	fifo := runOnce(FIFO)
 	lifo := runOnce(LIFO)
@@ -235,13 +192,14 @@ func TestMuxLIFORealisesBusyPeriodDelay(t *testing.T) {
 }
 
 func TestMuxBoundDisciplineIndependent(t *testing.T) {
-	// The same Cruz bound must hold under all disciplines ("general
+	// The same Cruz bound must hold under both disciplines ("general
 	// MUX" = bound is service-order independent).
-	for _, d := range []Discipline{LIFO, FIFO, Priority, RoundRobin} {
+	for _, d := range []Discipline{LIFO, FIFO} {
 		eng := des.New()
 		c := 1_000_000.0
 		sigma, rho := 15_000.0, 200_000.0
-		m := New(eng, 3, c, d, func(traffic.Packet) {})
+		out, _, worst := delayProbe(eng)
+		m := New(eng, 3, c, d, out)
 		until := des.Seconds(10)
 		for i := 0; i < 3; i++ {
 			src := traffic.NewGreedy(i, sigma, rho, 1000)
@@ -249,7 +207,7 @@ func TestMuxBoundDisciplineIndependent(t *testing.T) {
 		}
 		eng.RunUntil(until + des.Seconds(5))
 		bound := (3*sigma)/(c-3*rho) + 1000/c
-		if got := m.Delay.Max(); got > bound {
+		if got := worst.Max(); got > bound {
 			t.Fatalf("%v: delay %v exceeds bound %v", d, got, bound)
 		}
 	}
@@ -287,9 +245,9 @@ func TestMuxRejectsForeignFlow(t *testing.T) {
 }
 
 func TestDisciplineString(t *testing.T) {
-	for _, d := range []Discipline{FIFO, Priority, RoundRobin, Discipline(99)} {
-		if d.String() == "" {
-			t.Fatal("empty discipline name")
+	for d, want := range map[Discipline]string{LIFO: "lifo", FIFO: "fifo", Discipline(99): "unknown"} {
+		if got := d.String(); got != want {
+			t.Fatalf("Discipline(%d).String() = %q, want %q", int(d), got, want)
 		}
 	}
 }
@@ -304,10 +262,6 @@ func TestMuxAccessors(t *testing.T) {
 
 func BenchmarkMuxFIFO(b *testing.B) {
 	benchMux(b, FIFO)
-}
-
-func BenchmarkMuxRoundRobin(b *testing.B) {
-	benchMux(b, RoundRobin)
 }
 
 func benchMux(b *testing.B, d Discipline) {

@@ -21,15 +21,13 @@ func (m *Mux) SetSnapArg(arg uint32) { m.snapArg = arg }
 
 func snapEntry(w *snap.Writer, e entry) {
 	e.p.Snapshot(w)
-	w.I64(int64(e.arrived))
 	w.U64(e.seq)
 }
 
 func restoreEntry(r *snap.Reader, flows int) entry {
 	return entry{
-		p:       traffic.RestorePacket(r, flows),
-		arrived: des.Time(r.I64()),
-		seq:     r.U64(),
+		p:   traffic.RestorePacket(r, flows),
+		seq: r.U64(),
 	}
 }
 
@@ -46,23 +44,19 @@ func (m *Mux) Snapshot(w *snap.Writer) {
 	w.F64(m.bits)
 	w.Bool(m.busy)
 	w.U64(m.seq)
-	w.I64(int64(m.rrNext))
 	if m.busy {
 		snapEntry(w, m.cur)
 	}
-	m.Delay.Snapshot(w)
-	m.MaxWait.Snapshot(w)
-	m.Served.Snapshot(w)
 }
 
 // Wire widths of the layout above, for a decoder sizing storage from
-// counts it reads (snap.Reader.Count): one idle MUX with no queue (its
-// three accumulators are 40, 25 and 33 bytes), one materialised queue's
-// header, one queued entry. TestSnapWidths pins them to what Snapshot writes.
+// counts it reads (snap.Reader.Count): one idle MUX with no queue, one
+// materialised queue's header, one queued entry. TestSnapWidths pins them
+// to what Snapshot writes.
 const (
-	SnapBytes      = 4 + 8 + 1 + 8 + 8 + 40 + 25 + 33
+	SnapBytes      = 4 + 8 + 1 + 8
 	SnapSlotBytes  = 4 + 4
-	SnapEntryBytes = traffic.PacketSnapBytes + 8 + 8
+	SnapEntryBytes = traffic.PacketSnapBytes + 8
 )
 
 // Slab is the storage one checkpoint record's MUXes are restored into: the
@@ -115,13 +109,9 @@ func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Dis
 	m.bits = r.F64()
 	m.busy = r.Bool()
 	m.seq = r.U64()
-	m.rrNext = int(r.I64())
 	if m.busy {
 		m.cur = restoreEntry(r, k)
 	}
-	m.Delay.Restore(r)
-	m.MaxWait.Restore(r)
-	m.Served.Restore(r)
 	return m
 }
 

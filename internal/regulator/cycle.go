@@ -33,10 +33,6 @@ type Cycle struct {
 	offFn    func()
 	nextRank uint64 // follow order: the rank the next follower takes
 	waiting  []*SRL // followers holding a packet behind the shut gate
-
-	// instrumentation
-	onSince des.Time
-	onTotal des.Duration
 }
 
 // NewCycle returns the schedule (offset, W, V) on eng, not yet ticking:
@@ -54,7 +50,6 @@ func (c *Cycle) init(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 	c.eng, c.offset, c.w, c.v = eng, offset, w, v
 	c.onFn = func() {
 		c.on = true
-		c.onSince = c.eng.Now()
 		// Wake before re-arming: a follower's transmission started here was
 		// scheduled before its own off-edge when it carried its own timer.
 		c.wake()
@@ -62,7 +57,6 @@ func (c *Cycle) init(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 	}
 	c.offFn = func() {
 		c.on = false
-		c.onTotal += c.eng.Now() - c.onSince
 		c.ev = c.eng.ScheduleInKind(c.v, des.KindSRLOn, c.snapArg, c.onFn)
 	}
 	return c
@@ -79,7 +73,7 @@ func (c *Cycle) Start() {
 		c.ev = c.eng.ScheduleKind(c.offset, des.KindSRLOn, c.snapArg, c.onFn)
 	case pos < c.w:
 		// Inside a working period: finish it.
-		c.on, c.onSince = true, now
+		c.on = true
 		c.ev = c.eng.ScheduleInKind(c.w-pos, des.KindSRLOff, c.snapArg, c.offFn)
 	default:
 		// Inside a vacation.
@@ -91,16 +85,6 @@ func (c *Cycle) Start() {
 func (c *Cycle) Stop() {
 	c.eng.Cancel(c.ev)
 	c.ev = des.Event{}
-}
-
-// OnTime returns the cumulative time the gate has been open. Divided by
-// elapsed time it converges to the duty ratio W/P = ρ/C.
-func (c *Cycle) OnTime() des.Duration {
-	total := c.onTotal
-	if c.on {
-		total += c.eng.Now() - c.onSince
-	}
-	return total
 }
 
 // wake serves the waiting followers in follow order.
@@ -134,8 +118,6 @@ func (c *Cycle) SetSnapArg(arg uint32) { c.snapArg = arg }
 func (c *Cycle) Snapshot(w *snap.Writer) {
 	w.Bool(c.on)
 	w.U64(c.nextRank)
-	w.I64(int64(c.onSince))
-	w.I64(int64(c.onTotal))
 }
 
 // Rearm re-schedules the serialized pending edge.

@@ -42,8 +42,8 @@ func (q *fifo) restore(r *snap.Reader, flows int, packets *snap.Arena[traffic.Pa
 // empty queue, one clock. TestSnapWidths pins them to what Snapshot writes.
 const (
 	SigmaRhoSnapBytes = 4 + 8 + 8 + 8 + 1
-	SRLSnapBytes      = 4 + 8 + 1 + 1 + 1 + 8 + 8
-	CycleSnapBytes    = 1 + 8 + 8 + 8
+	SRLSnapBytes      = 4 + 8 + 1 + 1 + 1 + 8
+	CycleSnapBytes    = 1 + 8
 )
 
 // Slab is the storage one checkpoint record's regulators and clocks are
@@ -123,7 +123,6 @@ func (r *SRL) Snapshot(w *snap.Writer) {
 	w.Bool(r.transmitting)
 	w.Bool(r.waiting)
 	w.U64(r.rank)
-	w.F64(r.emittedBits)
 }
 
 // RestoreSRL makes the slab's next (σ, ρ, λ) regulator as NewSRL would and
@@ -137,7 +136,6 @@ func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, r
 	r.transmitting = sr.Bool()
 	r.waiting = sr.Bool()
 	r.rank = sr.U64()
-	r.emittedBits = sr.F64()
 	return r
 }
 
@@ -148,8 +146,6 @@ func (sl *Slab) RestoreCycle(r *snap.Reader, eng *des.Engine, offset, w, v des.D
 	c := sl.cycles.One().init(eng, offset, w, v)
 	c.on = r.Bool()
 	c.nextRank = r.U64()
-	c.onSince = des.Time(r.I64())
-	c.onTotal = des.Duration(r.I64())
 	return c
 }
 

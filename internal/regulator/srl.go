@@ -39,9 +39,6 @@ type SRL struct {
 	transmitting bool
 	snapArg      uint32 // component slot for snapshot event tags
 	done         func() // stored transmit-completion callback
-
-	// instrumentation
-	emittedBits float64
 }
 
 // NewSRL returns a (σ, ρ, λ) regulator. Its gate starts shut and driven by
@@ -62,9 +59,7 @@ func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out func(traffic.Pack
 	r.eng, r.Sigma, r.Rho, r.C, r.out = eng, sigma, rho, c, out
 	r.done = func() {
 		r.transmitting = false
-		p := r.q.pop()
-		r.emittedBits += p.Size
-		r.out(p)
+		r.out(r.q.pop())
 		r.serve()
 	}
 	return r
@@ -100,9 +95,6 @@ func (r *SRL) On() bool {
 // caller tearing down the output path can use it to account that
 // packet's output as lost too.
 func (r *SRL) Transmitting() bool { return r.transmitting }
-
-// EmittedBits returns the cumulative output.
-func (r *SRL) EmittedBits() float64 { return r.emittedBits }
 
 // Enqueue submits a packet for shaping, from engine context (inside an
 // event) so that Now() is meaningful.

@@ -190,10 +190,18 @@ func TestSRLOnTimeTracksDutyRatio(t *testing.T) {
 	rho, c := 250_000.0, 1_000_000.0
 	w, v := DutyCycle(10_000, rho, c)
 	clock := NewCycle(eng, 0, w, v)
+	r := NewSRL(eng, 10_000, rho, c, func(traffic.Packet) {})
+	r.Follow(clock)
 	clock.Start()
-	dur := des.Seconds(10)
-	eng.RunUntil(dur)
-	frac := clock.OnTime().Seconds() / dur.Seconds()
+	samples, on := 0, 0
+	every(eng, des.Millisecond, func() {
+		samples++
+		if r.On() {
+			on++
+		}
+	})
+	eng.RunUntil(des.Seconds(10))
+	frac := float64(on) / float64(samples)
 	if math.Abs(frac-rho/c) > 0.02 {
 		t.Fatalf("on fraction = %v, want ~%v", frac, rho/c)
 	}

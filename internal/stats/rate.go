@@ -69,34 +69,3 @@ func (w *WindowRate) Rate(t des.Time) float64 {
 	w.expire(t)
 	return w.sum / w.window.Seconds()
 }
-
-// Counter tracks a monotone count and total (e.g. packets and bits
-// delivered), with a convenience throughput query.
-type Counter struct {
-	N     uint64
-	Total float64
-	first des.Time
-	last  des.Time
-	seen  bool
-}
-
-// Add records amount at time t.
-func (c *Counter) Add(t des.Time, amount float64) {
-	if !c.seen {
-		c.first = t
-		c.seen = true
-	}
-	c.last = t
-	c.N++
-	c.Total += amount
-}
-
-// Throughput returns Total divided by the observation span, or 0 when the
-// span is empty.
-func (c *Counter) Throughput() float64 {
-	span := (c.last - c.first).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return c.Total / span
-}

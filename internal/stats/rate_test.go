@@ -77,27 +77,6 @@ func TestWindowRatePanicsOnBadWindow(t *testing.T) {
 	NewWindowRate(0)
 }
 
-func TestCounterThroughput(t *testing.T) {
-	var c Counter
-	c.Add(0, 1000)
-	c.Add(des.Second, 1000)
-	c.Add(2*des.Second, 1000)
-	if c.N != 3 || c.Total != 3000 {
-		t.Fatalf("n=%d total=%v", c.N, c.Total)
-	}
-	if got := c.Throughput(); math.Abs(got-1500) > 1e-9 {
-		t.Fatalf("throughput = %v, want 1500 (3000 bits over 2s)", got)
-	}
-}
-
-func TestCounterSinglePointThroughputZero(t *testing.T) {
-	var c Counter
-	c.Add(des.Second, 500)
-	if c.Throughput() != 0 {
-		t.Fatal("single observation should yield zero throughput")
-	}
-}
-
 func BenchmarkWindowRateObserve(b *testing.B) {
 	w := NewWindowRate(des.Second)
 	b.ResetTimer()

@@ -47,24 +47,6 @@ func (m *MaxTracker) Restore(sr *snap.Reader) {
 	m.atMax = sr.Bool()
 }
 
-// Snapshot appends the counter's fields to the open record.
-func (c *Counter) Snapshot(sw *snap.Writer) {
-	sw.U64(c.N)
-	sw.F64(c.Total)
-	sw.I64(int64(c.first))
-	sw.I64(int64(c.last))
-	sw.Bool(c.seen)
-}
-
-// Restore overwrites the counter from the open record.
-func (c *Counter) Restore(sr *snap.Reader) {
-	c.N = sr.U64()
-	c.Total = sr.F64()
-	c.first = des.Time(sr.I64())
-	c.last = des.Time(sr.I64())
-	c.seen = sr.Bool()
-}
-
 // Snapshot appends the estimator's live window entries to the open
 // record, oldest first. The running sum is serialized verbatim, not
 // recomputed: it accumulated through float adds and subtracts whose
