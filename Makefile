@@ -91,13 +91,14 @@ fuzz:
 # bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
 # the same contract the core goldens pin, exercised through real scenario
 # configs and the CLI; each verdict line carries the snapshot's size and the
-# milliseconds its Snapshot and its Restore took. The first leg holds one
-# checkpoint cycle to its allocation budget (deterministic: bytes and
-# objects per Snapshot and per Restore), the size hint to surviving a
-# restore, and one blob to its exact byte count, so a word added back to a
-# component record fails here.
+# milliseconds its Snapshot and its Restore took. The first leg holds a
+# build and one checkpoint cycle to their allocation budgets
+# (deterministic: objects per build, bytes and objects per Snapshot and per
+# Restore — none per component, so a callback bound per component fails
+# here), the size hint to surviving a restore, and one blob to its exact
+# byte count, so a word added back to a component record fails here too.
 snapshot:
-	$(GO) test -run 'TestCheckpointCycleAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestCheckpointCycleAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 1 -snapshot-diff

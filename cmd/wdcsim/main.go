@@ -61,7 +61,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -285,11 +284,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // exits 2 with one line instead of a panic mid-sweep or a silent default.
 // Zero keeps each flag's default.
 func checkFlags(hosts int, durSec float64, workers, fleet int) error {
-	switch {
+	switch durErr := scenario.CheckSeconds(durSec); {
 	case hosts < 0 || hosts == 1:
 		return fmt.Errorf("-hosts %d: a session needs at least two hosts", hosts)
-	case durSec < 0 || math.IsNaN(durSec) || math.IsInf(durSec, 0):
-		return fmt.Errorf("-duration %v must be a finite number of seconds, at least 0", durSec)
+	case durErr != nil:
+		return fmt.Errorf("-duration %w", durErr)
 	case workers < 0:
 		return fmt.Errorf("-workers %d must not be negative", workers)
 	case fleet < 0:

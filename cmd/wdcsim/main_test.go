@@ -443,6 +443,8 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"-scenario", "paper-fig6", "-quick", "-hosts", "-3"},
 		{"-scenario", "paper-fig6", "-quick", "-duration", "-1"},
 		{"-scenario", "paper-fig6", "-quick", "-duration", "NaN"},
+		{"-scenario", "paper-fig6", "-quick", "-duration", "1e11"},
+		{"-scenario", "paper-fig6", "-quick", "-duration", "1e-12"},
 		{"-scenario", "paper-fig6", "-quick", "-workers", "-2"},
 		{"-scenario", "paper-fig6", "-quick", "-fleet", "-1"},
 	} {

@@ -18,9 +18,9 @@ func secs(s float64) des.Duration { return des.Seconds(s) }
 // satisfy it. Snapshot writes the mutable words, which the family's slab
 // reads back as it makes the component (restoreComp); SetSnapArg hands the
 // component the registry slot its pending events carry as their arg; Rearm
-// re-schedules the component's own stored callback for one serialized
-// event under its original stamps, and reports false for a kind the
-// component does not own.
+// re-schedules the component itself, the des.Handler of its events, for
+// one serialized event under its original stamps, and reports false for a
+// kind the component does not own.
 type component interface {
 	SetSnapArg(arg uint32)
 	Snapshot(w *snap.Writer)
@@ -90,7 +90,14 @@ type hostEnv struct {
 	// connection the host's full C (the paper's per-output-link model).
 	capAware  bool
 	capFactor float64
+	// rt is the shard whose accumulators a delivery to one of this
+	// engine's hosts updates (host.Put); nil in a hand-built environment
+	// that never receives.
+	rt *shardRuntime
 
+	// slabs is the storage this engine's components and their hosts' tables
+	// are carved from; the zero value makes each on its own.
+	slabs compSlabs
 	// Component registries for checkpointing (snapshot.go): every MUX and
 	// regulator created on this engine registers in its family's.
 	mux registry[*mux.Mux]
@@ -164,12 +171,14 @@ type host struct {
 	srlBank    []*regulator.SRL
 	srlCycling bool
 
-	// Adaptive-control state. ctlFn is the controller's self-rearming
-	// sampling tick, built once by prepareController; its events carry
-	// des.KindCtlTick with arg = host id so checkpoints can rehydrate them.
-	rate     *stats.WindowRate
-	ctlFn    func()
-	switches int
+	// Adaptive-control state, set by prepareController: the host itself is
+	// the handler of the controller's self-rearming sampling tick, whose
+	// events carry des.KindCtlTick with arg = host id so checkpoints can
+	// rehydrate them.
+	rate         *stats.WindowRate
+	ctlEvery     des.Duration
+	ctlThreshold float64
+	switches     int
 }
 
 // Adaptive controller sampling parameters (paper's Adaptive Control
@@ -183,12 +192,20 @@ const (
 // newHost wires a host for its (per-group) child sets. Hosts with no
 // children build no forwarding machinery.
 func newHost(id int, env *hostEnv, children groupChildren, initial Scheme) *host {
-	return newHostWired(id, env, children, connsOf(children), initial)
+	h := bareHost(id, env, initial)
+	h.wire(children, connsOf(children))
+	return &h
+}
+
+// bareHost is a host with no children and no machinery — how a session
+// build and a restore both start one, in an array they made for all.
+func bareHost(id int, env *hostEnv, scheme Scheme) host {
+	return host{id: id, env: env, conn: env.hostConn(id), scheme: scheme}
 }
 
 // connsOf returns the distinct child connections of a child set, sorted —
-// the wiring plan newHostWired consumes. Pure: session builds precompute
-// it for every host in parallel (see hostConns).
+// the wiring plan wire consumes. Pure: session builds precompute it for
+// every host in parallel (see hostConns).
 func connsOf(children groupChildren) []int {
 	var conns []int
 	children.each(func(_ int, cs []int) {
@@ -199,25 +216,23 @@ func connsOf(children groupChildren) []int {
 	return conns
 }
 
-// newHostWired is newHost with the connection plan precomputed. conns must
-// be sorted ascending and distinct. MUXes are created in that sorted
-// order: component registry slots must be deterministic for snapshots to
-// be stable.
-func newHostWired(id int, env *hostEnv, children groupChildren, conns []int, initial Scheme) *host {
-	h := &host{id: id, env: env, conn: env.hostConn(id), scheme: initial,
-		children: children}
-	forwards := len(conns) > 0
-	connCap := env.connectionCapacity(id, len(conns))
-	h.muxChild = make([]int32, 0, len(conns))
-	h.muxes = make([]*mux.Mux, 0, len(conns))
-	for _, c := range conns {
-		h.muxChild = append(h.muxChild, int32(c))
-		h.muxes = append(h.muxes, h.makeMux(c, connCap))
+// wire gives a bare host its child sets and the machinery they need: a
+// MUX per connection in conns, which must be sorted ascending and
+// distinct, and the initial mode's regulator bank. MUXes are created in
+// that sorted order: component registry slots must be deterministic for
+// snapshots to be stable.
+func (h *host) wire(children groupChildren, conns []int) {
+	h.children = children
+	connCap := h.env.connectionCapacity(h.id, len(conns))
+	h.muxChild = h.env.slabs.muxChild.Take(len(conns))
+	h.muxes = h.env.slabs.muxes.Take(len(conns))
+	for i, c := range conns {
+		h.muxChild[i] = int32(c)
+		h.muxes[i] = h.makeMux(c, connCap)
 	}
-	if forwards {
-		h.setMode(initialMode(initial))
+	if len(conns) > 0 {
+		h.setMode(initialMode(h.scheme))
 	}
-	return h
 }
 
 // findMux returns child connection c's slot index, or -1.
@@ -367,7 +382,7 @@ func (h *host) stopCycles() {
 // entries for groups whose children arrived after the bank was built.
 func (h *host) ensureSRBank() {
 	if h.srBank == nil {
-		h.srBank = make([]*regulator.SigmaRho, len(h.children.groups))
+		h.srBank = h.env.slabs.srBanks.Take(len(h.children.groups))
 	}
 	for i, g := range h.children.groups {
 		if len(h.children.kids[i]) > 0 && h.srBank[i] == nil {
@@ -380,7 +395,7 @@ func (h *host) ensureSRBank() {
 // regulator on a clock; the caller does.
 func (h *host) ensureSRLBank() {
 	if h.srlBank == nil {
-		h.srlBank = make([]*regulator.SRL, len(h.children.groups))
+		h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
 	}
 	for i, g := range h.children.groups {
 		if len(h.children.kids[i]) > 0 && h.srlBank[i] == nil {
@@ -392,40 +407,65 @@ func (h *host) ensureSRLBank() {
 // --- Component creation and the checkpoint's view of it (snapshot.go) ---
 //
 // The four make functions are the constructors of components in a live
-// run; restoreComp is their checkpoint-restore twin, handing a slab the
-// same arguments — so a restored component binds an output closure
-// identical to the original's and registers (under a fresh slot) so its
-// replayed events resolve. The live constructors allocate one component at
-// a time, as they always have; only a restore, which knows every count
-// before it makes the first component, lands them in slabs.
+// run; restoreComp is their checkpoint-restore twin, handing the same slab
+// the same arguments — so a restored component is made exactly as the
+// original was, points its output at an identical link record, and
+// registers (under a fresh slot) so its replayed events resolve. Both
+// paths carve from the engine's slabs, which a live build sizes from the
+// compiled child sets and a restore from the components record's totals;
+// what outruns them (a connection churn grafts later) is made on its own.
 
-// muxOut is the output of child connection c's MUX: onto the fabric.
-func (h *host) muxOut(c int) func(traffic.Packet) {
-	return func(p traffic.Packet) { h.env.send(h.id, c, p) }
+// muxLink is where child connection c's MUX puts a packet: onto the
+// fabric, from its host to c.
+type muxLink struct {
+	h     *host
+	child int32
 }
 
-// regOut is the output of group g's regulator: into the replicator.
-func (h *host) regOut(g int) func(traffic.Packet) {
-	return func(p traffic.Packet) { h.replicate(g, p) }
+// Put implements traffic.Sink.
+func (l *muxLink) Put(p traffic.Packet) { l.h.env.send(l.h.id, int(l.child), p) }
+
+// regLink is where group g's regulator puts a packet: into its host's
+// replicator for g.
+type regLink struct {
+	h *host
+	g int32
+}
+
+// Put implements traffic.Sink.
+func (l *regLink) Put(p traffic.Packet) { l.h.replicate(int(l.g), p) }
+
+// muxOut is the output of child connection c's MUX.
+func (h *host) muxOut(c int) *muxLink {
+	l := h.env.slabs.muxLinks.One()
+	*l = muxLink{h, int32(c)}
+	return l
+}
+
+// regOut is the output of group g's regulator.
+func (h *host) regOut(g int) *regLink {
+	l := h.env.slabs.regLinks.One()
+	*l = regLink{h, int32(g)}
+	return l
 }
 
 // makeMux creates and registers the connection MUX for child c, without
 // wiring it into h.muxes.
 func (h *host) makeMux(c int, capacity float64) *mux.Mux {
 	env := h.env
-	return env.mux.add(mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c)), h.id, c)
+	return env.mux.add(env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c)), h.id, c)
 }
 
 // makeSR creates and registers group g's (σ, ρ) regulator.
 func (h *host) makeSR(g int) *regulator.SigmaRho {
 	env := h.env
-	return env.sr.add(regulator.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g)), h.id, g)
+	return env.sr.add(env.slabs.reg.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g)), h.id, g)
 }
 
 // makeSRL creates and registers group g's (σ, ρ, λ) regulator.
 func (h *host) makeSRL(g int) *regulator.SRL {
 	env := h.env
-	return env.srl.add(regulator.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn, h.regOut(g)), h.id, g)
+	return env.srl.add(env.slabs.reg.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn, h.regOut(g)), h.id, g)
 }
 
 // cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
@@ -450,7 +490,7 @@ func (h *host) cycleSchedule(g int) (offset, w, v des.Duration) {
 // duty-cycle clock at this host's capacity.
 func (h *host) makeCycle(g int) *regulator.Cycle {
 	offset, w, v := h.cycleSchedule(g)
-	return h.addCycle(regulator.NewCycle(h.env.eng, offset, w, v), g)
+	return h.addCycle(h.env.slabs.reg.NewCycle(h.env.eng, offset, w, v), g)
 }
 
 // addCycle registers c as group g's clock at this host's capacity.
@@ -463,20 +503,30 @@ func (h *host) addCycle(c *regulator.Cycle, g int) *regulator.Cycle {
 	return env.cyc.add(c, h.id, g)
 }
 
-// compSlabs is the storage one shard's components record is restored
-// into, sized from the record's opening counts.
+// compSlabs is the storage one engine makes its components in — the
+// components, the link records their outputs point at — and its hosts'
+// connection tables and regulator banks. A live build sizes it from the
+// compiled child sets (sizeSlabs); a restore sizes the tables from the
+// restored trees and the components from the record's opening counts.
 type compSlabs struct {
-	mux *mux.Slab
-	reg *regulator.Slab
+	mux      mux.Slab
+	reg      regulator.Slab
+	muxLinks snap.Arena[muxLink]
+	regLinks snap.Arena[regLink]
+	muxChild snap.Arena[int32]
+	muxes    snap.Arena[*mux.Mux]
+	srBanks  snap.Arena[*regulator.SigmaRho]
+	srlBanks snap.Arena[*regulator.SRL]
 }
 
 // restoreComp re-creates family f's component for sub from the open
-// record, in the slabs, without putting it into service — one that was
-// already torn down but is still named by a pending event stays
+// record, in the engine's slabs, without putting it into service — one
+// that was already torn down but is still named by a pending event stays
 // uninstalled. capacity is the MUX's serialized capacity and unused by the
 // others.
-func (h *host) restoreComp(r *snap.Reader, sl compSlabs, f family, sub int, capacity float64) component {
+func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64) component {
 	env := h.env
+	sl := &env.slabs
 	flows := len(env.specs)
 	switch f {
 	case famMux:
@@ -530,12 +580,12 @@ func (h *host) install(f family, sub int, c component) bool {
 	}
 	if f == famSR {
 		if h.srBank == nil {
-			h.srBank = make([]*regulator.SigmaRho, len(h.children.groups))
+			h.srBank = h.env.slabs.srBanks.Take(len(h.children.groups))
 		}
 		h.srBank[i] = c.(*regulator.SigmaRho)
 	} else {
 		if h.srlBank == nil {
-			h.srlBank = make([]*regulator.SRL, len(h.children.groups))
+			h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
 		}
 		h.srlBank[i] = c.(*regulator.SRL)
 	}
@@ -716,32 +766,37 @@ func (h *host) observe(p traffic.Packet) {
 // population average.
 func (h *host) startController(window, interval des.Duration, thresholdUtil float64) {
 	h.prepareController(window, interval, thresholdUtil)
-	h.env.eng.ScheduleInKind(interval, des.KindCtlTick, uint32(h.id), h.ctlFn)
+	h.env.eng.ScheduleInKind(interval, des.KindCtlTick, uint32(h.id), h)
 }
 
-// prepareController builds the estimator and the self-rearming sampling
-// tick without scheduling anything: body first, rearm after, period
-// measured from the firing time.
+// prepareController builds the estimator and sets the sampling tick's
+// period and threshold without scheduling anything.
 func (h *host) prepareController(window, interval des.Duration, thresholdUtil float64) {
 	h.rate = stats.NewWindowRate(window)
-	h.ctlFn = func() {
-		util := h.rate.Rate(h.env.eng.Now()) / h.conn
-		if util >= thresholdUtil {
-			h.setMode(SchemeSRL)
-		} else {
-			h.setMode(SchemeSigmaRho)
-		}
-		h.env.eng.ScheduleInKind(interval, des.KindCtlTick, uint32(h.id), h.ctlFn)
-	}
+	h.ctlEvery, h.ctlThreshold = interval, thresholdUtil
 }
+
+// Fire is the controller's sampling tick (des.KindCtlTick): body first,
+// rearm after, period measured from the firing time.
+func (h *host) Fire(uint16) {
+	if h.rate.Rate(h.env.eng.Now())/h.conn >= h.ctlThreshold {
+		h.setMode(SchemeSRL)
+	} else {
+		h.setMode(SchemeSigmaRho)
+	}
+	h.env.eng.ScheduleInKind(h.ctlEvery, des.KindCtlTick, uint32(h.id), h)
+}
+
+// Put implements traffic.Sink: a packet the fabric delivers to this host.
+func (h *host) Put(p traffic.Packet) { h.env.rt.receive(h, p) }
 
 // Rearm re-schedules a serialized controller sampling tick under its
 // original stamps; false when the kind is not the controller's or the
 // restore built this host no controller.
 func (h *host) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindCtlTick || h.ctlFn == nil {
+	if kind != des.KindCtlTick || h.rate == nil {
 		return false
 	}
-	h.env.eng.SchedulePrioKind(at, prio, kind, uint32(h.id), h.ctlFn)
+	h.env.eng.SchedulePrioKind(at, prio, kind, uint32(h.id), h)
 	return true
 }

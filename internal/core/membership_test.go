@@ -72,7 +72,7 @@ func TestSessionNonMembersNeverReceive(t *testing.T) {
 			if !member[p.Flow][id] {
 				leaks++
 			}
-			s.receive(sh, id, p)
+			sh.receive(s.hosts[id], p)
 		})
 	}
 	res := s.Run()

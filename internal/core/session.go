@@ -8,6 +8,8 @@ import (
 	"repro/internal/mux"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
+	"repro/internal/regulator"
+	"repro/internal/snap"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -354,6 +356,7 @@ type shardPacket struct {
 // fabric bound to it, the host environment, and shard-local measurement
 // (merged after the run — observation must never cross shards mid-run).
 type shardRuntime struct {
+	s      *Session
 	eng    *des.Engine
 	fabric *netsim.Fabric
 	env    *hostEnv
@@ -449,9 +452,13 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 
 	numGroups := sub.numGroups()
 	bursts := RegulatorBursts(sub.specs, sub.conn)
+	// Every shard's fabric delivers through one table of the hosts, each
+	// the receiver of its own packets; a host appears in it once built.
+	receivers := make([]traffic.Sink, cfg.NumHosts)
 	s.sh = make([]*shardRuntime, nsh)
 	for si := 0; si < nsh; si++ {
 		sh := &shardRuntime{
+			s:        s,
 			eng:      engines[si],
 			perGroup: make([]stats.MaxTracker, numGroups),
 			lost:     make([]uint64, numGroups),
@@ -473,8 +480,10 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 				s.coord.PostPayload(si, owner[dst], at, shardPacket{host: dst, p: p})
 			}
 		}
+		fc.Receivers = receivers
 		sh.fabric = netsim.NewFabric(sh.eng, sub.net, fc)
 		sh.env = &hostEnv{
+			rt:         sh,
 			eng:        sh.eng,
 			specs:      sub.specs,
 			conn:       sub.conn,
@@ -492,31 +501,29 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		s.sh[si] = sh
 	}
 
-	// A restore wires nothing here: children, MUXes and modes all come from
-	// the snapshot, which has the trees they derive from. Its hosts come up
-	// bare, in one array.
+	// Hosts come up bare, in one array. A restore wires nothing here:
+	// children, MUXes and modes all come from the snapshot, which has the
+	// trees they derive from. A live build wires each host from its
+	// compiled child set, in slabs sized from all of them.
 	var chl []groupChildren
 	var conns [][]int
-	var bare []host
-	if rs != nil {
-		bare = make([]host, cfg.NumHosts)
-	} else {
+	if rs == nil {
 		chl = sub.compileChildren()
 		conns = hostConns(chl)
+		s.sizeSlabs(chl, conns)
 	}
+	hosts := make([]host, cfg.NumHosts)
 	s.hosts = make([]*host, cfg.NumHosts)
-	for id := 0; id < cfg.NumHosts; id++ {
-		sh := s.sh[owner[id]]
-		if rs != nil {
-			bare[id] = host{id: id, env: sh.env, conn: sh.env.hostConn(id), scheme: cfg.Scheme}
-			s.hosts[id] = &bare[id]
-		} else {
-			s.hosts[id] = newHostWired(id, sh.env, chl[id], conns[id], cfg.Scheme)
-			if cfg.Scheme == SchemeAdaptive && len(s.hosts[id].muxes) > 0 {
-				s.hosts[id].startController(ctlWindow, ctlInterval, sub.threshold)
+	for id := range hosts {
+		h := &hosts[id]
+		*h = bareHost(id, s.sh[owner[id]].env, cfg.Scheme)
+		s.hosts[id], receivers[id] = h, h
+		if rs == nil {
+			h.wire(chl[id], conns[id])
+			if cfg.Scheme == SchemeAdaptive && len(h.muxes) > 0 {
+				h.startController(ctlWindow, ctlInterval, sub.threshold)
 			}
 		}
-		sh.fabric.SetReceiver(id, func(p traffic.Packet) { s.receive(sh, id, p) })
 	}
 
 	if len(faults) > 0 {
@@ -537,6 +544,41 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	}
 	s.registerBarriers(faults, events, reopts, rs)
 	return s
+}
+
+// sizeSlabs gives each shard's environment slabs sized for what wiring the
+// compiled child sets makes there: per connection a MUX, its link record
+// and a connection-table entry; per group a forwarding host carries, a
+// regulator of the initial mode, its link record and a bank entry. The
+// few duty-cycle clocks a shard has are made on their own.
+func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
+	type count struct{ conns, groups int }
+	per := make([]count, len(s.sh))
+	for id, gc := range chl {
+		if len(conns[id]) > 0 {
+			n := &per[s.owner[id]]
+			n.conns += len(conns[id])
+			n.groups += len(gc.groups)
+		}
+	}
+	for si, sh := range s.sh {
+		n, sl := per[si], &sh.env.slabs
+		sl.mux = mux.NewSlab(n.conns, 0, 0)
+		sl.muxLinks = snap.NewArena[muxLink](n.conns)
+		sl.muxChild = snap.NewArena[int32](n.conns)
+		sl.muxes = snap.NewArena[*mux.Mux](n.conns)
+		switch initialMode(s.sub.cfg.Scheme) {
+		case SchemeSigmaRho:
+			sl.reg = regulator.NewSlab(n.groups, 0, 0, 0)
+			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.groups)
+		case SchemeSRL:
+			sl.reg = regulator.NewSlab(0, 0, n.groups, 0)
+			sl.srlBanks = snap.NewArena[*regulator.SRL](n.groups)
+		default:
+			continue // capacity-aware: no regulators
+		}
+		sl.regLinks = snap.NewArena[regLink](n.groups)
+	}
 }
 
 // registerBarriers is the one mechanism that applies control actions: one
@@ -623,8 +665,8 @@ func (s *Session) Lookahead() des.Duration {
 // loss, never measured or forwarded: the membership invariant the
 // control-plane tests pin down. Membership reads are safe: the bitmaps
 // only change at coordinator barriers, when no shard is executing.
-func (s *Session) receive(sh *shardRuntime, id int, p traffic.Packet) {
-	g := p.Flow
+func (sh *shardRuntime) receive(h *host, p traffic.Packet) {
+	s, id, g := sh.s, h.id, p.Flow
 	st := s.sub.groups[g]
 	if !st.member[id] {
 		sh.lost[g]++
@@ -647,7 +689,6 @@ func (s *Session) receive(sh *shardRuntime, id int, p traffic.Packet) {
 		// it, so its firstAt cell has one writer.
 		s.fp.onDeliver(g, id, sh.eng.Now())
 	}
-	h := s.hosts[id]
 	h.observe(p)
 	h.forward(g, p)
 }

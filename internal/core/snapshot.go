@@ -21,8 +21,8 @@ package core
 //     CheckpointDrain.
 //   - Kind registry: every engine event carries a des.Kind* tag plus an
 //     argument naming its owner (a component's registry slot, a group, a
-//     host), so closures rehydrate by asking the owner to Rearm its stored
-//     callback. Control-plane, fault, and reopt actions are never engine
+//     host), so an event rehydrates by asking its owner to Rearm it — a
+//     component schedules itself again. Control-plane, fault, and reopt actions are never engine
 //     events: they are coordinator barriers, which the restore re-registers
 //     from the Config, filtered to instants after T.
 //   - Replay order: serialized events replay through SchedulePrioKind in
@@ -495,27 +495,29 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// its group record was read — compileChildren indexes per-host slices
 	// from worker goroutines, where a panic cannot be recovered.
 	chl := s.sub.compileChildren()
-	// A host's connection table and regulator banks are carved from arrays
-	// made once for the session, sized from the compiled children: a host
-	// has one connection per distinct child — at most its child count —
-	// and one bank entry per group it forwards, in each bank its scheme can
-	// build.
-	edges, forwards := 0, 0
-	for _, gc := range chl {
-		forwards += len(gc.groups)
+	// A host's connection table and regulator banks are carved from its
+	// shard's slabs, sized from the compiled children: a host has one
+	// connection per distinct child — at most its child count — and one
+	// bank entry per group it forwards, in each bank its scheme can build.
+	type count struct{ edges, forwards int }
+	per := make([]count, len(s.sh))
+	for id, gc := range chl {
+		n := &per[s.owner[id]]
+		n.forwards += len(gc.groups)
 		for _, cs := range gc.kids {
-			edges += len(cs)
+			n.edges += len(cs)
 		}
 	}
-	muxChild, muxes := snap.NewArena[int32](edges), snap.NewArena[*mux.Mux](edges)
-	var srBanks snap.Arena[*regulator.SigmaRho]
-	var srlBanks snap.Arena[*regulator.SRL]
 	scheme := s.sub.cfg.Scheme
-	if scheme == SchemeSigmaRho || scheme == SchemeAdaptive {
-		srBanks = snap.NewArena[*regulator.SigmaRho](forwards)
-	}
-	if scheme == SchemeSRL || scheme == SchemeAdaptive {
-		srlBanks = snap.NewArena[*regulator.SRL](forwards)
+	for si, sh := range s.sh {
+		n, sl := per[si], &sh.env.slabs
+		sl.muxChild, sl.muxes = snap.NewArena[int32](n.edges), snap.NewArena[*mux.Mux](n.edges)
+		if scheme == SchemeSigmaRho || scheme == SchemeAdaptive {
+			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.forwards)
+		}
+		if scheme == SchemeSRL || scheme == SchemeAdaptive {
+			sl.srlBanks = snap.NewArena[*regulator.SRL](n.forwards)
+		}
 	}
 	for id, h := range s.hosts {
 		h.children = chl[id]
@@ -523,7 +525,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 		for _, cs := range h.children.kids {
 			n += len(cs)
 		}
-		h.muxChild, h.muxes = muxChild.Take(n)[:0], muxes.Take(n)[:0]
+		sl := &h.env.slabs
+		h.muxChild, h.muxes = sl.muxChild.Take(n)[:0], sl.muxes.Take(n)[:0]
 	}
 	if n := r.Len(); n != len(s.hosts) {
 		r.Fail(fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(s.hosts)))
@@ -535,15 +538,15 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 		h.switches = int(r.U32())
 		h.srlCycling = r.Bool()
 		if r.Bool() {
-			h.srBank = srBanks.Take(len(h.children.groups))
+			h.srBank = h.env.slabs.srBanks.Take(len(h.children.groups))
 		}
 		if r.Bool() {
-			h.srlBank = srlBanks.Take(len(h.children.groups))
+			h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
 		}
 		if r.Bool() {
-			// Re-arm the controller closure without scheduling its tick (the
-			// pending tick replays from the engine record), then overwrite
-			// the fresh window with the serialized one.
+			// Set the controller up without scheduling its tick (the pending
+			// tick replays from the engine record), then overwrite the fresh
+			// window with the serialized one.
 			h.prepareController(ctlWindow, ctlInterval, h.env.threshold)
 			h.rate.Restore(r)
 		}
@@ -887,10 +890,11 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	env.sr.grow(t.comps[famSR])
 	env.cyc.grow(t.comps[famCycle])
 	env.srl.grow(t.comps[famSRL])
-	slabs := compSlabs{
-		mux: mux.NewSlab(t.comps[famMux], t.queues, t.entries),
-		reg: regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets),
-	}
+	sl := &env.slabs
+	sl.mux = mux.NewSlab(t.comps[famMux], t.queues, t.entries)
+	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets)
+	sl.muxLinks = snap.NewArena[muxLink](t.comps[famMux])
+	sl.regLinks = snap.NewArena[regLink](t.comps[famSR] + t.comps[famSRL])
 	numGroups := s.sub.numGroups()
 	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famCycle: numGroups, famSRL: numGroups}
 	for f := famMux; f < numFamilies; f++ {
@@ -928,7 +932,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds two clocks for group %d at host %d's capacity", si, sub, hid))
 				return
 			}
-			comp := h.restoreComp(r, slabs, f, sub, capacity)
+			comp := h.restoreComp(r, f, sub, capacity)
 			if live && !h.install(f, sub, comp) {
 				r.Fail(fmt.Errorf("core: snapshot host %d holds a live regulator for group %d, in which it has no children", hid, sub))
 				return

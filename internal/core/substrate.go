@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/overlay"
+	"repro/internal/snap"
 	"repro/internal/topo"
 	"repro/internal/xrand"
 )
@@ -511,16 +512,32 @@ func (sub *substrate) compileChildren() []groupChildren {
 }
 
 // hostConns returns each host's distinct child connections, sorted — the
-// per-host wiring plan newHost consumes. The per-host de-duplication is
+// per-host wiring plan host.wire consumes. The per-host de-duplication is
 // pure (it reads only that host's flattened child sets), so the plan fans
-// across the worker pool; MUX creation itself stays sequential because
+// across the worker pool, each host filling its own window of one array
+// sized by its child count; MUX creation itself stays sequential because
 // component registry slots must be assigned in host order.
 func hostConns(per []groupChildren) [][]int {
 	conns := make([][]int, len(per))
+	edges := 0
+	for p := range per {
+		for _, cs := range per[p].kids {
+			edges += len(cs)
+		}
+	}
+	arena := snap.NewArena[int](edges)
+	for p := range per {
+		n := 0
+		for _, cs := range per[p].kids {
+			n += len(cs)
+		}
+		if n > 0 {
+			conns[p] = arena.Take(n)[:0]
+		}
+	}
 	parallelIndexed(len(per), compileWorkers(), func(p int) {
-		gc := &per[p]
-		var out []int
-		for _, cs := range gc.kids {
+		out := conns[p]
+		for _, cs := range per[p].kids {
 			for _, c := range cs {
 				out = insertSortedDistinct(out, c)
 			}

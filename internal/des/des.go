@@ -11,9 +11,12 @@
 // overflow heap for events beyond the wheel horizon, backed by an intrusive
 // free list of event records. Steady-state scheduling allocates nothing:
 // a fired or reaped event's record is recycled for the next Schedule call.
-// Components that fire on every duty cycle should store their callback once
-// and re-schedule it from inside itself, so the hot path does not capture a
-// fresh closure per cycle either.
+//
+// An event fires a Handler: a component schedules itself — a pointer it
+// already is — and Fire dispatches on the event's kind, so making a
+// component binds no callback and a session of a million components holds
+// no closure per component. Func adapts a plain func for the few callers
+// (traffic sources, tests) that keep one; the conversion allocates nothing.
 package des
 
 import "fmt"
@@ -65,7 +68,7 @@ type event struct {
 	at       Time
 	prio     Time
 	seq      uint64
-	fn       func()
+	h        Handler
 	next     *event // bucket chain / free-list link
 	gen      uint32
 	canceled bool
@@ -99,6 +102,18 @@ func eventCmp(a, b *event) int {
 	}
 	return 1
 }
+
+// Handler is what an event fires. Fire receives the kind the event was
+// scheduled under, so one component can own several event families (a
+// duty-cycle clock's on- and off-edges) without a callback per family.
+type Handler interface{ Fire(kind uint16) }
+
+// Func adapts a plain func to Handler. A func value is pointer-shaped, so
+// converting one to a Handler allocates nothing.
+type Func func()
+
+// Fire implements Handler.
+func (f Func) Fire(uint16) { f() }
 
 // Event is a cancelable handle to a scheduled callback. It is a small
 // value (copyable, comparable); the zero Event is valid and never pending.
@@ -161,11 +176,20 @@ func (e *Engine) ExecutedByKind() [NumKinds]uint64 { return e.byKind }
 // waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
 
+// eventBlock is how many records alloc makes at once when the free list
+// runs dry: one allocation per block, not one per record, as a restore
+// replays its pending events or a burst grows the pool.
+const eventBlock = 64
+
 func (e *Engine) alloc() *event {
 	ev := e.free
 	if ev == nil {
-		ev = &event{}
-		e.poolSize++
+		blk := make([]event, eventBlock)
+		for i := 1; i < len(blk)-1; i++ {
+			blk[i].next = &blk[i+1]
+		}
+		ev, e.free = &blk[0], &blk[1]
+		e.poolSize += eventBlock
 	} else {
 		e.free = ev.next
 	}
@@ -180,7 +204,7 @@ func (e *Engine) alloc() *event {
 // Bumping gen invalidates every outstanding handle to this incarnation.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.h = nil
 	ev.next = e.free
 	e.free = ev
 }
@@ -189,30 +213,26 @@ func (e *Engine) release(ev *event) {
 // (before Now) panics: it always indicates a model bug, and silently
 // reordering time would destroy the causality the simulation depends on.
 func (e *Engine) Schedule(at Time, fn func()) Event {
-	return e.SchedulePrio(at, e.now, fn)
+	if fn == nil {
+		panic("des: scheduling nil func")
+	}
+	return e.SchedulePrioKind(at, e.now, KindNone, 0, Func(fn))
 }
 
-// SchedulePrio is Schedule with an explicit tie-break priority in place of
-// the default Now stamp: among events firing at the same instant, lower
-// prio fires first (seq still breaks exact prio ties). The shard
-// coordinator uses it to materialise cross-shard messages under their
-// sender-side scheduling time; local simulation code should use Schedule.
-func (e *Engine) SchedulePrio(at, prio Time, fn func()) Event {
-	return e.SchedulePrioKind(at, prio, KindNone, 0, fn)
-}
-
-// SchedulePrioKind is SchedulePrio with a callback-kind tag (snapshot.go):
-// kind names the registered callback family and arg its component slot, so
-// the event can be serialized and rehydrated on restore. Components whose
-// events must survive a checkpoint schedule through the *Kind variants;
-// everything else keeps the untagged forms and is rejected at snapshot
-// time.
-func (e *Engine) SchedulePrioKind(at, prio Time, kind uint16, arg uint32, fn func()) Event {
+// SchedulePrioKind enqueues h to fire at absolute time at with an explicit
+// tie-break priority and a callback-kind tag. Among events firing at the
+// same instant, lower prio fires first (seq still breaks exact prio ties);
+// everything but the shard coordinator and a restore's replay stamps prio
+// with Now through the other Schedule forms. kind names the registered
+// callback family and arg its component slot (snapshot.go), so the event
+// can be serialized and rehydrated on restore; an untagged (KindNone)
+// event is rejected at snapshot time.
+func (e *Engine) SchedulePrioKind(at, prio Time, kind uint16, arg uint32, h Handler) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, e.now))
 	}
-	if fn == nil {
-		panic("des: scheduling nil func")
+	if h == nil {
+		panic("des: scheduling nil handler")
 	}
 	if kind >= NumKinds {
 		panic(fmt.Sprintf("des: scheduling unregistered kind %d", kind))
@@ -221,7 +241,7 @@ func (e *Engine) SchedulePrioKind(at, prio Time, kind uint16, arg uint32, fn fun
 	ev.at = at
 	ev.prio = prio
 	ev.seq = e.seq
-	ev.fn = fn
+	ev.h = h
 	ev.kind = kind
 	ev.arg = arg
 	e.seq++
@@ -235,14 +255,14 @@ func (e *Engine) ScheduleIn(d Duration, fn func()) Event {
 	return e.Schedule(e.now+d, fn)
 }
 
-// ScheduleKind is Schedule with a callback-kind tag (see SchedulePrioKind).
-func (e *Engine) ScheduleKind(at Time, kind uint16, arg uint32, fn func()) Event {
-	return e.SchedulePrioKind(at, e.now, kind, arg, fn)
+// ScheduleKind is SchedulePrioKind stamped with Now.
+func (e *Engine) ScheduleKind(at Time, kind uint16, arg uint32, h Handler) Event {
+	return e.SchedulePrioKind(at, e.now, kind, arg, h)
 }
 
-// ScheduleInKind is ScheduleIn with a callback-kind tag.
-func (e *Engine) ScheduleInKind(d Duration, kind uint16, arg uint32, fn func()) Event {
-	return e.SchedulePrioKind(e.now+d, e.now, kind, arg, fn)
+// ScheduleInKind is ScheduleKind d nanoseconds after Now.
+func (e *Engine) ScheduleInKind(d Duration, kind uint16, arg uint32, h Handler) Event {
+	return e.SchedulePrioKind(e.now+d, e.now, kind, arg, h)
 }
 
 // Cancel prevents a scheduled event from firing. Canceling a stale or zero
@@ -255,7 +275,7 @@ func (e *Engine) Cancel(h Event) {
 		return
 	}
 	h.ev.canceled = true
-	h.ev.fn = nil
+	h.ev.h = nil
 	e.pending--
 }
 
@@ -276,9 +296,9 @@ func (e *Engine) exec(ev *event) {
 	e.executed++
 	e.byKind[ev.kind]++
 	e.pending--
-	fn := ev.fn
+	h, kind := ev.h, ev.kind
 	e.release(ev)
-	fn()
+	h.Fire(kind)
 }
 
 // Run executes events until the queue drains.

@@ -90,6 +90,41 @@ func TestScheduleNilPanics(t *testing.T) {
 	eng.Schedule(1, nil)
 }
 
+// pinger is a component-shaped handler: it re-schedules itself, the way
+// a MUX or a duty-cycle clock does, and counts what each kind fired.
+type pinger struct {
+	eng   *Engine
+	fired [NumKinds]int
+}
+
+func (p *pinger) Fire(kind uint16) {
+	p.fired[kind]++
+	p.eng.ScheduleInKind(1, kind, 0, p)
+}
+
+// TestHandlersAllocateNothing: scheduling and firing a component handler,
+// and a plain func behind Func (which Schedule wraps every call), allocate
+// nothing once the event pool is warm — a component stores no callback,
+// and the conversion to Handler boxes nothing.
+func TestHandlersAllocateNothing(t *testing.T) {
+	eng := New()
+	p := &pinger{eng: eng}
+	eng.ScheduleInKind(1, KindMuxDone, 0, p)
+	ticks := 0
+	var tick func()
+	tick = func() { ticks++; eng.ScheduleKind(eng.Now()+1, KindSrcTick, 0, Func(tick)) }
+	eng.ScheduleIn(1, tick)
+	for i := 0; i < 1000; i++ {
+		eng.Step()
+	}
+	if n := testing.AllocsPerRun(1000, func() { eng.Step() }); n != 0 {
+		t.Fatalf("a steady step allocated %v objects, want 0", n)
+	}
+	if p.fired[KindMuxDone] == 0 || ticks == 0 {
+		t.Fatalf("the handler fired %d times under its kind, the func %d times", p.fired[KindMuxDone], ticks)
+	}
+}
+
 func TestCancel(t *testing.T) {
 	eng := New()
 	fired := false

@@ -120,16 +120,28 @@ func recCmp[P any](a, b *rec[P]) int {
 }
 
 // dnode is a pooled delivery node: the engine-side carrier for a released
-// payload record. fire is bound once, at node allocation, and recycles the
-// node into its destination's free list after invoking the deliver hook —
-// so releasing a payload record into an engine allocates nothing in steady
-// state. A destination's pool is touched only by that shard's runner
-// during an epoch and by the coordinator between epochs; the epoch gates
-// order the two.
+// payload record, and the Handler its event fires. Fire recycles the node
+// into its destination's free list before invoking the deliver hook — so
+// releasing a payload record into an engine allocates nothing in steady
+// state, and the node is reusable within the same epoch (re-entrant
+// posting touches mailboxes, never pools). A destination's pool is touched
+// only by that shard's runner during an epoch and by the coordinator
+// between epochs; the epoch gates order the two.
 type dnode[P any] struct {
 	payload P
 	next    *dnode[P]
-	fire    func()
+	c       *Coordinator[P]
+	dst     int
+}
+
+// Fire implements Handler.
+func (nd *dnode[P]) Fire(uint16) {
+	c, p := nd.c, nd.payload
+	var zero P
+	nd.payload = zero
+	nd.next = c.pools[nd.dst]
+	c.pools[nd.dst] = nd
+	c.deliver(nd.dst, p)
 }
 
 // spinBudget is how long a gate is polled before its waiter parks: a few
@@ -451,34 +463,17 @@ func (c *Coordinator[P]) release(dst int, bound Time) {
 		r := &pq[i]
 		nd := c.pools[dst]
 		if nd == nil {
-			nd = c.newNode(dst)
+			nd = &dnode[P]{c: c, dst: dst}
 		} else {
 			c.pools[dst] = nd.next
 		}
 		nd.payload = r.payload
-		eng.SchedulePrio(r.at, r.lamport, nd.fire)
+		eng.SchedulePrioKind(r.at, r.lamport, KindNone, 0, nd)
 	}
 	c.messages += uint64(n)
 	m := copy(pq, pq[n:])
 	clear(pq[m:])
 	c.pend[dst] = pq[:m]
-}
-
-// newNode builds a delivery node with its fire callback bound once. fire
-// recycles the node before invoking the hook, so the node is reusable
-// within the same epoch and re-entrant posting is safe (posting touches
-// mailboxes, never pools).
-func (c *Coordinator[P]) newNode(dst int) *dnode[P] {
-	nd := &dnode[P]{}
-	nd.fire = func() {
-		p := nd.payload
-		var zero P
-		nd.payload = zero
-		nd.next = c.pools[dst]
-		c.pools[dst] = nd
-		c.deliver(dst, p)
-	}
-	return nd
 }
 
 // nextFor reports shard i's earliest future work: its engine's next event

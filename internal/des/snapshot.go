@@ -9,13 +9,13 @@ import (
 // Checkpoint support: the engine can enumerate its pending events as
 // (at, prio, seq, kind, arg) records and be rebuilt from them.
 //
-// Closures do not serialize, so persistent events carry a callback-kind
-// tag from the registry below plus a small component argument (a slot
-// index in the session's component registry). A snapshot walks the queue
-// and emits the tagged records in seq order; a restore rebuilds the
-// immutable session structure, advances the clock with RestoreNow, and
-// replays the records through SchedulePrioKind with the callback resolved
-// from the component the arg names. Replaying in original seq order hands out fresh,
+// Handlers are pointers into this process and do not serialize, so
+// persistent events carry a callback-kind tag from the registry below plus
+// a small component argument (a slot index in the session's component
+// registry). A snapshot walks the queue and emits the tagged records in seq
+// order; a restore rebuilds the immutable session structure, advances the
+// clock with RestoreNow, and replays the records through SchedulePrioKind
+// with the handler resolved from the component the arg names. Replaying in original seq order hands out fresh,
 // ascending sequence numbers, which preserves every relative (at, prio,
 // seq) comparison — the firing order of the restored engine is exactly
 // the original's.

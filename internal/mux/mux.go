@@ -59,7 +59,7 @@ type Mux struct {
 	eng        *des.Engine
 	c          float64 // bits/second
 	discipline Discipline
-	out        func(traffic.Packet)
+	out        traffic.Sink
 
 	k        int       // declared input flow count (validation only)
 	slotFlow []int32   // ascending flow ids with materialised queues
@@ -70,16 +70,18 @@ type Mux struct {
 	seq      uint64
 	cur      entry  // entry in transmission (valid while busy)
 	snapArg  uint32 // component slot for snapshot event tags
-	done     func() // stored transmit-completion callback
 }
 
 // New returns a MUX with k input flows at capacity c bits/second.
 func New(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
-	return new(Mux).init(eng, k, c, d, out)
+	if out == nil {
+		panic("mux: nil output")
+	}
+	return new(Mux).init(eng, k, c, d, traffic.SinkFunc(out))
 }
 
 // init is New into zeroed storage the caller made (see Slab).
-func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
+func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink) *Mux {
 	if k <= 0 {
 		panic("mux: need at least one input flow")
 	}
@@ -90,11 +92,14 @@ func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out func(tra
 		panic("mux: nil output")
 	}
 	m.eng, m.c, m.discipline, m.out, m.k = eng, c, d, out, k
-	m.done = func() {
-		m.out(m.cur.p)
-		m.serve()
-	}
 	return m
+}
+
+// Fire is the transmit completion (des.KindMuxDone): the packet in
+// transmission leaves, and service moves on.
+func (m *Mux) Fire(uint16) {
+	m.out.Put(m.cur.p)
+	m.serve()
 }
 
 // Capacity returns the service rate in bits/second.
@@ -240,7 +245,7 @@ func (m *Mux) serve() {
 	}
 	m.bits -= e.p.Size
 	m.cur = e
-	m.eng.ScheduleInKind(des.Seconds(e.p.Size/m.c), des.KindMuxDone, m.snapArg, m.done)
+	m.eng.ScheduleInKind(des.Seconds(e.p.Size/m.c), des.KindMuxDone, m.snapArg, m)
 }
 
 func (m *Mux) compact(i int) {

@@ -59,12 +59,14 @@ const (
 	SnapEntryBytes = traffic.PacketSnapBytes + 8
 )
 
-// Slab is the storage one checkpoint record's MUXes are restored into: the
-// MUXes themselves, their queue tables and every queued entry sit in five
-// arrays sized from the record's totals, where New and Enqueue would make
-// them one MUX and one doubling at a time. A restored queue's capacity is
-// exactly its length; it grows off the slab like any other from its first
-// arrival on.
+// Slab is the storage a session makes its MUXes in: the MUXes themselves,
+// their queue tables and every queued entry sit in five arrays sized from
+// a total known up front — a live build's connection count, a checkpoint
+// record's totals — where New and Enqueue would make them one MUX and one
+// doubling at a time. A restored queue's capacity is exactly its length;
+// it grows off the slab like any other from its first arrival on. Past
+// its totals a slab makes each MUX on its own; the zero Slab is an empty
+// one.
 type Slab struct {
 	muxes   snap.Arena[Mux]
 	flows   snap.Arena[int32]
@@ -75,8 +77,8 @@ type Slab struct {
 
 // NewSlab returns storage for that many MUXes, materialised queues and
 // queued entries in total.
-func NewSlab(muxes, slots, entries int) *Slab {
-	return &Slab{
+func NewSlab(muxes, slots, entries int) Slab {
+	return Slab{
 		muxes:   snap.NewArena[Mux](muxes),
 		flows:   snap.NewArena[int32](slots),
 		queues:  snap.NewArena[[]entry](slots),
@@ -85,13 +87,18 @@ func NewSlab(muxes, slots, entries int) *Slab {
 	}
 }
 
+// New is the package's New in the slab's next MUX, with the output a Sink.
+func (sl *Slab) New(eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink) *Mux {
+	return sl.muxes.One().init(eng, k, c, d, out)
+}
+
 // Restore makes the slab's next MUX as New would and overwrites its mutable
 // state from the open record, failing the reader on a flow id outside
 // [0, k) or slots out of ascending order (slot lookups are binary
 // searches). The transmit-completion event, if one was pending, arrives
 // separately via Rearm during event replay.
-func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
-	m := sl.muxes.One().init(eng, k, c, d, out)
+func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink) *Mux {
+	m := sl.New(eng, k, c, d, out)
 	n := r.Count(SnapSlotBytes)
 	m.slotFlow, m.queues, m.heads = sl.flows.Take(n), sl.queues.Take(n), sl.heads.Take(n)
 	for s := range m.slotFlow {
@@ -122,6 +129,6 @@ func (m *Mux) Rearm(kind uint16, at, prio des.Time) bool {
 	if kind != des.KindMuxDone {
 		return false
 	}
-	m.eng.SchedulePrioKind(at, prio, kind, m.snapArg, m.done)
+	m.eng.SchedulePrioKind(at, prio, kind, m.snapArg, m)
 	return true
 }

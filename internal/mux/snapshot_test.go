@@ -86,7 +86,7 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 		eng2 := des.New()
 		for i, m := range orig {
 			var served []uint64
-			got := sl.Restore(r, eng2, 4, 1e6, LIFO, func(p traffic.Packet) { served = append(served, p.ID) })
+			got := sl.Restore(r, eng2, 4, 1e6, LIFO, traffic.SinkFunc(func(p traffic.Packet) { served = append(served, p.ID) }))
 			if r.Err() != nil {
 				t.Fatalf("short=%v: restore of MUX %d: %v", short, i, r.Err())
 			}
@@ -118,7 +118,8 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 	m := New(eng, 4, 1e6, FIFO, func(traffic.Packet) {})
 	m.Enqueue(traffic.Packet{Flow: 3, Size: 1})
 	r, _ := record(t, m.Snapshot)
-	if NewSlab(1, 1, 1).Restore(r, eng, 3, 1e6, FIFO, func(traffic.Packet) {}); r.Err() == nil {
+	sl := NewSlab(1, 1, 1)
+	if sl.Restore(r, eng, 3, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {})); r.Err() == nil {
 		t.Fatal("queue for flow 3 restored into a 3-flow MUX")
 	}
 }

@@ -23,15 +23,16 @@ type transit struct {
 }
 
 // flightPool recycles the carrier nodes for packets that are "in flight"
-// on a pure delay. Any number of packets propagate concurrently, so a
-// single stored callback is not enough — instead each node binds its own
-// firing closure once, at node allocation, and nodes cycle through a free
-// list. Steady-state sends therefore allocate nothing: the high-water mark
-// of concurrently flying packets bounds the pool.
+// on a pure delay. Any number of packets propagate concurrently, so one
+// handler is not enough — instead each node is the des.Handler of its own
+// delivery, and nodes cycle through a free list. Steady-state sends
+// therefore allocate nothing: the high-water mark of concurrently flying
+// packets bounds the pool, which grows a block of nodes at a time.
 type flightPool struct {
 	eng     *des.Engine
 	free    *flightNode
 	deliver func(transit)
+	block   []flightNode // unused nodes of the last block made
 	// Checkpoint support: every event carries the pool's kind and the
 	// firing node's idx — its position in nodes, which holds every node ever
 	// allocated — so a snapshot can read the in-flight transit a pending
@@ -41,28 +42,37 @@ type flightPool struct {
 	nodes []*flightNode
 }
 
+// flightBlock is how many carrier nodes the pool makes at once.
+const flightBlock = 64
+
 type flightNode struct {
 	tr   transit
 	idx  uint32
 	next *flightNode
-	fire func()
+	pool *flightPool
+}
+
+// Fire delivers the node's transit, recycling the node first.
+func (n *flightNode) Fire(uint16) {
+	fp, tr := n.pool, n.tr
+	n.tr = transit{} // drop the packet reference while pooled
+	n.next = fp.free
+	fp.free = n
+	fp.deliver(tr)
 }
 
 func (fp *flightPool) alloc() *flightNode {
 	n := fp.free
-	if n == nil {
-		n = &flightNode{idx: uint32(len(fp.nodes))}
-		fp.nodes = append(fp.nodes, n)
-		n.fire = func() {
-			tr := n.tr
-			n.tr = transit{} // drop the packet reference while pooled
-			n.next = fp.free
-			fp.free = n
-			fp.deliver(tr)
-		}
-	} else {
+	if n != nil {
 		fp.free = n.next
+		return n
 	}
+	if len(fp.block) == 0 {
+		fp.block = make([]flightNode, flightBlock)
+	}
+	n, fp.block = &fp.block[0], fp.block[1:]
+	n.idx, n.pool = uint32(len(fp.nodes)), fp
+	fp.nodes = append(fp.nodes, n)
 	return n
 }
 
@@ -70,14 +80,14 @@ func (fp *flightPool) alloc() *flightNode {
 func (fp *flightPool) send(d des.Duration, tr transit) {
 	n := fp.alloc()
 	n.tr = tr
-	fp.eng.ScheduleInKind(d, fp.kind, n.idx, n.fire)
+	fp.eng.ScheduleInKind(d, fp.kind, n.idx, n)
 }
 
 // Fabric is the underlay transport connecting all end hosts.
 type Fabric struct {
 	eng       *des.Engine
 	net       *topo.Network
-	receivers []func(traffic.Packet)
+	receivers []traffic.Sink
 	// pipes carries every packet end to end; kind-tagged, so an in-flight
 	// delivery rehydrates from (dst, packet).
 	pipes *flightPool
@@ -103,6 +113,11 @@ type FabricConfig struct {
 	// in flight when a cut opens still deliver. The hook owns its own
 	// accounting; the fabric counts nothing for dropped packets.
 	Drop func(src, dst int) bool
+	// Receivers, when set, is the per-host receiver table, indexed by host
+	// id, that Deliver hands packets to and SetReceiver writes: the shards
+	// of one session share one table of their hosts. Nil gives the fabric a
+	// table of its own.
+	Receivers []traffic.Sink
 }
 
 // NewFabric builds the transport over the given network.
@@ -113,8 +128,11 @@ func NewFabric(eng *des.Engine, net *topo.Network, cfg FabricConfig) *Fabric {
 	f := &Fabric{
 		eng:       eng,
 		net:       net,
-		receivers: make([]func(traffic.Packet), len(net.Hosts)),
+		receivers: cfg.Receivers,
 		hooks:     cfg,
+	}
+	if f.receivers == nil {
+		f.receivers = make([]traffic.Sink, len(net.Hosts))
 	}
 	f.pipes = &flightPool{eng: eng, kind: des.KindFlight,
 		deliver: func(tr transit) { f.Deliver(tr.dst, tr.p) }}
@@ -123,7 +141,10 @@ func NewFabric(eng *des.Engine, net *topo.Network, cfg FabricConfig) *Fabric {
 
 // SetReceiver registers the delivery callback for a host.
 func (f *Fabric) SetReceiver(host int, fn func(traffic.Packet)) {
-	f.receivers[host] = fn
+	f.receivers[host] = nil
+	if fn != nil {
+		f.receivers[host] = traffic.SinkFunc(fn)
+	}
 }
 
 // Send carries p from host src to host dst and invokes dst's receiver.
@@ -156,7 +177,7 @@ func (f *Fabric) PendingFlight(arg uint32) (dst int, p traffic.Packet) {
 func (f *Fabric) RestoreFlight(at, prio des.Time, dst int, p traffic.Packet) {
 	n := f.pipes.alloc()
 	n.tr = transit{p: p, dst: dst}
-	f.eng.SchedulePrioKind(at, prio, des.KindFlight, n.idx, n.fire)
+	f.eng.SchedulePrioKind(at, prio, des.KindFlight, n.idx, n)
 }
 
 // Deliver hands p to host's receiver: where every flight lands, and the
@@ -164,7 +185,7 @@ func (f *Fabric) RestoreFlight(at, prio des.Time, dst int, p traffic.Packet) {
 // their scheduled time.
 func (f *Fabric) Deliver(host int, p traffic.Packet) {
 	f.Delivered++
-	if fn := f.receivers[host]; fn != nil {
-		fn(p)
+	if r := f.receivers[host]; r != nil {
+		r.Put(p)
 	}
 }

@@ -9,6 +9,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topo"
 	"repro/internal/xrand"
@@ -19,7 +20,8 @@ import (
 // its nearest unassigned neighbours by RTT. Sizes are drawn from
 // [k, 3k−1], capped by sizeCap, exactly as the DSCT paper specifies: when
 // no more than the maximum cluster size remains, the remainder forms the
-// final cluster.
+// final cluster. The clusters are consecutive windows of one copy of ids:
+// each pivot's nearest neighbours are sorted in place right behind it.
 func clusterize(net *topo.Network, ids []int, k, sizeCap int, rng *xrand.Rand) [][]int {
 	limit := 3*k - 1
 	lo := k
@@ -29,21 +31,16 @@ func clusterize(net *topo.Network, ids []int, k, sizeCap int, rng *xrand.Rand) [
 			lo = limit
 		}
 	}
-	unassigned := append([]int(nil), ids...)
-	var clusters [][]int
+	unassigned := slices.Clone(ids)
+	clusters := make([][]int, 0, len(ids)/max(lo, 1)+1)
 	for len(unassigned) > 0 {
 		size := len(unassigned)
 		if size > limit {
 			size = rng.IntRange(lo, limit)
 		}
-		pivot := unassigned[0]
-		rest := unassigned[1:]
-		sortByRTT(net, pivot, rest)
-		cluster := make([]int, 0, size)
-		cluster = append(cluster, pivot)
-		cluster = append(cluster, rest[:size-1]...)
-		clusters = append(clusters, cluster)
-		unassigned = append(unassigned[:0], rest[size-1:]...)
+		sortByRTT(net, unassigned[0], unassigned[1:])
+		clusters = append(clusters, unassigned[:size:size])
+		unassigned = unassigned[size:]
 	}
 	return clusters
 }

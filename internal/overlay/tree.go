@@ -7,10 +7,10 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/topo"
@@ -423,14 +423,11 @@ func (t *Tree) LinkStress(net *topo.Network) (max int, avg float64) {
 }
 
 // sortByRTT orders ids by round-trip time to the pivot (ties broken by
-// id for determinism). The pivot itself, if present, sorts first.
+// id for determinism). The pivot itself, if present, sorts first. The
+// order is strict over distinct ids, so any correct sort gives this one.
 func sortByRTT(net *topo.Network, pivot int, ids []int) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := net.RTT(pivot, ids[i]), net.RTT(pivot, ids[j])
-		if a != b {
-			return a < b
-		}
-		return ids[i] < ids[j]
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(net.RTT(pivot, a), net.RTT(pivot, b)), cmp.Compare(a, b))
 	})
 }
 

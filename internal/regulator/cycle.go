@@ -29,10 +29,8 @@ type Cycle struct {
 	on       bool
 	ev       des.Event // the pending edge
 	snapArg  uint32    // component slot for snapshot event tags
-	onFn     func()    // stored edge callbacks
-	offFn    func()
-	nextRank uint64 // follow order: the rank the next follower takes
-	waiting  []*SRL // followers holding a packet behind the shut gate
+	nextRank uint64    // follow order: the rank the next follower takes
+	waiting  []*SRL    // followers holding a packet behind the shut gate
 }
 
 // NewCycle returns the schedule (offset, W, V) on eng, not yet ticking:
@@ -48,18 +46,22 @@ func (c *Cycle) init(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 		panic("regulator: cycle requires offset≥0, W>0 and V>0")
 	}
 	c.eng, c.offset, c.w, c.v = eng, offset, w, v
-	c.onFn = func() {
-		c.on = true
-		// Wake before re-arming: a follower's transmission started here was
-		// scheduled before its own off-edge when it carried its own timer.
-		c.wake()
-		c.ev = c.eng.ScheduleInKind(c.w, des.KindSRLOff, c.snapArg, c.offFn)
-	}
-	c.offFn = func() {
-		c.on = false
-		c.ev = c.eng.ScheduleInKind(c.v, des.KindSRLOn, c.snapArg, c.onFn)
-	}
 	return c
+}
+
+// Fire is the clock's edge: des.KindSRLOn opens the gate, des.KindSRLOff
+// shuts it, and each arms the other.
+func (c *Cycle) Fire(kind uint16) {
+	if kind == des.KindSRLOff {
+		c.on = false
+		c.ev = c.eng.ScheduleInKind(c.v, des.KindSRLOn, c.snapArg, c)
+		return
+	}
+	c.on = true
+	// Wake before re-arming: a follower's transmission started here was
+	// scheduled before its own off-edge when it carried its own timer.
+	c.wake()
+	c.ev = c.eng.ScheduleInKind(c.w, des.KindSRLOff, c.snapArg, c)
 }
 
 // Start enters the state the schedule prescribes for Now — as if the clock
@@ -70,14 +72,14 @@ func (c *Cycle) Start() {
 	switch pos := (now - c.offset) % p; {
 	case now <= c.offset:
 		// Before the first working period.
-		c.ev = c.eng.ScheduleKind(c.offset, des.KindSRLOn, c.snapArg, c.onFn)
+		c.ev = c.eng.ScheduleKind(c.offset, des.KindSRLOn, c.snapArg, c)
 	case pos < c.w:
 		// Inside a working period: finish it.
 		c.on = true
-		c.ev = c.eng.ScheduleInKind(c.w-pos, des.KindSRLOff, c.snapArg, c.offFn)
+		c.ev = c.eng.ScheduleInKind(c.w-pos, des.KindSRLOff, c.snapArg, c)
 	default:
 		// Inside a vacation.
-		c.ev = c.eng.ScheduleInKind(p-pos, des.KindSRLOn, c.snapArg, c.onFn)
+		c.ev = c.eng.ScheduleInKind(p-pos, des.KindSRLOn, c.snapArg, c)
 	}
 }
 
@@ -122,13 +124,9 @@ func (c *Cycle) Snapshot(w *snap.Writer) {
 
 // Rearm re-schedules the serialized pending edge.
 func (c *Cycle) Rearm(kind uint16, at, prio des.Time) bool {
-	switch kind {
-	case des.KindSRLOn:
-		c.ev = c.eng.SchedulePrioKind(at, prio, kind, c.snapArg, c.onFn)
-	case des.KindSRLOff:
-		c.ev = c.eng.SchedulePrioKind(at, prio, kind, c.snapArg, c.offFn)
-	default:
+	if kind != des.KindSRLOn && kind != des.KindSRLOff {
 		return false
 	}
+	c.ev = c.eng.SchedulePrioKind(at, prio, kind, c.snapArg, c)
 	return true
 }

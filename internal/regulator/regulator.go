@@ -5,8 +5,9 @@
 // (DutyCycle) every such clock's W and V come from.
 //
 // Both regulators are event-driven shapers on a des.Engine: packets enter
-// through Enqueue and conformant packets leave through the output callback
-// in FIFO order per flow.
+// through Enqueue and conformant packets leave through the output Sink in
+// FIFO order per flow. Each regulator and clock is the des.Handler of its
+// own events, so making one binds no callback.
 package regulator
 
 import (
@@ -60,24 +61,26 @@ type SigmaRho struct {
 	eng *des.Engine
 	// Sigma and Rho are the envelope parameters (bits, bits/second).
 	Sigma, Rho float64
-	out        func(traffic.Packet)
+	out        traffic.Sink
 
 	q          fifo
 	tokens     float64
 	lastUpdate des.Time
 	serving    bool
 	snapArg    uint32    // component slot for snapshot event tags
-	retry      func()    // stored token-wait callback
 	retryEv    des.Event // pending token-wait event (for Detach)
 }
 
 // NewSigmaRho returns a (σ, ρ) regulator starting with a full bucket.
 func NewSigmaRho(eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
-	return new(SigmaRho).init(eng, sigma, rho, out)
+	if out == nil {
+		panic("regulator: nil output")
+	}
+	return new(SigmaRho).init(eng, sigma, rho, traffic.SinkFunc(out))
 }
 
 // init is NewSigmaRho into zeroed storage the caller made (see Slab).
-func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
+func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
 	if sigma < 0 || rho <= 0 {
 		panic("regulator: invalid (σ,ρ) parameters")
 	}
@@ -85,11 +88,13 @@ func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out func(traffic.Pa
 		panic("regulator: nil output")
 	}
 	s.eng, s.Sigma, s.Rho, s.out, s.tokens = eng, sigma, rho, out, sigma
-	s.retry = func() {
-		s.serving = false
-		s.serve()
-	}
 	return s
+}
+
+// Fire is the token-wait retry (des.KindSRRetry).
+func (s *SigmaRho) Fire(uint16) {
+	s.serving = false
+	s.serve()
 }
 
 // QueueLen reports the packets currently held back.
@@ -130,7 +135,7 @@ func (s *SigmaRho) serve() {
 		if s.tokens+1e-9 >= need {
 			s.tokens -= need
 			p := s.q.pop()
-			s.out(p)
+			s.out.Put(p)
 			continue
 		}
 		// Wait until the bucket accumulates enough tokens.
@@ -139,7 +144,7 @@ func (s *SigmaRho) serve() {
 			wait = 1
 		}
 		s.serving = true
-		s.retryEv = s.eng.ScheduleInKind(wait, des.KindSRRetry, s.snapArg, s.retry)
+		s.retryEv = s.eng.ScheduleInKind(wait, des.KindSRRetry, s.snapArg, s)
 		return
 	}
 	s.serving = false

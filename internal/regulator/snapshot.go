@@ -46,12 +46,13 @@ const (
 	CycleSnapBytes    = 1 + 8
 )
 
-// Slab is the storage one checkpoint record's regulators and clocks are
-// restored into: one array per model and one for every queued packet,
-// sized from the record's totals, where the constructors and Enqueue would
-// make them one regulator and one doubling at a time. A restored queue's
-// capacity is exactly its length; it grows off the slab like any other
-// from its first arrival on.
+// Slab is the storage a session makes its regulators and clocks in: one
+// array per model and one for every queued packet, sized from totals known
+// up front — a live build's forwarding plan, a checkpoint record's counts —
+// where the constructors and Enqueue would make them one regulator and one
+// doubling at a time. A restored queue's capacity is exactly its length;
+// it grows off the slab like any other from its first arrival on. Past its
+// totals a slab makes each one on its own; the zero Slab is an empty one.
 type Slab struct {
 	sr      snap.Arena[SigmaRho]
 	cycles  snap.Arena[Cycle]
@@ -61,13 +62,30 @@ type Slab struct {
 
 // NewSlab returns storage for that many (σ, ρ) regulators, clocks and
 // (σ, ρ, λ) regulators, and that many queued packets in total.
-func NewSlab(sigmaRhos, cycles, srls, packets int) *Slab {
-	return &Slab{
+func NewSlab(sigmaRhos, cycles, srls, packets int) Slab {
+	return Slab{
 		sr:      snap.NewArena[SigmaRho](sigmaRhos),
 		cycles:  snap.NewArena[Cycle](cycles),
 		srl:     snap.NewArena[SRL](srls),
 		packets: snap.NewArena[traffic.Packet](packets),
 	}
+}
+
+// NewSigmaRho is the package's NewSigmaRho in the slab's next (σ, ρ)
+// regulator, with the output a Sink.
+func (sl *Slab) NewSigmaRho(eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
+	return sl.sr.One().init(eng, sigma, rho, out)
+}
+
+// NewSRL is the package's NewSRL in the slab's next (σ, ρ, λ) regulator,
+// with the output a Sink.
+func (sl *Slab) NewSRL(eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SRL {
+	return sl.srl.One().init(eng, sigma, rho, c, out)
+}
+
+// NewCycle is the package's NewCycle in the slab's next clock.
+func (sl *Slab) NewCycle(eng *des.Engine, offset, w, v des.Duration) *Cycle {
+	return sl.cycles.One().init(eng, offset, w, v)
 }
 
 // SetSnapArg registers the regulator's slot in the session's component
@@ -86,8 +104,8 @@ func (s *SigmaRho) Snapshot(w *snap.Writer) {
 // RestoreSigmaRho makes the slab's next (σ, ρ) regulator as NewSigmaRho
 // would and overwrites its mutable state from the open record; a queued
 // packet with a flow outside [0, flows) fails the reader.
-func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
-	s := sl.sr.One().init(eng, sigma, rho, out)
+func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
+	s := sl.NewSigmaRho(eng, sigma, rho, out)
 	s.q.restore(r, flows, &sl.packets)
 	s.tokens = r.F64()
 	s.lastUpdate = des.Time(r.I64())
@@ -105,7 +123,7 @@ func (s *SigmaRho) Rearm(kind uint16, at, prio des.Time) bool {
 	if kind != des.KindSRRetry {
 		return false
 	}
-	s.retryEv = s.eng.SchedulePrioKind(at, prio, kind, s.snapArg, s.retry)
+	s.retryEv = s.eng.SchedulePrioKind(at, prio, kind, s.snapArg, s)
 	return true
 }
 
@@ -129,8 +147,8 @@ func (r *SRL) Snapshot(w *snap.Writer) {
 // overwrites its mutable state from the open record (see
 // RestoreSigmaRho). The regulator comes back following no clock; one that
 // followed is handed its restored clock with Rejoin.
-func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
-	r := sl.srl.One().init(eng, sigma, rho, c, out)
+func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SRL {
+	r := sl.NewSRL(eng, sigma, rho, c, out)
 	r.q.restore(sr, flows, &sl.packets)
 	r.on = sr.Bool()
 	r.transmitting = sr.Bool()
@@ -143,7 +161,7 @@ func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, r
 // ticking: its pending edge arrives via Rearm — and overwrites its mutable
 // state from the open record.
 func (sl *Slab) RestoreCycle(r *snap.Reader, eng *des.Engine, offset, w, v des.Duration) *Cycle {
-	c := sl.cycles.One().init(eng, offset, w, v)
+	c := sl.NewCycle(eng, offset, w, v)
 	c.on = r.Bool()
 	c.nextRank = r.U64()
 	return c
@@ -163,6 +181,6 @@ func (r *SRL) Rearm(kind uint16, at, prio des.Time) bool {
 	if kind != des.KindSRLDone {
 		return false
 	}
-	r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r.done)
+	r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r)
 	return true
 }

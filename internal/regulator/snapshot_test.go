@@ -76,9 +76,9 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			sl = NewSlab(0, 0, 0, 1)
 		}
 		eng2 := des.New()
-		sr2 := sl.RestoreSigmaRho(r, 1, eng2, 1e4, 1e5, sink)
+		sr2 := sl.RestoreSigmaRho(r, 1, eng2, 1e4, 1e5, traffic.SinkFunc(sink))
 		cy2 := sl.RestoreCycle(r, eng2, des.Millisecond, 2*des.Millisecond, 3*des.Millisecond)
-		srl2 := sl.RestoreSRL(r, 1, eng2, 1e4, 1e5, 1e6, sink)
+		srl2 := sl.RestoreSRL(r, 1, eng2, 1e4, 1e5, 1e6, traffic.SinkFunc(sink))
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("short=%v: restore: %v, %d bytes unread", short, r.Err(), r.Remaining())
 		}
@@ -108,7 +108,8 @@ func TestRestoreRejectsTokenLevel(t *testing.T) {
 		s := NewSigmaRho(eng, 1e4, 1e5, sink)
 		s.tokens = tokens
 		r, _ := record(t, s.Snapshot)
-		if NewSlab(1, 0, 0, 0).RestoreSigmaRho(r, 1, eng, 1e4, 1e5, sink); r.Err() == nil {
+		sl := NewSlab(1, 0, 0, 0)
+		if sl.RestoreSigmaRho(r, 1, eng, 1e4, 1e5, traffic.SinkFunc(sink)); r.Err() == nil {
 			t.Errorf("token level %v restored", tokens)
 		}
 	}

@@ -25,7 +25,7 @@ type SRL struct {
 	// Sigma, Rho, C are the flow envelope and the link capacity (bits,
 	// bits/second, bits/second).
 	Sigma, Rho, C float64
-	out           func(traffic.Packet)
+	out           traffic.Sink
 
 	q fifo
 	// The gate: the clock's while the regulator follows one, else the
@@ -38,18 +38,20 @@ type SRL struct {
 	on           bool
 	transmitting bool
 	snapArg      uint32 // component slot for snapshot event tags
-	done         func() // stored transmit-completion callback
 }
 
 // NewSRL returns a (σ, ρ, λ) regulator. Its gate starts shut and driven by
 // hand (SetOn); Follow or StartCycle puts it on a duty-cycle clock.
 // It panics unless 0 < ρ < C and σ > 0.
 func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
-	return new(SRL).init(eng, sigma, rho, c, out)
+	if out == nil {
+		panic("regulator: nil output")
+	}
+	return new(SRL).init(eng, sigma, rho, c, traffic.SinkFunc(out))
 }
 
 // init is NewSRL into zeroed storage the caller made (see Slab).
-func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
+func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SRL {
 	if sigma <= 0 || rho <= 0 || c <= 0 || rho >= c {
 		panic("regulator: SRL requires σ>0 and 0<ρ<C")
 	}
@@ -57,12 +59,15 @@ func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out func(traffic.Pack
 		panic("regulator: nil output")
 	}
 	r.eng, r.Sigma, r.Rho, r.C, r.out = eng, sigma, rho, c, out
-	r.done = func() {
-		r.transmitting = false
-		r.out(r.q.pop())
-		r.serve()
-	}
 	return r
+}
+
+// Fire is the transmit completion (des.KindSRLDone): the head packet
+// leaves, and the regulator serves the next if its gate is open.
+func (r *SRL) Fire(uint16) {
+	r.transmitting = false
+	r.out.Put(r.q.pop())
+	r.serve()
 }
 
 // DutyCycle returns the working period W = σ/(C−ρ) and the vacation
@@ -133,7 +138,7 @@ func (r *SRL) serve() {
 		return
 	}
 	r.transmitting = true
-	r.eng.ScheduleInKind(des.Seconds(r.q.peek().Size/r.C), des.KindSRLDone, r.snapArg, r.done)
+	r.eng.ScheduleInKind(des.Seconds(r.q.peek().Size/r.C), des.KindSRLDone, r.snapArg, r)
 }
 
 // Follow puts the regulator on clock c, last in its follow order: the gate

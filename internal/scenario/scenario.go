@@ -347,8 +347,14 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: unknown capacity kind %q", s.Name, s.Capacity.Kind)
 	}
-	if s.NumHosts < 0 || s.NumGroups < 0 || s.DurationSec < 0 || s.WindowSec < 0 {
+	if s.NumHosts < 0 || s.NumGroups < 0 {
 		return fmt.Errorf("scenario %s: negative dimensions", s.Name)
+	}
+	if err := CheckSeconds(s.DurationSec); err != nil {
+		return fmt.Errorf("scenario %s: duration_sec %w", s.Name, err)
+	}
+	if err := CheckSeconds(s.WindowSec); err != nil {
+		return fmt.Errorf("scenario %s: window_sec %w", s.Name, err)
 	}
 	if err := s.Churn.validate(s.Name, s.GroupCount()); err != nil {
 		return err
@@ -404,6 +410,25 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
+// CheckSeconds accepts 0 (the default) and any span of simulated seconds
+// the nanosecond clock can hold: at least 1 ns, and below math.MaxInt64 ns.
+// NaN, infinities, negatives and spans that would round to 0 ns or
+// overflow the clock are errors.
+func CheckSeconds(sec float64) error {
+	ns := sec * float64(des.Second)
+	switch {
+	case sec == 0:
+		return nil
+	case math.IsNaN(sec) || sec < 0:
+		return fmt.Errorf("%v must be a non-negative number of seconds", sec)
+	case ns < 1:
+		return fmt.Errorf("%v s is below the clock's 1 ns resolution", sec)
+	case ns >= math.MaxInt64: // float64(math.MaxInt64) rounds up to 2⁶³
+		return fmt.Errorf("%v s is past the clock's %.4g s range", sec, float64(math.MaxInt64)/float64(des.Second))
+	}
+	return nil
+}
+
 // Groups materialises the membership model for the given structural seed:
 // nil for full membership (core's implicit paper model), else one
 // GroupSpec per group with a deterministically sampled member set and a
@@ -447,7 +472,7 @@ func (s Scenario) Groups(seed uint64) []core.GroupSpec {
 	}
 	// Each group samples from its own stream into its own slot, so the
 	// groups fan out over workers; a worker draws every permutation in one
-	// buffer (512 × Perm(100000) was 410 MB of a 100k-host repetition).
+	// int32 buffer (512 × Perm(100000) was 410 MB of a 100k-host repetition).
 	groups := make([]core.GroupSpec, k)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -455,14 +480,17 @@ func (s Scenario) Groups(seed uint64) []core.GroupSpec {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perm := make([]int, n)
+			perm := make([]int32, n)
 			for g := int(next.Add(1)) - 1; g < k; g = int(next.Add(1)) - 1 {
 				size := min(max(sizes[g], minSize), n)
 				for i := range perm {
-					perm[i] = i
+					perm[i] = int32(i)
 				}
-				xrand.New(xrand.DeriveSeed(seed, g) ^ 0xa0761d6478bd642f).ShuffleInts(perm)
-				members := slices.Clone(perm[:size])
+				xrand.New(xrand.DeriveSeed(seed, g) ^ 0xa0761d6478bd642f).ShuffleInt32s(perm)
+				members := make([]int, size)
+				for i, m := range perm[:size] {
+					members[i] = int(m)
+				}
 				source := members[0]
 				slices.Sort(members)
 				groups[g] = core.GroupSpec{Source: source, Members: members}

@@ -87,7 +87,7 @@ func (e *Extremal) Envelope() Envelope {
 // event pool, so steady-state emission is allocation-free.
 func (e *Extremal) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	e.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow), e.cycleFn)
+	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow), des.Func(e.cycleFn))
 }
 
 // Resume builds the emission closures over the engine and sink without
@@ -122,10 +122,10 @@ func (e *Extremal) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 			return
 		}
 		if now-e.start+gap > e.Period {
-			eng.ScheduleKind(e.start+e.Period, des.KindSrcCycle, arg, cycle)
+			eng.ScheduleKind(e.start+e.Period, des.KindSrcCycle, arg, des.Func(cycle))
 			return
 		}
-		eng.ScheduleInKind(gap, des.KindSrcTick, arg, tick)
+		eng.ScheduleInKind(gap, des.KindSrcTick, arg, des.Func(tick))
 	}
 	cycle = func() {
 		if eng.Now() >= until {
@@ -167,9 +167,9 @@ func (e *Extremal) Restore(r *snap.Reader) {
 func (e *Extremal) Rearm(kind uint16, at, prio des.Time) bool {
 	switch kind {
 	case des.KindSrcCycle:
-		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), e.cycleFn)
+		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), des.Func(e.cycleFn))
 	case des.KindSrcTick:
-		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), e.tickFn)
+		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), des.Func(e.tickFn))
 	default:
 		return false
 	}

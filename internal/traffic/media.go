@@ -78,7 +78,7 @@ func (a *Audio) PeakRate() float64 {
 // the end of a silence gap.
 func (a *Audio) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	a.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow), a.wakeFn)
+	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow), des.Func(a.wakeFn))
 }
 
 // Resume builds the emission closures over the engine and sink without
@@ -103,12 +103,12 @@ func (a *Audio) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 			// The talkspurt is over: draw the silence gap now (same rng
 			// order as emitting would have) and sleep until the wake.
 			gap := des.Seconds(a.rng.Exp(a.MeanSilence.Seconds()))
-			eng.ScheduleInKind(gap, des.KindAudioWake, arg, a.wakeFn)
+			eng.ScheduleInKind(gap, des.KindAudioWake, arg, des.Func(a.wakeFn))
 			return
 		}
 		emit(Packet{ID: a.nextID, Flow: a.Flow, Size: a.PacketSize, CreatedAt: now})
 		a.nextID++
-		eng.ScheduleInKind(interval, des.KindAudioTalk, arg, talk)
+		eng.ScheduleInKind(interval, des.KindAudioTalk, arg, des.Func(talk))
 	}
 	wake := func() {
 		if eng.Now() >= until {
@@ -144,9 +144,9 @@ func (a *Audio) Restore(r *snap.Reader) {
 func (a *Audio) Rearm(kind uint16, at, prio des.Time) bool {
 	switch kind {
 	case des.KindAudioTalk:
-		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), a.talkFn)
+		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), des.Func(a.talkFn))
 	case des.KindAudioWake:
-		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), a.wakeFn)
+		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), des.Func(a.wakeFn))
 	default:
 		return false
 	}
@@ -236,7 +236,7 @@ func (v *Video) frameSize() float64 {
 // Start implements Source.
 func (v *Video) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	v.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow), v.tickFn)
+	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow), des.Func(v.tickFn))
 }
 
 // Resume builds the frame-tick closure over the engine and sink without
@@ -265,7 +265,7 @@ func (v *Video) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 			v.nextID++
 			size -= p
 		}
-		eng.ScheduleInKind(frameGap, des.KindVideoTick, arg, tick)
+		eng.ScheduleInKind(frameGap, des.KindVideoTick, arg, des.Func(tick))
 	}
 	v.tickFn = tick
 }
@@ -300,7 +300,7 @@ func (v *Video) Rearm(kind uint16, at, prio des.Time) bool {
 	if kind != des.KindVideoTick {
 		return false
 	}
-	v.eng.SchedulePrioKind(at, prio, kind, uint32(v.Flow), v.tickFn)
+	v.eng.SchedulePrioKind(at, prio, kind, uint32(v.Flow), des.Func(v.tickFn))
 	return true
 }
 

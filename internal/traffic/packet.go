@@ -21,3 +21,15 @@ type Packet struct {
 // Delay returns the packet's age at time now — the end-to-end delay when
 // invoked at the moment of final delivery.
 func (p Packet) Delay(now des.Time) des.Duration { return now - p.CreatedAt }
+
+// Sink is where a component's output goes: the next stage's input. A
+// session points each regulator, MUX and host receiver at state it already
+// holds instead of at a closure bound per component.
+type Sink interface{ Put(Packet) }
+
+// SinkFunc adapts a plain func to Sink. A func value is pointer-shaped, so
+// the conversion allocates nothing.
+type SinkFunc func(Packet)
+
+// Put implements Sink.
+func (f SinkFunc) Put(p Packet) { f(p) }

@@ -82,10 +82,15 @@ func (r *Rand) Int63n(n int64) int64 {
 	if n&(n-1) == 0 { // power of two
 		return r.Int63() & (n - 1)
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	// The acceptance threshold (1<<63)-1-(1<<63)%n is never below
+	// (1<<63)-1-n, so a draw at or under that is accepted without the
+	// division computing the threshold costs.
 	v := r.Int63()
-	for v > max {
-		v = r.Int63()
+	if v > math.MaxInt64-n {
+		max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+		for v > max {
+			v = r.Int63()
+		}
 	}
 	return v % n
 }
@@ -118,6 +123,15 @@ func (r *Rand) Perm(n int) []int {
 
 // ShuffleInts shuffles s in place (Fisher-Yates).
 func (r *Rand) ShuffleInts(s []int) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
+// ShuffleInt32s is ShuffleInts over int32s: the same draws, so the same
+// permutation, in half the memory.
+func (r *Rand) ShuffleInt32s(s []int32) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]

@@ -218,6 +218,61 @@ func TestQuickInt63nInRange(t *testing.T) {
 	}
 }
 
+// int63nRef is Int63n as it was before its fast accept: the rejection
+// threshold computed for every draw.
+func int63nRef(r *Rand, n int64) int64 {
+	if n&(n-1) == 0 {
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// TestInt63nMatchesReference: skipping the threshold for draws no
+// threshold can reject leaves every stream as it was — for every n from 2
+// to 10⁵, around each power of two, and at 1<<62 + 1, where the threshold
+// rejects half the draws.
+func TestInt63nMatchesReference(t *testing.T) {
+	check := func(n int64, draws int) {
+		a, b := New(uint64(n)), New(uint64(n))
+		for i := 0; i < draws; i++ {
+			if got, want := a.Int63n(n), int63nRef(b, n); got != want {
+				t.Fatalf("Int63n(%d) draw %d = %d, reference %d", n, i, got, want)
+			}
+		}
+	}
+	for n := int64(2); n <= 100_000; n++ {
+		check(n, 4)
+	}
+	for p := 2; p < 63; p++ {
+		for d := int64(-2); d <= 2; d++ {
+			check(int64(1)<<p+d, 64)
+		}
+	}
+	check(math.MaxInt64, 64)
+	check(1<<62+1, 4096)
+}
+
+// TestShuffleInt32sMatchesShuffleInts: the int32 shuffle makes the same
+// permutation from the same stream.
+func TestShuffleInt32sMatchesShuffleInts(t *testing.T) {
+	a, b := make([]int, 1000), make([]int32, 1000)
+	for i := range a {
+		a[i], b[i] = i, int32(i)
+	}
+	New(5).ShuffleInts(a)
+	New(5).ShuffleInt32s(b)
+	for i := range a {
+		if int32(a[i]) != b[i] {
+			t.Fatalf("position %d: %d against %d", i, b[i], a[i])
+		}
+	}
+}
+
 // Property: Shuffle preserves the multiset of elements.
 func TestQuickShufflePreserves(t *testing.T) {
 	r := New(103)
