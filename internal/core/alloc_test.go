@@ -76,6 +76,44 @@ func TestBuildAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRunAllocBudget states what NewSession + Run may allocate with the
+// blueprint warm, on one runner: the build's budget (TestBuildAllocBudget)
+// plus two objects per regulator, and nothing per MUX. A MUX made by the
+// build queues a packet of every flow routed through it in storage the
+// build carved; a regulator's queue makes its first buffer the size of a
+// burst, ⌈σ/L⌉ + 1 packets, and grows past it only when the MUXes upstream
+// bunch more than a burst into it — 45 of the 79 regulators of the
+// waxman-zipf-64 fixture do so once, 8 of them twice. Run's other
+// allocations — engine and flight blocks, the clocks' waiting lists, the
+// result's per-group tree walks — fit in the build's slack.
+//
+// At the parent of the commit that added it a run of the 60-host and the
+// waxman-zipf-64 fixture made 1,191 and 4,229 objects (321 and 1,958 at
+// it): a MUX built its per-flow queue table on its first packet, and a
+// regulator's queue doubled its way up from one packet.
+func TestRunAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates; the budget is the plain run's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, cfg := range allocFixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			core.NewSession(cfg) // warm the blueprint cache
+			var s *core.Session
+			_, objects := allocated(func() {
+				s = core.NewSession(cfg)
+				s.Run()
+			})
+			regs, groups := core.RegulatorCount(s), len(s.Groups())
+			if limit := uint64(cfg.NumHosts + 24*groups + 160 + 2*regs); objects > limit {
+				t.Errorf("NewSession + Run allocated %d objects for %d components (%d regulators), %d hosts and %d groups; budget %d",
+					objects, core.ComponentCount(s), regs, cfg.NumHosts, groups, limit)
+			}
+			t.Logf("run: %d objects (%d components, %d regulators, %d hosts, %d groups)", objects, core.ComponentCount(s), regs, cfg.NumHosts, groups)
+		})
+	}
+}
+
 // TestCheckpointCycleAllocBudget states what one Snapshot → Restore cycle
 // may allocate, on one runner with the blueprint warm. Allocation here is
 // deterministic, so the bounds are exact statements, not tolerances:
@@ -184,14 +222,16 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotBlobBytes pins the exact size of one v8 blob: the 60-host
+// TestSnapshotBlobBytes pins the exact size of one v9 blob: the 60-host
 // fixture checkpointed halfway. The simulation is deterministic, so the
 // count is too, and a word added back to a component record — a MUX, a
 // regulator or a clock writes one per component — changes it by that
 // word times the component count. Change the pin only with the format.
-// (Format v7 wrote 30,717 bytes here.)
+// (Format v7 wrote 30,717 bytes here and v8 20,525: v9 dropped the 88
+// MUXes' arrival sequence, their 177 per-flow queue headers, the sequence
+// of the 51 packets in transmission and one record total.)
 func TestSnapshotBlobBytes(t *testing.T) {
-	const want = 20525
+	const want = 17993
 	cfg := allocFixtures(t)["60-host"]
 	s := core.NewSession(cfg)
 	s.Start()

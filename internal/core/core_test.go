@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/calculus"
@@ -409,6 +410,20 @@ func TestSessionValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestSessionRejectsUnknownDiscipline: a discipline the MUX does not
+// declare is refused at build time, not run as FIFO under the name
+// "unknown".
+func TestSessionRejectsUnknownDiscipline(t *testing.T) {
+	cfg := smallSession(SchemeSRL, "dsct", 0.5)
+	cfg.Discipline = 7
+	defer func() {
+		if p, _ := recover().(string); !strings.HasPrefix(p, "core: unknown MUX discipline") {
+			t.Fatalf("panic %q, want core: unknown MUX discipline", p)
+		}
+	}()
+	NewSession(cfg)
 }
 
 func TestSessionResultEchoesSpecs(t *testing.T) {

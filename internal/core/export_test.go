@@ -38,3 +38,13 @@ func PendingEvents(s *Session) int {
 	}
 	return n
 }
+
+// RegulatorCount reports how many regulators — (σ, ρ) and (σ, ρ, λ) — the
+// session's registries hold.
+func RegulatorCount(s *Session) int {
+	n := 0
+	for _, sh := range s.sh {
+		n += len(sh.env.sr.comps) + len(sh.env.srl.comps)
+	}
+	return n
+}

@@ -218,17 +218,26 @@ func connsOf(children groupChildren) []int {
 
 // wire gives a bare host its child sets and the machinery they need: a
 // MUX per connection in conns, which must be sorted ascending and
-// distinct, and the initial mode's regulator bank. MUXes are created in
-// that sorted order: component registry slots must be deterministic for
-// snapshots to be stable.
+// distinct, with room for a packet of each group routed through it, and
+// the initial mode's regulator bank. MUXes are created in that sorted
+// order: component registry slots must be deterministic for snapshots to
+// be stable.
 func (h *host) wire(children groupChildren, conns []int) {
 	h.children = children
 	connCap := h.env.connectionCapacity(h.id, len(conns))
 	h.muxChild = h.env.slabs.muxChild.Take(len(conns))
 	h.muxes = h.env.slabs.muxes.Take(len(conns))
+	// muxChild counts the groups routed through each connection before it
+	// takes the connection's child id.
+	for _, cs := range children.kids {
+		for _, c := range cs {
+			i, _ := slices.BinarySearch(conns, c)
+			h.muxChild[i]++
+		}
+	}
 	for i, c := range conns {
+		h.muxes[i] = h.makeMux(c, connCap, int(h.muxChild[i]))
 		h.muxChild[i] = int32(c)
-		h.muxes[i] = h.makeMux(c, connCap)
 	}
 	if len(conns) > 0 {
 		h.setMode(initialMode(h.scheme))
@@ -449,11 +458,11 @@ func (h *host) regOut(g int) *regLink {
 	return l
 }
 
-// makeMux creates and registers the connection MUX for child c, without
-// wiring it into h.muxes.
-func (h *host) makeMux(c int, capacity float64) *mux.Mux {
+// makeMux creates and registers the connection MUX for child c, with room
+// for routed queued packets, without wiring it into h.muxes.
+func (h *host) makeMux(c int, capacity float64, routed int) *mux.Mux {
 	env := h.env
-	return env.mux.add(env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c)), h.id, c)
+	return env.mux.add(env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c), routed), h.id, c)
 }
 
 // makeSR creates and registers group g's (σ, ρ) regulator.
@@ -651,7 +660,7 @@ func (h *host) attachChild(g, c int) {
 		}
 	}
 	if h.findMux(c) < 0 {
-		h.putMux(c, h.makeMux(c, h.env.connectionCapacity(h.id, len(h.muxes)+1)))
+		h.putMux(c, h.makeMux(c, h.env.connectionCapacity(h.id, len(h.muxes)+1), 0))
 	}
 	if !h.modeSet {
 		// First forwarding duty of this host's lifetime: bring up the

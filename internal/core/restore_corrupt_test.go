@@ -224,12 +224,93 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// stanzas walks the first components record of a one-shard blob and
+// returns the offsets of its MUX stanzas' queue counts and of its
+// regulators' queue counts, in stream order — the layouts of writeFamily,
+// mux.Mux.Snapshot and the regulators' Snapshot.
+func stanzas(t testing.TB, blob []byte) (muxQueues, regQueues []int) {
+	t.Helper()
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
+	queue := func(off int) int { return off + 4 + packetBytes*u32(off) + 8 } // count, packets, bits
+	rec := firstRecord(t, blob, recComponents)
+	off := rec + 4*compTotalsWords
+	for f := famMux; f < numFamilies; f++ {
+		for n := u32(rec + 4*int(f-famMux)); n > 0; n-- {
+			off += 4 + 4 + 4 + 1 // slot, host, sub, live
+			switch f {
+			case famMux:
+				muxQueues = append(muxQueues, off+8)
+				off = queue(off + 8) // capacity, queue
+				if blob[off] == 1 {  // busy: the packet in transmission follows
+					off += packetBytes
+				}
+				off++
+			case famSR:
+				regQueues = append(regQueues, off)
+				off = queue(off) + 8 + 8 + 1 // tokens, last update, serving
+			case famCycle:
+				off += 1 + 8 // gate, next rank
+			case famSRL:
+				regQueues = append(regQueues, off+1)
+				off = queue(off+1) + 1 + 1 + 1 + 8 // following; on, transmitting, waiting, rank
+			}
+		}
+	}
+	return muxQueues, regQueues
+}
+
+// withQueuedMuxPacket returns blob with a copy of the first busy MUX's
+// packet in transmission queued behind it: a v9 MUX record whose queue is
+// not empty, which the fixture's LIFO MUXes rarely hold at a checkpoint.
+func withQueuedMuxPacket(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	muxes, _ := stanzas(t, blob)
+	for _, q := range muxes {
+		n := int(binary.LittleEndian.Uint32(blob[q:]))
+		bits := q + 4 + packetBytes*n
+		if blob[bits+8] != 1 {
+			continue
+		}
+		cur := blob[bits+8+1:][:packetBytes]
+		out := append(append(append([]byte(nil), blob[:bits]...), cur...), blob[bits:]...)
+		binary.LittleEndian.PutUint32(out[q:], uint32(n+1))
+		size := math.Float64frombits(binary.LittleEndian.Uint64(cur[16:]))
+		backlog := math.Float64frombits(binary.LittleEndian.Uint64(out[bits+packetBytes:]))
+		binary.LittleEndian.PutUint64(out[bits+packetBytes:], math.Float64bits(backlog+size))
+		rec := firstRecord(t, out, recComponents)
+		binary.LittleEndian.PutUint32(out[rec-4:], binary.LittleEndian.Uint32(out[rec-4:])+packetBytes)
+		muxPackets := rec + 4*int(numFamilies-famMux)
+		binary.LittleEndian.PutUint32(out[muxPackets:], binary.LittleEndian.Uint32(out[muxPackets:])+1)
+		return out
+	}
+	t.Fatal("fixture has no busy MUX")
+	return nil
+}
+
+// withTinyRegulatorPacket returns blob with the first queued regulator
+// packet shrunk to 1e-300 bits: ⌈σ/L⌉ overflows any int, and the queue it
+// reaches next must still make a first buffer of at most 64 packets.
+func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	_, regs := stanzas(t, blob)
+	for _, q := range regs {
+		if binary.LittleEndian.Uint32(blob[q:]) > 0 {
+			out := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint64(out[q+4+16:], math.Float64bits(1e-300))
+			return out
+		}
+	}
+	t.Fatal("fixture has no queued regulator packet")
+	return nil
+}
+
 // FuzzRestore: Restore on arbitrary bytes returns without panicking and
 // without allocating more than a constant factor of what restoring the
 // pristine blob allocates plus the input's size — a corrupt length prefix
 // must not drive allocation — and a session it returns runs to its end. The
-// seeds (the fixture blob and three of its
-// corruptions) run in the ordinary `go test`.
+// seeds (the fixture blob, three of its corruptions, the blob with a MUX
+// queue and with a 1e-300-bit regulator packet) run in the ordinary `go
+// test`.
 func FuzzRestore(f *testing.F) {
 	cfg, blob := corruptFixture(f, 1)
 	f.Add(blob)
@@ -238,6 +319,8 @@ func FuzzRestore(f *testing.F) {
 		bad[off] ^= 1 << 6
 		f.Add(bad)
 	}
+	f.Add(withQueuedMuxPacket(f, blob))
+	f.Add(withTinyRegulatorPacket(f, blob))
 	allocated := func(tb testing.TB, data []byte) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -153,6 +153,9 @@ func (c *Config) fillDefaults() {
 	if c.ClusterK == 0 {
 		c.ClusterK = 3
 	}
+	if c.Discipline != mux.LIFO && c.Discipline != mux.FIFO {
+		panic(fmt.Sprintf("core: unknown MUX discipline %d", int(c.Discipline)))
+	}
 	if c.Topology == nil {
 		c.Topology = topo.Backbone19Generator{}
 	}
@@ -548,22 +551,26 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 
 // sizeSlabs gives each shard's environment slabs sized for what wiring the
 // compiled child sets makes there: per connection a MUX, its link record
-// and a connection-table entry; per group a forwarding host carries, a
-// regulator of the initial mode, its link record and a bank entry. The
-// few duty-cycle clocks a shard has are made on their own.
+// and a connection-table entry; per (group, child) edge a queued packet in
+// the child's MUX; per group a forwarding host carries, a regulator of the
+// initial mode, its link record and a bank entry. The few duty-cycle
+// clocks a shard has are made on their own.
 func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
-	type count struct{ conns, groups int }
+	type count struct{ conns, edges, groups int }
 	per := make([]count, len(s.sh))
 	for id, gc := range chl {
 		if len(conns[id]) > 0 {
 			n := &per[s.owner[id]]
 			n.conns += len(conns[id])
 			n.groups += len(gc.groups)
+			for _, cs := range gc.kids {
+				n.edges += len(cs)
+			}
 		}
 	}
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
-		sl.mux = mux.NewSlab(n.conns, 0, 0)
+		sl.mux = mux.NewSlab(n.conns, n.edges)
 		sl.muxLinks = snap.NewArena[muxLink](n.conns)
 		sl.muxChild = snap.NewArena[int32](n.conns)
 		sl.muxes = snap.NewArena[*mux.Mux](n.conns)

@@ -53,7 +53,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 8
+const SnapshotVersion = 9
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -761,15 +761,15 @@ func (c *codec) readReopt(r *snap.Reader, _ int) {
 
 // compTotals opens a components record: the counts a restore sizes its
 // storage from before it makes the first component — components per family
-// (in family order), then materialised MUX queues, queued MUX entries and
-// queued regulator packets. Sizing hints: a record that understates them
-// restores correctly, with more allocations.
+// (in family order), then queued MUX packets and queued regulator packets.
+// Sizing hints: a record that understates them restores correctly, with
+// more allocations.
 type compTotals struct {
-	comps                    [numFamilies]int
-	queues, entries, packets int
+	comps               [numFamilies]int
+	muxPackets, packets int
 }
 
-const compTotalsWords = int(numFamilies) - 1 + 3
+const compTotalsWords = int(numFamilies) - 1 + 2
 
 // stanzaBytes is the least one component's stanza occupies on the wire: the
 // words writeFamily puts ahead of the component's own, plus those of an
@@ -784,7 +784,7 @@ var stanzaBytes = [numFamilies]int{
 
 // put fills the slots reserved at base (compTotalsWords consecutive Counts).
 func (t *compTotals) put(w *snap.Writer, base int) {
-	for _, n := range append(t.comps[famMux:], t.queues, t.entries, t.packets) {
+	for _, n := range append(t.comps[famMux:], t.muxPackets, t.packets) {
 		w.SetCount(base, n)
 		base += 4
 	}
@@ -794,8 +794,7 @@ func (t *compTotals) read(r *snap.Reader) {
 	for f := famMux; f < numFamilies; f++ {
 		t.comps[f] = r.Count(stanzaBytes[f])
 	}
-	t.queues = r.Count(mux.SnapSlotBytes)
-	t.entries = r.Count(mux.SnapEntryBytes)
+	t.muxPackets = r.Count(traffic.PacketSnapBytes)
 	t.packets = r.Count(traffic.PacketSnapBytes)
 }
 
@@ -859,9 +858,7 @@ func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *regis
 			// split the uplink by the connection count at creation), so it
 			// rides along.
 			w.F64(comp.Capacity())
-			queues, entries := comp.Queued()
-			t.queues += queues
-			t.entries += entries
+			t.muxPackets += comp.Len()
 		case *regulator.SigmaRho:
 			t.packets += comp.QueueLen()
 		case *regulator.SRL:
@@ -891,7 +888,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	env.cyc.grow(t.comps[famCycle])
 	env.srl.grow(t.comps[famSRL])
 	sl := &env.slabs
-	sl.mux = mux.NewSlab(t.comps[famMux], t.queues, t.entries)
+	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets)
 	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets)
 	sl.muxLinks = snap.NewArena[muxLink](t.comps[famMux])
 	sl.regLinks = snap.NewArena[regLink](t.comps[famSR] + t.comps[famSRL])

@@ -75,8 +75,8 @@ func TestMuxBacklogAccounting(t *testing.T) {
 		if m.Backlog() != 500 {
 			t.Fatalf("backlog = %v", m.Backlog())
 		}
-		if m.QueueLen(0) != 1 {
-			t.Fatalf("queue len = %d", m.QueueLen(0))
+		if m.Len() != 1 {
+			t.Fatalf("queue len = %d", m.Len())
 		}
 	})
 	eng.Run()
@@ -220,6 +220,7 @@ func TestMuxValidation(t *testing.T) {
 		func() { New(eng, 0, 1, FIFO, out) },
 		func() { New(eng, 1, 0, FIFO, out) },
 		func() { New(eng, 1, 1, FIFO, nil) },
+		func() { New(eng, 1, 1, Discipline(7), out) },
 	} {
 		func() {
 			defer func() {

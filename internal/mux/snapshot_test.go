@@ -30,8 +30,7 @@ func record(t *testing.T, fn func(w *snap.Writer)) (*snap.Reader, int) {
 }
 
 // TestSnapWidths pins the wire widths a restore sizes slabs by to what
-// Snapshot writes: an idle MUX, and what one materialised queue and one
-// queued entry add to it.
+// Snapshot writes: an idle MUX, and what one queued packet adds to it.
 func TestSnapWidths(t *testing.T) {
 	eng := des.New()
 	size := func(m *Mux) int {
@@ -46,12 +45,12 @@ func TestSnapWidths(t *testing.T) {
 	m := New(eng, 4, 1e6, FIFO, sink)
 	m.Enqueue(traffic.Packet{Flow: 1, Size: 1e4}) // goes straight into transmission: an empty queue and cur
 	one := size(m)
-	m.Enqueue(traffic.Packet{Flow: 1, Size: 1e4})
-	if got := size(m) - one; got != SnapEntryBytes {
-		t.Errorf("one queued entry adds %d bytes, SnapEntryBytes = %d", got, SnapEntryBytes)
+	if got := one - SnapBytes; got != traffic.PacketSnapBytes {
+		t.Errorf("the packet in transmission adds %d bytes, traffic.PacketSnapBytes = %d", got, traffic.PacketSnapBytes)
 	}
-	if got := one - SnapBytes - SnapEntryBytes; got != SnapSlotBytes {
-		t.Errorf("one materialised queue adds %d bytes, SnapSlotBytes = %d", got, SnapSlotBytes)
+	m.Enqueue(traffic.Packet{Flow: 1, Size: 1e4})
+	if got := size(m) - one; got != traffic.PacketSnapBytes {
+		t.Errorf("one queued packet adds %d bytes, traffic.PacketSnapBytes = %d", got, traffic.PacketSnapBytes)
 	}
 }
 
@@ -74,14 +73,13 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 				m.Snapshot(w)
 			}
 		})
-		queues, entries := 0, 0
+		packets := 0
 		for _, m := range orig {
-			q, e := m.Queued()
-			queues, entries = queues+q, entries+e
+			packets += m.Len()
 		}
-		sl := NewSlab(len(orig), queues, entries)
+		sl := NewSlab(len(orig), packets)
 		if short {
-			sl = NewSlab(1, 1, 1)
+			sl = NewSlab(1, 1)
 		}
 		eng2 := des.New()
 		for i, m := range orig {
@@ -90,26 +88,22 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			if r.Err() != nil {
 				t.Fatalf("short=%v: restore of MUX %d: %v", short, i, r.Err())
 			}
-			if !reflect.DeepEqual(got.slotFlow, m.slotFlow) || got.bits != m.bits || got.busy != m.busy || got.seq != m.seq || got.cur != m.cur {
+			want := m.q[m.head:]
+			if got.bits != m.bits || got.busy != m.busy || got.cur != m.cur || got.head != 0 ||
+				!reflect.DeepEqual(got.q, want) && len(want)+len(got.q) > 0 {
 				t.Fatalf("short=%v: MUX %d restored as %+v, want %+v", short, i, got, m)
 			}
-			for s := range m.queues {
-				want := m.queues[s][m.heads[s]:]
-				if !reflect.DeepEqual(got.queues[s], want) && len(want)+len(got.queues[s]) > 0 {
-					t.Fatalf("short=%v: MUX %d queue %d restored as %v, want %v", short, i, s, got.queues[s], want)
-				}
-				if cap(got.queues[s]) != len(want) {
-					t.Errorf("short=%v: MUX %d queue %d has capacity %d for %d entries", short, i, s, cap(got.queues[s]), len(want))
-				}
+			if cap(got.q) != len(want) {
+				t.Errorf("short=%v: MUX %d queue has capacity %d for %d packets", short, i, cap(got.q), len(want))
 			}
 			// No completion event was replayed into the new engine, so mark
 			// the server idle by hand and let one more arrival drain the
-			// restored queues — off the slab, since they are full.
+			// restored queue — off the slab, since it is full.
 			got.busy = false
 			got.Enqueue(traffic.Packet{ID: 99, Flow: 0, Size: 1e4})
 			eng2.Run()
-			if q, e := got.Queued(); e != 0 || len(served) == 0 || served[0] != 99 {
-				t.Fatalf("short=%v: MUX %d served %v and holds %d entries in %d queues after draining", short, i, served, e, q)
+			if got.Len() != 0 || len(served) == 0 || served[0] != 99 {
+				t.Fatalf("short=%v: MUX %d served %v and holds %d packets after draining", short, i, served, got.Len())
 			}
 		}
 	}
@@ -118,8 +112,27 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 	m := New(eng, 4, 1e6, FIFO, func(traffic.Packet) {})
 	m.Enqueue(traffic.Packet{Flow: 3, Size: 1})
 	r, _ := record(t, m.Snapshot)
-	sl := NewSlab(1, 1, 1)
+	sl := NewSlab(1, 1)
 	if sl.Restore(r, eng, 3, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {})); r.Err() == nil {
-		t.Fatal("queue for flow 3 restored into a 3-flow MUX")
+		t.Fatal("packet of flow 3 restored into a 3-flow MUX")
+	}
+}
+
+// TestSlabEnqueueAllocFree: a MUX made in a slab queues up to the packets
+// it was carved room for without allocating.
+func TestSlabEnqueueAllocFree(t *testing.T) {
+	const routed = 3
+	eng := des.New()
+	sl := NewSlab(1, routed)
+	m := sl.New(eng, 8, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {}), routed)
+	m.busy = true // hold service so the arrivals queue
+	fill := func() {
+		for f := 0; f < routed; f++ {
+			m.Enqueue(traffic.Packet{Flow: 2 * f, Size: 1e4})
+		}
+		m.q, m.bits = m.q[:0], 0
+	}
+	if n := testing.AllocsPerRun(100, fill); n != 0 {
+		t.Fatalf("filling a slab-made MUX to its %d carved packets allocated %v objects per run", routed, n)
 	}
 }

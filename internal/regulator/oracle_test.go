@@ -50,7 +50,7 @@ func newTimerSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet
 }
 
 func (r *timerSRL) enqueue(p traffic.Packet) {
-	r.q.push(p)
+	r.q.push(p, 0)
 	if r.on && !r.transmitting {
 		r.serve()
 	}

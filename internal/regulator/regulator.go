@@ -11,6 +11,8 @@
 package regulator
 
 import (
+	"math"
+
 	"repro/internal/des"
 	"repro/internal/traffic"
 )
@@ -22,10 +24,34 @@ type fifo struct {
 	bits float64
 }
 
-func (q *fifo) push(p traffic.Packet) {
+// push appends p. A full buffer at least half consumed slides its live
+// packets to the front, so a queue that never quite drains does not creep
+// to a fresh doubling every few packets. Any other full buffer moves to a
+// new one with room for twice as many packets or for a burst of packets
+// like p — ⌈sigma/p.Size⌉ + 1 of them, at most maxBurst — whichever is
+// more: a regulator that fills to its burst allocates once instead of
+// doubling its way there, and so does a restored one, whose buffer holds
+// exactly what it restored.
+func (q *fifo) push(p traffic.Packet, sigma float64) {
+	if n := len(q.buf); n == cap(q.buf) {
+		live := q.buf[q.head:]
+		if n == 0 || q.head*2 < n {
+			burst := maxBurst
+			if b := math.Ceil(sigma / p.Size); b < maxBurst-1 {
+				burst = int(b) + 1
+			}
+			q.buf = make([]traffic.Packet, 0, max(2*n, burst))
+		}
+		q.buf = append(q.buf[:0], live...)
+		q.head = 0
+	}
 	q.buf = append(q.buf, p)
 	q.bits += p.Size
 }
+
+// maxBurst caps the burst a buffer is sized for: a burst of tiny packets
+// (a hostile checkpoint's, say) must not make a huge one.
+const maxBurst = 64
 
 func (q *fifo) empty() bool { return q.head >= len(q.buf) }
 
@@ -33,21 +59,13 @@ func (q *fifo) len() int { return len(q.buf) - q.head }
 
 func (q *fifo) peek() traffic.Packet { return q.buf[q.head] }
 
+// pop removes the head packet, rewinding an emptied queue for free.
 func (q *fifo) pop() traffic.Packet {
 	p := q.buf[q.head]
 	q.head++
 	q.bits -= p.Size
 	if q.head == len(q.buf) {
-		// Empty: rewind for free. Regulators usually drain as fast as
-		// packets arrive, so without this the buffer creeps toward the
-		// compaction threshold below and every queue in the session pays
-		// a ~64-entry capacity it never uses.
 		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.buf) {
-		// Reclaim space once the consumed prefix dominates.
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
 		q.head = 0
 	}
 	return p
@@ -122,7 +140,7 @@ func (s *SigmaRho) refill() {
 // Enqueue submits a packet for shaping, from engine context (inside an
 // event) so that Now() is meaningful.
 func (s *SigmaRho) Enqueue(p traffic.Packet) {
-	s.q.push(p)
+	s.q.push(p, s.Sigma)
 	if !s.serving {
 		s.serve()
 	}

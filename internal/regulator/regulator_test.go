@@ -135,7 +135,7 @@ func TestSigmaRhoValidation(t *testing.T) {
 func TestFIFOQueueCompaction(t *testing.T) {
 	var q fifo
 	for i := 0; i < 1000; i++ {
-		q.push(traffic.Packet{ID: uint64(i), Size: 1})
+		q.push(traffic.Packet{ID: uint64(i), Size: 1}, 0)
 	}
 	for i := 0; i < 1000; i++ {
 		p := q.pop()
@@ -148,7 +148,7 @@ func TestFIFOQueueCompaction(t *testing.T) {
 	}
 	// Interleaved push/pop exercising compaction.
 	for i := 0; i < 500; i++ {
-		q.push(traffic.Packet{ID: uint64(i), Size: 2})
+		q.push(traffic.Packet{ID: uint64(i), Size: 2}, 0)
 		if i%2 == 1 {
 			q.pop()
 		}
@@ -158,5 +158,41 @@ func TestFIFOQueueCompaction(t *testing.T) {
 	}
 	if q.bits != 500 {
 		t.Fatalf("bits = %v", q.bits)
+	}
+}
+
+// TestFIFOBufferHoldsBurst: a queue's first buffer, and the one a full
+// restored buffer moves to, has room for a burst of packets like the one
+// arriving — ⌈σ/L⌉ + 1 of them — capped at 64 however small the packet,
+// and a full buffer at least half consumed slides instead of growing.
+func TestFIFOBufferHoldsBurst(t *testing.T) {
+	for _, tc := range []struct {
+		sigma, size float64
+		want        int
+	}{{8000, 1000, 9}, {8500, 1000, 10}, {0, 1000, 1}, {1e4, 1e-300, 64}, {1e6, 1000, 64}} {
+		var q fifo
+		q.push(traffic.Packet{Size: tc.size}, tc.sigma)
+		if got := cap(q.buf); got != tc.want {
+			t.Errorf("σ = %v, L = %v: first buffer holds %d packets, want %d", tc.sigma, tc.size, got, tc.want)
+		}
+		restored := fifo{buf: []traffic.Packet{{ID: 7, Size: 1000}}}
+		restored.push(traffic.Packet{ID: 8, Size: tc.size}, tc.sigma)
+		if got := cap(restored.buf); got != max(2, tc.want) || restored.pop().ID != 7 || restored.pop().ID != 8 {
+			t.Errorf("σ = %v, L = %v: a full one-packet buffer moved to %d packets, want %d, in order", tc.sigma, tc.size, got, max(2, tc.want))
+		}
+	}
+	var q fifo
+	for i := 0; i < 9; i++ {
+		q.push(traffic.Packet{ID: uint64(i), Size: 1000}, 8000)
+	}
+	for i := 0; i < 5; i++ {
+		q.pop()
+	}
+	buf := &q.buf[:1][0]
+	for i := 9; i < 14; i++ {
+		q.push(traffic.Packet{ID: uint64(i), Size: 1000}, 8000)
+	}
+	if &q.buf[:1][0] != buf || q.len() != 9 || q.peek().ID != 5 {
+		t.Errorf("a full buffer with 5 of 9 packets served moved or lost order: %d queued, head %d", q.len(), q.peek().ID)
 	}
 }

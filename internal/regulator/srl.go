@@ -104,7 +104,7 @@ func (r *SRL) Transmitting() bool { return r.transmitting }
 // Enqueue submits a packet for shaping, from engine context (inside an
 // event) so that Now() is meaningful.
 func (r *SRL) Enqueue(p traffic.Packet) {
-	r.q.push(p)
+	r.q.push(p, r.Sigma)
 	if !r.transmitting {
 		r.serve()
 	}
