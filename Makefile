@@ -92,16 +92,17 @@ fuzz:
 # the same contract the core goldens pin, exercised through real scenario
 # configs and the CLI; each verdict line carries the snapshot's size and the
 # milliseconds its Snapshot and its Restore took. The first leg holds a
-# build, a run and one checkpoint cycle to their allocation budgets
-# (deterministic: objects per build and per run, bytes and objects per
-# Snapshot and per Restore — none per component, so a callback bound per
-# component fails here, and none per MUX in a run, so a first arrival that
-# allocates fails here too; a slab-made MUX's Enqueue within its carved
-# room allocates nothing), the size hint to surviving a restore, and one
-# blob to its exact byte count, so a word added back to a component
-# record fails here as well.
+# build, a run, one checkpoint cycle and a restored session's run to its
+# end to their allocation budgets (deterministic: objects per build and
+# per run, bytes and objects per Snapshot and per Restore — none per
+# component, so a callback bound per component fails here, and none per
+# MUX in a run, built or restored, so a first arrival that allocates fails
+# here too; a slab-made MUX's Enqueue within its carved room allocates
+# nothing), the size hint to surviving a restore, and one blob to its
+# exact byte count, so a word added back to a component record fails here
+# as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff

@@ -51,6 +51,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wdctree: -hosts %d must be at least 1\n", *hosts)
 		return 2
 	}
+	if *k < 2 {
+		fmt.Fprintf(stderr, "wdctree: -k %d must be at least 2\n", *k)
+		return 2
+	}
+	if *fanout < 1 {
+		fmt.Fprintf(stderr, "wdctree: -fanout %d must be at least 1\n", *fanout)
+		return 2
+	}
 
 	switch {
 	case *printBackbone:

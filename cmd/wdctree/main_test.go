@@ -48,13 +48,19 @@ func TestBadUsage(t *testing.T) {
 	}
 }
 
-// TestBadFlagValuesExitTwo: a host count no network can take exits 2 with
-// one "wdctree: …" line instead of a panic in the topology builder.
+// TestBadFlagValuesExitTwo: a host count no network can take, a cluster
+// parameter below 2 or a flat fanout below 1 exits 2 with one "wdctree: …"
+// line — instead of a panic in the topology builder or the height bound,
+// a silent K = 3 tree for -k 0, or exit 1 for the rest.
 func TestBadFlagValuesExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-build", "dsct", "-hosts", "-5"},
 		{"-build", "flat", "-hosts", "0"},
 		{"-heights", "-hosts", "0"},
+		{"-heights", "-k", "0"},
+		{"-build", "dsct", "-k", "0"},
+		{"-build", "dsct", "-k", "1"},
+		{"-build", "flat", "-fanout", "0"},
 	} {
 		var out, errOut bytes.Buffer
 		code := func() (code int) {

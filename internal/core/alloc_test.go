@@ -83,9 +83,10 @@ func TestBuildAllocBudget(t *testing.T) {
 // build carved; a regulator's queue makes its first buffer the size of a
 // burst, ⌈σ/L⌉ + 1 packets, and grows past it only when the MUXes upstream
 // bunch more than a burst into it — 45 of the 79 regulators of the
-// waxman-zipf-64 fixture do so once, 8 of them twice. Run's other
-// allocations — engine and flight blocks, the clocks' waiting lists, the
-// result's per-group tree walks — fit in the build's slack.
+// waxman-zipf-64 fixture do so once, 8 of them twice. A clock's waiting
+// list has a seat carved for each follower. Run's other allocations —
+// engine and flight blocks, the result's per-group tree walks — fit in the
+// build's slack.
 //
 // At the parent of the commit that added it a run of the 60-host and the
 // waxman-zipf-64 fixture made 1,191 and 4,229 objects (321 and 1,958 at
@@ -192,6 +193,73 @@ func TestCheckpointCycleAllocBudget(t *testing.T) {
 				t.Logf("at %v: build %d B; restore %d B in %d objects (%d components, %d pending); snapshot %d B in %d objects for %d B",
 					at, buildBytes, restBytes, restObjects, comps, pending, snapBytes, objects, len(again))
 			}
+		})
+	}
+}
+
+// runObjects returns the objects the leanest of three RunTo(d) calls
+// allocates, each on a fresh session from mk (allocated's three runs of one
+// session would time two no-op calls).
+func runObjects(mk func() *core.Session, d des.Time) uint64 {
+	objects := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		s := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.RunTo(d)
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	return objects
+}
+
+// TestRestoredRunAllocBudget states what a session restored halfway may
+// allocate running to its end, on one runner: what the straight session
+// allocates over the same half, plus one object per regulator — its queue's
+// first buffer, which a restore does not carve, as a build does not — and
+// 16 besides. A restored MUX has room carved for a packet of each group
+// routed through its connection and a restored clock a seat in its waiting
+// list for each follower, as built ones do; a source is the handler of its
+// own events.
+//
+// At the parent of the commit that added it the restored half of the
+// 60-host and the waxman-zipf-64 fixture made 134 and 559 objects, where
+// the straight half made none: every restored MUX queue had exactly its
+// restored length, most often none, and grew on its first arrival.
+func TestRestoredRunAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates; the budget is the plain run's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, cfg := range allocFixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			d := des.Time(cfg.Duration)
+			var blob []byte
+			half := func() *core.Session {
+				s := core.NewSession(cfg)
+				s.Start()
+				s.RunTo(d / 2)
+				var err error
+				if blob, err = s.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			straight := runObjects(half, d)
+			var regs int
+			restored := runObjects(func() *core.Session {
+				s, err := core.Restore(cfg, blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				regs = core.RegulatorCount(s)
+				return s
+			}, d)
+			if limit := straight + uint64(regs) + 16; restored > limit {
+				t.Errorf("the restored session's run to %v allocated %d objects, the straight one's %d; budget %d for %d regulators",
+					d, restored, straight, limit, regs)
+			}
+			t.Logf("run %v → %v: straight %d objects, restored %d (%d regulators)", d/2, d, straight, restored, regs)
 		})
 	}
 }

@@ -531,15 +531,15 @@ type compSlabs struct {
 // restoreComp re-creates family f's component for sub from the open
 // record, in the engine's slabs, without putting it into service — one
 // that was already torn down but is still named by a pending event stays
-// uninstalled. capacity is the MUX's serialized capacity and unused by the
-// others.
-func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64) component {
+// uninstalled. capacity is the MUX's serialized capacity and routed the
+// groups routed through its connection; the others use neither.
+func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, routed int) component {
 	env := h.env
 	sl := &env.slabs
 	flows := len(env.specs)
 	switch f {
 	case famMux:
-		return env.mux.add(sl.mux.Restore(r, env.eng, flows, capacity, env.discipline, h.muxOut(sub)), h.id, sub)
+		return env.mux.add(sl.mux.Restore(r, env.eng, flows, capacity, env.discipline, h.muxOut(sub), routed), h.id, sub)
 	case famSR:
 		return env.sr.add(sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub)), h.id, sub)
 	case famCycle:

@@ -197,6 +197,12 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 		{"packet flow", cfg1, blob1, func(t *testing.T, b []byte) {
 			put64(b, firstFlight(t, b)+eventHdrBytes+4+8, 3)
 		}, "packet flow 3"},
+		{"follower rank", cfg1, blob1, func(t *testing.T, b []byte) {
+			put64(b, stanzas(t, b).ranks[0], 1<<62)
+		}, "rank"},
+		{"clock next rank", cfg1, blob1, func(t *testing.T, b []byte) {
+			put64(b, stanzas(t, b).nextRanks[0], 0)
+		}, "rank"},
 		{"record host", cfg4, blob4, func(t *testing.T, b []byte) {
 			// per-source seqs, four diagnostics, then per destination shard a
 			// count and its records: at, lamport, seq, src, host, packet.
@@ -224,11 +230,15 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// stanzas walks the first components record of a one-shard blob and
-// returns the offsets of its MUX stanzas' queue counts and of its
-// regulators' queue counts, in stream order — the layouts of writeFamily,
-// mux.Mux.Snapshot and the regulators' Snapshot.
-func stanzas(t testing.TB, blob []byte) (muxQueues, regQueues []int) {
+// stanzaOffsets locates words in a components record, in stream order: the
+// MUXes' and the regulators' queue counts, the clocks' next ranks and the
+// ranks of the (σ, ρ, λ) regulators that follow a clock.
+type stanzaOffsets struct{ muxQueues, regQueues, nextRanks, ranks []int }
+
+// stanzas walks the first components record of a one-shard blob — the
+// layouts of writeFamily, mux.Mux.Snapshot and the regulators' and clocks'
+// Snapshot.
+func stanzas(t testing.TB, blob []byte) (o stanzaOffsets) {
 	t.Helper()
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
 	queue := func(off int) int { return off + 4 + packetBytes*u32(off) + 8 } // count, packets, bits
@@ -239,24 +249,36 @@ func stanzas(t testing.TB, blob []byte) (muxQueues, regQueues []int) {
 			off += 4 + 4 + 4 + 1 // slot, host, sub, live
 			switch f {
 			case famMux:
-				muxQueues = append(muxQueues, off+8)
+				o.muxQueues = append(o.muxQueues, off+8)
 				off = queue(off + 8) // capacity, queue
 				if blob[off] == 1 {  // busy: the packet in transmission follows
 					off += packetBytes
 				}
 				off++
 			case famSR:
-				regQueues = append(regQueues, off)
+				o.regQueues = append(o.regQueues, off)
 				off = queue(off) + 8 + 8 + 1 // tokens, last update, serving
 			case famCycle:
+				o.nextRanks = append(o.nextRanks, off+1)
 				off += 1 + 8 // gate, next rank
 			case famSRL:
-				regQueues = append(regQueues, off+1)
-				off = queue(off+1) + 1 + 1 + 1 + 8 // following; on, transmitting, waiting, rank
+				o.regQueues = append(o.regQueues, off+1)
+				rank := queue(off+1) + 1 + 1 + 1 // following; queue, on, transmitting, waiting
+				if blob[off] == 1 {
+					o.ranks = append(o.ranks, rank)
+				}
+				off = rank + 8
 			}
 		}
 	}
-	return muxQueues, regQueues
+	return o
+}
+
+// with64 returns a copy of blob with the word at off set to v.
+func with64(blob []byte, off int, v uint64) []byte {
+	out := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(out[off:], v)
+	return out
 }
 
 // withQueuedMuxPacket returns blob with a copy of the first busy MUX's
@@ -264,8 +286,7 @@ func stanzas(t testing.TB, blob []byte) (muxQueues, regQueues []int) {
 // not empty, which the fixture's LIFO MUXes rarely hold at a checkpoint.
 func withQueuedMuxPacket(t testing.TB, blob []byte) []byte {
 	t.Helper()
-	muxes, _ := stanzas(t, blob)
-	for _, q := range muxes {
+	for _, q := range stanzas(t, blob).muxQueues {
 		n := int(binary.LittleEndian.Uint32(blob[q:]))
 		bits := q + 4 + packetBytes*n
 		if blob[bits+8] != 1 {
@@ -292,8 +313,7 @@ func withQueuedMuxPacket(t testing.TB, blob []byte) []byte {
 // reaches next must still make a first buffer of at most 64 packets.
 func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 	t.Helper()
-	_, regs := stanzas(t, blob)
-	for _, q := range regs {
+	for _, q := range stanzas(t, blob).regQueues {
 		if binary.LittleEndian.Uint32(blob[q:]) > 0 {
 			out := append([]byte(nil), blob...)
 			binary.LittleEndian.PutUint64(out[q+4+16:], math.Float64bits(1e-300))
@@ -309,8 +329,9 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // pristine blob allocates plus the input's size — a corrupt length prefix
 // must not drive allocation — and a session it returns runs to its end. The
 // seeds (the fixture blob, three of its corruptions, the blob with a MUX
-// queue and with a 1e-300-bit regulator packet) run in the ordinary `go
-// test`.
+// queue, with a 1e-300-bit regulator packet, with a clock claiming next
+// rank 2⁶³ — which must seat no more followers than the record has — and
+// with a follower ranked past its clock) run in the ordinary `go test`.
 func FuzzRestore(f *testing.F) {
 	cfg, blob := corruptFixture(f, 1)
 	f.Add(blob)
@@ -321,6 +342,9 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add(withQueuedMuxPacket(f, blob))
 	f.Add(withTinyRegulatorPacket(f, blob))
+	offs := stanzas(f, blob)
+	f.Add(with64(blob, offs.nextRanks[0], 1<<63))
+	f.Add(with64(blob, offs.ranks[0], 1<<62))
 	allocated := func(tb testing.TB, data []byte) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -528,6 +528,13 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 			}
 		}
 	}
+	// Every follower the build made is on its clock: seat them (a restore
+	// has made no clock yet).
+	for _, sh := range s.sh {
+		for _, c := range sh.env.cyc.comps {
+			sh.env.slabs.reg.Seat(c)
+		}
+	}
 
 	if len(faults) > 0 {
 		s.fp = newFaultPlane(sub, s.hosts, faults)
@@ -553,8 +560,9 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 // compiled child sets makes there: per connection a MUX, its link record
 // and a connection-table entry; per (group, child) edge a queued packet in
 // the child's MUX; per group a forwarding host carries, a regulator of the
-// initial mode, its link record and a bank entry. The few duty-cycle
-// clocks a shard has are made on their own.
+// initial mode, its link record, a bank entry and a seat in its clock's
+// waiting list. The few duty-cycle clocks a shard has are made on their
+// own.
 func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
 	type count struct{ conns, edges, groups int }
 	per := make([]count, len(s.sh))

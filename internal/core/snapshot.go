@@ -139,6 +139,29 @@ type codec struct {
 	ref   [numFamilies]bitset
 	env   *hostEnv
 	slots [numFamilies][]uint32
+	// Restore: per shard its hosts' (group, child) edges and the groups they
+	// forward; and the children of routesOf's (group, child) edges, sorted.
+	per      []shardCount
+	routes   []int
+	routesOf *host
+}
+
+type shardCount struct{ edges, forwards int }
+
+// routed returns the groups routed through h's connection to child — what
+// wire counts for a build. It sorts h's edges once for a run of h's MUX
+// stanzas, and a build makes each host's MUXes one after another.
+func (c *codec) routed(h *host, child int) int {
+	if c.routesOf != h {
+		c.routesOf, c.routes = h, c.routes[:0]
+		for _, cs := range h.children.kids {
+			c.routes = append(c.routes, cs...)
+		}
+		slices.Sort(c.routes)
+	}
+	lo, _ := slices.BinarySearch(c.routes, child)
+	hi, _ := slices.BinarySearch(c.routes, child+1)
+	return hi - lo
 }
 
 // bitset is a set of small non-negative integers.
@@ -499,8 +522,7 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// shard's slabs, sized from the compiled children: a host has one
 	// connection per distinct child — at most its child count — and one
 	// bank entry per group it forwards, in each bank its scheme can build.
-	type count struct{ edges, forwards int }
-	per := make([]count, len(s.sh))
+	per := make([]shardCount, len(s.sh))
 	for id, gc := range chl {
 		n := &per[s.owner[id]]
 		n.forwards += len(gc.groups)
@@ -508,6 +530,7 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			n.edges += len(cs)
 		}
 	}
+	c.per = per
 	scheme := s.sub.cfg.Scheme
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
@@ -888,7 +911,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	env.cyc.grow(t.comps[famCycle])
 	env.srl.grow(t.comps[famSRL])
 	sl := &env.slabs
-	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets)
+	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets+c.per[si].edges)
 	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets)
 	sl.muxLinks = snap.NewArena[muxLink](t.comps[famMux])
 	sl.regLinks = snap.NewArena[regLink](t.comps[famSR] + t.comps[famSRL])
@@ -929,7 +952,11 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds two clocks for group %d at host %d's capacity", si, sub, hid))
 				return
 			}
-			comp := h.restoreComp(r, f, sub, capacity)
+			routed := 0
+			if f == famMux && live {
+				routed = c.routed(h, sub)
+			}
+			comp := h.restoreComp(r, f, sub, capacity, routed)
 			if live && !h.install(f, sub, comp) {
 				r.Fail(fmt.Errorf("core: snapshot host %d holds a live regulator for group %d, in which it has no children", hid, sub))
 				return
@@ -941,7 +968,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 					r.Fail(fmt.Errorf("core: snapshot regulator of host %d, group %d follows a clock the snapshot does not hold", hid, sub))
 					return
 				}
-				comp.(*regulator.SRL).Rejoin(cy)
+				comp.(*regulator.SRL).Rejoin(r, cy)
 			}
 			c.slots[f] = append(c.slots[f], slot)
 		}

@@ -153,7 +153,7 @@ func runOneQueue(t *testing.T, k int, c float64, d Discipline, arrivals []stampe
 	eng2 := des.New()
 	eng2.RestoreNow(cut)
 	sl := NewSlab(1, m.Len())
-	m2 := sl.Restore(r, eng2, k, c, d, traffic.SinkFunc(collect(&served, eng2)))
+	m2 := sl.Restore(r, eng2, k, c, d, traffic.SinkFunc(collect(&served, eng2)), 0)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}

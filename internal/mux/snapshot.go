@@ -39,10 +39,12 @@ const SnapBytes = 4 + 8 + 1
 // Slab is the storage a session makes its MUXes in: the MUXes themselves
 // and their queued packets sit in two arrays sized from totals known up
 // front — a live build's connections and the flows routed through them, a
-// checkpoint record's totals — where New and Enqueue would make them one
-// MUX and one doubling at a time. A queue's carved capacity is a hint: a
-// queue that outgrows it grows off the slab like any other. Past its
-// totals a slab makes each MUX on its own; the zero Slab is an empty one.
+// checkpoint record's totals plus those routed flows — where New and
+// Enqueue would make them one MUX and one doubling at a time. Built or
+// restored, a MUX's queue is carved with room for a packet of each flow
+// routed through it. A queue's carved capacity is a hint: a queue that
+// outgrows it grows off the slab like any other. Past its totals a slab
+// makes each MUX on its own; the zero Slab is an empty one.
 type Slab struct {
 	muxes   snap.Arena[Mux]
 	packets snap.Arena[traffic.Packet]
@@ -62,13 +64,15 @@ func (sl *Slab) New(eng *des.Engine, k int, c float64, d Discipline, out traffic
 	return m
 }
 
-// Restore makes the slab's next MUX as New would and overwrites its mutable
-// state from the open record, its queue at exactly its length, failing the
-// reader on a flow id outside [0, k). The transmit-completion event, if one
-// was pending, arrives separately via Rearm during event replay.
-func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink) *Mux {
-	m := sl.New(eng, k, c, d, out, r.Count(traffic.PacketSnapBytes))
-	m.q = m.q[:cap(m.q)]
+// Restore makes the slab's next MUX as New would, its queue carved to the
+// larger of its restored length and routed, and overwrites its mutable
+// state from the open record, failing the reader on a flow id outside
+// [0, k). The transmit-completion event, if one was pending, arrives
+// separately via Rearm during event replay.
+func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink, routed int) *Mux {
+	n := r.Count(traffic.PacketSnapBytes)
+	m := sl.New(eng, k, c, d, out, max(n, routed))
+	m.q = m.q[:n]
 	for i := range m.q {
 		m.q[i] = traffic.RestorePacket(r, k)
 	}

@@ -55,8 +55,9 @@ func TestSnapWidths(t *testing.T) {
 }
 
 // TestSlabRestoreRoundTrip: MUXes restored into a slab carry the state
-// Snapshot wrote — queues at exactly their length — serve on as the
-// originals would, and a slab sized too small still restores them.
+// Snapshot wrote — queues carved to the larger of their length and their
+// routed flows — serve on as the originals would, and a slab sized too
+// small still restores them.
 func TestSlabRestoreRoundTrip(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		eng := des.New()
@@ -77,14 +78,15 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 		for _, m := range orig {
 			packets += m.Len()
 		}
-		sl := NewSlab(len(orig), packets)
+		const routed = 3
+		sl := NewSlab(len(orig), packets+routed*len(orig))
 		if short {
 			sl = NewSlab(1, 1)
 		}
 		eng2 := des.New()
 		for i, m := range orig {
 			var served []uint64
-			got := sl.Restore(r, eng2, 4, 1e6, LIFO, traffic.SinkFunc(func(p traffic.Packet) { served = append(served, p.ID) }))
+			got := sl.Restore(r, eng2, 4, 1e6, LIFO, traffic.SinkFunc(func(p traffic.Packet) { served = append(served, p.ID) }), routed)
 			if r.Err() != nil {
 				t.Fatalf("short=%v: restore of MUX %d: %v", short, i, r.Err())
 			}
@@ -93,12 +95,12 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 				!reflect.DeepEqual(got.q, want) && len(want)+len(got.q) > 0 {
 				t.Fatalf("short=%v: MUX %d restored as %+v, want %+v", short, i, got, m)
 			}
-			if cap(got.q) != len(want) {
-				t.Errorf("short=%v: MUX %d queue has capacity %d for %d packets", short, i, cap(got.q), len(want))
+			if cap(got.q) != max(len(want), routed) {
+				t.Errorf("short=%v: MUX %d queue has capacity %d for %d packets and %d routed flows", short, i, cap(got.q), len(want), routed)
 			}
 			// No completion event was replayed into the new engine, so mark
 			// the server idle by hand and let one more arrival drain the
-			// restored queue — off the slab, since it is full.
+			// restored queue.
 			got.busy = false
 			got.Enqueue(traffic.Packet{ID: 99, Flow: 0, Size: 1e4})
 			eng2.Run()
@@ -113,26 +115,33 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 	m.Enqueue(traffic.Packet{Flow: 3, Size: 1})
 	r, _ := record(t, m.Snapshot)
 	sl := NewSlab(1, 1)
-	if sl.Restore(r, eng, 3, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {})); r.Err() == nil {
+	if sl.Restore(r, eng, 3, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {}), 0); r.Err() == nil {
 		t.Fatal("packet of flow 3 restored into a 3-flow MUX")
 	}
 }
 
-// TestSlabEnqueueAllocFree: a MUX made in a slab queues up to the packets
-// it was carved room for without allocating.
+// TestSlabEnqueueAllocFree: a MUX made in a slab — built, or restored
+// empty — queues up to the packets it was carved room for without
+// allocating.
 func TestSlabEnqueueAllocFree(t *testing.T) {
 	const routed = 3
 	eng := des.New()
-	sl := NewSlab(1, routed)
-	m := sl.New(eng, 8, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {}), routed)
-	m.busy = true // hold service so the arrivals queue
-	fill := func() {
-		for f := 0; f < routed; f++ {
-			m.Enqueue(traffic.Packet{Flow: 2 * f, Size: 1e4})
+	sink := traffic.SinkFunc(func(traffic.Packet) {})
+	sl := NewSlab(2, 2*routed)
+	r, _ := record(t, New(eng, 8, 1e6, FIFO, func(traffic.Packet) {}).Snapshot)
+	for name, m := range map[string]*Mux{
+		"built":    sl.New(eng, 8, 1e6, FIFO, sink, routed),
+		"restored": sl.Restore(r, eng, 8, 1e6, FIFO, sink, routed),
+	} {
+		m.busy = true // hold service so the arrivals queue
+		fill := func() {
+			for f := 0; f < routed; f++ {
+				m.Enqueue(traffic.Packet{Flow: 2 * f, Size: 1e4})
+			}
+			m.q, m.bits = m.q[:0], 0
 		}
-		m.q, m.bits = m.q[:0], 0
-	}
-	if n := testing.AllocsPerRun(100, fill); n != 0 {
-		t.Fatalf("filling a slab-made MUX to its %d carved packets allocated %v objects per run", routed, n)
+		if n := testing.AllocsPerRun(100, fill); n != 0 {
+			t.Fatalf("filling a %s MUX to its %d carved packets allocated %v objects per run", name, routed, n)
+		}
 	}
 }

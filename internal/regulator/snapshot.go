@@ -47,17 +47,23 @@ const (
 )
 
 // Slab is the storage a session makes its regulators and clocks in: one
-// array per model and one for every queued packet, sized from totals known
-// up front — a live build's forwarding plan, a checkpoint record's counts —
-// where the constructors and Enqueue would make them one regulator and one
-// doubling at a time. A restored queue's capacity is exactly its length;
-// it grows off the slab like any other from its first arrival on. Past its
-// totals a slab makes each one on its own; the zero Slab is an empty one.
+// array per model, one for every queued packet and one of waiting-list
+// seats, one per (σ, ρ, λ) regulator, sized from totals known up front — a
+// live build's forwarding plan, a checkpoint record's counts — where the
+// constructors, Enqueue and a clock's waiting list would make them one
+// regulator and one doubling at a time. A follower churn adds later grows
+// its clock's list off the slab. A restored queue's capacity is exactly its
+// length: it makes its first buffer on its first arrival, as a built one
+// does — carving it would take a room total the record does not carry.
+// Past its totals a slab makes each one on its own; the zero Slab is an
+// empty one.
 type Slab struct {
 	sr      snap.Arena[SigmaRho]
 	cycles  snap.Arena[Cycle]
 	srl     snap.Arena[SRL]
 	packets snap.Arena[traffic.Packet]
+	waiters snap.Arena[*SRL]
+	seats   uint64 // waiting-list entries left in waiters
 }
 
 // NewSlab returns storage for that many (σ, ρ) regulators, clocks and
@@ -68,7 +74,17 @@ func NewSlab(sigmaRhos, cycles, srls, packets int) Slab {
 		cycles:  snap.NewArena[Cycle](cycles),
 		srl:     snap.NewArena[SRL](srls),
 		packets: snap.NewArena[traffic.Packet](packets),
+		waiters: snap.NewArena[*SRL](srls),
+		seats:   uint64(srls),
 	}
+}
+
+// Seat carves c's empty waiting list a seat per rank it has handed out —
+// after a build, one per follower — as far as the slab's seats go.
+func (sl *Slab) Seat(c *Cycle) {
+	n := min(c.nextRank, sl.seats)
+	sl.seats -= n
+	c.waiting = sl.waiters.Take(int(n))[:0]
 }
 
 // NewSigmaRho is the package's NewSigmaRho in the slab's next (σ, ρ)
@@ -159,17 +175,25 @@ func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, r
 
 // RestoreCycle makes the slab's next clock as NewCycle would — not
 // ticking: its pending edge arrives via Rearm — and overwrites its mutable
-// state from the open record.
+// state from the open record, seated (Seat): a next rank the record claims
+// past its regulators sizes nothing.
 func (sl *Slab) RestoreCycle(r *snap.Reader, eng *des.Engine, offset, w, v des.Duration) *Cycle {
 	c := sl.NewCycle(eng, offset, w, v)
 	c.on = r.Bool()
 	c.nextRank = r.U64()
+	sl.Seat(c)
 	return c
 }
 
 // Rejoin binds a restored regulator to its restored clock under the rank
-// and waiting bit its record carried.
-func (r *SRL) Rejoin(c *Cycle) {
+// and waiting bit its record carried. A rank the clock has yet to hand out
+// fails the reader: a later Follow would hand it out again, and the
+// on-edge could not tell the two apart.
+func (r *SRL) Rejoin(sr *snap.Reader, c *Cycle) {
+	if r.rank >= c.nextRank {
+		sr.Fail(fmt.Errorf("regulator: snapshot follower rank %d at or past its clock's next rank %d", r.rank, c.nextRank))
+		return
+	}
 	r.clock = c
 	if r.waiting {
 		c.waiting = append(c.waiting, r)

@@ -51,8 +51,9 @@ func TestSnapWidths(t *testing.T) {
 }
 
 // TestSlabRestoreRoundTrip: regulators and a clock restored into a slab
-// carry the state Snapshot wrote, with queues at exactly their length, and
-// a slab sized too small still restores them.
+// carry the state Snapshot wrote, with queues at exactly their length and
+// a waiting-list seat for the follower, and a slab sized too small still
+// restores them.
 func TestSlabRestoreRoundTrip(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		eng := des.New()
@@ -82,7 +83,7 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("short=%v: restore: %v, %d bytes unread", short, r.Err(), r.Remaining())
 		}
-		srl2.Rejoin(cy2)
+		srl2.Rejoin(r, cy2)
 		if !reflect.DeepEqual(sr2.q.buf, sr.q.buf[sr.q.head:]) || sr2.q.bits != sr.q.bits || sr2.tokens != sr.tokens || sr2.serving != sr.serving {
 			t.Errorf("short=%v: (σ, ρ) regulator restored as %+v, want %+v", short, sr2, sr)
 		}
@@ -94,6 +95,33 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 		}
 		if cy2.on != cy.on || cy2.nextRank != cy.nextRank || len(cy2.waiting) != len(cy.waiting) {
 			t.Errorf("short=%v: clock restored as %+v, want %+v", short, cy2, cy)
+		}
+		if seats := cap(cy2.waiting); seats != 1 && !short {
+			t.Errorf("short=%v: restored clock's waiting list has %d seats for its one follower", short, seats)
+		}
+	}
+}
+
+// TestRestoreCycleSeats: a restored clock seats no more followers than the
+// slab has (σ, ρ, λ) regulators, whatever next rank its record claims, and
+// a follower whose rank its clock has yet to hand out fails the reader.
+func TestRestoreCycleSeats(t *testing.T) {
+	eng := des.New()
+	cy := NewCycle(eng, 0, des.Millisecond, des.Millisecond)
+	cy.nextRank = 1 << 63
+	r, _ := record(t, cy.Snapshot)
+	sl := NewSlab(0, 1, 2, 0)
+	if cy2 := sl.RestoreCycle(r, eng, 0, des.Millisecond, des.Millisecond); cap(cy2.waiting) != 2 {
+		t.Errorf("a clock claiming next rank 2^63 seats %d followers in a slab of 2 regulators", cap(cy2.waiting))
+	}
+	cy.nextRank = 2
+	for rank, ok := range []bool{true, true, false, false} {
+		srl := NewSRL(eng, 1e4, 1e5, 1e6, func(traffic.Packet) {})
+		srl.rank = uint64(rank)
+		r, _ := record(t, srl.Snapshot)
+		srl2 := sl.RestoreSRL(r, 1, eng, 1e4, 1e5, 1e6, traffic.SinkFunc(func(traffic.Packet) {}))
+		if srl2.Rejoin(r, cy); (r.Err() == nil) != ok {
+			t.Errorf("rank %d on a clock at next rank 2: err = %v", rank, r.Err())
 		}
 	}
 }

@@ -28,13 +28,13 @@ type Extremal struct {
 	Period     des.Duration
 
 	// Runtime state. nextID and start are the flow's only mutable words
-	// (Snapshot captures them); the closures are built once, by Resume,
-	// and re-scheduled through the engine's event pool.
-	nextID  uint64
-	start   des.Time
-	eng     *des.Engine
-	cycleFn func()
-	tickFn  func()
+	// (Snapshot captures them); the rest is bound by Resume.
+	nextID uint64
+	start  des.Time
+	eng    *des.Engine
+	until  des.Time
+	emit   func(Packet)
+	gap    des.Duration // between base-rate packets
 }
 
 // NewExtremal builds an extremal flow with the given average rate and
@@ -82,69 +82,55 @@ func (e *Extremal) Envelope() Envelope {
 	return Envelope{Sigma: e.Sigma + e.PacketSize, Rho: e.Rho}
 }
 
-// Start implements Source. Every callback below is built once: the burst/
-// base-rate loop reschedules the same three closures through the engine's
-// event pool, so steady-state emission is allocation-free.
+// Start implements Source: Resume, then the first cycle now. The flow is
+// the des.Handler of its own events, so emission allocates nothing.
 func (e *Extremal) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	e.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow), des.Func(e.cycleFn))
+	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow), e)
 }
 
-// Resume builds the emission closures over the engine and sink without
-// scheduling anything: Start calls it and schedules the first cycle; a
-// checkpoint restore calls it after Restore and lets the engine replay the
-// serialized cycle/tick events through Rearm. The closures read
-// e.start/e.nextID from the struct (not locals), which is what makes the
-// rebuilt callbacks identical mid-stream. Cycle and tick events carry kind
-// tags with arg = Flow.
+// Resume binds the flow to the engine, horizon and sink without scheduling
+// anything: Start calls it and schedules the first cycle; a checkpoint
+// restore calls it after Restore and lets the engine replay the serialized
+// cycle/tick events through Rearm. Cycle and tick events carry kind tags
+// with arg = Flow.
 func (e *Extremal) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
-	base := e.baseRate()
-	gap := des.Seconds(e.PacketSize / base)
-	arg := uint32(e.Flow)
-	e.eng = eng
-	emitPkt := func(size float64) {
-		emit(Packet{ID: e.nextID, Flow: e.Flow, Size: size, CreatedAt: eng.Now()})
-		e.nextID++
+	e.eng, e.until, e.emit = eng, until, emit
+	e.gap = des.Seconds(e.PacketSize / e.baseRate())
+}
+
+// Fire is the flow's event: des.KindSrcCycle starts a period with the burst
+// σ at one instant, des.KindSrcTick emits one base-rate packet. Either then
+// schedules the next base-rate packet, or the next cycle once the period's
+// budget is spent.
+func (e *Extremal) Fire(kind uint16) {
+	now := e.eng.Now()
+	if now >= e.until {
+		return
 	}
-	var cycle, step, tick func()
-	tick = func() {
-		if eng.Now() >= until {
-			return
-		}
-		emitPkt(e.PacketSize)
-		step()
-	}
-	// step schedules the next base-rate packet, or the next cycle once the
-	// period's budget is spent.
-	step = func() {
-		now := eng.Now()
-		if now >= until {
-			return
-		}
-		if now-e.start+gap > e.Period {
-			eng.ScheduleKind(e.start+e.Period, des.KindSrcCycle, arg, des.Func(cycle))
-			return
-		}
-		eng.ScheduleInKind(gap, des.KindSrcTick, arg, des.Func(tick))
-	}
-	cycle = func() {
-		if eng.Now() >= until {
-			return
-		}
-		e.start = eng.Now()
-		// Burst σ at one instant.
+	if kind == des.KindSrcCycle {
+		e.start = now
 		remaining := e.Sigma
-		for remaining >= e.PacketSize {
-			emitPkt(e.PacketSize)
-			remaining -= e.PacketSize
+		for ; remaining >= e.PacketSize; remaining -= e.PacketSize {
+			e.put(e.PacketSize)
 		}
 		if remaining > 1 {
-			emitPkt(remaining)
+			e.put(remaining)
 		}
-		// CBR base for the rest of the period.
-		step()
+	} else {
+		e.put(e.PacketSize)
 	}
-	e.cycleFn, e.tickFn = cycle, tick
+	if now-e.start+e.gap > e.Period {
+		e.eng.ScheduleKind(e.start+e.Period, des.KindSrcCycle, uint32(e.Flow), e)
+		return
+	}
+	e.eng.ScheduleInKind(e.gap, des.KindSrcTick, uint32(e.Flow), e)
+}
+
+// put emits the flow's next packet, size bits, now.
+func (e *Extremal) put(size float64) {
+	e.emit(Packet{ID: e.nextID, Flow: e.Flow, Size: size, CreatedAt: e.eng.Now()})
+	e.nextID++
 }
 
 // SnapTag names the source type in a checkpoint.
@@ -165,14 +151,10 @@ func (e *Extremal) Restore(r *snap.Reader) {
 // Rearm re-schedules a serialized period-start or base-rate emission event
 // under its original stamps; false for a kind this source does not own.
 func (e *Extremal) Rearm(kind uint16, at, prio des.Time) bool {
-	switch kind {
-	case des.KindSrcCycle:
-		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), des.Func(e.cycleFn))
-	case des.KindSrcTick:
-		e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), des.Func(e.tickFn))
-	default:
+	if kind != des.KindSrcCycle && kind != des.KindSrcTick {
 		return false
 	}
+	e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), e)
 	return true
 }
 

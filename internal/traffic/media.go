@@ -30,14 +30,14 @@ type Audio struct {
 	MeanSilence des.Duration // mean silence length
 
 	// Runtime state. rng/nextID/talkEnd are the mutable words a checkpoint
-	// captures; the closures are built once, by Resume, and reschedule
-	// themselves through the engine's event pool.
-	rng     *xrand.Rand
-	nextID  uint64
-	talkEnd des.Time
-	eng     *des.Engine
-	talkFn  func()
-	wakeFn  func()
+	// captures; the rest is bound by Resume.
+	rng      *xrand.Rand
+	nextID   uint64
+	talkEnd  des.Time
+	eng      *des.Engine
+	until    des.Time
+	emit     func(Packet)
+	interval des.Duration // between a talkspurt's packets
 }
 
 // NewAudio returns a talkspurt audio source scaled to the given average
@@ -78,47 +78,39 @@ func (a *Audio) PeakRate() float64 {
 // the end of a silence gap.
 func (a *Audio) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	a.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow), des.Func(a.wakeFn))
+	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow), a)
 }
 
-// Resume builds the emission closures over the engine and sink without
+// Resume binds the source to the engine, horizon and sink without
 // scheduling anything: Start calls it and schedules the first wake; a
 // checkpoint restore calls it after Restore and lets the engine replay the
-// serialized talk/wake events through Rearm. The closures read
-// a.talkEnd/a.nextID from the struct (not captured locals), which is what
-// makes the rebuilt callbacks identical mid-stream. Talk ticks and wakes
-// carry kind tags with arg = Flow.
+// serialized talk/wake events through Rearm. Talk ticks and wakes carry
+// kind tags with arg = Flow.
 func (a *Audio) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
-	peak := a.PeakRate()
-	interval := des.Seconds(a.PacketSize / peak)
-	arg := uint32(a.Flow)
-	a.eng = eng
-	var talk func()
-	talk = func() {
-		now := eng.Now()
-		if now >= until {
-			return
-		}
-		if now >= a.talkEnd {
-			// The talkspurt is over: draw the silence gap now (same rng
-			// order as emitting would have) and sleep until the wake.
-			gap := des.Seconds(a.rng.Exp(a.MeanSilence.Seconds()))
-			eng.ScheduleInKind(gap, des.KindAudioWake, arg, des.Func(a.wakeFn))
-			return
-		}
-		emit(Packet{ID: a.nextID, Flow: a.Flow, Size: a.PacketSize, CreatedAt: now})
-		a.nextID++
-		eng.ScheduleInKind(interval, des.KindAudioTalk, arg, des.Func(talk))
+	a.eng, a.until, a.emit = eng, until, emit
+	a.interval = des.Seconds(a.PacketSize / a.PeakRate())
+}
+
+// Fire is the source's event: des.KindAudioWake ends a silence and draws
+// the talkspurt's length, des.KindAudioTalk is a packet tick within it.
+// Past the talkspurt's end the silence gap is drawn — same rng order as
+// emitting would have — and the source sleeps until the next wake.
+func (a *Audio) Fire(kind uint16) {
+	now := a.eng.Now()
+	if now >= a.until {
+		return
 	}
-	wake := func() {
-		if eng.Now() >= until {
-			return
-		}
-		dur := des.Seconds(a.rng.Exp(a.MeanTalk.Seconds()))
-		a.talkEnd = eng.Now() + dur
-		talk()
+	if kind == des.KindAudioWake {
+		a.talkEnd = now + des.Seconds(a.rng.Exp(a.MeanTalk.Seconds()))
 	}
-	a.talkFn, a.wakeFn = talk, wake
+	if now >= a.talkEnd {
+		gap := des.Seconds(a.rng.Exp(a.MeanSilence.Seconds()))
+		a.eng.ScheduleInKind(gap, des.KindAudioWake, uint32(a.Flow), a)
+		return
+	}
+	a.emit(Packet{ID: a.nextID, Flow: a.Flow, Size: a.PacketSize, CreatedAt: now})
+	a.nextID++
+	a.eng.ScheduleInKind(a.interval, des.KindAudioTalk, uint32(a.Flow), a)
 }
 
 // SnapTag names the source type in a checkpoint.
@@ -142,14 +134,10 @@ func (a *Audio) Restore(r *snap.Reader) {
 // silence wake under its original stamps; false for a kind this source
 // does not own.
 func (a *Audio) Rearm(kind uint16, at, prio des.Time) bool {
-	switch kind {
-	case des.KindAudioTalk:
-		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), des.Func(a.talkFn))
-	case des.KindAudioWake:
-		a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), des.Func(a.wakeFn))
-	default:
+	if kind != des.KindAudioTalk && kind != des.KindAudioWake {
 		return false
 	}
+	a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), a)
 	return true
 }
 
@@ -172,13 +160,15 @@ type Video struct {
 	SceneBoost float64
 
 	// Runtime state. rng/nextID/frame/scenePending are the mutable words a
-	// checkpoint captures; the tick closure is built once, by Resume.
+	// checkpoint captures; the rest is bound by Resume.
 	rng          *xrand.Rand
 	nextID       uint64
 	frame        int
 	scenePending bool
 	eng          *des.Engine
-	tickFn       func()
+	until        des.Time
+	emit         func(Packet)
+	frameGap     des.Duration
 }
 
 // gopPattern holds relative frame weights for IBBPBBPBBPBB.
@@ -236,38 +226,31 @@ func (v *Video) frameSize() float64 {
 // Start implements Source.
 func (v *Video) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	v.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow), des.Func(v.tickFn))
+	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow), v)
 }
 
-// Resume builds the frame-tick closure over the engine and sink without
+// Resume binds the source to the engine, horizon and sink without
 // scheduling anything (Start schedules the first tick, a checkpoint restore
 // replays the serialized one through Rearm); ticks carry kind tags with
 // arg = Flow so a checkpoint can rehydrate them.
 func (v *Video) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
-	frameGap := des.Seconds(1 / v.FPS)
-	arg := uint32(v.Flow)
-	v.eng = eng
-	var tick func()
-	tick = func() {
-		now := eng.Now()
-		if now >= until {
-			return
-		}
-		// Packetise the frame; all packets of a frame leave together,
-		// modelling the encoder handing a complete frame to the stack.
-		size := v.frameSize()
-		for size > 0 {
-			p := v.PacketSize
-			if size < p {
-				p = size
-			}
-			emit(Packet{ID: v.nextID, Flow: v.Flow, Size: p, CreatedAt: now})
-			v.nextID++
-			size -= p
-		}
-		eng.ScheduleInKind(frameGap, des.KindVideoTick, arg, des.Func(tick))
+	v.eng, v.until, v.emit = eng, until, emit
+	v.frameGap = des.Seconds(1 / v.FPS)
+}
+
+// Fire is the frame tick (des.KindVideoTick): the frame is packetised and
+// all its packets leave together, modelling the encoder handing a complete
+// frame to the stack.
+func (v *Video) Fire(uint16) {
+	now := v.eng.Now()
+	if now >= v.until {
+		return
 	}
-	v.tickFn = tick
+	for size := v.frameSize(); size > 0; size -= v.PacketSize {
+		v.emit(Packet{ID: v.nextID, Flow: v.Flow, Size: min(size, v.PacketSize), CreatedAt: now})
+		v.nextID++
+	}
+	v.eng.ScheduleInKind(v.frameGap, des.KindVideoTick, uint32(v.Flow), v)
 }
 
 // SnapTag names the source type in a checkpoint.
@@ -300,7 +283,7 @@ func (v *Video) Rearm(kind uint16, at, prio des.Time) bool {
 	if kind != des.KindVideoTick {
 		return false
 	}
-	v.eng.SchedulePrioKind(at, prio, kind, uint32(v.Flow), des.Func(v.tickFn))
+	v.eng.SchedulePrioKind(at, prio, kind, uint32(v.Flow), v)
 	return true
 }
 

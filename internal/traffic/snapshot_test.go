@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/snap"
 )
 
@@ -45,5 +46,39 @@ func TestRestorePacketBounds(t *testing.T) {
 	}
 	if _, err := restore(Packet{Size: MaxPacketBits}, 1); err != nil {
 		t.Errorf("size MaxPacketBits refused: %v", err)
+	}
+}
+
+// TestSourcesResumeAllocFree: a source is the handler of its own events, so
+// re-binding it (Resume, as a checkpoint restore does) and running it for a
+// period — Extremal's cycle, Audio's mean talkspurt and silence, Video's
+// group of pictures — allocates nothing past what its sink does.
+func TestSourcesResumeAllocFree(t *testing.T) {
+	type resumable interface {
+		Source
+		Resume(eng *des.Engine, until des.Time, emit func(Packet))
+	}
+	audio, video := NewAudio(0, AudioRate, 1), NewVideo(1, VideoRate, 1)
+	for _, tc := range []struct {
+		src    resumable
+		period des.Duration
+	}{
+		{NewExtremal(2, AudioRate, 1.04*AudioRate, 0.05), des.Seconds(12)},
+		{audio, audio.MeanTalk + audio.MeanSilence},
+		{video, des.Seconds(12 / video.FPS)},
+	} {
+		eng := des.New()
+		emitted := 0
+		emit := func(Packet) { emitted++ }
+		until := des.Time(1 << 60)
+		tc.src.Start(eng, until, emit)
+		eng.RunUntil(tc.period) // the engine's event storage, warmed
+		allocs := testing.AllocsPerRun(20, func() {
+			tc.src.Resume(eng, until, emit)
+			eng.RunUntil(eng.Now() + tc.period)
+		})
+		if allocs != 0 || emitted == 0 {
+			t.Errorf("%s: Resume and a period of emission allocated %v objects (%d packets emitted)", tc.src.Name(), allocs, emitted)
+		}
 	}
 }
