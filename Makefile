@@ -99,8 +99,9 @@ fuzz:
 # MUX in a run, built or restored, so a first arrival that allocates fails
 # here too; a slab-made MUX's Enqueue within its carved room allocates
 # nothing), the size hint to surviving a restore, and one blob to its
-# exact byte count, so a word added back to a component record fails here
-# as well.
+# exact byte count and SHA-256, so a word added back to a component
+# record, or a pending event written under another (at, prio, kind, arg),
+# fails here as well.
 snapshot:
 	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree' ./internal/mux

@@ -94,8 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick         = fs.Bool("quick", false, "reduced-scale sweep (-exp: 120 hosts, 5 loads, 13 s; -scenario: the entry's own reduced form)")
 		adaptive      = fs.Bool("adaptive", false, "add the adaptive algorithm's curve to a sweep that has none")
 		durSec        = fs.Float64("duration", 0, "override per-run simulated seconds")
-		sequential    = fs.Bool("sequential", false, "run sweep points sequentially (debugging)")
-		workers       = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
+		workers       = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS; 1 runs the points in order)")
 		shardsFlag    = fs.String("shards", "", "per-run shard count for multi-group sessions (1 = one engine; 'auto' tunes by measurement; default GOMAXPROCS)")
 		fleetN        = fs.Int("fleet", 0, "farm the sweep to this many worker processes")
 		fleetDir      = fs.String("fleet-dir", "", "shared work directory for -fleet (default: a temporary directory; set it to make the sweep resumable)")
@@ -173,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Sweeps resolve their own grid/duration, so only pass what the user
 	// explicitly overrode on the command line.
-	opts := harness.Options{Seed: *seed, Sequential: *sequential, Workers: *workers,
+	opts := harness.Options{Seed: *seed, Workers: *workers,
 		NumHosts: *hosts, Shards: shards, AutoShards: autoShards, Strategy: *strategyName}
 	if *durSec > 0 {
 		opts.Duration = des.Seconds(*durSec)

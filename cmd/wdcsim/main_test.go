@@ -107,9 +107,9 @@ func TestScenarioShardsFlag(t *testing.T) {
 		t.Fatalf("sharded text output lacks the shard account:\n%s", out.String())
 	}
 	var seq, one bytes.Buffer
-	run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1", "-shards", "3", "-sequential"}, &seq, &errOut)
+	run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1", "-shards", "3", "-workers", "1"}, &seq, &errOut)
 	if seq.String() != out.String() {
-		t.Fatalf("-sequential changed a sharded run's output:\n%s\nvs\n%s", seq.String(), out.String())
+		t.Fatalf("-workers 1 changed a sharded run's output:\n%s\nvs\n%s", seq.String(), out.String())
 	}
 	run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1", "-shards", "1"}, &one, &errOut)
 	if strings.Contains(one.String(), "Sharded execution") {

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -290,16 +292,21 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotBlobBytes pins the exact size of one v9 blob: the 60-host
-// fixture checkpointed halfway. The simulation is deterministic, so the
-// count is too, and a word added back to a component record — a MUX, a
-// regulator or a clock writes one per component — changes it by that
-// word times the component count. Change the pin only with the format.
+// TestSnapshotBlobBytes pins the exact size and the SHA-256 of one v9
+// blob: the 60-host fixture checkpointed halfway. The simulation is
+// deterministic, so both are too. A word added back to a component record
+// — a MUX, a regulator or a clock writes one per component — changes the
+// size by that word times the component count; a pending event written
+// with another (at, prio, kind, arg), a slot renumbered or a queue
+// reordered changes the hash. Change the pins only with the format.
 // (Format v7 wrote 30,717 bytes here and v8 20,525: v9 dropped the 88
 // MUXes' arrival sequence, their 177 per-flow queue headers, the sequence
 // of the 51 packets in transmission and one record total.)
 func TestSnapshotBlobBytes(t *testing.T) {
-	const want = 17993
+	const (
+		want = 17993
+		hash = "fb7c114f174da2c934209eb7217146d8bdd529726d72ffd240632a64a6a4db10"
+	)
 	cfg := allocFixtures(t)["60-host"]
 	s := core.NewSession(cfg)
 	s.Start()
@@ -310,5 +317,8 @@ func TestSnapshotBlobBytes(t *testing.T) {
 	}
 	if len(blob) != want {
 		t.Fatalf("the 60-host fixture's blob at %v is %d bytes, pinned at %d (snapshot v%d)", cfg.Duration/2, len(blob), want, core.SnapshotVersion)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != hash {
+		t.Fatalf("the 60-host fixture's blob at %v hashes to %s, pinned at %s (snapshot v%d)", cfg.Duration/2, got, hash, core.SnapshotVersion)
 	}
 }

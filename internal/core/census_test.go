@@ -10,7 +10,7 @@ import (
 
 // TestShardCensusByKind pins the executed-event census of one quick
 // waxman-zipf-64 cell (150 hosts, 64 Zipf groups, load 0.8, 3 s, seed 1),
-// by callback kind, at one shard and at two. The census is a function of
+// by event kind, at one shard and at two. The census is a function of
 // the engine's event structure alone, so a change that brings a timer per
 // regulator back — or adds any per-packet event — fails here, not in a
 // later benchmark round: duty-cycle edges are two per clock per period,
@@ -27,11 +27,11 @@ func TestShardCensusByKind(t *testing.T) {
 			des.KindSRLOn: 8_576, des.KindSRLOff: 8_576,
 			des.KindSrcCycle: 64, des.KindSrcTick: 9_536,
 		}},
-		// Two shards: a delivery that crosses the boundary is an untagged
-		// coordinator release instead of a flight, and a (group, capacity)
-		// pair forwarded on both shards has a clock on each.
+		// Two shards: a delivery that crosses the boundary is a coordinator
+		// release (KindCrossShard) instead of a flight, and a (group,
+		// capacity) pair forwarded on both shards has a clock on each.
 		{2, 75_348, map[uint16]uint64{
-			des.KindMuxDone: 75_348, des.KindFlight: 38_220, des.KindNone: 37_128, des.KindSRLDone: 12_324,
+			des.KindMuxDone: 75_348, des.KindFlight: 38_220, des.KindCrossShard: 37_128, des.KindSRLDone: 12_324,
 			des.KindSRLOn: 8_978, des.KindSRLOff: 8_978,
 			des.KindSrcCycle: 64, des.KindSrcTick: 9_536,
 		}},

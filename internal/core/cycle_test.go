@@ -58,9 +58,9 @@ func TestOneClockPerGroupAndCapacityPerShard(t *testing.T) {
 		regs, clocks := 0, 0
 		for si, classes := range forwardedClasses(s) {
 			env := s.sh[si].env
-			if len(env.cyc.comps) != len(classes) || len(env.cycles) != len(classes) {
+			if len(env.clocks) != len(classes) || len(env.cycles) != len(classes) {
 				t.Errorf("shards=%d: shard %d has %d clocks (%d in the table) for %d forwarded (group, capacity) pairs",
-					shards, si, len(env.cyc.comps), len(env.cycles), len(classes))
+					shards, si, len(env.clocks), len(env.cycles), len(classes))
 			}
 			for key := range classes {
 				if env.cycles[key] == nil {
@@ -68,7 +68,7 @@ func TestOneClockPerGroupAndCapacityPerShard(t *testing.T) {
 				}
 			}
 			clocks += len(classes)
-			regs += len(env.srl.comps)
+			regs += len(env.eng.Owners(des.KindSRLDone))
 		}
 		if clocks == 0 || regs < 3*clocks {
 			t.Fatalf("shards=%d: %d regulators on %d clocks — the fixture does not share clocks", shards, regs, clocks)
@@ -116,9 +116,9 @@ func TestOnlyClockEdgesRemainAfterRun(t *testing.T) {
 		}
 		for si, sh := range s.sh {
 			edges, others := pendingClockEdges(t, sh.eng)
-			if others || edges != len(sh.env.cyc.comps) || edges == 0 {
+			if others || edges != len(sh.env.clocks) || edges == 0 {
 				t.Errorf("shards=%d: shard %d ends with %d pending clock edges for %d clocks (other kinds pending: %v)",
-					shards, si, edges, len(sh.env.cyc.comps), others)
+					shards, si, edges, len(sh.env.clocks), others)
 			}
 		}
 	}
@@ -174,10 +174,10 @@ func TestCheckpointWhileWaitingInVacation(t *testing.T) {
 			regs := 0
 			for _, sh := range s.sh {
 				edges, _ := pendingClockEdges(t, sh.eng)
-				if edges != len(sh.env.cyc.comps) {
-					t.Errorf("%s/%d: checkpoint holds %d pending clock edges for %d clocks", name, shards, edges, len(sh.env.cyc.comps))
+				if edges != len(sh.env.clocks) {
+					t.Errorf("%s/%d: checkpoint holds %d pending clock edges for %d clocks", name, shards, edges, len(sh.env.clocks))
 				}
-				regs += len(sh.env.srl.comps)
+				regs += len(sh.eng.Owners(des.KindSRLDone))
 			}
 			restored, err := Restore(cfg, blob)
 			if err != nil {
@@ -187,7 +187,7 @@ func TestCheckpointWhileWaitingInVacation(t *testing.T) {
 				t.Errorf("%s/%d: %d regulators wait after the restore, %d before", name, shards, got, waiting)
 			}
 			for si, sh := range restored.sh {
-				if got, want := len(sh.env.cyc.comps), len(s.sh[si].env.cyc.comps); got != want {
+				if got, want := len(sh.env.clocks), len(s.sh[si].env.clocks); got != want {
 					t.Errorf("%s/%d: shard %d restored %d clocks of %d", name, shards, si, got, want)
 				}
 			}
@@ -203,14 +203,15 @@ func TestCheckpointWhileWaitingInVacation(t *testing.T) {
 // and one that holds the same clock twice.
 func TestRestoreRejectsBrokenClockTable(t *testing.T) {
 	for name, tc := range map[string]struct {
-		tamper func(rg *registry[*regulator.Cycle])
+		tamper func(env *hostEnv)
 		want   string
 	}{
-		"missing clock": {func(rg *registry[*regulator.Cycle]) {
-			rg.comps, rg.ids = rg.comps[1:], rg.ids[1:]
+		"missing clock": {func(env *hostEnv) {
+			env.eng.Own(des.KindSRLOn, 0, nil)
 		}, "follows a clock the snapshot does not hold"},
-		"duplicate clock": {func(rg *registry[*regulator.Cycle]) {
-			rg.comps, rg.ids = append(rg.comps, rg.comps[0]), append(rg.ids, rg.ids[0])
+		"duplicate clock": {func(env *hostEnv) {
+			env.eng.Register(des.KindSRLOn, env.eng.Owners(des.KindSRLOn)[0])
+			env.clocks = append(env.clocks, env.clocks[0])
 		}, "holds two clocks"},
 	} {
 		cfg := shardBaseConfig(5)
@@ -218,7 +219,7 @@ func TestRestoreRejectsBrokenClockTable(t *testing.T) {
 		s := NewSession(cfg)
 		s.Start()
 		s.RunTo(des.Second / 2)
-		tc.tamper(&s.sh[0].env.cyc)
+		tc.tamper(s.sh[0].env)
 		blob, err := s.Snapshot()
 		if err != nil {
 			t.Fatal(err)

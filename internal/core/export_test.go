@@ -1,12 +1,16 @@
 package core
 
+import "repro/internal/des"
+
 // ComponentCount reports how many components — MUXes, regulators, clocks —
-// the session's registries hold, for the external tests that budget a
+// the session's owner tables hold, for the external tests that budget a
 // restore per component.
 func ComponentCount(s *Session) int {
 	n := 0
 	for _, sh := range s.sh {
-		n += len(sh.env.mux.comps) + len(sh.env.sr.comps) + len(sh.env.cyc.comps) + len(sh.env.srl.comps)
+		for f := famMux; f < numFamilies; f++ {
+			n += len(sh.eng.Owners(famKind[f]))
+		}
 	}
 	return n
 }
@@ -40,11 +44,11 @@ func PendingEvents(s *Session) int {
 }
 
 // RegulatorCount reports how many regulators — (σ, ρ) and (σ, ρ, λ) — the
-// session's registries hold.
+// session's owner tables hold.
 func RegulatorCount(s *Session) int {
 	n := 0
 	for _, sh := range s.sh {
-		n += len(sh.env.sr.comps) + len(sh.env.srl.comps)
+		n += len(sh.eng.Owners(des.KindSRRetry)) + len(sh.eng.Owners(des.KindSRLDone))
 	}
 	return n
 }

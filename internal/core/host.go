@@ -15,16 +15,14 @@ func secs(s float64) des.Duration { return des.Seconds(s) }
 
 // component is the one shape of thing checkpointing knows how to carry:
 // the per-connection MUX, the two regulators and the duty-cycle clock all
-// satisfy it. Snapshot writes the mutable words, which the family's slab
-// reads back as it makes the component (restoreComp); SetSnapArg hands the
-// component the registry slot its pending events carry as their arg; Rearm
-// re-schedules the component itself, the des.Handler of its events, for
-// one serialized event under its original stamps, and reports false for a
-// kind the component does not own.
+// satisfy it. Each registers in its engine as the owner of its own events
+// when its slab makes it, so the engine's owner table for the family's
+// kinds holds the components by slot, the arg their events carry.
+// Snapshot writes the mutable words, which the family's slab reads back
+// as it makes the component (restoreComp).
 type component interface {
-	SetSnapArg(arg uint32)
+	des.Handler
 	Snapshot(w *snap.Writer)
-	Rearm(kind uint16, at, prio des.Time) bool
 }
 
 // family selects one kind of component. What a family's sub-index means
@@ -43,34 +41,36 @@ const (
 	numFamilies
 )
 
+// famKind is a kind of each family's events: its owner table is the
+// family's. kindFam is the family, if any, whose slot an event's arg is.
+var (
+	famKind = [numFamilies]uint16{famMux: des.KindMuxDone, famSR: des.KindSRRetry, famCycle: des.KindSRLOn, famSRL: des.KindSRLDone}
+	kindFam = [des.NumKinds]family{des.KindMuxDone: famMux, des.KindSRRetry: famSR,
+		des.KindSRLOn: famCycle, des.KindSRLOff: famCycle, des.KindSRLDone: famSRL}
+)
+
 // compIdent names a registered component: the host that owns it — for a
 // clock, which no host owns, the host whose capacity it was first built
 // for — and the child connection (MUX) or group (regulator, clock) it
 // serves.
 type compIdent struct{ host, sub int32 }
 
-// registry is one family's components on one engine, in creation order. A
-// component's slot is the arg its pending events carry. Append-only — a
-// component detached mid-run keeps its slot, because an event already in
-// the queue may still name it. Generic so that a slot stays a typed
-// pointer plus an ident, 16 bytes, at a few components per host.
-type registry[C component] struct {
-	comps []C
-	ids   []compIdent
-}
-
-// grow makes room for n more components (a restore knows how many come).
-func (rg *registry[C]) grow(n int) {
-	rg.comps = slices.Grow(rg.comps, n)
-	rg.ids = slices.Grow(rg.ids, n)
-}
-
-// add registers c as host's component for sub and returns it.
-func (rg *registry[C]) add(c C, host, sub int) C {
-	c.SetSnapArg(uint32(len(rg.comps)))
-	rg.comps = append(rg.comps, c)
-	rg.ids = append(rg.ids, compIdent{int32(host), int32(sub)})
-	return c
+// ident names the component at slot of its family's owner table. A MUX or
+// a regulator names its host and sub-index through its output link; a
+// clock, which has none, through clocks.
+func (e *hostEnv) ident(slot int, c component) compIdent {
+	switch c := c.(type) {
+	case *mux.Mux:
+		l := c.Out().(*muxLink)
+		return compIdent{int32(l.h.id), l.child}
+	case *regulator.SigmaRho:
+		l := c.Out().(*regLink)
+		return compIdent{int32(l.h.id), l.g}
+	case *regulator.SRL:
+		l := c.Out().(*regLink)
+		return compIdent{int32(l.h.id), l.g}
+	}
+	return e.clocks[slot]
 }
 
 // hostEnv is what a regulated host needs from its surrounding session.
@@ -98,12 +98,12 @@ type hostEnv struct {
 	// slabs is the storage this engine's components and their hosts' tables
 	// are carved from; the zero value makes each on its own.
 	slabs compSlabs
-	// Component registries for checkpointing (snapshot.go): every MUX and
-	// regulator created on this engine registers in its family's.
-	mux registry[*mux.Mux]
-	sr  registry[*regulator.SigmaRho]
-	cyc registry[*regulator.Cycle]
-	srl registry[*regulator.SRL]
+	// clocks names the group of each duty-cycle clock in the engine's
+	// clock table, by slot, and the host whose capacity it was first made
+	// for (ident). Append-only, as the owner tables are — a component
+	// detached mid-run keeps its slot, because an event already in the
+	// queue may still name it.
+	clocks []compIdent
 	// cycles finds this engine's duty-cycle clock for a (group, host
 	// capacity) pair — the pair fixes the stagger offset, W and V. Clocks are
 	// made on first use and never retired.
@@ -172,9 +172,8 @@ type host struct {
 	srlCycling bool
 
 	// Adaptive-control state, set by prepareController: the host itself is
-	// the handler of the controller's self-rearming sampling tick, whose
-	// events carry des.KindCtlTick with arg = host id so checkpoints can
-	// rehydrate them.
+	// the owner of the controller's self-rearming sampling tick, registered
+	// in its engine at slot = host id.
 	rate         *stats.WindowRate
 	ctlEvery     des.Duration
 	ctlThreshold float64
@@ -419,7 +418,7 @@ func (h *host) ensureSRLBank() {
 // run; restoreComp is their checkpoint-restore twin, handing the same slab
 // the same arguments — so a restored component is made exactly as the
 // original was, points its output at an identical link record, and
-// registers (under a fresh slot) so its replayed events resolve. Both
+// registers in the next slot of its engine's owner table. Both
 // paths carve from the engine's slabs, which a live build sizes from the
 // compiled child sets and a restore from the components record's totals;
 // what outruns them (a connection churn grafts later) is made on its own.
@@ -462,19 +461,19 @@ func (h *host) regOut(g int) *regLink {
 // for routed queued packets, without wiring it into h.muxes.
 func (h *host) makeMux(c int, capacity float64, routed int) *mux.Mux {
 	env := h.env
-	return env.mux.add(env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c), routed), h.id, c)
+	return env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c), routed)
 }
 
 // makeSR creates and registers group g's (σ, ρ) regulator.
 func (h *host) makeSR(g int) *regulator.SigmaRho {
 	env := h.env
-	return env.sr.add(env.slabs.reg.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g)), h.id, g)
+	return env.slabs.reg.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g))
 }
 
 // makeSRL creates and registers group g's (σ, ρ, λ) regulator.
 func (h *host) makeSRL(g int) *regulator.SRL {
 	env := h.env
-	return env.srl.add(env.slabs.reg.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn, h.regOut(g)), h.id, g)
+	return env.slabs.reg.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn, h.regOut(g))
 }
 
 // cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
@@ -509,7 +508,8 @@ func (h *host) addCycle(c *regulator.Cycle, g int) *regulator.Cycle {
 		env.cycles = make(map[cycleKey]*regulator.Cycle)
 	}
 	env.cycles[cycleKey{int32(g), h.conn}] = c
-	return env.cyc.add(c, h.id, g)
+	env.clocks = append(env.clocks, compIdent{int32(h.id), int32(g)})
+	return c
 }
 
 // compSlabs is the storage one engine makes its components in — the
@@ -539,14 +539,14 @@ func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, 
 	flows := len(env.specs)
 	switch f {
 	case famMux:
-		return env.mux.add(sl.mux.Restore(r, env.eng, flows, capacity, env.discipline, h.muxOut(sub), routed), h.id, sub)
+		return sl.mux.Restore(r, env.eng, flows, capacity, env.discipline, h.muxOut(sub), routed)
 	case famSR:
-		return env.sr.add(sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub)), h.id, sub)
+		return sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub))
 	case famCycle:
 		offset, w, v := h.cycleSchedule(sub)
 		return h.addCycle(sl.reg.RestoreCycle(r, env.eng, offset, w, v), sub)
 	default:
-		return env.srl.add(sl.reg.RestoreSRL(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.conn, h.regOut(sub)), h.id, sub)
+		return sl.reg.RestoreSRL(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.conn, h.regOut(sub))
 	}
 }
 
@@ -573,7 +573,7 @@ func (h *host) isLive(f family, sub int, c component) bool {
 // install puts a restored live component back into service; false when the
 // host forwards nothing in the regulator's group, which no snapshot this
 // package wrote says. Duty-cycle state comes from the restored words of
-// the clock and its followers and from the event replay — nothing here
+// the clock and its followers and from the re-inserted events — nothing here
 // starts a clock, and restoreComp already put a restored one in the table.
 func (h *host) install(f family, sub int, c component) bool {
 	switch f {
@@ -775,14 +775,16 @@ func (h *host) observe(p traffic.Packet) {
 // population average.
 func (h *host) startController(window, interval des.Duration, thresholdUtil float64) {
 	h.prepareController(window, interval, thresholdUtil)
-	h.env.eng.ScheduleInKind(interval, des.KindCtlTick, uint32(h.id), h)
+	h.env.eng.ScheduleInKind(interval, des.KindCtlTick, uint32(h.id))
 }
 
-// prepareController builds the estimator and sets the sampling tick's
-// period and threshold without scheduling anything.
+// prepareController builds the estimator, sets the sampling tick's period
+// and threshold and registers the host as the tick's owner, without
+// scheduling anything.
 func (h *host) prepareController(window, interval des.Duration, thresholdUtil float64) {
 	h.rate = stats.NewWindowRate(window)
 	h.ctlEvery, h.ctlThreshold = interval, thresholdUtil
+	h.env.eng.Own(des.KindCtlTick, uint32(h.id), h)
 }
 
 // Fire is the controller's sampling tick (des.KindCtlTick): body first,
@@ -793,19 +795,8 @@ func (h *host) Fire(uint16) {
 	} else {
 		h.setMode(SchemeSigmaRho)
 	}
-	h.env.eng.ScheduleInKind(h.ctlEvery, des.KindCtlTick, uint32(h.id), h)
+	h.env.eng.ScheduleInKind(h.ctlEvery, des.KindCtlTick, uint32(h.id))
 }
 
 // Put implements traffic.Sink: a packet the fabric delivers to this host.
 func (h *host) Put(p traffic.Packet) { h.env.rt.receive(h, p) }
-
-// Rearm re-schedules a serialized controller sampling tick under its
-// original stamps; false when the kind is not the controller's or the
-// restore built this host no controller.
-func (h *host) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindCtlTick || h.rate == nil {
-		return false
-	}
-	h.env.eng.SchedulePrioKind(at, prio, kind, uint32(h.id), h)
-	return true
-}

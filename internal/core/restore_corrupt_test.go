@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,20 +142,24 @@ const (
 	eventHdrBytes = 8 + 8 + 2 + 4
 )
 
-// firstFlight returns the offset of the first KindFlight event header in
-// the blob's first events record.
-func firstFlight(t testing.TB, blob []byte) int {
+// firstEvent returns the offset of the first event header of one of kinds
+// in the blob's first events record.
+func firstEvent(t testing.TB, blob []byte, kinds ...uint16) int {
 	t.Helper()
 	off := firstRecord(t, blob, recEngine)
 	n := int(binary.LittleEndian.Uint32(blob[off:]))
 	off += 4
 	for i := 0; i < n; i++ {
-		if binary.LittleEndian.Uint16(blob[off+16:]) == des.KindFlight {
+		kind := binary.LittleEndian.Uint16(blob[off+16:])
+		if slices.Contains(kinds, kind) {
 			return off
 		}
 		off += eventHdrBytes
+		if kind == des.KindFlight {
+			off += 4 + packetBytes // the delivery's destination and packet
+		}
 	}
-	t.Fatal("fixture has no in-flight delivery before the first other event ends the walk")
+	t.Fatalf("fixture has no pending event of kinds %v", kinds)
 	return 0
 }
 
@@ -165,13 +170,14 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 	cfg4, blob4 := corruptFixture(t, 4)
 	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
 	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
-	for _, tc := range []struct {
+	type corruption struct {
 		name    string
 		cfg     Config
 		blob    []byte
 		corrupt func(t *testing.T, b []byte)
 		want    string
-	}{
+	}
+	cases := []corruption{
 		{"tree parent", cfg1, blob1, func(t *testing.T, b []byte) {
 			// source, member count, members, parent count, first parent.
 			off := firstRecord(t, b, recGroup)
@@ -192,11 +198,38 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			put64(b, firstRecord(t, b, recEngine)+4, uint64(des.Second/4))
 		}, "precedes the checkpoint"},
 		{"flight dst", cfg1, blob1, func(t *testing.T, b []byte) {
-			put32(b, firstFlight(t, b)+eventHdrBytes, 60)
+			put32(b, firstEvent(t, b, des.KindFlight)+eventHdrBytes, 60)
 		}, "flight destination 60"},
 		{"packet flow", cfg1, blob1, func(t *testing.T, b []byte) {
-			put64(b, firstFlight(t, b)+eventHdrBytes+4+8, 3)
+			put64(b, firstEvent(t, b, des.KindFlight)+eventHdrBytes+4+8, 3)
 		}, "packet flow 3"},
+		{"event slot on a hole", cfg4, blob4, func(t *testing.T, b []byte) {
+			// A shard's sources' table holds the flows rooted there, at their
+			// flow: one whose sources start past flow 0 has a hole at slot 0.
+			for _, rec := range snapRecords(t, b) {
+				if rec.tag != recEngine {
+					continue
+				}
+				var src []int
+				zero := false
+				off := rec.off + 4
+				for n := binary.LittleEndian.Uint32(b[rec.off:]); n > 0; n-- {
+					switch kind := binary.LittleEndian.Uint16(b[off+16:]); kind {
+					case des.KindSrcCycle, des.KindSrcTick:
+						src = append(src, off)
+						zero = zero || binary.LittleEndian.Uint32(b[off+18:]) == 0
+					case des.KindFlight:
+						off += 4 + packetBytes
+					}
+					off += eventHdrBytes
+				}
+				if len(src) > 0 && !zero {
+					put32(b, src[0]+18, 0)
+					return
+				}
+			}
+			t.Fatal("fixture has no shard whose sources start past flow 0")
+		}, "names slot 0"},
 		{"follower rank", cfg1, blob1, func(t *testing.T, b []byte) {
 			put64(b, stanzas(t, b).ranks[0], 1<<62)
 		}, "rank"},
@@ -218,7 +251,11 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			}
 			t.Fatal("fixture has no pending cross-shard record")
 		}, "cross-shard record host"},
-	} {
+	}
+	for _, ev := range unownedEvents {
+		cases = append(cases, corruption{ev.name, cfg1, withEvent(t, blob1, ev.of, ev.kind, ev.arg), func(*testing.T, []byte) {}, ev.want})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), tc.blob...)
 			tc.corrupt(t, bad)
@@ -228,6 +265,34 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unownedEvents are pending events of the corruption fixture rewritten so
+// that no owner in the restored engine can fire them: a kind with no owner
+// table, a slot past its owner table, and a controller tick for a host the
+// restore gave no controller — no host of a (σ, ρ, λ) session runs one.
+// (The sources' table has a slot per group, three.)
+var unownedEvents = []struct {
+	name string
+	of   []uint16 // the first pending event of one of these kinds
+	kind uint16   // is rewritten to this kind
+	arg  uint32   // and this arg
+	want string
+}{
+	{"event kind with no owner", []uint16{des.KindMuxDone}, 1, 0, "kind 1 has no owner"},
+	{"event slot past its table", []uint16{des.KindSrcCycle, des.KindSrcTick}, des.KindSrcTick, 7, "slot 7"},
+	{"event its owner cannot fire", []uint16{des.KindMuxDone}, des.KindCtlTick, 5, "ctl-tick event names slot 5"},
+}
+
+// withEvent returns a copy of blob with its first pending event of one of
+// kinds rewritten to (kind, arg).
+func withEvent(t testing.TB, blob []byte, kinds []uint16, kind uint16, arg uint32) []byte {
+	t.Helper()
+	bad := append([]byte(nil), blob...)
+	off := firstEvent(t, bad, kinds...)
+	binary.LittleEndian.PutUint16(bad[off+16:], kind)
+	binary.LittleEndian.PutUint32(bad[off+18:], arg)
+	return bad
 }
 
 // stanzaOffsets locates words in a components record, in stream order: the
@@ -330,8 +395,9 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // must not drive allocation — and a session it returns runs to its end. The
 // seeds (the fixture blob, three of its corruptions, the blob with a MUX
 // queue, with a 1e-300-bit regulator packet, with a clock claiming next
-// rank 2⁶³ — which must seat no more followers than the record has — and
-// with a follower ranked past its clock) run in the ordinary `go test`.
+// rank 2⁶³ — which must seat no more followers than the record has — with
+// a follower ranked past its clock, and with each of the unowned events)
+// run in the ordinary `go test`.
 func FuzzRestore(f *testing.F) {
 	cfg, blob := corruptFixture(f, 1)
 	f.Add(blob)
@@ -345,6 +411,9 @@ func FuzzRestore(f *testing.F) {
 	offs := stanzas(f, blob)
 	f.Add(with64(blob, offs.nextRanks[0], 1<<63))
 	f.Add(with64(blob, offs.ranks[0], 1<<62))
+	for _, ev := range unownedEvents {
+		f.Add(withEvent(f, blob, ev.of, ev.kind, ev.arg))
+	}
 	allocated := func(tb testing.TB, data []byte) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -531,8 +531,8 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	// Every follower the build made is on its clock: seat them (a restore
 	// has made no clock yet).
 	for _, sh := range s.sh {
-		for _, c := range sh.env.cyc.comps {
-			sh.env.slabs.reg.Seat(c)
+		for _, c := range sh.eng.Owners(des.KindSRLOn) {
+			sh.env.slabs.reg.Seat(c.(*regulator.Cycle))
 		}
 	}
 
@@ -578,15 +578,18 @@ func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
 	}
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
+		sh.eng.Grow(des.KindMuxDone, n.conns)
 		sl.mux = mux.NewSlab(n.conns, n.edges)
 		sl.muxLinks = snap.NewArena[muxLink](n.conns)
 		sl.muxChild = snap.NewArena[int32](n.conns)
 		sl.muxes = snap.NewArena[*mux.Mux](n.conns)
 		switch initialMode(s.sub.cfg.Scheme) {
 		case SchemeSigmaRho:
+			sh.eng.Grow(des.KindSRRetry, n.groups)
 			sl.reg = regulator.NewSlab(n.groups, 0, 0, 0)
 			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.groups)
 		case SchemeSRL:
+			sh.eng.Grow(des.KindSRLDone, n.groups)
 			sl.reg = regulator.NewSlab(0, 0, n.groups, 0)
 			sl.srlBanks = snap.NewArena[*regulator.SRL](n.groups)
 		default:

@@ -19,24 +19,29 @@ package core
 //     pending event is strictly after T, every engine is parked at exactly
 //     T, and all mailboxes are drained into sorted pending buffers by
 //     CheckpointDrain.
-//   - Kind registry: every engine event carries a des.Kind* tag plus an
-//     argument naming its owner (a component's registry slot, a group, a
-//     host), so an event rehydrates by asking its owner to Rearm it — a
-//     component schedules itself again. Control-plane, fault, and reopt actions are never engine
-//     events: they are coordinator barriers, which the restore re-registers
-//     from the Config, filtered to instants after T.
-//   - Replay order: serialized events replay through SchedulePrioKind in
-//     original sequence order with their original (at, prio) stamps. Fresh
-//     ascending sequence numbers preserve every relative (at, prio, seq)
-//     comparison, so the restored firing order is the original's.
+//   - Kind registry: an engine event is data — a des.Kind* and an arg
+//     naming its owner's slot in the engine's owner table for the kind (a
+//     component's registry slot, a flow, a host). The restored session
+//     registers every owner again as it rebuilds: sources and hosts at
+//     their flow and id, components in the order their stanzas come, so a
+//     component's arg is the rank of its serialized slot. Control-plane,
+//     fault, and reopt actions are never engine events: they are
+//     coordinator barriers, which the restore re-registers from the
+//     Config, filtered to instants after T.
+//   - Re-insert order: serialized events go back into their engine
+//     (des.Engine.Reinsert) in original sequence order with their original
+//     (at, prio) stamps. Fresh ascending sequence numbers preserve every
+//     relative (at, prio, seq) comparison, so the restored firing order is
+//     the original's.
 //
 // The stream's layout is the records table, which Snapshot and Restore both
 // walk; every MUX, regulator and duty-cycle clock is a component (host.go)
-// with one stanza layout; every pending event replays through one Rearm
-// call routed by rearmRoutes. Restore reads bytes it may not have written:
-// every id is range-checked before it indexes anything, and a failure is an
-// error, never a panic. The des engine's KindNone check backstops any new event
-// that forgets to tag itself.
+// with one stanza layout; every pending event is one Reinsert. Restore
+// reads bytes it may not have written: every id is range-checked before it
+// indexes anything, an event whose arg names no owner is refused by the
+// engine, and a failure is an error, never a panic. The engine refuses to
+// snapshot a pending closure, which no owner table can name in another
+// process.
 
 import (
 	"bytes"
@@ -132,12 +137,11 @@ type codec struct {
 	// record. Snapshot: the shard's pending events (the first needs the
 	// slots they name, the second writes them) and, per family, the set of
 	// registry slots those events name — both buffers serve every shard in
-	// turn. Restore: the shard's registries — empty before the components
-	// record, so the i-th component restored is the i-th registered — and
-	// per family the serialized slots (ascending, as written) in that order.
+	// turn. Restore: per family the serialized slots (ascending, as
+	// written). The engine's owner tables hold no component before the
+	// components record, so the i-th of them is the one it registers i-th.
 	evs   []des.PendingEvent
 	ref   [numFamilies]bitset
-	env   *hostEnv
 	slots [numFamilies][]uint32
 	// Restore: per shard its hosts' (group, child) edges and the groups they
 	// forward; and the children of routesOf's (group, child) edges, sorted.
@@ -452,8 +456,8 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 		sh.eng.RestoreNow(at)
 	}
 	// Sources are rebuilt from the Config like everything else; their
-	// record repositions them and their pending emissions replay with the
-	// other events.
+	// record repositions them and their pending emissions go back into the
+	// engine with the other events.
 	s.sources = s.buildSources()
 	s.started = true
 	c.s, c.at = s, at
@@ -567,8 +571,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
 		}
 		if r.Bool() {
-			// Set the controller up without scheduling its tick (the pending
-			// tick replays from the engine record), then overwrite the fresh
+			// Set the controller up without scheduling its tick (the engine
+			// record re-inserts the pending one), then overwrite the fresh
 			// window with the serialized one.
 			h.prepareController(ctlWindow, ctlInterval, h.env.threshold)
 			h.rate.Restore(r)
@@ -577,14 +581,14 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 }
 
 // snapSource is what a traffic source implements to ride in a checkpoint:
-// it names its type, serializes its own mutable words, re-binds to an
-// engine and sink without scheduling, and re-arms its own pending events.
+// it names its type, serializes its own mutable words, and re-binds to an
+// engine and sink without scheduling — registering, as Start does, as the
+// owner of its events at its flow.
 type snapSource interface {
 	SnapTag() uint8
 	Snapshot(w *snap.Writer)
 	Restore(r *snap.Reader)
 	Resume(eng *des.Engine, until des.Time, emit func(traffic.Packet))
-	Rearm(kind uint16, at, prio des.Time) bool
 }
 
 func (c *codec) writeSources(w *snap.Writer, _ int) {
@@ -828,7 +832,7 @@ func (t *compTotals) read(r *snap.Reader) {
 // cancelled, dropped MUXes that drained) are garbage and skipped; a
 // dead-but-referenced component — a dropped MUX still draining its queue, a
 // detached SRL mid-transmission — serializes with live=false so the
-// replayed event finds it without re-installing it.
+// re-inserted event finds it without re-installing it.
 func (c *codec) writeComponents(w *snap.Writer, si int) {
 	sh := c.s.sh[si]
 	evs, err := sh.eng.PendingEvents(c.evs)
@@ -838,12 +842,11 @@ func (c *codec) writeComponents(w *snap.Writer, si int) {
 	}
 	c.evs = evs
 	env := sh.env
-	c.ref[famMux].reset(len(env.mux.comps))
-	c.ref[famSR].reset(len(env.sr.comps))
-	c.ref[famCycle].reset(len(env.cyc.comps))
-	c.ref[famSRL].reset(len(env.srl.comps))
+	for f := famMux; f < numFamilies; f++ {
+		c.ref[f].reset(len(sh.eng.Owners(famKind[f])))
+	}
 	for _, ev := range evs {
-		if f := rearmRoutes[ev.Kind].fam; f != famNone {
+		if f := kindFam[ev.Kind]; f != famNone {
 			c.ref[f].set(ev.Arg)
 		}
 	}
@@ -852,20 +855,23 @@ func (c *codec) writeComponents(w *snap.Writer, si int) {
 		w.Count()
 	}
 	var t compTotals
-	writeFamily(w, c.s.hosts, famMux, &env.mux, c.ref[famMux], &t)
-	writeFamily(w, c.s.hosts, famSR, &env.sr, c.ref[famSR], &t)
-	writeFamily(w, c.s.hosts, famCycle, &env.cyc, c.ref[famCycle], &t)
-	writeFamily(w, c.s.hosts, famSRL, &env.srl, c.ref[famSRL], &t)
+	for f := famMux; f < numFamilies; f++ {
+		writeFamily(w, c.s.hosts, env, f, sh.eng.Owners(famKind[f]), c.ref[f], &t)
+	}
 	t.put(w, base)
 }
 
-// writeFamily writes one registry, counting into t: per component a stanza
-// of slot, owning host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ)
-// regulator only) whether it follows its clock, and the component's own
-// words.
-func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *registry[C], ref bitset, t *compTotals) {
-	for slot, comp := range rg.comps {
-		id := rg.ids[slot]
+// writeFamily writes one family's components — the engine's owner table
+// for its kinds — counting into t: per component a stanza of slot, owning
+// host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ) regulator
+// only) whether it follows its clock, and the component's own words.
+func writeFamily(w *snap.Writer, hosts []*host, env *hostEnv, f family, comps []des.Handler, ref bitset, t *compTotals) {
+	for slot, h := range comps {
+		if h == nil {
+			continue // a hole holds no component
+		}
+		comp := h.(component)
+		id := env.ident(slot, comp)
 		live := hosts[id.host].isLive(f, int(id.sub), comp)
 		if !live && !ref.has(uint32(slot)) {
 			continue
@@ -875,7 +881,7 @@ func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *regis
 		w.U32(uint32(id.host))
 		w.U32(uint32(id.sub))
 		w.Bool(live)
-		switch comp := any(comp).(type) {
+		switch comp := comp.(type) {
 		case *mux.Mux:
 			// Capacity is creation-time state (capacity-aware connections
 			// split the uplink by the connection count at creation), so it
@@ -895,8 +901,9 @@ func writeFamily[C component](w *snap.Writer, hosts []*host, f family, rg *regis
 
 // readComponents rebuilds one engine's serialized components in slabs sized
 // from the record's totals, through the host's restoreComp (which
-// re-registers them, assigning fresh slots), installs the live ones, and
-// records serialized slot → component for the events record that follows.
+// registers them in the engine's owner tables, each family's in the order
+// written), installs the live ones, and keeps each family's serialized
+// slots for the events record that follows.
 func (c *codec) readComponents(r *snap.Reader, si int) {
 	s := c.s
 	var t compTotals
@@ -905,11 +912,9 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 		return
 	}
 	env := s.sh[si].env
-	c.env = env
-	env.mux.grow(t.comps[famMux])
-	env.sr.grow(t.comps[famSR])
-	env.cyc.grow(t.comps[famCycle])
-	env.srl.grow(t.comps[famSRL])
+	for f := famMux; f < numFamilies; f++ {
+		env.eng.Grow(famKind[f], t.comps[f])
+	}
 	sl := &env.slabs
 	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets+c.per[si].edges)
 	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets)
@@ -975,72 +980,6 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	}
 }
 
-// rearmer is anything that owns pending events: a component, a traffic
-// source, a host's adaptive controller.
-type rearmer interface {
-	Rearm(kind uint16, at, prio des.Time) bool
-}
-
-// rearmRoute says whose table a pending event's arg indexes.
-type rearmRoute struct {
-	fam  family                                       // the component family whose registry slot the arg is, or famNone
-	slot func(c *codec, f family, arg uint32) rearmer // resolves the arg to the event's owner, nil if it names none
-}
-
-func compSlot(c *codec, f family, arg uint32) rearmer {
-	i, ok := slices.BinarySearch(c.slots[f], arg)
-	if !ok {
-		return nil
-	}
-	switch f {
-	case famMux:
-		return c.env.mux.comps[i]
-	case famSR:
-		return c.env.sr.comps[i]
-	case famCycle:
-		return c.env.cyc.comps[i]
-	default:
-		return c.env.srl.comps[i]
-	}
-}
-
-func sourceSlot(c *codec, _ family, arg uint32) rearmer {
-	if int(arg) < len(c.s.sources) {
-		if src, ok := c.s.sources[arg].(snapSource); ok {
-			return src
-		}
-	}
-	return nil
-}
-
-func hostSlot(c *codec, _ family, arg uint32) rearmer {
-	if int(arg) < len(c.s.hosts) {
-		return c.s.hosts[arg]
-	}
-	return nil
-}
-
-// rearmRoutes routes every pending-event kind to its owner; replay is one
-// lookup here plus one Rearm call. Indexed by kind, so a kind has at most
-// one route, and a retired or not-yet-routed kind has the zero route,
-// which replay refuses (TestEveryKindHasOneRearmRoute fails on the latter
-// before any restore does). KindFlight alone has no owner to ask: its
-// in-flight delivery rides inline in the events record.
-var rearmRoutes = [des.NumKinds]rearmRoute{
-	des.KindMuxDone:   {famMux, compSlot},
-	des.KindSRRetry:   {famSR, compSlot},
-	des.KindSRLDone:   {famSRL, compSlot},
-	des.KindSRLOn:     {famCycle, compSlot},
-	des.KindSRLOff:    {famCycle, compSlot},
-	des.KindFlight:    {famNone, nil},
-	des.KindSrcCycle:  {famNone, sourceSlot},
-	des.KindSrcTick:   {famNone, sourceSlot},
-	des.KindCtlTick:   {famNone, hostSlot},
-	des.KindAudioTalk: {famNone, sourceSlot},
-	des.KindAudioWake: {famNone, sourceSlot},
-	des.KindVideoTick: {famNone, sourceSlot},
-}
-
 // writeEvents serializes one engine's pending events in seq order. A
 // KindFlight event carries its in-flight delivery inline, because the
 // flight-pool node index in arg is meaningless across processes.
@@ -1061,13 +1000,15 @@ func (c *codec) writeEvents(w *snap.Writer, si int) {
 	c.evs = nil
 }
 
-// readEvents re-schedules one engine's serialized events in original
-// order (the engine's clock already stands at the checkpoint instant).
-// Fresh ascending sequence numbers preserve the original relative firing
-// order. Everything an event can name — this shard's components, the
-// sources, the hosts — was restored by an earlier record.
+// readEvents re-inserts one engine's serialized events in original order
+// (the engine's clock already stands at the checkpoint instant). Fresh
+// ascending sequence numbers preserve the original relative firing order.
+// Everything an event can name — this shard's components, the sources,
+// the hosts — was restored, and registered in the engine's owner tables,
+// by an earlier record; the engine refuses an event that names no owner.
 func (c *codec) readEvents(r *snap.Reader, si int) {
 	s := c.s
+	sh := s.sh[si]
 	for n := r.Len(); n > 0; n-- {
 		at, prio := des.Time(r.I64()), des.Time(r.I64())
 		kind, arg := r.U16(), r.U32()
@@ -1084,20 +1025,31 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 			if r.Err() != nil {
 				return
 			}
-			s.sh[si].fabric.RestoreFlight(at, prio, dst, p)
+			if err := sh.fabric.RestoreFlight(at, prio, dst, p); err != nil {
+				r.Fail(fmt.Errorf("core: snapshot flight: %w", err))
+				return
+			}
 			continue
 		}
-		var rt rearmRoute
-		if int(kind) < len(rearmRoutes) {
-			rt = rearmRoutes[kind]
+		if kind < des.NumKinds && kindFam[kind] != famNone {
+			f := kindFam[kind]
+			// A component's slot here is the rank of the one it was written
+			// under among its family's (readComponents).
+			i, ok := slices.BinarySearch(c.slots[f], arg)
+			if !ok {
+				r.Fail(fmt.Errorf("core: snapshot event kind %d names component slot %d, which the snapshot does not hold", kind, arg))
+				return
+			}
+			arg = uint32(i)
 		}
-		if rt.slot == nil {
-			r.Fail(fmt.Errorf("core: snapshot event has unknown kind %d", kind))
+		ev, err := sh.eng.Reinsert(at, prio, kind, arg)
+		if err != nil {
+			r.Fail(fmt.Errorf("core: snapshot %w", err))
 			return
 		}
-		if owner := rt.slot(c, rt.fam, arg); owner == nil || !owner.Rearm(kind, at, prio) {
-			r.Fail(fmt.Errorf("core: snapshot event kind %d names slot %d, which cannot re-arm it", kind, arg))
-			return
+		if kind == des.KindSRRetry {
+			// Detach cancels a regulator's token wait: its one handle.
+			sh.eng.Owners(kind)[arg].(*regulator.SigmaRho).Reattach(ev)
 		}
 	}
 }

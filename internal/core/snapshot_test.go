@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/mux"
+	"repro/internal/regulator"
 	"repro/internal/snap"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -228,36 +229,79 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestEveryKindHasOneRearmRoute: every pending-event kind in the des
-// registry is routed by the replay table (which, being indexed by kind,
-// cannot route one twice), and the retired slots are not. A kind appended
-// to des without a route fails here rather than at the first restore that
-// meets one.
-func TestEveryKindHasOneRearmRoute(t *testing.T) {
-	retired := map[uint16]bool{des.KindNone: true, 1: true, 14: true, 15: true}
-	for kind := uint16(0); kind < des.NumKinds; kind++ {
-		routed := rearmRoutes[kind].slot != nil || kind == des.KindFlight
-		if routed == retired[kind] {
-			t.Errorf("kind %d: routed=%v, retired=%v", kind, routed, retired[kind])
+// TestEveryKindHasOneOwnerTable: every kind a session schedules fires from
+// one owner table on each engine — the kinds one component fires share
+// their family's table, which holds that family's components alone, a
+// clock for each of the engine's clock idents — every pending event's arg names an
+// owner in its kind's table, and the retired kinds have no table. The
+// sessions between them schedule every kind but the closure: (σ, ρ, λ) and
+// (σ, ρ) regulators on extremal flows, the adaptive controller on VBR
+// audio and video, and two shards.
+func TestEveryKindHasOneOwnerTable(t *testing.T) {
+	srl := shardBaseConfig(3)
+	srl.Duration = des.Second
+	sr, vbr, sharded := srl, srl, srl
+	sr.Scheme = SchemeSigmaRho
+	vbr.Scheme, vbr.Workload, vbr.Mix = SchemeAdaptive, WorkloadVBR, traffic.MixHetero
+	sharded.Shards = 2
+	isFamily := func(h des.Handler, f family) bool {
+		switch h.(type) {
+		case *mux.Mux:
+			return f == famMux
+		case *regulator.SigmaRho:
+			return f == famSR
+		case *regulator.Cycle:
+			return f == famCycle
+		case *regulator.SRL:
+			return f == famSRL
+		}
+		return false
+	}
+	scheduled := map[uint16]bool{}
+	for name, cfg := range map[string]Config{"srl": srl, "sr": sr, "adaptive-vbr": vbr, "sharded": sharded} {
+		s := NewSession(cfg)
+		s.Start()
+		s.RunTo(des.Second / 2)
+		for si, sh := range s.sh {
+			for k, n := range sh.eng.ExecutedByKind() {
+				scheduled[uint16(k)] = scheduled[uint16(k)] || n > 0
+			}
+			for _, k := range []uint16{1, 14, 15} {
+				if tbl := sh.eng.Owners(k); tbl != nil {
+					t.Errorf("%s/%d: retired kind %d has an owner table of %d slots", name, si, k, len(tbl))
+				}
+			}
+			for k := uint16(0); k < des.NumKinds; k++ {
+				f := kindFam[k]
+				if f == famNone {
+					continue
+				}
+				tbl, fam := sh.eng.Owners(k), sh.eng.Owners(famKind[f])
+				if len(tbl) != len(fam) || len(tbl) > 0 && &tbl[0] != &fam[0] || f == famCycle && len(tbl) != len(sh.env.clocks) {
+					t.Errorf("%s/%d: kind %d fires from a table of %d slots apart from its family's %d", name, si, k, len(tbl), len(fam))
+				}
+				for slot, h := range tbl {
+					if !isFamily(h, f) {
+						t.Errorf("%s/%d: kind %d's table holds a %T at slot %d", name, si, k, h, slot)
+					}
+				}
+			}
+			evs, err := sh.eng.PendingEvents(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range evs {
+				scheduled[ev.Kind] = true
+				if tbl := sh.eng.Owners(ev.Kind); int(ev.Arg) >= len(tbl) || tbl[ev.Arg] == nil {
+					t.Errorf("%s/%d: pending %s event names slot %d of a %d-slot table", name, si, des.KindName(ev.Kind), ev.Arg, len(tbl))
+				}
+			}
 		}
 	}
-	if len(rearmRoutes) != int(des.NumKinds) {
-		t.Errorf("replay table has %d rows for %d kinds", len(rearmRoutes), des.NumKinds)
-	}
-	// Every component family owns at least one kind — a family nothing
-	// routes to would be written to every checkpoint and never re-armed —
-	// and the duty-cycle edges belong to the clock, not to a regulator.
-	var routed [numFamilies]bool
-	for _, rt := range rearmRoutes {
-		routed[rt.fam] = true
-	}
-	for f := famMux; f < numFamilies; f++ {
-		if !routed[f] {
-			t.Errorf("component family %d owns no pending-event kind", f)
+	for k := uint16(1); k < des.NumKinds; k++ {
+		if des.KindName(k) != "" && !scheduled[k] {
+			t.Errorf("no session scheduled a %s event", des.KindName(k))
 		}
-	}
-	if rearmRoutes[des.KindSRLOn].fam != famCycle || rearmRoutes[des.KindSRLOff].fam != famCycle {
-		t.Error("a duty-cycle edge is not routed to the clock family")
 	}
 }
 

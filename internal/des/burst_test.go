@@ -79,7 +79,7 @@ func TestLongSameTickChains(t *testing.T) {
 				ref := &firingRef{}
 				for i := 0; i < n; i++ {
 					off, prio := shape.key(i, n, perm)
-					eng.SchedulePrioKind(5*tickNs+off, prio, KindNone, 0, Func(ref.add(5*tickNs+off, prio)))
+					eng.scheduleFunc(5*tickNs+off, prio, ref.add(5*tickNs+off, prio))
 				}
 				if got := eng.levels[0].count; got != n {
 					t.Fatalf("level 0 holds %d events, want all %d in one bucket", got, n)

@@ -2,7 +2,7 @@
 //
 // It is the substrate that replaces ns-2 in this reproduction: every
 // simulated component (traffic source, regulator, multiplexer, link, router,
-// overlay host) schedules callbacks on a single Engine. Time is an int64
+// overlay host) schedules its events on a single Engine. Time is an int64
 // nanosecond count, so runs are bit-for-bit reproducible — no floating-point
 // clock drift — and events that fire at the same instant are executed in
 // scheduling order (a monotone sequence number breaks ties).
@@ -12,14 +12,24 @@
 // free list of event records. Steady-state scheduling allocates nothing:
 // a fired or reaped event's record is recycled for the next Schedule call.
 //
-// An event fires a Handler: a component schedules itself — a pointer it
-// already is — and Fire dispatches on the event's kind, so making a
-// component binds no callback and a session of a million components holds
-// no closure per component. Func adapts a plain func for the few callers
-// (traffic sources, tests) that keep one; the conversion allocates nothing.
+// Events are data: a record is (at, prio, seq, kind, arg) and nothing
+// else. kind names a registered event family (snapshot.go) and arg which of
+// its owners the event is for — a component's slot, a flow, a host, a pool
+// node. Each engine keeps one owner table per kind family (the kinds one
+// owner fires share it), and firing an event is owners[kind][arg].Fire(kind).
+// An owner registers once, when it is made, and schedules itself by its
+// slot, so making a component binds no callback, a session of a million
+// components holds no closure per component, and a checkpoint restore
+// re-inserts each serialized record as it stands. Schedule still takes a
+// plain func for the few callers that keep one (tests, a greedy source): it
+// parks the func in the engine's closure slab — the owner table of
+// KindNone, whose slots are recycled as their funcs fire.
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Time is a point in simulated time, in nanoseconds since the start of the
 // simulation.
@@ -64,20 +74,18 @@ func (t Time) String() string { return fmt.Sprintf("%.3fms", t.Millis()) }
 // sequential run would have given an event scheduled at t — without it,
 // systematic same-timestamp ties (burst cascades phase-locked on the
 // serialisation grid) would resolve by drain order instead of send order.
+//
+// kind and arg are the whole of what fires: the owner at slot arg of the
+// kind's owner table.
 type event struct {
 	at       Time
 	prio     Time
 	seq      uint64
-	h        Handler
 	next     *event // bucket chain / free-list link
 	gen      uint32
+	kind     uint16
 	canceled bool
-	// kind/arg identify the callback for snapshot/restore (snapshot.go):
-	// kind names the registered callback family, arg its per-engine
-	// component slot. KindNone marks events that cannot rehydrate —
-	// snapshotting an engine holding one is an error.
-	kind uint16
-	arg  uint32
+	arg      uint32
 }
 
 // eventLess is the engine's total firing order (seq is unique, so the
@@ -103,19 +111,18 @@ func eventCmp(a, b *event) int {
 	return 1
 }
 
-// Handler is what an event fires. Fire receives the kind the event was
-// scheduled under, so one component can own several event families (a
-// duty-cycle clock's on- and off-edges) without a callback per family.
+// Handler is an owner: what an event fires. Fire receives the kind the
+// event was scheduled under, so one component can own several event
+// families (a duty-cycle clock's on- and off-edges) and register once.
 type Handler interface{ Fire(kind uint16) }
 
-// Func adapts a plain func to Handler. A func value is pointer-shaped, so
+// funcHandler is a closure-slab entry. A func value is pointer-shaped, so
 // converting one to a Handler allocates nothing.
-type Func func()
+type funcHandler func()
 
-// Fire implements Handler.
-func (f Func) Fire(uint16) { f() }
+func (f funcHandler) Fire(uint16) { f() }
 
-// Event is a cancelable handle to a scheduled callback. It is a small
+// Event is a cancelable handle to a scheduled event. It is a small
 // value (copyable, comparable); the zero Event is valid and never pending.
 // A handle goes stale once its event fires or its canceled record is
 // reaped — Cancel and the accessors treat stale handles as no-ops.
@@ -146,7 +153,7 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	executed uint64
-	byKind   [NumKinds]uint64 // executed, by callback kind
+	byKind   [NumKinds]uint64 // executed, by kind
 	running  bool
 	pending  int
 
@@ -160,6 +167,9 @@ type Engine struct {
 
 	free     *event // recycled event records
 	poolSize int    // total records ever allocated (diagnostics)
+
+	owners    [NumKinds][]Handler // by table (kinds[kind].table), then slot; nil is a hole
+	freeFuncs []uint32            // closure-slab slots free for reuse
 }
 
 // New returns a fresh engine at time zero.
@@ -168,8 +178,8 @@ func New() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// ExecutedByKind reports how many events have run so far, by callback
-// kind (untagged events count under KindNone).
+// ExecutedByKind reports how many events have run so far, by kind
+// (closures count under KindNone).
 func (e *Engine) ExecutedByKind() [NumKinds]uint64 { return e.byKind }
 
 // Pending reports how many live (scheduled, not canceled) events are
@@ -178,7 +188,7 @@ func (e *Engine) Pending() int { return e.pending }
 
 // eventBlock is how many records alloc makes at once when the free list
 // runs dry: one allocation per block, not one per record, as a restore
-// replays its pending events or a burst grows the pool.
+// re-inserts its pending events or a burst grows the pool.
 const eventBlock = 64
 
 func (e *Engine) alloc() *event {
@@ -195,8 +205,6 @@ func (e *Engine) alloc() *event {
 	}
 	ev.next = nil
 	ev.canceled = false
-	ev.kind = KindNone
-	ev.arg = 0
 	return ev
 }
 
@@ -204,44 +212,100 @@ func (e *Engine) alloc() *event {
 // Bumping gen invalidates every outstanding handle to this incarnation.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.h = nil
 	ev.next = e.free
 	e.free = ev
+}
+
+// Register appends h to the owner table of kind's family and returns the
+// slot the owner's events name as their arg.
+func (e *Engine) Register(kind uint16, h Handler) uint32 {
+	return e.Own(kind, uint32(len(e.owners[tableOf(kind)])), h)
+}
+
+// Own puts h at slot of the owner table of kind's family — a flow's
+// source at the flow, a host at its id — growing the table as needed, and
+// returns slot. Slots it skips stay holes.
+func (e *Engine) Own(kind uint16, slot uint32, h Handler) uint32 {
+	t := &e.owners[tableOf(kind)]
+	if n := int(slot) + 1; n > len(*t) {
+		*t = slices.Grow(*t, n-len(*t))[:n]
+	}
+	(*t)[slot] = h
+	return slot
+}
+
+// Grow makes room in the owner table of kind's family for n more owners,
+// so registering them allocates nothing.
+func (e *Engine) Grow(kind uint16, n int) {
+	t := &e.owners[tableOf(kind)]
+	*t = slices.Grow(*t, n)
+}
+
+// Owners returns the owner table of kind's family, indexed by slot; a hole
+// is nil. A retired or unregistered kind has none. The caller must not
+// modify it.
+func (e *Engine) Owners(kind uint16) []Handler {
+	if kind >= NumKinds || kinds[kind].name == "" {
+		return nil
+	}
+	return e.owners[kinds[kind].table]
+}
+
+// tableOf is kind's owner table, panicking on a retired or unregistered
+// kind: scheduling one is a model bug.
+func tableOf(kind uint16) uint16 {
+	if kind >= NumKinds || kinds[kind].name == "" {
+		panic(fmt.Sprintf("des: kind %d has no owner table", kind))
+	}
+	return kinds[kind].table
 }
 
 // Schedule enqueues fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it always indicates a model bug, and silently
 // reordering time would destroy the causality the simulation depends on.
 func (e *Engine) Schedule(at Time, fn func()) Event {
+	return e.scheduleFunc(at, e.now, fn)
+}
+
+// scheduleFunc parks fn in a closure-slab slot and schedules it there.
+func (e *Engine) scheduleFunc(at, prio Time, fn func()) Event {
 	if fn == nil {
 		panic("des: scheduling nil func")
 	}
-	return e.SchedulePrioKind(at, e.now, KindNone, 0, Func(fn))
+	t := &e.owners[KindNone]
+	slot := uint32(len(*t))
+	if n := len(e.freeFuncs); n > 0 {
+		slot, e.freeFuncs = e.freeFuncs[n-1], e.freeFuncs[:n-1]
+		(*t)[slot] = funcHandler(fn)
+	} else {
+		*t = append(*t, funcHandler(fn))
+	}
+	return e.SchedulePrioKind(at, prio, KindNone, slot)
 }
 
-// SchedulePrioKind enqueues h to fire at absolute time at with an explicit
-// tie-break priority and a callback-kind tag. Among events firing at the
-// same instant, lower prio fires first (seq still breaks exact prio ties);
-// everything but the shard coordinator and a restore's replay stamps prio
-// with Now through the other Schedule forms. kind names the registered
-// callback family and arg its component slot (snapshot.go), so the event
-// can be serialized and rehydrated on restore; an untagged (KindNone)
-// event is rejected at snapshot time.
-func (e *Engine) SchedulePrioKind(at, prio Time, kind uint16, arg uint32, h Handler) Event {
+// freeFunc empties closure-slab slot and recycles it.
+func (e *Engine) freeFunc(slot uint32) {
+	e.owners[KindNone][slot] = nil
+	e.freeFuncs = append(e.freeFuncs, slot)
+}
+
+// SchedulePrioKind enqueues an event of kind for the owner at slot arg of
+// its table, to fire at absolute time at with an explicit tie-break
+// priority. Among events firing at the same instant, lower prio fires
+// first (seq still breaks exact prio ties); everything but the shard
+// coordinator and a restore stamps prio with Now through the other
+// Schedule forms.
+func (e *Engine) SchedulePrioKind(at, prio Time, kind uint16, arg uint32) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, e.now))
 	}
-	if h == nil {
-		panic("des: scheduling nil handler")
-	}
-	if kind >= NumKinds {
-		panic(fmt.Sprintf("des: scheduling unregistered kind %d", kind))
+	if kind >= NumKinds || kinds[kind].name == "" {
+		panic(fmt.Sprintf("des: scheduling kind %d, which has no owner table", kind))
 	}
 	ev := e.alloc()
 	ev.at = at
 	ev.prio = prio
 	ev.seq = e.seq
-	ev.h = h
 	ev.kind = kind
 	ev.arg = arg
 	e.seq++
@@ -256,26 +320,28 @@ func (e *Engine) ScheduleIn(d Duration, fn func()) Event {
 }
 
 // ScheduleKind is SchedulePrioKind stamped with Now.
-func (e *Engine) ScheduleKind(at Time, kind uint16, arg uint32, h Handler) Event {
-	return e.SchedulePrioKind(at, e.now, kind, arg, h)
+func (e *Engine) ScheduleKind(at Time, kind uint16, arg uint32) Event {
+	return e.SchedulePrioKind(at, e.now, kind, arg)
 }
 
 // ScheduleInKind is ScheduleKind d nanoseconds after Now.
-func (e *Engine) ScheduleInKind(d Duration, kind uint16, arg uint32, h Handler) Event {
-	return e.SchedulePrioKind(e.now+d, e.now, kind, arg, h)
+func (e *Engine) ScheduleInKind(d Duration, kind uint16, arg uint32) Event {
+	return e.SchedulePrioKind(e.now+d, e.now, kind, arg)
 }
 
 // Cancel prevents a scheduled event from firing. Canceling a stale or zero
 // handle (already fired, already canceled and reaped, or never scheduled)
 // is a no-op. Cancellation is lazy: the record stays in the wheel until its
-// bucket expires, but it no longer counts as Pending and its callback is
-// released immediately.
+// bucket expires, but it no longer counts as Pending, and a closure's slot
+// is recycled at once.
 func (e *Engine) Cancel(h Event) {
 	if !h.Pending() {
 		return
 	}
 	h.ev.canceled = true
-	h.ev.h = nil
+	if h.ev.kind == KindNone {
+		e.freeFunc(h.ev.arg)
+	}
 	e.pending--
 }
 
@@ -290,14 +356,19 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// exec fires an event already consumed from the ready run.
+// exec fires an event already consumed from the ready run: the owner at
+// slot arg of the kind's table.
 func (e *Engine) exec(ev *event) {
 	e.now = ev.at
 	e.executed++
 	e.byKind[ev.kind]++
 	e.pending--
-	h, kind := ev.h, ev.kind
+	kind, arg := ev.kind, ev.arg
 	e.release(ev)
+	h := e.owners[kinds[kind].table][arg]
+	if kind == KindNone {
+		e.freeFunc(arg)
+	}
 	h.Fire(kind)
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/xrand"
 )
@@ -90,29 +91,39 @@ func TestScheduleNilPanics(t *testing.T) {
 	eng.Schedule(1, nil)
 }
 
-// pinger is a component-shaped handler: it re-schedules itself, the way
-// a MUX or a duty-cycle clock does, and counts what each kind fired.
+// pinger is a component-shaped owner: registered once, it re-schedules
+// itself by its slot the way a duty-cycle clock does, alternating the two
+// kinds of its family, and counts what each kind fired.
 type pinger struct {
 	eng   *Engine
+	slot  uint32
 	fired [NumKinds]int
 }
 
 func (p *pinger) Fire(kind uint16) {
 	p.fired[kind]++
-	p.eng.ScheduleInKind(1, kind, 0, p)
+	next := KindSRLOn
+	if kind == KindSRLOn {
+		next = KindSRLOff
+	}
+	p.eng.ScheduleInKind(1, next, p.slot)
 }
 
-// TestHandlersAllocateNothing: scheduling and firing a component handler,
-// and a plain func behind Func (which Schedule wraps every call), allocate
-// nothing once the event pool is warm — a component stores no callback,
-// and the conversion to Handler boxes nothing.
+// TestHandlersAllocateNothing: firing owners through their table — two
+// clock-shaped owners with a hole between them, each alternating the
+// family's two kinds — and a self-rescheduling func through the closure
+// slab allocate nothing once the pools are warm: an event stores no
+// callback, and a fired closure's slot is the next one's.
 func TestHandlersAllocateNothing(t *testing.T) {
 	eng := New()
-	p := &pinger{eng: eng}
-	eng.ScheduleInKind(1, KindMuxDone, 0, p)
+	a, b := &pinger{eng: eng}, &pinger{eng: eng}
+	a.slot = eng.Register(KindSRLOn, a)
+	b.slot = eng.Own(KindSRLOff, a.slot+2, b)
+	eng.ScheduleInKind(1, KindSRLOn, a.slot)
+	eng.ScheduleInKind(1, KindSRLOff, b.slot)
 	ticks := 0
 	var tick func()
-	tick = func() { ticks++; eng.ScheduleKind(eng.Now()+1, KindSrcTick, 0, Func(tick)) }
+	tick = func() { ticks++; eng.ScheduleIn(1, tick) }
 	eng.ScheduleIn(1, tick)
 	for i := 0; i < 1000; i++ {
 		eng.Step()
@@ -120,8 +131,89 @@ func TestHandlersAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { eng.Step() }); n != 0 {
 		t.Fatalf("a steady step allocated %v objects, want 0", n)
 	}
-	if p.fired[KindMuxDone] == 0 || ticks == 0 {
-		t.Fatalf("the handler fired %d times under its kind, the func %d times", p.fired[KindMuxDone], ticks)
+	for _, p := range []*pinger{a, b} {
+		if p.fired[KindSRLOn] == 0 || p.fired[KindSRLOff] == 0 {
+			t.Fatalf("owner at slot %d fired %d on- and %d off-edges", p.slot, p.fired[KindSRLOn], p.fired[KindSRLOff])
+		}
+	}
+	if ticks == 0 || len(eng.Owners(KindNone)) != 1 {
+		t.Fatalf("the func fired %d times from a closure slab of %d slots, want one slot", ticks, len(eng.Owners(KindNone)))
+	}
+	if on, off := eng.Owners(KindSRLOn), eng.Owners(KindSRLOff); len(on) != 3 || &on[0] != &off[0] || on[1] != nil {
+		t.Fatalf("a family's kinds do not share one table with the hole left open: %v, %v", on, off)
+	}
+}
+
+// TestEventRecordSize pins the queue record at 48 bytes: an event is its
+// (at, prio, seq, kind, arg) plus the wheel's link and the handle
+// generation, and no callback.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event record is %d bytes, want 48", got)
+	}
+}
+
+// TestEveryKindHasOneFamily: every kind in the registry fires from one
+// owner table and the retired slots from none; the kinds one owner fires
+// share a table and no two owners do; and the process-local kinds are
+// exactly the closure and the coordinator's delivery.
+func TestEveryKindHasOneFamily(t *testing.T) {
+	retired := map[uint16]bool{1: true, 14: true, 15: true}
+	shared := map[uint16]uint16{KindSRLOff: KindSRLOn, KindSrcTick: KindSrcCycle, KindAudioWake: KindAudioTalk}
+	for k := uint16(0); k < NumKinds; k++ {
+		if (kinds[k].name == "") != retired[k] {
+			t.Errorf("kind %d: name %q, retired %v", k, kinds[k].name, retired[k])
+		}
+		if retired[k] {
+			eng := New()
+			eng.Schedule(1, func() {}) // the closure slab, kind 0's table, holds one
+			if eng.Owners(k) != nil {
+				t.Errorf("retired kind %d has an owner table", k)
+			}
+			continue
+		}
+		want, ok := shared[k]
+		if !ok {
+			want = k
+		}
+		if kinds[k].table != want {
+			t.Errorf("kind %d fires from kind %d's table, want %d's", k, kinds[k].table, want)
+		}
+		if kinds[k].local != (k == KindNone || k == KindCrossShard) {
+			t.Errorf("kind %d: local = %v", k, kinds[k].local)
+		}
+	}
+}
+
+// TestReinsertRefusesWhatItCannotName: a restore's record that names no
+// owner is an error — a retired, unregistered or process-local kind, a
+// slot past its table or on a hole, a time before Now — and one that does
+// fires its owner.
+func TestReinsertRefusesWhatItCannotName(t *testing.T) {
+	eng := New()
+	p := &pinger{eng: eng}
+	p.slot = eng.Own(KindSRLOn, 2, p)
+	eng.Schedule(15, func() {}) // the closure slab holds slot 0
+	eng.RestoreNow(10)
+	for _, bad := range []struct {
+		at   Time
+		kind uint16
+		arg  uint32
+	}{
+		{20, 1, 0}, {20, 14, 0}, {20, NumKinds, 0}, {20, KindNone, 0}, {20, KindCrossShard, 0},
+		{20, KindSRLOn, 3}, {20, KindSRLOn, 1}, {20, KindMuxDone, 0}, {9, KindSRLOn, 2},
+	} {
+		if _, err := eng.Reinsert(bad.at, bad.at, bad.kind, bad.arg); err == nil {
+			t.Errorf("Reinsert(at %v, kind %d, arg %d) succeeded", bad.at, bad.kind, bad.arg)
+		}
+	}
+	ev, err := eng.Reinsert(20, 10, KindSRLOff, 2)
+	if err != nil || !ev.Pending() {
+		t.Fatalf("Reinsert of a named owner: %v, pending %v", err, ev.Pending())
+	}
+	eng.RunUntil(20)
+	if p.fired[KindSRLOff] != 1 {
+		t.Fatalf("the re-inserted event fired its owner %d times", p.fired[KindSRLOff])
 	}
 }
 

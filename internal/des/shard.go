@@ -120,7 +120,8 @@ func recCmp[P any](a, b *rec[P]) int {
 }
 
 // dnode is a pooled delivery node: the engine-side carrier for a released
-// payload record, and the Handler its event fires. Fire recycles the node
+// payload record, and the owner its KindCrossShard event fires, registered
+// in the destination engine when the node is made. Fire recycles the node
 // into its destination's free list before invoking the deliver hook — so
 // releasing a payload record into an engine allocates nothing in steady
 // state, and the node is reusable within the same epoch (re-entrant
@@ -132,6 +133,7 @@ type dnode[P any] struct {
 	next    *dnode[P]
 	c       *Coordinator[P]
 	dst     int
+	slot    uint32 // in the destination engine's KindCrossShard table
 }
 
 // Fire implements Handler.
@@ -220,7 +222,7 @@ func HoldRunners(n int) (release func()) {
 // built (it is not carried through a checkpoint).
 type ShardAccount struct {
 	Events   []uint64           // events each shard executed
-	ByKind   [][NumKinds]uint64 // the same, broken down by callback kind
+	ByKind   [][NumKinds]uint64 // the same, broken down by kind
 	Active   []uint64           // epochs in which each shard had work in its window
 	Parallel uint64             // epochs with two or more active shards
 }
@@ -464,11 +466,12 @@ func (c *Coordinator[P]) release(dst int, bound Time) {
 		nd := c.pools[dst]
 		if nd == nil {
 			nd = &dnode[P]{c: c, dst: dst}
+			nd.slot = eng.Register(KindCrossShard, nd)
 		} else {
 			c.pools[dst] = nd.next
 		}
 		nd.payload = r.payload
-		eng.SchedulePrioKind(r.at, r.lamport, KindNone, 0, nd)
+		eng.SchedulePrioKind(r.at, r.lamport, KindCrossShard, nd.slot)
 	}
 	c.messages += uint64(n)
 	m := copy(pq, pq[n:])

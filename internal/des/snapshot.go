@@ -9,25 +9,22 @@ import (
 // Checkpoint support: the engine can enumerate its pending events as
 // (at, prio, seq, kind, arg) records and be rebuilt from them.
 //
-// Handlers are pointers into this process and do not serialize, so
-// persistent events carry a callback-kind tag from the registry below plus
-// a small component argument (a slot index in the session's component
-// registry). A snapshot walks the queue and emits the tagged records in seq
-// order; a restore rebuilds the immutable session structure, advances the
-// clock with RestoreNow, and replays the records through SchedulePrioKind
-// with the handler resolved from the component the arg names. Replaying in original seq order hands out fresh,
+// An event is its kind and arg and nothing else, so it serializes as it
+// stands: a snapshot walks the queue and emits the records in seq order; a
+// restore rebuilds the session structure — which registers every owner
+// again — advances the clock with RestoreNow, and re-inserts the records
+// with Reinsert. Re-inserting in original seq order hands out fresh,
 // ascending sequence numbers, which preserves every relative (at, prio,
 // seq) comparison — the firing order of the restored engine is exactly
 // the original's.
 //
 // The registry is append-only: kinds are stable format identifiers (they
-// appear in snapshot files), so new callback families take new numbers
-// and existing numbers never change meaning.
+// appear in snapshot files), so new event families take new numbers and
+// existing numbers never change meaning.
 const (
-	// KindNone marks an event that cannot rehydrate: snapshotting an
-	// engine that holds one fails. The zero value, so untagged Schedule
-	// calls stay snapshot-incompatible by default instead of silently
-	// misrestoring.
+	// KindNone is a closure parked in the engine's closure slab (Schedule).
+	// A func does not serialize: snapshotting an engine that holds one
+	// fails.
 	KindNone uint16 = iota
 	// Slot 1 is retired: control actions are coordinator barriers, not events.
 	_
@@ -60,31 +57,45 @@ const (
 	// (router-link serialisation, per-hop propagation) is gone.
 	_
 	_
+	// KindCrossShard is a cross-shard record the coordinator released into
+	// its destination engine (arg = delivery-node slot). Released records
+	// fire inside the epoch that releases them, so none is pending at a
+	// checkpoint: the record itself rides in the coordinator's buffers.
+	KindCrossShard
 	// NumKinds bounds the registry (it is not a kind): tables indexed by
-	// kind size themselves with it, so a kind appended above shows up in
-	// them as an unrouted entry instead of an out-of-range index.
+	// kind size themselves with it.
 	NumKinds
 )
 
-// kindNames labels the kinds for the executed-by-kind census.
-var kindNames = [NumKinds]string{
-	KindNone:      "untagged",
-	KindMuxDone:   "mux-done",
-	KindSRRetry:   "sr-retry",
-	KindSRLDone:   "srl-done",
-	KindSRLOn:     "srl-on",
-	KindSRLOff:    "srl-off",
-	KindFlight:    "flight",
-	KindSrcCycle:  "src-cycle",
-	KindSrcTick:   "src-tick",
-	KindCtlTick:   "ctl-tick",
-	KindAudioTalk: "audio-talk",
-	KindAudioWake: "audio-wake",
-	KindVideoTick: "video-tick",
+// kinds labels each kind for the executed-by-kind census ("" is a retired
+// slot) and names the kind whose owner table it fires from: the kinds one
+// owner fires — a family — share the table of the first of them, so an
+// owner registers once however many kinds it fires. local marks the kinds
+// whose owners live in this process alone — a closure, a coordinator's
+// delivery node — which a snapshot refuses and a restore never re-inserts.
+var kinds = [NumKinds]struct {
+	name  string
+	table uint16
+	local bool
+}{
+	KindNone:       {"untagged", KindNone, true},
+	KindMuxDone:    {"mux-done", KindMuxDone, false},
+	KindSRRetry:    {"sr-retry", KindSRRetry, false},
+	KindSRLDone:    {"srl-done", KindSRLDone, false},
+	KindSRLOn:      {"srl-on", KindSRLOn, false},
+	KindSRLOff:     {"srl-off", KindSRLOn, false},
+	KindFlight:     {"flight", KindFlight, false},
+	KindSrcCycle:   {"src-cycle", KindSrcCycle, false},
+	KindSrcTick:    {"src-tick", KindSrcCycle, false},
+	KindCtlTick:    {"ctl-tick", KindCtlTick, false},
+	KindAudioTalk:  {"audio-talk", KindAudioTalk, false},
+	KindAudioWake:  {"audio-wake", KindAudioTalk, false},
+	KindVideoTick:  {"video-tick", KindVideoTick, false},
+	KindCrossShard: {"cross-shard", KindCrossShard, true},
 }
 
 // KindName returns a short label for kind ("" for a retired slot).
-func KindName(kind uint16) string { return kindNames[kind] }
+func KindName(kind uint16) string { return kinds[kind].name }
 
 // PendingEvent is one serializable queue entry.
 type PendingEvent struct {
@@ -97,16 +108,16 @@ type PendingEvent struct {
 
 // PendingEvents appends every live pending event, in seq order, to buf[:0]
 // — the caller's buffer, reused across the engines of one checkpoint —
-// and returns it. An event with KindNone makes the engine unsnapshotable
-// and returns an error naming its firing time.
+// and returns it. A pending closure (or any process-local kind) makes the
+// engine unsnapshotable and returns an error naming its firing time.
 func (e *Engine) PendingEvents(buf []PendingEvent) ([]PendingEvent, error) {
 	out := slices.Grow(buf[:0], e.pending)
 	add := func(ev *event) error {
 		if ev.canceled {
 			return nil
 		}
-		if ev.kind == KindNone {
-			return fmt.Errorf("des: pending event at %v has no callback kind; this configuration cannot be snapshotted", ev.at)
+		if kinds[ev.kind].local {
+			return fmt.Errorf("des: pending %s event at %v lives in this process only; this configuration cannot be snapshotted", kinds[ev.kind].name, ev.at)
 		}
 		out = append(out, PendingEvent{At: ev.at, Prio: ev.prio, Seq: ev.seq, Kind: ev.kind, Arg: ev.arg})
 		return nil
@@ -141,9 +152,28 @@ func (e *Engine) PendingEvents(buf []PendingEvent) ([]PendingEvent, error) {
 	return out, nil
 }
 
+// Reinsert schedules one serialized pending event, (at, prio, kind, arg)
+// as PendingEvents reported it, for a restore that re-inserts an engine's
+// events in their original order. The record comes from bytes, so
+// anything it cannot name — a time before Now, a kind with no owner table
+// or a process-local one, a slot past its table or on a hole — is an
+// error, not a panic.
+func (e *Engine) Reinsert(at, prio Time, kind uint16, arg uint32) (Event, error) {
+	if at < e.now {
+		return Event{}, fmt.Errorf("des: event at %v precedes now %v", at, e.now)
+	}
+	if kind >= NumKinds || kinds[kind].name == "" || kinds[kind].local {
+		return Event{}, fmt.Errorf("des: event kind %d has no owner a restore can name", kind)
+	}
+	if t := e.owners[kinds[kind].table]; int(arg) >= len(t) || t[arg] == nil {
+		return Event{}, fmt.Errorf("des: %s event names slot %d, where its table (%d slots) holds no owner", kinds[kind].name, arg, len(t))
+	}
+	return e.SchedulePrioKind(at, prio, kind, arg), nil
+}
+
 // RestoreNow advances the clock to the checkpoint instant without firing
-// anything — the restore step between rebuilding the session and replaying
-// the serialized events. Moving the clock backwards panics.
+// anything — the restore step between rebuilding the session and
+// re-inserting the serialized events. Moving the clock backwards panics.
 func (e *Engine) RestoreNow(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: restoring clock to %v before now %v", t, e.now))

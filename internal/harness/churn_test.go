@@ -11,7 +11,7 @@ import (
 // equals sequential bit for bit, disruption metrics included.
 func TestChurnScenarioParallelMatchesSequential(t *testing.T) {
 	sc := scenario.MustLookup("churn-waxman-16").Quick()
-	a, err := ScenarioSweep(sc, Options{Seed: 3, Sequential: true})
+	a, err := ScenarioSweep(sc, Options{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

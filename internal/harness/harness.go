@@ -34,11 +34,9 @@ type Options struct {
 	// multi-group run (one extremal period plus warm-up) and 36 s for the
 	// one-hop preset (three extremal periods).
 	Duration des.Duration
-	// Sequential runs all sweep points in order on the calling goroutine
-	// (for debugging and as the determinism oracle). The default fans the
-	// points out over a worker pool; results are identical either way.
-	Sequential bool
-	// Workers bounds the sweep worker pool. 0 means GOMAXPROCS.
+	// Workers bounds the sweep worker pool. 0 means GOMAXPROCS; 1 runs
+	// all sweep points in order on the calling goroutine (for debugging and
+	// as the determinism oracle). Results are identical at every count.
 	Workers int
 	// Shards, when > 1, runs each multi-group session as a sharded
 	// conservative-parallel simulation (core.Config.Shards): parallelism

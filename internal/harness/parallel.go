@@ -18,10 +18,10 @@ import (
 // what order, so parallel and sequential execution are bit-identical — the
 // property the determinism tests in parallel_test.go pin down.
 
-// runJobs executes jobs 0..n-1 via job. With opts.Sequential it runs them
-// in order on the calling goroutine (the debugging mode); otherwise it uses
-// min(Workers or GOMAXPROCS, n) goroutines pulling indices from a shared
-// counter. job must only write to its own point's slots.
+// runJobs executes jobs 0..n-1 via job on min(Workers or GOMAXPROCS, n)
+// goroutines pulling indices from a shared counter — in order on the
+// calling goroutine when that is one (the debugging mode). job must only
+// write to its own point's slots.
 func runJobs(n int, opts Options, job func(i int)) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -30,7 +30,7 @@ func runJobs(n int, opts Options, job func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if opts.Sequential || workers <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			job(i)
 		}

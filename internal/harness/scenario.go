@@ -473,7 +473,7 @@ func (r ScenarioResult) ShardTable() *stats.Table {
 }
 
 // CensusTable renders the executed-event census at the heaviest load, one
-// row per combo: events per delivery in total and by callback kind, summed
+// row per combo: events per delivery in total and by event kind, summed
 // over the shards. A function of event counts, identical on any machine —
 // the per-delivery cost a change to the engine's event structure moves.
 func (r ScenarioResult) CensusTable() *stats.Table {

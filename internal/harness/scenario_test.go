@@ -14,7 +14,7 @@ func TestScenarioSweepParallelMatchesSequential(t *testing.T) {
 	for _, name := range []string{"paper-fig4c", "paper-fig6c", "waxman-zipf-16", "transit-stub-dsl-fibre"} {
 		sc := scenario.MustLookup(name).Quick()
 
-		seq := Options{Seed: 3, Sequential: true}
+		seq := Options{Seed: 3, Workers: 1}
 		a, err := ScenarioSweep(sc, seq)
 		if err != nil {
 			t.Fatal(err)

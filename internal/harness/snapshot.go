@@ -35,7 +35,7 @@ func snapshotNormalize(res core.Result) core.Result {
 // the snapshot's size and the wall time of the one Snapshot and the one
 // Restore (the only part of a line that differs between two runs). Every
 // supported configuration snapshots; a combo is reported as skipped only if
-// Snapshot refuses it (e.g. a future untagged event family). A non-nil
+// Snapshot refuses it (e.g. a pending closure, which no owner table can name in another process). A non-nil
 // error means at least one combo diverged — the restore contract is broken.
 func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 	p, err := newSweepPlan(sc, opts)

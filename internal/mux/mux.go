@@ -57,13 +57,13 @@ type Mux struct {
 	discipline Discipline
 	out        traffic.Sink
 
-	k       int              // declared input flow count (validation only)
-	q       []traffic.Packet // queued packets in arrival order, from head on
-	head    int
-	bits    float64
-	busy    bool
-	cur     traffic.Packet // packet in transmission (valid while busy)
-	snapArg uint32         // component slot for snapshot event tags
+	k    int              // declared input flow count (validation only)
+	q    []traffic.Packet // queued packets in arrival order, from head on
+	head int
+	bits float64
+	busy bool
+	cur  traffic.Packet // packet in transmission (valid while busy)
+	slot uint32         // in the engine's KindMuxDone owner table
 }
 
 // New returns a MUX with k input flows at capacity c bits/second.
@@ -74,7 +74,8 @@ func New(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packe
 	return new(Mux).init(eng, k, c, d, traffic.SinkFunc(out))
 }
 
-// init is New into zeroed storage the caller made (see Slab).
+// init is New into zeroed storage the caller made (see Slab): the MUX
+// registers as the owner of its transmit completions.
 func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink) *Mux {
 	if k <= 0 {
 		panic("mux: need at least one input flow")
@@ -89,6 +90,7 @@ func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out traffic.
 		panic("mux: nil output")
 	}
 	m.eng, m.c, m.discipline, m.out, m.k = eng, c, d, out, k
+	m.slot = eng.Register(des.KindMuxDone, m)
 	return m
 }
 
@@ -98,6 +100,9 @@ func (m *Mux) Fire(uint16) {
 	m.out.Put(m.cur)
 	m.serve()
 }
+
+// Out returns where the MUX puts a packet it has served.
+func (m *Mux) Out() traffic.Sink { return m.out }
 
 // Capacity returns the service rate in bits/second.
 func (m *Mux) Capacity() float64 { return m.c }
@@ -153,5 +158,5 @@ func (m *Mux) serve() {
 	}
 	m.bits -= p.Size
 	m.cur = p
-	m.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.snapArg, m)
+	m.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.slot)
 }

@@ -25,6 +25,7 @@ type perFlow struct {
 	seq    uint64
 	busy   bool
 	cur    traffic.Packet
+	slot   uint32
 }
 
 type entry struct {
@@ -33,7 +34,9 @@ type entry struct {
 }
 
 func newPerFlow(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *perFlow {
-	return &perFlow{eng: eng, c: c, d: d, out: out, queues: make([][]entry, k), heads: make([]int, k)}
+	m := &perFlow{eng: eng, c: c, d: d, out: out, queues: make([][]entry, k), heads: make([]int, k)}
+	m.slot = eng.Register(des.KindMuxDone, m)
+	return m
 }
 
 func (m *perFlow) Fire(uint16) {
@@ -82,7 +85,7 @@ func (m *perFlow) serve() {
 		m.heads[i]++
 	}
 	m.cur = e.p
-	m.eng.ScheduleInKind(des.Seconds(e.p.Size/m.c), des.KindMuxDone, 0, m)
+	m.eng.ScheduleInKind(des.Seconds(e.p.Size/m.c), des.KindMuxDone, m.slot)
 }
 
 // stamped is a packet and an instant: when it arrives, or when it leaves.
@@ -118,17 +121,30 @@ func arrivalTrace(seed uint64, k, n int, c float64) []stamped {
 	return out
 }
 
+// feeder is the owner of a trace's arrival events. They fire in the order
+// they were scheduled — ascending instants at one prio — so the next one to
+// fire is always the next arrival.
+type feeder struct {
+	arrivals []stamped
+	enqueue  func(traffic.Packet)
+}
+
+func (f *feeder) Fire(uint16) {
+	f.enqueue(f.arrivals[0].p)
+	f.arrivals = f.arrivals[1:]
+}
+
 // schedule puts the arrivals on eng at prio 0.
 func schedule(eng *des.Engine, arrivals []stamped, enqueue func(traffic.Packet)) {
+	slot := eng.Register(des.KindSrcTick, &feeder{arrivals, enqueue})
 	for _, a := range arrivals {
-		p := a.p
-		eng.SchedulePrioKind(a.at, 0, des.KindNone, 0, des.Func(func() { enqueue(p) }))
+		eng.SchedulePrioKind(a.at, 0, des.KindSrcTick, slot)
 	}
 }
 
 // runOneQueue serves arrivals through a Mux; with cut > 0 it runs to cut,
 // snapshots the MUX, restores it from the bytes into a fresh engine with
-// its pending completion re-armed, and serves the rest there.
+// its pending completion re-inserted, and serves the rest there.
 func runOneQueue(t *testing.T, k int, c float64, d Discipline, arrivals []stamped, cut des.Time) []stamped {
 	t.Helper()
 	var served []stamped
@@ -158,8 +174,8 @@ func runOneQueue(t *testing.T, k int, c float64, d Discipline, arrivals []stampe
 		t.Fatal(r.Err())
 	}
 	for _, ev := range evs {
-		if !m2.Rearm(ev.Kind, ev.At, ev.Prio) {
-			t.Fatalf("pending event of kind %d is not the MUX's", ev.Kind)
+		if _, err := eng2.Reinsert(ev.At, ev.Prio, ev.Kind, ev.Arg); err != nil || ev.Kind != des.KindMuxDone {
+			t.Fatalf("pending event of kind %d is not the MUX's: %v", ev.Kind, err)
 		}
 	}
 	schedule(eng2, arrivals[i:], m2.Enqueue)

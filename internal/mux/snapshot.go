@@ -12,11 +12,6 @@ import (
 // its head at zero — head position is memory layout, not service order,
 // so the compaction bookkeeping does not need to survive.
 
-// SetSnapArg registers the MUX's slot in the session's component
-// registry; transmit-completion events carry it so a restore can route
-// each serialized event back to its component.
-func (m *Mux) SetSnapArg(arg uint32) { m.snapArg = arg }
-
 // Snapshot appends the MUX's mutable state to the open record.
 func (m *Mux) Snapshot(w *snap.Writer) {
 	w.Len(m.Len())
@@ -67,8 +62,9 @@ func (sl *Slab) New(eng *des.Engine, k int, c float64, d Discipline, out traffic
 // Restore makes the slab's next MUX as New would, its queue carved to the
 // larger of its restored length and routed, and overwrites its mutable
 // state from the open record, failing the reader on a flow id outside
-// [0, k). The transmit-completion event, if one was pending, arrives
-// separately via Rearm during event replay.
+// [0, k). The transmit-completion event, if one was pending, is the
+// engine's to re-insert: the MUX registers in the next slot of its owner
+// table, as New would.
 func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink, routed int) *Mux {
 	n := r.Count(traffic.PacketSnapBytes)
 	m := sl.New(eng, k, c, d, out, max(n, routed))
@@ -82,15 +78,4 @@ func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Dis
 		m.cur = traffic.RestorePacket(r, k)
 	}
 	return m
-}
-
-// Rearm re-schedules the serialized transmit-completion event for the
-// packet in m.cur (the MUX must have been restored busy) under its original
-// stamps; false for a kind the MUX does not own.
-func (m *Mux) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindMuxDone {
-		return false
-	}
-	m.eng.SchedulePrioKind(at, prio, kind, m.snapArg, m)
-	return true
 }

@@ -98,7 +98,7 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			if cap(got.q) != max(len(want), routed) {
 				t.Errorf("short=%v: MUX %d queue has capacity %d for %d packets and %d routed flows", short, i, cap(got.q), len(want), routed)
 			}
-			// No completion event was replayed into the new engine, so mark
+			// No completion event was re-inserted into the new engine, so mark
 			// the server idle by hand and let one more arrival drain the
 			// restored queue.
 			got.busy = false

@@ -24,22 +24,18 @@ type transit struct {
 
 // flightPool recycles the carrier nodes for packets that are "in flight"
 // on a pure delay. Any number of packets propagate concurrently, so one
-// handler is not enough — instead each node is the des.Handler of its own
-// delivery, and nodes cycle through a free list. Steady-state sends
-// therefore allocate nothing: the high-water mark of concurrently flying
-// packets bounds the pool, which grows a block of nodes at a time.
+// owner is not enough — instead each node registers in the engine as the
+// owner of its own KindFlight delivery, and nodes cycle through a free
+// list. Steady-state sends therefore allocate nothing: the high-water mark
+// of concurrently flying packets bounds the pool, which grows a block of
+// nodes at a time. A node's slot in the engine's table is what its event
+// names, so a snapshot reads the in-flight transit a pending event refers
+// to from there.
 type flightPool struct {
 	eng     *des.Engine
 	free    *flightNode
 	deliver func(transit)
 	block   []flightNode // unused nodes of the last block made
-	// Checkpoint support: every event carries the pool's kind and the
-	// firing node's idx — its position in nodes, which holds every node ever
-	// allocated — so a snapshot can read the in-flight transit a pending
-	// event refers to. A pool left at the zero kind (des.KindNone) stays
-	// snapshot-incompatible: the engine refuses to serialize its events.
-	kind  uint16
-	nodes []*flightNode
 }
 
 // flightBlock is how many carrier nodes the pool makes at once.
@@ -47,7 +43,7 @@ const flightBlock = 64
 
 type flightNode struct {
 	tr   transit
-	idx  uint32
+	slot uint32
 	next *flightNode
 	pool *flightPool
 }
@@ -71,8 +67,8 @@ func (fp *flightPool) alloc() *flightNode {
 		fp.block = make([]flightNode, flightBlock)
 	}
 	n, fp.block = &fp.block[0], fp.block[1:]
-	n.idx, n.pool = uint32(len(fp.nodes)), fp
-	fp.nodes = append(fp.nodes, n)
+	n.pool = fp
+	n.slot = fp.eng.Register(des.KindFlight, n)
 	return n
 }
 
@@ -80,7 +76,7 @@ func (fp *flightPool) alloc() *flightNode {
 func (fp *flightPool) send(d des.Duration, tr transit) {
 	n := fp.alloc()
 	n.tr = tr
-	fp.eng.ScheduleInKind(d, fp.kind, n.idx, n)
+	fp.eng.ScheduleInKind(d, des.KindFlight, n.slot)
 }
 
 // Fabric is the underlay transport connecting all end hosts.
@@ -88,8 +84,8 @@ type Fabric struct {
 	eng       *des.Engine
 	net       *topo.Network
 	receivers []traffic.Sink
-	// pipes carries every packet end to end; kind-tagged, so an in-flight
-	// delivery rehydrates from (dst, packet).
+	// pipes carries every packet end to end; a checkpoint carries an
+	// in-flight delivery as (dst, packet).
 	pipes *flightPool
 	hooks FabricConfig
 	// Delivered counts packets handed to receivers.
@@ -134,8 +130,7 @@ func NewFabric(eng *des.Engine, net *topo.Network, cfg FabricConfig) *Fabric {
 	if f.receivers == nil {
 		f.receivers = make([]traffic.Sink, len(net.Hosts))
 	}
-	f.pipes = &flightPool{eng: eng, kind: des.KindFlight,
-		deliver: func(tr transit) { f.Deliver(tr.dst, tr.p) }}
+	f.pipes = &flightPool{eng: eng, deliver: func(tr transit) { f.Deliver(tr.dst, tr.p) }}
 	return f
 }
 
@@ -168,16 +163,18 @@ func (f *Fabric) Send(src, dst int, p traffic.Packet) {
 // PendingFlight reads the in-flight delivery a pending KindFlight event
 // (by its arg) refers to, for serialization.
 func (f *Fabric) PendingFlight(arg uint32) (dst int, p traffic.Packet) {
-	tr := f.pipes.nodes[arg].tr
+	tr := f.eng.Owners(des.KindFlight)[arg].(*flightNode).tr
 	return tr.dst, tr.p
 }
 
-// RestoreFlight re-schedules a serialized in-flight delivery under its
-// original (at, prio) stamps; the fresh node's index is the event's new arg.
-func (f *Fabric) RestoreFlight(at, prio des.Time, dst int, p traffic.Packet) {
+// RestoreFlight re-inserts a serialized in-flight delivery under its
+// original (at, prio) stamps; the fresh node's slot is the event's new arg.
+// An instant before the engine's clock is an error.
+func (f *Fabric) RestoreFlight(at, prio des.Time, dst int, p traffic.Packet) error {
 	n := f.pipes.alloc()
 	n.tr = transit{p: p, dst: dst}
-	f.eng.SchedulePrioKind(at, prio, des.KindFlight, n.idx, n)
+	_, err := f.eng.Reinsert(at, prio, des.KindFlight, n.slot)
+	return err
 }
 
 // Deliver hands p to host's receiver: where every flight lands, and the

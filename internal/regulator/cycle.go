@@ -27,8 +27,8 @@ type Cycle struct {
 	offset, w, v des.Duration
 
 	on       bool
-	ev       des.Event // the pending edge
-	snapArg  uint32    // component slot for snapshot event tags
+	ev       des.Event // the pending edge (for Stop; unset in a restored clock)
+	slot     uint32    // in the engine's KindSRLOn/KindSRLOff owner table
 	nextRank uint64    // follow order: the rank the next follower takes
 	waiting  []*SRL    // followers holding a packet behind the shut gate
 }
@@ -46,6 +46,7 @@ func (c *Cycle) init(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 		panic("regulator: cycle requires offset≥0, W>0 and V>0")
 	}
 	c.eng, c.offset, c.w, c.v = eng, offset, w, v
+	c.slot = eng.Register(des.KindSRLOn, c)
 	return c
 }
 
@@ -54,14 +55,14 @@ func (c *Cycle) init(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 func (c *Cycle) Fire(kind uint16) {
 	if kind == des.KindSRLOff {
 		c.on = false
-		c.ev = c.eng.ScheduleInKind(c.v, des.KindSRLOn, c.snapArg, c)
+		c.ev = c.eng.ScheduleInKind(c.v, des.KindSRLOn, c.slot)
 		return
 	}
 	c.on = true
 	// Wake before re-arming: a follower's transmission started here was
 	// scheduled before its own off-edge when it carried its own timer.
 	c.wake()
-	c.ev = c.eng.ScheduleInKind(c.w, des.KindSRLOff, c.snapArg, c)
+	c.ev = c.eng.ScheduleInKind(c.w, des.KindSRLOff, c.slot)
 }
 
 // Start enters the state the schedule prescribes for Now — as if the clock
@@ -72,14 +73,14 @@ func (c *Cycle) Start() {
 	switch pos := (now - c.offset) % p; {
 	case now <= c.offset:
 		// Before the first working period.
-		c.ev = c.eng.ScheduleKind(c.offset, des.KindSRLOn, c.snapArg, c)
+		c.ev = c.eng.ScheduleKind(c.offset, des.KindSRLOn, c.slot)
 	case pos < c.w:
 		// Inside a working period: finish it.
 		c.on = true
-		c.ev = c.eng.ScheduleInKind(c.w-pos, des.KindSRLOff, c.snapArg, c)
+		c.ev = c.eng.ScheduleInKind(c.w-pos, des.KindSRLOff, c.slot)
 	default:
 		// Inside a vacation.
-		c.ev = c.eng.ScheduleInKind(p-pos, des.KindSRLOn, c.snapArg, c)
+		c.ev = c.eng.ScheduleInKind(p-pos, des.KindSRLOn, c.slot)
 	}
 }
 
@@ -110,23 +111,10 @@ func (c *Cycle) unwait(r *SRL) {
 	c.waiting = c.waiting[:last]
 }
 
-// SetSnapArg registers the clock's slot in the session's component
-// registry (see SigmaRho.SetSnapArg).
-func (c *Cycle) SetSnapArg(arg uint32) { c.snapArg = arg }
-
 // Snapshot appends the clock's mutable state to the open record. The
 // waiting list is not written: each follower's record carries its waiting
 // bit, and Rejoin rebuilds the list.
 func (c *Cycle) Snapshot(w *snap.Writer) {
 	w.Bool(c.on)
 	w.U64(c.nextRank)
-}
-
-// Rearm re-schedules the serialized pending edge.
-func (c *Cycle) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindSRLOn && kind != des.KindSRLOff {
-		return false
-	}
-	c.ev = c.eng.SchedulePrioKind(at, prio, kind, c.snapArg, c)
-	return true
 }

@@ -6,8 +6,8 @@
 //
 // Both regulators are event-driven shapers on a des.Engine: packets enter
 // through Enqueue and conformant packets leave through the output Sink in
-// FIFO order per flow. Each regulator and clock is the des.Handler of its
-// own events, so making one binds no callback.
+// FIFO order per flow. Each regulator and clock registers in its engine
+// as the owner of its own events, so making one binds no callback.
 package regulator
 
 import (
@@ -85,7 +85,7 @@ type SigmaRho struct {
 	tokens     float64
 	lastUpdate des.Time
 	serving    bool
-	snapArg    uint32    // component slot for snapshot event tags
+	slot       uint32    // in the engine's KindSRRetry owner table
 	retryEv    des.Event // pending token-wait event (for Detach)
 }
 
@@ -106,6 +106,7 @@ func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out traffic.Sink) *
 		panic("regulator: nil output")
 	}
 	s.eng, s.Sigma, s.Rho, s.out, s.tokens = eng, sigma, rho, out, sigma
+	s.slot = eng.Register(des.KindSRRetry, s)
 	return s
 }
 
@@ -117,6 +118,9 @@ func (s *SigmaRho) Fire(uint16) {
 
 // QueueLen reports the packets currently held back.
 func (s *SigmaRho) QueueLen() int { return s.q.len() }
+
+// Out returns where the regulator puts a conformant packet.
+func (s *SigmaRho) Out() traffic.Sink { return s.out }
 
 func (s *SigmaRho) refill() {
 	now := s.eng.Now()
@@ -162,7 +166,7 @@ func (s *SigmaRho) serve() {
 			wait = 1
 		}
 		s.serving = true
-		s.retryEv = s.eng.ScheduleInKind(wait, des.KindSRRetry, s.snapArg, s)
+		s.retryEv = s.eng.ScheduleInKind(wait, des.KindSRRetry, s.slot)
 		return
 	}
 	s.serving = false

@@ -11,9 +11,10 @@ import (
 // Checkpoint support. Envelope parameters and output wiring are
 // construction-time (the restored session recreates the regulator with
 // identical arguments); Snapshot and the Slab's Restore methods cover the
-// mutable words, and Rearm re-schedules a serialized pending event with
-// its original (at, prio) stamps during replay, refusing a kind the
-// regulator does not own.
+// mutable words. A restored regulator or clock registers in its engine's
+// owner table as a made one does, and the engine re-inserts its pending
+// events; the one handle a component keeps, a (σ, ρ) regulator's token
+// wait, comes back through Reattach.
 
 // snapshot appends the queue's live packets and exact bit total. The head
 // index is memory layout, not semantics, so the restored queue starts
@@ -104,11 +105,6 @@ func (sl *Slab) NewCycle(eng *des.Engine, offset, w, v des.Duration) *Cycle {
 	return sl.cycles.One().init(eng, offset, w, v)
 }
 
-// SetSnapArg registers the regulator's slot in the session's component
-// registry; its pending events carry it so a restore can route each
-// serialized event back to its component.
-func (s *SigmaRho) SetSnapArg(arg uint32) { s.snapArg = arg }
-
 // Snapshot appends the regulator's mutable state to the open record.
 func (s *SigmaRho) Snapshot(w *snap.Writer) {
 	s.q.snapshot(w)
@@ -134,18 +130,9 @@ func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigm
 	return s
 }
 
-// Rearm re-schedules the serialized token-wait event.
-func (s *SigmaRho) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindSRRetry {
-		return false
-	}
-	s.retryEv = s.eng.SchedulePrioKind(at, prio, kind, s.snapArg, s)
-	return true
-}
-
-// SetSnapArg registers the regulator's slot in the session's component
-// registry (see SigmaRho.SetSnapArg).
-func (r *SRL) SetSnapArg(arg uint32) { r.snapArg = arg }
+// Reattach hands a restored regulator its re-inserted token-wait event,
+// which Detach cancels.
+func (s *SigmaRho) Reattach(ev des.Event) { s.retryEv = ev }
 
 // Snapshot appends the regulator's mutable state to the open record. Its
 // place on a clock — follow rank, waiting bit — is written here; whether it
@@ -174,7 +161,7 @@ func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, r
 }
 
 // RestoreCycle makes the slab's next clock as NewCycle would — not
-// ticking: its pending edge arrives via Rearm — and overwrites its mutable
+// ticking: the engine re-inserts its pending edge — and overwrites its mutable
 // state from the open record, seated (Seat): a next rank the record claims
 // past its regulators sizes nothing.
 func (sl *Slab) RestoreCycle(r *snap.Reader, eng *des.Engine, offset, w, v des.Duration) *Cycle {
@@ -198,13 +185,4 @@ func (r *SRL) Rejoin(sr *snap.Reader, c *Cycle) {
 	if r.waiting {
 		c.waiting = append(c.waiting, r)
 	}
-}
-
-// Rearm re-schedules the serialized transmit-completion event.
-func (r *SRL) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindSRLDone {
-		return false
-	}
-	r.eng.SchedulePrioKind(at, prio, kind, r.snapArg, r)
-	return true
 }

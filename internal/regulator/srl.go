@@ -37,7 +37,7 @@ type SRL struct {
 	waiting      bool
 	on           bool
 	transmitting bool
-	snapArg      uint32 // component slot for snapshot event tags
+	slot         uint32 // in the engine's KindSRLDone owner table
 }
 
 // NewSRL returns a (σ, ρ, λ) regulator. Its gate starts shut and driven by
@@ -59,6 +59,7 @@ func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SR
 		panic("regulator: nil output")
 	}
 	r.eng, r.Sigma, r.Rho, r.C, r.out = eng, sigma, rho, c, out
+	r.slot = eng.Register(des.KindSRLDone, r)
 	return r
 }
 
@@ -82,6 +83,9 @@ func (r *SRL) Backlog() float64 { return r.q.bits }
 
 // QueueLen reports the packets currently held back.
 func (r *SRL) QueueLen() int { return r.q.len() }
+
+// Out returns where the regulator puts a packet it has transmitted.
+func (r *SRL) Out() traffic.Sink { return r.out }
 
 // Following reports whether the regulator follows a clock.
 func (r *SRL) Following() bool { return r.clock != nil }
@@ -138,7 +142,7 @@ func (r *SRL) serve() {
 		return
 	}
 	r.transmitting = true
-	r.eng.ScheduleInKind(des.Seconds(r.q.peek().Size/r.C), des.KindSRLDone, r.snapArg, r)
+	r.eng.ScheduleInKind(des.Seconds(r.q.peek().Size/r.C), des.KindSRLDone, r.slot)
 }
 
 // Follow puts the regulator on clock c, last in its follow order: the gate

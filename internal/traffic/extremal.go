@@ -83,20 +83,21 @@ func (e *Extremal) Envelope() Envelope {
 }
 
 // Start implements Source: Resume, then the first cycle now. The flow is
-// the des.Handler of its own events, so emission allocates nothing.
+// the owner of its own events, so emission allocates nothing.
 func (e *Extremal) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	e.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow), e)
+	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow))
 }
 
 // Resume binds the flow to the engine, horizon and sink without scheduling
-// anything: Start calls it and schedules the first cycle; a checkpoint
-// restore calls it after Restore and lets the engine replay the serialized
-// cycle/tick events through Rearm. Cycle and tick events carry kind tags
-// with arg = Flow.
+// anything, and registers it as the owner of its cycle and tick events at
+// slot Flow: Start calls it and schedules the first cycle; a checkpoint
+// restore calls it after Restore, and the engine re-inserts the serialized
+// events.
 func (e *Extremal) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 	e.eng, e.until, e.emit = eng, until, emit
 	e.gap = des.Seconds(e.PacketSize / e.baseRate())
+	eng.Own(des.KindSrcCycle, uint32(e.Flow), e)
 }
 
 // Fire is the flow's event: des.KindSrcCycle starts a period with the burst
@@ -121,10 +122,10 @@ func (e *Extremal) Fire(kind uint16) {
 		e.put(e.PacketSize)
 	}
 	if now-e.start+e.gap > e.Period {
-		e.eng.ScheduleKind(e.start+e.Period, des.KindSrcCycle, uint32(e.Flow), e)
+		e.eng.ScheduleKind(e.start+e.Period, des.KindSrcCycle, uint32(e.Flow))
 		return
 	}
-	e.eng.ScheduleInKind(e.gap, des.KindSrcTick, uint32(e.Flow), e)
+	e.eng.ScheduleInKind(e.gap, des.KindSrcTick, uint32(e.Flow))
 }
 
 // put emits the flow's next packet, size bits, now.
@@ -146,16 +147,6 @@ func (e *Extremal) Snapshot(w *snap.Writer) {
 func (e *Extremal) Restore(r *snap.Reader) {
 	e.nextID = r.U64()
 	e.start = des.Time(r.I64())
-}
-
-// Rearm re-schedules a serialized period-start or base-rate emission event
-// under its original stamps; false for a kind this source does not own.
-func (e *Extremal) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindSrcCycle && kind != des.KindSrcTick {
-		return false
-	}
-	e.eng.SchedulePrioKind(at, prio, kind, uint32(e.Flow), e)
-	return true
 }
 
 // ExtremalMixN builds n extremal flows matching a media mix's rates by

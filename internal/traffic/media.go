@@ -78,17 +78,18 @@ func (a *Audio) PeakRate() float64 {
 // the end of a silence gap.
 func (a *Audio) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	a.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow), a)
+	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow))
 }
 
 // Resume binds the source to the engine, horizon and sink without
-// scheduling anything: Start calls it and schedules the first wake; a
-// checkpoint restore calls it after Restore and lets the engine replay the
-// serialized talk/wake events through Rearm. Talk ticks and wakes carry
-// kind tags with arg = Flow.
+// scheduling anything, and registers it as the owner of its talk and wake
+// events at slot Flow: Start calls it and schedules the first wake; a
+// checkpoint restore calls it after Restore, and the engine re-inserts the
+// serialized events.
 func (a *Audio) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 	a.eng, a.until, a.emit = eng, until, emit
 	a.interval = des.Seconds(a.PacketSize / a.PeakRate())
+	eng.Own(des.KindAudioTalk, uint32(a.Flow), a)
 }
 
 // Fire is the source's event: des.KindAudioWake ends a silence and draws
@@ -105,12 +106,12 @@ func (a *Audio) Fire(kind uint16) {
 	}
 	if now >= a.talkEnd {
 		gap := des.Seconds(a.rng.Exp(a.MeanSilence.Seconds()))
-		a.eng.ScheduleInKind(gap, des.KindAudioWake, uint32(a.Flow), a)
+		a.eng.ScheduleInKind(gap, des.KindAudioWake, uint32(a.Flow))
 		return
 	}
 	a.emit(Packet{ID: a.nextID, Flow: a.Flow, Size: a.PacketSize, CreatedAt: now})
 	a.nextID++
-	a.eng.ScheduleInKind(a.interval, des.KindAudioTalk, uint32(a.Flow), a)
+	a.eng.ScheduleInKind(a.interval, des.KindAudioTalk, uint32(a.Flow))
 }
 
 // SnapTag names the source type in a checkpoint.
@@ -128,17 +129,6 @@ func (a *Audio) Restore(r *snap.Reader) {
 	a.nextID = r.U64()
 	a.talkEnd = des.Time(r.I64())
 	a.rng.SetState(r.U64())
-}
-
-// Rearm re-schedules a serialized in-talkspurt packet tick or end-of-
-// silence wake under its original stamps; false for a kind this source
-// does not own.
-func (a *Audio) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindAudioTalk && kind != des.KindAudioWake {
-		return false
-	}
-	a.eng.SchedulePrioKind(at, prio, kind, uint32(a.Flow), a)
-	return true
 }
 
 // Video is an MPEG-1-style VBR model: frames at a fixed rate, sizes
@@ -226,16 +216,17 @@ func (v *Video) frameSize() float64 {
 // Start implements Source.
 func (v *Video) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 	v.Resume(eng, until, emit)
-	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow), v)
+	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow))
 }
 
 // Resume binds the source to the engine, horizon and sink without
-// scheduling anything (Start schedules the first tick, a checkpoint restore
-// replays the serialized one through Rearm); ticks carry kind tags with
-// arg = Flow so a checkpoint can rehydrate them.
+// scheduling anything, and registers it as the owner of its frame ticks at
+// slot Flow (Start schedules the first tick; after a checkpoint restore
+// the engine re-inserts the serialized one).
 func (v *Video) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
 	v.eng, v.until, v.emit = eng, until, emit
 	v.frameGap = des.Seconds(1 / v.FPS)
+	eng.Own(des.KindVideoTick, uint32(v.Flow), v)
 }
 
 // Fire is the frame tick (des.KindVideoTick): the frame is packetised and
@@ -250,7 +241,7 @@ func (v *Video) Fire(uint16) {
 		v.emit(Packet{ID: v.nextID, Flow: v.Flow, Size: min(size, v.PacketSize), CreatedAt: now})
 		v.nextID++
 	}
-	v.eng.ScheduleInKind(v.frameGap, des.KindVideoTick, uint32(v.Flow), v)
+	v.eng.ScheduleInKind(v.frameGap, des.KindVideoTick, uint32(v.Flow))
 }
 
 // SnapTag names the source type in a checkpoint.
@@ -275,16 +266,6 @@ func (v *Video) Restore(r *snap.Reader) {
 	if v.frame < 0 {
 		r.Fail(fmt.Errorf("traffic: snapshot video frame counter %d is negative", v.frame))
 	}
-}
-
-// Rearm re-schedules a serialized frame tick under its original stamps;
-// false for a kind this source does not own.
-func (v *Video) Rearm(kind uint16, at, prio des.Time) bool {
-	if kind != des.KindVideoTick {
-		return false
-	}
-	v.eng.SchedulePrioKind(at, prio, kind, uint32(v.Flow), v)
-	return true
 }
 
 // PaperAudio builds the paper's 64 kbps audio workload for the given flow.
