@@ -98,12 +98,13 @@ fuzz:
 # component, so a callback bound per component fails here, and none per
 # MUX in a run, built or restored, so a first arrival that allocates fails
 # here too; a slab-made MUX's Enqueue within its carved room allocates
-# nothing), the size hint to surviving a restore, and one blob to its
-# exact byte count and SHA-256, so a word added back to a component
-# record, or a pending event written under another (at, prio, kind, arg),
-# fails here as well.
+# nothing), the size hint to surviving a restore, the member sets to one
+# bit per host in one slab, built and restored, and one blob to its exact
+# byte count and SHA-256, so a word added back to a component record, a
+# byte per member, or a pending event written under another (at, prio,
+# kind, arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff

@@ -65,7 +65,10 @@ func Lemma1Delay(sigmaStar, sigma, rho float64) float64 {
 }
 
 // SigmaStar computes the per-flow regulator bursts of Theorem 1:
-// σ*ᵢ = ρᵢ(1−ρᵢ)·min_j { σⱼ / (ρⱼ(1−ρⱼ)) }.
+// σ*ᵢ = ρᵢ(1−ρᵢ)·min_j { σⱼ / (ρⱼ(1−ρⱼ)) }. A flow attaining the minimum
+// keeps its σᵢ exactly, which the product would round off by an ulp, so a
+// homogeneous mix's σ* is bit for bit its σ. The σ unit is free; ρ is
+// normalised to the link capacity.
 func SigmaStar(sigmas, rhos []float64) []float64 {
 	checkFlows(sigmas, rhos)
 	m := math.Inf(1)
@@ -76,7 +79,10 @@ func SigmaStar(sigmas, rhos []float64) []float64 {
 	}
 	out := make([]float64, len(sigmas))
 	for i := range out {
-		out[i] = rhos[i] * (1 - rhos[i]) * m
+		out[i] = sigmas[i]
+		if sigmas[i]/(rhos[i]*(1-rhos[i])) != m {
+			out[i] = rhos[i] * (1 - rhos[i]) * m
+		}
 	}
 	return out
 }

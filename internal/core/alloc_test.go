@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -27,6 +29,57 @@ func allocFixtures(t *testing.T) map[string]core.Config {
 		t.Fatal(err)
 	}
 	return map[string]core.Config{"60-host": small, "waxman-zipf-64-quick": cell}
+}
+
+// TestMembershipIsOneBitPerHost holds the member sets to one bit per host
+// in one allocation: after NewSession and after Restore alike, the K
+// groups' sets are consecutive, capacity-capped ⌈N/64⌉-word windows of one
+// backing array of K·⌈N/64⌉ words, each holding exactly its group's
+// members. One byte per host, in one array per group, was 51.2 MB of a
+// started waxman-zipf-512 session's 128.6 MB heap.
+func TestMembershipIsOneBitPerHost(t *testing.T) {
+	check := func(t *testing.T, s *core.Session, cfg core.Config) {
+		t.Helper()
+		windows := core.MemberWindows(s)
+		n := (cfg.NumHosts + 63) / 64
+		slab := unsafe.Slice(unsafe.SliceData(windows[0]), len(windows)*n)
+		for g, w := range windows {
+			if len(w) != n || cap(w) != n || unsafe.SliceData(w) != &slab[g*n] {
+				t.Fatalf("group %d: window of %d words (cap %d), want %d words at word %d of group 0's slab",
+					g, len(w), cap(w), n, g*n)
+			}
+			bits := 0
+			for _, word := range w {
+				bits += mathbits.OnesCount64(word)
+			}
+			members := s.Groups()[g].Members
+			for _, m := range members {
+				if w[m/64]&(1<<(m%64)) == 0 {
+					t.Fatalf("group %d: member %d has no bit", g, m)
+				}
+			}
+			if bits != len(members) {
+				t.Fatalf("group %d: %d member bits, want %d", g, bits, len(members))
+			}
+		}
+	}
+	for name, cfg := range allocFixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			s := core.NewSession(cfg)
+			check(t, s, cfg)
+			s.Start()
+			s.RunTo(des.Time(cfg.Duration) / 2)
+			blob, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := core.Restore(cfg, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, r, cfg)
+		})
+	}
 }
 
 // allocated runs fn three times and returns the bytes and objects the

@@ -46,10 +46,10 @@ type controlPlane struct {
 	net    *topo.Network
 	groups []*groupState
 	hosts  []*host
-	// down, when the session has a fault plane, is its outage bitmap
-	// (shared slice): hosts under an outage are barred from joining until
+	// down, when the session has a fault plane, is its outage set (shared
+	// slice): hosts under an outage are barred from joining until
 	// restored. Nil without faults.
-	down []bool
+	down bitset
 
 	joins, leaves, regrafts, rejected int
 }
@@ -99,7 +99,7 @@ func (cp *controlPlane) apply(ev MembershipEvent) {
 // re-staggered regulator).
 func (cp *controlPlane) join(g, h int) {
 	st := cp.groups[g]
-	if st.member[h] || st.strat == nil || (cp.down != nil && cp.down[h]) {
+	if st.member.has(h) || st.strat == nil || (cp.down != nil && cp.down.has(h)) {
 		cp.rejected++
 		return
 	}
@@ -111,7 +111,7 @@ func (cp *controlPlane) join(g, h int) {
 	if err := st.tree.Graft(h, parent); err != nil {
 		panic(fmt.Sprintf("core: control plane graft: %v", err))
 	}
-	st.member[h] = true
+	st.member.set(h)
 	cp.hosts[parent].attachChild(g, h)
 	cp.joins++
 }
@@ -123,7 +123,7 @@ func (cp *controlPlane) join(g, h int) {
 // Session.receive. The group's source never leaves.
 func (cp *controlPlane) leave(g, h int) {
 	st := cp.groups[g]
-	if !st.member[h] || h == st.tree.Source || st.strat == nil {
+	if !st.member.has(h) || h == st.tree.Source || st.strat == nil {
 		cp.rejected++
 		return
 	}
@@ -139,7 +139,7 @@ func (cp *controlPlane) leave(g, h int) {
 	if err != nil {
 		panic(fmt.Sprintf("core: control plane prune: %v", err))
 	}
-	st.member[h] = false
+	st.member.unset(h)
 	st.lost += uint64(cp.hosts[parent].removeChild(g, h))
 	st.lost += uint64(cp.hosts[h].detachGroup(g))
 	// Repair through the group's strategy: the cluster strategies resolve
@@ -169,7 +169,7 @@ func (cp *controlPlane) leaveDetached(g, h int) {
 	if err != nil {
 		panic(fmt.Sprintf("core: control plane prune: %v", err))
 	}
-	st.member[h] = false
+	st.member.unset(h)
 	if hasParent {
 		st.lost += uint64(cp.hosts[parent].removeChild(g, h))
 	}

@@ -86,7 +86,7 @@ func TestChurnMembershipInvariant(t *testing.T) {
 	joinedDeliveries := make(map[int]int) // per joined host
 	var joiners []int
 	for _, ev := range cfg.Events {
-		if ev.Join && !s.sub.groups[ev.Group].member[ev.Host] {
+		if ev.Join && !s.sub.groups[ev.Group].member.has(ev.Host) {
 			joiners = append(joiners, ev.Host)
 		}
 	}
@@ -94,7 +94,7 @@ func TestChurnMembershipInvariant(t *testing.T) {
 		id := id
 		sh := s.sh[s.owner[id]]
 		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
-			member := s.sub.groups[p.Flow].member[id]
+			member := s.sub.groups[p.Flow].member.has(id)
 			before := sh.deliver
 			sh.receive(s.hosts[id], p)
 			counted := sh.deliver == before+1
@@ -150,7 +150,7 @@ func TestChurnTreesStayValid(t *testing.T) {
 			t.Fatalf("group %d tree invalid after churn: %v", g, err)
 		}
 		for _, m := range tr.Members {
-			if !s.sub.groups[g].member[m] {
+			if !s.sub.groups[g].member.has(m) {
 				t.Fatalf("group %d tree spans non-member %d", g, m)
 			}
 		}

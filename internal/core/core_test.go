@@ -138,6 +138,27 @@ func TestSingleHopFig4Shape(t *testing.T) {
 	}
 }
 
+// One video and two audio flows through one (σ, ρ, λ)-regulated MUX stay
+// under Theorem 1's bound at every load. The regulators run σ*ᵢ, so every
+// flow's duty cycle has the same period and the stagger tiles them; with
+// each flow's own σᵢ the video period is the longer one, the cycles drift
+// across each other, and at load 0.95 the WDB reaches four times the bound.
+func TestSingleHopHeteroUnderTheorem1(t *testing.T) {
+	for _, load := range []float64{0.65, 0.8, 0.95} {
+		s := NewSession(OneHop(Config{Mix: traffic.MixHetero, Load: load,
+			Scheme: SchemeSRL, Duration: 13 * des.Second, Seed: 1}))
+		sigmas := make([]float64, len(s.sub.specs))
+		rhos := make([]float64, len(s.sub.specs))
+		for i, sp := range s.sub.specs {
+			sigmas[i], rhos[i] = calculus.Normalize(sp.Sigma, sp.Rho, s.sub.conn)
+		}
+		bound := calculus.DhatHetero(sigmas, rhos)
+		if res := s.Run(); res.WDB > bound {
+			t.Errorf("load %.2f: WDB %.4f s over Theorem 1's %.4f s", load, res.WDB, bound)
+		}
+	}
+}
+
 func TestSingleHopAdaptiveTracksBestScheme(t *testing.T) {
 	// The adaptive scheme should be within a small factor of the better
 	// fixed scheme at both ends of the load range.

@@ -52,3 +52,13 @@ func RegulatorCount(s *Session) int {
 	}
 	return n
 }
+
+// MemberWindows returns each group's member set: its window of the
+// session's membership slab, one bit per host.
+func MemberWindows(s *Session) [][]uint64 {
+	out := make([][]uint64, len(s.sub.groups))
+	for g, st := range s.sub.groups {
+		out[g] = st.member
+	}
+	return out
+}

@@ -269,13 +269,14 @@ type faultPlane struct {
 	hosts  []*host
 	events []FaultEvent // time-sorted, within the traffic duration
 
-	down        []bool          // hosts currently under an outage (barred from joins)
+	down        bitset          // hosts currently under an outage (barred from joins)
 	restoreSets map[int][][]int // outage ID -> per-group memberships to re-graft
 
-	// Active partition cut: per-host side, derived from the router
-	// bipartition at partition time. Written only at quiesce points; the
-	// fabric Drop hook reads it on every send.
-	cutHost []bool
+	// Active partition cut: the hosts on the cut's true side, derived from
+	// the router bipartition at partition time and meaningful only while
+	// cutOn. Written only at quiesce points; the fabric Drop hook reads it
+	// on every send.
+	cutHost bitset
 	cutOn   bool
 	cutIdx  int // outcome index cut drops are attributed to
 
@@ -296,7 +297,7 @@ func newFaultPlane(sub *substrate, hosts []*host, events []FaultEvent) *faultPla
 		groups:      sub.groups,
 		hosts:       hosts,
 		events:      events,
-		down:        make([]bool, len(hosts)),
+		down:        make(bitset, words(len(hosts))),
 		restoreSets: make(map[int][][]int),
 		outcomes:    make([]FaultOutcome, len(events)),
 		tracked:     make([][]faultTrack, len(events)),
@@ -344,13 +345,13 @@ func (fp *faultPlane) outage(i int, ev FaultEvent) {
 	oc := &fp.outcomes[i]
 	oc.Hosts = len(ev.Hosts)
 	for _, h := range ev.Hosts {
-		fp.down[h] = true
+		fp.down.set(h)
 	}
 	mem := make([][]int, len(fp.groups))
 	for g, st := range fp.groups {
 		var victims []int
 		for _, h := range ev.Hosts {
-			if st.member[h] && h != st.tree.Source {
+			if st.member.has(h) && h != st.tree.Source {
 				victims = append(victims, h)
 			}
 		}
@@ -368,7 +369,7 @@ func (fp *faultPlane) outage(i int, ev FaultEvent) {
 func (fp *faultPlane) restore(i int, ev FaultEvent) {
 	oc := &fp.outcomes[i]
 	for _, h := range ev.Hosts {
-		fp.down[h] = false
+		fp.down.unset(h)
 	}
 	mem := fp.restoreSets[ev.ID]
 	delete(fp.restoreSets, ev.ID)
@@ -392,11 +393,13 @@ func (fp *faultPlane) partition(i int, ev FaultEvent) {
 		panic("core: partition while another partition is active")
 	}
 	oc := &fp.outcomes[i]
-	side := make([]bool, len(fp.hosts))
-	for h := range side {
-		side[h] = ev.Side[fp.net.Hosts[h].Router]
+	side := &fp.cutHost
+	side.reset(len(fp.hosts))
+	for h := range fp.hosts {
+		if ev.Side[fp.net.Hosts[h].Router] {
+			side.set(h)
+		}
 	}
-	fp.cutHost = side
 	fp.cutOn = true
 	fp.cutIdx = i
 	type edge struct{ m, p int }
@@ -411,7 +414,7 @@ func (fp *faultPlane) partition(i int, ev FaultEvent) {
 			if !ok || p < 0 {
 				continue
 			}
-			if side[m] != side[p] {
+			if side.has(m) != side.has(p) {
 				cuts = append(cuts, edge{m, p})
 			}
 		}
@@ -439,7 +442,6 @@ func (fp *faultPlane) heal(i int) {
 	}
 	oc := &fp.outcomes[i]
 	fp.cutOn = false
-	fp.cutHost = nil
 	for g, st := range fp.groups {
 		if len(st.detached) == 0 {
 			continue
@@ -458,7 +460,7 @@ func (fp *faultPlane) massLeave(i int, ev FaultEvent) {
 	oc := &fp.outcomes[i]
 	var victims []int
 	for _, h := range ev.Hosts {
-		if st.member[h] && h != st.tree.Source {
+		if st.member.has(h) && h != st.tree.Source {
 			victims = append(victims, h)
 		}
 	}
@@ -474,7 +476,7 @@ func (fp *faultPlane) massLeave(i int, ev FaultEvent) {
 func (fp *faultPlane) massJoin(i int, ev FaultEvent) {
 	oc := &fp.outcomes[i]
 	for _, h := range ev.Hosts {
-		if fp.down[h] {
+		if fp.down.has(h) {
 			continue
 		}
 		if fp.graft(ev.Group, h) {
@@ -511,7 +513,7 @@ func (fp *faultPlane) removeBatch(i, g int, victims []int) {
 		panic(fmt.Sprintf("core: fault prune: %v", err))
 	}
 	for _, v := range victims {
-		st.member[v] = false
+		st.member.unset(v)
 		n := uint64(fp.hosts[v].detachGroup(g))
 		st.lost += n
 		oc.Lost += n
@@ -558,7 +560,7 @@ func (fp *faultPlane) repair(i, g int, roots []int, oc *FaultOutcome) {
 // counters. Returns false for a no-op (already a member, or no strategy).
 func (fp *faultPlane) graft(g, h int) bool {
 	st := fp.groups[g]
-	if st.strat == nil || st.member[h] {
+	if st.strat == nil || st.member.has(h) {
 		return false
 	}
 	parent, err := st.strat.GraftPoint(fp.net, st.tree, h, 0, st.lim)
@@ -568,7 +570,7 @@ func (fp *faultPlane) graft(g, h int) bool {
 	if err := st.tree.Graft(h, parent); err != nil {
 		panic(fmt.Sprintf("core: fault graft: %v", err))
 	}
-	st.member[h] = true
+	st.member.set(h)
 	fp.hosts[parent].attachChild(g, h)
 	return true
 }
@@ -594,7 +596,7 @@ func (fp *faultPlane) onDeliver(g, id int, now des.Time) {
 // counter — shard-local, merged after the run in shard order, so
 // attribution is deterministic at every shard count.
 func (fp *faultPlane) cutDrop(counter []uint64, src, dst int) bool {
-	if !fp.cutOn || fp.cutHost[src] == fp.cutHost[dst] {
+	if !fp.cutOn || fp.cutHost.has(src) == fp.cutHost.has(dst) {
 		return false
 	}
 	counter[fp.cutIdx]++

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/calculus"
 	"repro/internal/des"
 	"repro/internal/mux"
 	"repro/internal/regulator"
@@ -79,7 +80,7 @@ type hostEnv struct {
 	specs      []FlowSpec
 	conn       float64 // base per-connection capacity C (bits/second)
 	mults      []float64
-	bursts     []float64
+	bursts     []float64 // σᵢ, the (σ, ρ) regulators' bursts
 	discipline mux.Discipline
 	aligned    bool    // stagger ablation: align all duty-cycle phases
 	threshold  float64 // adaptive switching utilisation (for late attach)
@@ -108,11 +109,43 @@ type hostEnv struct {
 	// capacity) pair — the pair fixes the stagger offset, W and V. Clocks are
 	// made on first use and never retired.
 	cycles map[cycleKey]*regulator.Cycle
+	// stars holds the (σ, ρ, λ) regulators' bursts, σ*ᵢ of Theorem 1, by
+	// connection capacity and group — the key of the clocks in cycles.
+	// Filled a capacity at a time on first use (sigmaStars), and never
+	// when uniform: flows of one envelope all attain the minimum, so their
+	// σ* is bursts at every capacity.
+	stars   map[float64][]float64
+	uniform bool
 }
 
 type cycleKey struct {
 	g    int32
 	conn float64
+}
+
+// sigmaStars returns every group's σ*ᵢ at connection capacity c: Theorem 1's
+// regulator bursts, ρᵢ(1−ρᵢ)·minⱼ σⱼ/(ρⱼ(1−ρⱼ)) with ρ normalised to c. They
+// give every flow's duty cycle the same period, σ*ᵢ/(c·ρᵢ(1−ρᵢ)), which is
+// what lets cycleSchedule's stagger tile the clocks and what DhatHetero
+// assumes; with the flows' own σᵢ the periods of a mixed load differ. A
+// homogeneous mix's σ* is its σ.
+func (e *hostEnv) sigmaStars(c float64) []float64 {
+	if e.uniform {
+		return e.bursts
+	}
+	if row, ok := e.stars[c]; ok {
+		return row
+	}
+	rhos := make([]float64, len(e.specs))
+	for i, s := range e.specs {
+		rhos[i] = s.Rho / c
+	}
+	row := calculus.SigmaStar(e.bursts, rhos)
+	if e.stars == nil {
+		e.stars = make(map[float64][]float64)
+	}
+	e.stars[c] = row
+	return row
 }
 
 // hostConn returns host id's per-connection capacity: the base C scaled
@@ -473,7 +506,7 @@ func (h *host) makeSR(g int) *regulator.SigmaRho {
 // makeSRL creates and registers group g's (σ, ρ, λ) regulator.
 func (h *host) makeSRL(g int) *regulator.SRL {
 	env := h.env
-	return env.slabs.reg.NewSRL(env.eng, env.bursts[g], env.specs[g].Rho, h.conn, h.regOut(g))
+	return env.slabs.reg.NewSRL(env.eng, env.sigmaStars(h.conn)[g], env.specs[g].Rho, h.conn, h.regOut(g))
 }
 
 // cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
@@ -484,13 +517,14 @@ func (h *host) makeSRL(g int) *regulator.SRL {
 // not a per-host accident of which trees put children here.
 func (h *host) cycleSchedule(g int) (offset, w, v des.Duration) {
 	env := h.env
+	stars := env.sigmaStars(h.conn)
 	if !env.aligned {
 		for j := 0; j < g; j++ {
-			wj, _ := regulator.DutyCycle(env.bursts[j], env.specs[j].Rho, h.conn)
+			wj, _ := regulator.DutyCycle(stars[j], env.specs[j].Rho, h.conn)
 			offset += wj
 		}
 	}
-	w, v = regulator.DutyCycle(env.bursts[g], env.specs[g].Rho, h.conn)
+	w, v = regulator.DutyCycle(stars[g], env.specs[g].Rho, h.conn)
 	return offset, w, v
 }
 
@@ -546,7 +580,7 @@ func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, 
 		offset, w, v := h.cycleSchedule(sub)
 		return h.addCycle(sl.reg.RestoreCycle(r, env.eng, offset, w, v), sub)
 	default:
-		return sl.reg.RestoreSRL(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.conn, h.regOut(sub))
+		return sl.reg.RestoreSRL(r, flows, env.eng, env.sigmaStars(h.conn)[sub], env.specs[sub].Rho, h.conn, h.regOut(sub))
 	}
 }
 

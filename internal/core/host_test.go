@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -171,6 +173,44 @@ func TestHostCapacityAwareConnCap(t *testing.T) {
 		if m.Capacity() != 2.0*1_000_000/3 {
 			t.Fatalf("connection capacity %v, want aggregate/3", m.Capacity())
 		}
+	}
+}
+
+// The (σ, ρ, λ) bursts are Theorem 1's σ*ᵢ, one row per connection
+// capacity: at each capacity every flow's duty cycle has one period, no
+// σ*ᵢ exceeds σᵢ, the flow attaining the minimum keeps its σᵢ exactly, and
+// a homogeneous mix's σ* is its σ bit for bit.
+func TestHostEnvSigmaStarsPerCapacity(t *testing.T) {
+	env := &hostEnv{
+		specs: []FlowSpec{
+			{Rate: 1_500_000, Sigma: 400_000, Rho: 1_530_000},
+			{Rate: 64_000, Sigma: 10_000, Rho: 65_280},
+			{Rate: 64_000, Sigma: 10_000, Rho: 65_280},
+		},
+		bursts: []float64{400_000, 10_000, 10_000},
+	}
+	for _, c := range []float64{2_000_000, 4_000_000} {
+		stars := env.sigmaStars(c)
+		period := func(g int) float64 {
+			rho := env.specs[g].Rho / c
+			return stars[g] / (c * rho * (1 - rho))
+		}
+		for g := range stars {
+			if math.Abs(period(g)-period(1)) > 1e-12*period(1) || stars[g] > env.bursts[g] {
+				t.Fatalf("C=%v: flow %d σ* %v (σ %v), period %v against %v", c, g, stars[g], env.bursts[g], period(g), period(1))
+			}
+		}
+		if stars[1] != env.bursts[1] || stars[0] >= env.bursts[0] {
+			t.Fatalf("C=%v: σ* %v for σ %v; the audio flows attain the minimum", c, stars, env.bursts)
+		}
+	}
+	if len(env.stars) != 2 || &env.sigmaStars(2_000_000)[0] != &env.stars[2_000_000][0] {
+		t.Fatalf("%d rows for two capacities, or a row made twice", len(env.stars))
+	}
+	var sent []int
+	homog := testEnv(des.New(), &sent)
+	if stars := homog.sigmaStars(homog.conn); !slices.Equal(stars, homog.bursts) {
+		t.Fatalf("homogeneous σ* %v, want σ %v", stars, homog.bursts)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -249,6 +250,85 @@ func TestDeriveSeedProperties(t *testing.T) {
 				t.Fatalf("DeriveSeed collision at base %d index %d", base, g)
 			}
 			seen[s] = true
+		}
+	}
+}
+
+// Member sets are bits, 64 to a word, and a group's window sits between
+// its neighbours' in one slab. Hosts 63/64 and 127/128 straddle the word
+// boundaries of a 130-host window and 129 is the last bit before its
+// padding: joining and leaving them in the middle group must flip exactly
+// those bits, leave both neighbouring groups' windows (all 130 bits set,
+// the padding clear) untouched, and keep every arrival counted once, as a
+// delivery or as a loss.
+func TestMembershipWordBoundaries(t *testing.T) {
+	const n = 130
+	edge := []int{63, 64, 127, 128, 129}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	var mid []int
+	for i := 0; i < n; i++ {
+		if !slices.Contains(edge, i) {
+			mid = append(mid, i)
+		}
+	}
+	var events []MembershipEvent
+	at := func(sec float64, join bool, hosts ...int) {
+		for _, h := range hosts {
+			events = append(events, MembershipEvent{At: des.Time(des.Seconds(sec)), Group: 1, Host: h, Join: join})
+		}
+	}
+	at(0.5, true, edge...)
+	at(1.0, false, 63, 127, 129)
+	at(1.5, false, 64, 128)
+	at(1.7, true, 129)
+	s := NewSession(Config{NumHosts: n, Mix: traffic.MixAudio, Load: 0.8, Scheme: SchemeSRL,
+		Duration: 2 * des.Second, Seed: 3, Events: events, Groups: []GroupSpec{
+			{Source: 0, Members: all}, {Source: 0, Members: mid}, {Source: n - 1, Members: all}}})
+
+	var delivered uint64
+	drops := make([]uint64, 3)
+	for id := 0; id < n; id++ {
+		sh := s.sh[s.owner[id]]
+		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
+			d, l := sh.deliver, sh.lost[p.Flow]
+			sh.receive(s.hosts[id], p)
+			switch {
+			case sh.deliver == d+1 && sh.lost[p.Flow] == l:
+				delivered++
+			case sh.deliver == d && sh.lost[p.Flow] == l+1:
+				drops[p.Flow]++
+			default:
+				t.Fatalf("host %d group %d: an arrival counted %d deliveries and %d losses",
+					id, p.Flow, sh.deliver-d, sh.lost[p.Flow]-l)
+			}
+		})
+	}
+	res := s.Run()
+	if res.Joins != 6 || res.Leaves != 5 || res.RejectedEvents != 0 {
+		t.Fatalf("joins %d, leaves %d, rejected %d; want 6, 5, 0", res.Joins, res.Leaves, res.RejectedEvents)
+	}
+	if delivered == 0 || delivered != res.Delivered {
+		t.Fatalf("%d arrivals counted as deliveries, result says %d", delivered, res.Delivered)
+	}
+	for g, l := range drops {
+		if l > res.PerGroupLost[g] {
+			t.Fatalf("group %d: %d arrivals dropped, %d accounted lost", g, l, res.PerGroupLost[g])
+		}
+	}
+
+	want := make([]bitset, 3)
+	for g, hosts := range [][]int{all, append(mid, 129), all} {
+		want[g].reset(n)
+		for _, h := range hosts {
+			want[g].set(h)
+		}
+	}
+	for g, st := range s.sub.groups {
+		if !slices.Equal(st.member, want[g]) {
+			t.Errorf("group %d member words %x, want %x", g, st.member, want[g])
 		}
 	}
 }

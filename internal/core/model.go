@@ -214,13 +214,15 @@ func MeasureSpecsN(mix traffic.Mix, n int, seed uint64, margin, horizonSec float
 	return specs
 }
 
-// RegulatorBursts returns the per-flow burst parameters the regulators are
-// configured with: σᵢ, the flow's own measured burst. This matches
-// Theorems 5–8, which compare the (σᵢ, ρᵢ) and (σᵢ, ρᵢ, λᵢ) regulators
-// head to head. (The σ*ᵢ equalisation of Theorems 1/3 exists in
-// internal/calculus for the bound computations; configuring the live
-// regulators with σ*ᵢ < σᵢ would charge the (σᵢ−σ*ᵢ)/ρᵢ penalty on every
-// flow and swamp the load dependence the figures sweep.)
+// RegulatorBursts returns the bursts the (σ, ρ) regulators are configured
+// with, each flow's own measured σᵢ — Remark 1's bound needs nothing else —
+// and panics unless every ρᵢ fits inside c. The (σ, ρ, λ) regulators and
+// their duty-cycle clocks run Theorem 1's σ*ᵢ instead (hostEnv.sigmaStars):
+// it gives every flow the same duty-cycle period, which the stagger needs
+// to tile the cycles and DhatHetero assumes. A heterogeneous mix pays the
+// (σᵢ−σ*ᵢ)/ρᵢ reshaping of its burstier flows for it, and stays under the
+// bound; with σᵢ its (σ, ρ, λ) WDB at load 0.95 was 4× the bound
+// (EXPERIMENTS.md §1). A homogeneous mix's σ* is its σ.
 func RegulatorBursts(specs []FlowSpec, c float64) []float64 {
 	out := make([]float64, len(specs))
 	for i, s := range specs {

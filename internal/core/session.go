@@ -325,10 +325,20 @@ type Result struct {
 // it mid-run; static sessions build it once and never touch it again, so
 // a session with no Events is bit-identical to the pre-control-plane
 // architecture.
+//
+// member is one bit per host: a capacity-capped window of ⌈N/64⌉ words in
+// the session's one membership slab (compile), so K groups cost K·N bits.
+// Neighbouring groups share no word — windows are word-aligned — and a
+// word is written only where nothing else runs: by its own group's compile
+// worker, by the snapshot's group record, or by the control and fault
+// planes at a coordinator barrier, with every shard quiesced. A byte per
+// host could not tear a neighbour's entry; a bit can, through a racing
+// read-modify-write of their shared word, which is why both halves must
+// hold.
 type groupState struct {
 	spec   GroupSpec     // the compiled (initial) membership
 	tree   *overlay.Tree // current delivery tree
-	member []bool        // current membership by host id
+	member bitset        // current membership by host id
 	lost   uint64        // packets lost to membership churn (see Result.Lost)
 	// strat and lim are the strategy that built the tree and its graft
 	// constraints, kept so churn grafts/repairs and re-optimization use
@@ -345,6 +355,22 @@ type groupState struct {
 	// plane holds off.
 	detached []int
 }
+
+// bitset is a set of small non-negative integers, one bit each.
+type bitset []uint64
+
+// reset empties the set and makes it hold [0, n).
+func (b *bitset) reset(n int) {
+	*b = slices.Grow((*b)[:0], words(n))[:words(n)]
+	clear(*b)
+}
+
+func (b bitset) set(i int)      { b[uint(i)/64] |= 1 << (uint(i) % 64) }
+func (b bitset) unset(i int)    { b[uint(i)/64] &^= 1 << (uint(i) % 64) }
+func (b bitset) has(i int) bool { return b[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
+
+// words is the length of a bitset holding [0, n).
+func words(n int) int { return (n + 63) / 64 }
 
 // shardPacket is the flat cross-shard payload: a packet bound for a host
 // on another shard. It travels through the coordinator's pooled mailbox
@@ -455,6 +481,9 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 
 	numGroups := sub.numGroups()
 	bursts := RegulatorBursts(sub.specs, sub.conn)
+	uniform := !slices.ContainsFunc(sub.specs, func(sp FlowSpec) bool {
+		return sp.Sigma != sub.specs[0].Sigma || sp.Rho != sub.specs[0].Rho
+	})
 	// Every shard's fabric delivers through one table of the hosts, each
 	// the receiver of its own packets; a host appears in it once built.
 	receivers := make([]traffic.Sink, cfg.NumHosts)
@@ -492,6 +521,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 			conn:       sub.conn,
 			mults:      sub.mults,
 			bursts:     bursts,
+			uniform:    uniform,
 			discipline: cfg.Discipline,
 			aligned:    cfg.StaggerAligned,
 			threshold:  sub.threshold,
@@ -681,12 +711,13 @@ func (s *Session) Lookahead() des.Duration {
 // packet arriving at a host outside its membership interval — it was in
 // flight when the host left the group — is dropped and counted as churn
 // loss, never measured or forwarded: the membership invariant the
-// control-plane tests pin down. Membership reads are safe: the bitmaps
-// only change at coordinator barriers, when no shard is executing.
+// control-plane tests pin down. Membership reads are safe: a group's
+// member window (one bit per host in the session's membership slab) only
+// changes at coordinator barriers, when no shard is executing.
 func (sh *shardRuntime) receive(h *host, p traffic.Packet) {
 	s, id, g := sh.s, h.id, p.Flow
 	st := s.sub.groups[g]
-	if !st.member[id] {
+	if !st.member.has(id) {
 		sh.lost[g]++
 		return
 	}

@@ -46,6 +46,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/des"
@@ -168,19 +169,6 @@ func (c *codec) routed(h *host, child int) int {
 	return hi - lo
 }
 
-// bitset is a set of small non-negative integers.
-type bitset []uint64
-
-// reset empties the set and makes it hold [0, n).
-func (b *bitset) reset(n int) {
-	*b = slices.Grow((*b)[:0], (n+63)/64)[:(n+63)/64]
-	clear(*b)
-}
-
-func (b bitset) set(i uint32)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) unset(i uint32)    { b[i/64] &^= 1 << (i % 64) }
-func (b bitset) has(i uint32) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
 // walk visits every record of the stream in order — (row, index within
 // its scope) — stopping at the first error. Rows past the meta record are
 // sized from c.s, which reading the meta record sets.
@@ -290,7 +278,7 @@ func (s *Session) checkWiring() error {
 	hasMux.reset(len(s.hosts))
 	for id, h := range s.hosts {
 		for _, c := range h.muxChild {
-			hasMux.set(uint32(c))
+			hasMux.set(int(c))
 		}
 		for i, kids := range h.children.kids {
 			if len(kids) == 0 {
@@ -307,13 +295,13 @@ func (s *Session) checkWiring() error {
 				return fmt.Errorf("core: snapshot host %d forwards group %d with no regulator in mode %v", id, h.children.groups[i], h.mode)
 			}
 			for _, c := range kids {
-				if !hasMux.has(uint32(c)) {
+				if !hasMux.has(int(c)) {
 					return fmt.Errorf("core: snapshot host %d forwards group %d to %d with no MUX", id, h.children.groups[i], c)
 				}
 			}
 		}
 		for _, c := range h.muxChild {
-			hasMux.unset(uint32(c))
+			hasMux.unset(int(c))
 		}
 	}
 	return nil
@@ -352,22 +340,23 @@ func readIndex(r *snap.Reader, n int, what string) int {
 	return v
 }
 
-// writeBitmap writes a bitmap as the ascending indices of its set bits.
-func writeBitmap(w *snap.Writer, bits []bool) {
+// writeBitmap writes a set as the ascending indices of its members.
+func writeBitmap(w *snap.Writer, b bitset) {
 	slot, n := w.Count(), 0
-	for i, b := range bits {
-		if b {
-			w.U32(uint32(i))
+	for wi, word := range b {
+		for ; word != 0; word &= word - 1 {
+			w.U32(uint32(wi*64 + bits.TrailingZeros64(word)))
 			n++
 		}
 	}
 	w.SetCount(slot, n)
 }
 
-func readBitmap(r *snap.Reader, bits []bool, what string) {
-	clear(bits)
-	for n := r.Len(); n > 0; n-- {
-		bits[readIndex(r, len(bits), what)] = true
+// readBitmap reads what writeBitmap wrote into b, a set of [0, n).
+func readBitmap(r *snap.Reader, b bitset, n int, what string) {
+	clear(b)
+	for k := r.Len(); k > 0; k-- {
+		b.set(readIndex(r, n, what))
 	}
 }
 
@@ -475,18 +464,19 @@ func (c *codec) writeGroup(w *snap.Writer, g int) {
 
 func (c *codec) readGroup(r *snap.Reader, g int) {
 	st := c.s.sub.groups[g]
-	tree := overlay.RestoreTree(r, len(st.member))
+	numHosts := c.s.sub.cfg.NumHosts
+	tree := overlay.RestoreTree(r, numHosts)
 	if r.Err() != nil {
 		return // the tree is partial: its ids have not all been checked
 	}
 	st.tree = tree
 	clear(st.member)
 	for _, m := range tree.Members {
-		st.member[m] = true
+		st.member.set(m)
 	}
 	st.lost = r.U64()
 	for n := r.Len(); n > 0; n-- {
-		st.detached = append(st.detached, readIndex(r, len(st.member), "detached subtree root"))
+		st.detached = append(st.detached, readIndex(r, numHosts, "detached subtree root"))
 	}
 }
 
@@ -702,7 +692,7 @@ func (c *codec) writeFaults(w *snap.Writer, _ int) {
 func (c *codec) readFaults(r *snap.Reader, _ int) {
 	fp := c.s.fp
 	numHosts, numGroups, numEvents := len(fp.hosts), len(fp.groups), len(fp.events)
-	readBitmap(r, fp.down, "down host")
+	readBitmap(r, fp.down, numHosts, "down host")
 	for ni := r.Len(); ni > 0; ni-- {
 		id, ng := int(r.I64()), r.Len()
 		if ng > numGroups {
@@ -720,8 +710,8 @@ func (c *codec) readFaults(r *snap.Reader, _ int) {
 	fp.cutOn = r.Bool()
 	if fp.cutOn {
 		fp.cutIdx = readIndex(r, numEvents, "cut event")
-		fp.cutHost = make([]bool, numHosts)
-		readBitmap(r, fp.cutHost, "cut host")
+		fp.cutHost.reset(numHosts)
+		readBitmap(r, fp.cutHost, numHosts, "cut host")
 	}
 	if n := r.Len(); n != numEvents {
 		r.Fail(fmt.Errorf("core: snapshot has %d fault outcomes, session has %d", n, numEvents))
@@ -847,7 +837,7 @@ func (c *codec) writeComponents(w *snap.Writer, si int) {
 	}
 	for _, ev := range evs {
 		if f := kindFam[ev.Kind]; f != famNone {
-			c.ref[f].set(ev.Arg)
+			c.ref[f].set(int(ev.Arg))
 		}
 	}
 	base := w.Count()
@@ -873,7 +863,7 @@ func writeFamily(w *snap.Writer, hosts []*host, env *hostEnv, f family, comps []
 		comp := h.(component)
 		id := env.ident(slot, comp)
 		live := hosts[id.host].isLive(f, int(id.sub), comp)
-		if !live && !ref.has(uint32(slot)) {
+		if !live && !ref.has(slot) {
 			continue
 		}
 		t.comps[f]++

@@ -22,7 +22,7 @@ import (
 // count start from bit-identical structure.
 //
 // The groups field is the mutable per-group runtime (trees and member
-// bitmaps the control plane drives), so a substrate belongs to exactly
+// sets the control plane drives), so a substrate belongs to exactly
 // one session; compile a fresh one per run. The expensive immutable parts
 // (network, built trees, resolved member sets) live in a shared blueprint
 // (see blueprintFor) and are cloned into the substrate, so compiling the
@@ -322,13 +322,14 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 // exactly — pinned by the paper-fig4/paper-fig6 golden bit-identity tests.
 // The immutable half comes from the shared blueprint cache; the per-
 // session half (flow envelopes at this traffic seed, connection capacity
-// at this load, cloned trees and member bitmaps the control plane will
-// mutate) is instantiated fresh on every call.
+// at this load, cloned trees and the member sets — bitset windows of one
+// slab — the control plane will mutate) is instantiated fresh on every
+// call.
 func compileSubstrate(cfg Config) *substrate { return compile(cfg, false) }
 
 // compile is compileSubstrate, or with resume set the substrate of a
 // checkpoint restore: the same in everything but the per-group runtime,
-// which comes up with no tree and an all-false member bitmap for the
+// which comes up with no tree and an empty member window for the
 // snapshot's group records to fill. The trees a checkpointed run had
 // arrived at are in the blob, so cloning the blueprint's — and marking
 // its members — would be made only to be replaced; nothing of the
@@ -354,41 +355,41 @@ func compile(cfg Config, resume bool) *substrate {
 	sub.conn = cfg.Mix.TotalRateN(numGroups) / cfg.Load
 
 	// Per-group runtime: the mutable state the control plane drives. Each
-	// session gets its own tree clones and member bitmaps; the blueprint's
-	// trees stay pristine for the next session. Slots are pre-sized and
-	// written independently, so the clone fan-out is order-free.
+	// session gets its own tree clones and member sets; the blueprint's
+	// trees stay pristine for the next session. Every member set is a
+	// word-aligned, capacity-capped window of one slab, ⌈N/64⌉ words per
+	// group, so the fan-out's workers write disjoint words. Slots are
+	// pre-sized and written independently, so the fan-out is order-free.
+	// A restore only carves, too little work to fan out.
 	sub.groups = make([]*groupState, numGroups)
-	group := func(g int, tree *overlay.Tree, member []bool) *groupState {
-		st := &groupState{spec: bp.groups[g], tree: tree, member: member}
+	n := words(cfg.NumHosts)
+	members := make(bitset, numGroups*n)
+	var sharedClone *overlay.Tree
+	if bp.shared && !resume {
+		sharedClone = bp.trees[0].Clone()
+	}
+	workers := compileWorkers()
+	if resume {
+		workers = 1
+	}
+	parallelIndexed(numGroups, workers, func(g int) {
+		st := &groupState{spec: bp.groups[g], member: members[g*n : (g+1)*n : (g+1)*n]}
 		if bp.strat != nil {
 			st.strat = bp.strat
 			st.lim = bp.strat.Limits(bp.treeCfgs[g], cfg.NumHosts)
 			st.treeCfg = bp.treeCfgs[g]
 		}
-		return st
-	}
-	if resume {
-		bitmaps := make([]bool, numGroups*cfg.NumHosts)
-		for g := range sub.groups {
-			sub.groups[g] = group(g, nil, bitmaps[g*cfg.NumHosts:(g+1)*cfg.NumHosts:(g+1)*cfg.NumHosts])
-		}
-	} else {
-		var sharedClone *overlay.Tree
-		if bp.shared {
-			sharedClone = bp.trees[0].Clone()
-		}
-		parallelIndexed(numGroups, compileWorkers(), func(g int) {
-			member := make([]bool, cfg.NumHosts)
-			for _, m := range bp.groups[g].Members {
-				member[m] = true
+		if !resume {
+			for _, m := range st.spec.Members {
+				st.member.set(m)
 			}
-			tree := sharedClone
-			if tree == nil {
-				tree = bp.trees[g].Clone()
+			st.tree = sharedClone
+			if st.tree == nil {
+				st.tree = bp.trees[g].Clone()
 			}
-			sub.groups[g] = group(g, tree, member)
-		})
-	}
+		}
+		sub.groups[g] = st
+	})
 
 	if len(cfg.UplinkClasses) > 0 {
 		// Every flow envelope must fit inside the slowest class's uplink:

@@ -63,12 +63,11 @@ func TestScenarioBoundsHoldForStaticRegulated(t *testing.T) {
 }
 
 // With Fig. 4 an ordinary two-layer tree its bound column is real: the H = 2
-// case of Remark 2 / Theorem 7 must hold on every paper-scale cell of the
-// homogeneous panels. (paper-fig4c's (σ, ρ, λ) curve exceeds the Theorem 7
-// hetero bound from load 0.65 up — recorded in EXPERIMENTS.md, ROADMAP
-// item 6(b)'s to explain, so not asserted either way here.)
+// case of Remark 2 / Theorem 7 must hold on every paper-scale cell of every
+// panel, the heterogeneous one included, whose (σ, ρ, λ) regulators run
+// Theorem 1's σ*ᵢ.
 func TestTheoryBoundHoldsOnOneHop(t *testing.T) {
-	for _, name := range []string{"paper-fig4", "paper-fig4b"} {
+	for _, name := range []string{"paper-fig4", "paper-fig4b", "paper-fig4c"} {
 		r, err := ScenarioSweep(scenario.MustLookup(name), Options{})
 		if err != nil {
 			t.Fatal(err)
