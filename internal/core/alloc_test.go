@@ -6,6 +6,7 @@ import (
 	"math"
 	mathbits "math/bits"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -96,6 +97,43 @@ func allocated(fn func()) (bytes, mallocs uint64) {
 		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 	}
 	return bytes, mallocs
+}
+
+// TestLeavesCarryNoForwarder holds the forwarding state to the hosts that
+// forward: after NewSession the hosts holding a forwarder are exactly the
+// hosts with a child in some tree, and each shard's are carved back to back
+// from one arena; a Restore rebuilds the set the checkpointed session held,
+// the same way. At one shard and at four.
+func TestLeavesCarryNoForwarder(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cfg := allocFixtures(t)["waxman-zipf-64-quick"]
+		cfg.Shards = shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := core.NewSession(cfg)
+			fwds, parents, oneArena := core.ForwarderLayout(s)
+			if !slices.Equal(fwds, parents) || !oneArena {
+				t.Fatalf("NewSession: forwarders at %v (one arena per shard: %v), hosts with children %v", fwds, oneArena, parents)
+			}
+			if len(fwds) == 0 || len(fwds) == cfg.NumHosts {
+				t.Fatalf("%d of %d hosts forward: the fixture has no leaves or no forwarders", len(fwds), cfg.NumHosts)
+			}
+			s.Start()
+			s.RunTo(des.Time(cfg.Duration) / 2)
+			blob, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _ := core.ForwarderLayout(s)
+			r, err := core.Restore(cfg, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, oneArena := core.ForwarderLayout(r); !slices.Equal(got, want) || !oneArena {
+				t.Fatalf("Restore: forwarders at %v (one arena per shard: %v), the checkpointed session's at %v", got, oneArena, want)
+			}
+			t.Logf("%d of %d hosts forward, on %d shards", len(fwds), cfg.NumHosts, s.Shards())
+		})
+	}
 }
 
 // TestBuildAllocBudget states what NewSession + Start may allocate with the

@@ -45,7 +45,7 @@ func (e MembershipEvent) String() string {
 type controlPlane struct {
 	net    *topo.Network
 	groups []*groupState
-	hosts  []*host
+	hosts  []host
 	// down, when the session has a fault plane, is its outage set (shared
 	// slice): hosts under an outage are barred from joining until
 	// restored. Nil without faults.
@@ -54,7 +54,7 @@ type controlPlane struct {
 	joins, leaves, regrafts, rejected int
 }
 
-func newControlPlane(sub *substrate, hosts []*host) *controlPlane {
+func newControlPlane(sub *substrate, hosts []host) *controlPlane {
 	return &controlPlane{
 		net:    sub.net,
 		groups: sub.groups,

@@ -96,7 +96,7 @@ func TestChurnMembershipInvariant(t *testing.T) {
 		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
 			member := s.sub.groups[p.Flow].member.has(id)
 			before := sh.deliver
-			sh.receive(s.hosts[id], p)
+			sh.receive(&s.hosts[id], p)
 			counted := sh.deliver == before+1
 			arrivals = append(arrivals, arrival{member: member, counted: counted})
 			if counted {

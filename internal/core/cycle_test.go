@@ -18,9 +18,11 @@ func forwardedClasses(s *Session) []map[cycleKey]bool {
 		classes[i] = map[cycleKey]bool{}
 	}
 	for id, h := range s.hosts {
-		for i, r := range h.srlBank {
-			if r != nil {
-				classes[s.owner[id]][cycleKey{h.children.groups[i], h.conn}] = true
+		if f := h.fwd; f != nil {
+			for i, r := range f.srlBank {
+				if r != nil {
+					classes[s.owner[id]][cycleKey{f.children.groups[i], f.conn}] = true
+				}
 			}
 		}
 	}
@@ -129,7 +131,10 @@ func TestOnlyClockEdgesRemainAfterRun(t *testing.T) {
 func waitingRegulators(s *Session) int {
 	n := 0
 	for _, h := range s.hosts {
-		for _, r := range h.srlBank {
+		if h.fwd == nil {
+			continue
+		}
+		for _, r := range h.fwd.srlBank {
 			if r != nil && r.Following() && !r.On() && r.QueueLen() > 0 && !r.Transmitting() {
 				n++
 			}

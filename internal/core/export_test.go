@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/des"
+import (
+	"unsafe"
+
+	"repro/internal/des"
+)
 
 // ComponentCount reports how many components — MUXes, regulators, clocks —
 // the session's owner tables hold, for the external tests that budget a
@@ -61,4 +65,36 @@ func MemberWindows(s *Session) [][]uint64 {
 		out[g] = st.member
 	}
 	return out
+}
+
+// ForwarderLayout reports, in host order, the hosts that hold a forwarder
+// and the hosts with a child in some group's tree, and whether each shard's
+// forwarders sit back to back in host order in one array — the shard's
+// one forwarder arena.
+func ForwarderLayout(s *Session) (fwds, parents []int, oneArena bool) {
+	isParent := make([]bool, len(s.hosts))
+	for _, st := range s.sub.groups {
+		for _, m := range st.tree.Members {
+			if p := st.tree.Parent(m); p >= 0 {
+				isParent[p] = true
+			}
+		}
+	}
+	last := make([]*forwarder, len(s.sh))
+	oneArena = true
+	for id, h := range s.hosts {
+		if isParent[id] {
+			parents = append(parents, id)
+		}
+		if h.fwd == nil {
+			continue
+		}
+		fwds = append(fwds, id)
+		sh := s.owner[id]
+		if prev := last[sh]; prev != nil && uintptr(unsafe.Pointer(h.fwd)) != uintptr(unsafe.Pointer(prev))+unsafe.Sizeof(*prev) {
+			oneArena = false
+		}
+		last[sh] = h.fwd
+	}
+	return fwds, parents, oneArena
 }

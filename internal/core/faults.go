@@ -266,7 +266,7 @@ type faultTrack struct{ g, h int }
 type faultPlane struct {
 	net    *topo.Network
 	groups []*groupState
-	hosts  []*host
+	hosts  []host
 	events []FaultEvent // time-sorted, within the traffic duration
 
 	down        bitset          // hosts currently under an outage (barred from joins)
@@ -290,7 +290,7 @@ type faultPlane struct {
 	firstAt  [][]des.Time
 }
 
-func newFaultPlane(sub *substrate, hosts []*host, events []FaultEvent) *faultPlane {
+func newFaultPlane(sub *substrate, hosts []host, events []FaultEvent) *faultPlane {
 	validateFaults(events, len(hosts), len(sub.groups), sub.net.Backbone.NumNodes())
 	fp := &faultPlane{
 		net:         sub.net,

@@ -63,13 +63,13 @@ func (e *hostEnv) ident(slot int, c component) compIdent {
 	switch c := c.(type) {
 	case *mux.Mux:
 		l := c.Out().(*muxLink)
-		return compIdent{int32(l.h.id), l.child}
+		return compIdent{l.h.id, l.child}
 	case *regulator.SigmaRho:
 		l := c.Out().(*regLink)
-		return compIdent{int32(l.h.id), l.g}
+		return compIdent{l.h.id, l.g}
 	case *regulator.SRL:
 		l := c.Out().(*regLink)
-		return compIdent{int32(l.h.id), l.g}
+		return compIdent{l.h.id, l.g}
 	}
 	return e.clocks[slot]
 }
@@ -82,9 +82,13 @@ type hostEnv struct {
 	mults      []float64
 	bursts     []float64 // σᵢ, the (σ, ρ) regulators' bursts
 	discipline mux.Discipline
-	aligned    bool    // stagger ablation: align all duty-cycle phases
-	threshold  float64 // adaptive switching utilisation (for late attach)
-	send       func(from, to int, p traffic.Packet)
+	aligned    bool   // stagger ablation: align all duty-cycle phases
+	scheme     Scheme // the session's configured scheme
+	// The adaptive controller's switching utilisation and sampling period,
+	// the same at every host it runs on.
+	threshold float64
+	ctlEvery  des.Duration
+	send      func(from, to int, p traffic.Packet)
 	// capAware selects the capacity-aware connection model: the host's
 	// aggregate uplink of capFactor × its own C splits across its
 	// distinct child connections. Regulated schemes instead give every
@@ -171,21 +175,31 @@ func (e *hostEnv) connectionCapacity(id, numConns int) float64 {
 	return e.capFactor * c / float64(numConns)
 }
 
-// host models one regulated group end host: per-flow regulators feeding a
-// replicator that fans out into one general MUX per child connection
-// (Section III's model, one MUX per output link).
+// host is one group end host, a record every host of a session has, in one
+// array. What a host needs to forward — Section III's per-flow regulators
+// feeding a replicator that fans out into one general MUX per child
+// connection — is its forwarder, which only a host that has had children
+// holds: most hosts of a large overlay are leaves of every tree they are
+// in, and a leaf costs three words.
 type host struct {
-	id      int
-	env     *hostEnv
-	conn    float64 // this host's per-connection capacity
-	scheme  Scheme  // the session's configured scheme
-	mode    Scheme  // the concrete scheme in force at any instant
-	modeSet bool
+	id  int32
+	env *hostEnv
+	// fwd is nil until the host first forwards, and kept when its last
+	// child leaves, with its mode, switch count and bank allocation: a
+	// host has a forwarder exactly when its mode has been set.
+	fwd *forwarder
+}
 
-	// children holds this host's per-group child sets, flattened to the
-	// groups the host actually forwards (see groupChildren) — absent
-	// groups, including every group the host is not a member of, cost
-	// nothing.
+// forwarder is a forwarding host's state.
+type forwarder struct {
+	conn       float64 // the host's per-connection capacity
+	mode       Scheme  // the concrete scheme in force at any instant
+	switches   int32
+	srlCycling bool
+
+	// children holds the host's per-group child sets, flattened to the
+	// groups it actually forwards (see groupChildren) — absent groups,
+	// including every group the host is not a member of, cost nothing.
 	children groupChildren
 	// Connections de-duplicate children across groups, flattened to
 	// sorted parallel arrays (same rationale as groupChildren): muxChild
@@ -200,142 +214,123 @@ type host struct {
 	// (bank[i] regulates group children.groups[i]), so a host pays for the
 	// groups it forwards, not for K. A nil bank has never been built; an
 	// entry is nil until its mode first needs the regulator.
-	srBank     []*regulator.SigmaRho
-	srlBank    []*regulator.SRL
-	srlCycling bool
+	srBank  []*regulator.SigmaRho
+	srlBank []*regulator.SRL
 
-	// Adaptive-control state, set by prepareController: the host itself is
-	// the owner of the controller's self-rearming sampling tick, registered
-	// in its engine at slot = host id.
-	rate         *stats.WindowRate
-	ctlEvery     des.Duration
-	ctlThreshold float64
-	switches     int
+	// rate is the adaptive controller's input-rate estimator, set by
+	// prepareController; the host itself owns the controller's
+	// self-rearming sampling tick, registered in its engine at slot = host
+	// id.
+	rate *stats.WindowRate
 }
 
-// Adaptive controller sampling parameters (paper's Adaptive Control
-// Algorithm defaults); named so the checkpoint restore rebuilds the
-// controller with exactly the creation-site values.
+// ctlWindow is the adaptive controller's rate-estimation window and
+// ctlInterval its sampling period (the paper's Adaptive Control Algorithm
+// defaults); a session puts the period in every hostEnv.
 const (
 	ctlWindow   = des.Second
 	ctlInterval = 250 * des.Millisecond
 )
 
-// newHost wires a host for its (per-group) child sets. Hosts with no
-// children build no forwarding machinery.
-func newHost(id int, env *hostEnv, children groupChildren, initial Scheme) *host {
-	h := bareHost(id, env, initial)
-	h.wire(children, connsOf(children))
-	return &h
+// newForwarder gives h its forwarder, carved from its shard's slab.
+func (h *host) newForwarder() *forwarder {
+	f := h.env.slabs.fwds.One()
+	f.conn = h.env.hostConn(int(h.id))
+	h.fwd = f
+	return f
 }
 
-// bareHost is a host with no children and no machinery — how a session
-// build and a restore both start one, in an array they made for all.
-func bareHost(id int, env *hostEnv, scheme Scheme) host {
-	return host{id: id, env: env, conn: env.hostConn(id), scheme: scheme}
-}
-
-// connsOf returns the distinct child connections of a child set, sorted —
-// the wiring plan wire consumes. Pure: session builds precompute it for
-// every host in parallel (see hostConns).
-func connsOf(children groupChildren) []int {
-	var conns []int
-	children.each(func(_ int, cs []int) {
-		for _, c := range cs {
-			conns = insertSortedDistinct(conns, c)
-		}
-	})
-	return conns
-}
-
-// wire gives a bare host its child sets and the machinery they need: a
-// MUX per connection in conns, which must be sorted ascending and
-// distinct, with room for a packet of each group routed through it, and
-// the initial mode's regulator bank. MUXes are created in that sorted
-// order: component registry slots must be deterministic for snapshots to
-// be stable.
+// wire gives a bare host with connections its child sets and the machinery
+// they need: a forwarder, a MUX per connection in conns, which must be
+// sorted ascending and distinct, with room for a packet of each group
+// routed through it, and the initial mode's regulator bank. A host with no
+// connection stays a leaf. MUXes are created in that sorted order:
+// component registry slots must be deterministic for snapshots to be
+// stable.
 func (h *host) wire(children groupChildren, conns []int) {
-	h.children = children
-	connCap := h.env.connectionCapacity(h.id, len(conns))
-	h.muxChild = h.env.slabs.muxChild.Take(len(conns))
-	h.muxes = h.env.slabs.muxes.Take(len(conns))
+	if len(conns) == 0 {
+		return
+	}
+	f := h.newForwarder()
+	f.children = children
+	connCap := h.env.connectionCapacity(int(h.id), len(conns))
+	f.muxChild = h.env.slabs.muxChild.Take(len(conns))
+	f.muxes = h.env.slabs.muxes.Take(len(conns))
 	// muxChild counts the groups routed through each connection before it
 	// takes the connection's child id.
 	for _, cs := range children.kids {
 		for _, c := range cs {
 			i, _ := slices.BinarySearch(conns, c)
-			h.muxChild[i]++
+			f.muxChild[i]++
 		}
 	}
 	for i, c := range conns {
-		h.muxes[i] = h.makeMux(c, connCap, int(h.muxChild[i]))
-		h.muxChild[i] = int32(c)
+		f.muxes[i] = h.makeMux(c, connCap, int(f.muxChild[i]))
+		f.muxChild[i] = int32(c)
 	}
-	if len(conns) > 0 {
-		h.setMode(initialMode(h.scheme))
-	}
+	h.enterMode(initialMode(h.env.scheme))
 }
 
 // findMux returns child connection c's slot index, or -1.
-func (h *host) findMux(c int) int {
-	lo, hi := 0, len(h.muxChild)
+func (f *forwarder) findMux(c int) int {
+	lo, hi := 0, len(f.muxChild)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(h.muxChild[mid]) < c {
+		if int(f.muxChild[mid]) < c {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(h.muxChild) && int(h.muxChild[lo]) == c {
+	if lo < len(f.muxChild) && int(f.muxChild[lo]) == c {
 		return lo
 	}
 	return -1
 }
 
 // muxAt returns child connection c's MUX, or nil when none is wired.
-func (h *host) muxAt(c int) *mux.Mux {
-	if i := h.findMux(c); i >= 0 {
-		return h.muxes[i]
+func (f *forwarder) muxAt(c int) *mux.Mux {
+	if i := f.findMux(c); i >= 0 {
+		return f.muxes[i]
 	}
 	return nil
 }
 
 // putMux wires m as child connection c's MUX (sorted insert).
-func (h *host) putMux(c int, m *mux.Mux) {
-	lo, hi := 0, len(h.muxChild)
+func (f *forwarder) putMux(c int, m *mux.Mux) {
+	lo, hi := 0, len(f.muxChild)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(h.muxChild[mid]) < c {
+		if int(f.muxChild[mid]) < c {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(h.muxChild) && int(h.muxChild[lo]) == c {
-		h.muxes[lo] = m
+	if lo < len(f.muxChild) && int(f.muxChild[lo]) == c {
+		f.muxes[lo] = m
 		return
 	}
-	h.muxChild = append(h.muxChild, 0)
-	h.muxes = append(h.muxes, nil)
-	copy(h.muxChild[lo+1:], h.muxChild[lo:])
-	copy(h.muxes[lo+1:], h.muxes[lo:])
-	h.muxChild[lo] = int32(c)
-	h.muxes[lo] = m
+	f.muxChild = append(f.muxChild, 0)
+	f.muxes = append(f.muxes, nil)
+	copy(f.muxChild[lo+1:], f.muxChild[lo:])
+	copy(f.muxes[lo+1:], f.muxes[lo:])
+	f.muxChild[lo] = int32(c)
+	f.muxes[lo] = m
 }
 
 // dropMux unwires child connection c's MUX (a no-op when absent).
 // In-flight MUX traffic still drains through the engine.
-func (h *host) dropMux(c int) {
-	i := h.findMux(c)
+func (f *forwarder) dropMux(c int) {
+	i := f.findMux(c)
 	if i < 0 {
 		return
 	}
-	copy(h.muxChild[i:], h.muxChild[i+1:])
-	copy(h.muxes[i:], h.muxes[i+1:])
-	h.muxChild = h.muxChild[:len(h.muxChild)-1]
-	h.muxes[len(h.muxes)-1] = nil
-	h.muxes = h.muxes[:len(h.muxes)-1]
+	copy(f.muxChild[i:], f.muxChild[i+1:])
+	copy(f.muxes[i:], f.muxes[i+1:])
+	f.muxChild = f.muxChild[:len(f.muxChild)-1]
+	f.muxes[len(f.muxes)-1] = nil
+	f.muxes = f.muxes[:len(f.muxes)-1]
 }
 
 func initialMode(s Scheme) Scheme {
@@ -346,27 +341,32 @@ func initialMode(s Scheme) Scheme {
 }
 
 // forward pushes a group-g packet into the active regulator bank (or
-// straight to the replicator for the capacity-aware scheme).
+// straight to the replicator for the capacity-aware scheme). A leaf
+// returns at once.
 func (h *host) forward(g int, p traffic.Packet) {
-	i := h.children.find(g)
-	if i < 0 || len(h.children.kids[i]) == 0 {
+	f := h.fwd
+	if f == nil {
 		return
 	}
-	switch h.mode {
+	i := f.children.find(g)
+	if i < 0 || len(f.children.kids[i]) == 0 {
+		return
+	}
+	switch f.mode {
 	case SchemeSigmaRho:
-		h.srBank[i].Enqueue(p)
+		f.srBank[i].Enqueue(p)
 	case SchemeSRL:
-		h.srlBank[i].Enqueue(p)
+		f.srlBank[i].Enqueue(p)
 	default: // capacity-aware: no regulation
-		h.replicate(g, p)
+		f.replicate(g, p)
 	}
 }
 
 // replicate copies the packet into the MUX of every child connection for
 // its group.
-func (h *host) replicate(g int, p traffic.Packet) {
-	for _, c := range h.children.get(g) {
-		h.muxAt(c).Enqueue(p)
+func (f *forwarder) replicate(g int, p traffic.Packet) {
+	for _, c := range f.children.get(g) {
+		f.muxAt(c).Enqueue(p)
 	}
 }
 
@@ -388,29 +388,30 @@ func (h *host) cycle(g int) *regulator.Cycle {
 
 // findCycle returns the clock cycle would, or nil if it is yet to be made.
 func (h *host) findCycle(g int) *regulator.Cycle {
-	return h.env.cycles[cycleKey{int32(g), h.conn}]
+	return h.env.cycles[cycleKey{int32(g), h.fwd.conn}]
 }
 
 // startCycles puts the host's SRL bank on its groups' clocks.
 func (h *host) startCycles() {
-	for i, r := range h.srlBank {
+	f := h.fwd
+	for i, r := range f.srlBank {
 		if r != nil {
-			r.Follow(h.cycle(int(h.children.groups[i])))
+			r.Follow(h.cycle(int(f.children.groups[i])))
 		}
 	}
-	h.srlCycling = true
+	f.srlCycling = true
 }
 
 // stopCycles takes the bank off its clocks and reopens the vacated queues
 // so residual packets drain.
-func (h *host) stopCycles() {
-	for _, r := range h.srlBank {
+func (f *forwarder) stopCycles() {
+	for _, r := range f.srlBank {
 		if r != nil {
 			r.StopCycle()
 		}
 	}
-	h.srlCycling = false
-	for _, r := range h.srlBank {
+	f.srlCycling = false
+	for _, r := range f.srlBank {
 		if r != nil {
 			r.SetOn(true)
 		}
@@ -422,12 +423,13 @@ func (h *host) stopCycles() {
 // runs once with the build-time child sets; under churn it also fills
 // entries for groups whose children arrived after the bank was built.
 func (h *host) ensureSRBank() {
-	if h.srBank == nil {
-		h.srBank = h.env.slabs.srBanks.Take(len(h.children.groups))
+	f := h.fwd
+	if f.srBank == nil {
+		f.srBank = h.env.slabs.srBanks.Take(len(f.children.groups))
 	}
-	for i, g := range h.children.groups {
-		if len(h.children.kids[i]) > 0 && h.srBank[i] == nil {
-			h.srBank[i] = h.makeSR(int(g))
+	for i, g := range f.children.groups {
+		if len(f.children.kids[i]) > 0 && f.srBank[i] == nil {
+			f.srBank[i] = h.makeSR(int(g))
 		}
 	}
 }
@@ -435,12 +437,13 @@ func (h *host) ensureSRBank() {
 // ensureSRLBank is ensureSRBank for the (σ, ρ, λ) bank. It puts no
 // regulator on a clock; the caller does.
 func (h *host) ensureSRLBank() {
-	if h.srlBank == nil {
-		h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
+	f := h.fwd
+	if f.srlBank == nil {
+		f.srlBank = h.env.slabs.srlBanks.Take(len(f.children.groups))
 	}
-	for i, g := range h.children.groups {
-		if len(h.children.kids[i]) > 0 && h.srlBank[i] == nil {
-			h.srlBank[i] = h.makeSRL(int(g))
+	for i, g := range f.children.groups {
+		if len(f.children.kids[i]) > 0 && f.srlBank[i] == nil {
+			f.srlBank[i] = h.makeSRL(int(g))
 		}
 	}
 }
@@ -455,6 +458,7 @@ func (h *host) ensureSRLBank() {
 // paths carve from the engine's slabs, which a live build sizes from the
 // compiled child sets and a restore from the components record's totals;
 // what outruns them (a connection churn grafts later) is made on its own.
+// Only a forwarder makes components.
 
 // muxLink is where child connection c's MUX puts a packet: onto the
 // fabric, from its host to c.
@@ -464,7 +468,7 @@ type muxLink struct {
 }
 
 // Put implements traffic.Sink.
-func (l *muxLink) Put(p traffic.Packet) { l.h.env.send(l.h.id, int(l.child), p) }
+func (l *muxLink) Put(p traffic.Packet) { l.h.env.send(int(l.h.id), int(l.child), p) }
 
 // regLink is where group g's regulator puts a packet: into its host's
 // replicator for g.
@@ -474,7 +478,7 @@ type regLink struct {
 }
 
 // Put implements traffic.Sink.
-func (l *regLink) Put(p traffic.Packet) { l.h.replicate(int(l.g), p) }
+func (l *regLink) Put(p traffic.Packet) { l.h.fwd.replicate(int(l.g), p) }
 
 // muxOut is the output of child connection c's MUX.
 func (h *host) muxOut(c int) *muxLink {
@@ -491,7 +495,7 @@ func (h *host) regOut(g int) *regLink {
 }
 
 // makeMux creates and registers the connection MUX for child c, with room
-// for routed queued packets, without wiring it into h.muxes.
+// for routed queued packets, without wiring it into the connection table.
 func (h *host) makeMux(c int, capacity float64, routed int) *mux.Mux {
 	env := h.env
 	return env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c), routed)
@@ -505,8 +509,8 @@ func (h *host) makeSR(g int) *regulator.SigmaRho {
 
 // makeSRL creates and registers group g's (σ, ρ, λ) regulator.
 func (h *host) makeSRL(g int) *regulator.SRL {
-	env := h.env
-	return env.slabs.reg.NewSRL(env.eng, env.sigmaStars(h.conn)[g], env.specs[g].Rho, h.conn, h.regOut(g))
+	env, c := h.env, h.fwd.conn
+	return env.slabs.reg.NewSRL(env.eng, env.sigmaStars(c)[g], env.specs[g].Rho, c, h.regOut(g))
 }
 
 // cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
@@ -516,15 +520,15 @@ func (h *host) makeSRL(g int) *regulator.SRL {
 // a host forwarding every group would: the schedule is a per-group global,
 // not a per-host accident of which trees put children here.
 func (h *host) cycleSchedule(g int) (offset, w, v des.Duration) {
-	env := h.env
-	stars := env.sigmaStars(h.conn)
+	env, c := h.env, h.fwd.conn
+	stars := env.sigmaStars(c)
 	if !env.aligned {
 		for j := 0; j < g; j++ {
-			wj, _ := regulator.DutyCycle(stars[j], env.specs[j].Rho, h.conn)
+			wj, _ := regulator.DutyCycle(stars[j], env.specs[j].Rho, c)
 			offset += wj
 		}
 	}
-	w, v = regulator.DutyCycle(stars[g], env.specs[g].Rho, h.conn)
+	w, v = regulator.DutyCycle(stars[g], env.specs[g].Rho, c)
 	return offset, w, v
 }
 
@@ -541,21 +545,23 @@ func (h *host) addCycle(c *regulator.Cycle, g int) *regulator.Cycle {
 	if env.cycles == nil {
 		env.cycles = make(map[cycleKey]*regulator.Cycle)
 	}
-	env.cycles[cycleKey{int32(g), h.conn}] = c
-	env.clocks = append(env.clocks, compIdent{int32(h.id), int32(g)})
+	env.cycles[cycleKey{int32(g), h.fwd.conn}] = c
+	env.clocks = append(env.clocks, compIdent{h.id, int32(g)})
 	return c
 }
 
 // compSlabs is the storage one engine makes its components in — the
 // components, the link records their outputs point at — and its hosts'
-// connection tables and regulator banks. A live build sizes it from the
-// compiled child sets (sizeSlabs); a restore sizes the tables from the
-// restored trees and the components from the record's opening counts.
+// forwarders, connection tables and regulator banks. A live build sizes it
+// from the compiled child sets (sizeSlabs); a restore sizes the forwarders
+// from the hosts record, the tables from the restored trees and the
+// components from the record's opening counts.
 type compSlabs struct {
 	mux      mux.Slab
 	reg      regulator.Slab
 	muxLinks snap.Arena[muxLink]
 	regLinks snap.Arena[regLink]
+	fwds     snap.Arena[forwarder]
 	muxChild snap.Arena[int32]
 	muxes    snap.Arena[*mux.Mux]
 	srBanks  snap.Arena[*regulator.SigmaRho]
@@ -580,28 +586,29 @@ func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, 
 		offset, w, v := h.cycleSchedule(sub)
 		return h.addCycle(sl.reg.RestoreCycle(r, env.eng, offset, w, v), sub)
 	default:
-		return sl.reg.RestoreSRL(r, flows, env.eng, env.sigmaStars(h.conn)[sub], env.specs[sub].Rho, h.conn, h.regOut(sub))
+		c := h.fwd.conn
+		return sl.reg.RestoreSRL(r, flows, env.eng, env.sigmaStars(c)[sub], env.specs[sub].Rho, c, h.regOut(sub))
 	}
 }
 
-// isLive reports whether c is the component this host currently has in
-// service for (f, sub), as opposed to a detached one draining its events.
-// A clock is never retired.
-func (h *host) isLive(f family, sub int, c component) bool {
+// isLive reports whether c is the component this forwarder currently has
+// in service for (f, sub), as opposed to a detached one draining its
+// events. A clock is never retired.
+func (fw *forwarder) isLive(f family, sub int, c component) bool {
 	switch f {
 	case famMux:
-		return h.muxAt(sub) == c
+		return fw.muxAt(sub) == c
 	case famCycle:
 		return true
 	}
-	i := h.children.find(sub)
+	i := fw.children.find(sub)
 	if i < 0 {
 		return false
 	}
 	if f == famSR {
-		return h.srBank != nil && h.srBank[i] == c
+		return fw.srBank != nil && fw.srBank[i] == c
 	}
-	return h.srlBank != nil && h.srlBank[i] == c
+	return fw.srlBank != nil && fw.srlBank[i] == c
 }
 
 // install puts a restored live component back into service; false when the
@@ -610,44 +617,53 @@ func (h *host) isLive(f family, sub int, c component) bool {
 // the clock and its followers and from the re-inserted events — nothing here
 // starts a clock, and restoreComp already put a restored one in the table.
 func (h *host) install(f family, sub int, c component) bool {
+	fw := h.fwd
 	switch f {
 	case famMux:
-		h.putMux(sub, c.(*mux.Mux))
+		fw.putMux(sub, c.(*mux.Mux))
 		return true
 	case famCycle:
 		return true
 	}
-	i := h.children.find(sub)
+	i := fw.children.find(sub)
 	if i < 0 {
 		return false
 	}
 	if f == famSR {
-		if h.srBank == nil {
-			h.srBank = h.env.slabs.srBanks.Take(len(h.children.groups))
+		if fw.srBank == nil {
+			fw.srBank = h.env.slabs.srBanks.Take(len(fw.children.groups))
 		}
-		h.srBank[i] = c.(*regulator.SigmaRho)
+		fw.srBank[i] = c.(*regulator.SigmaRho)
 	} else {
-		if h.srlBank == nil {
-			h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
+		if fw.srlBank == nil {
+			fw.srlBank = h.env.slabs.srlBanks.Take(len(fw.children.groups))
 		}
-		h.srlBank[i] = c.(*regulator.SRL)
+		fw.srlBank[i] = c.(*regulator.SRL)
 	}
 	return true
 }
 
-// setMode activates the regulator bank for the given scheme, building
-// banks on first use. Packets already queued in the previous bank keep
-// draining through it (make-before-break), so no traffic is lost on a
-// switch.
+// setMode switches a forwarding host to scheme m, building banks on first
+// use and counting the switch. Packets already queued in the previous bank
+// keep draining through it (make-before-break), so no traffic is lost on
+// a switch.
 func (h *host) setMode(m Scheme) {
-	if h.modeSet && m == h.mode {
+	if m == h.fwd.mode {
 		return
 	}
+	h.enterMode(m)
+	h.fwd.switches++
+}
+
+// enterMode activates the regulator bank for m: setMode's switch, and a
+// new forwarder's first mode, which is no switch.
+func (h *host) enterMode(m Scheme) {
+	f := h.fwd
 	switch m {
 	case SchemeSigmaRho:
 		h.ensureSRBank()
-		if h.srlCycling {
-			h.stopCycles()
+		if f.srlCycling {
+			f.stopCycles()
 		}
 	case SchemeSRL:
 		// Returning to SRL, the held-open gates become the clocks'.
@@ -658,18 +674,14 @@ func (h *host) setMode(m Scheme) {
 	default:
 		panic("core: setMode with non-concrete scheme")
 	}
-	if h.modeSet {
-		h.switches++
-	}
-	h.mode = m
-	h.modeSet = true
+	f.mode = m
 }
 
 // --- Dynamic forwarding state (driven by the session control plane) ---
 
 // childInAnyGroup reports whether c is a child of this host in any group.
-func (h *host) childInAnyGroup(c int) bool {
-	for _, cs := range h.children.kids {
+func (f *forwarder) childInAnyGroup(c int) bool {
+	for _, cs := range f.children.kids {
 		for _, x := range cs {
 			if x == c {
 				return true
@@ -684,25 +696,30 @@ func (h *host) childInAnyGroup(c int) bool {
 // all, or was not forwarding this group — the regulator machinery, with
 // the new duty cycle re-staggered onto the global schedule.
 func (h *host) attachChild(g, c int) {
-	if i, fresh := h.children.add(g, c); fresh {
+	f := h.fwd
+	first := f == nil
+	if first {
+		f = h.newForwarder()
+	}
+	if i, fresh := f.children.add(g, c); fresh {
 		// Keep the banks parallel to the child slots.
-		if h.srBank != nil {
-			h.srBank = slices.Insert(h.srBank, i, nil)
+		if f.srBank != nil {
+			f.srBank = slices.Insert(f.srBank, i, nil)
 		}
-		if h.srlBank != nil {
-			h.srlBank = slices.Insert(h.srlBank, i, nil)
+		if f.srlBank != nil {
+			f.srlBank = slices.Insert(f.srlBank, i, nil)
 		}
 	}
-	if h.findMux(c) < 0 {
-		h.putMux(c, h.makeMux(c, h.env.connectionCapacity(h.id, len(h.muxes)+1), 0))
+	if f.findMux(c) < 0 {
+		f.putMux(c, h.makeMux(c, h.env.connectionCapacity(int(h.id), len(f.muxes)+1), 0))
 	}
-	if !h.modeSet {
+	if first {
 		// First forwarding duty of this host's lifetime: bring up the
 		// scheme exactly as a build-time forwarder would, including the
 		// adaptive controller if the session runs one.
-		h.setMode(initialMode(h.scheme))
-		if h.scheme == SchemeAdaptive && h.rate == nil {
-			h.startController(ctlWindow, ctlInterval, h.env.threshold)
+		h.enterMode(initialMode(h.env.scheme))
+		if h.env.scheme == SchemeAdaptive {
+			h.startController()
 		}
 		return
 	}
@@ -715,17 +732,18 @@ func (h *host) attachChild(g, c int) {
 // created (σ, ρ, λ) regulator follows the clock its group's regulators
 // have followed since time zero.
 func (h *host) attachGroup(g int) {
-	i := h.children.find(g)
-	switch h.mode {
+	f := h.fwd
+	i := f.children.find(g)
+	switch f.mode {
 	case SchemeSigmaRho:
-		if h.srBank != nil && h.srBank[i] == nil {
+		if f.srBank != nil && f.srBank[i] == nil {
 			h.ensureSRBank()
 		}
 	case SchemeSRL:
-		if h.srlBank != nil && h.srlBank[i] == nil {
+		if f.srlBank != nil && f.srlBank[i] == nil {
 			h.ensureSRLBank()
-			if h.srlCycling && h.srlBank[i] != nil {
-				h.srlBank[i].Follow(h.cycle(g))
+			if f.srlCycling && f.srlBank[i] != nil {
+				f.srlBank[i].Follow(h.cycle(g))
 			}
 		}
 	}
@@ -738,19 +756,23 @@ func (h *host) attachGroup(g int) {
 // engine). Sibling groups' regulators and stagger phases are untouched.
 // Returns the abandoned backlog size for disruption accounting.
 func (h *host) detachGroup(g int) int {
-	i := h.children.find(g)
+	f := h.fwd
+	if f == nil {
+		return 0
+	}
+	i := f.children.find(g)
 	if i < 0 {
 		return 0
 	}
 	lost := 0
-	if h.srBank != nil {
-		if r := h.srBank[i]; r != nil {
+	if f.srBank != nil {
+		if r := f.srBank[i]; r != nil {
 			lost += r.Detach()
 		}
-		h.srBank = slices.Delete(h.srBank, i, i+1)
+		f.srBank = slices.Delete(f.srBank, i, i+1)
 	}
-	if h.srlBank != nil {
-		if r := h.srlBank[i]; r != nil {
+	if f.srlBank != nil {
+		if r := f.srlBank[i]; r != nil {
 			lost += r.Detach()
 			if r.Transmitting() {
 				// The non-preempted packet completes serialisation, but its
@@ -759,77 +781,78 @@ func (h *host) detachGroup(g int) int {
 				lost++
 			}
 		}
-		h.srlBank = slices.Delete(h.srlBank, i, i+1)
+		f.srlBank = slices.Delete(f.srlBank, i, i+1)
 	}
-	old := h.children.kids[i]
-	h.children.drop(i)
+	old := f.children.kids[i]
+	f.children.drop(i)
 	for _, c := range old {
-		if !h.childInAnyGroup(c) {
-			h.dropMux(c)
+		if !f.childInAnyGroup(c) {
+			f.dropMux(c)
 		}
 	}
 	return lost
 }
 
-// removeChild unregisters c from group g. When that was the host's last
-// child in g the whole group detaches (regulator backlog abandoned — the
-// packets were destined for the departed subtree); the returned count is
-// that abandoned backlog.
+// removeChild unregisters c from group g at c's parent. When that was the
+// host's last child in g the whole group detaches (regulator backlog
+// abandoned — the packets were destined for the departed subtree); the
+// returned count is that abandoned backlog.
 func (h *host) removeChild(g, c int) int {
-	if slot := h.children.find(g); slot >= 0 {
-		cs := h.children.kids[slot]
+	f := h.fwd
+	if slot := f.children.find(g); slot >= 0 {
+		cs := f.children.kids[slot]
 		for i, x := range cs {
 			if x == c {
-				h.children.kids[slot] = append(cs[:i], cs[i+1:]...)
+				f.children.kids[slot] = append(cs[:i], cs[i+1:]...)
 				break
 			}
 		}
-		if len(h.children.kids[slot]) == 0 {
+		if len(f.children.kids[slot]) == 0 {
 			return h.detachGroup(g)
 		}
 	}
-	if !h.childInAnyGroup(c) {
-		h.dropMux(c)
+	if !f.childInAnyGroup(c) {
+		f.dropMux(c)
 	}
 	return 0
 }
 
-// observe feeds the adaptive controller's rate estimator.
+// observe feeds the adaptive controller's rate estimator. A leaf returns
+// at once.
 func (h *host) observe(p traffic.Packet) {
-	if h.rate != nil {
-		h.rate.Observe(h.env.eng.Now(), p.Size)
+	if f := h.fwd; f != nil && f.rate != nil {
+		f.rate.Observe(h.env.eng.Now(), p.Size)
 	}
 }
 
-// controller runs the paper's Adaptive Control Algorithm at this host:
-// every interval it computes the average input rate of the K̂ flows and
-// selects the (σ, ρ) model below thresholdUtil, the (σ, ρ, λ) model at or
-// above it. Utilisation is measured against this host's own capacity, so
-// heterogeneous-uplink hosts switch on their local congestion, not the
-// population average.
-func (h *host) startController(window, interval des.Duration, thresholdUtil float64) {
-	h.prepareController(window, interval, thresholdUtil)
-	h.env.eng.ScheduleInKind(interval, des.KindCtlTick, uint32(h.id))
+// startController runs the paper's Adaptive Control Algorithm at this
+// forwarding host: every env.ctlEvery it computes the average input rate
+// of the K̂ flows and selects the (σ, ρ) model below env.threshold, the
+// (σ, ρ, λ) model at or above it. Utilisation is measured against this
+// host's own capacity, so heterogeneous-uplink hosts switch on their local
+// congestion, not the population average.
+func (h *host) startController() {
+	h.prepareController()
+	h.env.eng.ScheduleInKind(h.env.ctlEvery, des.KindCtlTick, uint32(h.id))
 }
 
-// prepareController builds the estimator, sets the sampling tick's period
-// and threshold and registers the host as the tick's owner, without
-// scheduling anything.
-func (h *host) prepareController(window, interval des.Duration, thresholdUtil float64) {
-	h.rate = stats.NewWindowRate(window)
-	h.ctlEvery, h.ctlThreshold = interval, thresholdUtil
+// prepareController builds the estimator and registers the host as the
+// sampling tick's owner, without scheduling anything.
+func (h *host) prepareController() {
+	h.fwd.rate = stats.NewWindowRate(ctlWindow)
 	h.env.eng.Own(des.KindCtlTick, uint32(h.id), h)
 }
 
 // Fire is the controller's sampling tick (des.KindCtlTick): body first,
 // rearm after, period measured from the firing time.
 func (h *host) Fire(uint16) {
-	if h.rate.Rate(h.env.eng.Now())/h.conn >= h.ctlThreshold {
+	f, env := h.fwd, h.env
+	if f.rate.Rate(env.eng.Now())/f.conn >= env.threshold {
 		h.setMode(SchemeSRL)
 	} else {
 		h.setMode(SchemeSigmaRho)
 	}
-	h.env.eng.ScheduleInKind(h.ctlEvery, des.KindCtlTick, uint32(h.id))
+	env.eng.ScheduleInKind(env.ctlEvery, des.KindCtlTick, uint32(h.id))
 }
 
 // Put implements traffic.Sink: a packet the fabric delivers to this host.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/traffic"
@@ -24,11 +26,42 @@ func testEnv(eng *des.Engine, sent *[]int) *hostEnv {
 	}
 }
 
+// newHost is a hand-built host in env, wired for its child sets under
+// scheme as a session build wires it, less the adaptive controller.
+func newHost(id int, env *hostEnv, children groupChildren, scheme Scheme) *host {
+	env.scheme = scheme
+	h := &host{id: int32(id), env: env}
+	h.wire(children, connsOf(children))
+	return h
+}
+
+// connsOf returns the distinct child connections of a child set, sorted:
+// the wiring plan hostConns makes for every host at once.
+func connsOf(children groupChildren) []int {
+	var conns []int
+	children.each(func(_ int, cs []int) {
+		for _, c := range cs {
+			conns = insertSortedDistinct(conns, c)
+		}
+	})
+	return conns
+}
+
+// TestHostRecordSize pins the record every host of a session has: an id,
+// its environment and its forwarder, which a leaf leaves nil. Forwarding
+// state in this record was 240 bytes per host, 24 MB of a started
+// waxman-zipf-512 session whose 100,000 hosts hold 20,314 forwarders.
+func TestHostRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(host{}); got > 24 {
+		t.Fatalf("host record is %d bytes, want at most 24", got)
+	}
+}
+
 func TestHostLeafBuildsNoMachinery(t *testing.T) {
 	eng := des.New()
 	var sent []int
 	h := newHost(1, testEnv(eng, &sent), denseChildren([][]int{nil, nil}), SchemeSRL)
-	if len(h.muxes) != 0 || h.srBank != nil || h.srlBank != nil {
+	if h.fwd != nil {
 		t.Fatal("leaf host built forwarding machinery")
 	}
 	// Forwarding to a leaf is a no-op, not a crash.
@@ -62,8 +95,8 @@ func TestHostDistinctConnectionsDeDuplicated(t *testing.T) {
 	eng := des.New()
 	var sent []int
 	h := newHost(0, testEnv(eng, &sent), denseChildren([][]int{{1, 2}, {2, 1}}), SchemeSigmaRho)
-	if len(h.muxes) != 2 {
-		t.Fatalf("expected 2 connections, got %d", len(h.muxes))
+	if len(h.fwd.muxes) != 2 {
+		t.Fatalf("expected 2 connections, got %d", len(h.fwd.muxes))
 	}
 }
 
@@ -80,8 +113,8 @@ func TestHostModeSwitchKeepsForwarding(t *testing.T) {
 	if len(sent) != 2 {
 		t.Fatalf("sent %d packets across a mode switch, want 2", len(sent))
 	}
-	if h.switches != 1 {
-		t.Fatalf("switches = %d", h.switches)
+	if h.fwd.switches != 1 {
+		t.Fatalf("switches = %d", h.fwd.switches)
 	}
 }
 
@@ -97,11 +130,11 @@ func TestHostModeSwitchRoundTrip(t *testing.T) {
 	})
 	eng.Schedule(des.Second, func() { eng.Stop() })
 	eng.Run()
-	if h.switches != 3 {
-		t.Fatalf("switches = %d, want 3", h.switches)
+	if h.fwd.switches != 3 {
+		t.Fatalf("switches = %d, want 3", h.fwd.switches)
 	}
-	if h.mode != SchemeSRL {
-		t.Fatalf("mode = %v", h.mode)
+	if h.fwd.mode != SchemeSRL {
+		t.Fatalf("mode = %v", h.fwd.mode)
 	}
 }
 
@@ -126,8 +159,9 @@ func TestHostControllerSwitchesAboveThreshold(t *testing.T) {
 	eng := des.New()
 	var sent []int
 	env := testEnv(eng, &sent)
+	env.ctlEvery, env.threshold = 100*des.Millisecond, 0.15 // low threshold
 	h := newHost(0, env, denseChildren([][]int{{1}, {1}}), SchemeAdaptive)
-	h.startController(des.Second, 100*des.Millisecond, 0.15) // low threshold
+	h.startController()
 	// Offered load ~0.2 of conn: 200 kbps vs 1 Mbps -> above 0.15.
 	src := traffic.NewGreedy(0, 0, 200_000, 1000)
 	src.Start(eng, 3*des.Second, func(p traffic.Packet) {
@@ -135,8 +169,8 @@ func TestHostControllerSwitchesAboveThreshold(t *testing.T) {
 		h.forward(0, p)
 	})
 	eng.RunUntil(3 * des.Second)
-	if h.mode != SchemeSRL {
-		t.Fatalf("controller did not engage SRL above threshold (mode %v)", h.mode)
+	if h.fwd.mode != SchemeSRL {
+		t.Fatalf("controller did not engage SRL above threshold (mode %v)", h.fwd.mode)
 	}
 	if len(sent) == 0 {
 		t.Fatal("nothing forwarded")
@@ -146,19 +180,21 @@ func TestHostControllerSwitchesAboveThreshold(t *testing.T) {
 func TestHostControllerStaysBelowThreshold(t *testing.T) {
 	eng := des.New()
 	var sent []int
-	h := newHost(0, testEnv(eng, &sent), denseChildren([][]int{{1}, {1}}), SchemeAdaptive)
-	h.startController(des.Second, 100*des.Millisecond, 0.9)
+	env := testEnv(eng, &sent)
+	env.ctlEvery, env.threshold = 100*des.Millisecond, 0.9
+	h := newHost(0, env, denseChildren([][]int{{1}, {1}}), SchemeAdaptive)
+	h.startController()
 	src := traffic.NewGreedy(0, 0, 200_000, 1000) // 0.2 of conn, below 0.9
 	src.Start(eng, 2*des.Second, func(p traffic.Packet) {
 		h.observe(p)
 		h.forward(0, p)
 	})
 	eng.RunUntil(2 * des.Second)
-	if h.mode != SchemeSigmaRho {
-		t.Fatalf("controller left σρ mode below threshold (mode %v)", h.mode)
+	if h.fwd.mode != SchemeSigmaRho {
+		t.Fatalf("controller left σρ mode below threshold (mode %v)", h.fwd.mode)
 	}
-	if h.switches != 0 {
-		t.Fatalf("spurious switches: %d", h.switches)
+	if h.fwd.switches != 0 {
+		t.Fatalf("spurious switches: %d", h.fwd.switches)
 	}
 }
 
@@ -169,7 +205,7 @@ func TestHostCapacityAwareConnCap(t *testing.T) {
 	env.capAware = true
 	env.capFactor = 2.0
 	h := newHost(0, env, denseChildren([][]int{{1, 2, 3}, nil}), SchemeCapacityAware)
-	for _, m := range h.muxes {
+	for _, m := range h.fwd.muxes {
 		if m.Capacity() != 2.0*1_000_000/3 {
 			t.Fatalf("connection capacity %v, want aggregate/3", m.Capacity())
 		}
@@ -243,4 +279,105 @@ func TestHostSetModePanicsOnAdaptive(t *testing.T) {
 		}
 	}()
 	h.setMode(SchemeAdaptive)
+}
+
+// TestForwarderLifeUnderChurn follows one host of an adaptive session
+// through churn: a leaf that a join grafts a child under gets a forwarder,
+// from its shard's arena;
+// when that child leaves it keeps the forwarder, with its mode, switch
+// count, banks and controller; a checkpoint taken then restores it so; and
+// a later join under it runs bit-identically to the straight run. At one
+// shard and at four.
+func TestForwarderLifeUnderChurn(t *testing.T) {
+	base := Config{NumHosts: 48, Mix: traffic.MixAudio, Load: 0.8, Scheme: SchemeAdaptive,
+		Duration: 3 * des.Second, Seed: 11, Groups: partialGroups(48)}
+	// The first outsider whose graft point is a host that forwards nothing.
+	probe := NewSession(base)
+	g, joiner, parent := -1, -1, -1
+	for gi, st := range probe.sub.groups {
+		for h := 0; h < base.NumHosts && g < 0; h++ {
+			if st.member.has(h) {
+				continue
+			}
+			if p, err := st.strat.GraftPoint(probe.sub.net, st.tree, h, 0, st.lim); err == nil && probe.hosts[p].fwd == nil {
+				g, joiner, parent = gi, h, p
+			}
+		}
+	}
+	if g < 0 {
+		t.Fatal("fixture has no outsider that grafts under a leaf")
+	}
+	ms := func(n int) des.Time { return des.Time(n) * des.Time(des.Millisecond) }
+	// The controller ticks every 250 ms from the first join, so nothing
+	// but the leave moves the host between 1,050 and 1,200 ms.
+	base.Events = []MembershipEvent{
+		{At: ms(500), Group: g, Host: joiner, Join: true},
+		{At: ms(1100), Group: g, Host: joiner},
+		{At: ms(2000), Group: g, Host: joiner, Join: true},
+	}
+	type state struct {
+		mode          Scheme
+		switches      int32
+		sr, srl, rate bool
+		groups        int
+	}
+	stateOf := func(f *forwarder) state {
+		return state{f.mode, f.switches, f.srBank != nil, f.srlBank != nil, f.rate != nil, len(f.children.groups)}
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := base
+		cfg.Shards = shards
+		s := NewSession(cfg)
+		if s.hosts[parent].fwd != nil {
+			t.Fatalf("shards=%d: host %d forwards before the join", shards, parent)
+		}
+		s.Start()
+		s.RunTo(ms(1050))
+		f := s.hosts[parent].fwd
+		if f == nil || !slices.Equal(f.children.get(g), []int{joiner}) {
+			t.Fatalf("shards=%d: host %d has no forwarder with child %d in group %d after the join", shards, parent, joiner, g)
+		}
+		// A churning session's arena has room for every host of the shard:
+		// the new forwarder lies in the one its shard's first forwarder was
+		// carved from at build.
+		first, owned := (*forwarder)(nil), 0
+		for id, h := range s.hosts {
+			if s.owner[id] == s.owner[parent] {
+				if first == nil {
+					first = h.fwd
+				}
+				owned++
+			}
+		}
+		if off := uintptr(unsafe.Pointer(f)) - uintptr(unsafe.Pointer(first)); off >= uintptr(owned)*unsafe.Sizeof(*f) {
+			t.Fatalf("shards=%d: host %d's forwarder is not in its shard's arena", shards, parent)
+		}
+		before := stateOf(f)
+		s.RunTo(ms(1200))
+		want := before
+		want.groups = 0
+		if s.hosts[parent].fwd != f || stateOf(f) != want {
+			t.Fatalf("shards=%d: after the leave host %d holds %+v (forwarder kept: %v), want %+v",
+				shards, parent, stateOf(f), s.hosts[parent].fwd == f, want)
+		}
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rf := r.hosts[parent].fwd; rf == nil || stateOf(rf) != want {
+			t.Fatalf("shards=%d: restored host %d holds %v, want a forwarder holding %+v", shards, parent, rf, want)
+		}
+		r.RunTo(ms(2050))
+		if rf := r.hosts[parent].fwd; !slices.Equal(rf.children.get(g), []int{joiner}) {
+			t.Fatalf("shards=%d: the second join did not graft %d under restored host %d", shards, joiner, parent)
+		}
+		straight := normalizeDiag(Run(cfg))
+		if got := normalizeDiag(r.Finish()); !reflect.DeepEqual(got, straight) {
+			t.Fatalf("shards=%d: restored run diverged from the straight run:\n  straight %+v\n  restored %+v", shards, straight, got)
+		}
+	}
 }

@@ -73,7 +73,7 @@ func TestSessionNonMembersNeverReceive(t *testing.T) {
 			if !member[p.Flow][id] {
 				leaks++
 			}
-			sh.receive(s.hosts[id], p)
+			sh.receive(&s.hosts[id], p)
 		})
 	}
 	res := s.Run()
@@ -294,7 +294,7 @@ func TestMembershipWordBoundaries(t *testing.T) {
 		sh := s.sh[s.owner[id]]
 		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
 			d, l := sh.deliver, sh.lost[p.Flow]
-			sh.receive(s.hosts[id], p)
+			sh.receive(&s.hosts[id], p)
 			switch {
 			case sh.deliver == d+1 && sh.lost[p.Flow] == l:
 				delivered++

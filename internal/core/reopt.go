@@ -120,7 +120,7 @@ type reoptPlane struct {
 	cfg    ReoptConfig
 	net    *topo.Network
 	groups []*groupState
-	hosts  []*host
+	hosts  []host
 	seed   uint64
 
 	est      [][]delayEst // [group][host] delay means since the last accepted change
@@ -131,7 +131,7 @@ type reoptPlane struct {
 	accepted, moves, rejected int
 }
 
-func newReoptPlane(sub *substrate, hosts []*host) *reoptPlane {
+func newReoptPlane(sub *substrate, hosts []host) *reoptPlane {
 	ro := &reoptPlane{
 		cfg:      sub.cfg.Reopt,
 		net:      sub.net,

@@ -163,6 +163,45 @@ func firstEvent(t testing.TB, blob []byte, kinds ...uint16) int {
 	return 0
 }
 
+// hostRecordBytes is one host record of the fixture's blob: mode,
+// forwarding, switches, cycling and three flags, the last of them false —
+// a (σ, ρ, λ) host runs no controller (codec.writeHosts).
+const hostRecordBytes = 1 + 1 + 4 + 1 + 1 + 1 + 1
+
+// hostRecord returns the offset of the blob's first host record that says
+// the host forwards (or, with forwarding false, that it never did).
+func hostRecord(t testing.TB, blob []byte, forwarding bool) int {
+	t.Helper()
+	off := firstRecord(t, blob, recHosts)
+	for i := 0; i < int(binary.LittleEndian.Uint32(blob[off:])); i++ {
+		rec := off + 4 + i*hostRecordBytes
+		if (blob[rec+1] == 1) == forwarding {
+			return rec
+		}
+	}
+	t.Fatalf("fixture has no host record with forwarding %v", forwarding)
+	return 0
+}
+
+// hostCorruptions rewrite one host record of the fixture's blob: a
+// forwarder's mode byte set to one a (σ, ρ, λ) session never enters, a
+// never-forwarding host's record with a switch counted, and a forwarder's
+// record zeroed, so that only its children and its components say it
+// forwards.
+var hostCorruptions = []struct {
+	name    string
+	corrupt func(t testing.TB, b []byte)
+	want    string
+}{
+	{"host mode byte 0", func(t testing.TB, b []byte) { b[hostRecord(t, b, true)] = 0 }, "never enters"},
+	{"host mode byte 3", func(t testing.TB, b []byte) { b[hostRecord(t, b, true)] = 3 }, "never enters"},
+	{"host mode byte 9", func(t testing.TB, b []byte) { b[hostRecord(t, b, true)] = 9 }, "never enters"},
+	{"unset host with state", func(t testing.TB, b []byte) { b[hostRecord(t, b, false)+2] = 1 }, "never forwarded"},
+	{"unset host with children", func(t testing.TB, b []byte) {
+		clear(b[hostRecord(t, b, true):][:hostRecordBytes])
+	}, "never forwarded"},
+}
+
 // TestRestoreRejectsOutOfRange: each id or value the decoder used to trust
 // is an error when out of range, not a panic and not an accepted session.
 func TestRestoreRejectsOutOfRange(t *testing.T) {
@@ -254,6 +293,9 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 	}
 	for _, ev := range unownedEvents {
 		cases = append(cases, corruption{ev.name, cfg1, withEvent(t, blob1, ev.of, ev.kind, ev.arg), func(*testing.T, []byte) {}, ev.want})
+	}
+	for _, hc := range hostCorruptions {
+		cases = append(cases, corruption{hc.name, cfg1, blob1, func(t *testing.T, b []byte) { hc.corrupt(t, b) }, hc.want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -396,8 +438,8 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // seeds (the fixture blob, three of its corruptions, the blob with a MUX
 // queue, with a 1e-300-bit regulator packet, with a clock claiming next
 // rank 2⁶³ — which must seat no more followers than the record has — with
-// a follower ranked past its clock, and with each of the unowned events)
-// run in the ordinary `go test`.
+// a follower ranked past its clock, with each of the unowned events and
+// with each host-record corruption) run in the ordinary `go test`.
 func FuzzRestore(f *testing.F) {
 	cfg, blob := corruptFixture(f, 1)
 	f.Add(blob)
@@ -413,6 +455,11 @@ func FuzzRestore(f *testing.F) {
 	f.Add(with64(blob, offs.ranks[0], 1<<62))
 	for _, ev := range unownedEvents {
 		f.Add(withEvent(f, blob, ev.of, ev.kind, ev.arg))
+	}
+	for _, hc := range hostCorruptions {
+		bad := append([]byte(nil), blob...)
+		hc.corrupt(f, bad)
+		f.Add(bad)
 	}
 	allocated := func(tb testing.TB, data []byte) uint64 {
 		var before, after runtime.MemStats

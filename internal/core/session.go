@@ -189,6 +189,16 @@ func (c *Config) strategyName() string {
 	return "dsct"
 }
 
+// growsForwarders reports whether hosts can start forwarding after the
+// build: membership churn, fault repair and re-optimization graft children
+// under hosts that had none. Such a session has room for a forwarder at
+// every host in its shards' arenas, where a static one has room for the
+// forwarders it holds — a churn-made forwarder made on its own is an
+// object per graft point, over a thousand in a 2,000-host churn storm.
+func (c *Config) growsForwarders() bool {
+	return len(c.Events) > 0 || len(c.Faults) > 0 || c.Reopt.Enabled()
+}
+
 // groupCount resolves the session's number of groups. Call after
 // fillDefaults.
 func (c *Config) groupCount() int {
@@ -421,7 +431,7 @@ type Session struct {
 	sub   *substrate
 	owner []int // host id -> shard
 	sh    []*shardRuntime
-	hosts []*host // global host array, each wired to its owning shard's env
+	hosts []host // global host array, each wired to its owning shard's env
 	coord *des.Coordinator[shardPacket]
 	ctl   *controlPlane // nil for static sessions
 	ro    *reoptPlane   // nil unless cfg.Reopt is enabled
@@ -524,7 +534,9 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 			uniform:    uniform,
 			discipline: cfg.Discipline,
 			aligned:    cfg.StaggerAligned,
+			scheme:     cfg.Scheme,
 			threshold:  sub.threshold,
+			ctlEvery:   ctlInterval,
 			send:       func(from, to int, p traffic.Packet) { sh.fabric.Send(from, to, p) },
 		}
 		if cfg.Scheme == SchemeCapacityAware {
@@ -535,9 +547,10 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	}
 
 	// Hosts come up bare, in one array. A restore wires nothing here:
-	// children, MUXes and modes all come from the snapshot, which has the
-	// trees they derive from. A live build wires each host from its
-	// compiled child set, in slabs sized from all of them.
+	// forwarders, children, MUXes and modes all come from the snapshot,
+	// which has the trees they derive from. A live build wires each host
+	// with connections from its compiled child set, in slabs sized from
+	// all of them.
 	var chl []groupChildren
 	var conns [][]int
 	if rs == nil {
@@ -545,16 +558,15 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		conns = hostConns(chl)
 		s.sizeSlabs(chl, conns)
 	}
-	hosts := make([]host, cfg.NumHosts)
-	s.hosts = make([]*host, cfg.NumHosts)
-	for id := range hosts {
-		h := &hosts[id]
-		*h = bareHost(id, s.sh[owner[id]].env, cfg.Scheme)
-		s.hosts[id], receivers[id] = h, h
+	s.hosts = make([]host, cfg.NumHosts)
+	for id := range s.hosts {
+		h := &s.hosts[id]
+		*h = host{id: int32(id), env: s.sh[owner[id]].env}
+		receivers[id] = h
 		if rs == nil {
 			h.wire(chl[id], conns[id])
-			if cfg.Scheme == SchemeAdaptive && len(h.muxes) > 0 {
-				h.startController(ctlWindow, ctlInterval, sub.threshold)
+			if cfg.Scheme == SchemeAdaptive && h.fwd != nil {
+				h.startController()
 			}
 		}
 	}
@@ -591,14 +603,19 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 // and a connection-table entry; per (group, child) edge a queued packet in
 // the child's MUX; per group a forwarding host carries, a regulator of the
 // initial mode, its link record, a bank entry and a seat in its clock's
-// waiting list. The few duty-cycle clocks a shard has are made on their
-// own.
+// waiting list; per host with connections — per host at all, when the
+// session grows forwarders — a forwarder. The few duty-cycle clocks a
+// shard has are made on their own.
 func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
-	type count struct{ conns, edges, groups int }
+	type count struct{ fwds, conns, edges, groups int }
 	per := make([]count, len(s.sh))
+	grows := s.sub.cfg.growsForwarders()
 	for id, gc := range chl {
+		n := &per[s.owner[id]]
+		if grows || len(conns[id]) > 0 {
+			n.fwds++
+		}
 		if len(conns[id]) > 0 {
-			n := &per[s.owner[id]]
 			n.conns += len(conns[id])
 			n.groups += len(gc.groups)
 			for _, cs := range gc.kids {
@@ -610,6 +627,7 @@ func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
 		n, sl := per[si], &sh.env.slabs
 		sh.eng.Grow(des.KindMuxDone, n.conns)
 		sl.mux = mux.NewSlab(n.conns, n.edges)
+		sl.fwds = snap.NewArena[forwarder](n.fwds)
 		sl.muxLinks = snap.NewArena[muxLink](n.conns)
 		sl.muxChild = snap.NewArena[int32](n.conns)
 		sl.muxes = snap.NewArena[*mux.Mux](n.conns)
@@ -715,7 +733,7 @@ func (s *Session) Lookahead() des.Duration {
 // member window (one bit per host in the session's membership slab) only
 // changes at coordinator barriers, when no shard is executing.
 func (sh *shardRuntime) receive(h *host, p traffic.Packet) {
-	s, id, g := sh.s, h.id, p.Flow
+	s, id, g := sh.s, int(h.id), p.Flow
 	st := s.sub.groups[g]
 	if !st.member.has(id) {
 		sh.lost[g]++
@@ -747,7 +765,7 @@ func (sh *shardRuntime) receive(h *host, p traffic.Packet) {
 // conceptually; measurement only counts downstream deliveries, so the
 // source feeds forward() direct.
 func (s *Session) emitFn(g, root int) func(traffic.Packet) {
-	rootHost := s.hosts[root]
+	rootHost := &s.hosts[root]
 	return func(p traffic.Packet) {
 		rootHost.observe(p)
 		rootHost.forward(g, p)
@@ -844,7 +862,9 @@ func (s *Session) Finish() Result {
 		res.Lost += lost
 	}
 	for _, h := range s.hosts {
-		res.ModeSwitches += h.switches
+		if h.fwd != nil {
+			res.ModeSwitches += int(h.fwd.switches)
+		}
 	}
 	if s.ctl != nil {
 		res.Joins, res.Leaves = s.ctl.joins, s.ctl.leaves

@@ -144,22 +144,23 @@ type codec struct {
 	evs   []des.PendingEvent
 	ref   [numFamilies]bitset
 	slots [numFamilies][]uint32
-	// Restore: per shard its hosts' (group, child) edges and the groups they
-	// forward; and the children of routesOf's (group, child) edges, sorted.
+	// Restore: per shard its forwarders, its hosts' (group, child) edges and
+	// the groups they forward; and the children of routesOf's (group,
+	// child) edges, sorted.
 	per      []shardCount
 	routes   []int
-	routesOf *host
+	routesOf *forwarder
 }
 
-type shardCount struct{ edges, forwards int }
+type shardCount struct{ fwds, edges, forwards int }
 
-// routed returns the groups routed through h's connection to child — what
-// wire counts for a build. It sorts h's edges once for a run of h's MUX
-// stanzas, and a build makes each host's MUXes one after another.
-func (c *codec) routed(h *host, child int) int {
-	if c.routesOf != h {
-		c.routesOf, c.routes = h, c.routes[:0]
-		for _, cs := range h.children.kids {
+// routed returns the groups routed through f's connection to child — what
+// wire counts for a build. It sorts f's edges once for a run of its host's
+// MUX stanzas, and a build makes each host's MUXes one after another.
+func (c *codec) routed(f *forwarder, child int) int {
+	if c.routesOf != f {
+		c.routesOf, c.routes = f, c.routes[:0]
+		for _, cs := range f.children.kids {
 			c.routes = append(c.routes, cs...)
 		}
 		slices.Sort(c.routes)
@@ -277,30 +278,34 @@ func (s *Session) checkWiring() error {
 	var hasMux bitset
 	hasMux.reset(len(s.hosts))
 	for id, h := range s.hosts {
-		for _, c := range h.muxChild {
+		f := h.fwd
+		if f == nil {
+			continue // readHosts refused a leaf with children
+		}
+		for _, c := range f.muxChild {
 			hasMux.set(int(c))
 		}
-		for i, kids := range h.children.kids {
+		for i, kids := range f.children.kids {
 			if len(kids) == 0 {
 				continue
 			}
 			ok := true
-			switch h.mode {
+			switch f.mode {
 			case SchemeSigmaRho:
-				ok = i < len(h.srBank) && h.srBank[i] != nil
+				ok = i < len(f.srBank) && f.srBank[i] != nil
 			case SchemeSRL:
-				ok = i < len(h.srlBank) && h.srlBank[i] != nil
+				ok = i < len(f.srlBank) && f.srlBank[i] != nil
 			}
 			if !ok {
-				return fmt.Errorf("core: snapshot host %d forwards group %d with no regulator in mode %v", id, h.children.groups[i], h.mode)
+				return fmt.Errorf("core: snapshot host %d forwards group %d with no regulator in mode %v", id, f.children.groups[i], f.mode)
 			}
 			for _, c := range kids {
 				if !hasMux.has(int(c)) {
-					return fmt.Errorf("core: snapshot host %d forwards group %d to %d with no MUX", id, h.children.groups[i], c)
+					return fmt.Errorf("core: snapshot host %d forwards group %d to %d with no MUX", id, f.children.groups[i], c)
 				}
 			}
 		}
-		for _, c := range h.muxChild {
+		for _, c := range f.muxChild {
 			hasMux.unset(int(c))
 		}
 	}
@@ -480,43 +485,76 @@ func (c *codec) readGroup(r *snap.Reader, g int) {
 	}
 }
 
+// writeHosts writes one record per host. A host with no forwarder writes
+// the record of one whose mode was never set, which is all zero.
 func (c *codec) writeHosts(w *snap.Writer, _ int) {
 	w.Len(len(c.s.hosts))
+	var leaf forwarder
 	for _, h := range c.s.hosts {
-		w.U8(uint8(h.mode))
-		w.Bool(h.modeSet)
-		w.U32(uint32(h.switches))
-		w.Bool(h.srlCycling)
+		f := h.fwd
+		if f == nil {
+			f = &leaf
+		}
+		w.U8(uint8(f.mode))
+		w.Bool(h.fwd != nil)
+		w.U32(uint32(f.switches))
+		w.Bool(f.srlCycling)
 		// Bank allocated-ness is state in its own right, distinct from the
 		// entries: attachGroup only fills group slots of an already
 		// allocated bank (a host whose children were all pruned keeps its
 		// empty bank), so a restored host must present the same shape or a
 		// post-restore join would silently skip regulator creation.
-		w.Bool(h.srBank != nil)
-		w.Bool(h.srlBank != nil)
+		w.Bool(f.srBank != nil)
+		w.Bool(f.srlBank != nil)
 		// Adaptive controller: a running controller's window estimator is
 		// mutable runtime state; its pending tick rides as a KindCtlTick
 		// event in the engine record.
-		w.Bool(h.rate != nil)
-		if h.rate != nil {
-			h.rate.Snapshot(w)
+		w.Bool(f.rate != nil)
+		if f.rate != nil {
+			f.rate.Snapshot(w)
 		}
 	}
 }
 
+// skipHost reads past one host record and reports whether it says the host
+// forwards: readHosts counts the forwarders it is about to decode with it,
+// on a copy of its reader. The count sizes the forwarder slabs and nothing
+// else, so a record it misreads costs allocations, not correctness.
+func skipHost(r *snap.Reader) bool {
+	r.U8()
+	fwd := r.Bool()
+	r.Raw(4 + 1 + 1 + 1)
+	if r.Bool() {
+		r.Raw(16*r.Count(16) + 8) // the controller's (time, bits) window entries and running sum
+	}
+	return fwd
+}
+
 func (c *codec) readHosts(r *snap.Reader, _ int) {
 	s := c.s
+	if n := r.Len(); n != len(s.hosts) {
+		r.Fail(fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(s.hosts)))
+		return
+	}
 	// Forwarding fan-out derives from the restored trees, exactly as the
 	// live session derives it from mutations: a host's children are its
 	// child sets in the current trees. Every tree id was range-checked as
 	// its group record was read — compileChildren indexes per-host slices
 	// from worker goroutines, where a panic cannot be recovered.
 	chl := s.sub.compileChildren()
-	// A host's connection table and regulator banks are carved from its
-	// shard's slabs, sized from the compiled children: a host has one
-	// connection per distinct child — at most its child count — and one
-	// bank entry per group it forwards, in each bank its scheme can build.
+	// A forwarder, its connection table and its regulator banks are carved
+	// from its shard's slabs: a forwarder per record that says the host
+	// forwards — per host, when the session grows forwarders, as a build
+	// sizes it — one connection per distinct child — at most its child
+	// count — and one bank entry per group it forwards, in each bank its
+	// scheme can build.
 	per := make([]shardCount, len(s.sh))
+	peek, grows := *r, s.sub.cfg.growsForwarders()
+	for id := range s.hosts {
+		if skipHost(&peek) || grows {
+			per[s.owner[id]].fwds++
+		}
+	}
 	for id, gc := range chl {
 		n := &per[s.owner[id]]
 		n.forwards += len(gc.groups)
@@ -528,6 +566,7 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	scheme := s.sub.cfg.Scheme
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
+		sl.fwds = snap.NewArena[forwarder](n.fwds)
 		sl.muxChild, sl.muxes = snap.NewArena[int32](n.edges), snap.NewArena[*mux.Mux](n.edges)
 		if scheme == SchemeSigmaRho || scheme == SchemeAdaptive {
 			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.forwards)
@@ -536,36 +575,47 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			sl.srlBanks = snap.NewArena[*regulator.SRL](n.forwards)
 		}
 	}
-	for id, h := range s.hosts {
-		h.children = chl[id]
+	for id := range s.hosts {
+		h := &s.hosts[id]
+		mode := Scheme(r.U8())
+		if !r.Bool() {
+			// A host that never forwarded has an all-zero record and no
+			// child in any tree.
+			switches, cycling, sr, srl, rate := r.U32(), r.Bool(), r.Bool(), r.Bool(), r.Bool()
+			if (mode != 0 || switches != 0 || cycling || sr || srl || rate || len(chl[id].groups) > 0) && r.Err() == nil {
+				r.Fail(fmt.Errorf("core: snapshot host %d never forwarded, but its record or its children say it did", id))
+			}
+			continue
+		}
+		if mode != initialMode(scheme) && !(scheme == SchemeAdaptive && mode == SchemeSRL) && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: snapshot host %d in mode %v, which a %v session never enters", id, mode, scheme))
+		}
+		if r.Err() != nil {
+			return
+		}
+		f := h.newForwarder()
+		f.children = chl[id]
 		n := 0
-		for _, cs := range h.children.kids {
+		for _, cs := range f.children.kids {
 			n += len(cs)
 		}
 		sl := &h.env.slabs
-		h.muxChild, h.muxes = sl.muxChild.Take(n)[:0], sl.muxes.Take(n)[:0]
-	}
-	if n := r.Len(); n != len(s.hosts) {
-		r.Fail(fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(s.hosts)))
-		return
-	}
-	for _, h := range s.hosts {
-		h.mode = Scheme(r.U8())
-		h.modeSet = r.Bool()
-		h.switches = int(r.U32())
-		h.srlCycling = r.Bool()
+		f.muxChild, f.muxes = sl.muxChild.Take(n)[:0], sl.muxes.Take(n)[:0]
+		f.mode = mode
+		f.switches = int32(r.U32())
+		f.srlCycling = r.Bool()
 		if r.Bool() {
-			h.srBank = h.env.slabs.srBanks.Take(len(h.children.groups))
+			f.srBank = sl.srBanks.Take(len(f.children.groups))
 		}
 		if r.Bool() {
-			h.srlBank = h.env.slabs.srlBanks.Take(len(h.children.groups))
+			f.srlBank = sl.srlBanks.Take(len(f.children.groups))
 		}
 		if r.Bool() {
 			// Set the controller up without scheduling its tick (the engine
 			// record re-inserts the pending one), then overwrite the fresh
 			// window with the serialized one.
-			h.prepareController(ctlWindow, ctlInterval, h.env.threshold)
-			h.rate.Restore(r)
+			h.prepareController()
+			f.rate.Restore(r)
 		}
 	}
 }
@@ -855,14 +905,14 @@ func (c *codec) writeComponents(w *snap.Writer, si int) {
 // for its kinds — counting into t: per component a stanza of slot, owning
 // host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ) regulator
 // only) whether it follows its clock, and the component's own words.
-func writeFamily(w *snap.Writer, hosts []*host, env *hostEnv, f family, comps []des.Handler, ref bitset, t *compTotals) {
+func writeFamily(w *snap.Writer, hosts []host, env *hostEnv, f family, comps []des.Handler, ref bitset, t *compTotals) {
 	for slot, h := range comps {
 		if h == nil {
 			continue // a hole holds no component
 		}
 		comp := h.(component)
 		id := env.ident(slot, comp)
-		live := hosts[id.host].isLive(f, int(id.sub), comp)
+		live := hosts[id.host].fwd.isLive(f, int(id.sub), comp)
 		if !live && !ref.has(slot) {
 			continue
 		}
@@ -942,14 +992,18 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 			if r.Err() != nil {
 				return
 			}
-			h := s.hosts[hid]
+			h := &s.hosts[hid]
+			if h.fwd == nil {
+				r.Fail(fmt.Errorf("core: snapshot shard %d holds a component of host %d, which never forwarded", si, hid))
+				return
+			}
 			if f == famCycle && h.findCycle(sub) != nil {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds two clocks for group %d at host %d's capacity", si, sub, hid))
 				return
 			}
 			routed := 0
 			if f == famMux && live {
-				routed = c.routed(h, sub)
+				routed = c.routed(h.fwd, sub)
 			}
 			comp := h.restoreComp(r, f, sub, capacity, routed)
 			if live && !h.install(f, sub, comp) {
