@@ -101,13 +101,16 @@ fuzz:
 # nothing), the size hint to surviving a restore, the member sets to one
 # bit per host in one slab, built and restored, the host record to 24
 # bytes with forwarding state only at the hosts with children, carved from
-# one arena per shard, built and restored, and one blob to its exact byte
-# count and SHA-256, so a word added back to a component record, a byte
-# per member, forwarding state at a leaf, or a pending event written
-# under another (at, prio, kind, arg), fails here as well.
+# one arena per shard, built and restored, every MUX to its connection's
+# two ends and its shard's one shared Line, built and restored, the MUX
+# record to 104 bytes, and one blob to its exact byte count and SHA-256,
+# so a word added back to a component record, a byte per member,
+# forwarding state at a leaf, per-engine constants or a link record per
+# MUX, or a pending event written under another (at, prio, kind, arg),
+# fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestSnapshotBlobBytes' ./internal/core
-	$(GO) test -run 'TestSlabEnqueueAllocFree' ./internal/mux
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 1 -snapshot-diff

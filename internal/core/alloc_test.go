@@ -136,6 +136,55 @@ func TestLeavesCarryNoForwarder(t *testing.T) {
 	}
 }
 
+// TestMuxEndsAreConnections: a MUX names its output link by its two ends
+// and shares its engine, discipline, flow count and fabric with every MUX
+// of its shard, through the shard's one Line. After NewSession and after
+// Restore, at one shard and four, every MUX a forwarder has in service
+// sits in the owner table of its host's shard with the forwarder's host and
+// the connection table's child as its ends, every MUX of a shard points at
+// that shard's Line, and — the fixture has no churn — every MUX is in
+// service.
+func TestMuxEndsAreConnections(t *testing.T) {
+	check := func(t *testing.T, s *core.Session) {
+		t.Helper()
+		ws, unowned := core.MuxWirings(s)
+		if unowned > 0 {
+			t.Fatalf("%d MUXes in service are in no owner table", unowned)
+		}
+		if len(ws) == 0 {
+			t.Fatal("the fixture has no MUX")
+		}
+		for _, w := range ws {
+			if w.Line != w.Shard || w.Owner != w.Shard {
+				t.Fatalf("a MUX of host %d, which shard %d owns, is in shard %d's owner table and points at the Line of shard %d",
+					w.From, w.Owner, w.Shard, w.Line)
+			}
+			if w.Host < 0 || w.From != w.Host || w.To != w.Child {
+				t.Fatalf("MUX on link %d→%d of shard %d is in service as host %d's connection to %d", w.From, w.To, w.Shard, w.Host, w.Child)
+			}
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := allocFixtures(t)["waxman-zipf-64-quick"]
+		cfg.Shards = shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := core.NewSession(cfg)
+			check(t, s)
+			s.Start()
+			s.RunTo(des.Time(cfg.Duration) / 2)
+			blob, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := core.Restore(cfg, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, r)
+		})
+	}
+}
+
 // TestBuildAllocBudget states what NewSession + Start may allocate with the
 // blueprint warm, on one runner: nothing per component — MUXes, regulators,
 // clocks and the link records their outputs point at are carved from

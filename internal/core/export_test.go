@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"repro/internal/des"
+	"repro/internal/mux"
 )
 
 // ComponentCount reports how many components — MUXes, regulators, clocks —
@@ -97,4 +98,53 @@ func ForwarderLayout(s *Session) (fwds, parents []int, oneArena bool) {
 		last[sh] = h.fwd
 	}
 	return fwds, parents, oneArena
+}
+
+// MuxWiring is one MUX of a shard's owner table: the shard whose Line it
+// points at (-1 for none), its output link's ends, the shard that owns the
+// host it leaves from, and the host and child connection a forwarder files
+// it under (-1, -1 when none has it in service).
+type MuxWiring struct {
+	Shard, Line int
+	From, To    int
+	Owner       int
+	Host, Child int
+}
+
+// MuxWirings reports every MUX of every shard's owner table, in shard and
+// slot order, and how many MUXes the forwarders have in service that no
+// owner table holds.
+func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
+	type conn struct{ host, child int }
+	served := map[*mux.Mux]conn{}
+	for id, h := range s.hosts {
+		if h.fwd != nil {
+			for i, m := range h.fwd.muxes {
+				served[m] = conn{id, int(h.fwd.muxChild[i])}
+			}
+		}
+	}
+	for si, sh := range s.sh {
+		for _, o := range sh.eng.Owners(des.KindMuxDone) {
+			m, ok := o.(*mux.Mux)
+			if !ok {
+				continue
+			}
+			w := MuxWiring{Shard: si, Line: -1, Host: -1, Child: -1}
+			for sj, other := range s.sh {
+				if m.Line() == other.env.line {
+					w.Line = sj
+					break
+				}
+			}
+			w.From, w.To = m.Ends()
+			w.Owner = s.owner[w.From]
+			if c, ok := served[m]; ok {
+				w.Host, w.Child = c.host, c.child
+				delete(served, m)
+			}
+			ws = append(ws, w)
+		}
+	}
+	return ws, len(served)
 }

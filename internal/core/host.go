@@ -56,14 +56,15 @@ var (
 // serves.
 type compIdent struct{ host, sub int32 }
 
-// ident names the component at slot of its family's owner table. A MUX or
-// a regulator names its host and sub-index through its output link; a
-// clock, which has none, through clocks.
+// ident names the component at slot of its family's owner table. A MUX
+// names its host and child by its output link's ends, a regulator its host
+// and group through its output link; a clock, which has none, through
+// clocks.
 func (e *hostEnv) ident(slot int, c component) compIdent {
 	switch c := c.(type) {
 	case *mux.Mux:
-		l := c.Out().(*muxLink)
-		return compIdent{l.h.id, l.child}
+		from, to := c.Ends()
+		return compIdent{int32(from), int32(to)}
 	case *regulator.SigmaRho:
 		l := c.Out().(*regLink)
 		return compIdent{l.h.id, l.g}
@@ -76,19 +77,21 @@ func (e *hostEnv) ident(slot int, c component) compIdent {
 
 // hostEnv is what a regulated host needs from its surrounding session.
 type hostEnv struct {
-	eng        *des.Engine
-	specs      []FlowSpec
-	conn       float64 // base per-connection capacity C (bits/second)
-	mults      []float64
-	bursts     []float64 // σᵢ, the (σ, ρ) regulators' bursts
-	discipline mux.Discipline
-	aligned    bool   // stagger ablation: align all duty-cycle phases
-	scheme     Scheme // the session's configured scheme
+	eng     *des.Engine
+	specs   []FlowSpec
+	conn    float64 // base per-connection capacity C (bits/second)
+	mults   []float64
+	bursts  []float64 // σᵢ, the (σ, ρ) regulators' bursts
+	aligned bool      // stagger ablation: align all duty-cycle phases
+	scheme  Scheme    // the session's configured scheme
 	// The adaptive controller's switching utilisation and sampling period,
 	// the same at every host it runs on.
 	threshold float64
 	ctlEvery  des.Duration
-	send      func(from, to int, p traffic.Packet)
+	// line is what every MUX on this engine shares: the engine, the
+	// session's discipline and flow count, and the fabric a served packet
+	// leaves on, from the MUX's host to its child.
+	line *mux.Line
 	// capAware selects the capacity-aware connection model: the host's
 	// aggregate uplink of capFactor × its own C splits across its
 	// distinct child connections. Regulated schemes instead give every
@@ -453,22 +456,13 @@ func (h *host) ensureSRLBank() {
 // The four make functions are the constructors of components in a live
 // run; restoreComp is their checkpoint-restore twin, handing the same slab
 // the same arguments — so a restored component is made exactly as the
-// original was, points its output at an identical link record, and
+// original was, points its output at an identical link (a MUX at its
+// engine's Line and its two ends, a regulator at a link record), and
 // registers in the next slot of its engine's owner table. Both
 // paths carve from the engine's slabs, which a live build sizes from the
 // compiled child sets and a restore from the components record's totals;
 // what outruns them (a connection churn grafts later) is made on its own.
 // Only a forwarder makes components.
-
-// muxLink is where child connection c's MUX puts a packet: onto the
-// fabric, from its host to c.
-type muxLink struct {
-	h     *host
-	child int32
-}
-
-// Put implements traffic.Sink.
-func (l *muxLink) Put(p traffic.Packet) { l.h.env.send(int(l.h.id), int(l.child), p) }
 
 // regLink is where group g's regulator puts a packet: into its host's
 // replicator for g.
@@ -480,13 +474,6 @@ type regLink struct {
 // Put implements traffic.Sink.
 func (l *regLink) Put(p traffic.Packet) { l.h.fwd.replicate(int(l.g), p) }
 
-// muxOut is the output of child connection c's MUX.
-func (h *host) muxOut(c int) *muxLink {
-	l := h.env.slabs.muxLinks.One()
-	*l = muxLink{h, int32(c)}
-	return l
-}
-
 // regOut is the output of group g's regulator.
 func (h *host) regOut(g int) *regLink {
 	l := h.env.slabs.regLinks.One()
@@ -497,8 +484,7 @@ func (h *host) regOut(g int) *regLink {
 // makeMux creates and registers the connection MUX for child c, with room
 // for routed queued packets, without wiring it into the connection table.
 func (h *host) makeMux(c int, capacity float64, routed int) *mux.Mux {
-	env := h.env
-	return env.slabs.mux.New(env.eng, len(env.specs), capacity, env.discipline, h.muxOut(c), routed)
+	return h.env.slabs.mux.New(h.env.line, capacity, int(h.id), c, routed)
 }
 
 // makeSR creates and registers group g's (σ, ρ) regulator.
@@ -551,15 +537,14 @@ func (h *host) addCycle(c *regulator.Cycle, g int) *regulator.Cycle {
 }
 
 // compSlabs is the storage one engine makes its components in — the
-// components, the link records their outputs point at — and its hosts'
-// forwarders, connection tables and regulator banks. A live build sizes it
-// from the compiled child sets (sizeSlabs); a restore sizes the forwarders
-// from the hosts record, the tables from the restored trees and the
-// components from the record's opening counts.
+// components, the link records the regulators' outputs point at — and its
+// hosts' forwarders, connection tables and regulator banks. A live build
+// sizes it from the compiled child sets (sizeSlabs); a restore sizes the
+// forwarders from the hosts record, the tables from the restored trees and
+// the components from the record's opening counts.
 type compSlabs struct {
 	mux      mux.Slab
 	reg      regulator.Slab
-	muxLinks snap.Arena[muxLink]
 	regLinks snap.Arena[regLink]
 	fwds     snap.Arena[forwarder]
 	muxChild snap.Arena[int32]
@@ -579,7 +564,7 @@ func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, 
 	flows := len(env.specs)
 	switch f {
 	case famMux:
-		return sl.mux.Restore(r, env.eng, flows, capacity, env.discipline, h.muxOut(sub), routed)
+		return sl.mux.Restore(r, env.line, capacity, int(h.id), sub, routed)
 	case famSR:
 		return sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub))
 	case famCycle:

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/des"
+	"repro/internal/mux"
 	"repro/internal/traffic"
 )
 
@@ -20,11 +21,14 @@ func testEnv(eng *des.Engine, sent *[]int) *hostEnv {
 		},
 		conn:   1_000_000,
 		bursts: []float64{10_000, 10_000},
-		send: func(from, to int, p traffic.Packet) {
-			*sent = append(*sent, to)
-		},
+		line:   mux.NewLine(eng, 2, mux.LIFO, sentTo{sent}),
 	}
 }
+
+// sentTo is a fabric that records the destination of every packet sent.
+type sentTo struct{ to *[]int }
+
+func (s sentTo) Send(_, to int, _ traffic.Packet) { *s.to = append(*s.to, to) }
 
 // newHost is a hand-built host in env, wired for its child sets under
 // scheme as a session build wires it, less the adaptive controller.

@@ -233,6 +233,7 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			off := firstRecord(t, b, recComponents) + 4*compTotalsWords + 4
 			put32(b, off, (binary.LittleEndian.Uint32(b[off:])+1)%60)
 		}, "no MUX"},
+		{"idle MUX with queue", cfg1, withStalledMux(t, blob1), func(*testing.T, []byte) {}, "idle MUX"},
 		{"event before the checkpoint", cfg1, blob1, func(t *testing.T, b []byte) {
 			put64(b, firstRecord(t, b, recEngine)+4, uint64(des.Second/4))
 		}, "precedes the checkpoint"},
@@ -415,6 +416,33 @@ func withQueuedMuxPacket(t testing.TB, blob []byte) []byte {
 	return nil
 }
 
+// withStalledMux returns blob with the first busy MUX's packet in
+// transmission moved into its queue and the server marked idle, in a record
+// of the same length: a MUX that no completion will ever serve again.
+func withStalledMux(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	for _, q := range stanzas(t, blob).muxQueues {
+		n := int(binary.LittleEndian.Uint32(blob[q:]))
+		bits := q + 4 + packetBytes*n
+		if blob[bits+8] != 1 {
+			continue
+		}
+		cur := blob[bits+8+1:][:packetBytes]
+		size := math.Float64frombits(binary.LittleEndian.Uint64(cur[16:]))
+		backlog := math.Float64frombits(binary.LittleEndian.Uint64(blob[bits:]))
+		out := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(out[q:], uint32(n+1))
+		copy(out[bits:], cur)
+		binary.LittleEndian.PutUint64(out[bits+packetBytes:], math.Float64bits(backlog+size))
+		out[bits+packetBytes+8] = 0
+		muxPackets := firstRecord(t, out, recComponents) + 4*int(numFamilies-famMux)
+		binary.LittleEndian.PutUint32(out[muxPackets:], binary.LittleEndian.Uint32(out[muxPackets:])+1)
+		return out
+	}
+	t.Fatal("fixture has no busy MUX")
+	return nil
+}
+
 // withTinyRegulatorPacket returns blob with the first queued regulator
 // packet shrunk to 1e-300 bits: ⌈σ/L⌉ overflows any int, and the queue it
 // reaches next must still make a first buffer of at most 64 packets.
@@ -436,7 +464,8 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // pristine blob allocates plus the input's size — a corrupt length prefix
 // must not drive allocation — and a session it returns runs to its end. The
 // seeds (the fixture blob, three of its corruptions, the blob with a MUX
-// queue, with a 1e-300-bit regulator packet, with a clock claiming next
+// queue, with an idle MUX holding a queue, with a 1e-300-bit regulator
+// packet, with a clock claiming next
 // rank 2⁶³ — which must seat no more followers than the record has — with
 // a follower ranked past its clock, with each of the unowned events and
 // with each host-record corruption) run in the ordinary `go test`.
@@ -449,6 +478,7 @@ func FuzzRestore(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add(withQueuedMuxPacket(f, blob))
+	f.Add(withStalledMux(f, blob))
 	f.Add(withTinyRegulatorPacket(f, blob))
 	offs := stanzas(f, blob)
 	f.Add(with64(blob, offs.nextRanks[0], 1<<63))

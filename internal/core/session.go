@@ -525,19 +525,18 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		fc.Receivers = receivers
 		sh.fabric = netsim.NewFabric(sh.eng, sub.net, fc)
 		sh.env = &hostEnv{
-			rt:         sh,
-			eng:        sh.eng,
-			specs:      sub.specs,
-			conn:       sub.conn,
-			mults:      sub.mults,
-			bursts:     bursts,
-			uniform:    uniform,
-			discipline: cfg.Discipline,
-			aligned:    cfg.StaggerAligned,
-			scheme:     cfg.Scheme,
-			threshold:  sub.threshold,
-			ctlEvery:   ctlInterval,
-			send:       func(from, to int, p traffic.Packet) { sh.fabric.Send(from, to, p) },
+			rt:        sh,
+			eng:       sh.eng,
+			specs:     sub.specs,
+			conn:      sub.conn,
+			mults:     sub.mults,
+			bursts:    bursts,
+			uniform:   uniform,
+			aligned:   cfg.StaggerAligned,
+			scheme:    cfg.Scheme,
+			threshold: sub.threshold,
+			ctlEvery:  ctlInterval,
+			line:      mux.NewLine(sh.eng, len(sub.specs), cfg.Discipline, sh.fabric),
 		}
 		if cfg.Scheme == SchemeCapacityAware {
 			sh.env.capAware = true
@@ -599,8 +598,8 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 }
 
 // sizeSlabs gives each shard's environment slabs sized for what wiring the
-// compiled child sets makes there: per connection a MUX, its link record
-// and a connection-table entry; per (group, child) edge a queued packet in
+// compiled child sets makes there: per connection a MUX and a
+// connection-table entry; per (group, child) edge a queued packet in
 // the child's MUX; per group a forwarding host carries, a regulator of the
 // initial mode, its link record, a bank entry and a seat in its clock's
 // waiting list; per host with connections — per host at all, when the
@@ -628,7 +627,6 @@ func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
 		sh.eng.Grow(des.KindMuxDone, n.conns)
 		sl.mux = mux.NewSlab(n.conns, n.edges)
 		sl.fwds = snap.NewArena[forwarder](n.fwds)
-		sl.muxLinks = snap.NewArena[muxLink](n.conns)
 		sl.muxChild = snap.NewArena[int32](n.conns)
 		sl.muxes = snap.NewArena[*mux.Mux](n.conns)
 		switch initialMode(s.sub.cfg.Scheme) {

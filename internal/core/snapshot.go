@@ -958,7 +958,6 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	sl := &env.slabs
 	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets+c.per[si].edges)
 	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets)
-	sl.muxLinks = snap.NewArena[muxLink](t.comps[famMux])
 	sl.regLinks = snap.NewArena[regLink](t.comps[famSR] + t.comps[famSRL])
 	numGroups := s.sub.numGroups()
 	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famCycle: numGroups, famSRL: numGroups}

@@ -41,6 +41,39 @@ func (d Discipline) String() string {
 	}
 }
 
+// Link is where a MUX puts a packet it has served: onto the output link
+// from host from to host to. A session's fabric is one.
+type Link interface {
+	Send(from, to int, p traffic.Packet)
+}
+
+// Line is what every MUX on one engine shares: the engine its transmit
+// completions run in, the service order, the declared input flow count
+// (validation only) and the link a served packet leaves on. Each MUX
+// points at its engine's Line and keeps only what differs between
+// connections.
+type Line struct {
+	eng *des.Engine
+	d   Discipline
+	k   int
+	out Link
+}
+
+// NewLine returns the shared part of MUXes in eng with k input flows,
+// serving in order d and sending into out.
+func NewLine(eng *des.Engine, k int, d Discipline, out Link) *Line {
+	if k <= 0 {
+		panic("mux: need at least one input flow")
+	}
+	if d != LIFO && d != FIFO {
+		panic("mux: unknown discipline")
+	}
+	if out == nil {
+		panic("mux: nil output")
+	}
+	return &Line{eng: eng, d: d, k: k, out: out}
+}
+
 // Mux is a work-conserving server at rate C over K input flows.
 //
 // It holds one queue, in arrival order, whatever the flow: LIFO serves
@@ -51,64 +84,67 @@ func (d Discipline) String() string {
 // per MUX, and a host's MUX sees the few groups routed through its
 // connection, rarely a second packet at once. A MUX made in a Slab starts
 // with room for one packet per flow routed through it.
+//
+// What every MUX on an engine has in common lives in its Line; the record
+// itself is the connection — its capacity, queue, the packet in
+// transmission and the link's two ends.
 type Mux struct {
-	eng        *des.Engine
-	c          float64 // bits/second
-	discipline Discipline
-	out        traffic.Sink
-
-	k    int              // declared input flow count (validation only)
+	line *Line
+	c    float64          // bits/second
 	q    []traffic.Packet // queued packets in arrival order, from head on
-	head int
 	bits float64
-	busy bool
 	cur  traffic.Packet // packet in transmission (valid while busy)
-	slot uint32         // in the engine's KindMuxDone owner table
+	head int32
+	slot uint32 // in the engine's KindMuxDone owner table
+	from int32  // the output link's ends, host ids
+	to   int32
+	busy bool
 }
 
-// New returns a MUX with k input flows at capacity c bits/second.
+// New returns a MUX with k input flows at capacity c bits/second, on a
+// Line of its own.
 func New(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packet)) *Mux {
 	if out == nil {
 		panic("mux: nil output")
 	}
-	return new(Mux).init(eng, k, c, d, traffic.SinkFunc(out))
+	return new(Mux).init(NewLine(eng, k, d, sinkLink(out)), c, 0, 0)
 }
 
+// sinkLink is a Link that ignores the ends: New's output.
+type sinkLink func(traffic.Packet)
+
+func (f sinkLink) Send(_, _ int, p traffic.Packet) { f(p) }
+
 // init is New into zeroed storage the caller made (see Slab): the MUX
-// registers as the owner of its transmit completions.
-func (m *Mux) init(eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink) *Mux {
-	if k <= 0 {
-		panic("mux: need at least one input flow")
-	}
+// serves the link from→to of line and registers as the owner of its
+// transmit completions.
+func (m *Mux) init(line *Line, c float64, from, to int) *Mux {
 	if c <= 0 {
 		panic("mux: capacity must be positive")
 	}
-	if d != LIFO && d != FIFO {
-		panic("mux: unknown discipline")
-	}
-	if out == nil {
-		panic("mux: nil output")
-	}
-	m.eng, m.c, m.discipline, m.out, m.k = eng, c, d, out, k
-	m.slot = eng.Register(des.KindMuxDone, m)
+	m.line, m.c, m.from, m.to = line, c, int32(from), int32(to)
+	m.slot = line.eng.Register(des.KindMuxDone, m)
 	return m
 }
 
 // Fire is the transmit completion (des.KindMuxDone): the packet in
 // transmission leaves, and service moves on.
 func (m *Mux) Fire(uint16) {
-	m.out.Put(m.cur)
+	m.line.out.Send(int(m.from), int(m.to), m.cur)
 	m.serve()
 }
 
-// Out returns where the MUX puts a packet it has served.
-func (m *Mux) Out() traffic.Sink { return m.out }
+// Line returns the shared part of the MUX: its engine's Line.
+func (m *Mux) Line() *Line { return m.line }
+
+// Ends returns the host ids of the MUX's output link.
+func (m *Mux) Ends() (from, to int) { return int(m.from), int(m.to) }
 
 // Capacity returns the service rate in bits/second.
 func (m *Mux) Capacity() float64 { return m.c }
 
 // NumFlows returns the declared number of input flows.
-func (m *Mux) NumFlows() int { return m.k }
+func (m *Mux) NumFlows() int { return m.line.k }
 
 // Backlog returns the bits queued across all flows (excluding the packet
 // in transmission).
@@ -116,16 +152,16 @@ func (m *Mux) Backlog() float64 { return m.bits }
 
 // Len returns the packets queued across all flows (excluding the packet
 // in transmission).
-func (m *Mux) Len() int { return len(m.q) - m.head }
+func (m *Mux) Len() int { return len(m.q) - int(m.head) }
 
 // Enqueue implements the input side: the packet joins the queue and
 // service starts if the server is idle. It panics on an out-of-range flow
 // index (p.Flow), which always indicates a wiring bug in the host model.
 func (m *Mux) Enqueue(p traffic.Packet) {
-	if p.Flow < 0 || p.Flow >= m.k {
+	if p.Flow < 0 || p.Flow >= m.line.k {
 		panic("mux: packet flow index out of range")
 	}
-	if len(m.q) == cap(m.q) && m.head*2 >= len(m.q) {
+	if len(m.q) == cap(m.q) && int(m.head)*2 >= len(m.q) {
 		// Full but at least half served (FIFO only: LIFO keeps head at
 		// 0): slide the queue to the front instead of growing it.
 		m.q = m.q[:copy(m.q, m.q[m.head:])]
@@ -141,22 +177,23 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 // serve starts transmitting the next packet — LIFO's newest, FIFO's
 // oldest — or idles the server when none is queued.
 func (m *Mux) serve() {
-	if m.head == len(m.q) {
+	if int(m.head) == len(m.q) {
 		m.busy = false
 		return
 	}
 	m.busy = true
 	var p traffic.Packet
-	if m.discipline == LIFO {
+	l := m.line
+	if l.d == LIFO {
 		last := len(m.q) - 1
 		p = m.q[last]
 		m.q = m.q[:last]
-	} else if p = m.q[m.head]; m.head+1 == len(m.q) {
+	} else if p = m.q[m.head]; int(m.head)+1 == len(m.q) {
 		m.q, m.head = m.q[:0], 0 // emptied: rewind for free
 	} else {
 		m.head++
 	}
 	m.bits -= p.Size
 	m.cur = p
-	m.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.slot)
+	l.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.slot)
 }

@@ -169,7 +169,7 @@ func runOneQueue(t *testing.T, k int, c float64, d Discipline, arrivals []stampe
 	eng2 := des.New()
 	eng2.RestoreNow(cut)
 	sl := NewSlab(1, m.Len())
-	m2 := sl.Restore(r, eng2, k, c, d, traffic.SinkFunc(collect(&served, eng2)), 0)
+	m2 := sl.Restore(r, NewLine(eng2, k, d, sinkLink(collect(&served, eng2))), c, 0, 1, 0)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}

@@ -1,13 +1,15 @@
 package mux
 
 import (
-	"repro/internal/des"
+	"fmt"
+	"math"
+
 	"repro/internal/snap"
 	"repro/internal/traffic"
 )
 
-// Checkpoint support. Construction parameters (k, c, discipline, out) are
-// recomputed by the restored session; Snapshot and Slab.Restore cover only
+// Checkpoint support. Construction parameters (the Line, c and the ends)
+// are recomputed by the restored session; Snapshot and Slab.Restore cover only
 // the mutable words. The queue is written oldest first and restored with
 // its head at zero — head position is memory layout, not service order,
 // so the compaction bookkeeping does not need to survive.
@@ -50,32 +52,40 @@ func NewSlab(muxes, packets int) Slab {
 	return Slab{muxes: snap.NewArena[Mux](muxes), packets: snap.NewArena[traffic.Packet](packets)}
 }
 
-// New is the package's New in the slab's next MUX, with the output a Sink
-// and room for routed packets queued before the queue grows: pass the
-// number of flows routed through the connection.
-func (sl *Slab) New(eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink, routed int) *Mux {
-	m := sl.muxes.One().init(eng, k, c, d, out)
+// New makes the slab's next MUX: line's server at capacity c on the link
+// from→to, with room for routed packets queued before the queue grows —
+// pass the number of flows routed through the connection.
+func (sl *Slab) New(line *Line, c float64, from, to, routed int) *Mux {
+	m := sl.muxes.One().init(line, c, from, to)
 	m.q = sl.packets.Take(routed)[:0]
 	return m
 }
 
 // Restore makes the slab's next MUX as New would, its queue carved to the
 // larger of its restored length and routed, and overwrites its mutable
-// state from the open record, failing the reader on a flow id outside
-// [0, k). The transmit-completion event, if one was pending, is the
-// engine's to re-insert: the MUX registers in the next slot of its owner
-// table, as New would.
-func (sl *Slab) Restore(r *snap.Reader, eng *des.Engine, k int, c float64, d Discipline, out traffic.Sink, routed int) *Mux {
+// state from the open record. It fails the reader on a flow id outside
+// [0, k), a non-finite backlog, and an idle server with packets queued —
+// a state no work-conserving MUX is in, whose queue nothing would serve.
+// The transmit-completion event, if one was pending, is the engine's to
+// re-insert: the MUX registers in the next slot of its owner table, as
+// New would.
+func (sl *Slab) Restore(r *snap.Reader, line *Line, c float64, from, to, routed int) *Mux {
 	n := r.Count(traffic.PacketSnapBytes)
-	m := sl.New(eng, k, c, d, out, max(n, routed))
+	m := sl.New(line, c, from, to, max(n, routed))
 	m.q = m.q[:n]
 	for i := range m.q {
-		m.q[i] = traffic.RestorePacket(r, k)
+		m.q[i] = traffic.RestorePacket(r, line.k)
 	}
 	m.bits = r.F64()
 	m.busy = r.Bool()
 	if m.busy {
-		m.cur = traffic.RestorePacket(r, k)
+		m.cur = traffic.RestorePacket(r, line.k)
+	}
+	if math.IsInf(m.bits, 0) || math.IsNaN(m.bits) {
+		r.Fail(fmt.Errorf("mux: snapshot backlog %v bits is not finite", m.bits))
+	}
+	if !m.busy && n > 0 && r.Err() == nil {
+		r.Fail(fmt.Errorf("mux: snapshot idle MUX with %d packets queued", n))
 	}
 	return m
 }

@@ -1,6 +1,7 @@
 package mux
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -86,12 +87,14 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 		eng2 := des.New()
 		for i, m := range orig {
 			var served []uint64
-			got := sl.Restore(r, eng2, 4, 1e6, LIFO, traffic.SinkFunc(func(p traffic.Packet) { served = append(served, p.ID) }), routed)
+			line := NewLine(eng2, 4, LIFO, sinkLink(func(p traffic.Packet) { served = append(served, p.ID) }))
+			got := sl.Restore(r, line, 1e6, 0, i+1, routed)
 			if r.Err() != nil {
 				t.Fatalf("short=%v: restore of MUX %d: %v", short, i, r.Err())
 			}
 			want := m.q[m.head:]
-			if got.bits != m.bits || got.busy != m.busy || got.cur != m.cur || got.head != 0 ||
+			if got.line != line || got.from != 0 || got.to != int32(i+1) ||
+				got.bits != m.bits || got.busy != m.busy || got.cur != m.cur || got.head != 0 ||
 				!reflect.DeepEqual(got.q, want) && len(want)+len(got.q) > 0 {
 				t.Fatalf("short=%v: MUX %d restored as %+v, want %+v", short, i, got, m)
 			}
@@ -115,8 +118,42 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 	m.Enqueue(traffic.Packet{Flow: 3, Size: 1})
 	r, _ := record(t, m.Snapshot)
 	sl := NewSlab(1, 1)
-	if sl.Restore(r, eng, 3, 1e6, FIFO, traffic.SinkFunc(func(traffic.Packet) {}), 0); r.Err() == nil {
+	if sl.Restore(r, NewLine(eng, 3, FIFO, sinkLink(func(traffic.Packet) {})), 1e6, 0, 1, 0); r.Err() == nil {
 		t.Fatal("packet of flow 3 restored into a 3-flow MUX")
+	}
+}
+
+// TestSlabRestoreRejectsStalled: a record of an idle MUX with packets
+// queued — which nothing would ever serve — or with a non-finite backlog
+// fails the reader.
+func TestSlabRestoreRejectsStalled(t *testing.T) {
+	eng := des.New()
+	line := NewLine(eng, 2, FIFO, sinkLink(func(traffic.Packet) {}))
+	p := traffic.Packet{Flow: 1, Size: 1e4}
+	for name, write := range map[string]func(w *snap.Writer){
+		"idle with queue": func(w *snap.Writer) {
+			w.Len(1)
+			p.Snapshot(w)
+			w.F64(p.Size)
+			w.Bool(false)
+		},
+		"infinite backlog": func(w *snap.Writer) {
+			w.Len(0)
+			w.F64(math.Inf(1))
+			w.Bool(true)
+			p.Snapshot(w)
+		},
+		"NaN backlog": func(w *snap.Writer) {
+			w.Len(0)
+			w.F64(math.NaN())
+			w.Bool(false)
+		},
+	} {
+		r, _ := record(t, write)
+		sl := NewSlab(1, 1)
+		if sl.Restore(r, line, 1e6, 0, 1, 0); r.Err() == nil {
+			t.Errorf("%s: restored without error", name)
+		}
 	}
 }
 
@@ -126,12 +163,12 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 func TestSlabEnqueueAllocFree(t *testing.T) {
 	const routed = 3
 	eng := des.New()
-	sink := traffic.SinkFunc(func(traffic.Packet) {})
+	line := NewLine(eng, 8, FIFO, sinkLink(func(traffic.Packet) {}))
 	sl := NewSlab(2, 2*routed)
 	r, _ := record(t, New(eng, 8, 1e6, FIFO, func(traffic.Packet) {}).Snapshot)
 	for name, m := range map[string]*Mux{
-		"built":    sl.New(eng, 8, 1e6, FIFO, sink, routed),
-		"restored": sl.Restore(r, eng, 8, 1e6, FIFO, sink, routed),
+		"built":    sl.New(line, 1e6, 0, 1, routed),
+		"restored": sl.Restore(r, line, 1e6, 0, 2, routed),
 	} {
 		m.busy = true // hold service so the arrivals queue
 		fill := func() {
