@@ -103,13 +103,14 @@ fuzz:
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
 # two ends and its shard's one shared Line, built and restored, the MUX
-# record to 104 bytes, and one blob to its exact byte count and SHA-256,
+# record to 104 bytes, a static session's trees to the blueprint's own,
+# built and restored, and one blob to its exact byte count and SHA-256,
 # so a word added back to a component record, a byte per member,
 # forwarding state at a leaf, per-engine constants or a link record per
-# MUX, or a pending event written under another (at, prio, kind, arg),
-# fails here as well.
+# MUX, a tree cloned or decoded where none is written, or a pending event
+# written under another (at, prio, kind, arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff

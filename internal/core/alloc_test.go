@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math"
 	mathbits "math/bits"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -79,6 +81,89 @@ func TestMembershipIsOneBitPerHost(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, r, cfg)
+		})
+	}
+}
+
+// TestStaticSessionsShareBlueprintTrees: a session without churn, faults
+// or re-optimization holds its blueprint's trees themselves, not clones —
+// after NewSession and after Restore, at one shard and at four, and for the
+// capacity-aware scheme's one tree shared by every group — where a session
+// whose control planes write trees never holds one of them. Two static
+// sessions built, checkpointed, restored and run side by side leave the
+// blueprint's trees byte for byte as they were (make race runs this under
+// the race detector).
+func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
+	fixtures := allocFixtures(t)
+	sharded := fixtures["waxman-zipf-64-quick"]
+	sharded.Shards = 4
+	capAware := fixtures["60-host"]
+	capAware.Scheme = core.SchemeCapacityAware
+	cases := []struct {
+		name string
+		cfg  core.Config
+	}{{"1 shard", fixtures["waxman-zipf-64-quick"]}, {"4 shards", sharded}, {"capacity-aware", capAware}}
+	// cycle builds cfg, runs it halfway, checkpoints it and restores the
+	// blob, and returns both sessions.
+	cycle := func(cfg core.Config) (built, restored *core.Session, err error) {
+		built = core.NewSession(cfg)
+		built.Start()
+		built.RunTo(des.Time(cfg.Duration) / 2)
+		blob, err := built.Snapshot()
+		if err == nil {
+			restored, err = core.Restore(cfg, blob)
+		}
+		return built, restored, err
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// One churn event makes a session whose control plane writes its
+			// trees — a regulated one: no control plane runs under the
+			// capacity-aware scheme.
+			growing := tc.cfg
+			growing.Events = []core.MembershipEvent{{At: des.Time(tc.cfg.Duration) * 3 / 4, Group: 0, Host: 1}}
+			for _, want := range []bool{true, false} {
+				cfg := tc.cfg
+				if !want {
+					if !cfg.Scheme.Regulated() {
+						continue
+					}
+					cfg = growing
+				}
+				built, restored, err := cycle(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range []struct {
+					how string
+					s   *core.Session
+				}{{"NewSession", built}, {"Restore", restored}} {
+					own, _ := core.BlueprintTrees(s.s)
+					for g, o := range own {
+						if o != want {
+							t.Fatalf("after %s (events %d): group %d holds the blueprint's tree = %v, want %v", s.how, len(cfg.Events), g, o, want)
+						}
+					}
+				}
+			}
+			s := core.NewSession(tc.cfg)
+			_, before := core.BlueprintTrees(s)
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, restored, err := cycle(tc.cfg); err != nil {
+						t.Error(err)
+					} else {
+						restored.Finish()
+					}
+				}()
+			}
+			wg.Wait()
+			if _, after := core.BlueprintTrees(s); !bytes.Equal(before, after) {
+				t.Fatal("two static sessions running side by side changed the blueprint's trees")
+			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/mux"
+	"repro/internal/snap"
 )
 
 // ComponentCount reports how many components — MUXes, regulators, clocks —
@@ -18,6 +19,25 @@ func ComponentCount(s *Session) int {
 		}
 	}
 	return n
+}
+
+// BlueprintTrees reports, per group, whether the session's tree is its
+// blueprint's own — the pointer the blueprint cache holds — and the
+// blueprint's trees as Snapshot writes them, one record per group.
+func BlueprintTrees(s *Session) (own []bool, stanzas []byte) {
+	bp := blueprintFor(&s.sub.cfg, s.sub.numGroups())
+	w := snap.NewWriterSize(1, 0)
+	for g, st := range s.sub.groups {
+		own = append(own, st.tree == bp.trees[g])
+		w.Begin(1)
+		bp.trees[g].Snapshot(w)
+		w.End()
+	}
+	stanzas, err := w.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return own, stanzas
 }
 
 // SnapshotHint reports the capacity the session's next Snapshot starts its

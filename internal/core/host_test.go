@@ -296,14 +296,17 @@ func TestForwarderLifeUnderChurn(t *testing.T) {
 	base := Config{NumHosts: 48, Mix: traffic.MixAudio, Load: 0.8, Scheme: SchemeAdaptive,
 		Duration: 3 * des.Second, Seed: 11, Groups: partialGroups(48)}
 	// The first outsider whose graft point is a host that forwards nothing.
+	// The probe is static, so its trees are the blueprint's: a graft point
+	// runs on a clone, as a walk writes its tree's scratch.
 	probe := NewSession(base)
 	g, joiner, parent := -1, -1, -1
 	for gi, st := range probe.sub.groups {
+		tree := st.tree.Clone()
 		for h := 0; h < base.NumHosts && g < 0; h++ {
 			if st.member.has(h) {
 				continue
 			}
-			if p, err := st.strat.GraftPoint(probe.sub.net, st.tree, h, 0, st.lim); err == nil && probe.hosts[p].fwd == nil {
+			if p, err := st.strat.GraftPoint(probe.sub.net, tree, h, 0, st.lim); err == nil && probe.hosts[p].fwd == nil {
 				g, joiner, parent = gi, h, p
 			}
 		}

@@ -24,6 +24,23 @@ func corruptFixture(t testing.TB, shards int) (Config, []byte) {
 	cfg.NumHosts, cfg.NumGroups, cfg.Duration, cfg.Shards = 60, 3, des.Second, shards
 	cfg.Groups = cfg.Groups[:3]
 	cfg.Groups[2].Members = nil
+	return checkpointed(t, cfg)
+}
+
+// growingFixture is corruptFixture at one shard with a leave after the
+// checkpoint: a session whose control plane writes its trees, so its group
+// records are decoded (overlay.RestoreTree), where corruptFixture's are
+// checked against the blueprint's trees.
+func growingFixture(t testing.TB) (Config, []byte) {
+	t.Helper()
+	cfg, _ := corruptFixture(t, 1)
+	cfg.Events = []MembershipEvent{{At: 95 * des.Second / 100, Group: 2, Host: 1}}
+	return checkpointed(t, cfg)
+}
+
+// checkpointed runs cfg to 0.9 s and returns its snapshot there.
+func checkpointed(t testing.TB, cfg Config) (Config, []byte) {
+	t.Helper()
 	s := NewSession(cfg)
 	s.Start()
 	s.RunTo(9 * des.Second / 10)
@@ -163,6 +180,65 @@ func firstEvent(t testing.TB, blob []byte, kinds ...uint16) int {
 	return 0
 }
 
+// groupStanza walks the blob's first group record — the layouts of
+// overlay.Tree.Snapshot and codec.writeGroup: source, member count,
+// members, parent count, per parent its host, child count and children,
+// then the lost counter and the detached roots — and returns the offset of
+// the first child list of two children or more and that of the detached
+// root count.
+func groupStanza(t testing.TB, blob []byte) (kids, detached int) {
+	t.Helper()
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
+	off := firstRecord(t, blob, recGroup) + 8
+	off += 4 + 8*u32(off)
+	parents := u32(off)
+	off += 4
+	kids = -1
+	for ; parents > 0; parents-- {
+		n := u32(off + 8)
+		off += 8 + 4
+		if kids < 0 && n >= 2 {
+			kids = off
+		}
+		off += 8 * n
+	}
+	if kids < 0 {
+		t.Fatal("fixture's first tree has no parent of two children")
+	}
+	return kids, off + 8
+}
+
+// withSwappedChildren returns blob with the first two children of the
+// first tree's first parent of two children or more swapped: a tree
+// RestoreTree decodes without complaint, but not the one its session
+// built.
+func withSwappedChildren(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), blob...)
+	kids, _ := groupStanza(t, out)
+	a, b := out[kids:kids+8], out[kids+8:kids+16]
+	var tmp [8]byte
+	copy(tmp[:], a)
+	copy(a, b)
+	copy(b, tmp[:])
+	return out
+}
+
+// withDetachedRoot returns blob with host 1 parked as a detached subtree
+// root of its first group, the record's length grown to match.
+func withDetachedRoot(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	_, off := groupStanza(t, blob)
+	if binary.LittleEndian.Uint32(blob[off:]) != 0 {
+		t.Fatal("fixture's first group already parks a detached root")
+	}
+	out := append(append(append([]byte(nil), blob[:off+4]...), 1, 0, 0, 0), blob[off+4:]...)
+	binary.LittleEndian.PutUint32(out[off:], 1)
+	rec := firstRecord(t, out, recGroup)
+	binary.LittleEndian.PutUint32(out[rec-4:], binary.LittleEndian.Uint32(out[rec-4:])+4)
+	return out
+}
+
 // hostRecordBytes is one host record of the fixture's blob: mode,
 // forwarding, switches, cycling and three flags, the last of them false —
 // a (σ, ρ, λ) host runs no controller (codec.writeHosts).
@@ -216,6 +292,7 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 		corrupt func(t *testing.T, b []byte)
 		want    string
 	}
+	cfgG, blobG := growingFixture(t)
 	cases := []corruption{
 		{"tree parent", cfg1, blob1, func(t *testing.T, b []byte) {
 			// source, member count, members, parent count, first parent.
@@ -223,6 +300,14 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			members := int(binary.LittleEndian.Uint32(b[off+8:]))
 			put64(b, off+8+4+8*members+4, 64)
 		}, "tree parent 64"},
+		// The same tamper where the tree is decoded, not checked.
+		{"growing tree parent", cfgG, blobG, func(t *testing.T, b []byte) {
+			off := firstRecord(t, b, recGroup)
+			members := int(binary.LittleEndian.Uint32(b[off+8:]))
+			put64(b, off+8+4+8*members+4, 64)
+		}, "tree parent 64 outside"},
+		{"static tree differs", cfg1, withSwappedChildren(t, blob1), func(*testing.T, []byte) {}, "tree child"},
+		{"static detached root", cfg1, withDetachedRoot(t, blob1), func(*testing.T, []byte) {}, "detached subtree roots"},
 		{"mux capacity", cfg1, blob1, func(t *testing.T, b []byte) {
 			// the record's totals, then the first stanza: slot, host, sub, live, capacity.
 			put64(b, firstRecord(t, b, recComponents)+4*compTotalsWords+4+4+4+1, math.Float64bits(0))
@@ -467,8 +552,9 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // queue, with an idle MUX holding a queue, with a 1e-300-bit regulator
 // packet, with a clock claiming next
 // rank 2⁶³ — which must seat no more followers than the record has — with
-// a follower ranked past its clock, with each of the unowned events and
-// with each host-record corruption) run in the ordinary `go test`.
+// a follower ranked past its clock, with each of the unowned events, with
+// each host-record corruption, with two children of its first tree swapped
+// and with a detached subtree root parked) run in the ordinary `go test`.
 func FuzzRestore(f *testing.F) {
 	cfg, blob := corruptFixture(f, 1)
 	f.Add(blob)
@@ -491,6 +577,8 @@ func FuzzRestore(f *testing.F) {
 		hc.corrupt(f, bad)
 		f.Add(bad)
 	}
+	f.Add(withSwappedChildren(f, blob))
+	f.Add(withDetachedRoot(f, blob))
 	allocated := func(tb testing.TB, data []byte) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -189,13 +189,18 @@ func (c *Config) strategyName() string {
 	return "dsct"
 }
 
-// growsForwarders reports whether hosts can start forwarding after the
-// build: membership churn, fault repair and re-optimization graft children
-// under hosts that had none. Such a session has room for a forwarder at
-// every host in its shards' arenas, where a static one has room for the
-// forwarders it holds — a churn-made forwarder made on its own is an
-// object per graft point, over a thousand in a 2,000-host churn storm.
-func (c *Config) growsForwarders() bool {
+// writesTrees reports whether the session's control planes write its
+// trees: membership churn grafts and prunes, fault repair re-attaches and
+// re-optimization rewires. Two things follow. Such a session owns clones
+// of the blueprint's trees, where a static one — none of the three — reads
+// the blueprint's trees themselves, built and restored alike, and never
+// calls a tree method that writes (overlay.Tree's scan). And it can start
+// a host forwarding after the build, by a graft under a host that had no
+// children, so it has room for a forwarder at every host in its shards'
+// arenas, where a static one has room for the forwarders it holds — a
+// churn-made forwarder made on its own is an object per graft point, over
+// a thousand in a 2,000-host churn storm.
+func (c *Config) writesTrees() bool {
 	return len(c.Events) > 0 || len(c.Faults) > 0 || c.Reopt.Enabled()
 }
 
@@ -608,7 +613,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
 	type count struct{ fwds, conns, edges, groups int }
 	per := make([]count, len(s.sh))
-	grows := s.sub.cfg.growsForwarders()
+	grows := s.sub.cfg.writesTrees()
 	for id, gc := range chl {
 		n := &per[s.owner[id]]
 		if grows || len(conns[id]) > 0 {

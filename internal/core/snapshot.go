@@ -467,20 +467,32 @@ func (c *codec) writeGroup(w *snap.Writer, g int) {
 	}
 }
 
+// readGroup decodes a group's tree, or — in a static session, which
+// holds the blueprint's tree from compile — checks the blob's against it:
+// such a session's trees can only be the blueprint's, and it never parks
+// a detached subtree root.
 func (c *codec) readGroup(r *snap.Reader, g int) {
 	st := c.s.sub.groups[g]
 	numHosts := c.s.sub.cfg.NumHosts
-	tree := overlay.RestoreTree(r, numHosts)
+	static := !c.s.sub.cfg.writesTrees()
+	if static {
+		st.tree.Check(r)
+	} else if tree := overlay.RestoreTree(r, numHosts); r.Err() == nil {
+		st.tree = tree
+	}
 	if r.Err() != nil {
 		return // the tree is partial: its ids have not all been checked
 	}
-	st.tree = tree
 	clear(st.member)
-	for _, m := range tree.Members {
+	for _, m := range st.tree.Members {
 		st.member.set(m)
 	}
 	st.lost = r.U64()
-	for n := r.Len(); n > 0; n-- {
+	n := r.Len()
+	if static && n > 0 && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: snapshot group %d parks %d detached subtree roots in a session without churn, faults or re-optimization", g, n))
+	}
+	for ; n > 0; n-- {
 		st.detached = append(st.detached, readIndex(r, numHosts, "detached subtree root"))
 	}
 }
@@ -549,7 +561,7 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// count — and one bank entry per group it forwards, in each bank its
 	// scheme can build.
 	per := make([]shardCount, len(s.sh))
-	peek, grows := *r, s.sub.cfg.growsForwarders()
+	peek, grows := *r, s.sub.cfg.writesTrees()
 	for id := range s.hosts {
 		if skipHost(&peek) || grows {
 			per[s.owner[id]].fwds++

@@ -25,9 +25,10 @@ import (
 // sets the control plane drives), so a substrate belongs to exactly
 // one session; compile a fresh one per run. The expensive immutable parts
 // (network, built trees, resolved member sets) live in a shared blueprint
-// (see blueprintFor) and are cloned into the substrate, so compiling the
-// N-th substrate for the same structural Config costs a tree clone, not a
-// tree build.
+// (see blueprintFor): a static session reads its trees, and one whose
+// control planes write trees clones them, so compiling the N-th substrate
+// for the same structural Config costs at most a tree clone, never a tree
+// build.
 type substrate struct {
 	cfg       Config // fillDefaults applied
 	net       *topo.Network
@@ -48,11 +49,12 @@ func (sub *substrate) numGroups() int { return len(sub.specs) }
 // sessions — sweeps over load/traffic-seed grids, auto-tune probes, and
 // snapshot restores all reuse the same one (see blueprintFor).
 type blueprint struct {
-	key      [32]byte // blueprintKey of the Config this was built from
-	net      *topo.Network
-	groups   []GroupSpec     // resolved member sets; read-only
-	trees    []*overlay.Tree // built trees; cloned per session
-	shared   bool            // all trees alias one build (capacity-aware, implicit membership)
+	key    [32]byte // blueprintKey of the Config this was built from
+	net    *topo.Network
+	groups []GroupSpec // resolved member sets; read-only
+	// trees are the built trees — under capacity-aware implicit membership
+	// one build at every g — read by static sessions, cloned by the others.
+	trees    []*overlay.Tree
 	strat    overlay.Strategy
 	treeCfgs []overlay.Config
 	mults    []float64 // per-host uplink multipliers; nil when homogeneous
@@ -172,10 +174,13 @@ func blueprintCacheLen() int {
 }
 
 // FlushSubstrateCache drops every cached substrate blueprint. Sessions
-// already compiled keep their clones; only the shared immutable halves
-// (networks, built trees, resolved member sets) are released. Useful for
-// memory-sensitive callers retiring a large scenario, and for benchmarks
-// that need to measure a cold compile.
+// already compiled keep what they hold, a static session the blueprint's
+// trees themselves; the shared immutable halves (networks, built trees,
+// resolved member sets) are released once no session holds them. A
+// restore after a flush checks a static session's trees against a rebuilt
+// blueprint's, identical by construction. Useful for memory-sensitive
+// callers retiring a large scenario, and for benchmarks that need to
+// measure a cold compile.
 func FlushSubstrateCache() {
 	blueprintCache.Lock()
 	defer blueprintCache.Unlock()
@@ -273,7 +278,6 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 			for g := range bp.trees {
 				bp.trees[g] = shared
 			}
-			bp.shared = true
 		} else {
 			parallelIndexed(numGroups, workers, func(g int) {
 				if blind {
@@ -322,18 +326,19 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 // exactly — pinned by the paper-fig4/paper-fig6 golden bit-identity tests.
 // The immutable half comes from the shared blueprint cache; the per-
 // session half (flow envelopes at this traffic seed, connection capacity
-// at this load, cloned trees and the member sets — bitset windows of one
-// slab — the control plane will mutate) is instantiated fresh on every
-// call.
+// at this load, the member sets — bitset windows of one slab — and, when
+// the control planes write trees, clones of the blueprint's) is
+// instantiated fresh on every call.
 func compileSubstrate(cfg Config) *substrate { return compile(cfg, false) }
 
 // compile is compileSubstrate, or with resume set the substrate of a
 // checkpoint restore: the same in everything but the per-group runtime,
-// which comes up with no tree and an empty member window for the
-// snapshot's group records to fill. The trees a checkpointed run had
-// arrived at are in the blob, so cloning the blueprint's — and marking
-// its members — would be made only to be replaced; nothing of the
-// blueprint's trees is read, let alone aliased.
+// whose member windows come up empty for the snapshot's group records to
+// fill. A static session (!writesTrees) holds the blueprint's trees
+// themselves either way, and its group records are checked against them.
+// One whose control planes write trees comes up with none on a resume:
+// the trees its run had arrived at are in the blob, so cloning the
+// blueprint's would be made only to be replaced.
 func compile(cfg Config, resume bool) *substrate {
 	cfg.fillDefaults()
 	numGroups := cfg.groupCount()
@@ -355,19 +360,19 @@ func compile(cfg Config, resume bool) *substrate {
 	sub.conn = cfg.Mix.TotalRateN(numGroups) / cfg.Load
 
 	// Per-group runtime: the mutable state the control plane drives. Each
-	// session gets its own tree clones and member sets; the blueprint's
-	// trees stay pristine for the next session. Every member set is a
-	// word-aligned, capacity-capped window of one slab, ⌈N/64⌉ words per
-	// group, so the fan-out's workers write disjoint words. Slots are
-	// pre-sized and written independently, so the fan-out is order-free.
-	// A restore only carves, too little work to fan out.
+	// session gets its own member sets, and clones the blueprint's trees
+	// only when the control planes write them; a static session reads the
+	// blueprint's, which no session writes — the capacity-aware scheme's
+	// one tree shared by every group among them, since no control plane
+	// runs under that scheme. Every member set is a word-aligned,
+	// capacity-capped window of one slab, ⌈N/64⌉ words per group, so the
+	// fan-out's workers write disjoint words. Slots are pre-sized and
+	// written independently, so the fan-out is order-free. A restore only
+	// carves, too little work to fan out.
 	sub.groups = make([]*groupState, numGroups)
 	n := words(cfg.NumHosts)
 	members := make(bitset, numGroups*n)
-	var sharedClone *overlay.Tree
-	if bp.shared && !resume {
-		sharedClone = bp.trees[0].Clone()
-	}
+	writes := cfg.writesTrees()
 	workers := compileWorkers()
 	if resume {
 		workers = 1
@@ -383,10 +388,12 @@ func compile(cfg Config, resume bool) *substrate {
 			for _, m := range st.spec.Members {
 				st.member.set(m)
 			}
-			st.tree = sharedClone
-			if st.tree == nil {
-				st.tree = bp.trees[g].Clone()
-			}
+		}
+		switch {
+		case !writes:
+			st.tree = bp.trees[g]
+		case !resume: // a resume's trees come from the blob
+			st.tree = bp.trees[g].Clone()
 		}
 		sub.groups[g] = st
 	})

@@ -40,6 +40,65 @@ func (t *Tree) Snapshot(w *snap.Writer) {
 	}
 }
 
+// Check reads a stanza written by Snapshot and fails the reader at the
+// first value that differs from what t.Snapshot writes: a session that
+// never writes its trees restores by checking the blob's against the one
+// it already holds instead of decoding a copy. Parents need only come
+// strictly ascending, each one of t's with its children in t's order, and
+// as many as t has: that pins the one order Snapshot writes without
+// sorting t's. It allocates nothing, and reads t without writing it.
+func (t *Tree) Check(r *snap.Reader) {
+	same := func(what string, got, want int) bool {
+		if r.Err() == nil && got != want {
+			r.Fail(fmt.Errorf("overlay: snapshot tree %s %d differs from the session's %d", what, got, want))
+		}
+		return r.Err() == nil
+	}
+	if !same("source", int(r.I64()), t.Source) || !same("member count", r.Len(), len(t.Members)) {
+		return
+	}
+	for _, m := range t.Members {
+		if !same("member", int(r.I64()), m) {
+			return
+		}
+	}
+	parents := 0
+	for _, k := range t.kids {
+		if k > 0 {
+			parents++
+		}
+	}
+	if !same("parent count", r.Len(), parents) {
+		return
+	}
+	for i, last := 0, -1; i < parents; i++ {
+		p := int(r.I64())
+		ps := t.slotOf(p)
+		switch {
+		case r.Err() != nil:
+			return
+		case ps == none:
+			r.Fail(fmt.Errorf("overlay: snapshot tree parent %d is not a member", p))
+			return
+		case p <= last:
+			r.Fail(fmt.Errorf("overlay: snapshot tree parent %d out of ascending order", p))
+			return
+		case t.kids[ps] == 0:
+			r.Fail(fmt.Errorf("overlay: snapshot tree parent %d has no children in the session's tree", p))
+			return
+		}
+		last = p
+		if !same("child count", r.Len(), int(t.kids[ps])) {
+			return
+		}
+		for c := t.first[ps]; c != none; c = t.next[c] {
+			if !same("child", int(r.I64()), int(t.host[c])) {
+				return
+			}
+		}
+	}
+}
+
 // RestoreTree rebuilds a tree written by Snapshot over hosts [0, numHosts).
 // The bytes may not be ours: an id outside that range, a source or an
 // edge endpoint outside the member list, a second parent for one node, a

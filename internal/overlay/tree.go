@@ -28,8 +28,10 @@ import (
 //
 // A Tree is not safe for concurrent use: GraftPoint, SubtreeHeight and
 // Select are reads that run on the tree's walk scratch. The other reads
-// (Height, Validate, EachParent, Clone, Snapshot, ...) touch no shared
-// state, so a tree nobody mutates may be measured and cloned concurrently.
+// (Height, Validate, EachParent, Clone, Snapshot, Check, ...) touch no
+// shared state, so a tree nobody mutates may be measured, cloned,
+// serialized and checked concurrently — which is how every session
+// without a control plane reads its blueprint's trees.
 type Tree struct {
 	Source  int
 	Members []int
@@ -41,7 +43,12 @@ type Tree struct {
 	next  []int32       // slot → next sibling slot, or none
 	kids  []int32       // slot → child count
 	free  []int32       // released slots, reused before the slices grow
-	scan  walkBuf       // scratch of the control-plane walks
+	// scan is the scratch of the control-plane walks, written by
+	// SubtreeHeight and Select (and so GraftPoint and RepairWith). Only the
+	// churn, fault and re-optimization planes call those. A session with
+	// none of them reads its blueprint's trees, which every such session
+	// shares, so nothing it calls may write here.
+	scan walkBuf
 }
 
 // Slot sentinels.
