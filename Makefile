@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke loc audit
+.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke pins loc audit
 
 all: check
 
@@ -142,12 +142,23 @@ perf-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 	$(GO) run -C benchmark . -quick
 
+# The benchmark's pins: every workload once at full scale, untraced, held
+# to benchmark/expected.json — churn-storm's json_sha256 pins the whole run
+# of the churn, fault and re-optimization planes bit for bit — with the
+# sharded ≡ sequential and restored ≡ straight checks on. It ends with one
+# JSON line and exits non-zero unless that line says 0 failed. perf-smoke's
+# -quick run skips expected.json; this is the run that reads it (≈ 35 s on
+# two cores).
+pins:
+	$(GO) run -C benchmark . -reps 1 -trace 0
+
 # Substrate compile differentials under the race detector: the parallel
 # compiler must be bit-identical to sequential, the blueprint cache must
-# key correctly and hand out isolated clones, and a cache-warm session
-# must reproduce the cold session's Result exactly.
+# key correctly and hand out isolated clones, a panic in a compile pass
+# must reach the caller, and a cache-warm session must reproduce the cold
+# session's Result exactly.
 substrate:
-	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestHostConnsMatchesNewHost|TestCachedSessionRunsIdentical' ./internal/core
+	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestCachedSessionRunsIdentical' ./internal/core
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure the simplicity PRs report (ROADMAP aim 2).

@@ -11,11 +11,12 @@ package core
 // (config, events), so churn runs are as reproducible as static ones.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/des"
-	"repro/internal/topo"
 )
 
 // MembershipEvent is one dynamic membership change: Host joins or leaves
@@ -40,149 +41,73 @@ func (e MembershipEvent) String() string {
 }
 
 // controlPlane applies membership events to a session's per-group runtime
-// state. The session drives it from coordinator barriers, which quiesce
-// every shard before a mutation spanning them.
+// state through the tree-edit layer. The session drives it from
+// coordinator barriers, which quiesce every shard before a mutation
+// spanning them. Hosts under an outage (edits.down) are barred from
+// joining until restored.
 type controlPlane struct {
-	net    *topo.Network
-	groups []*groupState
-	hosts  []host
-	// down, when the session has a fault plane, is its outage set (shared
-	// slice): hosts under an outage are barred from joining until
-	// restored. Nil without faults.
-	down bitset
-
+	edits
 	joins, leaves, regrafts, rejected int
 }
 
-func newControlPlane(sub *substrate, hosts []host) *controlPlane {
-	return &controlPlane{
-		net:    sub.net,
-		groups: sub.groups,
-		hosts:  hosts,
-	}
-}
-
-// sortedEventsWithin returns the events at or before duration, stably
-// sorted by time — the application order.
-// Events beyond the traffic duration are dropped: the sources have
-// stopped, so late churn would only distort the drain tail.
-func sortedEventsWithin(events []MembershipEvent, duration des.Duration) []MembershipEvent {
-	evs := append([]MembershipEvent(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	n := 0
-	for _, ev := range evs {
-		if ev.At <= duration {
-			evs[n] = ev
-			n++
-		}
-	}
-	return evs[:n]
+// eventsWithin returns the events whose time (at) is at or before
+// duration, stably sorted by time — the application order of membership
+// and fault events alike. Events beyond the traffic duration are dropped:
+// the sources have stopped, so late changes would only distort the drain
+// tail.
+func eventsWithin[E any](events []E, duration des.Duration, at func(E) des.Time) []E {
+	evs := slices.Clone(events)
+	slices.SortStableFunc(evs, func(a, b E) int { return cmp.Compare(at(a), at(b)) })
+	return slices.DeleteFunc(evs, func(ev E) bool { return at(ev) > duration })
 }
 
 // apply executes one membership change.
 func (cp *controlPlane) apply(ev MembershipEvent) {
-	if ev.Group < 0 || ev.Group >= len(cp.groups) ||
-		ev.Host < 0 || ev.Host >= len(cp.hosts) {
+	g, h := ev.Group, ev.Host
+	switch {
+	case g < 0 || g >= len(cp.groups) || h < 0 || h >= len(cp.hosts):
 		cp.rejected++
-		return
-	}
-	if ev.Join {
-		cp.join(ev.Group, ev.Host)
-	} else {
-		cp.leave(ev.Group, ev.Host)
-	}
-}
-
-// join grafts host h onto group g: h becomes a member and a leaf of the
-// delivery tree under its graft point, whose host machinery picks up the
-// new child connection (and, if it was not forwarding g before, a
-// re-staggered regulator).
-func (cp *controlPlane) join(g, h int) {
-	st := cp.groups[g]
-	if st.member.has(h) || st.strat == nil || (cp.down != nil && cp.down.has(h)) {
+	case ev.Join && cp.graft(g, h):
+		cp.joins++
+	case !ev.Join && cp.leave(g, h):
+		cp.leaves++
+	default:
 		cp.rejected++
-		return
 	}
-	parent, err := st.strat.GraftPoint(cp.net, st.tree, h, 0, st.lim)
-	if err != nil {
-		cp.rejected++
-		return
-	}
-	if err := st.tree.Graft(h, parent); err != nil {
-		panic(fmt.Sprintf("core: control plane graft: %v", err))
-	}
-	st.member.set(h)
-	cp.hosts[parent].attachChild(g, h)
-	cp.joins++
 }
 
 // leave prunes host h from group g: h's parent stops feeding it, h's own
 // forwarding state for g tears down (regulator backlog abandoned and
 // counted), and each subtree h was feeding re-parents under its repair
 // graft point. Packets to h already in flight are dropped on arrival by
-// Session.receive. The group's source never leaves.
-func (cp *controlPlane) leave(g, h int) {
+// Session.receive. The group's source never leaves. Returns false for a
+// no-op.
+func (cp *controlPlane) leave(g, h int) bool {
 	st := cp.groups[g]
 	if !st.member.has(h) || h == st.tree.Source || st.strat == nil {
-		cp.rejected++
-		return
+		return false
 	}
 	if !st.tree.Attached(h) {
 		// h sits in a partition-severed subtree: no repair happens on the
-		// dark side (see faults.go), so its orphans join the deferred set
-		// instead of re-grafting. Unreachable without an active partition.
-		cp.leaveDetached(g, h)
-		return
+		// dark side (see faults.go), so its children become detached roots
+		// themselves and wait for the heal in the group's deferred-repair
+		// set, which h leaves if it was parked there. Unreachable without
+		// an active partition.
+		orphans, _ := cp.remove(g, []int{h})
+		st.detached = append(st.detached, orphans...)
+		sort.Ints(st.detached)
+		return true
 	}
+	// Tree.Prune, not remove's batch prune: it repairs the orphans in
+	// child order, the order the churn results are pinned to.
 	parent := st.tree.Parent(h)
 	orphans, err := st.tree.Prune(h)
 	if err != nil {
 		panic(fmt.Sprintf("core: control plane prune: %v", err))
 	}
-	st.member.unset(h)
-	st.lost += uint64(cp.hosts[parent].removeChild(g, h))
-	st.lost += uint64(cp.hosts[h].detachGroup(g))
-	// Repair through the group's strategy: the cluster strategies resolve
-	// to the pre-strategy RTT-nearest protocol, spt repairs by path delay.
-	parents, err := st.tree.RepairWith(orphans, func(o, subHeight int) (int, error) {
-		return st.strat.GraftPoint(cp.net, st.tree, o, subHeight, st.lim)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("core: control plane repair: %v", err))
-	}
-	for i, o := range orphans {
-		cp.hosts[parents[i]].attachChild(g, o)
-		cp.regrafts++
-	}
-	cp.leaves++
-}
-
-// leaveDetached prunes a member inside a partition-severed subtree: the
-// member's forwarding state tears down exactly as on an attached leave,
-// but its children become detached roots themselves and wait in the
-// group's deferred-repair set for the heal — repairs only happen on the
-// attached side of a cut.
-func (cp *controlPlane) leaveDetached(g, h int) {
-	st := cp.groups[g]
-	parent, hasParent := st.tree.ParentOf(h)
-	orphans, err := st.tree.PruneAll([]int{h})
-	if err != nil {
-		panic(fmt.Sprintf("core: control plane prune: %v", err))
-	}
-	st.member.unset(h)
-	if hasParent {
-		st.lost += uint64(cp.hosts[parent].removeChild(g, h))
-	}
-	st.lost += uint64(cp.hosts[h].detachGroup(g))
-	// h, if it was itself a parked root, is replaced by its children.
-	n := 0
-	for _, r := range st.detached {
-		if r != h {
-			st.detached[n] = r
-			n++
-		}
-	}
-	st.detached = append(st.detached[:n], orphans...)
-	sort.Ints(st.detached)
-	cp.leaves++
+	cp.unhook(g, parent, h)
+	cp.drop(g, h)
+	cp.repair(g, orphans)
+	cp.regrafts += len(orphans)
+	return true
 }

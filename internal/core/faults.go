@@ -41,7 +41,6 @@ import (
 	"sort"
 
 	"repro/internal/des"
-	"repro/internal/topo"
 )
 
 // FaultKind enumerates the correlated failure events.
@@ -139,21 +138,6 @@ type FaultOutcome struct {
 	Unrecovered int `json:"unrecovered"`
 }
 
-// faultsWithin returns the fault events at or before duration, stably
-// sorted by time — the application order, mirroring sortedEventsWithin.
-func faultsWithin(events []FaultEvent, duration des.Duration) []FaultEvent {
-	evs := append([]FaultEvent(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	n := 0
-	for _, ev := range evs {
-		if ev.At <= duration {
-			evs[n] = ev
-			n++
-		}
-	}
-	return evs[:n]
-}
-
 // validateFaults panics on a structurally invalid schedule: malformed
 // events, broken outage/restore or partition/heal pairing, or overlapping
 // outages. It runs over the time-sorted compiled list.
@@ -179,12 +163,12 @@ func validateFaults(events []FaultEvent, numHosts, numGroups, numRouters int) {
 		if ev.At <= 0 {
 			panic(fmt.Sprintf("core: fault %v must strike after time zero", ev))
 		}
+		if ev.Kind >= FaultOutage && ev.Kind <= FaultHeal && ev.Group != -1 {
+			panic(fmt.Sprintf("core: fault %v is session-wide; Group must be -1", ev))
+		}
 		switch ev.Kind {
 		case FaultOutage:
 			hostsOK(ev)
-			if ev.Group != -1 {
-				panic(fmt.Sprintf("core: fault %v is session-wide; Group must be -1", ev))
-			}
 			if _, dup := outages[ev.ID]; dup {
 				panic(fmt.Sprintf("core: fault %v reuses an active outage id", ev))
 			}
@@ -197,9 +181,6 @@ func validateFaults(events []FaultEvent, numHosts, numGroups, numRouters int) {
 			outages[ev.ID] = ev.Hosts
 		case FaultRestore:
 			hostsOK(ev)
-			if ev.Group != -1 {
-				panic(fmt.Sprintf("core: fault %v is session-wide; Group must be -1", ev))
-			}
 			prev, ok := outages[ev.ID]
 			if !ok {
 				panic(fmt.Sprintf("core: fault %v restores an unknown outage", ev))
@@ -215,9 +196,6 @@ func validateFaults(events []FaultEvent, numHosts, numGroups, numRouters int) {
 			}
 			delete(outages, ev.ID)
 		case FaultPartition:
-			if ev.Group != -1 {
-				panic(fmt.Sprintf("core: fault %v is session-wide; Group must be -1", ev))
-			}
 			if cut {
 				panic(fmt.Sprintf("core: fault %v overlaps partition %d", ev, cutID))
 			}
@@ -235,9 +213,6 @@ func validateFaults(events []FaultEvent, numHosts, numGroups, numRouters int) {
 			}
 			cut, cutID = true, ev.ID
 		case FaultHeal:
-			if ev.Group != -1 {
-				panic(fmt.Sprintf("core: fault %v is session-wide; Group must be -1", ev))
-			}
 			if !cut {
 				panic(fmt.Sprintf("core: fault %v heals without an active partition", ev))
 			}
@@ -261,15 +236,13 @@ func validateFaults(events []FaultEvent, numHosts, numGroups, numRouters int) {
 type faultTrack struct{ g, h int }
 
 // faultPlane executes the fault schedule against a session's per-group
-// runtime. Like the control plane it is driven from coordinator barriers:
-// mutations happen only with every engine quiesced at the event time.
+// runtime through the tree-edit layer, whose down set is the hosts
+// currently under an outage. Like the control plane it is driven from
+// coordinator barriers: mutations happen only with every engine quiesced
+// at the event time.
 type faultPlane struct {
-	net    *topo.Network
-	groups []*groupState
-	hosts  []host
-	events []FaultEvent // time-sorted, within the traffic duration
-
-	down        bitset          // hosts currently under an outage (barred from joins)
+	edits
+	events      []FaultEvent    // time-sorted, within the traffic duration
 	restoreSets map[int][][]int // outage ID -> per-group memberships to re-graft
 
 	// Active partition cut: the hosts on the cut's true side, derived from
@@ -293,17 +266,15 @@ type faultPlane struct {
 func newFaultPlane(sub *substrate, hosts []host, events []FaultEvent) *faultPlane {
 	validateFaults(events, len(hosts), len(sub.groups), sub.net.Backbone.NumNodes())
 	fp := &faultPlane{
-		net:         sub.net,
-		groups:      sub.groups,
-		hosts:       hosts,
+		edits:       newEdits(sub, hosts),
 		events:      events,
-		down:        make(bitset, words(len(hosts))),
 		restoreSets: make(map[int][][]int),
 		outcomes:    make([]FaultOutcome, len(events)),
 		tracked:     make([][]faultTrack, len(events)),
 		trackIdx:    make([][]int32, len(sub.groups)),
 		firstAt:     make([][]des.Time, len(sub.groups)),
 	}
+	fp.down = make(bitset, words(len(hosts)))
 	for i, ev := range events {
 		fp.outcomes[i] = FaultOutcome{Kind: ev.Kind.String(), AtSec: ev.At.Seconds(), Group: ev.Group}
 	}
@@ -342,23 +313,14 @@ func (fp *faultPlane) apply(i int) {
 // immediately, and the per-group victim lists are recorded for the
 // restore. Down hosts are barred from churn joins until restored.
 func (fp *faultPlane) outage(i int, ev FaultEvent) {
-	oc := &fp.outcomes[i]
-	oc.Hosts = len(ev.Hosts)
+	fp.outcomes[i].Hosts = len(ev.Hosts)
 	for _, h := range ev.Hosts {
 		fp.down.set(h)
 	}
 	mem := make([][]int, len(fp.groups))
-	for g, st := range fp.groups {
-		var victims []int
-		for _, h := range ev.Hosts {
-			if st.member.has(h) && h != st.tree.Source {
-				victims = append(victims, h)
-			}
-		}
-		mem[g] = victims
-		if len(victims) > 0 && st.strat != nil {
-			fp.removeBatch(i, g, victims)
-		}
+	for g := range fp.groups {
+		mem[g] = fp.members(g, ev.Hosts)
+		fp.removeBatch(i, g, mem[g])
 	}
 	fp.restoreSets[ev.ID] = mem
 }
@@ -407,14 +369,8 @@ func (fp *faultPlane) partition(i int, ev FaultEvent) {
 		t := st.tree
 		var cuts []edge
 		for _, m := range t.Members {
-			if m == t.Source {
-				continue
-			}
-			p, ok := t.ParentOf(m)
-			if !ok || p < 0 {
-				continue
-			}
-			if side.has(m) != side.has(p) {
+			// The source and parked roots have no parent edge to cut.
+			if p, ok := t.ParentOf(m); ok && p >= 0 && side.has(m) != side.has(p) {
 				cuts = append(cuts, edge{m, p})
 			}
 		}
@@ -423,9 +379,7 @@ func (fp *faultPlane) partition(i int, ev FaultEvent) {
 			if err := t.Detach(e.m); err != nil {
 				panic(fmt.Sprintf("core: partition detach: %v", err))
 			}
-			n := uint64(fp.hosts[e.p].removeChild(g, e.m))
-			st.lost += n
-			oc.Lost += n
+			oc.Lost += fp.unhook(g, e.p, e.m)
 			st.detached = append(st.detached, e.m)
 		}
 		sort.Ints(st.detached)
@@ -440,7 +394,6 @@ func (fp *faultPlane) heal(i int) {
 	if !fp.cutOn {
 		panic("core: heal without an active partition")
 	}
-	oc := &fp.outcomes[i]
 	fp.cutOn = false
 	for g, st := range fp.groups {
 		if len(st.detached) == 0 {
@@ -449,25 +402,16 @@ func (fp *faultPlane) heal(i int) {
 		roots := st.detached
 		st.detached = nil
 		sort.Ints(roots)
-		fp.repair(i, g, roots, oc)
+		fp.reattach(i, g, roots)
 	}
 }
 
 // massLeave removes the victims still in the group (sources immune,
 // already-churned-out hosts skipped) and repairs immediately.
 func (fp *faultPlane) massLeave(i int, ev FaultEvent) {
-	st := fp.groups[ev.Group]
-	oc := &fp.outcomes[i]
-	var victims []int
-	for _, h := range ev.Hosts {
-		if st.member.has(h) && h != st.tree.Source {
-			victims = append(victims, h)
-		}
-	}
-	oc.Hosts = len(victims)
-	if len(victims) > 0 && st.strat != nil {
-		fp.removeBatch(i, ev.Group, victims)
-	}
+	victims := fp.members(ev.Group, ev.Hosts)
+	fp.outcomes[i].Hosts = len(victims)
+	fp.removeBatch(i, ev.Group, victims)
 }
 
 // massJoin grafts the cohort onto the group in ascending order, skipping
@@ -476,9 +420,6 @@ func (fp *faultPlane) massLeave(i int, ev FaultEvent) {
 func (fp *faultPlane) massJoin(i int, ev FaultEvent) {
 	oc := &fp.outcomes[i]
 	for _, h := range ev.Hosts {
-		if fp.down.has(h) {
-			continue
-		}
 		if fp.graft(ev.Group, h) {
 			oc.Hosts++
 			fp.track(i, ev.Group, h)
@@ -486,93 +427,26 @@ func (fp *faultPlane) massJoin(i int, ev FaultEvent) {
 	}
 }
 
-// removeBatch removes victims (ascending, all current members, none the
-// source) from group g in one step: membership clears and forwarding
-// state tears down victim-by-victim in ascending order, surviving feed
-// edges unhook, and the orphaned subtrees repair in the pinned ascending
-// order overlay.PruneAll returns. Victims that were parked detached
-// roots leave the deferred-repair set with their membership.
+// removeBatch removes victims from group g in one step (edits.remove) and
+// repairs the orphaned subtrees at once, in the pinned ascending order
+// overlay.PruneAll returns, counting the loss against event i.
 func (fp *faultPlane) removeBatch(i, g int, victims []int) {
-	st := fp.groups[g]
-	oc := &fp.outcomes[i]
-	vset := make(map[int]bool, len(victims))
-	for _, v := range victims {
-		vset[v] = true
+	if len(victims) == 0 || fp.groups[g].strat == nil {
+		return
 	}
-	// Feed edges from surviving parents, captured before the batch prune
-	// erases them.
-	type edge struct{ v, p int }
-	var feeds []edge
-	for _, v := range victims {
-		if p, ok := st.tree.ParentOf(v); ok && p >= 0 && !vset[p] {
-			feeds = append(feeds, edge{v, p})
-		}
-	}
-	orphans, err := st.tree.PruneAll(victims)
-	if err != nil {
-		panic(fmt.Sprintf("core: fault prune: %v", err))
-	}
-	for _, v := range victims {
-		st.member.unset(v)
-		n := uint64(fp.hosts[v].detachGroup(g))
-		st.lost += n
-		oc.Lost += n
-	}
-	for _, e := range feeds {
-		n := uint64(fp.hosts[e.p].removeChild(g, e.v))
-		st.lost += n
-		oc.Lost += n
-	}
-	if len(st.detached) > 0 {
-		n := 0
-		for _, r := range st.detached {
-			if !vset[r] {
-				st.detached[n] = r
-				n++
-			}
-		}
-		st.detached = st.detached[:n]
-	}
-	fp.repair(i, g, orphans, oc)
+	orphans, lost := fp.remove(g, victims)
+	fp.outcomes[i].Lost += lost
+	fp.reattach(i, g, orphans)
 }
 
-// repair re-attaches detached subtree roots through the group strategy's
-// graft rule, in the given (ascending) order — earlier re-attached
-// subtrees become candidates for later ones — and starts recovery
-// tracking on each root.
-func (fp *faultPlane) repair(i, g int, roots []int, oc *FaultOutcome) {
-	st := fp.groups[g]
-	parents, err := st.tree.RepairWith(roots, func(o, subHeight int) (int, error) {
-		return st.strat.GraftPoint(fp.net, st.tree, o, subHeight, st.lim)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("core: fault repair: %v", err))
-	}
-	for j, o := range roots {
-		fp.hosts[parents[j]].attachChild(g, o)
-		oc.Regrafts++
+// reattach repairs detached subtree roots in the given (ascending) order
+// and starts recovery tracking on each against event i.
+func (fp *faultPlane) reattach(i, g int, roots []int) {
+	fp.repair(g, roots)
+	fp.outcomes[i].Regrafts += len(roots)
+	for _, o := range roots {
 		fp.track(i, g, o)
 	}
-}
-
-// graft adds h to group g as a leaf under its strategy graft point — the
-// fault plane's join, counted against fault outcomes rather than churn
-// counters. Returns false for a no-op (already a member, or no strategy).
-func (fp *faultPlane) graft(g, h int) bool {
-	st := fp.groups[g]
-	if st.strat == nil || st.member.has(h) {
-		return false
-	}
-	parent, err := st.strat.GraftPoint(fp.net, st.tree, h, 0, st.lim)
-	if err != nil {
-		return false
-	}
-	if err := st.tree.Graft(h, parent); err != nil {
-		panic(fmt.Sprintf("core: fault graft: %v", err))
-	}
-	st.member.set(h)
-	fp.hosts[parent].attachChild(g, h)
-	return true
 }
 
 // track registers (g, h) as a recovery sentinel of event i, superseding

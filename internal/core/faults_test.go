@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -177,6 +178,14 @@ func TestFaultValidationPanics(t *testing.T) {
 		{At: des.Second, Kind: FaultOutage, ID: 0, Group: -1, Hosts: []int{9999}}})
 	mustPanic("group on session-wide kind", []FaultEvent{
 		{At: des.Second, Kind: FaultOutage, ID: 0, Group: 2, Hosts: []int{1}}})
+	mustPanic("group on restore", []FaultEvent{
+		{At: des.Second, Kind: FaultOutage, ID: 0, Group: -1, Hosts: []int{1}},
+		{At: 2 * des.Second, Kind: FaultRestore, ID: 0, Group: 0, Hosts: []int{1}}})
+	mustPanic("group on partition", []FaultEvent{
+		{At: des.Second, Kind: FaultPartition, ID: 0, Group: 1, Side: side}})
+	mustPanic("group on heal", []FaultEvent{
+		{At: des.Second, Kind: FaultPartition, ID: 0, Group: -1, Side: side},
+		{At: 2 * des.Second, Kind: FaultHeal, ID: 0, Group: 3}})
 	mustPanic("overlapping outages", []FaultEvent{
 		{At: des.Second, Kind: FaultOutage, ID: 0, Group: -1, Hosts: []int{1, 2}},
 		{At: 2 * des.Second, Kind: FaultOutage, ID: 1, Group: -1, Hosts: []int{2, 3}}})
@@ -263,4 +272,79 @@ func TestRunEndsInsideOpenPartition(t *testing.T) {
 				shards, normalizeDiag(res), restored)
 		}
 	}
+}
+
+// TestOutageAndMassLeaveTakeParkedRoots removes parked detached roots
+// while a partition is open: an outage takes one, a mass leave another.
+// Each must leave its group's deferred-repair set with its membership,
+// and the heal must re-attach exactly the roots still parked — never a
+// removed one. A sharded run and a run restored from checkpoints inside
+// the window must both match the straight sequential run.
+func TestOutageAndMassLeaveTakeParkedRoots(t *testing.T) {
+	side := make([]bool, 24)
+	for r := 0; r < 12; r++ {
+		side[r] = true
+	}
+	cut := FaultEvent{At: des.Seconds(0.8), Kind: FaultPartition, ID: 0, Group: -1, Side: side}
+	heal := FaultEvent{At: des.Seconds(1.7), Kind: FaultHeal, ID: 0, Group: -1}
+
+	// The roots the cut parks, read off a run with the partition alone.
+	cfg := shardBaseConfig(31)
+	cfg.WindowSec = 0.5
+	cfg.Faults = []FaultEvent{cut, heal}
+	probe := NewSession(cfg)
+	probe.Start()
+	probe.RunTo(des.Seconds(0.9))
+	type root struct{ g, h int }
+	var parked []root
+	for g, st := range probe.sub.groups {
+		for _, r := range st.detached {
+			parked = append(parked, root{g, r})
+		}
+	}
+	leave := parked[0]
+	i := slices.IndexFunc(parked, func(r root) bool { return r.h != leave.h })
+	if i < 0 {
+		t.Fatalf("the cut parks %v: the fixture needs roots at two hosts", parked)
+	}
+	down := parked[i]
+
+	cfg.Faults = []FaultEvent{
+		cut,
+		{At: des.Seconds(1.0), Kind: FaultOutage, ID: 0, Group: -1, Hosts: []int{down.h}},
+		{At: des.Seconds(1.1), Kind: FaultMassLeave, Group: leave.g, Hosts: []int{leave.h}},
+		heal,
+	}
+	isParked := func(s *Session, r root) bool { return slices.Contains(s.sub.groups[r.g].detached, r.h) }
+	s := NewSession(cfg)
+	s.Start()
+	s.RunTo(des.Seconds(1.05))
+	if isParked(s, down) || s.sub.groups[down.g].member.has(down.h) || !isParked(s, leave) {
+		t.Fatalf("after the outage: %v parked %v, %v parked %v", down, isParked(s, down), leave, isParked(s, leave))
+	}
+	s.RunTo(des.Seconds(1.2))
+	if isParked(s, leave) || s.sub.groups[leave.g].member.has(leave.h) {
+		t.Fatalf("after the mass leave: %v still parked or a member", leave)
+	}
+	still := 0
+	for _, st := range s.sub.groups {
+		still += len(st.detached)
+	}
+	res := s.Finish()
+	if oc := res.Faults; oc[1].Hosts != 1 || oc[2].Hosts != 1 || oc[3].Regrafts != still {
+		t.Fatalf("outcomes %+v: want one host each taken and %d roots re-attached at the heal", oc, still)
+	}
+	for _, r := range []root{down, leave} {
+		if slices.Contains(s.sub.groups[r.g].tree.Members, r.h) {
+			t.Fatalf("%v is back in its tree after the heal", r)
+		}
+	}
+
+	straight := normalizeDiag(res)
+	if restored := normalizeDiag(finishVia(t, cfg, des.Seconds(1.05), des.Seconds(1.2))); !reflect.DeepEqual(straight, restored) {
+		t.Fatalf("restored inside the window diverged:\n  straight %+v\n  restored %+v", straight, restored)
+	}
+	cfg.Shards = testShardCount(t)
+	sharded := finishVia(t, cfg, des.Seconds(1.05))
+	assertResultsEquivalent(t, "parked roots", res, sharded)
 }

@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/overlay"
-	"repro/internal/topo"
 	"repro/internal/xrand"
 )
 
@@ -117,11 +116,8 @@ type delayEst struct {
 // is observed by exactly one engine), passes run with every engine
 // quiesced.
 type reoptPlane struct {
-	cfg    ReoptConfig
-	net    *topo.Network
-	groups []*groupState
-	hosts  []host
-	seed   uint64
+	edits
+	cfg ReoptConfig
 
 	est      [][]delayEst // [group][host] delay means since the last accepted change
 	cooldown []des.Time   // per-group earliest next accepted change
@@ -133,11 +129,8 @@ type reoptPlane struct {
 
 func newReoptPlane(sub *substrate, hosts []host) *reoptPlane {
 	ro := &reoptPlane{
+		edits:    newEdits(sub, hosts),
 		cfg:      sub.cfg.Reopt,
-		net:      sub.net,
-		groups:   sub.groups,
-		hosts:    hosts,
-		seed:     sub.cfg.Seed,
 		est:      make([][]delayEst, len(sub.groups)),
 		cooldown: make([]des.Time, len(sub.groups)),
 		rebuilds: make([]int, len(sub.groups)),
@@ -262,7 +255,7 @@ func (ro *reoptPlane) rewire(g int) bool {
 	// Host wiring mirrors a churn leave+join for the moved edge: the old
 	// parent drops the child (abandoning any backlog it held exclusively
 	// for that subtree — counted as loss), the new parent picks it up.
-	st.lost += uint64(ro.hosts[oldParent].removeChild(g, w))
+	ro.unhook(g, oldParent, w)
 	ro.hosts[p].attachChild(g, w)
 	ro.moves++
 	ro.moved = append(ro.moved, w)
@@ -306,7 +299,7 @@ func (ro *reoptPlane) rebuild(g int, at des.Time) {
 	for _, m := range members {
 		if m != cand.Source && cand.Parent(m) != t.Parent(m) {
 			movedMembers = append(movedMembers, m)
-			st.lost += uint64(ro.hosts[t.Parent(m)].removeChild(g, m))
+			ro.unhook(g, t.Parent(m), m)
 		}
 	}
 	st.tree = cand

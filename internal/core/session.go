@@ -491,7 +491,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 
 	var faults []FaultEvent
 	if len(cfg.Faults) > 0 {
-		faults = faultsWithin(cfg.Faults, cfg.Duration)
+		faults = eventsWithin(cfg.Faults, cfg.Duration, func(ev FaultEvent) des.Time { return ev.At })
 	}
 
 	numGroups := sub.numGroups()
@@ -587,11 +587,11 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	}
 	var events []MembershipEvent
 	if len(cfg.Events) > 0 {
-		s.ctl = newControlPlane(sub, s.hosts)
+		s.ctl = &controlPlane{edits: newEdits(sub, s.hosts)}
 		if s.fp != nil {
 			s.ctl.down = s.fp.down
 		}
-		events = sortedEventsWithin(cfg.Events, cfg.Duration)
+		events = eventsWithin(cfg.Events, cfg.Duration, func(ev MembershipEvent) des.Time { return ev.At })
 	}
 	var reopts []des.Time
 	if cfg.Reopt.Enabled() {

@@ -552,7 +552,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// live session derives it from mutations: a host's children are its
 	// child sets in the current trees. Every tree id was range-checked as
 	// its group record was read — compileChildren indexes per-host slices
-	// from worker goroutines, where a panic cannot be recovered.
+	// by them, and a blob Snapshot did not write must fail the reader, not
+	// panic the restore.
 	chl := s.sub.compileChildren()
 	// A forwarder, its connection table and its regulator banks are carved
 	// from its shard's slabs: a forwarder per record that says the host

@@ -61,18 +61,19 @@ type blueprint struct {
 	minMult  float64   // smallest multiplier (envelope-fit check); 1 when homogeneous
 }
 
-// parallelIndexed runs fn(i) for i in [0, n) across a bounded worker pool,
-// propagating the first panic to the caller. Each fn writes only its own
-// pre-sized slot, so the result is identical to the sequential loop
-// regardless of scheduling. workers <= 1 degenerates to the plain loop —
-// the reference order the golden tests pin.
-func parallelIndexed(n, workers int, fn func(i int)) {
+// parallelIndexed runs fn(w, i) for i in [0, n) across a bounded worker
+// pool, w being the index in [0, min(workers, n)) of the worker that runs
+// i, and propagates the first panic to the caller. Each fn writes only
+// its own pre-sized slot (or its worker's), so the result is identical to
+// the sequential loop regardless of scheduling. workers <= 1 degenerates
+// to the plain loop — the reference order the golden tests pin.
+func parallelIndexed(n, workers int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -94,7 +95,7 @@ func parallelIndexed(n, workers int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -279,7 +280,7 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 				bp.trees[g] = shared
 			}
 		} else {
-			parallelIndexed(numGroups, workers, func(g int) {
+			parallelIndexed(numGroups, workers, func(_, g int) {
 				if blind {
 					bp.trees[g] = must(overlay.BuildFlatBlind(bp.net, bp.groups[g].Members,
 						bp.groups[g].Source, fanout, xrand.DeriveSeed(cfg.Seed, g)))
@@ -300,7 +301,7 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 			panic(fmt.Sprintf("core: %v", err))
 		}
 		bp.strat = strat
-		parallelIndexed(numGroups, workers, func(g int) {
+		parallelIndexed(numGroups, workers, func(_, g int) {
 			tc := overlay.Config{K: cfg.ClusterK, Seed: xrand.DeriveSeed(cfg.Seed, g)}
 			bp.treeCfgs[g] = tc
 			bp.trees[g] = must(strat.Build(bp.net, bp.groups[g].Members, bp.groups[g].Source, tc))
@@ -377,7 +378,7 @@ func compile(cfg Config, resume bool) *substrate {
 	if resume {
 		workers = 1
 	}
-	parallelIndexed(numGroups, workers, func(g int) {
+	parallelIndexed(numGroups, workers, func(_, g int) {
 		st := &groupState{spec: bp.groups[g], member: members[g*n : (g+1)*n : (g+1)*n]}
 		if bp.strat != nil {
 			st.strat = bp.strat
@@ -427,48 +428,30 @@ func compile(cfg Config, resume bool) *substrate {
 // a control-plane append reallocates off-arena instead of bleeding into
 // the neighbouring slot.
 //
-// The counting pass fans across the worker pool (per-worker count arrays,
-// summed after the join); the fill pass walks groups in ascending order so
-// each host's slots come out sorted by group id without any per-host sort,
-// exactly as before. Children are copied out of the trees: trees own their
+// The counting pass fans across parallelIndexed's worker pool (per-worker
+// count arrays, summed after the join); the fill pass walks groups in
+// ascending order so each host's slots come out sorted by group id
+// without any per-host sort, exactly as before. Children are copied out of the trees: trees own their
 // child slices and the control plane mutates host child sets independently
 // of tree bookkeeping.
 func (sub *substrate) compileChildren() []groupChildren {
 	numHosts := sub.cfg.NumHosts
 	numGroups := len(sub.groups)
-	workers := compileWorkers()
-	if workers > numGroups {
-		workers = numGroups
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(compileWorkers(), numGroups))
 
 	// Counting pass: per-worker slot/kid counts per host, merged below.
 	slotCounts := make([][]int32, workers)
 	kidCounts := make([][]int32, workers)
-	var wg sync.WaitGroup
-	var nextGroup atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			slots := make([]int32, numHosts)
-			kids := make([]int32, numHosts)
-			slotCounts[w], kidCounts[w] = slots, kids
-			for {
-				g := int(nextGroup.Add(1)) - 1
-				if g >= numGroups {
-					return
-				}
-				sub.groups[g].tree.EachParent(func(p int, cs []int) {
-					slots[p]++
-					kids[p] += int32(len(cs))
-				})
-			}
-		}(w)
+	for w := range workers {
+		slotCounts[w], kidCounts[w] = make([]int32, numHosts), make([]int32, numHosts)
 	}
-	wg.Wait()
+	parallelIndexed(numGroups, workers, func(w, g int) {
+		slots, kids := slotCounts[w], kidCounts[w]
+		sub.groups[g].tree.EachParent(func(p int, cs []int) {
+			slots[p]++
+			kids[p] += int32(len(cs))
+		})
+	})
 	slotCount, kidCount := slotCounts[0], kidCounts[0]
 	for w := 1; w < workers; w++ {
 		for p := 0; p < numHosts; p++ {
@@ -543,7 +526,7 @@ func hostConns(per []groupChildren) [][]int {
 			conns[p] = arena.Take(n)[:0]
 		}
 	}
-	parallelIndexed(len(per), compileWorkers(), func(p int) {
+	parallelIndexed(len(per), compileWorkers(), func(_, p int) {
 		out := conns[p]
 		for _, cs := range per[p].kids {
 			for _, c := range cs {

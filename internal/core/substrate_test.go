@@ -253,6 +253,22 @@ func TestCompileChildrenArena(t *testing.T) {
 	}
 }
 
+// TestCompileChildrenPanicReachesCaller: a panic in compileChildren's
+// counting pass — here a tree id past the host count — reaches the caller,
+// where a recover can see it, as in every other compile pass, instead of
+// killing the process from a worker goroutine.
+func TestCompileChildrenPanicReachesCaller(t *testing.T) {
+	sub := compileSubstrate(Config{NumHosts: 200, NumGroups: 8, Mix: traffic.MixAudio, Load: 0.8,
+		Scheme: SchemeSRL, Seed: 5})
+	sub.cfg.NumHosts = 1 // every parent past host 0 now indexes out of range
+	defer func() {
+		if recover() == nil {
+			t.Fatal("compileChildren over out-of-range tree ids did not panic")
+		}
+	}()
+	sub.compileChildren()
+}
+
 // TestHostConnsMatchesNewHost pins the parallel wiring plan against the
 // per-host de-duplication newHost used to do inline.
 func TestHostConnsMatchesNewHost(t *testing.T) {
