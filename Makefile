@@ -13,8 +13,11 @@ test:
 	$(GO) test ./...
 
 # Race detector over the quick test suite (-short skips the two slowest
-# full-sweep tests): the parallel sweep pool and the per-engine isolation
-# invariant are exactly the kind of thing -race catches.
+# full-sweep tests): the parallel sweep pool, the per-engine isolation
+# invariant, and static sessions reading one blueprint's trees and child
+# plan side by side (TestStaticSessionsShareBlueprintTrees and
+# TestStaticSessionsShareBlueprintPlan, which -short does not skip) are
+# exactly the kind of thing -race catches.
 race:
 	$(GO) test -race -short ./...
 
@@ -103,14 +106,16 @@ fuzz:
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
 # two ends and its shard's one shared Line, built and restored, the MUX
-# record to 104 bytes, a static session's trees to the blueprint's own,
-# built and restored, and one blob to its exact byte count and SHA-256,
+# record to 104 bytes, a static session's trees and child plan to the
+# blueprint's own, built and restored, and one blob to its exact byte
+# count and SHA-256,
 # so a word added back to a component record, a byte per member,
 # forwarding state at a leaf, per-engine constants or a link record per
-# MUX, a tree cloned or decoded where none is written, or a pending event
-# written under another (at, prio, kind, arg), fails here as well.
+# MUX, a tree cloned or decoded or a child plan compiled where none is
+# written, an object per tree in a Snapshot, or a pending event written
+# under another (at, prio, kind, arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
@@ -154,11 +159,13 @@ pins:
 
 # Substrate compile differentials under the race detector: the parallel
 # compiler must be bit-identical to sequential, the blueprint cache must
-# key correctly and hand out isolated clones, a panic in a compile pass
-# must reach the caller, and a cache-warm session must reproduce the cold
-# session's Result exactly.
+# key correctly and hand out isolated clones, the child plan must match its
+# reference in its layout (three arenas and an offset per host) and be
+# compiled once per blueprint for its static sessions, a panic in a
+# compile pass must reach the caller, and a cache-warm session must
+# reproduce the cold session's Result exactly.
 substrate:
-	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestCachedSessionRunsIdentical' ./internal/core
+	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical' ./internal/core
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure the simplicity PRs report (ROADMAP aim 2).

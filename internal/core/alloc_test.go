@@ -85,6 +85,23 @@ func TestMembershipIsOneBitPerHost(t *testing.T) {
 	}
 }
 
+type sharingCase struct {
+	name string
+	cfg  core.Config
+}
+
+// sharingCases are the static configs the blueprint-sharing tests run: the
+// quick waxman-zipf-64 cell at one shard and at four, and the 60-host
+// fixture under the capacity-aware scheme, whose groups share one tree.
+func sharingCases(t *testing.T) []sharingCase {
+	fixtures := allocFixtures(t)
+	sharded := fixtures["waxman-zipf-64-quick"]
+	sharded.Shards = 4
+	capAware := fixtures["60-host"]
+	capAware.Scheme = core.SchemeCapacityAware
+	return []sharingCase{{"1 shard", fixtures["waxman-zipf-64-quick"]}, {"4 shards", sharded}, {"capacity-aware", capAware}}
+}
+
 // TestStaticSessionsShareBlueprintTrees: a session without churn, faults
 // or re-optimization holds its blueprint's trees themselves, not clones —
 // after NewSession and after Restore, at one shard and at four, and for the
@@ -94,15 +111,6 @@ func TestMembershipIsOneBitPerHost(t *testing.T) {
 // blueprint's trees byte for byte as they were (make race runs this under
 // the race detector).
 func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
-	fixtures := allocFixtures(t)
-	sharded := fixtures["waxman-zipf-64-quick"]
-	sharded.Shards = 4
-	capAware := fixtures["60-host"]
-	capAware.Scheme = core.SchemeCapacityAware
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{{"1 shard", fixtures["waxman-zipf-64-quick"]}, {"4 shards", sharded}, {"capacity-aware", capAware}}
 	// cycle builds cfg, runs it halfway, checkpoints it and restores the
 	// blob, and returns both sessions.
 	cycle := func(cfg core.Config) (built, restored *core.Session, err error) {
@@ -115,7 +123,7 @@ func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
 		}
 		return built, restored, err
 	}
-	for _, tc := range cases {
+	for _, tc := range sharingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			// One churn event makes a session whose control plane writes its
 			// trees — a regulated one: no control plane runs under the
@@ -163,6 +171,96 @@ func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
 			wg.Wait()
 			if _, after := core.BlueprintTrees(s); !bytes.Equal(before, after) {
 				t.Fatal("two static sessions running side by side changed the blueprint's trees")
+			}
+		})
+	}
+}
+
+// TestStaticSessionsShareBlueprintPlan: a session without churn, faults
+// or re-optimization reads its blueprint's child plan — every forwarder's
+// child windows lie in it — after NewSession and after each of three
+// chained Restores, at one shard and at four, and under the capacity-aware
+// scheme's one shared tree: the plan is compiled once per blueprint. A
+// session whose control planes write trees compiles its own at the build
+// and at each restore, once per session: its windows lie back to back in
+// one array of their own. Two static sessions built, checkpointed,
+// restored and run side by side leave the plan byte for byte as it was
+// (make race runs this under the race detector).
+func TestStaticSessionsShareBlueprintPlan(t *testing.T) {
+	for _, tc := range sharingCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			// One churn event, after the last checkpoint, makes a session
+			// whose control plane writes its trees — a regulated one: no
+			// control plane runs under the capacity-aware scheme.
+			d := des.Time(tc.cfg.Duration)
+			growing := tc.cfg
+			growing.Events = []core.MembershipEvent{{At: d * 3 / 4, Group: 0, Host: 1}}
+			for _, static := range []bool{true, false} {
+				cfg := tc.cfg
+				if !static {
+					if !cfg.Scheme.Regulated() {
+						continue
+					}
+					cfg = growing
+				}
+				s := core.NewSession(cfg)
+				s.Start()
+				sessions := []*core.Session{s}
+				for i := 1; i <= 3; i++ {
+					s.RunTo(d * des.Time(i) / 8)
+					blob, err := s.Snapshot()
+					if err == nil {
+						s, err = core.Restore(cfg, blob)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					sessions = append(sessions, s)
+				}
+				compiles := map[uintptr]bool{}
+				for i, s := range sessions {
+					how := "NewSession"
+					if i > 0 {
+						how = fmt.Sprintf("Restore %d", i)
+					}
+					shared, first, oneArena := core.ChildWindows(s)
+					if len(shared) == 0 || !oneArena {
+						t.Fatalf("after %s (events %d): %d forwarders with children, windows in one array: %v", how, len(cfg.Events), len(shared), oneArena)
+					}
+					for j, sh := range shared {
+						if sh != static {
+							t.Fatalf("after %s (events %d): forwarder %d reads the blueprint's plan = %v, want %v", how, len(cfg.Events), j, sh, static)
+						}
+					}
+					compiles[first] = true
+				}
+				if want := map[bool]int{true: 1, false: len(sessions)}[static]; len(compiles) != want {
+					t.Fatalf("events %d: a build and three restores read child sets from %d compiles, want %d", len(cfg.Events), len(compiles), want)
+				}
+			}
+			before := core.BlueprintPlan(core.NewSession(tc.cfg))
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := core.NewSession(tc.cfg)
+					s.Start()
+					s.RunTo(d / 2)
+					blob, err := s.Snapshot()
+					if err == nil {
+						s, err = core.Restore(tc.cfg, blob)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					s.Finish()
+				}()
+			}
+			wg.Wait()
+			if after := core.BlueprintPlan(core.NewSession(tc.cfg)); !bytes.Equal(before, after) {
+				t.Fatal("two static sessions running side by side changed the blueprint's plan")
 			}
 		})
 	}
@@ -358,16 +456,18 @@ func TestRunAllocBudget(t *testing.T) {
 //   - Snapshot on the restored session allocates at most 1.1 × the blob's
 //     bytes, plus one 8 KB page (the allocator's rounding of the stream
 //     buffer, which is the blob's size plus a sixteenth) and 40 bytes per
-//     pending event (the copy of the event queue it sorts), in a number of
-//     objects that depends on the group count alone: one per tree and
-//     twelve besides, the same at every checkpoint.
+//     pending event (the copy of the event queue it sorts), in at most
+//     twelve objects, the same at every checkpoint: every tree sorts its
+//     parents in one scratch the snapshot sizes for the largest.
 //
 // At the parent of the commit that added it a restore took 1.4–1.6 × the
 // build's bytes in ≈ 13 objects per component, and a restored session's
 // snapshot 4–5 × the blob's bytes. Until components stopped binding
 // callbacks, the object budget also granted two per component, one per
 // host and three per pending event; a restore of these fixtures then made
-// 643–3,397 objects, 215–1,526 after.
+// 643–3,397 objects, 215–1,526 after. Until trees sorted their parents in
+// the snapshot's scratch, a snapshot took one object per tree more (12 and
+// 73 on these fixtures, 10 and 10 after).
 func TestCheckpointCycleAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates; the budgets are the plain build's")
@@ -412,9 +512,9 @@ func TestCheckpointCycleAllocBudget(t *testing.T) {
 				if limit := uint64(len(again))*11/10 + 8<<10 + 40*uint64(pending); snapBytes > limit {
 					t.Errorf("at %v: Snapshot of the restored session allocated %d bytes for a %d-byte blob, limit %d", at, snapBytes, len(again), limit)
 				}
-				if objects > uint64(groups+12) || (snapObjects != 0 && objects != snapObjects) {
-					t.Errorf("at %v: Snapshot of the restored session allocated %d objects (%d at the checkpoint before), budget %d for %d groups",
-						at, objects, snapObjects, groups+12, groups)
+				if objects > 12 || (snapObjects != 0 && objects != snapObjects) {
+					t.Errorf("at %v: Snapshot of the restored session allocated %d objects (%d at the checkpoint before) for %d groups, budget 12",
+						at, objects, snapObjects, groups)
 				}
 				snapObjects = objects
 				t.Logf("at %v: build %d B; restore %d B in %d objects (%d components, %d pending); snapshot %d B in %d objects for %d B",

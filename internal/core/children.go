@@ -84,6 +84,29 @@ func (gc *groupChildren) each(fn func(g int, kids []int)) {
 	}
 }
 
+// childPlan is every host's per-group child sets, as compileChildren
+// lays them out: three arenas shared by all hosts — group ids, child-list
+// headers parallel to them, and the child ids those headers window — and a
+// per-host offset index into the first two. Host p's slots are
+// [off[p], off[p+1]), ascending by group id. A per-host groupChildren
+// header array would cost 48 bytes a host; the index costs four. A static
+// session's plan is its blueprint's and never written; a session whose
+// control planes write trees edits its own through its forwarders' views.
+type childPlan struct {
+	groups []int32
+	kids   [][]int
+	ids    []int
+	off    []int32
+}
+
+// of returns host id's child sets: windows of the plan's arenas,
+// capacity-capped, so an append to either reallocates off the arena
+// instead of bleeding into the next host's slots.
+func (pl *childPlan) of(id int) groupChildren {
+	lo, hi := pl.off[id], pl.off[id+1]
+	return groupChildren{groups: pl.groups[lo:hi:hi], kids: pl.kids[lo:hi:hi]}
+}
+
 // denseChildren converts a dense per-group child-list slice into the
 // flattened representation (test convenience).
 func denseChildren(lists [][]int) groupChildren {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"unsafe"
 
 	"repro/internal/des"
@@ -30,7 +31,7 @@ func BlueprintTrees(s *Session) (own []bool, stanzas []byte) {
 	for g, st := range s.sub.groups {
 		own = append(own, st.tree == bp.trees[g])
 		w.Begin(1)
-		bp.trees[g].Snapshot(w)
+		bp.trees[g].Snapshot(w, nil)
 		w.End()
 	}
 	stanzas, err := w.Finish()
@@ -38,6 +39,70 @@ func BlueprintTrees(s *Session) (own []bool, stanzas []byte) {
 		panic(err)
 	}
 	return own, stanzas
+}
+
+// BlueprintPlan returns the child plan of the session's blueprint — the
+// one its static sessions read — byte for byte: its offset index, group
+// ids and child ids, and each child-list header as its window of the
+// child ids (offset, length, capacity).
+func BlueprintPlan(s *Session) []byte {
+	pl := blueprintFor(&s.sub.cfg, s.sub.numGroups()).children()
+	var b []byte
+	for _, o := range pl.off {
+		b = binary.LittleEndian.AppendUint32(b, uint32(o))
+	}
+	for _, g := range pl.groups {
+		b = binary.LittleEndian.AppendUint32(b, uint32(g))
+	}
+	for _, id := range pl.ids {
+		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(pl.ids)))
+	for _, cs := range pl.kids {
+		at := (uintptr(unsafe.Pointer(unsafe.SliceData(cs))) - base) / unsafe.Sizeof(int(0))
+		b = binary.LittleEndian.AppendUint64(b, uint64(at))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(cs)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(cap(cs)))
+	}
+	return b
+}
+
+// within reports whether window w lies inside arena's backing array.
+func within[T any](w, arena []T) bool {
+	size := unsafe.Sizeof(*new(T))
+	at, base := uintptr(unsafe.Pointer(unsafe.SliceData(w))), uintptr(unsafe.Pointer(unsafe.SliceData(arena)))
+	return at >= base && at+uintptr(len(w))*size <= base+uintptr(cap(arena))*size
+}
+
+// ChildWindows reports how the session's forwarders that have children
+// hold their child sets, in host order: per forwarder, whether its windows
+// — group ids, child-list headers and every child list — lie in its
+// blueprint's plan; the address of the first one's group-id window; and
+// whether the group-id windows sit back to back in one array, as one
+// compile lays them out.
+func ChildWindows(s *Session) (shared []bool, first uintptr, oneArena bool) {
+	pl := blueprintFor(&s.sub.cfg, s.sub.numGroups()).children()
+	oneArena = true
+	var next uintptr
+	for _, h := range s.hosts {
+		if h.fwd == nil || len(h.fwd.children.groups) == 0 {
+			continue
+		}
+		gc := h.fwd.children
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(gc.groups)))
+		if first == 0 {
+			first = at
+		} else if at != next {
+			oneArena = false
+		}
+		next = at + uintptr(len(gc.groups))*unsafe.Sizeof(int32(0))
+		own := within(gc.groups, pl.groups) && within(gc.kids, pl.kids)
+		for _, cs := range gc.kids {
+			own = own && within(cs, pl.ids)
+		}
+		shared = append(shared, own)
+	}
+	return shared, first, oneArena
 }
 
 // SnapshotHint reports the capacity the session's next Snapshot starts its

@@ -553,14 +553,14 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	// Hosts come up bare, in one array. A restore wires nothing here:
 	// forwarders, children, MUXes and modes all come from the snapshot,
 	// which has the trees they derive from. A live build wires each host
-	// with connections from its compiled child set, in slabs sized from
-	// all of them.
-	var chl []groupChildren
+	// with connections from its child sets, in slabs sized from all of
+	// them.
+	var plan *childPlan
 	var conns [][]int
 	if rs == nil {
-		chl = sub.compileChildren()
-		conns = hostConns(chl)
-		s.sizeSlabs(chl, conns)
+		plan = sub.children()
+		conns = hostConns(plan)
+		s.sizeSlabs(plan, conns)
 	}
 	s.hosts = make([]host, cfg.NumHosts)
 	for id := range s.hosts {
@@ -568,7 +568,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		*h = host{id: int32(id), env: s.sh[owner[id]].env}
 		receivers[id] = h
 		if rs == nil {
-			h.wire(chl[id], conns[id])
+			h.wire(plan.of(id), conns[id])
 			if cfg.Scheme == SchemeAdaptive && h.fwd != nil {
 				h.startController()
 			}
@@ -603,23 +603,24 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 }
 
 // sizeSlabs gives each shard's environment slabs sized for what wiring the
-// compiled child sets makes there: per connection a MUX and a
+// child sets of plan make there: per connection a MUX and a
 // connection-table entry; per (group, child) edge a queued packet in
 // the child's MUX; per group a forwarding host carries, a regulator of the
 // initial mode, its link record, a bank entry and a seat in its clock's
 // waiting list; per host with connections — per host at all, when the
 // session grows forwarders — a forwarder. The few duty-cycle clocks a
 // shard has are made on their own.
-func (s *Session) sizeSlabs(chl []groupChildren, conns [][]int) {
+func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 	type count struct{ fwds, conns, edges, groups int }
 	per := make([]count, len(s.sh))
 	grows := s.sub.cfg.writesTrees()
-	for id, gc := range chl {
+	for id := range conns {
 		n := &per[s.owner[id]]
 		if grows || len(conns[id]) > 0 {
 			n.fwds++
 		}
 		if len(conns[id]) > 0 {
+			gc := plan.of(id)
 			n.conns += len(conns[id])
 			n.groups += len(gc.groups)
 			for _, cs := range gc.kids {

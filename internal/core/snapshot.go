@@ -150,6 +150,8 @@ type codec struct {
 	per      []shardCount
 	routes   []int
 	routesOf *forwarder
+	// Snapshot: the scratch each tree sorts its parents in.
+	parents []int32
 }
 
 type shardCount struct{ fwds, edges, forwards int }
@@ -458,8 +460,17 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 }
 
 func (c *codec) writeGroup(w *snap.Writer, g int) {
+	if c.parents == nil {
+		// One sort scratch for every tree, sized for the largest: a tree
+		// has at most one parent per member.
+		n := 0
+		for _, st := range c.s.sub.groups {
+			n = max(n, len(st.tree.Members))
+		}
+		c.parents = make([]int32, 0, n)
+	}
 	st := c.s.sub.groups[g]
-	st.tree.Snapshot(w)
+	c.parents = st.tree.Snapshot(w, c.parents)
 	w.U64(st.lost)
 	w.Len(len(st.detached))
 	for _, d := range st.detached {
@@ -550,11 +561,12 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	}
 	// Forwarding fan-out derives from the restored trees, exactly as the
 	// live session derives it from mutations: a host's children are its
-	// child sets in the current trees. Every tree id was range-checked as
-	// its group record was read — compileChildren indexes per-host slices
-	// by them, and a blob Snapshot did not write must fail the reader, not
+	// child sets in the current trees — a static session's checked ones,
+	// so its blueprint's plan. Every tree id was range-checked as its
+	// group record was read — compileChildren indexes per-host arrays by
+	// them, and a blob Snapshot did not write must fail the reader, not
 	// panic the restore.
-	chl := s.sub.compileChildren()
+	plan := s.sub.children()
 	// A forwarder, its connection table and its regulator banks are carved
 	// from its shard's slabs: a forwarder per record that says the host
 	// forwards — per host, when the session grows forwarders, as a build
@@ -568,8 +580,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			per[s.owner[id]].fwds++
 		}
 	}
-	for id, gc := range chl {
-		n := &per[s.owner[id]]
+	for id := range s.hosts {
+		n, gc := &per[s.owner[id]], plan.of(id)
 		n.forwards += len(gc.groups)
 		for _, cs := range gc.kids {
 			n.edges += len(cs)
@@ -595,7 +607,7 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			// A host that never forwarded has an all-zero record and no
 			// child in any tree.
 			switches, cycling, sr, srl, rate := r.U32(), r.Bool(), r.Bool(), r.Bool(), r.Bool()
-			if (mode != 0 || switches != 0 || cycling || sr || srl || rate || len(chl[id].groups) > 0) && r.Err() == nil {
+			if (mode != 0 || switches != 0 || cycling || sr || srl || rate || len(plan.of(id).groups) > 0) && r.Err() == nil {
 				r.Fail(fmt.Errorf("core: snapshot host %d never forwarded, but its record or its children say it did", id))
 			}
 			continue
@@ -607,7 +619,7 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			return
 		}
 		f := h.newForwarder()
-		f.children = chl[id]
+		f.children = plan.of(id)
 		n := 0
 		for _, cs := range f.children.kids {
 			n += len(cs)

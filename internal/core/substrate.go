@@ -25,10 +25,11 @@ import (
 // sets the control plane drives), so a substrate belongs to exactly
 // one session; compile a fresh one per run. The expensive immutable parts
 // (network, built trees, resolved member sets) live in a shared blueprint
-// (see blueprintFor): a static session reads its trees, and one whose
-// control planes write trees clones them, so compiling the N-th substrate
-// for the same structural Config costs at most a tree clone, never a tree
-// build.
+// (see blueprintFor): a static session reads its trees and the child plan
+// compiled from them, and one whose control planes write trees clones the
+// trees and compiles its own plan, so compiling the N-th substrate for the
+// same structural Config costs at most a tree clone and a child compile,
+// never a tree build.
 type substrate struct {
 	cfg       Config // fillDefaults applied
 	net       *topo.Network
@@ -38,9 +39,31 @@ type substrate struct {
 	mults     []float64 // per-host uplink multipliers; nil when homogeneous
 	threshold float64   // adaptive switching utilisation
 	key       [32]byte  // blueprintKey of cfg: the structural identity snapshots are checked against
+	// plan is a static session's child sets: the blueprint's, shared. Nil
+	// in a session whose control planes write trees (see children).
+	plan *childPlan
 }
 
 func (sub *substrate) numGroups() int { return len(sub.specs) }
+
+// children returns the child sets the session's forwarders start from: a
+// static session's blueprint plan, or one compiled from the session's own
+// trees as they stand — a build's clones, a restore's decoded trees.
+func (sub *substrate) children() *childPlan {
+	if sub.plan != nil {
+		return sub.plan
+	}
+	return compileChildren(sub.cfg.NumHosts, sub.trees())
+}
+
+// trees returns the session's trees, one per group.
+func (sub *substrate) trees() []*overlay.Tree {
+	trees := make([]*overlay.Tree, len(sub.groups))
+	for g, st := range sub.groups {
+		trees[g] = st.tree
+	}
+	return trees
+}
 
 // blueprint is the immutable, shareable half of a compiled substrate: the
 // parts that depend only on the Config's structural identity (population,
@@ -59,6 +82,17 @@ type blueprint struct {
 	treeCfgs []overlay.Config
 	mults    []float64 // per-host uplink multipliers; nil when homogeneous
 	minMult  float64   // smallest multiplier (envelope-fit check); 1 when homogeneous
+
+	planOnce sync.Once
+	plan     *childPlan
+}
+
+// children returns the child plan of the blueprint's trees, compiled on
+// the first static session's demand and read-only from then on. A
+// blueprint whose sessions all write their trees never makes one.
+func (bp *blueprint) children() *childPlan {
+	bp.planOnce.Do(func() { bp.plan = compileChildren(len(bp.net.Hosts), bp.trees) })
+	return bp.plan
 }
 
 // parallelIndexed runs fn(w, i) for i in [0, n) across a bounded worker
@@ -176,12 +210,12 @@ func blueprintCacheLen() int {
 
 // FlushSubstrateCache drops every cached substrate blueprint. Sessions
 // already compiled keep what they hold, a static session the blueprint's
-// trees themselves; the shared immutable halves (networks, built trees,
-// resolved member sets) are released once no session holds them. A
-// restore after a flush checks a static session's trees against a rebuilt
-// blueprint's, identical by construction. Useful for memory-sensitive
-// callers retiring a large scenario, and for benchmarks that need to
-// measure a cold compile.
+// trees and child plan themselves; the shared immutable halves (networks,
+// built trees, resolved member sets) are released once no session holds
+// them. A restore after a flush checks a static session's trees against a
+// rebuilt blueprint's, identical by construction. Useful for
+// memory-sensitive callers retiring a large scenario, and for benchmarks
+// that need to measure a cold compile.
 func FlushSubstrateCache() {
 	blueprintCache.Lock()
 	defer blueprintCache.Unlock()
@@ -335,8 +369,9 @@ func compileSubstrate(cfg Config) *substrate { return compile(cfg, false) }
 // compile is compileSubstrate, or with resume set the substrate of a
 // checkpoint restore: the same in everything but the per-group runtime,
 // whose member windows come up empty for the snapshot's group records to
-// fill. A static session (!writesTrees) holds the blueprint's trees
-// themselves either way, and its group records are checked against them.
+// fill. A static session (!writesTrees) holds the blueprint's trees and
+// child plan themselves either way, and its group records are checked
+// against those trees.
 // One whose control planes write trees comes up with none on a resume:
 // the trees its run had arrived at are in the blob, so cloning the
 // blueprint's would be made only to be replaced.
@@ -415,28 +450,32 @@ func compile(cfg Config, resume bool) *substrate {
 		}
 	}
 	sub.threshold = ThresholdUtilization(numGroups, cfg.Mix.Homogeneous())
+	if !writes {
+		sub.plan = bp.children()
+	}
 	return sub
 }
 
-// compileChildren flattens every host's per-group child sets in
-// O(total tree edges): a counting pass sizes one arena per backing array
-// (group ids, child-list headers, child ids), then a group-ascending fill
-// pass carves each host's slots out of the arenas. Three bulk allocations
-// replace the per-(host, group) slice copies the previous version made —
-// at 100k hosts × 512 groups that is millions of heap objects the GC no
-// longer scans. Each carved slice is capacity-capped at its own window, so
-// a control-plane append reallocates off-arena instead of bleeding into
-// the neighbouring slot.
+// compileChildren flattens every host's per-group child sets in the
+// given trees into a childPlan in O(total tree edges): a counting pass
+// sizes the plan's three arenas (group ids, child-list headers, child ids)
+// and its per-host offset index, then a group-ascending fill pass writes
+// each host's slots at its offset. Three bulk allocations and the index
+// replace the per-(host, group) slice copies an earlier version made — at
+// 100k hosts × 512 groups that is millions of heap objects the GC no
+// longer scans. It is the one compiler of child sets: a blueprint runs it
+// once over its trees for every static session built or restored from it
+// (blueprint.children); a session whose control planes write trees runs it
+// over its own, at build and at restore.
 //
 // The counting pass fans across parallelIndexed's worker pool (per-worker
 // count arrays, summed after the join); the fill pass walks groups in
 // ascending order so each host's slots come out sorted by group id
-// without any per-host sort, exactly as before. Children are copied out of the trees: trees own their
-// child slices and the control plane mutates host child sets independently
-// of tree bookkeeping.
-func (sub *substrate) compileChildren() []groupChildren {
-	numHosts := sub.cfg.NumHosts
-	numGroups := len(sub.groups)
+// without any per-host sort. Children are copied out of the trees: trees
+// own their child slices, and the control plane mutates host child sets
+// independently of tree bookkeeping.
+func compileChildren(numHosts int, trees []*overlay.Tree) *childPlan {
+	numGroups := len(trees)
 	workers := max(1, min(compileWorkers(), numGroups))
 
 	// Counting pass: per-worker slot/kid counts per host, merged below.
@@ -447,88 +486,70 @@ func (sub *substrate) compileChildren() []groupChildren {
 	}
 	parallelIndexed(numGroups, workers, func(w, g int) {
 		slots, kids := slotCounts[w], kidCounts[w]
-		sub.groups[g].tree.EachParent(func(p int, cs []int) {
+		trees[g].EachParent(func(p int, cs []int) {
 			slots[p]++
 			kids[p] += int32(len(cs))
 		})
 	})
-	slotCount, kidCount := slotCounts[0], kidCounts[0]
+	slotCur, kidCur := slotCounts[0], kidCounts[0]
 	for w := 1; w < workers; w++ {
 		for p := 0; p < numHosts; p++ {
-			slotCount[p] += slotCounts[w][p]
-			kidCount[p] += kidCounts[w][p]
+			slotCur[p] += slotCounts[w][p]
+			kidCur[p] += kidCounts[w][p]
 		}
 	}
 
-	totalSlots, totalKids := 0, 0
+	// The offset index, and each count turned into its host's fill cursor:
+	// the first slot and the first child id of its windows.
+	pl := &childPlan{off: make([]int32, numHosts+1)}
+	var kidTotal int32
 	for p := 0; p < numHosts; p++ {
-		totalSlots += int(slotCount[p])
-		totalKids += int(kidCount[p])
+		pl.off[p+1] = pl.off[p] + slotCur[p]
+		slotCur[p] = pl.off[p]
+		kidTotal, kidCur[p] = kidTotal+kidCur[p], kidTotal
 	}
+	pl.groups = make([]int32, pl.off[numHosts])
+	pl.kids = make([][]int, pl.off[numHosts])
+	pl.ids = make([]int, kidTotal)
 
-	// Carve each host's windows out of the arenas, capacity-capped.
-	per := make([]groupChildren, numHosts)
-	groupArena := make([]int32, 0, totalSlots)
-	hdrArena := make([][]int, 0, totalSlots)
-	kidArena := make([]int, totalKids)
-	so, ko := 0, 0
-	kidCur := make([]int32, numHosts) // per-host fill cursor into its kid window
-	kidStart := make([]int, numHosts)
-	for p := 0; p < numHosts; p++ {
-		ns, nk := int(slotCount[p]), int(kidCount[p])
-		if ns > 0 {
-			per[p].groups = groupArena[so : so : so+ns]
-			per[p].kids = hdrArena[so : so : so+ns]
-		}
-		kidStart[p] = ko
-		so += ns
-		ko += nk
-	}
-
-	// Fill pass: groups ascending, so slots land sorted by group id.
+	// Fill pass: groups ascending, so slots land sorted by group id; each
+	// child list is capacity-capped at its own window.
 	for g := 0; g < numGroups; g++ {
 		g32 := int32(g)
-		sub.groups[g].tree.EachParent(func(p int, cs []int) {
-			gc := &per[p]
-			gc.groups = append(gc.groups, g32)
-			start := kidStart[p] + int(kidCur[p])
-			end := start + len(cs)
-			dst := kidArena[start:end:end]
-			copy(dst, cs)
-			gc.kids = append(gc.kids, dst)
-			kidCur[p] += int32(len(cs))
+		trees[g].EachParent(func(p int, cs []int) {
+			i, start := slotCur[p], kidCur[p]
+			end := start + int32(len(cs))
+			pl.groups[i] = g32
+			pl.kids[i] = pl.ids[start:end:end]
+			copy(pl.kids[i], cs)
+			slotCur[p], kidCur[p] = i+1, end
 		})
 	}
-	return per
+	return pl
 }
 
 // hostConns returns each host's distinct child connections, sorted — the
 // per-host wiring plan host.wire consumes. The per-host de-duplication is
-// pure (it reads only that host's flattened child sets), so the plan fans
-// across the worker pool, each host filling its own window of one array
-// sized by its child count; MUX creation itself stays sequential because
-// component registry slots must be assigned in host order.
-func hostConns(per []groupChildren) [][]int {
-	conns := make([][]int, len(per))
-	edges := 0
-	for p := range per {
-		for _, cs := range per[p].kids {
-			edges += len(cs)
-		}
-	}
-	arena := snap.NewArena[int](edges)
-	for p := range per {
+// pure (it reads only that host's child sets), so the plan fans across
+// the worker pool, each host filling its own window of one array sized by
+// its child count; MUX creation itself stays sequential because component
+// registry slots must be assigned in host order.
+func hostConns(pl *childPlan) [][]int {
+	numHosts := len(pl.off) - 1
+	conns := make([][]int, numHosts)
+	arena := snap.NewArena[int](len(pl.ids))
+	for p := range conns {
 		n := 0
-		for _, cs := range per[p].kids {
+		for _, cs := range pl.of(p).kids {
 			n += len(cs)
 		}
 		if n > 0 {
 			conns[p] = arena.Take(n)[:0]
 		}
 	}
-	parallelIndexed(len(per), compileWorkers(), func(_, p int) {
+	parallelIndexed(numHosts, compileWorkers(), func(_, p int) {
 		out := conns[p]
-		for _, cs := range per[p].kids {
+		for _, cs := range pl.of(p).kids {
 			for _, c := range cs {
 				out = insertSortedDistinct(out, c)
 			}

@@ -20,7 +20,7 @@ func treeBytes(t testing.TB, tr *overlay.Tree) []byte {
 	t.Helper()
 	w := snap.NewWriterSize(1, 0)
 	w.Begin(1)
-	tr.Snapshot(w)
+	tr.Snapshot(w, nil)
 	w.End()
 	b, err := w.Finish()
 	if err != nil {
@@ -222,28 +222,57 @@ func referenceChildren(sub *substrate) []groupChildren {
 	return per
 }
 
+// planChildren returns host id's child sets in pl, with a host that has
+// none as the zero value, as referenceChildren leaves it.
+func planChildren(pl *childPlan, id int) groupChildren {
+	if gc := pl.of(id); len(gc.groups) > 0 {
+		return gc
+	}
+	return groupChildren{}
+}
+
 // TestCompileChildrenArena pins the arena-packed children index against
-// the reference implementation, and checks that a control-plane append
-// reallocates off-arena instead of corrupting the neighbouring slot.
+// the reference implementation, checks that a control-plane append to one
+// host's view reallocates off-arena instead of corrupting the neighbouring
+// slot, and pins the plan's layout: its three arenas and a four-byte
+// offset per host, no per-host header array.
 func TestCompileChildrenArena(t *testing.T) {
 	for name, cfg := range substrateGoldenConfigs() {
 		t.Run(name, func(t *testing.T) {
 			sub := compileSubstrate(cfg)
-			got := sub.compileChildren()
+			pl := compileChildren(cfg.NumHosts, sub.trees())
 			want := referenceChildren(sub)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("arena-packed children diverged from reference")
+			slots, edges := 0, 0
+			for p := range want {
+				if got := planChildren(pl, p); !reflect.DeepEqual(got, want[p]) {
+					t.Fatalf("host %d: arena-packed children %v diverged from reference %v", p, got, want[p])
+				}
+				slots += len(want[p].groups)
+				for _, cs := range want[p].kids {
+					edges += len(cs)
+				}
+			}
+			// The plan is its fields: any per-host array beside the offset
+			// index shows as a field or as bytes over this sum.
+			plan := reflect.ValueOf(pl).Elem()
+			size := 0
+			for i := 0; i < plan.NumField(); i++ {
+				f := plan.Field(i)
+				size += f.Cap() * int(f.Type().Elem().Size())
+			}
+			if wantSize := 4*(cfg.NumHosts+1) + (4+24)*slots + 8*edges; plan.NumField() != 4 || size != wantSize {
+				t.Fatalf("plan holds %d fields in %d bytes, want 4 in %d: the three arenas and a 4-byte offset per host", plan.NumField(), size, wantSize)
 			}
 			// Append to the first host with children; its neighbours'
 			// slots must be unaffected (capacity-capped carving).
-			for p := range got {
-				if len(got[p].groups) == 0 {
+			for p := range want {
+				gc := pl.of(p)
+				if len(gc.groups) == 0 {
 					continue
 				}
-				g := int(got[p].groups[0])
-				got[p].add(g, cfg.NumHosts) // off-range id: visible if it bleeds
-				for q := p + 1; q < len(got); q++ {
-					if !reflect.DeepEqual(got[q], want[q]) {
+				gc.add(int(gc.groups[0]), cfg.NumHosts) // off-range id: visible if it bleeds
+				for q := p + 1; q < len(want); q++ {
+					if !reflect.DeepEqual(planChildren(pl, q), want[q]) {
 						t.Fatalf("append at host %d corrupted host %d's slots", p, q)
 					}
 				}
@@ -260,13 +289,12 @@ func TestCompileChildrenArena(t *testing.T) {
 func TestCompileChildrenPanicReachesCaller(t *testing.T) {
 	sub := compileSubstrate(Config{NumHosts: 200, NumGroups: 8, Mix: traffic.MixAudio, Load: 0.8,
 		Scheme: SchemeSRL, Seed: 5})
-	sub.cfg.NumHosts = 1 // every parent past host 0 now indexes out of range
 	defer func() {
 		if recover() == nil {
 			t.Fatal("compileChildren over out-of-range tree ids did not panic")
 		}
 	}()
-	sub.compileChildren()
+	compileChildren(1, sub.trees()) // every parent past host 0 now indexes out of range
 }
 
 // TestHostConnsMatchesNewHost pins the parallel wiring plan against the
@@ -274,11 +302,10 @@ func TestCompileChildrenPanicReachesCaller(t *testing.T) {
 func TestHostConnsMatchesNewHost(t *testing.T) {
 	cfg := Config{NumHosts: 200, NumGroups: 8, Mix: traffic.MixAudio, Load: 0.8,
 		Scheme: SchemeSRL, Seed: 5}
-	sub := compileSubstrate(cfg)
-	chl := sub.compileChildren()
-	conns := hostConns(chl)
-	for p := range chl {
-		if want := connsOf(chl[p]); !reflect.DeepEqual(conns[p], want) {
+	pl := compileSubstrate(cfg).children()
+	conns := hostConns(pl)
+	for p := range conns {
+		if want := connsOf(pl.of(p)); !reflect.DeepEqual(conns[p], want) {
 			t.Fatalf("host %d wiring plan diverged: got %v, want %v", p, conns[p], want)
 		}
 	}

@@ -16,14 +16,18 @@ import (
 // session's compiled forwarding fan-out depends on and the absent parent
 // edges that mark detached subtree roots.
 
-// Snapshot appends the tree's full structure to the open record.
-func (t *Tree) Snapshot(w *snap.Writer) {
+// Snapshot appends the tree's full structure to the open record. It sorts
+// the tree's parents in scratch and returns it, grown if it had to grow,
+// for the next tree's: scratch with room for one parent per member spares
+// the sort an allocation. The tree itself is only read, so every static
+// session sharing one can snapshot it at once.
+func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 	w.I64(int64(t.Source))
 	w.Len(len(t.Members))
 	for _, m := range t.Members {
 		w.I64(int64(m))
 	}
-	parents := make([]int32, 0, len(t.kids))
+	parents := scratch[:0]
 	for p, k := range t.kids {
 		if k > 0 {
 			parents = append(parents, int32(p))
@@ -38,6 +42,7 @@ func (t *Tree) Snapshot(w *snap.Writer) {
 			w.I64(int64(t.host[c]))
 		}
 	}
+	return parents
 }
 
 // Check reads a stanza written by Snapshot and fails the reader at the

@@ -12,7 +12,7 @@ func stanza(tb testing.TB, t *Tree) []byte {
 	tb.Helper()
 	w := snap.NewWriterSize(1, 0)
 	w.Begin(1)
-	t.Snapshot(w)
+	t.Snapshot(w, nil)
 	w.End()
 	b, err := w.Finish()
 	if err != nil {
@@ -37,7 +37,8 @@ func record(tb testing.TB, blob []byte) snap.Reader {
 // TestCheckIsSnapshot: Check accepts exactly the stanza Snapshot writes —
 // every byte of it, allocating nothing — for every strategy, and refuses
 // it on a tree that differs from the one that wrote it in its members or in
-// one parent edge.
+// one parent edge. Snapshot itself, given scratch with room for one parent
+// per member, allocates nothing either.
 func TestCheckIsSnapshot(t *testing.T) {
 	const members = 300
 	net := network(members+20, 7)
@@ -53,6 +54,12 @@ func TestCheckIsSnapshot(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() { r = rec; tr.Check(&r) }); n != 0 {
 			t.Errorf("%s: Check allocates %.1f objects", name, n)
+		}
+		w := snap.NewWriterSize(1, 32*len(stanza(t, tr)))
+		w.Begin(1)
+		scratch := make([]int32, 0, len(tr.Members))
+		if n := testing.AllocsPerRun(20, func() { scratch = tr.Snapshot(w, scratch) }); n != 0 {
+			t.Errorf("%s: Snapshot with scratch for every member allocates %.1f objects", name, n)
 		}
 
 		// One member more, the first child of a parent of two moved under
