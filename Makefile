@@ -99,9 +99,10 @@ fuzz:
 # end to their allocation budgets (deterministic: objects per build and
 # per run, bytes and objects per Snapshot and per Restore — none per
 # component, so a callback bound per component fails here, and none per
-# MUX in a run, built or restored, so a first arrival that allocates fails
-# here too; a slab-made MUX's Enqueue within its carved room allocates
-# nothing), the size hint to surviving a restore, the member sets to one
+# MUX or per regulator in a run, built or restored, so a queue that makes
+# its first buffer or its growth on its own instead of carving it from its
+# shard's packet pool fails here too; a slab-made MUX's Enqueue within its
+# carved room allocates nothing), the size hint to surviving a restore, the member sets to one
 # bit per host in one slab, built and restored, the host record to 24
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
@@ -162,10 +163,12 @@ pins:
 # key correctly and hand out isolated clones, the child plan must match its
 # reference in its layout (three arenas and an offset per host) and be
 # compiled once per blueprint for its static sessions, a panic in a
-# compile pass must reach the caller, and a cache-warm session must
-# reproduce the cold session's Result exactly.
+# compile pass must reach the caller, a cache-warm session must reproduce
+# the cold session's Result exactly, and a cold compile must stay within
+# its object budget: a constant per group, nothing per cluster or per
+# domain (each group's hierarchy runs in one buffer).
 substrate:
-	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical' ./internal/core
+	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure the simplicity PRs report (ROADMAP aim 2).

@@ -368,6 +368,36 @@ func TestMuxEndsAreConnections(t *testing.T) {
 	}
 }
 
+// TestBlueprintCompileAllocBudget states what compiling a blueprint cold
+// may allocate, on one runner: at most 12 objects per group and 1,300
+// besides — nothing per cluster and nothing per domain. A group's
+// hierarchy runs in one buffer its builder owns: each cluster is a window
+// of it sorted in place, and each cluster's core is written back to its
+// front as the next layer. A group's tree, member set and child windows
+// are the objects per group; the network — graph, shortest paths, hosts —
+// is most of the rest. Unlike the run budgets this one holds under the
+// race detector too (make substrate runs it there), whose instrumentation
+// adds about an object per group.
+//
+// At the parent of the commit that added it the waxman-zipf-64 fixture's
+// cold compile made 2,431 objects for its 64 groups (1,864 at it): every
+// layer of every domain of every group cloned its member list and made a
+// list of clusters and a next layer, and every group grew a slice of local
+// cores a domain at a time.
+func TestBlueprintCompileAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := allocFixtures(t)["waxman-zipf-64-quick"]
+	var groups int
+	_, objects := allocated(func() {
+		core.FlushSubstrateCache()
+		groups = core.CompileBlueprint(cfg)
+	})
+	if limit := uint64(12*groups + 1300); objects > limit {
+		t.Errorf("a cold blueprint compile allocated %d objects for %d groups; budget %d", objects, groups, limit)
+	}
+	t.Logf("cold compile: %d objects (%d groups, %d hosts)", objects, groups, cfg.NumHosts)
+}
+
 // TestBuildAllocBudget states what NewSession + Start may allocate with the
 // blueprint warm, on one runner: nothing per component — MUXes, regulators,
 // clocks and the link records their outputs point at are carved from
@@ -403,20 +433,24 @@ func TestBuildAllocBudget(t *testing.T) {
 
 // TestRunAllocBudget states what NewSession + Run may allocate with the
 // blueprint warm, on one runner: the build's budget (TestBuildAllocBudget)
-// plus two objects per regulator, and nothing per MUX. A MUX made by the
-// build queues a packet of every flow routed through it in storage the
-// build carved; a regulator's queue makes its first buffer the size of a
-// burst, ⌈σ/L⌉ + 1 packets, and grows past it only when the MUXes upstream
-// bunch more than a burst into it — 45 of the 79 regulators of the
-// waxman-zipf-64 fixture do so once, 8 of them twice. A clock's waiting
-// list has a seat carved for each follower. Run's other allocations —
-// engine and flight blocks, the result's per-group tree walks — fit in the
-// build's slack.
+// plus 8 objects per shard, and nothing per regulator or per MUX. Every
+// queue's storage past what the build carved — a regulator's first buffer,
+// the size of a burst, ⌈σ/L⌉ + 1 packets; its regrowth when the MUXes
+// upstream bunch more than a burst into it; a MUX queue's growth past its
+// packet per routed flow — is a window of the shard's one packet pool,
+// which makes a chunk at a time (snap.Arena); the 8 per shard are those
+// chunks. A clock's waiting list has a seat carved for each follower.
+// Run's other allocations — engine and flight blocks, the result's
+// per-group tree walks — fit in the build's slack.
 //
 // At the parent of the commit that added it a run of the 60-host and the
 // waxman-zipf-64 fixture made 1,191 and 4,229 objects (321 and 1,958 at
 // it): a MUX built its per-flow queue table on its first packet, and a
-// regulator's queue doubled its way up from one packet.
+// regulator's queue doubled its way up from one packet. Until the queues
+// moved into the pool the budget granted two objects per regulator — each
+// made its first buffer on its own, and 45 of the 79 regulators of the
+// waxman-zipf-64 fixture regrew once, 8 of them twice — and a run made 216
+// and 940 objects (164 and 761 after).
 func TestRunAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates; the budget is the plain run's")
@@ -431,9 +465,9 @@ func TestRunAllocBudget(t *testing.T) {
 				s.Run()
 			})
 			regs, groups := core.RegulatorCount(s), len(s.Groups())
-			if limit := uint64(cfg.NumHosts + 24*groups + 160 + 2*regs); objects > limit {
-				t.Errorf("NewSession + Run allocated %d objects for %d components (%d regulators), %d hosts and %d groups; budget %d",
-					objects, core.ComponentCount(s), regs, cfg.NumHosts, groups, limit)
+			if limit := uint64(cfg.NumHosts + 24*groups + 160 + 8*s.Shards()); objects > limit {
+				t.Errorf("NewSession + Run allocated %d objects for %d components (%d regulators), %d hosts, %d groups and %d shards; budget %d",
+					objects, core.ComponentCount(s), regs, cfg.NumHosts, groups, s.Shards(), limit)
 			}
 			t.Logf("run: %d objects (%d components, %d regulators, %d hosts, %d groups)", objects, core.ComponentCount(s), regs, cfg.NumHosts, groups)
 		})
@@ -542,9 +576,11 @@ func runObjects(mk func() *core.Session, d des.Time) uint64 {
 
 // TestRestoredRunAllocBudget states what a session restored halfway may
 // allocate running to its end, on one runner: what the straight session
-// allocates over the same half, plus one object per regulator — its queue's
-// first buffer, which a restore does not carve, as a build does not — and
-// 16 besides. A restored MUX has room carved for a packet of each group
+// allocates over the same half, plus 8 objects per shard — the chunks of
+// the shard's packet pool, in which a restored regulator queue, whose
+// capacity is exactly its restored length, takes the window it moves to on
+// its first arrival, as a built one takes its first buffer — and 16
+// besides. A restored MUX has room carved for a packet of each group
 // routed through its connection and a restored clock a seat in its waiting
 // list for each follower, as built ones do; a source is the handler of its
 // own events.
@@ -552,7 +588,10 @@ func runObjects(mk func() *core.Session, d des.Time) uint64 {
 // At the parent of the commit that added it the restored half of the
 // 60-host and the waxman-zipf-64 fixture made 134 and 559 objects, where
 // the straight half made none: every restored MUX queue had exactly its
-// restored length, most often none, and grew on its first arrival.
+// restored length, most often none, and grew on its first arrival. Until
+// the queues moved into the pool the budget granted one object per
+// regulator, a restored queue's first buffer made on its own, and the
+// restored half made 40 and 78 objects (11 and 17 after).
 func TestRestoredRunAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates; the budget is the plain run's")
@@ -573,18 +612,18 @@ func TestRestoredRunAllocBudget(t *testing.T) {
 				return s
 			}
 			straight := runObjects(half, d)
-			var regs int
+			var regs, shards int
 			restored := runObjects(func() *core.Session {
 				s, err := core.Restore(cfg, blob)
 				if err != nil {
 					t.Fatal(err)
 				}
-				regs = core.RegulatorCount(s)
+				regs, shards = core.RegulatorCount(s), s.Shards()
 				return s
 			}, d)
-			if limit := straight + uint64(regs) + 16; restored > limit {
-				t.Errorf("the restored session's run to %v allocated %d objects, the straight one's %d; budget %d for %d regulators",
-					d, restored, straight, limit, regs)
+			if limit := straight + 8*uint64(shards) + 16; restored > limit {
+				t.Errorf("the restored session's run to %v allocated %d objects, the straight one's %d; budget %d for %d shards",
+					d, restored, straight, limit, shards)
 			}
 			t.Logf("run %v → %v: straight %d objects, restored %d (%d regulators)", d/2, d, straight, restored, regs)
 		})

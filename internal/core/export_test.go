@@ -233,3 +233,12 @@ func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
 	}
 	return ws, len(served)
 }
+
+// CompileBlueprint compiles cfg's blueprint through the cache — network,
+// member sets, trees and child plan — and returns its group count.
+func CompileBlueprint(cfg Config) int {
+	cfg.fillDefaults()
+	n := cfg.groupCount()
+	blueprintFor(&cfg, n).children()
+	return n
+}

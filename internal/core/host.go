@@ -89,8 +89,9 @@ type hostEnv struct {
 	threshold float64
 	ctlEvery  des.Duration
 	// line is what every MUX on this engine shares: the engine, the
-	// session's discipline and flow count, and the fabric a served packet
-	// leaves on, from the MUX's host to its child.
+	// session's discipline and flow count, the fabric a served packet
+	// leaves on, from the MUX's host to its child, and the packet pool
+	// every queue on the engine grows into — the regulator slab's too.
 	line *mux.Line
 	// capAware selects the capacity-aware connection model: the host's
 	// aggregate uplink of capFactor × its own C splits across its
@@ -104,7 +105,7 @@ type hostEnv struct {
 	rt *shardRuntime
 
 	// slabs is the storage this engine's components and their hosts' tables
-	// are carved from; the zero value makes each on its own.
+	// are carved from; the zero value refills by the chunk (snap.Arena).
 	slabs compSlabs
 	// clocks names the group of each duty-cycle clock in the engine's
 	// clock table, by slot, and the host whose capacity it was first made
@@ -461,7 +462,8 @@ func (h *host) ensureSRLBank() {
 // registers in the next slot of its engine's owner table. Both
 // paths carve from the engine's slabs, which a live build sizes from the
 // compiled child sets and a restore from the components record's totals;
-// what outruns them (a connection churn grafts later) is made on its own.
+// what outruns them (a connection churn grafts later) is carved from a
+// refill chunk.
 // Only a forwarder makes components.
 
 // regLink is where group g's regulator puts a packet: into its host's

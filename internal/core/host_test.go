@@ -9,10 +9,12 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/mux"
+	"repro/internal/regulator"
 	"repro/internal/traffic"
 )
 
 func testEnv(eng *des.Engine, sent *[]int) *hostEnv {
+	line := mux.NewLine(eng, 2, mux.LIFO, sentTo{sent})
 	return &hostEnv{
 		eng: eng,
 		specs: []FlowSpec{
@@ -21,7 +23,8 @@ func testEnv(eng *des.Engine, sent *[]int) *hostEnv {
 		},
 		conn:   1_000_000,
 		bursts: []float64{10_000, 10_000},
-		line:   mux.NewLine(eng, 2, mux.LIFO, sentTo{sent}),
+		line:   line,
+		slabs:  compSlabs{reg: regulator.NewSlab(0, 0, 0, line.Pool())},
 	}
 }
 

@@ -197,9 +197,8 @@ func (c *Config) strategyName() string {
 // calls a tree method that writes (overlay.Tree's scan). And it can start
 // a host forwarding after the build, by a graft under a host that had no
 // children, so it has room for a forwarder at every host in its shards'
-// arenas, where a static one has room for the forwarders it holds — a
-// churn-made forwarder made on its own is an object per graft point, over
-// a thousand in a 2,000-host churn storm.
+// arenas — the build cannot know which hosts a graft will start — where a
+// static one has room for the forwarders it holds.
 func (c *Config) writesTrees() bool {
 	return len(c.Events) > 0 || len(c.Faults) > 0 || c.Reopt.Enabled()
 }
@@ -609,7 +608,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 // initial mode, its link record, a bank entry and a seat in its clock's
 // waiting list; per host with connections — per host at all, when the
 // session grows forwarders — a forwarder. The few duty-cycle clocks a
-// shard has are made on their own.
+// shard has are carved from its regulator slab's refill chunks.
 func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 	type count struct{ fwds, conns, edges, groups int }
 	per := make([]count, len(s.sh))
@@ -638,11 +637,11 @@ func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 		switch initialMode(s.sub.cfg.Scheme) {
 		case SchemeSigmaRho:
 			sh.eng.Grow(des.KindSRRetry, n.groups)
-			sl.reg = regulator.NewSlab(n.groups, 0, 0, 0)
+			sl.reg = regulator.NewSlab(n.groups, 0, 0, sh.env.line.Pool())
 			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.groups)
 		case SchemeSRL:
 			sh.eng.Grow(des.KindSRLDone, n.groups)
-			sl.reg = regulator.NewSlab(0, 0, n.groups, 0)
+			sl.reg = regulator.NewSlab(0, 0, n.groups, sh.env.line.Pool())
 			sl.srlBanks = snap.NewArena[*regulator.SRL](n.groups)
 		default:
 			continue // capacity-aware: no regulators

@@ -855,7 +855,10 @@ func (c *codec) readReopt(r *snap.Reader, _ int) {
 // storage from before it makes the first component — components per family
 // (in family order), then queued MUX packets and queued regulator packets.
 // Sizing hints: a record that understates them restores correctly, with
-// more allocations.
+// more allocations. The regulator total sizes nothing since restored
+// regulator queues moved into the shard's packet pool (mux.Line.Pool),
+// which refills by the chunk; the format still carries it, and a restore
+// still holds it to the bytes left.
 type compTotals struct {
 	comps               [numFamilies]int
 	muxPackets, packets int
@@ -982,7 +985,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	}
 	sl := &env.slabs
 	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets+c.per[si].edges)
-	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], t.packets)
+	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], env.line.Pool())
 	sl.regLinks = snap.NewArena[regLink](t.comps[famSR] + t.comps[famSRL])
 	numGroups := s.sub.numGroups()
 	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famCycle: numGroups, famSRL: numGroups}

@@ -42,9 +42,10 @@ type ScenarioCurve struct {
 	// WindowSec is the window bucket width (0 when unset).
 	WindowSec float64
 	// Reopts and ReoptMoves total the accepted re-optimization passes and
-	// the members they re-parented across the load grid (zero unless the
-	// scenario enables re-optimization).
-	Reopts, ReoptMoves int
+	// the members they re-parented across the load grid, ReoptRejected the
+	// passes the hysteresis turned down (zero unless the scenario enables
+	// re-optimization). ReoptRejected is not part of the JSON record.
+	Reopts, ReoptMoves, ReoptRejected int
 	// Faults holds the per-load fault outcomes — one record per injected
 	// fault event with its measured impact and recovery time. Nil when the
 	// scenario injects no faults.
@@ -78,8 +79,9 @@ type ScenarioResult struct {
 	// Churn disruption totals across every cell (zero without churn).
 	Joins, Leaves, Regrafts int
 	Lost                    uint64
-	// Re-optimization totals across every cell (zero unless enabled).
-	Reopts, ReoptMoves int
+	// Re-optimization totals across every cell (zero unless enabled); the
+	// rejected passes are not part of the JSON record.
+	Reopts, ReoptMoves, ReoptRejected int
 	// Fault-attributed losses across every cell (zero without faults):
 	// FaultLost is teardown backlog plus cut drops attributed to fault
 	// events; CutLost is the partition-cut share alone.
@@ -94,28 +96,31 @@ type ScenarioResult struct {
 // JSON (float64 values round-trip bit-exactly through encoding/json), so
 // a distributed sweep merges to the byte-identical result of an
 // in-process one. Slice nil-ness is significant (nil = the feature was
-// off), hence no omitempty.
+// off), hence no omitempty. ReoptRejected rides in the cell file, so a
+// fleet merge reports what an in-process sweep does, though the sweep's own
+// JSON record (ScenarioRecord) leaves it out.
 type sweepCell struct {
-	WDB        float64             `json:"wdb"`
-	Mean       float64             `json:"mean"`
-	Layers     int                 `json:"layers"`
-	Delivered  uint64              `json:"delivered"`
-	Lost       uint64              `json:"lost"`
-	Joins      int                 `json:"joins"`
-	Leaves     int                 `json:"leaves"`
-	Regrafts   int                 `json:"regrafts"`
-	Reopts     int                 `json:"reopts"`
-	ReoptMoves int                 `json:"reopt_moves"`
-	Windows    []float64           `json:"windows"`
-	WindowSec  float64             `json:"window_sec"`
-	Faults     []core.FaultOutcome `json:"faults"`
-	FaultLost  uint64              `json:"fault_lost"`
-	CutLost    uint64              `json:"cut_lost"`
-	Shards     int                 `json:"shards"`
-	Epochs     uint64              `json:"epochs"`
-	CrossMsgs  uint64              `json:"cross_shard_msgs"`
-	Stall      float64             `json:"stall_share"`
-	Account    des.ShardAccount    `json:"account"`
+	WDB           float64             `json:"wdb"`
+	Mean          float64             `json:"mean"`
+	Layers        int                 `json:"layers"`
+	Delivered     uint64              `json:"delivered"`
+	Lost          uint64              `json:"lost"`
+	Joins         int                 `json:"joins"`
+	Leaves        int                 `json:"leaves"`
+	Regrafts      int                 `json:"regrafts"`
+	Reopts        int                 `json:"reopts"`
+	ReoptMoves    int                 `json:"reopt_moves"`
+	ReoptRejected int                 `json:"reopt_rejected"`
+	Windows       []float64           `json:"windows"`
+	WindowSec     float64             `json:"window_sec"`
+	Faults        []core.FaultOutcome `json:"faults"`
+	FaultLost     uint64              `json:"fault_lost"`
+	CutLost       uint64              `json:"cut_lost"`
+	Shards        int                 `json:"shards"`
+	Epochs        uint64              `json:"epochs"`
+	CrossMsgs     uint64              `json:"cross_shard_msgs"`
+	Stall         float64             `json:"stall_share"`
+	Account       des.ShardAccount    `json:"account"`
 }
 
 // sweepPlan is a fully compiled scenario sweep: the (possibly overridden)
@@ -238,7 +243,7 @@ func (p *sweepPlan) runCell(i int) sweepCell {
 	return sweepCell{WDB: r.WDB, Mean: r.MeanDelay, Layers: r.Layers,
 		Delivered: r.Delivered, Lost: r.Lost,
 		Joins: r.Joins, Leaves: r.Leaves, Regrafts: r.Regrafts,
-		Reopts: r.Reopts, ReoptMoves: r.ReoptMoves,
+		Reopts: r.Reopts, ReoptMoves: r.ReoptMoves, ReoptRejected: r.ReoptRejected,
 		Windows: r.WindowMax, WindowSec: r.WindowSec,
 		Faults: r.Faults, FaultLost: r.FaultLost, CutLost: r.CutLost,
 		Shards: r.Shards, Epochs: r.Epochs, CrossMsgs: r.CrossShardMsgs,
@@ -280,6 +285,7 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 			}
 			res.Curves[ci].Reopts += c.Reopts
 			res.Curves[ci].ReoptMoves += c.ReoptMoves
+			res.Curves[ci].ReoptRejected += c.ReoptRejected
 			if c.Shards > 1 {
 				if res.Curves[ci].Shards == nil {
 					res.Curves[ci].Shards = make([]int, len(p.loads))
@@ -317,6 +323,7 @@ func (p *sweepPlan) aggregate(cells []sweepCell) ScenarioResult {
 			res.Regrafts += c.Regrafts
 			res.Reopts += c.Reopts
 			res.ReoptMoves += c.ReoptMoves
+			res.ReoptRejected += c.ReoptRejected
 		}
 	}
 	return res
@@ -414,11 +421,12 @@ func strategyName(sc scenario.Scenario, combo scenario.Combo) string {
 // StrategyTable renders the comparative per-strategy view of a sweep:
 // one row per combo with its resolved overlay strategy, the worst-case
 // and mean delay at the heaviest load, the theory bound and its violation
-// count, and the disruption totals (churn losses, re-optimization
-// activity) — the at-a-glance answer to "which strategy wins here".
+// count, and the disruption totals (churn losses, re-optimization passes
+// accepted and rejected, members moved) — the at-a-glance answer to "which
+// strategy wins here".
 func (r ScenarioResult) StrategyTable() *stats.Table {
 	t := stats.NewTable("combo", "strategy", "wdb [s]", "mean [s]", "layers",
-		"bound [s]", "viol", "lost", "reopts", "moves")
+		"bound [s]", "viol", "lost", "accepted", "rejected", "moves")
 	if len(r.Loads) == 0 {
 		return t
 	}
@@ -441,6 +449,7 @@ func (r ScenarioResult) StrategyTable() *stats.Table {
 			fmt.Sprintf("%d", c.Violations),
 			fmt.Sprintf("%d", lost),
 			fmt.Sprintf("%d", c.Reopts),
+			fmt.Sprintf("%d", c.ReoptRejected),
 			fmt.Sprintf("%d", c.ReoptMoves))
 	}
 	return t
@@ -680,8 +689,9 @@ func (r ScenarioResult) Summary() string {
 		out += fmt.Sprintf("; churn: %d joins, %d leaves, %d regrafts, %d packets lost",
 			r.Joins, r.Leaves, r.Regrafts, r.Lost)
 	}
-	if r.Reopts+r.ReoptMoves > 0 {
-		out += fmt.Sprintf("; reopt: %d accepted passes, %d members moved", r.Reopts, r.ReoptMoves)
+	if r.Reopts+r.ReoptRejected+r.ReoptMoves > 0 {
+		out += fmt.Sprintf("; reopt: %d accepted, %d rejected passes, %d members moved",
+			r.Reopts, r.ReoptRejected, r.ReoptMoves)
 	}
 	if r.HasFaults() {
 		out += fmt.Sprintf("; faults: %d packets lost to fault events (%d at partition cuts)",

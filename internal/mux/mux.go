@@ -12,6 +12,7 @@ package mux
 
 import (
 	"repro/internal/des"
+	"repro/internal/snap"
 	"repro/internal/traffic"
 )
 
@@ -49,14 +50,15 @@ type Link interface {
 
 // Line is what every MUX on one engine shares: the engine its transmit
 // completions run in, the service order, the declared input flow count
-// (validation only) and the link a served packet leaves on. Each MUX
-// points at its engine's Line and keeps only what differs between
-// connections.
+// (validation only), the link a served packet leaves on, and the packet
+// pool a queue grows into past the room a Slab carved it. Each MUX points
+// at its engine's Line and keeps only what differs between connections.
 type Line struct {
-	eng *des.Engine
-	d   Discipline
-	k   int
-	out Link
+	eng  *des.Engine
+	d    Discipline
+	k    int
+	out  Link
+	pool snap.Arena[traffic.Packet]
 }
 
 // NewLine returns the shared part of MUXes in eng with k input flows,
@@ -73,6 +75,11 @@ func NewLine(eng *des.Engine, k int, d Discipline, out Link) *Line {
 	}
 	return &Line{eng: eng, d: d, k: k, out: out}
 }
+
+// Pool returns the line's packet pool, which the engine's regulators share
+// (regulator.NewSlab). It makes its first chunk on its first window, so a
+// session that is built but not run holds none.
+func (l *Line) Pool() *snap.Arena[traffic.Packet] { return &l.pool }
 
 // Mux is a work-conserving server at rate C over K input flows.
 //
@@ -161,10 +168,16 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 	if p.Flow < 0 || p.Flow >= m.line.k {
 		panic("mux: packet flow index out of range")
 	}
-	if len(m.q) == cap(m.q) && int(m.head)*2 >= len(m.q) {
-		// Full but at least half served (FIFO only: LIFO keeps head at
-		// 0): slide the queue to the front instead of growing it.
-		m.q = m.q[:copy(m.q, m.q[m.head:])]
+	if n := len(m.q); n == cap(m.q) {
+		// Full. At least half served (FIFO only: LIFO keeps head at 0),
+		// the queue slides to the front; otherwise it moves to a window of
+		// the line's pool twice its size, and the window it leaves stays
+		// with its chunk.
+		live := m.q[m.head:]
+		if n == 0 || int(m.head)*2 < n {
+			m.q = m.line.pool.Take(max(2*n, 1))
+		}
+		m.q = append(m.q[:0], live...)
 		m.head = 0
 	}
 	m.q = append(m.q, p)

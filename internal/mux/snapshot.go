@@ -40,8 +40,9 @@ const SnapBytes = 4 + 8 + 1
 // Enqueue would make them one MUX and one doubling at a time. Built or
 // restored, a MUX's queue is carved with room for a packet of each flow
 // routed through it. A queue's carved capacity is a hint: a queue that
-// outgrows it grows off the slab like any other. Past its totals a slab
-// makes each MUX on its own; the zero Slab is an empty one.
+// outgrows it grows into its Line's packet pool (Line.Pool). Past its
+// totals a slab refills by the chunk, as snap.Arena does; the zero Slab is
+// an empty one.
 type Slab struct {
 	muxes   snap.Arena[Mux]
 	packets snap.Arena[traffic.Packet]

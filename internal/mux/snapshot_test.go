@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/snap"
@@ -179,6 +180,44 @@ func TestSlabEnqueueAllocFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, fill); n != 0 {
 			t.Fatalf("filling a %s MUX to its %d carved packets allocated %v objects per run", name, routed, n)
+		}
+	}
+}
+
+// TestQueueGrowsIntoLinePool: a queue that outgrows the room its slab
+// carved moves to a window of its Line's packet pool, twice its size, and
+// serves what it held in the order its discipline gives; MUXes of one Line
+// grow into the one pool, window after window.
+func TestQueueGrowsIntoLinePool(t *testing.T) {
+	for _, d := range []Discipline{LIFO, FIFO} {
+		eng := des.New()
+		var served []uint64
+		line := NewLine(eng, 2, d, sinkLink(func(p traffic.Packet) { served = append(served, p.ID) }))
+		sl := NewSlab(2, 2)
+		a, b := sl.New(line, 1e6, 0, 1, 1), sl.New(line, 1e6, 0, 2, 1)
+		for _, m := range []*Mux{a, b} {
+			m.busy = true // hold service so the arrivals queue
+			for i := 0; i < 5; i++ {
+				m.Enqueue(traffic.Packet{ID: uint64(i), Flow: i % 2, Size: 1e4})
+			}
+			if len(m.q) != 5 || cap(m.q) != 8 {
+				t.Fatalf("%v: five arrivals in room for one: queue %d/%d, want 5/8", d, len(m.q), cap(m.q))
+			}
+		}
+		next := line.Pool().Take(1)
+		end := unsafe.Add(unsafe.Pointer(&b.q[0]), 8*unsafe.Sizeof(traffic.Packet{}))
+		if unsafe.Pointer(&next[0]) != end {
+			t.Fatalf("%v: the pool's next window is not where the last grown queue ends", d)
+		}
+		a.busy = false
+		a.serve()
+		eng.Run()
+		want := []uint64{4, 3, 2, 1, 0}
+		if d == FIFO {
+			want = []uint64{0, 1, 2, 3, 4}
+		}
+		if !reflect.DeepEqual(served, want) {
+			t.Fatalf("%v: served %v, want %v", d, served, want)
 		}
 	}
 }

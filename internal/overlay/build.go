@@ -70,9 +70,14 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 	// order within a domain: a counting sort of the members by router,
 	// O(members + routers) per group whatever the host population, then
 	// each domain back into ascending host id, the order topo.NewNetwork
-	// attaches hosts in (duplicates dropped).
+	// attaches hosts in (duplicates dropped). The whole hierarchy runs in
+	// the one buffer the sort fills: each domain's hierarchy in its own
+	// window, its top core written back to the buffer's front, where the
+	// domains before it lay, and the local cores so written are the
+	// inter-cluster hierarchy's bottom layer.
 	routers := net.Backbone.NumNodes()
-	pos := make([]int, routers+1)
+	buf := make([]int, len(members)+routers+1)
+	byDomain, pos := buf[:len(members)], buf[len(members):]
 	for _, m := range members {
 		if m < 0 || m >= len(net.Hosts) {
 			return nil, fmt.Errorf("overlay: member %d is not one of the network's %d hosts", m, len(net.Hosts))
@@ -82,14 +87,12 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 	for r := 0; r < routers; r++ {
 		pos[r+1] += pos[r] // pos[r]: where domain r starts
 	}
-	byDomain := make([]int, len(members))
 	for _, m := range members {
 		r := net.Hosts[m].Router
 		byDomain[pos[r]] = m
 		pos[r]++ // pos[r]: where domain r ends
 	}
-	var localCores []int
-	lo := 0
+	cores, lo := 0, 0
 	for r := 0; r < routers; r++ {
 		domain := byDomain[lo:pos[r]]
 		lo = pos[r]
@@ -98,9 +101,10 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		}
 		slices.Sort(domain)
 		domain = slices.Compact(domain)
-		localCores = append(localCores, buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng))
+		byDomain[cores] = buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng)
+		cores++
 	}
-	buildHierarchy(t, net, localCores, source, cfg.K, cfg.SizeCap, rng)
+	buildHierarchy(t, net, byDomain[:cores], source, cfg.K, cfg.SizeCap, rng)
 	return t, nil
 }
 

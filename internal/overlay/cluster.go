@@ -9,40 +9,46 @@ package overlay
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/topo"
 	"repro/internal/xrand"
 )
 
-// clusterize partitions ids (in the given order) into proximity clusters.
-// Each cluster is seeded by the first unassigned member and completed with
-// its nearest unassigned neighbours by RTT. Sizes are drawn from
-// [k, 3k−1], capped by sizeCap, exactly as the DSCT paper specifies: when
-// no more than the maximum cluster size remains, the remainder forms the
-// final cluster. The clusters are consecutive windows of one copy of ids:
-// each pivot's nearest neighbours are sorted in place right behind it.
-func clusterize(net *topo.Network, ids []int, k, sizeCap int, rng *xrand.Rand) [][]int {
-	limit := 3*k - 1
-	lo := k
-	if sizeCap >= 2 && sizeCap < limit {
-		limit = sizeCap
-		if lo > limit {
-			lo = limit
-		}
+// clusterWalk cuts one layer into proximity clusters in place. Each
+// cluster is seeded by the first member not yet assigned and completed
+// with its nearest unassigned neighbours by RTT: the pivot's neighbours
+// are sorted in place right behind it, so every cluster is a window of
+// the layer's own buffer. Sizes are drawn from [k, 3k−1], capped by
+// sizeCap, exactly as the DSCT paper specifies: when no more than the
+// maximum cluster size remains, the remainder forms the final cluster.
+type clusterWalk struct {
+	rest      []int // the members not yet assigned, in walk order
+	lo, limit int   // the cluster size range
+}
+
+func newClusterWalk(layer []int, k, sizeCap int) clusterWalk {
+	w := clusterWalk{rest: layer, lo: k, limit: 3*k - 1}
+	if sizeCap >= 2 && sizeCap < w.limit {
+		w.limit = sizeCap
+		w.lo = min(w.lo, w.limit)
 	}
-	unassigned := slices.Clone(ids)
-	clusters := make([][]int, 0, len(ids)/max(lo, 1)+1)
-	for len(unassigned) > 0 {
-		size := len(unassigned)
-		if size > limit {
-			size = rng.IntRange(lo, limit)
-		}
-		sortByRTT(net, unassigned[0], unassigned[1:])
-		clusters = append(clusters, unassigned[:size:size])
-		unassigned = unassigned[size:]
+	return w
+}
+
+// next cuts the next cluster off the front of the walk, or returns nil
+// when every member is assigned.
+func (w *clusterWalk) next(net *topo.Network, rng *xrand.Rand) []int {
+	if len(w.rest) == 0 {
+		return nil
 	}
-	return clusters
+	size := len(w.rest)
+	if size > w.limit {
+		size = rng.IntRange(w.lo, w.limit)
+	}
+	sortByRTT(net, w.rest[0], w.rest[1:])
+	cluster := w.rest[:size:size]
+	w.rest = w.rest[size:]
+	return cluster
 }
 
 // pickCore selects the cluster core: the multicast source always wins its
@@ -59,20 +65,26 @@ func pickCore(net *topo.Network, cluster []int, source int) int {
 
 // buildHierarchy runs the layered clustering loop over one ordered member
 // set, assigning parent edges into t, and returns the surviving top core.
+// It runs in layer's own buffer: each cluster's core is written back to
+// the front of the buffer, where the clusters already cut lay, and the
+// cores so written are the next layer.
 func buildHierarchy(t *Tree, net *topo.Network, layer []int, source int, k, sizeCap int, rng *xrand.Rand) int {
 	for len(layer) > 1 {
-		clusters := clusterize(net, layer, k, sizeCap, rng)
-		next := make([]int, 0, len(clusters))
-		for _, cluster := range clusters {
+		n := 0
+		for w := newClusterWalk(layer, k, sizeCap); ; n++ {
+			cluster := w.next(net, rng)
+			if cluster == nil {
+				break
+			}
 			core := pickCore(net, cluster, source)
 			for _, m := range cluster {
 				if m != core {
 					t.setParent(m, core)
 				}
 			}
-			next = append(next, core)
+			layer[n] = core
 		}
-		layer = next
+		layer = layer[:n]
 	}
 	return layer[0]
 }

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/calculus"
@@ -415,29 +416,40 @@ func TestSetParentGuards(t *testing.T) {
 	}
 }
 
-// Property: every cluster from clusterize is within size limits and the
-// clusters partition the input.
+// Property: every cluster the in-place walk cuts is within size limits
+// and is a window of the layer it walks, and the clusters partition the
+// layer: each member exactly once.
 func TestQuickClusterize(t *testing.T) {
 	net := network(300, 16)
 	rng := xrand.New(17)
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(300)
 		ids := rng.Perm(300)[:n]
+		layer := slices.Clone(ids)
 		k := 2 + rng.Intn(3)
-		cap := 0
+		sizeCap := 0
 		if rng.Bool(0.5) {
-			cap = 2 + rng.Intn(6)
+			sizeCap = 2 + rng.Intn(6)
 		}
-		clusters := clusterize(net, ids, k, cap, rng)
 		seen := make(map[int]bool)
 		total := 0
 		limit := 3*k - 1
-		if cap >= 2 && cap < limit {
-			limit = cap
+		if sizeCap >= 2 && sizeCap < limit {
+			limit = sizeCap
 		}
-		for _, c := range clusters {
+		for w := newClusterWalk(layer, k, sizeCap); ; {
+			c := w.next(net, rng)
+			if c == nil {
+				break
+			}
 			if len(c) > limit {
 				t.Fatalf("trial %d: cluster size %d over limit %d", trial, len(c), limit)
+			}
+			if len(c) < min(k, limit) && len(w.rest) > 0 {
+				t.Fatalf("trial %d: cluster size %d under %d before the last", trial, len(c), min(k, limit))
+			}
+			if &c[0] != &layer[total] || cap(c) != len(c) {
+				t.Fatalf("trial %d: cluster is not the capacity-capped window of the layer at %d", trial, total)
 			}
 			for _, m := range c {
 				if seen[m] {
@@ -449,6 +461,11 @@ func TestQuickClusterize(t *testing.T) {
 		}
 		if total != n {
 			t.Fatalf("trial %d: clusters cover %d of %d", trial, total, n)
+		}
+		for _, m := range ids {
+			if !seen[m] {
+				t.Fatalf("trial %d: member %d in no cluster", trial, m)
+			}
 		}
 	}
 }

@@ -29,7 +29,7 @@ type timerSRL struct {
 }
 
 func newTimerSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *timerSRL {
-	r := &timerSRL{eng: eng, c: c, out: out,
+	r := &timerSRL{eng: eng, c: c, out: out, q: newFIFO(),
 		w: des.Seconds(sigma / (c - rho)), v: des.Seconds(sigma / rho)}
 	r.done = func() {
 		r.transmitting = false

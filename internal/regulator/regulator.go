@@ -14,24 +14,29 @@ import (
 	"math"
 
 	"repro/internal/des"
+	"repro/internal/snap"
 	"repro/internal/traffic"
 )
 
-// fifo is a slice-backed packet queue with amortised O(1) operations.
+// fifo is a slice-backed packet queue with amortised O(1) operations. Its
+// buffers are windows of pool, the packet pool its regulator was made
+// with.
 type fifo struct {
 	buf  []traffic.Packet
 	head int
 	bits float64
+	pool *snap.Arena[traffic.Packet]
 }
 
 // push appends p. A full buffer at least half consumed slides its live
 // packets to the front, so a queue that never quite drains does not creep
 // to a fresh doubling every few packets. Any other full buffer moves to a
-// new one with room for twice as many packets or for a burst of packets
-// like p — ⌈sigma/p.Size⌉ + 1 of them, at most maxBurst — whichever is
-// more: a regulator that fills to its burst allocates once instead of
-// doubling its way there, and so does a restored one, whose buffer holds
-// exactly what it restored.
+// new window of the pool with room for twice as many packets or for a
+// burst of packets like p — ⌈sigma/p.Size⌉ + 1 of them, at most maxBurst —
+// whichever is more: a regulator that fills to its burst takes one window
+// instead of doubling its way there, and so does a restored one, whose
+// buffer holds exactly what it restored. The window it leaves stays with
+// its chunk of the pool.
 func (q *fifo) push(p traffic.Packet, sigma float64) {
 	if n := len(q.buf); n == cap(q.buf) {
 		live := q.buf[q.head:]
@@ -40,7 +45,7 @@ func (q *fifo) push(p traffic.Packet, sigma float64) {
 			if b := math.Ceil(sigma / p.Size); b < maxBurst-1 {
 				burst = int(b) + 1
 			}
-			q.buf = make([]traffic.Packet, 0, max(2*n, burst))
+			q.buf = q.pool.Take(max(2*n, burst))
 		}
 		q.buf = append(q.buf[:0], live...)
 		q.head = 0
@@ -89,23 +94,25 @@ type SigmaRho struct {
 	retryEv    des.Event // pending token-wait event (for Detach)
 }
 
-// NewSigmaRho returns a (σ, ρ) regulator starting with a full bucket.
+// NewSigmaRho returns a (σ, ρ) regulator starting with a full bucket, its
+// queue in a packet pool of its own.
 func NewSigmaRho(eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) *SigmaRho {
 	if out == nil {
 		panic("regulator: nil output")
 	}
-	return new(SigmaRho).init(eng, sigma, rho, traffic.SinkFunc(out))
+	return new(SigmaRho).init(eng, sigma, rho, traffic.SinkFunc(out), new(snap.Arena[traffic.Packet]))
 }
 
-// init is NewSigmaRho into zeroed storage the caller made (see Slab).
-func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
+// init is NewSigmaRho into zeroed storage the caller made, its queue's
+// buffers carved from pool (see Slab).
+func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out traffic.Sink, pool *snap.Arena[traffic.Packet]) *SigmaRho {
 	if sigma < 0 || rho <= 0 {
 		panic("regulator: invalid (σ,ρ) parameters")
 	}
 	if out == nil {
 		panic("regulator: nil output")
 	}
-	s.eng, s.Sigma, s.Rho, s.out, s.tokens = eng, sigma, rho, out, sigma
+	s.eng, s.Sigma, s.Rho, s.out, s.tokens, s.q.pool = eng, sigma, rho, out, sigma, pool
 	s.slot = eng.Register(des.KindSRRetry, s)
 	return s
 }

@@ -2,8 +2,10 @@ package regulator
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
+	"repro/internal/snap"
 	"repro/internal/traffic"
 )
 
@@ -132,8 +134,11 @@ func TestSigmaRhoValidation(t *testing.T) {
 	}
 }
 
+// newFIFO is a queue in a packet pool of its own.
+func newFIFO() fifo { return fifo{pool: new(snap.Arena[traffic.Packet])} }
+
 func TestFIFOQueueCompaction(t *testing.T) {
-	var q fifo
+	q := newFIFO()
 	for i := 0; i < 1000; i++ {
 		q.push(traffic.Packet{ID: uint64(i), Size: 1}, 0)
 	}
@@ -170,18 +175,19 @@ func TestFIFOBufferHoldsBurst(t *testing.T) {
 		sigma, size float64
 		want        int
 	}{{8000, 1000, 9}, {8500, 1000, 10}, {0, 1000, 1}, {1e4, 1e-300, 64}, {1e6, 1000, 64}} {
-		var q fifo
+		q := newFIFO()
 		q.push(traffic.Packet{Size: tc.size}, tc.sigma)
 		if got := cap(q.buf); got != tc.want {
 			t.Errorf("σ = %v, L = %v: first buffer holds %d packets, want %d", tc.sigma, tc.size, got, tc.want)
 		}
-		restored := fifo{buf: []traffic.Packet{{ID: 7, Size: 1000}}}
+		restored := newFIFO()
+		restored.buf = []traffic.Packet{{ID: 7, Size: 1000}}
 		restored.push(traffic.Packet{ID: 8, Size: tc.size}, tc.sigma)
 		if got := cap(restored.buf); got != max(2, tc.want) || restored.pop().ID != 7 || restored.pop().ID != 8 {
 			t.Errorf("σ = %v, L = %v: a full one-packet buffer moved to %d packets, want %d, in order", tc.sigma, tc.size, got, max(2, tc.want))
 		}
 	}
-	var q fifo
+	q := newFIFO()
 	for i := 0; i < 9; i++ {
 		q.push(traffic.Packet{ID: uint64(i), Size: 1000}, 8000)
 	}
@@ -194,5 +200,81 @@ func TestFIFOBufferHoldsBurst(t *testing.T) {
 	}
 	if &q.buf[:1][0] != buf || q.len() != 9 || q.peek().ID != 5 {
 		t.Errorf("a full buffer with 5 of 9 packets served moved or lost order: %d queued, head %d", q.len(), q.peek().ID)
+	}
+}
+
+// TestRecordSizes pins the records a session holds per regulator. Each
+// grew by one word, its queue's packet pool, when the queues moved into
+// one pool per shard: a (σ, ρ) and a (σ, ρ, λ) regulator were 120 bytes.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(SigmaRho{}); got > 128 {
+		t.Errorf("(σ, ρ) regulator record is %d bytes, want at most 128", got)
+	}
+	if got := unsafe.Sizeof(SRL{}); got > 128 {
+		t.Errorf("(σ, ρ, λ) regulator record is %d bytes, want at most 128", got)
+	}
+}
+
+// TestSlabQueuesShareOnePool: the regulators of one slab queue in windows
+// of the one pool the slab was given, carved back to back — across the end
+// of a chunk onto the next — and each queue keeps its own packets, in
+// order, wherever its window landed: forty queues take a first buffer each
+// (nine packets, a burst of σ/L = 8 plus one), then each grows once to
+// eighteen, 22.5 KB of windows in all, more than a chunk.
+func TestSlabQueuesShareOnePool(t *testing.T) {
+	eng := des.New()
+	pool := new(snap.Arena[traffic.Packet])
+	sl := NewSlab(0, 0, 40, pool)
+	out := make([][]uint64, 40)
+	regs := make([]*SRL, 40)
+	for i := range regs {
+		regs[i] = sl.NewSRL(eng, 8000, 1e4, 1e6, traffic.SinkFunc(func(p traffic.Packet) { out[i] = append(out[i], p.ID) }))
+	}
+	starts := func() []*traffic.Packet {
+		var s []*traffic.Packet
+		for _, r := range regs {
+			s = append(s, &r.q.buf[:1][0])
+		}
+		return s
+	}
+	crossed := 0
+	for burst := 0; burst < 2; burst++ {
+		for i, r := range regs {
+			for j := 0; j < 9; j++ {
+				r.Enqueue(traffic.Packet{ID: uint64(1000*i + 9*burst + j), Size: 1000})
+			}
+			if want := 9 * (burst + 1); cap(r.q.buf) != want {
+				t.Fatalf("burst %d: queue %d has room for %d packets, want %d", burst, i, cap(r.q.buf), want)
+			}
+		}
+		// Carved back to back: each window starts where the one before
+		// ends, except where a chunk ran out and the next began.
+		s, breaks := starts(), 0
+		for i := 1; i < len(s); i++ {
+			if unsafe.Add(unsafe.Pointer(s[i-1]), cap(regs[i-1].q.buf)*int(unsafe.Sizeof(traffic.Packet{}))) != unsafe.Pointer(s[i]) {
+				breaks++
+			}
+		}
+		if breaks > len(s)/4 {
+			t.Fatalf("burst %d: %d breaks between %d queues' windows: they are not carved back to back", burst, breaks, len(s))
+		}
+		crossed += breaks
+	}
+	if crossed == 0 {
+		t.Fatal("the queues' windows never crossed from one chunk onto the next")
+	}
+	for _, r := range regs {
+		r.SetOn(true)
+	}
+	eng.Run()
+	for i, ids := range out {
+		if len(ids) != 18 {
+			t.Fatalf("queue %d sent %d packets, want 18", i, len(ids))
+		}
+		for j, id := range ids {
+			if id != uint64(1000*i+j) {
+				t.Fatalf("queue %d sent packet %d as its %d-th, want %d", i, id, j, 1000*i+j)
+			}
+		}
 	}
 }

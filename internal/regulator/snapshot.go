@@ -27,10 +27,10 @@ func (q *fifo) snapshot(w *snap.Writer) {
 	w.F64(q.bits)
 }
 
-// restore fills the queue from the open record, in storage carved from
-// packets: capacity is exactly the restored length.
-func (q *fifo) restore(r *snap.Reader, flows int, packets *snap.Arena[traffic.Packet]) {
-	q.buf = packets.Take(r.Count(traffic.PacketSnapBytes))
+// restore fills the queue from the open record, in a window of its pool:
+// capacity is exactly the restored length.
+func (q *fifo) restore(r *snap.Reader, flows int) {
+	q.buf = q.pool.Take(r.Count(traffic.PacketSnapBytes))
 	q.head = 0
 	for i := range q.buf {
 		q.buf[i] = traffic.RestorePacket(r, flows)
@@ -48,35 +48,36 @@ const (
 )
 
 // Slab is the storage a session makes its regulators and clocks in: one
-// array per model, one for every queued packet and one of waiting-list
-// seats, one per (σ, ρ, λ) regulator, sized from totals known up front — a
-// live build's forwarding plan, a checkpoint record's counts — where the
-// constructors, Enqueue and a clock's waiting list would make them one
-// regulator and one doubling at a time. A follower churn adds later grows
-// its clock's list off the slab. A restored queue's capacity is exactly its
-// length: it makes its first buffer on its first arrival, as a built one
-// does — carving it would take a room total the record does not carry.
-// Past its totals a slab makes each one on its own; the zero Slab is an
-// empty one.
+// array per model and one of waiting-list seats, one per (σ, ρ, λ)
+// regulator, sized from totals known up front — a live build's forwarding
+// plan, a checkpoint record's counts — where the constructors and a clock's
+// waiting list would make them one at a time. A follower churn adds later
+// grows its clock's list off the slab. Every queue the slab's regulators
+// hold — its first buffer, each regrowth, a restored queue's buffer, whose
+// capacity is exactly its length — is a window of one packet pool, which
+// the slab shares with the MUXes of its engine (mux.Line.Pool). Past its
+// totals the slab refills by the chunk, as snap.Arena does. The zero Slab
+// has no pool: a session that makes regulators makes its slab with
+// NewSlab.
 type Slab struct {
 	sr      snap.Arena[SigmaRho]
 	cycles  snap.Arena[Cycle]
 	srl     snap.Arena[SRL]
-	packets snap.Arena[traffic.Packet]
 	waiters snap.Arena[*SRL]
 	seats   uint64 // waiting-list entries left in waiters
+	packets *snap.Arena[traffic.Packet]
 }
 
 // NewSlab returns storage for that many (σ, ρ) regulators, clocks and
-// (σ, ρ, λ) regulators, and that many queued packets in total.
-func NewSlab(sigmaRhos, cycles, srls, packets int) Slab {
+// (σ, ρ, λ) regulators, whose queues take their buffers from packets.
+func NewSlab(sigmaRhos, cycles, srls int, packets *snap.Arena[traffic.Packet]) Slab {
 	return Slab{
 		sr:      snap.NewArena[SigmaRho](sigmaRhos),
 		cycles:  snap.NewArena[Cycle](cycles),
 		srl:     snap.NewArena[SRL](srls),
-		packets: snap.NewArena[traffic.Packet](packets),
 		waiters: snap.NewArena[*SRL](srls),
 		seats:   uint64(srls),
+		packets: packets,
 	}
 }
 
@@ -91,13 +92,13 @@ func (sl *Slab) Seat(c *Cycle) {
 // NewSigmaRho is the package's NewSigmaRho in the slab's next (σ, ρ)
 // regulator, with the output a Sink.
 func (sl *Slab) NewSigmaRho(eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
-	return sl.sr.One().init(eng, sigma, rho, out)
+	return sl.sr.One().init(eng, sigma, rho, out, sl.packets)
 }
 
 // NewSRL is the package's NewSRL in the slab's next (σ, ρ, λ) regulator,
 // with the output a Sink.
 func (sl *Slab) NewSRL(eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SRL {
-	return sl.srl.One().init(eng, sigma, rho, c, out)
+	return sl.srl.One().init(eng, sigma, rho, c, out, sl.packets)
 }
 
 // NewCycle is the package's NewCycle in the slab's next clock.
@@ -118,7 +119,7 @@ func (s *SigmaRho) Snapshot(w *snap.Writer) {
 // packet with a flow outside [0, flows) fails the reader.
 func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
 	s := sl.NewSigmaRho(eng, sigma, rho, out)
-	s.q.restore(r, flows, &sl.packets)
+	s.q.restore(r, flows)
 	s.tokens = r.F64()
 	s.lastUpdate = des.Time(r.I64())
 	s.serving = r.Bool()
@@ -152,7 +153,7 @@ func (r *SRL) Snapshot(w *snap.Writer) {
 // followed is handed its restored clock with Rejoin.
 func (sl *Slab) RestoreSRL(sr *snap.Reader, flows int, eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SRL {
 	r := sl.NewSRL(eng, sigma, rho, c, out)
-	r.q.restore(sr, flows, &sl.packets)
+	r.q.restore(sr, flows)
 	r.on = sr.Bool()
 	r.transmitting = sr.Bool()
 	r.waiting = sr.Bool()

@@ -72,9 +72,9 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			cy.Snapshot(w)
 			srl.Snapshot(w)
 		})
-		sl := NewSlab(1, 1, 1, sr.QueueLen()+srl.QueueLen())
+		sl := NewSlab(1, 1, 1, new(snap.Arena[traffic.Packet]))
 		if short {
-			sl = NewSlab(0, 0, 0, 1)
+			sl = NewSlab(0, 0, 0, new(snap.Arena[traffic.Packet]))
 		}
 		eng2 := des.New()
 		sr2 := sl.RestoreSigmaRho(r, 1, eng2, 1e4, 1e5, traffic.SinkFunc(sink))
@@ -110,7 +110,7 @@ func TestRestoreCycleSeats(t *testing.T) {
 	cy := NewCycle(eng, 0, des.Millisecond, des.Millisecond)
 	cy.nextRank = 1 << 63
 	r, _ := record(t, cy.Snapshot)
-	sl := NewSlab(0, 1, 2, 0)
+	sl := NewSlab(0, 1, 2, new(snap.Arena[traffic.Packet]))
 	if cy2 := sl.RestoreCycle(r, eng, 0, des.Millisecond, des.Millisecond); cap(cy2.waiting) != 2 {
 		t.Errorf("a clock claiming next rank 2^63 seats %d followers in a slab of 2 regulators", cap(cy2.waiting))
 	}
@@ -136,7 +136,7 @@ func TestRestoreRejectsTokenLevel(t *testing.T) {
 		s := NewSigmaRho(eng, 1e4, 1e5, sink)
 		s.tokens = tokens
 		r, _ := record(t, s.Snapshot)
-		sl := NewSlab(1, 0, 0, 0)
+		sl := NewSlab(1, 0, 0, new(snap.Arena[traffic.Packet]))
 		if sl.RestoreSigmaRho(r, 1, eng, 1e4, 1e5, traffic.SinkFunc(sink)); r.Err() == nil {
 			t.Errorf("token level %v restored", tokens)
 		}

@@ -2,6 +2,7 @@ package regulator
 
 import (
 	"repro/internal/des"
+	"repro/internal/snap"
 	"repro/internal/traffic"
 )
 
@@ -41,24 +42,26 @@ type SRL struct {
 }
 
 // NewSRL returns a (σ, ρ, λ) regulator. Its gate starts shut and driven by
-// hand (SetOn); Follow or StartCycle puts it on a duty-cycle clock.
-// It panics unless 0 < ρ < C and σ > 0.
+// hand (SetOn); Follow or StartCycle puts it on a duty-cycle clock. Its
+// queue is in a packet pool of its own. It panics unless 0 < ρ < C and
+// σ > 0.
 func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *SRL {
 	if out == nil {
 		panic("regulator: nil output")
 	}
-	return new(SRL).init(eng, sigma, rho, c, traffic.SinkFunc(out))
+	return new(SRL).init(eng, sigma, rho, c, traffic.SinkFunc(out), new(snap.Arena[traffic.Packet]))
 }
 
-// init is NewSRL into zeroed storage the caller made (see Slab).
-func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out traffic.Sink) *SRL {
+// init is NewSRL into zeroed storage the caller made, its queue's buffers
+// carved from pool (see Slab).
+func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out traffic.Sink, pool *snap.Arena[traffic.Packet]) *SRL {
 	if sigma <= 0 || rho <= 0 || c <= 0 || rho >= c {
 		panic("regulator: SRL requires σ>0 and 0<ρ<C")
 	}
 	if out == nil {
 		panic("regulator: nil output")
 	}
-	r.eng, r.Sigma, r.Rho, r.C, r.out = eng, sigma, rho, c, out
+	r.eng, r.Sigma, r.Rho, r.C, r.out, r.q.pool = eng, sigma, rho, c, out, pool
 	r.slot = eng.Register(des.KindSRLDone, r)
 	return r
 }

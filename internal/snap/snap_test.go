@@ -2,9 +2,13 @@ package snap
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func TestRoundTripPrimitives(t *testing.T) {
@@ -336,7 +340,10 @@ func TestRawRoundTrip(t *testing.T) {
 
 // TestArenaWindows: windows are consecutive, zeroed, capacity-capped (an
 // append leaves the neighbour alone), and an arena that runs out — or was
-// never made — still hands out what is asked, never nil.
+// never made — still hands out what is asked, never nil: past its total it
+// refills one chunk and carves on from there, except that a request above
+// a quarter of a chunk (and so one at or above a chunk) is made on its own
+// and leaves the arena's room as it was.
 func TestArenaWindows(t *testing.T) {
 	a := NewArena[int](5)
 	x, y := a.Take(2), a.Take(3)
@@ -348,15 +355,82 @@ func TestArenaWindows(t *testing.T) {
 	if y[0] != 7 {
 		t.Fatal("append to one window wrote into the next")
 	}
-	if z := a.Take(4); len(z) != 4 || z[0] != 0 {
-		t.Fatal("exhausted arena did not allocate the window on its own")
+	z := a.Take(4)
+	if len(z) != 4 || cap(z) != 4 || z[0] != 0 || len(a.free) != chunkLen[int]()-4 {
+		t.Fatalf("exhausted arena: window %d/%d, %d elements left, want a chunk of %d refilled", len(z), cap(z), len(a.free), chunkLen[int]())
+	}
+	if w := a.Take(1); unsafe.Pointer(&w[0]) != unsafe.Add(unsafe.Pointer(&z[0]), 4*unsafe.Sizeof(0)) {
+		t.Fatal("the window after a refill is not carved next to the refill's first")
 	}
 	*a.One() = 3
 	var zero Arena[*int]
-	if z := zero.Take(0); z == nil {
-		t.Fatal("zero arena returned a nil window")
+	if z := zero.Take(0); z == nil || zero.free != nil {
+		t.Fatal("zero arena returned a nil window, or made a chunk for nothing")
 	}
 	if p := zero.One(); p == nil || *p != nil {
 		t.Fatal("zero arena's One is not a zeroed element")
+	}
+
+	// Many windows over many refills: each zeroed when taken, capped at
+	// its length, and none overlapping another, however the requests
+	// straddle chunk ends.
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	var held [][]int64
+	var b Arena[int64]
+	c := chunkLen[int64]()
+	for i := 0; i < 8*c/7; i++ {
+		n := 1 + i%(c/4)
+		w := b.Take(n)
+		if len(w) != n || cap(w) != n {
+			t.Fatalf("take %d: window %d/%d", n, len(w), cap(w))
+		}
+		for j := range w {
+			if w[j] != 0 {
+				t.Fatalf("take %d: element %d is %d, not zeroed", n, j, w[j])
+			}
+			w[j] = int64(i + 1)
+		}
+		lo := uintptr(unsafe.Pointer(&w[0]))
+		spans = append(spans, span{lo, lo + uintptr(n)*8})
+		held = append(held, w)
+	}
+	slices.SortFunc(spans, func(p, q span) int { return cmp.Compare(p.lo, q.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("windows [%#x, %#x) and [%#x, %#x) overlap", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+	for i, w := range held {
+		for _, v := range w {
+			if v != int64(i+1) {
+				t.Fatalf("window %d was overwritten by a later one", i)
+			}
+		}
+	}
+
+	// Requests above a quarter chunk, and at or above a whole one, are made
+	// alone: the arena's room is untouched, and the bytes one costs are its
+	// own, not a chunk's — so a decoder's allocation stays bounded by what
+	// it asks for (FuzzRestore's bound).
+	d := NewArena[int64](3 * c)
+	if d.Take(3*c - 1); len(d.free) != 1 {
+		t.Fatal("a request the room holds was not carved from it")
+	}
+	room := d.free
+	for _, n := range []int{c/4 + 1, c, 3 * c} {
+		if w := d.Take(n); len(w) != n || cap(w) != n || len(d.free) != 1 || &d.free[0] != &room[0] {
+			t.Fatalf("a request of %d (chunk %d) was carved from the arena's room", n, c)
+		}
+	}
+	for _, n := range []int{1, c / 4, c/4 + 1, c, 3 * c} {
+		var fresh Arena[int64]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fresh.Take(n)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(max(chunkBytes, 8*n)*9/8); got > limit {
+			t.Fatalf("a fresh arena's Take(%d) allocated %d bytes, limit %d", n, got, limit)
+		}
 	}
 }
