@@ -68,7 +68,9 @@ shards:
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 4
 
 # Coverage-guided fuzzing of the invariant-heavy corners: the timing
-# wheel's cursor-behind merge-insert, the cross-shard mailbox merge
+# wheel's cursor-behind merge-insert, its ready-run sort (insertion budget,
+# run split and merges, pdqsort behind them) over one-tick chains and a
+# level-1 cascade, the cross-shard mailbox merge
 # against its (at, lamport, srcShard, seq) oracle, the overlay graft-point
 # selector (every strategy's pick against the per-candidate oracle of
 # oracle_test.go), the batch prune/repair path the fault plane drives, and
@@ -82,6 +84,7 @@ shards:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWheelCursorBehind -fuzztime $(FUZZTIME) ./internal/des
+	$(GO) test -run '^$$' -fuzz FuzzReadyRunOrder -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzMailboxDrain -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzGraftPoint -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay

@@ -18,18 +18,50 @@ const tickNs = Time(1) << tickShift
 
 // chainShapes are the orders a one-tick chain can be filed in: the i-th of
 // n events gets a sub-tick offset and a tie-break priority (perm is a
-// seeded permutation of 0..n-1). seq is the filing order throughout.
+// seeded permutation of 0..n-1). seq is the filing order throughout, and a
+// bucket hands its chain to the ready run in that order.
 var chainShapes = []struct {
 	name string
 	key  func(i, n int, perm []int) (off, prio Time)
 }{
-	// One identical instant, so the LIFO bucket chain is exactly the
-	// reverse of the firing order: the shape a t=0 burst produces.
+	// One identical instant, so seq alone orders the chain: the shape a
+	// t=0 burst produces. A head-first walk saw it exactly reversed (the
+	// name); filing order is its firing order.
 	{"reversed", func(i, n int, perm []int) (Time, Time) { return 17, 0 }},
 	{"descending-at", func(i, n int, perm []int) (Time, Time) { return Time(n-1-i) * tickNs / Time(n), 0 }},
 	{"shuffled", func(i, n int, perm []int) (Time, Time) { return Time(perm[i]) * tickNs / Time(n), 0 }},
 	// Pairs tie on prio as well, so seq decides between them.
 	{"distinct-prio", func(i, n int, perm []int) (Time, Time) { return 17, Time(perm[i] / 2) }},
+	{"phase-locked", phaseLocked},
+	// Two ascending runs back to back, interleaved in firing order: the
+	// events a level-1 bucket cascades onto a tick behind those filed on
+	// it directly.
+	{"cascaded", func(i, n int, perm []int) (Time, Time) {
+		if i < n/2 {
+			return 17, Time(2*i + 1)
+		}
+		return 17, Time(2 * (i - n/2))
+	}},
+	// In order but for one event, filed mid-chain, that fires first.
+	{"one-displaced", func(i, n int, perm []int) (Time, Time) {
+		if i == n/2 {
+			return 17, -1
+		}
+		return 17, Time(i)
+	}},
+}
+
+// phaseLocked is the chain the serialisation grid files: two events in
+// three are an exact tie group (completions of one size at one capacity,
+// scheduled at one instant), and every third is a stray at its own
+// sub-tick instant — a propagation arrival — interleaved in filing order,
+// the first strays firing before the group and the last ones after it.
+func phaseLocked(i, n int, perm []int) (Time, Time) {
+	if i%3 != 2 {
+		return tickNs / 2, 0
+	}
+	k, m := i/3, n/3+1
+	return Time(k) * tickNs / Time(m), Time(k + 1)
 }
 
 // firingRef records what was scheduled, in schedule order, and checks the
@@ -163,14 +195,41 @@ func fileBurst(eng *Engine, nop func(), offsets []int) {
 	}
 }
 
-// burstShapes are the two chains the cost tests file: one instant, which
-// the LIFO bucket holds in reverse firing order, and shuffled instants.
+// burstShapes are the chains the cost tests file, as sub-tick offsets in
+// filing order (all scheduled at one instant, so seq breaks their ties):
+// one instant, shuffled instants, and the phase-locked, cascaded and
+// one-displaced shapes of chainShapes.
 var burstShapes = []struct {
 	name    string
 	offsets func(n int) []int
 }{
 	{"reversed", func(n int) []int { return make([]int, n) }},
 	{"shuffled", shuffledOffsets},
+	{"phase-locked", func(n int) []int {
+		offsets := make([]int, n)
+		for i := range offsets {
+			offsets[i] = int(tickNs / 2)
+			if i%3 == 2 {
+				offsets[i] = (i / 3) * int(tickNs) / (n/3 + 1)
+			}
+		}
+		return offsets
+	}},
+	{"cascaded", func(n int) []int {
+		offsets := make([]int, n)
+		for i := range offsets {
+			offsets[i] = (i % (n / 2)) * int(tickNs) / (n / 2)
+		}
+		return offsets
+	}},
+	{"one-displaced", func(n int) []int {
+		offsets := make([]int, n)
+		for i := range offsets {
+			offsets[i] = i * int(tickNs) / n
+		}
+		offsets[n/2] = 0
+		return offsets
+	}},
 }
 
 func shuffledOffsets(n int) []int {
@@ -182,26 +241,62 @@ func shuffledOffsets(n int) []int {
 	return offsets
 }
 
-// Draining a long bucket must not allocate: the sort works in place and the
-// ready run keeps its capacity.
+// Draining a long bucket must not allocate, in any shape: the sort works in
+// place, and what the merge stages lives in the ready run's spare capacity,
+// which the run keeps.
 func TestBurstDrainZeroAlloc(t *testing.T) {
 	const n = 4096
-	eng := New()
-	nop := func() {}
-	offsets := shuffledOffsets(n)
-	burst := func() {
-		fileBurst(eng, nop, offsets)
-		eng.Run()
+	for _, shape := range burstShapes {
+		eng := New()
+		nop := func() {}
+		offsets := shape.offsets(n)
+		burst := func() {
+			fileBurst(eng, nop, offsets)
+			eng.Run()
+		}
+		burst() // grow the event pool and the ready run
+		if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
+			t.Errorf("%s: draining a %d-event bucket allocates %.1f times per burst, want 0", shape.name, n, allocs)
+		}
 	}
-	burst() // grow the event pool and the ready run
-	if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
-		t.Fatalf("draining a %d-event bucket allocates %.1f times per burst, want 0", n, allocs)
+}
+
+// TestPdqOnlyForDisorder pins which chains reach pdqsort (pdqRuns): one
+// filed in firing order, a cascade's two runs and a chain with one event
+// out of place never do, at any length, because their runs merge; a
+// shuffled chain long enough to be all short runs does. A phase-locked
+// chain is a run of three events per stray, so it merges up to maxRuns
+// strays and goes to pdqsort beyond; no run of the benchmark workloads is
+// that fragmented (DESIGN.md §2). (descending-at is one descending run only while its
+// offsets are distinct: at 64k events it is 8-event tie groups filed
+// against the firing order, 8k ascending runs.)
+func TestPdqOnlyForDisorder(t *testing.T) {
+	never := map[string]int{ // longest chain that must merge; 0 is any
+		"reversed": 0, "cascaded": 0, "one-displaced": 0, "phase-locked": 3 * maxRuns,
+	}
+	for _, n := range []int{17, 100, 3 * maxRuns, 1 << 10, 1 << 13, 1 << 16} {
+		perm := xrand.New(uint64(n)).Perm(n)
+		for _, shape := range chainShapes {
+			eng := New()
+			for i := 0; i < n; i++ {
+				off, prio := shape.key(i, n, perm)
+				eng.scheduleFunc(5*tickNs+off, prio, func() {})
+			}
+			eng.Run()
+			longest, ok := never[shape.name]
+			switch {
+			case ok && (longest == 0 || n <= longest) && eng.pdqRuns != 0:
+				t.Errorf("%s/%d: %d runs reached pdqsort, want none", shape.name, n, eng.pdqRuns)
+			case shape.name == "shuffled" && n >= 1<<10 && eng.pdqRuns == 0:
+				t.Errorf("%s/%d: no run reached pdqsort", shape.name, n)
+			}
+		}
 	}
 }
 
 // BenchmarkWheelBurst reports the cost per event of filing and draining a
-// one-tick chain, by chain length: flat for an n log n drain, growing with
-// n for a quadratic one.
+// one-tick chain, by chain length and shape: flat for an n log n drain,
+// growing with n for a quadratic one.
 func BenchmarkWheelBurst(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
 		for _, shape := range burstShapes {

@@ -167,6 +167,7 @@ type Engine struct {
 
 	free     *event // recycled event records
 	poolSize int    // total records ever allocated (diagnostics)
+	pdqRuns  int    // ready runs too fragmented to merge (diagnostics)
 
 	owners    [NumKinds][]Handler // by table (kinds[kind].table), then slot; nil is a hole
 	freeFuncs []uint32            // closure-slab slots free for reuse

@@ -152,3 +152,108 @@ func FuzzWheelCursorBehind(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadyRunOrder fuzzes the ready-run sort: the insertion budget, the
+// run split and the merges, and pdqsort behind them, which takes hundreds
+// of runs to reach: inputs the fuzzer grows, not its seeds, kept short
+// because the fuzzer minimizes every long input it finds. Each 4-byte
+// record of the input is an event — a sub-tick offset, a signed tie-break
+// priority and a flags byte. Its tick is 1024, or with laterFlag 1025 plus
+// the flags' top five bits, in the same level-1 block. Early events are
+// filed at time 0 on level 1, the rest from a callback at tick 1020 on
+// level 0. The cursor's advance to tick 1024 cascades the level-1 chain:
+// its tick-1024 events join the level-0 chain's in one ready run (with no
+// early event, a plain one-tick chain), and its later ones are re-filed
+// onto level 0 behind the late events already there. Flagged events are
+// canceled once filed. The oracle is firingRef: every live event fires, in
+// (at, prio, seq) order.
+func FuzzReadyRunOrder(f *testing.F) {
+	const (
+		target     = 1024 // a level-1 block start
+		cancelFlag = 1
+		earlyFlag  = 2
+		laterFlag  = 4
+	)
+	rec := func(off uint16, prio int8, flags byte) []byte {
+		return []byte{byte(off), byte(off >> 8), byte(prio), flags}
+	}
+	var phase, casc, desc, shuf []byte
+	for i := 0; i < 96; i++ {
+		// Phase-locked: a tie group with an ascending stray every third.
+		if i%3 == 2 {
+			phase = append(phase, rec(uint16(i*85), int8(i/3), 0)...)
+		} else {
+			phase = append(phase, rec(4096, 0, 0)...)
+		}
+		// Cascaded: the same instants filed early and late, some canceled,
+		// a third of them on four later ticks.
+		var flags byte
+		if i%2 == 0 {
+			flags |= earlyFlag
+		}
+		if i%11 == 0 {
+			flags |= cancelFlag
+		}
+		if i%3 == 1 {
+			flags |= laterFlag | byte(i%4)<<3
+		}
+		casc = append(casc, rec(uint16(i*131%8192), 0, flags)...)
+		desc = append(desc, rec(uint16(8000-80*i), int8(i%3), 0)...)
+		flags = 0
+		if i%3 == 0 {
+			flags |= earlyFlag
+		}
+		if i%13 == 0 {
+			flags |= cancelFlag
+		}
+		shuf = append(shuf, rec(uint16(i*7919%8192), int8(i*37), flags)...)
+	}
+	f.Add(phase)
+	f.Add(casc)
+	f.Add(desc)
+	f.Add(shuf)
+	f.Add(rec(5, -3, earlyFlag|laterFlag))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*2048 {
+			return // bound the chain length
+		}
+		eng := New()
+		ref := &firingRef{}
+		var handles []Event // parallel to ref.evs
+		var cancel []bool   // likewise
+		// fileAll files the early or the late records, then cancels the
+		// flagged ones among them.
+		fileAll := func(early bool) {
+			first := len(handles)
+			for i := 0; i+4 <= len(data); i += 4 {
+				rec := data[i : i+4]
+				flags := rec[3]
+				if (flags&earlyFlag != 0) != early {
+					continue
+				}
+				tick := Time(target)
+				if flags&laterFlag != 0 {
+					tick += 1 + Time(flags>>3)
+				}
+				at := tick<<tickShift + Time(binary.LittleEndian.Uint16(rec))%tickNs
+				prio := Time(int8(rec[2]))
+				handles = append(handles, eng.scheduleFunc(at, prio, ref.add(at, prio)))
+				cancel = append(cancel, flags&cancelFlag != 0)
+			}
+			for k := first; k < len(handles); k++ {
+				if cancel[k] {
+					eng.Cancel(handles[k])
+					ref.evs[k].canceled = true
+				}
+			}
+		}
+		fileAll(true)
+		eng.Schedule(Time(target-4)<<tickShift, func() { fileAll(false) })
+		eng.Run()
+		ref.check(t)
+		if eng.Pending() != 0 {
+			t.Fatalf("engine still pending %d after Run", eng.Pending())
+		}
+	})
+}

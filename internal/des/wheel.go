@@ -18,7 +18,11 @@ import (
 // to a 256-bit bitmap scan per non-empty bucket plus one sort per cursor
 // advance: everything that lands on the new tick, from the bottom-level
 // bucket and from cascading coarse buckets alike, is gathered into the
-// ready run and ordered once (O(n log n) worst case; see sortReady).
+// ready run in filing order and ordered once. Filing order is most of the
+// way to firing order — a phase-locked tie group arrives ascending, a
+// cascade as two ascending runs — so the sort is linear on what steady
+// forwarding gathers, near-linear on a few monotone runs, and O(n log n)
+// only on a disordered burst (see sortReady).
 //
 // Ordering is bit-for-bit the seed's: events fire in strict (at, prio,
 // seq) order — prio being the scheduling-time stamp (monotone in seq for
@@ -74,8 +78,9 @@ func (l *wheelLevel) push(idx int, ev *event) {
 	l.count++
 }
 
-// take empties bucket idx and returns its chain (LIFO insertion order).
-// The caller, which walks the chain anyway, decrements count per node.
+// take empties bucket idx and returns its chain, newest first: push files
+// at the head. The caller, which walks the chain anyway, decrements count
+// per node.
 func (l *wheelLevel) take(idx int) *event {
 	chain := l.bucket[idx]
 	l.bucket[idx] = nil
@@ -222,7 +227,10 @@ func (e *Engine) fill() bool {
 // gathers everything that fires on it into the ready run, which fill has
 // just emptied: coarse buckets cascade top-down — events on tick t go
 // straight to ready, later ones re-file one level finer — then the bottom-
-// level bucket follows, and the run is sorted once.
+// level bucket follows, and the run is sorted once. Each chain is walked
+// once, newest first, and both of its parts keep filing order: the events
+// it appends to ready are reversed in place, and those it re-files are
+// strung into a list oldest first and filed from that.
 func (e *Engine) advanceTo(t int64) {
 	e.curTick = t
 	for lvl := numLevels - 1; lvl >= 0; lvl-- {
@@ -230,6 +238,8 @@ func (e *Engine) advanceTo(t int64) {
 		if l.count == 0 {
 			continue
 		}
+		start := len(e.ready)
+		var later *event
 		for ev := l.take(int(t>>uint(levelBits*lvl)) & wheelMask); ev != nil; {
 			nxt := ev.next
 			l.count--
@@ -240,23 +250,33 @@ func (e *Engine) advanceTo(t int64) {
 				ev.next = nil
 				e.ready = append(e.ready, ev)
 			default:
-				e.insert(ev)
+				ev.next = later
+				later = ev
 			}
 			ev = nxt
 		}
+		slices.Reverse(e.ready[start:])
+		for ev := later; ev != nil; {
+			nxt := ev.next
+			e.insert(ev)
+			ev = nxt
+		}
 	}
-	sortReady(e.ready)
+	e.sortReady()
 }
 
-// sortReady orders a ready run by (at, prio, seq) without allocating; the
-// comparison is a strict total order because seq is unique. It is an
-// insertion sort on a budget of two shifts per event. Steady forwarding
-// files chains that are short or nearly ordered as they stand (LIFO), and
-// those finish within the budget at a compare or two per event. A chain
-// that exhausts it is long and disordered — a synchronized burst puts
-// thousands of events on one tick, where insertion sort is quadratic — and
-// goes to pdqsort: O(n log n) worst case, linear on a fully reversed chain.
-func sortReady(evs []*event) {
+// sortReady orders the ready run by (at, prio, seq); the comparison is a
+// strict total order because seq is unique, so every correct sort fires
+// the same sequence. It is an insertion sort on a budget of two shifts per
+// event: steady forwarding gathers runs that are short or nearly ordered
+// as filed, and those finish within the budget at a compare or two per
+// event. A run that exhausts it is long and out of order — a synchronized
+// burst puts thousands of events on one tick, where insertion sort is
+// quadratic — and mergeRuns finishes it. Nothing is allocated once the
+// ready run's capacity covers its longest run and half again: what the
+// merges stage lives in that spare capacity, which the run keeps.
+func (e *Engine) sortReady() {
+	evs := e.ready
 	budget := 2 * len(evs)
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
@@ -271,10 +291,141 @@ func sortReady(evs []*event) {
 		}
 		evs[j] = ev
 		if budget -= i - j; budget < 0 {
-			slices.SortFunc(evs, eventCmp)
+			e.mergeRuns(i + 1)
 			return
 		}
 	}
+}
+
+const (
+	// maxRuns is how many monotone runs mergeRuns will merge; their
+	// boundaries live in a fixed array on its stack.
+	maxRuns = 256
+	// minRunLen is the mean run length below which a ready run counts as
+	// too fragmented to merge.
+	minRunLen = 2
+)
+
+// mergeRuns sorts the ready run, whose prefix ready[:hi] ascends. One pass
+// splits it into maximal ascending runs, reversing descending ones in
+// place — a chain filed against its firing order is one descending run, a
+// cascade leaves two ascending ones back to back — and adjacent runs merge
+// pairwise until one is left, in n·log₂(runs) comparisons at most. More
+// than maxRuns runs, or runs shorter than minRunLen on average, are too
+// fragmented to merge: such a run goes to pdqsort (in place, O(n log n)
+// worst case) and counts in pdqRuns.
+func (e *Engine) mergeRuns(hi int) {
+	n := len(e.ready)
+	limit := max(1, min(maxRuns, n/minRunLen))
+	var ends [maxRuns + 1]int32 // run k is ready[ends[k]:ends[k+1]]
+	runs := 0
+	for i := 0; i < n; runs++ {
+		if runs == limit {
+			e.pdqRuns++
+			slices.SortFunc(e.ready, eventCmp)
+			return
+		}
+		i = runEnd(e.ready, i, max(hi, i+1))
+		ends[runs+1] = int32(i)
+	}
+	for runs > 1 {
+		w := 0
+		for k := 0; k+1 < runs; k += 2 {
+			e.merge(int(ends[k]), int(ends[k+1]), int(ends[k+2]))
+			w++
+			ends[w] = ends[k+2]
+		}
+		if runs%2 == 1 {
+			w++
+			ends[w] = ends[runs]
+		}
+		runs = w
+	}
+}
+
+// runEnd returns the end of the maximal monotone run of evs that starts at
+// lo and whose prefix evs[lo:hi] ascends, reversing the run if it descends.
+func runEnd(evs []*event, lo, hi int) int {
+	if hi == lo+1 && hi < len(evs) && eventLess(evs[hi], evs[lo]) {
+		for hi++; hi < len(evs) && eventLess(evs[hi], evs[hi-1]); hi++ {
+		}
+		slices.Reverse(evs[lo:hi])
+		return hi
+	}
+	for ; hi < len(evs) && eventLess(evs[hi-1], evs[hi]); hi++ {
+	}
+	return hi
+}
+
+// merge merges the ascending runs ready[lo:mid] and ready[mid:hi]. What is
+// already in place — the first run's events below the second's first, the
+// second's above the first's last — is found by binary search and left
+// alone. The shorter remainder is staged in the ready run's spare
+// capacity, which grows with the run when it is short.
+func (e *Engine) merge(lo, mid, hi int) {
+	evs := e.ready
+	if mid == hi || eventLess(evs[mid-1], evs[mid]) {
+		return
+	}
+	lo += after(evs[lo:mid], evs[mid])
+	hi = mid + after(evs[mid:hi], evs[mid-1])
+	if mid-lo <= hi-mid {
+		tmp := e.spare(mid - lo)
+		evs = e.ready
+		copy(tmp, evs[lo:mid])
+		i, j, k := 0, mid, lo
+		for ; i < len(tmp) && j < hi; k++ {
+			if eventLess(evs[j], tmp[i]) {
+				evs[k] = evs[j]
+				j++
+			} else {
+				evs[k] = tmp[i]
+				i++
+			}
+		}
+		copy(evs[k:], tmp[i:])
+		return
+	}
+	tmp := e.spare(hi - mid)
+	evs = e.ready
+	copy(tmp, evs[mid:hi])
+	i, j, k := len(tmp)-1, mid-1, hi-1
+	for ; i >= 0 && j >= lo; k-- {
+		if eventLess(tmp[i], evs[j]) {
+			evs[k] = evs[j]
+			j--
+		} else {
+			evs[k] = tmp[i]
+			i--
+		}
+	}
+	copy(evs[k-i:k+1], tmp[:i+1])
+}
+
+// after returns the index of the first event of the ascending run evs that
+// fires after ev, which is not in it.
+func after(evs []*event, ev *event) int {
+	lo, hi := 0, len(evs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eventLess(ev, evs[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// spare returns m slots of the ready run's spare capacity, growing the run
+// when it has fewer. They hold stale pointers after a merge, to records
+// the event pool keeps alive anyway.
+func (e *Engine) spare(m int) []*event {
+	n := len(e.ready)
+	if cap(e.ready)-n < m {
+		e.ready = slices.Grow(e.ready, m)
+	}
+	return e.ready[n : n+m : n+m]
 }
 
 // peek returns the next live event without consuming it, or nil.
