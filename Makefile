@@ -71,14 +71,17 @@ shards:
 # wheel's cursor-behind merge-insert, its ready-run sort (insertion budget,
 # run split and merges, pdqsort behind them) over one-tick chains and a
 # level-1 cascade, the cross-shard mailbox merge
-# against its (at, lamport, srcShard, seq) oracle, the overlay graft-point
+# against its (at, lamport, srcShard, seq) oracle, the churn schedule's
+# Fenwick pick and run merge against the host scan and stable sort they
+# replaced (FuzzChurnEvents: fuzzed populations, member sets and rates,
+# saturated groups among them), the overlay graft-point
 # selector (every strategy's pick against the per-candidate oracle of
 # oracle_test.go), the batch prune/repair path the fault plane drives, and
 # core.Restore on bytes it did not write (no panic, bounded allocation, and
 # a session it returns runs to its end).
-# 30 s per target — long enough to grow a corpus, short enough for a CI side job
-# (wired in as non-blocking; run longer locally when touching either
-# subsystem). FuzzRestore's inputs are ~32 KB blobs; left at its default the
+# Seven targets, 30 s each — long enough to grow a corpus, short enough
+# for a CI side job (wired in as non-blocking; run longer locally when
+# touching any of these subsystems). FuzzRestore's inputs are ~32 KB blobs; left at its default the
 # engine spends the whole budget minimizing each interesting one, so that
 # target minimizes for a single execution.
 FUZZTIME ?= 30s
@@ -86,6 +89,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWheelCursorBehind -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzReadyRunOrder -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzMailboxDrain -fuzztime $(FUZZTIME) ./internal/des
+	$(GO) test -run '^$$' -fuzz FuzzChurnEvents -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzGraftPoint -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core
@@ -168,10 +172,18 @@ pins:
 # compiled once per blueprint for its static sessions, a panic in a
 # compile pass must reach the caller, a cache-warm session must reproduce
 # the cold session's Result exactly, and a cold compile must stay within
-# its object budget: a constant per group, nothing per cluster or per
-# domain (each group's hierarchy runs in one buffer).
+# its object budget: a constant per group, nothing per cluster, per domain
+# or per router (each group's hierarchy runs in one buffer, the routing
+# tables are one slab each). The second leg holds each set-up pass to the
+# algorithm it replaced, kept as a test reference: the heap shortest-path
+# search, striped over workers, to the linear scan (every delay and next
+# hop, tied delays included); the RTT selection to the full comparator
+# sort, alone and inside the DSCT, NICE, flat and greedy builders; and the
+# churn schedule's Fenwick pick and run merge to the host scan and stable
+# sort.
 substrate:
 	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
+	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestNearestByRTTMatchesFullSort|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure the simplicity PRs report (ROADMAP aim 2).

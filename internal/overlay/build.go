@@ -84,9 +84,16 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		}
 		pos[net.Hosts[m].Router+1]++
 	}
+	// One RTT scratch serves every hierarchy: it holds the largest domain
+	// and the layer of local cores, one per populated domain.
+	widest, populated := 0, 0
 	for r := 0; r < routers; r++ {
+		if size := pos[r+1]; size > 0 {
+			widest, populated = max(widest, size), populated+1
+		}
 		pos[r+1] += pos[r] // pos[r]: where domain r starts
 	}
+	keys := make([]rttKey, max(widest, populated))
 	for _, m := range members {
 		r := net.Hosts[m].Router
 		byDomain[pos[r]] = m
@@ -101,10 +108,10 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		}
 		slices.Sort(domain)
 		domain = slices.Compact(domain)
-		byDomain[cores] = buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng)
+		byDomain[cores] = buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng, keys)
 		cores++
 	}
-	buildHierarchy(t, net, byDomain[:cores], source, cfg.K, cfg.SizeCap, rng)
+	buildHierarchy(t, net, byDomain[:cores], source, cfg.K, cfg.SizeCap, rng, keys)
 	return t, nil
 }
 
@@ -124,7 +131,7 @@ func BuildNICE(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 	t := newTree(source, members)
 	layer := append([]int(nil), members...)
 	rng.ShuffleInts(layer)
-	buildHierarchy(t, net, layer, source, cfg.K, cfg.SizeCap, rng)
+	buildHierarchy(t, net, layer, source, cfg.K, cfg.SizeCap, rng, make([]rttKey, len(layer)))
 	return t, nil
 }
 
@@ -173,15 +180,13 @@ func BuildFlat(net *topo.Network, members []int, source, fanout int) (*Tree, err
 			unattached = append(unattached, m)
 		}
 	}
+	keys := make([]rttKey, len(unattached))
 	queue := []int{source}
 	for len(queue) > 0 && len(unattached) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		sortByRTT(net, v, unattached)
-		take := fanout
-		if take > len(unattached) {
-			take = len(unattached)
-		}
+		take := min(fanout, len(unattached))
+		nearestByRTT(net, v, unattached, take, keys)
 		for _, c := range unattached[:take] {
 			t.setParent(c, v)
 			queue = append(queue, c)

@@ -17,17 +17,18 @@ import (
 // clusterWalk cuts one layer into proximity clusters in place. Each
 // cluster is seeded by the first member not yet assigned and completed
 // with its nearest unassigned neighbours by RTT: the pivot's neighbours
-// are sorted in place right behind it, so every cluster is a window of
+// are selected in place right behind it, so every cluster is a window of
 // the layer's own buffer. Sizes are drawn from [k, 3k−1], capped by
 // sizeCap, exactly as the DSCT paper specifies: when no more than the
 // maximum cluster size remains, the remainder forms the final cluster.
 type clusterWalk struct {
-	rest      []int // the members not yet assigned, in walk order
-	lo, limit int   // the cluster size range
+	rest      []int    // the members not yet assigned, in walk order
+	lo, limit int      // the cluster size range
+	keys      []rttKey // the tree build's RTT scratch, len(rest) or more
 }
 
-func newClusterWalk(layer []int, k, sizeCap int) clusterWalk {
-	w := clusterWalk{rest: layer, lo: k, limit: 3*k - 1}
+func newClusterWalk(layer []int, k, sizeCap int, keys []rttKey) clusterWalk {
+	w := clusterWalk{rest: layer, lo: k, limit: 3*k - 1, keys: keys}
 	if sizeCap >= 2 && sizeCap < w.limit {
 		w.limit = sizeCap
 		w.lo = min(w.lo, w.limit)
@@ -45,7 +46,9 @@ func (w *clusterWalk) next(net *topo.Network, rng *xrand.Rand) []int {
 	if size > w.limit {
 		size = rng.IntRange(w.lo, w.limit)
 	}
-	sortByRTT(net, w.rest[0], w.rest[1:])
+	// The size nearest to the pivot: the cluster's other members, and
+	// behind them, at w.rest[size], the next cluster's pivot.
+	nearestByRTT(net, w.rest[0], w.rest[1:], size, w.keys)
 	cluster := w.rest[:size:size]
 	w.rest = w.rest[size:]
 	return cluster
@@ -67,11 +70,12 @@ func pickCore(net *topo.Network, cluster []int, source int) int {
 // set, assigning parent edges into t, and returns the surviving top core.
 // It runs in layer's own buffer: each cluster's core is written back to
 // the front of the buffer, where the clusters already cut lay, and the
-// cores so written are the next layer.
-func buildHierarchy(t *Tree, net *topo.Network, layer []int, source int, k, sizeCap int, rng *xrand.Rand) int {
+// cores so written are the next layer. keys is the tree build's RTT
+// scratch and must hold len(layer).
+func buildHierarchy(t *Tree, net *topo.Network, layer []int, source int, k, sizeCap int, rng *xrand.Rand, keys []rttKey) int {
 	for len(layer) > 1 {
 		n := 0
-		for w := newClusterWalk(layer, k, sizeCap); ; n++ {
+		for w := newClusterWalk(layer, k, sizeCap, keys); ; n++ {
 			cluster := w.next(net, rng)
 			if cluster == nil {
 				break

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -8,6 +9,15 @@ import (
 	"repro/internal/topo"
 	"repro/internal/xrand"
 )
+
+// refSortByRTT is the comparator sort nearestByRTT replaced, kept as its
+// reference: every id ordered by round-trip time to the pivot, ties by id,
+// with two RTT evaluations per comparison.
+func refSortByRTT(net *topo.Network, pivot int, ids []int) {
+	slices.SortFunc(ids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(net.RTT(pivot, a), net.RTT(pivot, b)), cmp.Compare(a, b))
+	})
+}
 
 // refClusterize is the clone-based clustering the in-place walk replaced,
 // kept as its reference: it partitions a copy of ids into a list of
@@ -29,7 +39,7 @@ func refClusterize(net *topo.Network, ids []int, k, sizeCap int, rng *xrand.Rand
 		if size > limit {
 			size = rng.IntRange(lo, limit)
 		}
-		sortByRTT(net, unassigned[0], unassigned[1:])
+		refSortByRTT(net, unassigned[0], unassigned[1:])
 		clusters = append(clusters, unassigned[:size:size])
 		unassigned = unassigned[size:]
 	}
@@ -146,6 +156,111 @@ func TestHierarchyInPlaceMatchesReference(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// refFlat is the breadth-first flat build BuildFlat and greedy share, over
+// refSortByRTT: each host adopts budget(host) of the unattached members,
+// nearest first, after a full sort of all of them.
+func refFlat(net *topo.Network, members []int, source int, budget func(int) int) *Tree {
+	t := newTree(source, members)
+	var unattached []int
+	for _, m := range members {
+		if m != source {
+			unattached = append(unattached, m)
+		}
+	}
+	for queue := []int{source}; len(queue) > 0 && len(unattached) > 0; queue = queue[1:] {
+		refSortByRTT(net, queue[0], unattached)
+		take := min(budget(queue[0]), len(unattached))
+		for _, c := range unattached[:take] {
+			t.setParent(c, queue[0])
+			queue = append(queue, c)
+		}
+		unattached = unattached[take:]
+	}
+	return t
+}
+
+// TestFlatBuildsMatchReference: BuildFlat and the greedy strategy, which
+// select only each host's children, give every member the parent and
+// child order the full-sort reference gives — with uplink classes, so
+// greedy's budgets differ host to host, and on a wire underlay, where
+// every RTT ties and ids alone decide.
+func TestFlatBuildsMatchReference(t *testing.T) {
+	classes := []topo.UplinkClass{{Mult: 0.5, Weight: 1}, {Mult: 1, Weight: 2}, {Mult: 3, Weight: 1}}
+	nets := map[string]*topo.Network{
+		"waxman": topo.NewNetwork(topo.Waxman{N: 40}.Build(2), topo.NetworkConfig{NumHosts: 900, Seed: 2, UplinkClasses: classes}),
+		"wire":   topo.NewNetwork(topo.Wire{}.Build(0), topo.NetworkConfig{NumHosts: 300, Seed: 2}),
+	}
+	rng := xrand.New(8)
+	for name, net := range nets {
+		for trial := 0; trial < 6; trial++ {
+			members := rng.Perm(len(net.Hosts))[:2+rng.Intn(len(net.Hosts)-2)]
+			source := members[rng.Intn(len(members))]
+			fanout := 1 + rng.Intn(6)
+			t.Run(fmt.Sprintf("%s/%d", name, trial), func(t *testing.T) {
+				flat, err := BuildFlat(net, members, source, fanout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEdges(t, flat, refFlat(net, members, source, func(int) int { return fanout }))
+				greedy, err := MustStrategy("greedy").Build(net, members, source, Config{Fanout: fanout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEdges(t, greedy, refFlat(net, members, source, func(h int) int { return greedyBudget(net, h, fanout) }))
+			})
+		}
+	}
+}
+
+// TestNearestByRTTMatchesFullSort: for k of 0, 1, 2, all but one and all,
+// nearestByRTT puts at the front of ids the k ids a full comparator sort
+// puts there, in the same order, and keeps ids a permutation — on a
+// Waxman underlay, with the pivot among the ids, and on a wire underlay,
+// where every pair of hosts is the same RTT apart and ids alone decide.
+func TestNearestByRTTMatchesFullSort(t *testing.T) {
+	nets := map[string]*topo.Network{
+		"waxman": topo.NewNetwork(topo.Waxman{N: 30}.Build(4), topo.NetworkConfig{NumHosts: 500, Seed: 4}),
+		"wire":   topo.NewNetwork(topo.Wire{}.Build(0), topo.NetworkConfig{NumHosts: 200, Seed: 4}),
+	}
+	rng := xrand.New(31)
+	for name, net := range nets {
+		for trial := 0; trial < 20; trial++ {
+			ids := rng.Perm(len(net.Hosts))[:1+rng.Intn(120)]
+			pivot := ids[rng.Intn(len(ids))]
+			if trial%2 == 1 {
+				pivot = rng.Intn(len(net.Hosts)) // maybe not among the ids
+			}
+			want := slices.Clone(ids)
+			refSortByRTT(net, pivot, want)
+			keys := make([]rttKey, len(ids))
+			for _, k := range []int{0, 1, 2, len(ids) - 1, len(ids)} {
+				got := slices.Clone(ids)
+				nearestByRTT(net, pivot, got, k, keys)
+				if !slices.Equal(got[:k], want[:k]) {
+					t.Fatalf("%s trial %d, k=%d of %d: nearest %v, full sort %v", name, trial, k, len(ids), got[:k], want[:k])
+				}
+				slices.Sort(got)
+				if sorted := slices.Sorted(slices.Values(ids)); !slices.Equal(got, sorted) {
+					t.Fatalf("%s trial %d, k=%d: ids are no longer a permutation", name, trial, k)
+				}
+			}
+		}
+	}
+}
+
+// TestNearestByRTTAllocFree: with its scratch given, a selection allocates
+// nothing.
+func TestNearestByRTTAllocFree(t *testing.T) {
+	net := topo.NewNetwork(topo.Waxman{N: 30}.Build(4), topo.NetworkConfig{NumHosts: 500, Seed: 4})
+	ids := xrand.New(5).Perm(500)
+	keys := make([]rttKey, len(ids))
+	for _, k := range []int{0, 3, 8, 499, 500} {
+		if n := testing.AllocsPerRun(20, func() { nearestByRTT(net, ids[0], ids[1:], k, keys) }); n != 0 {
+			t.Errorf("k=%d: %v objects per selection", k, n)
 		}
 	}
 }

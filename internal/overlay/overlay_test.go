@@ -207,10 +207,10 @@ func TestDSCTDomainPartitionMatchesAttachmentWalk(t *testing.T) {
 				}
 			}
 			if len(domain) > 0 {
-				cores = append(cores, buildHierarchy(want, net, domain, source, cfg.K, cfg.SizeCap, wrng))
+				cores = append(cores, buildHierarchy(want, net, domain, source, cfg.K, cfg.SizeCap, wrng, make([]rttKey, len(domain))))
 			}
 		}
-		buildHierarchy(want, net, cores, source, cfg.K, cfg.SizeCap, wrng)
+		buildHierarchy(want, net, cores, source, cfg.K, cfg.SizeCap, wrng, make([]rttKey, len(cores)))
 
 		for _, m := range members {
 			if got.Parent(m) != want.Parent(m) {
@@ -437,7 +437,7 @@ func TestQuickClusterize(t *testing.T) {
 		if sizeCap >= 2 && sizeCap < limit {
 			limit = sizeCap
 		}
-		for w := newClusterWalk(layer, k, sizeCap); ; {
+		for w := newClusterWalk(layer, k, sizeCap, make([]rttKey, n)); ; {
 			c := w.next(net, rng)
 			if c == nil {
 				break

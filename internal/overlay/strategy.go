@@ -309,15 +309,13 @@ func (g greedyStrategy) Build(net *topo.Network, members []int, source int, cfg 
 			unattached = append(unattached, m)
 		}
 	}
+	keys := make([]rttKey, len(unattached))
 	queue := []int{source}
 	for len(queue) > 0 && len(unattached) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		sortByRTT(net, v, unattached)
-		take := greedyBudget(net, v, base)
-		if take > len(unattached) {
-			take = len(unattached)
-		}
+		take := min(greedyBudget(net, v, base), len(unattached))
+		nearestByRTT(net, v, unattached, take, keys)
 		for _, c := range unattached[:take] {
 			t.setParent(c, v)
 			queue = append(queue, c)

@@ -9,6 +9,8 @@ package scenario
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -126,6 +128,12 @@ const churnStream = 0xc4ceb9fe1a85ec53
 // (s.Groups(seed)); passing nil materialises it here. A scenario without
 // churn — or with full membership, which leaves no host to join — yields
 // nil.
+//
+// Each group's events are drawn into one chronological run of compact
+// steps: a join picks the idx-th non-member, ascending, from a Fenwick
+// tree over the hosts (one int32 buffer, reused by every group), and the
+// churned-in members' departures wait in a list kept latest first, also
+// reused. The runs are then merged by (At, group).
 func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.GroupSpec) []core.MembershipEvent {
 	if !s.Churn.Enabled() {
 		return nil
@@ -138,7 +146,10 @@ func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.
 	}
 	n := s.Hosts()
 	durSec := duration.Seconds()
-	var events []core.MembershipEvent
+	var steps []churnStep
+	runs := make([]int, 1, len(groups)+1) // runs[g]: where group g's run starts
+	free := make(nonMembers, n+1)
+	var pending []departure // latest first
 	for g := range groups {
 		rate := s.Churn.Rate
 		if s.Churn.TurnoverPerSec > 0 {
@@ -148,28 +159,18 @@ func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.
 			rate = s.Churn.PerGroupRates[g]
 		}
 		if rate <= 0 {
+			runs = append(runs, len(steps))
 			continue
 		}
 		rng := xrand.New(xrand.DeriveSeed(seed, g) ^ churnStream)
-		member := make([]bool, n)
-		count := 0
-		for _, m := range groups[g].Members {
-			member[m] = true
-			count++
-		}
-		// Pending departures of churned-in members, kept sorted by time.
-		type departure struct {
-			at   float64
-			host int
-		}
-		var pending []departure
+		free.reset(groups[g].Members)
+		count := len(groups[g].Members)
 		pop := func(until float64) {
-			for len(pending) > 0 && pending[0].at <= until {
-				d := pending[0]
-				pending = pending[1:]
-				events = append(events, core.MembershipEvent{
-					At: des.Seconds(d.at), Group: g, Host: d.host})
-				member[d.host] = false
+			for len(pending) > 0 && pending[len(pending)-1].at <= until {
+				d := pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+				steps = append(steps, churnStep{at: des.Seconds(d.at), host: d.host})
+				free.add(int(d.host), 1)
 				count--
 			}
 		}
@@ -180,38 +181,133 @@ func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.
 				break
 			}
 			pop(t)
-			free := n - count
-			if free == 0 {
+			if count == n {
 				continue // everyone is a member; the arrival is lost
 			}
 			// Uniform pick among current non-members.
-			idx := rng.Intn(free)
-			host := -1
-			for h := 0; h < n; h++ {
-				if !member[h] {
-					if idx == 0 {
-						host = h
-						break
-					}
-					idx--
-				}
-			}
-			events = append(events, core.MembershipEvent{
-				At: des.Seconds(t), Group: g, Host: host, Join: true})
-			member[host] = true
+			host := free.find(rng.Intn(n - count))
+			steps = append(steps, churnStep{at: des.Seconds(t), host: int32(host), join: true})
+			free.add(host, -1)
 			count++
 			leaveAt := t + s.Churn.drawLifetime(rng)
 			if leaveAt < durSec {
-				i := sort.Search(len(pending), func(i int) bool { return pending[i].at > leaveAt })
-				pending = append(pending, departure{})
-				copy(pending[i+1:], pending[i:])
-				pending[i] = departure{at: leaveAt, host: host}
+				// Behind every departure due no later: equal times leave
+				// in the order they were drawn.
+				i := sort.Search(len(pending), func(i int) bool { return pending[i].at <= leaveAt })
+				pending = slices.Insert(pending, i, departure{at: leaveAt, host: int32(host)})
 			}
 		}
 		pop(durSec)
+		runs = append(runs, len(steps))
 	}
-	// Merge the per-group schedules chronologically; the stable sort keeps
-	// group order on ties, so the merged schedule is deterministic.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	return mergeRuns(steps, runs)
+}
+
+// departure is a churned-in member's scheduled leave.
+type departure struct {
+	at   float64
+	host int32
+}
+
+// churnStep is one event of a group's run, half a core.MembershipEvent:
+// the group is the run's.
+type churnStep struct {
+	at   des.Time
+	host int32
+	join bool
+}
+
+// nonMembers is a Fenwick tree over the hosts of one group: host h is
+// position h+1, and entry i sums the non-member marks of positions
+// (i − i&−i, i]. Counts fit in an int32 (the host count does), which
+// halves the buffer.
+type nonMembers []int32
+
+// reset marks every host a non-member except members, in O(hosts).
+func (f nonMembers) reset(members []int) {
+	for i := range f {
+		f[i] = 1
+	}
+	f[0] = 0
+	for _, m := range members {
+		f[m+1] = 0
+	}
+	for i := 1; i < len(f); i++ {
+		if j := i + i&-i; j < len(f) {
+			f[j] += f[i]
+		}
+	}
+}
+
+// add changes host h's non-member mark by d.
+func (f nonMembers) add(h int, d int32) {
+	for i := h + 1; i < len(f); i += i & -i {
+		f[i] += d
+	}
+}
+
+// find returns the idx-th non-member (from 0) in ascending host order.
+func (f nonMembers) find(idx int) int {
+	pos, rest := 0, int32(idx)+1
+	for step := 1 << (bits.Len(uint(len(f)-1)) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(f) && f[next] < rest {
+			pos, rest = next, rest-f[next]
+		}
+	}
+	return pos
+}
+
+// mergeRuns merges the groups' chronological runs — group g's is
+// steps[runs[g]:runs[g+1]] — into one schedule ordered by (At, group):
+// what a stable sort by At of the runs laid end to end gives. A min-heap
+// holds each group with steps left at its next step.
+func mergeRuns(steps []churnStep, runs []int) []core.MembershipEvent {
+	if len(steps) == 0 {
+		return nil
+	}
+	type head struct {
+		at       des.Time
+		group    int
+		next, to int // the group's steps left: steps[next:to]
+	}
+	before := func(a, b head) bool { return a.at < b.at || a.at == b.at && a.group < b.group }
+	heads := make([]head, 0, len(runs)-1)
+	for g := range len(runs) - 1 {
+		if runs[g] < runs[g+1] {
+			heads = append(heads, head{steps[runs[g]].at, g, runs[g], runs[g+1]})
+		}
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heads) {
+				return
+			}
+			if r := c + 1; r < len(heads) && before(heads[r], heads[c]) {
+				c = r
+			}
+			if !before(heads[c], heads[i]) {
+				return
+			}
+			heads[i], heads[c] = heads[c], heads[i]
+			i = c
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	events := make([]core.MembershipEvent, 0, len(steps))
+	for len(heads) > 0 {
+		h := &heads[0]
+		st := steps[h.next]
+		events = append(events, core.MembershipEvent{At: st.at, Group: h.group, Host: int(st.host), Join: st.join})
+		if h.next++; h.next < h.to {
+			h.at = steps[h.next].at
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
 	return events
 }

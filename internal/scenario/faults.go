@@ -168,9 +168,9 @@ func sampleCohort(rng *xrand.Rand, candidates []int, k int) []int {
 // the traffic duration are dropped after every draw is made, so a shorter
 // run sees a strict prefix of the longer run's schedule. groups is the
 // materialised membership (s.Groups(seed)); passing nil materialises it
-// here. The topology is rebuilt exactly as the session builds it, so
-// router domains and bipartitions resolve to the same host sets the run
-// will use.
+// here. The hosts are attached to the topology exactly as the session
+// attaches them (topo.Domains, which skips the routes), so router domains
+// and bipartitions resolve to the same host sets the run will use.
 func (s Scenario) FaultEvents(seed uint64, duration des.Duration, groups []core.GroupSpec) ([]core.FaultEvent, error) {
 	if len(s.Faults) == 0 {
 		return nil, nil
@@ -182,15 +182,15 @@ func (s Scenario) FaultEvents(seed uint64, duration des.Duration, groups []core.
 	if err != nil {
 		return nil, err
 	}
-	net := topo.NewNetwork(gen.Build(seed), topo.NetworkConfig{
+	domains := topo.Domains(gen.Build(seed), topo.NetworkConfig{
 		NumHosts:      s.Hosts(),
 		Seed:          seed,
 		UplinkClasses: s.UplinkClasses(),
 	})
-	numRouters := net.Backbone.NumNodes()
+	numRouters := len(domains)
 	var populated []int // non-empty domains, ascending — the seeded outage pool
-	for r := 0; r < numRouters; r++ {
-		if len(net.HostsAtRouter(topo.NodeID(r))) > 0 {
+	for r, hosts := range domains {
+		if len(hosts) > 0 {
 			populated = append(populated, r)
 		}
 	}
@@ -219,7 +219,7 @@ func (s Scenario) FaultEvents(seed uint64, duration des.Duration, groups []core.
 			if r >= numRouters {
 				return nil, fmt.Errorf("scenario %s: domain_outage router %d outside [0,%d)", s.Name, r, numRouters)
 			}
-			hosts := append([]int(nil), net.HostsAtRouter(topo.NodeID(r))...)
+			hosts := append([]int(nil), domains[r]...)
 			if len(hosts) == 0 {
 				return nil, fmt.Errorf("scenario %s: domain_outage router %d has no hosts", s.Name, r)
 			}

@@ -11,6 +11,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -93,25 +94,49 @@ type Topology struct {
 	StubSize        int `json:"stub_size,omitempty"`
 }
 
-// Generator compiles the topology spec into its generator.
+// Generator compiles the topology spec into its generator. A count below
+// its family's minimum is an error here, not a panic in the generator; 0
+// takes the family default.
 func (t Topology) Generator() (topo.Generator, error) {
 	switch t.Kind {
 	case "", "backbone19":
 		return topo.Backbone19Generator{}, nil
 	case "waxman":
+		if err := atLeast("waxman nodes", t.Nodes, 2); err != nil {
+			return nil, err
+		}
 		return topo.Waxman{N: t.Nodes, Alpha: t.Alpha, Beta: t.Beta}, nil
 	case "transit-stub":
+		if err := cmp.Or(atLeast("transit-stub transits", t.Transits, 2),
+			atLeast("transit-stub stubs_per_transit", t.StubsPerTransit, 1),
+			atLeast("transit-stub stub_size", t.StubSize, 1)); err != nil {
+			return nil, err
+		}
 		return topo.TransitStub{Transits: t.Transits, StubsPerTransit: t.StubsPerTransit,
 			StubSize: t.StubSize}, nil
 	case "ring":
+		if err := atLeast("ring nodes", t.Nodes, 3); err != nil {
+			return nil, err
+		}
 		return topo.Ring{N: t.Nodes}, nil
 	case "star":
+		if err := atLeast("star nodes", t.Nodes, 2); err != nil {
+			return nil, err
+		}
 		return topo.Star{N: t.Nodes}, nil
 	case "wire":
 		return topo.Wire{}, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown topology kind %q", t.Kind)
 	}
+}
+
+// atLeast rejects a topology count set below least; 0 is unset.
+func atLeast(field string, n, least int) error {
+	if n != 0 && n < least {
+		return fmt.Errorf("scenario: topology %s is %d, below the minimum %d", field, n, least)
+	}
+	return nil
 }
 
 // Membership selects how hosts subscribe to groups.

@@ -256,3 +256,65 @@ func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
 		Register(Scenario{Name: "broken"})
 	}()
 }
+
+// TestTopologyBelowMinimumIsAnError: a router count below its family's
+// minimum — waxman under 2, ring under 3, star under 2, a transit-stub
+// dimension under its floor, any negative count — is refused by Parse
+// (Topology.Generator, through Validate) instead of passing it and
+// panicking in the generator when a session is built. Counts at the
+// minimum, and 0 (the family default), still build.
+func TestTopologyBelowMinimumIsAnError(t *testing.T) {
+	bad := []string{
+		`{"kind":"waxman","nodes":1}`,
+		`{"kind":"waxman","nodes":-4}`,
+		`{"kind":"ring","nodes":2}`,
+		`{"kind":"ring","nodes":1}`,
+		`{"kind":"ring","nodes":-1}`,
+		`{"kind":"star","nodes":1}`,
+		`{"kind":"star","nodes":-3}`,
+		`{"kind":"transit-stub","transits":1}`,
+		`{"kind":"transit-stub","transits":-2}`,
+		`{"kind":"transit-stub","stubs_per_transit":-1}`,
+		`{"kind":"transit-stub","stub_size":-1}`,
+	}
+	good := []string{
+		`{"kind":"waxman","nodes":2}`,
+		`{"kind":"waxman"}`,
+		`{"kind":"ring","nodes":3}`,
+		`{"kind":"star","nodes":2}`,
+		`{"kind":"transit-stub","transits":2,"stubs_per_transit":1,"stub_size":1}`,
+	}
+	spec := func(topology string) []byte {
+		return []byte(`{"name":"x","num_hosts":40,"topology":` + topology +
+			`,"duration_sec":0.2,"loads":[0.5],"combos":[{"scheme":"sigma-rho-lambda","tree":"dsct"}]}`)
+	}
+	// build runs a spec the way the CLI does — Parse, then a session of
+	// its first cell — and turns a panic on the way into a failure.
+	build := func(topology string) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: panicked: %v", topology, r)
+			}
+		}()
+		sc, err := Parse(spec(topology))
+		if err != nil {
+			return err
+		}
+		cfg, err := sc.SessionConfig(sc.Combos[0], sc.Loads[0], 1, core.UseSeed(1), 0, nil, nil)
+		if err != nil {
+			return err
+		}
+		core.NewSession(cfg)
+		return nil
+	}
+	for _, topology := range bad {
+		if err := build(topology); err == nil {
+			t.Errorf("%s: accepted", topology)
+		}
+	}
+	for _, topology := range good {
+		if err := build(topology); err != nil {
+			t.Errorf("%s: %v", topology, err)
+		}
+	}
+}

@@ -125,6 +125,19 @@ func (c *NetworkConfig) fillDefaults() {
 // drawn once from the seed, so some domains are denser than others, as in
 // real deployments). It panics if NumHosts <= 0.
 func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
+	net := attach(backbone, cfg)
+	net.Routes = backbone.AllPairs()
+	return net
+}
+
+// Domains returns the hosts NewNetwork attaches to each router, indexed
+// by router, each list ascending: the same draws, without the routes.
+func Domains(backbone *Graph, cfg NetworkConfig) [][]int {
+	return attach(backbone, cfg).byRouter
+}
+
+// attach is NewNetwork without the routes: every host drawn and attached.
+func attach(backbone *Graph, cfg NetworkConfig) *Network {
 	if cfg.NumHosts <= 0 {
 		panic("topo: NumHosts must be positive")
 	}
@@ -143,7 +156,6 @@ func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
 	}
 	net := &Network{
 		Backbone: backbone,
-		Routes:   backbone.AllPairs(),
 		Hosts:    make([]Host, cfg.NumHosts),
 		byRouter: make([][]int, n),
 	}

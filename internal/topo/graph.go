@@ -7,6 +7,8 @@ package topo
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/des"
 )
@@ -116,45 +118,98 @@ func (g *Graph) Connected() bool {
 
 const inf = des.Time(1) << 62
 
-// Dijkstra computes single-source shortest path delays from src. It returns
-// the delay to every node (infinite delays are reported as negative) and the
-// predecessor array for path extraction.
-func (g *Graph) Dijkstra(src NodeID) (dist []des.Duration, prev []NodeID) {
-	dist = make([]des.Duration, g.n)
-	prev = make([]NodeID, g.n)
-	visited := make([]bool, g.n)
+// search is one single-source shortest-path run's scratch, reused across
+// the sources of an AllPairs worker: the predecessor of every node and a
+// binary min-heap of (delay, node) entries.
+type search struct {
+	prev []NodeID
+	heap []reach
+}
+
+// reach is a heap entry: node v reached at delay d. Entries order by
+// (d, v), and a node improved after it was pushed leaves its old entry
+// behind to be skipped when popped.
+type reach struct {
+	d des.Duration
+	v NodeID
+}
+
+func (a reach) less(b reach) bool { return a.d < b.d || (a.d == b.d && a.v < b.v) }
+
+// run fills dist with the delays from src (-1 where unreachable), s.prev
+// with each node's predecessor, and first with the first hop out of src
+// toward each node (-1 at src and at unreachable nodes). Nodes settle
+// in (delay, id) order — the order a scan for the lowest-id nearest
+// unsettled node takes — so the predecessors, and with them the first
+// hops, are those of that scan. A node's first hop is its predecessor's,
+// carried forward as it settles: the predecessor settled before it.
+func (s *search) run(g *Graph, src NodeID, dist []des.Duration, first []NodeID) {
 	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
+		dist[i], s.prev[i], first[i] = inf, -1, -1
 	}
 	dist[src] = 0
-	// A flat-array priority queue: at the graph sizes used here (19-node
-	// backbone) a linear scan beats heap bookkeeping and has no allocation.
-	for {
-		best := NodeID(-1)
-		bestD := inf
-		for v := 0; v < g.n; v++ {
-			if !visited[v] && dist[v] < bestD {
-				best, bestD = NodeID(v), dist[v]
-			}
+	h := append(s.heap[:0], reach{0, src})
+	for len(h) > 0 {
+		top := h[0]
+		h = popReach(h)
+		if top.d > dist[top.v] {
+			continue // superseded by a shorter entry, already settled
 		}
-		if best < 0 {
-			break
+		if p := s.prev[top.v]; p == src {
+			first[top.v] = top.v
+		} else if p >= 0 {
+			first[top.v] = first[p]
 		}
-		visited[best] = true
-		for _, e := range g.adj[best] {
-			if nd := bestD + e.Delay; nd < dist[e.To] {
+		for _, e := range g.adj[top.v] {
+			if nd := top.d + e.Delay; nd < dist[e.To] {
 				dist[e.To] = nd
-				prev[e.To] = best
+				s.prev[e.To] = top.v
+				h = pushReach(h, reach{nd, e.To})
 			}
 		}
 	}
+	s.heap = h
 	for i := range dist {
 		if dist[i] == inf {
 			dist[i] = -1
 		}
 	}
-	return dist, prev
+}
+
+// pushReach adds r to the heap h.
+func pushReach(h []reach, r reach) []reach {
+	h = append(h, r)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+// popReach removes the heap's least entry, h[0].
+func popReach(h []reach) []reach {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= last {
+			break
+		}
+		if r := l + 1; r < last && h[r].less(h[l]) {
+			l = r
+		}
+		if !h[l].less(h[i]) {
+			break
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+	return h
 }
 
 // APSP holds all-pairs shortest path delays and next-hop tables.
@@ -163,29 +218,40 @@ type APSP struct {
 	next  [][]NodeID
 }
 
-// AllPairs runs Dijkstra from every node and assembles routing tables.
+// sourcesPerWorker is the fewest sources AllPairs hands one worker: a
+// graph of fewer than twice as many routers runs on the caller alone.
+const sourcesPerWorker = 32
+
+// AllPairs runs Dijkstra from every node and assembles routing tables:
+// each row of both tables is a window of one slab, and the sources are
+// striped over up to GOMAXPROCS workers, each with one search scratch.
+// Every source's run is independent of the others, so the tables do not
+// depend on the worker count.
 func (g *Graph) AllPairs() *APSP {
-	a := &APSP{
-		Delay: make([][]des.Duration, g.n),
-		next:  make([][]NodeID, g.n),
+	n := g.n
+	delay, next := make([]des.Duration, n*n), make([]NodeID, n*n)
+	a := &APSP{Delay: make([][]des.Duration, n), next: make([][]NodeID, n)}
+	for s := range n {
+		a.Delay[s] = delay[s*n : (s+1)*n : (s+1)*n]
+		a.next[s] = next[s*n : (s+1)*n : (s+1)*n]
 	}
-	for s := 0; s < g.n; s++ {
-		dist, prev := g.Dijkstra(NodeID(s))
-		a.Delay[s] = dist
-		a.next[s] = make([]NodeID, g.n)
-		for d := 0; d < g.n; d++ {
-			a.next[s][d] = -1
-			if d == s || dist[d] < 0 {
-				continue
-			}
-			// Walk back from d to find the first hop out of s.
-			v := NodeID(d)
-			for prev[v] != NodeID(s) {
-				v = prev[v]
-			}
-			a.next[s][d] = v
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/sourcesPerWorker))
+	stripe := func(w int) {
+		s := search{prev: make([]NodeID, n)}
+		for src := w; src < n; src += workers {
+			s.run(g, NodeID(src), a.Delay[src], a.next[src])
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(w)
+		}()
+	}
+	stripe(0)
+	wg.Wait()
 	return a
 }
 

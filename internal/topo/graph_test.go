@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,15 @@ func TestEdgesAreUndirected(t *testing.T) {
 	if g.Neighbors(1)[0].To != 0 {
 		t.Fatal("reverse edge missing")
 	}
+}
+
+// Dijkstra runs AllPairs' search from src alone: the delay to every node
+// (negative where unreachable) and each node's predecessor.
+func (g *Graph) Dijkstra(src NodeID) (dist []des.Duration, prev []NodeID) {
+	dist = make([]des.Duration, g.n)
+	s := search{prev: make([]NodeID, g.n)}
+	s.run(g, src, dist, make([]NodeID, g.n))
+	return dist, s.prev
 }
 
 func TestDijkstraLine(t *testing.T) {
@@ -231,5 +241,113 @@ func BenchmarkAllPairsBackbone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.AllPairs()
+	}
+}
+
+// refAllPairs is the all-pairs search AllPairs replaced, kept as its
+// reference: from every source, a linear scan settles the lowest-id
+// nearest unsettled node, and each destination's first hop is found by
+// walking its predecessors back to the source.
+func refAllPairs(g *Graph) (delay [][]des.Duration, next [][]NodeID) {
+	delay, next = make([][]des.Duration, g.n), make([][]NodeID, g.n)
+	for s := 0; s < g.n; s++ {
+		dist, prev, visited := make([]des.Duration, g.n), make([]NodeID, g.n), make([]bool, g.n)
+		for i := range dist {
+			dist[i], prev[i] = inf, -1
+		}
+		dist[s] = 0
+		for {
+			best, bestD := NodeID(-1), inf
+			for v := 0; v < g.n; v++ {
+				if !visited[v] && dist[v] < bestD {
+					best, bestD = NodeID(v), dist[v]
+				}
+			}
+			if best < 0 {
+				break
+			}
+			visited[best] = true
+			for _, e := range g.adj[best] {
+				if nd := bestD + e.Delay; nd < dist[e.To] {
+					dist[e.To], prev[e.To] = nd, best
+				}
+			}
+		}
+		next[s] = make([]NodeID, g.n)
+		for d := range dist {
+			next[s][d] = -1
+			if dist[d] == inf {
+				dist[d] = -1
+				continue
+			}
+			if d == s {
+				continue
+			}
+			v := NodeID(d)
+			for prev[v] != NodeID(s) {
+				v = prev[v]
+			}
+			next[s][d] = v
+		}
+		delay[s] = dist
+	}
+	return delay, next
+}
+
+// tiedGraph is a random graph whose link delays are 1, 2 or 3 ms, so many
+// destinations are reached by several shortest paths of equal delay and
+// the search's settle order decides which one routes. Some seeds leave it
+// disconnected.
+func tiedGraph(rng *xrand.Rand, n int) *Graph {
+	g := NewGraph(n)
+	for e := 0; e < 2*n; e++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a != b {
+			g.AddEdge(NodeID(a), NodeID(b), des.Duration(1+rng.Intn(3))*des.Millisecond)
+		}
+	}
+	return g
+}
+
+// TestAllPairsMatchesReference: the heap search, striped over workers,
+// gives every delay and every next hop the linear scan gives — on the
+// paper's backbone, on 128- and 256-router Waxman underlays (several
+// workers each where GOMAXPROCS allows), and on random graphs whose tied
+// delays make the tie order matter, some of them disconnected.
+func TestAllPairsMatchesReference(t *testing.T) {
+	graphs := map[string]*Graph{
+		"backbone19": Backbone19(),
+		"waxman-128": Waxman{N: 128}.Build(3),
+		"waxman-256": Waxman{N: 256}.Build(5),
+	}
+	rng := xrand.New(41)
+	for i := 0; i < 40; i++ {
+		graphs[fmt.Sprintf("tied-%d", i)] = tiedGraph(rng, 2+rng.Intn(90))
+	}
+	for name, g := range graphs {
+		a := g.AllPairs()
+		delay, next := refAllPairs(g)
+		for s := range delay {
+			for d := range delay[s] {
+				if a.Delay[s][d] != delay[s][d] || a.next[s][d] != next[s][d] {
+					t.Fatalf("%s: %d→%d: delay %v next %d, reference %v next %d",
+						name, s, d, a.Delay[s][d], a.next[s][d], delay[s][d], next[s][d])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAllPairsWaxman times AllPairs on the Waxman underlays of the
+// 10k- and 100k-host builtins.
+func BenchmarkAllPairsWaxman(b *testing.B) {
+	for _, n := range []int{128, 256} {
+		g := Waxman{N: n}.Build(1)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.AllPairs()
+			}
+		})
 	}
 }
