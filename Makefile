@@ -74,12 +74,14 @@ shards:
 # against its (at, lamport, srcShard, seq) oracle, the churn schedule's
 # Fenwick pick and run merge against the host scan and stable sort they
 # replaced (FuzzChurnEvents: fuzzed populations, member sets and rates,
-# saturated groups among them), the overlay graft-point
+# saturated groups among them), the tree builders' RTT index against the
+# full comparator sort (FuzzRTTIndex: fuzzed routers, some cut off, tied
+# access delays and take sizes), the overlay graft-point
 # selector (every strategy's pick against the per-candidate oracle of
 # oracle_test.go), the batch prune/repair path the fault plane drives, and
 # core.Restore on bytes it did not write (no panic, bounded allocation, and
 # a session it returns runs to its end).
-# Seven targets, 30 s each — long enough to grow a corpus, short enough
+# Eight targets, 30 s each — long enough to grow a corpus, short enough
 # for a CI side job (wired in as non-blocking; run longer locally when
 # touching any of these subsystems). FuzzRestore's inputs are ~32 KB blobs; left at its default the
 # engine spends the whole budget minimizing each interesting one, so that
@@ -90,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadyRunOrder -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzMailboxDrain -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzChurnEvents -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzRTTIndex -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzGraftPoint -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core
@@ -177,13 +180,13 @@ pins:
 # tables are one slab each). The second leg holds each set-up pass to the
 # algorithm it replaced, kept as a test reference: the heap shortest-path
 # search, striped over workers, to the linear scan (every delay and next
-# hop, tied delays included); the RTT selection to the full comparator
-# sort, alone and inside the DSCT, NICE, flat and greedy builders; and the
+# hop, tied delays included); the RTT index to the full comparator sort,
+# alone and inside the DSCT, NICE, flat and greedy builders; and the
 # churn schedule's Fenwick pick and run merge to the host scan and stable
 # sort.
 substrate:
 	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
-	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestNearestByRTTMatchesFullSort|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
+	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestRTTIndexMatchesFullSort|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure the simplicity PRs report (ROADMAP aim 2).

@@ -372,10 +372,10 @@ func TestMuxEndsAreConnections(t *testing.T) {
 // may allocate, on one runner: at most 12 objects per group and 800
 // besides — nothing per cluster, nothing per domain and nothing per
 // router. A group's hierarchy runs in one buffer its builder owns: each
-// cluster is a window of it selected in place, with one RTT scratch for
-// the whole build, and each cluster's core is written back to its front
-// as the next layer. A group's tree, member set, RTT scratch and child
-// windows are the objects per group; the network — graph, hosts, and
+// cluster is a window of it selected in place, with one RTT index
+// scratch for the whole build, and each cluster's core is written back to
+// its front as the next layer. A group's tree, member set, RTT index
+// scratch and child windows are the objects per group; the network — graph, hosts, and
 // shortest paths whose delay and next-hop tables are one slab each — is
 // most of the rest. Unlike the run budgets this one holds under the race
 // detector too (make substrate runs it there), whose instrumentation adds
@@ -388,7 +388,9 @@ func TestMuxEndsAreConnections(t *testing.T) {
 // cores a domain at a time. The budget was 1,300 besides then; it fell to
 // 800 (1,430 objects, 1,490 under the race detector) when the shortest
 // paths stopped making a distance, predecessor, visited and next-hop row
-// per source — four objects per router, 128 routers here.
+// per source — four objects per router, 128 routers here. The RTT index
+// that replaced the key scratch is one object per build, as the scratch
+// was, so the count stayed 1,430.
 func TestBlueprintCompileAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := allocFixtures(t)["waxman-zipf-64-quick"]

@@ -128,6 +128,25 @@ func TestSessionEmptyMemberSetMeansEveryone(t *testing.T) {
 	}
 }
 
+// A group that lists a member twice is refused with the tree builder's
+// error, which names the member, under either cluster strategy — where
+// the build used to fail on an internal "assigned two parents" check.
+func TestSessionDuplicateMemberIsNamed(t *testing.T) {
+	for _, strategy := range []string{"dsct", "nice"} {
+		cfg := Config{NumHosts: 30, Mix: traffic.MixAudio, Load: 0.7, Scheme: SchemeSigmaRho,
+			Duration: des.Second, Seed: 2, Strategy: strategy,
+			Groups: []GroupSpec{{Source: 0, Members: append(rangeInts(0, 9), 3)}}}
+		func() {
+			defer func() {
+				if err, _ := recover().(error); err == nil || err.Error() != "overlay: duplicate member 3" {
+					t.Errorf("%s: NewSession failed with %v, want the error %q", strategy, err, "overlay: duplicate member 3")
+				}
+			}()
+			NewSession(cfg)
+		}()
+	}
+}
+
 func TestSessionManyGroupsImplicit(t *testing.T) {
 	res := Run(Config{NumHosts: 30, Mix: traffic.MixHetero, Load: 0.6,
 		Scheme: SchemeSRL, Duration: 2 * des.Second, Seed: 4, NumGroups: 7})

@@ -54,9 +54,10 @@ func (c *Config) fillDefaults() error {
 // backbone router), each domain builds an intra-cluster hierarchy bottom-
 // up, and the surviving local cores build the inter-cluster hierarchy.
 // The delivery tree is rooted at the multicast source (the source wins
-// core election in every cluster containing it). A bad member set or
-// cluster configuration is reported as an error, not a panic, so scenario
-// sweeps can surface the offending spec instead of crashing mid-run.
+// core election in every cluster containing it). A bad member set (a
+// host listed twice, say) or cluster configuration is reported as an
+// error, not a panic, so scenario sweeps can surface the offending spec
+// instead of crashing mid-run.
 func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -65,16 +66,19 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed ^ 0x5851f42d4c957f2d)
-	t := newTree(source, members)
+	t, err := newTree(source, members)
+	if err != nil {
+		return nil, err
+	}
 	// Local domains in deterministic router order, preserving attachment
 	// order within a domain: a counting sort of the members by router,
 	// O(members + routers) per group whatever the host population, then
 	// each domain back into ascending host id, the order topo.NewNetwork
-	// attaches hosts in (duplicates dropped). The whole hierarchy runs in
-	// the one buffer the sort fills: each domain's hierarchy in its own
-	// window, its top core written back to the buffer's front, where the
-	// domains before it lay, and the local cores so written are the
-	// inter-cluster hierarchy's bottom layer.
+	// attaches hosts in. The whole hierarchy runs in the one buffer the
+	// sort fills: each domain's hierarchy in its own window, its top core
+	// written back to the buffer's front, where the domains before it lay,
+	// and the local cores so written are the inter-cluster hierarchy's
+	// bottom layer.
 	routers := net.Backbone.NumNodes()
 	buf := make([]int, len(members)+routers+1)
 	byDomain, pos := buf[:len(members)], buf[len(members):]
@@ -84,8 +88,9 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		}
 		pos[net.Hosts[m].Router+1]++
 	}
-	// One RTT scratch serves every hierarchy: it holds the largest domain
-	// and the layer of local cores, one per populated domain.
+	// One RTT index serves every hierarchy: it holds the largest domain,
+	// all on one router, or the layer of local cores, one per populated
+	// domain and so each on a router of its own.
 	widest, populated := 0, 0
 	for r := 0; r < routers; r++ {
 		if size := pos[r+1]; size > 0 {
@@ -93,7 +98,7 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		}
 		pos[r+1] += pos[r] // pos[r]: where domain r starts
 	}
-	keys := make([]rttKey, max(widest, populated))
+	idx := newRTTIndex(net, max(widest+1, 2*populated))
 	for _, m := range members {
 		r := net.Hosts[m].Router
 		byDomain[pos[r]] = m
@@ -107,11 +112,10 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 			continue
 		}
 		slices.Sort(domain)
-		domain = slices.Compact(domain)
-		byDomain[cores] = buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng, keys)
+		byDomain[cores] = buildHierarchy(t, net, domain, source, cfg.K, cfg.SizeCap, rng, &idx)
 		cores++
 	}
-	buildHierarchy(t, net, byDomain[:cores], source, cfg.K, cfg.SizeCap, rng, keys)
+	buildHierarchy(t, net, byDomain[:cores], source, cfg.K, cfg.SizeCap, rng, &idx)
 	return t, nil
 }
 
@@ -119,7 +123,8 @@ func BuildDSCT(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 // clustering as DSCT but location-blind — no domain partition, and the
 // bottom layer is visited in seeded random order, so low-layer clusters
 // freely span backbone domains. Cluster sizes and leader election follow
-// the NICE rules ([k, 3k−1], RTT centre).
+// the NICE rules ([k, 3k−1], RTT centre). A member listed twice is an
+// error.
 func BuildNICE(net *topo.Network, members []int, source int, cfg Config) (*Tree, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -128,10 +133,14 @@ func BuildNICE(net *topo.Network, members []int, source int, cfg Config) (*Tree,
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	t := newTree(source, members)
+	t, err := newTree(source, members)
+	if err != nil {
+		return nil, err
+	}
 	layer := append([]int(nil), members...)
 	rng.ShuffleInts(layer)
-	buildHierarchy(t, net, layer, source, cfg.K, cfg.SizeCap, rng, make([]rttKey, len(layer)))
+	idx := newRTTIndex(net, len(layer)+min(len(layer), net.Backbone.NumNodes()))
+	buildHierarchy(t, net, layer, source, cfg.K, cfg.SizeCap, rng, &idx)
 	return t, nil
 }
 
@@ -165,7 +174,7 @@ func FanoutBound(load, factor float64) int {
 // flavour); BuildFlatBlind is its location-blind NICE counterpart. Unlike
 // a cluster-size cap on the hierarchy builders, the flat builder bounds
 // each host's *total* fanout, which is what the capacity budget
-// ⌊C_out/Σρᵢ⌋ actually constrains.
+// ⌊C_out/Σρᵢ⌋ actually constrains. A member listed twice is an error.
 func BuildFlat(net *topo.Network, members []int, source, fanout int) (*Tree, error) {
 	if err := checkMembership(members, source); err != nil {
 		return nil, err
@@ -173,32 +182,44 @@ func BuildFlat(net *topo.Network, members []int, source, fanout int) (*Tree, err
 	if fanout < 1 {
 		return nil, fmt.Errorf("overlay: fanout must be >= 1, got %d", fanout)
 	}
-	t := newTree(source, members)
-	unattached := make([]int, 0, len(members)-1)
-	for _, m := range members {
-		if m != source {
-			unattached = append(unattached, m)
-		}
+	t, err := newTree(source, members)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]rttKey, len(unattached))
-	queue := []int{source}
-	for len(queue) > 0 && len(unattached) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		take := min(fanout, len(unattached))
-		nearestByRTT(net, v, unattached, take, keys)
-		for _, c := range unattached[:take] {
-			t.setParent(c, v)
-			queue = append(queue, c)
-		}
-		unattached = unattached[take:]
-	}
+	adoptNearest(t, net, func(int) int { return fanout })
 	return t, nil
+}
+
+// adoptNearest grows t breadth-first from its source: each host, in the
+// order it was adopted, adopts the budget(host) unattached members nearest
+// it by RTT (ties by id), nearest first, until none is left or no adopted
+// host is left to adopt. It returns how many members stayed unattached.
+func adoptNearest(t *Tree, net *topo.Network, budget func(int) int) int {
+	n := len(t.Members)
+	idx := newRTTIndex(net, n+min(n, net.Backbone.NumNodes()))
+	idx.load(t.Members)
+	idx.remove(t.Source)
+	// The adoption order is the breadth-first queue: order[:adopted] are
+	// attached, and order[next] adopts next.
+	order := make([]int, n)
+	order[0] = t.Source
+	adopted := 1
+	for next := 0; next < adopted && adopted < n; next++ {
+		v := order[next]
+		kids := order[adopted : adopted+min(budget(v), n-adopted)]
+		idx.take(v, kids)
+		for _, c := range kids {
+			t.setParent(c, v)
+		}
+		adopted += len(kids)
+	}
+	return n - adopted
 }
 
 // BuildFlatBlind is BuildFlat without locality: children are adopted in a
 // seeded random order instead of nearest-by-RTT, so overlay hops freely
-// span backbone domains — the capacity-aware NICE comparator.
+// span backbone domains — the capacity-aware NICE comparator. A member
+// listed twice is an error.
 func BuildFlatBlind(net *topo.Network, members []int, source, fanout int, seed uint64) (*Tree, error) {
 	if err := checkMembership(members, source); err != nil {
 		return nil, err
@@ -207,7 +228,10 @@ func BuildFlatBlind(net *topo.Network, members []int, source, fanout int, seed u
 		return nil, fmt.Errorf("overlay: fanout must be >= 1, got %d", fanout)
 	}
 	rng := xrand.New(seed ^ 0xa24baed4963ee407)
-	t := newTree(source, members)
+	t, err := newTree(source, members)
+	if err != nil {
+		return nil, err
+	}
 	unattached := make([]int, 0, len(members)-1)
 	for _, m := range members {
 		if m != source {

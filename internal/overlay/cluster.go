@@ -16,41 +16,48 @@ import (
 
 // clusterWalk cuts one layer into proximity clusters in place. Each
 // cluster is seeded by the first member not yet assigned and completed
-// with its nearest unassigned neighbours by RTT: the pivot's neighbours
-// are selected in place right behind it, so every cluster is a window of
-// the layer's own buffer. Sizes are drawn from [k, 3k−1], capped by
+// with its nearest unassigned neighbours by RTT, which the layer's RTT
+// index selects and writes right behind it, so every cluster is a window
+// of the layer's own buffer. Sizes are drawn from [k, 3k−1], capped by
 // sizeCap, exactly as the DSCT paper specifies: when no more than the
 // maximum cluster size remains, the remainder forms the final cluster.
 type clusterWalk struct {
-	rest      []int    // the members not yet assigned, in walk order
-	lo, limit int      // the cluster size range
-	keys      []rttKey // the tree build's RTT scratch, len(rest) or more
+	layer     []int // the layer: the clusters cut, then the next pivot
+	cut       int   // the members assigned so far
+	lo, limit int   // the cluster size range
+	idx       *rttIndex
 }
 
-func newClusterWalk(layer []int, k, sizeCap int, keys []rttKey) clusterWalk {
-	w := clusterWalk{rest: layer, lo: k, limit: 3*k - 1, keys: keys}
+// newClusterWalk loads layer into idx, the tree build's RTT index, and
+// takes out the first pivot, layer[0].
+func newClusterWalk(layer []int, k, sizeCap int, idx *rttIndex) clusterWalk {
+	w := clusterWalk{layer: layer, lo: k, limit: 3*k - 1, idx: idx}
 	if sizeCap >= 2 && sizeCap < w.limit {
 		w.limit = sizeCap
 		w.lo = min(w.lo, w.limit)
 	}
+	idx.load(layer)
+	idx.remove(layer[0])
 	return w
 }
 
 // next cuts the next cluster off the front of the walk, or returns nil
 // when every member is assigned.
-func (w *clusterWalk) next(net *topo.Network, rng *xrand.Rand) []int {
-	if len(w.rest) == 0 {
+func (w *clusterWalk) next(rng *xrand.Rand) []int {
+	left := len(w.layer) - w.cut
+	if left == 0 {
 		return nil
 	}
-	size := len(w.rest)
+	size := left
 	if size > w.limit {
 		size = rng.IntRange(w.lo, w.limit)
 	}
-	// The size nearest to the pivot: the cluster's other members, and
-	// behind them, at w.rest[size], the next cluster's pivot.
-	nearestByRTT(net, w.rest[0], w.rest[1:], size, w.keys)
-	cluster := w.rest[:size:size]
-	w.rest = w.rest[size:]
+	// The size members nearest the pivot: the cluster's other members,
+	// and behind them, at w.layer[end], the next cluster's pivot.
+	end := w.cut + size
+	w.idx.take(w.layer[w.cut], w.layer[w.cut+1:min(end+1, len(w.layer))])
+	cluster := w.layer[w.cut:end:end]
+	w.cut = end
 	return cluster
 }
 
@@ -70,13 +77,13 @@ func pickCore(net *topo.Network, cluster []int, source int) int {
 // set, assigning parent edges into t, and returns the surviving top core.
 // It runs in layer's own buffer: each cluster's core is written back to
 // the front of the buffer, where the clusters already cut lay, and the
-// cores so written are the next layer. keys is the tree build's RTT
-// scratch and must hold len(layer).
-func buildHierarchy(t *Tree, net *topo.Network, layer []int, source int, k, sizeCap int, rng *xrand.Rand, keys []rttKey) int {
+// cores so written are the next layer. idx is the tree build's RTT index
+// and must hold len(layer) members.
+func buildHierarchy(t *Tree, net *topo.Network, layer []int, source int, k, sizeCap int, rng *xrand.Rand, idx *rttIndex) int {
 	for len(layer) > 1 {
 		n := 0
-		for w := newClusterWalk(layer, k, sizeCap, keys); ; n++ {
-			cluster := w.next(net, rng)
+		for w := newClusterWalk(layer, k, sizeCap, idx); ; n++ {
+			cluster := w.next(rng)
 			if cluster == nil {
 				break
 			}

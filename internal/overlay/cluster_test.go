@@ -10,7 +10,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// refSortByRTT is the comparator sort nearestByRTT replaced, kept as its
+// refSortByRTT is the comparator sort the RTT index replaced, kept as its
 // reference: every id ordered by round-trip time to the pivot, ties by id,
 // with two RTT evaluations per comparison.
 func refSortByRTT(net *topo.Network, pivot int, ids []int) {
@@ -73,7 +73,7 @@ func refDSCT(net *topo.Network, members []int, source int, cfg Config) *Tree {
 		panic(err)
 	}
 	rng := xrand.New(cfg.Seed ^ 0x5851f42d4c957f2d)
-	t := newTree(source, members)
+	t := mustTree(source, members)
 	var cores []int
 	for r := 0; r < net.Backbone.NumNodes(); r++ {
 		var domain []int
@@ -96,7 +96,7 @@ func refNICE(net *topo.Network, members []int, source int, cfg Config) *Tree {
 		panic(err)
 	}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	t := newTree(source, members)
+	t := mustTree(source, members)
 	layer := slices.Clone(members)
 	rng.ShuffleInts(layer)
 	refHierarchy(t, net, layer, source, cfg.K, cfg.SizeCap, rng)
@@ -124,8 +124,8 @@ func sameEdges(t *testing.T, got, want *Tree) {
 // a group's whole hierarchy in one buffer, give every member the parent
 // edge and child order the clone-based reference gives — for K = 2, 3, 4,
 // with and without a cluster size cap, on member sets whose domains hold
-// one host, two, or many — and, for DSCT, which drops duplicates, on a
-// member list that repeats hosts.
+// one host, two, or many — and both refuse a member list that repeats
+// hosts.
 func TestHierarchyInPlaceMatchesReference(t *testing.T) {
 	net := topo.NewNetwork(topo.Waxman{N: 40}.Build(6), topo.NetworkConfig{NumHosts: 1200, Seed: 6})
 	rng := xrand.New(23)
@@ -150,21 +150,43 @@ func TestHierarchyInPlaceMatchesReference(t *testing.T) {
 				source := members[rng.Intn(len(members))]
 				cfg := Config{K: k, SizeCap: sizeCap, Seed: rng.Uint64()}
 				t.Run(fmt.Sprintf("%s/K=%d/cap=%d", name, k, sizeCap), func(t *testing.T) {
-					sameEdges(t, mustDSCT(t, net, members, source, cfg), refDSCT(net, members, source, cfg))
-					if name != "repeats" { // NICE takes a member list without duplicates
-						sameEdges(t, mustNICE(t, net, members, source, cfg), refNICE(net, members, source, cfg))
+					if name == "repeats" {
+						want := fmt.Sprintf("overlay: duplicate member %d", firstRepeat(t, members))
+						if _, err := BuildDSCT(net, members, source, cfg); err == nil || err.Error() != want {
+							t.Fatalf("dsct: error %v, want %q", err, want)
+						}
+						if _, err := BuildNICE(net, members, source, cfg); err == nil || err.Error() != want {
+							t.Fatalf("nice: error %v, want %q", err, want)
+						}
+						return
 					}
+					sameEdges(t, mustDSCT(t, net, members, source, cfg), refDSCT(net, members, source, cfg))
+					sameEdges(t, mustNICE(t, net, members, source, cfg), refNICE(net, members, source, cfg))
 				})
 			}
 		}
 	}
 }
 
+// firstRepeat returns the first member of members listed a second time.
+func firstRepeat(t *testing.T, members []int) int {
+	t.Helper()
+	seen := make(map[int]bool)
+	for _, m := range members {
+		if seen[m] {
+			return m
+		}
+		seen[m] = true
+	}
+	t.Fatal("no member repeats")
+	return -1
+}
+
 // refFlat is the breadth-first flat build BuildFlat and greedy share, over
 // refSortByRTT: each host adopts budget(host) of the unattached members,
 // nearest first, after a full sort of all of them.
 func refFlat(net *topo.Network, members []int, source int, budget func(int) int) *Tree {
-	t := newTree(source, members)
+	t := mustTree(source, members)
 	var unattached []int
 	for _, m := range members {
 		if m != source {
@@ -212,55 +234,6 @@ func TestFlatBuildsMatchReference(t *testing.T) {
 				}
 				sameEdges(t, greedy, refFlat(net, members, source, func(h int) int { return greedyBudget(net, h, fanout) }))
 			})
-		}
-	}
-}
-
-// TestNearestByRTTMatchesFullSort: for k of 0, 1, 2, all but one and all,
-// nearestByRTT puts at the front of ids the k ids a full comparator sort
-// puts there, in the same order, and keeps ids a permutation — on a
-// Waxman underlay, with the pivot among the ids, and on a wire underlay,
-// where every pair of hosts is the same RTT apart and ids alone decide.
-func TestNearestByRTTMatchesFullSort(t *testing.T) {
-	nets := map[string]*topo.Network{
-		"waxman": topo.NewNetwork(topo.Waxman{N: 30}.Build(4), topo.NetworkConfig{NumHosts: 500, Seed: 4}),
-		"wire":   topo.NewNetwork(topo.Wire{}.Build(0), topo.NetworkConfig{NumHosts: 200, Seed: 4}),
-	}
-	rng := xrand.New(31)
-	for name, net := range nets {
-		for trial := 0; trial < 20; trial++ {
-			ids := rng.Perm(len(net.Hosts))[:1+rng.Intn(120)]
-			pivot := ids[rng.Intn(len(ids))]
-			if trial%2 == 1 {
-				pivot = rng.Intn(len(net.Hosts)) // maybe not among the ids
-			}
-			want := slices.Clone(ids)
-			refSortByRTT(net, pivot, want)
-			keys := make([]rttKey, len(ids))
-			for _, k := range []int{0, 1, 2, len(ids) - 1, len(ids)} {
-				got := slices.Clone(ids)
-				nearestByRTT(net, pivot, got, k, keys)
-				if !slices.Equal(got[:k], want[:k]) {
-					t.Fatalf("%s trial %d, k=%d of %d: nearest %v, full sort %v", name, trial, k, len(ids), got[:k], want[:k])
-				}
-				slices.Sort(got)
-				if sorted := slices.Sorted(slices.Values(ids)); !slices.Equal(got, sorted) {
-					t.Fatalf("%s trial %d, k=%d: ids are no longer a permutation", name, trial, k)
-				}
-			}
-		}
-	}
-}
-
-// TestNearestByRTTAllocFree: with its scratch given, a selection allocates
-// nothing.
-func TestNearestByRTTAllocFree(t *testing.T) {
-	net := topo.NewNetwork(topo.Waxman{N: 30}.Build(4), topo.NetworkConfig{NumHosts: 500, Seed: 4})
-	ids := xrand.New(5).Perm(500)
-	keys := make([]rttKey, len(ids))
-	for _, k := range []int{0, 3, 8, 499, 500} {
-		if n := testing.AllocsPerRun(20, func() { nearestByRTT(net, ids[0], ids[1:], k, keys) }); n != 0 {
-			t.Errorf("k=%d: %v objects per selection", k, n)
 		}
 	}
 }

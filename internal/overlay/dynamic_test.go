@@ -184,7 +184,7 @@ func TestGraftPointPrefersNearAndRespectsBounds(t *testing.T) {
 }
 
 func TestSubtreeHeight(t *testing.T) {
-	tr := newTree(0, []int{0, 1, 2, 3})
+	tr := mustTree(0, []int{0, 1, 2, 3})
 	tr.setParent(1, 0)
 	tr.setParent(2, 1)
 	tr.setParent(3, 2)

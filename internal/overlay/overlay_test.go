@@ -39,6 +39,14 @@ func isMember(t *Tree, h int) bool {
 	return ok
 }
 
+func mustTree(source int, members []int) *Tree {
+	t, err := newTree(source, members)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func mustDSCT(t testing.TB, net *topo.Network, members []int, source int, cfg Config) *Tree {
 	t.Helper()
 	tr, err := BuildDSCT(net, members, source, cfg)
@@ -182,18 +190,17 @@ func TestSubsetMembership(t *testing.T) {
 // BuildDSCT partitions members into local domains by counting sort; the
 // trees must equal the definition it replaced — walk every router's
 // attached hosts in attachment order and keep the members — whatever order
-// the member list arrives in, duplicates included.
+// the member list arrives in.
 func TestDSCTDomainPartitionMatchesAttachmentWalk(t *testing.T) {
 	net := topo.NewNetwork(topo.Waxman{N: 32}.Build(4), topo.NetworkConfig{NumHosts: 3000, Seed: 4})
 	rng := xrand.New(11)
 	for trial := 0; trial < 8; trial++ {
 		members := rng.Perm(3000)[:50+rng.Intn(1500)]
-		members = append(members, members[3], members[0]) // duplicates
 		source := members[rng.Intn(len(members))]
 		cfg := Config{Seed: uint64(trial)}
 		got := mustDSCT(t, net, members, source, cfg)
 
-		want := newTree(source, members)
+		want := mustTree(source, members)
 		if err := cfg.fillDefaults(); err != nil {
 			t.Fatal(err)
 		}
@@ -207,10 +214,12 @@ func TestDSCTDomainPartitionMatchesAttachmentWalk(t *testing.T) {
 				}
 			}
 			if len(domain) > 0 {
-				cores = append(cores, buildHierarchy(want, net, domain, source, cfg.K, cfg.SizeCap, wrng, make([]rttKey, len(domain))))
+				idx := newRTTIndex(net, len(domain)+1)
+				cores = append(cores, buildHierarchy(want, net, domain, source, cfg.K, cfg.SizeCap, wrng, &idx))
 			}
 		}
-		buildHierarchy(want, net, cores, source, cfg.K, cfg.SizeCap, wrng, make([]rttKey, len(cores)))
+		idx := newRTTIndex(net, 2*len(cores))
+		buildHierarchy(want, net, cores, source, cfg.K, cfg.SizeCap, wrng, &idx)
 
 		for _, m := range members {
 			if got.Parent(m) != want.Parent(m) {
@@ -399,7 +408,7 @@ func TestBuilderErrors(t *testing.T) {
 }
 
 func TestSetParentGuards(t *testing.T) {
-	tr := newTree(0, []int{0, 1})
+	tr := mustTree(0, []int{0, 1})
 	tr.setParent(1, 0)
 	for i, fn := range []func(){
 		func() { tr.setParent(0, 1) }, // source reparent
@@ -437,15 +446,16 @@ func TestQuickClusterize(t *testing.T) {
 		if sizeCap >= 2 && sizeCap < limit {
 			limit = sizeCap
 		}
-		for w := newClusterWalk(layer, k, sizeCap, make([]rttKey, n)); ; {
-			c := w.next(net, rng)
+		idx := newRTTIndex(net, 2*n)
+		for w := newClusterWalk(layer, k, sizeCap, &idx); ; {
+			c := w.next(rng)
 			if c == nil {
 				break
 			}
 			if len(c) > limit {
 				t.Fatalf("trial %d: cluster size %d over limit %d", trial, len(c), limit)
 			}
-			if len(c) < min(k, limit) && len(w.rest) > 0 {
+			if len(c) < min(k, limit) && w.cut < n {
 				t.Fatalf("trial %d: cluster size %d under %d before the last", trial, len(c), min(k, limit))
 			}
 			if &c[0] != &layer[total] || cap(c) != len(c) {
@@ -485,5 +495,26 @@ func BenchmarkBuildNICE665(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustNICE(b, net, members, 0, Config{Seed: uint64(i)})
+	}
+}
+
+func BenchmarkBuildFlat665(b *testing.B) {
+	net := network(665, 1)
+	members := allMembers(665)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustFlat(b, net, members, i%665, 4)
+	}
+}
+
+func BenchmarkBuildGreedy665(b *testing.B) {
+	net := network(665, 1)
+	members := allMembers(665)
+	greedy := MustStrategy("greedy")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := greedy.Build(net, members, i%665, Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

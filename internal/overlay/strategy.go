@@ -27,7 +27,8 @@ type Limits struct {
 }
 
 // Strategy builds and incrementally maintains one family of delivery
-// trees. Build constructs a tree over a member set; Limits reports the
+// trees. Build constructs a tree over a member set, and a member listed
+// twice is an error, as a source outside it is; Limits reports the
 // graft constraints for a population of n hosts; GraftPoint picks the
 // adoption parent for a joining host or an orphan subtree root under the
 // strategy's own placement rule (RTT-proximity for the cluster
@@ -147,7 +148,7 @@ func (niceStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
 // under the 3K−1 child budget. The result approximates the underlay
 // shortest-path tree restricted to overlay fanout — the delay-metric
 // routing of the dynamic-overlay literature, against which the paper's
-// proximity clustering can be compared.
+// proximity clustering can be compared. A member listed twice is an error.
 type sptStrategy struct{}
 
 func (sptStrategy) Name() string { return "spt" }
@@ -170,7 +171,10 @@ func (s sptStrategy) Build(net *topo.Network, members []int, source int, cfg Con
 		return nil, err
 	}
 	fanout := s.Limits(cfg, len(members)).MaxFanout
-	t := newTree(source, members)
+	t, err := newTree(source, members)
+	if err != nil {
+		return nil, err
+	}
 
 	// Prim over the overlay metric d(m) = d(parent) + latency(parent, m).
 	// best[m] caches the cheapest attachment seen so far; when a parent
@@ -272,7 +276,7 @@ func (sptStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
 // by RTT up to a child budget scaled by the host's uplink-class multiplier
 // (⌊Fanout × mult⌋, floored at 1) — fast hosts fan wide, slow hosts stay
 // near the leaves. With homogeneous uplinks this degenerates to BuildFlat
-// at fanout Config.Fanout.
+// at fanout Config.Fanout. A member listed twice is an error.
 type greedyStrategy struct{}
 
 func (greedyStrategy) Name() string { return "greedy" }
@@ -302,30 +306,14 @@ func (g greedyStrategy) Build(net *topo.Network, members []int, source int, cfg 
 		return nil, err
 	}
 	base := g.Limits(cfg, len(members)).MaxFanout
-	t := newTree(source, members)
-	unattached := make([]int, 0, len(members)-1)
-	for _, m := range members {
-		if m != source {
-			unattached = append(unattached, m)
-		}
+	t, err := newTree(source, members)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]rttKey, len(unattached))
-	queue := []int{source}
-	for len(queue) > 0 && len(unattached) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		take := min(greedyBudget(net, v, base), len(unattached))
-		nearestByRTT(net, v, unattached, take, keys)
-		for _, c := range unattached[:take] {
-			t.setParent(c, v)
-			queue = append(queue, c)
-		}
-		unattached = unattached[take:]
-	}
-	if len(unattached) > 0 {
+	if left := adoptNearest(t, net, func(h int) int { return greedyBudget(net, h, base) }); left > 0 {
 		// Impossible while every budget >= 1, but fail loudly over panicking
 		// deep inside a sweep.
-		return nil, fmt.Errorf("overlay: greedy build left %d members unattached", len(unattached))
+		return nil, fmt.Errorf("overlay: greedy build left %d members unattached", left)
 	}
 	return t, nil
 }

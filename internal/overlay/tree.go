@@ -56,7 +56,10 @@ const (
 	cut  int32 = -2 // the parent of a member with no edge (a detached root) or of a free slot
 )
 
-func newTree(source int, members []int) *Tree {
+// newTree returns a tree of members with no edges but the source's root
+// mark, or an error when a member is listed twice. The source must be a
+// member (checkMembership).
+func newTree(source int, members []int) (*Tree, error) {
 	t := &Tree{
 		Source:  source,
 		Members: append([]int(nil), members...),
@@ -64,16 +67,17 @@ func newTree(source int, members []int) *Tree {
 	}
 	t.carve(len(members))
 	for _, m := range members {
-		if _, dup := t.slot[m]; !dup {
-			t.add(m)
+		if _, dup := t.slot[m]; dup {
+			return nil, fmt.Errorf("overlay: duplicate member %d", m)
 		}
+		t.add(m)
 	}
 	src, ok := t.slot[source]
 	if !ok {
 		panic(fmt.Sprintf("overlay: source %d not a member", source))
 	}
 	t.up[src] = none
-	return t
+	return t, nil
 }
 
 // carve gives the five per-slot slices room for n slots out of one array.
@@ -426,70 +430,6 @@ func (t *Tree) LinkStress(net *topo.Network) (max int, avg float64) {
 		}
 	}
 	return max, float64(total) / float64(len(stress))
-}
-
-// rttKey is a member's round-trip time to a pivot, beside its id.
-type rttKey struct {
-	rtt des.Duration
-	id  int
-}
-
-// nearer orders keys by RTT, ties by id: strict over distinct ids.
-func (a rttKey) nearer(b rttKey) bool {
-	return a.rtt < b.rtt || a.rtt == b.rtt && a.id < b.id
-}
-
-// nearestByRTT moves the k ids nearest the pivot by round-trip time (ties
-// broken by id) to the front of ids, in that order, and leaves the rest
-// behind them in no particular order. The pivot itself, if present, sorts
-// first. Each id's RTT is evaluated once, into keys, which must hold
-// len(ids) — a tree build's scratch. The k nearest are selected into a
-// max-heap at the front of keys, which a heapsort then orders; the order
-// is strict over distinct ids, so ids[:k] is what a full sort would put
-// there.
-func nearestByRTT(net *topo.Network, pivot int, ids []int, k int, keys []rttKey) {
-	if k = min(k, len(ids)); k == 0 {
-		return
-	}
-	keys = keys[:len(ids)]
-	for i, id := range ids {
-		keys[i] = rttKey{net.RTT(pivot, id), id}
-	}
-	near := keys[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		siftFarthest(near, i)
-	}
-	for i := k; i < len(keys); i++ {
-		if keys[i].nearer(near[0]) {
-			near[0], keys[i] = keys[i], near[0]
-			siftFarthest(near, 0)
-		}
-	}
-	for end := k - 1; end > 0; end-- {
-		near[0], near[end] = near[end], near[0]
-		siftFarthest(near[:end], 0)
-	}
-	for i, key := range keys {
-		ids[i] = key.id
-	}
-}
-
-// siftFarthest restores the max-heap order of h below index i.
-func siftFarthest(h []rttKey, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h[c].nearer(h[r]) {
-			c = r
-		}
-		if !h[i].nearer(h[c]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
 }
 
 // rttCentroid returns the member of cluster minimising total RTT to the
