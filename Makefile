@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke pins loc audit
+.PHONY: all build test race vet fmt check bench scenarios shards snapshot substrate staticcheck fuzz perf-smoke pins drift loc audit
 
 all: check
 
@@ -168,6 +168,15 @@ perf-smoke:
 pins:
 	$(GO) run -C benchmark . -reps 1 -trace 0
 
+# Paired drift audit (scripts/drift.sh): this checkout against commit BASE
+# on one benchmark workload, PAIRS pairs of `benchmark/run.sh --seconds 6
+# --trace 0` (at SEED when given), alternating which side runs first. It
+# clones BASE into a fresh directory under $$TMPDIR and prints each
+# end-to-end metric's per-side median and quartiles, this checkout's win
+# count, and every pair.
+drift:
+	bash scripts/drift.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
+
 # Substrate compile differentials under the race detector: the parallel
 # compiler must be bit-identical to sequential, the blueprint cache must
 # key correctly and hand out isolated clones, the child plan must match its
@@ -181,12 +190,15 @@ pins:
 # algorithm it replaced, kept as a test reference: the heap shortest-path
 # search, striped over workers, to the linear scan (every delay and next
 # hop, tied delays included); the RTT index to the full comparator sort,
-# alone and inside the DSCT, NICE, flat and greedy builders; and the
-# churn schedule's Fenwick pick and run merge to the host scan and stable
-# sort.
+# alone and inside the DSCT, NICE, flat and greedy builders; every
+# strategy's graft point, the RTT-keyed ones popping from the tree's live
+# index, to the per-candidate oracle over long edit sequences, clones and
+# decoded copies, and the index's pinned work ledger on a churning tree;
+# and the churn schedule's Fenwick pick and run merge to the host scan
+# and stable sort.
 substrate:
 	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
-	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestRTTIndexMatchesFullSort|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
+	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestRTTIndexMatchesFullSort|TestGraftPointsMatchOracle|TestGraftIndexWorkLedger|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # figure the simplicity PRs report (ROADMAP aim 2).

@@ -108,8 +108,9 @@ func sharingCases(t *testing.T) []sharingCase {
 // capacity-aware scheme's one tree shared by every group — where a session
 // whose control planes write trees never holds one of them. Two static
 // sessions built, checkpointed, restored and run side by side leave the
-// blueprint's trees byte for byte as they were (make race runs this under
-// the race detector).
+// blueprint's trees byte for byte as they were and without the live RTT
+// index a graft point builds, which a writing session's own tree may
+// carry once it grafts (make race runs this under the race detector).
 func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
 	// cycle builds cfg, runs it halfway, checkpoints it and restores the
 	// blob, and returns both sessions.
@@ -171,6 +172,24 @@ func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
 			wg.Wait()
 			if _, after := core.BlueprintTrees(s); !bytes.Equal(before, after) {
 				t.Fatal("two static sessions running side by side changed the blueprint's trees")
+			}
+			if bp, _ := core.TreesIndexed(s); slices.Contains(bp, true) {
+				t.Fatalf("after static sessions ran, blueprint trees hold a live RTT index: %v", bp)
+			}
+			if tc.cfg.Scheme.Regulated() {
+				// A join grafts into the writing session's own tree, not the
+				// blueprint's.
+				joining := tc.cfg
+				h := 0
+				for slices.Contains(s.Groups()[0].Members, h) {
+					h++
+				}
+				joining.Events = []core.MembershipEvent{{At: des.Time(tc.cfg.Duration) / 2, Group: 0, Host: h, Join: true}}
+				w := core.NewSession(joining)
+				w.Run()
+				if bp, own := core.TreesIndexed(w); slices.Contains(bp, true) || !own[0] {
+					t.Fatalf("after a session grafted into group 0: blueprint indexed %v, own %v", bp, own)
+				}
 			}
 		})
 	}

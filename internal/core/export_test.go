@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"reflect"
 	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/mux"
+	"repro/internal/overlay"
 	"repro/internal/snap"
 )
 
@@ -39,6 +41,22 @@ func BlueprintTrees(s *Session) (own []bool, stanzas []byte) {
 		panic(err)
 	}
 	return own, stanzas
+}
+
+// TreesIndexed reports, per group, whether the session's blueprint tree
+// and the session's own tree hold a live RTT index: the one a tree's
+// first graft point builds (overlay.Tree's live field, read by reflection
+// since nothing outside the package may see it).
+func TreesIndexed(s *Session) (blueprint, own []bool) {
+	indexed := func(t *overlay.Tree) bool {
+		return !reflect.ValueOf(t).Elem().FieldByName("live").IsNil()
+	}
+	bp := blueprintFor(&s.sub.cfg, s.sub.numGroups())
+	for g, st := range s.sub.groups {
+		blueprint = append(blueprint, indexed(bp.trees[g]))
+		own = append(own, indexed(st.tree))
+	}
+	return blueprint, own
 }
 
 // BlueprintPlan returns the child plan of the session's blueprint — the

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/des"
 	"repro/internal/topo"
 )
 
@@ -181,22 +180,17 @@ func (t *Tree) PruneAll(victims []int) ([]int, error) {
 // order — first fanout, then height — so a graft point always exists
 // while the tree has an attached member besides h's own subtree. A
 // non-positive maxFanout or maxHeight disables that constraint.
+//
+// The pick pops from the tree's live RTT index (nearestGraft), which the
+// first call builds.
 func (t *Tree) GraftPoint(net *topo.Network, h, subHeight, maxFanout, maxHeight int) (int, error) {
-	return graftPoint(t, h, Rule[des.Duration]{
-		Key:       func(m int, _ des.Duration) des.Duration { return net.RTT(h, m) },
-		Fanout:    func(_, kids int) bool { return maxFanout <= 0 || kids < maxFanout },
-		SubHeight: subHeight,
-		MaxHeight: maxHeight,
-	})
+	return t.nearestGraft(net, h, subHeight, maxHeight, func(_, kids int) bool { return maxFanout <= 0 || kids < maxFanout })
 }
 
-// graftPoint is Select for a graft of h: h itself is never a candidate,
-// and finding none is an error.
-func graftPoint(t *Tree, h int, r Rule[des.Duration]) (int, error) {
-	if p, _, ok := Select(t, h, -1, r); ok {
-		return p, nil
-	}
-	return -1, fmt.Errorf("overlay: no attached member to graft %d under", h)
+// noGraftPoint is the error of a graft of h with no attached member
+// besides h's own subtree to go under.
+func noGraftPoint(h int) error {
+	return fmt.Errorf("overlay: no attached member to graft %d under", h)
 }
 
 // InSubtree reports whether h lies in the subtree rooted at root

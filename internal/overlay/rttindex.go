@@ -1,14 +1,17 @@
 package overlay
 
-// The one nearest-member selection every builder shares. An overlay hop's
-// RTT is not an opaque number: it is twice the sum of two access delays
-// and one router-to-router delay. So the members a pivot finds nearest
-// can be read off per-router lists already in access-delay order: within
-// one router's list every member is the same backbone delay from the
-// pivot, and the list's order is its RTT order. A query merges the lists'
-// heads in a small heap keyed by RTT to the pivot, ties by id, which is
-// the strict order a full sort of every member by (RTT, id) gives — at a
-// cost in the routers holding members, not in the members.
+// The one nearest-member selection every builder and every RTT-keyed
+// graft point shares. An overlay hop's RTT is not an opaque number: it is
+// twice the sum of two access delays and one router-to-router delay. So
+// the members a pivot finds nearest can be read off per-router lists
+// already in access-delay order: within one router's list every member is
+// the same backbone delay from the pivot, and the list's order is its RTT
+// order. A query merges the lists' heads in a small heap keyed by RTT to
+// the pivot, ties by id, which is the strict order a full sort of every
+// member by (RTT, id) gives — at a cost in the routers holding members,
+// not in the members. The builders load a layer's members into an
+// rttIndex and take them out as clusters form; a tree that grafts keeps a
+// liveIndex of its members through every join and leave.
 
 import (
 	"cmp"
@@ -109,12 +112,18 @@ func (x *rttIndex) first(e int32) int32 {
 }
 
 // head keys member entry e for a pivot with access delay acc whose
-// router's backbone delays are delay: the sum net.RTT takes, since a
-// router is 0 from itself.
+// router's backbone delays are delay.
 func (x *rttIndex) head(e int32, acc des.Duration, delay []des.Duration) rttEntry {
 	m := x.ents[e]
 	x.evals++
-	return rttEntry{key: 2 * (acc + delay[m.ref] + m.key), id: m.id, ref: e}
+	return rttEntry{key: rttTo(acc, delay, topo.NodeID(m.ref), m.key), id: m.id, ref: e}
+}
+
+// rttTo is net.RTT from a pivot with access delay acc, whose router's
+// backbone delays are delay, to another host on router r with access
+// delay macc: the sum net.RTT takes, since a router is 0 from itself.
+func rttTo(acc des.Duration, delay []des.Duration, r topo.NodeID, macc des.Duration) des.Duration {
+	return 2 * (acc + delay[r] + macc)
 }
 
 // take writes into dst the len(dst) members nearest pivot p by RTT, ties
@@ -171,4 +180,153 @@ func siftNearest(h []rttEntry, i int) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
+}
+
+// liveIndex is a tree's live RTT index of its members, the one every
+// RTT-keyed graft point pops from. Each router's members form a bucket, a
+// chain of slots in (access delay, id) order, so a query keys one head per
+// router holding members, heaps the heads and pops candidates nearest
+// first in the (RTT, id) order a full sort gives. Attachment is not
+// indexed: a popped candidate climbs to the source for its depth, and a
+// detached one fails the climb. The tree keeps the buckets current in add
+// and release, so a graft of a new member, Prune and PruneAll update them
+// and edge-only edits (Detach, Reparent, a heal's grafts) leave them be.
+// It is derived state, built from the members by the first graft point:
+// Clone and RestoreTree start without one, and a blueprint tree, which
+// nothing grafts, never holds one. Its storage is one head per router and
+// one link per slot, grown with the tree's slot slices, and the query's
+// heap of at most one head per router.
+type liveIndex struct {
+	net  *topo.Network // the network the buckets are keyed by
+	head []int32       // router → first slot of its bucket, or none
+	link []int32       // slot → next slot in its router's bucket, or none
+	heap []rttEntry    // a query's heads: RTT to the pivot, host id, slot
+	// The work ledger's counts: candidates popped, and heads keyed (one
+	// RTT each).
+	popped, keyed int
+}
+
+// indexOver returns t's live index over net, building it from the members
+// the first time (or when net is not the network it was built over).
+func (t *Tree) indexOver(net *topo.Network) *liveIndex {
+	if t.live != nil && t.live.net == net {
+		return t.live
+	}
+	r := len(net.Routes.Delay)
+	a := make([]int32, r+cap(t.host))
+	x := &liveIndex{net: net, head: a[:r:r], link: a[r : r+len(t.host)], heap: make([]rttEntry, 0, r)}
+	t.live = x
+	for i := range x.head {
+		x.head[i] = none
+	}
+	for _, m := range t.Members {
+		t.index(t.slot[m])
+	}
+	return x
+}
+
+// index files member slot s into its router's bucket, at its (access
+// delay, id) place. A tree with no index yet has nothing to keep.
+func (t *Tree) index(s int32) {
+	x := t.live
+	if x == nil {
+		return
+	}
+	if int(s) == len(x.link) {
+		x.link = append(x.link, none)
+	}
+	id := t.host[s]
+	h := &x.net.Hosts[id]
+	p := &x.head[h.Router]
+	for v := *p; v != none; v = *p {
+		o := t.host[v]
+		if acc := x.net.Hosts[o].AccessDelay; acc > h.AccessDelay || acc == h.AccessDelay && o > id {
+			break
+		}
+		p = &x.link[v]
+	}
+	x.link[s], *p = *p, s
+}
+
+// unindex takes member slot s out of its router's bucket.
+func (t *Tree) unindex(s int32) {
+	x := t.live
+	if x == nil {
+		return
+	}
+	p := &x.head[x.net.Hosts[t.host[s]].Router]
+	for *p != s {
+		p = &x.link[*p]
+	}
+	*p = x.link[s]
+}
+
+// key is bucket slot s as a heap head for a pivot with access delay acc
+// whose router's backbone delays are delay.
+func (x *liveIndex) key(t *Tree, s int32, acc des.Duration, delay []des.Duration) rttEntry {
+	id := t.host[s]
+	m := &x.net.Hosts[id]
+	x.keyed++
+	return rttEntry{key: rttTo(acc, delay, m.Router, m.AccessDelay), id: id, ref: s}
+}
+
+// nearestGraft is every RTT-keyed graft point: the attached member other
+// than h nearest h by RTT, ties by id, whose depth d keeps
+// d+1+subHeight <= maxHeight (no height rule when maxHeight <= 0) and
+// which fits one more child; failing that the nearest passing the height
+// rule, then the nearest attached — Select's tiers. Candidates pop in
+// (RTT, id) order, so the first to pass a tier is that tier's pick, and
+// the pops stop at the first that passes both rules.
+func (t *Tree) nearestGraft(net *topo.Network, h, subHeight, maxHeight int, fits func(m, kids int) bool) (int, error) {
+	x := t.indexOver(net)
+	ph := &net.Hosts[h]
+	acc, delay := ph.AccessDelay, net.Routes.Delay[ph.Router]
+	q := x.heap[:0]
+	for _, s := range x.head {
+		if s != none {
+			q = append(q, x.key(t, s, acc, delay))
+		}
+	}
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		siftNearest(q, i)
+	}
+	loose, any := -1, -1
+	for len(q) > 0 {
+		top := q[0]
+		x.popped++
+		if s := x.link[top.ref]; s != none {
+			q[0] = x.key(t, s, acc, delay)
+		} else {
+			q[0] = q[len(q)-1]
+			q = q[:len(q)-1]
+		}
+		siftNearest(q, 0)
+		m := int(top.id)
+		if m == h {
+			continue
+		}
+		d, attached := t.climb(top.ref)
+		if !attached {
+			continue
+		}
+		if any < 0 {
+			any = m
+		}
+		if maxHeight > 0 && d+1+subHeight > maxHeight {
+			continue
+		}
+		if fits(m, int(t.kids[top.ref])) {
+			return m, nil
+		}
+		if loose < 0 {
+			loose = m
+		}
+	}
+	switch {
+	case loose >= 0:
+		return loose, nil
+	case any >= 0:
+		return any, nil
+	}
+	return -1, noGraftPoint(h)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/des"
@@ -242,5 +243,79 @@ func TestRTTIndexWorkLedger(t *testing.T) {
 	t.Logf("flat, fanout 4: %d RTTs scanned, %d through the index", scan, index)
 	if got, want := [2]int{scan, index}, [2]int{55444, 2761}; got != want {
 		t.Errorf("flat: %v RTTs (scan, index), pinned %v", got, want)
+	}
+}
+
+// TestGraftIndexWorkLedger pins the work behind a churning tree's graft
+// points, a deterministic count beside their wall time: a DSCT tree over
+// 600 of churn-storm's population (2000 hosts on a 64-router Waxman
+// underlay) takes 600 seeded joins and leaves, each leave's orphans
+// repaired at once, with a partition of up to eight subtrees open over
+// the middle third and healed after it. For every graft point the ledger
+// counts the attached members the walk the index replaced visited — all
+// of them — against the candidates the index popped and the heads it
+// keyed, and holds each pick to the oracle.
+func TestGraftIndexWorkLedger(t *testing.T) {
+	const hosts, members, steps = 2000, 600, 600
+	net := topo.NewNetwork(topo.Waxman{N: 64}.Build(1), topo.NetworkConfig{NumHosts: hosts, Seed: 1})
+	strat := MustStrategy("dsct")
+	tr, err := strat.Build(net, allMembers(members), 0, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := strat.Limits(Config{}, hosts)
+	var calls, walked int
+	graftPoint := func(h, subHeight int) (int, error) {
+		var w walkBuf
+		calls++
+		walked += len(tr.walk(&w, tr.slotOf(tr.Source), none, nil))
+		want, _, _ := oracleGraftPoint("dsct", net, tr, h, subHeight, lim)
+		p, err := tr.GraftPoint(net, h, subHeight, lim.MaxFanout, lim.MaxHeight)
+		if p != want {
+			t.Fatalf("graft point of %d = %d, %v; oracle %d", h, p, err, want)
+		}
+		return p, err
+	}
+	rng := xrand.New(1)
+	var parted []int
+	for step := 0; step < steps; step++ {
+		switch h := rng.Intn(hosts); {
+		case step == steps/3:
+			for range 8 {
+				if v := tr.Members[rng.Intn(len(tr.Members))]; v != tr.Source && tr.Attached(v) {
+					if err := tr.Detach(v); err != nil {
+						t.Fatal(err)
+					}
+					parted = append(parted, v)
+				}
+			}
+			sort.Ints(parted)
+		case step == 2*steps/3:
+			if _, err := tr.RepairWith(parted, graftPoint); err != nil {
+				t.Fatal(err)
+			}
+			parted = nil
+		case !isMember(tr, h):
+			p, err := graftPoint(h, 0)
+			if err == nil {
+				err = tr.Graft(h, p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		case h != tr.Source && tr.Attached(h):
+			orphans, err := tr.Prune(h)
+			if err == nil {
+				_, err = tr.RepairWith(orphans, graftPoint)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := [4]int{calls, walked, tr.live.popped, tr.live.keyed}
+	t.Logf("%d graft points: %d members walked, %d popped from the index, %d heads keyed", got[0], got[1], got[2], got[3])
+	if want := [4]int{615, 414881, 1711, 41011}; got != want {
+		t.Errorf("(graft points, walked, popped, keyed) = %v, pinned %v", got, want)
 	}
 }

@@ -260,11 +260,15 @@ func (s sptStrategy) Build(net *topo.Network, members []int, source int, cfg Con
 // member is full (mirroring Tree.GraftPoint's relaxation order; spt has
 // no height rule). The walk sums each candidate's path delay top-down.
 func (sptStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
-	return graftPoint(t, h, Rule[des.Duration]{
+	p, _, ok := Select(t, h, -1, Rule[des.Duration]{
 		Key:    func(m int, lat des.Duration) des.Duration { return lat + net.Latency(m, h) },
 		Fanout: func(_, kids int) bool { return flatFanoutOK(kids, lim) },
 		Net:    net,
 	})
+	if !ok {
+		return -1, noGraftPoint(h)
+	}
+	return p, nil
 }
 
 func (sptStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {
@@ -319,12 +323,10 @@ func (g greedyStrategy) Build(net *topo.Network, members []int, source int, cfg 
 }
 
 // GraftPoint for greedy is RTT-nearest under the per-host capacity-scaled
-// budget, relaxing the budget only when every attached member is full.
+// budget, relaxing the budget only when every attached member is full —
+// Tree.GraftPoint's index path with no height rule.
 func (g greedyStrategy) GraftPoint(net *topo.Network, t *Tree, h, subHeight int, lim Limits) (int, error) {
-	return graftPoint(t, h, Rule[des.Duration]{
-		Key:    func(m int, _ des.Duration) des.Duration { return net.RTT(h, m) },
-		Fanout: func(m, kids int) bool { return g.FanoutOK(net, m, kids, lim) },
-	})
+	return t.nearestGraft(net, h, 0, 0, func(m, kids int) bool { return g.FanoutOK(net, m, kids, lim) })
 }
 
 func (greedyStrategy) FanoutOK(net *topo.Network, m, kids int, lim Limits) bool {

@@ -25,8 +25,9 @@ import (
 // argument and never inside a walk. A pruned member's slot is recycled by
 // the next new one, so the slices stay at the group's peak membership.
 //
-// A Tree is not safe for concurrent use: GraftPoint, SubtreeHeight and
-// Select are reads that run on the tree's walk scratch. The other reads
+// A Tree is not safe for concurrent use: GraftPoint and the strategies'
+// graft points build and write the tree's live RTT index, and
+// SubtreeHeight and Select run on its walk scratch. The other reads
 // (Height, Validate, EachParent, Clone, Snapshot, Check, ...) touch no
 // shared state, so a tree nobody mutates may be measured, cloned,
 // serialized and checked concurrently — which is how every session
@@ -43,11 +44,14 @@ type Tree struct {
 	kids  []int32       // slot → child count
 	free  []int32       // released slots, reused before the slices grow
 	// scan is the scratch of the control-plane walks, written by
-	// SubtreeHeight and Select (and so GraftPoint and RepairWith). Only the
-	// churn, fault and re-optimization planes call those. A session with
-	// none of them reads its blueprint's trees, which every such session
-	// shares, so nothing it calls may write here.
+	// SubtreeHeight and Select (and so RepairWith and spt's graft point),
+	// and live is the RTT index the other graft points build on first use
+	// and pop from (nil until then). Only the churn, fault and
+	// re-optimization planes call those. A session with none of them reads
+	// its blueprint's trees, which every such session shares, so nothing
+	// it calls may write either.
 	scan walkBuf
+	live *liveIndex
 }
 
 // Slot sentinels.
@@ -104,11 +108,13 @@ func (t *Tree) add(h int) int32 {
 		t.kids = append(t.kids, 0)
 	}
 	t.slot[h] = s
+	t.index(s)
 	return s
 }
 
 // release frees the slot of departed member s, whose edges are gone.
 func (t *Tree) release(s int32) {
+	t.unindex(s)
 	delete(t.slot, int(t.host[s]))
 	t.host[s], t.up[s], t.first[s], t.next[s], t.kids[s] = -1, cut, none, none, 0
 	t.free = append(t.free, s)

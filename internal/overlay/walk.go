@@ -1,14 +1,17 @@
 package overlay
 
-// The one walk every control-plane candidate scan reads. A graft point,
-// a repair's graft point and a re-optimization rewire all ask the same
-// question — which attached member, under a fanout rule and the Lemma 2
-// height rule, minimises some key — so they share one breadth-first pass
-// from the source over the slot arrays, which hands each visited member
-// its depth, child count and (on request) tree-path latency, and one
-// selector over what it visited. A graft costs O(attached members) slice
-// reads: no hashing, no per-candidate climb to the source, no allocation
-// once the tree's scratch has grown to its peak membership.
+// The one walk every control-plane scan whose key is not an RTT reads.
+// spt's graft point (accumulated path delay) and a re-optimization rewire
+// (predicted delay) ask the same question as the RTT-keyed graft points —
+// which attached member, under a fanout rule and the Lemma 2 height rule,
+// minimises some key — but their keys depend on the tree path, so no
+// per-router index can order them (the RTT-keyed ones pop from the tree's
+// live index, rttindex.go). They share one breadth-first pass from the
+// source over the slot arrays, which hands each visited member its depth,
+// child count and (on request) tree-path latency, and one selector over
+// what it visited: O(attached members) slice reads, no hashing, no
+// per-candidate climb to the source, no allocation once the tree's
+// scratch has grown to its peak membership.
 
 import (
 	"cmp"
