@@ -55,16 +55,20 @@ scenarios:
 # GOMAXPROCS=1 leg runs four shards on one runner (every epoch inline, no
 # goroutine started), and the -race -cpu leg runs the epoch barrier — hand-
 # rolled synchronisation: publish through one atomic word, nothing else
-# shared — at one, two and four runners under the race detector. `-run
-# Shard` also picks up core's TestShardCensusByKind, the executed-events-
-# by-kind pin at one and two shards.
+# shared — and every mailbox test (the boundary alloc pin, the merge
+# property test, the gate alloc pin and FuzzMailboxDrain's seeds: the
+# double-buffered hand-off that runners sort, fold and release on) at one,
+# two and four runners under the race detector. `-run Shard` also picks up
+# core's TestShardCensusByKind and TestShardCeiling, the executed-events-
+# by-kind pin at one and two shards and the scaling-ceiling pin at two,
+# four and eight.
 shards:
 	WDCSIM_SHARDS=1 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=2 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=8 $(GO) test -run Shard ./...
 	GOMAXPROCS=1 WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
-	$(GO) test -race -cpu 1,2,4 -run 'Coordinator|Shard|Boundary' ./internal/des ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'Coordinator|Shard|Boundary|DrainMerge|GateZeroAlloc|MailboxDrain' ./internal/des ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 4
 
 # Coverage-guided fuzzing of the invariant-heavy corners: the timing

@@ -36,6 +36,9 @@ var auditAllow = map[string]string{
 	// Accessors a test reads where no result does yet.
 	"stats.MaxTracker.Tag":  "the ID of the worst packet the session's per-group delay trackers observe",
 	"snap.Reader.Remaining": "the record-width probe of the mux, regulator and core snapshot tests",
+	// sort.Interface methods, called by sort.Sort alone.
+	"des.sorter.Less": "sort.Sort's comparison when a runner sorts its shard's outboxes",
+	"des.sorter.Swap": "sort.Sort's exchange when a runner sorts its shard's outboxes",
 }
 
 // auditModule is the module path the audited import paths start with.

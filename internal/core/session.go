@@ -334,6 +334,14 @@ type Result struct {
 	StallShare float64
 }
 
+// ShardCeiling is the run's scaling ceiling: total events ÷ Σ over epochs
+// of the busiest shard's events — the speed-up the shard count could buy
+// with a core per shard and a free barrier (Amdahl from the census). It is
+// Shards·(1 − StallShare), since the stall share's numerator and
+// denominator are Σ(n·busiest − total) and Σ n·busiest; 1 for a one-shard
+// run. Deterministic like the stall share.
+func (r Result) ShardCeiling() float64 { return float64(r.Shards) * (1 - r.StallShare) }
+
 // groupState is the mutable per-group runtime: the current member set,
 // the delivery tree, and the disruption tally. The control plane mutates
 // it mid-run; static sessions build it once and never touch it again, so

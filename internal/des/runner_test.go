@@ -1,6 +1,7 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -140,6 +141,34 @@ func TestCoordinatorForcedPark(t *testing.T) {
 	})
 }
 
+// TestCoordinatorFoldsForIdleDestination pins the second half of the
+// hand-off's race contract on two runners, where shard 1 is the extra
+// runner's only shard: shard 0 posts to shard 1 every tick, 20 ms ahead,
+// so shard 1 holds sealed records through epochs with nothing live in its
+// window — its runner must still be posted to fold them before the next
+// seal hands the same buffers back (seal panics otherwise) — and every
+// record arriving by the deadline is delivered, in order.
+func TestCoordinatorFoldsForIdleDestination(t *testing.T) {
+	atProcs(2, func() {
+		engines := []*Engine{New(), New()}
+		c := NewCoordinatorMatrix[int](engines, uniformLA(2, Millisecond))
+		var got []int
+		c.OnDeliver(func(_, hop int) { got = append(got, hop) })
+		hop := 0
+		tickEvery(engines[0], 100*Microsecond, 100*Microsecond, func() {
+			hop++
+			c.PostPayload(0, 1, engines[0].Now()+20*Millisecond, hop)
+		})
+		c.Run(30 * Millisecond)
+		if len(c.runners) != 1 {
+			t.Fatalf("%d extra runners under GOMAXPROCS 2, want 1", len(c.runners))
+		}
+		if len(got) != 100 || !slices.IsSorted(got) || got[0] != 1 {
+			t.Fatalf("delivered %d records (first %v), want hops 1…100 in order", len(got), got[:min(len(got), 3)])
+		}
+	})
+}
+
 // TestRunnerBudgetIsProcessWide pins the oversubscription guard: runners
 // are granted against one process-wide count of goroutines inside a
 // multi-shard Run, so concurrent coordinators degrade to inline epochs
@@ -191,55 +220,190 @@ func TestGateZeroAlloc(t *testing.T) {
 	}
 }
 
-// mergeOracle checks dst's pending buffer against slices.SortFunc over the
-// same records.
-func mergeOracle[P any](t *testing.T, c *Coordinator[P], dst int) {
+// mailboxRig drives the cross-shard hand-off in its production placement
+// with fuzzed records, one barrier per epoch call: the coordinator seals,
+// and runOwned, with every shard on one runner, folds every destination
+// with a sealed mailbox — live or not — releases and runs the live ones
+// below their bounds, and sorts the outboxes each live source filled. The
+// records a test queues are posted during the next epoch by an event on
+// their source, straight into its outbox (bypassing PostPayload's
+// lookahead check, so a test controls every key field). The oracle is a
+// full slices.SortFunc, under the order spelled out field by field, of the
+// records each destination was sent.
+type mailboxRig struct {
+	t      *testing.T
+	c      *Coordinator[int]
+	queued [][]rigPost // per source, posted during the next epoch
+	recs   []rec[int]  // posted so far; payload = index
+	dsts   []int
+	log    [][]int // per destination, payloads in delivery order
+	bound  []Time  // per shard, the bound of the last epoch
+}
+
+// rigPost is a queued record: it arrives dat after its destination's
+// next bound, and was posted dlam before it arrives.
+type rigPost struct {
+	dst       int
+	dat, dlam Time
+}
+
+// oracleCmp is the total order written out independently of recCmp.
+func oracleCmp(a, b rec[int]) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.lamport, b.lamport),
+		cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
+}
+
+func newMailboxRig(t *testing.T, nsh int) *mailboxRig {
+	engines := make([]*Engine, nsh)
+	for i := range engines {
+		engines[i] = New()
+	}
+	m := &mailboxRig{t: t, c: NewCoordinatorMatrix[int](engines, uniformLA(nsh, 1)),
+		queued: make([][]rigPost, nsh), log: make([][]int, nsh), bound: make([]Time, nsh)}
+	m.c.OnDeliver(func(dst, idx int) { m.log[dst] = append(m.log[dst], idx) })
+	return m
+}
+
+// post queues one record from src to dst for the next epoch.
+func (m *mailboxRig) post(src, dst int, dat, dlam Time) {
+	m.queued[src] = append(m.queued[src], rigPost{dst, dat, dlam})
+}
+
+// want is dst's records among the first n posted, in the oracle order.
+func (m *mailboxRig) want(dst, n int) []rec[int] {
+	var w []rec[int]
+	for i, d := range m.dsts[:n] {
+		if d == dst {
+			w = append(w, m.recs[i])
+		}
+	}
+	slices.SortFunc(w, oracleCmp)
+	return w
+}
+
+// epoch runs one barrier and one epoch; a shard with ends[d] above its
+// last bound, or with records queued, is live. Afterwards each
+// destination has delivered exactly a prefix, in the oracle order, of the
+// records posted before this epoch and holds the rest in its pending
+// buffer, none below its bound; every sealed mailbox is empty; and every
+// outbox holds what its source posted this epoch, sorted.
+func (m *mailboxRig) epoch(ends []Time) {
+	t, c := m.t, m.c
 	t.Helper()
-	want := slices.Clone(c.pend[dst])
-	slices.SortFunc(want, func(a, b rec[P]) int { return recCmp(&a, &b) })
-	for i := range want {
-		if g, w := &c.pend[dst][i], &want[i]; recCmp(g, w) != 0 {
-			t.Fatalf("dst %d position %d: merged (%v,%v,%d,%d), sorted (%v,%v,%d,%d)", dst, i,
-				g.at, g.lamport, g.src, g.seq, w.at, w.lamport, w.src, w.seq)
+	c.seal()
+	for d := range c.engines {
+		c.ends[d] = max(ends[d], m.bound[d])
+		if len(m.queued[d]) > 0 {
+			c.ends[d] = max(c.ends[d], m.bound[d]+1)
+		}
+		c.live[d] = c.ends[d] > m.bound[d]
+	}
+	before := len(m.recs)
+	for src, q := range m.queued {
+		if len(q) == 0 {
+			continue
+		}
+		l := &c.lanes[src]
+		c.engines[src].Schedule(m.bound[src], func() {
+			for _, p := range q {
+				at := c.ends[p.dst] + p.dat
+				l.seq++
+				r := rec[int]{at: at, lamport: at - p.dlam, seq: l.seq, src: int32(src), payload: len(m.recs)}
+				l.out[p.dst] = append(l.out[p.dst], r)
+				m.recs, m.dsts = append(m.recs, r), append(m.dsts, p.dst)
+			}
+		})
+		m.queued[src] = nil
+	}
+	c.runOwned(0)
+	copy(m.bound, c.ends)
+	posted := 0
+	for d := range c.engines {
+		want, l := m.want(d, before), &c.lanes[d]
+		got := slices.Clone(m.log[d])
+		for i := l.head; i < len(l.pend); i++ {
+			got = append(got, l.pend[i].payload)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("dst %d: %d delivered + %d pending, %d sent", d, len(m.log[d]), len(l.pend)-l.head, len(want))
+		}
+		for i := range want {
+			if g, w := m.recs[got[i]], want[i]; oracleCmp(g, w) != 0 {
+				t.Fatalf("dst %d position %d (of %d delivered): got (%v,%v,%d,%d), sorted (%v,%v,%d,%d)", d, i, len(m.log[d]),
+					g.at, g.lamport, g.src, g.seq, w.at, w.lamport, w.src, w.seq)
+			}
+			if i >= len(m.log[d]) && want[i].at < m.bound[d] {
+				t.Fatalf("dst %d: record at %v still pending below bound %v", d, want[i].at, m.bound[d])
+			}
+		}
+		for src := range c.lanes {
+			if len(l.in[src]) != 0 {
+				t.Fatalf("mailbox %d→%d still sealed after the epoch", src, d)
+			}
+			out := c.lanes[src].out[d]
+			if !slices.IsSortedFunc(out, oracleCmp) {
+				t.Fatalf("outbox %d→%d not sorted when its source's epoch ended", src, d)
+			}
+			posted += len(out)
+		}
+	}
+	if posted != len(m.recs)-before {
+		t.Fatalf("%d records in the outboxes, %d posted this epoch", posted, len(m.recs)-before)
+	}
+}
+
+// flush runs two far-reaching epochs — the first posts what is queued,
+// the second seals, folds and releases it — and checks that every record
+// was delivered.
+func (m *mailboxRig) flush() {
+	m.t.Helper()
+	ends := make([]Time, len(m.bound))
+	for _, far := range []Time{maxTime / 4, maxTime / 2} {
+		for d := range ends {
+			ends[d] = far
+		}
+		m.epoch(ends)
+	}
+	for d := range ends {
+		if len(m.log[d]) != len(m.want(d, len(m.recs))) {
+			m.t.Fatalf("dst %d: %d of %d records delivered at the end", d, len(m.log[d]), len(m.want(d, len(m.recs))))
 		}
 	}
 }
 
-// TestDrainMergeMatchesSort is the merge's property test: random mailbox
-// batches — few distinct (at, lamport) values, so exact ties across sources
-// are the common case — drained on top of a non-empty pending buffer, with
-// random releases in between, must leave exactly the sequence a full sort
-// of the same records gives.
+// TestDrainMergeMatchesSort is the hand-off's property test: random
+// mailbox batches — few distinct (at, lamport) values, so exact ties
+// across sources are the common case — sorted by their sources, sealed,
+// folded by their destinations on top of a non-empty pending buffer and
+// released below random bounds, with destinations left not live for
+// several epochs at a time, must deliver and hold exactly the sequence a
+// full sort of the same records gives.
 func TestDrainMergeMatchesSort(t *testing.T) {
 	const nsh = 4
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
-		engines := make([]*Engine, nsh)
-		for i := range engines {
-			engines[i] = New()
-		}
-		c := NewCoordinatorMatrix[int](engines, uniformLA(nsh, 1))
-		c.OnDeliver(func(int, int) {})
-		floor := Time(0) // nothing is posted before what was already released
-		for batch := 0; batch < 6; batch++ {
+		m := newMailboxRig(t, nsh)
+		asleep := make([]int, nsh) // epochs a destination stays not live
+		ends := make([]Time, nsh)
+		for batch := 0; batch < 8; batch++ {
 			for n := rng.Intn(40); n > 0; n-- {
-				src, dst := rng.Intn(nsh), rng.Intn(nsh)
-				if src == dst {
+				if src, dst := rng.Intn(nsh), rng.Intn(nsh); src != dst {
+					m.post(src, dst, Time(rng.Intn(6)), Time(rng.Intn(3)))
+				}
+			}
+			for d := range ends {
+				ends[d] = m.bound[d]
+				if asleep[d] > 0 {
+					asleep[d]--
 					continue
 				}
-				c.seq[src]++
-				at := floor + Time(rng.Intn(6))
-				c.outbox[src][dst] = append(c.outbox[src][dst],
-					rec[int]{at: at, lamport: at - Time(rng.Intn(3)), seq: c.seq[src], src: int32(src)})
+				if rng.Intn(4) == 0 {
+					asleep[d] = 1 + rng.Intn(3)
+				}
+				ends[d] += Time(rng.Intn(4))
 			}
-			c.drain()
-			for d := 0; d < nsh; d++ {
-				mergeOracle(t, c, d)
-			}
-			floor += Time(rng.Intn(4))
-			for d := 0; d < nsh; d++ {
-				c.release(d, floor)
-			}
+			m.epoch(ends)
 		}
+		m.flush()
 	}
 }

@@ -7,8 +7,8 @@ package des
 // before its bound, so no shard can observe an effect another shard has not
 // yet produced: a cross-shard message sent at local time t arrives at
 // t + d with d >= la[src][dst], i.e. always at or beyond the receiver's
-// current bound, and the coordinator moves it into the destination engine
-// at an epoch barrier before the epoch that fires it.
+// current bound, and it is handed to the destination at an epoch barrier
+// before the epoch that fires it.
 //
 // Epoch bounds are per-shard, derived from the per-(src, dst) lookahead
 // matrix by an LBTS (lower bound on time stamp) fixpoint: shard i may
@@ -32,22 +32,29 @@ package des
 //     owns it touches it during an epoch (which goroutine that is, is not
 //     an input to any order).
 //  2. Cross-shard messages travel as flat pooled records through
-//     per-(src, dst) mailboxes that only the source shard appends to; at
-//     the barrier the coordinator merges a destination's inbound records
-//     into a sorted pending buffer under the explicit total order
-//     (at, lamport, srcShard, seq) — arrival time, the sender's clock at
-//     send, the sending shard, and a per-sender monotone counter — and
-//     releases into the engine only the prefix firing inside the next
-//     epoch window. Releasing exactly the records an epoch can fire (in
+//     double-buffered per-(src, dst) mailboxes under the explicit total
+//     order (at, lamport, srcShard, seq) — arrival time, the sender's
+//     clock at send, the sending shard, and a per-sender monotone counter.
+//     Every per-record step runs on the runner that owns the shard it
+//     belongs to: a source's runner sorts each of its outboxes when its
+//     epoch ends; at the barrier the coordinator seals them, swapping each
+//     pair's two buffers (headers only); a destination's runner, when its
+//     epoch starts, merges its sealed mailboxes into its sorted pending
+//     buffer and releases into its engine only the prefix firing inside
+//     the window. Releasing exactly the records an epoch can fire (in
 //     sorted order) makes destination-engine tie-breaks (its internal seq)
 //     reproduce the total order for ANY epoch schedule: without the
 //     bounded pending release, per-pair windows could materialise two
-//     exact (at, lamport) ties in different drain batches and invert their
+//     exact (at, lamport) ties in different batches and invert their
 //     (srcShard, seq) order.
 //  3. Barrier callbacks (the session control plane) run on the
 //     coordinator goroutine while every engine is quiesced at exactly the
 //     barrier time, before any same-time events execute: control actions
 //     win every same-timestamp tie, at every shard count.
+//
+// The coordinator's serial section between epochs does only what needs
+// every shard — seal, the per-shard next events, the fixpoint, the live
+// flags and the gates: O(shards²) per epoch, nothing per record.
 //
 // Epochs are demand-driven: the fixpoint seeds from each shard's next
 // event (including pending cross-shard arrivals), so idle stretches cost
@@ -60,6 +67,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -102,8 +110,8 @@ func (e *Engine) RunBefore(bound Time) {
 
 // rec is one cross-shard event in flight between epochs: a flat mailbox
 // record whose leading fields are the explicit merge key. Records live in
-// per-(src, dst) mailboxes recycled in place at every drain, so posting a
-// boundary packet allocates nothing in steady state.
+// per-(src, dst) mailboxes recycled in place, so posting a boundary packet
+// allocates nothing in steady state.
 type rec[P any] struct {
 	at      Time   // delivery time on the destination engine
 	lamport Time   // the sender's clock when the record was posted
@@ -114,20 +122,115 @@ type rec[P any] struct {
 
 // recCmp is the total order cross-shard records merge under. seq is unique
 // per src, so the order is strict: distinct records never compare equal.
+// It reads the records through pointers and stops at the first field that
+// differs (almost always at).
 func recCmp[P any](a, b *rec[P]) int {
-	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.lamport, b.lamport),
-		cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.lamport != b.lamport {
+		return cmp.Compare(a.lamport, b.lamport)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// sorter sorts one mailbox in place under recCmp through sort.Sort: Less
+// compares two slots through pointers, so no record is copied to be
+// compared, and each lane sorts through its own sorter, so handing it to
+// sort.Sort boxes nothing.
+type sorter[P any] struct{ m []rec[P] }
+
+func (s *sorter[P]) Len() int           { return len(s.m) }
+func (s *sorter[P]) Less(i, j int) bool { return recCmp(&s.m[i], &s.m[j]) < 0 }
+func (s *sorter[P]) Swap(i, j int)      { s.m[i], s.m[j] = s.m[j], s.m[i] }
+
+// lane is one shard's end of the cross-shard hand-off. During an epoch only
+// the runner that owns the shard touches it: as a source it appends to out
+// and sorts each outbox when its epoch ends; as a destination it folds its
+// sealed mailboxes (in) into pend and releases pend's in-window prefix into
+// its engine. Between epochs the coordinator swaps mailbox headers (seal)
+// and reads heads; the epoch gates order the two. The mailboxes are double
+// buffered: lane[src].out[dst] and lane[dst].in[src] are the two buffers of
+// one pair, and seal swaps them, so a runner reads only records sealed at
+// the previous barrier while their source fills the other buffer.
+type lane[P any] struct {
+	out      [][]rec[P] // out[dst]: posted since the last barrier
+	in       [][]rec[P] // in[src]: sealed at the last barrier, sorted; emptied by fold
+	pend     []rec[P]   // sorted pending records; pend[head:] are unreleased
+	head     int
+	pool     *dnode[P]  // free delivery nodes
+	block    []dnode[P] // delivery nodes carved but not yet used
+	seq      uint64     // records this shard posted
+	released uint64     // records released into this shard's engine
+	sorter   sorter[P]
+	_        [64]byte
+}
+
+// sortOut sorts each of the lane's outboxes under recCmp.
+func (l *lane[P]) sortOut() {
+	for _, b := range l.out {
+		if len(b) > 1 {
+			l.sorter.m = b
+			sort.Sort(&l.sorter)
+		}
+	}
+	l.sorter.m = nil
+}
+
+// fold merges every sealed inbound mailbox into pend, each by one backward
+// linear merge (recCmp is a strict total order, so the result is the one
+// sorted sequence), and empties the mailboxes for their sources to reuse
+// (slots zeroed so payloads are not pinned by high-water-mark slots). The
+// released prefix pend[:head] is compacted away only once it is at least
+// as long as what is left, or growth would copy it anyway, so a record is
+// moved O(1) times by compaction however long it waits.
+func (l *lane[P]) fold() {
+	for src, b := range l.in {
+		if len(b) == 0 {
+			continue
+		}
+		pq, h := l.pend, l.head
+		if h > 0 && (2*h >= len(pq) || len(pq)+len(b) > cap(pq)) {
+			m := copy(pq, pq[h:])
+			clear(pq[m:])
+			pq, h, l.head = pq[:m], 0, 0
+		}
+		i, old := len(pq)-1, pq
+		outgrown := len(pq)+len(b) > cap(pq)
+		pq = slices.Grow(pq, len(b))[:len(pq)+len(b)]
+		for j, w := len(b)-1, len(pq)-1; j >= 0; w-- {
+			if i >= h && recCmp(&b[j], &pq[i]) < 0 {
+				pq[w] = pq[i]
+				i--
+			} else {
+				pq[w] = b[j]
+				j--
+			}
+		}
+		l.pend = pq
+		clear(b)
+		if outgrown && cap(old) > cap(b) {
+			// The array pend outgrew goes back to the source in place of
+			// the smaller mailbox, which then need not grow itself.
+			b = old[:cap(old)]
+			clear(b)
+		}
+		l.in[src] = b[:0]
+	}
 }
 
 // dnode is a pooled delivery node: the engine-side carrier for a released
 // payload record, and the owner its KindCrossShard event fires, registered
-// in the destination engine when the node is made. Fire recycles the node
-// into its destination's free list before invoking the deliver hook — so
-// releasing a payload record into an engine allocates nothing in steady
+// in the destination engine when it is first taken from its lane's block
+// (nodes are made nodeBlock at a time). Fire recycles the node
+// into its destination lane's free list before invoking the deliver hook —
+// so releasing a payload record into an engine allocates nothing in steady
 // state, and the node is reusable within the same epoch (re-entrant
 // posting touches mailboxes, never pools). A destination's pool is touched
-// only by that shard's runner during an epoch and by the coordinator
-// between epochs; the epoch gates order the two.
+// only by the runner that owns the shard.
 type dnode[P any] struct {
 	payload P
 	next    *dnode[P]
@@ -136,13 +239,18 @@ type dnode[P any] struct {
 	slot    uint32 // in the destination engine's KindCrossShard table
 }
 
+// nodeBlock is how many delivery nodes a destination carves at once: a
+// few dozen are in flight at a time on the §2b cell.
+const nodeBlock = 16
+
 // Fire implements Handler.
 func (nd *dnode[P]) Fire(uint16) {
 	c, p := nd.c, nd.payload
 	var zero P
 	nd.payload = zero
-	nd.next = c.pools[nd.dst]
-	c.pools[nd.dst] = nd
+	l := &c.lanes[nd.dst]
+	nd.next = l.pool
+	l.pool = nd
 	c.deliver(nd.dst, p)
 }
 
@@ -237,12 +345,13 @@ type Coordinator[P any] struct {
 	minLA   Time     // min off-diagonal entry
 
 	deliver func(dst int, payload P) // OnDeliver hook
-	pools   []*dnode[P]              // per-dst free lists of delivery nodes
+	lanes   []lane[P]                // per-shard mailboxes, pending buffer, pools
 
-	outbox [][][]rec[P] // [src][dst] mailboxes, appended by src's runner
-	seq    []uint64     // per-src record counter
-	pend   [][]rec[P]   // per-dst sorted pending buffers
-	tail   []rec[P]     // drain's merge scratch
+	// epochOn is set while runners execute an epoch. A post outside one
+	// (a barrier action, or a caller between Run calls) marks the
+	// outboxes unsorted, and the serial section sorts them before it
+	// reads their heads.
+	epochOn, unsorted bool
 
 	barriers  []Time     // ascending, distinct quiesce points
 	onBarrier func(Time) // runs with every engine quiesced at the time
@@ -252,17 +361,18 @@ type Coordinator[P any] struct {
 	spin    time.Duration // spinBudget; tests force parking with 0
 
 	// Reusable per-epoch scratch.
-	live  []bool // shard has work inside its window this epoch
-	nexts []Time // per-shard next event time (incl. pending records)
-	eps   []Time // LBTS fixpoint values
-	ends  []Time // per-shard epoch bounds
-	fixed []bool // fixpoint "settled" flags
-	base  []uint64
+	live    []bool // shard has work inside its window this epoch
+	inbound []bool // shard has sealed mailboxes to fold this epoch
+	nexts   []Time // per-shard next event time (incl. pending and sealed records)
+	eps     []Time // LBTS fixpoint values
+	ends    []Time // per-shard epoch bounds
+	fixed   []bool // fixpoint "settled" flags
+	base    []uint64
 
 	// Diagnostics.
 	acct     ShardAccount
 	epochs   uint64
-	messages uint64
+	messages uint64 // released before a restore; lanes count the rest
 	stallNum uint64 // sum over epochs of (n*max(work) - sum(work))
 	stallDen uint64 // sum over epochs of n*max(work)
 }
@@ -300,20 +410,19 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 			}
 		}
 	}
-	out := make([][][]rec[P], n)
-	for i := range out {
-		out[i] = make([][]rec[P], n)
+	lanes := make([]lane[P], n)
+	for i := range lanes {
+		lanes[i].out = make([][]rec[P], n)
+		lanes[i].in = make([][]rec[P], n)
 	}
 	return &Coordinator[P]{
 		engines: engines,
 		la:      cp,
 		minLA:   minLA,
-		outbox:  out,
-		seq:     make([]uint64, n),
-		pend:    make([][]rec[P], n),
-		pools:   make([]*dnode[P], n),
+		lanes:   lanes,
 		spin:    spinBudget,
 		live:    make([]bool, n),
+		inbound: make([]bool, n),
 		acct:    ShardAccount{Events: make([]uint64, n), Active: make([]uint64, n)},
 		nexts:   make([]Time, n),
 		eps:     make([]Time, n),
@@ -332,7 +441,13 @@ func (c *Coordinator[P]) Epochs() uint64 { return c.epochs }
 
 // Messages reports how many cross-shard records have been released into
 // destination engines.
-func (c *Coordinator[P]) Messages() uint64 { return c.messages }
+func (c *Coordinator[P]) Messages() uint64 {
+	n := c.messages
+	for i := range c.lanes {
+		n += c.lanes[i].released
+	}
+	return n
+}
 
 // StallShare reports the measured epoch load imbalance: the fraction of
 // per-epoch worker capacity spent waiting at barriers, where each epoch's
@@ -389,7 +504,8 @@ func (c *Coordinator[P]) AtBarriers(times []Time, fn func(Time)) {
 // PostPayload sends a cross-shard payload: the OnDeliver hook will run on
 // shard dst's engine at absolute time at with the payload. It must be
 // called from src's goroutine while src's epoch is executing (or while all
-// shards are quiesced). The record is flat — no closure, no boxing — so
+// shards are quiesced: such posts are sorted by the serial section before
+// they are sealed). The record is flat — no closure, no boxing — so
 // the steady-state boundary handoff allocates nothing. Posting below the
 // pair's conservative lookahead is a model bug — it means the declared
 // minimum cross-shard delay was wrong — and panics rather than silently
@@ -406,40 +522,46 @@ func (c *Coordinator[P]) PostPayload(src, dst int, at Time, payload P) {
 		panic(fmt.Sprintf("des: cross-shard post %v ahead of shard %d at %v violates lookahead %v (pair %d→%d)",
 			at-now, src, now, c.la[src][dst], src, dst))
 	}
-	c.seq[src]++
-	c.outbox[src][dst] = append(c.outbox[src][dst],
-		rec[P]{at: at, lamport: now, seq: c.seq[src], src: int32(src), payload: payload})
+	if !c.epochOn {
+		c.unsorted = true
+	}
+	l := &c.lanes[src]
+	l.seq++
+	l.out[dst] = append(l.out[dst], rec[P]{at: at, lamport: now, seq: l.seq, src: int32(src), payload: payload})
 }
 
-// drain moves every mailbox into its destination's sorted pending buffer:
-// the new records are sorted on their own and merged backward into the
-// already-sorted buffer (recCmp is a strict total order, so the result is
-// the one sorted sequence). Called only while all shards are quiesced.
-// Mailboxes are recycled in place (truncated, slots zeroed so payloads are
-// not pinned by high-water-mark slots).
-func (c *Coordinator[P]) drain() {
-	for dst := range c.engines {
-		pq := c.pend[dst]
-		i := len(pq) - 1
-		for src := range c.engines {
-			q := c.outbox[src][dst]
-			pq = append(pq, q...)
-			clear(q)
-			c.outbox[src][dst] = q[:0]
-		}
-		c.tail = append(c.tail[:0], pq[i+1:]...)
-		slices.SortFunc(c.tail, func(a, b rec[P]) int { return recCmp(&a, &b) })
-		for j, k := len(c.tail)-1, len(pq)-1; j >= 0; k-- {
-			if i >= 0 && recCmp(&c.tail[j], &pq[i]) < 0 {
-				pq[k] = pq[i]
-				i--
-			} else {
-				pq[k] = c.tail[j]
-				j--
+// seal hands every outbox to its destination: the coordinator swaps the
+// headers of each non-empty (src, dst) pair's two buffers, so the records a
+// source posted before this barrier become the destination's sealed
+// mailbox and the source gets the emptied one back. O(shards²), no record
+// moved. Every sealed mailbox was folded by the epoch that followed its
+// seal (a destination with one is posted even when nothing is live in its
+// window), so the buffer handed back is always empty: the race contract
+// rests on that, and seal checks it.
+func (c *Coordinator[P]) seal() {
+	for dst := range c.lanes {
+		in := c.lanes[dst].in
+		c.inbound[dst] = false
+		for src := range c.lanes {
+			if out := &c.lanes[src].out[dst]; len(*out) > 0 {
+				if len(in[src]) > 0 {
+					panic(fmt.Sprintf("des: mailbox %d→%d sealed again before its destination folded it", src, dst))
+				}
+				in[src], *out = *out, in[src]
+				c.inbound[dst] = true
 			}
 		}
-		clear(c.tail)
-		c.pend[dst] = pq
+	}
+}
+
+// sortPosted sorts every outbox after posts made outside an epoch; a
+// runner sorts its own shard's outboxes when its epoch ends.
+func (c *Coordinator[P]) sortPosted() {
+	if c.unsorted {
+		for i := range c.lanes {
+			c.lanes[i].sortOut()
+		}
+		c.unsorted = false
 	}
 }
 
@@ -450,43 +572,50 @@ func (c *Coordinator[P]) drain() {
 // seq), and releasing a sorted prefix fixes seq order within equal
 // (at, prio). Only records inside the epoch window are released, so the
 // engine-seq tie-break reproduces the (at, lamport, src, seq) total order
-// however the run is cut into epochs.
+// however the run is cut into epochs. The released prefix stays in place
+// behind the lane's head offset until fold compacts it.
 func (c *Coordinator[P]) release(dst int, bound Time) {
-	pq := c.pend[dst]
-	n := 0
-	for n < len(pq) && pq[n].at < bound {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	eng := c.engines[dst]
-	for i := 0; i < n; i++ {
-		r := &pq[i]
-		nd := c.pools[dst]
+	l, eng := &c.lanes[dst], c.engines[dst]
+	pq, h := l.pend, l.head
+	n := h
+	for ; n < len(pq) && pq[n].at < bound; n++ {
+		nd := l.pool
 		if nd == nil {
-			nd = &dnode[P]{c: c, dst: dst}
+			if len(l.block) == 0 {
+				l.block = make([]dnode[P], nodeBlock)
+			}
+			nd, l.block = &l.block[0], l.block[1:]
+			nd.c, nd.dst = c, dst
 			nd.slot = eng.Register(KindCrossShard, nd)
 		} else {
-			c.pools[dst] = nd.next
+			l.pool = nd.next
 		}
-		nd.payload = r.payload
-		eng.SchedulePrioKind(r.at, r.lamport, KindCrossShard, nd.slot)
+		nd.payload = pq[n].payload
+		eng.SchedulePrioKind(pq[n].at, pq[n].lamport, KindCrossShard, nd.slot)
 	}
-	c.messages += uint64(n)
-	m := copy(pq, pq[n:])
-	clear(pq[m:])
-	c.pend[dst] = pq[:m]
+	clear(pq[h:n])
+	l.released += uint64(n - h)
+	if n == len(pq) {
+		l.pend, l.head = pq[:0], 0
+	} else {
+		l.head = n
+	}
 }
 
-// nextFor reports shard i's earliest future work: its engine's next event
-// or its earliest pending cross-shard record, whichever is sooner. The
-// pending head MUST count — an engine-only minimum would let Run terminate
-// (or the fixpoint settle) with undelivered records still buffered.
+// nextFor reports shard i's earliest future work: its engine's next event,
+// its earliest pending record, or the head of a mailbox about to be sealed
+// for it (outboxes are sorted here), whichever is sooner. The record heads
+// MUST count — an engine-only minimum would let Run terminate (or the
+// fixpoint settle) with undelivered records still buffered.
 func (c *Coordinator[P]) nextFor(i int) (Time, bool) {
 	at, ok := c.engines[i].NextAt()
-	if pq := c.pend[i]; len(pq) > 0 && (!ok || pq[0].at < at) {
-		return pq[0].at, true
+	if l := &c.lanes[i]; l.head < len(l.pend) && (!ok || l.pend[l.head].at < at) {
+		at, ok = l.pend[l.head].at, true
+	}
+	for src := range c.lanes {
+		if b := c.lanes[src].out[i]; len(b) > 0 && (!ok || b[0].at < at) {
+			at, ok = b[0].at, true
+		}
 	}
 	return at, ok
 }
@@ -581,9 +710,9 @@ func (c *Coordinator[P]) Run(deadline Time) {
 	bi := c.bi
 	defer func() { c.bi = bi }()
 	for {
-		c.drain()
-		// Global minimum over engine queues AND pending buffers. Engines
-		// are quiesced here, so no event can appear before it.
+		c.sortPosted()
+		// Global minimum over engine queues, pending buffers and outboxes.
+		// Engines are quiesced here, so no event can appear before it.
 		next, any := Time(0), false
 		for i := range c.engines {
 			at, ok := c.nextFor(i)
@@ -659,41 +788,52 @@ func (c *Coordinator[P]) runLoop(r int) {
 	rn.done.set(stopSeq)
 }
 
-// runOwned advances runner r's live shards to their bounds.
+// runOwned runs runner r's share of an epoch, shard by shard: fold the
+// mailboxes sealed for it, release the pending prefix inside its window
+// into its engine, advance the engine to its bound, and sort what it
+// posted meanwhile, ready for the next seal.
 func (c *Coordinator[P]) runOwned(r int) {
 	for i := r; i < len(c.engines); i += len(c.runners) + 1 {
+		l := &c.lanes[i]
+		if c.inbound[i] {
+			l.fold()
+		}
 		if c.live[i] {
+			c.release(i, c.ends[i])
 			c.engines[i].RunBefore(c.ends[i])
+			l.sortOut()
 		}
 	}
 }
 
-// runEpoch releases each shard's in-window pending records and advances it
-// to its bound, executing events before it. Shards with nothing in their
-// window are parked directly; the rest run on their owning runners — only
-// those with a live shard are posted, the coordinator runs its own share
-// meanwhile. Epoch work counts feed the stall-share (load imbalance) meter
-// and the per-shard account.
+// runEpoch seals the mailboxes and advances each shard with work in its
+// window to its bound. Shards with nothing in their window are parked
+// directly; the rest run on their owning runners, with every per-record
+// step of the hand-off — fold, release, outbox sort — on the runner that
+// owns the shard. Only runners with a live shard or a sealed mailbox to
+// fold are posted; the coordinator runs its own share meanwhile. Epoch
+// work counts feed the stall-share (load imbalance) meter and the
+// per-shard account.
 func (c *Coordinator[P]) runEpoch() {
 	c.epochs++
+	c.seal()
 	R, nlive := len(c.runners)+1, 0
 	for i, e := range c.engines {
-		c.release(i, c.ends[i])
 		c.base[i] = e.executed
-		at, ok := e.NextAt()
-		if c.live[i] = ok && at < c.ends[i]; c.live[i] {
+		if c.live[i] = c.nexts[i] < c.ends[i]; c.live[i] {
 			nlive++
 			c.acct.Active[i]++
-			if r := i % R; r > 0 {
-				c.runners[r-1].posted = true
-			}
 		} else if e.now < c.ends[i] {
 			e.now = c.ends[i]
+		}
+		if r := i % R; r > 0 && (c.live[i] || c.inbound[i]) {
+			c.runners[r-1].posted = true
 		}
 	}
 	if nlive > 1 {
 		c.acct.Parallel++
 	}
+	c.epochOn = true
 	for r := range c.runners {
 		if c.runners[r].posted {
 			c.runners[r].start.set(c.epochs)
@@ -706,6 +846,7 @@ func (c *Coordinator[P]) runEpoch() {
 			rn.posted = false
 		}
 	}
+	c.epochOn = false
 	var wmax, wsum uint64
 	for i, e := range c.engines {
 		w := e.executed - c.base[i]
@@ -723,7 +864,7 @@ func (c *Coordinator[P]) runEpoch() {
 }
 
 // Checkpoint support. Between Run calls every engine is quiesced at the
-// previous deadline and all cross-shard state lives in mailboxes and
+// previous deadline and all cross-shard state lives in outboxes and
 // pending buffers; CheckpointDrain folds the former into the latter so a
 // snapshot only has to serialize sorted pending records plus the per-src
 // counters and diagnostics below.
@@ -737,13 +878,22 @@ type ShardRec[P any] struct {
 	Payload P
 }
 
-// CheckpointDrain moves every mailbox into its destination's sorted
-// pending buffer. Call only between Run calls (all engines quiesced).
-func (c *Coordinator[P]) CheckpointDrain() { c.drain() }
+// CheckpointDrain moves every outbox into its destination's sorted
+// pending buffer: the runners' steps (sort, seal, fold) done serially on
+// the calling goroutine. Call only between Run calls (all engines
+// quiesced).
+func (c *Coordinator[P]) CheckpointDrain() {
+	c.sortPosted()
+	c.seal()
+	for i := range c.lanes {
+		c.lanes[i].fold()
+	}
+}
 
 // PendingRecords returns dst's pending cross-shard records in merge order.
 func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
-	pq := c.pend[dst]
+	l := &c.lanes[dst]
+	pq := l.pend[l.head:]
 	out := make([]ShardRec[P], 0, len(pq))
 	for i := range pq {
 		r := &pq[i]
@@ -755,33 +905,45 @@ func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
 // RestorePending installs dst's pending records (in the merge order
 // PendingRecords reported them). Call on a fresh coordinator before Run.
 func (c *Coordinator[P]) RestorePending(dst int, recs []ShardRec[P]) {
-	pq := c.pend[dst][:0]
+	l := &c.lanes[dst]
+	pq := l.pend[:0]
 	for _, r := range recs {
 		pq = append(pq, rec[P]{at: r.At, lamport: r.Lamport, seq: r.Seq, src: r.Src, payload: r.Payload})
 	}
-	c.pend[dst] = pq
+	l.pend, l.head = pq, 0
 }
 
 // SrcSeqs returns the per-source record counters (a copy).
-func (c *Coordinator[P]) SrcSeqs() []uint64 { return append([]uint64(nil), c.seq...) }
+func (c *Coordinator[P]) SrcSeqs() []uint64 {
+	seqs := make([]uint64, len(c.lanes))
+	for i := range c.lanes {
+		seqs[i] = c.lanes[i].seq
+	}
+	return seqs
+}
 
 // RestoreSrcSeqs installs the per-source record counters.
 func (c *Coordinator[P]) RestoreSrcSeqs(seqs []uint64) {
-	if len(seqs) != len(c.seq) {
+	if len(seqs) != len(c.lanes) {
 		panic("des: source-seq count mismatch on restore")
 	}
-	copy(c.seq, seqs)
+	for i := range c.lanes {
+		c.lanes[i].seq = seqs[i]
+	}
 }
 
 // Diagnostics returns the coordinator's cumulative counters for
 // serialization: epochs, released messages, and the stall-share ratio's
 // numerator/denominator.
 func (c *Coordinator[P]) Diagnostics() (epochs, messages, stallNum, stallDen uint64) {
-	return c.epochs, c.messages, c.stallNum, c.stallDen
+	return c.epochs, c.Messages(), c.stallNum, c.stallDen
 }
 
 // RestoreDiagnostics installs previously captured counters so a restored
 // run's totals continue from the checkpoint.
 func (c *Coordinator[P]) RestoreDiagnostics(epochs, messages, stallNum, stallDen uint64) {
 	c.epochs, c.messages, c.stallNum, c.stallDen = epochs, messages, stallNum, stallDen
+	for i := range c.lanes {
+		c.lanes[i].released = 0
+	}
 }

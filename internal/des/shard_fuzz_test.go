@@ -1,125 +1,42 @@
 package des
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
-// FuzzMailboxDrain drives the mailbox→pending→release machinery with
-// randomized record batches and randomized epoch windows, and checks the
-// delivered order per destination against the strict (at, lamport,
-// srcShard, seq) total order applied directly to the injected records —
-// the determinism oracle the whole sharded engine rests on. Records are
-// injected into the outboxes directly (bypassing PostPayload's lookahead
-// validation) so the fuzzer controls every key field, including exact
-// (at, lamport) ties across sources, and windows are cut at arbitrary
-// points so ties can land in different release batches. The records reach
-// the pending buffers in two drains, so the second merges into a non-empty
-// buffer, and after each the buffer is checked against a full sort.
+// FuzzMailboxDrain drives the hand-off — source sort, seal, destination
+// fold and release — with fuzzed record batches and fuzzed epoch windows
+// through mailboxRig, whose oracle is a full sort of each destination's
+// records under the strict (at, lamport, srcShard, seq) total order, the
+// determinism oracle the whole sharded engine rests on. Four bytes are
+// one record (src, dst, arrival past the destination's next bound, age at
+// arrival), so the fuzzer controls every key field, including exact
+// (at, lamport) ties across sources; a quadruple whose src and dst
+// coincide is a barrier instead, its third byte the window's width and
+// its fourth a mask of which destinations are live, so ties can land in
+// different release batches and a destination can hold sealed records
+// through several epochs in which it is not live.
 func FuzzMailboxDrain(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 1, 1, 2, 3, 1, 2, 0, 3, 1, 4, 9})
 	f.Add([]byte{0, 1, 1, 0, 1, 0, 1, 0, 0, 2, 1, 0, 1})
 	f.Add([]byte{2, 0, 15, 131, 1, 2, 15, 131, 0, 1, 15, 3, 7, 7, 7})
+	f.Add([]byte{0, 1, 5, 2, 2, 1, 5, 2, 1, 1, 3, 1, 0, 1, 5, 2, 2, 2, 7, 6, 1, 0, 0, 0, 0, 0, 9, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nsh = 3
-		engines := make([]*Engine, nsh)
-		for i := range engines {
-			engines[i] = New()
-		}
-		la := make([][]Duration, nsh)
-		for i := range la {
-			la[i] = make([]Duration, nsh)
-			for j := range la[i] {
-				if i != j {
-					la[i][j] = 1
-				}
-			}
-		}
-		c := NewCoordinatorMatrix[int](engines, la)
-		type delivery struct{ dst, idx int }
-		var log []delivery
-		c.OnDeliver(func(dst, idx int) { log = append(log, delivery{dst, idx}) })
-
-		// Inject: 4 bytes per record → (src, dst, at, lamport). seq stays
-		// per-src monotone, as PostPayload guarantees.
-		dsts := make([]int, 0, 64)
-		recs := make([]rec[int], 0, 64)
-		i := 0
-		checkedDrain := func() {
-			c.drain()
-			for d := 0; d < nsh; d++ {
-				mergeOracle(t, c, d)
-			}
-		}
-		for half := min(len(data)/8, 32); i+3 < len(data) && len(recs) < 64; i += 4 {
-			if i/4 == half {
-				checkedDrain()
-			}
-			src := int(data[i]) % nsh
-			dst := int(data[i+1]) % nsh
-			if src == dst {
+		m := newMailboxRig(t, nsh)
+		ends := make([]Time, nsh)
+		for i := 0; i+3 < len(data) && len(m.recs) < 64; i += 4 {
+			src, dst := int(data[i])%nsh, int(data[i+1])%nsh
+			if src != dst {
+				m.post(src, dst, Time(data[i+2]%16), Time(data[i+3]%8))
 				continue
 			}
-			at := Time(1 + int(data[i+2])%16)
-			c.seq[src]++
-			r := rec[int]{
-				at:      at,
-				lamport: Time(int(data[i+3]&0x7f)) % at,
-				seq:     c.seq[src],
-				src:     int32(src),
-				payload: len(recs),
-			}
-			c.outbox[src][dst] = append(c.outbox[src][dst], r)
-			dsts = append(dsts, dst)
-			recs = append(recs, r)
-		}
-		checkedDrain()
-
-		// Release in randomized increasing windows, draining between them
-		// as the barrier loop would (a no-op on empty mailboxes, but it
-		// must not disturb the pending order).
-		bound := Time(0)
-		for ; i < len(data); i++ {
-			bound += Time(1 + int(data[i])%8)
-			for d := 0; d < nsh; d++ {
-				c.release(d, bound)
-				engines[d].RunBefore(bound)
-			}
-			c.drain()
-		}
-		const final = Time(64)
-		for d := 0; d < nsh; d++ {
-			c.release(d, final)
-			engines[d].RunBefore(final)
-		}
-
-		// Oracle: each destination must see exactly its records, in the
-		// strict total order, regardless of how the windows were cut.
-		for d := 0; d < nsh; d++ {
-			var want []int // record indices bound for d
-			for idx, dst := range dsts {
-				if dst == d {
-					want = append(want, idx)
+			for d := range ends {
+				ends[d] = m.bound[d]
+				if data[i+3]>>d&1 != 0 {
+					ends[d] += Time(1 + data[i+2]%8)
 				}
 			}
-			sort.SliceStable(want, func(a, b int) bool {
-				return recCmp(&recs[want[a]], &recs[want[b]]) < 0
-			})
-			var got []int
-			for _, dl := range log {
-				if dl.dst == d {
-					got = append(got, dl.idx)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("dst %d delivered %d records, injected %d", d, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("dst %d position %d: delivered record %d, oracle says %d\n got %v\nwant %v",
-						d, k, got[k], want[k], got, want)
-				}
-			}
+			m.epoch(ends)
 		}
+		m.flush()
 	})
 }

@@ -113,6 +113,29 @@ func TestCoordinatorCrossShardOrder(t *testing.T) {
 	}
 }
 
+// TestCoordinatorOrdersPostsOutsideEpochs covers posts no runner sorts:
+// made before Run and from a barrier action, out of arrival order and
+// with an exact (at, lamport) tie across sources, they must reach their
+// destination in the total order — and a run whose only work left is
+// such a record must not end before delivering it.
+func TestCoordinatorOrdersPostsOutsideEpochs(t *testing.T) {
+	engines := []*Engine{New(), New(), New()}
+	c := NewCoordinatorMatrix[string](engines, uniformLA(3, Millisecond))
+	var log []string
+	c.OnDeliver(func(_ int, msg string) { log = append(log, msg) })
+	c.PostPayload(2, 0, 9*Millisecond, "b9")
+	c.PostPayload(1, 0, 9*Millisecond, "a9") // ties b9 on (at, lamport): src 1 first
+	c.PostPayload(1, 0, 5*Millisecond, "a5")
+	c.AtBarriers([]Time{2 * Millisecond}, func(Time) {
+		c.PostPayload(2, 0, 7*Millisecond, "b7")
+		c.PostPayload(2, 0, 4*Millisecond, "b4")
+	})
+	c.Run(20 * Millisecond)
+	if want := "[b4 a5 b7 a9 b9]"; fmt.Sprint(log) != want {
+		t.Fatalf("delivered %v, want %s", log, want)
+	}
+}
+
 // TestCoordinatorBarrierBeatsSameTimeEvents checks the sequential tie
 // rule: a barrier action at time t runs before any engine event at t, and
 // with every engine's clock parked at exactly t.

@@ -57,8 +57,8 @@ const (
 	// (router-link serialisation, per-hop propagation) is gone.
 	_
 	_
-	// KindCrossShard is a cross-shard record the coordinator released into
-	// its destination engine (arg = delivery-node slot). Released records
+	// KindCrossShard is a cross-shard record released into its
+	// destination engine (arg = delivery-node slot). Released records
 	// fire inside the epoch that releases them, so none is pending at a
 	// checkpoint: the record itself rides in the coordinator's buffers.
 	KindCrossShard

@@ -458,11 +458,12 @@ func (r ScenarioResult) StrategyTable() *stats.Table {
 // ShardTable renders the sharded-execution account at the heaviest load,
 // one row per combo that ran on more than one shard: epochs (how many had
 // two or more active shards and so something to run side by side), cross-
-// shard messages, the barrier-stall share, and each shard's executed events
-// and active epochs. Every column is a function of event counts, identical
-// on any machine.
+// shard messages, the barrier-stall share, the scaling ceiling it implies
+// (core.Result.ShardCeiling), and each shard's executed events and active
+// epochs. Every column is a function of event counts, identical on any
+// machine.
 func (r ScenarioResult) ShardTable() *stats.Table {
-	t := stats.NewTable("combo", "shards", "epochs", "parallel", "cross msgs", "stall",
+	t := stats.NewTable("combo", "shards", "epochs", "parallel", "cross msgs", "stall", "ceiling",
 		"events per shard", "active epochs per shard")
 	last := len(r.Loads) - 1
 	for _, c := range r.Curves {
@@ -476,6 +477,7 @@ func (r ScenarioResult) ShardTable() *stats.Table {
 			fmt.Sprintf("%d", a.Parallel),
 			fmt.Sprintf("%d", c.CrossShardMsgs[last]),
 			fmt.Sprintf("%.3f", c.StallShare[last]),
+			fmt.Sprintf("%.3f", core.Result{Shards: c.Shards[last], StallShare: c.StallShare[last]}.ShardCeiling()),
 			fmt.Sprint(a.Events), fmt.Sprint(a.Active))
 	}
 	return t
