@@ -58,16 +58,18 @@ scenarios:
 # shared — and every mailbox test (the boundary alloc pin, the merge
 # property test, the gate alloc pin and FuzzMailboxDrain's seeds: the
 # double-buffered hand-off that runners sort, fold and release on) at one,
-# two and four runners under the race detector. `-run Shard` also picks up
-# core's TestShardCensusByKind and TestShardCeiling, the executed-events-
-# by-kind pin at one and two shards and the scaling-ceiling pin at two,
-# four and eight.
+# two and four runners under the race detector. The census rows of
+# harness.TestPins (a quick cell's executed events by kind and scaling
+# ceiling at one, two, four and eight shards) run on one runner too: they
+# are functions of the epoch schedule, not of who executes it. No pinned
+# column reads WDCSIM_SHARDS.
 shards:
 	WDCSIM_SHARDS=1 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=2 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
 	WDCSIM_SHARDS=8 $(GO) test -run Shard ./...
 	GOMAXPROCS=1 WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
+	GOMAXPROCS=1 $(GO) test -run 'TestPins/waxman-zipf-64/census' ./internal/harness
 	$(GO) test -race -cpu 1,2,4 -run 'Coordinator|Shard|Boundary|DrainMerge|GateZeroAlloc|MailboxDrain' ./internal/des ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 4
 
@@ -168,7 +170,9 @@ perf-smoke:
 # sharded ≡ sequential and restored ≡ straight checks on. It ends with one
 # JSON line and exits non-zero unless that line says 0 failed. perf-smoke's
 # -quick run skips expected.json; this is the run that reads it (≈ 35 s on
-# two cores).
+# two cores). It checks benchmark/expected.json only: it is not the tier-1
+# pin table, harness.TestPins (internal/harness/testdata/pins.json), which
+# `go test ./...` runs.
 pins:
 	$(GO) run -C benchmark . -reps 1 -trace 0
 

@@ -44,31 +44,6 @@ func TestScenarioSweepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// Every registered scenario must build and run at quick scale — the same
-// coverage `make scenarios` smokes from the CLI.
-func TestEveryRegisteredScenarioRunsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-registry smoke; skipped in -short (the race job's quick suite)")
-	}
-	for _, sc := range scenario.All() {
-		q := sc.Quick()
-		r, err := ScenarioSweep(q, Options{Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		if r.Delivered == 0 {
-			t.Fatalf("%s: no deliveries at quick scale", sc.Name)
-		}
-		for _, c := range r.Curves {
-			for i, y := range c.WDB.Y {
-				if y <= 0 {
-					t.Fatalf("%s: %v WDB %v at load %.2f", sc.Name, c.Combo, y, r.Loads[i])
-				}
-			}
-		}
-	}
-}
-
 func TestScenarioSweepRejectsInvalid(t *testing.T) {
 	if _, err := ScenarioSweep(scenario.Scenario{Name: "broken"}, Options{}); err == nil {
 		t.Fatal("invalid scenario must be rejected")

@@ -61,34 +61,6 @@ func TestShardDifferentialChurnWaxman16(t *testing.T) {
 	}
 }
 
-// TestScenarioSweepShardsOption plumbs Options.Shards end to end through
-// a reduced sweep and checks the totals match the unsharded sweep.
-func TestScenarioSweepShardsOption(t *testing.T) {
-	sc := scenario.MustLookup("waxman-zipf-16").Quick()
-	base := Options{Seed: 5, Loads: []float64{0.8}, Duration: des.Second}
-	a, err := ScenarioSweep(sc, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := base
-	sharded.Shards = envShards(t)
-	b, err := ScenarioSweep(sc, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Delivered != b.Delivered || a.Lost != b.Lost {
-		t.Fatalf("sweep totals diverged: %d/%d vs %d/%d", a.Delivered, a.Lost, b.Delivered, b.Lost)
-	}
-	for ci := range a.Curves {
-		for li := range a.Loads {
-			if a.Curves[ci].WDB.Y[li] != b.Curves[ci].WDB.Y[li] {
-				t.Fatalf("combo %d load %d WDB %v vs %v", ci, li,
-					a.Curves[ci].WDB.Y[li], b.Curves[ci].WDB.Y[li])
-			}
-		}
-	}
-}
-
 // TestShardDifferentialReoptChurnWaxman16 is the re-optimization
 // acceptance differential: the full-scale reopt-churn-waxman-16 cell
 // (2000 hosts, 16 Zipf groups, Poisson churn, 1 s measurement-driven

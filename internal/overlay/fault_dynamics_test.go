@@ -40,7 +40,8 @@ func sameShape(t *testing.T, a, b *Tree) {
 // sorted ascending by host id regardless of the victims' input order, so
 // sequential and sharded runs — which both repair in exactly that order —
 // re-attach every orphan identically. A change to this contract is a
-// determinism break, not a refactor.
+// determinism break, not a refactor. It checks a property (order
+// independence), not a value, so it is not a row of harness.TestPins.
 func TestBatchRepairOrderPinned(t *testing.T) {
 	net := network(160, 31)
 	fwd, rev := mustDSCT(t, net, allMembers(120), 0, Config{Seed: 31}),

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -315,6 +316,42 @@ func TestTopologyBelowMinimumIsAnError(t *testing.T) {
 	for _, topology := range good {
 		if err := build(topology); err != nil {
 			t.Errorf("%s: %v", topology, err)
+		}
+	}
+}
+
+// TestValidateRejectsSecondsTheClockCannotHold: duration_sec and
+// window_sec take 0 (the default) or a span the nanosecond clock holds.
+// 1e11 s overflows it — every cell ran with nothing delivered — and
+// 1e-12 s rounds to 0 ns, which silently selected the default horizon.
+func TestValidateRejectsSecondsTheClockCannotHold(t *testing.T) {
+	for _, tc := range []struct {
+		sec float64
+		ok  bool
+	}{
+		{0, true},
+		{1e-9, true},
+		{2.5, true},
+		{9e9, true},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+		{1e-12, false},
+		{0.9e-9, false},
+		{1e11, false},
+		{float64(math.MaxInt64) / 1e9, false},
+	} {
+		for _, field := range []string{"duration_sec", "window_sec"} {
+			sc := MustLookup("waxman-zipf-16").Quick()
+			if field == "duration_sec" {
+				sc.DurationSec = tc.sec
+			} else {
+				sc.WindowSec = tc.sec
+			}
+			if err := sc.Validate(); (err == nil) != tc.ok {
+				t.Errorf("%s = %v: Validate returned %v, want ok=%v", field, tc.sec, err, tc.ok)
+			}
 		}
 	}
 }
