@@ -14,9 +14,9 @@ test:
 
 # Race detector over the quick test suite (-short skips the two slowest
 # full-sweep tests): the parallel sweep pool, the per-engine isolation
-# invariant, and static sessions reading one blueprint's trees and child
-# plan side by side (TestStaticSessionsShareBlueprintTrees and
-# TestStaticSessionsShareBlueprintPlan, which -short does not skip) are
+# invariant, and sessions reading one blueprint's trees and child plan side
+# by side while one of them edits group 0 (TestStaticSessionsShareBlueprintTrees
+# and TestStaticSessionsShareBlueprintPlan, which -short does not skip) are
 # exactly the kind of thing -race catches.
 race:
 	$(GO) test -race -short ./...
@@ -123,13 +123,13 @@ fuzz:
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
 # two ends and its shard's one shared Line, built and restored, the MUX
-# record to 104 bytes, a static session's trees and child plan to the
-# blueprint's own, built and restored, and one blob to its exact byte
-# count and SHA-256,
+# record to 104 bytes, every group's tree no edit has touched — and, until
+# a session's first edit, its child plan — to the blueprint's own, built,
+# run and restored, and one blob to its exact byte count and SHA-256,
 # so a word added back to a component record, a byte per member,
 # forwarding state at a leaf, per-engine constants or a link record per
-# MUX, a tree cloned or decoded or a child plan compiled where none is
-# written, an object per tree in a Snapshot, or a pending event written
+# MUX, a tree cloned or decoded or a child plan copied or compiled where
+# none is written, an object per tree in a Snapshot, or a pending event written
 # under another (at, prio, kind, arg), fails here as well.
 snapshot:
 	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestSnapshotBlobBytes' ./internal/core
@@ -187,10 +187,13 @@ drift:
 
 # Substrate compile differentials under the race detector: the parallel
 # compiler must be bit-identical to sequential, the blueprint cache must
-# key correctly and hand out isolated clones, the child plan must match its
+# key correctly, sessions that edit must never share mutable state and
+# leave the blueprint byte for byte as built, the child plan must match its
 # reference in its layout (three arenas and an offset per host) and be
-# compiled once per blueprint for its static sessions, a panic in a
-# compile pass must reach the caller, a cache-warm session must reproduce
+# compiled once per blueprint for every session until its first edit, a
+# re-optimization pass must plan on shared trees without writing them
+# (two sessions side by side), a panic in a compile pass must reach the
+# caller, a cache-warm session must reproduce
 # the cold session's Result exactly, and a cold compile must stay within
 # its object budget: a constant per group, nothing per cluster, per domain
 # or per router (each group's hierarchy runs in one buffer, the routing
@@ -205,7 +208,7 @@ drift:
 # and the churn schedule's Fenwick pick and run merge to the host scan
 # and stable sort.
 substrate:
-	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
+	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestReoptPlanReadsSharedTrees|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
 	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestRTTIndexMatchesFullSort|TestGraftPointsMatchOracle|TestGraftIndexWorkLedger|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
 
 # Non-test Go lines outside benchmark/, per package and in total — the

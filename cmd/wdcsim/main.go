@@ -50,10 +50,13 @@
 // shard account (epochs, stall share, events and active epochs per shard).
 // Shard runners are bounded to GOMAXPROCS process-wide, so -workers and
 // -shards together never oversubscribe the cores: a sweep whose pool
-// already fills them runs each sharded cell's epochs inline. The one
-// shard-count-dependent output is the reported mean delay's last few bits
-// (per-shard Welford accumulators merge in shard order); pass -shards 1
-// when byte-identical output across machines matters more than speed.
+// already fills them runs each sharded cell's epochs inline. What
+// depends on the shard count: the reported mean delay's last few bits
+// (per-shard Welford accumulators merge in shard order) and, in -json,
+// each curve's shards, epochs, cross_shard_msgs and stall_share. Since
+// -shards defaults to GOMAXPROCS, output differs across machines unless
+// the count is fixed; only -shards 1 output is comparable with a
+// pins.json seed1 row (internal/harness/testdata).
 package main
 
 import (

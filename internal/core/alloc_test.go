@@ -102,161 +102,210 @@ func sharingCases(t *testing.T) []sharingCase {
 	return []sharingCase{{"1 shard", fixtures["waxman-zipf-64-quick"]}, {"4 shards", sharded}, {"capacity-aware", capAware}}
 }
 
-// TestStaticSessionsShareBlueprintTrees: a session without churn, faults
-// or re-optimization holds its blueprint's trees themselves, not clones —
-// after NewSession and after Restore, at one shard and at four, and for the
-// capacity-aware scheme's one tree shared by every group — where a session
-// whose control planes write trees never holds one of them. Two static
-// sessions built, checkpointed, restored and run side by side leave the
-// blueprint's trees byte for byte as they were and without the live RTT
-// index a graft point builds, which a writing session's own tree may
-// carry once it grafts (make race runs this under the race detector).
-func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
-	// cycle builds cfg, runs it halfway, checkpoints it and restores the
-	// blob, and returns both sessions.
-	cycle := func(cfg core.Config) (built, restored *core.Session, err error) {
-		built = core.NewSession(cfg)
-		built.Start()
-		built.RunTo(des.Time(cfg.Duration) / 2)
-		blob, err := built.Snapshot()
-		if err == nil {
-			restored, err = core.Restore(cfg, blob)
+// groupZeroJoins returns cfg with churn in group 0 only: a join, at each
+// of the given instants, of a host outside the group (each event names
+// the next one). No control plane runs under the capacity-aware scheme,
+// so it returns false there.
+func groupZeroJoins(cfg core.Config, at ...des.Time) (core.Config, bool) {
+	if !cfg.Scheme.Regulated() {
+		return cfg, false
+	}
+	members := core.NewSession(cfg).Groups()[0].Members
+	cfg.Events = nil
+	for h := 0; h < cfg.NumHosts && len(cfg.Events) < len(at); h++ {
+		if !slices.Contains(members, h) {
+			cfg.Events = append(cfg.Events, core.MembershipEvent{At: at[len(cfg.Events)], Group: 0, Host: h, Join: true})
 		}
-		return built, restored, err
+	}
+	return cfg, len(cfg.Events) == len(at)
+}
+
+// TestStaticSessionsShareBlueprintTrees: every group a session has not
+// edited holds its blueprint's tree itself, not a clone — at one shard and
+// at four, and for the capacity-aware scheme's one tree shared by every
+// group. A session without churn, faults or re-optimization shares every
+// tree after NewSession, after a Restore and after its run. One whose
+// churn touches only group 0 shares every tree after NewSession and after
+// a Restore taken before the edit, and groups 1…K−1 after its run and
+// after a Restore taken after the edit. Static sessions checkpointed,
+// restored and run side by side with an editing one leave the blueprint's
+// trees byte for byte as they were and without the live RTT index a graft
+// point builds, which the editing session's own tree of group 0 carries
+// (make race runs this under the race detector).
+func TestStaticSessionsShareBlueprintTrees(t *testing.T) {
+	every := func(int) bool { return true }
+	unwritten := func(g int) bool { return g != 0 }
+	shares := func(t *testing.T, s *core.Session, how string, want func(g int) bool) {
+		t.Helper()
+		own, _ := core.BlueprintTrees(s)
+		for g, o := range own {
+			if o != want(g) {
+				t.Fatalf("%s: group %d holds the blueprint's tree = %v, want %v", how, g, o, want(g))
+			}
+		}
+	}
+	// restoreAt runs s to at, checkpoints it and restores the blob.
+	restoreAt := func(t *testing.T, s *core.Session, cfg core.Config, at des.Time) *core.Session {
+		t.Helper()
+		s.RunTo(at)
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.Restore(cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	for _, tc := range sharingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			// One churn event makes a session whose control plane writes its
-			// trees — a regulated one: no control plane runs under the
-			// capacity-aware scheme.
-			growing := tc.cfg
-			growing.Events = []core.MembershipEvent{{At: des.Time(tc.cfg.Duration) * 3 / 4, Group: 0, Host: 1}}
-			for _, want := range []bool{true, false} {
-				cfg := tc.cfg
-				if !want {
-					if !cfg.Scheme.Regulated() {
-						continue
-					}
-					cfg = growing
-				}
-				built, restored, err := cycle(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range []struct {
-					how string
-					s   *core.Session
-				}{{"NewSession", built}, {"Restore", restored}} {
-					own, _ := core.BlueprintTrees(s.s)
-					for g, o := range own {
-						if o != want {
-							t.Fatalf("after %s (events %d): group %d holds the blueprint's tree = %v, want %v", s.how, len(cfg.Events), g, o, want)
-						}
-					}
-				}
-			}
+			d := des.Time(tc.cfg.Duration)
 			s := core.NewSession(tc.cfg)
 			_, before := core.BlueprintTrees(s)
-			var wg sync.WaitGroup
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, restored, err := cycle(tc.cfg); err != nil {
-						t.Error(err)
-					} else {
-						restored.Finish()
-					}
-				}()
-			}
-			wg.Wait()
-			if _, after := core.BlueprintTrees(s); !bytes.Equal(before, after) {
-				t.Fatal("two static sessions running side by side changed the blueprint's trees")
-			}
-			if bp, _ := core.TreesIndexed(s); slices.Contains(bp, true) {
-				t.Fatalf("after static sessions ran, blueprint trees hold a live RTT index: %v", bp)
-			}
-			if tc.cfg.Scheme.Regulated() {
-				// A join grafts into the writing session's own tree, not the
-				// blueprint's.
-				joining := tc.cfg
-				h := 0
-				for slices.Contains(s.Groups()[0].Members, h) {
-					h++
-				}
-				joining.Events = []core.MembershipEvent{{At: des.Time(tc.cfg.Duration) / 2, Group: 0, Host: h, Join: true}}
-				w := core.NewSession(joining)
-				w.Run()
+			shares(t, s, "static NewSession", every)
+			s.Start()
+			shares(t, restoreAt(t, s, tc.cfg, d/2), "static Restore", every)
+			s.Finish()
+			shares(t, s, "static run", every)
+
+			if cfg, ok := groupZeroJoins(tc.cfg, d/2); ok {
+				w := core.NewSession(cfg)
+				shares(t, w, "NewSession with churn in group 0", every)
+				w.Start()
+				r := restoreAt(t, w, cfg, d/4)
+				shares(t, r, "Restore before the edit", every)
+				shares(t, restoreAt(t, r, cfg, d*3/4), "Restore after the edit", unwritten)
+				w.Finish()
+				shares(t, w, "run with churn in group 0", unwritten)
 				if bp, own := core.TreesIndexed(w); slices.Contains(bp, true) || !own[0] {
 					t.Fatalf("after a session grafted into group 0: blueprint indexed %v, own %v", bp, own)
 				}
 			}
-		})
-	}
-}
 
-// TestStaticSessionsShareBlueprintPlan: a session without churn, faults
-// or re-optimization reads its blueprint's child plan — every forwarder's
-// child windows lie in it — after NewSession and after each of three
-// chained Restores, at one shard and at four, and under the capacity-aware
-// scheme's one shared tree: the plan is compiled once per blueprint. A
-// session whose control planes write trees compiles its own at the build
-// and at each restore, once per session: its windows lie back to back in
-// one array of their own. Two static sessions built, checkpointed,
-// restored and run side by side leave the plan byte for byte as it was
-// (make race runs this under the race detector).
-func TestStaticSessionsShareBlueprintPlan(t *testing.T) {
-	for _, tc := range sharingCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			// One churn event, after the last checkpoint, makes a session
-			// whose control plane writes its trees — a regulated one: no
-			// control plane runs under the capacity-aware scheme.
-			d := des.Time(tc.cfg.Duration)
-			growing := tc.cfg
-			growing.Events = []core.MembershipEvent{{At: d * 3 / 4, Group: 0, Host: 1}}
-			for _, static := range []bool{true, false} {
-				cfg := tc.cfg
-				if !static {
-					if !cfg.Scheme.Regulated() {
-						continue
-					}
-					cfg = growing
-				}
-				s := core.NewSession(cfg)
-				s.Start()
-				sessions := []*core.Session{s}
-				for i := 1; i <= 3; i++ {
-					s.RunTo(d * des.Time(i) / 8)
+			// Side by side: two static sessions through a checkpoint cycle
+			// and, where a control plane can run, one editing group 0.
+			var wg sync.WaitGroup
+			side := []core.Config{tc.cfg, tc.cfg}
+			if cfg, ok := groupZeroJoins(tc.cfg, d/4, d/2); ok {
+				side = append(side, cfg)
+			}
+			for _, cfg := range side {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := core.NewSession(cfg)
+					s.Start()
+					s.RunTo(d / 3)
 					blob, err := s.Snapshot()
 					if err == nil {
 						s, err = core.Restore(cfg, blob)
 					}
 					if err != nil {
-						t.Fatal(err)
+						t.Error(err)
+						return
 					}
-					sessions = append(sessions, s)
-				}
-				compiles := map[uintptr]bool{}
-				for i, s := range sessions {
-					how := "NewSession"
-					if i > 0 {
-						how = fmt.Sprintf("Restore %d", i)
-					}
-					shared, first, oneArena := core.ChildWindows(s)
-					if len(shared) == 0 || !oneArena {
-						t.Fatalf("after %s (events %d): %d forwarders with children, windows in one array: %v", how, len(cfg.Events), len(shared), oneArena)
-					}
-					for j, sh := range shared {
-						if sh != static {
-							t.Fatalf("after %s (events %d): forwarder %d reads the blueprint's plan = %v, want %v", how, len(cfg.Events), j, sh, static)
-						}
-					}
-					compiles[first] = true
-				}
-				if want := map[bool]int{true: 1, false: len(sessions)}[static]; len(compiles) != want {
-					t.Fatalf("events %d: a build and three restores read child sets from %d compiles, want %d", len(cfg.Events), len(compiles), want)
-				}
+					s.Finish()
+				}()
 			}
+			wg.Wait()
+			if _, after := core.BlueprintTrees(s); !bytes.Equal(before, after) {
+				t.Fatal("sessions running side by side changed the blueprint's trees")
+			}
+			if bp, _ := core.TreesIndexed(s); slices.Contains(bp, true) {
+				t.Fatalf("after sessions ran side by side, blueprint trees hold a live RTT index: %v", bp)
+			}
+		})
+	}
+}
+
+// TestStaticSessionsShareBlueprintPlan: a session reads its blueprint's
+// child plan — every forwarder's child windows lie in it — until it first
+// edits a child set, and from then on reads exactly one plan of its own.
+// A session without churn, faults or re-optimization reads the
+// blueprint's after NewSession and after each of three chained Restores,
+// at one shard and at four, and under the capacity-aware scheme's one
+// shared tree: the plan is compiled once per blueprint. A session whose
+// churn joins two hosts to group 0 reads it after NewSession and after a
+// Restore taken before the first join; after the joins it holds one plan
+// of its own, the same one after the second join as after the first, and
+// a Restore taken then compiles one of its own too. Two static sessions
+// built, checkpointed, restored and run side by side leave the plan byte
+// for byte as it was (make race runs this under the race detector).
+func TestStaticSessionsShareBlueprintPlan(t *testing.T) {
+	// reads checks, after how, whether every forwarder with children reads
+	// the blueprint's plan and the session holds no plan of its own.
+	reads := func(t *testing.T, s *core.Session, how string, blueprint bool) (first uintptr) {
+		t.Helper()
+		shared, first, oneArena := core.ChildWindows(s)
+		if len(shared) == 0 || (blueprint && !oneArena) {
+			t.Fatalf("after %s: %d forwarders with children, windows in one array: %v", how, len(shared), oneArena)
+		}
+		for j, sh := range shared {
+			if sh != blueprint {
+				t.Fatalf("after %s: forwarder %d reads the blueprint's plan = %v, want %v", how, j, sh, blueprint)
+			}
+		}
+		if _, own := core.ChildPlan(s); own == blueprint {
+			t.Fatalf("after %s: the session holds a plan of its own = %v, want %v", how, own, !blueprint)
+		}
+		return first
+	}
+	for _, tc := range sharingCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			d := des.Time(tc.cfg.Duration)
+			s := core.NewSession(tc.cfg)
+			s.Start()
+			compiles := map[uintptr]bool{reads(t, s, "static NewSession", true): true}
+			for i := 1; i <= 3; i++ {
+				s.RunTo(d * des.Time(i) / 8)
+				blob, err := s.Snapshot()
+				if err == nil {
+					s, err = core.Restore(tc.cfg, blob)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				compiles[reads(t, s, fmt.Sprintf("static Restore %d", i), true)] = true
+			}
+			if len(compiles) != 1 {
+				t.Fatalf("a build and three restores read child sets from %d compiles, want 1", len(compiles))
+			}
+
+			if cfg, ok := groupZeroJoins(tc.cfg, d/2, d*5/8); ok {
+				w := core.NewSession(cfg)
+				reads(t, w, "NewSession with churn in group 0", true)
+				w.Start()
+				w.RunTo(d / 4)
+				blob, err := w.Snapshot()
+				if err == nil {
+					w, err = core.Restore(cfg, blob)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				reads(t, w, "Restore before the first join", true)
+				w.RunTo(d * 9 / 16)
+				reads(t, w, "the first join", false)
+				plan, _ := core.ChildPlan(w)
+				w.RunTo(d * 3 / 4)
+				reads(t, w, "the second join", false)
+				if again, _ := core.ChildPlan(w); again != plan {
+					t.Fatal("the second join took another plan: a session holds one plan of its own")
+				}
+				blob, err = w.Snapshot()
+				if err == nil {
+					w, err = core.Restore(cfg, blob)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, oneArena := core.ChildWindows(w); !oneArena {
+					t.Fatal("a Restore after the joins does not read one compiled plan")
+				}
+				reads(t, w, "Restore after the joins", false)
+			}
+
 			before := core.BlueprintPlan(core.NewSession(tc.cfg))
 			var wg sync.WaitGroup
 			for i := 0; i < 2; i++ {

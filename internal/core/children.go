@@ -89,9 +89,10 @@ func (gc *groupChildren) each(fn func(g int, kids []int)) {
 // headers parallel to them, and the child ids those headers window — and a
 // per-host offset index into the first two. Host p's slots are
 // [off[p], off[p+1]), ascending by group id. A per-host groupChildren
-// header array would cost 48 bytes a host; the index costs four. A static
-// session's plan is its blueprint's and never written; a session whose
-// control planes write trees edits its own through its forwarders' views.
+// header array would cost 48 bytes a host; the index costs four. A
+// session reads its blueprint's plan, which nothing writes, until its first
+// edit of a child set compiles its own (edits.own); it edits that one
+// through its forwarders' views.
 type childPlan struct {
 	groups []int32
 	kids   [][]int

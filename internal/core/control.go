@@ -101,7 +101,7 @@ func (cp *controlPlane) leave(g, h int) bool {
 	// Tree.Prune, not remove's batch prune: it repairs the orphans in
 	// child order, the order the churn results are pinned to.
 	parent := st.tree.Parent(h)
-	orphans, err := st.tree.Prune(h)
+	orphans, err := cp.tree(g).Prune(h)
 	if err != nil {
 		panic(fmt.Sprintf("core: control plane prune: %v", err))
 	}

@@ -11,14 +11,16 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/overlay"
 	"repro/internal/topo"
 )
 
-// edits holds what a tree edit touches: the network, the per-group
-// runtime state, the session's hosts, and the outage set — the fault
-// plane's, shared with the control plane; nil in a session without
-// faults.
+// edits holds what a tree edit touches: the substrate, whose trees and
+// child plan start as the blueprint's, the network, the per-group runtime
+// state, the session's hosts, and the outage set — the fault plane's,
+// shared with the control plane; nil in a session without faults.
 type edits struct {
+	sub    *substrate
 	net    *topo.Network
 	groups []*groupState
 	hosts  []host
@@ -26,7 +28,40 @@ type edits struct {
 }
 
 func newEdits(sub *substrate, hosts []host) edits {
-	return edits{net: sub.net, groups: sub.groups, hosts: hosts}
+	return edits{sub: sub, net: sub.net, groups: sub.groups, hosts: hosts}
+}
+
+// tree returns group g's tree to write — the graft points' live RTT index
+// included: the session's own, cloned from the blueprint's on the group's
+// first write, so a group nobody edits shares the blueprint's.
+func (e *edits) tree(g int) *overlay.Tree {
+	st := e.groups[g]
+	if st.tree == e.sub.bp.trees[g] {
+		st.tree = st.tree.Clone()
+	}
+	return st.tree
+}
+
+// own gives the session a child plan of its own before its first write to
+// any host's child sets, compiled from the blueprint's trees — the plan
+// its forwarders have read until now — and re-points them at it.
+func (e *edits) own() {
+	sub := e.sub
+	if sub.plan != sub.bp.plan {
+		return
+	}
+	sub.plan = compileChildren(len(e.hosts), sub.bp.trees)
+	for id := range e.hosts {
+		if f := e.hosts[id].fwd; f != nil {
+			f.children = sub.plan.of(id)
+		}
+	}
+}
+
+// attach makes c a child of p in group g's host wiring.
+func (e *edits) attach(g, p, c int) {
+	e.own()
+	e.hosts[p].attachChild(g, c)
 }
 
 // graft adds h to group g as a leaf under its strategy's graft point and
@@ -39,15 +74,16 @@ func (e *edits) graft(g, h int) bool {
 	if st.strat == nil || st.member.has(h) || (e.down != nil && e.down.has(h)) {
 		return false
 	}
-	parent, err := st.strat.GraftPoint(e.net, st.tree, h, 0, st.lim)
+	t := e.tree(g)
+	parent, err := st.strat.GraftPoint(e.net, t, h, 0, st.lim)
 	if err != nil {
 		return false
 	}
-	if err := st.tree.Graft(h, parent); err != nil {
+	if err := t.Graft(h, parent); err != nil {
 		panic(fmt.Sprintf("core: graft: %v", err))
 	}
 	st.member.set(h)
-	e.hosts[parent].attachChild(g, h)
+	e.attach(g, parent, h)
 	return true
 }
 
@@ -56,21 +92,22 @@ func (e *edits) graft(g, h int) bool {
 // RTT-nearest protocol, spt repairs by path delay — so earlier roots
 // become candidates for later ones.
 func (e *edits) repair(g int, roots []int) {
-	st := e.groups[g]
-	parents, err := st.tree.RepairWith(roots, func(o, subHeight int) (int, error) {
-		return st.strat.GraftPoint(e.net, st.tree, o, subHeight, st.lim)
+	st, t := e.groups[g], e.tree(g)
+	parents, err := t.RepairWith(roots, func(o, subHeight int) (int, error) {
+		return st.strat.GraftPoint(e.net, t, o, subHeight, st.lim)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("core: repair: %v", err))
 	}
 	for i, o := range roots {
-		e.hosts[parents[i]].attachChild(g, o)
+		e.attach(g, parents[i], o)
 	}
 }
 
 // unhook stops host p feeding child c in group g. Returns the backlog p
 // abandons with the edge, counted as the group's loss.
 func (e *edits) unhook(g, p, c int) uint64 {
+	e.own()
 	n := uint64(e.hosts[p].removeChild(g, c))
 	e.groups[g].lost += n
 	return n
@@ -79,6 +116,7 @@ func (e *edits) unhook(g, p, c int) uint64 {
 // drop clears h's membership of g and tears down h's forwarding state for
 // g. Returns the abandoned backlog, counted as the group's loss.
 func (e *edits) drop(g, h int) uint64 {
+	e.own()
 	st := e.groups[g]
 	st.member.unset(h)
 	n := uint64(e.hosts[h].detachGroup(g))
@@ -120,7 +158,7 @@ func (e *edits) remove(g int, victims []int) (orphans []int, lost uint64) {
 			feeds = append(feeds, edge{v, p})
 		}
 	}
-	orphans, err := st.tree.PruneAll(victims)
+	orphans, err := e.tree(g).PruneAll(victims)
 	if err != nil {
 		panic(fmt.Sprintf("core: prune: %v", err))
 	}

@@ -28,7 +28,7 @@ func ComponentCount(s *Session) int {
 // blueprint's own — the pointer the blueprint cache holds — and the
 // blueprint's trees as Snapshot writes them, one record per group.
 func BlueprintTrees(s *Session) (own []bool, stanzas []byte) {
-	bp := blueprintFor(&s.sub.cfg, s.sub.numGroups())
+	bp := s.sub.bp
 	w := snap.NewWriterSize(1, 0)
 	for g, st := range s.sub.groups {
 		own = append(own, st.tree == bp.trees[g])
@@ -51,7 +51,7 @@ func TreesIndexed(s *Session) (blueprint, own []bool) {
 	indexed := func(t *overlay.Tree) bool {
 		return !reflect.ValueOf(t).Elem().FieldByName("live").IsNil()
 	}
-	bp := blueprintFor(&s.sub.cfg, s.sub.numGroups())
+	bp := s.sub.bp
 	for g, st := range s.sub.groups {
 		blueprint = append(blueprint, indexed(bp.trees[g]))
 		own = append(own, indexed(st.tree))
@@ -60,11 +60,11 @@ func TreesIndexed(s *Session) (blueprint, own []bool) {
 }
 
 // BlueprintPlan returns the child plan of the session's blueprint — the
-// one its static sessions read — byte for byte: its offset index, group
+// one its sessions read until they edit — byte for byte: its offset index, group
 // ids and child ids, and each child-list header as its window of the
 // child ids (offset, length, capacity).
 func BlueprintPlan(s *Session) []byte {
-	pl := blueprintFor(&s.sub.cfg, s.sub.numGroups()).children()
+	pl := s.sub.bp.plan
 	var b []byte
 	for _, o := range pl.off {
 		b = binary.LittleEndian.AppendUint32(b, uint32(o))
@@ -99,7 +99,7 @@ func within[T any](w, arena []T) bool {
 // whether the group-id windows sit back to back in one array, as one
 // compile lays them out.
 func ChildWindows(s *Session) (shared []bool, first uintptr, oneArena bool) {
-	pl := blueprintFor(&s.sub.cfg, s.sub.numGroups()).children()
+	pl := s.sub.bp.plan
 	oneArena = true
 	var next uintptr
 	for _, h := range s.hosts {
@@ -122,6 +122,11 @@ func ChildWindows(s *Session) (shared []bool, first uintptr, oneArena bool) {
 	}
 	return shared, first, oneArena
 }
+
+// ChildPlan reports the session's child plan, as an identity to compare
+// across its run, and whether it is the session's own rather than its
+// blueprint's.
+func ChildPlan(s *Session) (plan any, own bool) { return s.sub.plan, s.sub.plan != s.sub.bp.plan }
 
 // SnapshotHint reports the capacity the session's next Snapshot starts its
 // stream at.

@@ -375,6 +375,9 @@ func (fp *faultPlane) partition(i int, ev FaultEvent) {
 			}
 		}
 		sort.Slice(cuts, func(a, b int) bool { return cuts[a].m < cuts[b].m })
+		if len(cuts) > 0 {
+			t = fp.tree(g)
+		}
 		for _, e := range cuts {
 			if err := t.Detach(e.m); err != nil {
 				panic(fmt.Sprintf("core: partition detach: %v", err))

@@ -290,7 +290,7 @@ func TestHostSetModePanicsOnAdaptive(t *testing.T) {
 
 // TestForwarderLifeUnderChurn follows one host of an adaptive session
 // through churn: a leaf that a join grafts a child under gets a forwarder,
-// from its shard's arena;
+// carved from its shard's arena;
 // when that child leaves it keeps the forwarder, with its mode, switch
 // count, banks and controller; a checkpoint taken then restores it so; and
 // a later join under it runs bit-identically to the straight run. At one
@@ -299,8 +299,8 @@ func TestForwarderLifeUnderChurn(t *testing.T) {
 	base := Config{NumHosts: 48, Mix: traffic.MixAudio, Load: 0.8, Scheme: SchemeAdaptive,
 		Duration: 3 * des.Second, Seed: 11, Groups: partialGroups(48)}
 	// The first outsider whose graft point is a host that forwards nothing.
-	// The probe is static, so its trees are the blueprint's: a graft point
-	// runs on a clone, as a walk writes its tree's scratch.
+	// The probe's trees are the blueprint's: a graft point runs on a clone,
+	// as it builds its tree's live RTT index.
 	probe := NewSession(base)
 	g, joiner, parent := -1, -1, -1
 	for gi, st := range probe.sub.groups {
@@ -347,19 +347,10 @@ func TestForwarderLifeUnderChurn(t *testing.T) {
 		if f == nil || !slices.Equal(f.children.get(g), []int{joiner}) {
 			t.Fatalf("shards=%d: host %d has no forwarder with child %d in group %d after the join", shards, parent, joiner, g)
 		}
-		// A churning session's arena has room for every host of the shard:
-		// the new forwarder lies in the one its shard's first forwarder was
-		// carved from at build.
-		first, owned := (*forwarder)(nil), 0
-		for id, h := range s.hosts {
-			if s.owner[id] == s.owner[parent] {
-				if first == nil {
-					first = h.fwd
-				}
-				owned++
-			}
-		}
-		if off := uintptr(unsafe.Pointer(f)) - uintptr(unsafe.Pointer(first)); off >= uintptr(owned)*unsafe.Sizeof(*f) {
+		// The new forwarder is carved from its shard's arena, which the
+		// build sized for the hosts with children: the arena's next
+		// forwarder sits right behind it.
+		if next := s.hosts[parent].env.slabs.fwds.One(); uintptr(unsafe.Pointer(next)) != uintptr(unsafe.Pointer(f))+unsafe.Sizeof(*f) {
 			t.Fatalf("shards=%d: host %d's forwarder is not in its shard's arena", shards, parent)
 		}
 		before := stateOf(f)

@@ -249,14 +249,14 @@ func (ro *reoptPlane) rewire(g int) bool {
 	}
 	st := ro.groups[g]
 	oldParent := st.tree.Parent(w)
-	if err := st.tree.Reparent(w, p); err != nil {
+	if err := ro.tree(g).Reparent(w, p); err != nil {
 		panic(fmt.Sprintf("core: reopt rewire: %v", err))
 	}
 	// Host wiring mirrors a churn leave+join for the moved edge: the old
 	// parent drops the child (abandoning any backlog it held exclusively
 	// for that subtree — counted as loss), the new parent picks it up.
 	ro.unhook(g, oldParent, w)
-	ro.hosts[p].attachChild(g, w)
+	ro.attach(g, p, w)
 	ro.moves++
 	ro.moved = append(ro.moved, w)
 	return true
@@ -302,9 +302,9 @@ func (ro *reoptPlane) rebuild(g int, at des.Time) {
 			ro.unhook(g, t.Parent(m), m)
 		}
 	}
-	st.tree = cand
+	st.tree = cand // the session's own: the blueprint's is not written
 	for _, m := range movedMembers {
-		ro.hosts[cand.Parent(m)].attachChild(g, m)
+		ro.attach(g, cand.Parent(m), m)
 		ro.moves++
 	}
 	if len(movedMembers) == 0 {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/des"
@@ -294,4 +296,66 @@ func (ro *reoptPlane) oraclePlan(g int, moved []int) (w, p int, predicted float6
 		}
 	}
 	return w, p, predicted, p >= 0
+}
+
+// TestReoptPlanReadsSharedTrees: a re-optimization pass plans on the trees
+// its session shares with the blueprint — overlay.Select over the attached
+// walk and SubtreeHeight in plan, PathLatency, Attached, ParentOf and
+// EachParent beside them — and writes none of them. Two sessions whose
+// passes all fall short of a 99 % hysteresis margin run side by side, for
+// the dsct and spt strategies, reading every tree between passes too; each
+// blueprint tree keeps its Snapshot bytes, holds no live RTT index and is
+// still every group's tree in both sessions (make substrate runs this
+// under the race detector).
+func TestReoptPlanReadsSharedTrees(t *testing.T) {
+	for _, strategy := range []string{"dsct", "spt"} {
+		cfg := reoptBaseConfig()
+		cfg.Strategy = strategy
+		cfg.Reopt = ReoptConfig{Every: 250 * des.Millisecond, MinImprove: 0.99}
+		bp := compileSubstrate(cfg).bp
+		var before [][]byte
+		for _, tr := range bp.trees {
+			before = append(before, treeBytes(t, tr))
+		}
+		sessions := []*Session{NewSession(cfg), NewSession(cfg)}
+		var wg sync.WaitGroup
+		for _, s := range sessions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.Start()
+				for at := des.Time(cfg.Duration) / 8; at < des.Time(cfg.Duration); at += des.Time(cfg.Duration) / 8 {
+					s.RunTo(at)
+					for g, st := range s.sub.groups {
+						s.ro.plan(g)
+						tr := st.tree
+						tr.EachParent(func(p int, kids []int) {
+							for _, c := range kids {
+								if q, ok := tr.ParentOf(c); !ok || q != p || !tr.Attached(c) || tr.PathLatency(s.sub.net, c) <= 0 {
+									t.Errorf("group %d: member %d under %d reads parent %d (%v), attached %v", g, c, p, q, ok, tr.Attached(c))
+								}
+							}
+						})
+					}
+				}
+				if res := s.Finish(); res.ReoptRejected == 0 || res.Reopts != 0 {
+					t.Errorf("%s: %d passes rejected, %d accepted: want every pass planned and rejected", strategy, res.ReoptRejected, res.Reopts)
+				}
+			}()
+		}
+		wg.Wait()
+		for g, tr := range bp.trees {
+			if !bytes.Equal(treeBytes(t, tr), before[g]) {
+				t.Fatalf("%s: planning changed the blueprint's tree of group %d", strategy, g)
+			}
+			for i, s := range sessions {
+				if s.sub.groups[g].tree != tr {
+					t.Fatalf("%s: session %d no longer shares group %d's tree", strategy, i, g)
+				}
+			}
+		}
+		if indexed, _ := TreesIndexed(sessions[0]); slices.Contains(indexed, true) {
+			t.Fatalf("%s: planning built a live RTT index in a blueprint tree: %v", strategy, indexed)
+		}
+	}
 }

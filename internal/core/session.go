@@ -189,20 +189,6 @@ func (c *Config) strategyName() string {
 	return "dsct"
 }
 
-// writesTrees reports whether the session's control planes write its
-// trees: membership churn grafts and prunes, fault repair re-attaches and
-// re-optimization rewires. Two things follow. Such a session owns clones
-// of the blueprint's trees, where a static one — none of the three — reads
-// the blueprint's trees themselves, built and restored alike, and never
-// calls a tree method that writes (overlay.Tree's scan). And it can start
-// a host forwarding after the build, by a graft under a host that had no
-// children, so it has room for a forwarder at every host in its shards'
-// arenas — the build cannot know which hosts a graft will start — where a
-// static one has room for the forwarders it holds.
-func (c *Config) writesTrees() bool {
-	return len(c.Events) > 0 || len(c.Faults) > 0 || c.Reopt.Enabled()
-}
-
 // groupCount resolves the session's number of groups. Call after
 // fillDefaults.
 func (c *Config) groupCount() int {
@@ -344,9 +330,10 @@ func (r Result) ShardCeiling() float64 { return float64(r.Shards) * (1 - r.Stall
 
 // groupState is the mutable per-group runtime: the current member set,
 // the delivery tree, and the disruption tally. The control plane mutates
-// it mid-run; static sessions build it once and never touch it again, so
-// a session with no Events is bit-identical to the pre-control-plane
-// architecture.
+// it mid-run, through the tree-edit layer (edits.go), which gives the
+// group a tree of its own on its first write; until then the tree is the
+// blueprint's. A session with no Events is bit-identical to the
+// pre-control-plane architecture.
 //
 // member is one bit per host: a capacity-capped window of ⌈N/64⌉ words in
 // the session's one membership slab (compile), so K groups cost K·N bits.
@@ -562,12 +549,10 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	// which has the trees they derive from. A live build wires each host
 	// with connections from its child sets, in slabs sized from all of
 	// them.
-	var plan *childPlan
 	var conns [][]int
 	if rs == nil {
-		plan = sub.children()
-		conns = hostConns(plan)
-		s.sizeSlabs(plan, conns)
+		conns = hostConns(sub.plan)
+		s.sizeSlabs(sub.plan, conns)
 	}
 	s.hosts = make([]host, cfg.NumHosts)
 	for id := range s.hosts {
@@ -575,7 +560,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		*h = host{id: int32(id), env: s.sh[owner[id]].env}
 		receivers[id] = h
 		if rs == nil {
-			h.wire(plan.of(id), conns[id])
+			h.wire(sub.plan.of(id), conns[id])
 			if cfg.Scheme == SchemeAdaptive && h.fwd != nil {
 				h.startController()
 			}
@@ -614,20 +599,18 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 // connection-table entry; per (group, child) edge a queued packet in
 // the child's MUX; per group a forwarding host carries, a regulator of the
 // initial mode, its link record, a bank entry and a seat in its clock's
-// waiting list; per host with connections — per host at all, when the
-// session grows forwarders — a forwarder. The few duty-cycle clocks a
-// shard has are carved from its regulator slab's refill chunks.
+// waiting list; per host with connections a forwarder. What a graft wires
+// later — a forwarder at a host that had no children, a connection, a
+// regulator — and the few duty-cycle clocks a shard has are carved from
+// refill chunks.
 func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 	type count struct{ fwds, conns, edges, groups int }
 	per := make([]count, len(s.sh))
-	grows := s.sub.cfg.writesTrees()
 	for id := range conns {
 		n := &per[s.owner[id]]
-		if grows || len(conns[id]) > 0 {
-			n.fwds++
-		}
 		if len(conns[id]) > 0 {
 			gc := plan.of(id)
+			n.fwds++
 			n.conns += len(conns[id])
 			n.groups += len(gc.groups)
 			for _, cs := range gc.kids {

@@ -478,16 +478,19 @@ func (c *codec) writeGroup(w *snap.Writer, g int) {
 	}
 }
 
-// readGroup decodes a group's tree, or — in a static session, which
-// holds the blueprint's tree from compile — checks the blob's against it:
-// such a session's trees can only be the blueprint's, and it never parks
-// a detached subtree root.
+// readGroup keeps the blueprint's tree, which compile handed the session,
+// when the group's stanza matches it, and otherwise decodes the stanza —
+// unless the session has no control plane to have written a tree or
+// parked a detached subtree root: there the mismatch is the error.
 func (c *codec) readGroup(r *snap.Reader, g int) {
-	st := c.s.sub.groups[g]
-	numHosts := c.s.sub.cfg.NumHosts
-	static := !c.s.sub.cfg.writesTrees()
-	if static {
-		st.tree.Check(r)
+	s := c.s
+	st := s.sub.groups[g]
+	numHosts := s.sub.cfg.NumHosts
+	static := s.ctl == nil && s.fp == nil && s.ro == nil
+	peek := *r
+	st.tree.Check(&peek)
+	if peek.Err() == nil || static {
+		*r = peek
 	} else if tree := overlay.RestoreTree(r, numHosts); r.Err() == nil {
 		st.tree = tree
 	}
@@ -539,49 +542,34 @@ func (c *codec) writeHosts(w *snap.Writer, _ int) {
 	}
 }
 
-// skipHost reads past one host record and reports whether it says the host
-// forwards: readHosts counts the forwarders it is about to decode with it,
-// on a copy of its reader. The count sizes the forwarder slabs and nothing
-// else, so a record it misreads costs allocations, not correctness.
-func skipHost(r *snap.Reader) bool {
-	r.U8()
-	fwd := r.Bool()
-	r.Raw(4 + 1 + 1 + 1)
-	if r.Bool() {
-		r.Raw(16*r.Count(16) + 8) // the controller's (time, bits) window entries and running sum
-	}
-	return fwd
-}
-
 func (c *codec) readHosts(r *snap.Reader, _ int) {
 	s := c.s
 	if n := r.Len(); n != len(s.hosts) {
 		r.Fail(fmt.Errorf("core: snapshot has %d hosts, session has %d", n, len(s.hosts)))
 		return
 	}
-	// Forwarding fan-out derives from the restored trees, exactly as the
-	// live session derives it from mutations: a host's children are its
-	// child sets in the current trees — a static session's checked ones,
-	// so its blueprint's plan. Every tree id was range-checked as its
-	// group record was read — compileChildren indexes per-host arrays by
-	// them, and a blob Snapshot did not write must fail the reader, not
-	// panic the restore.
-	plan := s.sub.children()
-	// A forwarder, its connection table and its regulator banks are carved
-	// from its shard's slabs: a forwarder per record that says the host
-	// forwards — per host, when the session grows forwarders, as a build
-	// sizes it — one connection per distinct child — at most its child
-	// count — and one bank entry per group it forwards, in each bank its
-	// scheme can build.
-	per := make([]shardCount, len(s.sh))
-	peek, grows := *r, s.sub.cfg.writesTrees()
-	for id := range s.hosts {
-		if skipHost(&peek) || grows {
-			per[s.owner[id]].fwds++
+	// A host's children are its child sets in the restored trees: the
+	// blueprint's plan when every group kept the blueprint's tree, else
+	// one compiled from the trees, whose ids readGroup range-checked.
+	for g, st := range s.sub.groups {
+		if st.tree != s.sub.bp.trees[g] {
+			s.sub.plan = compileChildren(len(s.hosts), s.sub.trees())
+			break
 		}
 	}
+	plan := s.sub.plan
+	// A forwarder, its connection table and its regulator banks are carved
+	// from its shard's slabs, sized as a build sizes them: a forwarder per
+	// host with children, one connection per distinct child — at most its
+	// child count — and one bank entry per group it forwards, in each bank
+	// its scheme can build. A forwarder whose children all left, or one a
+	// later graft starts, is carved from a refill chunk.
+	per := make([]shardCount, len(s.sh))
 	for id := range s.hosts {
 		n, gc := &per[s.owner[id]], plan.of(id)
+		if len(gc.groups) > 0 {
+			n.fwds++
+		}
 		n.forwards += len(gc.groups)
 		for _, cs := range gc.kids {
 			n.edges += len(cs)

@@ -24,14 +24,15 @@ import (
 // The groups field is the mutable per-group runtime (trees and member
 // sets the control plane drives), so a substrate belongs to exactly
 // one session; compile a fresh one per run. The expensive immutable parts
-// (network, built trees, resolved member sets) live in a shared blueprint
-// (see blueprintFor): a static session reads its trees and the child plan
-// compiled from them, and one whose control planes write trees clones the
-// trees and compiles its own plan, so compiling the N-th substrate for the
-// same structural Config costs at most a tree clone and a child compile,
-// never a tree build.
+// (network, built trees, resolved member sets, the child plan compiled
+// from the trees) live in a shared blueprint (see blueprintFor). A session
+// reads the blueprint's trees and child plan until it writes them, and
+// takes its own of each on its first write (edits.tree, edits.own), so
+// compiling the N-th substrate for the same structural Config never
+// builds, clones or compiles anything of the blueprint's.
 type substrate struct {
 	cfg       Config // fillDefaults applied
+	bp        *blueprint
 	net       *topo.Network
 	specs     []FlowSpec
 	groups    []*groupState
@@ -39,22 +40,12 @@ type substrate struct {
 	mults     []float64 // per-host uplink multipliers; nil when homogeneous
 	threshold float64   // adaptive switching utilisation
 	key       [32]byte  // blueprintKey of cfg: the structural identity snapshots are checked against
-	// plan is a static session's child sets: the blueprint's, shared. Nil
-	// in a session whose control planes write trees (see children).
+	// plan is the child sets the session's forwarders hold: the
+	// blueprint's until the session first writes one, then its own.
 	plan *childPlan
 }
 
 func (sub *substrate) numGroups() int { return len(sub.specs) }
-
-// children returns the child sets the session's forwarders start from: a
-// static session's blueprint plan, or one compiled from the session's own
-// trees as they stand — a build's clones, a restore's decoded trees.
-func (sub *substrate) children() *childPlan {
-	if sub.plan != nil {
-		return sub.plan
-	}
-	return compileChildren(sub.cfg.NumHosts, sub.trees())
-}
 
 // trees returns the session's trees, one per group.
 func (sub *substrate) trees() []*overlay.Tree {
@@ -76,7 +67,7 @@ type blueprint struct {
 	net    *topo.Network
 	groups []GroupSpec // resolved member sets; read-only
 	// trees are the built trees — under capacity-aware implicit membership
-	// one build at every g — read by static sessions, cloned by the others.
+	// one build at every g — read by every session until it writes one.
 	trees    []*overlay.Tree
 	strat    overlay.Strategy
 	treeCfgs []overlay.Config
@@ -88,8 +79,7 @@ type blueprint struct {
 }
 
 // children returns the child plan of the blueprint's trees, compiled on
-// the first static session's demand and read-only from then on. A
-// blueprint whose sessions all write their trees never makes one.
+// the first session's demand and read-only from then on.
 func (bp *blueprint) children() *childPlan {
 	bp.planOnce.Do(func() { bp.plan = compileChildren(len(bp.net.Hosts), bp.trees) })
 	return bp.plan
@@ -209,11 +199,11 @@ func blueprintCacheLen() int {
 }
 
 // FlushSubstrateCache drops every cached substrate blueprint. Sessions
-// already compiled keep what they hold, a static session the blueprint's
-// trees and child plan themselves; the shared immutable halves (networks,
-// built trees, resolved member sets) are released once no session holds
-// them. A restore after a flush checks a static session's trees against a
-// rebuilt blueprint's, identical by construction. Useful for
+// already compiled keep what they hold, their blueprint among it; the
+// shared immutable halves (networks, built trees, resolved member sets,
+// child plans) are released once no session holds them. A restore after
+// a flush checks a snapshot's trees against a rebuilt blueprint's,
+// identical by construction. Useful for
 // memory-sensitive callers retiring a large scenario, and for benchmarks
 // that need to measure a cold compile.
 func FlushSubstrateCache() {
@@ -361,26 +351,21 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 // exactly — pinned by the paper-fig4/paper-fig6 golden bit-identity tests.
 // The immutable half comes from the shared blueprint cache; the per-
 // session half (flow envelopes at this traffic seed, connection capacity
-// at this load, the member sets — bitset windows of one slab — and, when
-// the control planes write trees, clones of the blueprint's) is
+// at this load, the member sets — bitset windows of one slab) is
 // instantiated fresh on every call.
 func compileSubstrate(cfg Config) *substrate { return compile(cfg, false) }
 
 // compile is compileSubstrate, or with resume set the substrate of a
 // checkpoint restore: the same in everything but the per-group runtime,
 // whose member windows come up empty for the snapshot's group records to
-// fill. A static session (!writesTrees) holds the blueprint's trees and
-// child plan themselves either way, and its group records are checked
-// against those trees.
-// One whose control planes write trees comes up with none on a resume:
-// the trees its run had arrived at are in the blob, so cloning the
-// blueprint's would be made only to be replaced.
+// fill. Either way the session holds the blueprint's trees and child plan
+// themselves; a restore keeps each tree its snapshot matches (readGroup).
 func compile(cfg Config, resume bool) *substrate {
 	cfg.fillDefaults()
 	numGroups := cfg.groupCount()
 	bp := blueprintFor(&cfg, numGroups)
 
-	sub := &substrate{cfg: cfg, net: bp.net, mults: bp.mults, key: bp.key}
+	sub := &substrate{cfg: cfg, bp: bp, net: bp.net, mults: bp.mults, key: bp.key, plan: bp.children()}
 
 	// Flow envelopes: one flow per group.
 	sub.specs = cfg.Specs
@@ -396,19 +381,16 @@ func compile(cfg Config, resume bool) *substrate {
 	sub.conn = cfg.Mix.TotalRateN(numGroups) / cfg.Load
 
 	// Per-group runtime: the mutable state the control plane drives. Each
-	// session gets its own member sets, and clones the blueprint's trees
-	// only when the control planes write them; a static session reads the
-	// blueprint's, which no session writes — the capacity-aware scheme's
-	// one tree shared by every group among them, since no control plane
-	// runs under that scheme. Every member set is a word-aligned,
-	// capacity-capped window of one slab, ⌈N/64⌉ words per group, so the
-	// fan-out's workers write disjoint words. Slots are pre-sized and
-	// written independently, so the fan-out is order-free. A restore only
-	// carves, too little work to fan out.
+	// session gets its own member sets and reads the blueprint's trees —
+	// the capacity-aware scheme's one tree shared by every group among
+	// them, since no control plane runs under that scheme. Every member set
+	// is a word-aligned, capacity-capped window of one slab, ⌈N/64⌉ words
+	// per group, so the fan-out's workers write disjoint words. Slots are
+	// pre-sized and written independently, so the fan-out is order-free. A
+	// restore only carves, too little work to fan out.
 	sub.groups = make([]*groupState, numGroups)
 	n := words(cfg.NumHosts)
 	members := make(bitset, numGroups*n)
-	writes := cfg.writesTrees()
 	workers := compileWorkers()
 	if resume {
 		workers = 1
@@ -425,12 +407,7 @@ func compile(cfg Config, resume bool) *substrate {
 				st.member.set(m)
 			}
 		}
-		switch {
-		case !writes:
-			st.tree = bp.trees[g]
-		case !resume: // a resume's trees come from the blob
-			st.tree = bp.trees[g].Clone()
-		}
+		st.tree = bp.trees[g]
 		sub.groups[g] = st
 	})
 
@@ -450,9 +427,6 @@ func compile(cfg Config, resume bool) *substrate {
 		}
 	}
 	sub.threshold = ThresholdUtilization(numGroups, cfg.Mix.Homogeneous())
-	if !writes {
-		sub.plan = bp.children()
-	}
 	return sub
 }
 
@@ -464,9 +438,10 @@ func compile(cfg Config, resume bool) *substrate {
 // replace the per-(host, group) slice copies an earlier version made — at
 // 100k hosts × 512 groups that is millions of heap objects the GC no
 // longer scans. It is the one compiler of child sets: a blueprint runs it
-// once over its trees for every static session built or restored from it
-// (blueprint.children); a session whose control planes write trees runs it
-// over its own, at build and at restore.
+// once over its trees for every session built or restored from it
+// (blueprint.children); a session runs it at its first child-set edit
+// (edits.own), and a restore over its trees when the snapshot's differ
+// from the blueprint's (readHosts).
 //
 // The counting pass fans across parallelIndexed's worker pool (per-worker
 // count arrays, summed after the join); the fill pass walks groups in

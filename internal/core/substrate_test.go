@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -95,32 +95,69 @@ func TestParallelCompileBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSubstrateCloneIsolation pins that the trees of a session whose
-// control planes write them are clones: two substrates from one blueprint
-// never share mutable tree state, and both serialize identically to the
-// blueprint's pristine original. (One churn event makes the session such a
-// one; a static session reads the blueprint's trees by design —
-// TestStaticSessionsShareBlueprintTrees.)
+// TestSubstrateCloneIsolation pins that sessions which edit never share
+// mutable state: two sessions of one blueprint start on its trees and
+// child plan, and each edit — a join, a leave that re-parents orphans, a
+// further prune and graft on the editing session's own tree — lands in
+// that session's own copy of the group's tree and of the plan, never in
+// the other session's and never in the blueprint's, which stays byte for
+// byte as it was built. A group neither session edits stays shared.
 func TestSubstrateCloneIsolation(t *testing.T) {
 	cfg := Config{NumHosts: 120, NumGroups: 4, Mix: traffic.MixAudio, Load: 0.8,
 		Scheme: SchemeSRL, Seed: 3, Events: []MembershipEvent{{At: des.Second, Group: 0, Host: 3}}}
-	a := compileSubstrate(cfg)
-	b := compileSubstrate(cfg)
-	if a.net != b.net {
-		t.Fatal("substrates from one config did not share the blueprint network")
+	a, b := NewSession(cfg), NewSession(cfg)
+	if a.sub.net != b.sub.net || a.sub.bp != b.sub.bp {
+		t.Fatal("sessions from one config did not share the blueprint")
 	}
-	for g := range a.groups {
-		if a.groups[g].tree == b.groups[g].tree {
-			t.Fatalf("group %d tree shared between two sessions", g)
+	bp := a.sub.bp
+	pristine := func() [][]byte {
+		var out [][]byte
+		for _, tr := range bp.trees {
+			out = append(out, treeBytes(t, tr))
 		}
-		if !bytes.Equal(treeBytes(t, a.groups[g].tree), treeBytes(t, b.groups[g].tree)) {
-			t.Fatalf("group %d clone not bit-identical to sibling clone", g)
+		return append(out, planBytes(bp.plan))
+	}
+	before := pristine()
+	a.Start()
+	b.Start()
+	// The member a leaves and rejoins in group 0 has children, so its
+	// orphans re-parent; b's leaver is a leaf.
+	t0 := bp.trees[0]
+	leaver, leaf := -1, -1
+	t0.EachParent(func(p int, _ []int) {
+		if p != t0.Source && (leaver < 0 || p < leaver) {
+			leaver = p
+		}
+	})
+	for _, m := range t0.Members {
+		if m != t0.Source && t0.SubtreeHeight(m) == 0 && leaf < 0 {
+			leaf = m
 		}
 	}
-	// Mutating one session's tree — a prune frees a slot, a graft reuses it
-	// and a second one grows the slot slices — must not leak into a third
-	// compile.
-	at := a.groups[0].tree
+	if leaver < 0 || leaf < 0 {
+		t.Fatal("fixture's group 0 has no forwarding member or no leaf")
+	}
+	a.ctl.apply(MembershipEvent{Group: 0, Host: leaver})
+	a.ctl.apply(MembershipEvent{Group: 0, Host: leaver, Join: true})
+	if a.ctl.joins != 1 || a.ctl.leaves != 1 {
+		t.Fatalf("joins %d, leaves %d: want one of each", a.ctl.joins, a.ctl.leaves)
+	}
+	b.ctl.apply(MembershipEvent{Group: 0, Host: leaf})
+	if a.sub.plan == bp.plan || b.sub.plan == bp.plan || a.sub.plan == b.sub.plan {
+		t.Fatal("two editing sessions do not each hold a child plan of their own")
+	}
+	at, bt := a.sub.groups[0].tree, b.sub.groups[0].tree
+	if at == bp.trees[0] || bt == bp.trees[0] || at == bt {
+		t.Fatal("two editing sessions do not each hold group 0's tree of their own")
+	}
+	for g := 1; g < cfg.NumGroups; g++ {
+		if a.sub.groups[g].tree != bp.trees[g] || b.sub.groups[g].tree != bp.trees[g] {
+			t.Fatalf("group %d, which nobody edited, no longer shares the blueprint's tree", g)
+		}
+	}
+	// Mutating one session's tree — a prune frees a slot and a graft
+	// reuses it — must not leak into the other's or a third session's.
+	bBytes := treeBytes(t, bt)
 	for _, m := range at.Members {
 		if m != at.Source {
 			if _, err := at.Prune(m); err != nil {
@@ -132,20 +169,38 @@ func TestSubstrateCloneIsolation(t *testing.T) {
 			break
 		}
 	}
-	if err := at.Graft(cfg.NumHosts, at.Source); err != nil {
-		t.Fatalf("graft of a new member: %v", err)
+	if !bytes.Equal(treeBytes(t, bt), bBytes) {
+		t.Fatal("mutation of one session's tree leaked into another's")
 	}
-	c := compileSubstrate(cfg)
-	if !bytes.Equal(treeBytes(t, b.groups[0].tree), treeBytes(t, c.groups[0].tree)) {
-		t.Fatal("mutation of one session's tree leaked into the shared blueprint")
+	if c := compileSubstrate(cfg); c.groups[0].tree != bp.trees[0] || c.plan != bp.plan {
+		t.Fatal("a third session does not start on the blueprint's tree and plan")
 	}
-	// A restore's substrate takes nothing of the blueprint's trees: its
-	// groups come up empty for the snapshot to fill.
-	for g, st := range compile(cfg, true).groups {
-		if st.tree != nil || slices.ContainsFunc(st.member, func(w uint64) bool { return w != 0 }) {
-			t.Fatalf("group %d of a resume-mode substrate has a tree or members before any snapshot was read", g)
+	a.Finish()
+	b.Finish()
+	for i, want := range before {
+		if !bytes.Equal(pristine()[i], want) {
+			t.Fatalf("editing sessions changed the blueprint (tree %d of %d, the last entry being the plan)", i, len(before)-1)
 		}
 	}
+}
+
+// planBytes is a child plan's content: its offset index, group ids and
+// each host's child lists in slot order.
+func planBytes(pl *childPlan) []byte {
+	var b []byte
+	for _, o := range pl.off {
+		b = binary.LittleEndian.AppendUint32(b, uint32(o))
+	}
+	for _, g := range pl.groups {
+		b = binary.LittleEndian.AppendUint32(b, uint32(g))
+	}
+	for _, cs := range pl.kids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(cs)))
+		for _, c := range cs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(c))
+		}
+	}
+	return b
 }
 
 // TestBlueprintCacheKeying pins what shares a blueprint and what must not:
@@ -302,7 +357,7 @@ func TestCompileChildrenPanicReachesCaller(t *testing.T) {
 func TestHostConnsMatchesNewHost(t *testing.T) {
 	cfg := Config{NumHosts: 200, NumGroups: 8, Mix: traffic.MixAudio, Load: 0.8,
 		Scheme: SchemeSRL, Seed: 5}
-	pl := compileSubstrate(cfg).children()
+	pl := compileSubstrate(cfg).plan
 	conns := hostConns(pl)
 	for p := range conns {
 		if want := connsOf(pl.of(p)); !reflect.DeepEqual(conns[p], want) {

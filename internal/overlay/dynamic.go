@@ -24,8 +24,7 @@ func (t *Tree) SubtreeHeight(h int) int {
 	if s == none {
 		return 0
 	}
-	visited := t.walk(&t.scan, s, none, nil)
-	return int(t.scan.depth[visited[len(visited)-1]])
+	return t.height(s)
 }
 
 // Graft attaches h under parent: either a brand-new member joining the

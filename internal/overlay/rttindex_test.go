@@ -266,9 +266,8 @@ func TestGraftIndexWorkLedger(t *testing.T) {
 	lim := strat.Limits(Config{}, hosts)
 	var calls, walked int
 	graftPoint := func(h, subHeight int) (int, error) {
-		var w walkBuf
 		calls++
-		walked += len(tr.walk(&w, tr.slotOf(tr.Source), none, nil))
+		tr.walk(tr.slotOf(tr.Source), none, nil, func(int32, int, des.Duration) { walked++ })
 		want, _, _ := oracleGraftPoint("dsct", net, tr, h, subHeight, lim)
 		p, err := tr.GraftPoint(net, h, subHeight, lim.MaxFanout, lim.MaxHeight)
 		if p != want {

@@ -19,8 +19,8 @@ import (
 // Snapshot appends the tree's full structure to the open record. It sorts
 // the tree's parents in scratch and returns it, grown if it had to grow,
 // for the next tree's: scratch with room for one parent per member spares
-// the sort an allocation. The tree itself is only read, so every static
-// session sharing one can snapshot it at once.
+// the sort an allocation. The tree itself is only read, so every session
+// sharing one can snapshot it at once.
 func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 	w.I64(int64(t.Source))
 	w.Len(len(t.Members))
@@ -46,9 +46,9 @@ func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 }
 
 // Check reads a stanza written by Snapshot and fails the reader at the
-// first value that differs from what t.Snapshot writes: a session that
-// never writes its trees restores by checking the blob's against the one
-// it already holds instead of decoding a copy. Parents need only come
+// first value that differs from what t.Snapshot writes: a restore checks
+// each stanza against the blueprint's tree it already holds, and keeps
+// that tree instead of decoding a copy when they match. Parents need only come
 // strictly ascending, each one of t's with its children in t's order, and
 // as many as t has: that pins the one order Snapshot writes without
 // sorting t's. It allocates nothing, and reads t without writing it.

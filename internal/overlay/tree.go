@@ -26,12 +26,12 @@ import (
 // the next new one, so the slices stay at the group's peak membership.
 //
 // A Tree is not safe for concurrent use: GraftPoint and the strategies'
-// graft points build and write the tree's live RTT index, and
-// SubtreeHeight and Select run on its walk scratch. The other reads
-// (Height, Validate, EachParent, Clone, Snapshot, Check, ...) touch no
-// shared state, so a tree nobody mutates may be measured, cloned,
-// serialized and checked concurrently — which is how every session
-// without a control plane reads its blueprint's trees.
+// graft points build and write the tree's live RTT index. The other reads
+// (Height, SubtreeHeight, Select, Validate, EachParent, Clone, Snapshot,
+// Check, ...) touch no shared state, so a tree nobody mutates may be
+// measured, searched, cloned, serialized and checked concurrently — which
+// is how every session reads its blueprint's trees until it first edits
+// one.
 type Tree struct {
 	Source  int
 	Members []int
@@ -43,14 +43,11 @@ type Tree struct {
 	next  []int32       // slot → next sibling slot, or none
 	kids  []int32       // slot → child count
 	free  []int32       // released slots, reused before the slices grow
-	// scan is the scratch of the control-plane walks, written by
-	// SubtreeHeight and Select (and so RepairWith and spt's graft point),
-	// and live is the RTT index the other graft points build on first use
+	// live is the RTT index the RTT-keyed graft points build on first use
 	// and pop from (nil until then). Only the churn, fault and
-	// re-optimization planes call those. A session with none of them reads
-	// its blueprint's trees, which every such session shares, so nothing
-	// it calls may write either.
-	scan walkBuf
+	// re-optimization planes call those, and only on a tree the session
+	// has made its own: the blueprint's trees, which sessions share, never
+	// hold one.
 	live *liveIndex
 }
 
@@ -293,9 +290,7 @@ func (t *Tree) Height() int {
 	if src == none {
 		return 0
 	}
-	var w walkBuf
-	visited := t.walk(&w, src, none, nil)
-	return int(w.depth[visited[len(visited)-1]])
+	return t.height(src)
 }
 
 // Layers returns the layer count the paper's Tables I–III report:

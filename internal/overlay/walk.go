@@ -6,12 +6,11 @@ package overlay
 // which attached member, under a fanout rule and the Lemma 2 height rule,
 // minimises some key — but their keys depend on the tree path, so no
 // per-router index can order them (the RTT-keyed ones pop from the tree's
-// live index, rttindex.go). They share one breadth-first pass from the
+// live index, rttindex.go). They share one depth-first pass from the
 // source over the slot arrays, which hands each visited member its depth,
 // child count and (on request) tree-path latency, and one selector over
 // what it visited: O(attached members) slice reads, no hashing, no
-// per-candidate climb to the source, no allocation once the tree's
-// scratch has grown to its peak membership.
+// per-candidate climb to the source, no scratch and no allocation.
 
 import (
 	"cmp"
@@ -20,51 +19,58 @@ import (
 	"repro/internal/topo"
 )
 
-// walkBuf is a walk's scratch: the visit queue and per-slot results.
-type walkBuf struct {
-	queue []int32        // visited slots, in visit order
-	depth []int32        // slot → hops below the walk's start
-	lat   []des.Duration // slot → tree-path latency from the start (net walks only)
-}
-
-// walk visits the subtree under slot from breadth-first, never entering
-// the subtree rooted at slot skip, and returns the visited slots in visit
-// order — so depth never decreases along it. For each visited slot s,
-// w.depth[s] holds its hop count below from and, when net is non-nil,
-// w.lat[s] its summed edge latency from from. The result aliases w.
-func (t *Tree) walk(w *walkBuf, from, skip int32, net *topo.Network) []int32 {
-	n := len(t.host)
-	if cap(w.queue) < n {
-		w.queue = make([]int32, 0, cap(t.host))
-		w.depth = make([]int32, cap(t.host))
+// walk calls visit for every slot of the subtree under from, depth first
+// in child order, never entering the subtree rooted at slot skip, with
+// its hop count below from and, when net is non-nil, its summed edge
+// latency from from. It steps down by child links and back up by parent
+// edges, so it needs no scratch and writes nothing: walks of one tree
+// nobody mutates may run concurrently. des.Duration is an int64, so the
+// running sum, which adds an edge going down and takes it off coming back,
+// equals the top-down sum at every slot.
+func (t *Tree) walk(from, skip int32, net *topo.Network, visit func(s int32, depth int, lat des.Duration)) {
+	// skip: a child list holds skip at most once, so the slot after it is
+	// not skip.
+	step := func(c int32) int32 {
+		if c != none && c == skip {
+			return t.next[c]
+		}
+		return c
 	}
-	if net != nil && len(w.lat) < n {
-		w.lat = make([]des.Duration, cap(t.host))
+	edge := func(p, c int32) des.Duration {
+		if net == nil {
+			return 0
+		}
+		return net.Latency(int(t.host[p]), int(t.host[c]))
 	}
-	q := append(w.queue[:0], from)
-	w.depth[from] = 0
-	if net != nil {
-		w.lat[from] = 0
-	}
-	for i := 0; i < len(q); i++ {
-		v := q[i]
-		d := w.depth[v] + 1
-		for c := t.first[v]; c != none; c = t.next[c] {
-			if c == skip {
-				continue
+	s, depth, lat := from, 0, des.Duration(0)
+	for n := 0; ; n++ {
+		if n == len(t.host) {
+			panic("overlay: child cycle")
+		}
+		visit(s, depth, lat)
+		if c := step(t.first[s]); c != none {
+			s, depth, lat = c, depth+1, lat+edge(s, c)
+			continue
+		}
+		for ; s != from; s, depth = t.up[s], depth-1 {
+			p := t.up[s]
+			lat -= edge(p, s)
+			if c := step(t.next[s]); c != none {
+				s, lat = c, lat+edge(p, c)
+				break
 			}
-			w.depth[c] = d
-			if net != nil {
-				w.lat[c] = w.lat[v] + net.Latency(int(t.host[v]), int(t.host[c]))
-			}
-			if len(q) == n {
-				panic("overlay: child cycle")
-			}
-			q = append(q, c)
+		}
+		if s == from {
+			return
 		}
 	}
-	w.queue = q
-	return q
+}
+
+// height returns the greatest depth below slot from.
+func (t *Tree) height(from int32) int {
+	h := 0
+	t.walk(from, none, nil, func(_ int32, depth int, _ des.Duration) { h = max(h, depth) })
+	return h
 }
 
 // Rule is one placement decision over the attached members.
@@ -109,20 +115,15 @@ func Select[K cmp.Ordered](t *Tree, exclude, skip int, r Rule[K]) (id int, key K
 	var full, loose, any pick[K]
 	src, ex, sk := t.slotOf(t.Source), t.slotOf(exclude), t.slotOf(skip)
 	if src != none && sk != src {
-		w := &t.scan
-		for _, s := range t.walk(w, src, sk, r.Net) {
+		t.walk(src, sk, r.Net, func(s int32, depth int, lat des.Duration) {
 			if s == ex {
-				continue
+				return
 			}
 			m := int(t.host[s])
-			heightOK := r.MaxHeight <= 0 || int(w.depth[s])+1+r.SubHeight <= r.MaxHeight
+			heightOK := r.MaxHeight <= 0 || depth+1+r.SubHeight <= r.MaxHeight
 			fits := heightOK && r.Fanout(m, int(t.kids[s]))
 			if r.Strict && !fits {
-				continue
-			}
-			var lat des.Duration
-			if r.Net != nil {
-				lat = w.lat[s]
+				return
 			}
 			k := r.Key(m, lat)
 			any.offer(m, k)
@@ -132,7 +133,7 @@ func Select[K cmp.Ordered](t *Tree, exclude, skip int, r Rule[K]) (id int, key K
 			if fits {
 				full.offer(m, k)
 			}
-		}
+		})
 	}
 	switch {
 	case full.ok:
