@@ -114,11 +114,16 @@ fuzz:
 # build, a run, one checkpoint cycle and a restored session's run to its
 # end to their allocation budgets (deterministic: objects per build and
 # per run, bytes and objects per Snapshot and per Restore — none per
-# component, so a callback bound per component fails here, and none per
+# component, so a callback bound per component fails here, none per
+# group, host, router or pending event in a build or a restore, so an
+# object made per group record, source or root emitter, a partition or
+# lookahead matrix computed per session, or an event, flight or packet
+# pool not sized from the blob fails here, and none per
 # MUX or per regulator in a run, built or restored, so a queue that makes
 # its first buffer or its growth on its own instead of carving it from its
 # shard's packet pool fails here too; a slab-made MUX's Enqueue within its
-# carved room allocates nothing), the size hint to surviving a restore, the member sets to one
+# carved room allocates nothing), the blueprint key to fmt's bytes in two
+# objects, the size hint to surviving a restore, the member sets to one
 # bit per host in one slab, built and restored, the host record to 24
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
@@ -132,7 +137,7 @@ fuzz:
 # none is written, an object per tree in a Snapshot, or a pending event written
 # under another (at, prio, kind, arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
@@ -192,7 +197,11 @@ drift:
 # reference in its layout (three arenas and an offset per host) and be
 # compiled once per blueprint for every session until its first edit, a
 # re-optimization pass must plan on shared trees without writing them
-# (two sessions side by side), a panic in a compile pass must reach the
+# (two sessions side by side), sessions of one blueprint at one shard count
+# must share one host partition and one lookahead matrix and write neither
+# (three sessions side by side, built and restored), a graft into a tree
+# with a live RTT index must refuse a host outside the indexed network
+# with an error, a panic in a compile pass must reach the
 # caller, a cache-warm session must reproduce
 # the cold session's Result exactly, and a cold compile must stay within
 # its object budget: a constant per group, nothing per cluster, per domain
@@ -208,7 +217,7 @@ drift:
 # and the churn schedule's Fenwick pick and run merge to the host scan
 # and stable sort.
 substrate:
-	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestReoptPlanReadsSharedTrees|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
+	$(GO) test -race -run 'TestParallelCompileBitIdentical|TestSubstrateCloneIsolation|TestBlueprintCacheKeying|TestCompileChildrenArena|TestCompileChildrenPanicReachesCaller|TestHostConnsMatchesNewHost|TestStaticSessionsShareBlueprintPlan|TestReoptPlanReadsSharedTrees|TestSessionsShareBlueprintSharding|TestGraftOutsideIndexedNetworkIsAnError|TestCachedSessionRunsIdentical|TestBlueprintCompileAllocBudget' ./internal/core
 	$(GO) test -race -run 'TestAllPairsMatchesReference|TestHierarchyInPlaceMatchesReference|TestFlatBuildsMatchReference|TestRTTIndexMatchesFullSort|TestGraftPointsMatchOracle|TestGraftIndexWorkLedger|TestChurnEventsMatchReference|TestChurnEventsSaturatedGroup|TestMergeRunsMatchesStableSort' ./internal/topo ./internal/overlay ./internal/scenario
 
 # Non-test Go lines outside benchmark/, per package and in total — the

@@ -157,6 +157,31 @@ func TestChurnTreesStayValid(t *testing.T) {
 	}
 }
 
+// TestGraftOutsideIndexedNetworkIsAnError: a churn join builds the live
+// RTT index of its group's tree, which keys members by their router, so
+// grafting host N into an N-host session's tree is an error — as it was
+// into the tree before the join built the index — not an index out of
+// range inside the index.
+func TestGraftOutsideIndexedNetworkIsAnError(t *testing.T) {
+	cfg := churnConfig(SchemeSRL, 7)
+	s := NewSession(cfg)
+	s.Run()
+	_, indexed := TreesIndexed(s)
+	for g, tr := range sessionTrees(s) {
+		if !indexed[g] {
+			continue
+		}
+		if err := tr.Graft(cfg.NumHosts, tr.Source); err == nil {
+			t.Errorf("group %d: grafting host %d into a %d-host session's indexed tree succeeded", g, cfg.NumHosts, cfg.NumHosts)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Errorf("group %d: the refused graft left the tree invalid: %v", g, err)
+		}
+		return
+	}
+	t.Fatal("no churn join built a group's RTT index")
+}
+
 func TestChurnWindowedSeries(t *testing.T) {
 	cfg := churnConfig(SchemeSRL, 5)
 	res := Run(cfg)

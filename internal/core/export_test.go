@@ -265,3 +265,9 @@ func CompileBlueprint(cfg Config) int {
 	blueprintFor(&cfg, n).children()
 	return n
 }
+
+// KeyOf is cfg's blueprint key.
+func KeyOf(cfg Config) [32]byte {
+	cfg.fillDefaults()
+	return blueprintKey(&cfg, cfg.groupCount())
+}

@@ -538,6 +538,16 @@ func (h *host) addCycle(c *regulator.Cycle, g int) *regulator.Cycle {
 	return c
 }
 
+// sizeClocks gives the engine's clock lookup and clock names room for n
+// clocks, which a build counts from its forwarders and a restore reads off
+// the components record. With none, addCycle makes them on first use.
+func (e *hostEnv) sizeClocks(n int) {
+	if n > 0 {
+		e.cycles = make(map[cycleKey]*regulator.Cycle, n)
+		e.clocks = make([]compIdent, 0, n)
+	}
+}
+
 // compSlabs is the storage one engine makes its components in — the
 // components, the link records the regulators' outputs point at — and its
 // hosts' forwarders, connection tables and regulator banks. A live build

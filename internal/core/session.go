@@ -427,14 +427,14 @@ type shardRuntime struct {
 // barriers. That case is what the paper goldens pin bit for bit, and it is
 // the oracle every multi-shard differential compares against.
 type Session struct {
-	sub   *substrate
-	owner []int // host id -> shard
-	sh    []*shardRuntime
-	hosts []host // global host array, each wired to its owning shard's env
-	coord *des.Coordinator[shardPacket]
-	ctl   *controlPlane // nil for static sessions
-	ro    *reoptPlane   // nil unless cfg.Reopt is enabled
-	fp    *faultPlane   // nil unless cfg.Faults is set
+	sub       *substrate
+	*sharding // the host partition and lookahead matrix, its blueprint's
+	sh        []*shardRuntime
+	hosts     []host // global host array, each wired to its owning shard's env
+	coord     *des.Coordinator[shardPacket]
+	ctl       *controlPlane // nil for static sessions
+	ro        *reoptPlane   // nil unless cfg.Reopt is enabled
+	fp        *faultPlane   // nil unless cfg.Faults is set
 
 	sources  []traffic.Source // built by Start (or a snapshot restore)
 	started  bool
@@ -465,10 +465,9 @@ func NewSession(cfg Config) *Session {
 // by the golden bit-identity tests.
 func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	cfg := sub.cfg
-	s := &Session{sub: sub}
-	owner := netsim.PartitionHosts(sub.net, cfg.Shards)
-	nsh := netsim.NumShards(owner)
-	s.owner = owner
+	s := &Session{sub: sub, sharding: sub.bp.shardingFor(cfg.Shards)}
+	owner := s.owner
+	nsh := len(s.la)
 
 	engines := make([]*des.Engine, nsh)
 	for i := range engines {
@@ -477,8 +476,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	// Per-(src, dst) pair lookahead: distant shard pairs do not
 	// over-synchronise each other. One shard has no pairs, so nothing ever
 	// bounds its epochs.
-	mat, _ := netsim.LookaheadMatrix(sub.net, owner)
-	s.coord = des.NewCoordinatorMatrix[shardPacket](engines, mat)
+	s.coord = des.NewCoordinatorMatrix[shardPacket](engines, s.la)
 	s.coord.OnDeliver(func(dst int, m shardPacket) {
 		s.sh[dst].fabric.Deliver(m.host, m.p)
 	})
@@ -601,20 +599,34 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 // initial mode, its link record, a bank entry and a seat in its clock's
 // waiting list; per host with connections a forwarder. What a graft wires
 // later — a forwarder at a host that had no children, a connection, a
-// regulator — and the few duty-cycle clocks a shard has are carved from
-// refill chunks.
+// regulator — is carved from refill chunks. Under (σ, ρ, λ) the build also
+// makes a duty-cycle clock per group a shard forwards at each capacity its
+// forwarders have: one per group when the hosts are homogeneous, at most
+// one per uplink class otherwise.
 func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
-	type count struct{ fwds, conns, edges, groups int }
+	type count struct{ fwds, conns, edges, groups, clocks int }
 	per := make([]count, len(s.sh))
+	cfg := s.sub.cfg
+	numGroups := s.sub.numGroups()
+	clocks := initialMode(cfg.Scheme) == SchemeSRL
+	var forwarded bitset // (shard, group) pairs with a forwarder
+	if clocks {
+		forwarded.reset(len(s.sh) * numGroups)
+	}
 	for id := range conns {
-		n := &per[s.owner[id]]
+		si := s.owner[id]
+		n := &per[si]
 		if len(conns[id]) > 0 {
 			gc := plan.of(id)
 			n.fwds++
 			n.conns += len(conns[id])
 			n.groups += len(gc.groups)
-			for _, cs := range gc.kids {
+			for i, cs := range gc.kids {
 				n.edges += len(cs)
+				if k := si*numGroups + int(gc.groups[i]); clocks && len(cs) > 0 && !forwarded.has(k) {
+					forwarded.set(k)
+					n.clocks += max(1, len(cfg.UplinkClasses))
+				}
 			}
 		}
 	}
@@ -625,15 +637,17 @@ func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 		sl.fwds = snap.NewArena[forwarder](n.fwds)
 		sl.muxChild = snap.NewArena[int32](n.conns)
 		sl.muxes = snap.NewArena[*mux.Mux](n.conns)
-		switch initialMode(s.sub.cfg.Scheme) {
+		switch initialMode(cfg.Scheme) {
 		case SchemeSigmaRho:
 			sh.eng.Grow(des.KindSRRetry, n.groups)
 			sl.reg = regulator.NewSlab(n.groups, 0, 0, sh.env.line.Pool())
 			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.groups)
 		case SchemeSRL:
 			sh.eng.Grow(des.KindSRLDone, n.groups)
-			sl.reg = regulator.NewSlab(0, 0, n.groups, sh.env.line.Pool())
+			sh.eng.Grow(des.KindSRLOn, n.clocks)
+			sl.reg = regulator.NewSlab(0, n.clocks, n.groups, sh.env.line.Pool())
 			sl.srlBanks = snap.NewArena[*regulator.SRL](n.groups)
+			sh.env.sizeClocks(n.clocks)
 		default:
 			continue // capacity-aware: no regulators
 		}
@@ -754,16 +768,24 @@ func (sh *shardRuntime) receive(h *host, p traffic.Packet) {
 	h.forward(g, p)
 }
 
-// emitFn is a source's injection callback: group g's flow enters the
-// network at its tree root. The root host "receives" at delay zero
-// conceptually; measurement only counts downstream deliveries, so the
-// source feeds forward() direct.
-func (s *Session) emitFn(g, root int) func(traffic.Packet) {
-	rootHost := &s.hosts[root]
-	return func(p traffic.Packet) {
-		rootHost.observe(p)
-		rootHost.forward(g, p)
-	}
+// rootSink is a host as the root of the flows its trees carry: where a
+// source injects a packet of group p.Flow (a source's flow is its group).
+// The root host "receives" at delay zero conceptually; measurement only
+// counts downstream deliveries, so the source feeds forward() direct. A
+// source's sink is its root host's record itself, so starting or restoring
+// K sources binds nothing per group.
+type rootSink host
+
+// Put implements traffic.Sink.
+func (r *rootSink) Put(p traffic.Packet) {
+	h := (*host)(r)
+	h.observe(p)
+	h.forward(p.Flow, p)
+}
+
+// rootOf is the sink group g's source emits into: its tree root.
+func (s *Session) rootOf(g int) *rootSink {
+	return (*rootSink)(&s.hosts[s.sub.groups[g].tree.Source])
 }
 
 // buildSources builds the per-group traffic sources, in group order from
@@ -789,7 +811,7 @@ func (s *Session) Start() {
 	s.started = true
 	s.sources = s.buildSources()
 	for g, src := range s.sources {
-		src.Start(s.rootEngine(g), s.sub.cfg.Duration, s.emitFn(g, s.sub.groups[g].tree.Source))
+		src.StartSink(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
 	}
 }
 

@@ -563,19 +563,24 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// host with children, one connection per distinct child — at most its
 	// child count — and one bank entry per group it forwards, in each bank
 	// its scheme can build. A forwarder whose children all left, or one a
-	// later graft starts, is carved from a refill chunk.
+	// later graft starts, is carved from a refill chunk. The codec's edge
+	// scratch (routed) is sized for the host with the most.
 	per := make([]shardCount, len(s.sh))
+	most := 0
 	for id := range s.hosts {
 		n, gc := &per[s.owner[id]], plan.of(id)
 		if len(gc.groups) > 0 {
 			n.fwds++
 		}
 		n.forwards += len(gc.groups)
+		edges := 0
 		for _, cs := range gc.kids {
-			n.edges += len(cs)
+			edges += len(cs)
 		}
+		n.edges += edges
+		most = max(most, edges)
 	}
-	c.per = per
+	c.per, c.routes = per, make([]int, 0, most)
 	scheme := s.sub.cfg.Scheme
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
@@ -641,7 +646,7 @@ type snapSource interface {
 	SnapTag() uint8
 	Snapshot(w *snap.Writer)
 	Restore(r *snap.Reader)
-	Resume(eng *des.Engine, until des.Time, emit func(traffic.Packet))
+	Resume(eng *des.Engine, until des.Time, out traffic.Sink)
 }
 
 func (c *codec) writeSources(w *snap.Writer, _ int) {
@@ -674,7 +679,7 @@ func (c *codec) readSources(r *snap.Reader, _ int) {
 			return
 		}
 		ss.Restore(r)
-		ss.Resume(s.rootEngine(g), s.sub.cfg.Duration, s.emitFn(g, s.sub.groups[g].tree.Source))
+		ss.Resume(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
 	}
 }
 
@@ -843,10 +848,9 @@ func (c *codec) readReopt(r *snap.Reader, _ int) {
 // storage from before it makes the first component — components per family
 // (in family order), then queued MUX packets and queued regulator packets.
 // Sizing hints: a record that understates them restores correctly, with
-// more allocations. The regulator total sizes nothing since restored
-// regulator queues moved into the shard's packet pool (mux.Line.Pool),
-// which refills by the chunk; the format still carries it, and a restore
-// still holds it to the bytes left.
+// more allocations. The two packet totals size the first chunk of the
+// shard's packet pool (mux.Line.Pool), which the restored regulator queues
+// take their windows from and the run's queues grow into.
 type compTotals struct {
 	comps               [numFamilies]int
 	muxPackets, packets int
@@ -973,8 +977,12 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	}
 	sl := &env.slabs
 	sl.mux = mux.NewSlab(t.comps[famMux], t.muxPackets+c.per[si].edges)
+	// The shard's packet pool starts with room for every queued packet the
+	// record holds: the regulators' queues take their windows of it.
+	*env.line.Pool() = snap.NewArena[traffic.Packet](t.packets + t.muxPackets)
 	sl.reg = regulator.NewSlab(t.comps[famSR], t.comps[famCycle], t.comps[famSRL], env.line.Pool())
 	sl.regLinks = snap.NewArena[regLink](t.comps[famSR] + t.comps[famSRL])
+	env.sizeClocks(t.comps[famCycle])
 	numGroups := s.sub.numGroups()
 	subs := [numFamilies]int{famMux: len(s.hosts), famSR: numGroups, famCycle: numGroups, famSRL: numGroups}
 	for f := famMux; f < numFamilies; f++ {
@@ -1065,10 +1073,17 @@ func (c *codec) writeEvents(w *snap.Writer, si int) {
 // Everything an event can name — this shard's components, the sources,
 // the hosts — was restored, and registered in the engine's owner tables,
 // by an earlier record; the engine refuses an event that names no owner.
+//
+// The engine's event pool and the fabric's flights (their table too) are
+// sized first, each in one block: the record's count, and the flights
+// among its events, read ahead on a copy of the reader.
 func (c *codec) readEvents(r *snap.Reader, si int) {
 	s := c.s
 	sh := s.sh[si]
-	for n := r.Len(); n > 0; n-- {
+	n := r.Count(eventSnapBytes)
+	sh.eng.Reserve(n)
+	sh.fabric.ReserveFlights(countFlights(*r, n))
+	for ; n > 0; n-- {
 		at, prio := des.Time(r.I64()), des.Time(r.I64())
 		kind, arg := r.U16(), r.U32()
 		if r.Err() != nil {
@@ -1111,6 +1126,26 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 			sh.eng.Owners(kind)[arg].(*regulator.SigmaRho).Reattach(ev)
 		}
 	}
+}
+
+// eventSnapBytes is the width of a pending event on the wire, a flight's
+// delivery aside: (at, prio, kind, arg).
+const eventSnapBytes = 8 + 8 + 2 + 4
+
+// countFlights returns how many of the next n events on r — a copy of the
+// reader, so the caller's stays where it is — are flights.
+func countFlights(r snap.Reader, n int) int {
+	flights := 0
+	for ; n > 0 && r.Err() == nil; n-- {
+		r.Raw(8 + 8)
+		kind := r.U16()
+		r.U32()
+		if kind == des.KindFlight {
+			r.Raw(4 + traffic.PacketSnapBytes)
+			flights++
+		}
+	}
+	return flights
 }
 
 // writeStats serializes one shard's measurement accumulators.

@@ -3,11 +3,14 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/des"
+	"repro/internal/netsim"
 	"repro/internal/overlay"
 	"repro/internal/snap"
 	"repro/internal/topo"
@@ -76,6 +79,9 @@ type blueprint struct {
 
 	planOnce sync.Once
 	plan     *childPlan
+
+	shardMu   sync.Mutex
+	shardings []*sharding // one per shard count sessions asked for
 }
 
 // children returns the child plan of the blueprint's trees, compiled on
@@ -83,6 +89,34 @@ type blueprint struct {
 func (bp *blueprint) children() *childPlan {
 	bp.planOnce.Do(func() { bp.plan = compileChildren(len(bp.net.Hosts), bp.trees) })
 	return bp.plan
+}
+
+// sharding is the blueprint's hosts partitioned over a shard count
+// (netsim.PartitionHosts) and the partition's lookahead matrix
+// (netsim.LookaheadMatrix), which has a row per shard the partition uses.
+// Read-only: every session built or restored from the blueprint at that
+// count shares it, its coordinator included.
+type sharding struct {
+	shards int   // the count asked for, at least 1
+	owner  []int // host id -> shard
+	la     [][]des.Duration
+}
+
+// shardingFor returns the blueprint's sharding over n shards (n < 1 is
+// one), computed on the first session's demand.
+func (bp *blueprint) shardingFor(n int) *sharding {
+	n = max(n, 1)
+	bp.shardMu.Lock()
+	defer bp.shardMu.Unlock()
+	for _, sd := range bp.shardings {
+		if sd.shards == n {
+			return sd
+		}
+	}
+	sd := &sharding{shards: n, owner: netsim.PartitionHosts(bp.net, n)}
+	sd.la, _ = netsim.LookaheadMatrix(bp.net, sd.owner)
+	bp.shardings = append(bp.shardings, sd)
+	return sd
 }
 
 // parallelIndexed runs fn(w, i) for i in [0, n) across a bounded worker
@@ -139,44 +173,116 @@ func compileWorkers() int { return runtime.GOMAXPROCS(0) }
 // reopt) map to the same key and share one blueprint. The capacity-aware
 // scheme's trees depend on the fanout bound — a function of load — so its
 // key includes that bound.
+//
+// The hashed text is what fmt prints for each field — the key rides in
+// every snapshot, so its bytes are part of the format — but it is written
+// through keyText, which formats with strconv's append forms into one
+// buffer: a restore fingerprints every member list of its Config to find
+// the blueprint and check the blob against it, and fmt would box each
+// number it prints.
 func blueprintKey(cfg *Config, numGroups int) [32]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "v1|hosts=%d|seed=%d|groups=%d\n", cfg.NumHosts, cfg.Seed, numGroups)
-	fmt.Fprintf(h, "topo=%T%+v\n", cfg.Topology, cfg.Topology)
-	fmt.Fprintf(h, "uplinks=%+v\n", cfg.UplinkClasses)
+	k := keyText{h: sha256.New(), buf: make([]byte, 0, 1024)}
+	k.str("v1|hosts=").int(cfg.NumHosts).str("|seed=").uint(cfg.Seed).str("|groups=").int(numGroups).str("\n")
+	k.str("topo=").topology(cfg.Topology).str("\n")
+	k.str("uplinks=[")
+	for i, u := range cfg.UplinkClasses {
+		if i > 0 {
+			k.str(" ")
+		}
+		k.str("{Mult:").float(u.Mult).str(" Weight:").float(u.Weight).str("}")
+	}
+	k.str("]\n")
 	if cfg.Groups == nil {
-		fmt.Fprintf(h, "members=all\n")
+		k.str("members=all\n")
 	} else {
-		var buf []byte
 		for g, spec := range cfg.Groups {
-			fmt.Fprintf(h, "g%d src=%d members=", g, spec.Source)
-			buf = appendInts(buf[:0], spec.Members)
-			h.Write(append(buf, '\n'))
+			k.str("g").int(g).str(" src=").int(spec.Source).str(" members=[")
+			for i, m := range spec.Members {
+				if i > 0 {
+					k.str(" ")
+				}
+				k.int(m)
+			}
+			k.str("]\n")
 		}
 	}
 	if cfg.Scheme == SchemeCapacityAware {
-		fmt.Fprintf(h, "capaware tree=%s fanout=%d implicit=%v\n",
-			cfg.strategyName(), overlay.FanoutBound(cfg.Load, cfg.CapacityFactor), cfg.Groups == nil)
+		k.str("capaware tree=").str(cfg.strategyName()).str(" fanout=").int(overlay.FanoutBound(cfg.Load, cfg.CapacityFactor))
+		k.str(" implicit=").str(strconv.FormatBool(cfg.Groups == nil)).str("\n")
 	} else {
-		fmt.Fprintf(h, "regulated strat=%s k=%d\n", cfg.strategyName(), cfg.ClusterK)
+		k.str("regulated strat=").str(cfg.strategyName()).str(" k=").int(cfg.ClusterK).str("\n")
 	}
+	k.flush()
 	var key [32]byte
-	h.Sum(key[:0])
+	copy(key[:], k.h.Sum(k.buf[:0]))
 	return key
 }
 
-// appendInts appends s as fmt's %v prints it — "[1 2 3]" — without fmt's
-// reflection and boxing per element: a restore fingerprints every member
-// list of its Config to find the blueprint and check the blob against it.
-func appendInts(b []byte, s []int) []byte {
-	b = append(b, '[')
-	for i, v := range s {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
+// keyText streams a blueprint key's text into its hash through one buffer.
+type keyText struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// room flushes the buffer unless n more bytes fit in it.
+func (k *keyText) room(n int) {
+	if len(k.buf)+n > cap(k.buf) {
+		k.flush()
 	}
-	return append(b, ']')
+}
+
+func (k *keyText) flush() {
+	k.h.Write(k.buf)
+	k.buf = k.buf[:0]
+}
+
+func (k *keyText) str(s string) *keyText {
+	k.room(len(s))
+	k.buf = append(k.buf, s...)
+	return k
+}
+
+func (k *keyText) int(v int) *keyText {
+	k.room(20)
+	k.buf = strconv.AppendInt(k.buf, int64(v), 10)
+	return k
+}
+
+func (k *keyText) uint(v uint64) *keyText {
+	k.room(20)
+	k.buf = strconv.AppendUint(k.buf, v, 10)
+	return k
+}
+
+// float prints v as fmt's %v does.
+func (k *keyText) float(v float64) *keyText {
+	k.room(32)
+	k.buf = strconv.AppendFloat(k.buf, v, 'g', -1, 64)
+	return k
+}
+
+// topology prints g as fmt's %T%+v does: the generators of package topo
+// field by field, any other through fmt.
+func (k *keyText) topology(g topo.Generator) *keyText {
+	switch g := g.(type) {
+	case topo.Backbone19Generator:
+		return k.str("topo.Backbone19Generator{}")
+	case topo.Wire:
+		return k.str("topo.Wire{}")
+	case topo.Waxman:
+		return k.str("topo.Waxman{N:").int(g.N).str(" Alpha:").float(g.Alpha).
+			str(" Beta:").float(g.Beta).str(" Size:").float(g.Size).str("}")
+	case topo.TransitStub:
+		return k.str("topo.TransitStub{Transits:").int(g.Transits).str(" StubsPerTransit:").int(g.StubsPerTransit).
+			str(" StubSize:").int(g.StubSize).str("}")
+	case topo.Ring:
+		return k.str("topo.Ring{N:").int(g.N).str("}")
+	case topo.Star:
+		return k.str("topo.Star{N:").int(g.N).str("}")
+	}
+	k.flush()
+	fmt.Fprintf(k.h, "%T%+v", g, g)
+	return k
 }
 
 // The blueprint cache: a small mutex-guarded LRU keyed by blueprintKey.
@@ -387,8 +493,10 @@ func compile(cfg Config, resume bool) *substrate {
 	// is a word-aligned, capacity-capped window of one slab, ⌈N/64⌉ words
 	// per group, so the fan-out's workers write disjoint words. Slots are
 	// pre-sized and written independently, so the fan-out is order-free. A
-	// restore only carves, too little work to fan out.
+	// restore only carves, too little work to fan out. The group records
+	// are one slab, as the member sets are.
 	sub.groups = make([]*groupState, numGroups)
+	states := make([]groupState, numGroups)
 	n := words(cfg.NumHosts)
 	members := make(bitset, numGroups*n)
 	workers := compileWorkers()
@@ -396,7 +504,8 @@ func compile(cfg Config, resume bool) *substrate {
 		workers = 1
 	}
 	parallelIndexed(numGroups, workers, func(_, g int) {
-		st := &groupState{spec: bp.groups[g], member: members[g*n : (g+1)*n : (g+1)*n]}
+		st := &states[g]
+		*st = groupState{spec: bp.groups[g], member: members[g*n : (g+1)*n : (g+1)*n]}
 		if bp.strat != nil {
 			st.strat = bp.strat
 			st.lim = bp.strat.Limits(bp.treeCfgs[g], cfg.NumHosts)

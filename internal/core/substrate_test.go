@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/netsim"
 	"repro/internal/overlay"
 	"repro/internal/snap"
 	"repro/internal/topo"
@@ -258,6 +263,124 @@ func TestBlueprintCacheKeying(t *testing.T) {
 	}
 	if compileSubstrate(blind).net == s1.net {
 		t.Error("capacity-aware location-aware and location-blind builds shared a blueprint")
+	}
+}
+
+// TestSessionsShareBlueprintSharding: sessions built and restored from one
+// blueprint at one shard count share one host partition and one lookahead
+// matrix — the blueprint's, which their coordinators read — and running
+// them side by side writes neither (make substrate runs this under -race).
+// One shard's matrix is the 1×1 of no pair.
+func TestSessionsShareBlueprintSharding(t *testing.T) {
+	base := Config{NumHosts: 120, NumGroups: 4, Mix: traffic.MixAudio, Load: 0.8, Scheme: SchemeSRL,
+		Duration: des.Second, Seed: 3, Topology: topo.Waxman{N: 24}}
+	for _, shards := range []int{1, 4} {
+		cfg := base
+		cfg.Shards = shards
+		a, b := NewSession(cfg), NewSession(cfg)
+		a.Start()
+		a.RunTo(des.Time(cfg.Duration) / 2)
+		blob, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Session{"built": b, "restored": r} {
+			if &s.owner[0] != &a.owner[0] || &s.la[0][0] != &a.la[0][0] {
+				t.Errorf("shards=%d: a %s session holds a partition or lookahead matrix of its own", shards, name)
+			}
+		}
+		if shards > 1 && a.Shards() < 2 {
+			t.Fatalf("shards=%d: the fixture ran on one shard", shards)
+		}
+		if want := a.Shards(); len(a.la) != want || len(a.la[0]) != want {
+			t.Errorf("shards=%d: a %d×%d lookahead matrix for %d shards", shards, len(a.la), len(a.la[0]), want)
+		}
+		var wg sync.WaitGroup
+		for _, s := range []*Session{a, b, r} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.Run()
+			}()
+		}
+		wg.Wait()
+		owner := netsim.PartitionHosts(a.sub.net, shards)
+		la, _ := netsim.LookaheadMatrix(a.sub.net, owner)
+		if !reflect.DeepEqual(a.owner, owner) || !reflect.DeepEqual(a.la, la) {
+			t.Errorf("shards=%d: the shared partition or lookahead matrix changed while its sessions ran", shards)
+		}
+	}
+}
+
+// referenceKey is blueprintKey as fmt writes it: the bytes every snapshot
+// carries, which blueprintKey must reproduce without fmt.
+func referenceKey(cfg *Config, numGroups int) [32]byte {
+	h := sha256.New()
+	fmt.Fprintf(h, "v1|hosts=%d|seed=%d|groups=%d\n", cfg.NumHosts, cfg.Seed, numGroups)
+	fmt.Fprintf(h, "topo=%T%+v\n", cfg.Topology, cfg.Topology)
+	fmt.Fprintf(h, "uplinks=%+v\n", cfg.UplinkClasses)
+	if cfg.Groups == nil {
+		fmt.Fprintf(h, "members=all\n")
+	} else {
+		for g, spec := range cfg.Groups {
+			fmt.Fprintf(h, "g%d src=%d members=%v\n", g, spec.Source, spec.Members)
+		}
+	}
+	if cfg.Scheme == SchemeCapacityAware {
+		fmt.Fprintf(h, "capaware tree=%s fanout=%d implicit=%v\n",
+			cfg.strategyName(), overlay.FanoutBound(cfg.Load, cfg.CapacityFactor), cfg.Groups == nil)
+	} else {
+		fmt.Fprintf(h, "regulated strat=%s k=%d\n", cfg.strategyName(), cfg.ClusterK)
+	}
+	var key [32]byte
+	h.Sum(key[:0])
+	return key
+}
+
+// otherTopology is a generator outside package topo, which blueprintKey
+// prints through fmt.
+type otherTopology struct{ Routers int }
+
+func (otherTopology) Name() string                    { return "other" }
+func (o otherTopology) Build(seed uint64) *topo.Graph { return topo.Waxman{N: o.Routers}.Build(seed) }
+
+// TestBlueprintKeyMatchesFmt holds blueprintKey to the bytes fmt wrote —
+// every topology generator, uplink classes, explicit member lists long
+// enough to flush its buffer many times, both schemes' tails and floats
+// fmt prints in exponent form (TestBlueprintKeyAllocBudget holds what it
+// allocates).
+func TestBlueprintKeyMatchesFmt(t *testing.T) {
+	long := make([]int, 5000)
+	for i := range long {
+		long[i] = 4999 - i
+	}
+	explicit := []GroupSpec{{Source: 3, Members: []int{3, 0, 7, 1 << 20}}, {Source: 0}, {Source: 4999, Members: long}}
+	topos := []topo.Generator{nil, topo.Backbone19Generator{}, topo.Wire{}, topo.Waxman{N: 128},
+		topo.Waxman{N: 24, Alpha: 0.35, Beta: 1e-7, Size: 1e21}, topo.Waxman{Alpha: math.Inf(1), Beta: math.NaN(), Size: -0.0},
+		topo.TransitStub{Transits: 4, StubsPerTransit: 3}, topo.Ring{N: 16}, topo.Star{}, otherTopology{Routers: 9}, &topo.Waxman{N: 7}}
+	var cfgs []Config
+	for i, tp := range topos {
+		cfg := Config{NumHosts: 665 + i, Seed: math.MaxUint64 - uint64(i), Topology: tp, Scheme: SchemeSRL, ClusterK: 3 + i}
+		switch i % 3 {
+		case 1:
+			cfg.Groups = explicit
+			cfg.UplinkClasses = []topo.UplinkClass{{Mult: 1, Weight: 0.8}, {Mult: 4.5, Weight: 1.0 / 3}}
+		case 2:
+			cfg.Scheme, cfg.Strategy, cfg.Load, cfg.CapacityFactor = SchemeCapacityAware, "nice", 0.35, 2
+			cfg.Groups = explicit[:1]
+		}
+		cfgs = append(cfgs, cfg)
+		cfg.Scheme, cfg.Load, cfg.CapacityFactor = SchemeCapacityAware, 0.8, 1.5
+		cfgs = append(cfgs, cfg)
+	}
+	for i, cfg := range cfgs {
+		if got, want := blueprintKey(&cfg, 3), referenceKey(&cfg, 3); got != want {
+			t.Errorf("config %d (%T): key %x, fmt's %x", i, cfg.Topology, got[:8], want[:8])
+		}
 	}
 }
 

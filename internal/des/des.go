@@ -187,26 +187,40 @@ func (e *Engine) ExecutedByKind() [NumKinds]uint64 { return e.byKind }
 // waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
 
-// eventBlock is how many records alloc makes at once when the free list
-// runs dry: one allocation per block, not one per record, as a restore
-// re-inserts its pending events or a burst grows the pool.
-const eventBlock = 64
+// When the free list runs dry alloc makes a block of records an eighth as
+// large as the pool already is, from eventBlock up to maxEventBlock: one
+// allocation per block, not one per record, as a burst grows the pool,
+// and a block's unused tail stays small beside what the pool holds.
+const (
+	eventBlock    = 64
+	maxEventBlock = 1024
+)
 
 func (e *Engine) alloc() *event {
-	ev := e.free
-	if ev == nil {
-		blk := make([]event, eventBlock)
-		for i := 1; i < len(blk)-1; i++ {
-			blk[i].next = &blk[i+1]
-		}
-		ev, e.free = &blk[0], &blk[1]
-		e.poolSize += eventBlock
-	} else {
-		e.free = ev.next
+	if e.free == nil {
+		e.Reserve(min(max(e.poolSize/8, eventBlock), maxEventBlock))
 	}
+	ev := e.free
+	e.free = ev.next
 	ev.next = nil
 	ev.canceled = false
 	return ev
+}
+
+// Reserve adds n records to the event pool in one block, so the next n
+// events scheduled allocate nothing: a restore reserves the events its
+// checkpoint holds before it re-inserts them.
+func (e *Engine) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	blk := make([]event, n)
+	for i := range n - 1 {
+		blk[i].next = &blk[i+1]
+	}
+	blk[n-1].next = e.free
+	e.free = &blk[0]
+	e.poolSize += n
 }
 
 // release recycles a record after it fired or its cancellation was reaped.

@@ -341,7 +341,7 @@ type ShardAccount struct {
 // a later deadline to continue.
 type Coordinator[P any] struct {
 	engines []*Engine
-	la      [][]Time // la[src][dst]; diagonal and "no path" are maxTime
+	la      [][]Time // la[src][dst], the caller's; "no path" is maxTime, the diagonal unread
 	minLA   Time     // min off-diagonal entry
 
 	deliver func(dst int, payload P) // OnDeliver hook
@@ -384,7 +384,9 @@ type Coordinator[P any] struct {
 // must be positive: a model with zero minimum cross-shard delay cannot be
 // conservatively parallelised. Epoch bounds are per-shard LBTS values over
 // the matrix, so distant shard pairs stop over-synchronising each other.
-// Engines must be fresh (at time zero, nothing fired).
+// The coordinator reads la and never writes it, nor its diagonal, so
+// coordinators may share one matrix. Engines must be fresh (at time zero,
+// nothing fired).
 func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinator[P] {
 	n := len(engines)
 	if n == 0 {
@@ -393,15 +395,12 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 	if len(la) != n {
 		panic("des: lookahead matrix must be n×n over the engines")
 	}
-	cp := make([][]Time, n)
 	minLA := maxTime
 	for i := range la {
 		if len(la[i]) != n {
 			panic("des: lookahead matrix must be n×n over the engines")
 		}
-		cp[i] = append([]Time(nil), la[i]...)
-		cp[i][i] = maxTime // self-delay never bounds an epoch
-		for j, d := range cp[i] {
+		for j, d := range la[i] {
 			if i != j && d <= 0 {
 				panic("des: conservative lookahead must be positive")
 			}
@@ -410,26 +409,38 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 			}
 		}
 	}
+	// A lane's mailboxes are its own (its runner writes them); the serial
+	// section's per-shard tables are capacity-capped windows of one array
+	// per element type.
 	lanes := make([]lane[P], n)
 	for i := range lanes {
 		lanes[i].out = make([][]rec[P], n)
 		lanes[i].in = make([][]rec[P], n)
 	}
+	live, inbound, fixed := thirds[bool](n)
+	nexts, eps, ends := thirds[Time](n)
+	events, active, base := thirds[uint64](n)
 	return &Coordinator[P]{
 		engines: engines,
-		la:      cp,
+		la:      la,
 		minLA:   minLA,
 		lanes:   lanes,
 		spin:    spinBudget,
-		live:    make([]bool, n),
-		inbound: make([]bool, n),
-		acct:    ShardAccount{Events: make([]uint64, n), Active: make([]uint64, n)},
-		nexts:   make([]Time, n),
-		eps:     make([]Time, n),
-		ends:    make([]Time, n),
-		fixed:   make([]bool, n),
-		base:    make([]uint64, n),
+		live:    live,
+		inbound: inbound,
+		fixed:   fixed,
+		acct:    ShardAccount{Events: events, Active: active},
+		base:    base,
+		nexts:   nexts,
+		eps:     eps,
+		ends:    ends,
 	}
+}
+
+// thirds returns three capacity-capped n-element windows of one array.
+func thirds[T any](n int) (a, b, c []T) {
+	s := make([]T, 3*n)
+	return s[:n:n], s[n : 2*n : 2*n], s[2*n:]
 }
 
 // Lookahead returns the minimum cross-shard lookahead; per-pair epoch

@@ -28,18 +28,25 @@ type transit struct {
 // owner of its own KindFlight delivery, and nodes cycle through a free
 // list. Steady-state sends therefore allocate nothing: the high-water mark
 // of concurrently flying packets bounds the pool, which grows a block of
-// nodes at a time. A node's slot in the engine's table is what its event
-// names, so a snapshot reads the in-flight transit a pending event refers
-// to from there.
+// nodes at a time, each an eighth as large as the pool already is, from
+// flightBlock up to maxFlightBlock nodes, and grows the engine's flight
+// table for the block in one step. A node takes its slot in that table
+// when it is first handed out, so a node's slot is the count of nodes
+// handed out before it, however the pool is cut into blocks. A node's slot
+// is what its event names, so a snapshot reads the in-flight transit a
+// pending event refers to from there.
 type flightPool struct {
 	eng     *des.Engine
 	free    *flightNode
 	deliver func(transit)
 	block   []flightNode // unused nodes of the last block made
+	made    int          // nodes in every block made
 }
 
-// flightBlock is how many carrier nodes the pool makes at once.
-const flightBlock = 64
+const (
+	flightBlock    = 64
+	maxFlightBlock = 1024
+)
 
 type flightNode struct {
 	tr   transit
@@ -64,12 +71,21 @@ func (fp *flightPool) alloc() *flightNode {
 		return n
 	}
 	if len(fp.block) == 0 {
-		fp.block = make([]flightNode, flightBlock)
+		fp.reserve(min(max(fp.made/8, flightBlock), maxFlightBlock))
 	}
 	n, fp.block = &fp.block[0], fp.block[1:]
 	n.pool = fp
 	n.slot = fp.eng.Register(des.KindFlight, n)
 	return n
+}
+
+// reserve makes the pool's next block, of n nodes, and the room for them
+// in the engine's flight table. Nodes left in the block before it are
+// dropped, so only a pool with none left calls it.
+func (fp *flightPool) reserve(n int) {
+	fp.block = make([]flightNode, n)
+	fp.made += n
+	fp.eng.Grow(des.KindFlight, n)
 }
 
 // send schedules tr for delivery after d.
@@ -165,6 +181,15 @@ func (f *Fabric) Send(src, dst int, p traffic.Packet) {
 func (f *Fabric) PendingFlight(arg uint32) (dst int, p traffic.Packet) {
 	tr := f.eng.Owners(des.KindFlight)[arg].(*flightNode).tr
 	return tr.dst, tr.p
+}
+
+// ReserveFlights makes room for n in-flight deliveries in one block, the
+// flight table's included, so restoring them allocates nothing. Call it
+// before the fabric has carried or restored any.
+func (f *Fabric) ReserveFlights(n int) {
+	if n > 0 {
+		f.pipes.reserve(n)
+	}
 }
 
 // RestoreFlight re-inserts a serialized in-flight delivery under its

@@ -92,16 +92,20 @@ func NumShards(owner []int) int {
 // router pairs using each router's per-shard minimum access delay, so it
 // is O(routers²) for router-granular partitions (every router hosts one
 // shard), not O(hosts²). ok=false when no finite cross-shard entry exists
-// (a single populated shard).
+// (a single populated shard), which builds no per-router table at all.
 func LookaheadMatrix(net *topo.Network, owner []int) (la [][]des.Duration, ok bool) {
 	const none = des.Time(1)<<62 - 1
 	nsh := NumShards(owner)
 	la = make([][]des.Duration, nsh)
+	cells := make([]des.Duration, nsh*nsh)
 	for i := range la {
-		la[i] = make([]des.Duration, nsh)
+		la[i] = cells[i*nsh : (i+1)*nsh : (i+1)*nsh]
 		for j := range la[i] {
 			la[i][j] = none
 		}
+	}
+	if nsh == 1 {
+		return la, false
 	}
 	nr := net.Backbone.NumNodes()
 	shards := make([][]int, nr)       // shard ids present at each router

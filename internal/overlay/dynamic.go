@@ -31,12 +31,17 @@ func (t *Tree) SubtreeHeight(h int) int {
 // group, or a detached subtree root left by Prune (whose descendants stay
 // members throughout). The parent must be a member attached to the
 // source, which also guarantees acyclicity — a detached subtree cannot
-// contain an attached node.
+// contain an attached node. A tree that holds a live RTT index files a new
+// member in its router's bucket, so it refuses one outside the network the
+// index covers.
 func (t *Tree) Graft(h, parent int) error {
 	if h == t.Source {
 		return fmt.Errorf("overlay: cannot graft the source %d", h)
 	}
 	hs := t.slotOf(h)
+	if x := t.live; hs == none && x != nil && uint(h) >= uint(len(x.net.Hosts)) {
+		return fmt.Errorf("overlay: graft of %d, outside the %d hosts the tree's RTT index covers", h, len(x.net.Hosts))
+	}
 	if hs != none && t.up[hs] != cut {
 		return fmt.Errorf("overlay: graft of %d, which is already attached (parent %d)", h, t.Parent(h))
 	}

@@ -70,7 +70,7 @@ func TestSigmaRhoDelaysExcessBurst(t *testing.T) {
 
 func TestSigmaRhoOutputConforms(t *testing.T) {
 	// Whatever the input, the output must satisfy (σ + MTU, ρ).
-	src := traffic.PaperVideo(0, 9)
+	src := traffic.MixVideo.SourcesN(1, 9)[0]
 	sigma, rho := 80_000.0, 1.2*traffic.VideoRate
 	meter := traffic.NewMeter(rho)
 	eng := des.New()

@@ -380,7 +380,7 @@ func BenchmarkSigmaRhoShaping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := des.New()
 		reg := NewSigmaRho(eng, 50_000, traffic.VideoRate, func(traffic.Packet) {})
-		src := traffic.PaperVideo(0, uint64(i))
+		src := traffic.MixVideo.SourcesN(1, uint64(i))[0]
 		until := des.Seconds(1)
 		src.Start(eng, until, reg.Enqueue)
 		eng.RunUntil(until + des.Seconds(1))
@@ -391,7 +391,7 @@ func BenchmarkSRLShaping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := des.New()
 		reg := NewSRL(eng, 50_000, traffic.VideoRate, 4*traffic.VideoRate, func(traffic.Packet) {})
-		src := traffic.PaperVideo(0, uint64(i))
+		src := traffic.MixVideo.SourcesN(1, uint64(i))[0]
 		until := des.Seconds(1)
 		src.Start(eng, until, reg.Enqueue)
 		reg.StartCycle(0)

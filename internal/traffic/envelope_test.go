@@ -130,7 +130,7 @@ func TestQuickMeterTightness(t *testing.T) {
 }
 
 func TestMeasureEnvelopeVideo(t *testing.T) {
-	env := MeasureEnvelope(PaperVideo(0, 21), 1.0, des.Seconds(20))
+	env := MeasureEnvelope(new(Video).init(0, VideoRate, 21), 1.0, des.Seconds(20))
 	if env.Rho != VideoRate {
 		t.Fatalf("rho = %v", env.Rho)
 	}
@@ -142,8 +142,8 @@ func TestMeasureEnvelopeVideo(t *testing.T) {
 }
 
 func TestMeasureEnvelopeMarginShrinksSigma(t *testing.T) {
-	tight := MeasureEnvelope(PaperVideo(0, 21), 1.0, des.Seconds(20))
-	loose := MeasureEnvelope(PaperVideo(0, 21), 1.2, des.Seconds(20))
+	tight := MeasureEnvelope(new(Video).init(0, VideoRate, 21), 1.0, des.Seconds(20))
+	loose := MeasureEnvelope(new(Video).init(0, VideoRate, 21), 1.2, des.Seconds(20))
 	if loose.Sigma >= tight.Sigma {
 		t.Fatalf("σ at margin 1.2 (%v) should be below σ at margin 1.0 (%v)",
 			loose.Sigma, tight.Sigma)
@@ -156,7 +156,7 @@ func TestMeasureEnvelopePanicsOnBadMargin(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MeasureEnvelope(PaperAudio(0, 1), 0, des.Second)
+	MeasureEnvelope(new(Audio).init(0, AudioRate, 1), 0, des.Second)
 }
 
 func BenchmarkMeterObserve(b *testing.B) {

@@ -33,7 +33,7 @@ type Extremal struct {
 	start  des.Time
 	eng    *des.Engine
 	until  des.Time
-	emit   func(Packet)
+	out    Sink
 	gap    des.Duration // between base-rate packets
 }
 
@@ -41,13 +41,19 @@ type Extremal struct {
 // envelope rate ρ > rate. burstSec sets σ = burstSec·ρ. The default
 // period is 12 s.
 func NewExtremal(flow int, rate, rho, burstSec float64) *Extremal {
+	return new(Extremal).init(flow, rate, rho, burstSec)
+}
+
+// init is NewExtremal into zeroed storage the caller made (see
+// ExtremalMixN).
+func (e *Extremal) init(flow int, rate, rho, burstSec float64) *Extremal {
 	if rate <= 0 || rho <= rate {
 		panic("traffic: extremal flow needs 0 < rate < rho")
 	}
 	if burstSec <= 0 {
 		panic("traffic: extremal burstSec must be positive")
 	}
-	e := &Extremal{
+	*e = Extremal{
 		Flow:       flow,
 		Rate:       rate,
 		Rho:        rho,
@@ -82,10 +88,15 @@ func (e *Extremal) Envelope() Envelope {
 	return Envelope{Sigma: e.Sigma + e.PacketSize, Rho: e.Rho}
 }
 
-// Start implements Source: Resume, then the first cycle now. The flow is
-// the owner of its own events, so emission allocates nothing.
+// Start implements Source.
 func (e *Extremal) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
-	e.Resume(eng, until, emit)
+	e.StartSink(eng, until, SinkFunc(emit))
+}
+
+// StartSink implements Source: Resume, then the first cycle now. The flow
+// is the owner of its own events, so emission allocates nothing.
+func (e *Extremal) StartSink(eng *des.Engine, until des.Time, out Sink) {
+	e.Resume(eng, until, out)
 	eng.ScheduleInKind(0, des.KindSrcCycle, uint32(e.Flow))
 }
 
@@ -94,8 +105,8 @@ func (e *Extremal) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 // slot Flow: Start calls it and schedules the first cycle; a checkpoint
 // restore calls it after Restore, and the engine re-inserts the serialized
 // events.
-func (e *Extremal) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
-	e.eng, e.until, e.emit = eng, until, emit
+func (e *Extremal) Resume(eng *des.Engine, until des.Time, out Sink) {
+	e.eng, e.until, e.out = eng, until, out
 	e.gap = des.Seconds(e.PacketSize / e.baseRate())
 	eng.Own(des.KindSrcCycle, uint32(e.Flow), e)
 }
@@ -130,7 +141,7 @@ func (e *Extremal) Fire(kind uint16) {
 
 // put emits the flow's next packet, size bits, now.
 func (e *Extremal) put(size float64) {
-	e.emit(Packet{ID: e.nextID, Flow: e.Flow, Size: size, CreatedAt: e.eng.Now()})
+	e.out.Put(Packet{ID: e.nextID, Flow: e.Flow, Size: size, CreatedAt: e.eng.Now()})
 	e.nextID++
 }
 
@@ -154,7 +165,7 @@ func (e *Extremal) Restore(r *snap.Reader) {
 // small packets (1280 bits) and video flows MTU packets, all aligned in
 // phase — the multi-group worst case at any K (the paper feeds every group
 // the same stream). rhoMargin is the envelope headroom (e.g. 1.04);
-// burstSec sets each flow's σ in seconds of its ρ.
+// burstSec sets each flow's σ in seconds of its ρ. The flows are one slab.
 func ExtremalMixN(m Mix, n int, rhoMargin, burstSec float64) []Source {
 	if rhoMargin <= 1 {
 		panic("traffic: rhoMargin must exceed 1")
@@ -162,13 +173,13 @@ func ExtremalMixN(m Mix, n int, rhoMargin, burstSec float64) []Source {
 	if n < 1 {
 		panic("traffic: ExtremalMixN needs at least one flow")
 	}
-	out := make([]Source, n)
+	flows, out := make([]Extremal, n), make([]Source, n)
 	for i := 0; i < n; i++ {
 		rate, pkt := float64(AudioRate), 1280.0
 		if m.VideoFlow(i) {
 			rate, pkt = VideoRate, 10_000
 		}
-		e := NewExtremal(i, rate, rhoMargin*rate, burstSec)
+		e := flows[i].init(i, rate, rhoMargin*rate, burstSec)
 		e.PacketSize = pkt
 		out[i] = e
 	}

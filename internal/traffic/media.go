@@ -31,34 +31,35 @@ type Audio struct {
 
 	// Runtime state. rng/nextID/talkEnd are the mutable words a checkpoint
 	// captures; the rest is bound by Resume.
-	rng      *xrand.Rand
+	rng      xrand.Rand
 	nextID   uint64
 	talkEnd  des.Time
 	eng      *des.Engine
 	until    des.Time
-	emit     func(Packet)
+	out      Sink
 	interval des.Duration // between a talkspurt's packets
 }
 
-// NewAudio returns a talkspurt audio source scaled to the given average
-// rate. The default on/off scales (250 ms talk, 150 ms silence) sit at
+// init makes a a talkspurt audio source of flow scaled to the given
+// average rate (Mix.SourcesN makes every one). The default on/off scales (250 ms talk, 150 ms silence) sit at
 // packet-burst granularity: the resulting (σ, ρ) envelope is a few tens of
 // kilobits, matching the sub-second worst-case delays of the paper's
 // Fig. 4(a) (classic Brady telephony scales of ~1 s talkspurts would give
 // envelopes hundreds of kilobits deep and swamp the load dependence the
 // experiment sweeps).
-func NewAudio(flow int, rate float64, seed uint64) *Audio {
+func (a *Audio) init(flow int, rate float64, seed uint64) *Audio {
 	if rate <= 0 {
 		panic("traffic: audio rate must be positive")
 	}
-	return &Audio{
+	*a = Audio{
 		Flow:        flow,
 		Rate:        rate,
 		PacketSize:  1280,
 		MeanTalk:    des.Millis(250),
 		MeanSilence: des.Millis(60),
-		rng:         xrand.New(seed),
+		rng:         *xrand.New(seed),
 	}
+	return a
 }
 
 // Name implements Source.
@@ -77,7 +78,12 @@ func (a *Audio) PeakRate() float64 {
 // measurement starts promptly — the initial event is a wake, exactly like
 // the end of a silence gap.
 func (a *Audio) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
-	a.Resume(eng, until, emit)
+	a.StartSink(eng, until, SinkFunc(emit))
+}
+
+// StartSink implements Source.
+func (a *Audio) StartSink(eng *des.Engine, until des.Time, out Sink) {
+	a.Resume(eng, until, out)
 	eng.ScheduleInKind(0, des.KindAudioWake, uint32(a.Flow))
 }
 
@@ -86,8 +92,8 @@ func (a *Audio) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 // events at slot Flow: Start calls it and schedules the first wake; a
 // checkpoint restore calls it after Restore, and the engine re-inserts the
 // serialized events.
-func (a *Audio) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
-	a.eng, a.until, a.emit = eng, until, emit
+func (a *Audio) Resume(eng *des.Engine, until des.Time, out Sink) {
+	a.eng, a.until, a.out = eng, until, out
 	a.interval = des.Seconds(a.PacketSize / a.PeakRate())
 	eng.Own(des.KindAudioTalk, uint32(a.Flow), a)
 }
@@ -109,7 +115,7 @@ func (a *Audio) Fire(kind uint16) {
 		a.eng.ScheduleInKind(gap, des.KindAudioWake, uint32(a.Flow))
 		return
 	}
-	a.emit(Packet{ID: a.nextID, Flow: a.Flow, Size: a.PacketSize, CreatedAt: now})
+	a.out.Put(Packet{ID: a.nextID, Flow: a.Flow, Size: a.PacketSize, CreatedAt: now})
 	a.nextID++
 	a.eng.ScheduleInKind(a.interval, des.KindAudioTalk, uint32(a.Flow))
 }
@@ -151,13 +157,13 @@ type Video struct {
 
 	// Runtime state. rng/nextID/frame/scenePending are the mutable words a
 	// checkpoint captures; the rest is bound by Resume.
-	rng          *xrand.Rand
+	rng          xrand.Rand
 	nextID       uint64
 	frame        int
 	scenePending bool
 	eng          *des.Engine
 	until        des.Time
-	emit         func(Packet)
+	out          Sink
 	frameGap     des.Duration
 }
 
@@ -167,13 +173,14 @@ var gopPattern = [12]float64{5, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1}
 // gopWeight is the sum of gopPattern.
 const gopWeight = 5 + 2*3 + 1*8
 
-// NewVideo returns an MPEG-1-style video source at the given average rate,
-// 25 frames/second, 10000-bit packets, and moderate frame jitter.
-func NewVideo(flow int, rate float64, seed uint64) *Video {
+// init makes v an MPEG-1-style video source of flow at the given average
+// rate, 25 frames/second, 10000-bit packets, and moderate frame jitter
+// (Mix.SourcesN makes every one).
+func (v *Video) init(flow int, rate float64, seed uint64) *Video {
 	if rate <= 0 {
 		panic("traffic: video rate must be positive")
 	}
-	return &Video{
+	*v = Video{
 		Flow:       flow,
 		Rate:       rate,
 		FPS:        25,
@@ -181,8 +188,9 @@ func NewVideo(flow int, rate float64, seed uint64) *Video {
 		JitterSig:  0.2,
 		SceneMean:  des.Seconds(4),
 		SceneBoost: 2.5,
-		rng:        xrand.New(seed),
+		rng:        *xrand.New(seed),
 	}
+	return v
 }
 
 // Name implements Source.
@@ -215,7 +223,12 @@ func (v *Video) frameSize() float64 {
 
 // Start implements Source.
 func (v *Video) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
-	v.Resume(eng, until, emit)
+	v.StartSink(eng, until, SinkFunc(emit))
+}
+
+// StartSink implements Source.
+func (v *Video) StartSink(eng *des.Engine, until des.Time, out Sink) {
+	v.Resume(eng, until, out)
 	eng.ScheduleInKind(0, des.KindVideoTick, uint32(v.Flow))
 }
 
@@ -223,8 +236,8 @@ func (v *Video) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
 // scheduling anything, and registers it as the owner of its frame ticks at
 // slot Flow (Start schedules the first tick; after a checkpoint restore
 // the engine re-inserts the serialized one).
-func (v *Video) Resume(eng *des.Engine, until des.Time, emit func(Packet)) {
-	v.eng, v.until, v.emit = eng, until, emit
+func (v *Video) Resume(eng *des.Engine, until des.Time, out Sink) {
+	v.eng, v.until, v.out = eng, until, out
 	v.frameGap = des.Seconds(1 / v.FPS)
 	eng.Own(des.KindVideoTick, uint32(v.Flow), v)
 }
@@ -238,7 +251,7 @@ func (v *Video) Fire(uint16) {
 		return
 	}
 	for size := v.frameSize(); size > 0; size -= v.PacketSize {
-		v.emit(Packet{ID: v.nextID, Flow: v.Flow, Size: min(size, v.PacketSize), CreatedAt: now})
+		v.out.Put(Packet{ID: v.nextID, Flow: v.Flow, Size: min(size, v.PacketSize), CreatedAt: now})
 		v.nextID++
 	}
 	v.eng.ScheduleInKind(v.frameGap, des.KindVideoTick, uint32(v.Flow))
@@ -267,12 +280,6 @@ func (v *Video) Restore(r *snap.Reader) {
 		r.Fail(fmt.Errorf("traffic: snapshot video frame counter %d is negative", v.frame))
 	}
 }
-
-// PaperAudio builds the paper's 64 kbps audio workload for the given flow.
-func PaperAudio(flow int, seed uint64) *Audio { return NewAudio(flow, AudioRate, seed) }
-
-// PaperVideo builds the paper's 1.5 Mbps MPEG-1 workload for the given flow.
-func PaperVideo(flow int, seed uint64) *Video { return NewVideo(flow, VideoRate, seed) }
 
 // Mix describes the three traffic patterns of the evaluation: 3 audio
 // streams, 3 video streams, or 1 video + 2 audio.
@@ -325,19 +332,26 @@ func (m Mix) VideoFlow(i int) bool {
 // ("each of the three groups is fed with the same 64Kbps audio stream").
 // Identical copies burst in lockstep, which is what makes the un-staggered
 // (σ, ρ) multiplexer realise its worst case and the staggered (σ, ρ, λ)
-// regulator pay off.
+// regulator pay off. The flows of each type are one slab.
 func (m Mix) SourcesN(n int, seed uint64) []Source {
 	if n < 1 {
 		panic("traffic: SourcesN needs at least one flow")
 	}
 	base := xrand.New(seed)
 	audioSeed, videoSeed := base.Uint64(), base.Uint64()
+	videos := 0
+	for i := 0; i < n; i++ {
+		if m.VideoFlow(i) {
+			videos++
+		}
+	}
+	vs, as := make([]Video, videos), make([]Audio, n-videos)
 	out := make([]Source, n)
 	for i := 0; i < n; i++ {
 		if m.VideoFlow(i) {
-			out[i] = PaperVideo(i, videoSeed)
+			out[i], vs = vs[0].init(i, VideoRate, videoSeed), vs[1:]
 		} else {
-			out[i] = PaperAudio(i, audioSeed)
+			out[i], as = as[0].init(i, AudioRate, audioSeed), as[1:]
 		}
 	}
 	return out

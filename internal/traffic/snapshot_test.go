@@ -56,9 +56,9 @@ func TestRestorePacketBounds(t *testing.T) {
 func TestSourcesResumeAllocFree(t *testing.T) {
 	type resumable interface {
 		Source
-		Resume(eng *des.Engine, until des.Time, emit func(Packet))
+		Resume(eng *des.Engine, until des.Time, out Sink)
 	}
-	audio, video := NewAudio(0, AudioRate, 1), NewVideo(1, VideoRate, 1)
+	audio, video := new(Audio).init(0, AudioRate, 1), new(Video).init(1, VideoRate, 1)
 	for _, tc := range []struct {
 		src    resumable
 		period des.Duration
@@ -69,9 +69,9 @@ func TestSourcesResumeAllocFree(t *testing.T) {
 	} {
 		eng := des.New()
 		emitted := 0
-		emit := func(Packet) { emitted++ }
+		emit := SinkFunc(func(Packet) { emitted++ })
 		until := des.Time(1 << 60)
-		tc.src.Start(eng, until, emit)
+		tc.src.StartSink(eng, until, emit)
 		eng.RunUntil(tc.period) // the engine's event storage, warmed
 		allocs := testing.AllocsPerRun(20, func() {
 			tc.src.Resume(eng, until, emit)

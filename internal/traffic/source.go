@@ -17,6 +17,9 @@ type Source interface {
 	// Start begins emission. Implementations must be deterministic given
 	// their construction-time seed.
 	Start(eng *des.Engine, until des.Time, emit func(Packet))
+	// StartSink is Start into out: a session hands each flow state it
+	// already holds instead of a closure bound per flow.
+	StartSink(eng *des.Engine, until des.Time, out Sink)
 }
 
 // Greedy emits the extremal trajectory of a (σ, ρ) envelope: the full burst
@@ -47,6 +50,12 @@ func (g *Greedy) AvgRate() float64 { return g.Rho }
 
 // Start implements Source.
 func (g *Greedy) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
+	g.StartSink(eng, until, SinkFunc(emit))
+}
+
+// StartSink implements Source.
+func (g *Greedy) StartSink(eng *des.Engine, until des.Time, out Sink) {
+	emit := out.Put
 	eng.ScheduleIn(0, func() {
 		now := eng.Now()
 		// Burst: σ bits emitted instantaneously.

@@ -118,7 +118,7 @@ func TestGreedyConformsToOwnEnvelope(t *testing.T) {
 }
 
 func TestAudioLongRunRate(t *testing.T) {
-	src := PaperAudio(0, 7)
+	src := new(Audio).init(0, AudioRate, 7)
 	pkts := runSource(src, 120)
 	rate := measuredRate(pkts, 120)
 	if math.Abs(rate-AudioRate)/AudioRate > 0.15 {
@@ -127,7 +127,7 @@ func TestAudioLongRunRate(t *testing.T) {
 }
 
 func TestAudioIsBursty(t *testing.T) {
-	src := PaperAudio(0, 3)
+	src := new(Audio).init(0, AudioRate, 3)
 	pkts := runSource(src, 60)
 	// There must be silence gaps much longer than the packet interval.
 	peakGap := des.Seconds(src.PacketSize / src.PeakRate())
@@ -143,7 +143,7 @@ func TestAudioIsBursty(t *testing.T) {
 }
 
 func TestAudioPeakRateIdentity(t *testing.T) {
-	src := PaperAudio(0, 1)
+	src := new(Audio).init(0, AudioRate, 1)
 	onFrac := 0.250 / (0.250 + 0.060)
 	want := AudioRate / onFrac
 	if math.Abs(src.PeakRate()-want) > 1 {
@@ -152,7 +152,7 @@ func TestAudioPeakRateIdentity(t *testing.T) {
 }
 
 func TestVideoLongRunRate(t *testing.T) {
-	src := PaperVideo(0, 11)
+	src := new(Video).init(0, VideoRate, 11)
 	pkts := runSource(src, 60)
 	rate := measuredRate(pkts, 60)
 	if math.Abs(rate-VideoRate)/VideoRate > 0.08 {
@@ -162,7 +162,7 @@ func TestVideoLongRunRate(t *testing.T) {
 
 func TestVideoGOPStructure(t *testing.T) {
 	// I frames (every 12th) must be larger on average than B frames.
-	v := NewVideo(0, VideoRate, 5)
+	v := new(Video).init(0, VideoRate, 5)
 	v.JitterSig = 0  // isolate the deterministic pattern
 	v.SceneBoost = 0 // disable scene changes
 	var iSum, bSum float64
@@ -185,7 +185,7 @@ func TestVideoGOPStructure(t *testing.T) {
 }
 
 func TestVideoFramesPacketised(t *testing.T) {
-	src := PaperVideo(0, 13)
+	src := new(Video).init(0, VideoRate, 13)
 	pkts := runSource(src, 2)
 	for _, p := range pkts {
 		if p.Size <= 0 || p.Size > src.PacketSize {
@@ -256,7 +256,7 @@ func TestPacketDelay(t *testing.T) {
 
 func BenchmarkVideoGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		src := NewVideo(0, VideoRate, uint64(i))
+		src := new(Video).init(0, VideoRate, uint64(i))
 		eng := des.New()
 		until := des.Seconds(1)
 		src.Start(eng, until, func(Packet) {})
@@ -266,7 +266,7 @@ func BenchmarkVideoGenerate(b *testing.B) {
 
 func BenchmarkAudioGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		src := NewAudio(0, AudioRate, uint64(i))
+		src := new(Audio).init(0, AudioRate, uint64(i))
 		eng := des.New()
 		until := des.Seconds(10)
 		src.Start(eng, until, func(Packet) {})
