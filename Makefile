@@ -47,9 +47,12 @@ scenarios:
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 1
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 8
 
-# Sharded-mode suite, mirroring `make race`: every shard differential and
-# determinism test across a shard-count matrix (WDCSIM_SHARDS overrides
-# the default of 4 in the tests). Catches partition, lookahead, mailbox-
+# Sharded-mode suite, mirroring `make race`: the Shards = n and repeat
+# columns of the identity matrix (internal/core/identity_test.go:
+# TestShardedMatchesSequential, TestShardedDeterministicRepeatedRuns, the
+# full-scale *-waxman-16 rows among them) and every other shard test across
+# a shard-count matrix (WDCSIM_SHARDS overrides the default of 4 in the
+# tests). Catches partition, lookahead, mailbox-
 # merge, and barrier regressions that a single shard count might mask; the
 # first leg runs the suite on the one-shard degeneration itself. The
 # GOMAXPROCS=1 leg runs four shards on one runner (every epoch inline, no
@@ -58,7 +61,8 @@ scenarios:
 # shared — and every mailbox test (the boundary alloc pin, the merge
 # property test, the gate alloc pin and FuzzMailboxDrain's seeds: the
 # double-buffered hand-off that runners sort, fold and release on) at one,
-# two and four runners under the race detector. The census rows of
+# two and four runners under the race detector; -short keeps the
+# full-scale rows out of that leg, as they always were. The census rows of
 # harness.TestPins (a quick cell's executed events by kind and scaling
 # ceiling at one, two, four and eight shards) run on one runner too: they
 # are functions of the epoch schedule, not of who executes it. No pinned
@@ -70,7 +74,7 @@ shards:
 	WDCSIM_SHARDS=8 $(GO) test -run Shard ./...
 	GOMAXPROCS=1 WDCSIM_SHARDS=4 $(GO) test -run Shard ./...
 	GOMAXPROCS=1 $(GO) test -run 'TestPins/waxman-zipf-64/census' ./internal/harness
-	$(GO) test -race -cpu 1,2,4 -run 'Coordinator|Shard|Boundary|DrainMerge|GateZeroAlloc|MailboxDrain' ./internal/des ./internal/core
+	$(GO) test -race -short -cpu 1,2,4 -run 'Coordinator|Shard|Boundary|DrainMerge|GateZeroAlloc|MailboxDrain' ./internal/des ./internal/core
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-512 -duration 0.5 -shards 4
 
 # Coverage-guided fuzzing of the invariant-heavy corners: the timing
@@ -203,7 +207,8 @@ drift:
 # with a live RTT index must refuse a host outside the indexed network
 # with an error, a panic in a compile pass must reach the
 # caller, a cache-warm session must reproduce
-# the cold session's Result exactly, and a cold compile must stay within
+# the cold session's Result exactly (the warm-cache column of the identity
+# matrix, every fixture a row), and a cold compile must stay within
 # its object budget: a constant per group, nothing per cluster, per domain
 # or per router (each group's hierarchy runs in one buffer, the routing
 # tables are one slab each). The second leg holds each set-up pass to the

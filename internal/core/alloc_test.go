@@ -491,13 +491,14 @@ func TestBlueprintKeyAllocBudget(t *testing.T) {
 }
 
 // TestBuildAllocBudget states what NewSession + Start may allocate with the
-// blueprint warm, on one runner: 160 objects, nothing per component, per
+// blueprint warm, on one runner: 67 objects, nothing per component, per
 // host, per group or per router — MUXes, regulators, clocks and the link
 // records their outputs point at are carved from per-shard slabs, and
 // events fire the components themselves; the group records, the sources
 // and the member sets are one slab each, a source emits into its root
-// host's record, the blueprint key is written without fmt, and the host
-// partition and lookahead matrix are the blueprint's.
+// host's record, the blueprint key is written without fmt, the host
+// partition and lookahead matrix are the blueprint's, and each source
+// owner table and the ready run the sources start in are made once.
 //
 // At the parent of the commit that added it a build of the 60-host and the
 // waxman-zipf-64 fixture made 881 and 4,248 objects (223 and 1,555 at it):
@@ -505,7 +506,10 @@ func TestBlueprintKeyAllocBudget(t *testing.T) {
 // closure, and each host with a receiver closure. Until the build stopped
 // allocating per group the budget granted one object per host and 24 per
 // group besides the 160, and a build of the two fixtures made 136 and 603
-// objects (67 and 79 after).
+// objects (67 and 79 after). Until the sources registered highest flow
+// first and the ready run was sized for their first events, both grew a
+// slot at a time, the budget was 160, and a build made 67 and 79 objects
+// (64 and 67 after).
 func TestBuildAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates; the budget is the plain build's")
@@ -520,8 +524,8 @@ func TestBuildAllocBudget(t *testing.T) {
 				s.Start()
 			})
 			comps, groups := core.ComponentCount(s), len(s.Groups())
-			if objects > 160 {
-				t.Errorf("NewSession + Start allocated %d objects for %d components, %d hosts and %d groups; budget 160",
+			if objects > 67 {
+				t.Errorf("NewSession + Start allocated %d objects for %d components, %d hosts and %d groups; budget 67",
 					objects, comps, cfg.NumHosts, groups)
 			}
 			t.Logf("build: %d objects (%d components, %d hosts, %d groups)", objects, comps, cfg.NumHosts, groups)
@@ -530,9 +534,8 @@ func TestBuildAllocBudget(t *testing.T) {
 }
 
 // TestRunAllocBudget states what NewSession + Run may allocate with the
-// blueprint warm, on one runner: the build's budget (TestBuildAllocBudget)
-// plus 8 objects per shard, and nothing per regulator, per MUX or per
-// group. Every
+// blueprint warm, on one runner: 160 objects plus 8 per shard, and nothing
+// per regulator, per MUX or per group. Every
 // queue's storage past what the build carved — a regulator's first buffer,
 // the size of a burst, ⌈σ/L⌉ + 1 packets; its regrowth when the MUXes
 // upstream bunch more than a burst into it; a MUX queue's growth past its
@@ -540,7 +543,7 @@ func TestBuildAllocBudget(t *testing.T) {
 // which makes a chunk at a time (snap.Arena); the 8 per shard are those
 // chunks. A clock's waiting list has a seat carved for each follower.
 // Run's other allocations — engine and flight blocks, the result's
-// per-group tree walks — fit in the build's slack.
+// per-group tree walks — fit in the 160 beside the build's 67.
 //
 // At the parent of the commit that added it a run of the 60-host and the
 // waxman-zipf-64 fixture made 1,191 and 4,229 objects (321 and 1,958 at
@@ -582,7 +585,7 @@ func TestRunAllocBudget(t *testing.T) {
 //   - Restore allocates at most 1.15 × the bytes NewSession + Start
 //     allocate for the same Config, plus 64 bytes per pending event (the
 //     blob adds queue contents and the events in flight; the slabs and the
-//     build it skips pay for the rest), in at most 160 objects: none per
+//     build it skips pay for the rest), in at most 73 objects: none per
 //     component or per host (components, their link records and the
 //     hosts' tables are carved from slabs, and a host is its own
 //     receiver), none per group (the group records, the sources and the
@@ -608,7 +611,10 @@ func TestRunAllocBudget(t *testing.T) {
 // 73 on these fixtures, 10 and 10 after). Until restores stopped
 // allocating per group and per pending event the object budget granted two
 // per pending event and 24 per group besides the 160; a restore of these
-// fixtures made 146–613 objects, 73–79 after.
+// fixtures made 146–613 objects, 73–79 after. Until the sources
+// registered highest flow first, each source owner table grew a slot at a
+// time, the object budget was 160, and a restore made 73–79 objects, 71–73
+// after.
 func TestCheckpointCycleAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates; the budgets are the plain build's")
@@ -640,8 +646,8 @@ func TestCheckpointCycleAllocBudget(t *testing.T) {
 				if limit := buildBytes*115/100 + 64*uint64(pending); restBytes > limit {
 					t.Errorf("at %v: Restore allocated %d bytes, over 1.15 × the %d of NewSession + Start plus 64 for each of %d pending events", at, restBytes, buildBytes, pending)
 				}
-				if restObjects > 160 {
-					t.Errorf("at %v: Restore allocated %d objects for %d components, %d hosts, %d pending events and %d groups; budget 160",
+				if restObjects > 73 {
+					t.Errorf("at %v: Restore allocated %d objects for %d components, %d hosts, %d pending events and %d groups; budget 73",
 						at, restObjects, comps, cfg.NumHosts, pending, groups)
 				}
 				var again []byte

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -160,7 +159,7 @@ func TestCheckpointWhileWaitingInVacation(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			cfg := base
 			cfg.Shards = shards
-			straight := normalizeDiag(finishVia(t, cfg))
+			straight := Run(cfg)
 
 			s := NewSession(cfg)
 			s.Start()
@@ -196,9 +195,9 @@ func TestCheckpointWhileWaitingInVacation(t *testing.T) {
 					t.Errorf("%s/%d: shard %d restored %d clocks of %d", name, shards, si, got, want)
 				}
 			}
-			if got := normalizeDiag(restored.Finish()); !reflect.DeepEqual(got, straight) {
-				t.Errorf("%s/%d: restored at %v with %d of %d regulators waiting, diverged:\n  straight %+v\n  restored %+v",
-					name, shards, at, waiting, regs, straight, got)
+			if err := SameRun(straight, restored.Finish(), NormRestore); err != nil {
+				t.Errorf("%s/%d: restored at %v with %d of %d regulators waiting, diverged: %v",
+					name, shards, at, waiting, regs, err)
 			}
 		}
 	}

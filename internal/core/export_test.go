@@ -2,7 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
+	"testing"
 	"unsafe"
 
 	"repro/internal/des"
@@ -270,4 +277,74 @@ func CompileBlueprint(cfg Config) int {
 func KeyOf(cfg Config) [32]byte {
 	cfg.fillDefaults()
 	return blueprintKey(&cfg, cfg.groupCount())
+}
+
+// Norm is what one transformation of the identity matrix (identity_test.go)
+// lets differ from the straight one-shard run of the same Config. Every
+// other field of Result must be equal, by reflect.DeepEqual.
+type Norm uint8
+
+const (
+	// NormRestore sets aside Epochs and StallShare: RunTo clamps an epoch's
+	// end at each checkpoint, so they measure how the run was sliced.
+	NormRestore Norm = 1 << iota
+	// NormShards sets aside the sharded execution's diagnostics — Shards,
+	// Epochs, CrossShardMsgs and StallShare — and holds MeanDelay to 1e-9
+	// relative: shard-local mean accumulators merge in shard order.
+	NormShards
+)
+
+// SameRun is the one comparator of whole runs: nil when got equals want
+// once n's fields are set aside, else an error naming every field that
+// differs.
+func SameRun(want, got Result, n Norm) error {
+	var diffs []string
+	if n&NormShards != 0 {
+		if math.Abs(got.MeanDelay-want.MeanDelay) > 1e-9*math.Abs(want.MeanDelay) {
+			diffs = append(diffs, fmt.Sprintf("MeanDelay %.17g, want %.17g within 1e-9 relative", got.MeanDelay, want.MeanDelay))
+		}
+		got.MeanDelay = want.MeanDelay
+		want.Shards, want.CrossShardMsgs, got.Shards, got.CrossShardMsgs = 0, 0, 0, 0
+	}
+	if n != 0 {
+		want.Epochs, want.StallShare, got.Epochs, got.StallShare = 0, 0, 0, 0
+	}
+	if diffs == nil && reflect.DeepEqual(want, got) {
+		return nil
+	}
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := range w.NumField() {
+		if wf, gf := w.Field(i).Interface(), g.Field(i).Interface(); !reflect.DeepEqual(wf, gf) {
+			diffs = append(diffs, fmt.Sprintf("%s %+v, want %+v", w.Type().Field(i).Name, gf, wf))
+		}
+	}
+	return errors.New(strings.Join(diffs, "; "))
+}
+
+// EnvShards is the shard count n of the Shards = n rows: WDCSIM_SHARDS
+// (the CI shard matrix), 4 when it is unset.
+func EnvShards(t testing.TB) int {
+	v := os.Getenv("WDCSIM_SHARDS")
+	if v == "" {
+		return 4
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		t.Fatalf("bad WDCSIM_SHARDS=%q", v)
+	}
+	return n
+}
+
+// The identity matrix's fixtures, built by the package's own tests.
+var (
+	ShardBaseConfig = shardBaseConfig
+	FaultBaseConfig = faultBaseConfig
+	ChurnConfig     = churnConfig
+	RangeMembers    = rangeMembers
+)
+
+// ParkedRootsConfig is TestOutageAndMassLeaveTakeParkedRoots's fixture.
+func ParkedRootsConfig(t testing.TB) Config {
+	cfg, _, _ := parkedRoots(t)
+	return cfg
 }

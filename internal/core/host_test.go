@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -376,9 +375,8 @@ func TestForwarderLifeUnderChurn(t *testing.T) {
 		if rf := r.hosts[parent].fwd; !slices.Equal(rf.children.get(g), []int{joiner}) {
 			t.Fatalf("shards=%d: the second join did not graft %d under restored host %d", shards, joiner, parent)
 		}
-		straight := normalizeDiag(Run(cfg))
-		if got := normalizeDiag(r.Finish()); !reflect.DeepEqual(got, straight) {
-			t.Fatalf("shards=%d: restored run diverged from the straight run:\n  straight %+v\n  restored %+v", shards, straight, got)
+		if err := SameRun(Run(cfg), r.Finish(), NormRestore); err != nil {
+			t.Fatalf("shards=%d: restored run diverged from the straight run: %v", shards, err)
 		}
 	}
 }

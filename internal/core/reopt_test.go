@@ -187,58 +187,6 @@ func rangeInts(lo, hi int) []int {
 	return out
 }
 
-// Re-optimization composes with churn and sharding: the sharded run of a
-// churn+reopt session must reproduce the sequential one bit for bit —
-// deliveries, losses, per-group WDB bits, and the control/reopt counters.
-func TestShardDifferentialReopt(t *testing.T) {
-	cfg := reoptBaseConfig()
-	cfg.NumHosts = 120
-	cfg.Groups = []GroupSpec{
-		{Source: 0, Members: rangeInts(0, 80)},
-		{Source: 5, Members: rangeInts(0, 60)},
-		{Source: 2, Members: rangeInts(0, 40)},
-	}
-	cfg.Events = []MembershipEvent{
-		{At: 300 * des.Millisecond, Group: 0, Host: 90, Join: true},
-		{At: 500 * des.Millisecond, Group: 1, Host: 95, Join: true},
-		{At: 800 * des.Millisecond, Group: 0, Host: 30},
-		{At: 1100 * des.Millisecond, Group: 2, Host: 15},
-		{At: 1500 * des.Millisecond, Group: 1, Host: 95},
-	}
-	cfg.Reopt = ReoptConfig{Every: 400 * des.Millisecond, MinImprove: 0.02, MaxMoves: 2}
-	cfg.WindowSec = 0.5
-	seq := Run(cfg)
-	if seq.Delivered == 0 {
-		t.Fatal("inert workload")
-	}
-	cfg.Shards = 4
-	sh := Run(cfg)
-	if seq.Delivered != sh.Delivered || seq.Lost != sh.Lost {
-		t.Fatalf("delivered/lost (%d,%d) vs (%d,%d)", seq.Delivered, seq.Lost, sh.Delivered, sh.Lost)
-	}
-	if seq.Reopts != sh.Reopts || seq.ReoptMoves != sh.ReoptMoves || seq.ReoptRejected != sh.ReoptRejected {
-		t.Fatalf("reopt counters (%d,%d,%d) vs (%d,%d,%d)",
-			seq.Reopts, seq.ReoptMoves, seq.ReoptRejected, sh.Reopts, sh.ReoptMoves, sh.ReoptRejected)
-	}
-	if seq.Joins != sh.Joins || seq.Leaves != sh.Leaves || seq.Regrafts != sh.Regrafts {
-		t.Fatalf("churn counters (%d,%d,%d) vs (%d,%d,%d)",
-			seq.Joins, seq.Leaves, seq.Regrafts, sh.Joins, sh.Leaves, sh.Regrafts)
-	}
-	for g := range seq.PerGroupWDB {
-		if math.Float64bits(seq.PerGroupWDB[g]) != math.Float64bits(sh.PerGroupWDB[g]) {
-			t.Fatalf("group %d WDB %.17g vs %.17g", g, seq.PerGroupWDB[g], sh.PerGroupWDB[g])
-		}
-	}
-	if len(seq.WindowMax) != len(sh.WindowMax) {
-		t.Fatalf("window series length %d vs %d", len(seq.WindowMax), len(sh.WindowMax))
-	}
-	for i := range seq.WindowMax {
-		if math.Float64bits(seq.WindowMax[i]) != math.Float64bits(sh.WindowMax[i]) {
-			t.Fatalf("window %d: %.17g vs %.17g", i, seq.WindowMax[i], sh.WindowMax[i])
-		}
-	}
-}
-
 // oraclePlan is rewire's candidate scan as it ran before the attached walk,
 // kept as the oracle for plan: the worst measured member not in moved,
 // then every member outside its subtree (collected up front into a set)

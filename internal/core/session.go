@@ -790,11 +790,15 @@ func (s *Session) rootOf(g int) *rootSink {
 
 // buildSources builds the per-group traffic sources, in group order from
 // streams derived from the traffic seed alone, so emissions are identical
-// at every shard count.
-func (s *Session) buildSources() []traffic.Source {
+// at every shard count, and binds each to its root's engine and sink: the
+// highest flow first, so each owner table it registers in is made once.
+func (s *Session) buildSources() {
 	cfg := s.sub.cfg
-	return cfg.Workload.BuildSourcesN(cfg.Mix, s.sub.numGroups(), cfg.TrafficSeed.Or(cfg.Seed),
+	s.sources = cfg.Workload.BuildSourcesN(cfg.Mix, s.sub.numGroups(), cfg.TrafficSeed.Or(cfg.Seed),
 		DefaultEnvelopeMargin, DefaultBurstSec)
+	for g := len(s.sources) - 1; g >= 0; g-- {
+		s.sources[g].(snapSource).Resume(s.rootEngine(g), cfg.Duration, s.rootOf(g))
+	}
 }
 
 // rootEngine is the engine group g's source runs on: its tree root's shard.
@@ -809,8 +813,9 @@ func (s *Session) Start() {
 		return
 	}
 	s.started = true
-	s.sources = s.buildSources()
+	s.buildSources()
 	for g, src := range s.sources {
+		s.rootEngine(g).GrowReady(len(s.sources) - g) // room for this flow's first event and every later flow's
 		src.StartSink(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
 	}
 }

@@ -454,7 +454,7 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	// Sources are rebuilt from the Config like everything else; their
 	// record repositions them and their pending emissions go back into the
 	// engine with the other events.
-	s.sources = s.buildSources()
+	s.buildSources()
 	s.started = true
 	c.s, c.at = s, at
 }
@@ -640,8 +640,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 
 // snapSource is what a traffic source implements to ride in a checkpoint:
 // it names its type, serializes its own mutable words, and re-binds to an
-// engine and sink without scheduling — registering, as Start does, as the
-// owner of its events at its flow.
+// engine and sink without scheduling — registering as the owner of its
+// events at its flow. Every source a session builds is one (buildSources).
 type snapSource interface {
 	SnapTag() uint8
 	Snapshot(w *snap.Writer)
@@ -651,12 +651,8 @@ type snapSource interface {
 
 func (c *codec) writeSources(w *snap.Writer, _ int) {
 	w.Len(len(c.s.sources))
-	for g, src := range c.s.sources {
-		ss, ok := src.(snapSource)
-		if !ok {
-			w.Fail(fmt.Errorf("core: group %d source %T cannot be snapshotted", g, src))
-			return
-		}
+	for _, src := range c.s.sources {
+		ss := src.(snapSource)
 		w.U8(ss.SnapTag())
 		ss.Snapshot(w)
 	}
@@ -669,17 +665,12 @@ func (c *codec) readSources(r *snap.Reader, _ int) {
 		return
 	}
 	for g, src := range s.sources {
-		ss, ok := src.(snapSource)
-		if !ok {
-			r.Fail(fmt.Errorf("core: group %d source %T cannot be restored", g, src))
-			return
-		}
+		ss := src.(snapSource)
 		if tag := r.U8(); tag != ss.SnapTag() {
 			r.Fail(fmt.Errorf("core: snapshot source %d has type tag %d, session built a %T", g, tag, src))
 			return
 		}
 		ss.Restore(r)
-		ss.Resume(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -15,138 +14,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// checkpointCases are the workload archetypes the snapshot contract is
-// pinned over: static trees, membership churn, correlated faults (outage +
-// partition spanning the checkpoint), online re-optimization under churn,
-// the adaptive per-host controller, and VBR stochastic sources (audio and
-// video).
-func checkpointCases() []struct {
-	name string
-	cfg  Config
-} {
-	static := shardBaseConfig(7)
-	churn := churnConfig(SchemeSRL, 13)
-	fault := faultBaseConfig(29)
-	reopt := churnConfig(SchemeSigmaRho, 17)
-	reopt.Reopt = ReoptConfig{Every: 250 * des.Millisecond, MinImprove: 0.02, MaxMoves: 2}
-	adaptive := shardBaseConfig(37)
-	adaptive.Scheme = SchemeAdaptive
-	vbr := shardBaseConfig(41)
-	vbr.Workload = WorkloadVBR
-	vbr.Mix = traffic.MixHetero
-	return []struct {
-		name string
-		cfg  Config
-	}{
-		{"static", static},
-		{"churn", churn},
-		{"fault", fault},
-		{"reopt-churn", reopt},
-		{"adaptive", adaptive},
-		{"vbr", vbr},
-	}
-}
-
-// normalizeDiag zeroes the coordinator's load-balance diagnostics. Epoch
-// count and stall share depend on how the run was sliced into Run calls —
-// RunTo(mid) clamps epoch ends at mid even without a snapshot — so they
-// are outside the bit-identity contract, which covers the physics: every
-// delivery statistic, loss counter, window entry, and fault outcome.
-func normalizeDiag(res Result) Result {
-	res.Epochs = 0
-	res.StallShare = 0
-	return res
-}
-
-// finishVia runs cfg to completion in steps, snapshotting and restoring
-// at each of the given instants along the way:
-// run to t, serialize, rebuild a fresh session from the bytes, continue.
-// With no instants it is a plain run.
-func finishVia(t *testing.T, cfg Config, at ...des.Time) Result {
-	t.Helper()
-	s := NewSession(cfg)
-	s.Start()
-	for _, ckpt := range at {
-		s.RunTo(ckpt)
-		blob, err := s.Snapshot()
-		if err != nil {
-			t.Fatalf("snapshot at %v: %v", ckpt, err)
-		}
-		restored, err := Restore(cfg, blob)
-		if err != nil {
-			t.Fatalf("restore at %v: %v", ckpt, err)
-		}
-		s = restored
-	}
-	return s.Finish()
-}
-
-// TestCheckpointRestoreBitIdentical is the snapshot golden: for every
-// workload archetype, one shard and 4-shard, run-to-end must equal
-// run-to-T/2 → snapshot → restore → run-to-end on the full Result — every
-// per-packet delivery statistic, loss counter, window series entry, and
-// fault outcome, bit for bit.
-func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	for _, tc := range checkpointCases() {
-		for _, shards := range []int{1, 4} {
-			cfg := tc.cfg
-			cfg.Shards = shards
-			name := tc.name + map[bool]string{true: "/sharded", false: "/sequential"}[shards > 1]
-			t.Run(name, func(t *testing.T) {
-				baseline := normalizeDiag(finishVia(t, cfg))
-				if baseline.Delivered == 0 {
-					t.Fatal("inert baseline — workload is broken")
-				}
-				mid := des.Time(cfg.Duration) / 2
-				restored := normalizeDiag(finishVia(t, cfg, mid))
-				if !reflect.DeepEqual(baseline, restored) {
-					t.Fatalf("restored run diverged from baseline:\n  baseline %+v\n  restored %+v",
-						baseline, restored)
-				}
-			})
-		}
-	}
-}
-
-// A restored session must itself snapshot and restore cleanly: chain five
-// checkpoints (each but the first from a session that was itself rebuilt
-// in slabs, with freshly assigned component slots and exact-size queues
-// that have since grown off their arenas) and still match the straight run
-// — under faults and churn, and under the adaptive controller, whose hosts
-// hold both regulator banks; at one shard and at four.
-func TestCheckpointChained(t *testing.T) {
-	adaptive := shardBaseConfig(43)
-	adaptive.Scheme = SchemeAdaptive
-	for name, base := range map[string]Config{"fault": faultBaseConfig(31), "adaptive": adaptive} {
-		for _, shards := range []int{1, 4} {
-			cfg := base
-			cfg.Shards = shards
-			baseline := normalizeDiag(finishVia(t, cfg))
-			d := des.Time(cfg.Duration)
-			restored := normalizeDiag(finishVia(t, cfg, d/6, d/3, d/2, 2*d/3, 5*d/6))
-			if !reflect.DeepEqual(baseline, restored) {
-				t.Fatalf("%s, shards=%d: chained restore diverged:\n  baseline %+v\n  restored %+v",
-					name, shards, baseline, restored)
-			}
-		}
-	}
-}
-
-// Checkpointing at an instant with no special structure (between events,
-// mid-burst) must work as well as the aligned midpoints above.
-func TestCheckpointUnalignedInstant(t *testing.T) {
-	cfg := churnConfig(SchemeSRL, 23)
-	baseline := normalizeDiag(finishVia(t, cfg))
-	restored := normalizeDiag(finishVia(t, cfg, des.Seconds(1.234567)))
-	if !reflect.DeepEqual(baseline, restored) {
-		t.Fatalf("unaligned restore diverged:\n  baseline %+v\n  restored %+v", baseline, restored)
-	}
-}
-
 // TestSnapshotGuards pins the remaining explicit refusal: an unstarted
 // session fails with an error, not a corrupt snapshot. (Configuration
-// coverage is total — the adaptive and VBR families are pinned
-// bit-identical by TestCheckpointRestoreBitIdentical.)
+// coverage is total — the adaptive and VBR families restore bit-identical
+// in the identity matrix's checkpoint columns.)
 func TestSnapshotGuards(t *testing.T) {
 	cfg := shardBaseConfig(3)
 	if _, err := NewSession(cfg).Snapshot(); err == nil {
@@ -224,8 +95,8 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := normalizeDiag(restored.Finish()), normalizeDiag(Run(cfg)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restore after rejected attempts diverged:\n  got  %+v\n  want %+v", got, want)
+	if err := SameRun(Run(cfg), restored.Finish(), NormRestore); err != nil {
+		t.Fatalf("restore after rejected attempts diverged: %v", err)
 	}
 }
 
@@ -385,5 +256,3 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 }
-
-var _ = traffic.MixAudio // keep the import stable across edits

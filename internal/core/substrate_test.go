@@ -488,50 +488,3 @@ func TestHostConnsMatchesNewHost(t *testing.T) {
 		}
 	}
 }
-
-// TestCachedSessionRunsIdentical pins end-to-end bit-identity across the
-// cache: a run on a cold cache and a run on a warm cache (cloned trees)
-// produce identical Results, sequential and sharded.
-func TestCachedSessionRunsIdentical(t *testing.T) {
-	cfg := Config{NumHosts: 150, NumGroups: 4, Mix: traffic.MixAudio, Load: 0.8,
-		Scheme: SchemeSRL, Seed: 7, Duration: secs(0.5)}
-	FlushSubstrateCache()
-	cold := Run(cfg)
-	warm := Run(cfg)
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("warm-cache run diverged from cold-cache run")
-	}
-
-	// A restore clones nothing, so nothing it builds may alias the cache: a
-	// session restored from the warm cache runs to its end — churn, faults
-	// and re-optimization rewrite its trees — and a session built from the
-	// same cache afterwards still reproduces the cold result.
-	planes := faultBaseConfig(29)
-	planes.Reopt = ReoptConfig{Every: 250 * des.Millisecond, MinImprove: 0.02, MaxMoves: 2}
-	for _, shards := range []int{1, 4} {
-		cfg := planes
-		cfg.Shards = shards
-		FlushSubstrateCache()
-		cold := Run(cfg)
-		if cold.Joins+cold.Leaves == 0 || cold.ReoptMoves == 0 || len(cold.Faults) == 0 {
-			t.Fatalf("shards=%d: the fixture mutates no tree: %+v", shards, cold)
-		}
-		s := NewSession(cfg)
-		s.Start()
-		s.RunTo(des.Time(cfg.Duration) / 8)
-		blob, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := Restore(cfg, blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := restored.Finish(); !reflect.DeepEqual(normalizeDiag(got), normalizeDiag(cold)) {
-			t.Fatalf("shards=%d: run restored from the warm cache diverged from the cold run", shards)
-		}
-		if again := Run(cfg); !reflect.DeepEqual(again, cold) {
-			t.Fatalf("shards=%d: a session built after a restored one ran to its end diverged from the cold run — the restore wrote through to the cache", shards)
-		}
-	}
-}

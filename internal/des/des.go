@@ -256,6 +256,10 @@ func (e *Engine) Grow(kind uint16, n int) {
 	*t = slices.Grow(*t, n)
 }
 
+// GrowReady makes room in the ready run for n more events at or behind the
+// cursor, so scheduling them allocates nothing.
+func (e *Engine) GrowReady(n int) { e.ready = slices.Grow(e.ready, n) }
+
 // Owners returns the owner table of kind's family, indexed by slot; a hole
 // is nil. A retired or unregistered kind has none. The caller must not
 // modify it.

@@ -7,37 +7,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// The churn scenario inherits the pool's determinism contract: parallel
-// equals sequential bit for bit, disruption metrics included.
-func TestChurnScenarioParallelMatchesSequential(t *testing.T) {
-	sc := scenario.MustLookup("churn-waxman-16").Quick()
-	a, err := ScenarioSweep(sc, Options{Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ScenarioSweep(sc, Options{Seed: 3, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Delivered != b.Delivered || a.Lost != b.Lost ||
-		a.Joins != b.Joins || a.Leaves != b.Leaves || a.Regrafts != b.Regrafts {
-		t.Fatalf("sequential %+v vs parallel %+v", a, b)
-	}
-	for ci := range a.Curves {
-		for i := range a.Loads {
-			if a.Curves[ci].WDB.Y[i] != b.Curves[ci].WDB.Y[i] ||
-				a.Curves[ci].MeanDelay.Y[i] != b.Curves[ci].MeanDelay.Y[i] ||
-				a.Curves[ci].Lost[i] != b.Curves[ci].Lost[i] {
-				t.Fatalf("curve %v at %.2f diverged between sequential and parallel",
-					a.Curves[ci].Combo, a.Loads[i])
-			}
-		}
-	}
-	if a.Joins == 0 || a.Leaves == 0 {
-		t.Fatalf("quick churn sweep applied no churn: %d joins, %d leaves", a.Joins, a.Leaves)
-	}
-}
-
 // Static regulated scenarios must sit inside their closed-form bounds;
 // the bound columns must be populated for the regulated combos.
 func TestScenarioBoundsHoldForStaticRegulated(t *testing.T) {

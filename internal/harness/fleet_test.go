@@ -15,52 +15,6 @@ import (
 // for re-execing the binary.
 func inProcessSpawn(dir string) error { return RunFleetWorker(dir) }
 
-// TestFleetSweepByteIdentical is the fleet golden: a distributed sweep
-// merged from worker result files must render the byte-identical JSON
-// record of the in-process sweep — churn, fault outcomes, window series,
-// and sharded diagnostics included.
-func TestFleetSweepByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		opts   Options
-		fleets int
-	}{
-		{"churn-waxman-16", Options{Seed: 3}, 2},
-		{"outage-waxman-16", Options{Seed: 5, Shards: 2}, 3},
-		// More workers than combos: per-cell claims let a 2-combo × 3-load
-		// sweep spread 6 ways instead of idling 4 workers.
-		{"waxman-zipf-16", Options{Seed: 11}, 6},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sc := scenario.MustLookup(tc.name).Quick()
-			want, err := ScenarioSweep(sc, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := FleetSweep(sc, tc.opts, FleetOptions{
-				Workers: tc.fleets,
-				Dir:     filepath.Join(t.TempDir(), "work"),
-				Spawn:   inProcessSpawn,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantJSON, err := want.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJSON, err := got.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantJSON, gotJSON) {
-				t.Fatalf("fleet sweep JSON diverged from in-process sweep:\n--- in-process\n%s\n--- fleet\n%s",
-					wantJSON, gotJSON)
-			}
-		})
-	}
-}
-
 // TestFleetSweepResume kills the fleet after one cell, then resumes on
 // the same directory: the completed cell's result file must survive
 // byte-for-byte (not re-run), a stale claim without a result must be

@@ -8,21 +8,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// Same seed, same config => bit-identical WDB: the engines must be
-// deterministic run to run (and hence safe to replicate across workers).
-func TestEnginesAreDeterministic(t *testing.T) {
-	sh := core.OneHop(core.Config{Mix: traffic.MixVideo, Load: 0.8,
-		Scheme: core.SchemeSRL, Duration: 7 * des.Second, Seed: 11})
-	if a, b := core.Run(sh), core.Run(sh); a.WDB != b.WDB || a.Delivered != b.Delivered {
-		t.Fatalf("single hop diverged: %v/%d vs %v/%d", a.WDB, a.Delivered, b.WDB, b.Delivered)
-	}
-	mg := core.Config{NumHosts: 40, Mix: traffic.MixAudio, Load: 0.7,
-		Scheme: core.SchemeAdaptive, Duration: 5 * des.Second, Seed: 7}
-	if a, b := core.Run(mg), core.Run(mg); a.WDB != b.WDB || a.Delivered != b.Delivered {
-		t.Fatalf("session diverged: %v/%d vs %v/%d", a.WDB, a.Delivered, b.WDB, b.Delivered)
-	}
-}
-
 // The specs-sharing invariant the sweeps rely on: flow envelopes are a
 // function of (workload, mix, seed) only — never of the load axis.
 func TestSpecsAreLoadInvariant(t *testing.T) {

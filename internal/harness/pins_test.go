@@ -42,7 +42,10 @@ type pinColumn struct {
 }
 
 // TestPins holds every builtin to whole-run pins (testdata/pins.json), so
-// no result moves unseen. Every builtin has four columns:
+// no result moves unseen: it is the fixed column of the identity matrix
+// (internal/core/identity_test.go, DESIGN.md §11.4), whose other columns
+// compare transformed runs with straight ones. Every builtin has four
+// columns:
 //
 //   - seed1, seed1-shards4, seed7: the SHA-256 of its -quick
 //     ScenarioResult.JSON() at that seed and shard count. The JSON is

@@ -3,44 +3,56 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/scenario"
 )
 
-// The scenario sweep inherits the pool's determinism contract: parallel
-// equals sequential bit for bit — for the paper's one-hop and six-combo
-// panels as for partial membership, alternate topologies, and
-// heterogeneous uplinks.
-func TestScenarioSweepParallelMatchesSequential(t *testing.T) {
-	for _, name := range []string{"paper-fig4c", "paper-fig6c", "waxman-zipf-16", "transit-stub-dsl-fibre"} {
-		sc := scenario.MustLookup(name).Quick()
-
-		seq := Options{Seed: 3, Workers: 1}
-		a, err := ScenarioSweep(sc, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par := Options{Seed: 3, Workers: 3} // deliberately not a divisor
-		b, err := ScenarioSweep(sc, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Delivered != b.Delivered {
-			t.Fatalf("%s: delivered %d vs %d", name, a.Delivered, b.Delivered)
-		}
-		for ci := range a.Curves {
-			for i := range a.Loads {
-				if a.Curves[ci].WDB.Y[i] != b.Curves[ci].WDB.Y[i] ||
-					a.Curves[ci].MeanDelay.Y[i] != b.Curves[ci].MeanDelay.Y[i] ||
-					a.Curves[ci].Layers[i] != b.Curves[ci].Layers[i] {
-					t.Fatalf("%s: %v at %.2f diverged between sequential and parallel",
-						name, a.Curves[ci].Combo, a.Loads[i])
-				}
+// TestScenarioSweepStrategyOption forces a sweep onto one strategy and
+// checks the override reaches the compiled configs: the forced sweep
+// must equal a sweep of the scenario with the strategy set declaratively.
+func TestScenarioSweepStrategyOption(t *testing.T) {
+	sc := scenario.MustLookup("waxman-zipf-16").Quick()
+	opts := Options{Seed: 5, Loads: []float64{0.8}, Duration: des.Second}
+	forcedOpts := opts
+	forcedOpts.Strategy = "greedy"
+	forced, err := ScenarioSweep(sc, forcedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := sc
+	declared.Strategy = "greedy"
+	declared.Combos = []scenario.Combo{
+		{Scheme: "sigma-rho-lambda"},
+		{Scheme: "sigma-rho"},
+	}
+	want, err := ScenarioSweep(declared, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced.Delivered != want.Delivered {
+		t.Fatalf("forced sweep delivered %d, declarative %d", forced.Delivered, want.Delivered)
+	}
+	for i := range forced.Curves {
+		for j := range forced.Loads {
+			if math.Float64bits(forced.Curves[i].WDB.Y[j]) != math.Float64bits(want.Curves[i].WDB.Y[j]) {
+				t.Fatalf("curve %d load %d: WDB %.17g vs %.17g",
+					i, j, forced.Curves[i].WDB.Y[j], want.Curves[i].WDB.Y[j])
 			}
 		}
+	}
+	// The forced sweep must differ from the unforced dsct baseline —
+	// otherwise the override silently did nothing.
+	base, err := ScenarioSweep(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(base.Curves[0].WDB.Y[0]) == math.Float64bits(forced.Curves[0].WDB.Y[0]) {
+		t.Fatal("greedy override produced the dsct result")
 	}
 }
 
