@@ -90,6 +90,14 @@ func TestThresholdUtilizationMatchesCalculus(t *testing.T) {
 
 // --- Simulation I ---
 
+func TestSingleHopDeterministic(t *testing.T) {
+	cfg := OneHop(Config{Mix: traffic.MixVideo, Load: 0.8, Scheme: SchemeSRL,
+		Duration: 13 * des.Second, Seed: 7})
+	if err := SameRun(Run(cfg), Run(cfg), 0); err != nil {
+		t.Fatalf("non-deterministic: %v", err)
+	}
+}
+
 func TestSingleHopDeliversEverything(t *testing.T) {
 	res := Run(OneHop(Config{Mix: traffic.MixAudio, Load: 0.5,
 		Scheme: SchemeSigmaRho, Duration: 13 * des.Second, Seed: 1}))

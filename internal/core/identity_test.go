@@ -25,12 +25,17 @@ import (
 //	column                                      transformation               sets aside
 //	TestShardedDeterministicRepeatedRuns        the Shards = n run, again    nothing
 //	TestShardedMatchesSequential                Shards = n (WDCSIM_SHARDS)   NormShards
+//	TestShardedMatchesSequentialPerFaultKind    Shards = n, one fault kind   NormShards
 //	TestCheckpointRestoreBitIdentical           checkpoint at T/2            NormRestore
 //	TestCheckpointChained                       five chained checkpoints     NormRestore
 //	TestCheckpointUnalignedInstant              a checkpoint at 1.234567 s   NormRestore
 //	TestCachedSessionRunsIdentical              a warm substrate cache       nothing
 //
 // The checkpoint columns run at one shard and at n, NormShards added at n.
+// The per-fault-kind column is the Shards = n column over rows that each
+// apply one fault kind alone, so a determinism break pins to a kind. The
+// one-hop fixture's repeats are TestSingleHopDeterministic and, beside the
+// sweeps they make safe to replicate, harness.TestEnginesAreDeterministic.
 // The sweep columns — Workers = 3 against 1, and a fleet split — hold the
 // quick sweeps to their JSON bytes in internal/harness/identity_test.go,
 // beside the sweep pool and the fleet they drive. harness.TestPins is the
@@ -53,7 +58,8 @@ const (
 	colChained
 	colUnaligned
 	colWarm
-	colAll = 1<<iota - 1
+	colKinds
+	colAll = colKinds - 1 // every column but the per-fault-kind one
 )
 
 // fixture is a row of the config columns: its Config, the columns it is a
@@ -187,13 +193,14 @@ func configFixtures(t *testing.T) []*fixture {
 		{name: "adaptive", cfg: adaptive, cols: colAll},
 		{name: "vbr", cfg: vbr, cols: colAll},
 		{name: "vacation", cfg: vacation, cols: colAll},
-		// The one-hop shape (two hosts on a Wire) has one router to shard.
-		{name: "one-hop", cfg: oneHop, cols: colAll &^ colShards},
+		// The one-hop shape (two hosts on a Wire) has one router to shard,
+		// and its repeats are tests of their own.
+		{name: "one-hop", cfg: oneHop, cols: colAll &^ colShards &^ colRepeat},
 		{name: "fault-open-partition", cfg: open, cols: colShards | colChained},
 		{name: "fault-parked-roots", cfg: core.ParkedRootsConfig(t), cols: colShards | colRestore | colChained},
 	}
 
-	// One fault kind per row, so a determinism break pins to a kind.
+	// The per-fault-kind rows.
 	half := make([]bool, 24)
 	for r := range 12 {
 		half[r] = true
@@ -215,7 +222,7 @@ func configFixtures(t *testing.T) []*fixture {
 		cfg := core.ShardBaseConfig(31)
 		cfg.WindowSec = 0.5
 		cfg.Faults = k.faults
-		fs = append(fs, &fixture{name: "fault-" + k.name, cfg: cfg, cols: colShards})
+		fs = append(fs, &fixture{name: k.name, cfg: cfg, cols: colKinds})
 	}
 
 	// The double tie: six groups of identical extremal audio flows, their
@@ -285,29 +292,36 @@ func TestShardedDeterministicRepeatedRuns(t *testing.T) {
 }
 
 func TestShardedMatchesSequential(t *testing.T) {
-	rows(t, colShards, func(t *testing.T, f *fixture) {
-		base := f.baseline(t)
-		for _, n := range f.shardsN(t) {
-			cfg := f.cfg
-			cfg.Shards = n
-			s := core.NewSession(cfg)
-			if s.Shards() < min(n, 2) {
-				t.Fatalf("Shards = %d: the partition degenerated to %d shards", n, s.Shards())
-			}
-			if la := s.Lookahead(); (la > 0) != (s.Shards() > 1) {
-				t.Fatalf("lookahead %v on %d shards", la, s.Shards())
-			}
-			err := core.SameRun(base, f.shardedAt(n), core.NormShards)
-			switch {
-			case f.diverges && err == nil:
-				t.Fatalf("Shards = %d: equals the one-shard run, recorded as diverging", n)
-			case f.diverges:
-				t.Logf("Shards = %d, as recorded: %v", n, err)
-			case err != nil:
-				t.Fatalf("Shards = %d: diverged from the straight one-shard run: %v", n, err)
-			}
+	rows(t, colShards, matchesSequential)
+}
+
+func TestShardedMatchesSequentialPerFaultKind(t *testing.T) {
+	rows(t, colKinds, matchesSequential)
+}
+
+// matchesSequential is the Shards = n transformation of a row.
+func matchesSequential(t *testing.T, f *fixture) {
+	base := f.baseline(t)
+	for _, n := range f.shardsN(t) {
+		cfg := f.cfg
+		cfg.Shards = n
+		s := core.NewSession(cfg)
+		if s.Shards() < min(n, 2) {
+			t.Fatalf("Shards = %d: the partition degenerated to %d shards", n, s.Shards())
 		}
-	})
+		if la := s.Lookahead(); (la > 0) != (s.Shards() > 1) {
+			t.Fatalf("lookahead %v on %d shards", la, s.Shards())
+		}
+		err := core.SameRun(base, f.shardedAt(n), core.NormShards)
+		switch {
+		case f.diverges && err == nil:
+			t.Fatalf("Shards = %d: equals the one-shard run, recorded as diverging", n)
+		case f.diverges:
+			t.Logf("Shards = %d, as recorded: %v", n, err)
+		case err != nil:
+			t.Fatalf("Shards = %d: diverged from the straight one-shard run: %v", n, err)
+		}
+	}
 }
 
 func TestCheckpointRestoreBitIdentical(t *testing.T) {

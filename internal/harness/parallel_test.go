@@ -1,12 +1,28 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/traffic"
 )
+
+// Same seed, same config => the same whole Result: the engines must be
+// deterministic run to run (and hence safe to replicate across workers).
+func TestEnginesAreDeterministic(t *testing.T) {
+	for name, cfg := range map[string]core.Config{
+		"single hop": core.OneHop(core.Config{Mix: traffic.MixVideo, Load: 0.8,
+			Scheme: core.SchemeSRL, Duration: 7 * des.Second, Seed: 11}),
+		"session": {NumHosts: 40, Mix: traffic.MixAudio, Load: 0.7,
+			Scheme: core.SchemeAdaptive, Duration: 5 * des.Second, Seed: 7},
+	} {
+		if a, b := core.Run(cfg), core.Run(cfg); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s diverged: %v/%d vs %v/%d", name, a.WDB, a.Delivered, b.WDB, b.Delivered)
+		}
+	}
+}
 
 // The specs-sharing invariant the sweeps rely on: flow envelopes are a
 // function of (workload, mix, seed) only — never of the load axis.
