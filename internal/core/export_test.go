@@ -341,6 +341,7 @@ var (
 	FaultBaseConfig = faultBaseConfig
 	ChurnConfig     = churnConfig
 	RangeMembers    = rangeMembers
+	UplinkConfig    = uplinkConfig
 )
 
 // ParkedRootsConfig is TestOutageAndMassLeaveTakeParkedRoots's fixture.

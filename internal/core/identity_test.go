@@ -13,14 +13,13 @@ import (
 	"repro/internal/traffic"
 )
 
-// The identity matrix. The reproduction is worth its measured worst-case
-// delays only if they do not depend on how the engine executes a run. Each
-// fixture — a Config, or a quick sweep — runs straight through once on one
-// shard, and every transformation of it must reproduce that baseline: a
-// Result by core.SameRun, with the fields its normalisation names set
-// aside, a sweep by its JSON bytes. A transformation is a column, one
-// top-level test, and a fixture a row of it, so `go test -run` picks
-// columns as the CI shard and fault legs do:
+// The identity matrix (DESIGN.md §11.4). The reproduction is worth its
+// measured worst-case delays only if they do not depend on how the engine
+// executes a run. Each fixture runs straight through once on one shard, on
+// a cold substrate cache, and every transformation of it must reproduce
+// that baseline by core.SameRun, with only the fields its Norm names set
+// aside. A transformation is a column, one top-level test, and a fixture a
+// row of it, so `go test -run` picks columns as the CI shard and fault legs do:
 //
 //	column                                      transformation               sets aside
 //	TestShardedDeterministicRepeatedRuns        the Shards = n run, again    nothing
@@ -29,24 +28,14 @@ import (
 //	TestCheckpointRestoreBitIdentical           checkpoint at T/2            NormRestore
 //	TestCheckpointChained                       five chained checkpoints     NormRestore
 //	TestCheckpointUnalignedInstant              a checkpoint at 1.234567 s   NormRestore
-//	TestCachedSessionRunsIdentical              a warm substrate cache       nothing
+//	TestCachedSessionRunsIdentical              a warm substrate cache       nothing (its restore: NormRestore)
 //
-// The checkpoint columns run at one shard and at n, NormShards added at n.
-// The per-fault-kind column is the Shards = n column over rows that each
-// apply one fault kind alone, so a determinism break pins to a kind. The
-// one-hop fixture's repeats are TestSingleHopDeterministic and, beside the
-// sweeps they make safe to replicate, harness.TestEnginesAreDeterministic.
-// The sweep columns — Workers = 3 against 1, and a fleet split — hold the
-// quick sweeps to their JSON bytes in internal/harness/identity_test.go,
-// beside the sweep pool and the fleet they drive. harness.TestPins is the
-// matrix's fixed column: whole-run pins of every builtin at one shard and
-// four, at two seeds and across a restore.
-//
-// The one exception is the double-tie row: two cross-shard arrivals equal
-// in both firing and scheduling time resolve by sending shard, not by the
-// one-shard run's schedule order (DESIGN.md §8). Its contract is bit-stable
-// per shard count; TestShardedMatchesSequential records, and holds it to,
-// whether it also equals the one-shard run.
+// The checkpoint and warm columns run at one shard and at n, NormShards
+// added at n. The per-fault-kind column's rows apply one fault kind each,
+// so a determinism break pins to a kind. The sweep columns are in internal/harness/identity_test.go;
+// harness.TestPins is the fixed column. The double-tie row is the one
+// recorded divergence (DESIGN.md §8): bit-stable per shard count, and its
+// Shards = n rows fail the day it equals the one-shard run.
 
 // A column is the set of fixtures that are rows of one transformation.
 type column uint8
@@ -62,12 +51,25 @@ const (
 	colAll = colKinds - 1 // every column but the per-fault-kind one
 )
 
+// A plane is a control plane a fixture's baseline must show at work: a row
+// whose plane did nothing compares two runs in which nothing happened.
+type plane uint8
+
+const (
+	churned plane = 1 << iota // joins and leaves applied
+	reopted                   // re-optimization passes evaluated
+	moved                     // re-optimization moves applied
+	faulted                   // fault outcomes reported
+)
+
 // fixture is a row of the config columns: its Config, the columns it is a
-// row of, and, once a column asks, its baseline and its Shards = n runs.
+// row of, the planes its baseline must show, and, once a column asks, its
+// baseline and its Shards = n runs.
 type fixture struct {
 	name string
 	cfg  core.Config
 	cols column
+	live plane
 	full bool  // a full-scale builtin cell: skipped under -short
 	ns   []int // the Shards = n counts, when not WDCSIM_SHARDS alone
 
@@ -88,10 +90,23 @@ func (f *fixture) baseline(t *testing.T) core.Result {
 		core.FlushSubstrateCache()
 		f.base = core.Run(f.cfg)
 	})
-	if f.base.Delivered == 0 {
-		t.Fatal("inert baseline — the fixture is broken")
+	b := f.base
+	for _, p := range []struct {
+		plane
+		inert bool
+		what  string
+	}{
+		{0, b.Delivered == 0, "delivered nothing"},
+		{churned, b.Joins == 0 || b.Leaves == 0, "applied no joins or no leaves"},
+		{reopted, b.Reopts+b.ReoptRejected == 0, "evaluated no re-optimization pass"},
+		{moved, b.ReoptMoves == 0, "moved no member"},
+		{faulted, len(b.Faults) == 0, "reported no fault"},
+	} {
+		if p.inert && (p.plane == 0 || f.live&p.plane != 0) {
+			t.Fatalf("inert baseline: it %s — the fixture is broken", p.what)
+		}
 	}
-	return f.base
+	return b
 }
 
 // shardsN returns the shard counts of the fixture's Shards = n rows.
@@ -183,21 +198,27 @@ func configFixtures(t *testing.T) []*fixture {
 	// The 1.8 s cut never heals: the run ends inside the open partition.
 	open := core.FaultBaseConfig(29)
 	open.Faults = open.Faults[:len(open.Faults)-1]
+	planes := core.FaultBaseConfig(29)
+	planes.Reopt = reopt.Reopt
 	oneHop := core.OneHop(core.Config{Mix: traffic.MixVideo, Load: 0.8, Scheme: core.SchemeSRL,
 		Duration: 7 * des.Second, Seed: 11})
 	fs := []*fixture{
 		{name: "static", cfg: static, cols: colAll},
-		{name: "churn", cfg: churn, cols: colAll},
-		{name: "fault", cfg: fault, cols: colAll},
-		{name: "reopt-churn", cfg: reopt, cols: colAll},
+		{name: "churn", cfg: churn, cols: colAll, live: churned},
+		{name: "fault", cfg: fault, cols: colAll, live: faulted},
+		{name: "reopt-churn", cfg: reopt, cols: colAll, live: churned | reopted},
 		{name: "adaptive", cfg: adaptive, cols: colAll},
 		{name: "vbr", cfg: vbr, cols: colAll},
 		{name: "vacation", cfg: vacation, cols: colAll},
+		{name: "uplinks", cfg: core.UplinkConfig(), cols: colRepeat | colShards},
 		// The one-hop shape (two hosts on a Wire) has one router to shard,
 		// and its repeats are tests of their own.
 		{name: "one-hop", cfg: oneHop, cols: colAll &^ colShards &^ colRepeat},
-		{name: "fault-open-partition", cfg: open, cols: colShards | colChained},
-		{name: "fault-parked-roots", cfg: core.ParkedRootsConfig(t), cols: colShards | colRestore | colChained},
+		{name: "fault-open-partition", cfg: open, cols: colShards | colChained, live: faulted},
+		{name: "fault-parked-roots", cfg: core.ParkedRootsConfig(t), cols: colShards | colRestore | colChained, live: faulted},
+		// Every tree-writing plane at once, for the warm column: the faults'
+		// mass leave and join churn, and re-optimization moves members.
+		{name: "fault-reopt", cfg: planes, cols: colWarm, live: churned | moved | faulted},
 	}
 
 	// The per-fault-kind rows.
@@ -222,7 +243,7 @@ func configFixtures(t *testing.T) []*fixture {
 		cfg := core.ShardBaseConfig(31)
 		cfg.WindowSec = 0.5
 		cfg.Faults = k.faults
-		fs = append(fs, &fixture{name: k.name, cfg: cfg, cols: colKinds})
+		fs = append(fs, &fixture{name: k.name, cfg: cfg, cols: colKinds, live: faulted})
 	}
 
 	// The double tie: six groups of identical extremal audio flows, their
@@ -235,18 +256,19 @@ func configFixtures(t *testing.T) []*fixture {
 	for _, c := range []struct {
 		name string
 		d    float64
+		live plane
 	}{
-		{"churn-waxman-16", 2},
-		{"reopt-churn-waxman-16", 2},
-		{"outage-waxman-16", 3},
-		{"epoch-churn-waxman-16", 3},
+		{"churn-waxman-16", 2, churned},
+		{"reopt-churn-waxman-16", 2, churned | reopted},
+		{"outage-waxman-16", 3, faulted},
+		{"epoch-churn-waxman-16", 3, churned | faulted},
 	} {
 		sc := scenario.MustLookup(c.name)
 		cfg, err := sc.SessionConfig(sc.Combos[0], 0.8, 1, core.UseSeed(2), des.Duration(des.Seconds(c.d)), nil, sc.Groups(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs = append(fs, &fixture{name: c.name, cfg: cfg, cols: colShards, full: true})
+		fs = append(fs, &fixture{name: c.name, cfg: cfg, cols: colShards, live: c.live, full: true})
 	}
 	return fs
 }
@@ -354,11 +376,25 @@ func TestCheckpointUnalignedInstant(t *testing.T) {
 // The warm column restores a session from the warm cache and runs it to
 // its end first — churn, faults and re-optimization rewrite its trees —
 // so that a session built on the same cache afterwards shows any write
-// that reached the cache.
+// that reached the cache, its per-blueprint sharding included: at n shards
+// the first run is the fixture's run at n, held to the baseline first.
 func TestCachedSessionRunsIdentical(t *testing.T) {
 	rows(t, colWarm, func(t *testing.T, f *fixture) {
 		base := f.baseline(t)
-		same(t, base, checkpointed(t, f.cfg, des.Time(f.cfg.Duration)/8), core.NormRestore)
-		same(t, base, core.Run(f.cfg), 0)
+		atShards(t, 0, func(t *testing.T, shards int, n core.Norm) {
+			cfg := f.cfg
+			cfg.Shards = shards
+			first := base
+			if shards > 1 {
+				first = f.shardedAt(shards)
+				same(t, base, first, n)
+			}
+			if err := core.SameRun(first, checkpointed(t, cfg, des.Time(cfg.Duration)/8), core.NormRestore); err != nil {
+				t.Fatalf("the run restored from the warm cache diverged from the first run: %v", err)
+			}
+			if err := core.SameRun(first, core.Run(cfg), 0); err != nil {
+				t.Fatalf("a session built after a restored one ran to its end diverged from the first run — the restore wrote through to the cache: %v", err)
+			}
+		})
 	})
 }

@@ -90,10 +90,8 @@ func TestSessionExplicitFullMembershipMatchesImplicit(t *testing.T) {
 		Duration: 3 * des.Second, Seed: 5}
 	withGroups := base
 	withGroups.Groups = explicit
-	a, b := Run(base), Run(withGroups)
-	if a.WDB != b.WDB || a.Delivered != b.Delivered || a.MeanDelay != b.MeanDelay {
-		t.Fatalf("explicit full membership diverged from implicit: %v/%d vs %v/%d",
-			a.WDB, a.Delivered, b.WDB, b.Delivered)
+	if err := SameRun(Run(base), Run(withGroups), 0); err != nil {
+		t.Fatalf("explicit full membership diverged from implicit: %v", err)
 	}
 }
 
@@ -103,10 +101,8 @@ func TestSessionEmptyMemberSetMeansEveryone(t *testing.T) {
 		Duration: 2 * des.Second, Seed: 2}
 	withGroups := base
 	withGroups.Groups = []GroupSpec{{Source: 0}, {Source: 1}, {Source: 2}}
-	a, b := Run(base), Run(withGroups)
-	if a.WDB != b.WDB || a.Delivered != b.Delivered {
-		t.Fatalf("empty member sets diverged from implicit: %v/%d vs %v/%d",
-			a.WDB, a.Delivered, b.WDB, b.Delivered)
+	if err := SameRun(Run(base), Run(withGroups), 0); err != nil {
+		t.Fatalf("empty member sets diverged from implicit: %v", err)
 	}
 }
 
@@ -117,7 +113,7 @@ func TestSessionDuplicateMemberIsNamed(t *testing.T) {
 	for _, strategy := range []string{"dsct", "nice"} {
 		cfg := Config{NumHosts: 30, Mix: traffic.MixAudio, Load: 0.7, Scheme: SchemeSigmaRho,
 			Duration: des.Second, Seed: 2, Strategy: strategy,
-			Groups: []GroupSpec{{Source: 0, Members: append(rangeInts(0, 9), 3)}}}
+			Groups: []GroupSpec{{Source: 0, Members: append(rangeMembers(0, 9), 3)}}}
 		func() {
 			defer func() {
 				if err, _ := recover().(error); err == nil || err.Error() != "overlay: duplicate member 3" {
@@ -140,17 +136,17 @@ func TestSessionManyGroupsImplicit(t *testing.T) {
 	}
 }
 
+// uplinkConfig is a session on a Waxman underlay behind two uplink classes.
+func uplinkConfig() Config {
+	return Config{NumHosts: 60, Mix: traffic.MixAudio, Load: 0.7, Scheme: SchemeSRL,
+		Duration: 2 * des.Second, Seed: 6, Topology: topo.Waxman{N: 24},
+		UplinkClasses: []topo.UplinkClass{{Mult: 0.5, Weight: 1}, {Mult: 4, Weight: 1}}}
+}
+
+// Its identity under every transformation is the identity matrix's uplinks row.
 func TestSessionAlternateTopologyAndUplinks(t *testing.T) {
-	cfg := Config{NumHosts: 60, Mix: traffic.MixAudio, Load: 0.7, Scheme: SchemeSRL,
-		Duration: 2 * des.Second, Seed: 6,
-		Topology:      topo.Waxman{N: 24},
-		UplinkClasses: []topo.UplinkClass{{Mult: 0.5, Weight: 1}, {Mult: 4, Weight: 1}},
-	}
-	a, b := Run(cfg), Run(cfg)
-	if a.WDB != b.WDB || a.Delivered != b.Delivered {
-		t.Fatalf("waxman/uplink session diverged: %v/%d vs %v/%d",
-			a.WDB, a.Delivered, b.WDB, b.Delivered)
-	}
+	cfg := uplinkConfig()
+	a := Run(cfg)
 	if a.Delivered == 0 {
 		t.Fatal("no deliveries on waxman underlay")
 	}
@@ -230,9 +226,8 @@ func TestTrafficSeedZeroIsDistinctFromUnset(t *testing.T) {
 	}
 	same := base
 	same.TrafficSeed = UseSeed(9)
-	echo := Run(same)
-	if echo.WDB != inherit.WDB || echo.Delivered != inherit.Delivered {
-		t.Fatal("TrafficSeed=UseSeed(Seed) must match the unset default")
+	if err := SameRun(inherit, Run(same), 0); err != nil {
+		t.Fatalf("TrafficSeed=UseSeed(Seed) must match the unset default: %v", err)
 	}
 }
 

@@ -790,15 +790,11 @@ func (s *Session) rootOf(g int) *rootSink {
 
 // buildSources builds the per-group traffic sources, in group order from
 // streams derived from the traffic seed alone, so emissions are identical
-// at every shard count, and binds each to its root's engine and sink: the
-// highest flow first, so each owner table it registers in is made once.
-func (s *Session) buildSources() {
+// at every shard count.
+func (s *Session) buildSources() []traffic.Source {
 	cfg := s.sub.cfg
-	s.sources = cfg.Workload.BuildSourcesN(cfg.Mix, s.sub.numGroups(), cfg.TrafficSeed.Or(cfg.Seed),
+	return cfg.Workload.BuildSourcesN(cfg.Mix, s.sub.numGroups(), cfg.TrafficSeed.Or(cfg.Seed),
 		DefaultEnvelopeMargin, DefaultBurstSec)
-	for g := len(s.sources) - 1; g >= 0; g-- {
-		s.sources[g].(snapSource).Resume(s.rootEngine(g), cfg.Duration, s.rootOf(g))
-	}
 }
 
 // rootEngine is the engine group g's source runs on: its tree root's shard.
@@ -813,9 +809,12 @@ func (s *Session) Start() {
 		return
 	}
 	s.started = true
-	s.buildSources()
-	for g, src := range s.sources {
-		s.rootEngine(g).GrowReady(len(s.sources) - g) // room for this flow's first event and every later flow's
+	s.sources = s.buildSources()
+	for g := len(s.sources) - 1; g >= 0; g-- { // highest flow first: each owner table and ready run is made once
+		s.rootEngine(g).GrowReady(g + 1)
+		s.sources[g].(snapSource).Resume(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
+	}
+	for g, src := range s.sources { // binds again, in place, and schedules in flow order
 		src.StartSink(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
 	}
 }

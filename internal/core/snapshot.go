@@ -454,7 +454,7 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	// Sources are rebuilt from the Config like everything else; their
 	// record repositions them and their pending emissions go back into the
 	// engine with the other events.
-	s.buildSources()
+	s.sources = s.buildSources()
 	s.started = true
 	c.s, c.at = s, at
 }
@@ -638,10 +638,9 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	}
 }
 
-// snapSource is what a traffic source implements to ride in a checkpoint:
-// it names its type, serializes its own mutable words, and re-binds to an
-// engine and sink without scheduling — registering as the owner of its
-// events at its flow. Every source a session builds is one (buildSources).
+// snapSource is what every source a session builds implements to ride in a
+// checkpoint: it names its type, serializes its mutable words, and re-binds
+// to an engine and sink, owning its events at its flow, without scheduling.
 type snapSource interface {
 	SnapTag() uint8
 	Snapshot(w *snap.Writer)
@@ -671,6 +670,9 @@ func (c *codec) readSources(r *snap.Reader, _ int) {
 			return
 		}
 		ss.Restore(r)
+	}
+	for g := len(s.sources) - 1; g >= 0; g-- { // highest flow first: each owner table is made once
+		s.sources[g].(snapSource).Resume(s.rootEngine(g), s.sub.cfg.Duration, s.rootOf(g))
 	}
 }
 

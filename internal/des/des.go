@@ -256,8 +256,7 @@ func (e *Engine) Grow(kind uint16, n int) {
 	*t = slices.Grow(*t, n)
 }
 
-// GrowReady makes room in the ready run for n more events at or behind the
-// cursor, so scheduling them allocates nothing.
+// GrowReady makes room in the ready run for n more events, allocating once.
 func (e *Engine) GrowReady(n int) { e.ready = slices.Grow(e.ready, n) }
 
 // Owners returns the owner table of kind's family, indexed by slot; a hole

@@ -20,7 +20,8 @@ import (
 type sweepFixture struct {
 	name  string
 	opts  Options
-	fleet int // fleet workers
+	fleet int  // fleet workers
+	churn bool // the sweep must apply joins and leaves
 
 	once sync.Once
 	base []byte
@@ -30,7 +31,7 @@ var sweepFixtures = []*sweepFixture{
 	{name: "paper-fig4c", opts: Options{Seed: 3}, fleet: 2},
 	{name: "paper-fig6c", opts: Options{Seed: 3}, fleet: 2},
 	{name: "transit-stub-dsl-fibre", opts: Options{Seed: 3}, fleet: 2},
-	{name: "churn-waxman-16", opts: Options{Seed: 3}, fleet: 2},
+	{name: "churn-waxman-16", opts: Options{Seed: 3}, fleet: 2, churn: true},
 	{name: "outage-waxman-16", opts: Options{Seed: 5, Shards: 2}, fleet: 3},
 	// More fleet workers than combos: per-cell claims spread a 2-combo ×
 	// 3-load sweep six ways.
@@ -48,6 +49,9 @@ func sweepRows(t *testing.T, fn func(t *testing.T, f *sweepFixture, sc scenario.
 				opts.Workers = 1
 				f.base = sweepJSON(t, sc, opts)
 			})
+			if rec, err := DecodeScenarioJSON(f.base); err != nil || f.churn && (rec.Joins == 0 || rec.Leaves == 0) {
+				t.Fatalf("inert one-worker sweep (%d joins, %d leaves, err %v) — the fixture is broken", rec.Joins, rec.Leaves, err)
+			}
 			if got := fn(t, f, sc); !bytes.Equal(got, f.base) {
 				t.Fatalf("sweep JSON diverged from the one-worker sweep:\n--- one worker\n%s\n--- transformed\n%s", f.base, got)
 			}

@@ -24,26 +24,18 @@ func TestScenarioSweepStrategyOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := forced.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
 	declared := sc
 	declared.Strategy = "greedy"
 	declared.Combos = []scenario.Combo{
 		{Scheme: "sigma-rho-lambda"},
 		{Scheme: "sigma-rho"},
 	}
-	want, err := ScenarioSweep(declared, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Delivered != want.Delivered {
-		t.Fatalf("forced sweep delivered %d, declarative %d", forced.Delivered, want.Delivered)
-	}
-	for i := range forced.Curves {
-		for j := range forced.Loads {
-			if math.Float64bits(forced.Curves[i].WDB.Y[j]) != math.Float64bits(want.Curves[i].WDB.Y[j]) {
-				t.Fatalf("curve %d load %d: WDB %.17g vs %.17g",
-					i, j, forced.Curves[i].WDB.Y[j], want.Curves[i].WDB.Y[j])
-			}
-		}
+	if want := sweepJSON(t, declared, opts); !bytes.Equal(got, want) {
+		t.Fatalf("forced sweep diverged from the declarative one:\n--- declared\n%s\n--- forced\n%s", want, got)
 	}
 	// The forced sweep must differ from the unforced dsct baseline —
 	// otherwise the override silently did nothing.
