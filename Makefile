@@ -132,16 +132,20 @@ fuzz:
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
 # two ends and its shard's one shared Line, built and restored, the MUX
-# record to 104 bytes, every group's tree no edit has touched — and, until
-# a session's first edit, its child plan — to the blueprint's own, built,
-# run and restored, and one blob to its exact byte count and SHA-256,
-# so a word added back to a component record, a byte per member,
-# forwarding state at a leaf, per-engine constants or a link record per
-# MUX, a tree cloned or decoded or a child plan copied or compiled where
-# none is written, an object per tree in a Snapshot, or a pending event written
-# under another (at, prio, kind, arg), fails here as well.
+# record to 104 bytes (its link priced once, in the room a busy flag took),
+# every group's tree no edit has touched — and, until a session's first
+# edit, its child plan — to the blueprint's own, built, run and restored,
+# a warm session's graft/prune cycle of churn's wiring edits to no object
+# per cycle once the forwarder tables' free lists are primed, and one blob
+# to its exact byte count and SHA-256, so a word added back to a component
+# record, a byte per member, forwarding state at a leaf, per-engine
+# constants or a link record per MUX, a tree cloned or decoded or a child
+# plan copied or compiled where none is written, an object per tree in a
+# Snapshot, an edge window or connection table a churn edit allocates on
+# its own, or a pending event written under another (at, prio, kind,
+# arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestSnapshotBlobBytes' ./internal/core
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestSnapshotBlobBytes' ./internal/core
 	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize' ./internal/mux
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff

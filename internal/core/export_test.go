@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -67,9 +68,9 @@ func TreesIndexed(s *Session) (blueprint, own []bool) {
 }
 
 // BlueprintPlan returns the child plan of the session's blueprint — the
-// one its sessions read until they edit — byte for byte: its offset index, group
-// ids and child ids, and each child-list header as its window of the
-// child ids (offset, length, capacity).
+// one its sessions read until they edit — byte for byte: its offset index,
+// group ids and edges (child, connection slot), and each edge-window header
+// as its window of the edges (offset, length, capacity).
 func BlueprintPlan(s *Session) []byte {
 	pl := s.sub.bp.plan
 	var b []byte
@@ -79,12 +80,13 @@ func BlueprintPlan(s *Session) []byte {
 	for _, g := range pl.groups {
 		b = binary.LittleEndian.AppendUint32(b, uint32(g))
 	}
-	for _, id := range pl.ids {
-		b = binary.LittleEndian.AppendUint64(b, uint64(id))
+	for _, e := range pl.edges {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.child))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.mux))
 	}
-	base := uintptr(unsafe.Pointer(unsafe.SliceData(pl.ids)))
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(pl.edges)))
 	for _, cs := range pl.kids {
-		at := (uintptr(unsafe.Pointer(unsafe.SliceData(cs))) - base) / unsafe.Sizeof(int(0))
+		at := (uintptr(unsafe.Pointer(unsafe.SliceData(cs))) - base) / unsafe.Sizeof(edge{})
 		b = binary.LittleEndian.AppendUint64(b, uint64(at))
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(cs)))
 		b = binary.LittleEndian.AppendUint64(b, uint64(cap(cs)))
@@ -101,7 +103,7 @@ func within[T any](w, arena []T) bool {
 
 // ChildWindows reports how the session's forwarders that have children
 // hold their child sets, in host order: per forwarder, whether its windows
-// — group ids, child-list headers and every child list — lie in its
+// — group ids, edge-window headers and every edge window — lie in its
 // blueprint's plan; the address of the first one's group-id window; and
 // whether the group-id windows sit back to back in one array, as one
 // compile lays them out.
@@ -121,9 +123,9 @@ func ChildWindows(s *Session) (shared []bool, first uintptr, oneArena bool) {
 			oneArena = false
 		}
 		next = at + uintptr(len(gc.groups))*unsafe.Sizeof(int32(0))
-		own := within(gc.groups, pl.groups) && within(gc.kids, pl.kids)
-		for _, cs := range gc.kids {
-			own = own && within(cs, pl.ids)
+		own := within(gc.groups, pl.groups) && within(gc.edges, pl.kids)
+		for _, es := range gc.edges {
+			own = own && within(es, pl.edges)
 		}
 		shared = append(shared, own)
 	}
@@ -234,8 +236,10 @@ func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
 	served := map[*mux.Mux]conn{}
 	for id, h := range s.hosts {
 		if h.fwd != nil {
-			for i, m := range h.fwd.muxes {
-				served[m] = conn{id, int(h.fwd.muxChild[i])}
+			for _, es := range h.fwd.children.edges {
+				for _, e := range es {
+					served[h.fwd.muxes[e.mux]] = conn{id, int(e.child)}
+				}
 			}
 		}
 	}
@@ -348,4 +352,110 @@ var (
 func ParkedRootsConfig(t testing.TB) Config {
 	cfg, _, _ := parkedRoots(t)
 	return cfg
+}
+
+// CheckEdges holds every host's edge table to what the session's live
+// trees and network imply: each host forwards each group to exactly the
+// children that group's tree gives it, each edge names a MUX in service
+// on the link from the host to that child, each regulator in a bank
+// outputs to its own slot, and each MUX in service is its host's only one
+// to its child, its link priced at Network.Latency bit for bit. nil when
+// all of it holds.
+func CheckEdges(s *Session) error {
+	want := make([]map[int][]int, len(s.sub.groups)) // group -> parent -> sorted children
+	for g, st := range s.sub.groups {
+		want[g] = map[int][]int{}
+		st.tree.EachParent(func(p int, cs []int) { want[g][p] = slices.Sorted(slices.Values(cs)) })
+	}
+	for id, h := range s.hosts {
+		f := h.fwd
+		forwards := 0
+		if f != nil {
+			forwards = len(f.children.groups)
+			for i, g := range f.children.groups {
+				var got []int
+				for _, e := range f.children.edges[i] {
+					got = append(got, int(e.child))
+					if int(e.mux) >= len(f.muxes) || f.muxes[e.mux] == nil {
+						return fmt.Errorf("host %d: group %d's edge to %d names connection slot %d, which holds no MUX", id, g, e.child, e.mux)
+					}
+					if from, to := f.muxes[e.mux].Ends(); from != id || to != int(e.child) {
+						return fmt.Errorf("host %d: group %d's edge to %d names the MUX of link %d→%d", id, g, e.child, from, to)
+					}
+				}
+				slices.Sort(got)
+				if w := want[g][id]; !slices.Equal(got, w) {
+					return fmt.Errorf("host %d: group %d's edges go to %v, its tree's children are %v", id, g, got, w)
+				}
+				for _, r := range []regulated{bankAt(f.srBank, i), bankAt(f.srlBank, i)} {
+					if r != nil && linkOf(r).slot != int32(i) {
+						return fmt.Errorf("host %d: group %d's regulator at slot %d outputs to slot %d", id, g, i, linkOf(r).slot)
+					}
+				}
+			}
+			seen := map[int]bool{}
+			for _, m := range f.muxes {
+				if m == nil {
+					continue
+				}
+				from, to := m.Ends()
+				if seen[to] {
+					return fmt.Errorf("host %d: two MUXes in service to %d", id, to)
+				}
+				seen[to] = true
+				if lat := s.sub.net.Latency(from, to); m.Latency() != lat {
+					return fmt.Errorf("host %d: MUX to %d priced at %v, the network's latency is %v", id, to, m.Latency(), lat)
+				}
+			}
+		}
+		for g := range want {
+			if _, ok := want[g][id]; ok {
+				forwards--
+			}
+		}
+		if forwards != 0 {
+			return fmt.Errorf("host %d forwards %d groups more than its trees give it children in", id, forwards)
+		}
+	}
+	return nil
+}
+
+// EditCycle returns a graft/prune cycle of the wiring edits churn makes on
+// s: host p, group g's source, takes c — the lowest other host it has no
+// connection to — as a child in group h over a new connection, and
+// unhooks it again. It also returns a group p forwards nothing in, or -1.
+func EditCycle(s *Session, g int) (cycle func(h int), none int) {
+	e := newEdits(s.sub, s.hosts)
+	p := s.sub.groups[g].tree.Source
+	f := s.hosts[p].fwd
+	c := 0
+	for ; ; c++ {
+		if i, _ := f.connTo(c); c != p && i < 0 {
+			break
+		}
+	}
+	none = -1
+	for g := range s.sub.groups {
+		if f.children.find(g) < 0 {
+			none = g
+			break
+		}
+	}
+	return func(h int) {
+		e.attach(h, p, c)
+		e.unhook(h, p, c)
+	}, none
+}
+
+// bankAt is bank's regulator at slot i, or nil when the bank was never
+// built or holds none there.
+func bankAt[R interface {
+	comparable
+	regulated
+}](bank []R, i int) regulated {
+	var none R
+	if i >= len(bank) || bank[i] == none {
+		return nil
+	}
+	return bank[i]
 }

@@ -65,11 +65,8 @@ func (e *hostEnv) ident(slot int, c component) compIdent {
 	case *mux.Mux:
 		from, to := c.Ends()
 		return compIdent{int32(from), int32(to)}
-	case *regulator.SigmaRho:
-		l := c.Out().(*regLink)
-		return compIdent{l.h.id, l.g}
-	case *regulator.SRL:
-		l := c.Out().(*regLink)
+	case *regulator.SigmaRho, *regulator.SRL:
+		l := linkOf(c.(regulated))
 		return compIdent{l.h.id, l.g}
 	}
 	return e.clocks[slot]
@@ -203,16 +200,14 @@ type forwarder struct {
 
 	// children holds the host's per-group child sets, flattened to the
 	// groups it actually forwards (see groupChildren) — absent groups,
-	// including every group the host is not a member of, cost nothing.
+	// including every group the host is not a member of, cost nothing —
+	// each child an edge naming its connection's slot in muxes.
 	children groupChildren
-	// Connections de-duplicate children across groups, flattened to
-	// sorted parallel arrays (same rationale as groupChildren): muxChild
-	// holds the ascending child ids with live connections, muxes the
-	// matching MUXes. The map this replaces was the last per-host
-	// map-backed hot-path structure — 100k hosts of small maps cost the
-	// GC a scan stop at every connection on every cycle.
-	muxChild []int32
-	muxes    []*mux.Mux
+	// muxes is the connection table: one MUX per distinct child, at the
+	// slot its edges name; a nil slot is free. A connection whose child was
+	// the last to leave a group stays in service, named by no edge, until
+	// the child rejoins or a later unhook drops it (removeChild).
+	muxes []*mux.Mux
 
 	// Regulator banks: built lazily per mode, parallel to children's slots
 	// (bank[i] regulates group children.groups[i]), so a host pays for the
@@ -244,97 +239,64 @@ func (h *host) newForwarder() *forwarder {
 	return f
 }
 
-// wire gives a bare host with connections its child sets and the machinery
-// they need: a forwarder, a MUX per connection in conns, which must be
-// sorted ascending and distinct, with room for a packet of each group
-// routed through it, and the initial mode's regulator bank. A host with no
-// connection stays a leaf. MUXes are created in that sorted order:
-// component registry slots must be deterministic for snapshots to be
-// stable.
-func (h *host) wire(children groupChildren, conns []int) {
-	if len(conns) == 0 {
+// connPlan is a connection a build makes: its child and the groups routed.
+type connPlan struct{ child, routed int32 }
+
+// slots returns the MUX slots the child sets' edges name: one past the
+// highest, which for compiled child sets is the number of connections.
+func (gc *groupChildren) slots() int {
+	n := 0
+	for _, es := range gc.edges {
+		for _, e := range es {
+			n = max(n, int(e.mux)+1)
+		}
+	}
+	return n
+}
+
+// wire gives a bare host its compiled child sets and the machinery they
+// need: a forwarder, a MUX per connection, with room for a packet of each
+// group routed through it, and the initial mode's regulator bank; conns is
+// scratch with room for the host's connections. A host with no connection
+// stays a leaf. MUXes are created in slot order, which compileChildren
+// made ascending child order: component registry slots must be
+// deterministic for snapshots to be stable.
+func (h *host) wire(children groupChildren, conns []connPlan) {
+	n := 0
+	for _, es := range children.edges {
+		for _, e := range es {
+			for ; n <= int(e.mux); n++ {
+				conns[n] = connPlan{}
+			}
+			conns[e.mux] = connPlan{e.child, conns[e.mux].routed + 1}
+		}
+	}
+	if n == 0 {
 		return
 	}
 	f := h.newForwarder()
 	f.children = children
-	connCap := h.env.connectionCapacity(int(h.id), len(conns))
-	f.muxChild = h.env.slabs.muxChild.Take(len(conns))
-	f.muxes = h.env.slabs.muxes.Take(len(conns))
-	// muxChild counts the groups routed through each connection before it
-	// takes the connection's child id.
-	for _, cs := range children.kids {
-		for _, c := range cs {
-			i, _ := slices.BinarySearch(conns, c)
-			f.muxChild[i]++
-		}
-	}
-	for i, c := range conns {
-		f.muxes[i] = h.makeMux(c, connCap, int(f.muxChild[i]))
-		f.muxChild[i] = int32(c)
+	connCap := h.env.connectionCapacity(int(h.id), n)
+	f.muxes = h.env.slabs.muxes.Take(n)
+	for i, c := range conns[:n] {
+		f.muxes[i] = h.makeMux(int(c.child), connCap, int(c.routed))
 	}
 	h.enterMode(initialMode(h.env.scheme))
 }
 
-// findMux returns child connection c's slot index, or -1.
-func (f *forwarder) findMux(c int) int {
-	lo, hi := 0, len(f.muxChild)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(f.muxChild[mid]) < c {
-			lo = mid + 1
-		} else {
-			hi = mid
+// connTo returns the slot of the MUX in service on the connection to
+// child c, or -1, and how many MUXes are in service.
+func (f *forwarder) connTo(c int) (slot int32, live int) {
+	slot = -1
+	for i, m := range f.muxes {
+		if m != nil {
+			if _, to := m.Ends(); to == c {
+				slot = int32(i)
+			}
+			live++
 		}
 	}
-	if lo < len(f.muxChild) && int(f.muxChild[lo]) == c {
-		return lo
-	}
-	return -1
-}
-
-// muxAt returns child connection c's MUX, or nil when none is wired.
-func (f *forwarder) muxAt(c int) *mux.Mux {
-	if i := f.findMux(c); i >= 0 {
-		return f.muxes[i]
-	}
-	return nil
-}
-
-// putMux wires m as child connection c's MUX (sorted insert).
-func (f *forwarder) putMux(c int, m *mux.Mux) {
-	lo, hi := 0, len(f.muxChild)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(f.muxChild[mid]) < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(f.muxChild) && int(f.muxChild[lo]) == c {
-		f.muxes[lo] = m
-		return
-	}
-	f.muxChild = append(f.muxChild, 0)
-	f.muxes = append(f.muxes, nil)
-	copy(f.muxChild[lo+1:], f.muxChild[lo:])
-	copy(f.muxes[lo+1:], f.muxes[lo:])
-	f.muxChild[lo] = int32(c)
-	f.muxes[lo] = m
-}
-
-// dropMux unwires child connection c's MUX (a no-op when absent).
-// In-flight MUX traffic still drains through the engine.
-func (f *forwarder) dropMux(c int) {
-	i := f.findMux(c)
-	if i < 0 {
-		return
-	}
-	copy(f.muxChild[i:], f.muxChild[i+1:])
-	copy(f.muxes[i:], f.muxes[i+1:])
-	f.muxChild = f.muxChild[:len(f.muxChild)-1]
-	f.muxes[len(f.muxes)-1] = nil
-	f.muxes = f.muxes[:len(f.muxes)-1]
+	return slot, live
 }
 
 func initialMode(s Scheme) Scheme {
@@ -353,7 +315,7 @@ func (h *host) forward(g int, p traffic.Packet) {
 		return
 	}
 	i := f.children.find(g)
-	if i < 0 || len(f.children.kids[i]) == 0 {
+	if i < 0 || len(f.children.edges[i]) == 0 {
 		return
 	}
 	switch f.mode {
@@ -362,15 +324,15 @@ func (h *host) forward(g int, p traffic.Packet) {
 	case SchemeSRL:
 		f.srlBank[i].Enqueue(p)
 	default: // capacity-aware: no regulation
-		f.replicate(g, p)
+		f.replicate(i, p)
 	}
 }
 
-// replicate copies the packet into the MUX of every child connection for
-// its group.
-func (f *forwarder) replicate(g int, p traffic.Packet) {
-	for _, c := range f.children.get(g) {
-		f.muxAt(c).Enqueue(p)
+// replicate copies the packet into the MUX of every child connection of
+// the group at slot i.
+func (f *forwarder) replicate(i int, p traffic.Packet) {
+	for _, e := range f.children.edges[i] {
+		f.muxes[e.mux].Enqueue(p)
 	}
 }
 
@@ -432,8 +394,8 @@ func (h *host) ensureSRBank() {
 		f.srBank = h.env.slabs.srBanks.Take(len(f.children.groups))
 	}
 	for i, g := range f.children.groups {
-		if len(f.children.kids[i]) > 0 && f.srBank[i] == nil {
-			f.srBank[i] = h.makeSR(int(g))
+		if len(f.children.edges[i]) > 0 && f.srBank[i] == nil {
+			f.srBank[i] = h.makeSR(int(g), i)
 		}
 	}
 }
@@ -446,8 +408,8 @@ func (h *host) ensureSRLBank() {
 		f.srlBank = h.env.slabs.srlBanks.Take(len(f.children.groups))
 	}
 	for i, g := range f.children.groups {
-		if len(f.children.kids[i]) > 0 && f.srlBank[i] == nil {
-			f.srlBank[i] = h.makeSRL(int(g))
+		if len(f.children.edges[i]) > 0 && f.srlBank[i] == nil {
+			f.srlBank[i] = h.makeSRL(int(g), i)
 		}
 	}
 }
@@ -467,20 +429,50 @@ func (h *host) ensureSRLBank() {
 // Only a forwarder makes components.
 
 // regLink is where group g's regulator puts a packet: into its host's
-// replicator for g.
+// replicator for g, at the group's slot, which the host keeps current as
+// edits insert and delete the slots before it (relink).
 type regLink struct {
-	h *host
-	g int32
+	h    *host
+	g    int32
+	slot int32 // g's slot at h while the regulator is in service; -1 once detached
 }
 
-// Put implements traffic.Sink.
-func (l *regLink) Put(p traffic.Packet) { l.h.fwd.replicate(int(l.g), p) }
+// Put implements traffic.Sink. A detached regulator finishing its packet
+// in transmission looks up whatever children its group has by then.
+func (l *regLink) Put(p traffic.Packet) {
+	f, i := l.h.fwd, int(l.slot)
+	if i < 0 {
+		if i = f.children.find(int(l.g)); i < 0 {
+			return
+		}
+	}
+	f.replicate(i, p)
+}
 
-// regOut is the output of group g's regulator.
-func (h *host) regOut(g int) *regLink {
+// regOut is the output of group g's regulator, in service at slot.
+func (h *host) regOut(g, slot int) *regLink {
 	l := h.env.slabs.regLinks.One()
-	*l = regLink{h, int32(g)}
+	*l = regLink{h, int32(g), int32(slot)}
 	return l
+}
+
+// regulated is a regulator of either kind, by its output.
+type regulated interface{ Out() traffic.Sink }
+
+// linkOf returns the output link of regulator r.
+func linkOf(r regulated) *regLink { return r.Out().(*regLink) }
+
+// relink points the links of the regulators in service at slot from and
+// after at their slots, after an edit inserted or deleted one before them.
+func (f *forwarder) relink(from int) {
+	for j := from; j < len(f.children.groups); j++ {
+		if f.srBank != nil && f.srBank[j] != nil {
+			linkOf(f.srBank[j]).slot = int32(j)
+		}
+		if f.srlBank != nil && f.srlBank[j] != nil {
+			linkOf(f.srlBank[j]).slot = int32(j)
+		}
+	}
 }
 
 // makeMux creates and registers the connection MUX for child c, with room
@@ -489,16 +481,16 @@ func (h *host) makeMux(c int, capacity float64, routed int) *mux.Mux {
 	return h.env.slabs.mux.New(h.env.line, capacity, int(h.id), c, routed)
 }
 
-// makeSR creates and registers group g's (σ, ρ) regulator.
-func (h *host) makeSR(g int) *regulator.SigmaRho {
+// makeSR creates and registers group g's (σ, ρ) regulator, for slot i.
+func (h *host) makeSR(g, i int) *regulator.SigmaRho {
 	env := h.env
-	return env.slabs.reg.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g))
+	return env.slabs.reg.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g, i))
 }
 
-// makeSRL creates and registers group g's (σ, ρ, λ) regulator.
-func (h *host) makeSRL(g int) *regulator.SRL {
+// makeSRL creates and registers group g's (σ, ρ, λ) regulator, for slot i.
+func (h *host) makeSRL(g, i int) *regulator.SRL {
 	env, c := h.env, h.fwd.conn
-	return env.slabs.reg.NewSRL(env.eng, env.sigmaStars(c)[g], env.specs[g].Rho, c, h.regOut(g))
+	return env.slabs.reg.NewSRL(env.eng, env.sigmaStars(c)[g], env.specs[g].Rho, c, h.regOut(g, i))
 }
 
 // cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
@@ -553,16 +545,20 @@ func (e *hostEnv) sizeClocks(n int) {
 // hosts' forwarders, connection tables and regulator banks. A live build
 // sizes it from the compiled child sets (sizeSlabs); a restore sizes the
 // forwarders from the hosts record, the tables from the restored trees and
-// the components from the record's opening counts.
+// the components from the record's opening counts. The tables, and the
+// child sets an edit writes, grow through free lists (blocks), so churn
+// in steady state allocates none of them.
 type compSlabs struct {
-	mux      mux.Slab
-	reg      regulator.Slab
-	regLinks snap.Arena[regLink]
-	fwds     snap.Arena[forwarder]
-	muxChild snap.Arena[int32]
-	muxes    snap.Arena[*mux.Mux]
-	srBanks  snap.Arena[*regulator.SigmaRho]
-	srlBanks snap.Arena[*regulator.SRL]
+	mux       mux.Slab
+	reg       regulator.Slab
+	regLinks  snap.Arena[regLink]
+	fwds      snap.Arena[forwarder]
+	muxes     blocks[*mux.Mux]
+	srBanks   blocks[*regulator.SigmaRho]
+	srlBanks  blocks[*regulator.SRL]
+	groups    blocks[int32]
+	edgeLists blocks[[]edge]
+	edges     blocks[edge]
 }
 
 // restoreComp re-creates family f's component for sub from the open
@@ -578,46 +574,54 @@ func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, 
 	case famMux:
 		return sl.mux.Restore(r, env.line, capacity, int(h.id), sub, routed)
 	case famSR:
-		return sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub))
+		return sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub, -1))
 	case famCycle:
 		offset, w, v := h.cycleSchedule(sub)
 		return h.addCycle(sl.reg.RestoreCycle(r, env.eng, offset, w, v), sub)
 	default:
 		c := h.fwd.conn
-		return sl.reg.RestoreSRL(r, flows, env.eng, env.sigmaStars(c)[sub], env.specs[sub].Rho, c, h.regOut(sub))
+		return sl.reg.RestoreSRL(r, flows, env.eng, env.sigmaStars(c)[sub], env.specs[sub].Rho, c, h.regOut(sub, -1))
 	}
 }
 
-// isLive reports whether c is the component this forwarder currently has
-// in service for (f, sub), as opposed to a detached one draining its
-// events. A clock is never retired.
-func (fw *forwarder) isLive(f family, sub int, c component) bool {
+// isLive reports whether c, of family f, is a component this forwarder
+// has in service, as opposed to a detached one draining its events: a
+// MUX in its connection table, a regulator whose link names its bank slot.
+// A clock is never retired.
+func (fw *forwarder) isLive(f family, c component) bool {
 	switch f {
 	case famMux:
-		return fw.muxAt(sub) == c
+		return slices.Contains(fw.muxes, c.(*mux.Mux))
 	case famCycle:
 		return true
 	}
-	i := fw.children.find(sub)
-	if i < 0 {
-		return false
-	}
-	if f == famSR {
-		return fw.srBank != nil && fw.srBank[i] == c
-	}
-	return fw.srlBank != nil && fw.srlBank[i] == c
+	return linkOf(c.(regulated)).slot >= 0
 }
 
-// install puts a restored live component back into service; false when the
-// host forwards nothing in the regulator's group, which no snapshot this
-// package wrote says. Duty-cycle state comes from the restored words of
-// the clock and its followers and from the re-inserted events — nothing here
-// starts a clock, and restoreComp already put a restored one in the table.
-func (h *host) install(f family, sub int, c component) bool {
+// install puts a restored live component back into service; false when
+// the restored child sets contradict it, which no snapshot this package
+// wrote does: a regulator for a group the host forwards nothing in or
+// has one for, a second MUX for a connection. A MUX goes to slot at, the
+// one its child's edges name, or -1 when none does (removeChild). Duty-cycle
+// state comes from the restored words of the clock and its followers and
+// from the re-inserted events — nothing here starts a clock, and
+// restoreComp already put a restored one in the table.
+func (h *host) install(f family, sub int, at int32, c component) bool {
 	fw := h.fwd
 	switch f {
 	case famMux:
-		fw.putMux(sub, c.(*mux.Mux))
+		if at < 0 {
+			// Past every slot an edge names: those are still to fill.
+			if i, _ := fw.connTo(sub); i >= 0 {
+				return false
+			}
+			fw.muxes = h.env.slabs.muxes.insert(fw.muxes, len(fw.muxes), c.(*mux.Mux))
+			return true
+		}
+		if fw.muxes[at] != nil {
+			return false
+		}
+		fw.muxes[at] = c.(*mux.Mux)
 		return true
 	case famCycle:
 		return true
@@ -630,12 +634,22 @@ func (h *host) install(f family, sub int, c component) bool {
 		if fw.srBank == nil {
 			fw.srBank = h.env.slabs.srBanks.Take(len(fw.children.groups))
 		}
-		fw.srBank[i] = c.(*regulator.SigmaRho)
+		if fw.srBank[i] != nil {
+			return false
+		}
+		r := c.(*regulator.SigmaRho)
+		fw.srBank[i] = r
+		linkOf(r).slot = int32(i)
 	} else {
 		if fw.srlBank == nil {
 			fw.srlBank = h.env.slabs.srlBanks.Take(len(fw.children.groups))
 		}
-		fw.srlBank[i] = c.(*regulator.SRL)
+		if fw.srlBank[i] != nil {
+			return false
+		}
+		r := c.(*regulator.SRL)
+		fw.srlBank[i] = r
+		linkOf(r).slot = int32(i)
 	}
 	return true
 }
@@ -676,39 +690,43 @@ func (h *host) enterMode(m Scheme) {
 
 // --- Dynamic forwarding state (driven by the session control plane) ---
 
-// childInAnyGroup reports whether c is a child of this host in any group.
-func (f *forwarder) childInAnyGroup(c int) bool {
-	for _, cs := range f.children.kids {
-		for _, x := range cs {
-			if x == c {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // attachChild registers c as a child of this host in group g's tree,
 // wiring the connection MUX and — on a host that was not forwarding at
 // all, or was not forwarding this group — the regulator machinery, with
-// the new duty cycle re-staggered onto the global schedule.
+// the new duty cycle re-staggered onto the global schedule. A connection
+// already in service to c, if any, carries the new edge.
 func (h *host) attachChild(g, c int) {
 	f := h.fwd
 	first := f == nil
 	if first {
 		f = h.newForwarder()
 	}
-	if i, fresh := f.children.add(g, c); fresh {
-		// Keep the banks parallel to the child slots.
+	sl := &h.env.slabs
+	m, live := f.connTo(c)
+	if m < 0 {
+		// The table's first free slot takes the new connection.
+		mx := h.makeMux(c, h.env.connectionCapacity(int(h.id), live+1), 0)
+		if m = int32(slices.Index(f.muxes, nil)); m < 0 {
+			m = int32(len(f.muxes))
+			f.muxes = sl.muxes.insert(f.muxes, len(f.muxes), nil)
+		}
+		f.muxes[m] = mx
+	}
+	e := edge{int32(c), m}
+	gc := &f.children
+	if i, ok := slices.BinarySearch(gc.groups, int32(g)); ok {
+		gc.edges[i] = sl.edges.insert(gc.edges[i], len(gc.edges[i]), e)
+	} else {
+		// A new slot; the banks stay parallel to the slots.
+		gc.groups = sl.groups.insert(gc.groups, i, int32(g))
+		gc.edges = sl.edgeLists.insert(gc.edges, i, sl.edges.insert(nil, 0, e))
 		if f.srBank != nil {
-			f.srBank = slices.Insert(f.srBank, i, nil)
+			f.srBank = sl.srBanks.insert(f.srBank, i, nil)
 		}
 		if f.srlBank != nil {
-			f.srlBank = slices.Insert(f.srlBank, i, nil)
+			f.srlBank = sl.srlBanks.insert(f.srlBank, i, nil)
 		}
-	}
-	if f.findMux(c) < 0 {
-		f.putMux(c, h.makeMux(c, h.env.connectionCapacity(int(h.id), len(f.muxes)+1), 0))
+		f.relink(i + 1)
 	}
 	if first {
 		// First forwarding duty of this host's lifetime: bring up the
@@ -748,7 +766,7 @@ func (h *host) attachGroup(g int) {
 
 // detachGroup tears down group g's forwarding state at this host: any
 // regulator for g detaches (its backlog is abandoned, a mid-transmission
-// packet completes), the child list empties, and connections left serving
+// packet completes), the group's slot goes, and connections left serving
 // no group drop their MUX (in-flight MUX traffic still drains through the
 // engine). Sibling groups' regulators and stagger phases are untouched.
 // Returns the abandoned backlog size for disruption accounting.
@@ -765,12 +783,14 @@ func (h *host) detachGroup(g int) int {
 	if f.srBank != nil {
 		if r := f.srBank[i]; r != nil {
 			lost += r.Detach()
+			linkOf(r).slot = -1
 		}
 		f.srBank = slices.Delete(f.srBank, i, i+1)
 	}
 	if f.srlBank != nil {
 		if r := f.srlBank[i]; r != nil {
 			lost += r.Detach()
+			linkOf(r).slot = -1
 			if r.Transmitting() {
 				// The non-preempted packet completes serialisation, but its
 				// output replicates into the child set this detach is about
@@ -780,36 +800,36 @@ func (h *host) detachGroup(g int) int {
 		}
 		f.srlBank = slices.Delete(f.srlBank, i, i+1)
 	}
-	old := f.children.kids[i]
-	f.children.drop(i)
-	for _, c := range old {
-		if !f.childInAnyGroup(c) {
-			f.dropMux(c)
+	gc := &f.children
+	old := gc.edges[i]
+	gc.groups = slices.Delete(gc.groups, i, i+1)
+	gc.edges = slices.Delete(gc.edges, i, i+1)
+	f.relink(i)
+	for _, e := range old {
+		if !gc.hasChild(int(e.child)) {
+			f.muxes[e.mux] = nil
 		}
 	}
+	h.env.slabs.edges.put(old)
 	return lost
 }
 
 // removeChild unregisters c from group g at c's parent. When that was the
 // host's last child in g the whole group detaches (regulator backlog
-// abandoned — the packets were destined for the departed subtree); the
-// returned count is that abandoned backlog.
+// abandoned — the packets were destined for the departed subtree) and c's
+// connection stays in service; otherwise it drops once c is a child in no
+// group. The returned count is the abandoned backlog.
 func (h *host) removeChild(g, c int) int {
 	f := h.fwd
-	if slot := f.children.find(g); slot >= 0 {
-		cs := f.children.kids[slot]
-		for i, x := range cs {
-			if x == c {
-				f.children.kids[slot] = append(cs[:i], cs[i+1:]...)
-				break
-			}
-		}
-		if len(f.children.kids[slot]) == 0 {
+	if i := f.children.find(g); i >= 0 {
+		es := slices.DeleteFunc(f.children.edges[i], func(e edge) bool { return int(e.child) == c })
+		f.children.edges[i] = es
+		if len(es) == 0 {
 			return h.detachGroup(g)
 		}
 	}
-	if !f.childInAnyGroup(c) {
-		f.dropMux(c)
+	if i, _ := f.connTo(c); i >= 0 && !f.children.hasChild(c) {
+		f.muxes[i] = nil // in-flight MUX traffic still drains through the engine
 	}
 	return 0
 }

@@ -27,30 +27,58 @@ func testEnv(eng *des.Engine, sent *[]int) *hostEnv {
 	}
 }
 
-// sentTo is a fabric that records the destination of every packet sent.
+// sentTo is a fabric with no delay that records the destination of every
+// packet sent.
 type sentTo struct{ to *[]int }
 
-func (s sentTo) Send(_, to int, _ traffic.Packet) { *s.to = append(*s.to, to) }
+func (s sentTo) Latency(_, _ int) des.Duration { return 0 }
+
+func (s sentTo) Carry(_, to int, _ des.Duration, _ traffic.Packet) { *s.to = append(*s.to, to) }
 
 // newHost is a hand-built host in env, wired for its child sets under
 // scheme as a session build wires it, less the adaptive controller.
 func newHost(id int, env *hostEnv, children groupChildren, scheme Scheme) *host {
 	env.scheme = scheme
 	h := &host{id: int32(id), env: env}
-	h.wire(children, connsOf(children))
+	h.wire(children, make([]connPlan, children.slots()))
 	return h
 }
 
-// connsOf returns the distinct child connections of a child set, sorted:
-// the wiring plan hostConns makes for every host at once.
-func connsOf(children groupChildren) []int {
+// denseChildren converts dense per-group child lists into the child sets
+// compileChildren makes: the groups with children, ascending, and each
+// child's edge naming its rank among the host's distinct children.
+func denseChildren(lists [][]int) groupChildren {
 	var conns []int
-	children.each(func(_ int, cs []int) {
-		for _, c := range cs {
-			conns = insertSortedDistinct(conns, c)
+	for _, cs := range lists {
+		conns = append(conns, cs...)
+	}
+	slices.Sort(conns)
+	conns = slices.Compact(conns)
+	var gc groupChildren
+	for g, cs := range lists {
+		if len(cs) == 0 {
+			continue
 		}
-	})
-	return conns
+		var es []edge
+		for _, c := range cs {
+			k, _ := slices.BinarySearch(conns, c)
+			es = append(es, edge{int32(c), int32(k)})
+		}
+		gc.groups = append(gc.groups, int32(g))
+		gc.edges = append(gc.edges, es)
+	}
+	return gc
+}
+
+// childrenOf returns f's children in group g, in edge order.
+func childrenOf(f *forwarder, g int) []int {
+	var cs []int
+	if i := f.children.find(g); i >= 0 {
+		for _, e := range f.children.edges[i] {
+			cs = append(cs, int(e.child))
+		}
+	}
+	return cs
 }
 
 // TestHostRecordSize pins the record every host of a session has: an id,
@@ -343,7 +371,7 @@ func TestForwarderLifeUnderChurn(t *testing.T) {
 		s.Start()
 		s.RunTo(ms(1050))
 		f := s.hosts[parent].fwd
-		if f == nil || !slices.Equal(f.children.get(g), []int{joiner}) {
+		if f == nil || !slices.Equal(childrenOf(f, g), []int{joiner}) {
 			t.Fatalf("shards=%d: host %d has no forwarder with child %d in group %d after the join", shards, parent, joiner, g)
 		}
 		// The new forwarder is carved from its shard's arena, which the
@@ -372,7 +400,7 @@ func TestForwarderLifeUnderChurn(t *testing.T) {
 			t.Fatalf("shards=%d: restored host %d holds %v, want a forwarder holding %+v", shards, parent, rf, want)
 		}
 		r.RunTo(ms(2050))
-		if rf := r.hosts[parent].fwd; !slices.Equal(rf.children.get(g), []int{joiner}) {
+		if rf := r.hosts[parent].fwd; !slices.Equal(childrenOf(rf, g), []int{joiner}) {
 			t.Fatalf("shards=%d: the second join did not graft %d under restored host %d", shards, joiner, parent)
 		}
 		if err := SameRun(Run(cfg), r.Finish(), NormRestore); err != nil {

@@ -30,6 +30,10 @@ import (
 //	TestCheckpointUnalignedInstant              a checkpoint at 1.234567 s   NormRestore
 //	TestCachedSessionRunsIdentical              a warm substrate cache       nothing (its restore: NormRestore)
 //
+// TestEdgesMatchTrees is a column of its own that compares no runs: on the
+// rows whose planes rewrite trees it holds every forwarder's edge table to
+// the live trees and the network, straight and restored.
+//
 // The checkpoint and warm columns run at one shard and at n, NormShards
 // added at n. The per-fault-kind column's rows apply one fault kind each,
 // so a determinism break pins to a kind. The sweep columns are in internal/harness/identity_test.go;
@@ -48,7 +52,8 @@ const (
 	colUnaligned
 	colWarm
 	colKinds
-	colAll = colKinds - 1 // every column but the per-fault-kind one
+	colEdges
+	colAll = colKinds - 1 // every column but the per-fault-kind and edge ones
 )
 
 // A plane is a control plane a fixture's baseline must show at work: a row
@@ -204,9 +209,9 @@ func configFixtures(t *testing.T) []*fixture {
 		Duration: 7 * des.Second, Seed: 11})
 	fs := []*fixture{
 		{name: "static", cfg: static, cols: colAll},
-		{name: "churn", cfg: churn, cols: colAll, live: churned},
-		{name: "fault", cfg: fault, cols: colAll, live: faulted},
-		{name: "reopt-churn", cfg: reopt, cols: colAll, live: churned | reopted},
+		{name: "churn", cfg: churn, cols: colAll | colEdges, live: churned},
+		{name: "fault", cfg: fault, cols: colAll | colEdges, live: faulted},
+		{name: "reopt-churn", cfg: reopt, cols: colAll | colEdges, live: churned | reopted},
 		{name: "adaptive", cfg: adaptive, cols: colAll},
 		{name: "vbr", cfg: vbr, cols: colAll},
 		{name: "vacation", cfg: vacation, cols: colAll},
@@ -215,10 +220,10 @@ func configFixtures(t *testing.T) []*fixture {
 		// and its repeats are tests of their own.
 		{name: "one-hop", cfg: oneHop, cols: colAll &^ colShards &^ colRepeat},
 		{name: "fault-open-partition", cfg: open, cols: colShards | colChained, live: faulted},
-		{name: "fault-parked-roots", cfg: core.ParkedRootsConfig(t), cols: colShards | colRestore | colChained, live: faulted},
-		// Every tree-writing plane at once, for the warm column: the faults'
-		// mass leave and join churn, and re-optimization moves members.
-		{name: "fault-reopt", cfg: planes, cols: colWarm, live: churned | moved | faulted},
+		{name: "fault-parked-roots", cfg: core.ParkedRootsConfig(t), cols: colShards | colRestore | colChained | colEdges, live: faulted},
+		// Every tree-writing plane at once, for the warm and edge columns: the
+		// faults' mass leave and join churn, and re-optimization moves members.
+		{name: "fault-reopt", cfg: planes, cols: colWarm | colEdges, live: churned | moved | faulted},
 	}
 
 	// The per-fault-kind rows.
@@ -395,6 +400,45 @@ func TestCachedSessionRunsIdentical(t *testing.T) {
 			if err := core.SameRun(first, core.Run(cfg), 0); err != nil {
 				t.Fatalf("a session built after a restored one ran to its end diverged from the first run — the restore wrote through to the cache: %v", err)
 			}
+		})
+	})
+}
+
+// TestEdgesMatchTrees holds every forwarder's edge table — its child sets,
+// the MUX each edge names and the price of each MUX's link — to what the
+// live trees and the network imply (core.CheckEdges), on the rows whose
+// planes rewrite trees: at T/2, on a session restored there, whose tables
+// are derived from its trees, MUXes and network rather than read, and
+// after both have run to their end.
+func TestEdgesMatchTrees(t *testing.T) {
+	rows(t, colEdges, func(t *testing.T, f *fixture) {
+		atShards(t, 0, func(t *testing.T, shards int, _ core.Norm) {
+			cfg := f.cfg
+			cfg.Shards = shards
+			check := func(s *core.Session, when string) {
+				t.Helper()
+				if err := core.CheckEdges(s); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			s := core.NewSession(cfg)
+			check(s, "built")
+			s.Start()
+			s.RunTo(des.Time(cfg.Duration) / 2)
+			check(s, "at T/2")
+			blob, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := core.Restore(cfg, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(r, "restored at T/2")
+			s.Finish()
+			check(s, "after the run")
+			r.Finish()
+			check(r, "after the restored run")
 		})
 	})
 }

@@ -546,11 +546,10 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	// forwarders, children, MUXes and modes all come from the snapshot,
 	// which has the trees they derive from. A live build wires each host
 	// with connections from its child sets, in slabs sized from all of
-	// them.
-	var conns [][]int
+	// them, through one scratch sized for the host with the most.
+	var conns []connPlan
 	if rs == nil {
-		conns = hostConns(sub.plan)
-		s.sizeSlabs(sub.plan, conns)
+		conns = make([]connPlan, s.sizeSlabs(sub.plan))
 	}
 	s.hosts = make([]host, cfg.NumHosts)
 	for id := range s.hosts {
@@ -558,7 +557,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		*h = host{id: int32(id), env: s.sh[owner[id]].env}
 		receivers[id] = h
 		if rs == nil {
-			h.wire(sub.plan.of(id), conns[id])
+			h.wire(sub.plan.of(id), conns)
 			if cfg.Scheme == SchemeAdaptive && h.fwd != nil {
 				h.startController()
 			}
@@ -602,8 +601,8 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 // regulator — is carved from refill chunks. Under (σ, ρ, λ) the build also
 // makes a duty-cycle clock per group a shard forwards at each capacity its
 // forwarders have: one per group when the hosts are homogeneous, at most
-// one per uplink class otherwise.
-func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
+// one per uplink class otherwise. It returns the most connections a host has.
+func (s *Session) sizeSlabs(plan *childPlan) (most int) {
 	type count struct{ fwds, conns, edges, groups, clocks int }
 	per := make([]count, len(s.sh))
 	cfg := s.sub.cfg
@@ -613,15 +612,15 @@ func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 	if clocks {
 		forwarded.reset(len(s.sh) * numGroups)
 	}
-	for id := range conns {
-		si := s.owner[id]
+	for id, si := range s.owner {
 		n := &per[si]
-		if len(conns[id]) > 0 {
-			gc := plan.of(id)
+		if gc := plan.of(id); len(gc.groups) > 0 {
+			conns := gc.slots()
+			most = max(most, conns)
 			n.fwds++
-			n.conns += len(conns[id])
+			n.conns += conns
 			n.groups += len(gc.groups)
-			for i, cs := range gc.kids {
+			for i, cs := range gc.edges {
 				n.edges += len(cs)
 				if k := si*numGroups + int(gc.groups[i]); clocks && len(cs) > 0 && !forwarded.has(k) {
 					forwarded.set(k)
@@ -635,24 +634,24 @@ func (s *Session) sizeSlabs(plan *childPlan, conns [][]int) {
 		sh.eng.Grow(des.KindMuxDone, n.conns)
 		sl.mux = mux.NewSlab(n.conns, n.edges)
 		sl.fwds = snap.NewArena[forwarder](n.fwds)
-		sl.muxChild = snap.NewArena[int32](n.conns)
-		sl.muxes = snap.NewArena[*mux.Mux](n.conns)
+		sl.muxes.Arena = snap.NewArena[*mux.Mux](n.conns)
 		switch initialMode(cfg.Scheme) {
 		case SchemeSigmaRho:
 			sh.eng.Grow(des.KindSRRetry, n.groups)
 			sl.reg = regulator.NewSlab(n.groups, 0, 0, sh.env.line.Pool())
-			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.groups)
+			sl.srBanks.Arena = snap.NewArena[*regulator.SigmaRho](n.groups)
 		case SchemeSRL:
 			sh.eng.Grow(des.KindSRLDone, n.groups)
 			sh.eng.Grow(des.KindSRLOn, n.clocks)
 			sl.reg = regulator.NewSlab(0, n.clocks, n.groups, sh.env.line.Pool())
-			sl.srlBanks = snap.NewArena[*regulator.SRL](n.groups)
+			sl.srlBanks.Arena = snap.NewArena[*regulator.SRL](n.groups)
 			sh.env.sizeClocks(n.clocks)
 		default:
 			continue // capacity-aware: no regulators
 		}
 		sl.regLinks = snap.NewArena[regLink](n.groups)
 	}
+	return most
 }
 
 // registerBarriers is the one mechanism that applies control actions: one

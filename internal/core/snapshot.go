@@ -45,6 +45,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -139,37 +140,43 @@ type codec struct {
 	// slots they name, the second writes them) and, per family, the set of
 	// registry slots those events name — both buffers serve every shard in
 	// turn. Restore: per family the serialized slots (ascending, as
-	// written). The engine's owner tables hold no component before the
-	// components record, so the i-th of them is the one it registers i-th.
+	// written) — the engine's owner tables hold no component before the
+	// components record, so the i-th of them is the one it registers i-th —
+	// and, in the MUX family's set, the MUXes a pending completion names.
 	evs   []des.PendingEvent
 	ref   [numFamilies]bitset
 	slots [numFamilies][]uint32
-	// Restore: per shard its forwarders, its hosts' (group, child) edges and
-	// the groups they forward; and the children of routesOf's (group,
-	// child) edges, sorted.
+	// Restore: per shard its forwarders, their connections, their (group,
+	// child) edges and the groups they forward; and routesOf's edges,
+	// sorted by child.
 	per      []shardCount
-	routes   []int
+	routes   []edge
 	routesOf *forwarder
 	// Snapshot: the scratch each tree sorts its parents in.
 	parents []int32
 }
 
-type shardCount struct{ fwds, edges, forwards int }
+type shardCount struct{ fwds, conns, edges, forwards int }
 
-// routed returns the groups routed through f's connection to child — what
-// wire counts for a build. It sorts f's edges once for a run of its host's
-// MUX stanzas, and a build makes each host's MUXes one after another.
-func (c *codec) routed(f *forwarder, child int) int {
+// conn returns the slot f's edges name for its connection to child, or -1
+// when none does, and the groups routed through it — what wire counts for
+// a build. It sorts f's edges once for a run of its host's MUX stanzas,
+// and a build makes each host's MUXes one after another.
+func (c *codec) conn(f *forwarder, child int) (slot int32, routed int) {
 	if c.routesOf != f {
 		c.routesOf, c.routes = f, c.routes[:0]
-		for _, cs := range f.children.kids {
-			c.routes = append(c.routes, cs...)
+		for _, es := range f.children.edges {
+			c.routes = append(c.routes, es...)
 		}
-		slices.Sort(c.routes)
+		slices.SortFunc(c.routes, func(a, b edge) int { return cmp.Compare(a.child, b.child) })
 	}
-	lo, _ := slices.BinarySearch(c.routes, child)
-	hi, _ := slices.BinarySearch(c.routes, child+1)
-	return hi - lo
+	byChild := func(e edge, c int32) int { return cmp.Compare(e.child, c) }
+	lo, ok := slices.BinarySearchFunc(c.routes, int32(child), byChild)
+	if !ok {
+		return -1, 0
+	}
+	hi, _ := slices.BinarySearchFunc(c.routes, int32(child)+1, byChild)
+	return c.routes[lo].mux, hi - lo
 }
 
 // walk visits every record of the stream in order — (row, index within
@@ -273,21 +280,16 @@ func Restore(cfg Config, data []byte) (*Session, error) {
 // current mode's bank and a MUX for each child — what forward and
 // replicate touch on its next packet. Each component record is well-formed
 // on its own; bytes that move one to another host's stanza leave the slot
-// it came from empty. (A host may hold more MUXes than children: one keeps
-// draining after its child moves away.) The check is one bit test per tree
-// edge: hasMux holds the current host's MUX destinations.
+// it came from empty. (A host may hold more MUXes than children: one stays
+// in service after its child leaves the host's last group with it.) The
+// check is one slot test per tree edge.
 func (s *Session) checkWiring() error {
-	var hasMux bitset
-	hasMux.reset(len(s.hosts))
 	for id, h := range s.hosts {
 		f := h.fwd
 		if f == nil {
 			continue // readHosts refused a leaf with children
 		}
-		for _, c := range f.muxChild {
-			hasMux.set(int(c))
-		}
-		for i, kids := range f.children.kids {
+		for i, kids := range f.children.edges {
 			if len(kids) == 0 {
 				continue
 			}
@@ -301,14 +303,11 @@ func (s *Session) checkWiring() error {
 			if !ok {
 				return fmt.Errorf("core: snapshot host %d forwards group %d with no regulator in mode %v", id, f.children.groups[i], f.mode)
 			}
-			for _, c := range kids {
-				if !hasMux.has(int(c)) {
-					return fmt.Errorf("core: snapshot host %d forwards group %d to %d with no MUX", id, f.children.groups[i], c)
+			for _, e := range kids {
+				if f.muxes[e.mux] == nil {
+					return fmt.Errorf("core: snapshot host %d forwards group %d to %d with no MUX", id, f.children.groups[i], e.child)
 				}
 			}
-		}
-		for _, c := range f.muxChild {
-			hasMux.unset(int(c))
 		}
 	}
 	return nil
@@ -560,11 +559,12 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	plan := s.sub.plan
 	// A forwarder, its connection table and its regulator banks are carved
 	// from its shard's slabs, sized as a build sizes them: a forwarder per
-	// host with children, one connection per distinct child — at most its
-	// child count — and one bank entry per group it forwards, in each bank
-	// its scheme can build. A forwarder whose children all left, or one a
-	// later graft starts, is carved from a refill chunk. The codec's edge
-	// scratch (routed) is sized for the host with the most.
+	// host with children, a connection-table slot per distinct child —
+	// the slots its edges name — and one bank entry per group it forwards,
+	// in each bank its scheme can build. A forwarder whose children all
+	// left, one a later graft starts, and a connection no edge names are
+	// carved from a refill chunk. The codec's edge scratch (conn) is sized
+	// for the host with the most.
 	per := make([]shardCount, len(s.sh))
 	most := 0
 	for id := range s.hosts {
@@ -573,24 +573,25 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			n.fwds++
 		}
 		n.forwards += len(gc.groups)
+		n.conns += gc.slots()
 		edges := 0
-		for _, cs := range gc.kids {
-			edges += len(cs)
+		for _, es := range gc.edges {
+			edges += len(es)
 		}
 		n.edges += edges
 		most = max(most, edges)
 	}
-	c.per, c.routes = per, make([]int, 0, most)
+	c.per, c.routes = per, make([]edge, 0, most)
 	scheme := s.sub.cfg.Scheme
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
 		sl.fwds = snap.NewArena[forwarder](n.fwds)
-		sl.muxChild, sl.muxes = snap.NewArena[int32](n.edges), snap.NewArena[*mux.Mux](n.edges)
+		sl.muxes.Arena = snap.NewArena[*mux.Mux](n.conns)
 		if scheme == SchemeSigmaRho || scheme == SchemeAdaptive {
-			sl.srBanks = snap.NewArena[*regulator.SigmaRho](n.forwards)
+			sl.srBanks.Arena = snap.NewArena[*regulator.SigmaRho](n.forwards)
 		}
 		if scheme == SchemeSRL || scheme == SchemeAdaptive {
-			sl.srlBanks = snap.NewArena[*regulator.SRL](n.forwards)
+			sl.srlBanks.Arena = snap.NewArena[*regulator.SRL](n.forwards)
 		}
 	}
 	for id := range s.hosts {
@@ -613,12 +614,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 		}
 		f := h.newForwarder()
 		f.children = plan.of(id)
-		n := 0
-		for _, cs := range f.children.kids {
-			n += len(cs)
-		}
 		sl := &h.env.slabs
-		f.muxChild, f.muxes = sl.muxChild.Take(n)[:0], sl.muxes.Take(n)[:0]
+		f.muxes = sl.muxes.Take(f.children.slots())
 		f.mode = mode
 		f.switches = int32(r.U32())
 		f.srlCycling = r.Bool()
@@ -925,7 +922,7 @@ func writeFamily(w *snap.Writer, hosts []host, env *hostEnv, f family, comps []d
 		}
 		comp := h.(component)
 		id := env.ident(slot, comp)
-		live := hosts[id.host].fwd.isLive(f, int(id.sub), comp)
+		live := hosts[id.host].fwd.isLive(f, comp)
 		if !live && !ref.has(slot) {
 			continue
 		}
@@ -1017,13 +1014,13 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds two clocks for group %d at host %d's capacity", si, sub, hid))
 				return
 			}
-			routed := 0
+			at, routed := int32(-1), 0
 			if f == famMux && live {
-				routed = c.routed(h.fwd, sub)
+				at, routed = c.conn(h.fwd, sub)
 			}
 			comp := h.restoreComp(r, f, sub, capacity, routed)
-			if live && !h.install(f, sub, comp) {
-				r.Fail(fmt.Errorf("core: snapshot host %d holds a live regulator for group %d, in which it has no children", hid, sub))
+			if live && !h.install(f, sub, at, comp) {
+				r.Fail(fmt.Errorf("core: snapshot host %d holds a live component of family %d for %d, which its children contradict", hid, f, sub))
 				return
 			}
 			if following {
@@ -1076,6 +1073,8 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 	n := r.Count(eventSnapBytes)
 	sh.eng.Reserve(n)
 	sh.fabric.ReserveFlights(countFlights(*r, n))
+	done := &c.ref[famMux]
+	done.reset(len(c.slots[famMux]))
 	for ; n > 0; n-- {
 		at, prio := des.Time(r.I64()), des.Time(r.I64())
 		kind, arg := r.U16(), r.U32()
@@ -1108,6 +1107,13 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 				return
 			}
 			arg = uint32(i)
+		}
+		if kind == des.KindMuxDone { // one per MUX in transmission, none for an idle one
+			if done.has(int(arg)) || !sh.eng.Owners(kind)[arg].(*mux.Mux).Busy() {
+				r.Fail(fmt.Errorf("core: snapshot MUX completion at %v names a MUX with no packet in transmission for it", at))
+				return
+			}
+			done.set(int(arg))
 		}
 		ev, err := sh.eng.Reinsert(at, prio, kind, arg)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
-	"repro/internal/snap"
 	"repro/internal/topo"
 	"repro/internal/xrand"
 )
@@ -540,24 +540,26 @@ func compile(cfg Config, resume bool) *substrate {
 }
 
 // compileChildren flattens every host's per-group child sets in the
-// given trees into a childPlan in O(total tree edges): a counting pass
-// sizes the plan's three arenas (group ids, child-list headers, child ids)
-// and its per-host offset index, then a group-ascending fill pass writes
-// each host's slots at its offset. Three bulk allocations and the index
-// replace the per-(host, group) slice copies an earlier version made — at
-// 100k hosts × 512 groups that is millions of heap objects the GC no
-// longer scans. It is the one compiler of child sets: a blueprint runs it
-// once over its trees for every session built or restored from it
-// (blueprint.children); a session runs it at its first child-set edit
-// (edits.own), and a restore over its trees when the snapshot's differ
-// from the blueprint's (readHosts).
+// given trees into a childPlan: a counting pass sizes the plan's three
+// arenas (group ids, edge-window headers, edges) and its per-host offset
+// index, a group-ascending fill pass writes each host's slots at its
+// offset, and a connection pass gives each edge its connection's slot.
+// Three bulk allocations and the index replace the per-(host, group)
+// slice copies an earlier version made — at 100k hosts × 512 groups that
+// is millions of heap objects the GC no longer scans. It is the one
+// compiler of child sets: a blueprint runs it once over its trees for
+// every session built or restored from it (blueprint.children); a session
+// runs it at its first child-set edit (edits.own), and a restore over its
+// trees when the snapshot's differ from the blueprint's (readHosts).
 //
-// The counting pass fans across parallelIndexed's worker pool (per-worker
-// count arrays, summed after the join); the fill pass walks groups in
-// ascending order so each host's slots come out sorted by group id
-// without any per-host sort. Children are copied out of the trees: trees
-// own their child slices, and the control plane mutates host child sets
-// independently of tree bookkeeping.
+// The counting and connection passes fan across parallelIndexed's worker
+// pool (per-worker count arrays, summed after the join; per-worker
+// scratch); the fill pass walks groups in ascending order so each host's
+// slots come out sorted by group id without any per-host sort. Children
+// are copied out of the trees: trees own their child slices, and the
+// control plane mutates host child sets independently of tree
+// bookkeeping. A host's connections are its distinct children in
+// ascending order, the order a build makes their MUXes in (host.wire).
 func compileChildren(numHosts int, trees []*overlay.Tree) *childPlan {
 	numGroups := len(trees)
 	workers := max(1, min(compileWorkers(), numGroups))
@@ -586,80 +588,54 @@ func compileChildren(numHosts int, trees []*overlay.Tree) *childPlan {
 	// The offset index, and each count turned into its host's fill cursor:
 	// the first slot and the first child id of its windows.
 	pl := &childPlan{off: make([]int32, numHosts+1)}
-	var kidTotal int32
+	var kidTotal, most int32
 	for p := 0; p < numHosts; p++ {
 		pl.off[p+1] = pl.off[p] + slotCur[p]
 		slotCur[p] = pl.off[p]
+		most = max(most, kidCur[p])
 		kidTotal, kidCur[p] = kidTotal+kidCur[p], kidTotal
 	}
 	pl.groups = make([]int32, pl.off[numHosts])
-	pl.kids = make([][]int, pl.off[numHosts])
-	pl.ids = make([]int, kidTotal)
+	pl.kids = make([][]edge, pl.off[numHosts])
+	pl.edges = make([]edge, kidTotal)
 
 	// Fill pass: groups ascending, so slots land sorted by group id; each
-	// child list is capacity-capped at its own window.
+	// edge window is capacity-capped at its own length. A host's edges end
+	// up back to back, ending at its cursor.
 	for g := 0; g < numGroups; g++ {
 		g32 := int32(g)
 		trees[g].EachParent(func(p int, cs []int) {
 			i, start := slotCur[p], kidCur[p]
 			end := start + int32(len(cs))
 			pl.groups[i] = g32
-			pl.kids[i] = pl.ids[start:end:end]
-			copy(pl.kids[i], cs)
+			w := pl.edges[start:end:end]
+			for k, c := range cs {
+				w[k].child = int32(c)
+			}
+			pl.kids[i] = w
 			slotCur[p], kidCur[p] = i+1, end
 		})
 	}
-	return pl
-}
 
-// hostConns returns each host's distinct child connections, sorted — the
-// per-host wiring plan host.wire consumes. The per-host de-duplication is
-// pure (it reads only that host's child sets), so the plan fans across
-// the worker pool, each host filling its own window of one array sized by
-// its child count; MUX creation itself stays sequential because component
-// registry slots must be assigned in host order.
-func hostConns(pl *childPlan) [][]int {
-	numHosts := len(pl.off) - 1
-	conns := make([][]int, numHosts)
-	arena := snap.NewArena[int](len(pl.ids))
-	for p := range conns {
-		n := 0
-		for _, cs := range pl.of(p).kids {
-			n += len(cs)
+	// Connection pass: each edge names its child's rank among the host's
+	// distinct children, sorted in a window of one scratch per worker.
+	scratch := make([]int32, int(most)*workers)
+	parallelIndexed(numHosts, workers, func(w, p int) {
+		var start int32
+		if p > 0 {
+			start = kidCur[p-1]
 		}
-		if n > 0 {
-			conns[p] = arena.Take(n)[:0]
+		es := pl.edges[start:kidCur[p]]
+		cs := scratch[int(most)*w : int(most)*w : int(most)*(w+1)]
+		for _, e := range es {
+			cs = append(cs, e.child)
 		}
-	}
-	parallelIndexed(numHosts, compileWorkers(), func(_, p int) {
-		out := conns[p]
-		for _, cs := range pl.of(p).kids {
-			for _, c := range cs {
-				out = insertSortedDistinct(out, c)
-			}
+		slices.Sort(cs)
+		cs = slices.Compact(cs)
+		for i := range es {
+			k, _ := slices.BinarySearch(cs, es[i].child)
+			es[i].mux = int32(k)
 		}
-		conns[p] = out
 	})
-	return conns
-}
-
-// insertSortedDistinct inserts v into sorted ascending s, skipping
-// duplicates.
-func insertSortedDistinct(s []int, v int) []int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = v
-	return s
+	return pl
 }

@@ -199,10 +199,11 @@ func planBytes(pl *childPlan) []byte {
 	for _, g := range pl.groups {
 		b = binary.LittleEndian.AppendUint32(b, uint32(g))
 	}
-	for _, cs := range pl.kids {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(cs)))
-		for _, c := range cs {
-			b = binary.LittleEndian.AppendUint64(b, uint64(c))
+	for _, es := range pl.kids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(es)))
+		for _, e := range es {
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.child))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.mux))
 		}
 	}
 	return b
@@ -385,17 +386,23 @@ func TestBlueprintKeyMatchesFmt(t *testing.T) {
 }
 
 // referenceChildren is the pre-arena compileChildren: group-major appends
-// with one heap copy per (host, group) slot. The arena version must
-// produce exactly this structure.
+// with one heap copy per (host, group) slot, each edge's connection slot
+// its child's rank among the host's distinct children, found by the
+// per-host de-duplication a build once did inline (denseChildren). The
+// arena version must produce exactly this structure.
 func referenceChildren(sub *substrate) []groupChildren {
-	per := make([]groupChildren, sub.cfg.NumHosts)
+	lists := make([][][]int, sub.cfg.NumHosts)
 	for g, st := range sub.groups {
-		g32 := int32(g)
 		st.tree.EachParent(func(p int, kids []int) {
-			gc := &per[p]
-			gc.groups = append(gc.groups, g32)
-			gc.kids = append(gc.kids, append([]int(nil), kids...))
+			for len(lists[p]) <= g {
+				lists[p] = append(lists[p], nil)
+			}
+			lists[p][g] = append([]int(nil), kids...)
 		})
+	}
+	per := make([]groupChildren, sub.cfg.NumHosts)
+	for p := range per {
+		per[p] = denseChildren(lists[p])
 	}
 	return per
 }
@@ -411,9 +418,10 @@ func planChildren(pl *childPlan, id int) groupChildren {
 
 // TestCompileChildrenArena pins the arena-packed children index against
 // the reference implementation, checks that a control-plane append to one
-// host's view reallocates off-arena instead of corrupting the neighbouring
-// slot, and pins the plan's layout: its three arenas and a four-byte
-// offset per host, no per-host header array.
+// host's view moves it off the arena instead of corrupting the
+// neighbouring slot, and pins the plan's layout: its three arenas and a
+// four-byte offset per host, no per-host header array, an 8-byte edge per
+// (group, child).
 func TestCompileChildrenArena(t *testing.T) {
 	for name, cfg := range substrateGoldenConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -426,8 +434,8 @@ func TestCompileChildrenArena(t *testing.T) {
 					t.Fatalf("host %d: arena-packed children %v diverged from reference %v", p, got, want[p])
 				}
 				slots += len(want[p].groups)
-				for _, cs := range want[p].kids {
-					edges += len(cs)
+				for _, es := range want[p].edges {
+					edges += len(es)
 				}
 			}
 			// The plan is its fields: any per-host array beside the offset
@@ -443,12 +451,13 @@ func TestCompileChildrenArena(t *testing.T) {
 			}
 			// Append to the first host with children; its neighbours'
 			// slots must be unaffected (capacity-capped carving).
+			var spare blocks[edge]
 			for p := range want {
 				gc := pl.of(p)
 				if len(gc.groups) == 0 {
 					continue
 				}
-				gc.add(int(gc.groups[0]), cfg.NumHosts) // off-range id: visible if it bleeds
+				spare.insert(gc.edges[0], len(gc.edges[0]), edge{int32(cfg.NumHosts), 0}) // off-range id: visible if it bleeds
 				for q := p + 1; q < len(want); q++ {
 					if !reflect.DeepEqual(planChildren(pl, q), want[q]) {
 						t.Fatalf("append at host %d corrupted host %d's slots", p, q)
@@ -475,16 +484,34 @@ func TestCompileChildrenPanicReachesCaller(t *testing.T) {
 	compileChildren(1, sub.trees()) // every parent past host 0 now indexes out of range
 }
 
-// TestHostConnsMatchesNewHost pins the parallel wiring plan against the
-// per-host de-duplication newHost used to do inline.
+// TestHostConnsMatchesNewHost pins the connection slots the parallel
+// compile gives each edge against the per-host de-duplication newHost
+// used to do inline: a host's connections are its distinct children in
+// ascending order, every edge names its child's, and a host wired from
+// its compiled child sets makes their MUXes in that order.
 func TestHostConnsMatchesNewHost(t *testing.T) {
 	cfg := Config{NumHosts: 200, NumGroups: 8, Mix: traffic.MixAudio, Load: 0.8,
 		Scheme: SchemeSRL, Seed: 5}
-	pl := compileSubstrate(cfg).plan
-	conns := hostConns(pl)
-	for p := range conns {
-		if want := connsOf(pl.of(p)); !reflect.DeepEqual(conns[p], want) {
-			t.Fatalf("host %d wiring plan diverged: got %v, want %v", p, conns[p], want)
+	sub := compileSubstrate(cfg)
+	pl, want := sub.plan, referenceChildren(sub)
+	var sent []int
+	env := testEnv(des.New(), &sent)
+	for p := range want {
+		gc := pl.of(p)
+		if !reflect.DeepEqual(planChildren(pl, p), want[p]) {
+			t.Fatalf("host %d connection slots diverged: got %v, want %v", p, gc.edges, want[p].edges)
+		}
+		if len(gc.groups) == 0 {
+			continue
+		}
+		h := newHost(p, env, gc, SchemeCapacityAware)
+		prev := -1
+		for _, m := range h.fwd.muxes {
+			from, to := m.Ends()
+			if from != p || to <= prev {
+				t.Fatalf("host %d wired its connections out of ascending child order", p)
+			}
+			prev = to
 		}
 	}
 }

@@ -43,9 +43,13 @@ func (d Discipline) String() string {
 }
 
 // Link is where a MUX puts a packet it has served: onto the output link
-// from host from to host to. A session's fabric is one.
+// from host from to host to, whose propagation delay lat the Link priced
+// when the MUX was made (Latency). The link's ends and its delay are fixed
+// for the MUX's life, so the price is paid once per connection, not per
+// packet. A session's fabric is one.
 type Link interface {
-	Send(from, to int, p traffic.Packet)
+	Latency(from, to int) des.Duration
+	Carry(from, to int, lat des.Duration, p traffic.Packet)
 }
 
 // Line is what every MUX on one engine shares: the engine its transmit
@@ -94,19 +98,25 @@ func (l *Line) Pool() *snap.Arena[traffic.Packet] { return &l.pool }
 //
 // What every MUX on an engine has in common lives in its Line; the record
 // itself is the connection — its capacity, queue, the packet in
-// transmission and the link's two ends.
+// transmission, the link's two ends and its priced delay.
 type Mux struct {
 	line *Line
 	c    float64          // bits/second
 	q    []traffic.Packet // queued packets in arrival order, from head on
 	bits float64
-	cur  traffic.Packet // packet in transmission (valid while busy)
+	// cur is the packet in transmission; its Flow is idle while the server
+	// is idle (a queued packet's flow is never negative), so the record
+	// needs no busy flag.
+	cur  traffic.Packet
+	lat  des.Duration // the output link's propagation delay, priced by init
 	head int32
 	slot uint32 // in the engine's KindMuxDone owner table
 	from int32  // the output link's ends, host ids
 	to   int32
-	busy bool
 }
+
+// idle is cur.Flow while the server transmits nothing.
+const idle = -1
 
 // New returns a MUX with k input flows at capacity c bits/second, on a
 // Line of its own.
@@ -117,35 +127,47 @@ func New(eng *des.Engine, k int, c float64, d Discipline, out func(traffic.Packe
 	return new(Mux).init(NewLine(eng, k, d, sinkLink(out)), c, 0, 0)
 }
 
-// sinkLink is a Link that ignores the ends: New's output.
+// sinkLink is a Link that ignores the ends and has no delay: New's output.
 type sinkLink func(traffic.Packet)
 
-func (f sinkLink) Send(_, _ int, p traffic.Packet) { f(p) }
+func (f sinkLink) Latency(_, _ int) des.Duration { return 0 }
 
-// init is New into zeroed storage the caller made (see Slab): the MUX
-// serves the link from→to of line and registers as the owner of its
-// transmit completions.
+func (f sinkLink) Carry(_, _ int, _ des.Duration, p traffic.Packet) { f(p) }
+
+// init is New into zeroed storage the caller made (see Slab), shared by
+// creation and restore: the MUX serves the link from→to of line, prices
+// that link once, and registers as the owner of its transmit completions.
 func (m *Mux) init(line *Line, c float64, from, to int) *Mux {
 	if c <= 0 {
 		panic("mux: capacity must be positive")
 	}
 	m.line, m.c, m.from, m.to = line, c, int32(from), int32(to)
+	m.lat = line.out.Latency(from, to)
+	m.cur.Flow = idle
 	m.slot = line.eng.Register(des.KindMuxDone, m)
 	return m
 }
 
 // Fire is the transmit completion (des.KindMuxDone): the packet in
-// transmission leaves, and service moves on.
+// transmission leaves on the priced link, and service moves on.
 func (m *Mux) Fire(uint16) {
-	m.line.out.Send(int(m.from), int(m.to), m.cur)
+	m.line.out.Carry(int(m.from), int(m.to), m.lat, m.cur)
 	m.serve()
 }
+
+// Busy reports whether a packet is in transmission: the MUX's one
+// pending completion is for it.
+func (m *Mux) Busy() bool { return m.cur.Flow != idle }
 
 // Line returns the shared part of the MUX: its engine's Line.
 func (m *Mux) Line() *Line { return m.line }
 
 // Ends returns the host ids of the MUX's output link.
 func (m *Mux) Ends() (from, to int) { return int(m.from), int(m.to) }
+
+// Latency returns the propagation delay of the MUX's output link, as its
+// Link priced it when the MUX was made.
+func (m *Mux) Latency() des.Duration { return m.lat }
 
 // Capacity returns the service rate in bits/second.
 func (m *Mux) Capacity() float64 { return m.c }
@@ -182,7 +204,7 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 	}
 	m.q = append(m.q, p)
 	m.bits += p.Size
-	if !m.busy {
+	if !m.Busy() {
 		m.serve()
 	}
 }
@@ -191,10 +213,9 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 // oldest — or idles the server when none is queued.
 func (m *Mux) serve() {
 	if int(m.head) == len(m.q) {
-		m.busy = false
+		m.cur.Flow = idle
 		return
 	}
-	m.busy = true
 	var p traffic.Packet
 	l := m.line
 	if l.d == LIFO {

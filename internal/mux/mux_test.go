@@ -267,20 +267,28 @@ func TestMuxAccessors(t *testing.T) {
 // TestMuxRecordSize pins the record a session holds per connection: what
 // every MUX on an engine shares sits in its Line, not in each record. The
 // record was 136 bytes, and a 16-byte output record rode beside it, 4.8 MB
-// of a started waxman-zipf-512 session's 99,376 connections.
+// of a started waxman-zipf-512 session's 99,376 connections. The link's
+// priced delay took the room of the busy flag, which the packet in
+// transmission now says.
 func TestMuxRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(Mux{}); got > 104 {
 		t.Fatalf("MUX record is %d bytes, want at most 104", got)
 	}
 }
 
-// ends is a Link that records the ends each packet was sent on.
-type ends [][3]int
+// ends is a Link that records the ends and the delay each packet was sent
+// with; it prices a link from→to at from·1000 + to nanoseconds.
+type ends [][4]int
 
-func (e *ends) Send(from, to int, p traffic.Packet) { *e = append(*e, [3]int{from, to, int(p.ID)}) }
+func (e *ends) Latency(from, to int) des.Duration { return des.Duration(from*1000 + to) }
+
+func (e *ends) Carry(from, to int, lat des.Duration, p traffic.Packet) {
+	*e = append(*e, [4]int{from, to, int(lat), int(p.ID)})
+}
 
 // TestMuxSendsOnItsEnds: MUXes made in a slab on one Line share its engine,
-// order and link, and each sends what it serves on its own ends.
+// order and link, and each sends what it serves on its own ends, at the
+// delay its Link priced once when the MUX was made.
 func TestMuxSendsOnItsEnds(t *testing.T) {
 	eng := des.New()
 	var sent ends
@@ -298,7 +306,10 @@ func TestMuxSendsOnItsEnds(t *testing.T) {
 		b.Enqueue(traffic.Packet{ID: 2, Flow: 1, Size: 2000})
 	})
 	eng.Run()
-	if want := (ends{{7, 3, 1}, {7, 9, 2}}); !reflect.DeepEqual(sent, want) {
+	if a.Latency() != 7003 || b.Latency() != 7009 {
+		t.Fatalf("priced latencies %v and %v, want 7003 and 7009", a.Latency(), b.Latency())
+	}
+	if want := (ends{{7, 3, 7003, 1}, {7, 9, 7009, 2}}); !reflect.DeepEqual(sent, want) {
 		t.Fatalf("sent %v, want %v", sent, want)
 	}
 }

@@ -21,8 +21,8 @@ func (m *Mux) Snapshot(w *snap.Writer) {
 		p.Snapshot(w)
 	}
 	w.F64(m.bits)
-	w.Bool(m.busy)
-	if m.busy {
+	w.Bool(m.Busy())
+	if m.Busy() {
 		m.cur.Snapshot(w)
 	}
 }
@@ -78,14 +78,14 @@ func (sl *Slab) Restore(r *snap.Reader, line *Line, c float64, from, to, routed 
 		m.q[i] = traffic.RestorePacket(r, line.k)
 	}
 	m.bits = r.F64()
-	m.busy = r.Bool()
-	if m.busy {
+	busy := r.Bool()
+	if busy {
 		m.cur = traffic.RestorePacket(r, line.k)
 	}
 	if math.IsInf(m.bits, 0) || math.IsNaN(m.bits) {
 		r.Fail(fmt.Errorf("mux: snapshot backlog %v bits is not finite", m.bits))
 	}
-	if !m.busy && n > 0 && r.Err() == nil {
+	if !busy && n > 0 && r.Err() == nil {
 		r.Fail(fmt.Errorf("mux: snapshot idle MUX with %d packets queued", n))
 	}
 	return m

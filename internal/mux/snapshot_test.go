@@ -95,7 +95,7 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			}
 			want := m.q[m.head:]
 			if got.line != line || got.from != 0 || got.to != int32(i+1) ||
-				got.bits != m.bits || got.busy != m.busy || got.cur != m.cur || got.head != 0 ||
+				got.bits != m.bits || got.Busy() != m.Busy() || got.cur != m.cur || got.head != 0 ||
 				!reflect.DeepEqual(got.q, want) && len(want)+len(got.q) > 0 {
 				t.Fatalf("short=%v: MUX %d restored as %+v, want %+v", short, i, got, m)
 			}
@@ -105,7 +105,7 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			// No completion event was re-inserted into the new engine, so mark
 			// the server idle by hand and let one more arrival drain the
 			// restored queue.
-			got.busy = false
+			got.cur.Flow = idle
 			got.Enqueue(traffic.Packet{ID: 99, Flow: 0, Size: 1e4})
 			eng2.Run()
 			if got.Len() != 0 || len(served) == 0 || served[0] != 99 {
@@ -171,7 +171,7 @@ func TestSlabEnqueueAllocFree(t *testing.T) {
 		"built":    sl.New(line, 1e6, 0, 1, routed),
 		"restored": sl.Restore(r, line, 1e6, 0, 2, routed),
 	} {
-		m.busy = true // hold service so the arrivals queue
+		m.cur.Flow = 0 // hold service so the arrivals queue
 		fill := func() {
 			for f := 0; f < routed; f++ {
 				m.Enqueue(traffic.Packet{Flow: 2 * f, Size: 1e4})
@@ -196,7 +196,7 @@ func TestQueueGrowsIntoLinePool(t *testing.T) {
 		sl := NewSlab(2, 2)
 		a, b := sl.New(line, 1e6, 0, 1, 1), sl.New(line, 1e6, 0, 2, 1)
 		for _, m := range []*Mux{a, b} {
-			m.busy = true // hold service so the arrivals queue
+			m.cur.Flow = 0 // hold service so the arrivals queue
 			for i := 0; i < 5; i++ {
 				m.Enqueue(traffic.Packet{ID: uint64(i), Flow: i % 2, Size: 1e4})
 			}
@@ -209,7 +209,7 @@ func TestQueueGrowsIntoLinePool(t *testing.T) {
 		if unsafe.Pointer(&next[0]) != end {
 			t.Fatalf("%v: the pool's next window is not where the last grown queue ends", d)
 		}
-		a.busy = false
+		a.cur.Flow = idle
 		a.serve()
 		eng.Run()
 		want := []uint64{4, 3, 2, 1, 0}

@@ -160,8 +160,21 @@ func (f *Fabric) SetReceiver(host int, fn func(traffic.Packet)) {
 
 // Send carries p from host src to host dst and invokes dst's receiver.
 // On a sharded fabric, packets to hosts owned by other shards are handed
-// to the Remote hook with their arrival time instead.
+// to the Remote hook with their arrival time instead. It prices the link
+// on every call; a sender with a fixed link prices it once (Latency) and
+// sends with Carry.
 func (f *Fabric) Send(src, dst int, p traffic.Packet) {
+	f.Carry(src, dst, f.Latency(src, dst), p)
+}
+
+// Latency returns the propagation delay of the link src→dst: the
+// network's, which is fixed for the life of the fabric.
+func (f *Fabric) Latency(src, dst int) des.Duration { return f.net.Latency(src, dst) }
+
+// Carry is Send on a link its caller priced: lat must be Latency(src, dst).
+// A session's MUX prices its connection once and sends every packet it
+// serves through here, so the forwarding path reads no topology.
+func (f *Fabric) Carry(src, dst int, lat des.Duration, p traffic.Packet) {
 	if src == dst {
 		f.Deliver(dst, p)
 		return
@@ -170,10 +183,10 @@ func (f *Fabric) Send(src, dst int, p traffic.Packet) {
 		return
 	}
 	if f.hooks.Remote != nil && !f.hooks.Local(dst) {
-		f.hooks.Remote(dst, f.eng.Now()+f.net.Latency(src, dst), p)
+		f.hooks.Remote(dst, f.eng.Now()+lat, p)
 		return
 	}
-	f.pipes.send(f.net.Latency(src, dst), transit{p: p, dst: dst})
+	f.pipes.send(lat, transit{p: p, dst: dst})
 }
 
 // PendingFlight reads the in-flight delivery a pending KindFlight event

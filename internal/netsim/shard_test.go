@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/des"
@@ -193,5 +194,96 @@ func TestLookaheadMatrixSingleShard(t *testing.T) {
 	net := shardTestNetwork(t, 50)
 	if _, ok := LookaheadMatrix(net, make([]int, 50)); ok {
 		t.Fatal("single-shard assignment reported cross-shard lookahead")
+	}
+}
+
+// TestCarryMatchesSend: a send on a link priced once (Latency, then Carry)
+// is Send, event for event. Two fabrics over one network, one sharded
+// partition and one partition cut take the same sends — local, remote,
+// cut and to self — one through Send and one through Carry; their pending
+// flights have the same (at, prio), their Remote hand-offs the same
+// (dst, at, packet), their drops the same count and their deliveries the
+// same (host, instant, packet).
+func TestCarryMatchesSend(t *testing.T) {
+	net := shardTestNetwork(t, 40)
+	owner := PartitionHosts(net, 2)
+	type handoff struct {
+		dst int
+		at  des.Time
+		p   traffic.Packet
+	}
+	type delivery struct {
+		host int
+		at   des.Time
+		id   uint64
+	}
+	type side struct {
+		eng       *des.Engine
+		fab       *Fabric
+		handoffs  []handoff
+		delivered []delivery
+		dropped   int
+	}
+	build := func() *side {
+		s := &side{eng: des.New()}
+		s.fab = NewFabric(s.eng, net, FabricConfig{
+			Local:  func(h int) bool { return owner[h] == 0 },
+			Remote: func(dst int, at des.Time, p traffic.Packet) { s.handoffs = append(s.handoffs, handoff{dst, at, p}) },
+			Drop: func(src, dst int) bool {
+				if src%7 == 3 {
+					s.dropped++
+					return true
+				}
+				return false
+			},
+		})
+		for h := range owner {
+			h := h
+			s.fab.SetReceiver(h, func(p traffic.Packet) { s.delivered = append(s.delivered, delivery{h, s.eng.Now(), p.ID}) })
+		}
+		return s
+	}
+	send, carry := build(), build()
+	sends := func(round int) {
+		id := uint64(round * 1000)
+		for src := 0; src < len(owner); src += 3 {
+			for dst := 0; dst < len(owner); dst += 5 {
+				id++
+				p := traffic.Packet{ID: id, Size: 1000}
+				send.fab.Send(src, dst, p)
+				carry.fab.Carry(src, dst, carry.fab.Latency(src, dst), p)
+			}
+		}
+	}
+	stamps := func(s *side) [][2]des.Time {
+		evs, err := s.eng.PendingEvents(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][2]des.Time
+		for _, ev := range evs {
+			out = append(out, [2]des.Time{ev.At, ev.Prio})
+		}
+		return out
+	}
+	for round := 0; round < 3; round++ {
+		sends(round)
+		a, b := stamps(send), stamps(carry)
+		if len(a) == 0 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("round %d: pending (at, prio) through Send %v, through Carry %v", round, a, b)
+		}
+		until := des.Time(round+1) * 3 * des.Millisecond
+		send.eng.RunUntil(until)
+		carry.eng.RunUntil(until)
+	}
+	send.eng.Run()
+	carry.eng.Run()
+	if len(send.handoffs) == 0 || send.dropped == 0 || len(send.delivered) == 0 {
+		t.Fatalf("fixture exercises too little: %d hand-offs, %d drops, %d deliveries", len(send.handoffs), send.dropped, len(send.delivered))
+	}
+	if !reflect.DeepEqual(send.handoffs, carry.handoffs) || send.dropped != carry.dropped ||
+		!reflect.DeepEqual(send.delivered, carry.delivered) || send.fab.Delivered != carry.fab.Delivered {
+		t.Fatalf("Send and Carry differ: hand-offs %d/%d, drops %d/%d, deliveries %d/%d",
+			len(send.handoffs), len(carry.handoffs), send.dropped, carry.dropped, len(send.delivered), len(carry.delivered))
 	}
 }
