@@ -237,8 +237,9 @@ loc:
 		END { for (d in n) printf "%6d  %s\n", n[d], d; printf "%6d  total\n", t }' | sort -k2
 
 # The unused-export audit (audit_test.go, standard library only): every
-# exported identifier under internal/ needs a non-test caller — cmd/,
-# examples/, the facade, another package, or the benchmark module — or a
+# exported identifier under internal/ needs a non-test user — cmd/,
+# examples/, the facade, another package, or the benchmark module — found
+# by go/types, or, for a method, an interface its type satisfies; else a
 # one-line reason on the test's allowlist. `go test ./...` runs it too;
 # this target runs it alone and prints the audited count and allowlist size.
 audit:

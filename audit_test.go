@@ -1,28 +1,37 @@
 package wdc
 
-// The unused-export audit: every exported identifier under internal/ must
-// be referenced by some non-test code — its own package's, another
-// internal/ package's, cmd/, examples/, this facade, or the benchmark
-// module under benchmark/ — or carry a one-line reason on the allowlist
-// below. Standard library only (go/parser + go/ast), so it runs wherever
-// `go test` does. Run it alone with `make audit`.
+// The unused-export audit: every exported identifier under internal/ — a
+// top-level name, or a method of a type declared there — must be used by
+// some non-test code: its own package's, another internal/ package's,
+// cmd/, examples/, this facade, or the benchmark module under benchmark/.
+// A method is also used when it implements a method of an interface its
+// type satisfies (des.Handler, traffic.Sink, fmt.Stringer, sort.Interface,
+// ...), since an interface call reaches it where no selector names it.
+// Anything else carries a one-line reason on the allowlist below. Uses are
+// resolved by go/types, so a call of one type's method does not count for
+// another type's method of the same name. Standard library only: the
+// tree's packages are checked from source, the standard library is read
+// from its export data. Run it alone with `make audit`.
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // auditAllow names exported identifiers the audit must not flag, as
 // "pkg.Name" for top-level names and "pkg.Type.Method" for methods, each
-// with the reason it stays. An entry that becomes referenced, or whose
+// with the reason it stays. An entry that becomes used, or whose
 // declaration disappears, fails the audit too, so the list cannot go stale.
 var auditAllow = map[string]string{
 	// The paper's theorems in closed form, pinned to it by calculus tests.
@@ -36,38 +45,49 @@ var auditAllow = map[string]string{
 	// Accessors a test reads where no result does yet.
 	"stats.MaxTracker.Tag":  "the ID of the worst packet the session's per-group delay trackers observe",
 	"snap.Reader.Remaining": "the record-width probe of the mux, regulator and core snapshot tests",
-	// sort.Interface methods, called by sort.Sort alone.
-	"des.sorter.Less": "sort.Sort's comparison when a runner sorts its shard's outboxes",
-	"des.sorter.Swap": "sort.Sort's exchange when a runner sorts its shard's outboxes",
 }
 
 // auditModule is the module path the audited import paths start with.
 const auditModule = "repro"
 
-// auditDecl is one exported declaration under internal/.
-type auditDecl struct {
-	pkg  string // import path
-	recv string // receiver type name; "" for a top-level name
-	name string
+// auditPkg is one package of the tree's non-test files.
+type auditPkg struct {
+	path  string
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
 }
 
-func (d auditDecl) key() string {
-	short := strings.TrimPrefix(d.pkg, auditModule+"/internal/")
-	if d.recv != "" {
-		return short + "." + d.recv + "." + d.name
+// auditTree type-checks the tree's packages on demand, each once: the
+// benchmark module's repro/... imports resolve, as its replace directive
+// says, to the same packages as everyone else's.
+type auditTree struct {
+	fset *token.FileSet
+	pkgs map[string]*auditPkg
+	std  types.Importer
+}
+
+func (a *auditTree) Import(path string) (*types.Package, error) {
+	p, ok := a.pkgs[path]
+	if !ok {
+		return a.std.Import(path)
 	}
-	return short + "." + d.name
+	if p.pkg == nil {
+		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: a}
+		pkg, err := conf.Check(p.path, a.fset, p.files, p.info)
+		if err != nil {
+			return nil, fmt.Errorf("type-checking %s: %w", p.path, err)
+		}
+		p.pkg = pkg
+	}
+	return p.pkg, nil
 }
 
-// auditFile is one parsed non-test file and the import path of its package.
-type auditFile struct {
-	pkg  string
-	file *ast.File
-}
-
-func TestUnusedExports(t *testing.T) {
-	var files []auditFile
-	fset := token.NewFileSet()
+// auditLoad parses every non-test Go file under the working directory, the
+// benchmark module included, and type-checks every package.
+func auditLoad(t *testing.T) *auditTree {
+	a := &auditTree{fset: token.NewFileSet(), pkgs: map[string]*auditPkg{}, std: importer.Default()}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -78,10 +98,14 @@ func TestUnusedExports(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(a.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -89,7 +113,10 @@ func TestUnusedExports(t *testing.T) {
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir
 		}
-		files = append(files, auditFile{pkg, f})
+		if a.pkgs[pkg] == nil {
+			a.pkgs[pkg] = &auditPkg{path: pkg}
+		}
+		a.pkgs[pkg].files = append(a.pkgs[pkg].files, f)
 		return nil
 	})
 	if err != nil {
@@ -98,119 +125,127 @@ func TestUnusedExports(t *testing.T) {
 	if _, err := os.Stat("benchmark"); err != nil {
 		t.Fatalf("benchmark module not found beside the facade: %v", err)
 	}
-
-	var decls []auditDecl
-	topRefs := map[string]bool{}    // "path.Name" referenced from non-test code
-	methodRefs := map[string]bool{} // any selector name in non-test code
-	for _, af := range files {
-		imports := map[string]string{}
-		for _, im := range af.file.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
+	for path := range a.pkgs {
+		if _, err := a.Import(path); err != nil {
+			t.Fatal(err)
 		}
-		declared := map[*ast.Ident]bool{}
-		if strings.HasPrefix(af.pkg, auditModule+"/internal/") {
-			for _, d := range auditDecls(af) {
-				decls = append(decls, d.auditDecl)
-				declared[d.ident] = true
-			}
-		}
-		ast.Inspect(af.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				methodRefs[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						topRefs[p+"."+n.Sel.Name] = true
-					}
-				}
-			case *ast.Ident:
-				if !declared[n] {
-					topRefs[af.pkg+"."+n.Name] = true
-				}
-			}
-			return true
-		})
 	}
+	return a
+}
+
+// auditInterfaces maps each method name to the interfaces, declared at
+// package level in the tree or in any package it imports, that carry a
+// method of that name; the predeclared error is among them.
+func auditInterfaces(a *auditTree) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	add := func(obj types.Object) {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			return
+		}
+		if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+			return
+		}
+		if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := range it.NumMethods() {
+				byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
+			}
+		}
+	}
+	add(types.Universe.Lookup("error"))
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			add(p.Scope().Lookup(name))
+		}
+		for _, im := range p.Imports() {
+			walk(im)
+		}
+	}
+	for _, p := range a.pkgs {
+		walk(p.pkg)
+	}
+	return byName
+}
+
+// auditImplements reports whether method m of named type n implements a
+// method of an interface that n or *n satisfies.
+func auditImplements(n *types.Named, m *types.Func, ifaces map[string][]*types.Interface) bool {
+	for _, it := range ifaces[m.Name()] {
+		if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestUnusedExports(t *testing.T) {
+	a := auditLoad(t)
+	used := map[types.Object]bool{}
+	for _, p := range a.pkgs {
+		for _, obj := range p.info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin() // a method of an instantiated generic type
+			}
+			used[obj] = true
+		}
+	}
+	ifaces := auditInterfaces(a)
 
 	var unused []string
 	seen := map[string]bool{}
-	for _, d := range decls {
-		k := d.key()
-		seen[k] = true
-		used := topRefs[d.pkg+"."+d.name]
-		if d.recv != "" {
-			used = methodRefs[d.name]
-		}
-		_, allowed := auditAllow[k]
+	check := func(key string, used bool) {
+		seen[key] = true
+		_, allowed := auditAllow[key]
 		switch {
 		case used && allowed:
-			t.Errorf("%s is allowlisted but now referenced by non-test code: drop its allowlist entry", k)
+			t.Errorf("%s is allowlisted but now used by non-test code: drop its allowlist entry", key)
 		case !used && !allowed:
-			unused = append(unused, k)
+			unused = append(unused, key)
+		}
+	}
+	decls := 0
+	for path, p := range a.pkgs {
+		short, ok := strings.CutPrefix(path, auditModule+"/internal/")
+		if !ok {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				decls++
+				check(short+"."+name, used[obj])
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(n) {
+				continue
+			}
+			for i := range n.NumMethods() {
+				if m := n.Method(i); m.Exported() {
+					decls++
+					check(short+"."+name+"."+m.Name(), used[m] || auditImplements(n, m, ifaces))
+				}
+			}
 		}
 	}
 	sort.Strings(unused)
 	for _, k := range unused {
-		t.Errorf("%s is exported but no non-test code references it: delete it, unexport it, or allowlist it with a reason", k)
+		t.Errorf("%s is exported but no non-test code uses it: delete it, unexport it, or allowlist it with a reason", k)
 	}
 	for k := range auditAllow {
 		if !seen[k] {
 			t.Errorf("allowlist entry %s names no exported declaration: drop it", k)
 		}
 	}
-	t.Logf("audited %d exported declarations under internal/; allowlist size %d", len(decls), len(auditAllow))
-}
-
-type auditNamed struct {
-	auditDecl
-	ident *ast.Ident
-}
-
-// auditDecls lists a file's exported top-level names and exported methods.
-func auditDecls(af auditFile) []auditNamed {
-	var out []auditNamed
-	add := func(recv string, id *ast.Ident) {
-		if id.IsExported() {
-			out = append(out, auditNamed{auditDecl{af.pkg, recv, id.Name}, id})
-		}
-	}
-	for _, decl := range af.file.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			if decl.Recv == nil {
-				add("", decl.Name)
-				continue
-			}
-			recv := decl.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			switch r := recv.(type) {
-			case *ast.IndexExpr:
-				recv = r.X
-			case *ast.IndexListExpr:
-				recv = r.X
-			}
-			if id, ok := recv.(*ast.Ident); ok {
-				add(id.Name, decl.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					add("", s.Name)
-				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						add("", id)
-					}
-				}
-			}
-		}
-	}
-	return out
+	t.Logf("audited %d exported declarations under internal/; allowlist size %d", decls, len(auditAllow))
 }

@@ -41,13 +41,12 @@
 // re-running completed combos. -fleet-worker is the internal worker entry
 // point the parent spawns.
 //
-// -shards N (default GOMAXPROCS) runs each multi-group session as a
-// sharded conservative-parallel simulation; -shards auto probes candidate
-// counts up to GOMAXPROCS with short runs and keeps the one with the lowest
-// barrier-stall share (1 on one core). Physics are identical to a one-shard
-// run (deliveries, losses, worst-case delays), so it is purely a wall-clock
-// lever for big sessions; a sharded run's text output ends with the per-
-// shard account (epochs, stall share, events and active epochs per shard).
+// -shards N runs each multi-group session as a sharded conservative-
+// parallel simulation; 0, the default, means GOMAXPROCS. Physics are
+// identical to a one-shard run (deliveries, losses, worst-case delays), so
+// it is purely a wall-clock lever for big sessions; a sharded run's text
+// output ends with the per-shard account (epochs, stall share, events and
+// active epochs per shard).
 // Shard runners are bounded to GOMAXPROCS process-wide, so -workers and
 // -shards together never oversubscribe the cores: a sweep whose pool
 // already fills them runs each sharded cell's epochs inline. What
@@ -69,7 +68,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/harness"
@@ -98,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		adaptive      = fs.Bool("adaptive", false, "add the adaptive algorithm's curve to a sweep that has none")
 		durSec        = fs.Float64("duration", 0, "override per-run simulated seconds")
 		workers       = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS; 1 runs the points in order)")
-		shardsFlag    = fs.String("shards", "", "per-run shard count for multi-group sessions (1 = one engine; 'auto' tunes by measurement; default GOMAXPROCS)")
+		shardsFlag    = fs.Int("shards", 0, "per-run shard count for multi-group sessions (1 = one engine; 0 = GOMAXPROCS)")
 		fleetN        = fs.Int("fleet", 0, "farm the sweep to this many worker processes")
 		fleetDir      = fs.String("fleet-dir", "", "shared work directory for -fleet (default: a temporary directory; set it to make the sweep resumable)")
 		fleetWorker   = fs.String("fleet-worker", "", "internal: run one fleet worker against this work directory and exit")
@@ -112,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := checkFlags(*hosts, *durSec, *workers, *fleetN); err != nil {
+	if err := checkFlags(*hosts, *durSec, *workers, *shardsFlag, *fleetN); err != nil {
 		fmt.Fprintf(stderr, "wdcsim: %v\n", err)
 		return 2
 	}
@@ -129,20 +127,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// -shards: a count, "auto" (measure candidate counts, keep the one
-	// with the lowest barrier-stall share), or empty for GOMAXPROCS.
-	shards, autoShards := runtime.GOMAXPROCS(0), false
-	switch *shardsFlag {
-	case "", "0":
-	case "auto":
-		autoShards = true
-	default:
-		n, err := strconv.Atoi(*shardsFlag)
-		if err != nil || n < 1 {
-			fmt.Fprintf(stderr, "wdcsim: -shards wants a positive count or 'auto', got %q\n", *shardsFlag)
-			return 2
-		}
-		shards = n
+	shards := *shardsFlag
+	if shards == 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
 
 	if *cpuProfile != "" {
@@ -176,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Sweeps resolve their own grid/duration, so only pass what the user
 	// explicitly overrode on the command line.
 	opts := harness.Options{Seed: *seed, Workers: *workers,
-		NumHosts: *hosts, Shards: shards, AutoShards: autoShards, Strategy: *strategyName}
+		NumHosts: *hosts, Shards: shards, Strategy: *strategyName}
 	if *durSec > 0 {
 		opts.Duration = des.Seconds(*durSec)
 	}
@@ -285,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // checkFlags rejects the numeric flag values no run can take, so bad input
 // exits 2 with one line instead of a panic mid-sweep or a silent default.
 // Zero keeps each flag's default.
-func checkFlags(hosts int, durSec float64, workers, fleet int) error {
+func checkFlags(hosts int, durSec float64, workers, shards, fleet int) error {
 	switch durErr := scenario.CheckSeconds(durSec); {
 	case hosts < 0 || hosts == 1:
 		return fmt.Errorf("-hosts %d: a session needs at least two hosts", hosts)
@@ -293,6 +280,8 @@ func checkFlags(hosts int, durSec float64, workers, fleet int) error {
 		return fmt.Errorf("-duration %w", durErr)
 	case workers < 0:
 		return fmt.Errorf("-workers %d must not be negative", workers)
+	case shards < 0:
+		return fmt.Errorf("-shards %d must not be negative", shards)
 	case fleet < 0:
 		return fmt.Errorf("-fleet %d must not be negative", fleet)
 	}

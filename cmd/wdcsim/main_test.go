@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -350,43 +351,6 @@ func TestStrategyFlagRequiresScenario(t *testing.T) {
 	}
 }
 
-// TestScenarioShardsAuto smoke-tests measurement-driven shard selection
-// through the CLI: -shards auto must probe, pick a count, and finish with
-// a normal sweep; the JSON record carries the sharding diagnostics. On one
-// core the tuner's answer is one shard and the record carries none.
-func TestScenarioShardsAuto(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1",
-		"-shards", "auto", "-json"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	var rec struct {
-		Shards int `json:"shards"`
-		Curves []struct {
-			Shards []int     `json:"shards"`
-			Epochs []uint64  `json:"epochs"`
-			Stall  []float64 `json:"stall_share"`
-		} `json:"curves"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		if rec.Shards != 0 {
-			t.Fatalf("auto-tuned sweep on one core reports shards=%d, want none", rec.Shards)
-		}
-		return
-	}
-	if rec.Shards < 2 {
-		t.Fatalf("auto-tuned sweep reports shards=%d, want >= 2", rec.Shards)
-	}
-	for ci, c := range rec.Curves {
-		if len(c.Shards) == 0 || len(c.Epochs) == 0 {
-			t.Fatalf("curve %d missing shard diagnostics: %+v", ci, c)
-		}
-	}
-}
-
 // TestSnapshotDiffFlag drives the checkpoint/restore differential through
 // the CLI: every combo must report identical.
 func TestSnapshotDiffFlag(t *testing.T) {
@@ -423,14 +387,31 @@ func TestFleetFlagGuards(t *testing.T) {
 	}
 }
 
-// TestShardsFlagRejectsGarbage pins the flag grammar: a count or "auto".
+// TestShardsFlagRejectsGarbage pins the flag grammar: a count, 0 meaning
+// GOMAXPROCS. Anything else — a word, "auto" among them, or a negative
+// count — exits 2; an unset flag and -shards 0 print what -shards
+// GOMAXPROCS prints.
 func TestShardsFlagRejectsGarbage(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-scenario", "ring-sparse", "-shards", "lots"}, &out, &errOut); code != 2 {
-		t.Fatalf("-shards lots: exit %d, want 2", code)
+	for _, v := range []string{"lots", "auto", "-3"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-scenario", "ring-sparse", "-shards", v}, &out, &errOut); code != 2 {
+			t.Fatalf("-shards %s: exit %d, want 2", v, code)
+		}
 	}
-	if code := run([]string{"-scenario", "ring-sparse", "-shards", "-3"}, &out, &errOut); code != 2 {
-		t.Fatalf("-shards -3: exit %d, want 2", code)
+	args := []string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1"}
+	procs := strconv.Itoa(runtime.GOMAXPROCS(0))
+	var want, errOut bytes.Buffer
+	if code := run(append(args, "-shards", procs), &want, &errOut); code != 0 {
+		t.Fatalf("-shards %s: exit %d, stderr: %s", procs, code, errOut.String())
+	}
+	for _, extra := range [][]string{nil, {"-shards", "0"}} {
+		var got bytes.Buffer
+		if code := run(append(args, extra...), &got, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", extra, code, errOut.String())
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%v differs from -shards %s:\n%s\nvs\n%s", extra, procs, got.String(), want.String())
+		}
 	}
 }
 

@@ -2,14 +2,11 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -132,6 +129,34 @@ func ChildWindows(s *Session) (shared []bool, first uintptr, oneArena bool) {
 	return shared, first, oneArena
 }
 
+// Shards reports how many shards the session runs on.
+func (s *Session) Shards() int { return len(s.sh) }
+
+// Lookahead reports the minimum cross-shard lookahead, the narrowest a
+// conservative epoch can be: the least off-diagonal entry of the session's
+// lookahead matrix; 0 on one shard, which has no cross-shard pair.
+func (s *Session) Lookahead() des.Duration {
+	var least des.Duration
+	for i, row := range s.la {
+		for j, d := range row {
+			if i != j && (least == 0 || d < least) {
+				least = d
+			}
+		}
+	}
+	return least
+}
+
+// Groups reports the compiled (initial) per-group member sets and sources;
+// the control plane's later mutations do not show here.
+func (s *Session) Groups() []GroupSpec {
+	out := make([]GroupSpec, len(s.sub.groups))
+	for g, st := range s.sub.groups {
+		out[g] = st.spec
+	}
+	return out
+}
+
 // ChildPlan reports the session's child plan, as an identity to compare
 // across its run, and whether it is the session's own rather than its
 // blueprint's.
@@ -160,7 +185,11 @@ func RewireOracle(s *Session, g int, moved []int) (w, p int, predicted float64, 
 func PendingEvents(s *Session) int {
 	n := 0
 	for _, sh := range s.sh {
-		n += sh.eng.Pending()
+		evs, err := sh.eng.PendingEvents(nil)
+		if err != nil {
+			panic(err)
+		}
+		n += len(evs)
 	}
 	return n
 }
@@ -251,7 +280,7 @@ func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
 			}
 			w := MuxWiring{Shard: si, Line: -1, Host: -1, Child: -1}
 			for sj, other := range s.sh {
-				if m.Line() == other.env.line {
+				if muxField(m, "line").Pointer() == uintptr(unsafe.Pointer(other.env.line)) {
 					w.Line = sj
 					break
 				}
@@ -266,6 +295,12 @@ func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
 		}
 	}
 	return ws, len(served)
+}
+
+// muxField reads m's unexported field name — its line or its priced link
+// delay, lat — by reflection, since nothing outside package mux may see it.
+func muxField(m *mux.Mux, name string) reflect.Value {
+	return reflect.ValueOf(m).Elem().FieldByName(name)
 }
 
 // CompileBlueprint compiles cfg's blueprint through the cache — network,
@@ -283,47 +318,8 @@ func KeyOf(cfg Config) [32]byte {
 	return blueprintKey(&cfg, cfg.groupCount())
 }
 
-// Norm is what one transformation of the identity matrix (identity_test.go)
-// lets differ from the straight one-shard run of the same Config. Every
-// other field of Result must be equal, by reflect.DeepEqual.
-type Norm uint8
-
-const (
-	// NormRestore sets aside Epochs and StallShare: RunTo clamps an epoch's
-	// end at each checkpoint, so they measure how the run was sliced.
-	NormRestore Norm = 1 << iota
-	// NormShards sets aside the sharded execution's diagnostics — Shards,
-	// Epochs, CrossShardMsgs and StallShare — and holds MeanDelay to 1e-9
-	// relative: shard-local mean accumulators merge in shard order.
-	NormShards
-)
-
-// SameRun is the one comparator of whole runs: nil when got equals want
-// once n's fields are set aside, else an error naming every field that
-// differs.
-func SameRun(want, got Result, n Norm) error {
-	var diffs []string
-	if n&NormShards != 0 {
-		if math.Abs(got.MeanDelay-want.MeanDelay) > 1e-9*math.Abs(want.MeanDelay) {
-			diffs = append(diffs, fmt.Sprintf("MeanDelay %.17g, want %.17g within 1e-9 relative", got.MeanDelay, want.MeanDelay))
-		}
-		got.MeanDelay = want.MeanDelay
-		want.Shards, want.CrossShardMsgs, got.Shards, got.CrossShardMsgs = 0, 0, 0, 0
-	}
-	if n != 0 {
-		want.Epochs, want.StallShare, got.Epochs, got.StallShare = 0, 0, 0, 0
-	}
-	if diffs == nil && reflect.DeepEqual(want, got) {
-		return nil
-	}
-	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
-	for i := range w.NumField() {
-		if wf, gf := w.Field(i).Interface(), g.Field(i).Interface(); !reflect.DeepEqual(wf, gf) {
-			diffs = append(diffs, fmt.Sprintf("%s %+v, want %+v", w.Type().Field(i).Name, gf, wf))
-		}
-	}
-	return errors.New(strings.Join(diffs, "; "))
-}
+// NormShards is the Norm of the identity matrix's Shards = n column.
+const NormShards = normShards
 
 // EnvShards is the shard count n of the Shards = n rows: WDCSIM_SHARDS
 // (the CI shard matrix), 4 when it is unset.
@@ -403,8 +399,8 @@ func CheckEdges(s *Session) error {
 					return fmt.Errorf("host %d: two MUXes in service to %d", id, to)
 				}
 				seen[to] = true
-				if lat := s.sub.net.Latency(from, to); m.Latency() != lat {
-					return fmt.Errorf("host %d: MUX to %d priced at %v, the network's latency is %v", id, to, m.Latency(), lat)
+				if lat, priced := s.sub.net.Latency(from, to), des.Duration(muxField(m, "lat").Int()); priced != lat {
+					return fmt.Errorf("host %d: MUX to %d priced at %v, the network's latency is %v", id, to, priced, lat)
 				}
 			}
 		}

@@ -142,8 +142,7 @@ func TestHostModeSwitchKeepsForwarding(t *testing.T) {
 	eng.Schedule(0, func() { h.forward(0, traffic.Packet{ID: 1, Flow: 0, Size: 1000}) })
 	eng.Schedule(des.Millisecond, func() { h.setMode(SchemeSRL) })
 	eng.Schedule(2*des.Millisecond, func() { h.forward(0, traffic.Packet{ID: 2, Flow: 0, Size: 1000}) })
-	eng.Schedule(30*des.Second, func() { eng.Stop() })
-	eng.Run()
+	eng.RunUntil(30 * des.Second)
 	if len(sent) != 2 {
 		t.Fatalf("sent %d packets across a mode switch, want 2", len(sent))
 	}
@@ -162,8 +161,7 @@ func TestHostModeSwitchRoundTrip(t *testing.T) {
 		h.setMode(SchemeSRL)
 		h.setMode(SchemeSRL) // no-op
 	})
-	eng.Schedule(des.Second, func() { eng.Stop() })
-	eng.Run()
+	eng.RunUntil(des.Second)
 	if h.fwd.switches != 3 {
 		t.Fatalf("switches = %d, want 3", h.fwd.switches)
 	}
@@ -182,8 +180,7 @@ func TestHostSRLResidueDrainsAfterSwitchAway(t *testing.T) {
 		h.forward(0, traffic.Packet{ID: 1, Flow: 0, Size: 1000})
 		h.setMode(SchemeSigmaRho)
 	})
-	eng.Schedule(10*des.Second, func() { eng.Stop() })
-	eng.Run()
+	eng.RunUntil(10 * des.Second)
 	if len(sent) != 1 {
 		t.Fatalf("SRL residue lost on switch: sent %d", len(sent))
 	}

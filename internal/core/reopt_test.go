@@ -75,8 +75,8 @@ func TestReoptRewiresImproveNICETree(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("group %d tree after rewires: %v", g, err)
 		}
-		if tr.Size() != cfg.NumHosts {
-			t.Fatalf("group %d membership changed: %d members", g, tr.Size())
+		if len(tr.Members) != cfg.NumHosts {
+			t.Fatalf("group %d membership changed: %d members", g, len(tr.Members))
 		}
 	}
 }

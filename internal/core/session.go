@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
+	"strings"
 
 	"repro/internal/des"
 	"repro/internal/mux"
@@ -327,6 +331,49 @@ type Result struct {
 // denominator are Σ(n·busiest − total) and Σ n·busiest; 1 for a one-shard
 // run. Deterministic like the stall share.
 func (r Result) ShardCeiling() float64 { return float64(r.Shards) * (1 - r.StallShare) }
+
+// Norm is what one transformation of a run lets differ from the straight
+// run it is compared with: a checkpoint and restore from the straight run
+// of the same Config, a change of shard count from the one-shard run.
+// Every other field of Result must be equal, by reflect.DeepEqual.
+type Norm uint8
+
+const (
+	// NormRestore sets aside Epochs and StallShare: RunTo clamps an epoch's
+	// end at each checkpoint, so they measure how the run was sliced.
+	NormRestore Norm = 1 << iota
+	// normShards sets aside the sharded execution's diagnostics — Shards,
+	// Epochs, CrossShardMsgs and StallShare — and holds MeanDelay to 1e-9
+	// relative: shard-local mean accumulators merge in shard order.
+	normShards
+)
+
+// SameRun is the one comparator of whole runs: nil when got equals want
+// once n's fields are set aside, else an error naming every field that
+// differs.
+func SameRun(want, got Result, n Norm) error {
+	var diffs []string
+	if n&normShards != 0 {
+		if math.Abs(got.MeanDelay-want.MeanDelay) > 1e-9*math.Abs(want.MeanDelay) {
+			diffs = append(diffs, fmt.Sprintf("MeanDelay %.17g, want %.17g within 1e-9 relative", got.MeanDelay, want.MeanDelay))
+		}
+		got.MeanDelay = want.MeanDelay
+		want.Shards, want.CrossShardMsgs, got.Shards, got.CrossShardMsgs = 0, 0, 0, 0
+	}
+	if n != 0 {
+		want.Epochs, want.StallShare, got.Epochs, got.StallShare = 0, 0, 0, 0
+	}
+	if diffs == nil && reflect.DeepEqual(want, got) {
+		return nil
+	}
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := range w.NumField() {
+		if wf, gf := w.Field(i).Interface(), g.Field(i).Interface(); !reflect.DeepEqual(wf, gf) {
+			diffs = append(diffs, fmt.Sprintf("%s %+v, want %+v", w.Type().Field(i).Name, gf, wf))
+		}
+	}
+	return errors.New(strings.Join(diffs, "; "))
+}
 
 // groupState is the mutable per-group runtime: the current member set,
 // the delivery tree, and the disruption tally. The control plane mutates
@@ -713,23 +760,11 @@ func (s *Session) registerBarriers(faults []FaultEvent, events []MembershipEvent
 	})
 }
 
-// Shards reports how many shards the session runs on.
-func (s *Session) Shards() int { return len(s.sh) }
-
 // ShardAccount reports the coordinator's per-shard ledger (events
 // executed and active epochs per shard, epochs with two or more active
 // shards) since this session was built or restored. It sits outside Result, which the sharded ≡
 // sequential and restored ≡ straight identities compare whole.
 func (s *Session) ShardAccount() des.ShardAccount { return s.coord.Account() }
-
-// Lookahead reports the minimum cross-shard lookahead, the narrowest a
-// conservative epoch can be; 0 on one shard, which has no cross-shard pair.
-func (s *Session) Lookahead() des.Duration {
-	if len(s.sh) == 1 {
-		return 0
-	}
-	return s.coord.Lookahead()
-}
 
 // receive records delivery of a group packet at a member, in the owning
 // shard's accumulators, and hands it to the host's forwarding pipeline. A
@@ -913,19 +948,6 @@ func (s *Session) Run() Result {
 	s.Start()
 	return s.Finish()
 }
-
-// Groups exposes the compiled (initial) per-group member sets and
-// sources; the control plane's later mutations do not show here.
-func (s *Session) Groups() []GroupSpec {
-	out := make([]GroupSpec, len(s.sub.groups))
-	for g, st := range s.sub.groups {
-		out[g] = st.spec
-	}
-	return out
-}
-
-// Network exposes the underlay (for inspection tools and tests).
-func (s *Session) Network() *topo.Network { return s.sub.net }
 
 // Run builds a session for cfg and runs it.
 func Run(cfg Config) Result {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/des"
@@ -113,30 +112,5 @@ func TestPairLookaheadWidensEpochs(t *testing.T) {
 	}
 	if wider == 0 {
 		t.Fatal("no pair lookahead strictly wider than the minimum — topology does not exercise the matrix")
-	}
-}
-
-// TestAutoTuneShardsOneCore pins the tuner's answer where sharding has no
-// core to offer: under GOMAXPROCS 1 it is 1, without a probe run, whatever
-// candidates the caller names; and with cores it never proposes a count
-// above GOMAXPROCS.
-func TestAutoTuneShardsOneCore(t *testing.T) {
-	cfg := shardBaseConfig(3)
-	cfg.Duration = des.Second
-	func() {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		if got := DefaultShardCandidates(); len(got) != 0 {
-			t.Errorf("default candidates on one core = %v, want none", got)
-		}
-		for _, cands := range [][]int{nil, {2, 4}} {
-			if n, probes := AutoTuneShards(cfg, cands, 0); n != 1 || probes != nil {
-				t.Errorf("one core, candidates %v: picked %d after probes %+v, want 1 and none", cands, n, probes)
-			}
-		}
-	}()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	n, probes := AutoTuneShards(cfg, []int{2, 4, 8}, 0)
-	if n != 2 || len(probes) != 1 || probes[0].Shards != 2 {
-		t.Errorf("two cores: picked %d after probes %+v, want 2 after probing 2 alone", n, probes)
 	}
 }

@@ -136,15 +136,6 @@ func (h Event) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
-// At reports when the event will fire, or 0 if the handle is stale or
-// canceled.
-func (h Event) At() Time {
-	if h.Pending() {
-		return h.ev.at
-	}
-	return 0
-}
-
 // Engine is a single-threaded discrete-event executor. The zero value is
 // ready to use. Engines are not safe for concurrent use; the simulation
 // model is strictly sequential, which is what makes it deterministic.
@@ -182,10 +173,6 @@ func (e *Engine) Now() Time { return e.now }
 // ExecutedByKind reports how many events have run so far, by kind
 // (closures count under KindNone).
 func (e *Engine) ExecutedByKind() [NumKinds]uint64 { return e.byKind }
-
-// Pending reports how many live (scheduled, not canceled) events are
-// waiting in the queue.
-func (e *Engine) Pending() int { return e.pending }
 
 // When the free list runs dry alloc makes a block of records an eighth as
 // large as the pool already is, from eventBlock up to maxEventBlock: one
@@ -392,18 +379,15 @@ func (e *Engine) exec(ev *event) {
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.running = true
-	for e.running && e.Step() {
+	for e.Step() {
 	}
-	e.running = false
 }
 
 // RunUntil executes events with firing time <= deadline, then advances the
 // clock to exactly deadline. Events scheduled beyond the deadline remain
 // queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.running = true
-	for e.running {
+	for {
 		nxt := e.peek()
 		if nxt == nil || nxt.at > deadline {
 			break
@@ -414,13 +398,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.readyHead++
 		e.exec(nxt)
 	}
-	e.running = false
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
-
-// Stop halts Run/RunUntil after the current event returns. It is intended
-// to be called from inside an event callback (e.g. when a measurement
-// target has been reached).
-func (e *Engine) Stop() { e.running = false }

@@ -318,26 +318,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	eng := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		eng.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				eng.Stop()
-			}
-		})
-	}
-	eng.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt run, count = %d", count)
-	}
-	if eng.Pending() != 7 {
-		t.Fatalf("pending after stop = %d", eng.Pending())
-	}
-}
-
 func TestExecutedCounter(t *testing.T) {
 	eng := New()
 	for i := 0; i < 5; i++ {

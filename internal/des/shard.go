@@ -92,8 +92,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // events at the bound itself unfired, so a barrier action at the bound
 // runs before same-time events.
 func (e *Engine) RunBefore(bound Time) {
-	e.running = true
-	for e.running {
+	for {
 		nxt := e.peek()
 		if nxt == nil || nxt.at >= bound {
 			break
@@ -102,7 +101,6 @@ func (e *Engine) RunBefore(bound Time) {
 		e.readyHead++
 		e.exec(nxt)
 	}
-	e.running = false
 	if e.now < bound {
 		e.now = bound
 	}
@@ -342,7 +340,6 @@ type ShardAccount struct {
 type Coordinator[P any] struct {
 	engines []*Engine
 	la      [][]Time // la[src][dst], the caller's; "no path" is maxTime, the diagonal unread
-	minLA   Time     // min off-diagonal entry
 
 	deliver func(dst int, payload P) // OnDeliver hook
 	lanes   []lane[P]                // per-shard mailboxes, pending buffer, pools
@@ -395,7 +392,6 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 	if len(la) != n {
 		panic("des: lookahead matrix must be n×n over the engines")
 	}
-	minLA := maxTime
 	for i := range la {
 		if len(la[i]) != n {
 			panic("des: lookahead matrix must be n×n over the engines")
@@ -403,9 +399,6 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 		for j, d := range la[i] {
 			if i != j && d <= 0 {
 				panic("des: conservative lookahead must be positive")
-			}
-			if i != j && d < minLA {
-				minLA = d
 			}
 		}
 	}
@@ -423,7 +416,6 @@ func NewCoordinatorMatrix[P any](engines []*Engine, la [][]Duration) *Coordinato
 	return &Coordinator[P]{
 		engines: engines,
 		la:      la,
-		minLA:   minLA,
 		lanes:   lanes,
 		spin:    spinBudget,
 		live:    live,
@@ -442,10 +434,6 @@ func thirds[T any](n int) (a, b, c []T) {
 	s := make([]T, 3*n)
 	return s[:n:n], s[n : 2*n : 2*n], s[2*n:]
 }
-
-// Lookahead returns the minimum cross-shard lookahead; per-pair epoch
-// bounds are never narrower than this.
-func (c *Coordinator[P]) Lookahead() Time { return c.minLA }
 
 // Epochs reports how many epochs have been executed.
 func (c *Coordinator[P]) Epochs() uint64 { return c.epochs }

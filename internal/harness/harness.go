@@ -47,11 +47,6 @@ type Options struct {
 	// (des.Coordinator.Run), so a pool that already fills the cores runs
 	// each sharded cell's epochs inline rather than competing with it.
 	Shards int
-	// AutoShards picks the shard count by measurement instead: before a
-	// scenario sweep runs, core.AutoTuneShards probes candidate counts on
-	// the heaviest cell and the count with the lowest barrier-stall share
-	// overrides Shards (wdcsim -shards auto).
-	AutoShards bool
 	// Strategy, when non-empty, forces every regulated combo of a
 	// scenario sweep onto the named overlay strategy (wdcsim -strategy),
 	// overriding per-combo tree/strategy selections. Combos that become

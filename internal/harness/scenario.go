@@ -137,7 +137,7 @@ type sweepPlan struct {
 	specs  []core.FlowSpec
 	combos []scenario.Combo
 	cfgs   []core.Config // one per cell, load-major
-	shards int           // resolved per-run shard count (AutoShards applied)
+	shards int           // per-run shard count; 0 for one engine
 }
 
 // newSweepPlan validates and compiles the sweep: option overrides applied,
@@ -211,13 +211,6 @@ func newSweepPlan(sc scenario.Scenario, opts Options) (*sweepPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if opts.AutoShards {
-		// Tune on the heaviest cell (last load, last combo): stall share
-		// is a load-balance property, and the heaviest cell is where an
-		// imbalanced partition hurts most.
-		best, _ := core.AutoTuneShards(p.cfgs[n-1], nil, 0)
-		opts.Shards = best
 	}
 	if opts.Shards > 1 {
 		p.shards = opts.Shards

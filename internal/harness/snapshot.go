@@ -9,7 +9,6 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -17,25 +16,17 @@ import (
 	"repro/internal/scenario"
 )
 
-// snapshotNormalize zeroes the coordinator's load-balance diagnostics.
-// Epoch count and stall share depend on how a run is sliced into Run
-// calls — RunTo(mid) clamps epoch ends at mid even without a snapshot —
-// so they sit outside the bit-identity contract, which covers the
-// physics: every delivery statistic, loss counter, window entry, and
-// fault outcome.
-func snapshotNormalize(res core.Result) core.Result {
-	res.Epochs = 0
-	res.StallShare = 0
-	return res
-}
-
 // SnapshotDiff checks run-to-end against run-to-half → snapshot →
 // restore → run-to-end for each combo of the scenario at its heaviest
-// load, and returns one report line per combo — the verdict, and beside it
-// the snapshot's size and the wall time of the one Snapshot and the one
-// Restore (the only part of a line that differs between two runs). Every
-// supported configuration snapshots; a combo is reported as skipped only if
-// Snapshot refuses it (e.g. a pending closure, which no owner table can name in another process). A non-nil
+// load, compared by core.SameRun under core.NormRestore: epoch count and
+// stall share depend on how a run is sliced into Run calls, so they sit
+// outside the bit-identity contract, which covers the physics. It returns
+// one report line per combo — the verdict, and beside it the snapshot's
+// size and the wall time of the one Snapshot and the one Restore (the only
+// part of a line that differs between two runs); a DIVERGED line names
+// every field that differs. Every supported configuration snapshots; a
+// combo is reported as skipped only if Snapshot refuses it (e.g. a pending
+// closure, which no owner table can name in another process). A non-nil
 // error means at least one combo diverged — the restore contract is broken.
 func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 	p, err := newSweepPlan(sc, opts)
@@ -68,12 +59,11 @@ func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 		if err != nil {
 			return lines, fmt.Errorf("harness: %v: restore failed: %w", combo, err)
 		}
-		got := snapshotNormalize(restored.Finish())
-		want := snapshotNormalize(core.Run(cfg))
-		if !reflect.DeepEqual(got, want) {
+		want := core.Run(cfg)
+		if err := core.SameRun(want, restored.Finish(), core.NormRestore); err != nil {
 			diverged++
-			lines = append(lines, fmt.Sprintf("%v @ load %.2f: DIVERGED after restore at %v (snapshot %d bytes)",
-				combo, p.loads[li], mid, len(blob)))
+			lines = append(lines, fmt.Sprintf("%v @ load %.2f: DIVERGED after restore at %v (snapshot %d bytes): %v",
+				combo, p.loads[li], mid, len(blob), err))
 			continue
 		}
 		lines = append(lines, fmt.Sprintf("%v @ load %.2f: identical (%d deliveries, snapshot %d bytes in %.2f ms, restore %.2f ms, shards %d)",

@@ -159,25 +159,11 @@ func (m *Mux) Fire(uint16) {
 // pending completion is for it.
 func (m *Mux) Busy() bool { return m.cur.Flow != idle }
 
-// Line returns the shared part of the MUX: its engine's Line.
-func (m *Mux) Line() *Line { return m.line }
-
 // Ends returns the host ids of the MUX's output link.
 func (m *Mux) Ends() (from, to int) { return int(m.from), int(m.to) }
 
-// Latency returns the propagation delay of the MUX's output link, as its
-// Link priced it when the MUX was made.
-func (m *Mux) Latency() des.Duration { return m.lat }
-
 // Capacity returns the service rate in bits/second.
 func (m *Mux) Capacity() float64 { return m.c }
-
-// NumFlows returns the declared number of input flows.
-func (m *Mux) NumFlows() int { return m.line.k }
-
-// Backlog returns the bits queued across all flows (excluding the packet
-// in transmission).
-func (m *Mux) Backlog() float64 { return m.bits }
 
 // Len returns the packets queued across all flows (excluding the packet
 // in transmission).

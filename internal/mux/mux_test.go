@@ -74,16 +74,16 @@ func TestMuxBacklogAccounting(t *testing.T) {
 		m.Enqueue(traffic.Packet{ID: 1, Flow: 0, Size: 1000})
 		m.Enqueue(traffic.Packet{ID: 2, Flow: 0, Size: 500})
 		// First packet entered service immediately: backlog is 500.
-		if m.Backlog() != 500 {
-			t.Fatalf("backlog = %v", m.Backlog())
+		if m.bits != 500 {
+			t.Fatalf("backlog = %v", m.bits)
 		}
 		if m.Len() != 1 {
 			t.Fatalf("queue len = %d", m.Len())
 		}
 	})
 	eng.Run()
-	if m.Backlog() != 0 {
-		t.Fatalf("final backlog = %v", m.Backlog())
+	if m.bits != 0 {
+		t.Fatalf("final backlog = %v", m.bits)
 	}
 }
 
@@ -259,7 +259,7 @@ func TestDisciplineString(t *testing.T) {
 func TestMuxAccessors(t *testing.T) {
 	eng := des.New()
 	m := New(eng, 4, 123456, FIFO, func(traffic.Packet) {})
-	if m.Capacity() != 123456 || m.NumFlows() != 4 {
+	if m.Capacity() != 123456 || m.line.k != 4 {
 		t.Fatal("accessor mismatch")
 	}
 }
@@ -295,7 +295,7 @@ func TestMuxSendsOnItsEnds(t *testing.T) {
 	line := NewLine(eng, 2, LIFO, &sent)
 	sl := NewSlab(2, 2)
 	a, b := sl.New(line, 1e6, 7, 3, 1), sl.New(line, 1e6, 7, 9, 1)
-	if a.Line() != line || b.Line() != line {
+	if a.line != line || b.line != line {
 		t.Fatal("slab MUXes do not point at their Line")
 	}
 	if from, to := b.Ends(); from != 7 || to != 9 {
@@ -306,8 +306,8 @@ func TestMuxSendsOnItsEnds(t *testing.T) {
 		b.Enqueue(traffic.Packet{ID: 2, Flow: 1, Size: 2000})
 	})
 	eng.Run()
-	if a.Latency() != 7003 || b.Latency() != 7009 {
-		t.Fatalf("priced latencies %v and %v, want 7003 and 7009", a.Latency(), b.Latency())
+	if a.lat != 7003 || b.lat != 7009 {
+		t.Fatalf("priced latencies %v and %v, want 7003 and 7009", a.lat, b.lat)
 	}
 	if want := (ends{{7, 3, 7003, 1}, {7, 9, 7009, 2}}); !reflect.DeepEqual(sent, want) {
 		t.Fatalf("sent %v, want %v", sent, want)

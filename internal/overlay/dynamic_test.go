@@ -17,9 +17,9 @@ func TestGraftAddsMemberAndValidates(t *testing.T) {
 	if err := tree.Graft(55, p); err != nil {
 		t.Fatal(err)
 	}
-	if !isMember(tree, 55) || tree.Parent(55) != p || tree.Size() != 51 {
+	if !isMember(tree, 55) || tree.Parent(55) != p || len(tree.Members) != 51 {
 		t.Fatalf("graft bookkeeping wrong: member=%v parent=%d size=%d",
-			isMember(tree, 55), tree.Parent(55), tree.Size())
+			isMember(tree, 55), tree.Parent(55), len(tree.Members))
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestPruneLeafShrinksTree(t *testing.T) {
 	if len(orphans) != 0 {
 		t.Fatalf("leaf prune produced %d orphans", len(orphans))
 	}
-	if isMember(tree, leaf) || tree.Size() != 39 {
+	if isMember(tree, leaf) || len(tree.Members) != 39 {
 		t.Fatal("leaf not removed")
 	}
 	if err := tree.Validate(); err != nil {
@@ -245,9 +245,9 @@ func TestDynamicsPropertyInvariants(t *testing.T) {
 		}
 		for step := 0; step < cycles; step++ {
 			join := rng.Intn(2) == 0
-			if tree.Size() <= 5 {
+			if len(tree.Members) <= 5 {
 				join = true // keep the tree from draining away
-			} else if tree.Size() >= hosts {
+			} else if len(tree.Members) >= hosts {
 				join = false
 			}
 			if join {

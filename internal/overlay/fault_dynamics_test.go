@@ -255,7 +255,7 @@ func TestFaultCyclesPreserveInvariants(t *testing.T) {
 		}
 		for step := 0; step < cycles; step++ {
 			op := rng.Intn(4)
-			if tree.Size() < 30 {
+			if len(tree.Members) < 30 {
 				op = 3 // refill before shrinking further
 			}
 			switch op {

@@ -76,8 +76,8 @@ func FuzzBatchRepair(f *testing.F) {
 				t.Fatalf("victim %d still a member", v)
 			}
 		}
-		if fwd.Size() != n-len(victims) {
-			t.Fatalf("size %d after removing %d of %d", fwd.Size(), len(victims), n)
+		if len(fwd.Members) != n-len(victims) {
+			t.Fatalf("size %d after removing %d of %d", len(fwd.Members), len(victims), n)
 		}
 
 		// The pinned-order repair must restore a valid tree on both copies

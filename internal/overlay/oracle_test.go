@@ -163,7 +163,7 @@ func (s *oracleSeq) step(t *testing.T) {
 	t.Helper()
 	tr := s.tr
 	switch op := s.rng.Intn(6); {
-	case op == 0 || tr.Size() < 40: // join
+	case op == 0 || len(tr.Members) < 40: // join
 		if h := s.pick(func(h int) bool { return !isMember(tr, h) }); h >= 0 {
 			checkGraftPoint(t, s.name, s.net, tr, h, 0, s.own)
 			p, err := s.strat.GraftPoint(s.net, tr, h, 0, s.own)

@@ -80,8 +80,8 @@ func TestBuildDSCTSpansAndValidates(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Size() != 200 {
-		t.Fatalf("size = %d", tree.Size())
+	if len(tree.Members) != 200 {
+		t.Fatalf("size = %d", len(tree.Members))
 	}
 	if tree.Source != 0 || tree.Parent(0) != -1 {
 		t.Fatal("root must be the source")
@@ -177,8 +177,8 @@ func TestSubsetMembership(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Size() != len(members) {
-		t.Fatalf("size = %d", tree.Size())
+	if len(tree.Members) != len(members) {
+		t.Fatalf("size = %d", len(tree.Members))
 	}
 	for _, m := range members {
 		if m != 13 && tree.Parent(m) < 0 {

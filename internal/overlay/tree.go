@@ -263,9 +263,6 @@ func (t *Tree) EachParent(fn func(parent int, children []int)) {
 	}
 }
 
-// Size returns the number of members.
-func (t *Tree) Size() int { return len(t.Members) }
-
 // Depth returns the number of overlay hops from the source to member h.
 // It panics for a non-member or a member cut off from the source: such a
 // host has no depth.

@@ -153,7 +153,7 @@ func TestSigmaRhoDetachCancelsPendingWait(t *testing.T) {
 	if dropped != 6-emitted {
 		t.Fatalf("dropped = %d, emitted = %d, want them to cover all 6", dropped, emitted)
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("%d events still pending after detach", eng.Pending())
+	if evs, err := eng.PendingEvents(nil); err != nil || len(evs) != 0 {
+		t.Fatalf("%d events still pending after detach (%v)", len(evs), err)
 	}
 }

@@ -207,14 +207,6 @@ func (w *Writer) Bytes(b []byte) {
 	}
 }
 
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Len(len(s))
-	if w.open() {
-		w.buf = append(w.buf, s...)
-	}
-}
-
 // Err returns the first error, if any.
 func (w *Writer) Err() error { return w.err }
 
@@ -391,16 +383,6 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Len()
-	b := r.Raw(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
 }
 
 // Remaining reports the unread payload bytes in the current record.

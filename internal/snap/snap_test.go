@@ -24,7 +24,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	w.F64(math.Inf(-1))
 	w.Bool(true)
 	w.Bool(false)
-	w.String("hello, snapshot")
+	w.Bytes([]byte("hello, snapshot"))
 	w.Bytes([]byte{1, 2, 3})
 	w.Bytes(nil)
 	w.End()
@@ -79,8 +79,8 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if got := r.Bool(); got {
 		t.Errorf("Bool = true, want false")
 	}
-	if got := r.String(); got != "hello, snapshot" {
-		t.Errorf("String = %q", got)
+	if got := r.Bytes(); string(got) != "hello, snapshot" {
+		t.Errorf("Bytes = %q", got)
 	}
 	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", got)
@@ -222,7 +222,7 @@ func TestDeterministicEncoding(t *testing.T) {
 	build := func() []byte {
 		w := NewWriterSize(2, 0)
 		w.Begin(4)
-		w.String("abc")
+		w.Bytes([]byte("abc"))
 		w.F64(1.5)
 		w.End()
 		b, err := w.Finish()

@@ -59,9 +59,6 @@ func (w *Welford) Merge(o Welford) {
 	w.n = n
 }
 
-// Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
-
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -145,6 +142,3 @@ func (m *MaxTracker) Max() float64 { return m.max }
 
 // Tag returns the tag recorded with the maximum, or 0.
 func (m *MaxTracker) Tag() uint64 { return m.tag }
-
-// Count returns how many observations were recorded.
-func (m *MaxTracker) Count() uint64 { return m.n }

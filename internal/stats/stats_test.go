@@ -13,8 +13,8 @@ func TestWelfordBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.Count() != 8 {
-		t.Fatalf("count = %d", w.Count())
+	if w.n != 8 {
+		t.Fatalf("count = %d", w.n)
 	}
 	if !almostEqual(w.Mean(), 5, 1e-12) {
 		t.Fatalf("mean = %v", w.Mean())
@@ -68,7 +68,7 @@ func TestQuickWelfordMerge(t *testing.T) {
 			b.Add(x)
 		}
 		a.Merge(b)
-		return a.Count() == whole.Count() &&
+		return a.n == whole.n &&
 			almostEqual(a.Mean(), whole.Mean(), 1e-9) &&
 			almostEqual(a.Variance(), whole.Variance(), 1e-6) &&
 			a.Min() == whole.Min() && a.Max() == whole.Max()
@@ -82,12 +82,12 @@ func TestWelfordMergeEmpty(t *testing.T) {
 	var a, b Welford
 	a.Add(1)
 	a.Merge(b) // merge empty into non-empty
-	if a.Count() != 1 {
+	if a.n != 1 {
 		t.Fatal("merge with empty changed count")
 	}
 	var c Welford
 	c.Merge(a) // merge non-empty into empty
-	if c.Count() != 1 || c.Mean() != 1 {
+	if c.n != 1 || c.Mean() != 1 {
 		t.Fatal("merge into empty lost data")
 	}
 }
@@ -97,8 +97,8 @@ func TestMaxTracker(t *testing.T) {
 	m.Observe(1.0, 10)
 	m.Observe(5.0, 20)
 	m.Observe(3.0, 30)
-	if m.Max() != 5.0 || m.Tag() != 20 || m.Count() != 3 {
-		t.Fatalf("max=%v tag=%v n=%d", m.Max(), m.Tag(), m.Count())
+	if m.Max() != 5.0 || m.Tag() != 20 || m.n != 3 {
+		t.Fatalf("max=%v tag=%v n=%d", m.Max(), m.Tag(), m.n)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestMaxTrackerMerge(t *testing.T) {
 	b.Observe(2.5, 20)
 	b.Observe(2.0, 21)
 	a.Merge(b)
-	if a.Max() != 2.5 || a.Tag() != 20 || a.Count() != 4 {
-		t.Fatalf("merged = max %v tag %d n %d", a.Max(), a.Tag(), a.Count())
+	if a.Max() != 2.5 || a.Tag() != 20 || a.n != 4 {
+		t.Fatalf("merged = max %v tag %d n %d", a.Max(), a.Tag(), a.n)
 	}
 	// Merging an empty tracker is a no-op; merging into an empty adopts.
 	before := a

@@ -22,7 +22,6 @@ type Meter struct {
 	cum     float64
 	minSeen float64
 	sigma   float64
-	n       uint64
 	primed  bool
 }
 
@@ -48,14 +47,10 @@ func (m *Meter) Observe(t des.Time, bits float64) {
 	if after := m.cum - m.rho*t.Seconds() - m.minSeen; after > m.sigma {
 		m.sigma = after
 	}
-	m.n++
 }
 
 // Sigma returns the tightest burst estimate so far.
 func (m *Meter) Sigma() float64 { return m.sigma }
-
-// Count returns the number of arrivals observed.
-func (m *Meter) Count() uint64 { return m.n }
 
 // MeasureEnvelope runs src in isolation for the given duration and returns
 // the tightest (σ, ρ) envelope at ρ = margin × AvgRate. This is how the

@@ -20,7 +20,7 @@ func TestMeterCBRHasTinySigma(t *testing.T) {
 	if m.Sigma() > 1001 {
 		t.Fatalf("CBR σ̂ = %v, want <= packet size", m.Sigma())
 	}
-	if m.Count() == 0 {
+	if !m.primed {
 		t.Fatal("meter saw no packets")
 	}
 }

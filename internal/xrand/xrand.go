@@ -6,7 +6,7 @@
 // (SplitMix64) instead of relying on math/rand, whose stream is not
 // guaranteed stable across releases. A generator is a plain struct:
 // copying one forks the stream, and it is not safe for concurrent use
-// (give each goroutine its own generator, derived with Split).
+// (give each goroutine its own generator, seeded with DeriveSeed).
 package xrand
 
 import "math"
@@ -22,13 +22,6 @@ type Rand struct {
 // same seed produce identical streams.
 func New(seed uint64) *Rand {
 	return &Rand{state: seed}
-}
-
-// Split derives a new, statistically independent generator from r, advancing
-// r's state. Use it to give subsystems (traffic sources, tree builders)
-// their own streams so adding a consumer does not perturb the others.
-func (r *Rand) Split() *Rand {
-	return &Rand{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
 // DeriveSeed maps (base seed, index) to a derived seed: a SplitMix64
@@ -58,9 +51,6 @@ func (r *Rand) Uint64() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Int63 returns a non-negative int64 uniform on [0, 2^63).
 func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
