@@ -88,10 +88,11 @@ shards:
 # full comparator sort (FuzzRTTIndex: fuzzed routers, some cut off, tied
 # access delays and take sizes), the overlay graft-point
 # selector (every strategy's pick against the per-candidate oracle of
-# oracle_test.go), the batch prune/repair path the fault plane drives, and
+# oracle_test.go), the batch prune/repair path the fault plane drives,
 # core.Restore on bytes it did not write (no panic, bounded allocation, and
-# a session it returns runs to its end).
-# Eight targets, 30 s each — long enough to grow a corpus, short enough
+# a session it returns runs to its end), and scenario.Parse on any JSON (no
+# panic, and an accepted spec's encoding round-trips byte for byte).
+# Nine targets, 30 s each — long enough to grow a corpus, short enough
 # for a CI side job (wired in as non-blocking; run longer locally when
 # touching any of these subsystems). FuzzRestore's inputs are ~32 KB blobs; left at its default the
 # engine spends the whole budget minimizing each interesting one, so that
@@ -102,16 +103,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadyRunOrder -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzMailboxDrain -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run '^$$' -fuzz FuzzChurnEvents -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzScenarioParse -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzRTTIndex -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzGraftPoint -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core
 
 # Checkpoint/restore differential: for two builtin workloads (static
-# scale benchmark, churn benchmark) at one shard and at four, and for the
+# scale benchmark, churn benchmark) at one shard and at four, for the
 # one-hop Fig. 4(c) preset with the adaptive curve added (its checkpoint
-# lands inside a (σ, ρ, λ) episode of the controller), run-to-end must be
-# bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
+# lands inside a (σ, ρ, λ) episode of the controller), and for the two
+# builtins whose MUX capacities a restore derives from more than C —
+# paper-fig6's capacity-aware MUXes split C by connection count, and
+# transit-stub-dsl-fibre's three uplink classes give three C's — run-to-end
+# must be bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
 # the same contract the core goldens pin, exercised through real scenario
 # configs and the CLI; each verdict line carries the snapshot's size and the
 # milliseconds its Snapshot and its Restore took. The first leg holds a
@@ -131,10 +136,16 @@ fuzz:
 # bit per host in one slab, built and restored, the host record to 24
 # bytes with forwarding state only at the hosts with children, carved from
 # one arena per shard, built and restored, every MUX to its connection's
-# two ends and its shard's one shared Line, built and restored, the MUX
-# record to 104 bytes (its link priced once, in the room a busy flag took),
-# every group's tree no edit has touched — and, until a session's first
-# edit, its child plan — to the blueprint's own, built, run and restored,
+# two ends, its shard's one shared Line and, restored, the capacity it had,
+# the MUX record to 96 bytes (its link priced once, in the room a busy
+# flag took, and no queued-bits total), the wire widths a restore sizes
+# its slabs by (a MUX, each regulator model and a clock) to what Snapshot
+# writes, every byte of one blob flipped in turn to an error or a session
+# that runs to its end, each id or value a restore range-checks (a second
+# completion for one MUX, a second token wait for one (σ, ρ) regulator
+# among them) to an error, every group's tree no edit has touched — and,
+# until a session's first edit, its child plan — to the blueprint's own,
+# built, run and restored,
 # a warm session's graft/prune cycle of churn's wiring edits to no object
 # per cycle once the forwarder tables' free lists are primed, and one blob
 # to its exact byte count and SHA-256, so a word added back to a component
@@ -145,13 +156,16 @@ fuzz:
 # its own, or a pending event written under another (at, prio, kind,
 # arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestSnapshotBlobBytes' ./internal/core
-	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize' ./internal/mux
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange' ./internal/core
+	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize|TestSnapWidths' ./internal/mux
+	$(GO) test -run 'TestSnapWidths' ./internal/regulator
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario waxman-zipf-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 1 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario churn-waxman-16 -quick -shards 4 -snapshot-diff
 	$(GO) run ./cmd/wdcsim -scenario paper-fig4c -quick -adaptive -snapshot-diff
+	$(GO) run ./cmd/wdcsim -scenario paper-fig6 -quick -snapshot-diff
+	$(GO) run ./cmd/wdcsim -scenario transit-stub-dsl-fibre -quick -snapshot-diff
 
 # Static analysis. Skips with a notice when the binary is missing so the
 # target is safe on minimal containers; CI installs staticcheck and runs

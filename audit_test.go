@@ -6,8 +6,12 @@ package wdc
 // cmd/, examples/, this facade, or the benchmark module under benchmark/.
 // A method is also used when it implements a method of an interface its
 // type satisfies (des.Handler, traffic.Sink, fmt.Stringer, sort.Interface,
-// ...), since an interface call reaches it where no selector names it.
-// Anything else carries a one-line reason on the allowlist below. Uses are
+// ...) and non-test code converts a value of the type, or a pointer to
+// one, to an interface type — in an assignment, a call argument, a return
+// value, a composite-literal element or a channel send — since an
+// interface call reaches it where no selector names it. A conversion to
+// any counts too: fmt and sort reach methods by type assertion. Anything
+// else carries a one-line reason on the allowlist below. Uses are
 // resolved by go/types, so a call of one type's method does not count for
 // another type's method of the same name. Standard library only: the
 // tree's packages are checked from source, the standard library is read
@@ -73,7 +77,11 @@ func (a *auditTree) Import(path string) (*types.Package, error) {
 		return a.std.Import(path)
 	}
 	if p.pkg == nil {
-		p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		p.info = &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
 		conf := types.Config{Importer: a}
 		pkg, err := conf.Check(p.path, a.fset, p.files, p.info)
 		if err != nil {
@@ -184,6 +192,123 @@ func auditImplements(n *types.Named, m *types.Func, ifaces map[string][]*types.I
 	return false
 }
 
+// auditBoxed returns the named types a value of which, or of a pointer to
+// which, non-test code converts to an interface type.
+func auditBoxed(a *auditTree) map[*types.Named]bool {
+	boxed := map[*types.Named]bool{}
+	for _, p := range a.pkgs {
+		info := p.info
+		// box records e's type if a value of it is converted to type to.
+		box := func(e ast.Expr, to types.Type) {
+			from := info.TypeOf(e)
+			if to == nil || from == nil || !types.IsInterface(to) || types.IsInterface(from) {
+				return
+			}
+			if ptr, ok := from.(*types.Pointer); ok {
+				from = ptr.Elem()
+			}
+			if n, ok := from.(*types.Named); ok {
+				boxed[n.Origin()] = true
+			}
+		}
+		for _, f := range p.files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if len(n.Lhs) == len(n.Rhs) {
+						for i, r := range n.Rhs {
+							box(r, info.TypeOf(n.Lhs[i]))
+						}
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil {
+						for _, v := range n.Values {
+							box(v, info.TypeOf(n.Type))
+						}
+					}
+				case *ast.CallExpr:
+					fn := info.Types[n.Fun]
+					if fn.IsType() {
+						if len(n.Args) == 1 {
+							box(n.Args[0], fn.Type)
+						}
+						break
+					}
+					sig, ok := fn.Type.Underlying().(*types.Signature)
+					if !ok {
+						break
+					}
+					for i, arg := range n.Args {
+						params := sig.Params()
+						switch last := params.Len() - 1; {
+						case sig.Variadic() && i >= last && !n.Ellipsis.IsValid():
+							box(arg, params.At(last).Type().(*types.Slice).Elem())
+						case i <= last:
+							box(arg, params.At(i).Type())
+						}
+					}
+				case *ast.ReturnStmt:
+					for i := len(stack) - 2; i >= 0; i-- {
+						var sig *types.Signature
+						switch fn := stack[i].(type) {
+						case *ast.FuncDecl:
+							sig = info.Defs[fn.Name].Type().(*types.Signature)
+						case *ast.FuncLit:
+							sig = info.TypeOf(fn).(*types.Signature)
+						default:
+							continue
+						}
+						if res := sig.Results(); res.Len() == len(n.Results) {
+							for j, r := range n.Results {
+								box(r, res.At(j).Type())
+							}
+						}
+						break
+					}
+				case *ast.CompositeLit:
+					lit := info.TypeOf(n)
+					if lit == nil {
+						break
+					}
+					for i, elt := range n.Elts {
+						key, val := ast.Expr(nil), elt
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							key, val = kv.Key, kv.Value
+						}
+						switch u := lit.Underlying().(type) {
+						case *types.Slice:
+							box(val, u.Elem())
+						case *types.Array:
+							box(val, u.Elem())
+						case *types.Map:
+							box(key, u.Key())
+							box(val, u.Elem())
+						case *types.Struct:
+							if id, ok := key.(*ast.Ident); ok {
+								box(val, info.TypeOf(id))
+							} else if key == nil && i < u.NumFields() {
+								box(val, u.Field(i).Type())
+							}
+						}
+					}
+				case *ast.SendStmt:
+					if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+						box(n.Value, ch.Elem())
+					}
+				}
+				return true
+			})
+		}
+	}
+	return boxed
+}
+
 func TestUnusedExports(t *testing.T) {
 	a := auditLoad(t)
 	used := map[types.Object]bool{}
@@ -196,6 +321,7 @@ func TestUnusedExports(t *testing.T) {
 		}
 	}
 	ifaces := auditInterfaces(a)
+	boxed := auditBoxed(a)
 
 	var unused []string
 	seen := map[string]bool{}
@@ -233,7 +359,7 @@ func TestUnusedExports(t *testing.T) {
 			for i := range n.NumMethods() {
 				if m := n.Method(i); m.Exported() {
 					decls++
-					check(short+"."+name+"."+m.Name(), used[m] || auditImplements(n, m, ifaces))
+					check(short+"."+name+"."+m.Name(), used[m] || boxed[n] && auditImplements(n, m, ifaces))
 				}
 			}
 		}

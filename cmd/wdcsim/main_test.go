@@ -352,20 +352,36 @@ func TestStrategyFlagRequiresScenario(t *testing.T) {
 }
 
 // TestSnapshotDiffFlag drives the checkpoint/restore differential through
-// the CLI: every combo must report identical.
+// the CLI: every combo must report identical, and each verdict names the
+// shard count the run had.
 func TestSnapshotDiffFlag(t *testing.T) {
+	verdict := regexp.MustCompile(`identical \(\d+ deliveries, snapshot \d+ bytes in \d+\.\d\d ms, restore \d+\.\d\d ms, shards (\d+)\)$`)
+	for _, shards := range []string{"1", "4"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1",
+			"-shards", shards, "-snapshot-diff"}, &out, &errOut); code != 0 {
+			t.Fatalf("-shards %s: exit %d, stderr: %s\n%s", shards, code, errOut.String(), out.String())
+		}
+		if strings.Contains(out.String(), "DIVERGED") {
+			t.Fatalf("-shards %s: snapshot diff output unexpected:\n%s", shards, out.String())
+		}
+		// Each verdict carries the checkpoint's cost and the run's shard count.
+		verdicts := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			if !strings.Contains(line, "identical") {
+				continue
+			}
+			m := verdict.FindStringSubmatch(line)
+			if m == nil || m[1] != shards {
+				t.Fatalf("-shards %s: verdict line does not carry the snapshot size, Snapshot / Restore times and shards %s:\n%s", shards, shards, line)
+			}
+			verdicts++
+		}
+		if verdicts == 0 {
+			t.Fatalf("-shards %s: no identical verdict:\n%s", shards, out.String())
+		}
+	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-scenario", "waxman-zipf-16", "-quick", "-duration", "1",
-		"-shards", "1", "-snapshot-diff"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s\n%s", code, errOut.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "identical") || strings.Contains(out.String(), "DIVERGED") {
-		t.Fatalf("snapshot diff output unexpected:\n%s", out.String())
-	}
-	// Each verdict carries the checkpoint's cost beside it.
-	if !regexp.MustCompile(`identical \(\d+ deliveries, snapshot \d+ bytes in \d+\.\d\d ms, restore \d+\.\d\d ms, shards \d+\)`).MatchString(out.String()) {
-		t.Fatalf("verdict lines carry no snapshot size and Snapshot / Restore times:\n%s", out.String())
-	}
 	if code := run([]string{"-exp", "fig2", "-snapshot-diff"}, &out, &errOut); code != 2 {
 		t.Fatalf("-snapshot-diff without -scenario: exit %d", code)
 	}

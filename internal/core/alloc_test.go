@@ -440,9 +440,12 @@ func TestLeavesCarryNoForwarder(t *testing.T) {
 // sits in the owner table of its host's shard with the forwarder's host and
 // the connection table's child as its ends, every MUX of a shard points at
 // that shard's Line, and — the fixture has no churn — every MUX is in
-// service.
+// service. A restore derives each MUX's capacity rather than reading it, so
+// every restored MUX runs at the capacity the checkpointed one had: its
+// host's C under regulation, and in a capacity-aware session (the
+// paper-fig6 cell) C·factor split over its host's connections.
 func TestMuxEndsAreConnections(t *testing.T) {
-	check := func(t *testing.T, s *core.Session) {
+	check := func(t *testing.T, s *core.Session) map[[2]int]float64 {
 		t.Helper()
 		ws, unowned := core.MuxWirings(s)
 		if unowned > 0 {
@@ -451,6 +454,7 @@ func TestMuxEndsAreConnections(t *testing.T) {
 		if len(ws) == 0 {
 			t.Fatal("the fixture has no MUX")
 		}
+		capacity := map[[2]int]float64{}
 		for _, w := range ws {
 			if w.Line != w.Shard || w.Owner != w.Shard {
 				t.Fatalf("a MUX of host %d, which shard %d owns, is in shard %d's owner table and points at the Line of shard %d",
@@ -459,25 +463,58 @@ func TestMuxEndsAreConnections(t *testing.T) {
 			if w.Host < 0 || w.From != w.Host || w.To != w.Child {
 				t.Fatalf("MUX on link %d→%d of shard %d is in service as host %d's connection to %d", w.From, w.To, w.Shard, w.Host, w.Child)
 			}
+			capacity[[2]int{w.From, w.To}] = w.Capacity
+		}
+		return capacity
+	}
+	fig6 := scenario.MustLookup("paper-fig6").Quick()
+	var capAware core.Config
+	for _, combo := range fig6.Combos {
+		if combo.Scheme == "capacity-aware" {
+			cfg, err := fig6.SessionConfig(combo, fig6.Loads[0], 1, core.SeedOpt{}, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capAware = cfg
 		}
 	}
+	if capAware.Scheme != core.SchemeCapacityAware {
+		t.Fatal("paper-fig6 has no capacity-aware combo")
+	}
+	fixtures := []struct {
+		name string
+		cfg  core.Config
+	}{{"waxman-zipf-64-quick", allocFixtures(t)["waxman-zipf-64-quick"]}, {"paper-fig6-capacity-aware", capAware}}
 	for _, shards := range []int{1, 4} {
-		cfg := allocFixtures(t)["waxman-zipf-64-quick"]
-		cfg.Shards = shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := core.NewSession(cfg)
-			check(t, s)
-			s.Start()
-			s.RunTo(des.Time(cfg.Duration) / 2)
-			blob, err := s.Snapshot()
-			if err != nil {
-				t.Fatal(err)
+			for _, fx := range fixtures {
+				cfg := fx.cfg
+				cfg.Shards = shards
+				t.Run(fx.name, func(t *testing.T) {
+					s := core.NewSession(cfg)
+					check(t, s)
+					s.Start()
+					s.RunTo(des.Time(cfg.Duration) / 2)
+					want := check(t, s)
+					blob, err := s.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := core.Restore(cfg, blob)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := check(t, r)
+					for link, c := range want {
+						if got[link] != c {
+							t.Fatalf("restored MUX on link %d→%d runs at %v bits/s, the checkpointed one at %v", link[0], link[1], got[link], c)
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("restored session has %d MUXes, the checkpointed one %d", len(got), len(want))
+					}
+				})
 			}
-			r, err := core.Restore(cfg, blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, r)
 		})
 	}
 }
@@ -817,7 +854,7 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotBlobBytes pins the exact size and the SHA-256 of one v9
+// TestSnapshotBlobBytes pins the exact size and the SHA-256 of one v10
 // blob: the 60-host fixture checkpointed halfway. The simulation is
 // deterministic, so both are too. A word added back to a component record
 // — a MUX, a regulator or a clock writes one per component — changes the
@@ -826,11 +863,17 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 // reordered changes the hash. Change the pins only with the format.
 // (Format v7 wrote 30,717 bytes here and v8 20,525: v9 dropped the 88
 // MUXes' arrival sequence, their 177 per-flow queue headers, the sequence
-// of the 51 packets in transmission and one record total.)
+// of the 51 packets in transmission and one record total, for 17,993.
+// v10 writes 1,872 bytes fewer: 16 per MUX — its queued-bits total and
+// the capacity a restore derives — for the 88 MUXes (1,408); the
+// queued-bits total of each of the 51 (σ, ρ, λ) regulators (408); and in
+// the one shard's stats record the delay accumulator's second moment,
+// minimum and maximum, the delivery counter the accumulator's count
+// repeats, and each of the 3 groups' tracker sample count (56).)
 func TestSnapshotBlobBytes(t *testing.T) {
 	const (
-		want = 17993
-		hash = "fb7c114f174da2c934209eb7217146d8bdd529726d72ffd240632a64a6a4db10"
+		want = 16121
+		hash = "928f18614099fd3e1f22c0ebf46842e28299fb5ed051a4751c78f3cbde46e2d0"
 	)
 	cfg := allocFixtures(t)["60-host"]
 	s := core.NewSession(cfg)

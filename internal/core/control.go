@@ -31,15 +31,6 @@ type MembershipEvent struct {
 	Join  bool
 }
 
-// String implements fmt.Stringer.
-func (e MembershipEvent) String() string {
-	verb := "leave"
-	if e.Join {
-		verb = "join"
-	}
-	return fmt.Sprintf("%v host %d %s group %d", e.At, e.Host, verb, e.Group)
-}
-
 // controlPlane applies membership events to a session's per-group runtime
 // state through the tree-edit layer. The session drives it from
 // coordinator barriers, which quiesce every shard before a mutation

@@ -95,9 +95,9 @@ func TestChurnMembershipInvariant(t *testing.T) {
 		sh := s.sh[s.owner[id]]
 		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
 			member := s.sub.groups[p.Flow].member.has(id)
-			before := sh.deliver
+			before := sh.delays.Count()
 			sh.receive(&s.hosts[id], p)
-			counted := sh.deliver == before+1
+			counted := sh.delays.Count() == before+1
 			arrivals = append(arrivals, arrival{member: member, counted: counted})
 			if counted {
 				joinedDeliveries[id]++

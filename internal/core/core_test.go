@@ -39,9 +39,6 @@ func TestWorkloadBuilders(t *testing.T) {
 				t.Fatalf("%v spec %d envelope (σ=%v, ρ=%v) invalid", w, i, sp.Sigma, sp.Rho)
 			}
 		}
-		if w.String() == "" {
-			t.Fatal("empty workload name")
-		}
 	}
 }
 

@@ -247,12 +247,13 @@ func ForwarderLayout(s *Session) (fwds, parents []int, oneArena bool) {
 }
 
 // MuxWiring is one MUX of a shard's owner table: the shard whose Line it
-// points at (-1 for none), its output link's ends, the shard that owns the
-// host it leaves from, and the host and child connection a forwarder files
-// it under (-1, -1 when none has it in service).
+// points at (-1 for none), its output link's ends and capacity, the shard
+// that owns the host it leaves from, and the host and child connection a
+// forwarder files it under (-1, -1 when none has it in service).
 type MuxWiring struct {
 	Shard, Line int
 	From, To    int
+	Capacity    float64
 	Owner       int
 	Host, Child int
 }
@@ -286,6 +287,7 @@ func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
 				}
 			}
 			w.From, w.To = m.Ends()
+			w.Capacity = muxField(m, "c").Float()
 			w.Owner = s.owner[w.From]
 			if c, ok := served[m]; ok {
 				w.Host, w.Child = c.host, c.child
@@ -297,8 +299,8 @@ func MuxWirings(s *Session) (ws []MuxWiring, unowned int) {
 	return ws, len(served)
 }
 
-// muxField reads m's unexported field name — its line or its priced link
-// delay, lat — by reflection, since nothing outside package mux may see it.
+// muxField reads m's unexported field name — its line, its capacity c or
+// its priced link delay, lat — by reflection, since nothing outside package mux may see it.
 func muxField(m *mux.Mux, name string) reflect.Value {
 	return reflect.ValueOf(m).Elem().FieldByName(name)
 }

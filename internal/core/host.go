@@ -564,14 +564,19 @@ type compSlabs struct {
 // restoreComp re-creates family f's component for sub from the open
 // record, in the engine's slabs, without putting it into service — one
 // that was already torn down but is still named by a pending event stays
-// uninstalled. capacity is the MUX's serialized capacity and routed the
-// groups routed through its connection; the others use neither.
-func (h *host) restoreComp(r *snap.Reader, f family, sub int, capacity float64, routed int) component {
+// uninstalled. routed is the groups routed through a MUX's connection; the
+// other families do not use it. A MUX's capacity is derived, not read: a
+// regulated host gives every connection its C, and a capacity-aware
+// session is static (churn, faults and reopt need a regulated scheme), so
+// its connections are the ones wire made, C·factor split over the host's
+// connection table.
+func (h *host) restoreComp(r *snap.Reader, f family, sub, routed int) component {
 	env := h.env
 	sl := &env.slabs
 	flows := len(env.specs)
 	switch f {
 	case famMux:
+		capacity := env.connectionCapacity(int(h.id), len(h.fwd.muxes))
 		return sl.mux.Restore(r, env.line, capacity, int(h.id), sub, routed)
 	case famSR:
 		return sl.reg.RestoreSigmaRho(r, flows, env.eng, env.bursts[sub], env.specs[sub].Rho, h.regOut(sub, -1))

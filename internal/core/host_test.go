@@ -237,8 +237,8 @@ func TestHostCapacityAwareConnCap(t *testing.T) {
 	env.capFactor = 2.0
 	h := newHost(0, env, denseChildren([][]int{{1, 2, 3}, nil}), SchemeCapacityAware)
 	for _, m := range h.fwd.muxes {
-		if m.Capacity() != 2.0*1_000_000/3 {
-			t.Fatalf("connection capacity %v, want aggregate/3", m.Capacity())
+		if c := muxField(m, "c").Float(); c != 2.0*1_000_000/3 {
+			t.Fatalf("connection capacity %v, want aggregate/3", c)
 		}
 	}
 }

@@ -289,16 +289,16 @@ func TestMembershipWordBoundaries(t *testing.T) {
 	for id := 0; id < n; id++ {
 		sh := s.sh[s.owner[id]]
 		sh.fabric.SetReceiver(id, func(p traffic.Packet) {
-			d, l := sh.deliver, sh.lost[p.Flow]
+			d, l := sh.delays.Count(), sh.lost[p.Flow]
 			sh.receive(&s.hosts[id], p)
 			switch {
-			case sh.deliver == d+1 && sh.lost[p.Flow] == l:
+			case sh.delays.Count() == d+1 && sh.lost[p.Flow] == l:
 				delivered++
-			case sh.deliver == d && sh.lost[p.Flow] == l+1:
+			case sh.delays.Count() == d && sh.lost[p.Flow] == l+1:
 				drops[p.Flow]++
 			default:
 				t.Fatalf("host %d group %d: an arrival counted %d deliveries and %d losses",
-					id, p.Flow, sh.deliver-d, sh.lost[p.Flow]-l)
+					id, p.Flow, sh.delays.Count()-d, sh.lost[p.Flow]-l)
 			}
 		})
 	}

@@ -133,14 +133,6 @@ const (
 	WorkloadVBR
 )
 
-// String implements fmt.Stringer.
-func (w Workload) String() string {
-	if w == WorkloadVBR {
-		return "vbr"
-	}
-	return "extremal"
-}
-
 // BuildSourcesN instantiates n flows (one per group) for the chosen
 // workload by cycling the mix's flow pattern — how a scenario drives
 // K > 3 groups.

@@ -24,7 +24,7 @@ func corruptFixture(t testing.TB, shards int) (Config, []byte) {
 	cfg.NumHosts, cfg.NumGroups, cfg.Duration, cfg.Shards = 60, 3, des.Second, shards
 	cfg.Groups = cfg.Groups[:3]
 	cfg.Groups[2].Members = nil
-	return checkpointed(t, cfg)
+	return checkpointed(t, cfg, 9*des.Second/10)
 }
 
 // growingFixture is corruptFixture at one shard with a leave after the
@@ -35,15 +35,25 @@ func growingFixture(t testing.TB) (Config, []byte) {
 	t.Helper()
 	cfg, _ := corruptFixture(t, 1)
 	cfg.Events = []MembershipEvent{{At: 95 * des.Second / 100, Group: 2, Host: 1}}
-	return checkpointed(t, cfg)
+	return checkpointed(t, cfg, 9*des.Second/10)
 }
 
-// checkpointed runs cfg to 0.9 s and returns its snapshot there.
-func checkpointed(t testing.TB, cfg Config) (Config, []byte) {
+// sigmaRhoFixture is corruptFixture at one shard under (σ, ρ)
+// regulators, checkpointed at 1/3 s, where three of them wait for tokens
+// (at 0.9 s none does).
+func sigmaRhoFixture(t testing.TB) (Config, []byte) {
+	t.Helper()
+	cfg, _ := corruptFixture(t, 1)
+	cfg.Scheme = SchemeSigmaRho
+	return checkpointed(t, cfg, des.Second/3)
+}
+
+// checkpointed runs cfg to at and returns its snapshot there.
+func checkpointed(t testing.TB, cfg Config, at des.Time) (Config, []byte) {
 	t.Helper()
 	s := NewSession(cfg)
 	s.Start()
-	s.RunTo(9 * des.Second / 10)
+	s.RunTo(at)
 	blob, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +303,7 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 		want    string
 	}
 	cfgG, blobG := growingFixture(t)
+	cfgS, blobS := sigmaRhoFixture(t)
 	cases := []corruption{
 		{"tree parent", cfg1, blob1, func(t *testing.T, b []byte) {
 			// source, member count, members, parent count, first parent.
@@ -308,10 +319,6 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 		}, "tree parent 64 outside"},
 		{"static tree differs", cfg1, withSwappedChildren(t, blob1), func(*testing.T, []byte) {}, "tree child"},
 		{"static detached root", cfg1, withDetachedRoot(t, blob1), func(*testing.T, []byte) {}, "detached subtree roots"},
-		{"mux capacity", cfg1, blob1, func(t *testing.T, b []byte) {
-			// the record's totals, then the first stanza: slot, host, sub, live, capacity.
-			put64(b, firstRecord(t, b, recComponents)+4*compTotalsWords+4+4+4+1, math.Float64bits(0))
-		}, "capacity"},
 		{"mux on another host", cfg1, blob1, func(t *testing.T, b []byte) {
 			// The first stanza's host, moved one along: the host it came from
 			// forwards to a child it has no MUX for.
@@ -319,6 +326,8 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 			put32(b, off, (binary.LittleEndian.Uint32(b[off:])+1)%60)
 		}, "no MUX"},
 		{"idle MUX with queue", cfg1, withStalledMux(t, blob1), func(*testing.T, []byte) {}, "idle MUX"},
+		{"second MUX completion", cfg1, withDuplicateEvent(t, blob1, des.KindMuxDone), func(*testing.T, []byte) {}, "no packet in transmission"},
+		{"second token wait", cfgS, withDuplicateEvent(t, blobS, des.KindSRRetry), func(*testing.T, []byte) {}, "already waits"},
 		{"event before the checkpoint", cfg1, blob1, func(t *testing.T, b []byte) {
 			put64(b, firstRecord(t, b, recEngine)+4, uint64(des.Second/4))
 		}, "precedes the checkpoint"},
@@ -434,7 +443,7 @@ type stanzaOffsets struct{ muxQueues, regQueues, nextRanks, ranks []int }
 func stanzas(t testing.TB, blob []byte) (o stanzaOffsets) {
 	t.Helper()
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
-	queue := func(off int) int { return off + 4 + packetBytes*u32(off) + 8 } // count, packets, bits
+	queue := func(off int) int { return off + 4 + packetBytes*u32(off) } // count, packets
 	rec := firstRecord(t, blob, recComponents)
 	off := rec + 4*compTotalsWords
 	for f := famMux; f < numFamilies; f++ {
@@ -442,15 +451,15 @@ func stanzas(t testing.TB, blob []byte) (o stanzaOffsets) {
 			off += 4 + 4 + 4 + 1 // slot, host, sub, live
 			switch f {
 			case famMux:
-				o.muxQueues = append(o.muxQueues, off+8)
-				off = queue(off + 8) // capacity, queue
-				if blob[off] == 1 {  // busy: the packet in transmission follows
+				o.muxQueues = append(o.muxQueues, off)
+				off = queue(off)
+				if blob[off] == 1 { // busy: the packet in transmission follows
 					off += packetBytes
 				}
 				off++
 			case famSR:
 				o.regQueues = append(o.regQueues, off)
-				off = queue(off) + 8 + 8 + 1 // tokens, last update, serving
+				off = queue(off) + 8 + 8 // tokens, last update
 			case famCycle:
 				o.nextRanks = append(o.nextRanks, off+1)
 				off += 1 + 8 // gate, next rank
@@ -475,22 +484,19 @@ func with64(blob []byte, off int, v uint64) []byte {
 }
 
 // withQueuedMuxPacket returns blob with a copy of the first busy MUX's
-// packet in transmission queued behind it: a v9 MUX record whose queue is
-// not empty, which the fixture's LIFO MUXes rarely hold at a checkpoint.
+// packet in transmission queued behind it: a MUX record whose queue is not
+// empty, which the fixture's LIFO MUXes rarely hold at a checkpoint.
 func withQueuedMuxPacket(t testing.TB, blob []byte) []byte {
 	t.Helper()
 	for _, q := range stanzas(t, blob).muxQueues {
 		n := int(binary.LittleEndian.Uint32(blob[q:]))
-		bits := q + 4 + packetBytes*n
-		if blob[bits+8] != 1 {
+		busy := q + 4 + packetBytes*n
+		if blob[busy] != 1 {
 			continue
 		}
-		cur := blob[bits+8+1:][:packetBytes]
-		out := append(append(append([]byte(nil), blob[:bits]...), cur...), blob[bits:]...)
+		cur := blob[busy+1:][:packetBytes]
+		out := append(append(append([]byte(nil), blob[:busy]...), cur...), blob[busy:]...)
 		binary.LittleEndian.PutUint32(out[q:], uint32(n+1))
-		size := math.Float64frombits(binary.LittleEndian.Uint64(cur[16:]))
-		backlog := math.Float64frombits(binary.LittleEndian.Uint64(out[bits+packetBytes:]))
-		binary.LittleEndian.PutUint64(out[bits+packetBytes:], math.Float64bits(backlog+size))
 		rec := firstRecord(t, out, recComponents)
 		binary.LittleEndian.PutUint32(out[rec-4:], binary.LittleEndian.Uint32(out[rec-4:])+packetBytes)
 		muxPackets := rec + 4*int(numFamilies-famMux)
@@ -508,24 +514,34 @@ func withStalledMux(t testing.TB, blob []byte) []byte {
 	t.Helper()
 	for _, q := range stanzas(t, blob).muxQueues {
 		n := int(binary.LittleEndian.Uint32(blob[q:]))
-		bits := q + 4 + packetBytes*n
-		if blob[bits+8] != 1 {
+		busy := q + 4 + packetBytes*n
+		if blob[busy] != 1 {
 			continue
 		}
-		cur := blob[bits+8+1:][:packetBytes]
-		size := math.Float64frombits(binary.LittleEndian.Uint64(cur[16:]))
-		backlog := math.Float64frombits(binary.LittleEndian.Uint64(blob[bits:]))
 		out := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(out[q:], uint32(n+1))
-		copy(out[bits:], cur)
-		binary.LittleEndian.PutUint64(out[bits+packetBytes:], math.Float64bits(backlog+size))
-		out[bits+packetBytes+8] = 0
+		copy(out[busy:], blob[busy+1:][:packetBytes])
+		out[busy+packetBytes] = 0
 		muxPackets := firstRecord(t, out, recComponents) + 4*int(numFamilies-famMux)
 		binary.LittleEndian.PutUint32(out[muxPackets:], binary.LittleEndian.Uint32(out[muxPackets:])+1)
 		return out
 	}
 	t.Fatal("fixture has no busy MUX")
 	return nil
+}
+
+// withDuplicateEvent returns blob with its first pending event of kind
+// written twice in a row, the events record's count and length grown to
+// match: a second completion for one MUX, a second token wait for one
+// (σ, ρ) regulator.
+func withDuplicateEvent(t testing.TB, blob []byte, kind uint16) []byte {
+	t.Helper()
+	off := firstEvent(t, blob, kind)
+	out := append(append(append([]byte(nil), blob[:off]...), blob[off:][:eventHdrBytes]...), blob[off:]...)
+	rec := firstRecord(t, out, recEngine)
+	binary.LittleEndian.PutUint32(out[rec-4:], binary.LittleEndian.Uint32(out[rec-4:])+eventHdrBytes)
+	binary.LittleEndian.PutUint32(out[rec:], binary.LittleEndian.Uint32(out[rec:])+1)
+	return out
 }
 
 // withTinyRegulatorPacket returns blob with the first queued regulator
@@ -549,7 +565,8 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // pristine blob allocates plus the input's size — a corrupt length prefix
 // must not drive allocation — and a session it returns runs to its end. The
 // seeds (the fixture blob, three of its corruptions, the blob with a MUX
-// queue, with an idle MUX holding a queue, with a 1e-300-bit regulator
+// queue, with an idle MUX holding a queue, with a MUX's completion written
+// twice, with a 1e-300-bit regulator
 // packet, with a clock claiming next
 // rank 2⁶³ — which must seat no more followers than the record has — with
 // a follower ranked past its clock, with each of the unowned events, with
@@ -565,6 +582,7 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add(withQueuedMuxPacket(f, blob))
 	f.Add(withStalledMux(f, blob))
+	f.Add(withDuplicateEvent(f, blob, des.KindMuxDone))
 	f.Add(withTinyRegulatorPacket(f, blob))
 	offs := stanzas(f, blob)
 	f.Add(with64(blob, offs.nextRanks[0], 1<<63))

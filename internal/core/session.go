@@ -448,7 +448,6 @@ type shardRuntime struct {
 
 	perGroup []stats.MaxTracker
 	delays   stats.Welford
-	deliver  uint64
 	lost     []uint64         // per-group churn drops observed at owned hosts
 	windows  *stats.WindowMax // nil unless cfg.WindowSec > 0
 	faultCut []uint64         // per fault event: cut drops at owned senders
@@ -784,7 +783,6 @@ func (sh *shardRuntime) receive(h *host, p traffic.Packet) {
 	d := p.Delay(sh.eng.Now()).Seconds()
 	sh.perGroup[g].Observe(d, p.ID)
 	sh.delays.Add(d)
-	sh.deliver++
 	if sh.windows != nil {
 		sh.windows.Observe(sh.eng.Now().Seconds(), d)
 	}
@@ -888,7 +886,6 @@ func (s *Session) Finish() Result {
 	var windows *stats.WindowMax
 	for _, sh := range s.sh {
 		delays.Merge(sh.delays)
-		res.Delivered += sh.deliver
 		if sh.windows != nil {
 			if windows == nil {
 				windows = stats.NewWindowMax(cfg.WindowSec)
@@ -896,7 +893,7 @@ func (s *Session) Finish() Result {
 			windows.Merge(sh.windows)
 		}
 	}
-	res.MeanDelay = delays.Mean()
+	res.Delivered, res.MeanDelay = delays.Count(), delays.Mean()
 	for g := 0; g < numGroups; g++ {
 		var mt stats.MaxTracker
 		lost := s.sub.groups[g].lost // control-plane losses (quiesced writes)

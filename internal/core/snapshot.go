@@ -60,7 +60,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 9
+const SnapshotVersion = 10
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -853,7 +853,7 @@ const compTotalsWords = int(numFamilies) - 1 + 2
 // idle component with empty queues. Restore holds each family's count to
 // it, as it holds the other totals to their elements' widths.
 var stanzaBytes = [numFamilies]int{
-	famMux:   4 + 4 + 4 + 1 + 8 + mux.SnapBytes,
+	famMux:   4 + 4 + 4 + 1 + mux.SnapBytes,
 	famSR:    4 + 4 + 4 + 1 + regulator.SigmaRhoSnapBytes,
 	famCycle: 4 + 4 + 4 + 1 + regulator.CycleSnapBytes,
 	famSRL:   4 + 4 + 4 + 1 + 1 + regulator.SRLSnapBytes,
@@ -913,8 +913,8 @@ func (c *codec) writeComponents(w *snap.Writer, si int) {
 
 // writeFamily writes one family's components — the engine's owner table
 // for its kinds — counting into t: per component a stanza of slot, owning
-// host, sub-index, liveness, (MUX only) capacity, ((σ, ρ, λ) regulator
-// only) whether it follows its clock, and the component's own words.
+// host, sub-index, liveness, ((σ, ρ, λ) regulator only) whether it follows
+// its clock, and the component's own words.
 func writeFamily(w *snap.Writer, hosts []host, env *hostEnv, f family, comps []des.Handler, ref bitset, t *compTotals) {
 	for slot, h := range comps {
 		if h == nil {
@@ -933,10 +933,6 @@ func writeFamily(w *snap.Writer, hosts []host, env *hostEnv, f family, comps []d
 		w.Bool(live)
 		switch comp := comp.(type) {
 		case *mux.Mux:
-			// Capacity is creation-time state (capacity-aware connections
-			// split the uplink by the connection count at creation), so it
-			// rides along.
-			w.F64(comp.Capacity())
 			t.muxPackets += comp.Len()
 		case *regulator.SigmaRho:
 			t.packets += comp.QueueLen()
@@ -986,18 +982,6 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 			hid := readIndex(r, len(s.hosts), "component host")
 			sub := readIndex(r, subs[f], "component sub-index")
 			live := r.Bool()
-			capacity := 0.0
-			if f == famMux {
-				// A connection's capacity was fixed when it was made, from the
-				// host's C and — capacity-aware only — the connections it then
-				// had: between one and one per other host. Anything else turns
-				// into a serialisation time no clock can hold.
-				capacity = r.F64()
-				lo, hi := env.connectionCapacity(hid, len(s.hosts)), env.connectionCapacity(hid, 1)
-				if !(capacity >= lo && capacity <= hi) && r.Err() == nil {
-					r.Fail(fmt.Errorf("core: snapshot mux capacity %v outside [%v, %v], what host %d gives a connection", capacity, lo, hi, hid))
-				}
-			}
 			following := f == famSRL && r.Bool()
 			if r.Err() == nil && s.owner[hid] != si {
 				r.Fail(fmt.Errorf("core: snapshot shard %d holds a component of host %d, which shard %d owns", si, hid, s.owner[hid]))
@@ -1018,7 +1002,7 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 			if f == famMux && live {
 				at, routed = c.conn(h.fwd, sub)
 			}
-			comp := h.restoreComp(r, f, sub, capacity, routed)
+			comp := h.restoreComp(r, f, sub, routed)
 			if live && !h.install(f, sub, at, comp) {
 				r.Fail(fmt.Errorf("core: snapshot host %d holds a live component of family %d for %d, which its children contradict", hid, f, sub))
 				return
@@ -1073,8 +1057,9 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 	n := r.Count(eventSnapBytes)
 	sh.eng.Reserve(n)
 	sh.fabric.ReserveFlights(countFlights(*r, n))
-	done := &c.ref[famMux]
+	done, waits := &c.ref[famMux], &c.ref[famSR]
 	done.reset(len(c.slots[famMux]))
+	waits.reset(len(c.slots[famSR]))
 	for ; n > 0; n-- {
 		at, prio := des.Time(r.I64()), des.Time(r.I64())
 		kind, arg := r.U16(), r.U32()
@@ -1115,13 +1100,21 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 			}
 			done.set(int(arg))
 		}
+		if kind == des.KindSRRetry { // one per (σ, ρ) regulator waiting for tokens
+			if waits.has(int(arg)) {
+				r.Fail(fmt.Errorf("core: snapshot token wait at %v names a (σ, ρ) regulator that already waits", at))
+				return
+			}
+			waits.set(int(arg))
+		}
 		ev, err := sh.eng.Reinsert(at, prio, kind, arg)
 		if err != nil {
 			r.Fail(fmt.Errorf("core: snapshot %w", err))
 			return
 		}
 		if kind == des.KindSRRetry {
-			// Detach cancels a regulator's token wait: its one handle.
+			// Detach cancels a regulator's token wait, its one handle, and
+			// the regulator serves exactly while one is pending.
 			sh.eng.Owners(kind)[arg].(*regulator.SigmaRho).Reattach(ev)
 		}
 	}
@@ -1154,7 +1147,6 @@ func (c *codec) writeStats(w *snap.Writer, si int) {
 		sh.perGroup[g].Snapshot(w)
 	}
 	sh.delays.Snapshot(w)
-	w.U64(sh.deliver)
 	for _, n := range sh.lost {
 		w.U64(n)
 	}
@@ -1174,7 +1166,6 @@ func (c *codec) readStats(r *snap.Reader, si int) {
 		sh.perGroup[g].Restore(r)
 	}
 	sh.delays.Restore(r)
-	sh.deliver = r.U64()
 	for g := range sh.lost {
 		sh.lost[g] = r.U64()
 	}

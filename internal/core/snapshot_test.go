@@ -73,7 +73,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if _, err := Restore(cfg, blob4); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("restore of a 4-shard snapshot into a one-shard session: err = %v, want a shard-count error", err)
 	}
-	for _, old := range []uint32{2, 4} {
+	for _, old := range []uint32{2, 4, 9} {
 		hdr, err := snap.NewWriterSize(old, 0).Finish()
 		if err != nil {
 			t.Fatal(err)

@@ -67,7 +67,7 @@ func SnapshotDiff(sc scenario.Scenario, opts Options) ([]string, error) {
 			continue
 		}
 		lines = append(lines, fmt.Sprintf("%v @ load %.2f: identical (%d deliveries, snapshot %d bytes in %.2f ms, restore %.2f ms, shards %d)",
-			combo, p.loads[li], want.Delivered, len(blob), snapMs, restoreMs, cfg.Shards))
+			combo, p.loads[li], want.Delivered, len(blob), snapMs, restoreMs, want.Shards))
 	}
 	if diverged > 0 {
 		return lines, fmt.Errorf("harness: scenario %s: %d combo(s) diverged after checkpoint/restore", p.sc.Name, diverged)

@@ -30,18 +30,6 @@ const (
 	FIFO                   // global arrival order
 )
 
-// String implements fmt.Stringer.
-func (d Discipline) String() string {
-	switch d {
-	case LIFO:
-		return "lifo"
-	case FIFO:
-		return "fifo"
-	default:
-		return "unknown"
-	}
-}
-
 // Link is where a MUX puts a packet it has served: onto the output link
 // from host from to host to, whose propagation delay lat the Link priced
 // when the MUX was made (Latency). The link's ends and its delay are fixed
@@ -103,7 +91,6 @@ type Mux struct {
 	line *Line
 	c    float64          // bits/second
 	q    []traffic.Packet // queued packets in arrival order, from head on
-	bits float64
 	// cur is the packet in transmission; its Flow is idle while the server
 	// is idle (a queued packet's flow is never negative), so the record
 	// needs no busy flag.
@@ -162,9 +149,6 @@ func (m *Mux) Busy() bool { return m.cur.Flow != idle }
 // Ends returns the host ids of the MUX's output link.
 func (m *Mux) Ends() (from, to int) { return int(m.from), int(m.to) }
 
-// Capacity returns the service rate in bits/second.
-func (m *Mux) Capacity() float64 { return m.c }
-
 // Len returns the packets queued across all flows (excluding the packet
 // in transmission).
 func (m *Mux) Len() int { return len(m.q) - int(m.head) }
@@ -189,7 +173,6 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 		m.head = 0
 	}
 	m.q = append(m.q, p)
-	m.bits += p.Size
 	if !m.Busy() {
 		m.serve()
 	}
@@ -213,7 +196,6 @@ func (m *Mux) serve() {
 	} else {
 		m.head++
 	}
-	m.bits -= p.Size
 	m.cur = p
 	l.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.slot)
 }

@@ -2,7 +2,6 @@ package mux
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/snap"
 	"repro/internal/traffic"
@@ -20,7 +19,6 @@ func (m *Mux) Snapshot(w *snap.Writer) {
 	for _, p := range m.q[m.head:] {
 		p.Snapshot(w)
 	}
-	w.F64(m.bits)
 	w.Bool(m.Busy())
 	if m.Busy() {
 		m.cur.Snapshot(w)
@@ -31,7 +29,7 @@ func (m *Mux) Snapshot(w *snap.Writer) {
 // decoder sizing storage from counts it reads (snap.Reader.Count); a
 // queued packet adds traffic.PacketSnapBytes. TestSnapWidths pins both to
 // what Snapshot writes.
-const SnapBytes = 4 + 8 + 1
+const SnapBytes = 4 + 1
 
 // Slab is the storage a session makes its MUXes in: the MUXes themselves
 // and their queued packets sit in two arrays sized from totals known up
@@ -65,8 +63,8 @@ func (sl *Slab) New(line *Line, c float64, from, to, routed int) *Mux {
 // Restore makes the slab's next MUX as New would, its queue carved to the
 // larger of its restored length and routed, and overwrites its mutable
 // state from the open record. It fails the reader on a flow id outside
-// [0, k), a non-finite backlog, and an idle server with packets queued —
-// a state no work-conserving MUX is in, whose queue nothing would serve.
+// [0, k) and on an idle server with packets queued — a state no
+// work-conserving MUX is in, whose queue nothing would serve.
 // The transmit-completion event, if one was pending, is the engine's to
 // re-insert: the MUX registers in the next slot of its owner table, as
 // New would.
@@ -77,13 +75,9 @@ func (sl *Slab) Restore(r *snap.Reader, line *Line, c float64, from, to, routed 
 	for i := range m.q {
 		m.q[i] = traffic.RestorePacket(r, line.k)
 	}
-	m.bits = r.F64()
 	busy := r.Bool()
 	if busy {
 		m.cur = traffic.RestorePacket(r, line.k)
-	}
-	if math.IsInf(m.bits, 0) || math.IsNaN(m.bits) {
-		r.Fail(fmt.Errorf("mux: snapshot backlog %v bits is not finite", m.bits))
 	}
 	if !busy && n > 0 && r.Err() == nil {
 		r.Fail(fmt.Errorf("mux: snapshot idle MUX with %d packets queued", n))

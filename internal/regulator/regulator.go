@@ -24,7 +24,6 @@ import (
 type fifo struct {
 	buf  []traffic.Packet
 	head int
-	bits float64
 	pool *snap.Arena[traffic.Packet]
 }
 
@@ -51,7 +50,6 @@ func (q *fifo) push(p traffic.Packet, sigma float64) {
 		q.head = 0
 	}
 	q.buf = append(q.buf, p)
-	q.bits += p.Size
 }
 
 // maxBurst caps the burst a buffer is sized for: a burst of tiny packets
@@ -68,7 +66,6 @@ func (q *fifo) peek() traffic.Packet { return q.buf[q.head] }
 func (q *fifo) pop() traffic.Packet {
 	p := q.buf[q.head]
 	q.head++
-	q.bits -= p.Size
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0

@@ -148,7 +148,7 @@ func TestFIFOQueueCompaction(t *testing.T) {
 			t.Fatalf("pop %d returned %d", i, p.ID)
 		}
 	}
-	if !q.empty() || q.len() != 0 || q.bits != 0 {
+	if !q.empty() || q.len() != 0 {
 		t.Fatal("queue not empty after draining")
 	}
 	// Interleaved push/pop exercising compaction.
@@ -160,9 +160,6 @@ func TestFIFOQueueCompaction(t *testing.T) {
 	}
 	if q.len() != 250 {
 		t.Fatalf("len = %d", q.len())
-	}
-	if q.bits != 500 {
-		t.Fatalf("bits = %v", q.bits)
 	}
 }
 

@@ -14,17 +14,16 @@ import (
 // mutable words. A restored regulator or clock registers in its engine's
 // owner table as a made one does, and the engine re-inserts its pending
 // events; the one handle a component keeps, a (σ, ρ) regulator's token
-// wait, comes back through Reattach.
+// wait, comes back through Reattach, and with it the serving flag, which
+// is set exactly while that wait is pending.
 
-// snapshot appends the queue's live packets and exact bit total. The head
-// index is memory layout, not semantics, so the restored queue starts
-// compacted.
+// snapshot appends the queue's live packets. The head index is memory
+// layout, not semantics, so the restored queue starts compacted.
 func (q *fifo) snapshot(w *snap.Writer) {
 	w.Len(q.len())
 	for _, p := range q.buf[q.head:] {
 		p.Snapshot(w)
 	}
-	w.F64(q.bits)
 }
 
 // restore fills the queue from the open record, in a window of its pool:
@@ -35,15 +34,14 @@ func (q *fifo) restore(r *snap.Reader, flows int) {
 	for i := range q.buf {
 		q.buf[i] = traffic.RestorePacket(r, flows)
 	}
-	q.bits = r.F64()
 }
 
 // Wire widths of the layouts below, for a decoder sizing storage from
 // counts it reads (snap.Reader.Count): one regulator of each model with an
 // empty queue, one clock. TestSnapWidths pins them to what Snapshot writes.
 const (
-	SigmaRhoSnapBytes = 4 + 8 + 8 + 8 + 1
-	SRLSnapBytes      = 4 + 8 + 1 + 1 + 1 + 8
+	SigmaRhoSnapBytes = 4 + 8 + 8
+	SRLSnapBytes      = 4 + 1 + 1 + 1 + 8
 	CycleSnapBytes    = 1 + 8
 )
 
@@ -111,18 +109,17 @@ func (s *SigmaRho) Snapshot(w *snap.Writer) {
 	s.q.snapshot(w)
 	w.F64(s.tokens)
 	w.I64(int64(s.lastUpdate))
-	w.Bool(s.serving)
 }
 
 // RestoreSigmaRho makes the slab's next (σ, ρ) regulator as NewSigmaRho
 // would and overwrites its mutable state from the open record; a queued
-// packet with a flow outside [0, flows) fails the reader.
+// packet with a flow outside [0, flows) fails the reader. It comes back
+// not serving: Reattach hands it its token wait, if one was pending.
 func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigma, rho float64, out traffic.Sink) *SigmaRho {
 	s := sl.NewSigmaRho(eng, sigma, rho, out)
 	s.q.restore(r, flows)
 	s.tokens = r.F64()
 	s.lastUpdate = des.Time(r.I64())
-	s.serving = r.Bool()
 	// serve never overdraws the bucket and refill caps it at σ or the head
 	// packet; a level outside that turns into a token wait no clock can hold.
 	if !(s.tokens >= -1e-9 && s.tokens <= max(sigma, traffic.MaxPacketBits)) {
@@ -132,8 +129,8 @@ func (sl *Slab) RestoreSigmaRho(r *snap.Reader, flows int, eng *des.Engine, sigm
 }
 
 // Reattach hands a restored regulator its re-inserted token-wait event,
-// which Detach cancels.
-func (s *SigmaRho) Reattach(ev des.Event) { s.retryEv = ev }
+// which Detach cancels: the regulator is serving until it fires.
+func (s *SigmaRho) Reattach(ev des.Event) { s.retryEv, s.serving = ev, true }
 
 // Snapshot appends the regulator's mutable state to the open record. Its
 // place on a clock — follow rank, waiting bit — is written here; whether it

@@ -84,7 +84,13 @@ func TestSlabRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("short=%v: restore: %v, %d bytes unread", short, r.Err(), r.Remaining())
 		}
 		srl2.Rejoin(r, cy2)
-		if !reflect.DeepEqual(sr2.q.buf, sr.q.buf[sr.q.head:]) || sr2.q.bits != sr.q.bits || sr2.tokens != sr.tokens || sr2.serving != sr.serving {
+		if sr2.serving {
+			t.Errorf("short=%v: (σ, ρ) regulator restored serving before its token wait was reattached", short)
+		}
+		if sr.serving {
+			sr2.Reattach(des.Event{})
+		}
+		if !reflect.DeepEqual(sr2.q.buf, sr.q.buf[sr.q.head:]) || sr2.tokens != sr.tokens || sr2.serving != sr.serving {
 			t.Errorf("short=%v: (σ, ρ) regulator restored as %+v, want %+v", short, sr2, sr)
 		}
 		if !reflect.DeepEqual(srl2.q.buf, srl.q.buf[srl.q.head:]) || srl2.waiting != srl.waiting || srl2.rank != srl.rank || srl2.transmitting != srl.transmitting {

@@ -81,8 +81,15 @@ func DutyCycle(sigma, rho, c float64) (w, v des.Duration) {
 	return des.Seconds(sigma / (c - rho)), des.Seconds(sigma / rho)
 }
 
-// Backlog reports the bits currently held back.
-func (r *SRL) Backlog() float64 { return r.q.bits }
+// Backlog reports the bits currently held back, summed over the queue:
+// a trace reads it, the regulator itself never does.
+func (r *SRL) Backlog() float64 {
+	bits := 0.0
+	for _, p := range r.q.buf[r.q.head:] {
+		bits += p.Size
+	}
+	return bits
+}
 
 // QueueLen reports the packets currently held back.
 func (r *SRL) QueueLen() int { return r.q.len() }

@@ -17,23 +17,16 @@ import (
 func (w *Welford) Snapshot(sw *snap.Writer) {
 	sw.U64(w.n)
 	sw.F64(w.mean)
-	sw.F64(w.m2)
-	sw.F64(w.min)
-	sw.F64(w.max)
 }
 
 // Restore overwrites the accumulator from the open record.
 func (w *Welford) Restore(sr *snap.Reader) {
 	w.n = sr.U64()
 	w.mean = sr.F64()
-	w.m2 = sr.F64()
-	w.min = sr.F64()
-	w.max = sr.F64()
 }
 
 // Snapshot appends the tracker's fields to the open record.
 func (m *MaxTracker) Snapshot(sw *snap.Writer) {
-	sw.U64(m.n)
 	sw.F64(m.max)
 	sw.U64(m.tag)
 	sw.Bool(m.atMax)
@@ -41,7 +34,6 @@ func (m *MaxTracker) Snapshot(sw *snap.Writer) {
 
 // Restore overwrites the tracker from the open record.
 func (m *MaxTracker) Restore(sr *snap.Reader) {
-	m.n = sr.U64()
 	m.max = sr.F64()
 	m.tag = sr.U64()
 	m.atMax = sr.Bool()

@@ -292,20 +292,6 @@ const (
 	MixHetero            // one video + two audio streams
 )
 
-// String implements fmt.Stringer.
-func (m Mix) String() string {
-	switch m {
-	case MixAudio:
-		return "3xAudio"
-	case MixVideo:
-		return "3xVideo"
-	case MixHetero:
-		return "1xVideo+2xAudio"
-	default:
-		return fmt.Sprintf("Mix(%d)", int(m))
-	}
-}
-
 // NumFlows returns the mix's native flow count (the paper's K=3).
 func (m Mix) NumFlows() int { return 3 }
 

@@ -1,10 +1,6 @@
 package traffic
 
-import (
-	"fmt"
-
-	"repro/internal/des"
-)
+import "repro/internal/des"
 
 // Source is a traffic generator. Start schedules packet emissions on the
 // engine up to (and excluding) the `until` horizon, delivering each packet
@@ -41,12 +37,6 @@ func NewGreedy(flow int, sigma, rho, packetSize float64) *Greedy {
 	}
 	return &Greedy{Flow: flow, Sigma: sigma, Rho: rho, PacketSize: packetSize}
 }
-
-// Name implements Source.
-func (g *Greedy) Name() string { return fmt.Sprintf("greedy(σ=%.0f,ρ=%.0f)", g.Sigma, g.Rho) }
-
-// AvgRate implements Source.
-func (g *Greedy) AvgRate() float64 { return g.Rho }
 
 // Start implements Source.
 func (g *Greedy) Start(eng *des.Engine, until des.Time, emit func(Packet)) {
