@@ -18,14 +18,19 @@ import (
 // edits holds what a tree edit touches: the substrate, whose trees and
 // child plan start as the blueprint's, the network, the per-group runtime
 // state, the session's hosts, and the outage set — the fault plane's,
-// shared with the control plane; nil in a session without faults.
+// shared with the control plane; nil in a session without faults — and
+// the scratch remove keeps its feed edges in.
 type edits struct {
 	sub    *substrate
 	net    *topo.Network
 	groups []*groupState
 	hosts  []host
 	down   bitset
+	feeds  []feed
 }
+
+// feed is a tree edge remove unhooks: parent p feeding victim v.
+type feed struct{ v, p int }
 
 func newEdits(sub *substrate, hosts []host) edits {
 	return edits{sub: sub, net: sub.net, groups: sub.groups, hosts: hosts}
@@ -142,7 +147,8 @@ func (e *edits) members(g int, hs []int) []int {
 // tears down victim by victim in ascending order, the feed edges from
 // surviving parents unhook, and victims parked as detached roots leave
 // the deferred-repair set. Returns the orphaned subtree roots, unrepaired,
-// in overlay.PruneAll's pinned ascending order, and the abandoned backlog.
+// in overlay.PruneAll's pinned ascending order — the tree's scratch, valid
+// until its next prune — and the abandoned backlog.
 func (e *edits) remove(g int, victims []int) (orphans []int, lost uint64) {
 	st := e.groups[g]
 	isVictim := func(h int) bool {
@@ -151,13 +157,13 @@ func (e *edits) remove(g int, victims []int) (orphans []int, lost uint64) {
 	}
 	// Feed edges from surviving parents, captured before the prune erases
 	// them.
-	type edge struct{ v, p int }
-	var feeds []edge
+	feeds := e.feeds[:0]
 	for _, v := range victims {
 		if p, ok := st.tree.ParentOf(v); ok && p >= 0 && !isVictim(p) {
-			feeds = append(feeds, edge{v, p})
+			feeds = append(feeds, feed{v, p})
 		}
 	}
+	e.feeds = feeds
 	orphans, err := e.tree(g).PruneAll(victims)
 	if err != nil {
 		panic(fmt.Sprintf("core: prune: %v", err))

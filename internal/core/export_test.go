@@ -162,10 +162,6 @@ func (s *Session) Groups() []GroupSpec {
 // blueprint's.
 func ChildPlan(s *Session) (plan any, own bool) { return s.sub.plan, s.sub.plan != s.sub.bp.plan }
 
-// SnapshotHint reports the capacity the session's next Snapshot starts its
-// stream at.
-func SnapshotHint(s *Session) int { return s.snapSize }
-
 // RewirePlan is the re-optimization plane's pick for group g's next move
 // in a pass that has already moved the given members: the member it would
 // rewire, its new parent and the predicted delay, before the hysteresis.
@@ -443,6 +439,60 @@ func EditCycle(s *Session, g int) (cycle func(h int), none int) {
 		e.attach(h, p, c)
 		e.unhook(h, p, c)
 	}, none
+}
+
+// TreeEditCycles returns two cycles of the tree edits churn and faults
+// make on group g of s, each leaving g's member set as it found it: leave,
+// in which the lowest member with children leaves (controlPlane.leave:
+// Tree.Prune, its orphans repaired by Tree.RepairWith) and joins again,
+// and batch, in which the two lowest members with children are removed in
+// one step (edits.remove: Tree.PruneAll), their orphans repaired, and both
+// join again. Each panics if an edit it makes is refused.
+func TreeEditCycles(s *Session, g int) (leave, batch func()) {
+	cp := &controlPlane{edits: newEdits(s.sub, s.hosts)}
+	st := s.sub.groups[g]
+	var victims [2]int
+	// lowest fills victims with the n lowest members that have children.
+	lowest := func(n int) []int {
+		vs := victims[:0]
+		for _, m := range st.tree.Members {
+			if m == st.tree.Source || st.tree.SubtreeHeight(m) == 0 {
+				continue
+			}
+			i := len(vs)
+			for i > 0 && vs[i-1] > m {
+				i--
+			}
+			if i < n {
+				vs = slices.Insert(vs[:min(len(vs), n-1)], i, m)
+			}
+		}
+		if len(vs) < n {
+			panic(fmt.Sprintf("core: group %d has %d members with children, want %d", g, len(vs), n))
+		}
+		return vs
+	}
+	join := func(h int) {
+		if !cp.graft(g, h) {
+			panic(fmt.Sprintf("core: group %d refused %d's join", g, h))
+		}
+	}
+	leave = func() {
+		h := lowest(1)[0]
+		if !cp.leave(g, h) {
+			panic(fmt.Sprintf("core: group %d refused %d's leave", g, h))
+		}
+		join(h)
+	}
+	batch = func() {
+		vs := lowest(2)
+		orphans, _ := cp.remove(g, vs)
+		cp.repair(g, orphans)
+		for _, v := range vs {
+			join(v)
+		}
+	}
+	return leave, batch
 }
 
 // bankAt is bank's regulator at slot i, or nil when the bank was never

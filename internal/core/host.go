@@ -254,6 +254,24 @@ func (gc *groupChildren) slots() int {
 	return n
 }
 
+// conns lays the child sets' connections out by the slot their edges
+// name, in one pass over the edges: each slot's child and the groups
+// routed through it. It returns the prefix of scratch, which needs room
+// for slots(), up to the highest slot named; a slot no edge names is
+// {0, 0}.
+func (gc *groupChildren) conns(scratch []connPlan) []connPlan {
+	n := 0
+	for _, es := range gc.edges {
+		for _, e := range es {
+			for ; n <= int(e.mux); n++ {
+				scratch[n] = connPlan{}
+			}
+			scratch[e.mux] = connPlan{e.child, scratch[e.mux].routed + 1}
+		}
+	}
+	return scratch[:n]
+}
+
 // wire gives a bare host its compiled child sets and the machinery they
 // need: a forwarder, a MUX per connection, with room for a packet of each
 // group routed through it, and the initial mode's regulator bank; conns is
@@ -262,15 +280,8 @@ func (gc *groupChildren) slots() int {
 // made ascending child order: component registry slots must be
 // deterministic for snapshots to be stable.
 func (h *host) wire(children groupChildren, conns []connPlan) {
-	n := 0
-	for _, es := range children.edges {
-		for _, e := range es {
-			for ; n <= int(e.mux); n++ {
-				conns[n] = connPlan{}
-			}
-			conns[e.mux] = connPlan{e.child, conns[e.mux].routed + 1}
-		}
-	}
+	conns = children.conns(conns)
+	n := len(conns)
 	if n == 0 {
 		return
 	}
@@ -278,7 +289,7 @@ func (h *host) wire(children groupChildren, conns []connPlan) {
 	f.children = children
 	connCap := h.env.connectionCapacity(int(h.id), n)
 	f.muxes = h.env.slabs.muxes.Take(n)
-	for i, c := range conns[:n] {
+	for i, c := range conns {
 		f.muxes[i] = h.makeMux(int(c.child), connCap, int(c.routed))
 	}
 	h.enterMode(initialMode(h.env.scheme))

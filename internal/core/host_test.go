@@ -9,6 +9,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/mux"
 	"repro/internal/regulator"
+	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
@@ -88,6 +89,17 @@ func childrenOf(f *forwarder, g int) []int {
 func TestHostRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(host{}); got > 24 {
 		t.Fatalf("host record is %d bytes, want at most 24", got)
+	}
+}
+
+// TestTopoHostRecordSize pins the network's per-host record, which every
+// MUX a restore makes reads twice to price its link (Network.Latency): a
+// router, an access delay and an uplink multiplier. Until the write-only
+// coordinate and the id its index repeats went, it was 48 bytes, and two
+// of them straddled more cache lines than a Latency call's other reads.
+func TestTopoHostRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(topo.Host{}); got != 24 {
+		t.Fatalf("topo.Host is %d bytes, want 24", got)
 	}
 }
 

@@ -482,9 +482,8 @@ type Session struct {
 	ro        *reoptPlane   // nil unless cfg.Reopt is enabled
 	fp        *faultPlane   // nil unless cfg.Faults is set
 
-	sources  []traffic.Source // built by Start (or a snapshot restore)
-	started  bool
-	snapSize int // size of the last snapshot taken, or restored from: capacity hint for the next
+	sources []traffic.Source // built by Start (or a snapshot restore)
+	started bool
 }
 
 // resumeState marks a session build as a checkpoint-restore skeleton: the

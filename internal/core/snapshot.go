@@ -45,7 +45,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -55,6 +54,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/regulator"
 	"repro/internal/snap"
+	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -101,12 +101,14 @@ const (
 )
 
 // record is one row of the stream layout: the record's type tag, how often
-// it appears, whether this session has it at all, and its two codecs. A
-// codec reports failure through the writer's or reader's Fail.
+// it appears, whether this session has it at all, the length of the
+// payload its writer writes, and its two codecs. A codec reports failure
+// through the writer's or reader's Fail.
 type record struct {
 	tag     uint16
 	scope   scope
 	present func(s *Session) bool // nil: always
+	size    func(c *codec, i int) int
 	write   func(c *codec, w *snap.Writer, i int)
 	read    func(c *codec, r *snap.Reader, i int)
 }
@@ -114,20 +116,22 @@ type record struct {
 // records is the order and presence rule of every record, stated once.
 // Session.Snapshot and Restore both iterate it (codec.walk), so the writer
 // and the reader cannot disagree about the layout; DESIGN.md §11.2 is this
-// table in prose.
+// table in prose. Each row's size is its writer's length in closed form,
+// from the counts the writer walks, so Snapshot makes the stream in one
+// buffer of the length it reaches.
 var records = []record{
-	{recMeta, once, nil, (*codec).writeMeta, (*codec).readMeta},
-	{recGroup, perGroup, nil, (*codec).writeGroup, (*codec).readGroup},
-	{recHosts, once, nil, (*codec).writeHosts, (*codec).readHosts},
-	{recSources, once, nil, (*codec).writeSources, (*codec).readSources},
-	{recControl, once, func(s *Session) bool { return s.ctl != nil }, (*codec).writeControl, (*codec).readControl},
-	{recFaults, once, func(s *Session) bool { return s.fp != nil }, (*codec).writeFaults, (*codec).readFaults},
-	{recReopt, once, func(s *Session) bool { return s.ro != nil }, (*codec).writeReopt, (*codec).readReopt},
-	{recComponents, perShard, nil, (*codec).writeComponents, (*codec).readComponents},
-	{recEngine, perShard, nil, (*codec).writeEvents, (*codec).readEvents},
-	{recStats, perShard, nil, (*codec).writeStats, (*codec).readStats},
-	{recCoord, once, nil, (*codec).writeCoord, (*codec).readCoord},
-	{recEnd, once, nil, func(*codec, *snap.Writer, int) {}, func(*codec, *snap.Reader, int) {}},
+	{recMeta, once, nil, (*codec).sizeMeta, (*codec).writeMeta, (*codec).readMeta},
+	{recGroup, perGroup, nil, (*codec).sizeGroup, (*codec).writeGroup, (*codec).readGroup},
+	{recHosts, once, nil, (*codec).sizeHosts, (*codec).writeHosts, (*codec).readHosts},
+	{recSources, once, nil, (*codec).sizeSources, (*codec).writeSources, (*codec).readSources},
+	{recControl, once, func(s *Session) bool { return s.ctl != nil }, func(*codec, int) int { return 4 * 4 }, (*codec).writeControl, (*codec).readControl},
+	{recFaults, once, func(s *Session) bool { return s.fp != nil }, (*codec).sizeFaults, (*codec).writeFaults, (*codec).readFaults},
+	{recReopt, once, func(s *Session) bool { return s.ro != nil }, (*codec).sizeReopt, (*codec).writeReopt, (*codec).readReopt},
+	{recComponents, perShard, nil, (*codec).sizeComponents, (*codec).writeComponents, (*codec).readComponents},
+	{recEngine, perShard, nil, (*codec).sizeEvents, (*codec).writeEvents, (*codec).readEvents},
+	{recStats, perShard, nil, (*codec).sizeStats, (*codec).writeStats, (*codec).readStats},
+	{recCoord, once, nil, (*codec).sizeCoord, (*codec).writeCoord, (*codec).readCoord},
+	{recEnd, once, nil, func(*codec, int) int { return 0 }, func(*codec, *snap.Writer, int) {}, func(*codec, *snap.Reader, int) {}},
 }
 
 // codec is what one Snapshot or one Restore threads through the table.
@@ -135,23 +139,25 @@ type codec struct {
 	s   *Session // Restore: nil until the meta record has been read
 	cfg *Config  // Restore: the configuration to rebuild under
 	at  des.Time // the checkpoint instant
-	// One shard's state between its components record and its events
-	// record. Snapshot: the shard's pending events (the first needs the
-	// slots they name, the second writes them) and, per family, the set of
-	// registry slots those events name — both buffers serve every shard in
-	// turn. Restore: per family the serialized slots (ascending, as
+	// Snapshot: what each shard's records write, gathered before the
+	// stream is sized (gather).
+	shards []shardSnap
+	// Restore: one shard's state between its components record and its
+	// events record. Per family the serialized slots (ascending, as
 	// written) — the engine's owner tables hold no component before the
 	// components record, so the i-th of them is the one it registers i-th —
-	// and, in the MUX family's set, the MUXes a pending completion names.
-	evs   []des.PendingEvent
+	// and, in the MUX and (σ, ρ) families' sets, the MUXes a pending
+	// completion and the regulators a pending token wait names.
 	ref   [numFamilies]bitset
 	slots [numFamilies][]uint32
 	// Restore: per shard its forwarders, their connections, their (group,
-	// child) edges and the groups they forward; and routesOf's edges,
-	// sorted by child.
-	per      []shardCount
-	routes   []edge
-	routesOf *forwarder
+	// child) edges and the groups they forward; and the connections of
+	// connsOf by slot (groupChildren.conns), with next the slot after the
+	// one conn last took.
+	per     []shardCount
+	conns   []connPlan
+	connsOf *forwarder
+	next    int
 	// Snapshot: the scratch each tree sorts its parents in.
 	parents []int32
 }
@@ -160,23 +166,29 @@ type shardCount struct{ fwds, conns, edges, forwards int }
 
 // conn returns the slot f's edges name for its connection to child, or -1
 // when none does, and the groups routed through it — what wire counts for
-// a build. It sorts f's edges once for a run of its host's MUX stanzas,
-// and a build makes each host's MUXes one after another.
+// a build. It lays f's connections out once for a run of its host's MUX
+// stanzas: a build makes each host's MUXes one after another in slot
+// order, and a restore registers them in the order they were written, so
+// the slot after the one taken last is the one it looks at first; a
+// connection churn made later, in a free slot, is found by scanning on
+// from there.
 func (c *codec) conn(f *forwarder, child int) (slot int32, routed int) {
-	if c.routesOf != f {
-		c.routesOf, c.routes = f, c.routes[:0]
-		for _, es := range f.children.edges {
-			c.routes = append(c.routes, es...)
+	if c.connsOf != f {
+		c.connsOf, c.next = f, 0
+		c.conns = f.children.conns(c.conns[:cap(c.conns)])
+	}
+	n := len(c.conns)
+	for k := range n {
+		i := c.next + k
+		if i >= n {
+			i -= n
 		}
-		slices.SortFunc(c.routes, func(a, b edge) int { return cmp.Compare(a.child, b.child) })
+		if cp := c.conns[i]; cp.child == int32(child) && cp.routed > 0 {
+			c.next = i + 1
+			return int32(i), int(cp.routed)
+		}
 	}
-	byChild := func(e edge, c int32) int { return cmp.Compare(e.child, c) }
-	lo, ok := slices.BinarySearchFunc(c.routes, int32(child), byChild)
-	if !ok {
-		return -1, 0
-	}
-	hi, _ := slices.BinarySearchFunc(c.routes, int32(child)+1, byChild)
-	return c.routes[lo].mux, hi - lo
+	return -1, 0
 }
 
 // walk visits every record of the stream in order — (row, index within
@@ -226,10 +238,17 @@ func (s *Session) Snapshot() ([]byte, error) {
 	// Fold every mailbox into the sorted pending buffers so the snapshot
 	// sees all undelivered cross-shard records in one place.
 	s.coord.CheckpointDrain()
-	// A sixteenth of headroom over the last snapshot absorbs the drift of
-	// queue depths between two checkpoints; past it the stream regrows.
-	w := snap.NewWriterSize(SnapshotVersion, s.snapSize+s.snapSize/16)
+	// The stream is made once, at the length its records sum to.
 	c := &codec{s: s, at: at}
+	if err := c.gather(); err != nil {
+		return nil, err
+	}
+	size := snap.HeaderBytes
+	c.walk(func(rec *record, i int) error {
+		size += snap.FrameBytes + rec.size(c, i)
+		return nil
+	})
+	w := snap.NewWriterSize(SnapshotVersion, size)
 	c.walk(func(rec *record, i int) error {
 		w.Begin(rec.tag)
 		rec.write(c, w, i)
@@ -237,8 +256,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 		return w.Err()
 	})
 	blob, err := w.Finish()
-	if err == nil {
-		s.snapSize = len(blob)
+	if err == nil && len(blob) != size {
+		return nil, fmt.Errorf("core: snapshot wrote %d bytes where its records' sizes sum to %d", len(blob), size)
 	}
 	return blob, err
 }
@@ -269,9 +288,6 @@ func Restore(cfg Config, data []byte) (*Session, error) {
 	if err := c.s.checkWiring(); err != nil {
 		return nil, err
 	}
-	// The next snapshot of this session is about as large as the one it
-	// came from.
-	c.s.snapSize = len(data)
 	return c.s, nil
 }
 
@@ -358,6 +374,15 @@ func writeBitmap(w *snap.Writer, b bitset) {
 	w.SetCount(slot, n)
 }
 
+// bitmapBytes is the length of what writeBitmap writes for b.
+func bitmapBytes(b bitset) int {
+	n := 0
+	for _, word := range b {
+		n += bits.OnesCount64(word)
+	}
+	return 4 + 4*n
+}
+
 // readBitmap reads what writeBitmap wrote into b, a set of [0, n).
 func readBitmap(r *snap.Reader, b bitset, n int, what string) {
 	clear(b)
@@ -384,6 +409,20 @@ func writeCells(w *snap.Writer, groups, hosts int, live func(g, h int) bool, put
 	w.SetCount(slot, n)
 }
 
+// cellsBytes is the length of what writeCells writes when put writes
+// width bytes per cell.
+func cellsBytes(groups, hosts int, live func(g, h int) bool, width int) int {
+	n := 0
+	for g := 0; g < groups; g++ {
+		for h := 0; h < hosts; h++ {
+			if live(g, h) {
+				n++
+			}
+		}
+	}
+	return 4 + n*(4+4+width)
+}
+
 func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int)) {
 	for n := r.Len(); n > 0; n-- {
 		g := readIndex(r, groups, what)
@@ -395,6 +434,10 @@ func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int
 
 // The meta record: the checkpoint instant and shard count, then enough of
 // the configuration to refuse a snapshot restored under the wrong Config.
+func (c *codec) sizeMeta(int) int {
+	return 8 + 4 + 8 + 8 + 8 + 4 + 4 + 1 + 1 + 8 + 1 + 4 + len(c.s.sub.key)
+}
+
 func (c *codec) writeMeta(w *snap.Writer, _ int) {
 	sub := c.s.sub
 	cfg := sub.cfg
@@ -458,6 +501,11 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	c.s, c.at = s, at
 }
 
+func (c *codec) sizeGroup(g int) int {
+	st := c.s.sub.groups[g]
+	return st.tree.SnapBytes() + 8 + 4 + 4*len(st.detached)
+}
+
 func (c *codec) writeGroup(w *snap.Writer, g int) {
 	if c.parents == nil {
 		// One sort scratch for every tree, sized for the largest: a tree
@@ -508,6 +556,20 @@ func (c *codec) readGroup(r *snap.Reader, g int) {
 	for ; n > 0; n-- {
 		st.detached = append(st.detached, readIndex(r, numHosts, "detached subtree root"))
 	}
+}
+
+// hostBytes is the length of one host's record in writeHosts, a running
+// controller's window aside.
+const hostBytes = 1 + 1 + 4 + 1 + 1 + 1 + 1
+
+func (c *codec) sizeHosts(int) int {
+	n := 4 + hostBytes*len(c.s.hosts)
+	for _, h := range c.s.hosts {
+		if h.fwd != nil && h.fwd.rate != nil {
+			n += h.fwd.rate.SnapBytes()
+		}
+	}
+	return n
 }
 
 // writeHosts writes one record per host. A host with no forwarder writes
@@ -563,8 +625,8 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 	// the slots its edges name — and one bank entry per group it forwards,
 	// in each bank its scheme can build. A forwarder whose children all
 	// left, one a later graft starts, and a connection no edge names are
-	// carved from a refill chunk. The codec's edge scratch (conn) is sized
-	// for the host with the most.
+	// carved from a refill chunk. The codec's connection scratch (conn) is
+	// sized for the host with the most.
 	per := make([]shardCount, len(s.sh))
 	most := 0
 	for id := range s.hosts {
@@ -573,15 +635,14 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 			n.fwds++
 		}
 		n.forwards += len(gc.groups)
-		n.conns += gc.slots()
-		edges := 0
+		slots := gc.slots()
+		n.conns += slots
+		most = max(most, slots)
 		for _, es := range gc.edges {
-			edges += len(es)
+			n.edges += len(es)
 		}
-		n.edges += edges
-		most = max(most, edges)
 	}
-	c.per, c.routes = per, make([]edge, 0, most)
+	c.per, c.conns = per, make([]connPlan, 0, most)
 	scheme := s.sub.cfg.Scheme
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
@@ -640,9 +701,18 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 // to an engine and sink, owning its events at its flow, without scheduling.
 type snapSource interface {
 	SnapTag() uint8
+	SnapBytes() int
 	Snapshot(w *snap.Writer)
 	Restore(r *snap.Reader)
 	Resume(eng *des.Engine, until des.Time, out traffic.Sink)
+}
+
+func (c *codec) sizeSources(int) int {
+	n := 4
+	for _, src := range c.s.sources {
+		n += 1 + src.(snapSource).SnapBytes()
+	}
+	return n
 }
 
 func (c *codec) writeSources(w *snap.Writer, _ int) {
@@ -687,6 +757,27 @@ func (c *codec) readControl(r *snap.Reader, _ int) {
 	cp.leaves = int(r.U32())
 	cp.regrafts = int(r.U32())
 	cp.rejected = int(r.U32())
+}
+
+func (c *codec) sizeFaults(int) int {
+	fp := c.s.fp
+	n := bitmapBytes(fp.down) + 4
+	for _, mem := range fp.restoreSets {
+		n += 8 + 4
+		for _, hosts := range mem {
+			n += 4 + 4*len(hosts)
+		}
+	}
+	n++
+	if fp.cutOn {
+		n += 4 + bitmapBytes(fp.cutHost)
+	}
+	n += 4 + (4+4+8+8+4)*len(fp.outcomes) + 4
+	for _, pairs := range fp.tracked {
+		n += 4 + (4+4)*len(pairs)
+	}
+	return n + cellsBytes(len(fp.trackIdx), len(fp.hosts),
+		func(g, h int) bool { return fp.trackIdx[g][h] >= 0 }, 4+8)
 }
 
 // writeFaults serializes the fault plane's mutable state. The events, their
@@ -799,6 +890,12 @@ func (c *codec) readFaults(r *snap.Reader, _ int) {
 	})
 }
 
+func (c *codec) sizeReopt(int) int {
+	ro := c.s.ro
+	return cellsBytes(len(ro.est), len(ro.hosts), func(g, h int) bool { return ro.est[g][h].n > 0 }, 8+8) +
+		(8+4)*len(ro.cooldown) + 4*3
+}
+
 // writeReopt serializes the re-optimization plane's mutable state (the
 // estimate cells sparsely — only cells with observations).
 func (c *codec) writeReopt(w *snap.Writer, _ int) {
@@ -859,14 +956,6 @@ var stanzaBytes = [numFamilies]int{
 	famSRL:   4 + 4 + 4 + 1 + 1 + regulator.SRLSnapBytes,
 }
 
-// put fills the slots reserved at base (compTotalsWords consecutive Counts).
-func (t *compTotals) put(w *snap.Writer, base int) {
-	for _, n := range append(t.comps[famMux:], t.muxPackets, t.packets) {
-		w.SetCount(base, n)
-		base += 4
-	}
-}
-
 func (t *compTotals) read(r *snap.Reader) {
 	for f := famMux; f < numFamilies; f++ {
 		t.comps[f] = r.Count(stanzaBytes[f])
@@ -875,73 +964,135 @@ func (t *compTotals) read(r *snap.Reader) {
 	t.packets = r.Count(traffic.PacketSnapBytes)
 }
 
-// writeComponents serializes one engine's component registries, family by
-// family, behind the record's totals: every component that is live
-// (installed in its host) or referenced by a pending event of that engine.
-// Dead unreferenced components (detached regulators whose events were
-// cancelled, dropped MUXes that drained) are garbage and skipped; a
-// dead-but-referenced component — a dropped MUX still draining its queue, a
-// detached SRL mid-transmission — serializes with live=false so the
-// re-inserted event finds it without re-installing it.
-func (c *codec) writeComponents(w *snap.Writer, si int) {
-	sh := c.s.sh[si]
-	evs, err := sh.eng.PendingEvents(c.evs)
-	if err != nil {
-		w.Fail(err)
-		return
-	}
-	c.evs = evs
-	env := sh.env
-	for f := famMux; f < numFamilies; f++ {
-		c.ref[f].reset(len(sh.eng.Owners(famKind[f])))
-	}
-	for _, ev := range evs {
-		if f := kindFam[ev.Kind]; f != famNone {
-			c.ref[f].set(int(ev.Arg))
-		}
-	}
-	base := w.Count()
-	for i := 1; i < compTotalsWords; i++ {
-		w.Count()
-	}
-	var t compTotals
-	for f := famMux; f < numFamilies; f++ {
-		writeFamily(w, c.s.hosts, env, f, sh.eng.Owners(famKind[f]), c.ref[f], &t)
-	}
-	t.put(w, base)
+// shardSnap is what one shard's records write, as Snapshot gathers it
+// before it sizes the stream: the engine's pending events in seq order;
+// per family the registry slots of the components written — every live
+// one (installed in its host) and every one a pending event names — and
+// which of those are live; the totals that open the components record; and
+// the MUXes with a packet in transmission, whose stanzas carry it.
+type shardSnap struct {
+	evs        []des.PendingEvent
+	keep, live [numFamilies]bitset
+	tot        compTotals
+	busy       int
 }
 
-// writeFamily writes one family's components — the engine's owner table
-// for its kinds — counting into t: per component a stanza of slot, owning
-// host, sub-index, liveness, ((σ, ρ, λ) regulator only) whether it follows
-// its clock, and the component's own words.
-func writeFamily(w *snap.Writer, hosts []host, env *hostEnv, f family, comps []des.Handler, ref bitset, t *compTotals) {
+// gather fills c.shards: each engine's pending events, in one buffer, and
+// the components each shard's record writes, whose sets are windows of one
+// bitset. Dead unreferenced components (detached regulators whose events
+// were cancelled, dropped MUXes that drained) are garbage and skipped; a
+// dead-but-referenced component — a dropped MUX still draining its queue, a
+// detached SRL mid-transmission — is written with live=false so the
+// re-inserted event finds it without re-installing it.
+func (c *codec) gather() error {
+	s := c.s
+	events, n := 0, 0
+	for _, sh := range s.sh {
+		events += sh.eng.Pending()
+		for f := famMux; f < numFamilies; f++ {
+			n += 2 * words(len(sh.eng.Owners(famKind[f])))
+		}
+	}
+	evs, sets := make([]des.PendingEvent, events), make(bitset, n)
+	c.shards = make([]shardSnap, len(s.sh))
+	for si, sh := range s.sh {
+		ss := &c.shards[si]
+		n := sh.eng.Pending()
+		var err error
+		if ss.evs, err = sh.eng.PendingEvents(evs[:0:n]); err != nil {
+			return err
+		}
+		evs = evs[n:]
+		for f := famMux; f < numFamilies; f++ {
+			k := words(len(sh.eng.Owners(famKind[f])))
+			ss.keep[f], ss.live[f], sets = sets[:k:k], sets[k:2*k:2*k], sets[2*k:]
+		}
+		for _, ev := range ss.evs {
+			if f := kindFam[ev.Kind]; f != famNone {
+				ss.keep[f].set(int(ev.Arg))
+			}
+		}
+		for f := famMux; f < numFamilies; f++ {
+			ss.gatherFamily(s.hosts, sh.env, f, sh.eng.Owners(famKind[f]))
+		}
+	}
+	return nil
+}
+
+// gatherFamily adds family f's live components — the engine's owner table
+// comps — to the components written, and counts those into the totals.
+func (ss *shardSnap) gatherFamily(hosts []host, env *hostEnv, f family, comps []des.Handler) {
+	keep, live, t := ss.keep[f], ss.live[f], &ss.tot
 	for slot, h := range comps {
 		if h == nil {
-			continue // a hole holds no component
+			keep.unset(slot) // a hole holds no component, named or not
+			continue
 		}
 		comp := h.(component)
-		id := env.ident(slot, comp)
-		live := hosts[id.host].fwd.isLive(f, comp)
-		if !live && !ref.has(slot) {
+		if hosts[env.ident(slot, comp).host].fwd.isLive(f, comp) {
+			live.set(slot)
+			keep.set(slot)
+		} else if !keep.has(slot) {
 			continue
 		}
 		t.comps[f]++
-		w.U32(uint32(slot))
-		w.U32(uint32(id.host))
-		w.U32(uint32(id.sub))
-		w.Bool(live)
 		switch comp := comp.(type) {
 		case *mux.Mux:
 			t.muxPackets += comp.Len()
+			if comp.Busy() {
+				ss.busy++
+			}
 		case *regulator.SigmaRho:
 			t.packets += comp.QueueLen()
 		case *regulator.SRL:
-			// Which clock is implied — the one for (sub, the host's capacity).
-			w.Bool(comp.Following())
 			t.packets += comp.QueueLen()
 		}
-		comp.Snapshot(w)
+	}
+}
+
+func (c *codec) sizeComponents(si int) int {
+	ss := &c.shards[si]
+	n := 4 * compTotalsWords
+	for f := famMux; f < numFamilies; f++ {
+		n += ss.tot.comps[f] * stanzaBytes[f]
+	}
+	return n + traffic.PacketSnapBytes*(ss.tot.muxPackets+ss.tot.packets+ss.busy)
+}
+
+// writeComponents serializes one engine's component registries, family by
+// family, behind the record's totals: the components gather chose.
+func (c *codec) writeComponents(w *snap.Writer, si int) {
+	sh, ss := c.s.sh[si], &c.shards[si]
+	for f := famMux; f < numFamilies; f++ {
+		w.Len(ss.tot.comps[f])
+	}
+	w.Len(ss.tot.muxPackets)
+	w.Len(ss.tot.packets)
+	for f := famMux; f < numFamilies; f++ {
+		writeFamily(w, sh.env, f, sh.eng.Owners(famKind[f]), ss.keep[f], ss.live[f])
+	}
+}
+
+// writeFamily writes the components of one family — the engine's owner
+// table for its kinds — that keep holds: per component a stanza of slot,
+// owning host, sub-index, liveness, ((σ, ρ, λ) regulator only) whether it
+// follows its clock, and the component's own words.
+func writeFamily(w *snap.Writer, env *hostEnv, f family, comps []des.Handler, keep, live bitset) {
+	for wi, word := range keep {
+		for ; word != 0; word &= word - 1 {
+			slot := wi*64 + bits.TrailingZeros64(word)
+			comp := comps[slot].(component)
+			id := env.ident(slot, comp)
+			w.U32(uint32(slot))
+			w.U32(uint32(id.host))
+			w.U32(uint32(id.sub))
+			w.Bool(live.has(slot))
+			if f == famSRL {
+				// Which clock is implied — the one for (sub, the host's capacity).
+				w.Bool(comp.(*regulator.SRL).Following())
+			}
+			comp.Snapshot(w)
+		}
 	}
 }
 
@@ -1021,13 +1172,24 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	}
 }
 
+func (c *codec) sizeEvents(si int) int {
+	evs := c.shards[si].evs
+	flights := 0
+	for _, ev := range evs {
+		if ev.Kind == des.KindFlight {
+			flights++
+		}
+	}
+	return 4 + eventSnapBytes*len(evs) + (4+traffic.PacketSnapBytes)*flights
+}
+
 // writeEvents serializes one engine's pending events in seq order. A
 // KindFlight event carries its in-flight delivery inline, because the
 // flight-pool node index in arg is meaningless across processes.
 func (c *codec) writeEvents(w *snap.Writer, si int) {
-	fabric := c.s.sh[si].fabric
-	w.Len(len(c.evs))
-	for _, ev := range c.evs {
+	fabric, evs := c.s.sh[si].fabric, c.shards[si].evs
+	w.Len(len(evs))
+	for _, ev := range evs {
 		w.I64(int64(ev.At))
 		w.I64(int64(ev.Prio))
 		w.U16(ev.Kind)
@@ -1038,7 +1200,6 @@ func (c *codec) writeEvents(w *snap.Writer, si int) {
 			p.Snapshot(w)
 		}
 	}
-	c.evs = nil
 }
 
 // readEvents re-inserts one engine's serialized events in original order
@@ -1140,6 +1301,15 @@ func countFlights(r snap.Reader, n int) int {
 	return flights
 }
 
+func (c *codec) sizeStats(si int) int {
+	sh := c.s.sh[si]
+	n := stats.MaxTrackerSnapBytes*len(sh.perGroup) + stats.WelfordSnapBytes + 8*len(sh.lost) + 1
+	if sh.windows != nil {
+		n += sh.windows.SnapBytes()
+	}
+	return n + 4 + 8*len(sh.faultCut)
+}
+
 // writeStats serializes one shard's measurement accumulators.
 func (c *codec) writeStats(w *snap.Writer, si int) {
 	sh := c.s.sh[si]
@@ -1187,6 +1357,17 @@ func (c *codec) readStats(r *snap.Reader, si int) {
 
 // --- The coordinator record ---
 
+// coordRecBytes is the length of one pending cross-shard record.
+const coordRecBytes = 8 + 8 + 8 + 4 + 4 + traffic.PacketSnapBytes
+
+func (c *codec) sizeCoord(int) int {
+	n := 4 + 8*len(c.s.sh) + 4*8
+	for dst := range c.s.sh {
+		n += 4 + coordRecBytes*c.s.coord.PendingLen(dst)
+	}
+	return n
+}
+
 func (c *codec) writeCoord(w *snap.Writer, _ int) {
 	coord := c.s.coord
 	seqs := coord.SrcSeqs()
@@ -1227,7 +1408,7 @@ func (c *codec) readCoord(r *snap.Reader, _ int) {
 	epochs, messages, stallNum, stallDen := r.U64(), r.U64(), r.U64(), r.U64()
 	s.coord.RestoreDiagnostics(epochs, messages, stallNum, stallDen)
 	for dst := range s.sh {
-		n := r.Count(8 + 8 + 8 + 4 + 4 + traffic.PacketSnapBytes)
+		n := r.Count(coordRecBytes)
 		recs := make([]des.ShardRec[shardPacket], 0, n)
 		for ; n > 0; n-- {
 			rc := des.ShardRec[shardPacket]{

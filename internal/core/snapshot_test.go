@@ -105,6 +105,9 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 // their family's table, which holds that family's components alone, a
 // clock for each of the engine's clock idents — every pending event's arg names an
 // owner in its kind's table, and the retired kinds have no table. The
+// flights are the pooled family: they have no table, and a pending
+// flight's arg names a node of its shard's flight pool, carrying a packet
+// to a host the shard owns. The
 // sessions between them schedule every kind but the closure: (σ, ρ, λ) and
 // (σ, ρ) regulators on extremal flows, the adaptive controller on VBR
 // audio and video, and two shards.
@@ -161,8 +164,17 @@ func TestEveryKindHasOneOwnerTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tbl := sh.eng.Owners(des.KindFlight); tbl != nil {
+				t.Errorf("%s/%d: the pooled flight family has an owner table of %d slots", name, si, len(tbl))
+			}
 			for _, ev := range evs {
 				scheduled[ev.Kind] = true
+				if ev.Kind == des.KindFlight {
+					if dst, p := sh.fabric.PendingFlight(ev.Arg); s.owner[dst] != si || p.Flow < 0 || p.Flow >= len(s.sub.groups) {
+						t.Errorf("%s/%d: pending flight %d carries group %d to host %d of shard %d", name, si, ev.Arg, p.Flow, dst, s.owner[dst])
+					}
+					continue
+				}
 				if tbl := sh.eng.Owners(ev.Kind); int(ev.Arg) >= len(tbl) || tbl[ev.Arg] == nil {
 					t.Errorf("%s/%d: pending %s event names slot %d of a %d-slot table", name, si, des.KindName(ev.Kind), ev.Arg, len(tbl))
 				}

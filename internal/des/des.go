@@ -17,10 +17,13 @@
 // its owners the event is for — a component's slot, a flow, a host, a pool
 // node. Each engine keeps one owner table per kind family (the kinds one
 // owner fires share it), and firing an event is owners[kind][arg].Fire(kind).
-// An owner registers once, when it is made, and schedules itself by its
-// slot, so making a component binds no callback, a session of a million
-// components holds no closure per component, and a checkpoint restore
-// re-inserts each serialized record as it stands. Schedule still takes a
+// A pooled family's records are its one owner's (a flight pool's nodes):
+// the pool registers once (OwnPool), takes no table slot per record, and
+// firing is pool.FireArg(kind, arg). An owner registers once, when it is
+// made, and schedules itself by its slot, so making a component binds no
+// callback, a session of a million components holds no closure per
+// component, and a checkpoint restore re-inserts each serialized record
+// as it stands. Schedule still takes a
 // plain func for the few callers that keep one (tests, a greedy source): it
 // parks the func in the engine's closure slab — the owner table of
 // KindNone, whose slots are recycled as their funcs fire.
@@ -116,6 +119,14 @@ func eventCmp(a, b *event) int {
 // families (a duty-cycle clock's on- and off-edges) and register once.
 type Handler interface{ Fire(kind uint16) }
 
+// Pool is the one owner of a pooled family (snapshot.go): an event's arg
+// names one of the pool's own records, which FireArg fires, and Holds
+// reports whether arg names one the pool has handed out.
+type Pool interface {
+	FireArg(kind uint16, arg uint32)
+	Holds(arg uint32) bool
+}
+
 // funcHandler is a closure-slab entry. A func value is pointer-shaped, so
 // converting one to a Handler allocates nothing.
 type funcHandler func()
@@ -161,6 +172,7 @@ type Engine struct {
 	pdqRuns  int    // ready runs too fragmented to merge (diagnostics)
 
 	owners    [NumKinds][]Handler // by table (kinds[kind].table), then slot; nil is a hole
+	pools     [NumKinds]Pool      // by table: the owner of a pooled family
 	freeFuncs []uint32            // closure-slab slots free for reuse
 }
 
@@ -228,12 +240,26 @@ func (e *Engine) Register(kind uint16, h Handler) uint32 {
 // source at the flow, a host at its id — growing the table as needed, and
 // returns slot. Slots it skips stay holes.
 func (e *Engine) Own(kind uint16, slot uint32, h Handler) uint32 {
-	t := &e.owners[tableOf(kind)]
+	table := tableOf(kind)
+	if kinds[table].pool {
+		panic(fmt.Sprintf("des: kind %d is pooled: its pool owns it (OwnPool)", kind))
+	}
+	t := &e.owners[table]
 	if n := int(slot) + 1; n > len(*t) {
 		*t = slices.Grow(*t, n-len(*t))[:n]
 	}
 	(*t)[slot] = h
 	return slot
+}
+
+// OwnPool makes p the owner of every event of kind's family, which must be
+// a pooled one.
+func (e *Engine) OwnPool(kind uint16, p Pool) {
+	table := tableOf(kind)
+	if !kinds[table].pool {
+		panic(fmt.Sprintf("des: kind %d is not a pooled family", kind))
+	}
+	e.pools[table] = p
 }
 
 // Grow makes room in the owner table of kind's family for n more owners,
@@ -247,8 +273,8 @@ func (e *Engine) Grow(kind uint16, n int) {
 func (e *Engine) GrowReady(n int) { e.ready = slices.Grow(e.ready, n) }
 
 // Owners returns the owner table of kind's family, indexed by slot; a hole
-// is nil. A retired or unregistered kind has none. The caller must not
-// modify it.
+// is nil. A retired or unregistered kind has none, and so has a pooled
+// one. The caller must not modify it.
 func (e *Engine) Owners(kind uint16) []Handler {
 	if kind >= NumKinds || kinds[kind].name == "" {
 		return nil
@@ -370,7 +396,12 @@ func (e *Engine) exec(ev *event) {
 	e.pending--
 	kind, arg := ev.kind, ev.arg
 	e.release(ev)
-	h := e.owners[kinds[kind].table][arg]
+	k := &kinds[kind]
+	if k.pool {
+		e.pools[k.table].FireArg(kind, arg)
+		return
+	}
+	h := e.owners[k.table][arg]
 	if kind == KindNone {
 		e.freeFunc(arg)
 	}

@@ -182,6 +182,9 @@ func TestEveryKindHasOneFamily(t *testing.T) {
 		if kinds[k].local != (k == KindNone || k == KindCrossShard) {
 			t.Errorf("kind %d: local = %v", k, kinds[k].local)
 		}
+		if kinds[k].pool != (k == KindFlight) {
+			t.Errorf("kind %d: pool = %v", k, kinds[k].pool)
+		}
 	}
 }
 
@@ -214,6 +217,58 @@ func TestReinsertRefusesWhatItCannotName(t *testing.T) {
 	eng.RunUntil(20)
 	if p.fired[KindSRLOff] != 1 {
 		t.Fatalf("the re-inserted event fired its owner %d times", p.fired[KindSRLOff])
+	}
+}
+
+// recordPool is a Pool of n records, each counting its firings.
+type recordPool struct{ fired []int }
+
+func (p *recordPool) FireArg(_ uint16, arg uint32) { p.fired[arg]++ }
+func (p *recordPool) Holds(arg uint32) bool        { return int(arg) < len(p.fired) }
+
+// TestPoolOwnsItsFamily: a pooled family fires its one owner with each
+// event's arg and takes no owner-table slot; registering a per-record
+// owner for it, or pooling a family that is not pooled, is a model bug;
+// and a re-inserted record must name one the pool holds.
+func TestPoolOwnsItsFamily(t *testing.T) {
+	eng := New()
+	pool := &recordPool{fired: make([]int, 3)}
+	eng.OwnPool(KindFlight, pool)
+	eng.ScheduleKind(5, KindFlight, 2)
+	eng.ScheduleKind(6, KindFlight, 2)
+	eng.ScheduleKind(7, KindFlight, 0)
+	eng.RunUntil(10)
+	if pool.fired[0] != 1 || pool.fired[1] != 0 || pool.fired[2] != 2 {
+		t.Fatalf("pool records fired %v, want [1 0 2]", pool.fired)
+	}
+	if tbl := eng.Owners(KindFlight); tbl != nil {
+		t.Fatalf("the pooled family has an owner table of %d slots", len(tbl))
+	}
+	for name, bad := range map[string]func(){
+		"Register on a pooled kind": func() { eng.Register(KindFlight, &pinger{}) },
+		"OwnPool on a table kind":   func() { eng.OwnPool(KindMuxDone, pool) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+	if _, err := eng.Reinsert(20, 20, KindFlight, 3); err == nil {
+		t.Error("Reinsert of a record the pool does not hold succeeded")
+	}
+	if _, err := New().Reinsert(20, 20, KindFlight, 0); err == nil {
+		t.Error("Reinsert of a flight into an engine with no pool succeeded")
+	}
+	if _, err := eng.Reinsert(20, 20, KindFlight, 1); err != nil {
+		t.Fatalf("Reinsert of a held record: %v", err)
+	}
+	eng.RunUntil(20)
+	if pool.fired[1] != 1 {
+		t.Fatalf("the re-inserted record fired %d times", pool.fired[1])
 	}
 }
 

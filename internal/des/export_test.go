@@ -8,7 +8,3 @@ func (h Event) At() Time {
 	}
 	return 0
 }
-
-// Pending reports how many live (scheduled, not canceled) events are
-// waiting in the queue.
-func (e *Engine) Pending() int { return e.pending }

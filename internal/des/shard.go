@@ -889,6 +889,12 @@ func (c *Coordinator[P]) CheckpointDrain() {
 	}
 }
 
+// PendingLen returns how many records PendingRecords(dst) returns.
+func (c *Coordinator[P]) PendingLen(dst int) int {
+	l := &c.lanes[dst]
+	return len(l.pend) - l.head
+}
+
 // PendingRecords returns dst's pending cross-shard records in merge order.
 func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
 	l := &c.lanes[dst]

@@ -40,6 +40,7 @@ const (
 	KindSRLOff
 	// KindFlight is an in-flight packet delivery on a pure-delay path
 	// (arg = flight-pool node index; the payload is serialized separately).
+	// It is the pooled family: the flight pool owns it whole.
 	KindFlight
 	// KindSrcCycle / KindSrcTick are extremal traffic-source callbacks
 	// (arg = group/flow index).
@@ -73,25 +74,29 @@ const (
 // owner registers once however many kinds it fires. local marks the kinds
 // whose owners live in this process alone — a closure, a coordinator's
 // delivery node — which a snapshot refuses and a restore never re-inserts.
+// pool marks a family one Pool owns whole (Engine.OwnPool): a pool's
+// records come and go by the thousand, and a table slot per record would
+// be a table to regrow as the pool grows.
 var kinds = [NumKinds]struct {
 	name  string
 	table uint16
 	local bool
+	pool  bool
 }{
-	KindNone:       {"untagged", KindNone, true},
-	KindMuxDone:    {"mux-done", KindMuxDone, false},
-	KindSRRetry:    {"sr-retry", KindSRRetry, false},
-	KindSRLDone:    {"srl-done", KindSRLDone, false},
-	KindSRLOn:      {"srl-on", KindSRLOn, false},
-	KindSRLOff:     {"srl-off", KindSRLOn, false},
-	KindFlight:     {"flight", KindFlight, false},
-	KindSrcCycle:   {"src-cycle", KindSrcCycle, false},
-	KindSrcTick:    {"src-tick", KindSrcCycle, false},
-	KindCtlTick:    {"ctl-tick", KindCtlTick, false},
-	KindAudioTalk:  {"audio-talk", KindAudioTalk, false},
-	KindAudioWake:  {"audio-wake", KindAudioTalk, false},
-	KindVideoTick:  {"video-tick", KindVideoTick, false},
-	KindCrossShard: {"cross-shard", KindCrossShard, true},
+	KindNone:       {"untagged", KindNone, true, false},
+	KindMuxDone:    {"mux-done", KindMuxDone, false, false},
+	KindSRRetry:    {"sr-retry", KindSRRetry, false, false},
+	KindSRLDone:    {"srl-done", KindSRLDone, false, false},
+	KindSRLOn:      {"srl-on", KindSRLOn, false, false},
+	KindSRLOff:     {"srl-off", KindSRLOn, false, false},
+	KindFlight:     {"flight", KindFlight, false, true},
+	KindSrcCycle:   {"src-cycle", KindSrcCycle, false, false},
+	KindSrcTick:    {"src-tick", KindSrcCycle, false, false},
+	KindCtlTick:    {"ctl-tick", KindCtlTick, false, false},
+	KindAudioTalk:  {"audio-talk", KindAudioTalk, false, false},
+	KindAudioWake:  {"audio-wake", KindAudioTalk, false, false},
+	KindVideoTick:  {"video-tick", KindVideoTick, false, false},
+	KindCrossShard: {"cross-shard", KindCrossShard, true, false},
 }
 
 // KindName returns a short label for kind ("" for a retired slot).
@@ -105,6 +110,10 @@ type PendingEvent struct {
 	Kind uint16
 	Arg  uint32
 }
+
+// Pending reports how many live (scheduled, not canceled) events are
+// waiting in the queue: the length of what PendingEvents returns.
+func (e *Engine) Pending() int { return e.pending }
 
 // PendingEvents appends every live pending event, in seq order, to buf[:0]
 // — the caller's buffer, reused across the engines of one checkpoint —
@@ -165,7 +174,11 @@ func (e *Engine) Reinsert(at, prio Time, kind uint16, arg uint32) (Event, error)
 	if kind >= NumKinds || kinds[kind].name == "" || kinds[kind].local {
 		return Event{}, fmt.Errorf("des: event kind %d has no owner a restore can name", kind)
 	}
-	if t := e.owners[kinds[kind].table]; int(arg) >= len(t) || t[arg] == nil {
+	if kinds[kind].pool {
+		if p := e.pools[kinds[kind].table]; p == nil || !p.Holds(arg) {
+			return Event{}, fmt.Errorf("des: %s event names record %d, which its pool does not hold", kinds[kind].name, arg)
+		}
+	} else if t := e.owners[kinds[kind].table]; int(arg) >= len(t) || t[arg] == nil {
 		return Event{}, fmt.Errorf("des: %s event names slot %d, where its table (%d slots) holds no owner", kinds[kind].name, arg, len(t))
 	}
 	return e.SchedulePrioKind(at, prio, kind, arg), nil

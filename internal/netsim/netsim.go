@@ -16,83 +16,93 @@ import (
 	"repro/internal/traffic"
 )
 
-// transit wraps a packet in flight with its destination host.
-type transit struct {
-	p   traffic.Packet
-	dst int
-}
-
 // flightPool recycles the carrier nodes for packets that are "in flight"
-// on a pure delay. Any number of packets propagate concurrently, so one
-// owner is not enough — instead each node registers in the engine as the
-// owner of its own KindFlight delivery, and nodes cycle through a free
-// list. Steady-state sends therefore allocate nothing: the high-water mark
-// of concurrently flying packets bounds the pool, which grows a block of
-// nodes at a time, each an eighth as large as the pool already is, from
-// flightBlock up to maxFlightBlock nodes, and grows the engine's flight
-// table for the block in one step. A node takes its slot in that table
-// when it is first handed out, so a node's slot is the count of nodes
-// handed out before it, however the pool is cut into blocks. A node's slot
-// is what its event names, so a snapshot reads the in-flight transit a
-// pending event refers to from there.
+// on a pure delay. Any number of packets propagate concurrently, so the
+// pool owns the whole KindFlight family (des.Engine.OwnPool): an event's
+// arg is the index of its node, and nodes cycle through a free list of
+// indices. Steady-state sends therefore allocate nothing, and the pool
+// takes no owner-table slot per node: growing it copies no table. The
+// high-water mark of concurrently flying packets bounds the pool, which
+// grows a block of nodes at a time, each an eighth as large as the pool
+// already is, from flightBlock up to maxFlightBlock nodes; a block is cut
+// into pages of flightPage nodes, so node i is pages[i/flightPage][i%
+// flightPage] however the pool was cut into blocks. Nodes are handed out
+// in index order, so a node's index is the count of nodes handed out
+// before it. A snapshot reads the packet a pending event carries at its
+// index.
 type flightPool struct {
-	eng     *des.Engine
-	free    *flightNode
-	deliver func(transit)
-	block   []flightNode // unused nodes of the last block made
-	made    int          // nodes in every block made
+	pages   [][]flightNode
+	free    uint32 // the first free node, or noFlight
+	used    uint32 // nodes handed out
+	deliver func(dst int, p traffic.Packet)
 }
 
 const (
+	flightPage     = 64
 	flightBlock    = 64
 	maxFlightBlock = 1024
+	noFlight       = ^uint32(0)
 )
 
+// flightNode is a packet in flight and its destination host.
 type flightNode struct {
-	tr   transit
-	slot uint32
-	next *flightNode
-	pool *flightPool
+	p    traffic.Packet
+	dst  int32
+	next uint32 // while free: the next free node, or noFlight
 }
 
-// Fire delivers the node's transit, recycling the node first.
-func (n *flightNode) Fire(uint16) {
-	fp, tr := n.pool, n.tr
-	n.tr = transit{} // drop the packet reference while pooled
-	n.next = fp.free
-	fp.free = n
-	fp.deliver(tr)
+func newFlightPool(eng *des.Engine, deliver func(dst int, p traffic.Packet)) *flightPool {
+	fp := &flightPool{free: noFlight, deliver: deliver}
+	eng.OwnPool(des.KindFlight, fp)
+	return fp
 }
 
-func (fp *flightPool) alloc() *flightNode {
-	n := fp.free
-	if n != nil {
-		fp.free = n.next
-		return n
+func (fp *flightPool) node(i uint32) *flightNode { return &fp.pages[i/flightPage][i%flightPage] }
+
+// FireArg delivers node i's packet, recycling the node first.
+func (fp *flightPool) FireArg(_ uint16, i uint32) {
+	n := fp.node(i)
+	dst, p := int(n.dst), n.p
+	n.next, fp.free = fp.free, i
+	fp.deliver(dst, p)
+}
+
+// Holds reports whether node i has been handed out.
+func (fp *flightPool) Holds(i uint32) bool { return i < fp.used }
+
+func (fp *flightPool) alloc() uint32 {
+	if i := fp.free; i != noFlight {
+		fp.free = fp.node(i).next
+		return i
 	}
-	if len(fp.block) == 0 {
-		fp.reserve(min(max(fp.made/8, flightBlock), maxFlightBlock))
+	if made := len(fp.pages) * flightPage; int(fp.used) == made {
+		fp.reserve(min(max(made/8, flightBlock), maxFlightBlock))
 	}
-	n, fp.block = &fp.block[0], fp.block[1:]
-	n.pool = fp
-	n.slot = fp.eng.Register(des.KindFlight, n)
-	return n
+	fp.used++
+	return fp.used - 1
 }
 
-// reserve makes the pool's next block, of n nodes, and the room for them
-// in the engine's flight table. Nodes left in the block before it are
-// dropped, so only a pool with none left calls it.
+// reserve makes the pool's next block, of at least n nodes, in whole
+// pages. Only a pool whose pages are all handed out calls it.
 func (fp *flightPool) reserve(n int) {
-	fp.block = make([]flightNode, n)
-	fp.made += n
-	fp.eng.Grow(des.KindFlight, n)
+	pages := (n + flightPage - 1) / flightPage
+	blk := make([]flightNode, pages*flightPage)
+	for k := range pages {
+		fp.pages = append(fp.pages, blk[k*flightPage:(k+1)*flightPage:(k+1)*flightPage])
+	}
 }
 
-// send schedules tr for delivery after d.
-func (fp *flightPool) send(d des.Duration, tr transit) {
-	n := fp.alloc()
-	n.tr = tr
-	fp.eng.ScheduleInKind(d, des.KindFlight, n.slot)
+// put hands out a node carrying p to dst and returns its index.
+func (fp *flightPool) put(dst int, p traffic.Packet) uint32 {
+	i := fp.alloc()
+	n := fp.node(i)
+	n.p, n.dst = p, int32(dst)
+	return i
+}
+
+// send schedules p's delivery to dst after d.
+func (fp *flightPool) send(eng *des.Engine, d des.Duration, dst int, p traffic.Packet) {
+	eng.ScheduleInKind(d, des.KindFlight, fp.put(dst, p))
 }
 
 // Fabric is the underlay transport connecting all end hosts.
@@ -146,7 +156,7 @@ func NewFabric(eng *des.Engine, net *topo.Network, cfg FabricConfig) *Fabric {
 	if f.receivers == nil {
 		f.receivers = make([]traffic.Sink, len(net.Hosts))
 	}
-	f.pipes = &flightPool{eng: eng, deliver: func(tr transit) { f.Deliver(tr.dst, tr.p) }}
+	f.pipes = newFlightPool(eng, f.Deliver)
 	return f
 }
 
@@ -186,19 +196,19 @@ func (f *Fabric) Carry(src, dst int, lat des.Duration, p traffic.Packet) {
 		f.hooks.Remote(dst, f.eng.Now()+lat, p)
 		return
 	}
-	f.pipes.send(lat, transit{p: p, dst: dst})
+	f.pipes.send(f.eng, lat, dst, p)
 }
 
 // PendingFlight reads the in-flight delivery a pending KindFlight event
 // (by its arg) refers to, for serialization.
 func (f *Fabric) PendingFlight(arg uint32) (dst int, p traffic.Packet) {
-	tr := f.eng.Owners(des.KindFlight)[arg].(*flightNode).tr
-	return tr.dst, tr.p
+	n := f.pipes.node(arg)
+	return int(n.dst), n.p
 }
 
-// ReserveFlights makes room for n in-flight deliveries in one block, the
-// flight table's included, so restoring them allocates nothing. Call it
-// before the fabric has carried or restored any.
+// ReserveFlights makes room for n in-flight deliveries in one block, so
+// restoring them allocates nothing. Call it before the fabric has carried
+// or restored any.
 func (f *Fabric) ReserveFlights(n int) {
 	if n > 0 {
 		f.pipes.reserve(n)
@@ -209,9 +219,7 @@ func (f *Fabric) ReserveFlights(n int) {
 // original (at, prio) stamps; the fresh node's slot is the event's new arg.
 // An instant before the engine's clock is an error.
 func (f *Fabric) RestoreFlight(at, prio des.Time, dst int, p traffic.Packet) error {
-	n := f.pipes.alloc()
-	n.tr = transit{p: p, dst: dst}
-	_, err := f.eng.Reinsert(at, prio, des.KindFlight, n.slot)
+	_, err := f.eng.Reinsert(at, prio, des.KindFlight, f.pipes.put(dst, p))
 	return err
 }
 

@@ -10,14 +10,14 @@ import (
 
 // pipe is the fabric's pure-delay conduit: a flight pool delivering to out.
 func pipe(eng *des.Engine, out func(traffic.Packet)) *flightPool {
-	return &flightPool{eng: eng, deliver: func(tr transit) { out(tr.p) }}
+	return newFlightPool(eng, func(_ int, p traffic.Packet) { out(p) })
 }
 
 func TestPipeDelaysExactly(t *testing.T) {
 	eng := des.New()
 	var at des.Time = -1
 	p := pipe(eng, func(traffic.Packet) { at = eng.Now() })
-	eng.Schedule(des.Millisecond, func() { p.send(5*des.Millisecond, transit{p: traffic.Packet{ID: 1, Size: 100}}) })
+	eng.Schedule(des.Millisecond, func() { p.send(eng, 5*des.Millisecond, 0, traffic.Packet{ID: 1, Size: 100}) })
 	eng.Run()
 	if at != 6*des.Millisecond {
 		t.Fatalf("delivered at %v", at)
@@ -30,8 +30,8 @@ func TestPipeNoSerialisation(t *testing.T) {
 	var times []des.Time
 	p := pipe(eng, func(traffic.Packet) { times = append(times, eng.Now()) })
 	eng.Schedule(0, func() {
-		p.send(des.Millisecond, transit{p: traffic.Packet{ID: 1, Size: 1e9}})
-		p.send(des.Millisecond, transit{p: traffic.Packet{ID: 2, Size: 1e9}})
+		p.send(eng, des.Millisecond, 0, traffic.Packet{ID: 1, Size: 1e9})
+		p.send(eng, des.Millisecond, 0, traffic.Packet{ID: 2, Size: 1e9})
 	})
 	eng.Run()
 	if len(times) != 2 || times[0] != times[1] {

@@ -11,7 +11,6 @@ package overlay
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/topo"
 )
@@ -64,7 +63,8 @@ func (t *Tree) Graft(h, parent int) error {
 // children become detached orphan subtree roots (returned in child
 // order), which the caller must re-attach with Repair. Pruning the source
 // is an error — a group's flow enters at its root, so the control plane
-// never churns it out.
+// never churns it out. The orphan list is the tree's scratch, valid until
+// its next Prune or PruneAll.
 func (t *Tree) Prune(h int) ([]int, error) {
 	if h == t.Source {
 		return nil, fmt.Errorf("overlay: cannot prune the source %d", h)
@@ -77,18 +77,28 @@ func (t *Tree) Prune(h int) ([]int, error) {
 		return nil, fmt.Errorf("overlay: prune of already-detached member %d", h)
 	}
 	t.unlink(s)
-	var orphans []int
+	orphans := t.edit.orphans[:0]
 	for c := t.first[s]; c != none; {
 		nx := t.next[c]
 		t.up[c], t.next[c] = cut, none
 		orphans = append(orphans, int(t.host[c]))
 		c = nx
 	}
+	t.edit.orphans = orphans
 	t.release(s)
 	if i := slices.Index(t.Members, h); i >= 0 {
 		t.Members = slices.Delete(t.Members, i, i+1)
 	}
-	return orphans, nil
+	return noneIfEmpty(orphans), nil
+}
+
+// noneIfEmpty returns nil for an empty list: a prune that orphans nothing
+// says so with nil, whatever its scratch holds.
+func noneIfEmpty(l []int) []int {
+	if len(l) == 0 {
+		return nil
+	}
+	return l
 }
 
 // Detach severs the parent edge of attached member h, leaving h as a
@@ -114,7 +124,8 @@ func (t *Tree) Detach(h int) error {
 // failure (domain outage, mass leave) taking out many forwarders at the
 // same DES instant. Victims may be attached or detached; edges between two
 // victims vanish with them. It returns the surviving subtree roots newly
-// detached by the removal, sorted ascending by host id.
+// detached by the removal, sorted ascending by host id, in the tree's
+// scratch (see Prune).
 //
 // That ascending order is the pinned batch-repair order: RepairWith
 // processes orphans in input order (earlier re-attached subtrees become
@@ -125,8 +136,10 @@ func (t *Tree) PruneAll(victims []int) ([]int, error) {
 	if len(victims) == 0 {
 		return nil, nil
 	}
-	sorted := slices.Sorted(slices.Values(victims))
-	slots := make([]int32, len(victims))
+	sorted := append(t.edit.victims[:0], victims...)
+	slices.Sort(sorted)
+	slots := slices.Grow(t.edit.slots[:0], len(victims))[:len(victims)]
+	t.edit.victims, t.edit.slots = sorted, slots
 	for i, v := range victims {
 		if v == t.Source {
 			return nil, fmt.Errorf("overlay: cannot prune the source %d", v)
@@ -154,7 +167,7 @@ func (t *Tree) PruneAll(victims []int) ([]int, error) {
 	// Surviving children of victims lose their parent edge and become the
 	// detached roots of disjoint subtrees (a deeper survivor under another
 	// victim is its own root — its edge was severed too, not inherited).
-	var orphans []int
+	orphans := t.edit.orphans[:0]
 	for _, s := range slots {
 		for c := t.first[s]; c != none; {
 			nx := t.next[c]
@@ -172,8 +185,9 @@ func (t *Tree) PruneAll(victims []int) ([]int, error) {
 		_, found := slices.BinarySearch(sorted, m)
 		return found
 	})
-	sort.Ints(orphans)
-	return orphans, nil
+	slices.Sort(orphans)
+	t.edit.orphans = orphans
+	return noneIfEmpty(orphans), nil
 }
 
 // GraftPoint picks the deterministic adoption parent for a node — a fresh
@@ -261,9 +275,11 @@ func (t *Tree) Reparent(h, newParent int) error {
 // Repairing in input order is deterministic: earlier re-attached
 // subtrees become candidates for later orphans. The control plane passes
 // the group strategy's GraftPoint as choose, so repairs follow the rule
-// that built the tree.
+// that built the tree. The parent list is the tree's scratch, valid until
+// its next RepairWith.
 func (t *Tree) RepairWith(orphans []int, choose func(orphan, subHeight int) (int, error)) ([]int, error) {
-	parents := make([]int, len(orphans))
+	parents := slices.Grow(t.edit.parents[:0], len(orphans))[:len(orphans)]
+	t.edit.parents = parents
 	for i, o := range orphans {
 		p, err := choose(o, t.SubtreeHeight(o))
 		if err != nil {

@@ -117,7 +117,7 @@ func checkTiesAndCuts(t *testing.T, seed uint64, routers, hosts, members uint8) 
 	}
 	net := &topo.Network{Backbone: g, Routes: g.AllPairs(), Hosts: make([]topo.Host, nh)}
 	for h := range net.Hosts {
-		net.Hosts[h] = topo.Host{ID: h, Router: topo.NodeID(rng.Intn(nr)), AccessDelay: des.Duration(rng.Intn(3)) * des.Microsecond}
+		net.Hosts[h] = topo.Host{Router: topo.NodeID(rng.Intn(nr)), AccessDelay: des.Duration(rng.Intn(3)) * des.Microsecond}
 	}
 	ids := rng.Perm(nh)[:1+int(members)%nh]
 	idx := newRTTIndex(net, len(ids)+min(len(ids), nr))

@@ -49,6 +49,18 @@ type Tree struct {
 	// has made its own: the blueprint's trees, which sessions share, never
 	// hold one.
 	live *liveIndex
+	// edit is the scratch the edits that return a list (Prune, PruneAll,
+	// RepairWith) return it in, so an edit in steady state allocates
+	// nothing; like live, only a tree a session has made its own holds it.
+	edit editScratch
+}
+
+// editScratch holds the lists the tree's edits return — each valid until
+// the next edit that returns one of its kind — and the victims PruneAll
+// sorts and looks up.
+type editScratch struct {
+	orphans, parents, victims []int
+	slots                     []int32
 }
 
 // Slot sentinels.

@@ -32,6 +32,14 @@ import (
 // against text-mode mangling, in the spirit of the PNG signature.
 const Magic = "wdcsnap\n"
 
+// HeaderBytes is the length of the stream header (magic and version) and
+// FrameBytes that of a record's frame (type and length): a stream is
+// HeaderBytes plus, per record, FrameBytes and its payload.
+const (
+	HeaderBytes = len(Magic) + 4
+	FrameBytes  = 2 + 4
+)
+
 // Writer serializes records into an in-memory buffer. Records are framed
 // in place: Begin reserves a four-byte length slot and End backpatches it,
 // so a payload is written exactly once — no staging buffer, no copy per
@@ -44,15 +52,12 @@ type Writer struct {
 	err     error
 }
 
-// NewWriterSize starts a snapshot with the given format version and a
-// capacity hint — pass the previous snapshot's size when checkpointing
-// repeatedly and the whole stream is built in one allocation instead of
-// log(size) grow-and-copy doublings. Hints under 4 KiB are rounded up.
-func NewWriterSize(version uint32, sizeHint int) *Writer {
-	if sizeHint < 1<<12 {
-		sizeHint = 1 << 12
-	}
-	w := &Writer{buf: make([]byte, 0, sizeHint)}
+// NewWriterSize starts a snapshot with the given format version in a
+// buffer of size bytes: pass the length the stream will reach and it is
+// written in that one allocation, with no grow-and-copy doubling. A stream
+// that outgrows it regrows.
+func NewWriterSize(version uint32, size int) *Writer {
+	w := &Writer{buf: make([]byte, 0, max(size, HeaderBytes))}
 	w.buf = append(w.buf, Magic...)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, version)
 	return w
@@ -235,14 +240,14 @@ type Reader struct {
 // NewReader validates the header and returns a reader plus the stream's
 // format version. Callers check the version before touching records.
 func NewReader(data []byte) (*Reader, uint32, error) {
-	if len(data) < len(Magic)+4 {
+	if len(data) < HeaderBytes {
 		return nil, 0, fmt.Errorf("snap: %d bytes is shorter than the header", len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
 		return nil, 0, fmt.Errorf("snap: bad magic %q", data[:len(Magic)])
 	}
 	version := binary.LittleEndian.Uint32(data[len(Magic):])
-	return &Reader{data: data, pos: len(Magic) + 4}, version, nil
+	return &Reader{data: data, pos: HeaderBytes}, version, nil
 }
 
 // Next advances to the next record, returning its type. It returns false
@@ -259,13 +264,13 @@ func (r *Reader) Next() (uint16, bool) {
 	if r.pos == len(r.data) {
 		return 0, false
 	}
-	if len(r.data)-r.pos < 6 {
+	if len(r.data)-r.pos < FrameBytes {
 		r.Fail(fmt.Errorf("snap: truncated record header at offset %d", r.pos))
 		return 0, false
 	}
 	r.recType = binary.LittleEndian.Uint16(r.data[r.pos:])
 	n := int(binary.LittleEndian.Uint32(r.data[r.pos+2:]))
-	r.pos += 6
+	r.pos += FrameBytes
 	if len(r.data)-r.pos < n {
 		r.Fail(fmt.Errorf("snap: record %d claims %d bytes, %d remain", r.recType, n, len(r.data)-r.pos))
 		return 0, false

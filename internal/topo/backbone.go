@@ -63,12 +63,12 @@ func Backbone19() *Graph {
 	return g
 }
 
-// Host is an end host attached to a backbone router through an access link.
+// Host is an end host attached to a backbone router through an access link:
+// 24 bytes, so the two records Network.Latency reads are a third of a cache
+// line each. A host is named by its index in Network.Hosts.
 type Host struct {
-	ID          int
 	Router      NodeID
 	AccessDelay des.Duration // one-way host<->router propagation
-	Coord       Point
 	// UplinkMult scales this host's output capacity relative to the
 	// session's base per-connection capacity C. 1 (the default) is the
 	// paper's homogeneous population; NetworkConfig.UplinkClasses draws
@@ -125,7 +125,7 @@ func (c *NetworkConfig) fillDefaults() {
 // drawn once from the seed, so some domains are denser than others, as in
 // real deployments). It panics if NumHosts <= 0.
 func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
-	net := attach(backbone, cfg)
+	net := attach(backbone, cfg, attachStream(cfg.Seed))
 	net.Routes = backbone.AllPairs()
 	return net
 }
@@ -133,11 +133,19 @@ func NewNetwork(backbone *Graph, cfg NetworkConfig) *Network {
 // Domains returns the hosts NewNetwork attaches to each router, indexed
 // by router, each list ascending: the same draws, without the routes.
 func Domains(backbone *Graph, cfg NetworkConfig) [][]int {
-	return attach(backbone, cfg).byRouter
+	return attach(backbone, cfg, attachStream(cfg.Seed)).byRouter
 }
 
-// attach is NewNetwork without the routes: every host drawn and attached.
-func attach(backbone *Graph, cfg NetworkConfig) *Network {
+// attachStream is the generator attach draws routers and access delays
+// from.
+func attachStream(seed uint64) *xrand.Rand { return xrand.New(seed ^ 0xd1b54a32d192ed03) }
+
+// attach is NewNetwork without the routes: every host drawn from rng and
+// attached. Per host it draws a router, an access delay and two
+// coordinates about the router that no record keeps: those draws are part
+// of the stream that defines the network a seed gives, and dropping them
+// would move every later host.
+func attach(backbone *Graph, cfg NetworkConfig, rng *xrand.Rand) *Network {
 	if cfg.NumHosts <= 0 {
 		panic("topo: NumHosts must be positive")
 	}
@@ -145,7 +153,6 @@ func attach(backbone *Graph, cfg NetworkConfig) *Network {
 	if backbone.access > 0 {
 		cfg.AccessDelayMin, cfg.AccessDelayMax = backbone.access, backbone.access
 	}
-	rng := xrand.New(cfg.Seed ^ 0xd1b54a32d192ed03)
 	n := backbone.NumNodes()
 	// Router popularity weights: uniform in [1, 3).
 	weights := make([]float64, n)
@@ -184,7 +191,8 @@ func attach(backbone *Graph, cfg NetworkConfig) *Network {
 		}
 		span := float64(cfg.AccessDelayMax - cfg.AccessDelayMin)
 		access := cfg.AccessDelayMin + des.Duration(rng.Float64()*span)
-		rc := backbone.Coord(router)
+		rng.Float64() // the coordinate draws (see above)
+		rng.Float64()
 		mult := 1.0
 		if crng != nil {
 			cpick := crng.Float64() * classTotal
@@ -197,16 +205,7 @@ func attach(backbone *Graph, cfg NetworkConfig) *Network {
 				cpick -= c.Weight
 			}
 		}
-		net.Hosts[h] = Host{
-			ID:          h,
-			Router:      router,
-			AccessDelay: access,
-			Coord: Point{
-				X: rc.X + 20*(rng.Float64()-0.5),
-				Y: rc.Y + 20*(rng.Float64()-0.5),
-			},
-			UplinkMult: mult,
-		}
+		net.Hosts[h] = Host{Router: router, AccessDelay: access, UplinkMult: mult}
 		net.byRouter[router] = append(net.byRouter[router], h)
 	}
 	return net

@@ -76,12 +76,12 @@ func TestNewNetworkAttachment(t *testing.T) {
 	if total != 665 {
 		t.Fatalf("router partition covers %d hosts", total)
 	}
-	for _, h := range net.Hosts {
+	for id, h := range net.Hosts {
 		if h.AccessDelay < 100*des.Microsecond || h.AccessDelay > des.Millisecond {
-			t.Fatalf("host %d access delay %v outside defaults", h.ID, h.AccessDelay)
+			t.Fatalf("host %d access delay %v outside defaults", id, h.AccessDelay)
 		}
 		if int(h.Router) < 0 || int(h.Router) >= BackboneNodes {
-			t.Fatalf("host %d router %d", h.ID, h.Router)
+			t.Fatalf("host %d router %d", id, h.Router)
 		}
 	}
 }

@@ -84,16 +84,31 @@ func TestTransitStubNodeCount(t *testing.T) {
 }
 
 // Heterogeneous uplinks must be purely additive: enabling classes draws
-// from a separate stream, so attachment, access delays, and coordinates
-// stay bit-identical to the homogeneous population.
+// from a separate stream, so attachment and access delays stay
+// bit-identical to the homogeneous population, and the attachment stream
+// ends where it does without classes: one router weight per router, then
+// four draws per host (router, access delay and the two coordinate draws
+// no record keeps), so a draw added or dropped moves it.
 func TestUplinkClassesDoNotPerturbAttachment(t *testing.T) {
-	base := NewNetwork(Backbone19(), NetworkConfig{NumHosts: 200, Seed: 5})
-	classes := NewNetwork(Backbone19(), NetworkConfig{NumHosts: 200, Seed: 5,
-		UplinkClasses: []UplinkClass{{Mult: 0.5, Weight: 1}, {Mult: 4, Weight: 1}}})
+	const hosts = 200
+	backbone := Backbone19()
+	baseCfg := NetworkConfig{NumHosts: hosts, Seed: 5}
+	classCfg := NetworkConfig{NumHosts: hosts, Seed: 5,
+		UplinkClasses: []UplinkClass{{Mult: 0.5, Weight: 1}, {Mult: 4, Weight: 1}}}
+	baseRNG, classRNG := attachStream(baseCfg.Seed), attachStream(classCfg.Seed)
+	base, classes := attach(backbone, baseCfg, baseRNG), attach(backbone, classCfg, classRNG)
+	want := attachStream(baseCfg.Seed)
+	for range backbone.NumNodes() + 4*hosts {
+		want.Float64()
+	}
+	if baseRNG.State() != want.State() || classRNG.State() != want.State() {
+		t.Fatalf("attachment stream ends at %#x (homogeneous) and %#x (classes), want %#x: %d router weights and 4 draws per host",
+			baseRNG.State(), classRNG.State(), want.State(), backbone.NumNodes())
+	}
 	sawHalf, sawQuad := false, false
 	for i := range base.Hosts {
 		b, c := base.Hosts[i], classes.Hosts[i]
-		if b.Router != c.Router || b.AccessDelay != c.AccessDelay || b.Coord != c.Coord {
+		if b.Router != c.Router || b.AccessDelay != c.AccessDelay {
 			t.Fatalf("host %d attachment perturbed by uplink classes", i)
 		}
 		if b.UplinkMult != 1 {
