@@ -153,17 +153,26 @@ fuzz:
 # built, run and restored,
 # a warm session's graft/prune cycle of churn's wiring edits, a leave and
 # a batch removal with their repairs, to no object per cycle once the
-# forwarder tables' free lists and the trees' scratch are primed, and one blob
+# forwarder tables' free lists and the trees' scratch are primed, and its
+# graft/prune cycles to no owner-table growth (the MUX and regulator an
+# edit drops retire, and the next graft takes their slots), a churned
+# session at 3 and 12 simulated seconds to owner tables within a constant
+# of what is in service and a heap after GC that does not grow with the
+# horizon, an engine's retired slot to one a cancelled event never fires
+# on, a two-shard Snapshot to the objects a one-shard one takes (the
+# coordinator read in place), and one blob
 # to its exact byte count and SHA-256, so a word added back to a component
 # record, a byte per member, forwarding state at a leaf, per-engine
 # constants or a link record per MUX, a tree cloned or decoded or a child
 # plan copied or compiled where none is written, an object per tree in a
 # Snapshot, a snapshot stream that regrows, an edge window, connection
-# table or orphan list an edit allocates on its own, or a pending event written under another (at, prio, kind,
+# table or orphan list an edit allocates on its own, a dropped component
+# that stays registered, a connection named by no edge that never closes,
+# a copy per shard in a checkpoint, or a pending event written under another (at, prio, kind,
 # arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestTopoHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange|TestEveryKindHasOneOwnerTable' ./internal/core
-	$(GO) test -run 'TestPoolOwnsItsFamily|TestEveryKindHasOneFamily' ./internal/des
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestTopoHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestChurnHoldsOnlyLiveState|TestShardedSnapshotAllocBudget|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange|TestEveryKindHasOneOwnerTable' ./internal/core
+	$(GO) test -run 'TestPoolOwnsItsFamily|TestEveryKindHasOneFamily|TestRetiredSlotIsReclaimed' ./internal/des
 	$(GO) test -run 'TestUplinkClassesDoNotPerturbAttachment' ./internal/topo
 	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize|TestSnapWidths' ./internal/mux
 	$(GO) test -run 'TestSnapWidths' ./internal/regulator

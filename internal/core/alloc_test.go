@@ -377,12 +377,16 @@ func snapAlloc(n int) uint64 {
 // makes no object once the forwarder tables' free lists are primed: an
 // edge window, a slot array, a bank or a connection table an edit outgrows
 // moves to a block of the free list its size names, and gives its own
-// back. What a cycle still carves — a new MUX, in a new slot a new
-// regulator and its link record, each with an owner-table slot, since the
-// ones it unhooked stay registered for the events that may name them —
-// comes from chunked slabs: fewer than one object per 32 cycles. At the
-// parent of the commit that added the free lists the new-slot cycle made
-// 1,020 objects per 1,000 cycles, a child list per new slot.
+// back. Nor does a cycle carve records: the idle MUX it unhooks and, in a
+// new slot, the regulator it detaches retire at once, and the next
+// cycle's graft takes their records, link record and owner-table slots,
+// so the owner tables keep their length. At the parent of the commit that
+// added retirement every cycle carved a new MUX and, in a new slot, a new
+// regulator and its link record, each with an owner-table slot — fewer
+// than one object per 32 cycles, from chunked slabs, but a thousand
+// records per thousand cycles. At the parent of the commit that added the
+// free lists the new-slot cycle made 1,020 objects per 1,000 cycles, a
+// child list per new slot.
 //
 // The same holds for the trees' own edits once their scratch is primed:
 // a leave (Tree.Prune, its orphans repaired by Tree.RepairWith, and the
@@ -410,6 +414,7 @@ func TestChurnEditAllocFree(t *testing.T) {
 			t.Errorf("group %d: a graft/prune cycle made %v objects", g, n)
 		}
 		const cycles = 1000
+		muxes, regs, _ := core.StateCensus(s)
 		_, objects := allocated(func() {
 			for range cycles {
 				run()
@@ -417,6 +422,10 @@ func TestChurnEditAllocFree(t *testing.T) {
 		})
 		if objects > cycles/32 {
 			t.Errorf("group %d: %d graft/prune cycles made %d objects, budget %d", g, cycles, objects, cycles/32)
+		}
+		if m, r, _ := core.StateCensus(s); m.Slots != muxes.Slots || r.Slots != regs.Slots {
+			t.Errorf("group %d: three rounds of %d graft/prune cycles took the owner tables from %d to %d MUX slots and from %d to %d regulator slots",
+				g, cycles, muxes.Slots, m.Slots, regs.Slots, r.Slots)
 		}
 		t.Logf("group %d: %d objects per %d graft/prune cycles", g, objects, cycles)
 	}
@@ -990,4 +999,39 @@ func TestSnapshotBlobBytes(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != hash {
 		t.Fatalf("the 60-host fixture's blob at %v hashes to %s, pinned at %s (snapshot v%d)", cfg.Duration/2, got, hash, core.SnapshotVersion)
 	}
+}
+
+// TestShardedSnapshotAllocBudget holds a snapshot of a two-shard session
+// to the objects a one-shard snapshot of the same cell takes: the
+// coordinator record reads each source's counter and each destination's
+// pending cross-shard records in place, so a shard adds no object to a
+// checkpoint. At the parent of the commit that added it the two-shard
+// snapshot took a copy of the counters and one of each shard's pending
+// records besides.
+func TestShardedSnapshotAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates; the budget is the plain build's")
+	}
+	cfg := allocFixtures(t)["waxman-zipf-64-quick"]
+	objects := func(shards int) (uint64, int) {
+		cfg.Shards = shards
+		s := core.NewSession(cfg)
+		s.Start()
+		s.RunTo(des.Time(cfg.Duration) / 2)
+		_, n := allocated(func() {
+			if _, err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return n, core.PendingCrossShard(s)
+	}
+	one, _ := objects(1)
+	two, pending := objects(2)
+	if pending == 0 {
+		t.Fatal("the two-shard checkpoint holds no pending cross-shard record: the fixture exercises nothing")
+	}
+	if two > one {
+		t.Errorf("a two-shard Snapshot made %d objects, a one-shard one %d", two, one)
+	}
+	t.Logf("Snapshot objects: %d at one shard, %d at two (%d cross-shard records pending)", one, two, pending)
 }

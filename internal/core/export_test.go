@@ -190,6 +190,77 @@ func PendingEvents(s *Session) int {
 	return n
 }
 
+// Census counts one kind of component over a session's shards: the
+// owner-table slots its engines have handed out, the components those
+// slots hold, and the ones in service — a MUX in a connection table, a
+// regulator in a bank.
+type Census struct{ Slots, Held, InService int }
+
+// StateCensus counts the session's MUXes and its regulators of both
+// models, and the MUXes in service that some edge names.
+func StateCensus(s *Session) (muxes, regs Census, named int) {
+	for _, sh := range s.sh {
+		for _, k := range []uint16{des.KindMuxDone, des.KindSRRetry, des.KindSRLDone} {
+			c := &regs
+			if k == des.KindMuxDone {
+				c = &muxes
+			}
+			tbl := sh.eng.Owners(k)
+			c.Slots += len(tbl)
+			for _, h := range tbl {
+				if h != nil {
+					c.Held++
+				}
+			}
+		}
+	}
+	for _, h := range s.hosts {
+		f := h.fwd
+		if f == nil {
+			continue
+		}
+		seen := map[int32]bool{}
+		for _, es := range f.children.edges {
+			for _, e := range es {
+				seen[e.mux] = true
+			}
+		}
+		named += len(seen)
+		for _, m := range f.muxes {
+			if m != nil {
+				muxes.InService++
+			}
+		}
+		for i := range f.children.groups {
+			for _, r := range []regulated{bankAt(f.srBank, i), bankAt(f.srlBank, i)} {
+				if r != nil {
+					regs.InService++
+				}
+			}
+		}
+	}
+	return muxes, regs, named
+}
+
+// MemberEdits reports the joins and leaves the session's control plane has
+// applied.
+func MemberEdits(s *Session) int {
+	if s.ctl == nil {
+		return 0
+	}
+	return s.ctl.joins + s.ctl.leaves
+}
+
+// PendingCrossShard reports how many cross-shard records the session's
+// coordinator holds for delivery.
+func PendingCrossShard(s *Session) int {
+	n := 0
+	for dst := range s.sh {
+		n += s.coord.PendingLen(dst)
+	}
+	return n
+}
+
 // RegulatorCount reports how many regulators — (σ, ρ) and (σ, ρ, λ) — the
 // session's owner tables hold.
 func RegulatorCount(s *Session) int {

@@ -106,9 +106,8 @@ type hostEnv struct {
 	slabs compSlabs
 	// clocks names the group of each duty-cycle clock in the engine's
 	// clock table, by slot, and the host whose capacity it was first made
-	// for (ident). Append-only, as the owner tables are — a component
-	// detached mid-run keeps its slot, because an event already in the
-	// queue may still name it.
+	// for (ident). Append-only, as the clock table is: a clock is never
+	// retired (cycles), so no clock slot is ever reused.
 	clocks []compIdent
 	// cycles finds this engine's duty-cycle clock for a (group, host
 	// capacity) pair — the pair fixes the stagger offset, W and V. Clocks are
@@ -205,8 +204,9 @@ type forwarder struct {
 	children groupChildren
 	// muxes is the connection table: one MUX per distinct child, at the
 	// slot its edges name; a nil slot is free. A connection whose child was
-	// the last to leave a group stays in service, named by no edge, until
-	// the child rejoins or a later unhook drops it (removeChild).
+	// the last to leave a group stays in service, named by no edge, only
+	// while its MUX drains what it holds: a child that rejoins meanwhile
+	// gets it back, and once idle it closes (closeConn).
 	muxes []*mux.Mux
 
 	// Regulator banks: built lazily per mode, parallel to children's slots
@@ -434,10 +434,13 @@ func (h *host) ensureSRLBank() {
 // engine's Line and its two ends, a regulator at a link record), and
 // registers in the next slot of its engine's owner table. Both
 // paths carve from the engine's slabs, which a live build sizes from the
-// compiled child sets and a restore from the components record's totals;
-// what outruns them (a connection churn grafts later) is carved from a
-// refill chunk.
-// Only a forwarder makes components.
+// compiled child sets and a restore from the components record's totals.
+// A live run's MUX or regulator made mid-run first takes the record,
+// owner-table slot, queue window and (a regulator's) link record of one of
+// its family that the engine retired: a component an edit dropped retires
+// once no pending event names it (mux.Mux.Retire, the regulators'
+// Retire). Only what outruns both is carved from a refill chunk. A clock is
+// never retired. Only a forwarder makes components.
 
 // regLink is where group g's regulator puts a packet: into its host's
 // replicator for g, at the group's slot, which the host keeps current as
@@ -495,13 +498,23 @@ func (h *host) makeMux(c int, capacity float64, routed int) *mux.Mux {
 // makeSR creates and registers group g's (σ, ρ) regulator, for slot i.
 func (h *host) makeSR(g, i int) *regulator.SigmaRho {
 	env := h.env
-	return env.slabs.reg.NewSigmaRho(env.eng, env.bursts[g], env.specs[g].Rho, h.regOut(g, i))
+	sigma, rho := env.bursts[g], env.specs[g].Rho
+	if r := regulator.ReuseSigmaRho(env.eng, sigma, rho); r != nil {
+		*linkOf(r) = regLink{h, int32(g), int32(i)}
+		return r
+	}
+	return env.slabs.reg.NewSigmaRho(env.eng, sigma, rho, h.regOut(g, i))
 }
 
 // makeSRL creates and registers group g's (σ, ρ, λ) regulator, for slot i.
 func (h *host) makeSRL(g, i int) *regulator.SRL {
 	env, c := h.env, h.fwd.conn
-	return env.slabs.reg.NewSRL(env.eng, env.sigmaStars(c)[g], env.specs[g].Rho, c, h.regOut(g, i))
+	sigma, rho := env.sigmaStars(c)[g], env.specs[g].Rho
+	if r := regulator.ReuseSRL(env.eng, sigma, rho, c); r != nil {
+		*linkOf(r) = regLink{h, int32(g), int32(i)}
+		return r
+	}
+	return env.slabs.reg.NewSRL(env.eng, sigma, rho, c, h.regOut(g, i))
 }
 
 // cycleSchedule returns the (offset, W, V) of group g's duty-cycle clock at
@@ -556,9 +569,11 @@ func (e *hostEnv) sizeClocks(n int) {
 // hosts' forwarders, connection tables and regulator banks. A live build
 // sizes it from the compiled child sets (sizeSlabs); a restore sizes the
 // forwarders from the hosts record, the tables from the restored trees and
-// the components from the record's opening counts. The tables, and the
-// child sets an edit writes, grow through free lists (blocks), so churn
-// in steady state allocates none of them.
+// the components from the record's opening counts. A component an edit
+// drops goes back to the engine when it retires, and the next one of its
+// family made there takes its record (makeMux, makeSR, makeSRL); the
+// tables, and the child sets an edit writes, grow through free lists
+// (blocks). So churn in steady state carves none of them.
 type compSlabs struct {
 	mux       mux.Slab
 	reg       regulator.Slab
@@ -575,8 +590,11 @@ type compSlabs struct {
 // restoreComp re-creates family f's component for sub from the open
 // record, in the engine's slabs, without putting it into service — one
 // that was already torn down but is still named by a pending event stays
-// uninstalled. routed is the groups routed through a MUX's connection; the
-// other families do not use it. A MUX's capacity is derived, not read: a
+// uninstalled, and retires as the teardown had it (retireRestored). It
+// registers in the next slot of its owner table, never a retired one's,
+// so a restore's i-th component of a family holds slot i. routed is the
+// groups routed through a MUX's connection; the other families do not use
+// it. A MUX's capacity is derived, not read: a
 // regulated host gives every connection its C, and a capacity-aware
 // session is static (churn, faults and reopt need a regulated scheme), so
 // its connections are the ones wire made, C·factor split over the host's
@@ -600,18 +618,21 @@ func (h *host) restoreComp(r *snap.Reader, f family, sub, routed int) component 
 	}
 }
 
-// isLive reports whether c, of family f, is a component this forwarder
-// has in service, as opposed to a detached one draining its events: a
-// MUX in its connection table, a regulator whose link names its bank slot.
-// A clock is never retired.
-func (fw *forwarder) isLive(f family, c component) bool {
-	switch f {
-	case famMux:
-		return slices.Contains(fw.muxes, c.(*mux.Mux))
-	case famCycle:
-		return true
+// retireRestored hands a component a restore made out of service — one a
+// torn-down forwarder left draining, named by a pending event — back to
+// the engine as the teardown did: at once if idle, else when its event
+// fires.
+func retireRestored(c component) {
+	switch c := c.(type) {
+	case *mux.Mux:
+		c.Retire()
+	case *regulator.SigmaRho:
+		c.Detach()
+		c.Retire()
+	case *regulator.SRL:
+		c.Detach()
+		c.Retire()
 	}
-	return linkOf(c.(regulated)).slot >= 0
 }
 
 // install puts a restored live component back into service; false when
@@ -719,7 +740,10 @@ func (h *host) attachChild(g, c int) {
 	}
 	sl := &h.env.slabs
 	m, live := f.connTo(c)
-	if m < 0 {
+	if m >= 0 {
+		// A connection closing as it drains stays open for the new edge.
+		f.muxes[m].Keep()
+	} else {
 		// The table's first free slot takes the new connection.
 		mx := h.makeMux(c, h.env.connectionCapacity(int(h.id), live+1), 0)
 		if m = int32(slices.Index(f.muxes, nil)); m < 0 {
@@ -800,6 +824,7 @@ func (h *host) detachGroup(g int) int {
 		if r := f.srBank[i]; r != nil {
 			lost += r.Detach()
 			linkOf(r).slot = -1
+			r.Retire()
 		}
 		f.srBank = slices.Delete(f.srBank, i, i+1)
 	}
@@ -813,6 +838,7 @@ func (h *host) detachGroup(g int) int {
 				// to clear — it never reaches anyone, so it counts as lost.
 				lost++
 			}
+			r.Retire()
 		}
 		f.srlBank = slices.Delete(f.srlBank, i, i+1)
 	}
@@ -823,29 +849,67 @@ func (h *host) detachGroup(g int) int {
 	f.relink(i)
 	for _, e := range old {
 		if !gc.hasChild(int(e.child)) {
-			f.muxes[e.mux] = nil
+			f.dropConn(e.mux)
 		}
 	}
 	h.env.slabs.edges.put(old)
 	return lost
 }
 
+// dropConn takes the connection at slot i of the table out of service at
+// once; its MUX retires when idle, draining what it holds first.
+func (f *forwarder) dropConn(i int32) {
+	m := f.muxes[i]
+	f.muxes[i] = nil
+	m.Retire()
+}
+
+// closeConn closes the connection at slot i of the table, which no edge
+// names: at once when its MUX is idle, else once the MUX has drained what
+// it holds (hostEnv.Drained). Until then it stays in service, so a child
+// that rejoins gets it back (attachChild).
+func (f *forwarder) closeConn(i int32) {
+	if m := f.muxes[i]; m.Busy() {
+		m.Retire()
+		return
+	}
+	f.dropConn(i)
+}
+
+// Drained implements mux.Drainer: it takes a MUX that Retire left serving
+// out of its host's connection table as it runs dry — a connection
+// closeConn closed, which stayed in service while it drained. A MUX
+// dropConn dropped is in none.
+func (e *hostEnv) Drained(m *mux.Mux) {
+	from, _ := m.Ends()
+	f := e.rt.s.hosts[from].fwd
+	if i := slices.Index(f.muxes, m); i >= 0 {
+		f.muxes[i] = nil
+	}
+}
+
 // removeChild unregisters c from group g at c's parent. When that was the
 // host's last child in g the whole group detaches (regulator backlog
 // abandoned — the packets were destined for the departed subtree) and c's
-// connection stays in service; otherwise it drops once c is a child in no
-// group. The returned count is the abandoned backlog.
+// connection, if c is a child in no other group, closes once idle
+// (closeConn); otherwise it drops at once when c is a child in no group,
+// its in-flight traffic still draining through the engine. The returned
+// count is the abandoned backlog.
 func (h *host) removeChild(g, c int) int {
 	f := h.fwd
 	if i := f.children.find(g); i >= 0 {
 		es := slices.DeleteFunc(f.children.edges[i], func(e edge) bool { return int(e.child) == c })
 		f.children.edges[i] = es
 		if len(es) == 0 {
-			return h.detachGroup(g)
+			lost := h.detachGroup(g)
+			if m, _ := f.connTo(c); m >= 0 && !f.children.hasChild(c) {
+				f.closeConn(m)
+			}
+			return lost
 		}
 	}
 	if i, _ := f.connTo(c); i >= 0 && !f.children.hasChild(c) {
-		f.muxes[i] = nil // in-flight MUX traffic still drains through the engine
+		f.dropConn(i)
 	}
 	return 0
 }

@@ -584,6 +584,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 			sh.env.capAware = true
 			sh.env.capFactor = cfg.CapacityFactor
 		}
+		sh.env.line.OnDrained(sh.env)
 		s.sh[si] = sh
 	}
 

@@ -297,8 +297,8 @@ func Restore(cfg Config, data []byte) (*Session, error) {
 // replicate touch on its next packet. Each component record is well-formed
 // on its own; bytes that move one to another host's stanza leave the slot
 // it came from empty. (A host may hold more MUXes than children: one stays
-// in service after its child leaves the host's last group with it.) The
-// check is one slot test per tree edge.
+// in service, draining, after its child leaves the host's last group with
+// it.) The check is one slot test per tree edge.
 func (s *Session) checkWiring() error {
 	for id, h := range s.hosts {
 		f := h.fwd
@@ -967,7 +967,7 @@ func (t *compTotals) read(r *snap.Reader) {
 // shardSnap is what one shard's records write, as Snapshot gathers it
 // before it sizes the stream: the engine's pending events in seq order;
 // per family the registry slots of the components written — every live
-// one (installed in its host) and every one a pending event names — and
+// one (in service at its host) and every one a pending event names — and
 // which of those are live; the totals that open the components record; and
 // the MUXes with a packet in transmission, whose stanzas carry it.
 type shardSnap struct {
@@ -979,11 +979,14 @@ type shardSnap struct {
 
 // gather fills c.shards: each engine's pending events, in one buffer, and
 // the components each shard's record writes, whose sets are windows of one
-// bitset. Dead unreferenced components (detached regulators whose events
-// were cancelled, dropped MUXes that drained) are garbage and skipped; a
-// dead-but-referenced component — a dropped MUX still draining its queue, a
-// detached SRL mid-transmission — is written with live=false so the
-// re-inserted event finds it without re-installing it.
+// bitset. It marks the live ones in one pass over the forwarders — a MUX in
+// a connection table, a regulator in a bank — and every clock, which is
+// never retired; then the ones out of service that a pending event names:
+// a dropped MUX still draining its queue, a detached (σ, ρ, λ) regulator
+// mid-transmission, which retire when that event fires. Those are written
+// with live=false, so the re-inserted event finds them without
+// re-installing them. A component is counted into its shard's totals as it
+// is marked, so no pass walks the owner tables' retired holes.
 func (c *codec) gather() error {
 	s := c.s
 	events, n := 0, 0
@@ -1007,46 +1010,71 @@ func (c *codec) gather() error {
 			k := words(len(sh.eng.Owners(famKind[f])))
 			ss.keep[f], ss.live[f], sets = sets[:k:k], sets[k:2*k:2*k], sets[2*k:]
 		}
-		for _, ev := range ss.evs {
-			if f := kindFam[ev.Kind]; f != famNone {
-				ss.keep[f].set(int(ev.Arg))
+		for slot, h := range sh.eng.Owners(famKind[famCycle]) {
+			if h != nil {
+				ss.mark(famCycle, slot, h.(component))
 			}
 		}
-		for f := famMux; f < numFamilies; f++ {
-			ss.gatherFamily(s.hosts, sh.env, f, sh.eng.Owners(famKind[f]))
+	}
+	for id := range s.hosts {
+		f := s.hosts[id].fwd
+		if f == nil {
+			continue
+		}
+		ss := &c.shards[s.owner[id]]
+		for _, m := range f.muxes {
+			if m != nil {
+				ss.mark(famMux, int(m.Slot()), m)
+			}
+		}
+		for _, r := range f.srBank {
+			if r != nil {
+				ss.mark(famSR, int(r.Slot()), r)
+			}
+		}
+		for _, r := range f.srlBank {
+			if r != nil {
+				ss.mark(famSRL, int(r.Slot()), r)
+			}
+		}
+	}
+	for si, sh := range s.sh {
+		ss := &c.shards[si]
+		for _, ev := range ss.evs {
+			f := kindFam[ev.Kind]
+			if f == famNone || ss.keep[f].has(int(ev.Arg)) {
+				continue
+			}
+			if h := sh.eng.Owners(ev.Kind)[ev.Arg]; h != nil { // a hole holds no component, named or not
+				ss.add(f, int(ev.Arg), h.(component))
+			}
 		}
 	}
 	return nil
 }
 
-// gatherFamily adds family f's live components — the engine's owner table
-// comps — to the components written, and counts those into the totals.
-func (ss *shardSnap) gatherFamily(hosts []host, env *hostEnv, f family, comps []des.Handler) {
-	keep, live, t := ss.keep[f], ss.live[f], &ss.tot
-	for slot, h := range comps {
-		if h == nil {
-			keep.unset(slot) // a hole holds no component, named or not
-			continue
+// mark adds the live component c at slot of family f to those written.
+func (ss *shardSnap) mark(f family, slot int, c component) {
+	ss.live[f].set(slot)
+	ss.add(f, slot, c)
+}
+
+// add puts the component c at slot of family f among those written and
+// counts it into the totals.
+func (ss *shardSnap) add(f family, slot int, c component) {
+	ss.keep[f].set(slot)
+	t := &ss.tot
+	t.comps[f]++
+	switch c := c.(type) {
+	case *mux.Mux:
+		t.muxPackets += c.Len()
+		if c.Busy() {
+			ss.busy++
 		}
-		comp := h.(component)
-		if hosts[env.ident(slot, comp).host].fwd.isLive(f, comp) {
-			live.set(slot)
-			keep.set(slot)
-		} else if !keep.has(slot) {
-			continue
-		}
-		t.comps[f]++
-		switch comp := comp.(type) {
-		case *mux.Mux:
-			t.muxPackets += comp.Len()
-			if comp.Busy() {
-				ss.busy++
-			}
-		case *regulator.SigmaRho:
-			t.packets += comp.QueueLen()
-		case *regulator.SRL:
-			t.packets += comp.QueueLen()
-		}
+	case *regulator.SigmaRho:
+		t.packets += c.QueueLen()
+	case *regulator.SRL:
+		t.packets += c.QueueLen()
 	}
 }
 
@@ -1167,6 +1195,14 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 				}
 				comp.(*regulator.SRL).Rejoin(r, cy)
 			}
+			switch {
+			case !live:
+				retireRestored(comp)
+			case f == famMux && at < 0:
+				// In service but named by no edge: a connection closing as
+				// it drains (closeConn). install put it last.
+				h.fwd.closeConn(int32(len(h.fwd.muxes) - 1))
+			}
 			c.slots[f] = append(c.slots[f], slot)
 		}
 	}
@@ -1255,7 +1291,7 @@ func (c *codec) readEvents(r *snap.Reader, si int) {
 			arg = uint32(i)
 		}
 		if kind == des.KindMuxDone { // one per MUX in transmission, none for an idle one
-			if done.has(int(arg)) || !sh.eng.Owners(kind)[arg].(*mux.Mux).Busy() {
+			if m, ok := sh.eng.Owners(kind)[arg].(*mux.Mux); !ok || done.has(int(arg)) || !m.Busy() {
 				r.Fail(fmt.Errorf("core: snapshot MUX completion at %v names a MUX with no packet in transmission for it", at))
 				return
 			}
@@ -1370,10 +1406,9 @@ func (c *codec) sizeCoord(int) int {
 
 func (c *codec) writeCoord(w *snap.Writer, _ int) {
 	coord := c.s.coord
-	seqs := coord.SrcSeqs()
-	w.Len(len(seqs))
-	for _, q := range seqs {
-		w.U64(q)
+	w.Len(len(c.s.sh))
+	for src := range c.s.sh {
+		w.U64(coord.SrcSeq(src))
 	}
 	epochs, messages, stallNum, stallDen := coord.Diagnostics()
 	w.U64(epochs)
@@ -1381,9 +1416,10 @@ func (c *codec) writeCoord(w *snap.Writer, _ int) {
 	w.U64(stallNum)
 	w.U64(stallDen)
 	for dst := range c.s.sh {
-		recs := coord.PendingRecords(dst)
-		w.Len(len(recs))
-		for _, rc := range recs {
+		n := coord.PendingLen(dst)
+		w.Len(n)
+		for i := range n {
+			rc := coord.PendingRecord(dst, i)
 			w.I64(int64(rc.At))
 			w.I64(int64(rc.Lamport))
 			w.U64(rc.Seq)

@@ -23,7 +23,10 @@
 // made, and schedules itself by its slot, so making a component binds no
 // callback, a session of a million components holds no closure per
 // component, and a checkpoint restore re-inserts each serialized record
-// as it stands. Schedule still takes a
+// as it stands. An owner torn down mid-run retires (Retire) once no
+// pending event names it, and the next owner of its family takes its slot
+// back (Reclaim, Own), so a table holds what is in use, not all that ever
+// was. Schedule still takes a
 // plain func for the few callers that keep one (tests, a greedy source): it
 // parks the func in the engine's closure slab — the owner table of
 // KindNone, whose slots are recycled as their funcs fire.
@@ -171,9 +174,16 @@ type Engine struct {
 	poolSize int    // total records ever allocated (diagnostics)
 	pdqRuns  int    // ready runs too fragmented to merge (diagnostics)
 
-	owners    [NumKinds][]Handler // by table (kinds[kind].table), then slot; nil is a hole
-	pools     [NumKinds]Pool      // by table: the owner of a pooled family
-	freeFuncs []uint32            // closure-slab slots free for reuse
+	owners    [NumKinds][]Handler      // by table (kinds[kind].table), then slot; nil is a hole
+	pools     [NumKinds]Pool           // by table: the owner of a pooled family
+	freeFuncs []uint32                 // closure-slab slots free for reuse
+	retired   [NumKinds][]retiredOwner // by table: owners Retire emptied a slot of, for Reclaim
+}
+
+// retiredOwner is an owner taken out of its table, and the slot it held.
+type retiredOwner struct {
+	h    Handler
+	slot uint32
 }
 
 // New returns a fresh engine at time zero.
@@ -231,14 +241,17 @@ func (e *Engine) release(ev *event) {
 }
 
 // Register appends h to the owner table of kind's family and returns the
-// slot the owner's events name as their arg.
+// slot the owner's events name as their arg. It never hands out a slot
+// Retire emptied: an owner made in place of a retired one takes that one's
+// slot back with Own (Reclaim).
 func (e *Engine) Register(kind uint16, h Handler) uint32 {
 	return e.Own(kind, uint32(len(e.owners[tableOf(kind)])), h)
 }
 
 // Own puts h at slot of the owner table of kind's family — a flow's
-// source at the flow, a host at its id — growing the table as needed, and
-// returns slot. Slots it skips stay holes.
+// source at the flow, a host at its id, a new component at the slot of the
+// retired one whose record it reuses (Reclaim) — growing the table as
+// needed, and returns slot. Slots it skips stay holes.
 func (e *Engine) Own(kind uint16, slot uint32, h Handler) uint32 {
 	table := tableOf(kind)
 	if kinds[table].pool {
@@ -250,6 +263,37 @@ func (e *Engine) Own(kind uint16, slot uint32, h Handler) uint32 {
 	}
 	(*t)[slot] = h
 	return slot
+}
+
+// Retire takes the owner at slot out of the owner table of kind's family,
+// leaving a hole, and keeps it with its slot for Reclaim: an owner no
+// pending event names any more — a component torn down mid-run — hands its
+// record and its slot to the next one of its family. An event cancelled
+// before the retire may still sit in the wheel naming the slot; it is
+// reaped unfired whoever owns the slot by then.
+func (e *Engine) Retire(kind uint16, slot uint32) {
+	table := tableOf(kind)
+	t := e.owners[table]
+	if int(slot) >= len(t) || t[slot] == nil {
+		panic(fmt.Sprintf("des: retiring slot %d of the %s table, which holds no owner", slot, kinds[table].name))
+	}
+	e.retired[table] = append(e.retired[table], retiredOwner{t[slot], slot})
+	t[slot] = nil
+}
+
+// Reclaim returns the owner of kind's family retired last and the slot it
+// held, still a hole, and forgets it; ok is false when none is left. The
+// caller remakes the owner in place and puts it back with Own.
+func (e *Engine) Reclaim(kind uint16) (h Handler, slot uint32, ok bool) {
+	rs := &e.retired[tableOf(kind)]
+	n := len(*rs) - 1
+	if n < 0 {
+		return nil, 0, false
+	}
+	r := (*rs)[n]
+	(*rs)[n] = retiredOwner{}
+	*rs = (*rs)[:n]
+	return r.h, r.slot, true
 }
 
 // OwnPool makes p the owner of every event of kind's family, which must be

@@ -144,6 +144,53 @@ func TestHandlersAllocateNothing(t *testing.T) {
 	}
 }
 
+// counter counts what it fires, by kind.
+type counter struct{ fired [NumKinds]int }
+
+func (c *counter) Fire(kind uint16) { c.fired[kind]++ }
+
+// TestRetiredSlotIsReclaimed: Retire empties a slot and Reclaim hands back
+// the owner and the slot, last retired first; a new owner Owned there
+// never fires an event cancelled before the retire, though the cancelled
+// record still sits in the wheel naming the slot, and PendingEvents never
+// lists it. Register never hands out a retired slot.
+func TestRetiredSlotIsReclaimed(t *testing.T) {
+	eng := New()
+	old, other := new(counter), new(counter)
+	slot := eng.Register(KindSRRetry, old)
+	eng.Register(KindSRRetry, other)
+	ev := eng.ScheduleKind(10, KindSRRetry, slot)
+	live := eng.ScheduleKind(20, KindSRRetry, slot+1)
+	eng.Cancel(ev)
+	eng.Retire(KindSRRetry, slot)
+	if tbl := eng.Owners(KindSRRetry); tbl[slot] != nil || len(tbl) != 2 {
+		t.Fatalf("after Retire the table is %v, want a hole at slot %d", tbl, slot)
+	}
+	h, s, ok := eng.Reclaim(KindSRRetry)
+	if !ok || h != Handler(old) || s != slot {
+		t.Fatalf("Reclaim = (%v, %d, %v), want the retired owner at slot %d", h, s, ok, slot)
+	}
+	if _, _, ok := eng.Reclaim(KindSRRetry); ok {
+		t.Fatal("Reclaim handed out a second owner from one retire")
+	}
+	reborn := new(counter)
+	eng.Own(KindSRRetry, s, reborn)
+	evs, err := eng.PendingEvents(nil)
+	if err != nil || len(evs) != 1 || evs[0].Arg != slot+1 {
+		t.Fatalf("PendingEvents = %v (%v), want only the live event for slot %d", evs, err, slot+1)
+	}
+	eng.Run()
+	if reborn.fired[KindSRRetry] != 0 || old.fired[KindSRRetry] != 0 {
+		t.Fatalf("the cancelled event fired: %d on the new owner, %d on the retired one", reborn.fired[KindSRRetry], old.fired[KindSRRetry])
+	}
+	if other.fired[KindSRRetry] != 1 || live.Pending() {
+		t.Fatalf("the live event fired %d times", other.fired[KindSRRetry])
+	}
+	if n := eng.Register(KindSRRetry, new(counter)); n != 2 {
+		t.Fatalf("Register took slot %d, want the table's next, 2", n)
+	}
+}
+
 // TestEventRecordSize pins the queue record at 48 bytes: an event is its
 // (at, prio, seq, kind, arg) plus the wheel's link and the handle
 // generation, and no callback.

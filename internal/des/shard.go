@@ -889,26 +889,22 @@ func (c *Coordinator[P]) CheckpointDrain() {
 	}
 }
 
-// PendingLen returns how many records PendingRecords(dst) returns.
+// PendingLen returns how many cross-shard records are pending for dst.
 func (c *Coordinator[P]) PendingLen(dst int) int {
 	l := &c.lanes[dst]
 	return len(l.pend) - l.head
 }
 
-// PendingRecords returns dst's pending cross-shard records in merge order.
-func (c *Coordinator[P]) PendingRecords(dst int) []ShardRec[P] {
+// PendingRecord returns the i-th of dst's PendingLen pending cross-shard
+// records in merge order, read in place.
+func (c *Coordinator[P]) PendingRecord(dst, i int) ShardRec[P] {
 	l := &c.lanes[dst]
-	pq := l.pend[l.head:]
-	out := make([]ShardRec[P], 0, len(pq))
-	for i := range pq {
-		r := &pq[i]
-		out = append(out, ShardRec[P]{At: r.at, Lamport: r.lamport, Seq: r.seq, Src: r.src, Payload: r.payload})
-	}
-	return out
+	r := &l.pend[l.head+i]
+	return ShardRec[P]{At: r.at, Lamport: r.lamport, Seq: r.seq, Src: r.src, Payload: r.payload}
 }
 
 // RestorePending installs dst's pending records (in the merge order
-// PendingRecords reported them). Call on a fresh coordinator before Run.
+// PendingRecord reported them). Call on a fresh coordinator before Run.
 func (c *Coordinator[P]) RestorePending(dst int, recs []ShardRec[P]) {
 	l := &c.lanes[dst]
 	pq := l.pend[:0]
@@ -918,14 +914,8 @@ func (c *Coordinator[P]) RestorePending(dst int, recs []ShardRec[P]) {
 	l.pend, l.head = pq, 0
 }
 
-// SrcSeqs returns the per-source record counters (a copy).
-func (c *Coordinator[P]) SrcSeqs() []uint64 {
-	seqs := make([]uint64, len(c.lanes))
-	for i := range c.lanes {
-		seqs[i] = c.lanes[i].seq
-	}
-	return seqs
-}
+// SrcSeq returns source src's record counter.
+func (c *Coordinator[P]) SrcSeq(src int) uint64 { return c.lanes[src].seq }
 
 // RestoreSrcSeqs installs the per-source record counters.
 func (c *Coordinator[P]) RestoreSrcSeqs(seqs []uint64) {

@@ -51,7 +51,15 @@ type Line struct {
 	k    int
 	out  Link
 	pool snap.Arena[traffic.Packet]
+	// drained hears of a MUX Retire left serving as its queue runs dry,
+	// just before it retires (OnDrained).
+	drained Drainer
 }
+
+// Drainer hears of each MUX on a Line that Retire left serving as it runs
+// dry, just before its record goes back to the engine: a connection table
+// that still holds it takes it out.
+type Drainer interface{ Drained(m *Mux) }
 
 // NewLine returns the shared part of MUXes in eng with k input flows,
 // serving in order d and sending into out.
@@ -67,6 +75,9 @@ func NewLine(eng *des.Engine, k int, d Discipline, out Link) *Line {
 	}
 	return &Line{eng: eng, d: d, k: k, out: out}
 }
+
+// OnDrained makes d the line's Drainer.
+func (l *Line) OnDrained(d Drainer) { l.drained = d }
 
 // Pool returns the line's packet pool, which the engine's regulators share
 // (regulator.NewSlab). It makes its first chunk on its first window, so a
@@ -97,13 +108,19 @@ type Mux struct {
 	cur  traffic.Packet
 	lat  des.Duration // the output link's propagation delay, priced by init
 	head int32
-	slot uint32 // in the engine's KindMuxDone owner table
-	from int32  // the output link's ends, host ids
+	// slot is the MUX's place in the engine's KindMuxDone owner table; its
+	// top bit, retiring, marks a MUX Retire took out of service while it
+	// transmitted, which retires as its queue runs dry.
+	slot uint32
+	from int32 // the output link's ends, host ids
 	to   int32
 }
 
 // idle is cur.Flow while the server transmits nothing.
 const idle = -1
+
+// retiring is the top bit of Mux.slot: no owner table reaches 2³¹ slots.
+const retiring = 1 << 31
 
 // New returns a MUX with k input flows at capacity c bits/second, on a
 // Line of its own.
@@ -125,14 +142,48 @@ func (f sinkLink) Carry(_, _ int, _ des.Duration, p traffic.Packet) { f(p) }
 // creation and restore: the MUX serves the link from→to of line, prices
 // that link once, and registers as the owner of its transmit completions.
 func (m *Mux) init(line *Line, c float64, from, to int) *Mux {
+	m.set(line, c, from, to)
+	m.slot = line.eng.Register(des.KindMuxDone, m)
+	return m
+}
+
+// set gives a MUX record its connection: the link from→to of line, priced
+// once, at capacity c, with nothing in transmission.
+func (m *Mux) set(line *Line, c float64, from, to int) {
 	if c <= 0 {
 		panic("mux: capacity must be positive")
 	}
 	m.line, m.c, m.from, m.to = line, c, int32(from), int32(to)
 	m.lat = line.out.Latency(from, to)
 	m.cur.Flow = idle
-	m.slot = line.eng.Register(des.KindMuxDone, m)
-	return m
+}
+
+// Retire takes the MUX out of service for good: its record and its
+// owner-table slot go back to its engine (des.Engine.Retire) for the next
+// MUX a Slab makes there, as soon as no pending completion names them — at
+// once when the MUX is idle, else when the packets it holds have left and
+// its line's drained hook has heard of it. Until then Keep puts it back in
+// service. Nothing may enqueue into a MUX Retire left serving.
+func (m *Mux) Retire() {
+	if m.Busy() {
+		m.slot |= retiring
+		return
+	}
+	m.retire()
+}
+
+// Keep puts a MUX that Retire left serving back in service.
+func (m *Mux) Keep() { m.slot &^= retiring }
+
+// Slot returns the MUX's slot in its engine's KindMuxDone owner table.
+func (m *Mux) Slot() uint32 { return m.slot &^ retiring }
+
+// retire hands an idle MUX's record, its queue window emptied, and its
+// slot to the engine.
+func (m *Mux) retire() {
+	m.slot &^= retiring
+	m.q, m.head = m.q[:0], 0
+	m.line.eng.Retire(des.KindMuxDone, m.slot)
 }
 
 // Fire is the transmit completion (des.KindMuxDone): the packet in
@@ -183,6 +234,12 @@ func (m *Mux) Enqueue(p traffic.Packet) {
 func (m *Mux) serve() {
 	if int(m.head) == len(m.q) {
 		m.cur.Flow = idle
+		if m.slot&retiring != 0 {
+			if d := m.line.drained; d != nil {
+				d.Drained(m)
+			}
+			m.retire()
+		}
 		return
 	}
 	var p traffic.Packet
@@ -197,5 +254,5 @@ func (m *Mux) serve() {
 		m.head++
 	}
 	m.cur = p
-	l.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.slot)
+	l.eng.ScheduleInKind(des.Seconds(p.Size/m.c), des.KindMuxDone, m.slot&^retiring)
 }

@@ -3,6 +3,7 @@ package mux
 import (
 	"fmt"
 
+	"repro/internal/des"
 	"repro/internal/snap"
 	"repro/internal/traffic"
 )
@@ -51,10 +52,30 @@ func NewSlab(muxes, packets int) Slab {
 	return Slab{muxes: snap.NewArena[Mux](muxes), packets: snap.NewArena[traffic.Packet](packets)}
 }
 
-// New makes the slab's next MUX: line's server at capacity c on the link
-// from→to, with room for routed packets queued before the queue grows —
-// pass the number of flows routed through the connection.
+// New makes a MUX: line's server at capacity c on the link from→to, with
+// room for routed packets queued before the queue grows — pass the number
+// of flows routed through the connection. It takes the record and the
+// owner-table slot of the MUX its engine retired last (Retire), whose
+// queue window it keeps, and the slab's next record only when none is
+// left.
 func (sl *Slab) New(line *Line, c float64, from, to, routed int) *Mux {
+	h, slot, ok := line.eng.Reclaim(des.KindMuxDone)
+	if !ok {
+		return sl.carve(line, c, from, to, routed)
+	}
+	m := h.(*Mux)
+	*m = Mux{q: m.q[:0]}
+	m.set(line, c, from, to)
+	m.slot = line.eng.Own(des.KindMuxDone, slot, m)
+	if cap(m.q) < routed {
+		m.q = sl.packets.Take(routed)[:0]
+	}
+	return m
+}
+
+// carve makes the slab's next MUX as New would, registered in the next slot
+// of its engine's owner table.
+func (sl *Slab) carve(line *Line, c float64, from, to, routed int) *Mux {
 	m := sl.muxes.One().init(line, c, from, to)
 	m.q = sl.packets.Take(routed)[:0]
 	return m
@@ -66,11 +87,11 @@ func (sl *Slab) New(line *Line, c float64, from, to, routed int) *Mux {
 // [0, k) and on an idle server with packets queued — a state no
 // work-conserving MUX is in, whose queue nothing would serve.
 // The transmit-completion event, if one was pending, is the engine's to
-// re-insert: the MUX registers in the next slot of its owner table, as
-// New would.
+// re-insert: the MUX registers in the next slot of its owner table, never
+// in a retired one's, so a restore's i-th MUX holds slot i.
 func (sl *Slab) Restore(r *snap.Reader, line *Line, c float64, from, to, routed int) *Mux {
 	n := r.Count(traffic.PacketSnapBytes)
-	m := sl.New(line, c, from, to, max(n, routed))
+	m := sl.carve(line, c, from, to, max(n, routed))
 	m.q = m.q[:n]
 	for i := range m.q {
 		m.q[i] = traffic.RestorePacket(r, line.k)

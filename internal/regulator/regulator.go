@@ -103,6 +103,14 @@ func NewSigmaRho(eng *des.Engine, sigma, rho float64, out func(traffic.Packet)) 
 // init is NewSigmaRho into zeroed storage the caller made, its queue's
 // buffers carved from pool (see Slab).
 func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out traffic.Sink, pool *snap.Arena[traffic.Packet]) *SigmaRho {
+	s.set(eng, sigma, rho, out, pool)
+	s.slot = eng.Register(des.KindSRRetry, s)
+	return s
+}
+
+// set gives a zeroed record its envelope, output and pool, and a full
+// bucket.
+func (s *SigmaRho) set(eng *des.Engine, sigma, rho float64, out traffic.Sink, pool *snap.Arena[traffic.Packet]) {
 	if sigma < 0 || rho <= 0 {
 		panic("regulator: invalid (σ,ρ) parameters")
 	}
@@ -110,7 +118,23 @@ func (s *SigmaRho) init(eng *des.Engine, sigma, rho float64, out traffic.Sink, p
 		panic("regulator: nil output")
 	}
 	s.eng, s.Sigma, s.Rho, s.out, s.tokens, s.q.pool = eng, sigma, rho, out, sigma, pool
-	s.slot = eng.Register(des.KindSRRetry, s)
+}
+
+// ReuseSigmaRho remakes the (σ, ρ) regulator eng retired last (Retire) as
+// NewSigmaRho would, at its owner-table slot, keeping its emptied queue
+// window and its output, which the caller re-points; nil when eng has none
+// to reuse.
+func ReuseSigmaRho(eng *des.Engine, sigma, rho float64) *SigmaRho {
+	h, slot, ok := eng.Reclaim(des.KindSRRetry)
+	if !ok {
+		return nil
+	}
+	s := h.(*SigmaRho)
+	buf, pool, out := s.q.buf, s.q.pool, s.out
+	*s = SigmaRho{slot: slot}
+	s.set(eng, sigma, rho, out, pool)
+	s.q.buf = buf
+	eng.Own(des.KindSRRetry, slot, s)
 	return s
 }
 
@@ -122,6 +146,10 @@ func (s *SigmaRho) Fire(uint16) {
 
 // QueueLen reports the packets currently held back.
 func (s *SigmaRho) QueueLen() int { return s.q.len() }
+
+// Slot returns the regulator's slot in its engine's KindSRRetry owner
+// table.
+func (s *SigmaRho) Slot() uint32 { return s.slot }
 
 // Out returns where the regulator puts a conformant packet.
 func (s *SigmaRho) Out() traffic.Sink { return s.out }
@@ -185,4 +213,13 @@ func (s *SigmaRho) Detach() int {
 	s.retryEv = des.Event{}
 	s.serving = false
 	return s.q.len()
+}
+
+// Retire hands a regulator Detach took out of service back to its engine
+// (des.Engine.Retire) — its record, its queue window emptied, and its
+// owner-table slot — for ReuseSigmaRho. Detach left no event naming it, so
+// it retires at once; nothing may use it after.
+func (s *SigmaRho) Retire() {
+	s.q.buf, s.q.head = s.q.buf[:0], 0
+	s.eng.Retire(des.KindSRRetry, s.slot)
 }

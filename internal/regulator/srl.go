@@ -38,6 +38,7 @@ type SRL struct {
 	waiting      bool
 	on           bool
 	transmitting bool
+	retiring     bool   // retired mid-transmission: retires on completion
 	slot         uint32 // in the engine's KindSRLDone owner table
 }
 
@@ -55,6 +56,13 @@ func NewSRL(eng *des.Engine, sigma, rho, c float64, out func(traffic.Packet)) *S
 // init is NewSRL into zeroed storage the caller made, its queue's buffers
 // carved from pool (see Slab).
 func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out traffic.Sink, pool *snap.Arena[traffic.Packet]) *SRL {
+	r.set(eng, sigma, rho, c, out, pool)
+	r.slot = eng.Register(des.KindSRLDone, r)
+	return r
+}
+
+// set gives a zeroed record its envelope, link capacity, output and pool.
+func (r *SRL) set(eng *des.Engine, sigma, rho, c float64, out traffic.Sink, pool *snap.Arena[traffic.Packet]) {
 	if sigma <= 0 || rho <= 0 || c <= 0 || rho >= c {
 		panic("regulator: SRL requires σ>0 and 0<ρ<C")
 	}
@@ -62,16 +70,45 @@ func (r *SRL) init(eng *des.Engine, sigma, rho, c float64, out traffic.Sink, poo
 		panic("regulator: nil output")
 	}
 	r.eng, r.Sigma, r.Rho, r.C, r.out, r.q.pool = eng, sigma, rho, c, out, pool
-	r.slot = eng.Register(des.KindSRLDone, r)
+}
+
+// ReuseSRL remakes the (σ, ρ, λ) regulator eng retired last (Retire) as
+// NewSRL would, at its owner-table slot, keeping its emptied queue window
+// and its output, which the caller re-points; nil when eng has none to
+// reuse.
+func ReuseSRL(eng *des.Engine, sigma, rho, c float64) *SRL {
+	h, slot, ok := eng.Reclaim(des.KindSRLDone)
+	if !ok {
+		return nil
+	}
+	r := h.(*SRL)
+	buf, pool, out := r.q.buf, r.q.pool, r.out
+	*r = SRL{slot: slot}
+	r.set(eng, sigma, rho, c, out, pool)
+	r.q.buf = buf
+	eng.Own(des.KindSRLDone, slot, r)
 	return r
 }
 
 // Fire is the transmit completion (des.KindSRLDone): the head packet
-// leaves, and the regulator serves the next if its gate is open.
+// leaves, and the regulator serves the next if its gate is open — or, if
+// Retire caught the packet mid-transmission, retires.
 func (r *SRL) Fire(uint16) {
 	r.transmitting = false
 	r.out.Put(r.q.pop())
+	if r.retiring {
+		r.retire()
+		return
+	}
 	r.serve()
+}
+
+// retire hands a regulator that transmits nothing back to its engine: its
+// record, its queue window emptied, and its owner-table slot, for ReuseSRL.
+func (r *SRL) retire() {
+	r.retiring = false
+	r.q.buf, r.q.head = r.q.buf[:0], 0
+	r.eng.Retire(des.KindSRLDone, r.slot)
 }
 
 // DutyCycle returns the working period W = σ/(C−ρ) and the vacation
@@ -93,6 +130,10 @@ func (r *SRL) Backlog() float64 {
 
 // QueueLen reports the packets currently held back.
 func (r *SRL) QueueLen() int { return r.q.len() }
+
+// Slot returns the regulator's slot in its engine's KindSRLDone owner
+// table.
+func (r *SRL) Slot() uint32 { return r.slot }
 
 // Out returns where the regulator puts a packet it has transmitted.
 func (r *SRL) Out() traffic.Sink { return r.out }
@@ -224,4 +265,16 @@ func (r *SRL) Detach() int {
 		dropped-- // the in-flight packet still departs
 	}
 	return dropped
+}
+
+// Retire hands a regulator Detach took out of service back to its engine
+// (des.Engine.Retire) — its record, its queue window emptied, and its
+// owner-table slot — for ReuseSRL, once no event names it: at once, or
+// when the packet in transmission completes. Nothing may use it after.
+func (r *SRL) Retire() {
+	if r.transmitting {
+		r.retiring = true
+		return
+	}
+	r.retire()
 }
