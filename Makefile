@@ -160,7 +160,12 @@ fuzz:
 # of what is in service and a heap after GC that does not grow with the
 # horizon, an engine's retired slot to one a cancelled event never fires
 # on, a two-shard Snapshot to the objects a one-shard one takes (the
-# coordinator read in place), and one blob
+# coordinator read in place), a restore to the same bytes under a 12 s and
+# a 120 s schedule (the Config's schedule read in place, the barrier
+# source's cursors sought past the checkpoint), an out-of-order schedule
+# to a build's panic and a restore's error, the coordinator's barrier
+# source to lazy, forward-only reads, a compiled churn schedule to its
+# result plus one scratch, and one blob
 # to its exact byte count and SHA-256, so a word added back to a component
 # record, a byte per member, forwarding state at a leaf, per-engine
 # constants or a link record per MUX, a tree cloned or decoded or a child
@@ -168,11 +173,13 @@ fuzz:
 # Snapshot, a snapshot stream that regrows, an edge window, connection
 # table or orphan list an edit allocates on its own, a dropped component
 # that stays registered, a connection named by no edge that never closes,
-# a copy per shard in a checkpoint, or a pending event written under another (at, prio, kind,
+# a copy per shard in a checkpoint, a schedule cloned, sorted or listed
+# per session or per restore, or a pending event written under another (at, prio, kind,
 # arg), fails here as well.
 snapshot:
-	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestTopoHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestChurnHoldsOnlyLiveState|TestShardedSnapshotAllocBudget|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange|TestEveryKindHasOneOwnerTable' ./internal/core
-	$(GO) test -run 'TestPoolOwnsItsFamily|TestEveryKindHasOneFamily|TestRetiredSlotIsReclaimed' ./internal/des
+	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestTopoHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestChurnHoldsOnlyLiveState|TestRestoreCostsItsState|TestScheduleOutOfOrderRefused|TestShardedSnapshotAllocBudget|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange|TestEveryKindHasOneOwnerTable' ./internal/core
+	$(GO) test -run 'TestPoolOwnsItsFamily|TestEveryKindHasOneFamily|TestRetiredSlotIsReclaimed|TestBarrierSource' ./internal/des
+	$(GO) test -run 'TestChurnEventsBytes' ./internal/scenario
 	$(GO) test -run 'TestUplinkClassesDoNotPerturbAttachment' ./internal/topo
 	$(GO) test -run 'TestSlabEnqueueAllocFree|TestMuxRecordSize|TestSnapWidths' ./internal/mux
 	$(GO) test -run 'TestSnapWidths' ./internal/regulator

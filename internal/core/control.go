@@ -11,9 +11,7 @@ package core
 // (config, events), so churn runs are as reproducible as static ones.
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/des"
@@ -41,15 +39,31 @@ type controlPlane struct {
 	joins, leaves, regrafts, rejected int
 }
 
-// eventsWithin returns the events whose time (at) is at or before
-// duration, stably sorted by time — the application order of membership
-// and fault events alike. Events beyond the traffic duration are dropped:
-// the sources have stopped, so late changes would only distort the drain
-// tail.
-func eventsWithin[E any](events []E, duration des.Duration, at func(E) des.Time) []E {
-	evs := slices.Clone(events)
-	slices.SortStableFunc(evs, func(a, b E) int { return cmp.Compare(at(a), at(b)) })
-	return slices.DeleteFunc(evs, func(ev E) bool { return at(ev) > duration })
+// upTo returns the prefix of a time-ordered schedule at or before
+// duration, found by binary search and read in place. Events beyond the
+// traffic duration are dropped: the sources have stopped, so late changes
+// would only distort the drain tail.
+func upTo[E any](events []E, duration des.Duration, at func(E) des.Time) []E {
+	return events[:sort.Search(len(events), func(i int) bool { return at(events[i]) > duration })]
+}
+
+// checkOrder refuses a Config whose fault or membership schedule is not in
+// time order, naming the first entry that precedes the one before it.
+func (c *Config) checkOrder() error {
+	if err := ordered("Faults", c.Faults, func(ev FaultEvent) des.Time { return ev.At }); err != nil {
+		return err
+	}
+	return ordered("Events", c.Events, func(ev MembershipEvent) des.Time { return ev.At })
+}
+
+func ordered[E any](name string, events []E, at func(E) des.Time) error {
+	for i := 1; i < len(events); i++ {
+		if at(events[i]) < at(events[i-1]) {
+			return fmt.Errorf("core: %s[%d] at %v precedes %s[%d] at %v: a schedule must be in time order",
+				name, i, at(events[i]), name, i-1, at(events[i-1]))
+		}
+	}
+	return nil
 }
 
 // apply executes one membership change.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -234,14 +237,54 @@ func TestChurnEventEdgeCases(t *testing.T) {
 	res := Run(Config{NumHosts: 30, Mix: traffic.MixAudio, Load: 0.7,
 		Scheme: SchemeSRL, Duration: des.Second, Seed: 2, Groups: groups,
 		Events: []MembershipEvent{
-			{At: 5 * des.Second, Group: 0, Host: 1, Join: true}, // past duration
 			{At: des.Millisecond, Group: 99, Host: 1, Join: true},
 			{At: des.Millisecond, Group: 0, Host: -4, Join: true},
+			{At: 5 * des.Second, Group: 0, Host: 1, Join: true}, // past duration
 		}})
 	if res.Joins != 0 || res.Leaves != 0 {
 		t.Fatalf("edge events were applied: %+v", res)
 	}
 	if res.RejectedEvents != 2 {
 		t.Fatalf("rejected = %d, want 2 (the out-of-range pair)", res.RejectedEvents)
+	}
+}
+
+// TestScheduleOutOfOrderRefused holds the Config's order contract — Faults
+// and Events are each in time order, ties applied in list order — for a
+// build and a restore alike: with two neighbours of either list swapped,
+// NewSession panics and Restore returns an error, each naming the first
+// entry out of order.
+func TestScheduleOutOfOrderRefused(t *testing.T) {
+	cfg := faultBaseConfig(29)
+	s := NewSession(cfg)
+	s.Start()
+	s.RunTo(des.Seconds(1.2))
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, events := cfg, cfg
+	faults.Faults = slices.Clone(cfg.Faults)
+	faults.Faults[3], faults.Faults[4] = faults.Faults[4], faults.Faults[3] // 1.8 s, then 1.5 s
+	events.Events = slices.Clone(cfg.Events)
+	events.Events[1], events.Events[2] = events.Events[2], events.Events[1] // 2.0 s, then 0.8 s
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{{"faults", faults, "Faults[4]"}, {"events", events, "Events[2]"}} {
+		t.Run(c.name, func(t *testing.T) {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+						t.Errorf("NewSession panicked with %v, want a panic naming %s", r, c.want)
+					}
+				}()
+				NewSession(c.cfg)
+			}()
+			if _, err := Restore(c.cfg, blob); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Restore returned %v, want an error naming %s", err, c.want)
+			}
+		})
 	}
 }

@@ -94,17 +94,6 @@ func (r *ReoptConfig) fillDefaults(scheme Scheme) {
 	}
 }
 
-// reoptTimes lists the pass instants: k·Every for k ≥ 1, up to and
-// including the traffic duration (later passes would only see the drain
-// tail).
-func reoptTimes(every des.Duration, duration des.Duration) []des.Time {
-	var times []des.Time
-	for at := des.Time(every); at <= duration; at += every {
-		times = append(times, at)
-	}
-	return times
-}
-
 // delayEst is one (group, host) running delay estimate.
 type delayEst struct {
 	sum float64

@@ -112,7 +112,8 @@ type Config struct {
 	// repair the orphaned subtrees (see control.go). Requires a regulated
 	// scheme (the capacity-aware comparator's shared tree cannot express
 	// per-group membership drift). An empty Events compiles to exactly the
-	// static session of the paper.
+	// static session of the paper. Events is in time order, ties applied in
+	// list order, and read in place; events after Duration are dropped.
 	Events []MembershipEvent
 	// Faults, when non-empty, turns on the fault-injection plane: the
 	// listed correlated failures (domain outages, partition/heal, mass
@@ -120,7 +121,7 @@ type Config struct {
 	// their recovery is measured per event (see faults.go). Requires a
 	// regulated scheme, like Events. The schedule is validated strictly at
 	// build time; an empty Faults compiles to exactly the fault-free
-	// session.
+	// session. It obeys Events' order contract and is read in place too.
 	Faults []FaultEvent
 	// WindowSec, when > 0, records a max-delay series in buckets of this
 	// many seconds — the transient view of worst-case delay around churn
@@ -481,18 +482,10 @@ type Session struct {
 	ctl       *controlPlane // nil for static sessions
 	ro        *reoptPlane   // nil unless cfg.Reopt is enabled
 	fp        *faultPlane   // nil unless cfg.Faults is set
+	sched     schedule      // the three planes' barrier source
 
 	sources []traffic.Source // built by Start (or a snapshot restore)
 	started bool
-}
-
-// resumeState marks a session build as a checkpoint-restore skeleton: the
-// engine-independent structure compiles as usual, but hosts come up bare
-// (children, MUXes, regulators, and modes arrive from the snapshot) and
-// only barriers strictly after the checkpoint instant are registered —
-// those at or before it already fired in the original run.
-type resumeState struct {
-	at des.Time // checkpoint instant
 }
 
 // NewSession builds the network, trees, and host machinery for cfg, on
@@ -503,12 +496,13 @@ func NewSession(cfg Config) *Session {
 }
 
 // newSessionFrom wires the shard engines over a compiled substrate; a
-// non-nil rs builds the checkpoint-restore skeleton instead. The wiring
-// order (hosts in global id order, controllers immediately after their
+// non-nil ckpt, a restore's checkpoint instant, builds its skeleton: bare
+// hosts (the snapshot brings children, MUXes, regulators and modes) and the
+// schedule's cursors past ckpt, whose barriers fired. The wiring order (hosts in global id order, controllers immediately after their
 // host) fixes each engine's event sequence numbers — a shard's schedule is
 // the projection of the one-shard schedule onto its hosts — and is pinned
 // by the golden bit-identity tests.
-func newSessionFrom(sub *substrate, rs *resumeState) *Session {
+func newSessionFrom(sub *substrate, ckpt *des.Time) *Session {
 	cfg := sub.cfg
 	s := &Session{sub: sub, sharding: sub.bp.shardingFor(cfg.Shards)}
 	owner := s.owner
@@ -526,10 +520,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		s.sh[dst].fabric.Deliver(m.host, m.p)
 	})
 
-	var faults []FaultEvent
-	if len(cfg.Faults) > 0 {
-		faults = eventsWithin(cfg.Faults, cfg.Duration, func(ev FaultEvent) des.Time { return ev.At })
-	}
+	faults := upTo(cfg.Faults, cfg.Duration, func(ev FaultEvent) des.Time { return ev.At })
 
 	numGroups := sub.numGroups()
 	bursts := RegulatorBursts(sub.specs, sub.conn)
@@ -594,7 +585,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	// with connections from its child sets, in slabs sized from all of
 	// them, through one scratch sized for the host with the most.
 	var conns []connPlan
-	if rs == nil {
+	if ckpt == nil {
 		conns = make([]connPlan, s.sizeSlabs(sub.plan))
 	}
 	s.hosts = make([]host, cfg.NumHosts)
@@ -602,7 +593,7 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 		h := &s.hosts[id]
 		*h = host{id: int32(id), env: s.sh[owner[id]].env}
 		receivers[id] = h
-		if rs == nil {
+		if ckpt == nil {
 			h.wire(sub.plan.of(id), conns)
 			if cfg.Scheme == SchemeAdaptive && h.fwd != nil {
 				h.startController()
@@ -620,20 +611,24 @@ func newSessionFrom(sub *substrate, rs *resumeState) *Session {
 	if len(faults) > 0 {
 		s.fp = newFaultPlane(sub, s.hosts, faults)
 	}
-	var events []MembershipEvent
+	s.sched = schedule{faults: faults, pass: 1}
 	if len(cfg.Events) > 0 {
 		s.ctl = &controlPlane{edits: newEdits(sub, s.hosts)}
 		if s.fp != nil {
 			s.ctl.down = s.fp.down
 		}
-		events = eventsWithin(cfg.Events, cfg.Duration, func(ev MembershipEvent) des.Time { return ev.At })
+		s.sched.events = upTo(cfg.Events, cfg.Duration, func(ev MembershipEvent) des.Time { return ev.At })
 	}
-	var reopts []des.Time
 	if cfg.Reopt.Enabled() {
 		s.ro = newReoptPlane(sub, s.hosts)
-		reopts = reoptTimes(cfg.Reopt.Every, cfg.Duration)
+		s.sched.every, s.sched.passes = cfg.Reopt.Every, cfg.Duration/cfg.Reopt.Every
 	}
-	s.registerBarriers(faults, events, reopts, rs)
+	if s.fp != nil || s.ctl != nil || s.ro != nil {
+		if ckpt != nil {
+			s.sched.seek(*ckpt)
+		}
+		s.coord.OnBarriers(s.sched.next, s.atBarrier)
+	}
 	return s
 }
 
@@ -700,63 +695,56 @@ func (s *Session) sizeSlabs(plan *childPlan) (most int) {
 	return most
 }
 
-// registerBarriers is the one mechanism that applies control actions: one
-// merged ascending barrier list for all three planes (each list already
-// time-sorted). At a shared instant the faults apply first, then the
-// membership events, then the re-optimization pass, which sees the churned
-// tree.
-func (s *Session) registerBarriers(faults []FaultEvent, events []MembershipEvent, reopts []des.Time, rs *resumeState) {
-	var times []des.Time
-	for _, ev := range faults {
-		times = append(times, ev.At)
+// schedule is the session's barrier source, the one mechanism that applies
+// control actions: a cursor into each of the Config's fault and membership
+// schedules, read in place (each in time order and cut at the traffic
+// duration), and the index of the next re-optimization pass, merged on
+// demand. At a shared instant the faults apply first, then the membership
+// events, then the re-optimization pass, which sees the churned tree.
+type schedule struct {
+	faults       []FaultEvent
+	events       []MembershipEvent
+	every        des.Duration // the pass period
+	pass, passes des.Time     // the next pass's index k, at k·every, and the last's; none when off
+	nextF, nextE int          // cursors: the next fault and membership event
+}
+
+// next reports the earliest instant any cursor waits for.
+func (sc *schedule) next() (at des.Time, ok bool) {
+	if sc.nextF < len(sc.faults) {
+		at, ok = sc.faults[sc.nextF].At, true
 	}
-	for _, ev := range events {
-		times = append(times, ev.At)
+	if sc.nextE < len(sc.events) && (!ok || sc.events[sc.nextE].At < at) {
+		at, ok = sc.events[sc.nextE].At, true
 	}
-	times = append(times, reopts...)
-	if len(times) == 0 {
-		return
+	if t := sc.pass * sc.every; sc.pass <= sc.passes && (!ok || t < at) {
+		at, ok = t, true
 	}
-	slices.Sort(times)
-	times = slices.Compact(times)
-	nextF, next, nextRo := 0, 0, 0
-	if rs != nil {
-		// Resume: barriers at or before the checkpoint already fired in
-		// the original run — drop them and prime the cursors so the
-		// remaining barriers index the full event lists correctly.
-		for nextF < len(faults) && faults[nextF].At <= rs.at {
-			nextF++
-		}
-		for next < len(events) && events[next].At <= rs.at {
-			next++
-		}
-		for nextRo < len(reopts) && reopts[nextRo] <= rs.at {
-			nextRo++
-		}
-		keep := times[:0]
-		for _, at := range times {
-			if at > rs.at {
-				keep = append(keep, at)
-			}
-		}
-		times = keep
+	return at, ok
+}
+
+// seek moves every cursor past the instants at or before a checkpoint at,
+// which fired in the original run, by binary search.
+func (sc *schedule) seek(at des.Time) {
+	sc.nextF = len(upTo(sc.faults, at, func(ev FaultEvent) des.Time { return ev.At }))
+	sc.nextE = len(upTo(sc.events, at, func(ev MembershipEvent) des.Time { return ev.At }))
+	sc.pass = at/max(sc.every, 1) + 1
+}
+
+// atBarrier applies every action due at at, in the schedule's order, with
+// all shards quiesced at exactly at.
+func (s *Session) atBarrier(at des.Time) {
+	sc := &s.sched
+	for ; sc.nextF < len(sc.faults) && sc.faults[sc.nextF].At == at; sc.nextF++ {
+		s.fp.apply(sc.nextF)
 	}
-	s.coord.AtBarriers(times, func(at des.Time) {
-		// Apply every event at this instant in the shared sorted order,
-		// with all shards quiesced at exactly `at`.
-		for nextF < len(faults) && faults[nextF].At == at {
-			s.fp.apply(nextF)
-			nextF++
-		}
-		for next < len(events) && events[next].At == at {
-			s.ctl.apply(events[next])
-			next++
-		}
-		if nextRo < len(reopts) && reopts[nextRo] == at {
-			s.ro.reoptimize(at)
-			nextRo++
-		}
-	})
+	for ; sc.nextE < len(sc.events) && sc.events[sc.nextE].At == at; sc.nextE++ {
+		s.ctl.apply(sc.events[sc.nextE])
+	}
+	if sc.pass <= sc.passes && sc.pass*sc.every == at {
+		s.ro.reoptimize(at)
+		sc.pass++
+	}
 }
 
 // ShardAccount reports the coordinator's per-shard ledger (events

@@ -26,8 +26,8 @@ package core
 //     their flow and id, components in the order their stanzas come, so a
 //     component's arg is the rank of its serialized slot. Control-plane,
 //     fault, and reopt actions are never engine events: they are
-//     coordinator barriers, which the restore re-registers from the
-//     Config, filtered to instants after T.
+//     coordinator barriers, read from the Config's schedule, which is
+//     never serialized; the restore seeks its cursors past T.
 //   - Re-insert order: serialized events go back into their engine
 //     (des.Engine.Reinsert) in original sequence order with their original
 //     (at, prio) stamps. Fresh ascending sequence numbers preserve every
@@ -274,6 +274,9 @@ func Restore(cfg Config, data []byte) (*Session, error) {
 	if version != SnapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, want %d", version, SnapshotVersion)
 	}
+	if err := cfg.checkOrder(); err != nil {
+		return nil, err
+	}
 	c := &codec{cfg: &cfg}
 	err = c.walk(func(rec *record, i int) error {
 		if err := expect(r, rec.tag); err != nil {
@@ -485,7 +488,7 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 		r.Fail(fmt.Errorf("core: snapshot checkpoint instant %v is negative", at))
 		return
 	}
-	s := newSessionFrom(sub, &resumeState{at: at})
+	s := newSessionFrom(sub, &at)
 	if shards != len(s.sh) {
 		r.Fail(fmt.Errorf("core: snapshot has %d shards, session has %d", shards, len(s.sh)))
 		return

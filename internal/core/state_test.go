@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"flag"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -83,6 +84,49 @@ func TestChurnHoldsOnlyLiveState(t *testing.T) {
 		t.Errorf("the heap after GC grew from %.2f MB at 3 s to %.2f MB at 12 s, over an eighth", float64(heaps[0])/1e6, float64(heaps[1])/1e6)
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestRestoreCostsItsState holds a restore to the state it restores, not
+// the schedule it resumes: stormCell checkpointed at 3 s restores under a
+// 12 s and under a 120 s schedule (22,258 and 239,115 membership events)
+// with allocations within slackBytes of each other. The session reads the
+// Config's schedule in place and Restore seeks its cursors past the
+// checkpoint by binary search, so nothing is cloned, sorted or listed in
+// proportion to it.
+//
+// At the parent of the commit that added it every restore cloned and
+// stable-sorted the whole schedule and rebuilt the merged barrier list:
+// the 12 s restore allocated 3.0 MB and the 120 s one 21.4 MB, where both
+// now allocate 1.29 MB.
+func TestRestoreCostsItsState(t *testing.T) {
+	const slackBytes = 64 << 10
+	restoreBytes := func(horizon des.Duration) uint64 {
+		cfg := stormCell(t, horizon)
+		s := core.NewSession(cfg)
+		s.Start()
+		s.RunTo(3 * des.Second)
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for range 2 { // the first may warm a cache
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := core.Restore(cfg, blob)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d events over %v: a restore at 3 s allocates %.2f MB", len(cfg.Events), horizon, float64(least)/1e6)
+		return least
+	}
+	short, long := restoreBytes(12*des.Second), restoreBytes(120*des.Second)
+	if long > short+slackBytes || short > long+slackBytes {
+		t.Errorf("a restore at 3 s allocates %d B under a 12 s schedule and %d B under a 120 s one: over %d B apart", short, long, slackBytes)
+	}
 }
 
 // logCensus runs stormCell, its schedule drawn for the last horizon

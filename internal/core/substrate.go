@@ -459,7 +459,12 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 // session half (flow envelopes at this traffic seed, connection capacity
 // at this load, the member sets — bitset windows of one slab) is
 // instantiated fresh on every call.
-func compileSubstrate(cfg Config) *substrate { return compile(cfg, false) }
+func compileSubstrate(cfg Config) *substrate {
+	if err := cfg.checkOrder(); err != nil {
+		panic(err.Error())
+	}
+	return compile(cfg, false)
+}
 
 // compile is compileSubstrate, or with resume set the substrate of a
 // checkpoint restore: the same in everything but the per-group runtime,

@@ -65,6 +65,7 @@ package des
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -75,6 +76,9 @@ import (
 // maxTime is the saturation point for lookahead arithmetic: "no cross-shard
 // path" is represented as an effectively infinite delay.
 const maxTime = Time(1)<<62 - 1
+
+// minTime precedes every instant a barrier source can yield.
+const minTime = Time(math.MinInt64)
 
 // NextAt reports the firing time of the earliest pending event, or false
 // when the queue is empty.
@@ -350,9 +354,13 @@ type Coordinator[P any] struct {
 	// reads their heads.
 	epochOn, unsorted bool
 
-	barriers  []Time     // ascending, distinct quiesce points
-	onBarrier func(Time) // runs with every engine quiesced at the time
-	bi        int        // next unfired barrier (persists across Run calls)
+	// The barrier source and its last answer, kept until that barrier
+	// fires (across Run calls); read is false until the source is asked.
+	nextBarrier func() (Time, bool)
+	onBarrier   func(Time) // runs with every engine quiesced at the time
+	barrier     Time
+	have, read  bool
+	fired       Time // the last barrier fired; minTime before the first
 
 	runners []runner      // runners 1..R-1 of the current (or last) Run
 	spin    time.Duration // spinBudget; tests force parking with 0
@@ -481,23 +489,42 @@ func (c *Coordinator[P]) OnDeliver(fn func(dst int, payload P)) {
 	c.deliver = fn
 }
 
-// AtBarriers registers global quiesce points: at each listed time, after
-// every event before it has executed and before any event at it does, fn
-// runs on the coordinator goroutine with all engines stopped at exactly
-// that time. times must be ascending and distinct. Used for control-plane
-// events that mutate state spanning shards.
-func (c *Coordinator[P]) AtBarriers(times []Time, fn func(Time)) {
-	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
-			panic("des: barrier times must be ascending and distinct")
+// OnBarriers registers global quiesce points, read from a source: next
+// reports the earliest barrier not yet fired, or false when none is left.
+// At each, after every event before it has executed and before any event
+// at it does, fn runs on the coordinator goroutine with all engines
+// stopped at exactly that time, and must move the source past it. Run
+// asks next only when it needs the next barrier and keeps the answer until
+// that barrier fires, across Run calls, so the source can be a cursor into
+// an ordered schedule that is never copied; a source that reports none
+// left is not asked again. The instants must be ascending and distinct.
+// Used for control-plane events that mutate state spanning shards.
+func (c *Coordinator[P]) OnBarriers(next func() (Time, bool), fn func(Time)) {
+	if next == nil || fn == nil {
+		panic("des: nil barrier source or barrier func")
+	}
+	c.nextBarrier, c.onBarrier = next, fn
+	c.read, c.fired = false, minTime
+}
+
+// nextBarrierAt reports the next unfired barrier, asking the source on
+// first need.
+func (c *Coordinator[P]) nextBarrierAt() (Time, bool) {
+	if !c.read && c.nextBarrier != nil {
+		c.barrier, c.have = c.nextBarrier()
+		c.read = true
+		if c.have && c.barrier <= c.fired {
+			panic(fmt.Sprintf("des: barrier times must be ascending and distinct (%v after %v)", c.barrier, c.fired))
 		}
 	}
-	if len(times) > 0 && fn == nil {
-		panic("des: barrier times without a barrier func")
-	}
-	c.barriers = append([]Time(nil), times...)
-	c.onBarrier = fn
-	c.bi = 0
+	return c.barrier, c.have
+}
+
+// fire quiesces every engine at barrier at and applies it.
+func (c *Coordinator[P]) fire(at Time) {
+	c.quiesce(at)
+	c.onBarrier(at)
+	c.fired, c.read = at, false
 }
 
 // PostPayload sends a cross-shard payload: the OnDeliver hook will run on
@@ -706,8 +733,6 @@ func (c *Coordinator[P]) Run(deadline Time) {
 		}()
 	}
 
-	bi := c.bi
-	defer func() { c.bi = bi }()
 	for {
 		c.sortPosted()
 		// Global minimum over engine queues, pending buffers and outboxes.
@@ -726,26 +751,20 @@ func (c *Coordinator[P]) Run(deadline Time) {
 		}
 		// Barriers beyond the deadline never fire: control actions after
 		// the horizon are dropped.
-		nextBarrier, haveBarrier := Time(0), false
-		if bi < len(c.barriers) && c.barriers[bi] <= deadline {
-			nextBarrier, haveBarrier = c.barriers[bi], true
-		}
+		nextBarrier, haveBarrier := c.nextBarrierAt()
+		haveBarrier = haveBarrier && nextBarrier <= deadline
 		if !any || next > deadline {
 			if !haveBarrier {
 				break
 			}
 			// Nothing to execute before the barrier: quiesce and apply.
-			c.quiesce(nextBarrier)
-			c.onBarrier(nextBarrier)
-			bi++
+			c.fire(nextBarrier)
 			continue
 		}
 		if haveBarrier && nextBarrier <= next {
 			// The barrier precedes (or ties) the next event; barrier
 			// actions win same-time ties.
-			c.quiesce(nextBarrier)
-			c.onBarrier(nextBarrier)
-			bi++
+			c.fire(nextBarrier)
 			continue
 		}
 		c.pairBounds()

@@ -159,6 +159,103 @@ func TestCoordinatorBarrierBeatsSameTimeEvents(t *testing.T) {
 	}
 }
 
+// barrierCursor is a barrier source over a fixed list that counts how often
+// the coordinator asks it: next reads the cursor, fired moves it on.
+type barrierCursor struct {
+	times []Time
+	i     int
+	asked int
+	log   *[]string
+}
+
+func (b *barrierCursor) next() (Time, bool) {
+	b.asked++
+	if b.i == len(b.times) {
+		return 0, false
+	}
+	return b.times[b.i], true
+}
+
+func (b *barrierCursor) fired(at Time) {
+	b.i++
+	*b.log = append(*b.log, fmt.Sprintf("barrier@%v", at.Millis()))
+}
+
+// TestBarrierSource holds OnBarriers to the contract the session's
+// schedule cursors rest on: the coordinator asks the source only when a
+// Run needs the next barrier and keeps the answer, across Run calls, until
+// that barrier fires; a barrier wins a same-instant tie with an event; and
+// a source that yields an instant not after the last barrier fired panics.
+func TestBarrierSource(t *testing.T) {
+	t.Run("lazy", func(t *testing.T) {
+		var log []string
+		engines := []*Engine{New(), New()}
+		c := NewCoordinatorMatrix[struct{}](engines, uniformLA(2, Millisecond))
+		src := &barrierCursor{times: []Time{5 * Millisecond, 15 * Millisecond}, log: &log}
+		c.OnBarriers(src.next, src.fired)
+		if src.asked != 0 {
+			t.Fatalf("registration asked the source %d times", src.asked)
+		}
+		c.Run(3 * Millisecond) // 5 ms is beyond: read and kept
+		c.Run(4 * Millisecond)
+		if src.asked != 1 || len(log) != 0 {
+			t.Fatalf("after two Runs short of the first barrier: asked %d, fired %v; want 1 and none", src.asked, log)
+		}
+		c.Run(10 * Millisecond) // fires 5 ms, reads 15 ms and keeps it
+		if src.asked != 2 || fmt.Sprint(log) != "[barrier@5]" {
+			t.Fatalf("after Run(10ms): asked %d, fired %v; want 2 and [barrier@5]", src.asked, log)
+		}
+		c.Run(20 * Millisecond) // fires 15 ms, learns none is left
+		c.Run(30 * Millisecond)
+		if src.asked != 3 || fmt.Sprint(log) != "[barrier@5 barrier@15]" {
+			t.Fatalf("after Run(30ms): asked %d, fired %v; want 3 and both", src.asked, log)
+		}
+	})
+	t.Run("tie", func(t *testing.T) {
+		var log []string
+		engines := []*Engine{New()}
+		c := NewCoordinatorMatrix[struct{}](engines, uniformLA(1, Millisecond))
+		engines[0].Schedule(5*Millisecond, func() { log = append(log, "event@5") })
+		src := &barrierCursor{times: []Time{5 * Millisecond}, log: &log}
+		c.OnBarriers(src.next, src.fired)
+		c.Run(4 * Millisecond)
+		c.Run(5 * Millisecond)
+		if want := "[barrier@5 event@5]"; fmt.Sprint(log) != want {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	})
+	for _, c := range []struct {
+		name  string
+		times []Time
+	}{{"repeated", []Time{5 * Millisecond, 5 * Millisecond}}, {"descending", []Time{5 * Millisecond, 3 * Millisecond}}} {
+		t.Run(c.name, func(t *testing.T) {
+			var log []string
+			co := NewCoordinatorMatrix[struct{}]([]*Engine{New()}, uniformLA(1, Millisecond))
+			src := &barrierCursor{times: c.times, log: &log}
+			co.OnBarriers(src.next, src.fired)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%v yielded without a panic (fired %v)", c.times, log)
+				}
+			}()
+			co.Run(10 * Millisecond)
+		})
+	}
+	t.Run("stuck", func(t *testing.T) {
+		// A barrier func that does not move the source past its instant
+		// would have it fire forever: the second read panics.
+		co := NewCoordinatorMatrix[struct{}]([]*Engine{New()}, uniformLA(1, Millisecond))
+		fired := 0
+		co.OnBarriers(func() (Time, bool) { return 5 * Millisecond, true }, func(Time) { fired++ })
+		defer func() {
+			if recover() == nil || fired != 1 {
+				t.Fatalf("a source stuck at 5 ms fired %d times; want one, then a panic", fired)
+			}
+		}()
+		co.Run(10 * Millisecond)
+	})
+}
+
 // TestCoordinatorBarriersBeyondDeadlineDropped mirrors the control plane's
 // rule that events after the traffic horizon never apply.
 func TestCoordinatorBarriersBeyondDeadlineDropped(t *testing.T) {

@@ -9,6 +9,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -117,6 +118,33 @@ func (c Churn) drawLifetime(rng *xrand.Rand) float64 {
 	return rng.Exp(mean)
 }
 
+// rate is group g's join-arrival rate in arrivals/second; members is the
+// group's initial member count.
+func (c Churn) rate(g, members int) float64 {
+	switch {
+	case len(c.PerGroupRates) > 0:
+		return c.PerGroupRates[g]
+	case c.TurnoverPerSec > 0:
+		return c.TurnoverPerSec * float64(members)
+	}
+	return c.Rate
+}
+
+// expectedSteps sizes ChurnEvents' scratch before its first draw: a join
+// and its leave for each expected arrival, m = span·Σ r over the groups'
+// rates, plus four standard deviations of the Poisson count.
+func (c Churn) expectedSteps(groups []core.GroupSpec, span float64) int {
+	if span <= 0 {
+		return 0
+	}
+	var rate float64
+	for g := range groups {
+		rate += max(0, c.rate(g, len(groups[g].Members)))
+	}
+	m := rate * span
+	return int(2 * (m + 4*math.Sqrt(m) + 1))
+}
+
 // churnStream salts the per-group churn streams away from the membership
 // streams derived from the same (seed, group) pair.
 const churnStream = 0xc4ceb9fe1a85ec53
@@ -130,10 +158,11 @@ const churnStream = 0xc4ceb9fe1a85ec53
 // nil.
 //
 // Each group's events are drawn into one chronological run of compact
-// steps: a join picks the idx-th non-member, ascending, from a Fenwick
-// tree over the hosts (one int32 buffer, reused by every group), and the
-// churned-in members' departures wait in a list kept latest first, also
-// reused. The runs are then merged by (At, group).
+// steps, in one scratch sized from the rates and the duration before the
+// first draw: a join picks the idx-th non-member, ascending, from a
+// Fenwick tree over the hosts (one int32 buffer, reused by every group),
+// and the churned-in members' departures wait in a list kept latest first,
+// also reused. The runs are then merged by (At, group).
 func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.GroupSpec) []core.MembershipEvent {
 	if !s.Churn.Enabled() {
 		return nil
@@ -146,18 +175,12 @@ func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.
 	}
 	n := s.Hosts()
 	durSec := duration.Seconds()
-	var steps []churnStep
+	steps := make([]churnStep, 0, s.Churn.expectedSteps(groups, durSec-s.Churn.StartSec))
 	runs := make([]int, 1, len(groups)+1) // runs[g]: where group g's run starts
 	free := make(nonMembers, n+1)
 	var pending []departure // latest first
 	for g := range groups {
-		rate := s.Churn.Rate
-		if s.Churn.TurnoverPerSec > 0 {
-			rate = s.Churn.TurnoverPerSec * float64(len(groups[g].Members))
-		}
-		if len(s.Churn.PerGroupRates) > 0 {
-			rate = s.Churn.PerGroupRates[g]
-		}
+		rate := s.Churn.rate(g, len(groups[g].Members))
 		if rate <= 0 {
 			runs = append(runs, len(steps))
 			continue

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -189,5 +191,30 @@ func TestChurnScenarioRegisteredAndRoundTrips(t *testing.T) {
 		back.Churn.MeanLifetimeSec != sc.Churn.MeanLifetimeSec ||
 		back.Churn.StartSec != sc.Churn.StartSec || back.WindowSec != sc.WindowSec {
 		t.Fatalf("churn spec did not round-trip: %+v vs %+v", back.Churn, sc.Churn)
+	}
+}
+
+// TestChurnEventsBytes holds a compiled schedule to its result plus one
+// scratch: on churn-waxman-16 at churn-storm's turnover (half of each group
+// a second, one-second stays), drawn for 12 and for 120 s, ChurnEvents
+// allocates at most 1.75 times its result's bytes — the result, a step
+// scratch of half an event per step sized from the rates and the duration
+// before the first draw, the departures list and the pick tree. Grown by
+// doubling, the scratch read 3.26 and 3.96 times.
+func TestChurnEventsBytes(t *testing.T) {
+	sc := MustLookup("churn-waxman-16")
+	sc.Churn.TurnoverPerSec, sc.Churn.MeanLifetimeSec = 0.5, 1
+	groups := sc.Groups(1)
+	for _, d := range []des.Duration{12 * des.Second, 120 * des.Second} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		events := sc.ChurnEvents(1, d, groups)
+		runtime.ReadMemStats(&after)
+		made := after.TotalAlloc - before.TotalAlloc
+		result := uint64(cap(events)) * uint64(unsafe.Sizeof(events[0]))
+		t.Logf("%v: %d events, %d B allocated for a %d B result (%.2f×)", d, len(events), made, result, float64(made)/float64(result))
+		if float64(made) > 1.75*float64(result) {
+			t.Errorf("%v: %d B allocated for a %d B result, over 1.75×", d, made, result)
+		}
 	}
 }
