@@ -165,7 +165,11 @@ fuzz:
 # source's cursors sought past the checkpoint), an out-of-order schedule
 # to a build's panic and a restore's error, the coordinator's barrier
 # source to lazy, forward-only reads, a compiled churn schedule to its
-# result plus one scratch, and one blob
+# result plus one scratch, the snap sizer to the writer call by call and
+# every record's stream to the length its sizing pass counted (the
+# control, fault, reopt, controller-window and cross-shard records among
+# them, the fault cell's Snapshot at the objects it took when lengths had
+# a closed form), and one blob
 # to its exact byte count and SHA-256, so a word added back to a component
 # record, a byte per member, forwarding state at a leaf, per-engine
 # constants or a link record per MUX, a tree cloned or decoded or a child
@@ -178,6 +182,7 @@ fuzz:
 # arg), fails here as well.
 snapshot:
 	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestTopoHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestChurnHoldsOnlyLiveState|TestRestoreCostsItsState|TestScheduleOutOfOrderRefused|TestShardedSnapshotAllocBudget|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange|TestEveryKindHasOneOwnerTable' ./internal/core
+	$(GO) test -run 'TestSizerMatchesWriter' ./internal/snap
 	$(GO) test -run 'TestPoolOwnsItsFamily|TestEveryKindHasOneFamily|TestRetiredSlotIsReclaimed|TestBarrierSource' ./internal/des
 	$(GO) test -run 'TestChurnEventsBytes' ./internal/scenario
 	$(GO) test -run 'TestUplinkClassesDoNotPerturbAttachment' ./internal/topo

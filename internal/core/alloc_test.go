@@ -924,43 +924,106 @@ func TestRestoredRunAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSnapshotHintSurvivesRestore: a restored session sizes its next
-// snapshot stream as a built one does — at exactly the blob's length, at
-// the instant it was restored at and at a later one — and the blob it
-// writes at that instant is as long as the one it came from (not equal:
-// a restore renumbers the pool slots its pending events name). Snapshot
-// once started its stream from a size hint, which a restore had to carry
-// over: without it every snapshot of a checkpoint chain regrew its stream
-// by doubling from 4 KB, which was a fifth of the whole cycle's CPU.
-// Snapshot now sizes the stream from its records, so there is no hint
-// left to lose.
+// TestSnapshotHintSurvivesRestore: every snapshot stream is written at
+// exactly its length — the built session's halfway, the restored session's
+// at the instant it was restored at, which is as long as the blob it came
+// from (not equal: a restore renumbers the pool slots its pending events
+// name), and the restored session's three quarters through — so every
+// record's writer wrote in its second pass what its sizing pass counted.
+// The two allocFixtures leave records empty or out that three more fill:
+// stormPlanesCell writes the control, fault and re-optimization records
+// with an outage awaiting its restore and then a partition open; an
+// adaptive session with a window series writes its controllers' rate
+// windows and its shards' window series; a two-shard cell writes pending
+// cross-shard records. On stormPlanesCell a Snapshot makes 8 objects, as
+// it did when each record's length was stated a second time in closed
+// form, beside its writer: the sizing pass makes none, and the fault
+// record's outage ids are sorted once, not once per pass. Snapshot once
+// started its stream from a size hint, which a restore had to carry over:
+// without it every snapshot of a checkpoint chain regrew its stream by
+// doubling from 4 KB, which was a fifth of the whole cycle's CPU.
 func TestSnapshotHintSurvivesRestore(t *testing.T) {
-	for name, cfg := range allocFixtures(t) {
-		exact := func(what string, s *core.Session) []byte {
-			t.Helper()
-			blob, err := s.Snapshot()
+	fixtures := allocFixtures(t)
+	adaptive := core.ShardBaseConfig(37)
+	adaptive.Scheme = core.SchemeAdaptive
+	adaptive.WindowSec = 0.5
+	sharded := fixtures["waxman-zipf-64-quick"]
+	sharded.Shards = 2
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		// live says what the fixture holds at its two checkpoints that the
+		// records it is for write, or "" when it holds none.
+		live func(s *core.Session, later bool) string
+		// objects, when set, is what the built session's Snapshot makes.
+		objects uint64
+	}{
+		{name: "60-host", cfg: fixtures["60-host"]},
+		{name: "waxman-zipf-64-quick", cfg: fixtures["waxman-zipf-64-quick"]},
+		{name: "churn+faults+reopt", cfg: stormPlanesCell(t), objects: 8, live: func(s *core.Session, later bool) string {
+			outages, cut := core.FaultsOpen(s)
+			if later != cut || !later && outages == 0 {
+				return ""
+			}
+			return fmt.Sprintf("%d outages awaiting restore, cut %v", outages, cut)
+		}},
+		{name: "adaptive-windows", cfg: adaptive, live: func(s *core.Session, _ bool) string {
+			if n := core.ControllerSamples(s); n > 0 {
+				return fmt.Sprintf("%d controller samples", n)
+			}
+			return ""
+		}},
+		{name: "two-shard", cfg: sharded, live: func(s *core.Session, _ bool) string {
+			if n := core.PendingCrossShard(s); n > 0 {
+				return fmt.Sprintf("%d pending cross-shard records", n)
+			}
+			return ""
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exact := func(what string, s *core.Session, later bool) []byte {
+				t.Helper()
+				if tc.live != nil {
+					held := tc.live(s, later)
+					if held == "" {
+						t.Fatalf("%s: the fixture holds none of the state it is for", what)
+					}
+					t.Logf("%s: %s", what, held)
+				}
+				blob, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(blob) != len(blob) {
+					t.Errorf("%s wrote %d bytes into a stream of capacity %d", what, len(blob), cap(blob))
+				}
+				return blob
+			}
+			d := des.Time(tc.cfg.Duration)
+			s := core.NewSession(tc.cfg)
+			s.Start()
+			s.RunTo(d / 2)
+			blob := exact("the built session's snapshot", s, false)
+			if tc.objects != 0 && !raceDetector {
+				if _, objects := allocated(func() {
+					if _, err := s.Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}); objects != tc.objects {
+					t.Errorf("a Snapshot made %d objects, want %d", objects, tc.objects)
+				}
+			}
+			r, err := core.Restore(tc.cfg, blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cap(blob) != len(blob) {
-				t.Errorf("%s: %s wrote %d bytes into a stream of capacity %d", name, what, len(blob), cap(blob))
+			if again := exact("the restored session's snapshot at its own instant", r, false); len(again) != len(blob) {
+				t.Errorf("the restored session's snapshot at its own instant is %d bytes, the blob it came from %d",
+					len(again), len(blob))
 			}
-			return blob
-		}
-		s := core.NewSession(cfg)
-		s.Start()
-		s.RunTo(des.Time(cfg.Duration) / 2)
-		blob := exact("the built session's snapshot", s)
-		r, err := core.Restore(cfg, blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again := exact("the restored session's snapshot at its own instant", r); len(again) != len(blob) {
-			t.Errorf("%s: the restored session's snapshot at its own instant is %d bytes, the blob it came from %d",
-				name, len(again), len(blob))
-		}
-		r.RunTo(3 * des.Time(cfg.Duration) / 4)
-		exact("the restored session's snapshot at a later instant", r)
+			r.RunTo(3 * d / 4)
+			exact("the restored session's snapshot at a later instant", r, true)
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mux"
 	"repro/internal/overlay"
 	"repro/internal/snap"
+	"repro/internal/stats"
 )
 
 // ComponentCount reports how many components — MUXes, regulators, clocks —
@@ -62,6 +63,33 @@ func TreesIndexed(s *Session) (blueprint, own []bool) {
 		own = append(own, indexed(st.tree))
 	}
 	return blueprint, own
+}
+
+// ControllerSamples reports how many rate samples the session's running
+// controllers hold in their windows, all hosts together.
+func ControllerSamples(s *Session) int {
+	n := 0
+	for _, h := range s.hosts {
+		if h.fwd != nil && h.fwd.rate != nil {
+			n += rateSamples(h.fwd.rate)
+		}
+	}
+	return n
+}
+
+// rateSamples is how many samples the window w holds (stats.WindowRate's
+// n field, read by reflection since nothing outside the package may see it).
+func rateSamples(w *stats.WindowRate) int {
+	return int(reflect.ValueOf(w).Elem().FieldByName("n").Int())
+}
+
+// FaultsOpen reports the fault plane's open state: how many outages'
+// victims await their restore, and whether a partition cut is in force.
+func FaultsOpen(s *Session) (outages int, cut bool) {
+	if s.fp == nil {
+		return 0, false
+	}
+	return len(s.fp.restoreSets), s.fp.cutOn
 }
 
 // BlueprintPlan returns the child plan of the session's blueprint — the

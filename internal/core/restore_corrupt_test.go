@@ -60,7 +60,7 @@ func adaptiveFixture(t testing.TB) (Config, []byte) {
 	s.RunTo(9 * des.Second / 10)
 	windows := 0
 	for _, h := range s.hosts {
-		if h.fwd != nil && h.fwd.rate != nil && h.fwd.rate.SnapBytes() > 4+8 {
+		if h.fwd != nil && h.fwd.rate != nil && rateSamples(h.fwd.rate) > 0 {
 			windows++
 		}
 	}

@@ -54,7 +54,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/regulator"
 	"repro/internal/snap"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -101,14 +100,12 @@ const (
 )
 
 // record is one row of the stream layout: the record's type tag, how often
-// it appears, whether this session has it at all, the length of the
-// payload its writer writes, and its two codecs. A codec reports failure
-// through the writer's or reader's Fail.
+// it appears, whether this session has it at all, and its two codecs. A
+// codec reports failure through the writer's or reader's Fail.
 type record struct {
 	tag     uint16
 	scope   scope
 	present func(s *Session) bool // nil: always
-	size    func(c *codec, i int) int
 	write   func(c *codec, w *snap.Writer, i int)
 	read    func(c *codec, r *snap.Reader, i int)
 }
@@ -116,22 +113,21 @@ type record struct {
 // records is the order and presence rule of every record, stated once.
 // Session.Snapshot and Restore both iterate it (codec.walk), so the writer
 // and the reader cannot disagree about the layout; DESIGN.md §11.2 is this
-// table in prose. Each row's size is its writer's length in closed form,
-// from the counts the writer walks, so Snapshot makes the stream in one
-// buffer of the length it reaches.
+// table in prose. A row's writer is its only description: Snapshot sizes
+// the stream by running the writers through a sizer first.
 var records = []record{
-	{recMeta, once, nil, (*codec).sizeMeta, (*codec).writeMeta, (*codec).readMeta},
-	{recGroup, perGroup, nil, (*codec).sizeGroup, (*codec).writeGroup, (*codec).readGroup},
-	{recHosts, once, nil, (*codec).sizeHosts, (*codec).writeHosts, (*codec).readHosts},
-	{recSources, once, nil, (*codec).sizeSources, (*codec).writeSources, (*codec).readSources},
-	{recControl, once, func(s *Session) bool { return s.ctl != nil }, func(*codec, int) int { return 4 * 4 }, (*codec).writeControl, (*codec).readControl},
-	{recFaults, once, func(s *Session) bool { return s.fp != nil }, (*codec).sizeFaults, (*codec).writeFaults, (*codec).readFaults},
-	{recReopt, once, func(s *Session) bool { return s.ro != nil }, (*codec).sizeReopt, (*codec).writeReopt, (*codec).readReopt},
-	{recComponents, perShard, nil, (*codec).sizeComponents, (*codec).writeComponents, (*codec).readComponents},
-	{recEngine, perShard, nil, (*codec).sizeEvents, (*codec).writeEvents, (*codec).readEvents},
-	{recStats, perShard, nil, (*codec).sizeStats, (*codec).writeStats, (*codec).readStats},
-	{recCoord, once, nil, (*codec).sizeCoord, (*codec).writeCoord, (*codec).readCoord},
-	{recEnd, once, nil, func(*codec, int) int { return 0 }, func(*codec, *snap.Writer, int) {}, func(*codec, *snap.Reader, int) {}},
+	{recMeta, once, nil, (*codec).writeMeta, (*codec).readMeta},
+	{recGroup, perGroup, nil, (*codec).writeGroup, (*codec).readGroup},
+	{recHosts, once, nil, (*codec).writeHosts, (*codec).readHosts},
+	{recSources, once, nil, (*codec).writeSources, (*codec).readSources},
+	{recControl, once, func(s *Session) bool { return s.ctl != nil }, (*codec).writeControl, (*codec).readControl},
+	{recFaults, once, func(s *Session) bool { return s.fp != nil }, (*codec).writeFaults, (*codec).readFaults},
+	{recReopt, once, func(s *Session) bool { return s.ro != nil }, (*codec).writeReopt, (*codec).readReopt},
+	{recComponents, perShard, nil, (*codec).writeComponents, (*codec).readComponents},
+	{recEngine, perShard, nil, (*codec).writeEvents, (*codec).readEvents},
+	{recStats, perShard, nil, (*codec).writeStats, (*codec).readStats},
+	{recCoord, once, nil, (*codec).writeCoord, (*codec).readCoord},
+	{recEnd, once, nil, func(*codec, *snap.Writer, int) {}, func(*codec, *snap.Reader, int) {}},
 }
 
 // codec is what one Snapshot or one Restore threads through the table.
@@ -139,9 +135,12 @@ type codec struct {
 	s   *Session // Restore: nil until the meta record has been read
 	cfg *Config  // Restore: the configuration to rebuild under
 	at  des.Time // the checkpoint instant
-	// Snapshot: what each shard's records write, gathered before the
-	// stream is sized (gather).
-	shards []shardSnap
+	// Snapshot: what each shard's records write, and the fault plane's
+	// outage ids in ascending order, gathered before the stream is sized
+	// (gather); the sizer the writers run through first.
+	shards  []shardSnap
+	outages []int
+	sizer   snap.Writer
 	// Restore: one shard's state between its components record and its
 	// events record. Per family the serialized slots (ascending, as
 	// written) — the engine's owner tables hold no component before the
@@ -238,28 +237,31 @@ func (s *Session) Snapshot() ([]byte, error) {
 	// Fold every mailbox into the sorted pending buffers so the snapshot
 	// sees all undelivered cross-shard records in one place.
 	s.coord.CheckpointDrain()
-	// The stream is made once, at the length its records sum to.
-	c := &codec{s: s, at: at}
+	// The writers run twice: through the sizer, then into one buffer of the
+	// length the sizer added up. A writer whose two runs differ is a bug.
+	c := &codec{s: s, at: at, sizer: snap.NewSizer()}
 	if err := c.gather(); err != nil {
 		return nil, err
 	}
-	size := snap.HeaderBytes
-	c.walk(func(rec *record, i int) error {
-		size += snap.FrameBytes + rec.size(c, i)
-		return nil
-	})
+	if err := c.walk(func(rec *record, i int) error { return c.write(&c.sizer, rec, i) }); err != nil {
+		return nil, err
+	}
+	size := c.sizer.Size()
 	w := snap.NewWriterSize(SnapshotVersion, size)
-	c.walk(func(rec *record, i int) error {
-		w.Begin(rec.tag)
-		rec.write(c, w, i)
-		w.End()
-		return w.Err()
-	})
+	c.walk(func(rec *record, i int) error { return c.write(w, rec, i) })
 	blob, err := w.Finish()
 	if err == nil && len(blob) != size {
-		return nil, fmt.Errorf("core: snapshot wrote %d bytes where its records' sizes sum to %d", len(blob), size)
+		return nil, fmt.Errorf("core: snapshot wrote %d bytes where its sizing pass counted %d", len(blob), size)
 	}
 	return blob, err
+}
+
+// write writes the i-th of rec's records through w.
+func (c *codec) write(w *snap.Writer, rec *record, i int) error {
+	w.Begin(rec.tag)
+	rec.write(c, w, i)
+	w.End()
+	return w.Err()
 }
 
 // Restore rebuilds a session from cfg and a snapshot taken by Snapshot
@@ -377,15 +379,6 @@ func writeBitmap(w *snap.Writer, b bitset) {
 	w.SetCount(slot, n)
 }
 
-// bitmapBytes is the length of what writeBitmap writes for b.
-func bitmapBytes(b bitset) int {
-	n := 0
-	for _, word := range b {
-		n += bits.OnesCount64(word)
-	}
-	return 4 + 4*n
-}
-
 // readBitmap reads what writeBitmap wrote into b, a set of [0, n).
 func readBitmap(r *snap.Reader, b bitset, n int, what string) {
 	clear(b)
@@ -412,20 +405,6 @@ func writeCells(w *snap.Writer, groups, hosts int, live func(g, h int) bool, put
 	w.SetCount(slot, n)
 }
 
-// cellsBytes is the length of what writeCells writes when put writes
-// width bytes per cell.
-func cellsBytes(groups, hosts int, live func(g, h int) bool, width int) int {
-	n := 0
-	for g := 0; g < groups; g++ {
-		for h := 0; h < hosts; h++ {
-			if live(g, h) {
-				n++
-			}
-		}
-	}
-	return 4 + n*(4+4+width)
-}
-
 func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int)) {
 	for n := r.Len(); n > 0; n-- {
 		g := readIndex(r, groups, what)
@@ -437,10 +416,6 @@ func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int
 
 // The meta record: the checkpoint instant and shard count, then enough of
 // the configuration to refuse a snapshot restored under the wrong Config.
-func (c *codec) sizeMeta(int) int {
-	return 8 + 4 + 8 + 8 + 8 + 4 + 4 + 1 + 1 + 8 + 1 + 4 + len(c.s.sub.key)
-}
-
 func (c *codec) writeMeta(w *snap.Writer, _ int) {
 	sub := c.s.sub
 	cfg := sub.cfg
@@ -504,11 +479,6 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	c.s, c.at = s, at
 }
 
-func (c *codec) sizeGroup(g int) int {
-	st := c.s.sub.groups[g]
-	return st.tree.SnapBytes() + 8 + 4 + 4*len(st.detached)
-}
-
 func (c *codec) writeGroup(w *snap.Writer, g int) {
 	if c.parents == nil {
 		// One sort scratch for every tree, sized for the largest: a tree
@@ -559,20 +529,6 @@ func (c *codec) readGroup(r *snap.Reader, g int) {
 	for ; n > 0; n-- {
 		st.detached = append(st.detached, readIndex(r, numHosts, "detached subtree root"))
 	}
-}
-
-// hostBytes is the length of one host's record in writeHosts, a running
-// controller's window aside.
-const hostBytes = 1 + 1 + 4 + 1 + 1 + 1 + 1
-
-func (c *codec) sizeHosts(int) int {
-	n := 4 + hostBytes*len(c.s.hosts)
-	for _, h := range c.s.hosts {
-		if h.fwd != nil && h.fwd.rate != nil {
-			n += h.fwd.rate.SnapBytes()
-		}
-	}
-	return n
 }
 
 // writeHosts writes one record per host. A host with no forwarder writes
@@ -704,18 +660,9 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 // to an engine and sink, owning its events at its flow, without scheduling.
 type snapSource interface {
 	SnapTag() uint8
-	SnapBytes() int
 	Snapshot(w *snap.Writer)
 	Restore(r *snap.Reader)
 	Resume(eng *des.Engine, until des.Time, out traffic.Sink)
-}
-
-func (c *codec) sizeSources(int) int {
-	n := 4
-	for _, src := range c.s.sources {
-		n += 1 + src.(snapSource).SnapBytes()
-	}
-	return n
 }
 
 func (c *codec) writeSources(w *snap.Writer, _ int) {
@@ -762,27 +709,6 @@ func (c *codec) readControl(r *snap.Reader, _ int) {
 	cp.rejected = int(r.U32())
 }
 
-func (c *codec) sizeFaults(int) int {
-	fp := c.s.fp
-	n := bitmapBytes(fp.down) + 4
-	for _, mem := range fp.restoreSets {
-		n += 8 + 4
-		for _, hosts := range mem {
-			n += 4 + 4*len(hosts)
-		}
-	}
-	n++
-	if fp.cutOn {
-		n += 4 + bitmapBytes(fp.cutHost)
-	}
-	n += 4 + (4+4+8+8+4)*len(fp.outcomes) + 4
-	for _, pairs := range fp.tracked {
-		n += 4 + (4+4)*len(pairs)
-	}
-	return n + cellsBytes(len(fp.trackIdx), len(fp.hosts),
-		func(g, h int) bool { return fp.trackIdx[g][h] >= 0 }, 4+8)
-}
-
 // writeFaults serializes the fault plane's mutable state. The events, their
 // kinds/times, and the sentinel bookkeeping arrays' shapes are rebuilt by
 // newFaultPlane from the Config; this covers what execution changed.
@@ -790,13 +716,8 @@ func (c *codec) writeFaults(w *snap.Writer, _ int) {
 	fp := c.s.fp
 	writeBitmap(w, fp.down)
 	// Recorded memberships awaiting restore, by ascending outage ID.
-	ids := make([]int, 0, len(fp.restoreSets))
-	for id := range fp.restoreSets {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	w.Len(len(ids))
-	for _, id := range ids {
+	w.Len(len(c.outages))
+	for _, id := range c.outages {
 		w.I64(int64(id))
 		mem := fp.restoreSets[id]
 		w.Len(len(mem))
@@ -893,12 +814,6 @@ func (c *codec) readFaults(r *snap.Reader, _ int) {
 	})
 }
 
-func (c *codec) sizeReopt(int) int {
-	ro := c.s.ro
-	return cellsBytes(len(ro.est), len(ro.hosts), func(g, h int) bool { return ro.est[g][h].n > 0 }, 8+8) +
-		(8+4)*len(ro.cooldown) + 4*3
-}
-
 // writeReopt serializes the re-optimization plane's mutable state (the
 // estimate cells sparsely — only cells with observations).
 func (c *codec) writeReopt(w *snap.Writer, _ int) {
@@ -971,20 +886,19 @@ func (t *compTotals) read(r *snap.Reader) {
 // before it sizes the stream: the engine's pending events in seq order;
 // per family the registry slots of the components written — every live
 // one (in service at its host) and every one a pending event names — and
-// which of those are live; the totals that open the components record; and
-// the MUXes with a packet in transmission, whose stanzas carry it.
+// which of those are live; and the totals that open the components record.
 type shardSnap struct {
 	evs        []des.PendingEvent
 	keep, live [numFamilies]bitset
 	tot        compTotals
-	busy       int
 }
 
 // gather fills c.shards: each engine's pending events, in one buffer, and
 // the components each shard's record writes, whose sets are windows of one
-// bitset. It marks the live ones in one pass over the forwarders — a MUX in
-// a connection table, a regulator in a bank — and every clock, which is
-// never retired; then the ones out of service that a pending event names:
+// bitset; and c.outages, for the fault record. It marks the live ones in
+// one pass over the forwarders — a MUX in a connection table, a regulator
+// in a bank — and every clock, which is never retired; then the ones out
+// of service that a pending event names:
 // a dropped MUX still draining its queue, a detached (σ, ρ, λ) regulator
 // mid-transmission, which retire when that event fires. Those are written
 // with live=false, so the re-inserted event finds them without
@@ -1053,6 +967,13 @@ func (c *codec) gather() error {
 			}
 		}
 	}
+	if fp := s.fp; fp != nil {
+		c.outages = make([]int, 0, len(fp.restoreSets))
+		for id := range fp.restoreSets {
+			c.outages = append(c.outages, id)
+		}
+		slices.Sort(c.outages)
+	}
 	return nil
 }
 
@@ -1071,23 +992,11 @@ func (ss *shardSnap) add(f family, slot int, c component) {
 	switch c := c.(type) {
 	case *mux.Mux:
 		t.muxPackets += c.Len()
-		if c.Busy() {
-			ss.busy++
-		}
 	case *regulator.SigmaRho:
 		t.packets += c.QueueLen()
 	case *regulator.SRL:
 		t.packets += c.QueueLen()
 	}
-}
-
-func (c *codec) sizeComponents(si int) int {
-	ss := &c.shards[si]
-	n := 4 * compTotalsWords
-	for f := famMux; f < numFamilies; f++ {
-		n += ss.tot.comps[f] * stanzaBytes[f]
-	}
-	return n + traffic.PacketSnapBytes*(ss.tot.muxPackets+ss.tot.packets+ss.busy)
 }
 
 // writeComponents serializes one engine's component registries, family by
@@ -1211,17 +1120,6 @@ func (c *codec) readComponents(r *snap.Reader, si int) {
 	}
 }
 
-func (c *codec) sizeEvents(si int) int {
-	evs := c.shards[si].evs
-	flights := 0
-	for _, ev := range evs {
-		if ev.Kind == des.KindFlight {
-			flights++
-		}
-	}
-	return 4 + eventSnapBytes*len(evs) + (4+traffic.PacketSnapBytes)*flights
-}
-
 // writeEvents serializes one engine's pending events in seq order. A
 // KindFlight event carries its in-flight delivery inline, because the
 // flight-pool node index in arg is meaningless across processes.
@@ -1340,15 +1238,6 @@ func countFlights(r snap.Reader, n int) int {
 	return flights
 }
 
-func (c *codec) sizeStats(si int) int {
-	sh := c.s.sh[si]
-	n := stats.MaxTrackerSnapBytes*len(sh.perGroup) + stats.WelfordSnapBytes + 8*len(sh.lost) + 1
-	if sh.windows != nil {
-		n += sh.windows.SnapBytes()
-	}
-	return n + 4 + 8*len(sh.faultCut)
-}
-
 // writeStats serializes one shard's measurement accumulators.
 func (c *codec) writeStats(w *snap.Writer, si int) {
 	sh := c.s.sh[si]
@@ -1398,14 +1287,6 @@ func (c *codec) readStats(r *snap.Reader, si int) {
 
 // coordRecBytes is the length of one pending cross-shard record.
 const coordRecBytes = 8 + 8 + 8 + 4 + 4 + traffic.PacketSnapBytes
-
-func (c *codec) sizeCoord(int) int {
-	n := 4 + 8*len(c.s.sh) + 4*8
-	for dst := range c.s.sh {
-		n += 4 + coordRecBytes*c.s.coord.PendingLen(dst)
-	}
-	return n
-}
 
 func (c *codec) writeCoord(w *snap.Writer, _ int) {
 	coord := c.s.coord

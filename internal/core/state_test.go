@@ -22,9 +22,33 @@ var census = flag.String("census", "", "comma-separated horizons in simulated se
 // a second with one-second stays, under (σ, ρ, λ) at load 0.8 — without
 // its faults and re-optimization, on one shard, run for horizon.
 func stormCell(t *testing.T, horizon des.Duration) core.Config {
+	return stormConfig(t, stormScenario(), horizon)
+}
+
+// stormPlanesCell is stormCell with churn-storm's re-optimization and its
+// outage, partition and mass leave back, re-timed into a 2 s horizon: at
+// 1 s, halfway, the outage's victims wait to be restored and the mass
+// leave's sentinels are live; at 1.5 s the partition is open.
+func stormPlanesCell(t *testing.T) core.Config {
+	sc := stormScenario()
+	sc.Reopt = scenario.Reoptimize{EverySec: 0.25, MinImprove: 0.02, MaxMoves: 4}
+	sc.Faults = []scenario.FaultSpec{
+		{Kind: "domain_outage", AtSec: 0.6, DurationSec: 0.6, Seeded: true},
+		{Kind: "mass_leave", AtSec: 0.8, Group: 0, Fraction: 0.3},
+		{Kind: "partition", AtSec: 1.3, Seeded: true},
+		{Kind: "heal", AtSec: 1.8},
+	}
+	return stormConfig(t, sc, 2*des.Second)
+}
+
+func stormScenario() scenario.Scenario {
 	sc := scenario.MustLookup("churn-waxman-16")
 	sc.Churn.TurnoverPerSec, sc.Churn.MeanLifetimeSec = 0.5, 1
 	sc.WindowSec = 0
+	return sc
+}
+
+func stormConfig(t *testing.T, sc scenario.Scenario, horizon des.Duration) core.Config {
 	cfg, err := sc.SessionConfig(sc.Combos[0], 0.8, 1, core.SeedOpt{}, horizon, nil, nil)
 	if err != nil {
 		t.Fatal(err)

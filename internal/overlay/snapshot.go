@@ -45,18 +45,6 @@ func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 	return parents
 }
 
-// SnapBytes is the length of the stanza Snapshot writes: the source, the
-// member list, and per parent its id, child count and children.
-func (t *Tree) SnapBytes() int {
-	n := 8 + 4 + 8*len(t.Members) + 4
-	for _, k := range t.kids {
-		if k > 0 {
-			n += 8 + 4 + 8*int(k)
-		}
-	}
-	return n
-}
-
 // Check reads a stanza written by Snapshot and fails the reader at the
 // first value that differs from what t.Snapshot writes: a restore checks
 // each stanza against the blueprint's tree it already holds, and keeps

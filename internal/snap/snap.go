@@ -44,9 +44,18 @@ const (
 // in place: Begin reserves a four-byte length slot and End backpatches it,
 // so a payload is written exactly once — no staging buffer, no copy per
 // record.
+//
+// A sizer (NewSizer) is a Writer that stores nothing: it takes the same
+// calls, runs the same checks and latches the same errors, but only adds
+// up the widths of what it is given. Running an encoder through a sizer
+// and then through NewWriterSize(version, sizer.Size()) writes the stream
+// in one buffer of its exact length, with the encoder its only
+// description of the layout.
 type Writer struct {
 	buf     []byte // header + ended records + the open record so far
-	lenAt   int    // offset of the open record's length slot
+	size    int    // a sizer's stream length so far
+	sizing  bool
+	lenAt   int // offset of the open record's length slot
 	recType uint16
 	inRec   bool
 	err     error
@@ -63,6 +72,19 @@ func NewWriterSize(version uint32, size int) *Writer {
 	return w
 }
 
+// NewSizer returns a sizer. It is a value, so a caller can keep it where
+// it costs no allocation: on its stack or in a struct it already has.
+func NewSizer() Writer { return Writer{size: HeaderBytes, sizing: true} }
+
+// Size is the length of the stream so far: a writer's bytes, or what a
+// sizer's would be.
+func (w *Writer) Size() int {
+	if w.sizing {
+		return w.size
+	}
+	return len(w.buf)
+}
+
 // Begin opens a record of the given type. Nesting records is a bug.
 func (w *Writer) Begin(typ uint16) {
 	if w.err != nil {
@@ -74,8 +96,12 @@ func (w *Writer) Begin(typ uint16) {
 	}
 	w.inRec = true
 	w.recType = typ
+	w.lenAt = w.Size() + 2
+	if w.sizing {
+		w.size += FrameBytes
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, typ)
-	w.lenAt = len(w.buf)
 	w.buf = append(w.buf, 0, 0, 0, 0)
 }
 
@@ -88,12 +114,14 @@ func (w *Writer) End() {
 		w.Fail(fmt.Errorf("snap: End without Begin"))
 		return
 	}
-	n := len(w.buf) - w.lenAt - 4
+	n := w.Size() - w.lenAt - 4
 	if int64(n) > math.MaxUint32 {
 		w.Fail(fmt.Errorf("snap: record %d payload %d bytes overflows length prefix", w.recType, n))
 		return
 	}
-	binary.LittleEndian.PutUint32(w.buf[w.lenAt:], uint32(n))
+	if !w.sizing {
+		binary.LittleEndian.PutUint32(w.buf[w.lenAt:], uint32(n))
+	}
 	w.inRec = false
 }
 
@@ -122,39 +150,54 @@ func (w *Writer) openFail() {
 	}
 }
 
+// put reports whether a primitive appends its n bytes: not outside a
+// record or after an error, and not in a sizer, which counts them.
+func (w *Writer) put(n int) bool {
+	if w.err != nil || !w.inRec {
+		w.openFail()
+		return false
+	}
+	if w.sizing {
+		w.size += n
+		return false
+	}
+	return true
+}
+
 // U8 appends an unsigned byte to the open record.
 func (w *Writer) U8(v uint8) {
-	if w.open() {
+	if w.put(1) {
 		w.buf = append(w.buf, v)
 	}
 }
 
 // U16 appends a little-endian uint16.
 func (w *Writer) U16(v uint16) {
-	if w.open() {
+	if w.put(2) {
 		w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
 	}
 }
 
 // U32 appends a little-endian uint32.
 func (w *Writer) U32(v uint32) {
-	if w.open() {
+	if w.put(4) {
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 	}
 }
 
 // U64 appends a little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	if w.open() {
+	if w.put(8) {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 	}
 }
 
 // Raw appends n bytes to the open record and returns them for the caller
 // to fill: a fixed-width group of primitives under one check where the
-// per-primitive calls make one each. Nil outside a record or after an error.
+// per-primitive calls make one each. Nil outside a record, after an error
+// and in a sizer.
 func (w *Writer) Raw(n int) []byte {
-	if !w.open() {
+	if !w.put(n) {
 		return nil
 	}
 	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
@@ -190,16 +233,17 @@ func (w *Writer) Len(n int) {
 // Count reserves a collection-length slot for an encoder that learns the
 // length only by writing the elements; SetCount fills it in afterwards.
 func (w *Writer) Count() (slot int) {
-	slot = len(w.buf)
+	slot = w.Size()
 	w.U32(0)
 	return slot
 }
 
-// SetCount backpatches the slot Count reserved, under Len's range rule.
+// SetCount backpatches the slot Count reserved, under Len's range rule. A
+// sizer has nothing to backpatch.
 func (w *Writer) SetCount(slot, n int) {
 	if n < 0 || int64(n) > math.MaxUint32 {
 		w.Fail(fmt.Errorf("snap: length %d out of range", n))
-	} else if w.open() {
+	} else if w.open() && !w.sizing {
 		binary.LittleEndian.PutUint32(w.buf[slot:], uint32(n))
 	}
 }
@@ -207,7 +251,7 @@ func (w *Writer) SetCount(slot, n int) {
 // Bytes appends a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.Len(len(b))
-	if w.open() {
+	if w.put(len(b)) {
 		w.buf = append(w.buf, b...)
 	}
 }
@@ -216,7 +260,8 @@ func (w *Writer) Bytes(b []byte) {
 func (w *Writer) Err() error { return w.err }
 
 // Finish returns the completed snapshot bytes, or the first error. An
-// unclosed record is an error: it means an encoder path forgot End.
+// unclosed record is an error: it means an encoder path forgot End. A
+// sizer's bytes are nil.
 func (w *Writer) Finish() ([]byte, error) {
 	if w.err == nil && w.inRec {
 		w.Fail(fmt.Errorf("snap: Finish with open record %d", w.recType))

@@ -281,6 +281,93 @@ func TestCountBackpatch(t *testing.T) {
 	}
 }
 
+// TestSizerMatchesWriter runs one call sequence through a writer and a
+// sizer side by side: after every call the sizer's Size is the writer's
+// stream length, so at the end it is len(Finish()), and its Raw returns no
+// storage. Each misuse that fails a writer — a nested Begin, a write
+// outside a record, a Len out of range — fails the sizer at the same call
+// with the same error, which later calls, misuses too, leave as it is.
+func TestSizerMatchesWriter(t *testing.T) {
+	steps := []func(w *Writer){
+		func(w *Writer) { w.Begin(3) },
+		func(w *Writer) { w.U8(1) },
+		func(w *Writer) { w.U16(2) },
+		func(w *Writer) { w.U32(3) },
+		func(w *Writer) { w.U64(4) },
+		func(w *Writer) { w.I64(-5) },
+		func(w *Writer) { w.F64(6.5) },
+		func(w *Writer) { w.Bool(true) },
+		func(w *Writer) { w.Len(7) },
+		func(w *Writer) {
+			slot := w.Count()
+			w.U8(8)
+			w.U8(9)
+			w.SetCount(slot, 2)
+		},
+		func(w *Writer) { w.Bytes([]byte("sizer")) },
+		func(w *Writer) { w.Bytes(nil) },
+		func(w *Writer) {
+			if b := w.Raw(16); b != nil {
+				if w.sizing {
+					t.Error("a sizer's Raw returned storage")
+				}
+				copy(b, "sixteen bytes!!!")
+			}
+		},
+		func(w *Writer) { w.End() },
+		func(w *Writer) { w.Begin(4) },
+		func(w *Writer) { w.End() },
+	}
+	w, sz := NewWriterSize(1, 0), NewSizer()
+	if w.Size() != HeaderBytes || sz.Size() != HeaderBytes {
+		t.Fatalf("fresh writer and sizer have sizes %d and %d, want the header's %d", w.Size(), sz.Size(), HeaderBytes)
+	}
+	for i, step := range steps {
+		step(w)
+		step(&sz)
+		if w.Size() != sz.Size() {
+			t.Fatalf("step %d: the writer's stream is %d bytes, the sizer counts %d", i, w.Size(), sz.Size())
+		}
+	}
+	blob, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none, err := sz.Finish(); none != nil || err != nil {
+		t.Fatalf("a sizer's Finish returned %d bytes, err %v", len(none), err)
+	}
+	if sz.Size() != len(blob) {
+		t.Fatalf("the sizer counts %d bytes, the writer wrote %d", sz.Size(), len(blob))
+	}
+
+	for name, misuse := range map[string]func(w *Writer){
+		"nested Begin":       func(w *Writer) { w.Begin(1); w.Begin(2) },
+		"write outside":      func(w *Writer) { w.U64(1) },
+		"Len out of range":   func(w *Writer) { w.Begin(1); w.Len(-1) },
+		"count out of range": func(w *Writer) { w.Begin(1); w.SetCount(w.Count(), -1) },
+	} {
+		w, sz := NewWriterSize(1, 0), NewSizer()
+		for _, ws := range []*Writer{w, &sz} {
+			misuse(ws)
+			first := ws.Err()
+			ws.End()
+			ws.Begin(5)
+			ws.U32(6)
+			if ws.Err() != first {
+				t.Errorf("%s: a later call replaced the first error %v with %v", name, first, ws.Err())
+			}
+		}
+		_, werr := w.Finish()
+		_, serr := sz.Finish()
+		if werr == nil || serr == nil || werr.Error() != serr.Error() {
+			t.Errorf("%s: the writer fails with %v, the sizer with %v", name, werr, serr)
+		}
+		if w.Size() != sz.Size() {
+			t.Errorf("%s: the writer stopped at %d bytes, the sizer at %d", name, w.Size(), sz.Size())
+		}
+	}
+}
+
 // TestCountHoldsPrefixToElementWidth: a count of w-byte elements is
 // accepted up to what the record's remaining bytes can carry and refused
 // one past it — where Len, which assumes one byte each, would let a

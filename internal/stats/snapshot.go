@@ -13,12 +13,6 @@ import (
 // (the codec has no field tags); each method documents its layout by
 // being the layout.
 
-// Wire widths of the fixed-layout accumulators below.
-const (
-	WelfordSnapBytes    = 8 + 8
-	MaxTrackerSnapBytes = 8 + 8 + 1
-)
-
 // Snapshot appends the accumulator's fields to the open record.
 func (w *Welford) Snapshot(sw *snap.Writer) {
 	sw.U64(w.n)
@@ -60,9 +54,6 @@ func (w *WindowRate) Snapshot(sw *snap.Writer) {
 	sw.F64(w.sum)
 }
 
-// SnapBytes is the length of what Snapshot writes.
-func (w *WindowRate) SnapBytes() int { return 4 + (8+8)*w.n + 8 }
-
 // Restore overwrites the estimator from the open record. The ring's
 // physical layout (head position, capacity growth history) is not part of
 // the contract — only the logical entries and the running sum are.
@@ -91,9 +82,6 @@ func (w *WindowMax) Snapshot(sw *snap.Writer) {
 		sw.Bool(w.filled[i])
 	}
 }
-
-// SnapBytes is the length of what Snapshot writes.
-func (w *WindowMax) SnapBytes() int { return 8 + 4 + (8+1)*len(w.buckets) }
 
 // Restore overwrites the series from the open record. The serialized
 // width must match the accumulator's configured width: the restored run

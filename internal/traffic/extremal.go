@@ -154,9 +154,6 @@ func (e *Extremal) Snapshot(w *snap.Writer) {
 	w.I64(int64(e.start))
 }
 
-// SnapBytes is the length of what Snapshot writes.
-func (e *Extremal) SnapBytes() int { return 8 + 8 }
-
 // Restore overwrites the flow's mutable runtime words from the open record.
 func (e *Extremal) Restore(r *snap.Reader) {
 	e.nextID = r.U64()

@@ -130,9 +130,6 @@ func (a *Audio) Snapshot(w *snap.Writer) {
 	w.U64(a.rng.State())
 }
 
-// SnapBytes is the length of what Snapshot writes.
-func (a *Audio) SnapBytes() int { return 8 + 8 + 8 }
-
 // Restore overwrites the source's mutable runtime words from the open record.
 func (a *Audio) Restore(r *snap.Reader) {
 	a.nextID = r.U64()
@@ -270,9 +267,6 @@ func (v *Video) Snapshot(w *snap.Writer) {
 	w.Bool(v.scenePending)
 	w.U64(v.rng.State())
 }
-
-// SnapBytes is the length of what Snapshot writes.
-func (v *Video) SnapBytes() int { return 8 + 8 + 1 + 8 }
 
 // Restore overwrites the source's mutable runtime words from the open
 // record. The frame counter indexes the GOP pattern, so a negative one
