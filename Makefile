@@ -109,80 +109,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchRepair -fuzztime $(FUZZTIME) ./internal/overlay
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/core
 
-# Checkpoint/restore differential: for two builtin workloads (static
-# scale benchmark, churn benchmark) at one shard and at four, for the
-# one-hop Fig. 4(c) preset with the adaptive curve added (its checkpoint
-# lands inside a (σ, ρ, λ) episode of the controller), and for the two
-# builtins whose MUX capacities a restore derives from more than C —
-# paper-fig6's capacity-aware MUXes split C by connection count, and
-# transit-stub-dsl-fibre's three uplink classes give three C's — run-to-end
-# must be bit-identical to run-to-T/2 → snapshot → restore → run-to-end. This is
-# the same contract the core goldens pin, exercised through real scenario
-# configs and the CLI; each verdict line carries the snapshot's size and the
-# milliseconds its Snapshot and its Restore took. The first leg holds a
-# build, a run, one checkpoint cycle and a restored session's run to its
-# end to their allocation budgets (deterministic: objects per build and
-# per run, bytes and objects per Snapshot and per Restore — none per
-# component, so a callback bound per component fails here, none per
-# group, host, router or pending event in a build or a restore, so an
-# object made per group record, source or root emitter, a partition or
-# lookahead matrix computed per session, or an event, flight or packet
-# pool not sized from the blob fails here, and none per
-# MUX or per regulator in a run, built or restored, so a queue that makes
-# its first buffer or its growth on its own instead of carving it from its
-# shard's packet pool fails here too; a slab-made MUX's Enqueue within its
-# carved room allocates nothing; a snapshot's stream made once at its
-# exact length, built or restored; a restored run's bytes held to its
-# pools' regrowth, no owner table copied), the blueprint key to fmt's
-# bytes in two objects, the flight pool to owning its event family whole,
-# the member sets to one bit per host in one slab, built and restored, the
-# host record to 24 bytes with forwarding state only at the hosts with
-# children, carved from one arena per shard, built and restored, the
-# network's host record to 24 bytes and its attachment stream to the
-# draws it always made, every MUX to its connection's
-# two ends, its shard's one shared Line and, restored, the capacity it had,
-# the MUX record to 96 bytes (its link priced once, in the room a busy
-# flag took, and no queued-bits total), the wire widths a restore sizes
-# its slabs by (a MUX, each regulator model and a clock) to what Snapshot
-# writes, every byte of a (σ, ρ, λ) blob and a stride of a (σ, ρ) and an
-# adaptive blob flipped in turn to an error or a session that runs to its
-# end, each id or value a restore range-checks (a second
-# completion for one MUX, a second token wait for one (σ, ρ) regulator
-# among them) to an error, every group's tree no edit has touched — and,
-# until a session's first edit, its child plan — to the blueprint's own,
-# built, run and restored,
-# a warm session's graft/prune cycle of churn's wiring edits, a leave and
-# a batch removal with their repairs, to no object per cycle once the
-# forwarder tables' free lists and the trees' scratch are primed, and its
-# graft/prune cycles to no owner-table growth (the MUX and regulator an
-# edit drops retire, and the next graft takes their slots), a churned
-# session at 3 and 12 simulated seconds to owner tables within a constant
-# of what is in service and a heap after GC that does not grow with the
-# horizon, an engine's retired slot to one a cancelled event never fires
-# on, a two-shard Snapshot to the objects a one-shard one takes (the
-# coordinator read in place), a restore to the same bytes under a 12 s and
-# a 120 s schedule (the Config's schedule read in place, the barrier
-# source's cursors sought past the checkpoint), an out-of-order schedule
-# to a build's panic and a restore's error, the coordinator's barrier
-# source to lazy, forward-only reads, a compiled churn schedule to its
-# result plus one scratch, the snap sizer to the writer call by call and
-# every record's stream to the length its sizing pass counted (the
-# control, fault, reopt, controller-window and cross-shard records among
-# them, the fault cell's Snapshot at the objects it took when lengths had
-# a closed form), and one blob
-# to its exact byte count and SHA-256, so a word added back to a component
-# record, a byte per member, forwarding state at a leaf, per-engine
-# constants or a link record per MUX, a tree cloned or decoded or a child
-# plan copied or compiled where none is written, an object per tree in a
-# Snapshot, a snapshot stream that regrows, an edge window, connection
-# table or orphan list an edit allocates on its own, a dropped component
-# that stays registered, a connection named by no edge that never closes,
-# a copy per shard in a checkpoint, a schedule cloned, sorted or listed
-# per session or per restore, or a pending event written under another (at, prio, kind,
-# arg), fails here as well.
+# Checkpoint/restore: the allocation budgets of a build, a run, a Snapshot,
+# a Restore and a restored run, the record sizes and wire widths, the blob
+# pin (size and SHA-256), the trees and child plan a session shares with its
+# blueprint, and the corrupt-blob tests (each an error or a session that runs
+# to its end) — all deterministic, so a per-component object, a record word
+# added back or a tree written where none was edited fails here. Then the
+# CLI's differential: run-to-end must be bit-identical to run-to-T/2 →
+# snapshot → restore → run-to-end, for a static and a churn builtin at one
+# shard and four, the adaptive Fig. 4(c) preset, and the two builtins whose
+# MUX capacities a restore derives. Each test's doc comment says what it pins.
 snapshot:
 	$(GO) test -run 'TestBuildAllocBudget|TestRunAllocBudget|TestCheckpointCycleAllocBudget|TestRestoredRunAllocBudget|TestBlueprintKeyAllocBudget|TestBlueprintKeyMatchesFmt|TestSnapshotHintSurvivesRestore|TestMembershipIsOneBitPerHost|TestHostRecordSize|TestTopoHostRecordSize|TestLeavesCarryNoForwarder|TestMuxEndsAreConnections|TestStaticSessionsShareBlueprintTrees|TestStaticSessionsShareBlueprintPlan|TestChurnEditAllocFree|TestChurnHoldsOnlyLiveState|TestRestoreCostsItsState|TestScheduleOutOfOrderRefused|TestShardedSnapshotAllocBudget|TestSnapshotBlobBytes|TestRestoreCorruptedNeverPanics|TestRestoreRejectsOutOfRange|TestEveryKindHasOneOwnerTable' ./internal/core
 	$(GO) test -run 'TestSizerMatchesWriter' ./internal/snap
+	$(GO) test -run 'TestSnapshotScratchAllocFree' ./internal/overlay
 	$(GO) test -run 'TestPoolOwnsItsFamily|TestEveryKindHasOneFamily|TestRetiredSlotIsReclaimed|TestBarrierSource' ./internal/des
 	$(GO) test -run 'TestChurnEventsBytes' ./internal/scenario
 	$(GO) test -run 'TestUplinkClassesDoNotPerturbAttachment' ./internal/topo

@@ -49,6 +49,22 @@ func BlueprintTrees(s *Session) (own []bool, stanzas []byte) {
 	return own, stanzas
 }
 
+// TreeStanzas reports, per group record of blob, whether it carries a tree:
+// the group's own, where the rest keep the blueprint's.
+func TreeStanzas(blob []byte) (written []bool, err error) {
+	r, _, err := snap.NewReader(blob)
+	if err != nil {
+		return nil, err
+	}
+	for tag, ok := r.Next(); ok; tag, ok = r.Next() {
+		if tag == recGroup {
+			written = append(written, r.Bool())
+		}
+		r.Raw(r.Remaining())
+	}
+	return written, r.Err()
+}
+
 // TreesIndexed reports, per group, whether the session's blueprint tree
 // and the session's own tree hold a live RTT index: the one a tree's
 // first graft point builds (overlay.Tree's live field, read by reflection

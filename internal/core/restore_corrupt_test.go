@@ -27,14 +27,14 @@ func corruptFixture(t testing.TB, shards int) (Config, []byte) {
 	return checkpointed(t, cfg, 9*des.Second/10)
 }
 
-// growingFixture is corruptFixture at one shard with a leave after the
-// checkpoint: a session whose control plane writes its trees, so its group
-// records are decoded (overlay.RestoreTree), where corruptFixture's are
-// checked against the blueprint's trees.
+// growingFixture is corruptFixture at one shard with a leave from group 2
+// before the checkpoint: a session whose control plane has written that
+// group's tree, so its record carries the tree and a restore decodes it
+// (overlay.RestoreTree), where corruptFixture's records carry none.
 func growingFixture(t testing.TB) (Config, []byte) {
 	t.Helper()
 	cfg, _ := corruptFixture(t, 1)
-	cfg.Events = []MembershipEvent{{At: 95 * des.Second / 100, Group: 2, Host: 1}}
+	cfg.Events = []MembershipEvent{{At: 89 * des.Second / 100, Group: 2, Host: 1}}
 	return checkpointed(t, cfg, 9*des.Second/10)
 }
 
@@ -242,42 +242,58 @@ func firstEvent(t testing.TB, blob []byte, kinds ...uint16) int {
 	return 0
 }
 
-// groupStanza walks the blob's first group record — the layouts of
-// overlay.Tree.Snapshot and codec.writeGroup: source, member count,
-// members, parent count, per parent its host, child count and children,
-// then the lost counter and the detached roots — and returns the offset of
-// the first child list of two children or more and that of the detached
+// groupOffsets locates the parts of a group record: the record's payload,
+// its tree's parent count and first child list of two children or more
+// (-1 when it carries no tree or the tree no such list), and its detached
 // root count.
-func groupStanza(t testing.TB, blob []byte) (kids, detached int) {
+type groupOffsets struct{ rec, parents, kids, detached int }
+
+// groupStanza walks the blob's first group record, or with written set the
+// first that carries a tree — the layouts of codec.writeGroup and
+// overlay.Tree.Snapshot: whether a tree follows and, if one does, its
+// source, member count, members, parent count and per parent its host,
+// child count and children; then the lost counter and the detached roots.
+func groupStanza(t testing.TB, blob []byte, written bool) groupOffsets {
 	t.Helper()
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
-	off := firstRecord(t, blob, recGroup) + 8
-	off += 4 + 8*u32(off)
-	parents := u32(off)
-	off += 4
-	kids = -1
-	for ; parents > 0; parents-- {
-		n := u32(off + 8)
-		off += 8 + 4
-		if kids < 0 && n >= 2 {
-			kids = off
+	for _, rec := range snapRecords(t, blob) {
+		if rec.tag != recGroup || written && blob[rec.off] == 0 {
+			continue
 		}
-		off += 8 * n
+		o := groupOffsets{rec: rec.off, parents: -1, kids: -1}
+		off := rec.off + 1
+		if blob[rec.off] == 1 {
+			off += 8
+			off += 4 + 8*u32(off)
+			o.parents = off
+			off += 4
+			for n := u32(o.parents); n > 0; n-- {
+				k := u32(off + 8)
+				off += 8 + 4
+				if o.kids < 0 && k >= 2 {
+					o.kids = off
+				}
+				off += 8 * k
+			}
+		}
+		o.detached = off + 8
+		return o
 	}
-	if kids < 0 {
-		t.Fatal("fixture's first tree has no parent of two children")
-	}
-	return kids, off + 8
+	t.Fatalf("fixture has no group record with written %v", written)
+	return groupOffsets{}
 }
 
 // withSwappedChildren returns blob with the first two children of the
-// first tree's first parent of two children or more swapped: a tree
-// RestoreTree decodes without complaint, but not the one its session
-// built.
+// first written tree's first parent of two children or more swapped: a
+// tree RestoreTree decodes without complaint, but not the one the session
+// wrote.
 func withSwappedChildren(t testing.TB, blob []byte) []byte {
 	t.Helper()
 	out := append([]byte(nil), blob...)
-	kids, _ := groupStanza(t, out)
+	kids := groupStanza(t, out, true).kids
+	if kids < 0 {
+		t.Fatal("fixture's written tree has no parent of two children")
+	}
 	a, b := out[kids:kids+8], out[kids+8:kids+16]
 	var tmp [8]byte
 	copy(tmp[:], a)
@@ -290,14 +306,38 @@ func withSwappedChildren(t testing.TB, blob []byte) []byte {
 // root of its first group, the record's length grown to match.
 func withDetachedRoot(t testing.TB, blob []byte) []byte {
 	t.Helper()
-	_, off := groupStanza(t, blob)
+	o := groupStanza(t, blob, false)
+	off := o.detached
 	if binary.LittleEndian.Uint32(blob[off:]) != 0 {
 		t.Fatal("fixture's first group already parks a detached root")
 	}
 	out := append(append(append([]byte(nil), blob[:off+4]...), 1, 0, 0, 0), blob[off+4:]...)
 	binary.LittleEndian.PutUint32(out[off:], 1)
-	rec := firstRecord(t, out, recGroup)
-	binary.LittleEndian.PutUint32(out[rec-4:], binary.LittleEndian.Uint32(out[rec-4:])+4)
+	binary.LittleEndian.PutUint32(out[o.rec-4:], binary.LittleEndian.Uint32(out[o.rec-4:])+4)
+	return out
+}
+
+// withOwnTree returns blob with its first group record claiming a tree of
+// its own: the flag set and group 0's blueprint tree written after it, the
+// record's length grown to match — bytes a session with a control plane
+// decodes, and one without cannot have written.
+func withOwnTree(t testing.TB, cfg Config, blob []byte) []byte {
+	t.Helper()
+	w := snap.NewWriterSize(1, 0)
+	w.Begin(1)
+	NewSession(cfg).sub.bp.trees[0].Snapshot(w, nil)
+	w.End()
+	tree, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree = tree[snap.HeaderBytes+snap.FrameBytes:]
+	o := groupStanza(t, blob, false)
+	if o.parents >= 0 {
+		t.Fatal("fixture's first group already carries a tree")
+	}
+	out := slices.Concat(blob[:o.rec], []byte{1}, tree, blob[o.rec+1:])
+	binary.LittleEndian.PutUint32(out[o.rec-4:], binary.LittleEndian.Uint32(out[o.rec-4:])+uint32(len(tree)))
 	return out
 }
 
@@ -357,19 +397,10 @@ func TestRestoreRejectsOutOfRange(t *testing.T) {
 	cfgG, blobG := growingFixture(t)
 	cfgS, blobS := sigmaRhoFixture(t)
 	cases := []corruption{
-		{"tree parent", cfg1, blob1, func(t *testing.T, b []byte) {
-			// source, member count, members, parent count, first parent.
-			off := firstRecord(t, b, recGroup)
-			members := int(binary.LittleEndian.Uint32(b[off+8:]))
-			put64(b, off+8+4+8*members+4, 64)
-		}, "tree parent 64"},
-		// The same tamper where the tree is decoded, not checked.
 		{"growing tree parent", cfgG, blobG, func(t *testing.T, b []byte) {
-			off := firstRecord(t, b, recGroup)
-			members := int(binary.LittleEndian.Uint32(b[off+8:]))
-			put64(b, off+8+4+8*members+4, 64)
+			put64(b, groupStanza(t, b, true).parents+4, 64) // the written tree's first parent
 		}, "tree parent 64 outside"},
-		{"static tree differs", cfg1, withSwappedChildren(t, blob1), func(*testing.T, []byte) {}, "tree child"},
+		{"static own tree", cfg1, withOwnTree(t, cfg1, blob1), func(*testing.T, []byte) {}, "group 0 carries a tree of its own"},
 		{"static detached root", cfg1, withDetachedRoot(t, blob1), func(*testing.T, []byte) {}, "detached subtree roots"},
 		{"mux on another host", cfg1, blob1, func(t *testing.T, b []byte) {
 			// The first stanza's host, moved one along: the host it came from
@@ -615,17 +646,18 @@ func withTinyRegulatorPacket(t testing.TB, blob []byte) []byte {
 // FuzzRestore: Restore on arbitrary bytes returns without panicking and
 // without allocating more than a constant factor of what restoring the
 // pristine blob allocates plus the input's size — a corrupt length prefix
-// must not drive allocation — and a session it returns runs to its end. The
-// seeds (the fixture blob, three of its corruptions, the blob with a MUX
-// queue, with an idle MUX holding a queue, with a MUX's completion written
-// twice, with a 1e-300-bit regulator
-// packet, with a clock claiming next
-// rank 2⁶³ — which must seat no more followers than the record has — with
-// a follower ranked past its clock, with each of the unowned events, with
-// each host-record corruption, with two children of its first tree swapped
-// and with a detached subtree root parked) run in the ordinary `go test`.
+// must not drive allocation — and a session it returns runs to its end.
+// The fixture is growingFixture's, whose blob carries a tree the restore
+// decodes. The seeds (the fixture blob, three of its corruptions, the blob
+// with a MUX queue, with an idle MUX holding a queue, with a MUX's
+// completion written twice, with a 1e-300-bit regulator packet, with a
+// clock claiming next rank 2⁶³ — which must seat no more followers than
+// the record has — with a follower ranked past its clock, with each of the
+// unowned events, with each host-record corruption, with two children of
+// its written tree swapped and with a detached subtree root parked) run in
+// the ordinary `go test`.
 func FuzzRestore(f *testing.F) {
-	cfg, blob := corruptFixture(f, 1)
+	cfg, blob := growingFixture(f)
 	f.Add(blob)
 	for _, off := range []int{len(blob) / 4, len(blob) / 2, len(blob) - 40} {
 		bad := append([]byte(nil), blob...)

@@ -632,23 +632,19 @@ func newSessionFrom(sub *substrate, ckpt *des.Time) *Session {
 	return s
 }
 
-// sizeSlabs gives each shard's environment slabs sized for what wiring the
-// child sets of plan make there: per connection a MUX and a
-// connection-table entry; per (group, child) edge a queued packet in
-// the child's MUX; per group a forwarding host carries, a regulator of the
-// initial mode, its link record, a bank entry and a seat in its clock's
-// waiting list; per host with connections a forwarder. What a graft wires
-// later — a forwarder at a host that had no children, a connection, a
-// regulator — is carved from refill chunks. Under (σ, ρ, λ) the build also
-// makes a duty-cycle clock per group a shard forwards at each capacity its
-// forwarders have: one per group when the hosts are homogeneous, at most
-// one per uplink class otherwise. It returns the most connections a host has.
-func (s *Session) sizeSlabs(plan *childPlan) (most int) {
-	type count struct{ fwds, conns, edges, groups, clocks int }
-	per := make([]count, len(s.sh))
-	cfg := s.sub.cfg
+// shardCount is what wiring a child plan makes on one shard: forwarders,
+// connections, (group, child) edges, forwarded groups and — counted for a
+// build under (σ, ρ, λ) only — duty-cycle clocks.
+type shardCount struct{ fwds, conns, edges, forwards, clocks int }
+
+// countPlan counts, per shard, what wiring plan's child sets makes there,
+// for a build and a restore alike, and returns the most connections one
+// host has. With clocks set it counts a clock per group a shard forwards
+// at each capacity its forwarders have: one per group when the hosts are
+// homogeneous, at most one per uplink class otherwise.
+func (s *Session) countPlan(plan *childPlan, clocks bool) (per []shardCount, most int) {
+	per = make([]shardCount, len(s.sh))
 	numGroups := s.sub.numGroups()
-	clocks := initialMode(cfg.Scheme) == SchemeSRL
 	var forwarded bitset // (shard, group) pairs with a forwarder
 	if clocks {
 		forwarded.reset(len(s.sh) * numGroups)
@@ -660,37 +656,50 @@ func (s *Session) sizeSlabs(plan *childPlan) (most int) {
 			most = max(most, conns)
 			n.fwds++
 			n.conns += conns
-			n.groups += len(gc.groups)
+			n.forwards += len(gc.groups)
 			for i, cs := range gc.edges {
 				n.edges += len(cs)
 				if k := si*numGroups + int(gc.groups[i]); clocks && len(cs) > 0 && !forwarded.has(k) {
 					forwarded.set(k)
-					n.clocks += max(1, len(cfg.UplinkClasses))
+					n.clocks += max(1, len(s.sub.cfg.UplinkClasses))
 				}
 			}
 		}
 	}
+	return per, most
+}
+
+// sizeSlabs gives each shard's environment slabs sized for what wiring the
+// child sets of plan make there (countPlan): per connection a MUX and a
+// connection-table entry; per edge a queued packet in the child's MUX; per
+// forwarded group a regulator of the initial mode, its link record, a bank
+// entry and a seat in its clock's waiting list; per forwarding host a
+// forwarder; under (σ, ρ, λ) the clocks. What a graft wires later is carved
+// from refill chunks. It returns the most connections a host has.
+func (s *Session) sizeSlabs(plan *childPlan) (most int) {
+	mode := initialMode(s.sub.cfg.Scheme)
+	per, most := s.countPlan(plan, mode == SchemeSRL)
 	for si, sh := range s.sh {
 		n, sl := per[si], &sh.env.slabs
 		sh.eng.Grow(des.KindMuxDone, n.conns)
 		sl.mux = mux.NewSlab(n.conns, n.edges)
 		sl.fwds = snap.NewArena[forwarder](n.fwds)
 		sl.muxes.Arena = snap.NewArena[*mux.Mux](n.conns)
-		switch initialMode(cfg.Scheme) {
+		switch mode {
 		case SchemeSigmaRho:
-			sh.eng.Grow(des.KindSRRetry, n.groups)
-			sl.reg = regulator.NewSlab(n.groups, 0, 0, sh.env.line.Pool())
-			sl.srBanks.Arena = snap.NewArena[*regulator.SigmaRho](n.groups)
+			sh.eng.Grow(des.KindSRRetry, n.forwards)
+			sl.reg = regulator.NewSlab(n.forwards, 0, 0, sh.env.line.Pool())
+			sl.srBanks.Arena = snap.NewArena[*regulator.SigmaRho](n.forwards)
 		case SchemeSRL:
-			sh.eng.Grow(des.KindSRLDone, n.groups)
+			sh.eng.Grow(des.KindSRLDone, n.forwards)
 			sh.eng.Grow(des.KindSRLOn, n.clocks)
-			sl.reg = regulator.NewSlab(0, n.clocks, n.groups, sh.env.line.Pool())
-			sl.srlBanks.Arena = snap.NewArena[*regulator.SRL](n.groups)
+			sl.reg = regulator.NewSlab(0, n.clocks, n.forwards, sh.env.line.Pool())
+			sl.srlBanks.Arena = snap.NewArena[*regulator.SRL](n.forwards)
 			sh.env.sizeClocks(n.clocks)
 		default:
 			continue // capacity-aware: no regulators
 		}
-		sl.regLinks = snap.NewArena[regLink](n.groups)
+		sl.regLinks = snap.NewArena[regLink](n.forwards)
 	}
 	return most
 }

@@ -59,7 +59,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 10
+const SnapshotVersion = 11
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -149,10 +149,9 @@ type codec struct {
 	// completion and the regulators a pending token wait names.
 	ref   [numFamilies]bitset
 	slots [numFamilies][]uint32
-	// Restore: per shard its forwarders, their connections, their (group,
-	// child) edges and the groups they forward; and the connections of
-	// connsOf by slot (groupChildren.conns), with next the slot after the
-	// one conn last took.
+	// Restore: what wiring the child plan makes per shard (countPlan); and
+	// the connections of connsOf by slot (groupChildren.conns), with next
+	// the slot after the one conn last took.
 	per     []shardCount
 	conns   []connPlan
 	connsOf *forwarder
@@ -160,8 +159,6 @@ type codec struct {
 	// Snapshot: the scratch each tree sorts its parents in.
 	parents []int32
 }
-
-type shardCount struct{ fwds, conns, edges, forwards int }
 
 // conn returns the slot f's edges name for its connection to child, or -1
 // when none does, and the groups routed through it — what wire counts for
@@ -415,17 +412,16 @@ func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int
 // --- Session-wide records ---
 
 // The meta record: the checkpoint instant and shard count, then enough of
-// the configuration to refuse a snapshot restored under the wrong Config.
+// the configuration to refuse a snapshot restored under the wrong Config —
+// the substrate's blueprintKey last, which fingerprints the host count, the
+// seed and the group count among the rest.
 func (c *codec) writeMeta(w *snap.Writer, _ int) {
 	sub := c.s.sub
 	cfg := sub.cfg
 	w.I64(int64(c.at))
 	w.U32(uint32(len(c.s.sh)))
 	w.I64(int64(cfg.Duration))
-	w.U64(cfg.Seed)
 	w.U64(cfg.TrafficSeed.Or(cfg.Seed))
-	w.U32(uint32(cfg.NumHosts))
-	w.U32(uint32(sub.numGroups()))
 	w.U8(uint8(cfg.Scheme))
 	w.U8(uint8(cfg.Workload))
 	w.F64(cfg.Load)
@@ -433,10 +429,10 @@ func (c *codec) writeMeta(w *snap.Writer, _ int) {
 	w.Bytes(sub.key[:])
 }
 
-// readMeta checks the blob against the configuration field by field —
-// the substrate's blueprintKey covers strategy, topology and member sets —
-// and, only once all of it matches, builds the session skeleton the
-// remaining records fill in.
+// readMeta checks the blob against the configuration field by field — the
+// substrate's blueprintKey covers hosts, seed, groups, strategy, topology
+// and member sets — and, only once all of it matches, builds the session
+// skeleton the remaining records fill in.
 func (c *codec) readMeta(r *snap.Reader, _ int) {
 	sub := compile(*c.cfg, true)
 	cfg := sub.cfg
@@ -444,10 +440,7 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	same := true
 	match := func(ok bool) { same = same && ok }
 	match(des.Duration(r.I64()) == cfg.Duration)
-	match(r.U64() == cfg.Seed)
 	match(r.U64() == cfg.TrafficSeed.Or(cfg.Seed))
-	match(int(r.U32()) == cfg.NumHosts)
-	match(int(r.U32()) == sub.numGroups())
 	match(Scheme(r.U8()) == cfg.Scheme)
 	match(Workload(r.U8()) == cfg.Workload)
 	match(r.F64() == cfg.Load)
@@ -479,18 +472,21 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	c.s, c.at = s, at
 }
 
+// writeGroup writes whether the group's tree is the session's own — every
+// tree write takes the tree through edits.tree, which clones the
+// blueprint's on the group's first — and the tree only when it is, then the
+// loss counter and the detached subtree roots.
 func (c *codec) writeGroup(w *snap.Writer, g int) {
-	if c.parents == nil {
-		// One sort scratch for every tree, sized for the largest: a tree
-		// has at most one parent per member.
-		n := 0
-		for _, st := range c.s.sub.groups {
-			n = max(n, len(st.tree.Members))
+	sub := c.s.sub
+	st := sub.groups[g]
+	own := st.tree != sub.bp.trees[g]
+	w.Bool(own)
+	if own {
+		if c.parents == nil { // one sort scratch, room for a parent per host
+			c.parents = make([]int32, 0, sub.cfg.NumHosts)
 		}
-		c.parents = make([]int32, 0, n)
+		c.parents = st.tree.Snapshot(w, c.parents)
 	}
-	st := c.s.sub.groups[g]
-	c.parents = st.tree.Snapshot(w, c.parents)
 	w.U64(st.lost)
 	w.Len(len(st.detached))
 	for _, d := range st.detached {
@@ -499,25 +495,24 @@ func (c *codec) writeGroup(w *snap.Writer, g int) {
 }
 
 // readGroup keeps the blueprint's tree, which compile handed the session,
-// when the group's stanza matches it, and otherwise decodes the stanza —
-// unless the session has no control plane to have written a tree or
-// parked a detached subtree root: there the mismatch is the error.
+// unless the record carries the group's own, which it decodes — and which a
+// session without churn, faults or re-optimization refuses, as it refuses a
+// detached subtree root: nothing in it writes a tree.
 func (c *codec) readGroup(r *snap.Reader, g int) {
 	s := c.s
 	st := s.sub.groups[g]
 	numHosts := s.sub.cfg.NumHosts
 	static := s.ctl == nil && s.fp == nil && s.ro == nil
-	peek := *r
-	st.tree.Check(&peek)
-	if peek.Err() == nil || static {
-		*r = peek
-	} else if tree := overlay.RestoreTree(r, numHosts); r.Err() == nil {
-		st.tree = tree
+	if r.Bool() {
+		if static {
+			r.Fail(fmt.Errorf("core: snapshot group %d carries a tree of its own in a session without churn, faults or re-optimization", g))
+		} else if tree := overlay.RestoreTree(r, numHosts); r.Err() == nil {
+			st.tree = tree
+		}
 	}
 	if r.Err() != nil {
-		return // the tree is partial: its ids have not all been checked
+		return // a partial tree's ids have not all been checked
 	}
-	clear(st.member)
 	for _, m := range st.tree.Members {
 		st.member.set(m)
 	}
@@ -578,29 +573,11 @@ func (c *codec) readHosts(r *snap.Reader, _ int) {
 		}
 	}
 	plan := s.sub.plan
-	// A forwarder, its connection table and its regulator banks are carved
-	// from its shard's slabs, sized as a build sizes them: a forwarder per
-	// host with children, a connection-table slot per distinct child —
-	// the slots its edges name — and one bank entry per group it forwards,
-	// in each bank its scheme can build. A forwarder whose children all
-	// left, one a later graft starts, and a connection no edge names are
-	// carved from a refill chunk. The codec's connection scratch (conn) is
-	// sized for the host with the most.
-	per := make([]shardCount, len(s.sh))
-	most := 0
-	for id := range s.hosts {
-		n, gc := &per[s.owner[id]], plan.of(id)
-		if len(gc.groups) > 0 {
-			n.fwds++
-		}
-		n.forwards += len(gc.groups)
-		slots := gc.slots()
-		n.conns += slots
-		most = max(most, slots)
-		for _, es := range gc.edges {
-			n.edges += len(es)
-		}
-	}
+	// A forwarder, its connection table and its regulator banks (each bank
+	// its scheme can build) are carved from its shard's slabs, sized as a
+	// build sizes them (countPlan); what the plan does not name, from a
+	// refill chunk. The connection scratch (conn) fits the host with most.
+	per, most := s.countPlan(plan, false)
 	c.per, c.conns = per, make([]connPlan, 0, most)
 	scheme := s.sub.cfg.Scheme
 	for si, sh := range s.sh {

@@ -470,7 +470,8 @@ func compileSubstrate(cfg Config) *substrate {
 // checkpoint restore: the same in everything but the per-group runtime,
 // whose member windows come up empty for the snapshot's group records to
 // fill. Either way the session holds the blueprint's trees and child plan
-// themselves; a restore keeps each tree its snapshot matches (readGroup).
+// themselves; a restore keeps each tree its snapshot does not carry
+// (readGroup).
 func compile(cfg Config, resume bool) *substrate {
 	cfg.fillDefaults()
 	numGroups := cfg.groupCount()

@@ -19,8 +19,7 @@ import (
 // Snapshot appends the tree's full structure to the open record. It sorts
 // the tree's parents in scratch and returns it, grown if it had to grow,
 // for the next tree's: scratch with room for one parent per member spares
-// the sort an allocation. The tree itself is only read, so every session
-// sharing one can snapshot it at once.
+// the sort an allocation. The tree itself is only read.
 func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 	w.I64(int64(t.Source))
 	w.Len(len(t.Members))
@@ -43,65 +42,6 @@ func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 		}
 	}
 	return parents
-}
-
-// Check reads a stanza written by Snapshot and fails the reader at the
-// first value that differs from what t.Snapshot writes: a restore checks
-// each stanza against the blueprint's tree it already holds, and keeps
-// that tree instead of decoding a copy when they match. Parents need only come
-// strictly ascending, each one of t's with its children in t's order, and
-// as many as t has: that pins the one order Snapshot writes without
-// sorting t's. It allocates nothing, and reads t without writing it.
-func (t *Tree) Check(r *snap.Reader) {
-	same := func(what string, got, want int) bool {
-		if r.Err() == nil && got != want {
-			r.Fail(fmt.Errorf("overlay: snapshot tree %s %d differs from the session's %d", what, got, want))
-		}
-		return r.Err() == nil
-	}
-	if !same("source", int(r.I64()), t.Source) || !same("member count", r.Len(), len(t.Members)) {
-		return
-	}
-	for _, m := range t.Members {
-		if !same("member", int(r.I64()), m) {
-			return
-		}
-	}
-	parents := 0
-	for _, k := range t.kids {
-		if k > 0 {
-			parents++
-		}
-	}
-	if !same("parent count", r.Len(), parents) {
-		return
-	}
-	for i, last := 0, -1; i < parents; i++ {
-		p := int(r.I64())
-		ps := t.slotOf(p)
-		switch {
-		case r.Err() != nil:
-			return
-		case ps == none:
-			r.Fail(fmt.Errorf("overlay: snapshot tree parent %d is not a member", p))
-			return
-		case p <= last:
-			r.Fail(fmt.Errorf("overlay: snapshot tree parent %d out of ascending order", p))
-			return
-		case t.kids[ps] == 0:
-			r.Fail(fmt.Errorf("overlay: snapshot tree parent %d has no children in the session's tree", p))
-			return
-		}
-		last = p
-		if !same("child count", r.Len(), int(t.kids[ps])) {
-			return
-		}
-		for c := t.first[ps]; c != none; c = t.next[c] {
-			if !same("child", int(r.I64()), int(t.host[c])) {
-				return
-			}
-		}
-	}
 }
 
 // RestoreTree rebuilds a tree written by Snapshot over hosts [0, numHosts).

@@ -28,10 +28,9 @@ import (
 // A Tree is not safe for concurrent use: GraftPoint and the strategies'
 // graft points build and write the tree's live RTT index. The other reads
 // (Height, SubtreeHeight, Select, Validate, EachParent, Clone, Snapshot,
-// Check, ...) touch no shared state, so a tree nobody mutates may be
-// measured, searched, cloned, serialized and checked concurrently — which
-// is how every session reads its blueprint's trees until it first edits
-// one.
+// ...) touch no shared state, so a tree nobody mutates may be measured,
+// searched, cloned and serialized concurrently — which is how every
+// session reads its blueprint's trees until it first edits one.
 type Tree struct {
 	Source  int
 	Members []int
