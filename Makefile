@@ -83,8 +83,8 @@ shards:
 # level-1 cascade, the cross-shard mailbox merge
 # against its (at, lamport, srcShard, seq) oracle, the churn schedule's
 # Fenwick pick and run merge against the host scan and stable sort they
-# replaced (FuzzChurnEvents: fuzzed populations, member sets and rates,
-# saturated groups among them), the tree builders' RTT index against the
+# replaced (FuzzChurnEvents: fuzzed populations, member sets, turnover and
+# lifetimes, saturated groups among them), the tree builders' RTT index against the
 # full comparator sort (FuzzRTTIndex: fuzzed routers, some cut off, tied
 # access delays and take sizes), the overlay graft-point
 # selector (every strategy's pick against the per-candidate oracle of

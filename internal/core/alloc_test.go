@@ -482,7 +482,7 @@ func TestChurnEditAllocFree(t *testing.T) {
 // TestLeavesCarryNoForwarder holds the forwarding state to the hosts that
 // forward: after NewSession the hosts holding a forwarder are exactly the
 // hosts with a child in some tree, and each shard's are carved back to back
-// from one arena; a Restore rebuilds the set the checkpointed session held,
+// from one arena; a Restore reconstructs the set the checkpointed session held,
 // the same way. At one shard and at four.
 func TestLeavesCarryNoForwarder(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -1049,7 +1049,7 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotBlobBytes pins the exact size and the SHA-256 of one v11
+// TestSnapshotBlobBytes pins the exact size and the SHA-256 of one v12
 // blob: the 60-host fixture checkpointed halfway. The simulation is
 // deterministic, so both are too. A word added back to a component record
 // — a MUX, a regulator or a clock writes one per component — changes the
@@ -1066,11 +1066,12 @@ func TestSnapshotHintSurvivesRestore(t *testing.T) {
 // minimum and maximum, the delivery counter the accumulator's count
 // repeats, and each of the 3 groups' tracker sample count (56). v11 writes
 // 3,529 fewer: the 3 blueprint trees, 3,516 bytes, behind a one-byte flag
-// each, and the meta record's host count, seed and group count (16).)
+// each, and the meta record's host count, seed and group count (16).
+// v12 writes one byte more: the meta record's control-plane flags.)
 func TestSnapshotBlobBytes(t *testing.T) {
 	const (
-		want = 12592
-		hash = "3274507a125d6f43f17356dc35426d33ed9e70e9c78aef2727c74b93be205dea"
+		want = 12593
+		hash = "a1fc6106ab6bd064937166e8a6aa963999b17e1504974aaed06d35a2d90af5fc"
 	)
 	cfg := allocFixtures(t)["60-host"]
 	s := core.NewSession(cfg)

@@ -2,7 +2,7 @@ package core
 
 // The online tree re-optimization plane: the session measures per-member
 // delivery delay while it runs, and periodic Reoptimize DES events rewire
-// (or fully rebuild) each group's delivery tree from those measurements —
+// each group's delivery tree from those measurements —
 // routing becomes a measurement-driven decision instead of a build-time
 // constant, the dynamic-overlay-routing move of Singh & Modiano and the
 // delay-metric route selection of Jonglez et al., applied to the paper's
@@ -33,11 +33,9 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/overlay"
-	"repro/internal/xrand"
 )
 
 // ReoptConfig parameterises the re-optimization plane. The zero value
@@ -56,12 +54,6 @@ type ReoptConfig struct {
 	Cooldown des.Duration
 	// MaxMoves bounds the members rewired per pass per group. Default 1.
 	MaxMoves int
-	// Rebuild switches the pass from local rewiring to a full strategy
-	// rebuild over the group's current member set, accepted when the
-	// rebuilt tree's worst propagation path undercuts the current one by
-	// MinImprove — the heavy hammer for trees structurally degraded by
-	// heavy churn.
-	Rebuild bool
 }
 
 // Enabled reports whether the plane is configured.
@@ -110,7 +102,6 @@ type reoptPlane struct {
 
 	est      [][]delayEst // [group][host] delay means since the last accepted change
 	cooldown []des.Time   // per-group earliest next accepted change
-	rebuilds []int        // per-group accepted rebuild count (derives rebuild seeds)
 	moved    []int        // members rewired in the current pass
 
 	accepted, moves, rejected int
@@ -122,7 +113,6 @@ func newReoptPlane(sub *substrate, hosts []host) *reoptPlane {
 		cfg:      sub.cfg.Reopt,
 		est:      make([][]delayEst, len(sub.groups)),
 		cooldown: make([]des.Time, len(sub.groups)),
-		rebuilds: make([]int, len(sub.groups)),
 	}
 	for g := range ro.est {
 		ro.est[g] = make([]delayEst, sub.cfg.NumHosts)
@@ -152,12 +142,8 @@ func (ro *reoptPlane) pass(g int, at des.Time) {
 	}
 	if len(st.detached) > 0 {
 		// A partition severed subtrees off this group's tree; the rewire
-		// candidate scan and the rebuild both assume every member is
-		// attached, so the pass holds off until the heal re-attaches them.
-		return
-	}
-	if ro.cfg.Rebuild {
-		ro.rebuild(g, at)
+		// candidate scan assumes every member is attached, so the pass
+		// holds off until the heal re-attaches them.
 		return
 	}
 	// moved excludes members already rewired this pass from re-selection:
@@ -249,63 +235,6 @@ func (ro *reoptPlane) rewire(g int) bool {
 	ro.moves++
 	ro.moved = append(ro.moved, w)
 	return true
-}
-
-// rebuild re-runs the group's strategy constructor over its current
-// member set and swaps the whole tree in when the rebuilt worst-case
-// propagation path clears the hysteresis margin.
-func (ro *reoptPlane) rebuild(g int, at des.Time) {
-	st := ro.groups[g]
-	t := st.tree
-	members := append([]int(nil), t.Members...)
-	sort.Ints(members)
-	bcfg := st.treeCfg
-	bcfg.Seed = xrand.DeriveSeed(bcfg.Seed, len(ro.groups)+ro.rebuilds[g])
-	cand, err := st.strat.Build(ro.net, members, t.Source, bcfg)
-	if err != nil {
-		panic(fmt.Sprintf("core: reopt rebuild: %v", err))
-	}
-	maxPath := func(tr *overlay.Tree) float64 {
-		worst := 0.0
-		for _, m := range tr.Members {
-			if d := tr.PathLatency(ro.net, m).Seconds(); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	if maxPath(cand) >= maxPath(t)*(1-ro.cfg.MinImprove) {
-		ro.rejected++
-		return
-	}
-	// Apply the rebuild as an edge diff: members whose parent is the same
-	// in the rebuilt tree keep their forwarding state (and regulators)
-	// untouched; only genuinely moved edges detach (old parent abandons
-	// the backlog it held for that child — counted, as on a churn
-	// departure) and re-attach. Removals complete before attachments so a
-	// host's child set never transiently holds both the old and new edge.
-	var movedMembers []int
-	for _, m := range members {
-		if m != cand.Source && cand.Parent(m) != t.Parent(m) {
-			movedMembers = append(movedMembers, m)
-			ro.unhook(g, t.Parent(m), m)
-		}
-	}
-	st.tree = cand // the session's own: the blueprint's is not written
-	for _, m := range movedMembers {
-		ro.attach(g, cand.Parent(m), m)
-		ro.moves++
-	}
-	if len(movedMembers) == 0 {
-		// The rebuilt tree improved the propagation metric without moving
-		// any edge — impossible in practice, but count it as rejected
-		// rather than as an accepted no-op change.
-		ro.rejected++
-		return
-	}
-	ro.rebuilds[g]++
-	ro.accepted++
-	ro.resetGroup(g, at)
 }
 
 // resetGroup clears the group's estimates after an accepted change — the

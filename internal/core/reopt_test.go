@@ -81,28 +81,6 @@ func TestReoptRewiresImproveNICETree(t *testing.T) {
 	}
 }
 
-// Rebuild mode swaps whole trees: run it over the nice strategy (whose
-// seeded rebuilds genuinely vary) and check the session completes with
-// valid trees and consistent accounting.
-func TestReoptRebuildMode(t *testing.T) {
-	cfg := reoptBaseConfig()
-	cfg.Strategy = "nice"
-	cfg.Reopt = ReoptConfig{Every: 500 * des.Millisecond, MinImprove: 0.02, Rebuild: true}
-	s := NewSession(cfg)
-	res := s.Run()
-	if res.Delivered == 0 {
-		t.Fatal("inert run")
-	}
-	if res.Reopts+res.ReoptRejected == 0 {
-		t.Fatal("no rebuild passes evaluated")
-	}
-	for g, tr := range sessionTrees(s) {
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("group %d tree after rebuilds: %v", g, err)
-		}
-	}
-}
-
 // Every registered strategy must compile and run a session end to end,
 // delivering to all members over a valid tree.
 func TestSessionRunsEveryStrategy(t *testing.T) {

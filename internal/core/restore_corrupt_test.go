@@ -117,9 +117,11 @@ func finishNoPanic(t testing.TB, s *Session, what string) {
 // every time, and every session it returns to run to its end: of every
 // byte of corruptFixture's (σ, ρ, λ) blob (subtest flips), of every 17th
 // of sigmaRhoFixture's, whose (σ, ρ) regulators hold token levels and wait
-// for tokens (sigma-rho/flips), and of every 43rd of adaptiveFixture's,
-// whose host records hold controller windows (adaptive/flips; strides
-// prime to every record layout's, which keep the two sweeps near a second
+// for tokens (sigma-rho/flips), of every 43rd of adaptiveFixture's,
+// whose host records hold controller windows (adaptive/flips), and of
+// every 11th of growingFixture's, the one whose group record carries a
+// tree for overlay.RestoreTree to decode (growing/flips; strides prime to
+// every record layout's, which keep the three sweeps near a second
 // between them). At the parent of the commit that added it, 1,432 of the
 // 28k (σ, ρ, λ) blobs panicked inside Restore and one crashed the process
 // from a compileChildren worker; at the parent of the commit that added
@@ -137,13 +139,25 @@ func TestRestoreCorruptedNeverPanics(t *testing.T) {
 		name   string
 		make   func(testing.TB) (Config, []byte)
 		stride int
+		tree   bool // the blob carries a tree: some flip must land in it
 	}{
-		{"sigma-rho", sigmaRhoFixture, 17},
-		{"adaptive", adaptiveFixture, 43},
+		{"sigma-rho", sigmaRhoFixture, 17, false},
+		{"adaptive", adaptiveFixture, 43, false},
+		{"growing", growingFixture, 11, true},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			cfg, blob := fx.make(t)
-			flipSweep(t, cfg, blob, fx.stride*short)
+			stride := fx.stride * short
+			if fx.tree {
+				// The stanza overlay.RestoreTree decodes runs from past the
+				// group record's flag to its loss counter.
+				o := groupStanza(t, blob, true)
+				lo, hi := o.rec+1, o.detached-8
+				if first := snap.HeaderBytes + (lo-snap.HeaderBytes+stride-1)/stride*stride; first >= hi {
+					t.Fatalf("no flip at stride %d lands in the tree stanza [%d, %d)", stride, lo, hi)
+				}
+			}
+			flipSweep(t, cfg, blob, stride)
 		})
 	}
 }

@@ -283,9 +283,9 @@ type Result struct {
 	// were no-ops (join of a member, leave of a non-member or source).
 	Joins, Leaves, Regrafts, RejectedEvents int
 	// Re-optimization outcome (zero unless Config.Reopt is enabled):
-	// accepted tree changes (rewires plus rebuilds), members re-parented
-	// by those changes, and per-group passes that evaluated a candidate
-	// but kept the tree (hysteresis held, or no candidate improved).
+	// per-group passes that rewired the tree, members re-parented by
+	// those passes, and per-group passes that kept the tree (hysteresis
+	// held, or no candidate improved).
 	Reopts, ReoptMoves, ReoptRejected int
 	// Lost counts disruption casualties: packets that arrived at a host
 	// outside its membership interval (in flight across a leave) plus
@@ -403,9 +403,6 @@ type groupState struct {
 	// shared flat trees, which the control plane never mutates.
 	strat overlay.Strategy
 	lim   overlay.Limits
-	// treeCfg is the overlay build configuration the tree was compiled
-	// with, reused (with a derived seed) by full rebuilds.
-	treeCfg overlay.Config
 	// detached parks the subtree roots a partition severed off the tree,
 	// ascending, until the heal re-attaches them (see faults.go). While it
 	// is non-empty the tree does not span the member set and the reopt

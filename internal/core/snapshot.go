@@ -5,7 +5,7 @@ package core
 // pending engine events, component queues and counters, per-group trees and
 // membership, plane state, measurement accumulators, source positions, and
 // the coordinator's mailboxes — while everything derivable from the Config
-// is recomputed, not serialized: the restored session rebuilds the
+// is recomputed, not serialized: the restored session reconstructs the
 // substrate (network, envelopes, initial trees) from the same Config, then
 // overwrites the mutable half from the snapshot.
 //
@@ -22,7 +22,7 @@ package core
 //   - Kind registry: an engine event is data — a des.Kind* and an arg
 //     naming its owner's slot in the engine's owner table for the kind (a
 //     component's registry slot, a flow, a host). The restored session
-//     registers every owner again as it rebuilds: sources and hosts at
+//     registers every owner again as it reconstructs: sources and hosts at
 //     their flow and id, components in the order their stanzas come, so a
 //     component's arg is the rank of its serialized slot. Control-plane,
 //     fault, and reopt actions are never engine events: they are
@@ -59,7 +59,7 @@ import (
 
 // SnapshotVersion is the snapshot format version. Bump on any layout
 // change; Restore rejects other versions.
-const SnapshotVersion = 11
+const SnapshotVersion = 12
 
 // Snapshot record types. Append-only: these appear in snapshot files.
 const (
@@ -261,7 +261,7 @@ func (c *codec) write(w *snap.Writer, rec *record, i int) error {
 	return w.Err()
 }
 
-// Restore rebuilds a session from cfg and a snapshot taken by Snapshot
+// Restore reconstructs a session from cfg and a snapshot taken by Snapshot
 // under the same cfg, positioned at the checkpoint instant and ready to
 // continue with RunTo/Finish — bit-identically to the original run. Bytes
 // Snapshot did not write yield an error.
@@ -413,8 +413,9 @@ func readCells(r *snap.Reader, groups, hosts int, what string, get func(g, h int
 
 // The meta record: the checkpoint instant and shard count, then enough of
 // the configuration to refuse a snapshot restored under the wrong Config —
-// the substrate's blueprintKey last, which fingerprints the host count, the
-// seed and the group count among the rest.
+// which control planes run (each adds a record), and the substrate's
+// blueprintKey last, which fingerprints the host count, the seed and the
+// group count among the rest.
 func (c *codec) writeMeta(w *snap.Writer, _ int) {
 	sub := c.s.sub
 	cfg := sub.cfg
@@ -426,7 +427,25 @@ func (c *codec) writeMeta(w *snap.Writer, _ int) {
 	w.U8(uint8(cfg.Workload))
 	w.F64(cfg.Load)
 	w.U8(uint8(cfg.Discipline))
+	w.U8(cfg.planes())
 	w.Bytes(sub.key[:])
+}
+
+// planes is one bit per control plane the configuration runs, as
+// newSessionFrom decides it: churn (a membership schedule), faults (one at
+// or before the end) and re-optimization.
+func (c *Config) planes() uint8 {
+	var on uint8
+	if len(c.Events) > 0 {
+		on |= 1
+	}
+	if len(upTo(c.Faults, c.Duration, func(ev FaultEvent) des.Time { return ev.At })) > 0 {
+		on |= 2
+	}
+	if c.Reopt.Enabled() {
+		on |= 4
+	}
+	return on
 }
 
 // readMeta checks the blob against the configuration field by field — the
@@ -445,6 +464,7 @@ func (c *codec) readMeta(r *snap.Reader, _ int) {
 	match(Workload(r.U8()) == cfg.Workload)
 	match(r.F64() == cfg.Load)
 	match(mux.Discipline(r.U8()) == cfg.Discipline)
+	match(r.U8() == cfg.planes())
 	match(bytes.Equal(r.Bytes(), sub.key[:]))
 	switch {
 	case r.Err() != nil:
@@ -803,7 +823,6 @@ func (c *codec) writeReopt(w *snap.Writer, _ int) {
 		})
 	for g := range ro.cooldown {
 		w.I64(int64(ro.cooldown[g]))
-		w.U32(uint32(ro.rebuilds[g]))
 	}
 	w.U32(uint32(ro.accepted))
 	w.U32(uint32(ro.moves))
@@ -817,7 +836,6 @@ func (c *codec) readReopt(r *snap.Reader, _ int) {
 	})
 	for g := range ro.cooldown {
 		ro.cooldown[g] = des.Time(r.I64())
-		ro.rebuilds[g] = int(r.U32())
 	}
 	ro.accepted = int(r.U32())
 	ro.moves = int(r.U32())
@@ -1013,7 +1031,7 @@ func writeFamily(w *snap.Writer, env *hostEnv, f family, comps []des.Handler, ke
 	}
 }
 
-// readComponents rebuilds one engine's serialized components in slabs sized
+// readComponents reconstructs one engine's serialized components in slabs sized
 // from the record's totals, through the host's restoreComp (which
 // registers them in the engine's owner tables, each family's in the order
 // written), installs the live ones, and keeps each family's serialized

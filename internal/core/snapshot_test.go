@@ -51,6 +51,15 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		"member set": func(c *Config) { c.Groups = slices.Clone(c.Groups); c.Groups[2].Members = rangeMembers(10, 121) },
 		"cluster k":  func(c *Config) { c.ClusterK = 4 },
 		"discipline": func(c *Config) { c.Discipline = mux.FIFO },
+		// The meta record's control-plane flags refuse these, each of which
+		// adds a record the static blob lacks.
+		"churn on": func(c *Config) {
+			c.Events = []MembershipEvent{{At: 2 * des.Second, Group: 2, Host: 150, Join: true}}
+		},
+		"faults on": func(c *Config) {
+			c.Faults = []FaultEvent{{At: 2 * des.Second, Kind: FaultMassLeave, Group: 2, Hosts: rangeMembers(50, 60)}}
+		},
+		"reopt on": func(c *Config) { c.Reopt = ReoptConfig{Every: 500 * des.Millisecond} },
 	} {
 		other := cfg
 		mutate(&other)
@@ -73,7 +82,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if _, err := Restore(cfg, blob4); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("restore of a 4-shard snapshot into a one-shard session: err = %v, want a shard-count error", err)
 	}
-	for _, old := range []uint32{2, 4, 9, 10} {
+	for _, old := range []uint32{2, 4, 9, 10, 11} {
 		hdr, err := snap.NewWriterSize(old, 0).Finish()
 		if err != nil {
 			t.Fatal(err)

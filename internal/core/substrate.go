@@ -71,11 +71,10 @@ type blueprint struct {
 	groups []GroupSpec // resolved member sets; read-only
 	// trees are the built trees — under capacity-aware implicit membership
 	// one build at every g — read by every session until it writes one.
-	trees    []*overlay.Tree
-	strat    overlay.Strategy
-	treeCfgs []overlay.Config
-	mults    []float64 // per-host uplink multipliers; nil when homogeneous
-	minMult  float64   // smallest multiplier (envelope-fit check); 1 when homogeneous
+	trees   []*overlay.Tree
+	strat   overlay.Strategy
+	mults   []float64 // per-host uplink multipliers; nil when homogeneous
+	minMult float64   // smallest multiplier (envelope-fit check); 1 when homogeneous
 
 	planOnce sync.Once
 	plan     *childPlan
@@ -394,7 +393,6 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 		return t
 	}
 	bp.trees = make([]*overlay.Tree, numGroups)
-	bp.treeCfgs = make([]overlay.Config, numGroups)
 	if cfg.Scheme == SchemeCapacityAware {
 		fanout := overlay.FanoutBound(cfg.Load, cfg.CapacityFactor)
 		blind := cfg.strategyName() == "nice"
@@ -433,7 +431,6 @@ func buildBlueprint(cfg *Config, numGroups, workers int) *blueprint {
 		bp.strat = strat
 		parallelIndexed(numGroups, workers, func(_, g int) {
 			tc := overlay.Config{K: cfg.ClusterK, Seed: xrand.DeriveSeed(cfg.Seed, g)}
-			bp.treeCfgs[g] = tc
 			bp.trees[g] = must(strat.Build(bp.net, bp.groups[g].Members, bp.groups[g].Source, tc))
 		})
 	}
@@ -514,8 +511,7 @@ func compile(cfg Config, resume bool) *substrate {
 		*st = groupState{spec: bp.groups[g], member: members[g*n : (g+1)*n : (g+1)*n]}
 		if bp.strat != nil {
 			st.strat = bp.strat
-			st.lim = bp.strat.Limits(bp.treeCfgs[g], cfg.NumHosts)
-			st.treeCfg = bp.treeCfgs[g]
+			st.lim = bp.strat.Limits(overlay.Config{K: cfg.ClusterK}, cfg.NumHosts)
 		}
 		if !resume {
 			for _, m := range st.spec.Members {

@@ -11,7 +11,7 @@ import (
 //
 // An event is its kind and arg and nothing else, so it serializes as it
 // stands: a snapshot walks the queue and emits the records in seq order; a
-// restore rebuilds the session structure — which registers every owner
+// restore reconstructs the session structure — which registers every owner
 // again — advances the clock with RestoreNow, and re-inserts the records
 // with Reinsert. Re-inserting in original seq order hands out fresh,
 // ascending sequence numbers, which preserves every relative (at, prio,

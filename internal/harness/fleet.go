@@ -4,7 +4,7 @@ package harness
 // shared work directory. The parent compiles the sweep plan, writes a
 // manifest pinning every plan input (scenario spec, resolved seed, load
 // grid, duration, shard count), and spawns N workers; each worker
-// rebuilds the identical plan from the manifest — newSweepPlan is a pure
+// reconstructs the identical plan from the manifest — newSweepPlan is a pure
 // function of its inputs — claims individual (combo, load) cells via
 // O_EXCL claim files, runs each claimed cell, and writes it as one atomic
 // result file. Cell-level granularity lets a sweep with few combos but
@@ -114,7 +114,7 @@ func fleetManifestFor(sc scenario.Scenario, opts Options, p *sweepPlan) (fleetMa
 	}, nil
 }
 
-// planFromManifest rebuilds the sweep plan a manifest pins. Workers and
+// planFromManifest reconstructs the sweep plan a manifest pins. Workers and
 // the resuming parent both come through here, so every party compiles
 // from the same inputs.
 func planFromManifest(m fleetManifest) (*sweepPlan, error) {

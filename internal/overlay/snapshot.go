@@ -44,7 +44,7 @@ func (t *Tree) Snapshot(w *snap.Writer, scratch []int32) []int32 {
 	return parents
 }
 
-// RestoreTree rebuilds a tree written by Snapshot over hosts [0, numHosts).
+// RestoreTree reconstructs a tree written by Snapshot over hosts [0, numHosts).
 // The bytes may not be ours: an id outside that range, a source or an
 // edge endpoint outside the member list, a second parent for one node, a
 // parent for the source or a parent listed out of ascending order fails

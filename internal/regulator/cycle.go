@@ -113,7 +113,7 @@ func (c *Cycle) unwait(r *SRL) {
 
 // Snapshot appends the clock's mutable state to the open record. The
 // waiting list is not written: each follower's record carries its waiting
-// bit, and Rejoin rebuilds the list.
+// bit, and Rejoin reconstructs the list.
 func (c *Cycle) Snapshot(w *snap.Writer) {
 	w.Bool(c.on)
 	w.U64(c.nextRank)

@@ -1,8 +1,8 @@
 package scenario
 
 // The churn model: scenarios describe membership dynamics declaratively
-// (Poisson join arrivals, exponential or Pareto session lifetimes, per-
-// group rates) and the model materialises into a concrete schedule of
+// (Poisson join arrivals at a rate scaled by group size, exponential
+// session lifetimes) and the model materialises into a concrete schedule of
 // core.MembershipEvents — a pure function of (scenario, seed, duration),
 // drawn on dedicated xrand streams so enabling churn never perturbs the
 // membership, tree, or traffic streams of the static scenario it extends.
@@ -21,29 +21,20 @@ import (
 
 // Churn configures session-level membership churn for a multi-group
 // scenario with partial membership. The model is M/G/∞-style: each group
-// sees a Poisson process of join arrivals, each arrival picks a host
-// uniformly among current non-members, stays for a drawn lifetime, and
-// leaves. Initial members (including every group source) never churn out.
+// sees a Poisson process of join arrivals at a rate proportional to its
+// size, each arrival picks a host uniformly among current non-members,
+// stays for an exponentially distributed lifetime, and leaves. Initial
+// members (including every group source) never churn out.
 type Churn struct {
 	// Kind: "" (off) or "poisson".
 	Kind string `json:"kind,omitempty"`
-	// Rate is the per-group join-arrival rate in arrivals/second. Set
-	// exactly one of Rate, TurnoverPerSec, and PerGroupRates.
-	Rate float64 `json:"rate,omitempty"`
 	// TurnoverPerSec sizes the arrival rate relative to the group:
 	// rate_g = TurnoverPerSec × |initial members of g| — so "0.02" means
 	// roughly 2% of the group's population joins (and later leaves) per
 	// simulated second, independent of how skewed the group sizes are.
 	TurnoverPerSec float64 `json:"turnover_per_sec,omitempty"`
-	// PerGroupRates gives each group its own arrivals/second (length must
-	// equal the group count).
-	PerGroupRates []float64 `json:"per_group_rates,omitempty"`
-	// Lifetime: "exponential" (default) or "pareto" (heavy-tailed).
-	Lifetime string `json:"lifetime,omitempty"`
 	// MeanLifetimeSec is the mean session lifetime. Default 2.
 	MeanLifetimeSec float64 `json:"mean_lifetime_sec,omitempty"`
-	// ParetoAlpha is the Pareto shape (> 1 so the mean exists). Default 1.5.
-	ParetoAlpha float64 `json:"pareto_alpha,omitempty"`
 	// StartSec holds churn off during warm-up. Default 0.
 	StartSec float64 `json:"start_sec,omitempty"`
 }
@@ -51,8 +42,8 @@ type Churn struct {
 // Enabled reports whether the scenario has churn configured.
 func (c Churn) Enabled() bool { return c.Kind != "" }
 
-// validate checks the churn spec against the scenario's dimensions.
-func (c Churn) validate(name string, groupCount int) error {
+// validate checks the churn spec.
+func (c Churn) validate(name string) error {
 	switch c.Kind {
 	case "":
 		return nil
@@ -60,75 +51,27 @@ func (c Churn) validate(name string, groupCount int) error {
 	default:
 		return fmt.Errorf("scenario %s: unknown churn kind %q", name, c.Kind)
 	}
-	set := 0
-	if c.Rate > 0 {
-		set++
+	if c.TurnoverPerSec <= 0 {
+		return fmt.Errorf("scenario %s: churn needs turnover_per_sec > 0", name)
 	}
-	if c.TurnoverPerSec > 0 {
-		set++
-	}
-	if len(c.PerGroupRates) > 0 {
-		set++
-	}
-	if set != 1 {
-		return fmt.Errorf("scenario %s: churn needs exactly one of rate, turnover_per_sec, per_group_rates", name)
-	}
-	if len(c.PerGroupRates) > 0 && len(c.PerGroupRates) != groupCount {
-		return fmt.Errorf("scenario %s: %d per-group churn rates for %d groups",
-			name, len(c.PerGroupRates), groupCount)
-	}
-	for _, r := range c.PerGroupRates {
-		if r < 0 {
-			return fmt.Errorf("scenario %s: negative churn rate %v", name, r)
-		}
-	}
-	if c.Rate < 0 || c.TurnoverPerSec < 0 || c.MeanLifetimeSec < 0 || c.StartSec < 0 {
+	if c.MeanLifetimeSec < 0 || c.StartSec < 0 {
 		return fmt.Errorf("scenario %s: negative churn parameter", name)
-	}
-	switch c.Lifetime {
-	case "", "exponential":
-	case "pareto":
-		if c.ParetoAlpha != 0 && c.ParetoAlpha <= 1 {
-			return fmt.Errorf("scenario %s: pareto_alpha must be > 1 for a finite mean", name)
-		}
-	default:
-		return fmt.Errorf("scenario %s: unknown churn lifetime %q", name, c.Lifetime)
 	}
 	return nil
 }
 
-// meanLifetime resolves the configured mean lifetime in seconds.
-func (c Churn) meanLifetime() float64 {
-	if c.MeanLifetimeSec > 0 {
-		return c.MeanLifetimeSec
-	}
-	return 2
-}
-
 // drawLifetime samples one session lifetime in seconds.
 func (c Churn) drawLifetime(rng *xrand.Rand) float64 {
-	mean := c.meanLifetime()
-	if c.Lifetime == "pareto" {
-		alpha := c.ParetoAlpha
-		if alpha == 0 {
-			alpha = 1.5
-		}
-		return rng.Pareto(mean*(alpha-1)/alpha, alpha)
+	mean := c.MeanLifetimeSec
+	if mean == 0 {
+		mean = 2
 	}
 	return rng.Exp(mean)
 }
 
-// rate is group g's join-arrival rate in arrivals/second; members is the
+// rate is a group's join-arrival rate in arrivals/second; members is the
 // group's initial member count.
-func (c Churn) rate(g, members int) float64 {
-	switch {
-	case len(c.PerGroupRates) > 0:
-		return c.PerGroupRates[g]
-	case c.TurnoverPerSec > 0:
-		return c.TurnoverPerSec * float64(members)
-	}
-	return c.Rate
-}
+func (c Churn) rate(members int) float64 { return c.TurnoverPerSec * float64(members) }
 
 // expectedSteps sizes ChurnEvents' scratch before its first draw: a join
 // and its leave for each expected arrival, m = span·Σ r over the groups'
@@ -139,7 +82,7 @@ func (c Churn) expectedSteps(groups []core.GroupSpec, span float64) int {
 	}
 	var rate float64
 	for g := range groups {
-		rate += max(0, c.rate(g, len(groups[g].Members)))
+		rate += max(0, c.rate(len(groups[g].Members)))
 	}
 	m := rate * span
 	return int(2 * (m + 4*math.Sqrt(m) + 1))
@@ -180,7 +123,7 @@ func (s Scenario) ChurnEvents(seed uint64, duration des.Duration, groups []core.
 	free := make(nonMembers, n+1)
 	var pending []departure // latest first
 	for g := range groups {
-		rate := s.Churn.rate(g, len(groups[g].Members))
+		rate := s.Churn.rate(len(groups[g].Members))
 		if rate <= 0 {
 			runs = append(runs, len(steps))
 			continue

@@ -20,13 +20,7 @@ func refChurnEvents(s Scenario, seed uint64, duration des.Duration, groups []cor
 	durSec := duration.Seconds()
 	var events []core.MembershipEvent
 	for g := range groups {
-		rate := s.Churn.Rate
-		if s.Churn.TurnoverPerSec > 0 {
-			rate = s.Churn.TurnoverPerSec * float64(len(groups[g].Members))
-		}
-		if len(s.Churn.PerGroupRates) > 0 {
-			rate = s.Churn.PerGroupRates[g]
-		}
+		rate := s.Churn.TurnoverPerSec * float64(len(groups[g].Members))
 		if rate <= 0 {
 			continue
 		}
@@ -106,10 +100,8 @@ func sameSchedule(t *testing.T, got, want []core.MembershipEvent) {
 
 // TestChurnEventsMatchReference: the Fenwick pick and the run merge give
 // the reference's schedule event for event — over several seeds, for
-// uniform and Zipf membership, Poisson rates scaled by group size, one
-// rate for all, per-group rates with a silent group, Pareto lifetimes, and
-// a population so small and so subscribed that arrivals find no
-// non-member and are lost.
+// uniform and Zipf membership, and a population so small and so
+// subscribed that arrivals find no non-member and are lost.
 func TestChurnEventsMatchReference(t *testing.T) {
 	cases := map[string]func(*Scenario){
 		"uniform": func(*Scenario) {},
@@ -118,14 +110,10 @@ func TestChurnEventsMatchReference(t *testing.T) {
 			s.Membership = Membership{Kind: "zipf", Skew: 1, MinSize: 8}
 			s.Churn = Churn{Kind: "poisson", TurnoverPerSec: 0.5, MeanLifetimeSec: 1, StartSec: 0.5}
 		},
-		"per-group-pareto": func(s *Scenario) {
-			s.Churn = Churn{Kind: "poisson", PerGroupRates: []float64{4, 0, 9, 1},
-				Lifetime: "pareto", ParetoAlpha: 1.5, MeanLifetimeSec: 2}
-		},
 		"saturated": func(s *Scenario) {
 			s.NumHosts = 10
 			s.Membership = Membership{Kind: "uniform", Fraction: 0.8, MinSize: 2}
-			s.Churn = Churn{Kind: "poisson", Rate: 40, MeanLifetimeSec: 3}
+			s.Churn = Churn{Kind: "poisson", TurnoverPerSec: 5, MeanLifetimeSec: 3}
 		},
 	}
 	for name, mutate := range cases {
@@ -226,25 +214,16 @@ func TestChurnEventsAllocations(t *testing.T) {
 
 // FuzzChurnEvents holds ChurnEvents to refChurnEvents on fuzzed
 // populations: up to 64 hosts, up to 8 groups whose member sets are drawn
-// from the input (a group may hold every host), one rate or per-group
-// rates, exponential or Pareto lifetimes.
+// from the input (a group may hold every host), and fuzzed turnover and
+// mean lifetime.
 func FuzzChurnEvents(f *testing.F) {
-	f.Add(uint64(1), uint8(40), uint8(3), uint8(30), uint8(4), false, []byte{1, 2, 3, 250})
-	f.Add(uint64(7), uint8(6), uint8(2), uint8(200), uint8(20), true, []byte{255, 255, 0})
-	f.Add(uint64(3), uint8(63), uint8(8), uint8(5), uint8(1), false, []byte{})
-	f.Fuzz(func(t *testing.T, seed uint64, hosts, ngroups, rate, life uint8, pareto bool, fill []byte) {
+	f.Add(uint64(1), uint8(40), uint8(3), uint8(30), uint8(4), []byte{1, 2, 3, 250})
+	f.Add(uint64(7), uint8(6), uint8(2), uint8(200), uint8(20), []byte{255, 255, 0})
+	f.Add(uint64(3), uint8(63), uint8(8), uint8(5), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, hosts, ngroups, turnover, life uint8, fill []byte) {
 		n, k := 1+int(hosts)%64, 1+int(ngroups)%8
 		sc := Scenario{Name: "fuzz", NumHosts: n, NumGroups: k,
-			Churn: Churn{Kind: "poisson", Rate: 0.5 + float64(rate)/4, MeanLifetimeSec: 0.05 + float64(life)/16}}
-		if pareto {
-			sc.Churn.Lifetime = "pareto"
-		}
-		if len(fill)%2 == 1 {
-			sc.Churn.Rate = 0
-			for g := range k {
-				sc.Churn.PerGroupRates = append(sc.Churn.PerGroupRates, float64(int(rate)*(g+1)%7))
-			}
-		}
+			Churn: Churn{Kind: "poisson", TurnoverPerSec: 0.05 + float64(turnover)/64, MeanLifetimeSec: 0.05 + float64(life)/16}}
 		rng := xrand.New(seed)
 		groups := make([]core.GroupSpec, k)
 		for g := range groups {

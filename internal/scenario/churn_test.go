@@ -15,7 +15,7 @@ func churnScenario() Scenario {
 		NumHosts:   120,
 		NumGroups:  4,
 		Membership: Membership{Kind: "uniform", Fraction: 0.3},
-		Churn:      Churn{Kind: "poisson", Rate: 3, MeanLifetimeSec: 1},
+		Churn:      Churn{Kind: "poisson", TurnoverPerSec: 0.1, MeanLifetimeSec: 1},
 		Combos:     []Combo{{Scheme: "sigma-rho-lambda"}},
 	}
 }
@@ -150,11 +150,10 @@ func TestChurnTurnoverScalesWithGroupSize(t *testing.T) {
 func TestChurnValidation(t *testing.T) {
 	bad := []func(*Scenario){
 		func(s *Scenario) { s.Churn.Kind = "flash-crowd" },
-		func(s *Scenario) { s.Churn.Rate = 0 }, // no rate at all
-		func(s *Scenario) { s.Churn.TurnoverPerSec = 1 },
-		func(s *Scenario) { s.Churn.PerGroupRates = []float64{1, 2} }, // wrong length
-		func(s *Scenario) { s.Churn.Lifetime = "weibull" },
-		func(s *Scenario) { s.Churn.Lifetime = "pareto"; s.Churn.ParetoAlpha = 0.9 },
+		func(s *Scenario) { s.Churn.TurnoverPerSec = 0 }, // no rate at all
+		func(s *Scenario) { s.Churn.TurnoverPerSec = -1 },
+		func(s *Scenario) { s.Churn.MeanLifetimeSec = -1 },
+		func(s *Scenario) { s.Churn.StartSec = -1 },
 		func(s *Scenario) { s.Membership = Membership{} }, // full membership
 		func(s *Scenario) { s.Combos = append(s.Combos, Combo{Scheme: "capacity-aware"}) },
 		func(s *Scenario) { s.Kind = KindSingleHop },
@@ -165,12 +164,6 @@ func TestChurnValidation(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Fatalf("case %d: invalid churn scenario accepted", i)
 		}
-	}
-	ok := churnScenario()
-	ok.Churn = Churn{Kind: "poisson", PerGroupRates: []float64{1, 0, 2, 3},
-		Lifetime: "pareto", ParetoAlpha: 1.5}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid pareto/per-group churn rejected: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package scenario
 
 // The declarative face of the core re-optimization plane: scenarios state
-// the pass period, hysteresis, and mode as plain JSON data and compile it
+// the pass period and hysteresis as plain JSON data and compile it
 // into a core.ReoptConfig.
 
 import (
@@ -26,9 +26,6 @@ type Reoptimize struct {
 	CooldownSec float64 `json:"cooldown_sec,omitempty"`
 	// MaxMoves bounds the members rewired per pass per group. Default 1.
 	MaxMoves int `json:"max_moves,omitempty"`
-	// Mode: "rewire" (default — local measurement-driven edge swaps) or
-	// "rebuild" (full strategy rebuild over the current member set).
-	Mode string `json:"mode,omitempty"`
 }
 
 // Enabled reports whether re-optimization is configured.
@@ -42,12 +39,7 @@ func (r Reoptimize) validate(name string) error {
 	if r.MinImprove < 0 || r.MinImprove >= 1 {
 		return fmt.Errorf("scenario %s: reoptimize min_improve %v outside [0,1)", name, r.MinImprove)
 	}
-	switch r.Mode {
-	case "", "rewire", "rebuild":
-	default:
-		return fmt.Errorf("scenario %s: unknown reoptimize mode %q", name, r.Mode)
-	}
-	if !r.Enabled() && (r.MinImprove != 0 || r.CooldownSec != 0 || r.MaxMoves != 0 || r.Mode != "") {
+	if !r.Enabled() && (r.MinImprove != 0 || r.CooldownSec != 0 || r.MaxMoves != 0) {
 		return fmt.Errorf("scenario %s: reoptimize parameters set without every_sec", name)
 	}
 	return nil
@@ -63,6 +55,5 @@ func (r Reoptimize) compile() core.ReoptConfig {
 		MinImprove: r.MinImprove,
 		Cooldown:   des.Seconds(r.CooldownSec),
 		MaxMoves:   r.MaxMoves,
-		Rebuild:    r.Mode == "rebuild",
 	}
 }

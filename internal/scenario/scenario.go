@@ -199,8 +199,8 @@ type Scenario struct {
 	// membership and regulated combos.
 	Churn Churn `json:"churn,omitempty"`
 	// Reopt turns on measurement-driven online tree re-optimization:
-	// periodic passes that rewire (or rebuild) each group's tree from
-	// measured per-member delays under hysteresis. Requires regulated
+	// periodic passes that rewire each group's tree from measured
+	// per-member delays under hysteresis. Requires regulated
 	// combos and a multi-group scenario.
 	Reopt Reoptimize `json:"reoptimize,omitempty"`
 	// Faults injects correlated failures (see faults.go): router-domain
@@ -381,7 +381,7 @@ func (s Scenario) Validate() error {
 	if err := CheckSeconds(s.WindowSec); err != nil {
 		return fmt.Errorf("scenario %s: window_sec %w", s.Name, err)
 	}
-	if err := s.Churn.validate(s.Name, s.GroupCount()); err != nil {
+	if err := s.Churn.validate(s.Name); err != nil {
 		return err
 	}
 	if s.Kind == KindSingleHop && (s.Churn.Enabled() || s.Reopt.Enabled() || len(s.Faults) > 0) {

@@ -32,6 +32,20 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown nested field decoded without error")
 	}
+	// Keys deleted from the churn and re-optimization specs are unknown
+	// too, not settings a spec silently loses.
+	for key, spec := range map[string]string{
+		"rate":            `"churn": {"kind": "poisson", "rate": 3}`,
+		"per_group_rates": `"churn": {"kind": "poisson", "per_group_rates": [1, 2]}`,
+		"lifetime":        `"churn": {"kind": "poisson", "turnover_per_sec": 0.1, "lifetime": "exponential"}`,
+		"pareto_alpha":    `"churn": {"kind": "poisson", "turnover_per_sec": 0.1, "pareto_alpha": 1.5}`,
+		"mode":            `"reoptimize": {"every_sec": 1, "mode": "rewire"}`,
+	} {
+		_, err = Parse([]byte(`{"name": "removed", ` + spec + `, "combos": [{"scheme": "sigma-rho-lambda"}]}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error", key, err)
+		}
+	}
 	// Trailing data after the spec is rejected (json.Unmarshal's old
 	// strictness, preserved through the Decoder switch).
 	_, err = Parse([]byte(`{"name": "a", "combos": [{"scheme": "sigma-rho"}]} {"name": "b"}`))
@@ -120,9 +134,6 @@ func TestValidateStrategyAndReopt(t *testing.T) {
 		// hysteresis outside [0,1)
 		{Name: "b8", Combos: []Combo{{Scheme: "sigma-rho"}},
 			Reopt: Reoptimize{EverySec: 1, MinImprove: 1.5}},
-		// unknown mode
-		{Name: "b9", Combos: []Combo{{Scheme: "sigma-rho"}},
-			Reopt: Reoptimize{EverySec: 1, Mode: "anneal"}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -132,12 +143,12 @@ func TestValidateStrategyAndReopt(t *testing.T) {
 }
 
 func TestReoptimizeCompile(t *testing.T) {
-	r := Reoptimize{EverySec: 2, MinImprove: 0.07, CooldownSec: 3, MaxMoves: 5, Mode: "rebuild"}
+	r := Reoptimize{EverySec: 2, MinImprove: 0.07, CooldownSec: 3, MaxMoves: 5}
 	cfg := r.compile()
 	if cfg.Every != 2*des.Second || cfg.Cooldown != 3*des.Second {
 		t.Fatalf("times: %+v", cfg)
 	}
-	if cfg.MinImprove != 0.07 || cfg.MaxMoves != 5 || !cfg.Rebuild {
+	if cfg.MinImprove != 0.07 || cfg.MaxMoves != 5 {
 		t.Fatalf("params: %+v", cfg)
 	}
 	if (Reoptimize{}).compile() != (core.ReoptConfig{}) {

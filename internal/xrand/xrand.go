@@ -161,14 +161,3 @@ func (r *Rand) NormFloat64() float64 {
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
-
-// Pareto returns a Pareto-distributed float64 with scale xm > 0 and shape
-// alpha > 0. The mean is xm*alpha/(alpha-1) for alpha > 1.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}

@@ -166,28 +166,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestParetoScale(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(1.5, 2.5); v < 1.5 {
-			t.Fatalf("Pareto below scale: %v", v)
-		}
-	}
-}
-
-func TestParetoMean(t *testing.T) {
-	r := New(37)
-	sum := 0.0
-	const n = 500000
-	for i := 0; i < n; i++ {
-		sum += r.Pareto(1, 3)
-	}
-	// mean = xm*alpha/(alpha-1) = 1.5
-	if mean := sum / n; math.Abs(mean-1.5) > 0.02 {
-		t.Fatalf("Pareto(1,3) sample mean %v", mean)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(43)
 	hits := 0

@@ -67,10 +67,10 @@ type (
 	// session control plane (host joins or leaves a group mid-run).
 	MembershipEvent = core.MembershipEvent
 	// Churn is a scenario's declarative membership-churn model (Poisson
-	// arrivals, exponential/Pareto lifetimes).
+	// arrivals scaled by group size, exponential lifetimes).
 	Churn = scenario.Churn
 	// ReoptConfig parameterises the online tree re-optimization plane:
-	// periodic measurement-driven rewires/rebuilds under hysteresis.
+	// periodic measurement-driven rewires under hysteresis.
 	ReoptConfig = core.ReoptConfig
 	// Reoptimize is a scenario's declarative re-optimization spec.
 	Reoptimize = scenario.Reoptimize
